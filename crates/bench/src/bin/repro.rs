@@ -13,7 +13,6 @@
 //!   modelval  performance-model validation (kernel fit + traffic)
 //!   strategy  strategy optimizer demonstration
 //!   ext       extensions: channel/filter, 3-D, memory mechanisms
-//!   plancache plan-caching ablation (plan-once vs recompile-per-step)
 //!   faults    fault-injection overhead + recovery cost vs ckpt interval
 //!   verify    static schedule verification sweep (models × strategies × grids)
 //!   simscale  executed discrete-event runs at paper scale (writes BENCH_simscale.json)
@@ -30,8 +29,8 @@
 //! communicator. See EXPERIMENTS.md for paper-vs-reproduction notes.
 
 use fg_bench::experiments::{
-    ckptstore, extensions, faults, memscale, microbench, modelval, plancache, resnet, scaling,
-    serve, simscale, stragglers, strategy, verify,
+    ckptstore, extensions, faults, memscale, microbench, modelval, resnet, scaling, serve,
+    simscale, stragglers, strategy, verify,
 };
 use fg_bench::table::Table;
 use fg_models::MeshSize;
@@ -53,7 +52,6 @@ fn main() {
             "modelval",
             "strategy",
             "ext",
-            "plancache",
             "faults",
             "verify",
             "simscale",
@@ -82,7 +80,6 @@ fn main() {
             "modelval" => tables.extend(modelval::modelval(&platform)),
             "strategy" => tables.push(strategy::strategy_report(&platform)),
             "ext" => tables.extend(extensions::extensions(&platform)),
-            "plancache" => tables.push(plancache::plancache()),
             "faults" => tables.extend(faults::faults()),
             "verify" => tables.push(verify::verify_report(&platform)),
             "simscale" => tables.push(simscale::simscale_report(&platform)),

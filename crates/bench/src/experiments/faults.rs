@@ -9,7 +9,7 @@
 //!    noise of nothing: the watchdog polls a few atomics per sweep off
 //!    the critical path, and a transparent plan adds two counter bumps
 //!    per comm op. Variants are timed in strict alternation with
-//!    best-of-reps, the same protocol as `plancache`.
+//!    best-of-reps.
 //! 2. **What does recovery cost as a function of checkpoint interval?**
 //!    A mid-run rank kill forces a restore-and-replay; the steps redone
 //!    shrink as snapshots get denser while the snapshot count grows —

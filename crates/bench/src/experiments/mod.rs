@@ -8,7 +8,6 @@
 //! | [`modelval`] | §VI-B3 model validation |
 //! | [`strategy`] | §V-C strategy optimizer demonstration |
 //! | [`extensions`] | channel/filter, 3-D, memory-pressure extensions |
-//! | [`plancache`] | plan-caching ablation (plan-once vs recompile-per-step) |
 //! | [`faults`] | fault-model overhead and checkpointed-recovery cost |
 //! | [`verify`] | static schedule verification sweep (fg-verify) |
 //! | [`simscale`] | Tables I–III / Fig. 4 as executed discrete-event runs |
@@ -23,7 +22,6 @@ pub mod faults;
 pub mod memscale;
 pub mod microbench;
 pub mod modelval;
-pub mod plancache;
 pub mod resnet;
 pub mod scaling;
 pub mod serve;

@@ -111,6 +111,17 @@ struct Entry {
 /// when the integrity layer is on.
 pub const DEFAULT_REPLAY_BYTES: usize = 16 << 20;
 
+/// The per-stream replay-window byte bound: `FG_COMM_REPLAY_BYTES` when
+/// set and parseable, else [`DEFAULT_REPLAY_BYTES`]. The one reader of
+/// that knob — [`IntegrityState::new`] sizes its windows with it and
+/// the static memory analyzer charges the same figure.
+pub fn replay_bytes_from_env() -> usize {
+    std::env::var("FG_COMM_REPLAY_BYTES")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(DEFAULT_REPLAY_BYTES)
+}
+
 /// The replay windows plus their byte accounting, under one lock so the
 /// gauge can never drift from the staged entries.
 #[derive(Default)]
@@ -144,17 +155,12 @@ pub struct IntegrityState {
 
 impl IntegrityState {
     /// Fresh state for a world of `size` ranks, with no fault plan. The
-    /// per-stream byte bound comes from `FG_COMM_REPLAY_BYTES` when set,
-    /// else [`DEFAULT_REPLAY_BYTES`].
+    /// per-stream byte bound is [`replay_bytes_from_env`].
     pub fn new(size: usize) -> IntegrityState {
-        let bound = std::env::var("FG_COMM_REPLAY_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_REPLAY_BYTES);
         IntegrityState {
             size,
             windows: Mutex::new(ReplayWindows::default()),
-            stream_bound: bound,
+            stream_bound: replay_bytes_from_env(),
             retx_served: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
             plan: None,
         }

@@ -51,12 +51,14 @@ pub use collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
 pub use dynamic::{DynComm, ErasedComm, ScalarType};
 pub use error::{attribute_dead_ranks, CommError};
 pub use fault::{FaultPlan, FaultyComm, LINK_RETRY_BUDGET};
-pub use integrity::{IntegrityComm, IntegrityConfig, IntegrityState, DEFAULT_REPLAY_BYTES};
+pub use integrity::{
+    replay_bytes_from_env, IntegrityComm, IntegrityConfig, IntegrityState, DEFAULT_REPLAY_BYTES,
+};
 pub use p2p::{
     sub_collective_tag, world_collective_tag, CommScalar, Communicator, Tag, WireHeader,
 };
 pub use runtime::{
-    run_ranks, run_ranks_opts, run_ranks_timed, run_ranks_with_faults,
+    env_flag, flag_is_on, run_ranks, run_ranks_opts, run_ranks_timed, run_ranks_with_faults,
     run_ranks_with_faults_integrity, LinkModel, RunOptions, WorldComm,
 };
 pub use sim::{

@@ -595,21 +595,31 @@ impl RunOptions {
         }
     }
 
-    /// Options from the environment: `FG_COMM_WATCHDOG` set to anything
-    /// but `0` or the empty string enables the watchdog (the CI script
-    /// does this, so any accidental deadlock in the test suite aborts
-    /// with a wait graph instead of hanging the job), and
-    /// `FG_COMM_INTEGRITY` likewise envelopes all world traffic in the
-    /// end-to-end integrity protocol.
+    /// Options from the environment: `FG_COMM_WATCHDOG` enables the
+    /// watchdog (the CI script does this, so any accidental deadlock in
+    /// the test suite aborts with a wait graph instead of hanging the
+    /// job), and `FG_COMM_INTEGRITY` envelopes all world traffic in the
+    /// end-to-end integrity protocol. Both follow [`flag_is_on`].
     pub fn from_env() -> RunOptions {
-        let on =
-            |name: &str| matches!(std::env::var_os(name), Some(v) if !v.is_empty() && v != "0");
         RunOptions {
-            watchdog: on("FG_COMM_WATCHDOG").then(WatchdogConfig::default),
+            watchdog: env_flag("FG_COMM_WATCHDOG").then(WatchdogConfig::default),
             recv_timeout: None,
-            integrity: on("FG_COMM_INTEGRITY").then(IntegrityConfig::default),
+            integrity: env_flag("FG_COMM_INTEGRITY").then(IntegrityConfig::default),
         }
     }
+}
+
+/// The truthiness rule every boolean `FG_*` knob shares: a value turns
+/// the knob on unless it is empty or exactly `0`.
+pub fn flag_is_on(value: &str) -> bool {
+    !value.is_empty() && value != "0"
+}
+
+/// Is the boolean knob `name` on in the process environment? The single
+/// reader behind `FG_VERIFY`, `FG_COMM_INTEGRITY`, `FG_COMM_WATCHDOG`
+/// and `FG_STRAGGLER`, so every crate agrees on what "set" means.
+pub fn env_flag(name: &str) -> bool {
+    std::env::var_os(name).is_some_and(|v| flag_is_on(&v.to_string_lossy()))
 }
 
 thread_local! {
@@ -875,6 +885,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pure string rule, not the process environment (mutating env
+    /// vars races under the parallel test runner). `true` is the value
+    /// the two old parsers disagreed on.
+    #[test]
+    fn boolean_knobs_share_one_truthiness_rule() {
+        for off in ["", "0"] {
+            assert!(!flag_is_on(off), "{off:?} must leave a knob off");
+        }
+        // Only empty and `0` are off: the rule does not read words.
+        for on in ["1", "true", "TRUE", "yes", "2", "00", " ", "false"] {
+            assert!(flag_is_on(on), "{on:?} must turn a knob on");
+        }
+    }
 
     #[test]
     fn single_rank_world_runs() {

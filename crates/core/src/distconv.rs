@@ -126,39 +126,12 @@ impl DistConv2d {
         HaloPlan::for_layout(&self.out_dist, rank, self.dy_margins.0, self.dy_margins.1)
     }
 
-    /// Build this rank's haloed input window from its unpadded shard.
-    pub fn build_x_window<C: Communicator>(&self, comm: &C, x: &DistTensor) -> DistTensor {
-        self.build_x_window_with_plan(comm, x, &self.x_halo_plan(comm.rank()))
-    }
-
-    /// [`DistConv2d::build_x_window`] with a precompiled halo plan.
-    pub fn build_x_window_with_plan<C: Communicator>(
-        &self,
-        comm: &C,
-        x: &DistTensor,
-        plan: &HaloPlan,
-    ) -> DistTensor {
-        self.build_x_window_with_plan_in(comm, x, plan, None)
-    }
-
-    /// [`DistConv2d::build_x_window_with_plan`] drawing the window's
-    /// storage from `store` when provided (the arena path); results are
-    /// bitwise-identical either way.
-    pub fn build_x_window_with_plan_in<C: Communicator>(
-        &self,
-        comm: &C,
-        x: &DistTensor,
-        plan: &HaloPlan,
-        store: Option<Vec<f32>>,
-    ) -> DistTensor {
-        debug_assert_eq!(*x.dist(), self.in_dist, "input shard has wrong distribution");
-        let mut win = x.to_window_in(self.x_margins.0, self.x_margins.1, store);
-        exchange_halo_with_plan(comm, &mut win, plan);
-        win
-    }
-
-    /// Forward propagation (Eq. 1). Takes the unpadded input shard;
-    /// returns `(y, x_window)` — the window is kept for backward-filter.
+    /// Forward propagation (Eq. 1), monolithic: build the haloed window,
+    /// complete the exchange, then convolve. Takes the unpadded input
+    /// shard; returns `(y, x_window)` — the window is kept for
+    /// backward-filter. This is the reference the §IV-A overlapped
+    /// driver ([`crate::overlap`], what the executor runs) is compared
+    /// against.
     ///
     /// Collective over `comm` (world size must equal the grid size).
     pub fn forward<C: Communicator>(
@@ -168,33 +141,9 @@ impl DistConv2d {
         w: &Tensor,
         bias: Option<&[f32]>,
     ) -> (DistTensor, DistTensor) {
-        self.forward_with_plan(comm, x, w, bias, &self.x_halo_plan(comm.rank()))
-    }
-
-    /// [`DistConv2d::forward`] with a precompiled forward halo plan.
-    pub fn forward_with_plan<C: Communicator>(
-        &self,
-        comm: &C,
-        x: &DistTensor,
-        w: &Tensor,
-        bias: Option<&[f32]>,
-        plan: &HaloPlan,
-    ) -> (DistTensor, DistTensor) {
-        self.forward_with_plan_in(comm, x, w, bias, plan, None)
-    }
-
-    /// [`DistConv2d::forward_with_plan`] with the window's storage drawn
-    /// from `store` when provided (the arena path).
-    pub fn forward_with_plan_in<C: Communicator>(
-        &self,
-        comm: &C,
-        x: &DistTensor,
-        w: &Tensor,
-        bias: Option<&[f32]>,
-        plan: &HaloPlan,
-        store: Option<Vec<f32>>,
-    ) -> (DistTensor, DistTensor) {
-        let win = self.build_x_window_with_plan_in(comm, x, plan, store);
+        debug_assert_eq!(*x.dist(), self.in_dist, "input shard has wrong distribution");
+        let mut win = x.to_window(self.x_margins.0, self.x_margins.1);
+        exchange_halo_with_plan(comm, &mut win, &self.x_halo_plan(comm.rank()));
         let y = self.forward_from_window(comm.rank(), &win, w, bias);
         (y, win)
     }
@@ -231,36 +180,9 @@ impl DistConv2d {
         dy: &DistTensor,
         w: &Tensor,
     ) -> DistTensor {
-        self.backward_data_with_plan(comm, dy, w, &self.dy_halo_plan(comm.rank()))
-    }
-
-    /// [`DistConv2d::backward_data`] with a precompiled dy halo plan.
-    pub fn backward_data_with_plan<C: Communicator>(
-        &self,
-        comm: &C,
-        dy: &DistTensor,
-        w: &Tensor,
-        plan: &HaloPlan,
-    ) -> DistTensor {
-        self.backward_data_with_plan_in(comm, dy, w, plan, None).0
-    }
-
-    /// [`DistConv2d::backward_data_with_plan`] with the transient dy
-    /// window's storage drawn from `store` when provided. The spent
-    /// storage comes back as the second element (only when `store` was
-    /// `Some`) so the caller can return it to its arena slot.
-    pub fn backward_data_with_plan_in<C: Communicator>(
-        &self,
-        comm: &C,
-        dy: &DistTensor,
-        w: &Tensor,
-        plan: &HaloPlan,
-        store: Option<Vec<f32>>,
-    ) -> (DistTensor, Option<Vec<f32>>) {
         debug_assert_eq!(*dy.dist(), self.out_dist, "error signal has wrong distribution");
-        let had_store = store.is_some();
-        let mut dyw = dy.to_window_in(self.dy_margins.0, self.dy_margins.1, store);
-        exchange_halo_with_plan(comm, &mut dyw, plan);
+        let mut dyw = dy.to_window(self.dy_margins.0, self.dy_margins.1);
+        exchange_halo_with_plan(comm, &mut dyw, &self.dy_halo_plan(comm.rank()));
 
         let mut dx = DistTensor::new_unpadded(self.in_dist.clone(), comm.rank());
         let ib = dx.own_box();
@@ -274,8 +196,7 @@ impl DistConv2d {
             (ib.lo[3], ib.hi[3]),
         );
         dx.set_owned(&local);
-        let spent = had_store.then(|| dyw.into_storage());
-        (dx, spent)
+        dx
     }
 
     /// Local weight-gradient contribution (Eq. 2), **without** the final

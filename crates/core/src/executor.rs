@@ -30,8 +30,6 @@
 //! produces the same losses and parameters as `fg_nn::Network` on a
 //! single device (exactly, up to floating-point reduction order).
 
-use std::borrow::Cow;
-
 use std::cell::RefCell;
 
 use fg_comm::{Communicator, ErasedComm};
@@ -41,7 +39,7 @@ use fg_nn::{LayerKind, LayerParams, NetworkSpec, Sgd};
 use fg_tensor::{BufClass, DistTensor, MemPlan, Shape4, StepArena, Tensor, TensorDist};
 
 use crate::layers::{build_layers, ArenaSlot, BwdCx, DistLayer, FwdCx, FwdInput, LayerPlan};
-use crate::mem::{MemReport, RankArena};
+use crate::mem::{MemReport, RankArena, RankMemPlan};
 use crate::strategy::{Strategy, StrategyError};
 
 /// A distributed activation: either a shard of a global tensor, or a
@@ -168,12 +166,14 @@ pub struct DistExecutor {
     layers: Vec<Box<dyn DistLayer>>,
     /// Precompiled plans, indexed `[layer][rank]`.
     plans: Vec<Vec<LayerPlan>>,
+    /// Precompiled memory plans of the fused step, indexed `[rank]`.
+    mem_plans: Vec<RankMemPlan>,
 }
 
 impl DistExecutor {
     /// Validate the strategy, build the layer objects, and compile every
-    /// rank's per-layer plan (the plan-once phase; the training loop
-    /// performs zero plan construction).
+    /// rank's per-layer plan and memory plan (the plan-once phase; the
+    /// training loop performs zero plan construction).
     pub fn new(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Result<Self, StrategyError> {
         strategy.validate(&spec, batch)?;
         let mut layers = build_layers(&spec, &strategy, batch);
@@ -181,7 +181,6 @@ impl DistExecutor {
         // Move analysis: a parent activation may be moved (not cloned)
         // into a consumer when that consumer is the sole reader, no
         // shuffle intervenes, and backward never touches the edge.
-        // arena-exempt: construction-time move analysis, not the step path.
         let mut consumers = vec![0usize; layers.len()];
         for l in &layers {
             for &p in &l.base().parents {
@@ -211,13 +210,26 @@ impl DistExecutor {
 
         let world = strategy.world_size();
         let plans = compile_all_plans(&layers, world);
-        let exec = DistExecutor { spec, strategy, batch, layers, plans };
+        // Memory plans are compiled here, on the constructing thread, not
+        // on a rank's first step: an executor-lifetime allocation made
+        // from a rank thread mid-step outlives its world and pins that
+        // thread's allocator arena (measured: +20 % peak RSS on the
+        // ResNet benchmark workload). Borrowing the plans keeps this to
+        // shape arithmetic: 10–40 ms for the 128–512-rank planning
+        // worlds, which never step.
+        let param_elems = spec.param_elems();
+        let mem_plans = (0..world)
+            .map(|rank| {
+                let rank_plans: Vec<&LayerPlan> = plans.iter().map(|per| &per[rank]).collect();
+                RankMemPlan::compile(&spec, &layers, &rank_plans, &param_elems, batch, rank)
+            })
+            .collect();
+        let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans };
 
-        // FG_VERIFY=1: statically verify the compiled schedule before
+        // FG_VERIFY: statically verify the compiled schedule before
         // handing it to anyone — a debug assertion for the plan compiler.
-        if std::env::var("FG_VERIFY").map(|v| v == "1").unwrap_or(false) {
-            let report = exec.verify();
-            if let Some(v) = report.violations.first() {
+        if fg_comm::env_flag("FG_VERIFY") {
+            if let Some(v) = exec.verify().violations.first() {
                 return Err(StrategyError::ScheduleUnsound {
                     layer: v.layer,
                     detail: v.to_string(),
@@ -225,8 +237,7 @@ impl DistExecutor {
             }
             // The memory plans ride the same gate: an unsound slot
             // assignment or understated bound must never execute.
-            let mem = exec.analyze_memory();
-            if let Some(v) = mem.violations.first() {
+            if let Some(v) = exec.analyze_memory().violations.first() {
                 return Err(StrategyError::ScheduleUnsound {
                     layer: v.layer,
                     detail: format!("memory: {v}"),
@@ -234,9 +245,10 @@ impl DistExecutor {
             }
         }
         // FG_MEM_BUDGET (bytes/rank): reject strategies whose static
-        // peak exceeds the budget before anything executes.
+        // peak exceeds the budget before anything executes. The compiled
+        // memory plans already hold every rank's bound.
         if let Some(budget) = crate::mem::mem_budget_from_env() {
-            let needed = exec.analyze_memory().max_peak();
+            let needed = exec.mem_plans.iter().map(|m| m.static_bound).max().unwrap_or(0);
             if needed > budget {
                 return Err(StrategyError::MemBudgetExceeded { needed, budget });
             }
@@ -279,28 +291,6 @@ impl DistExecutor {
             &mutate_intervals,
             &mutate_plan,
         )
-    }
-
-    /// Build rank `rank`'s executable memory state: its liveness
-    /// intervals colored into a [`MemPlan`], a [`StepArena`]
-    /// preallocated to execute it, and the rank's static peak bound.
-    /// Hand the result to the `*_arena` entry points; after every step
-    /// they assert `measured_peak() <= static_bound`.
-    pub fn rank_arena(&self, rank: usize) -> RankArena {
-        let param_elems: Vec<usize> =
-            fg_nn::init_params(&self.spec, 0).iter().map(|p| p.len()).collect();
-        let plans: Vec<LayerPlan> = self.plans.iter().map(|per| per[rank].clone()).collect();
-        let ivs = crate::mem::rank_intervals(
-            &self.spec,
-            &self.layers,
-            &plans,
-            &param_elems,
-            self.batch,
-            rank,
-        );
-        let plan = MemPlan::color(&ivs);
-        let pool = RefCell::new(StepArena::new(&plan));
-        RankArena { rank, plan, pool, static_bound: fg_tensor::peak_bytes(&ivs) }
     }
 
     /// Statically verify this executor's compiled communication
@@ -347,16 +337,15 @@ impl DistExecutor {
         self.layers[0].base().out_dist.clone().expect("layer 0 is the sharded input layer")
     }
 
-    /// This layer's plan for `rank`: borrowed from the cache, or — when
-    /// plan caching is ablated off via
-    /// [`Strategy::with_plan_caching`] — recompiled on the spot
-    /// (identical contents, measurable cost).
-    fn plan_for(&self, id: usize, rank: usize) -> Cow<'_, LayerPlan> {
-        if self.strategy.plan_cache {
-            Cow::Borrowed(&self.plans[id][rank])
-        } else {
-            Cow::Owned(self.layers[id].compile_plan(rank))
-        }
+    /// A pre-sharded input must be this rank's block of the input layer's
+    /// distribution.
+    fn check_input_shard(&self, x_shard: &DistTensor, rank: usize) {
+        assert_eq!(
+            *x_shard.dist(),
+            self.input_dist(),
+            "shard does not match the input distribution"
+        );
+        assert_eq!(x_shard.rank(), rank, "shard belongs to a different rank");
     }
 
     /// Forward pass. `x` is the full global input replicated on every
@@ -386,12 +375,7 @@ impl DistExecutor {
         x_shard: DistTensor,
         labels: Option<&Labels>,
     ) -> DistPass {
-        assert_eq!(
-            *x_shard.dist(),
-            self.input_dist(),
-            "shard does not match the input distribution"
-        );
-        assert_eq!(x_shard.rank(), comm.rank(), "shard belongs to a different rank");
+        self.check_input_shard(&x_shard, comm.rank());
         self.run_forward(&ErasedComm::new(comm), params, Act::Shard(x_shard), labels, None, None)
     }
 
@@ -403,10 +387,8 @@ impl DistExecutor {
         x_shard: DistTensor,
         labels: &Labels,
     ) -> (f64, Vec<LayerParams>) {
-        let pass = self.forward_sharded(comm, params, x_shard, Some(labels));
-        let loss = pass.loss.expect("network must end in a loss layer");
-        let grads = self.backward(comm, params, &pass);
-        (loss, grads)
+        self.check_input_shard(&x_shard, comm.rank());
+        self.fused_step(&ErasedComm::new(comm), params, x_shard, labels)
     }
 
     /// Distributed inference: batch-norm layers normalize with the
@@ -485,16 +467,16 @@ impl DistExecutor {
         input: Act,
         labels: Option<&Labels>,
         bn_override: Option<&[Option<BnStats>]>,
-        arena: Option<&RankArena>,
+        arena: Option<&RankArena<'_>>,
     ) -> DistPass {
         assert_eq!(comm.size(), self.strategy.world_size(), "communicator does not match strategy");
         let n_layers = self.layers.len();
         let rank = comm.rank();
         let mut pass = DistPass {
-            acts: Vec::with_capacity(n_layers), // arena-exempt: slot table
-            inputs: vec![Vec::new(); n_layers], // arena-exempt: slot table
-            windows: vec![None; n_layers],      // arena-exempt: slot table
-            bn_stats: vec![None; n_layers],     // arena-exempt: slot table
+            acts: Vec::with_capacity(n_layers),
+            inputs: vec![Vec::new(); n_layers],
+            windows: vec![None; n_layers],
+            bn_stats: vec![None; n_layers],
             loss: None,
             loss_grad: None,
         };
@@ -503,11 +485,10 @@ impl DistExecutor {
         for id in 0..n_layers {
             let layer = &self.layers[id];
             let base = layer.base();
-            let plan = self.plan_for(id, rank);
+            let plan = &self.plans[id][rank];
 
             // Phase 1: owned inputs — §III-C shuffles, and moves out of
             // sole-consumer parents (no clone, the parent slot is spent).
-            // arena-exempt: per-parent Option slots; activations are moved in.
             let mut owned: Vec<Option<Act>> = Vec::with_capacity(base.parents.len());
             for (i, &p) in base.parents.iter().enumerate() {
                 let o = if let Some(shuffle) = plan.in_shuffles[i].as_ref() {
@@ -533,12 +514,11 @@ impl DistExecutor {
                 .collect();
 
             let mut cx = FwdCx {
-                plan: &plan,
+                plan,
                 params: &params[id],
                 labels,
                 bn_override: bn_override.and_then(|o| o[id].as_ref()),
                 bn_mode: self.strategy.bn_mode,
-                overlap: self.strategy.overlap_halo,
                 rank,
                 inputs,
                 external: if base.parents.is_empty() { external.take() } else { None },
@@ -566,7 +546,6 @@ impl DistExecutor {
                     })
                     .collect()
             } else {
-                // arena-exempt: per-parent Option slots.
                 vec![None; base.parents.len()]
             };
             pass.windows[id] = window;
@@ -602,12 +581,11 @@ impl DistExecutor {
         comm: &ErasedComm<'_>,
         params: &[LayerParams],
         pass: &DistPass,
-        arena: Option<&RankArena>,
+        arena: Option<&RankArena<'_>>,
     ) -> Vec<LayerParams> {
         let n_layers = self.layers.len();
         let rank = comm.rank();
         let mut grads: Vec<LayerParams> = params.iter().map(|p| p.zeros_like()).collect();
-        // arena-exempt: per-layer Option slots; error signals are moved in.
         let mut dout: Vec<Option<Act>> = vec![None; n_layers];
 
         for id in (0..n_layers).rev() {
@@ -622,13 +600,12 @@ impl DistExecutor {
             if base.parents.is_empty() {
                 continue;
             }
-            let plan = self.plan_for(id, rank);
+            let plan = &self.plans[id][rank];
             let cx = BwdCx {
-                plan: &plan,
+                plan,
                 params: &params[id],
                 pass,
                 bn_mode: self.strategy.bn_mode,
-                overlap: self.strategy.overlap_halo,
                 rank,
                 dyw_slot: arena.and_then(|a| {
                     a.plan
@@ -653,7 +630,15 @@ impl DistExecutor {
         grads
     }
 
-    /// Forward + backward; returns `(loss, grads)`.
+    /// Forward + backward fused into one step; returns `(loss, grads)`.
+    ///
+    /// The pass never escapes this call, so the step runs against the
+    /// rank's memory plan: conv/pool windows draw their buffers from the
+    /// plan's arena slots, and the step ends with the runtime soundness
+    /// assertion `measured_peak <= static_bound`. Losses and gradients
+    /// are bitwise identical to [`DistExecutor::forward`] +
+    /// [`DistExecutor::backward`] — the arena changes where bytes live,
+    /// never what they hold.
     pub fn loss_and_grads<C: Communicator>(
         &self,
         comm: &C,
@@ -661,70 +646,52 @@ impl DistExecutor {
         x: &Tensor,
         labels: &Labels,
     ) -> (f64, Vec<LayerParams>) {
-        let pass = self.forward(comm, params, x, Some(labels));
-        let loss = pass.loss.expect("network must end in a loss layer");
-        let grads = self.backward(comm, params, &pass);
-        (loss, grads)
-    }
-
-    /// [`DistExecutor::loss_and_grads`] executed against rank-local
-    /// arena storage: conv/pool windows draw their buffers from
-    /// `arena`'s recycled slots instead of allocating per step, and the
-    /// step ends with the runtime soundness assertion
-    /// `measured_peak() <= static_bound`. Losses and gradients are
-    /// bitwise identical to the allocation-per-step path — the arena
-    /// changes where bytes live, never what they hold.
-    pub fn loss_and_grads_arena<C: Communicator>(
-        &self,
-        comm: &C,
-        params: &[LayerParams],
-        x: &Tensor,
-        labels: &Labels,
-        arena: &RankArena,
-    ) -> (f64, Vec<LayerParams>) {
-        assert_eq!(arena.rank, comm.rank(), "arena belongs to a different rank");
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        let ec = ErasedComm::new(comm);
+        self.fused_step(&ErasedComm::new(comm), params, shard, labels)
+    }
+
+    /// The fused step behind [`DistExecutor::loss_and_grads`] and its
+    /// sharded-input counterpart.
+    fn fused_step(
+        &self,
+        comm: &ErasedComm<'_>,
+        params: &[LayerParams],
+        shard: DistTensor,
+        labels: &Labels,
+    ) -> (f64, Vec<LayerParams>) {
+        let rank = comm.rank();
+        let mem = &self.mem_plans[rank];
+        // The arena lives for this step only; the executor keeps the
+        // plan, not the storage. A step abandoned by an unwinding rank
+        // (injected kill, watchdog abort) takes its arena down with its
+        // frame, so nothing of it reaches the next step on this
+        // executor, and an idle executor holds no window bytes.
+        let arena = RankArena { plan: &mem.plan, pool: RefCell::new(StepArena::new(&mem.plan)) };
         let mut pass =
-            self.run_forward(&ec, params, Act::Shard(shard), Some(labels), None, Some(arena));
+            self.run_forward(comm, params, Act::Shard(shard), Some(labels), None, Some(&arena));
         let loss = pass.loss.expect("network must end in a loss layer");
-        let grads = self.run_backward(&ec, params, &pass, Some(arena));
+        let grads = self.run_backward(comm, params, &pass, Some(&arena));
         // End-of-step sweep: every kept forward window returns its
         // storage to its slot (dy windows were released inside their
         // layer's backward), then the high-water mark is checked against
         // the static bound.
+        let mut pool = arena.pool.into_inner();
         for (id, w) in pass.windows.iter_mut().enumerate() {
-            let Some(slot) = arena.plan.slot_for(id, BufClass::Window) else { continue };
+            let Some(slot) = mem.plan.slot_for(id, BufClass::Window) else { continue };
             if let Some(win) = w.take() {
-                arena.pool.borrow_mut().release(slot, win.into_storage());
+                pool.release(slot, win.into_storage());
             }
         }
+        assert_eq!(pool.outstanding_bytes(), 0, "rank {rank}: a window outlived the step's sweep");
         assert!(
-            arena.measured_peak() <= arena.static_bound,
-            "rank {}: measured arena peak {} B exceeds the static bound {} B",
-            arena.rank,
-            arena.measured_peak(),
-            arena.static_bound
+            pool.measured_peak() <= mem.static_bound,
+            "rank {rank}: measured arena peak {} B exceeds the static bound {} B",
+            pool.measured_peak(),
+            mem.static_bound
         );
         (loss, grads)
-    }
-
-    /// Arena-executed counterpart of [`DistExecutor::train_step`]; see
-    /// [`DistExecutor::loss_and_grads_arena`].
-    pub fn train_step_arena<C: Communicator>(
-        &self,
-        comm: &C,
-        params: &mut [LayerParams],
-        opt: &mut Sgd,
-        x: &Tensor,
-        labels: &Labels,
-        arena: &RankArena,
-    ) -> f64 {
-        let (loss, grads) = self.loss_and_grads_arena(comm, params, x, labels, arena);
-        opt.step(params, &grads);
-        loss
     }
 
     /// One training step: forward, backward, replicated SGD update.
@@ -967,34 +934,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlap_mode_is_bitwise_identical() {
-        let spec = mini_mesh_net();
-        let (x, labels) = seg_batch(2, 16, 16);
-        let net = Network::init(spec.clone(), 21);
-        let grid = ProcGrid::spatial(2, 2);
-        let with =
-            DistExecutor::new(spec.clone(), Strategy::uniform(&spec, grid).with_overlap(true), 2)
-                .unwrap();
-        let without =
-            DistExecutor::new(spec.clone(), Strategy::uniform(&spec, grid).with_overlap(false), 2)
-                .unwrap();
-        let a = run_ranks(4, |comm| with.loss_and_grads(comm, &net.params, &x, &labels));
-        let b = run_ranks(4, |comm| without.loss_and_grads(comm, &net.params, &x, &labels));
-        for ((la, ga), (lb, gb)) in a.iter().zip(&b) {
-            assert_eq!(la, lb, "overlap changed the loss");
-            for (x, y) in ga.iter().zip(gb) {
-                assert_eq!(x.to_flat(), y.to_flat(), "overlap changed gradients");
-            }
-        }
+    fn grad_bits(grads: &[LayerParams]) -> Vec<Vec<u32>> {
+        grads.iter().map(|g| g.to_flat().iter().map(|v| v.to_bits()).collect()).collect()
     }
 
+    /// The two surviving step paths pinned against each other: the fused
+    /// `loss_and_grads` (overlapped halos, precompiled plans, arena
+    /// slots) equals the split `forward` + `backward` (same drivers,
+    /// plain allocation) bit for bit, step after step, and the plan and
+    /// bound the fused step holds itself to — it asserts zero outstanding
+    /// bytes and `measured_peak <= static_bound` before it returns — are
+    /// the ones `analyze_memory` reports.
     #[test]
-    fn arena_execution_is_bitwise_identical() {
-        // The arena changes where window bytes live, never what they
-        // hold: losses and gradients must match the allocation-per-step
-        // path bit for bit, and every rank's measured high-water mark
-        // must stay under its static bound.
+    fn fused_step_matches_split_passes_bitwise() {
         for (spec, grid, batch) in [
             (mini_mesh_net(), ProcGrid::spatial(2, 2), 2),
             (mini_mesh_net(), ProcGrid::hybrid(2, 2, 1), 4),
@@ -1008,30 +960,27 @@ mod tests {
             let report = exec.analyze_memory();
             assert!(report.is_clean(), "memory plan must verify clean: {report}");
 
-            let plain = run_ranks(4, |comm| exec.loss_and_grads(comm, &net.params, &x, &labels));
-            let arena = run_ranks(4, |comm| {
-                let arena = exec.rank_arena(comm.rank());
-                // Two steps through the same arena: slots must recycle.
-                let first = exec.loss_and_grads_arena(comm, &net.params, &x, &labels, &arena);
-                let second = exec.loss_and_grads_arena(comm, &net.params, &x, &labels, &arena);
-                assert_eq!(first.0.to_bits(), second.0.to_bits(), "arena reuse changed the loss");
-                assert!(
-                    arena.measured_peak() <= arena.static_bound,
-                    "measured {} B over static bound {} B",
-                    arena.measured_peak(),
-                    arena.static_bound
-                );
-                assert_eq!(
-                    arena.pool.borrow().outstanding_bytes(),
-                    0,
-                    "end-of-step sweep must return every buffer"
-                );
-                first
+            let split = run_ranks(4, |comm| {
+                let pass = exec.forward(comm, &net.params, &x, Some(&labels));
+                let grads = exec.backward(comm, &net.params, &pass);
+                (pass.loss.expect("loss layer"), grads)
             });
-            for ((la, ga), (lb, gb)) in plain.iter().zip(&arena) {
-                assert_eq!(la.to_bits(), lb.to_bits(), "arena changed the loss");
-                for (g1, g2) in ga.iter().zip(gb) {
-                    assert_eq!(g1.to_flat(), g2.to_flat(), "arena changed gradients");
+            let fused = run_ranks(4, |comm| {
+                (0..2)
+                    .map(|_| {
+                        let out = exec.loss_and_grads(comm, &net.params, &x, &labels);
+                        let bound = &report.bounds[comm.rank()];
+                        let mem = &exec.mem_plans[comm.rank()];
+                        assert_eq!(mem.static_bound, bound.peak_bytes, "bound matches report");
+                        assert_eq!(mem.plan.arena_bytes, bound.arena_bytes);
+                        out
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for ((ls, gs), steps) in split.iter().zip(&fused) {
+                for (lf, gf) in steps {
+                    assert_eq!(ls.to_bits(), lf.to_bits(), "fused step changed the loss");
+                    assert_eq!(grad_bits(gs), grad_bits(gf), "fused step changed gradients");
                 }
             }
         }
@@ -1039,8 +988,8 @@ mod tests {
 
     #[test]
     fn static_bounds_cover_all_ranks_and_strategies() {
-        // analyze_memory agrees with rank_arena's per-rank bound, and
-        // bounds are positive wherever a rank holds data.
+        // Bounds are positive wherever a rank holds data (that they are
+        // the bounds the fused step is held to is pinned above).
         let spec = mini_mesh_net();
         let exec =
             DistExecutor::new(spec.clone(), Strategy::uniform(&spec, ProcGrid::spatial(2, 2)), 2)
@@ -1051,40 +1000,98 @@ mod tests {
         for b in &report.bounds {
             assert!(b.peak_bytes > 0);
             assert!(b.peak_bytes >= b.persistent_bytes, "peak covers the whole-step term");
-            let arena = exec.rank_arena(b.rank);
-            assert_eq!(arena.static_bound, b.peak_bytes, "rank_arena bound matches the report");
-            assert_eq!(arena.pool.borrow().arena_bytes(), b.arena_bytes);
         }
     }
 
+    /// `resilient_train` reuses one executor across attempts: a step
+    /// abandoned by an unwinding rank must leave nothing behind that the
+    /// next world on the same executor can trip over.
     #[test]
-    fn plan_caching_is_bitwise_identical() {
-        // Recompiling plans per invocation (the ablation baseline) must
-        // not change a single bit of losses or gradients.
+    fn executor_is_reusable_after_an_abandoned_step() {
+        use fg_comm::{run_ranks_with_faults, FaultPlan};
+
+        let spec = mini_mesh_net();
+        let (x, labels) = seg_batch(2, 16, 16);
+        let net = Network::init(spec.clone(), 17);
+        let strategy = Strategy::uniform(&spec, ProcGrid::spatial(2, 2));
+        let train = |step: &dyn Fn(&mut [LayerParams], &mut Sgd) -> f64| {
+            let mut params = net.params.clone();
+            let mut opt = Sgd::new(0.02, 0.9, 1e-4, &params);
+            (0..3).map(|_| step(&mut params, &mut opt).to_bits()).collect::<Vec<u64>>()
+        };
+        let fresh = DistExecutor::new(spec.clone(), strategy.clone(), 2).unwrap();
+        let want = run_ranks(4, |comm| train(&|p, o| fresh.train_step(comm, p, o, &x, &labels)));
+
+        let exec = DistExecutor::new(spec.clone(), strategy, 2).unwrap();
+        // Probe one clean step's op count, then kill rank 2 halfway
+        // through the next world's second step — windows checked out,
+        // peers blocked on its halos.
+        let probe = run_ranks_with_faults(4, FaultPlan::default(), |comm| {
+            let mut params = net.params.clone();
+            let mut opt = Sgd::new(0.02, 0.9, 1e-4, &params);
+            exec.train_step(comm, &mut params, &mut opt, &x, &labels);
+            comm.ops()
+        });
+        let step_ops = *probe[2].as_ref().expect("probe is fault-free");
+        let plan = FaultPlan::new(9).kill_rank(2, step_ops + step_ops / 2);
+        let faulted = run_ranks_with_faults(4, plan, |comm| {
+            train(&|p, o| exec.train_step(comm, p, o, &x, &labels))
+        });
+        assert!(faulted.iter().all(|r| r.is_err()), "the kill must abandon the step everywhere");
+
+        // A clean world on the same executor walks the trajectory of a
+        // never-faulted one (and trips over no slot left checked out).
+        let got = run_ranks(4, |comm| train(&|p, o| exec.train_step(comm, p, o, &x, &labels)));
+        assert_eq!(got, want, "an abandoned step must not leak into later steps");
+
+        let serial = {
+            let mut n = net.clone();
+            let mut opt = Sgd::new(0.02, 0.9, 1e-4, &n.params);
+            (0..3)
+                .map(|_| {
+                    let (loss, grads) = n.loss_and_grads(&x, &labels);
+                    opt.step(&mut n.params, &grads);
+                    loss
+                })
+                .collect::<Vec<_>>()
+        };
+        for (s, d) in serial.iter().zip(&got[0]) {
+            let d = f64::from_bits(*d);
+            assert!((s - d).abs() <= 1e-3 * s.abs().max(1.0), "serial {s} vs distributed {d}");
+        }
+    }
+
+    /// What the benchmark's traced mode does: fused `train_step`s
+    /// interleaved with split `forward`/`backward` steps on one rank
+    /// must walk the trajectory of `train_step` alone.
+    #[test]
+    fn interleaved_fused_and_split_steps_share_one_trajectory() {
         let spec = mini_resnet();
         let (x, labels) = cls_batch(4);
-        let net = Network::init(spec.clone(), 11);
-        let grid = ProcGrid::hybrid(2, 1, 2);
-        let cached = DistExecutor::new(
-            spec.clone(),
-            Strategy::uniform(&spec, grid).with_plan_caching(true),
-            4,
-        )
-        .unwrap();
-        let fresh = DistExecutor::new(
-            spec.clone(),
-            Strategy::uniform(&spec, grid).with_plan_caching(false),
-            4,
-        )
-        .unwrap();
-        let a = run_ranks(4, |comm| cached.loss_and_grads(comm, &net.params, &x, &labels));
-        let b = run_ranks(4, |comm| fresh.loss_and_grads(comm, &net.params, &x, &labels));
-        for ((la, ga), (lb, gb)) in a.iter().zip(&b) {
-            assert_eq!(la, lb, "plan caching changed the loss");
-            for (x, y) in ga.iter().zip(gb) {
-                assert_eq!(x.to_flat(), y.to_flat(), "plan caching changed gradients");
-            }
-        }
+        let net = Network::init(spec.clone(), 13);
+        let exec =
+            DistExecutor::new(spec.clone(), Strategy::uniform(&spec, ProcGrid::hybrid(2, 1, 2)), 4)
+                .unwrap();
+        let run = |split_odd_steps: bool| {
+            run_ranks(4, |comm| {
+                let mut params = net.params.clone();
+                let mut opt = Sgd::new(0.02, 0.9, 1e-4, &params);
+                let losses: Vec<u64> = (0..4)
+                    .map(|step| {
+                        if split_odd_steps && step % 2 == 1 {
+                            let pass = exec.forward(comm, &params, &x, Some(&labels));
+                            let grads = exec.backward(comm, &params, &pass);
+                            opt.step(&mut params, &grads);
+                            pass.loss.expect("loss layer").to_bits()
+                        } else {
+                            exec.train_step(comm, &mut params, &mut opt, &x, &labels).to_bits()
+                        }
+                    })
+                    .collect();
+                (losses, grad_bits(&params))
+            })
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

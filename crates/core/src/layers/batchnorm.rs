@@ -178,7 +178,6 @@ impl DistLayer for BatchNormLayer {
         let (gamma, _beta) = bn_params(cx.params);
         let (dx, dgamma, dbeta) = dist_bn_backward(comm, x, &dy, stats, gamma, BN_EPS, cx.bn_mode);
         BwdOut {
-            // arena-exempt: one-element edge list; `dx` is moved, not allocated here.
             dparents: vec![(0, Act::Shard(dx))],
             grads: Some(LayerParams::Bn { gamma: dgamma, beta: dbeta }),
         }

@@ -60,14 +60,10 @@ impl DistLayer for ConvLayer {
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
         let store =
             cx.window_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).window_elems));
-        // §IV-A: overlap halo exchange with interior compute
-        // (bitwise-identical results either way).
-        let (y, win) = if cx.overlap {
-            let iplan = cx.plan.interior.as_ref().expect("conv plan has an interior plan");
-            forward_overlapped_with_plans_in(&self.conv, comm, x, w, b, x_halo, iplan, store)
-        } else {
-            self.conv.forward_with_plan_in(comm, x, w, b, x_halo, store)
-        };
+        // §IV-A: the halo exchange overlaps the interior compute.
+        let iplan = cx.plan.interior.as_ref().expect("conv plan has an interior plan");
+        let (y, win) =
+            forward_overlapped_with_plans_in(&self.conv, comm, x, w, b, x_halo, iplan, store);
         cx.window = Some(win);
         Act::Shard(y)
     }
@@ -80,28 +76,21 @@ impl DistLayer for ConvLayer {
         let store =
             cx.dyw_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).dy_window_elems));
         // §IV-A: the dy halo exchange hides inside the (halo-free)
-        // filter convolution when overlapping.
-        let (dx, dw, db, spent) = if cx.overlap {
-            backward_overlapped_with_plans_in(
-                &self.conv,
-                comm,
-                win,
-                &dy,
-                w,
-                b.is_some(),
-                dy_halo,
-                store,
-            )
-        } else {
-            let (dx, spent) = self.conv.backward_data_with_plan_in(comm, &dy, w, dy_halo, store);
-            let (dw, db) = self.conv.backward_filter(comm, win, &dy, b.is_some());
-            (dx, dw, db, spent)
-        };
+        // filter convolution.
+        let (dx, dw, db, spent) = backward_overlapped_with_plans_in(
+            &self.conv,
+            comm,
+            win,
+            &dy,
+            w,
+            b.is_some(),
+            dy_halo,
+            store,
+        );
         if let (Some(slot), Some(buf)) = (cx.dyw_slot.as_ref(), spent) {
             slot.release(buf);
         }
         BwdOut {
-            // arena-exempt: one-element edge list; `dx` is moved, not allocated here.
             dparents: vec![(0, Act::Shard(dx))],
             grads: Some(LayerParams::Conv { w: dw, b: db }),
         }
@@ -116,9 +105,8 @@ impl DistLayer for ConvLayer {
         }
     }
 
-    // Overlap mode issues the same ops in the same order (the interior
-    // decomposition only reschedules compute), so one recording covers
-    // both modes.
+    // The interior decomposition only reschedules compute: the wire ops
+    // are those of a plain halo exchange, in the same order.
     fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
         record_halo_exchange(rec, x_halo);

@@ -68,7 +68,6 @@ impl DistLayer for FcLayer {
         let flat = sub.allreduce(&flat, ReduceOp::Sum);
         let dw_len = dw.len();
         BwdOut {
-            // arena-exempt: one-element edge list; `dx` is moved, not allocated here.
             dparents: vec![(0, Act::PerSample(dx))],
             grads: Some(LayerParams::Fc {
                 w: Tensor::from_vec(dw.shape(), flat[..dw_len].to_vec()),

@@ -31,7 +31,6 @@ pub fn dist_global_avg_pool_with_group<C: Communicator>(
     let s = owned.shape();
     let scale = 1.0f32 / (shape.h * shape.w) as f32;
     // Orders of magnitude below any window; not an arena-managed class.
-    // arena-exempt: per-sample channel vector (N_loc x C floats).
     let mut partial = vec![0.0f32; n_loc * shape.c];
     for n in 0..s.n {
         for c in 0..s.c {
@@ -105,7 +104,6 @@ impl DistLayer for GapLayer {
         let dy = dy.into_per_sample_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         let dx = dist_global_avg_pool_backward(x, &dy);
-        // arena-exempt: one-element edge list; `dx` is moved, not allocated here.
         BwdOut { dparents: vec![(0, Act::Shard(dx))], grads: None }
     }
 

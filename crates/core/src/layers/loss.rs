@@ -24,7 +24,6 @@ pub fn dist_softmax_xent_shard<C: Communicator>(
     let own = logits.own_box();
     let owned = logits.owned_tensor();
     // Slice labels to the owned positions.
-    // arena-exempt: label staging, not activation tensor data.
     let mut local_labels = Vec::with_capacity(
         (own.hi[0] - own.lo[0]) * (own.hi[2] - own.lo[2]) * (own.hi[3] - own.lo[3]),
     );

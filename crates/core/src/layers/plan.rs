@@ -4,8 +4,8 @@
 //! the network is constructed and reuses it every iteration. Here that
 //! structure is explicit: `DistExecutor::new` compiles one [`LayerPlan`]
 //! per layer per rank — shuffle geometry for mismatched parent grids,
-//! halo plans (forward and adjoint), the interior/boundary decomposition
-//! for overlap mode, and sub-communicator layouts — and the training
+//! halo plans (forward and adjoint), the §IV-A interior/boundary
+//! decomposition, and sub-communicator layouts — and the training
 //! loop executes the plans without rebuilding any geometry.
 //!
 //! [`DistLayer`] is the uniform interface the executor schedules:
@@ -44,7 +44,7 @@ pub struct LayerPlan {
     pub x_halo: Option<HaloPlan>,
     /// Adjoint halo plan for the error-signal window (conv/pool).
     pub dy_halo: Option<HaloPlan>,
-    /// Interior/boundary decomposition for §IV-A overlap mode (conv).
+    /// Interior/boundary decomposition for the §IV-A overlap (conv).
     pub interior: Option<InteriorPlan>,
     /// Spatial sub-communicator layout (global average pooling).
     pub spatial_group: Option<SubCommLayout>,
@@ -168,8 +168,7 @@ pub trait DistLayer: std::fmt::Debug + Send + Sync {
     fn base_mut(&mut self) -> &mut LayerBase;
 
     /// Compile this rank's plan — pure geometry, no communication.
-    /// Called once per rank in `DistExecutor::new` (or per invocation
-    /// when plan caching is ablated off).
+    /// Called once per rank in `DistExecutor::new`.
     fn compile_plan(&self, rank: usize) -> LayerPlan;
 
     /// Execute the planned forward step; returns the output activation.
@@ -279,8 +278,6 @@ pub struct FwdCx<'a> {
     pub bn_override: Option<&'a BnStats>,
     /// Batch-norm statistics scope.
     pub bn_mode: BnMode,
-    /// §IV-A overlap mode.
-    pub overlap: bool,
     /// This rank.
     pub rank: usize,
     /// Input slots, one per parent edge, in parent order. `None` once
@@ -288,8 +285,8 @@ pub struct FwdCx<'a> {
     pub inputs: Vec<Option<FwdInput<'a>>>,
     /// The externally supplied activation (input layer only).
     pub external: Option<Act>,
-    /// Arena slot for the kept input window, when the executor runs a
-    /// memory plan (`None` = conventional allocation).
+    /// Arena slot for the kept input window in the fused step (`None`
+    /// in the split API, whose pass escapes: conventional allocation).
     pub window_slot: Option<ArenaSlot<'a>>,
     /// Out: haloed input window kept for backward (conv/pool).
     pub window: Option<DistTensor>,
@@ -329,12 +326,10 @@ pub struct BwdCx<'a> {
     pub pass: &'a DistPass,
     /// Batch-norm statistics scope.
     pub bn_mode: BnMode,
-    /// §IV-A overlap mode.
-    pub overlap: bool,
     /// This rank.
     pub rank: usize,
-    /// Arena slot for the transient dy window, when the executor runs a
-    /// memory plan (`None` = conventional allocation).
+    /// Arena slot for the transient dy window in the fused step (`None`
+    /// in the split API, whose pass escapes: conventional allocation).
     pub dyw_slot: Option<ArenaSlot<'a>>,
 }
 

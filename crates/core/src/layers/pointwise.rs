@@ -69,7 +69,6 @@ impl DistLayer for ReluLayer {
     fn backward(&self, _comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
-        // arena-exempt: one-element edge list; the shard is the kernel's output.
         BwdOut { dparents: vec![(0, Act::Shard(dist_relu_backward(x, &dy)))], grads: None }
     }
 

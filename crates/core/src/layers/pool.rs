@@ -100,21 +100,12 @@ impl DistPool2d {
 
     /// Forward pooling; returns `(y, x_window)`.
     pub fn forward<C: Communicator>(&self, comm: &C, x: &DistTensor) -> (DistTensor, DistTensor) {
-        self.forward_with_plan(comm, x, &self.x_halo_plan(comm.rank()))
+        self.forward_with_plan_in(comm, x, &self.x_halo_plan(comm.rank()), None)
     }
 
-    /// [`DistPool2d::forward`] with a precompiled halo plan.
-    pub fn forward_with_plan<C: Communicator>(
-        &self,
-        comm: &C,
-        x: &DistTensor,
-        plan: &HaloPlan,
-    ) -> (DistTensor, DistTensor) {
-        self.forward_with_plan_in(comm, x, plan, None)
-    }
-
-    /// [`DistPool2d::forward_with_plan`] with the window's storage drawn
-    /// from `store` when provided (the arena path); bitwise-identical.
+    /// [`DistPool2d::forward`] with a precompiled halo plan, the window's
+    /// storage drawn from `store` when provided (an arena slot);
+    /// bitwise-identical either way.
     pub fn forward_with_plan_in<C: Communicator>(
         &self,
         comm: &C,
@@ -146,24 +137,13 @@ impl DistPool2d {
         x_window: &DistTensor,
         dy: &DistTensor,
     ) -> DistTensor {
-        self.backward_with_plan(comm, x_window, dy, &self.dy_halo_plan(comm.rank()))
+        self.backward_with_plan_in(comm, x_window, dy, &self.dy_halo_plan(comm.rank()), None).0
     }
 
-    /// [`DistPool2d::backward`] with a precompiled dy halo plan.
-    pub fn backward_with_plan<C: Communicator>(
-        &self,
-        comm: &C,
-        x_window: &DistTensor,
-        dy: &DistTensor,
-        plan: &HaloPlan,
-    ) -> DistTensor {
-        self.backward_with_plan_in(comm, x_window, dy, plan, None).0
-    }
-
-    /// [`DistPool2d::backward_with_plan`] with the transient dy window's
-    /// storage drawn from `store` when provided; the spent storage comes
-    /// back as the second element (only when `store` was `Some`) so the
-    /// caller can return it to its arena slot.
+    /// [`DistPool2d::backward`] with a precompiled dy halo plan, the
+    /// transient dy window's storage drawn from `store` when provided;
+    /// the spent storage comes back as the second element (only when
+    /// `store` was `Some`) so the caller can return it to its arena slot.
     pub fn backward_with_plan_in<C: Communicator>(
         &self,
         comm: &C,
@@ -280,7 +260,6 @@ impl DistLayer for PoolLayer {
         if let (Some(slot), Some(buf)) = (cx.dyw_slot.as_ref(), spent) {
             slot.release(buf);
         }
-        // arena-exempt: one-element edge list; `dx` is moved, not allocated here.
         BwdOut { dparents: vec![(0, Act::Shard(dx))], grads: None }
     }
 
@@ -393,7 +372,7 @@ mod tests {
                 let xs =
                     DistTensor::from_global(layer.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
                 let (y_fresh, win) = layer.forward(comm, &xs);
-                let (y_cached, _) = layer.forward_with_plan(comm, &xs, &x_plan);
+                let (y_cached, _) = layer.forward_with_plan_in(comm, &xs, &x_plan, None);
                 assert_eq!(y_fresh, y_cached);
                 let dy = pattern(y_fresh.dist().shape, step + 7);
                 let dys = DistTensor::from_global(
@@ -404,7 +383,7 @@ mod tests {
                     [0; 4],
                 );
                 let dx_fresh = layer.backward(comm, &win, &dys);
-                let dx_cached = layer.backward_with_plan(comm, &win, &dys, &dy_plan);
+                let (dx_cached, _) = layer.backward_with_plan_in(comm, &win, &dys, &dy_plan, None);
                 assert_eq!(dx_fresh, dx_cached);
             }
         });

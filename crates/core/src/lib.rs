@@ -22,8 +22,8 @@
 //!   shape-sound before it runs (`FG_VERIFY=1`, `repro -- verify`);
 //! * [`mem`] — static tensor-liveness analysis over the same compiled
 //!   plans: exact per-rank peak-memory bounds (any world size, sampled
-//!   ranks), interval-colored memory plans the executor runs via
-//!   per-rank step arenas, and a budget gate (`FG_MEM_BUDGET`,
+//!   ranks), interval-colored memory plans the executor's fused step
+//!   runs in a step arena, and a budget gate (`FG_MEM_BUDGET`,
 //!   `repro -- memscale`).
 
 pub mod channel_filter;
@@ -48,7 +48,7 @@ pub use guard::{Anomaly, GuardConfig, StepGuard};
 pub use layers::{BnMode, DistPool2d};
 pub use mem::{
     analyze_strategy, mem_budget_from_env, sample_ranks, MemCheckKind, MemReport, MemViolation,
-    RankArena, RankMemBound,
+    RankMemBound,
 };
 pub use mp_fc::ModelParallelFc;
 pub use resilient::{

@@ -24,8 +24,8 @@
 //! From the interval list come (a) an exact per-rank peak
 //! ([`fg_tensor::peak_bytes`]) — the static bound every executed step's
 //! arena high-water mark is asserted against; (b) a [`MemPlan`]
-//! (interval-graph coloring) that [`crate::DistExecutor`]'s arena entry
-//! points execute; and (c) the soundness checks: no two live-overlapping
+//! (interval-graph coloring) that [`crate::DistExecutor`]'s fused step
+//! executes; and (c) the soundness checks: no two live-overlapping
 //! intervals share a slot, no slot or arena is undersized, no staging
 //! interval understates its plan's payload, and shuffle/halo plans
 //! conserve bytes across ranks. Mutation tests (`mem_mutations.rs`)
@@ -42,7 +42,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use fg_comm::collectives::block_range;
-use fg_nn::{init_params, LayerKind, NetworkSpec};
+use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::{
     check_mem_plan, peak_bytes, BufClass, LiveInterval, MemPlan, MemPlanIssue, StepArena, ELT_BYTES,
 };
@@ -161,31 +161,46 @@ impl fmt::Display for MemReport {
     }
 }
 
-/// One rank's executable memory state: the colored plan, the arena that
-/// executes it, and the static bound the arena's high-water mark must
-/// stay under. Built by `DistExecutor::rank_arena`; consumed by the
-/// `*_arena` execution entry points.
+/// One rank's memory plan for the fused step: the colored slot
+/// assignments and the static bound every step's arena high-water mark
+/// must stay under. Compiled once per rank by `DistExecutor::new`.
 #[derive(Debug)]
-pub struct RankArena {
-    /// The rank this arena serves.
-    pub rank: usize,
+pub(crate) struct RankMemPlan {
     /// Slot assignments and sizing (the coloring's output).
     pub plan: MemPlan,
-    /// The runtime arena executing the plan. `RefCell` because layer
-    /// drivers check buffers in and out through shared `ArenaSlot`
-    /// handles during a pass.
-    pub pool: RefCell<StepArena>,
     /// The rank's static peak bound in bytes (all classes, not just the
-    /// arena-managed ones), so `measured_peak() <= static_bound` holds a
+    /// arena-managed ones), so `measured_peak <= static_bound` holds a
     /// fortiori for the arena's subset.
     pub static_bound: usize,
 }
 
-impl RankArena {
-    /// High-water mark of arena bytes checked out since construction.
-    pub fn measured_peak(&self) -> usize {
-        self.pool.borrow().measured_peak()
+impl RankMemPlan {
+    /// Walk `rank`'s compiled plans (one per layer) into liveness
+    /// intervals, color them, and take their exact peak — the plan and
+    /// bound [`analyze_ranks`] reports for the same rank.
+    pub(crate) fn compile(
+        spec: &NetworkSpec,
+        layers: &[Box<dyn DistLayer>],
+        plans: &[&LayerPlan],
+        param_elems: &[usize],
+        batch: usize,
+        rank: usize,
+    ) -> RankMemPlan {
+        let ivs = rank_intervals(spec, layers, plans, param_elems, batch, rank);
+        RankMemPlan { plan: MemPlan::color(&ivs), static_bound: peak_bytes(&ivs) }
     }
+}
+
+/// One fused step's executable memory state: the rank's plan and the
+/// arena executing it for the duration of the step.
+#[derive(Debug)]
+pub(crate) struct RankArena<'a> {
+    /// The rank's slot assignments.
+    pub plan: &'a MemPlan,
+    /// The runtime arena executing the plan. `RefCell` because layer
+    /// drivers check buffers in and out through shared `ArenaSlot`
+    /// handles during a pass.
+    pub pool: RefCell<StepArena>,
 }
 
 /// The per-rank memory budget from `FG_MEM_BUDGET` (bytes per rank), if
@@ -195,13 +210,11 @@ pub fn mem_budget_from_env() -> Option<usize> {
 }
 
 /// The integrity replay-window budget the analyzer charges when
-/// `FG_COMM_INTEGRITY=1`: mirrors `IntegrityState::new`'s bound.
+/// `FG_COMM_INTEGRITY` is on — read through the same two functions the
+/// runtime uses, so the bound covers exactly what the world holds.
 fn replay_budget_bytes() -> usize {
-    if std::env::var("FG_COMM_INTEGRITY").map(|v| v == "1").unwrap_or(false) {
-        std::env::var("FG_COMM_REPLAY_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(fg_comm::DEFAULT_REPLAY_BYTES)
+    if fg_comm::env_flag("FG_COMM_INTEGRITY") {
+        fg_comm::replay_bytes_from_env()
     } else {
         0
     }
@@ -233,10 +246,10 @@ fn act_bytes(
 /// mirror of `run_forward`/`run_backward`, as `verify::record_rank` is
 /// for the communication schedule. `plans` is this rank's plan per
 /// layer.
-pub(crate) fn rank_intervals(
+fn rank_intervals(
     spec: &NetworkSpec,
     layers: &[Box<dyn DistLayer>],
-    plans: &[LayerPlan],
+    plans: &[&LayerPlan],
     param_elems: &[usize],
     batch: usize,
     rank: usize,
@@ -511,11 +524,12 @@ pub(crate) fn analyze_ranks(
     mutate_plan: &dyn Fn(usize, &mut MemPlan),
 ) -> MemReport {
     let start = Instant::now();
-    let param_elems: Vec<usize> = init_params(spec, 0).iter().map(|p| p.len()).collect();
+    let param_elems = spec.param_elems();
     let mut bounds = Vec::with_capacity(ranks.len());
     let mut violations = Vec::new();
     for &rank in ranks {
         let plans = rank_plans(rank);
+        let plans: Vec<&LayerPlan> = plans.iter().collect();
         let fresh = rank_intervals(spec, layers, &plans, &param_elems, batch, rank);
         let mut ivs = fresh.clone();
         mutate_intervals(rank, &mut ivs);

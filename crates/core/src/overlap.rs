@@ -86,7 +86,6 @@ impl InteriorPlan {
                 (Some(((r0, r1), (c0, c1))), strips)
             }
             // No interior: the whole block is boundary.
-            // arena-exempt: coordinate-range metadata, not tensor data.
             _ => (None, vec![((oh0, oh1), (ow0, ow1))]),
         };
         InteriorPlan { interior, boundary }
@@ -113,8 +112,9 @@ fn interior_range(
     (lo < hi).then_some((lo as usize, hi as usize))
 }
 
-/// Forward convolution with the overlap schedule. Produces exactly the
-/// same result as [`DistConv2d::forward`].
+/// Forward convolution with the overlap schedule, compiling its plans
+/// on the spot. Produces exactly the same result as
+/// [`DistConv2d::forward`].
 pub fn forward_overlapped<C: Communicator>(
     conv: &DistConv2d,
     comm: &C,
@@ -125,24 +125,12 @@ pub fn forward_overlapped<C: Communicator>(
     let rank = comm.rank();
     let halo = conv.x_halo_plan(rank);
     let iplan = InteriorPlan::build(conv, rank);
-    forward_overlapped_with_plans(conv, comm, x, w, bias, &halo, &iplan)
+    forward_overlapped_with_plans_in(conv, comm, x, w, bias, &halo, &iplan, None)
 }
 
-/// [`forward_overlapped`] with precompiled halo and interior plans.
-pub fn forward_overlapped_with_plans<C: Communicator>(
-    conv: &DistConv2d,
-    comm: &C,
-    x: &DistTensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    plan: &HaloPlan,
-    iplan: &InteriorPlan,
-) -> (DistTensor, DistTensor) {
-    forward_overlapped_with_plans_in(conv, comm, x, w, bias, plan, iplan, None)
-}
-
-/// [`forward_overlapped_with_plans`] with the window's storage drawn
-/// from `store` when provided (the arena path); bitwise-identical.
+/// [`forward_overlapped`] with precompiled halo and interior plans, the
+/// window's storage drawn from `store` when provided (an arena slot);
+/// bitwise-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_overlapped_with_plans_in<C: Communicator>(
     conv: &DistConv2d,
@@ -197,28 +185,15 @@ pub fn backward_overlapped<C: Communicator>(
     with_bias: bool,
 ) -> (DistTensor, Tensor, Option<Vec<f32>>) {
     let plan = conv.dy_halo_plan(comm.rank());
-    backward_overlapped_with_plans(conv, comm, x_window, dy, w, with_bias, &plan)
-}
-
-/// [`backward_overlapped`] with a precompiled dy halo plan.
-pub fn backward_overlapped_with_plans<C: Communicator>(
-    conv: &DistConv2d,
-    comm: &C,
-    x_window: &DistTensor,
-    dy: &DistTensor,
-    w: &Tensor,
-    with_bias: bool,
-    plan: &HaloPlan,
-) -> (DistTensor, Tensor, Option<Vec<f32>>) {
     let (dx, dw, db, _) =
-        backward_overlapped_with_plans_in(conv, comm, x_window, dy, w, with_bias, plan, None);
+        backward_overlapped_with_plans_in(conv, comm, x_window, dy, w, with_bias, &plan, None);
     (dx, dw, db)
 }
 
-/// [`backward_overlapped_with_plans`] with the transient dy window's
-/// storage drawn from `store` when provided; the spent storage comes
-/// back as the last element (only when `store` was `Some`) so the
-/// caller can return it to its arena slot.
+/// [`backward_overlapped`] with a precompiled dy halo plan, the
+/// transient dy window's storage drawn from `store` when provided; the
+/// spent storage comes back as the last element (only when `store` was
+/// `Some`) so the caller can return it to its arena slot.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_overlapped_with_plans_in<C: Communicator>(
     conv: &DistConv2d,

@@ -110,13 +110,10 @@ pub struct StragglerFlag {
 }
 
 impl StragglerConfig {
-    /// Read the `FG_STRAGGLER` environment knob: `1`/`true` enables
-    /// detection with default tuning.
+    /// Read the `FG_STRAGGLER` environment knob ([`fg_comm::env_flag`]):
+    /// on enables detection with default tuning.
     pub fn from_env() -> Option<StragglerConfig> {
-        match std::env::var("FG_STRAGGLER") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Some(StragglerConfig::default()),
-            _ => None,
-        }
+        fg_comm::env_flag("FG_STRAGGLER").then(StragglerConfig::default)
     }
 
     /// The mitigation rung for a confirmed flag: rebalance while the

@@ -18,16 +18,6 @@ pub struct Strategy {
     pub grids: Vec<ProcGrid>,
     /// Batch-norm statistics scope.
     pub bn_mode: BnMode,
-    /// Overlap halo exchanges with interior compute (§IV-A). On by
-    /// default, as in the paper's measurements; results are bitwise
-    /// identical either way.
-    pub overlap_halo: bool,
-    /// Reuse the per-layer communication plans compiled once in
-    /// `DistExecutor::new` (plan-once/execute-many, the structure of the
-    /// paper's implementation). Off recompiles every plan on every
-    /// invocation — identical results, pure overhead — and exists for
-    /// the `fg-bench` plan-caching ablation.
-    pub plan_cache: bool,
     /// Per-rank relative speed weights for weighted re-decomposition
     /// (gray-failure mitigation / heterogeneity-aware placement). `None`
     /// or all-equal means the usual uniform blocked partition; otherwise
@@ -139,13 +129,7 @@ impl Strategy {
     /// end-to-end experiments use ("the same data decomposition for
     /// every layer in a given configuration", §VI-B).
     pub fn uniform(spec: &NetworkSpec, grid: ProcGrid) -> Strategy {
-        Strategy {
-            grids: vec![grid; spec.len()],
-            bn_mode: BnMode::default(),
-            overlap_halo: true,
-            plan_cache: true,
-            rank_weights: None,
-        }
+        Strategy { grids: vec![grid; spec.len()], bn_mode: BnMode::default(), rank_weights: None }
     }
 
     /// Pure sample parallelism over `p` ranks (the baseline).
@@ -183,18 +167,6 @@ impl Strategy {
     /// Select the batch-norm scope.
     pub fn with_bn_mode(mut self, mode: BnMode) -> Strategy {
         self.bn_mode = mode;
-        self
-    }
-
-    /// Enable or disable interior/boundary halo overlapping.
-    pub fn with_overlap(mut self, overlap: bool) -> Strategy {
-        self.overlap_halo = overlap;
-        self
-    }
-
-    /// Enable or disable reuse of the precompiled per-layer plans.
-    pub fn with_plan_caching(mut self, cache: bool) -> Strategy {
-        self.plan_cache = cache;
         self
     }
 

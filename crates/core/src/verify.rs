@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fg_comm::{check_traces, CheckKind, Phase, RankTrace, TraceRecorder, VerifyStats, Violation};
-use fg_nn::{init_params, LayerKind, NetworkSpec};
+use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{Box4, ProcGrid, Shape4, TensorDist};
 
@@ -115,10 +115,8 @@ pub(crate) fn verify_plans(
 ) -> VerifyReport {
     let start = Instant::now();
     let world = strategy.world_size();
-    // Parameter payload sizes: materialize a throwaway init so the
-    // traced gradient-allreduce counts come from the same code path the
-    // runtime uses.
-    let param_elems: Vec<usize> = init_params(spec, 0).iter().map(|p| p.len()).collect();
+    // Parameter payload sizes of the traced gradient allreduces.
+    let param_elems = spec.param_elems();
     let names: Vec<String> = layers.iter().map(|l| l.base().name.clone()).collect();
 
     let mut traces: Vec<RankTrace> = (0..world)
@@ -141,7 +139,7 @@ pub(crate) fn record_traces(
     oracle: Option<&dyn ComputeOracle>,
 ) -> Vec<RankTrace> {
     let world = strategy.world_size();
-    let param_elems: Vec<usize> = init_params(spec, 0).iter().map(|p| p.len()).collect();
+    let param_elems = spec.param_elems();
     (0..world)
         .map(|rank| record_rank(strategy, layers, plans, &param_elems, rank, world, oracle))
         .collect()

@@ -14,3 +14,29 @@ pub use mesh::{
     mesh_model, mesh_model_custom, mesh_model_scaled, MeshSize, BLOCK_FILTERS, MESH_CHANNELS,
 };
 pub use resnet50::{resnet50, resnet50_with, IMAGENET_CLASSES, IMAGENET_HW};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fg_nn::init_params;
+
+    /// `NetworkSpec::param_elems` is shape arithmetic standing in for a
+    /// sampled parameter set; it must size every layer exactly as
+    /// `init_params` does on the networks the paper evaluates.
+    #[test]
+    fn param_elems_match_initialised_lengths() {
+        for (name, spec) in [
+            ("mesh-1K", mesh_model(MeshSize::OneK)),
+            ("mesh-2K", mesh_model(MeshSize::TwoK)),
+            ("resnet50", resnet50()),
+        ] {
+            let elems = spec.param_elems();
+            let params = init_params(&spec, 3);
+            assert_eq!(elems.len(), params.len(), "{name}");
+            for (id, (e, p)) in elems.iter().zip(&params).enumerate() {
+                assert_eq!(*e, p.len(), "{name} layer {id} ({})", spec.layer(id).name);
+            }
+            assert_eq!(spec.param_count(), elems.iter().sum::<usize>(), "{name}");
+        }
+    }
+}

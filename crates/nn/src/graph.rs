@@ -189,9 +189,12 @@ impl NetworkSpec {
         out
     }
 
-    /// Total learnable parameter count given input shapes (conv weights
-    /// are `F·C·K²` etc.).
-    pub fn param_count(&self) -> usize {
+    /// Learnable parameter element count of every layer (conv weights
+    /// are `F·C·K²` plus an optional bias, batch norm `2·C`, FC
+    /// `out·(in + 1)`, everything else 0) — pure shape arithmetic, equal
+    /// to `init_params(self, _)[id].len()` without sampling a parameter
+    /// set.
+    pub fn param_elems(&self) -> Vec<usize> {
         let shapes = self.shapes();
         self.layers
             .iter()
@@ -208,7 +211,12 @@ impl NetworkSpec {
                 }
                 _ => 0,
             })
-            .sum()
+            .collect()
+    }
+
+    /// Total learnable parameter count.
+    pub fn param_count(&self) -> usize {
+        self.param_elems().iter().sum()
     }
 
     /// Longest path (by `weight(layer)`) from any source to any sink,

@@ -40,21 +40,7 @@ pub fn layer_activation_bytes(
 /// Per-rank parameter bytes of a layer: weights + gradient + momentum
 /// (3×), replicated in the executor's scheme.
 pub fn layer_param_bytes(spec: &NetworkSpec, id: usize) -> usize {
-    let shapes = spec.shapes();
-    let l = spec.layer(id);
-    let count = match &l.kind {
-        LayerKind::Conv { filters, kernel, bias, .. } => {
-            let c_in = shapes[l.parents[0]].0;
-            filters * c_in * kernel * kernel + if *bias { *filters } else { 0 }
-        }
-        LayerKind::BatchNorm => 2 * shapes[id].0,
-        LayerKind::Fc { out_features } => {
-            let (c, h, w) = shapes[l.parents[0]];
-            out_features * (c * h * w + 1)
-        }
-        _ => 0,
-    };
-    3 * count * ELT
+    3 * spec.param_elems()[id] * ELT
 }
 
 /// Peak per-rank training memory of a network under a strategy.

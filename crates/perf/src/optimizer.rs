@@ -200,13 +200,7 @@ impl<'a> StrategyOptimizer<'a> {
             };
             grids.push(g);
         }
-        let strategy = Strategy {
-            grids,
-            bn_mode: BnMode::default(),
-            overlap_halo: true,
-            plan_cache: true,
-            rank_weights: None,
-        };
+        let strategy = Strategy { grids, bn_mode: BnMode::default(), rank_weights: None };
         if let Some(limit) = self.memory_limit {
             // Only meaningful when the limit was achievable at all.
             debug_assert!(

@@ -79,10 +79,9 @@ impl BufClass {
 
     /// Whether buffers of this class draw their storage from the step
     /// arena. Only the haloed windows do today: they are the largest
-    /// step-transient buffers, and their construction sites are
-    /// confined to the plan-execution modules the allocation lint
-    /// watches. Everything else is still *accounted* (the static bound
-    /// covers all classes) but allocated conventionally.
+    /// step-transient buffers. Everything else is still *accounted*
+    /// (the static bound covers all classes) but allocated
+    /// conventionally.
     pub fn arena_managed(self) -> bool {
         matches!(self, BufClass::Window | BufClass::DyWindow)
     }
