@@ -8,6 +8,8 @@
 //! experiments use — showing when the optimizer agrees with the paper's
 //! hand-chosen decompositions and when it finds better mixed ones.
 
+use std::time::Instant;
+
 use fg_core::Strategy;
 use fg_models::{mesh_model, resnet50, MeshSize};
 use fg_nn::NetworkSpec;
@@ -57,6 +59,14 @@ pub fn scenarios() -> Vec<Scenario> {
             batch: 16,
             world: 16,
         },
+        // Table III's largest worlds: what the search itself costs there.
+        Scenario { name: "ResNet-50, N=8192, 512 GPUs", spec: resnet50(), batch: 8192, world: 512 },
+        Scenario {
+            name: "ResNet-50, N=32768, 2048 GPUs",
+            spec: resnet50(),
+            batch: 32768,
+            world: 2048,
+        },
     ]
 }
 
@@ -77,11 +87,21 @@ pub fn strategy_report(platform: &Platform) -> Table {
     let opts = CostOptions::default();
     let mut t = Table::new(
         "Strategy optimizer (§V-C): optimized vs uniform strategies (modeled mini-batch time)",
-        &["scenario", "optimized", "best uniform", "uniform sample", "optimized strategy"],
+        &[
+            "scenario",
+            "optimized",
+            "best uniform",
+            "uniform sample",
+            "search wall",
+            "layer / shuffle costs modeled, DP edges",
+            "optimized strategy",
+        ],
     );
     for sc in scenarios() {
         let opt = StrategyOptimizer::new(platform, &sc.spec, sc.batch, sc.world);
-        let (strategy, cost) = opt.optimize();
+        let started = Instant::now();
+        let (strategy, cost, work) = opt.search();
+        let search_wall = started.elapsed().as_secs_f64();
         assert_eq!(
             strategy.validate(&sc.spec, sc.batch),
             Ok(()),
@@ -114,6 +134,8 @@ pub fn strategy_report(platform: &Platform) -> Table {
             fmt_time(cost.total()),
             if best_uniform.is_finite() { fmt_time(best_uniform) } else { "n/a".into() },
             if sample_uniform.is_nan() { "n/a".into() } else { fmt_time(sample_uniform) },
+            fmt_time(search_wall),
+            format!("{} / {}, {}", work.layer_cost_evals, work.shuffle_cost_evals, work.dp_edges),
             summarize(&strategy),
         ]);
     }

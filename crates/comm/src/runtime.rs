@@ -291,12 +291,17 @@ impl Communicator for WorldComm {
         world_collective_tag(c)
     }
 
-    /// Attribute sends issued inside `f` to `class`, restoring the
-    /// previous class afterwards. Used by collectives and halo exchange.
+    /// Attribute sends issued inside `f` to `class`. Used by
+    /// collectives, halo exchange and shuffles. The outermost scope
+    /// names the operation: a scope opened inside another (the
+    /// all-to-all a shuffle runs on) books under the outer class.
     fn with_class<R>(&self, class: OpClass, f: impl FnOnce() -> R) -> R {
-        let prev = self.class.replace(class);
+        if self.class.get() != OpClass::P2p {
+            return f();
+        }
+        self.class.set(class);
         let r = f();
-        self.class.set(prev);
+        self.class.set(OpClass::P2p);
         r
     }
 }
@@ -994,6 +999,30 @@ mod tests {
         });
         assert_eq!(stats[0].bytes(OpClass::Halo), 7);
         assert_eq!(stats[0].bytes(OpClass::P2p), 3);
+    }
+
+    #[test]
+    fn outermost_class_scope_wins() {
+        let stats = run_ranks(2, |comm| {
+            comm.with_class(OpClass::Shuffle, || {
+                comm.with_class(OpClass::AllToAll, || {
+                    if comm.rank() == 0 {
+                        comm.send(1, 1, vec![0u8; 5]);
+                    } else {
+                        let _ = comm.recv::<u8>(0, 1);
+                    }
+                });
+            });
+            if comm.rank() == 0 {
+                comm.send(1, 2, vec![0u8; 2]);
+            } else {
+                let _ = comm.recv::<u8>(0, 2);
+            }
+            comm.stats()
+        });
+        assert_eq!(stats[0].bytes(OpClass::Shuffle), 5);
+        assert_eq!(stats[0].bytes(OpClass::AllToAll), 0);
+        assert_eq!(stats[0].bytes(OpClass::P2p), 2, "class is restored after the outer scope");
     }
 
     #[test]

@@ -131,27 +131,43 @@ pub struct DistPass {
 /// one another, so large worlds (the paper-scale traces `repro --
 /// simscale` executes) compile rank-parallel on scoped threads; the
 /// result is identical to the serial order — `plans[layer][rank]`.
+///
+/// Each thread compiles its chunk of ranks for the whole network, in
+/// place. The plans outlive the threads, in whichever allocator arena
+/// their thread drew: with one short-lived pair of threads per layer the
+/// split of a world's plans between the arenas was a race, an arena
+/// keeps its high-water mark, and a process that compiles many worlds
+/// (the planner) crept to twice the footprint of any one of them.
+/// Threads that run side by side for the whole compile hold an arena
+/// each.
 fn compile_all_plans(layers: &[Box<dyn DistLayer>], world: usize) -> Vec<Vec<LayerPlan>> {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
     if world < 64 || threads < 2 {
         return layers.iter().map(|l| (0..world).map(|r| l.compile_plan(r)).collect()).collect();
     }
     let chunk = world.div_ceil(threads);
-    layers
-        .iter()
-        .map(|l| {
-            std::thread::scope(|s| {
-                let parts: Vec<_> = (0..world)
-                    .step_by(chunk)
-                    .map(|lo| {
-                        let hi = (lo + chunk).min(world);
-                        s.spawn(move || (lo..hi).map(|r| l.compile_plan(r)).collect::<Vec<_>>())
-                    })
-                    .collect();
-                parts.into_iter().flat_map(|h| h.join().expect("plan compilation")).collect()
-            })
-        })
-        .collect()
+    let mut plans: Vec<Vec<LayerPlan>> =
+        layers.iter().map(|_| vec![LayerPlan::default(); world]).collect();
+    // Column t: ranks [t·chunk, (t+1)·chunk) of every layer's row.
+    let mut columns: Vec<Vec<&mut [LayerPlan]>> =
+        (0..world.div_ceil(chunk)).map(|_| Vec::with_capacity(layers.len())).collect();
+    for row in &mut plans {
+        for (column, part) in columns.iter_mut().zip(row.chunks_mut(chunk)) {
+            column.push(part);
+        }
+    }
+    std::thread::scope(|s| {
+        for (t, column) in columns.into_iter().enumerate() {
+            s.spawn(move || {
+                for (l, part) in layers.iter().zip(column) {
+                    for (i, slot) in part.iter_mut().enumerate() {
+                        *slot = l.compile_plan(t * chunk + i);
+                    }
+                }
+            });
+        }
+    });
+    plans
 }
 
 /// Distributed executor bound to a network, strategy, and batch size.

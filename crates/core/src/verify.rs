@@ -349,7 +349,6 @@ pub fn candidate_grid_legal(
         return false;
     }
     let l = spec.layer(id);
-    let shapes = spec.shapes();
     match &l.kind {
         // Per-sample layers replicate within sample groups; their grids
         // are pinned to the parent's, which is checked when the parent's
@@ -360,21 +359,21 @@ pub fn candidate_grid_legal(
             if matches!(parent_kind, LayerKind::GlobalAvgPool | LayerKind::Fc { .. }) {
                 return true;
             }
-            let (c, h, w) = shapes[id];
+            let (c, h, w) = spec.shape(id);
             TensorDist::new(Shape4::new(batch, c, h, w), grid).is_fully_populated()
         }
         _ => {
             if grid.c != 1 {
                 return false;
             }
-            let (c, h, w) = shapes[id];
-            if !per_sample_shape(shapes[id])
+            let (c, h, w) = spec.shape(id);
+            if !per_sample_shape((c, h, w))
                 && !TensorDist::new(Shape4::new(batch, c, h, w), grid).is_fully_populated()
             {
                 return false;
             }
             if matches!(l.kind, LayerKind::Conv { .. } | LayerKind::Pool { .. }) {
-                let (pc, ph, pw) = shapes[l.parents[0]];
+                let (pc, ph, pw) = spec.shape(l.parents[0]);
                 if !TensorDist::new(Shape4::new(batch, pc, ph, pw), grid).is_fully_populated() {
                     return false;
                 }

@@ -14,6 +14,9 @@ use fg_kernels::pool::PoolKind;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetworkSpec {
     layers: Vec<LayerSpec>,
+    /// Per-sample output shape of every layer, inferred as the layer is
+    /// added (parents precede children, so theirs are already known).
+    shapes: Vec<(usize, usize, usize)>,
 }
 
 /// Index of a layer within a [`NetworkSpec`].
@@ -22,7 +25,7 @@ pub type LayerId = usize;
 impl NetworkSpec {
     /// Empty network.
     pub fn new() -> Self {
-        NetworkSpec { layers: Vec::new() }
+        NetworkSpec::default()
     }
 
     /// Append a layer; parents must already exist. Returns its id.
@@ -42,6 +45,8 @@ impl NetworkSpec {
         } else {
             assert!(!parents.is_empty(), "non-input layer needs parents");
         }
+        let parent_shapes: Vec<_> = parents.iter().map(|&p| self.shapes[p]).collect();
+        self.shapes.push(infer_shape(&kind, &parent_shapes));
         self.layers.push(LayerSpec { name, kind, parents: parents.to_vec() });
         self.layers.len() - 1
     }
@@ -181,12 +186,12 @@ impl NetworkSpec {
 
     /// Per-sample output shapes `(C, H, W)` of every layer.
     pub fn shapes(&self) -> Vec<(usize, usize, usize)> {
-        let mut out: Vec<(usize, usize, usize)> = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            let parents: Vec<_> = l.parents.iter().map(|&p| out[p]).collect();
-            out.push(infer_shape(&l.kind, &parents));
-        }
-        out
+        self.shapes.clone()
+    }
+
+    /// Per-sample output shape `(C, H, W)` of one layer.
+    pub fn shape(&self, id: LayerId) -> (usize, usize, usize) {
+        self.shapes[id]
     }
 
     /// Learnable parameter element count of every layer (conv weights
@@ -195,23 +200,25 @@ impl NetworkSpec {
     /// to `init_params(self, _)[id].len()` without sampling a parameter
     /// set.
     pub fn param_elems(&self) -> Vec<usize> {
-        let shapes = self.shapes();
-        self.layers
-            .iter()
-            .enumerate()
-            .map(|(id, l)| match &l.kind {
-                LayerKind::Conv { filters, kernel, bias, .. } => {
-                    let c_in = shapes[l.parents[0]].0;
-                    filters * c_in * kernel * kernel + if *bias { *filters } else { 0 }
-                }
-                LayerKind::BatchNorm => 2 * shapes[id].0,
-                LayerKind::Fc { out_features } => {
-                    let (c, h, w) = shapes[l.parents[0]];
-                    out_features * c * h * w + out_features
-                }
-                _ => 0,
-            })
-            .collect()
+        (0..self.layers.len()).map(|id| self.layer_param_elems(id)).collect()
+    }
+
+    /// Learnable parameter element count of one layer
+    /// ([`NetworkSpec::param_elems`]`[id]`).
+    pub fn layer_param_elems(&self, id: LayerId) -> usize {
+        let l = &self.layers[id];
+        match &l.kind {
+            LayerKind::Conv { filters, kernel, bias, .. } => {
+                let c_in = self.shapes[l.parents[0]].0;
+                filters * c_in * kernel * kernel + if *bias { *filters } else { 0 }
+            }
+            LayerKind::BatchNorm => 2 * self.shapes[id].0,
+            LayerKind::Fc { out_features } => {
+                let (c, h, w) = self.shapes[l.parents[0]];
+                out_features * c * h * w + out_features
+            }
+            _ => 0,
+        }
     }
 
     /// Total learnable parameter count.

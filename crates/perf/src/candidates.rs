@@ -15,9 +15,20 @@ use fg_tensor::{ProcGrid, Shape4, TensorDist};
 
 /// All divisors of `p`, ascending.
 pub fn divisors(p: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = (1..=p).filter(|d| p.is_multiple_of(*d)).collect();
-    out.sort_unstable();
-    out
+    // Trial-divide to √p: `d` joins the low half, its cofactor the high.
+    let (mut low, mut high) = (Vec::new(), Vec::new());
+    let mut d = 1;
+    while d * d <= p {
+        if p.is_multiple_of(d) {
+            low.push(d);
+            if d * d != p {
+                high.push(p / d);
+            }
+        }
+        d += 1;
+    }
+    low.extend(high.into_iter().rev());
+    low
 }
 
 /// Candidate grids for a layer with input extent `(h_in, w_in)`, output
@@ -68,17 +79,11 @@ pub fn conv_candidates(
 /// parent's candidates and are fixed up by the optimizer; elementwise
 /// layers get the union-compatible full candidate set of their shape.
 pub fn layer_candidates(spec: &NetworkSpec, batch: usize, p: usize, id: usize) -> Vec<ProcGrid> {
-    let shapes = spec.shapes();
     let l = spec.layer(id);
     match &l.kind {
-        LayerKind::Conv { kernel, .. } => {
-            let (_, h_in, w_in) = shapes[l.parents[0]];
-            let (_, h_out, w_out) = shapes[id];
-            conv_candidates(p, batch, h_in, w_in, h_out, w_out, kernel / 2)
-        }
-        LayerKind::Pool { kernel, .. } => {
-            let (_, h_in, w_in) = shapes[l.parents[0]];
-            let (_, h_out, w_out) = shapes[id];
+        LayerKind::Conv { kernel, .. } | LayerKind::Pool { kernel, .. } => {
+            let (_, h_in, w_in) = spec.shape(l.parents[0]);
+            let (_, h_out, w_out) = spec.shape(id);
             conv_candidates(p, batch, h_in, w_in, h_out, w_out, kernel / 2)
         }
         LayerKind::Input { .. }
@@ -86,7 +91,7 @@ pub fn layer_candidates(spec: &NetworkSpec, batch: usize, p: usize, id: usize) -
         | LayerKind::Relu
         | LayerKind::Add
         | LayerKind::SoftmaxCrossEntropy => {
-            let (c, h, w) = shapes[id];
+            let (c, h, w) = spec.shape(id);
             let mut cands = conv_candidates(p, batch, h, w, h, w, 0);
             // Keep only grids that actually populate this shape.
             cands.retain(|g| {
@@ -108,6 +113,8 @@ mod tests {
     fn divisors_of_12() {
         assert_eq!(divisors(12), vec![1, 2, 3, 4, 6, 12]);
         assert_eq!(divisors(1), vec![1]);
+        assert_eq!(divisors(36), vec![1, 2, 3, 4, 6, 9, 12, 18, 36]);
+        assert_eq!(divisors(2048).len(), 12);
     }
 
     #[test]

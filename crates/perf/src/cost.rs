@@ -17,6 +17,8 @@
 //! overlapping of §V-B. Layers other than convolution and FC are
 //! treated as computationally free, as in the paper.
 
+use std::ops::Range;
+
 use fg_core::Strategy;
 use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::{ProcGrid, Shape4, TensorDist};
@@ -161,10 +163,9 @@ pub fn fc_layer_cost(
 
 /// Extract the conv description of a layer (if it is a conv layer).
 pub fn conv_desc(spec: &NetworkSpec, batch: usize, id: usize) -> Option<ConvLayerDesc> {
-    let shapes = spec.shapes();
     match &spec.layer(id).kind {
         LayerKind::Conv { filters, kernel, stride, .. } => {
-            let (c, h, w) = shapes[spec.layer(id).parents[0]];
+            let (c, h, w) = spec.shape(spec.layer(id).parents[0]);
             Some(ConvLayerDesc { n: batch, c, h, w, f: *filters, k: *kernel, s: *stride })
         }
         _ => None,
@@ -182,20 +183,19 @@ pub fn layer_cost(
     grid: ProcGrid,
     opts: &CostOptions,
 ) -> LayerCost {
-    let shapes = spec.shapes();
     match &spec.layer(id).kind {
         LayerKind::Conv { .. } => {
             let desc = conv_desc(spec, batch, id).expect("conv layer");
             conv_layer_cost(platform, &desc, grid, opts)
         }
         LayerKind::Fc { out_features } => {
-            let (c, h, w) = shapes[spec.layer(id).parents[0]];
+            let (c, h, w) = spec.shape(spec.layer(id).parents[0]);
             fc_layer_cost(platform, batch, c * h * w, *out_features, grid)
         }
         // BN with learnable parameters needs an allreduce (§V-B); its
         // parameter vector is tiny (2·C), modeled but near-zero.
         LayerKind::BatchNorm => {
-            let c = shapes[id].0;
+            let c = spec.shape(id).0;
             let bpa = allreduce_time(platform, grid.size(), (2 * c) as f64 * 4.0);
             LayerCost { bpa, ..Default::default() }
         }
@@ -204,37 +204,93 @@ pub fn layer_cost(
 }
 
 /// `Shuffle(D_i, D_j)`: redistribution cost between two grids for a
-/// tensor of `shape` (§III-C / §V-B). Exact worst-rank send volume via
-/// box intersections, priced as an all-to-all.
+/// tensor of `shape` (§III-C / §V-B). Exact worst-rank send volume,
+/// priced as an all-to-all.
 pub fn shuffle_cost(platform: &Platform, shape: Shape4, from: ProcGrid, to: ProcGrid) -> f64 {
     if from == to {
         return 0.0;
     }
-    let p = from.size();
-    let d_from = TensorDist::new(shape, from);
-    let d_to = TensorDist::new(shape, to);
-    let mut worst_bytes = 0.0f64;
-    let mut worst_peers = 0usize;
-    for rank in 0..p {
-        let own = d_from.local_box(rank);
-        let mut bytes = 0.0;
-        let mut peers = 0;
-        for (dst, inter) in d_to.ranks_overlapping(&own) {
-            if dst != rank {
-                bytes += inter.len() as f64 * 4.0;
-                peers += 1;
-            }
-        }
-        if bytes > worst_bytes {
-            worst_bytes = bytes;
-            worst_peers = peers;
-        }
-    }
-    if worst_bytes == 0.0 {
+    let (worst_elems, worst_peers) = worst_rank_send(shape, from, to);
+    if worst_elems == 0 {
         return 0.0;
     }
-    let link = platform.group_link(p.min(worst_peers + 1));
-    alltoall_time(link, worst_peers + 1, worst_bytes)
+    let link = platform.group_link(from.size().min(worst_peers + 1));
+    alltoall_time(link, worst_peers + 1, worst_elems as f64 * 4.0)
+}
+
+/// One tensor dimension of a `from → to` redistribution: the interval
+/// each part of either partition owns, and how many `to` parts each
+/// `from` part's interval reaches.
+struct DimOverlap {
+    own: Vec<Range<usize>>,
+    dst: Vec<Range<usize>>,
+    fanout: Vec<usize>,
+}
+
+impl DimOverlap {
+    fn new(d_from: &TensorDist, d_to: &TensorDist, d: usize) -> Self {
+        let own: Vec<_> = (0..d_from.grid.dims()[d]).map(|i| d_from.dim_range(d, i)).collect();
+        let dst: Vec<_> = (0..d_to.grid.dims()[d]).map(|j| d_to.dim_range(d, j)).collect();
+        // Both partitions are ordered, so the parts a non-empty interval
+        // reaches are contiguous; empty parts sit at `[total, total)`
+        // and are reached by nothing.
+        let fanout = own
+            .iter()
+            .map(|o| {
+                let first = dst.partition_point(|r| r.end <= o.start);
+                let end = dst.partition_point(|r| r.start < o.end);
+                end.saturating_sub(first)
+            })
+            .collect();
+        DimOverlap { own, dst, fanout }
+    }
+
+    /// Indices of `from` part `i` that `to` part `j` also owns.
+    fn kept(&self, i: usize, j: usize) -> usize {
+        let (o, t) = (&self.own[i], &self.dst[j]);
+        o.end.min(t.end).saturating_sub(o.start.max(t.start))
+    }
+}
+
+/// `(elements sent, peers sent to)` of the rank that sends the most in
+/// a `from → to` redistribution of `shape`; the lowest such rank on a
+/// tie. `to` partitions the whole tensor, so the pieces a rank's box is
+/// cut into add up to the box: it sends `|own| − |own ∩ box_to(rank)|`
+/// elements, to every rank whose `to` box meets `own` — a product of
+/// per-dimension counts — but itself. O(P) integer arithmetic; summing
+/// `4·|piece|` over destination boxes in `f64` gives the same bits,
+/// every partial sum being an integer below 2⁵³.
+fn worst_rank_send(shape: Shape4, from: ProcGrid, to: ProcGrid) -> (usize, usize) {
+    let (d_from, d_to) = (TensorDist::new(shape, from), TensorDist::new(shape, to));
+    let [dn, dc, dh, dw] = [0, 1, 2, 3].map(|d| DimOverlap::new(&d_from, &d_to, d));
+    let to_size = to.size();
+    let mut worst = (0usize, 0usize);
+    let mut rank = 0usize;
+    for n in 0..from.n {
+        for c in 0..from.c {
+            let own_nc = dn.own[n].len() * dc.own[c].len();
+            let fan_nc = dn.fanout[n] * dc.fanout[c];
+            for h in 0..from.h {
+                let own_nch = own_nc * dh.own[h].len();
+                let fan_nch = fan_nc * dh.fanout[h];
+                for w in 0..from.w {
+                    let own = own_nch * dw.own[w].len();
+                    let kept = if rank < to_size {
+                        let [tn, tc, th, tw] = to.coords(rank);
+                        dn.kept(n, tn) * dc.kept(c, tc) * dh.kept(h, th) * dw.kept(w, tw)
+                    } else {
+                        0
+                    };
+                    let sent = own - kept;
+                    if sent > worst.0 {
+                        worst = (sent, fan_nch * dw.fanout[w] - usize::from(kept > 0));
+                    }
+                    rank += 1;
+                }
+            }
+        }
+    }
+    worst
 }
 
 /// Modeled mini-batch time decomposition for a whole network.
@@ -267,7 +323,6 @@ pub fn network_cost(
     strategy: &Strategy,
     opts: &CostOptions,
 ) -> CostBreakdown {
-    let shapes = spec.shapes();
     let mut out = CostBreakdown::default();
     let costs: Vec<LayerCost> = (0..spec.len())
         .map(|id| layer_cost(platform, spec, batch, id, strategy.grids[id], opts))
@@ -277,7 +332,7 @@ pub fn network_cost(
     for (id, l) in spec.layers().iter().enumerate() {
         out.fp += costs[id].fp;
         for &p in &l.parents {
-            let (c, h, w) = shapes[p];
+            let (c, h, w) = spec.shape(p);
             if h == 1 && w == 1 {
                 continue; // per-sample data is replicated, not shuffled
             }
@@ -317,9 +372,99 @@ pub fn network_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    // `Strategy` is fg-core's here; proptest's goes by another name.
+    use proptest::prelude::{prop_assert_eq, prop_oneof, proptest, ProptestConfig};
+    use proptest::strategy::Strategy as Arbitrary;
 
     fn platform() -> Platform {
         Platform::lassen_like()
+    }
+
+    /// The definition [`shuffle_cost`] is checked against: walk every
+    /// rank's box through the destination boxes it overlaps, summing
+    /// bytes in `f64` as the message sizes would be.
+    fn shuffle_cost_box_walk(
+        platform: &Platform,
+        shape: Shape4,
+        from: ProcGrid,
+        to: ProcGrid,
+    ) -> f64 {
+        if from == to {
+            return 0.0;
+        }
+        let p = from.size();
+        let d_from = TensorDist::new(shape, from);
+        let d_to = TensorDist::new(shape, to);
+        let mut worst_bytes = 0.0f64;
+        let mut worst_peers = 0usize;
+        for rank in 0..p {
+            let own = d_from.local_box(rank);
+            let mut bytes = 0.0;
+            let mut peers = 0;
+            for (dst, inter) in d_to.ranks_overlapping(&own) {
+                if dst != rank {
+                    bytes += inter.len() as f64 * 4.0;
+                    peers += 1;
+                }
+            }
+            if bytes > worst_bytes {
+                worst_bytes = bytes;
+                worst_peers = peers;
+            }
+        }
+        if worst_bytes == 0.0 {
+            return 0.0;
+        }
+        let link = platform.group_link(p.min(worst_peers + 1));
+        alltoall_time(link, worst_peers + 1, worst_bytes)
+    }
+
+    /// Factorizations `n · c · h · w` of one of a few world sizes,
+    /// non-powers of two included.
+    fn arb_grid_of(world: usize) -> impl Arbitrary<Value = ProcGrid> {
+        let divs = crate::candidates::divisors(world);
+        let pick = move |i: usize, of: usize| {
+            let d: Vec<usize> = divs.iter().copied().filter(|d| of.is_multiple_of(*d)).collect();
+            d[i % d.len()]
+        };
+        (0usize..64, 0usize..64, 0usize..64).prop_map(move |(i, j, k)| {
+            let n = pick(i, world);
+            let h = pick(j, world / n);
+            let w = pick(k, world / n / h);
+            ProcGrid::new(n, world / n / h / w, h, w)
+        })
+    }
+
+    fn arb_shuffle() -> impl Arbitrary<Value = (Shape4, ProcGrid, ProcGrid)> {
+        // Extents from 1, so parts outnumber indices on some dimension
+        // of most cases and some ranks own nothing.
+        let shape = (1usize..40, 1usize..9, 1usize..30, 1usize..30)
+            .prop_map(|(n, c, h, w)| Shape4::new(n, c, h, w));
+        let grids = prop_oneof![
+            (arb_grid_of(12), arb_grid_of(12)),
+            (arb_grid_of(16), arb_grid_of(16)),
+            (arb_grid_of(30), arb_grid_of(30)),
+            (arb_grid_of(7), arb_grid_of(7)),
+            (arb_grid_of(64), arb_grid_of(64)),
+        ];
+        (shape, grids).prop_map(|(s, (from, to))| (s, from, to))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn closed_form_shuffle_volume_equals_the_box_walk(case in arb_shuffle()) {
+            let p = platform();
+            let (shape, from, to) = case;
+            for (a, b) in [(from, to), (to, from), (from, from)] {
+                prop_assert_eq!(
+                    shuffle_cost(&p, shape, a, b).to_bits(),
+                    shuffle_cost_box_walk(&p, shape, a, b).to_bits(),
+                    "{} from {} to {}", shape, a, b
+                );
+            }
+        }
     }
 
     fn conv1_resnet() -> ConvLayerDesc {

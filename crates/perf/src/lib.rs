@@ -30,7 +30,7 @@ pub use cost::{
     conv_layer_cost, layer_cost, network_cost, shuffle_cost, ConvLayerDesc, CostBreakdown,
     CostOptions, LayerCost,
 };
-pub use optimizer::StrategyOptimizer;
+pub use optimizer::{SearchStats, StrategyOptimizer};
 pub use oracle::{platform_link_model, ModeledCompute, SlowedCompute};
 pub use platform::{ConvPass, ConvWork, DeviceModel, Link, Platform};
 pub use replan::{degrade_replanner, rebalance_for_stragglers, replan_for_world};

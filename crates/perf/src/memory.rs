@@ -40,7 +40,7 @@ pub fn layer_activation_bytes(
 /// Per-rank parameter bytes of a layer: weights + gradient + momentum
 /// (3×), replicated in the executor's scheme.
 pub fn layer_param_bytes(spec: &NetworkSpec, id: usize) -> usize {
-    3 * spec.param_elems()[id] * ELT
+    3 * spec.layer_param_elems(id) * ELT
 }
 
 /// Peak per-rank training memory of a network under a strategy.

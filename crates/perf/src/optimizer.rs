@@ -16,6 +16,12 @@
 //!    heavy chain;
 //! 4. per-sample layers (global pool, FC, loss heads) inherit their
 //!    parent's distribution, matching the executor's contract.
+//!
+//! Both edge terms depend on less than the edge: `Cost_D(ℓ)` on (layer,
+//! grid), the shuffle on (tensor shape, from, to). A search models each
+//! once ([`SearchStats`] counts them) and the DP only adds them up.
+
+use std::collections::HashMap;
 
 use fg_core::{BnMode, Strategy, StrategyError};
 use fg_nn::{LayerId, LayerKind, NetworkSpec};
@@ -79,95 +85,22 @@ impl<'a> StrategyOptimizer<'a> {
     /// Run the optimization; returns the strategy and its modeled
     /// mini-batch cost.
     pub fn optimize(&self) -> (Strategy, CostBreakdown) {
+        let (strategy, cost, _) = self.search();
+        (strategy, cost)
+    }
+
+    /// [`StrategyOptimizer::optimize`], also reporting how much work the
+    /// search did.
+    pub fn search(&self) -> (Strategy, CostBreakdown, SearchStats) {
         let n = self.spec.len();
-        let mut candidates: Vec<Vec<ProcGrid>> =
-            (0..n).map(|id| layer_candidates(self.spec, self.batch, self.world, id)).collect();
-        for &(id, g) in &self.extra_candidates {
-            if !candidates[id].contains(&g) {
-                candidates[id].push(g);
-            }
-        }
-        // Legality pre-filter (fg-verify front line): a candidate whose
-        // compiled schedule could never verify — wrong world size,
-        // unpopulated distribution, channel split — is dropped before
-        // any cost is modeled, so the DP only ranks sound plans.
-        for (id, cands) in candidates.iter_mut().enumerate() {
-            cands.retain(|g| {
-                fg_core::candidate_grid_legal(self.spec, self.batch, self.world, id, *g)
-            });
-        }
-        // Memory constraint (§V): the footprint is a sum of per-layer
-        // terms, so allot each layer a share of the budget proportional
-        // to its serial footprint and reject candidates that blow it.
-        // A slack factor keeps the heuristic from over-pruning; the final
-        // strategy is re-checked against the exact total.
-        let mut limit_feasible = true;
-        if let Some(limit) = self.memory_limit {
-            let shapes = self.spec.shapes();
-            let param_total: usize = (0..n).map(|id| layer_param_bytes(self.spec, id)).sum();
-            let halo_of = |id: usize| match &self.spec.layer(id).kind {
-                fg_nn::LayerKind::Conv { kernel, .. } | fg_nn::LayerKind::Pool { kernel, .. } => {
-                    kernel / 2
-                }
-                _ => 0,
-            };
-            // Feasibility floor: the footprint of the most decomposed
-            // candidate at every layer. A limit below the floor cannot be
-            // met by any strategy in the search space — pruning against
-            // it would only empty the candidate sets — so the search runs
-            // unconstrained and the exact post-check in
-            // [`StrategyOptimizer::optimize_with_budget`] owns the
-            // rejection.
-            let floor: usize = param_total
-                + (0..n)
-                    .map(|id| {
-                        candidates[id]
-                            .iter()
-                            .map(|g| {
-                                layer_activation_bytes(self.batch, shapes[id], *g, halo_of(id))
-                            })
-                            .min()
-                            .unwrap_or(0)
-                    })
-                    .sum::<usize>();
-            limit_feasible = floor <= limit;
-            if limit_feasible {
-                let act_budget = limit.saturating_sub(param_total) as f64;
-                let serial: Vec<usize> = (0..n)
-                    .map(|id| {
-                        layer_activation_bytes(
-                            self.batch,
-                            shapes[id],
-                            ProcGrid::sample(self.world),
-                            0,
-                        )
-                    })
-                    .collect();
-                let serial_total: f64 = serial.iter().sum::<usize>() as f64;
-                const SLACK: f64 = 1.5;
-                for id in 0..n {
-                    if serial_total == 0.0 {
-                        break;
-                    }
-                    let share = act_budget * serial[id] as f64 / serial_total * SLACK;
-                    candidates[id].retain(|g| {
-                        (layer_activation_bytes(self.batch, shapes[id], *g, halo_of(id)) as f64)
-                            <= share
-                    });
-                }
-            }
-        }
+        let (candidates, limit_feasible) = self.candidate_sets();
+        let mut costs = SearchCosts::new(self, &candidates);
         // Layer weight for longest-path extraction: cheapest-candidate
         // total cost (heavy layers anchor the first path).
-        let min_cost: Vec<f64> = (0..n)
-            .map(|id| {
-                candidates[id]
-                    .iter()
-                    .map(|g| {
-                        layer_cost(self.platform, self.spec, self.batch, id, *g, &self.opts).total()
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            })
+        let min_cost: Vec<f64> = costs
+            .layer
+            .iter()
+            .map(|row| row.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min))
             .collect();
 
         let mut assigned: Vec<Option<ProcGrid>> = vec![None; n];
@@ -182,7 +115,7 @@ impl<'a> StrategyOptimizer<'a> {
                 |id| if min_cost[id].is_finite() { min_cost[id].max(1e-12) } else { 1e-12 },
                 &avoid,
             );
-            self.solve_path(&path, &candidates, &mut assigned);
+            self.solve_path(&path, &candidates, &mut costs, &mut assigned);
         }
         // Sweep up anything the paths missed and pin per-sample layers
         // to their parents.
@@ -210,7 +143,80 @@ impl<'a> StrategyOptimizer<'a> {
             );
         }
         let cost = network_cost(self.platform, self.spec, self.batch, &strategy, &self.opts);
-        (strategy, cost)
+        (strategy, cost, costs.stats)
+    }
+
+    /// The grids the search ranks per layer — generated, seeded, then
+    /// screened for legality and memory — and whether the memory limit
+    /// (if any) is achievable at all. Layers that inherit their
+    /// parent's grid get no candidates of their own.
+    fn candidate_sets(&self) -> (Vec<Vec<ProcGrid>>, bool) {
+        let n = self.spec.len();
+        let mut candidates: Vec<Vec<ProcGrid>> =
+            (0..n).map(|id| layer_candidates(self.spec, self.batch, self.world, id)).collect();
+        for &(id, g) in &self.extra_candidates {
+            if !candidates[id].contains(&g) {
+                candidates[id].push(g);
+            }
+        }
+        // Legality pre-filter (fg-verify front line): a candidate whose
+        // compiled schedule could never verify — wrong world size,
+        // unpopulated distribution, channel split — is dropped before
+        // any cost is modeled, so the DP only ranks sound plans.
+        for (id, cands) in candidates.iter_mut().enumerate() {
+            cands.retain(|g| {
+                fg_core::candidate_grid_legal(self.spec, self.batch, self.world, id, *g)
+            });
+        }
+        // Memory constraint (§V): the footprint is a sum of per-layer
+        // terms, so allot each layer a share of the budget proportional
+        // to its serial footprint and reject candidates that blow it.
+        // A slack factor keeps the heuristic from over-pruning; the final
+        // strategy is re-checked against the exact total.
+        let mut limit_feasible = true;
+        if let Some(limit) = self.memory_limit {
+            let param_total: usize = (0..n).map(|id| layer_param_bytes(self.spec, id)).sum();
+            let halo_of = |id: usize| match &self.spec.layer(id).kind {
+                LayerKind::Conv { kernel, .. } | LayerKind::Pool { kernel, .. } => kernel / 2,
+                _ => 0,
+            };
+            let act_bytes = |id: usize, g: ProcGrid, halo: usize| {
+                layer_activation_bytes(self.batch, self.spec.shape(id), g, halo)
+            };
+            // Feasibility floor: the footprint of the most decomposed
+            // candidate at every layer. A limit below the floor cannot be
+            // met by any strategy in the search space — pruning against
+            // it would only empty the candidate sets — so the search runs
+            // unconstrained and the exact post-check in
+            // [`StrategyOptimizer::optimize_with_budget`] owns the
+            // rejection.
+            let floor: usize = param_total
+                + (0..n)
+                    .map(|id| {
+                        candidates[id]
+                            .iter()
+                            .map(|g| act_bytes(id, *g, halo_of(id)))
+                            .min()
+                            .unwrap_or(0)
+                    })
+                    .sum::<usize>();
+            limit_feasible = floor <= limit;
+            if limit_feasible {
+                let act_budget = limit.saturating_sub(param_total) as f64;
+                let serial: Vec<usize> =
+                    (0..n).map(|id| act_bytes(id, ProcGrid::sample(self.world), 0)).collect();
+                let serial_total: f64 = serial.iter().sum::<usize>() as f64;
+                const SLACK: f64 = 1.5;
+                for id in 0..n {
+                    if serial_total == 0.0 {
+                        break;
+                    }
+                    let share = act_budget * serial[id] as f64 / serial_total * SLACK;
+                    candidates[id].retain(|g| (act_bytes(id, *g, halo_of(id)) as f64) <= share);
+                }
+            }
+        }
+        (candidates, limit_feasible)
     }
 
     /// [`StrategyOptimizer::optimize`] under a hard per-rank memory
@@ -244,9 +250,9 @@ impl<'a> StrategyOptimizer<'a> {
         &self,
         path: &[LayerId],
         candidates: &[Vec<ProcGrid>],
+        costs: &mut SearchCosts,
         assigned: &mut [Option<ProcGrid>],
     ) {
-        let shapes = self.spec.shapes();
         // states: per path position, (grid, best cost so far, predecessor state idx)
         // Tie-breaker implementing the paper's "prefer cheaper
         // partitioning methods (i.e. sample over spatial parallelism)
@@ -255,53 +261,55 @@ impl<'a> StrategyOptimizer<'a> {
         let tie_bias = |g: ProcGrid| 1e-12 * (g.ranks_per_sample() - 1) as f64;
         let mut states: Vec<Vec<(ProcGrid, f64, usize)>> = Vec::with_capacity(path.len());
         for (pos, &id) in path.iter().enumerate() {
-            let opts: Vec<ProcGrid> = if let Some(g) = assigned[id] {
-                vec![g]
-            } else if candidates[id].is_empty() {
-                // Inherit: resolved per predecessor state below.
-                Vec::new()
-            } else {
-                candidates[id].clone()
+            // This level's grids with their layer costs: the pinned one,
+            // or the layer's candidates. None: inherit, resolved per
+            // predecessor state below.
+            let mut opts: Vec<(ProcGrid, f64)> = match assigned[id] {
+                Some(g) => vec![(g, costs.layer_cost(id, g))],
+                None => costs.layer[id][..candidates[id].len()].to_vec(),
             };
-            let mut level: Vec<(ProcGrid, f64, usize)> = Vec::new();
-            if pos == 0 {
-                let opts = if opts.is_empty() { vec![ProcGrid::sample(self.world)] } else { opts };
-                for g in opts {
-                    let c = layer_cost(self.platform, self.spec, self.batch, id, g, &self.opts)
-                        .total()
-                        + tie_bias(g);
-                    level.push((g, c, usize::MAX));
+            let level: Vec<(ProcGrid, f64, usize)> = if pos == 0 {
+                if opts.is_empty() {
+                    let g = ProcGrid::sample(self.world);
+                    opts.push((g, costs.layer_cost(id, g)));
                 }
+                opts.iter().map(|&(g, lc)| (g, lc + tie_bias(g), usize::MAX)).collect()
             } else {
-                let prev_id = path[pos - 1];
-                let (pc, ph, pw) = shapes[prev_id];
+                let (pc, ph, pw) = self.spec.shape(path[pos - 1]);
                 let between = Shape4::new(self.batch, pc, ph, pw);
                 let prev = &states[pos - 1];
-                let mut best: std::collections::HashMap<u64, (ProcGrid, f64, usize)> =
-                    std::collections::HashMap::new();
-                for (pi, &(pg, pcost, _)) in prev.iter().enumerate() {
-                    let my_opts = if opts.is_empty() { vec![pg] } else { opts.clone() };
-                    for g in my_opts {
-                        let mut c = pcost
-                            + layer_cost(self.platform, self.spec, self.batch, id, g, &self.opts)
-                                .total()
-                            + tie_bias(g);
-                        if g != pg && (ph > 1 || pw > 1) {
-                            // Forward + backward shuffles.
-                            c += 2.0 * shuffle_cost(self.platform, between, pg, g);
-                        }
-                        let key = grid_key(g);
-                        match best.get(&key) {
-                            Some(&(_, bc, _)) if bc <= c => {}
-                            _ => {
-                                best.insert(key, (g, c, pi));
+                costs.stats.dp_edges += prev.len() * opts.len().max(1);
+                let mut level: Vec<(ProcGrid, f64, usize)> = if opts.is_empty() {
+                    prev.iter()
+                        .enumerate()
+                        .map(|(pi, &(pg, pcost, _))| {
+                            (pg, pcost + costs.layer_cost(id, pg) + tie_bias(pg), pi)
+                        })
+                        .collect()
+                } else {
+                    opts.iter()
+                        .map(|&(g, lc)| {
+                            // First cheapest predecessor, in level order.
+                            let mut best: Option<(f64, usize)> = None;
+                            for (pi, &(pg, pcost, _)) in prev.iter().enumerate() {
+                                let mut c = pcost + lc + tie_bias(g);
+                                if g != pg && (ph > 1 || pw > 1) {
+                                    // Forward + backward shuffles.
+                                    c += 2.0 * costs.shuffle_cost(between, pg, g);
+                                }
+                                match best {
+                                    Some((bc, _)) if bc <= c => {}
+                                    _ => best = Some((c, pi)),
+                                }
                             }
-                        }
-                    }
-                }
-                level = best.into_values().collect();
+                            let (c, pi) = best.expect("every level has a state");
+                            (g, c, pi)
+                        })
+                        .collect()
+                };
                 level.sort_by_key(|a| grid_key(a.0));
-            }
+                level
+            };
             states.push(level);
         }
         // Trace back the cheapest final state.
@@ -322,6 +330,68 @@ impl<'a> StrategyOptimizer<'a> {
             idx = if pred == usize::MAX { 0 } else { pred };
             pos -= 1;
         }
+    }
+}
+
+/// Work one search did, so "same answer, less work" can be pinned
+/// without a wall clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchStats {
+    /// `layer_cost` evaluations.
+    pub layer_cost_evals: usize,
+    /// `shuffle_cost` evaluations.
+    pub shuffle_cost_evals: usize,
+    /// (predecessor state, grid) transitions the DP relaxed.
+    pub dp_edges: usize,
+}
+
+/// The costs one search has asked for; each is modeled once, however
+/// many paths and DP edges ask again.
+struct SearchCosts<'o, 'a> {
+    opt: &'o StrategyOptimizer<'a>,
+    /// Per layer, `(grid, Cost_D(ℓ))`: its candidates in order, then
+    /// any grid it inherited from a predecessor on a path.
+    layer: Vec<Vec<(ProcGrid, f64)>>,
+    /// `Shuffle(D_i, D_j)` by (tensor shape, from, to): ResNet-50's 176
+    /// layers pass only 10 distinct shapes between them.
+    shuffle: HashMap<(Shape4, ProcGrid, ProcGrid), f64>,
+    stats: SearchStats,
+}
+
+impl<'o, 'a> SearchCosts<'o, 'a> {
+    /// Model every (layer, candidate) pair.
+    fn new(opt: &'o StrategyOptimizer<'a>, candidates: &[Vec<ProcGrid>]) -> Self {
+        let mut costs = SearchCosts {
+            opt,
+            layer: vec![Vec::new(); candidates.len()],
+            shuffle: HashMap::new(),
+            stats: SearchStats::default(),
+        };
+        for (id, cands) in candidates.iter().enumerate() {
+            for &g in cands {
+                costs.layer_cost(id, g);
+            }
+        }
+        costs
+    }
+
+    fn layer_cost(&mut self, id: LayerId, grid: ProcGrid) -> f64 {
+        if let Some(&(_, c)) = self.layer[id].iter().find(|(g, _)| *g == grid) {
+            return c;
+        }
+        let o = self.opt;
+        let c = layer_cost(o.platform, o.spec, o.batch, id, grid, &o.opts).total();
+        self.stats.layer_cost_evals += 1;
+        self.layer[id].push((grid, c));
+        c
+    }
+
+    fn shuffle_cost(&mut self, shape: Shape4, from: ProcGrid, to: ProcGrid) -> f64 {
+        let (platform, stats) = (self.opt.platform, &mut self.stats);
+        *self.shuffle.entry((shape, from, to)).or_insert_with(|| {
+            stats.shuffle_cost_evals += 1;
+            shuffle_cost(platform, shape, from, to)
+        })
     }
 }
 
@@ -542,6 +612,40 @@ mod tests {
             fg_core::analyze_strategy(&spec, &strategy, 4, &fg_core::sample_ranks(8)).unwrap();
         assert!(report.is_clean());
         assert!(report.max_peak() <= 64 << 30);
+    }
+
+    #[test]
+    fn resnet50_at_2048_ranks_models_each_cost_once() {
+        // The search's work, counted: every (layer, grid) cost is
+        // modeled once however many paths and DP edges ask for it, and
+        // shuffles are modeled per distinct tensor shape, not per layer.
+        let p = platform();
+        let spec = fg_models::resnet50();
+        let opt = StrategyOptimizer::new(&p, &spec, 32768, 2048);
+        let (candidates, _) = opt.candidate_sets();
+        let (_, _, stats) = opt.search();
+        // A layer without candidates of its own (GAP, FC) is costed on
+        // the grids of the layer it inherits from.
+        let mut grids_of: Vec<usize> = Vec::new();
+        for (id, c) in candidates.iter().enumerate() {
+            let inherited = || grids_of[spec.layer(id).parents[0]];
+            grids_of.push(if c.is_empty() { inherited() } else { c.len() });
+        }
+        assert_eq!(stats.layer_cost_evals, grids_of.iter().sum::<usize>());
+        let widest = candidates.iter().map(Vec::len).max().unwrap();
+        let edge_shapes: std::collections::HashSet<_> = spec
+            .layers()
+            .iter()
+            .flat_map(|l| l.parents.iter().map(|&p| spec.shape(p)))
+            .filter(|&(_, h, w)| h > 1 || w > 1)
+            .collect();
+        assert!(
+            stats.shuffle_cost_evals <= edge_shapes.len() * widest * widest,
+            "{stats:?} with {} edge shapes, {widest} candidates at most",
+            edge_shapes.len()
+        );
+        // The DP itself still relaxes every edge.
+        assert!(stats.dp_edges > 10 * stats.layer_cost_evals, "{stats:?}");
     }
 
     #[test]

@@ -225,6 +225,24 @@ mod tests {
     }
 
     #[test]
+    fn shuffle_traffic_is_booked_as_shuffle_not_alltoall() {
+        let shape = Shape4::new(4, 3, 8, 8);
+        let d_from = TensorDist::new(shape, ProcGrid::sample(4));
+        let d_to = TensorDist::new(shape, ProcGrid::spatial(2, 2));
+        let global = pattern(shape);
+        let stats = run_ranks(4, |comm| {
+            let src = DistTensor::from_global(d_from.clone(), comm.rank(), &global, [0; 4], [0; 4]);
+            redistribute(comm, &src, d_to.clone(), [0; 4], [0; 4]);
+            comm.stats()
+        });
+        for s in &stats {
+            // Each rank keeps a quarter of its sample and sends the rest.
+            assert_eq!(s.bytes(OpClass::Shuffle), 3 * 3 * 4 * 4 * 4);
+            assert_eq!(s.bytes(OpClass::AllToAll), 0);
+        }
+    }
+
+    #[test]
     fn sample_to_spatial() {
         check_roundtrip(Shape4::new(4, 3, 8, 8), ProcGrid::sample(4), ProcGrid::spatial(2, 2));
     }

@@ -172,6 +172,17 @@ step "DES equivalence + determinism (sim engine vs threaded runtime)"
 filtered_tests -p fg-comm --lib -- sim::
 cargo test -q --offline --test sim_equivalence
 
+# Strategy search: same answers, each cost modeled once. The golden
+# test pins every per-layer grid and cost bit recorded before the search
+# got its cost table, shuffle memo and closed-form shuffle volume (up to
+# ResNet-50 on 2048 ranks); the work bound counts cost-model evaluations
+# at 2048 ranks, so a slide back to per-edge re-evaluation fails here on
+# a count, not on a clock. Release: it is the build whose speed matters.
+step "strategy search (golden answers + 2048-rank work bound, release)"
+filtered_tests --release -p fg-perf --test search_golden -- search_answers_match
+filtered_tests --release -p fg-perf --lib -- \
+    resnet50_at_2048_ranks_models_each_cost_once closed_form_shuffle_volume
+
 # Sanitizer jobs — both are gated on toolchain availability because the
 # build image is offline (no `rustup component add`); when the
 # components are absent the jobs are skipped with a note, not failed.
