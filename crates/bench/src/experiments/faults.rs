@@ -5,10 +5,10 @@
 //!
 //! 1. **What does zero-fault monitoring cost?** The plain `run_ranks`
 //!    path must stay untouched, and even the opt-in paths (deadlock
-//!    watchdog, transparent `FaultyComm` wrapper) should cost within
+//!    watchdog, fault stage under an empty plan) should cost within
 //!    noise of nothing: the watchdog polls a few atomics per sweep off
-//!    the critical path, and a transparent plan adds two counter bumps
-//!    per comm op. Variants are timed in strict alternation with
+//!    the critical path, and an empty plan adds two counter bumps per
+//!    comm op. Variants are timed in strict alternation with
 //!    best-of-reps.
 //! 2. **What does recovery cost as a function of checkpoint interval?**
 //!    A mid-run rank kill forces a restore-and-replay; the steps redone
@@ -31,10 +31,7 @@
 
 use std::time::Instant;
 
-use fg_comm::{
-    run_ranks, run_ranks_opts, run_ranks_with_faults, run_ranks_with_faults_integrity,
-    Communicator, FaultPlan, IntegrityConfig, RunOptions,
-};
+use fg_comm::{run_ranks, run_ranks_opts, FaultPlan, IntegrityConfig, RunOptions, WorldComm};
 use fg_core::{
     resilient_train, DegradeConfig, DistExecutor, GuardConfig, ResilientConfig, SgdHyper, Strategy,
 };
@@ -69,7 +66,7 @@ fn fixture() -> Fixture {
 
 /// One rank's contribution: a warmup step, then `steps` timed training
 /// steps. Returns `(seconds, final loss)`.
-fn rank_loop<C: Communicator>(fx: &Fixture, comm: &C, steps: usize) -> (f64, f64) {
+fn rank_loop(fx: &Fixture, comm: &WorldComm, steps: usize) -> (f64, f64) {
     let mut p = fx.net.params.clone();
     let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
     let _ = fx.exec.train_step(comm, &mut p, &mut opt, &fx.x, &fx.labels);
@@ -89,35 +86,21 @@ fn reduce(outs: Vec<(f64, f64)>) -> (f64, f64) {
 /// `steps` training steps on one rank-world; returns `(slowest-rank
 /// seconds, final loss)` for the given launch flavor.
 fn time_variant(fx: &Fixture, steps: usize, variant: &str) -> (f64, f64) {
-    match variant {
-        "plain" => reduce(run_ranks(WORLD, |comm| rank_loop(fx, comm, steps))),
-        "watchdog" => reduce(
-            run_ranks_opts(WORLD, RunOptions::watchdog_default(), |comm| {
-                rank_loop(fx, comm, steps)
-            })
+    let opts = match variant {
+        "plain" => return reduce(run_ranks(WORLD, |comm| rank_loop(fx, comm, steps))),
+        "watchdog" => RunOptions::watchdog_default(),
+        "faulty-transparent" => RunOptions::with_faults(FaultPlan::default()),
+        "integrity" => {
+            RunOptions::with_faults_integrity(FaultPlan::default(), IntegrityConfig::default())
+        }
+        other => unreachable!("unknown variant {other}"),
+    };
+    reduce(
+        run_ranks_opts(WORLD, opts, |comm| rank_loop(fx, comm, steps))
             .into_iter()
             .map(|r| r.expect("fault-free run"))
             .collect(),
-        ),
-        "faulty-transparent" => reduce(
-            run_ranks_with_faults(WORLD, FaultPlan::default(), |comm| rank_loop(fx, comm, steps))
-                .into_iter()
-                .map(|r| r.expect("transparent plan"))
-                .collect(),
-        ),
-        "integrity" => reduce(
-            run_ranks_with_faults_integrity(
-                WORLD,
-                FaultPlan::default(),
-                IntegrityConfig::default(),
-                |comm| rank_loop(fx, comm, steps),
-            )
-            .into_iter()
-            .map(|r| r.expect("fault-free integrity run"))
-            .collect(),
-        ),
-        other => unreachable!("unknown variant {other}"),
-    }
+    )
 }
 
 /// Best-of-`reps` steps/sec for each launch flavor, measured in strict
@@ -154,7 +137,7 @@ fn overhead_table() -> Table {
         format!("{:.3}", watchdog / plain),
     ]);
     t.push_row(vec![
-        "FaultyComm, empty plan".into(),
+        "empty fault plan".into(),
         format!("{faulty:.2}"),
         format!("{:.3}", faulty / plain),
     ]);
@@ -174,7 +157,7 @@ fn recovery_table() -> Table {
     const STEPS: u64 = 8;
     // Probe the op horizon so the kill lands at a fixed fraction of the
     // run regardless of model details.
-    let probe = run_ranks_with_faults(WORLD, FaultPlan::default(), |comm| {
+    let probe = run_ranks_opts(WORLD, RunOptions::with_faults(FaultPlan::default()), |comm| {
         let mut p = fx.net.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
         for _ in 0..STEPS {
@@ -288,7 +271,7 @@ fn steps_per_sec(
 fn degradation_table() -> Table {
     let fx = fixture();
     const STEPS: u64 = 6;
-    let probe = run_ranks_with_faults(WORLD, FaultPlan::default(), |comm| {
+    let probe = run_ranks_opts(WORLD, RunOptions::with_faults(FaultPlan::default()), |comm| {
         let mut p = fx.net.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
         for _ in 0..STEPS {

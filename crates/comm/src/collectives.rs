@@ -196,7 +196,6 @@ pub trait Collectives: Communicator + Sized {
         while mask > 0 {
             if relative + mask < p {
                 let dst = (self.rank() + mask) % p;
-                self.record(OpClass::Bcast, 0, 0);
                 self.send(dst, tag, buf.clone());
             }
             mask >>= 1;

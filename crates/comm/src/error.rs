@@ -8,11 +8,10 @@
 //! [`CommError::Timeout`]) are raised by unwinding with the error as the
 //! panic payload (`std::panic::panic_any`), because the [`crate::Communicator`]
 //! methods are deliberately infallible — real MPI aborts the job on a
-//! peer failure too. [`crate::runtime::run_ranks_opts`] and
-//! [`crate::runtime::run_ranks_with_faults`] catch those unwinds at the
-//! rank boundary and return them as per-rank `Result`s, so a chaos test
-//! or a resilient training driver observes a structured error instead of
-//! a crashed process or a hung CI job.
+//! peer failure too. [`crate::runtime::run_ranks_opts`] catches those
+//! unwinds at the rank boundary and returns them as per-rank `Result`s,
+//! so a chaos test or a resilient training driver observes a structured
+//! error instead of a crashed process or a hung CI job.
 
 use std::fmt;
 

@@ -3,28 +3,30 @@
 //! A [`FaultPlan`] is a pure description of what goes wrong and when:
 //! per-link message drops and payload corruptions (by send ordinal),
 //! per-rank delay spikes, and rank kills at a given communication
-//! operation. [`FaultyComm`] wraps any [`Communicator`] and applies the
-//! plan on the way through. Everything is keyed off message/operation
-//! ordinals and the plan's seed — never wall-clock time or OS scheduling
-//! — so a given `(plan, program)` pair produces the *same* faults on
-//! every run. Chaos tests can therefore pin seeds and assert exact
-//! outcomes, and a failure found by a randomized sweep is replayable
-//! from its seed alone.
+//! operation. A world launched with [`crate::RunOptions::faults`] set
+//! applies the plan as a fixed stage of [`crate::WorldComm`]'s
+//! `send`/`recv` — below the integrity envelope, above the channel.
+//! Everything is keyed off message/operation ordinals and the plan's
+//! seed — never wall-clock time or OS scheduling — so a given
+//! `(plan, program)` pair produces the *same* faults on every run. Chaos
+//! tests can therefore pin seeds and assert exact outcomes, and a
+//! failure found by a randomized sweep is replayable from its seed
+//! alone.
 //!
 //! Injected kills unwind with a [`CommError::RankFailed`] panic payload;
-//! [`crate::runtime::run_ranks_with_faults`] catches that at the rank
-//! boundary and returns it as the rank's `Result`, while peers observe
-//! the death either as a channel disconnect (→ `RankFailed` naming the
-//! victim) or via the deadlock watchdog (→ [`CommError::Timeout`] with a
-//! wait graph).
+//! [`crate::runtime::run_ranks_opts`] catches that at the rank boundary
+//! and returns it as the rank's `Result`, while peers observe the death
+//! either as a channel disconnect (→ `RankFailed` naming the victim) or
+//! via the deadlock watchdog (→ [`CommError::Timeout`] with a wait
+//! graph).
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::CommError;
-use crate::p2p::{CommScalar, Communicator, Tag, WireHeader};
-use crate::stats::OpClass;
+use crate::p2p::{CommScalar, Tag, WireHeader};
+use crate::runtime::WorldComm;
 
 /// splitmix64: a well-distributed 64-bit mixer, used to derive per-event
 /// corruption masks and chaos-plan choices from `(seed, link, ordinal)`.
@@ -88,12 +90,12 @@ pub struct FaultPlan {
     /// DIMM, a congested ToR port). Unlike `delays`, the slowdown
     /// survives world rebuilds via [`FaultPlan::persistent`]: the node
     /// is sick, not momentarily unlucky. Applied to comm-op service
-    /// time by [`FaultyComm`] and to modeled compute through
+    /// time by the world's fault stage and to modeled compute through
     /// [`FaultPlan::slowdown`] / [`FaultPlan::slowdown_vector`].
     slow: Vec<(usize, f64)>,
     /// `(src, dst, k)`: corrupt the `k`-th retransmission served on link
-    /// `src → dst` (the replay-window pull path, which bypasses
-    /// [`FaultyComm`]).
+    /// `src → dst` (the replay-window pull path, which bypasses the
+    /// send-side fault stage).
     corrupt_retransmits: Vec<(usize, usize, u64)>,
     /// Bernoulli drop probability applied to every message on every
     /// link, on top of the explicit `drops` list.
@@ -117,7 +119,7 @@ impl FaultPlan {
     }
 
     /// Kill `rank` when its communication-operation counter (sends +
-    /// receives, as counted by [`FaultyComm`]) reaches `op`.
+    /// receives, as counted by [`WorldComm::ops`]) reaches `op`.
     pub fn kill_rank(mut self, rank: usize, op: u64) -> FaultPlan {
         self.kills.push((rank, op));
         self
@@ -155,7 +157,7 @@ impl FaultPlan {
     }
 
     /// Make `rank` a **persistent straggler**: everything it does —
-    /// comm-op service ([`FaultyComm`] stretches each op) and compute
+    /// comm-op service (the fault stage stretches each op) and compute
     /// (consumers scale modeled or measured compute by
     /// [`FaultPlan::slowdown`]) — takes `factor`× as long. The fault
     /// survives [`FaultPlan::persistent`], so rebuilding the world does
@@ -358,17 +360,16 @@ impl FaultPlan {
     }
 }
 
-/// A [`Communicator`] wrapper that applies a [`FaultPlan`].
-///
-/// Wraps a borrowed inner communicator (one per rank, like the inner
-/// comm itself) and counts this rank's communication operations; the
-/// plan is consulted on every send and receive. Collectives work
-/// unchanged through the wrapper — faults injected into a collective's
-/// constituent point-to-point messages propagate into its result, which
-/// is exactly how a corrupted allreduce behaves on a real machine.
-pub struct FaultyComm<'a, C: Communicator> {
-    inner: &'a C,
+/// One rank's fault-injection stage: the plan plus the ordinal clocks it
+/// is keyed on. Owned by the rank's [`WorldComm`], which runs it between
+/// the integrity envelope and the channel. Collectives and
+/// sub-communicators bottom out in the world's `send`/`recv`, so faults
+/// injected into their constituent point-to-point messages propagate
+/// into their results — exactly how a corrupted allreduce behaves on a
+/// real machine.
+pub(crate) struct WorldFaults {
     plan: Arc<FaultPlan>,
+    rank: usize,
     /// This rank's comm-op counter (sends + receives), the clock that
     /// kill and delay faults are keyed on.
     ops: Cell<u64>,
@@ -385,52 +386,48 @@ pub struct FaultyComm<'a, C: Communicator> {
 /// measurably slow over a step's worth of operations.
 pub const SLOW_OP_SERVICE: Duration = Duration::from_micros(2);
 
-impl<'a, C: Communicator> FaultyComm<'a, C> {
-    /// Wrap `inner` under `plan`.
-    pub fn new(inner: &'a C, plan: Arc<FaultPlan>) -> FaultyComm<'a, C> {
-        let size = inner.size();
-        let slow_factor = plan.slowdown(inner.rank());
-        FaultyComm {
-            inner,
+impl WorldFaults {
+    /// The stage for `rank` in a world of `size` ranks under `plan`.
+    pub(crate) fn new(plan: Arc<FaultPlan>, rank: usize, size: usize) -> WorldFaults {
+        let slow_factor = plan.slowdown(rank);
+        WorldFaults {
             plan,
+            rank,
             ops: Cell::new(0),
             sent: RefCell::new(vec![0; size]),
             slow_factor,
         }
     }
 
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        self.inner
-    }
-
     /// Comm ops performed so far by this rank (sends + receives).
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.ops.get()
     }
 
-    /// Advance the op clock; fire a scheduled kill or delay.
-    fn tick(&self) {
+    /// Advance the op clock; fire a scheduled kill or delay. Runs once
+    /// per logical send and once per receive.
+    pub(crate) fn tick(&self) {
+        let rank = self.rank;
         let n = self.ops.get();
         self.ops.set(n + 1);
-        if let Some(at) = self.plan.kill_at(self.inner.rank()) {
+        if let Some(at) = self.plan.kill_at(rank) {
             if n >= at {
                 // Name permanence in the diagnostic: a resilient driver
                 // (and a human reading the failure history) can tell a
                 // transient crash from a dead node.
-                let permanence = if self.plan.kill_is_permanent(self.inner.rank()) {
+                let permanence = if self.plan.kill_is_permanent(rank) {
                     " (permanent: this rank dies on every rebuild)"
                 } else {
                     ""
                 };
                 std::panic::panic_any(CommError::RankFailed {
-                    rank: self.inner.rank(),
-                    observer: self.inner.rank(),
+                    rank,
+                    observer: rank,
                     detail: format!("killed by fault injection at comm op {at}{permanence}"),
                 });
             }
         }
-        if let Some(pause) = self.plan.delay(self.inner.rank(), n) {
+        if let Some(pause) = self.plan.delay(rank, n) {
             std::thread::sleep(pause);
         }
         if self.slow_factor > 1.0 {
@@ -439,52 +436,30 @@ impl<'a, C: Communicator> FaultyComm<'a, C> {
             std::thread::sleep(SLOW_OP_SERVICE.mul_f64(self.slow_factor - 1.0));
         }
     }
-}
 
-impl<C: Communicator> Communicator for FaultyComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn send<T: CommScalar>(&self, dst: usize, tag: Tag, mut data: Vec<T>) {
-        self.tick();
-        let n = {
-            let mut sent = self.sent.borrow_mut();
-            let n = sent[dst];
-            sent[dst] += 1;
-            n
-        };
-        if self.plan.drops(self.rank(), dst, n) {
-            self.inner.note_dropped_send(dst);
-            return;
-        }
-        if let Some(mask) = self.plan.corrupt_mask(self.rank(), dst, n) {
-            if let Some(first) = data.first_mut() {
-                *first = first.corrupt(mask);
-            }
-        }
-        self.inner.send(dst, tag, data);
-    }
-
-    fn recv<T: CommScalar>(&self, src: usize, tag: Tag) -> Vec<T> {
-        self.tick();
-        self.inner.recv(src, tag)
-    }
-
-    fn send_enveloped<T: CommScalar>(
+    /// The link hazard for one logical send from this rank to `dst`:
+    /// tick the op clock, then draw drop and corruption for the link's
+    /// next send ordinal. Returns `false` when the message is lost (the
+    /// caller must not put it on the wire); otherwise `data` is what the
+    /// wire carries, possibly with its first element corrupted.
+    ///
+    /// An enveloped message (`header` is `Some`) makes a drop
+    /// *detectable* at the sender — an unacknowledged sequence number —
+    /// so the link-layer retransmit is modeled right here: resend
+    /// immediately under a fresh fault ordinal, up to
+    /// [`LINK_RETRY_BUDGET`] times, so the receiver never observes a
+    /// sequence gap and never has to time out. Retries do not advance
+    /// the kill/delay clock (they model NIC-level behavior, not
+    /// application activity). An un-enveloped drop is simply lost.
+    pub(crate) fn on_send<T: CommScalar>(
         &self,
+        comm: &WorldComm,
         dst: usize,
         tag: Tag,
-        mut data: Vec<T>,
-        header: WireHeader,
-    ) {
-        // One op tick per logical send; link-layer retries below do not
-        // advance the kill/delay clock (they model NIC-level behavior,
-        // not application activity).
+        data: &mut [T],
+        header: Option<&WireHeader>,
+    ) -> bool {
+        let src = self.rank;
         self.tick();
         let mut retries = 0u32;
         loop {
@@ -494,17 +469,13 @@ impl<C: Communicator> Communicator for FaultyComm<'_, C> {
                 sent[dst] += 1;
                 n
             };
-            if self.plan.drops(self.rank(), dst, n) {
-                // The envelope makes the drop *detectable* at the
-                // sender: an unacknowledged sequence number. Model the
-                // link-layer retransmit right here — resend immediately
-                // under a fresh fault ordinal — so the receiver never
-                // observes a sequence gap and never has to time out.
-                self.inner.note_dropped_send(dst);
+            if self.plan.drops(src, dst, n) {
+                comm.note_dropped_send();
+                let Some(header) = header else { return false };
                 retries += 1;
                 if retries > LINK_RETRY_BUDGET {
                     std::panic::panic_any(CommError::Corrupt {
-                        link: (self.rank(), dst),
+                        link: (src, dst),
                         seq: header.seq,
                         detail: format!(
                             "tag {tag}: message dropped on all {LINK_RETRY_BUDGET} link-layer \
@@ -512,70 +483,16 @@ impl<C: Communicator> Communicator for FaultyComm<'_, C> {
                         ),
                     });
                 }
-                self.inner.note_retransmit();
+                comm.note_retransmit();
                 continue;
             }
-            if let Some(mask) = self.plan.corrupt_mask(self.rank(), dst, n) {
+            if let Some(mask) = self.plan.corrupt_mask(src, dst, n) {
                 if let Some(first) = data.first_mut() {
                     *first = first.corrupt(mask);
                 }
             }
-            self.inner.send_enveloped(dst, tag, data, header);
-            return;
+            return true;
         }
-    }
-
-    fn recv_enveloped<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
-        self.tick();
-        self.inner.recv_enveloped(src, tag)
-    }
-
-    fn record(&self, class: OpClass, messages: u64, bytes: u64) {
-        self.inner.record(class, messages, bytes);
-    }
-
-    fn note_dropped_send(&self, dst: usize) {
-        self.inner.note_dropped_send(dst);
-    }
-
-    fn note_retransmit(&self) {
-        self.inner.note_retransmit();
-    }
-
-    fn note_corrupt_repaired(&self) {
-        self.inner.note_corrupt_repaired();
-    }
-
-    fn note_repair_time(&self, nanos: u64) {
-        self.inner.note_repair_time(nanos);
-    }
-
-    fn note_replay_held(&self, bytes: u64) {
-        self.inner.note_replay_held(bytes);
-    }
-
-    fn stats_snapshot(&self) -> Option<crate::stats::TrafficStats> {
-        self.inner.stats_snapshot()
-    }
-
-    fn busy_nanos(&self) -> u64 {
-        self.inner.busy_nanos()
-    }
-
-    fn note_straggler_flag(&self) {
-        self.inner.note_straggler_flag();
-    }
-
-    fn note_rank_slowness(&self, ratios: &[f64]) {
-        self.inner.note_rank_slowness(ratios);
-    }
-
-    fn next_collective_tag(&self) -> Tag {
-        self.inner.next_collective_tag()
-    }
-
-    fn with_class<R>(&self, class: OpClass, f: impl FnOnce() -> R) -> R {
-        self.inner.with_class(class, f)
     }
 }
 

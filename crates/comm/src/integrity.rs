@@ -6,18 +6,16 @@
 //! bit in a halo exchange or allreduce fragment poisons every downstream
 //! gradient. This module gives the substrate TCP-like delivery semantics
 //! at the p2p boundary, so every collective inherits detection and
-//! repair for free — exactly as they inherit injected faults from
-//! [`crate::fault::FaultyComm`]:
+//! repair for free — exactly as they inherit injected faults from the
+//! fault stage ([`crate::fault`]):
 //!
 //! * **Envelope.** Before a payload can be touched by anything below the
 //!   integrity layer (fault injection here; a real NIC in the system
-//!   being modeled), the sender assigns it a [`WireHeader`]: its
+//!   being modeled), the sender assigns it a `WireHeader`: its
 //!   position `seq` in the `(src, dst, tag)` stream and an FNV-1a
-//!   checksum over `(tag, seq, len, element bits)` — see
-//!   [`checksum_payload`].
+//!   checksum over `(tag, seq, len, element bits)`.
 //! * **Replay window.** The sender stages a pristine copy of every
-//!   enveloped payload in a shared [`IntegrityState`] window, keyed by
-//!   stream. Successful delivery of `seq` acts as a cumulative ACK:
+//!   enveloped payload in a world-shared window, keyed by stream. Successful delivery of `seq` acts as a cumulative ACK:
 //!   the receiver prunes every staged entry of that stream up to and
 //!   including `seq`, so the window holds only in-flight messages.
 //! * **NACK/retransmit.** A receiver whose checksum test fails issues a
@@ -31,9 +29,8 @@
 //!   [`CommError::Corrupt`] caught at the rank boundary.
 //! * **Drops** are repaired on the *sender* side: with an envelope
 //!   attached, a dropped message is a detectable unacknowledged
-//!   sequence number, and [`crate::fault::FaultyComm`] models the
-//!   link-layer retransmit by immediately resending under a fresh fault
-//!   ordinal. The receiver therefore never observes a sequence gap, and
+//!   sequence number, and the fault stage models the link-layer
+//!   retransmit by immediately resending under a fresh fault ordinal. The receiver therefore never observes a sequence gap, and
 //!   drop repair never interacts with the deadlock watchdog.
 //!
 //! Every repair is counted: retransmissions and corrupted-and-repaired
@@ -41,13 +38,12 @@
 //! wait-graph diagnostics, so a flaky link is visible long before it
 //! becomes fatal.
 //!
-//! Two wirings exist. Setting `FG_COMM_INTEGRITY=1` (or
-//! [`crate::RunOptions::integrity`]) envelopes all traffic inside
-//! [`crate::WorldComm`] itself — zero API change for callers. Fault
-//! chaos tests instead stack an explicit [`IntegrityComm`] *above* a
-//! `FaultyComm` (via [`crate::runtime::run_ranks_with_faults_integrity`]),
-//! because checksums must be computed on pristine payloads: integrity
-//! below the fault layer would happily certify corrupted data.
+//! There is one wiring. [`crate::RunOptions::integrity`] (or
+//! `FG_COMM_INTEGRITY=1`) turns the protocol on inside
+//! [`crate::WorldComm`], whose `send` runs the envelope stage *before*
+//! the fault stage and whose `recv` verifies *after* it: checksums are
+//! always computed on pristine payloads, so integrity can never certify
+//! data a fault already touched.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -58,7 +54,7 @@ use std::time::Duration;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::p2p::{CommScalar, Communicator, Tag, WireHeader};
-use crate::stats::OpClass;
+use crate::runtime::WorldComm;
 
 /// Tuning for the receiver-side repair loop.
 #[derive(Debug, Clone)]
@@ -87,7 +83,7 @@ fn fnv(h: u64, word: u64) -> u64 {
 /// every element's [`CommScalar::checksum_bits`]. Binding the header
 /// fields means a payload spliced onto the wrong stream position fails
 /// verification even if its bytes are intact.
-pub fn checksum_payload<T: CommScalar>(tag: Tag, seq: u64, data: &[T]) -> u64 {
+pub(crate) fn checksum_payload<T: CommScalar>(tag: Tag, seq: u64, data: &[T]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     h = fnv(h, tag);
     h = fnv(h, seq);
@@ -113,8 +109,8 @@ pub const DEFAULT_REPLAY_BYTES: usize = 16 << 20;
 
 /// The per-stream replay-window byte bound: `FG_COMM_REPLAY_BYTES` when
 /// set and parseable, else [`DEFAULT_REPLAY_BYTES`]. The one reader of
-/// that knob — [`IntegrityState::new`] sizes its windows with it and
-/// the static memory analyzer charges the same figure.
+/// that knob — a world's replay windows are sized with it and the
+/// static memory analyzer charges the same figure.
 pub fn replay_bytes_from_env() -> usize {
     std::env::var("FG_COMM_REPLAY_BYTES")
         .ok()
@@ -139,7 +135,7 @@ struct ReplayWindows {
 /// retransmit corruption. One instance is shared (via `Arc`) by all
 /// ranks of a world, the in-process stand-in for each sender's NIC
 /// buffer being reachable by its peer's NACKs.
-pub struct IntegrityState {
+pub(crate) struct IntegrityState {
     size: usize,
     windows: Mutex<ReplayWindows>,
     /// Per-stream byte bound: staging a message evicts the oldest
@@ -156,7 +152,7 @@ pub struct IntegrityState {
 impl IntegrityState {
     /// Fresh state for a world of `size` ranks, with no fault plan. The
     /// per-stream byte bound is [`replay_bytes_from_env`].
-    pub fn new(size: usize) -> IntegrityState {
+    pub(crate) fn new(size: usize) -> IntegrityState {
         IntegrityState {
             size,
             windows: Mutex::new(ReplayWindows::default()),
@@ -168,13 +164,14 @@ impl IntegrityState {
 
     /// Attach a fault plan so retransmissions suffer the same link
     /// hazard as first transmissions.
-    pub fn with_plan(mut self, plan: FaultPlan) -> IntegrityState {
+    pub(crate) fn with_plan(mut self, plan: FaultPlan) -> IntegrityState {
         self.plan = Some(plan);
         self
     }
 
-    /// Override the per-stream byte bound (tests and tuning).
-    pub fn with_stream_bound(mut self, bytes: usize) -> IntegrityState {
+    /// Override the per-stream byte bound.
+    #[cfg(test)]
+    fn with_stream_bound(mut self, bytes: usize) -> IntegrityState {
         self.stream_bound = bytes;
         self
     }
@@ -187,8 +184,8 @@ impl IntegrityState {
     /// window-miss [`CommError::Corrupt`] in [`protocol_recv`]. The
     /// just-staged entry itself is never evicted (one oversized message
     /// must stay repairable). Returns the bytes held across all streams
-    /// after staging, the value behind
-    /// [`Communicator::note_replay_held`].
+    /// after staging, the gauge behind
+    /// [`crate::TrafficStats::replay_held_peak`].
     fn stage<T: CommScalar>(
         &self,
         src: usize,
@@ -268,20 +265,23 @@ impl IntegrityState {
         w.held_bytes -= freed;
     }
 
-    /// Total messages currently staged across all streams (test/debug).
-    pub fn staged(&self) -> usize {
+    /// Total messages currently staged across all streams.
+    #[cfg(test)]
+    fn staged(&self) -> usize {
         let w = self.windows.lock().expect("integrity window poisoned");
         w.streams.values().map(|s| s.len()).sum()
     }
 
     /// Bytes currently staged across all streams.
-    pub fn held_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
         self.windows.lock().expect("integrity window poisoned").held_bytes
     }
 
     /// High-water mark of [`IntegrityState::held_bytes`] since
     /// construction.
-    pub fn peak_held_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn peak_held_bytes(&self) -> usize {
         self.windows.lock().expect("integrity window poisoned").peak_held
     }
 }
@@ -289,17 +289,12 @@ impl IntegrityState {
 /// A rank's private protocol cursors: the next sequence number per
 /// outgoing stream and the expected sequence number per incoming stream.
 #[derive(Default)]
-pub struct RankCursor {
+pub(crate) struct RankCursor {
     next_seq: std::cell::RefCell<HashMap<(usize, Tag), u64>>,
     expected: std::cell::RefCell<HashMap<(usize, Tag), u64>>,
 }
 
 impl RankCursor {
-    /// Fresh cursors (all streams at seq 0).
-    pub fn new() -> RankCursor {
-        RankCursor::default()
-    }
-
     fn next_send_seq(&self, dst: usize, tag: Tag) -> u64 {
         let mut map = self.next_seq.borrow_mut();
         let c = map.entry((dst, tag)).or_insert(0);
@@ -317,51 +312,52 @@ impl RankCursor {
     }
 }
 
-/// Sender half of the protocol: assign the envelope, stage the pristine
-/// copy, send through `comm`'s raw enveloped path.
-///
-/// Generic over the inner communicator so the same state machine serves
-/// both wirings: `comm` is the [`crate::WorldComm`] itself (internal
-/// integrity) or a [`crate::fault::FaultyComm`] (explicit stack), and in
-/// either case `send_enveloped` is the layer *below* integrity.
-pub fn protocol_send<C: Communicator, T: CommScalar>(
-    comm: &C,
-    state: &IntegrityState,
-    cursor: &RankCursor,
-    dst: usize,
-    tag: Tag,
-    data: Vec<T>,
-) {
-    let seq = cursor.next_send_seq(dst, tag);
-    let checksum = checksum_payload(tag, seq, &data);
-    let held = state.stage(comm.rank(), dst, tag, seq, data.clone());
-    comm.note_replay_held(held as u64);
-    comm.send_enveloped(dst, tag, data, WireHeader { seq, checksum });
+/// One rank's attachment to the protocol: the world-shared replay
+/// windows, the repair tuning, and this rank's private stream cursors.
+/// Owned by the rank's [`WorldComm`].
+pub(crate) struct WorldIntegrity {
+    pub(crate) state: Arc<IntegrityState>,
+    pub(crate) config: IntegrityConfig,
+    pub(crate) cursor: RankCursor,
 }
 
-/// Receiver half of the protocol: verify the envelope, repair by pulling
-/// retransmissions on mismatch, acknowledge on acceptance.
+/// Sender half of the protocol, the first stage of a world send: assign
+/// `data` its envelope and stage the pristine copy, before the fault
+/// stage (or a real NIC) can touch the payload.
+pub(crate) fn protocol_send<T: CommScalar>(
+    comm: &WorldComm,
+    ig: &WorldIntegrity,
+    dst: usize,
+    tag: Tag,
+    data: &[T],
+) -> WireHeader {
+    let seq = ig.cursor.next_send_seq(dst, tag);
+    let checksum = checksum_payload(tag, seq, data);
+    let held = ig.state.stage(comm.rank(), dst, tag, seq, data.to_vec());
+    comm.note_replay_held(held as u64);
+    WireHeader { seq, checksum }
+}
+
+/// Receiver half of the protocol, the last stage of a world receive:
+/// verify the envelope `header` that arrived with `data`, repair by
+/// pulling retransmissions on mismatch, acknowledge on acceptance.
 ///
 /// # Panics
 /// Unwinds with [`CommError::Corrupt`] when the retry budget is
 /// exhausted or the replay window no longer holds the message; the rank
 /// boundary ([`crate::runtime::run_ranks_opts`]) catches it.
-pub fn protocol_recv<C: Communicator, T: CommScalar>(
-    comm: &C,
-    state: &IntegrityState,
-    config: &IntegrityConfig,
-    cursor: &RankCursor,
+pub(crate) fn protocol_recv<T: CommScalar>(
+    comm: &WorldComm,
+    ig: &WorldIntegrity,
     src: usize,
     tag: Tag,
+    mut data: Vec<T>,
+    header: WireHeader,
 ) -> Vec<T> {
-    let (mut data, header) = comm.recv_enveloped::<T>(src, tag);
-    let Some(header) = header else {
-        // The sender ran without the integrity layer; nothing to verify.
-        return data;
-    };
+    let (state, config, cursor) = (&ig.state, &ig.config, &ig.cursor);
     let me = comm.rank();
     let expected = cursor.expected_recv_seq(src, tag);
-    // Link-layer drop repair (see FaultyComm::send_enveloped) guarantees
+    // Link-layer drop repair (the fault stage's retry loop) guarantees
     // gap-free streams; a mismatch here is a protocol bug, not a fault.
     assert_eq!(
         header.seq, expected,
@@ -412,95 +408,6 @@ pub fn protocol_recv<C: Communicator, T: CommScalar>(
                 ),
             })
         });
-    }
-}
-
-/// A [`Communicator`] wrapper running the integrity protocol above an
-/// inner communicator — the explicit-stack wiring used by chaos tests:
-/// `IntegrityComm<FaultyComm<WorldComm>>` checksums pristine payloads,
-/// injects faults below, and repairs them at the receiver.
-pub struct IntegrityComm<'a, C: Communicator> {
-    inner: &'a C,
-    state: Arc<IntegrityState>,
-    config: IntegrityConfig,
-    cursor: RankCursor,
-}
-
-impl<'a, C: Communicator> IntegrityComm<'a, C> {
-    /// Wrap `inner`, sharing the world's `state`.
-    pub fn new(inner: &'a C, state: Arc<IntegrityState>, config: IntegrityConfig) -> Self {
-        IntegrityComm { inner, state, config, cursor: RankCursor::new() }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        self.inner
-    }
-}
-
-impl<C: Communicator> Communicator for IntegrityComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn send<T: CommScalar>(&self, dst: usize, tag: Tag, data: Vec<T>) {
-        protocol_send(self.inner, &self.state, &self.cursor, dst, tag, data);
-    }
-
-    fn recv<T: CommScalar>(&self, src: usize, tag: Tag) -> Vec<T> {
-        protocol_recv(self.inner, &self.state, &self.config, &self.cursor, src, tag)
-    }
-
-    fn record(&self, class: OpClass, messages: u64, bytes: u64) {
-        self.inner.record(class, messages, bytes);
-    }
-
-    fn note_dropped_send(&self, dst: usize) {
-        self.inner.note_dropped_send(dst);
-    }
-
-    fn note_retransmit(&self) {
-        self.inner.note_retransmit();
-    }
-
-    fn note_corrupt_repaired(&self) {
-        self.inner.note_corrupt_repaired();
-    }
-
-    fn note_repair_time(&self, nanos: u64) {
-        self.inner.note_repair_time(nanos);
-    }
-
-    fn note_replay_held(&self, bytes: u64) {
-        self.inner.note_replay_held(bytes);
-    }
-
-    fn stats_snapshot(&self) -> Option<crate::stats::TrafficStats> {
-        self.inner.stats_snapshot()
-    }
-
-    fn busy_nanos(&self) -> u64 {
-        self.inner.busy_nanos()
-    }
-
-    fn note_straggler_flag(&self) {
-        self.inner.note_straggler_flag();
-    }
-
-    fn note_rank_slowness(&self, ratios: &[f64]) {
-        self.inner.note_rank_slowness(ratios);
-    }
-
-    fn next_collective_tag(&self) -> Tag {
-        self.inner.next_collective_tag()
-    }
-
-    fn with_class<R>(&self, class: OpClass, f: impl FnOnce() -> R) -> R {
-        self.inner.with_class(class, f)
     }
 }
 
@@ -597,7 +504,7 @@ mod tests {
 
     #[test]
     fn cursor_tracks_streams_independently() {
-        let c = RankCursor::new();
+        let c = RankCursor::default();
         assert_eq!(c.next_send_seq(1, 5), 0);
         assert_eq!(c.next_send_seq(1, 5), 1);
         assert_eq!(c.next_send_seq(1, 9), 0);

@@ -21,6 +21,15 @@
 //! 3. **Determinism where it matters.** Reduction algorithms have fixed
 //!    operand orders, so repeated runs produce bit-identical results.
 //!
+//! There is one world-level communicator, [`WorldComm`], and one way to
+//! launch it: [`run_ranks`] (options from the environment) or
+//! [`run_ranks_opts`] with a [`RunOptions`] value that switches on the
+//! deadlock watchdog, a receive deadline, the integrity protocol
+//! ([`integrity`]), seeded fault injection ([`fault`]) or a virtual
+//! clock. Integrity and faults are fixed stages inside
+//! `WorldComm::{send, recv}`, not wrappers around it; the only other
+//! [`Communicator`] is the subgroup view [`SubComm`].
+//!
 //! ## Quick example
 //!
 //! ```
@@ -35,7 +44,6 @@
 //! ```
 
 pub mod collectives;
-pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod integrity;
@@ -48,18 +56,15 @@ pub mod trace;
 pub mod watchdog;
 
 pub use collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
-pub use dynamic::{DynComm, ErasedComm, ScalarType};
 pub use error::{attribute_dead_ranks, CommError};
-pub use fault::{FaultPlan, FaultyComm, LINK_RETRY_BUDGET};
-pub use integrity::{
-    replay_bytes_from_env, IntegrityComm, IntegrityConfig, IntegrityState, DEFAULT_REPLAY_BYTES,
-};
+pub use fault::{FaultPlan, LINK_RETRY_BUDGET};
+pub use integrity::{replay_bytes_from_env, IntegrityConfig, DEFAULT_REPLAY_BYTES};
 pub use p2p::{
-    sub_collective_tag, world_collective_tag, CommScalar, Communicator, Tag, WireHeader,
+    sub_collective_tag, world_collective_tag, CommScalar, Communicator, ScalarType, Tag,
 };
 pub use runtime::{
-    env_flag, flag_is_on, run_ranks, run_ranks_opts, run_ranks_timed, run_ranks_with_faults,
-    run_ranks_with_faults_integrity, LinkModel, RunOptions, WorldComm,
+    env_flag, flag_is_on, run_ranks, run_ranks_opts, run_ranks_timed, LinkModel, RunOptions,
+    WorldComm,
 };
 pub use sim::{
     collective_finish_times, replay_traces_timed, sim_workers_from_env, simulate_traces,

@@ -10,7 +10,7 @@
 //! * sends never block (the channel is unbounded), which models eager /
 //!   buffered MPI sends and makes `sendrecv` cycles deadlock-free.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::VecDeque;
 
 use crate::stats::OpClass;
@@ -46,10 +46,10 @@ pub const fn sub_collective_tag(tag_salt: u64, counter: u64) -> Tag {
 /// traffic accounting (and hence for α–β time modeling).
 ///
 /// **Adding a scalar type:** do not write an `impl` by hand — add one
-/// line to [`for_each_comm_scalar!`] below. The macro generates this
-/// impl, the [`crate::dynamic::ScalarType`] dispatch tables, and the
-/// exhaustiveness tests in one stroke, so the type-erased path can never
-/// silently lag behind the generic one.
+/// line to `for_each_comm_scalar!` below. The macro generates this
+/// impl, the [`ScalarType`] tables, and the exhaustiveness test in one
+/// stroke, so the trace/simulator wire types can never silently lag
+/// behind the set of scalars that travel.
 pub trait CommScalar: Copy + Send + 'static {
     /// Bytes per element on the modeled wire.
     const WIDTH: usize = std::mem::size_of::<Self>();
@@ -72,9 +72,9 @@ pub trait CommScalar: Copy + Send + 'static {
 /// callback macro once per scalar with `(type, ScalarType variant,
 /// corruption expression, checksum-bits expression)`. Everything that
 /// must stay in sync with the set of [`CommScalar`] impls — the impls
-/// themselves, the [`crate::dynamic::ScalarType`] dispatch tables, and
-/// the exhaustive round-trip test — is generated from this list;
-/// extending it is the only supported way to add a scalar.
+/// themselves, the [`ScalarType`] tables, and the exhaustiveness test —
+/// is generated from this list; extending it is the only supported way
+/// to add a scalar.
 macro_rules! for_each_comm_scalar {
     ($m:ident) => {
         $m!(f32, F32, |x: f32, m: u64| f32::from_bits(x.to_bits() ^ ((m as u32) | 1)), |x: f32| x
@@ -95,7 +95,6 @@ macro_rules! for_each_comm_scalar {
         );
     };
 }
-pub(crate) use for_each_comm_scalar;
 
 macro_rules! impl_comm_scalar {
     ($t:ty, $v:ident, $corrupt:expr, $bits:expr) => {
@@ -114,16 +113,90 @@ macro_rules! impl_comm_scalar {
 }
 for_each_comm_scalar!(impl_comm_scalar);
 
+/// The closed set of scalar types a recorded trace can name — exactly
+/// the [`CommScalar`] impls generated by `for_each_comm_scalar!`. `of`
+/// and `width` are generated from the macro and the registration test
+/// pins `ALL` to it, so a variant without a macro entry (or vice versa)
+/// is caught.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarType {
+    F32,
+    F64,
+    U8,
+    U32,
+    U64,
+    I32,
+    I64,
+    Usize,
+    UsizePair,
+}
+
+impl ScalarType {
+    /// Every wire type, in declaration order. The count is pinned to the
+    /// `for_each_comm_scalar!` list by a test.
+    pub const ALL: [ScalarType; 9] = [
+        ScalarType::F32,
+        ScalarType::F64,
+        ScalarType::U8,
+        ScalarType::U32,
+        ScalarType::U64,
+        ScalarType::I32,
+        ScalarType::I64,
+        ScalarType::Usize,
+        ScalarType::UsizePair,
+    ];
+
+    /// The wire-type tag for `T`.
+    ///
+    /// # Panics
+    /// Panics, naming the fix, if `T` is a [`CommScalar`] impl that was
+    /// written by hand instead of through `for_each_comm_scalar!` — the
+    /// macro is the only supported way to register a scalar.
+    pub fn of<T: CommScalar>() -> ScalarType {
+        let id = TypeId::of::<T>();
+        macro_rules! of_arm {
+            ($t:ty, $v:ident, $c:expr, $b:expr) => {
+                if id == TypeId::of::<$t>() {
+                    return ScalarType::$v;
+                }
+            };
+        }
+        for_each_comm_scalar!(of_arm);
+        panic!(
+            "CommScalar impl for `{}` is not registered as a wire type: add it to \
+             for_each_comm_scalar! in comm/src/p2p.rs (which also generates the ScalarType \
+             tables and their exhaustiveness test)",
+            std::any::type_name::<T>()
+        );
+    }
+
+    /// Wire width of one element in bytes — the same accounting as
+    /// [`CommScalar::WIDTH`], generated from the same scalar list so the
+    /// two can never diverge. The schedule verifier uses it to total the
+    /// bytes a traced plan moves.
+    pub fn width(self) -> usize {
+        macro_rules! width_arm {
+            ($t:ty, $v:ident, $c:expr, $b:expr) => {
+                if let ScalarType::$v = self {
+                    return <$t as CommScalar>::WIDTH;
+                }
+            };
+        }
+        for_each_comm_scalar!(width_arm);
+        unreachable!("for_each_comm_scalar! covers every ScalarType variant")
+    }
+}
+
 /// The integrity envelope riding on a message: a per-(link, tag) stream
 /// sequence number and an end-to-end payload checksum, both assigned by
 /// the sender *before* anything (fault injection, a real NIC) can touch
 /// the payload. See [`crate::integrity`] for the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireHeader {
+pub(crate) struct WireHeader {
     /// Position of this message in its `(src, dst, tag)` stream, from 0.
     pub seq: u64,
     /// FNV-1a over `(tag, seq, len, element bits)` of the pristine
-    /// payload; see [`crate::integrity::checksum_payload`].
+    /// payload; see `integrity::checksum_payload`.
     pub checksum: u64,
 }
 
@@ -173,9 +246,13 @@ impl Stash {
 /// Two-sided message passing within a group of ranks.
 ///
 /// Implemented by [`crate::WorldComm`] (the whole world) and
-/// [`crate::SubComm`] (an `MPI_Comm_split`-style subgroup). All collective
-/// operations ([`crate::Collectives`]) are provided generically on top of
-/// this trait, so they work identically on worlds and subgroups.
+/// [`crate::SubComm`] (an `MPI_Comm_split`-style subgroup), and by
+/// nothing else: integrity envelopes and fault injection are stages
+/// inside the world's `send`/`recv`, not wrappers around it. All
+/// collective operations ([`crate::Collectives`]) are provided
+/// generically on top of this trait, so they work identically on worlds
+/// and subgroups. Telemetry (traffic stats, busy time, straggler notes)
+/// lives on [`crate::WorldComm`] itself.
 pub trait Communicator {
     /// This rank's index within the communicator, in `0..size()`.
     fn rank(&self) -> usize;
@@ -193,112 +270,6 @@ pub trait Communicator {
     /// a protocol bug on the caller's side.
     fn recv<T: CommScalar>(&self, src: usize, tag: Tag) -> Vec<T>;
 
-    /// Record a collective's contribution to this rank's traffic stats.
-    fn record(&self, class: OpClass, messages: u64, bytes: u64);
-
-    /// Record that one send to `dst` was dropped instead of delivered
-    /// (the receiver is gone, or fault injection ate the message). The
-    /// default is a no-op; [`crate::WorldComm`] counts it in
-    /// [`crate::TrafficStats`] and surfaces it in watchdog diagnostics,
-    /// and wrappers delegate.
-    fn note_dropped_send(&self, dst: usize) {
-        let _ = dst;
-    }
-
-    /// Record one retransmission on this rank (a dropped message resent
-    /// at the link layer, or a replay-window pull after a checksum
-    /// mismatch). Default no-op; [`crate::WorldComm`] counts it in
-    /// [`crate::TrafficStats`] and watchdog diagnostics, wrappers
-    /// delegate.
-    fn note_retransmit(&self) {}
-
-    /// Record one corrupted message that the integrity layer detected
-    /// and repaired on this rank. Default no-op; [`crate::WorldComm`]
-    /// counts it in [`crate::TrafficStats`] and watchdog diagnostics,
-    /// wrappers delegate.
-    fn note_corrupt_repaired(&self) {}
-
-    /// Record `nanos` of wall time this rank spent stalled in
-    /// receiver-side integrity repair (first checksum mismatch to
-    /// accepted retransmission). Default no-op; [`crate::WorldComm`]
-    /// accumulates it in [`crate::TrafficStats`], wrappers delegate —
-    /// this is how a resilient driver reports rung-1 wall time without
-    /// instrumenting the training loop.
-    fn note_repair_time(&self, nanos: u64) {
-        let _ = nanos;
-    }
-
-    /// Report that the sender-side integrity replay window holds `bytes`
-    /// of staged payloads after this rank's latest send — a gauge, not a
-    /// counter. Default no-op; [`crate::WorldComm`] keeps the high-water
-    /// mark in [`crate::TrafficStats`] (the observable counterpart of
-    /// the static memory analyzer's comm-staging term), wrappers
-    /// delegate.
-    fn note_replay_held(&self, bytes: u64) {
-        let _ = bytes;
-    }
-
-    /// A snapshot of this rank's traffic counters, if the communicator
-    /// keeps them. Default `None`; [`crate::WorldComm`] returns its
-    /// stats and wrappers delegate, so generic drivers (e.g. the
-    /// resilient trainer) can report repair telemetry without knowing
-    /// the concrete wrapper stack.
-    fn stats_snapshot(&self) -> Option<crate::stats::TrafficStats> {
-        None
-    }
-
-    /// Record one straggler verdict against this rank (the detector
-    /// agreed this rank is persistently slow). Default no-op;
-    /// [`crate::WorldComm`] counts it in [`crate::TrafficStats`],
-    /// wrappers delegate.
-    fn note_straggler_flag(&self) {}
-
-    /// Publish the straggler detector's per-rank slowness ratios
-    /// (step-time EMA over world median, 1.0 = healthy) so the deadlock
-    /// watchdog can annotate its wait graph — "waiting on rank 3, which
-    /// is 4× slow" reads very differently from "deadlocked". Default
-    /// no-op; [`crate::WorldComm`] forwards to its monitor, wrappers
-    /// delegate.
-    fn note_rank_slowness(&self, ratios: &[f64]) {
-        let _ = ratios;
-    }
-
-    /// Nanoseconds this rank has spent *outside* the communicator —
-    /// compute time between communication operations, excluding time
-    /// blocked in receives. Default 0; [`crate::WorldComm`] measures it
-    /// (each op entry accrues the gap since the previous op returned)
-    /// and wrappers delegate. This is the per-rank step-time signal the
-    /// straggler detector feeds on: a gray-failed rank's compute gaps
-    /// stretch while healthy peers' stay flat.
-    fn busy_nanos(&self) -> u64 {
-        0
-    }
-
-    /// Send `data` carrying an integrity envelope. The default drops the
-    /// envelope (plain send), which is correct for communicators that
-    /// never sit under the integrity layer; [`crate::WorldComm`] carries
-    /// the header through its channels, and [`crate::fault::FaultyComm`]
-    /// overrides this to apply faults *after* the envelope is attached —
-    /// so injected corruption is detectable and injected drops are
-    /// repaired by link-layer retransmission.
-    fn send_enveloped<T: CommScalar>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        data: Vec<T>,
-        header: WireHeader,
-    ) {
-        let _ = header;
-        self.send(dst, tag, data);
-    }
-
-    /// Receive a message together with its integrity envelope, if the
-    /// sender attached one. The default performs a plain receive and
-    /// reports no envelope.
-    fn recv_enveloped<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
-        (self.recv(src, tag), None)
-    }
-
     /// Combined send + receive, deadlock-free because sends are eager.
     ///
     /// Sends `data` to `dst` and receives one message from `src`, both
@@ -315,17 +286,10 @@ pub trait Communicator {
     /// order (the usual MPI requirement), so per-rank counters agree.
     fn next_collective_tag(&self) -> Tag;
 
-    /// Run `f` with sends attributed to `class` in the traffic stats.
-    /// The default implementation performs no attribution; the world
-    /// communicator overrides it, and sub-communicators delegate to their
+    /// Run `f` with sends attributed to `class` in the traffic stats:
+    /// the world keeps the scope, sub-communicators delegate to their
     /// parent.
-    fn with_class<R>(&self, class: OpClass, f: impl FnOnce() -> R) -> R
-    where
-        Self: Sized,
-    {
-        let _ = class;
-        f()
-    }
+    fn with_class<R>(&self, class: OpClass, f: impl FnOnce() -> R) -> R;
 }
 
 #[cfg(test)]
@@ -369,6 +333,42 @@ mod tests {
             assert_ne!((-7i64).corrupt(mask).checksum_bits(), (-7i64).checksum_bits());
             assert_ne!(7usize.corrupt(mask).checksum_bits(), 7usize.checksum_bits());
             assert_ne!((1usize, 2usize).corrupt(mask).checksum_bits(), (1, 2).checksum_bits());
+        }
+    }
+
+    /// Generated from the same `for_each_comm_scalar!` list that
+    /// generates the [`CommScalar`] impls. Adding a scalar through the
+    /// macro extends this test automatically; adding a [`ScalarType`]
+    /// variant without a macro entry breaks the `ALL`-count assertion,
+    /// so the tables can never silently fall out of sync.
+    #[test]
+    fn every_comm_scalar_is_registered_as_a_wire_type() {
+        let mut covered: Vec<ScalarType> = Vec::new();
+        macro_rules! check_one {
+            ($t:ty, $v:ident, $c:expr, $b:expr) => {
+                assert_eq!(
+                    ScalarType::of::<$t>(),
+                    ScalarType::$v,
+                    "ScalarType::of::<{}>() must map to {:?}",
+                    std::any::type_name::<$t>(),
+                    ScalarType::$v,
+                );
+                assert_eq!(ScalarType::$v.width(), <$t as CommScalar>::WIDTH);
+                covered.push(ScalarType::$v);
+            };
+        }
+        for_each_comm_scalar!(check_one);
+        assert_eq!(
+            covered.len(),
+            ScalarType::ALL.len(),
+            "for_each_comm_scalar! and ScalarType::ALL list different scalar counts: \
+             extend both in lockstep (comm/src/p2p.rs)"
+        );
+        for ty in ScalarType::ALL {
+            assert!(
+                covered.contains(&ty),
+                "{ty:?} is listed in ScalarType::ALL but has no for_each_comm_scalar! entry"
+            );
         }
     }
 

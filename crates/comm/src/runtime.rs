@@ -6,25 +6,26 @@
 //! given closure on every rank concurrently, and returns the per-rank
 //! results in rank order.
 //!
-//! The resilience entry points layer on top without touching the fast
-//! path:
+//! There is one world communicator, [`WorldComm`], and one way to launch
+//! it; everything else is a [`RunOptions`] value:
 //!
-//! * [`run_ranks_opts`] returns per-rank `Result`s, optionally running a
-//!   deadlock watchdog ([`WatchdogConfig`]) and/or a per-receive
-//!   deadline. Rank deaths (injected kills, observed peer failures,
-//!   watchdog aborts) come back as [`CommError`] values instead of
-//!   crashing the process.
-//! * [`run_ranks_with_faults`] additionally wraps every rank's
-//!   communicator in a [`crate::fault::FaultyComm`] driven by a seeded
-//!   [`crate::fault::FaultPlan`].
-//! * Setting the `FG_COMM_WATCHDOG` environment variable (to anything
-//!   but `0` or empty) makes plain [`run_ranks`] run under the watchdog,
-//!   so an accidental deadlock in any test aborts in tens of
+//! * [`run_ranks_opts`] returns per-rank `Result`s under explicit
+//!   options: a deadlock watchdog ([`WatchdogConfig`]), a per-receive
+//!   deadline, the integrity protocol, a seeded
+//!   [`crate::fault::FaultPlan`], a virtual-time [`LinkModel`]. Rank
+//!   deaths (injected kills, observed peer failures, watchdog aborts)
+//!   come back as [`CommError`] values instead of crashing the process.
+//! * [`run_ranks`] and [`run_ranks_timed`] take their options from the
+//!   environment ([`RunOptions::from_env`]): setting `FG_COMM_WATCHDOG`
+//!   (to anything but `0` or empty) runs every world under the
+//!   watchdog, so an accidental deadlock in any test aborts in tens of
 //!   milliseconds with a wait-graph diagnostic instead of hanging CI.
 //!
-//! When neither opts nor the environment ask for monitoring, the send
-//! and receive paths are byte-for-byte the pre-resilience ones: no
-//! atomics, no polling, zero overhead.
+//! Integrity and fault injection are fixed stages of
+//! [`WorldComm`]'s `send` and `recv`, in the one order that is correct:
+//! envelope, then faults, then the channel, and the mirror on receive.
+//! When neither opts nor the environment ask for anything, the world is
+//! unmonitored: no atomics, no polling, a blocking channel receive.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -33,8 +34,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::CommError;
-use crate::fault::{FaultPlan, FaultyComm};
-use crate::integrity::{self, IntegrityComm, IntegrityConfig, IntegrityState, RankCursor};
+use crate::fault::{FaultPlan, WorldFaults};
+use crate::integrity::{self, IntegrityConfig, IntegrityState, RankCursor, WorldIntegrity};
 use crate::p2p::{
     world_collective_tag, CommScalar, Communicator, Envelope, Stash, Tag, WireHeader,
 };
@@ -42,8 +43,8 @@ use crate::stats::{OpClass, TrafficStats};
 use crate::watchdog::{Monitor, WatchdogConfig};
 
 /// Virtual-time link model: seconds for `bytes` to travel from rank
-/// `src` to rank `dst`. Injected by [`run_ranks_timed`] and the
-/// discrete-event engine ([`crate::sim`]).
+/// `src` to rank `dst`. Injected by [`RunOptions::link`]
+/// ([`run_ranks_timed`]) and the discrete-event engine ([`crate::sim`]).
 ///
 /// The closed forms cover the usual cases — a uniform α–β link
 /// ([`LinkModel::alpha_beta`]) and a two-level machine with fast links
@@ -130,18 +131,31 @@ impl std::fmt::Debug for LinkModel {
     }
 }
 
-/// A rank's handle onto the world communicator.
+/// A rank's handle onto the world communicator — the only world-level
+/// [`Communicator`].
 ///
 /// One `WorldComm` exists per rank and lives on that rank's thread. It is
 /// `Send` (it is moved into the thread at spawn) but deliberately not
 /// `Sync`: a rank is single-threaded, like an MPI process.
+///
+/// `send` and `recv` run the optional layers as fixed stages. A send is
+/// enveloped (sequence number + checksum of the *pristine* payload,
+/// staged for replay), then exposed to the fault plan (op tick → kill /
+/// delay / slow, per-link drop with link-layer retry when enveloped,
+/// corruption), then pushed into the channel; a receive ticks the fault
+/// clock, dequeues, then verifies and repairs. The order is not
+/// configurable because only this one is right: an envelope computed
+/// below the fault stage would certify already-corrupted payloads.
 pub struct WorldComm {
     rank: usize,
     size: usize,
+    /// `receivers[s]` is the receiving end of the (s → self) channel.
+    /// Declared (hence dropped) before `senders`: a peer learns of this
+    /// rank's exit from its senders hanging up, and by then every send
+    /// to this rank must already fail and be counted as dropped.
+    receivers: Vec<Receiver<Envelope>>,
     /// `senders[d]` is the sending end of the (self → d) channel.
     senders: Vec<Sender<Envelope>>,
-    /// `receivers[s]` is the receiving end of the (s → self) channel.
-    receivers: Vec<Receiver<Envelope>>,
     /// Out-of-order stash, one per source rank.
     stashes: RefCell<Vec<Stash>>,
     stats: RefCell<TrafficStats>,
@@ -153,41 +167,22 @@ pub struct WorldComm {
     clock: Cell<f64>,
     /// Link model for virtual time; `None` in untimed runs.
     link: Option<LinkModel>,
-    /// Progress monitor; `Some` under [`run_ranks_opts`] and friends.
+    /// Progress monitor; `Some` in every world but the unguarded
+    /// [`run_ranks`] / [`run_ranks_timed`] one.
     monitor: Option<Arc<Monitor>>,
     /// Per-receive deadline; `Some` switches `recv` to the polling path
     /// even without a monitor.
     recv_deadline: Option<Duration>,
-    /// End-to-end integrity protocol state; `Some` routes `send`/`recv`
-    /// through the checksummed envelope path (`FG_COMM_INTEGRITY=1` or
-    /// [`RunOptions::integrity`]).
+    /// End-to-end integrity stage ([`RunOptions::integrity`]).
     integrity: Option<WorldIntegrity>,
+    /// Fault-injection stage ([`RunOptions::faults`]).
+    faults: Option<WorldFaults>,
     /// Accumulated wall time spent *outside* the communicator (compute
-    /// between ops); see [`Communicator::busy_nanos`].
+    /// between ops); see [`WorldComm::busy_nanos`].
     busy: Cell<u64>,
     /// Instant the previous communication operation returned — the start
     /// of the current compute gap.
     last_return: Cell<Instant>,
-}
-
-/// The per-rank integrity attachment: the world-shared replay-window
-/// state plus this rank's private stream cursors.
-struct WorldIntegrity {
-    state: Arc<IntegrityState>,
-    config: IntegrityConfig,
-    cursor: RankCursor,
-}
-
-impl WorldComm {
-    /// Snapshot of this rank's traffic counters.
-    pub fn stats(&self) -> TrafficStats {
-        self.stats.borrow().clone()
-    }
-
-    /// Reset traffic counters (e.g. after a warmup iteration).
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = TrafficStats::default();
-    }
 }
 
 impl Communicator for WorldComm {
@@ -199,90 +194,29 @@ impl Communicator for WorldComm {
         self.size
     }
 
-    fn send<T: CommScalar>(&self, dst: usize, tag: Tag, data: Vec<T>) {
-        match &self.integrity {
-            Some(ig) => integrity::protocol_send(self, &ig.state, &ig.cursor, dst, tag, data),
-            None => self.send_impl(dst, tag, data, None),
+    fn send<T: CommScalar>(&self, dst: usize, tag: Tag, mut data: Vec<T>) {
+        let header =
+            self.integrity.as_ref().map(|ig| integrity::protocol_send(self, ig, dst, tag, &data));
+        if let Some(faults) = &self.faults {
+            if !faults.on_send(self, dst, tag, &mut data, header.as_ref()) {
+                return;
+            }
         }
+        self.send_impl(dst, tag, data, header);
     }
 
     fn recv<T: CommScalar>(&self, src: usize, tag: Tag) -> Vec<T> {
+        if let Some(faults) = &self.faults {
+            faults.tick();
+        }
+        let (data, header) = self.recv_impl(src, tag);
         match &self.integrity {
-            Some(ig) => integrity::protocol_recv(self, &ig.state, &ig.config, &ig.cursor, src, tag),
-            None => self.recv_impl(src, tag).0,
+            Some(ig) => {
+                let header = header.expect("every rank of an integrity world envelopes its sends");
+                integrity::protocol_recv(self, ig, src, tag, data, header)
+            }
+            None => data,
         }
-    }
-
-    /// The raw channel path, bypassing the integrity protocol: the
-    /// protocol itself sends through here (no recursion), and so does
-    /// [`crate::fault::FaultyComm`] after applying faults.
-    fn send_enveloped<T: CommScalar>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        data: Vec<T>,
-        header: WireHeader,
-    ) {
-        self.send_impl(dst, tag, data, Some(header));
-    }
-
-    fn recv_enveloped<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
-        self.recv_impl(src, tag)
-    }
-
-    fn record(&self, class: OpClass, messages: u64, bytes: u64) {
-        self.stats.borrow_mut().record(class, messages, bytes);
-    }
-
-    fn note_dropped_send(&self, dst: usize) {
-        let _ = dst;
-        self.stats.borrow_mut().record_dropped_send();
-        if let Some(m) = &self.monitor {
-            m.note_dropped_send(self.rank);
-        }
-    }
-
-    fn note_retransmit(&self) {
-        self.stats.borrow_mut().record_retransmit();
-        if let Some(m) = &self.monitor {
-            m.note_retransmit(self.rank);
-        }
-    }
-
-    fn note_corrupt_repaired(&self) {
-        self.stats.borrow_mut().record_corrupt_repaired();
-        if let Some(m) = &self.monitor {
-            m.note_corrupt_repaired(self.rank);
-        }
-    }
-
-    fn note_repair_time(&self, nanos: u64) {
-        self.stats.borrow_mut().record_repair_time(nanos);
-    }
-
-    fn note_replay_held(&self, bytes: u64) {
-        self.stats.borrow_mut().record_replay_held(bytes);
-    }
-
-    fn note_straggler_flag(&self) {
-        self.stats.borrow_mut().record_straggler_flag();
-    }
-
-    fn note_rank_slowness(&self, ratios: &[f64]) {
-        if let Some(m) = &self.monitor {
-            m.note_rank_slowness(ratios);
-        }
-    }
-
-    fn stats_snapshot(&self) -> Option<TrafficStats> {
-        Some(self.stats())
-    }
-
-    fn busy_nanos(&self) -> u64 {
-        // Accrue the gap in flight, so a read between ops (end of a
-        // training step) includes the trailing compute.
-        self.accrue_busy();
-        self.busy.get()
     }
 
     fn next_collective_tag(&self) -> Tag {
@@ -306,6 +240,100 @@ impl Communicator for WorldComm {
     }
 }
 
+/// Telemetry: what this rank's traffic cost and how it is doing.
+impl WorldComm {
+    /// Snapshot of this rank's traffic counters.
+    pub fn stats(&self) -> TrafficStats {
+        self.stats.borrow().clone()
+    }
+
+    /// Reset traffic counters (e.g. after a warmup iteration).
+    pub fn reset_stats(&self) {
+        *self.stats.borrow_mut() = TrafficStats::default();
+    }
+
+    /// Comm ops (sends + receives) this rank has performed under a fault
+    /// plan — the clock [`FaultPlan::kill_rank`] and
+    /// [`FaultPlan::delay_every`] are keyed on, so a probe run can read
+    /// it to schedule a kill at an exact operation. 0 in a world
+    /// launched without [`RunOptions::faults`].
+    pub fn ops(&self) -> u64 {
+        self.faults.as_ref().map_or(0, WorldFaults::ops)
+    }
+
+    /// Nanoseconds this rank has spent *outside* the communicator —
+    /// compute time between communication operations, excluding time
+    /// blocked in receives (each op entry accrues the gap since the
+    /// previous op returned). This is the per-rank step-time signal the
+    /// straggler detector feeds on: a gray-failed rank's compute gaps
+    /// stretch while healthy peers' stay flat.
+    pub fn busy_nanos(&self) -> u64 {
+        // Accrue the gap in flight, so a read between ops (end of a
+        // training step) includes the trailing compute.
+        self.accrue_busy();
+        self.busy.get()
+    }
+
+    /// Record one straggler verdict against this rank (the detector
+    /// agreed this rank is persistently slow).
+    pub fn note_straggler_flag(&self) {
+        self.stats.borrow_mut().record_straggler_flag();
+    }
+
+    /// Publish the straggler detector's per-rank slowness ratios
+    /// (step-time EMA over world median, 1.0 = healthy) so the deadlock
+    /// watchdog can annotate its wait graph — "waiting on rank 3, which
+    /// is 4× slow" reads very differently from "deadlocked".
+    pub fn note_rank_slowness(&self, ratios: &[f64]) {
+        if let Some(m) = &self.monitor {
+            m.note_rank_slowness(ratios);
+        }
+    }
+
+    /// One send was dropped instead of delivered (the receiver is gone,
+    /// or fault injection ate the message): counted in the stats and
+    /// surfaced in watchdog diagnostics.
+    pub(crate) fn note_dropped_send(&self) {
+        self.stats.borrow_mut().record_dropped_send();
+        if let Some(m) = &self.monitor {
+            m.note_dropped_send(self.rank);
+        }
+    }
+
+    /// One retransmission on this rank: a dropped message resent at the
+    /// link layer, or a replay-window pull after a checksum mismatch.
+    pub(crate) fn note_retransmit(&self) {
+        self.stats.borrow_mut().record_retransmit();
+        if let Some(m) = &self.monitor {
+            m.note_retransmit(self.rank);
+        }
+    }
+
+    /// One corrupted message detected and repaired on this rank.
+    pub(crate) fn note_corrupt_repaired(&self) {
+        self.stats.borrow_mut().record_corrupt_repaired();
+        if let Some(m) = &self.monitor {
+            m.note_corrupt_repaired(self.rank);
+        }
+    }
+
+    /// `nanos` of wall time this rank spent stalled in receiver-side
+    /// integrity repair (first checksum mismatch to accepted
+    /// retransmission) — how a resilient driver reports rung-1 wall time
+    /// without instrumenting the training loop.
+    pub(crate) fn note_repair_time(&self, nanos: u64) {
+        self.stats.borrow_mut().record_repair_time(nanos);
+    }
+
+    /// The sender-side replay window holds `bytes` of staged payloads
+    /// after this rank's latest send — a gauge whose high-water mark is
+    /// the observable counterpart of the static memory analyzer's
+    /// comm-staging term.
+    pub(crate) fn note_replay_held(&self, bytes: u64) {
+        self.stats.borrow_mut().record_replay_held(bytes);
+    }
+}
+
 impl WorldComm {
     /// This rank's virtual time, seconds (always 0 in untimed runs
     /// unless [`WorldComm::advance`] was called).
@@ -324,7 +352,7 @@ impl WorldComm {
 impl WorldComm {
     /// Close the current compute gap: add `now − last_return` to the
     /// busy total. Called on entry to every comm op (and on
-    /// [`Communicator::busy_nanos`] reads), so time blocked *inside* an
+    /// [`WorldComm::busy_nanos`] reads), so time blocked *inside* an
     /// op never counts as compute.
     fn accrue_busy(&self) {
         let now = Instant::now();
@@ -346,9 +374,9 @@ impl WorldComm {
         }
     }
 
-    /// The raw send: record stats, stamp the arrival, push into the
-    /// channel. `header` rides along when the integrity layer (ours or a
-    /// wrapper's) enveloped the payload, so message and byte counts are
+    /// The channel stage of a send: record stats, stamp the arrival,
+    /// push into the channel. `header` rides along when the integrity
+    /// stage enveloped the payload, so message and byte counts are
     /// identical with integrity on or off.
     fn send_impl<T: CommScalar>(
         &self,
@@ -384,14 +412,14 @@ impl WorldComm {
                 if let Some(m) = &self.monitor {
                     m.note_send_failed(self.rank, dst);
                 }
-                Communicator::note_dropped_send(self, dst);
+                self.note_dropped_send();
             }
         }
         self.mark_return();
     }
 
-    /// The raw receive: stash-aware blocking dequeue, returning the
-    /// integrity envelope if the sender attached one.
+    /// The channel stage of a receive: stash-aware blocking dequeue,
+    /// returning the integrity envelope if the sender attached one.
     fn recv_impl<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
         self.accrue_busy();
         let out = self.recv_inner(src, tag);
@@ -409,9 +437,11 @@ impl WorldComm {
             return self.recv_polled(src, tag);
         }
         loop {
-            let env = self.receivers[src].recv().unwrap_or_else(|_| {
-                panic!("rank {src} hung up while rank {} waits on tag {tag}", self.rank)
-            });
+            // Typed like the polled path's, so the launcher re-raises the
+            // dead peer's own panic, not this secondary one.
+            let env = self.receivers[src]
+                .recv()
+                .unwrap_or_else(|_| std::panic::panic_any(self.peer_hung_up(src, tag, None)));
             if env.tag == tag {
                 self.observe_arrival(&env);
                 return downcast_payload(env, src, tag);
@@ -420,10 +450,18 @@ impl WorldComm {
         }
     }
 
+    /// The error for a receive whose peer `src` disconnected: the peer's
+    /// recorded death `reason` when the monitor has one.
+    fn peer_hung_up(&self, src: usize, tag: Tag, reason: Option<String>) -> CommError {
+        let detail = reason
+            .unwrap_or_else(|| format!("hung up while rank {} waited on tag {tag}", self.rank));
+        CommError::RankFailed { rank: src, observer: self.rank, detail }
+    }
+
     /// Interruptible receive: waits in short slices, between which it
     /// checks the watchdog's abort flag and the per-receive deadline.
     /// Failures unwind with a [`CommError`] payload, caught at the rank
-    /// boundary by [`run_ranks_opts`].
+    /// boundary by the launcher.
     fn recv_polled<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
         let poll = self
             .monitor
@@ -476,11 +514,8 @@ impl WorldComm {
                             break Err(m.abort_error(self.rank));
                         }
                     }
-                    let detail =
-                        self.monitor.as_ref().and_then(|m| m.death_reason(src)).unwrap_or_else(
-                            || format!("hung up while rank {} waited on tag {tag}", self.rank),
-                        );
-                    break Err(CommError::RankFailed { rank: src, observer: self.rank, detail });
+                    let reason = self.monitor.as_ref().and_then(|m| m.death_reason(src));
+                    break Err(self.peer_hung_up(src, tag, reason));
                 }
             }
         };
@@ -506,24 +541,9 @@ fn downcast_payload<T: CommScalar>(
     (payload, header)
 }
 
-/// Build the channel mesh for a world of `size` ranks.
-fn build_world(size: usize) -> Vec<WorldComm> {
-    build_world_full(size, None, None, None, None)
-}
-
-/// Build the channel mesh, optionally with a virtual-time link model.
-fn build_world_with_link(size: usize, link: Option<LinkModel>) -> Vec<WorldComm> {
-    build_world_full(size, link, None, None, None)
-}
-
-/// Build the channel mesh with every optional attachment.
-fn build_world_full(
-    size: usize,
-    link: Option<LinkModel>,
-    monitor: Option<Arc<Monitor>>,
-    recv_deadline: Option<Duration>,
-    integrity: Option<IntegrityConfig>,
-) -> Vec<WorldComm> {
+/// Build the channel mesh for a world of `size` ranks, with every
+/// attachment `opts` asks for and the launcher's `monitor`, if any.
+fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -> Vec<WorldComm> {
     assert!(size > 0, "world must have at least one rank");
     // channels[s][d] = channel carrying s → d traffic.
     let mut senders: Vec<Vec<Sender<Envelope>>> = Vec::with_capacity(size);
@@ -539,9 +559,18 @@ fn build_world_full(
         senders.push(row);
     }
     // One replay-window state per world, shared by all ranks' integrity
-    // attachments (a receiver pulls retransmissions straight from its
-    // sender's window).
-    let shared_state = integrity.as_ref().map(|_| Arc::new(IntegrityState::new(size)));
+    // stages (a receiver pulls retransmissions straight from its
+    // sender's window). It carries the fault plan when both are on, so
+    // retransmissions suffer the same link hazard as first transmissions.
+    let integrity = opts.integrity.clone().map(|config| {
+        let state = IntegrityState::new(size);
+        let state = match &opts.faults {
+            Some(plan) => state.with_plan(plan.clone()),
+            None => state,
+        };
+        (config, Arc::new(state))
+    });
+    let plan = opts.faults.clone().map(Arc::new);
     senders
         .into_iter()
         .zip(receivers)
@@ -556,21 +585,23 @@ fn build_world_full(
             class: Cell::new(OpClass::P2p),
             collective_counter: Cell::new(0),
             clock: Cell::new(0.0),
-            link: link.clone(),
-            monitor: monitor.clone(),
-            recv_deadline,
-            integrity: integrity.clone().map(|config| WorldIntegrity {
-                state: Arc::clone(shared_state.as_ref().expect("state built with config")),
+            link: opts.link.clone(),
+            monitor: monitor.cloned(),
+            recv_deadline: opts.recv_timeout,
+            integrity: integrity.clone().map(|(config, state)| WorldIntegrity {
+                state,
                 config,
-                cursor: RankCursor::new(),
+                cursor: RankCursor::default(),
             }),
+            faults: plan.as_ref().map(|plan| WorldFaults::new(Arc::clone(plan), rank, size)),
             busy: Cell::new(0),
             last_return: Cell::new(Instant::now()),
         })
         .collect()
 }
 
-/// Options for a monitored run ([`run_ranks_opts`]).
+/// What a world runs with ([`run_ranks_opts`]). The default is nothing:
+/// no guards, no faults, wall-clock time.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Run the deadlock watchdog with this configuration. `None` leaves
@@ -578,26 +609,45 @@ pub struct RunOptions {
     pub watchdog: Option<WatchdogConfig>,
     /// Abort any single receive that waits longer than this.
     pub recv_timeout: Option<Duration>,
-    /// Run the end-to-end integrity protocol inside the world
-    /// communicator itself: every p2p payload travels checksummed and
-    /// sequence-numbered, with receiver-driven repair. Counts and
-    /// payloads are identical to a run without it (the envelope rides
-    /// on the message; repairs never fire on a healthy world), so it is
-    /// safe to enable globally via `FG_COMM_INTEGRITY=1`.
+    /// Run the end-to-end integrity protocol: every p2p payload travels
+    /// checksummed and sequence-numbered, with receiver-driven repair.
+    /// Counts and payloads are identical to a run without it (the
+    /// envelope rides on the message; repairs never fire on a healthy
+    /// world), so it is safe to enable globally via
+    /// `FG_COMM_INTEGRITY=1`.
     pub integrity: Option<IntegrityConfig>,
+    /// Inject delays, drops, corruptions and kills from this seeded
+    /// plan, deterministically per its seed. Faults strike below the
+    /// integrity envelope: with `integrity` on, injected corruption is
+    /// detected at the receiver and repaired from the replay window and
+    /// injected drops are repaired by link-layer retransmission, so the
+    /// run converges bitwise-identically to the fault-free one.
+    pub faults: Option<FaultPlan>,
+    /// Run under a **virtual clock**: sends stamp their arrival as
+    /// `sender_now + link(src, dst, bytes)`, receives advance the
+    /// receiver's clock to the arrival, and [`WorldComm::advance`]
+    /// accounts modeled local work.
+    pub link: Option<LinkModel>,
 }
 
 impl RunOptions {
-    /// Watchdog on with default tuning, no per-receive deadline, no
-    /// integrity envelope (fault runs stack integrity explicitly
-    /// *above* the fault layer instead — see
-    /// [`run_ranks_with_faults_integrity`]).
+    /// Watchdog on with default tuning, nothing else.
     pub fn watchdog_default() -> RunOptions {
-        RunOptions {
-            watchdog: Some(WatchdogConfig::default()),
-            recv_timeout: None,
-            integrity: None,
-        }
+        RunOptions { watchdog: Some(WatchdogConfig::default()), ..RunOptions::default() }
+    }
+
+    /// Fault injection from `plan` with the deadlock watchdog on
+    /// (injected drops and kills routinely strand peers; the watchdog
+    /// converts those hangs into [`CommError::Timeout`] wait-graph
+    /// reports). No integrity: faults reach the program.
+    pub fn with_faults(plan: FaultPlan) -> RunOptions {
+        RunOptions { faults: Some(plan), ..RunOptions::watchdog_default() }
+    }
+
+    /// [`RunOptions::with_faults`] plus the integrity protocol: drops
+    /// and corruptions are repaired before the program sees them.
+    pub fn with_faults_integrity(plan: FaultPlan, config: IntegrityConfig) -> RunOptions {
+        RunOptions { integrity: Some(config), ..RunOptions::with_faults(plan) }
     }
 
     /// Options from the environment: `FG_COMM_WATCHDOG` enables the
@@ -608,9 +658,19 @@ impl RunOptions {
     pub fn from_env() -> RunOptions {
         RunOptions {
             watchdog: env_flag("FG_COMM_WATCHDOG").then(WatchdogConfig::default),
-            recv_timeout: None,
             integrity: env_flag("FG_COMM_INTEGRITY").then(IntegrityConfig::default),
+            ..RunOptions::default()
         }
+    }
+
+    /// Whether anything here can end a rank with a [`CommError`] — the
+    /// condition under which the environment-driven launchers monitor
+    /// the world instead of taking the blocking-receive fast path.
+    fn is_guarded(&self) -> bool {
+        self.watchdog.is_some()
+            || self.recv_timeout.is_some()
+            || self.integrity.is_some()
+            || self.faults.is_some()
     }
 }
 
@@ -628,7 +688,7 @@ pub fn env_flag(name: &str) -> bool {
 }
 
 thread_local! {
-    /// True only on rank threads spawned by [`run_ranks_opts`], whose
+    /// True only on rank threads spawned by [`launch`], whose
     /// [`CommError`] unwinds are caught at the rank boundary. The panic
     /// hook consults this so suppression never leaks to other threads.
     static COMM_PANIC_CAUGHT_HERE: Cell<bool> = const { Cell::new(false) };
@@ -655,7 +715,7 @@ fn install_comm_panic_hook() {
 }
 
 /// A panic payload carried from a rank thread back to the joining
-/// thread, re-raised with `resume_unwind` once the watchdog is down.
+/// thread, re-raised with `resume_unwind` once every thread is joined.
 type RankPanic = Box<dyn std::any::Any + Send + 'static>;
 
 /// Best-effort text of a non-[`CommError`] panic payload, recorded as
@@ -670,93 +730,58 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `f` on `size` ranks concurrently; returns per-rank results in rank
-/// order. Panics in any rank propagate (fail the test / abort the run).
+/// The one spawn/join routine behind every launcher: build the world
+/// `opts` describes, run `f` on one thread per rank, and return the
+/// per-rank outcomes in rank order. A rank that unwinds with a
+/// [`CommError`] payload comes back as that `Err`; any other panic is a
+/// genuine bug and is re-raised with its original payload (first in
+/// rank order) once every thread is joined.
 ///
-/// The closure receives a reference to the rank's [`WorldComm`]; anything
-/// the caller wants back out (results, traffic stats) is returned from
-/// the closure.
-///
-/// With `FG_COMM_WATCHDOG` set in the environment the run is monitored
-/// (see [`RunOptions::from_env`]); a detected deadlock panics with the
-/// wait-graph diagnostic. Otherwise this is the zero-overhead fast path.
-pub fn run_ranks<R, F>(size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&WorldComm) -> R + Send + Sync,
-{
-    let opts = RunOptions::from_env();
-    if opts.watchdog.is_some() || opts.recv_timeout.is_some() || opts.integrity.is_some() {
-        return run_ranks_opts(size, opts, f)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect();
-    }
-    let comms = build_world(size);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let f = &f;
-                scope.spawn(move || f(&comm))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
-    })
-}
-
-/// Run `f` on `size` ranks under the resilience runtime: per-rank
-/// results come back as `Result`s, with rank deaths (injected kills,
-/// observed peer failures, watchdog or deadline aborts) as structured
-/// [`CommError`]s instead of process-crashing panics.
-///
-/// Genuine bugs — panics whose payload is not a [`CommError`] — still
-/// propagate and abort the run, exactly like [`run_ranks`].
-pub fn run_ranks_opts<R, F>(size: usize, opts: RunOptions, f: F) -> Vec<Result<R, CommError>>
+/// `monitored` attaches a progress [`Monitor`] to the world: receives
+/// poll instead of blocking, so peer deaths, watchdog aborts and
+/// deadlines surface as typed errors. Without it `recv` is a plain
+/// blocking channel receive.
+fn launch<R, F>(size: usize, opts: RunOptions, monitored: bool, f: F) -> Vec<Result<R, CommError>>
 where
     R: Send,
     F: Fn(&WorldComm) -> R + Send + Sync,
 {
     install_comm_panic_hook();
-    let monitor = Arc::new(Monitor::new(size, opts.watchdog.clone().unwrap_or_default()));
-    let comms =
-        build_world_full(size, None, Some(Arc::clone(&monitor)), opts.recv_timeout, opts.integrity);
-    let run_watchdog = opts.watchdog.is_some();
+    let monitor =
+        monitored.then(|| Arc::new(Monitor::new(size, opts.watchdog.clone().unwrap_or_default())));
+    let comms = build_world(size, &opts, monitor.as_ref());
     std::thread::scope(|scope| {
-        let watchdog = run_watchdog.then(|| {
-            let m = Arc::clone(&monitor);
+        let watchdog = monitor.as_ref().filter(|_| opts.watchdog.is_some()).map(|m| {
+            let m = Arc::clone(m);
             scope.spawn(move || m.watch())
         });
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
                 let f = &f;
-                let monitor = Arc::clone(&monitor);
+                let monitor = monitor.clone();
                 scope.spawn(move || {
                     COMM_PANIC_CAUGHT_HERE.with(|flag| flag.set(true));
-                    let rank = comm.rank();
                     let result =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
                     COMM_PANIC_CAUGHT_HERE.with(|flag| flag.set(false));
                     // Publish this rank's fate *before* dropping the comm:
                     // dropping disconnects our channels, and peers that
                     // observe the disconnect look up the death reason.
-                    match result {
-                        Ok(r) => {
-                            monitor.mark_done(rank);
-                            drop(comm);
-                            Ok(r)
-                        }
-                        Err(payload) => {
-                            let reason = match payload.downcast_ref::<CommError>() {
-                                Some(e) => e.to_string(),
-                                None => panic_message(payload.as_ref()),
-                            };
-                            monitor.mark_dead(rank, reason);
-                            drop(comm);
-                            Err(payload)
+                    if let Some(m) = &monitor {
+                        match &result {
+                            Ok(_) => m.mark_done(comm.rank),
+                            Err(payload) => {
+                                let reason = match payload.downcast_ref::<CommError>() {
+                                    Some(e) => e.to_string(),
+                                    None => panic_message(payload.as_ref()),
+                                };
+                                m.mark_dead(comm.rank, reason);
+                            }
                         }
                     }
+                    drop(comm);
+                    result
                 })
             })
             .collect();
@@ -774,12 +799,12 @@ where
                 },
             })
             .collect();
-        monitor.finish();
+        if let Some(m) = &monitor {
+            m.finish();
+        }
         if let Some(w) = watchdog {
             w.join().expect("watchdog thread panicked");
         }
-        // Genuine bugs (non-CommError payloads) still abort the run,
-        // exactly like `run_ranks` — first one in rank order wins.
         joined
             .into_iter()
             .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
@@ -787,104 +812,72 @@ where
     })
 }
 
-/// Run `f` on `size` ranks with fault injection from `plan` and the
-/// deadlock watchdog on (injected drops and kills routinely strand
-/// peers; the watchdog converts those hangs into [`CommError::Timeout`]
-/// wait-graph reports).
-///
-/// Every rank's communicator is wrapped in a
-/// [`crate::fault::FaultyComm`], so delays, drops, corruptions, and
-/// kills fire deterministically per the plan's seed.
-pub fn run_ranks_with_faults<R, F>(size: usize, plan: FaultPlan, f: F) -> Vec<Result<R, CommError>>
+/// [`launch`] for the launchers that promise plain results and take
+/// their guards from the environment: the world is monitored only when
+/// `opts` can end a rank with a [`CommError`], and such an error on any
+/// rank panics with its diagnostic.
+fn launch_unwrapped<R, F>(size: usize, opts: RunOptions, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&FaultyComm<'_, WorldComm>) -> R + Send + Sync,
+    F: Fn(&WorldComm) -> R + Send + Sync,
 {
-    let plan = Arc::new(plan);
-    run_ranks_opts(size, RunOptions::watchdog_default(), move |comm| {
-        let faulty = FaultyComm::new(comm, Arc::clone(&plan));
-        f(&faulty)
-    })
+    let monitored = opts.is_guarded();
+    launch(size, opts, monitored, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
 }
 
-/// Like [`run_ranks_with_faults`], with the end-to-end integrity layer
-/// stacked **above** the fault layer: each rank sees an
-/// [`IntegrityComm`] wrapping a [`FaultyComm`] wrapping the world.
+/// Run `f` on `size` ranks concurrently; returns per-rank results in rank
+/// order. Panics in any rank propagate with their original payload (fail
+/// the test / abort the run).
 ///
-/// The ordering is load-bearing. Checksums are computed on pristine
-/// payloads before the fault layer can touch them, so injected
-/// corruption is detected at the receiver and repaired by replay-window
-/// retransmission, and injected drops are repaired by sender-side
-/// link-layer retransmission — training under a corruption/drop plan
-/// converges bitwise-identically to the fault-free run. (The
-/// `FG_COMM_INTEGRITY` world-internal wiring sits *below* `FaultyComm`
-/// and would happily certify already-corrupted payloads; that is why
-/// fault runs use this explicit stack.)
-pub fn run_ranks_with_faults_integrity<R, F>(
-    size: usize,
-    plan: FaultPlan,
-    config: IntegrityConfig,
-    f: F,
-) -> Vec<Result<R, CommError>>
+/// The closure receives a reference to the rank's [`WorldComm`]; anything
+/// the caller wants back out (results, traffic stats) is returned from
+/// the closure.
+///
+/// With `FG_COMM_WATCHDOG` or `FG_COMM_INTEGRITY` set in the environment
+/// the run is guarded accordingly (see [`RunOptions::from_env`]); a
+/// detected deadlock panics with the wait-graph diagnostic. Otherwise
+/// this is the zero-overhead fast path: an unmonitored world whose
+/// receives block on the channel.
+pub fn run_ranks<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&IntegrityComm<'_, FaultyComm<'_, WorldComm>>) -> R + Send + Sync,
+    F: Fn(&WorldComm) -> R + Send + Sync,
 {
-    let state = Arc::new(IntegrityState::new(size).with_plan(plan.clone()));
-    let plan = Arc::new(plan);
-    run_ranks_opts(size, RunOptions::watchdog_default(), move |comm| {
-        let faulty = FaultyComm::new(comm, Arc::clone(&plan));
-        let protected = IntegrityComm::new(&faulty, Arc::clone(&state), config.clone());
-        f(&protected)
-    })
+    launch_unwrapped(size, RunOptions::from_env(), f)
 }
 
-/// Run `f` on `size` ranks under a **virtual clock**: sends stamp their
-/// arrival as `sender_now + link(src, dst, bytes)`, receives advance the
-/// receiver's clock to the arrival, and [`WorldComm::advance`] accounts
-/// modeled local work. The per-rank results and final clocks come back
-/// in rank order — a discrete-event simulation whose event order is the
-/// real execution's message order.
+/// Run `f` on `size` ranks under explicit [`RunOptions`]: per-rank
+/// results come back as `Result`s, with rank deaths (injected kills,
+/// observed peer failures, watchdog or deadline aborts, unrepairable
+/// corruption) as structured [`CommError`]s instead of process-crashing
+/// panics. The world is always monitored, so a peer's death is observed
+/// with its reason even when no guard is on.
+///
+/// Genuine bugs — panics whose payload is not a [`CommError`] — still
+/// propagate and abort the run, exactly like [`run_ranks`].
+pub fn run_ranks_opts<R, F>(size: usize, opts: RunOptions, f: F) -> Vec<Result<R, CommError>>
+where
+    R: Send,
+    F: Fn(&WorldComm) -> R + Send + Sync,
+{
+    launch(size, opts, true, f)
+}
+
+/// [`run_ranks`] under a **virtual clock** ([`RunOptions::link`]): the
+/// per-rank results and final clocks come back in rank order — a
+/// discrete-event simulation whose event order is the real execution's
+/// message order. Guards come from the environment exactly as for
+/// [`run_ranks`] and never move a clock.
 pub fn run_ranks_timed<R, F>(size: usize, link: LinkModel, f: F) -> Vec<(R, f64)>
 where
     R: Send,
     F: Fn(&WorldComm) -> R + Send + Sync,
 {
-    let comms = build_world_with_link(size, Some(link));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let f = &f;
-                scope.spawn(move || {
-                    let r = f(&comm);
-                    (r, comm.now())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    panic!("rank {rank} {}", panic_message(payload.as_ref()))
-                })
-            })
-            .collect()
-    })
-}
-
-/// Like [`run_ranks`], additionally returning each rank's traffic stats.
-pub fn run_ranks_with_stats<R, F>(size: usize, f: F) -> Vec<(R, TrafficStats)>
-where
-    R: Send,
-    F: Fn(&WorldComm) -> R + Send + Sync,
-{
-    run_ranks(size, |comm| {
-        let r = f(comm);
-        let stats = comm.stats();
-        (r, stats)
-    })
+    let opts = RunOptions { link: Some(link), ..RunOptions::from_env() };
+    launch_unwrapped(size, opts, |comm| (f(comm), comm.now()))
 }
 
 #[cfg(test)]
@@ -1130,26 +1123,53 @@ mod tests {
     #[test]
     fn genuine_panic_propagates_and_does_not_hang() {
         // A non-CommError panic (an ordinary test assert) must abort the
-        // monitored run with the original payload — not strand the
-        // watchdog thread and hang the scope join forever.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_ranks_opts(2, RunOptions::watchdog_default(), |comm| {
-                if comm.rank() == 0 {
-                    panic!("genuine test bug");
+        // run with the original payload on both receive paths. Monitored:
+        // without stranding the watchdog thread and hanging the scope
+        // join forever. Unmonitored (plain `run_ranks`, silent
+        // environment): not as `rank panicked: Any { .. }`, and not as
+        // the lower-ranked peer's secondary hang-up.
+        for (opts, monitored) in
+            [(RunOptions::watchdog_default(), true), (RunOptions::default(), false)]
+        {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                launch(2, opts, monitored, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("genuine test bug");
+                    }
+                    comm.recv::<u32>(1, 1)
+                })
+            }));
+            let payload = caught.expect_err("the rank's panic must propagate");
+            let msg = panic_message(payload.as_ref());
+            assert!(msg.contains("genuine test bug"), "monitored={monitored}: {msg}");
+        }
+    }
+
+    #[test]
+    fn timed_world_deadlock_times_out_with_the_wait_graph() {
+        // A virtual-clock world is launched like any other, so the
+        // watchdog guards it: both ranks receive first, nobody sends.
+        let opts = RunOptions {
+            link: Some(LinkModel::alpha_beta(1e-6, 1e-9)),
+            ..RunOptions::watchdog_default()
+        };
+        let out = run_ranks_opts(2, opts, |comm| comm.recv::<u32>(1 - comm.rank(), 77));
+        for (rank, r) in out.iter().enumerate() {
+            match r {
+                Err(CommError::Timeout { rank: tr, detail }) => {
+                    assert_eq!(*tr, rank);
+                    assert!(detail.contains("wait graph"), "diagnostic: {detail}");
                 }
-                comm.recv::<u32>(0, 1)
-            })
-        }));
-        let payload = caught.expect_err("the rank's panic must propagate");
-        let msg = panic_message(payload.as_ref());
-        assert!(msg.contains("genuine test bug"), "unexpected payload: {msg}");
+                other => panic!("expected Timeout, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn internal_integrity_envelopes_world_traffic_transparently() {
-        // FG_COMM_INTEGRITY-style wiring: the envelope rides on the
-        // message, so counts and payloads are identical to a plain run,
-        // and a healthy world performs zero repairs.
+        // The envelope rides on the message, so counts and payloads are
+        // identical to a plain run, and a healthy world performs zero
+        // repairs.
         let opts =
             RunOptions { integrity: Some(IntegrityConfig::default()), ..RunOptions::default() };
         let out = run_ranks_opts(2, opts, |comm| {

@@ -47,8 +47,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::collectives::{prev_pow2, segment_at_level, AllreduceAlgorithm};
-use crate::dynamic::ScalarType;
-use crate::p2p::{Communicator, Tag};
+use crate::p2p::{Communicator, ScalarType, Tag};
 use crate::trace::{CollectiveKind, RankTrace, TraceOp};
 use crate::LinkModel;
 

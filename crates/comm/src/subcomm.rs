@@ -180,42 +180,6 @@ impl<C: Communicator> Communicator for SubComm<'_, C> {
         self.parent.recv(self.members[src], tag)
     }
 
-    fn record(&self, class: OpClass, messages: u64, bytes: u64) {
-        self.parent.record(class, messages, bytes);
-    }
-
-    fn note_dropped_send(&self, dst: usize) {
-        self.parent.note_dropped_send(self.members[dst]);
-    }
-
-    fn note_retransmit(&self) {
-        self.parent.note_retransmit();
-    }
-
-    fn note_corrupt_repaired(&self) {
-        self.parent.note_corrupt_repaired();
-    }
-
-    fn note_replay_held(&self, bytes: u64) {
-        self.parent.note_replay_held(bytes);
-    }
-
-    fn stats_snapshot(&self) -> Option<crate::stats::TrafficStats> {
-        self.parent.stats_snapshot()
-    }
-
-    fn busy_nanos(&self) -> u64 {
-        self.parent.busy_nanos()
-    }
-
-    fn note_straggler_flag(&self) {
-        self.parent.note_straggler_flag();
-    }
-
-    fn note_rank_slowness(&self, ratios: &[f64]) {
-        self.parent.note_rank_slowness(ratios);
-    }
-
     fn next_collective_tag(&self) -> Tag {
         let c = self.counter.get();
         self.counter.set(c + 1);

@@ -39,8 +39,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::dynamic::ScalarType;
-use crate::p2p::{sub_collective_tag, world_collective_tag, Tag};
+use crate::p2p::{sub_collective_tag, world_collective_tag, ScalarType, Tag};
 
 /// Which verifier check produced a [`Violation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

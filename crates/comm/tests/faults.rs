@@ -16,8 +16,8 @@
 use std::time::Duration;
 
 use fg_comm::{
-    run_ranks, run_ranks_opts, run_ranks_with_faults, run_ranks_with_faults_integrity, Collectives,
-    CommError, Communicator, FaultPlan, IntegrityConfig, ReduceOp, RunOptions,
+    run_ranks, run_ranks_opts, Collectives, CommError, Communicator, FaultPlan, IntegrityConfig,
+    ReduceOp, RunOptions,
 };
 
 /// A small fixed workload: ring allreduce over distinct per-rank data,
@@ -37,7 +37,7 @@ fn workload(comm: &impl Communicator) -> Vec<f32> {
 #[test]
 fn empty_plan_is_transparent() {
     let clean = run_ranks(4, workload);
-    let faulty = run_ranks_with_faults(4, FaultPlan::new(1), |comm| workload(comm));
+    let faulty = run_ranks_opts(4, RunOptions::with_faults(FaultPlan::new(1)), workload);
     let faulty: Vec<Vec<f32>> =
         faulty.into_iter().map(|r| r.expect("no faults injected")).collect();
     assert_eq!(clean, faulty);
@@ -47,7 +47,7 @@ fn empty_plan_is_transparent() {
 fn killed_rank_fails_structurally_and_peers_observe_it() {
     // Kill rank 1 at its very first comm op in a 3-rank allreduce.
     let plan = FaultPlan::new(2).kill_rank(1, 0);
-    let out = run_ranks_with_faults(3, plan, |comm| workload(comm));
+    let out = run_ranks_opts(3, RunOptions::with_faults(plan), workload);
     // The victim reports its own injected death.
     match &out[1] {
         Err(CommError::RankFailed { rank: 1, observer: 1, detail }) => {
@@ -77,7 +77,7 @@ fn dropped_message_trips_the_watchdog_with_attribution() {
     // that names each waiter, the awaited link and tag, and rank 0's
     // dropped send as the culprit.
     let plan = FaultPlan::new(3).drop_nth(0, 1, 0);
-    let out = run_ranks_with_faults(2, plan, |comm| {
+    let out = run_ranks_opts(2, RunOptions::with_faults(plan), |comm| {
         if comm.rank() == 0 {
             comm.send(1, 7, vec![1.0f32]);
             let _ = comm.recv::<f32>(1, 8);
@@ -105,7 +105,7 @@ fn corruption_changes_the_result_deterministically() {
     // Corrupt the first point-to-point message rank 0 sends to rank 1.
     let run = |seed: u64| {
         let plan = FaultPlan::new(seed).corrupt_nth(0, 1, 0);
-        let out = run_ranks_with_faults(2, plan, |comm| {
+        let out = run_ranks_opts(2, RunOptions::with_faults(plan), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 3, vec![1.0f32, 2.0, 3.0]);
                 Vec::new()
@@ -130,7 +130,7 @@ fn corruption_changes_the_result_deterministically() {
 fn delays_change_timing_but_not_results() {
     let clean = run_ranks(3, workload);
     let plan = FaultPlan::new(4).delay_every(1, 2, Duration::from_millis(2));
-    let delayed = run_ranks_with_faults(3, plan, |comm| workload(comm));
+    let delayed = run_ranks_opts(3, RunOptions::with_faults(plan), workload);
     let delayed: Vec<Vec<f32>> =
         delayed.into_iter().map(|r| r.expect("delays are benign")).collect();
     assert_eq!(clean, delayed);
@@ -142,7 +142,7 @@ fn fixed_seed_reproduces_identical_outcomes() {
     // per-rank outcome (including error shape and text) across runs.
     let run = || {
         let plan = FaultPlan::chaos(0xC0FFEE, 4, 16);
-        run_ranks_with_faults(4, plan, |comm| workload(comm))
+        run_ranks_opts(4, RunOptions::with_faults(plan), workload)
             .into_iter()
             .map(|r| match r {
                 Ok(v) => format!("ok:{v:?}"),
@@ -160,17 +160,18 @@ fn fixed_seed_reproduces_identical_outcomes() {
 #[test]
 fn integrity_repairs_injected_corruption_bitwise() {
     // The same scenario as `corruption_changes_the_result_deterministically`,
-    // but with the integrity layer stacked above the fault layer: the
+    // but with the integrity envelope applied before the fault stage: the
     // receiver detects the checksum mismatch, pulls a clean copy from
     // the sender's replay window, and delivers the pristine payload.
     let plan = FaultPlan::new(11).corrupt_nth(0, 1, 0);
-    let out = run_ranks_with_faults_integrity(2, plan, IntegrityConfig::default(), |comm| {
+    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, vec![1.0f32, 2.0, 3.0]);
             (Vec::new(), 0, 0)
         } else {
             let v = comm.recv::<f32>(0, 3);
-            let stats = comm.stats_snapshot().expect("world stats reachable through the stack");
+            let stats = comm.stats();
             (v, stats.corrupt_repaired(), stats.retransmits())
         }
     });
@@ -186,13 +187,14 @@ fn integrity_retries_when_the_retransmission_is_also_corrupted() {
     // corrupted: the receiver's retry loop pulls again and the second
     // retransmission delivers. One repaired message, two retransmits.
     let plan = FaultPlan::new(13).corrupt_nth(0, 1, 0).corrupt_retransmit_nth(0, 1, 0);
-    let out = run_ranks_with_faults_integrity(2, plan, IntegrityConfig::default(), |comm| {
+    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, vec![4.0f32, 5.0]);
             (Vec::new(), 0, 0)
         } else {
             let v = comm.recv::<f32>(0, 3);
-            let stats = comm.stats_snapshot().expect("stats");
+            let stats = comm.stats();
             (v, stats.corrupt_repaired(), stats.retransmits())
         }
     });
@@ -213,7 +215,7 @@ fn integrity_budget_exhaustion_surfaces_typed_corrupt() {
     for k in 0..8 {
         plan = plan.corrupt_retransmit_nth(0, 1, k);
     }
-    let out = run_ranks_with_faults_integrity(2, plan, config, |comm| {
+    let out = run_ranks_opts(2, RunOptions::with_faults_integrity(plan, config), |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, vec![1.0f32]);
             Vec::new()
@@ -240,11 +242,12 @@ fn integrity_repairs_drops_without_a_watchdog_trip() {
     // retransmits at the link layer. The exchange completes; nobody
     // waits, so the watchdog never trips.
     let plan = FaultPlan::new(3).drop_nth(0, 1, 0);
-    let out = run_ranks_with_faults_integrity(2, plan, IntegrityConfig::default(), |comm| {
+    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 7, vec![1.0f32]);
             let reply = comm.recv::<f32>(1, 8);
-            let stats = comm.stats_snapshot().expect("stats");
+            let stats = comm.stats();
             (reply, stats.dropped_sends(), stats.retransmits())
         } else {
             let req = comm.recv::<f32>(0, 7);
@@ -265,9 +268,10 @@ fn integrity_full_workload_survives_fault_rates_bitwise() {
     // every rank's result is bitwise identical to the fault-free run.
     let clean = run_ranks(4, workload);
     let plan = FaultPlan::new(0xFA17).drop_rate(0.2).corrupt_rate(0.2);
-    let out = run_ranks_with_faults_integrity(4, plan, IntegrityConfig::default(), |comm| {
+    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let out = run_ranks_opts(4, opts, |comm| {
         let r = workload(comm);
-        let stats = comm.stats_snapshot().expect("stats");
+        let stats = comm.stats();
         (r, stats.retransmits() + stats.corrupt_repaired())
     });
     let mut total_repairs = 0;
@@ -289,6 +293,7 @@ fn recv_deadline_passes_through_the_integrity_layer() {
         watchdog: None,
         recv_timeout: Some(Duration::from_millis(20)),
         integrity: Some(IntegrityConfig::default()),
+        ..RunOptions::default()
     };
     let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
@@ -310,11 +315,11 @@ fn recv_deadline_passes_through_the_integrity_layer() {
 
 #[test]
 fn faults_pass_through_subgroup_traffic() {
-    // FaultyComm wraps the world; a SubComm built over it routes through
-    // the wrapper, so link faults hit subgroup collectives too. Kill
+    // A SubComm's traffic bottoms out in the world's send/recv, where the
+    // fault stage sits, so link faults hit subgroup collectives too. Kill
     // rank 2 before its first send and let its subgroup discover it.
     let plan = FaultPlan::new(5).kill_rank(2, 0);
-    let out = run_ranks_with_faults(4, plan, |comm| {
+    let out = run_ranks_opts(4, RunOptions::with_faults(plan), |comm| {
         let group: Vec<usize> = (0..comm.size()).filter(|r| r % 2 == comm.rank() % 2).collect();
         let sub = fg_comm::SubComm::new(comm, group, comm.rank() as u64 % 2).expect("valid group");
         sub.allreduce(&[comm.rank() as f32], ReduceOp::Sum)

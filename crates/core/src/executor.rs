@@ -32,7 +32,7 @@
 
 use std::cell::RefCell;
 
-use fg_comm::{Communicator, ErasedComm};
+use fg_comm::{Communicator, WorldComm};
 use fg_kernels::batchnorm::BnStats;
 use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams, NetworkSpec, Sgd};
@@ -367,9 +367,9 @@ impl DistExecutor {
     /// Forward pass. `x` is the full global input replicated on every
     /// rank; for large samples prefer [`DistExecutor::forward_sharded`],
     /// which never materializes the global tensor.
-    pub fn forward<C: Communicator>(
+    pub fn forward(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         x: &Tensor,
         labels: Option<&Labels>,
@@ -377,34 +377,34 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.run_forward(&ErasedComm::new(comm), params, Act::Shard(shard), labels, None, None)
+        self.run_forward(comm, params, Act::Shard(shard), labels, None, None)
     }
 
     /// Forward pass from a pre-sharded input (distributed data loading):
     /// each rank supplies only its owned block of the input, in the
     /// input layer's distribution. This is how samples that exceed one
     /// device's memory actually enter the pipeline.
-    pub fn forward_sharded<C: Communicator>(
+    pub fn forward_sharded(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         x_shard: DistTensor,
         labels: Option<&Labels>,
     ) -> DistPass {
         self.check_input_shard(&x_shard, comm.rank());
-        self.run_forward(&ErasedComm::new(comm), params, Act::Shard(x_shard), labels, None, None)
+        self.run_forward(comm, params, Act::Shard(x_shard), labels, None, None)
     }
 
     /// Sharded-input counterpart of [`DistExecutor::loss_and_grads`].
-    pub fn loss_and_grads_sharded<C: Communicator>(
+    pub fn loss_and_grads_sharded(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         x_shard: DistTensor,
         labels: &Labels,
     ) -> (f64, Vec<LayerParams>) {
         self.check_input_shard(&x_shard, comm.rank());
-        self.fused_step(&ErasedComm::new(comm), params, x_shard, labels)
+        self.fused_step(comm, params, x_shard, labels)
     }
 
     /// Distributed inference: batch-norm layers normalize with the
@@ -412,9 +412,9 @@ impl DistExecutor {
     /// instead of batch statistics — no BN communication at all, and
     /// outputs are independent of batch composition. Matches
     /// [`fg_nn::Network::forward_inference`] bitwise.
-    pub fn forward_inference<C: Communicator>(
+    pub fn forward_inference(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         x: &Tensor,
         bn_stats: &[Option<BnStats>],
@@ -423,14 +423,7 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.run_forward(
-            &ErasedComm::new(comm),
-            params,
-            Act::Shard(shard),
-            None,
-            Some(bn_stats),
-            None,
-        )
+        self.run_forward(comm, params, Act::Shard(shard), None, Some(bn_stats), None)
     }
 
     /// Batched inference entry for serving: run
@@ -441,9 +434,9 @@ impl DistExecutor {
     /// average pooling) gather each rank's replicated rows and file them
     /// by the sample groups' block ranges — replicas within a group
     /// hold identical data, so overlapping writes agree bitwise.
-    pub fn infer_logits<C: Communicator>(
+    pub fn infer_logits(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         x: &Tensor,
         bn_stats: &[Option<BnStats>],
@@ -478,7 +471,7 @@ impl DistExecutor {
     /// hand the layer its context, and file its outputs into the pass.
     fn run_forward(
         &self,
-        comm: &ErasedComm<'_>,
+        comm: &WorldComm,
         params: &[LayerParams],
         input: Act,
         labels: Option<&Labels>,
@@ -579,13 +572,13 @@ impl DistExecutor {
 
     /// Backward pass; returns per-layer parameter gradients, identical
     /// on every rank (ready for the replicated optimizer step).
-    pub fn backward<C: Communicator>(
+    pub fn backward(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         pass: &DistPass,
     ) -> Vec<LayerParams> {
-        self.run_backward(&ErasedComm::new(comm), params, pass, None)
+        self.run_backward(comm, params, pass, None)
     }
 
     /// The plan-driven backward scheduler: loss layers seed their parent
@@ -594,7 +587,7 @@ impl DistExecutor {
     /// precompiled adjoint shuffles and accumulated into the parents.
     fn run_backward(
         &self,
-        comm: &ErasedComm<'_>,
+        comm: &WorldComm,
         params: &[LayerParams],
         pass: &DistPass,
         arena: Option<&RankArena<'_>>,
@@ -655,9 +648,9 @@ impl DistExecutor {
     /// are bitwise identical to [`DistExecutor::forward`] +
     /// [`DistExecutor::backward`] — the arena changes where bytes live,
     /// never what they hold.
-    pub fn loss_and_grads<C: Communicator>(
+    pub fn loss_and_grads(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &[LayerParams],
         x: &Tensor,
         labels: &Labels,
@@ -665,14 +658,14 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.fused_step(&ErasedComm::new(comm), params, shard, labels)
+        self.fused_step(comm, params, shard, labels)
     }
 
     /// The fused step behind [`DistExecutor::loss_and_grads`] and its
     /// sharded-input counterpart.
     fn fused_step(
         &self,
-        comm: &ErasedComm<'_>,
+        comm: &WorldComm,
         params: &[LayerParams],
         shard: DistTensor,
         labels: &Labels,
@@ -711,9 +704,9 @@ impl DistExecutor {
     }
 
     /// One training step: forward, backward, replicated SGD update.
-    pub fn train_step<C: Communicator>(
+    pub fn train_step(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &mut [LayerParams],
         opt: &mut Sgd,
         x: &Tensor,
@@ -733,9 +726,9 @@ impl DistExecutor {
     /// The screen must reach the same verdict on every rank (see
     /// [`crate::guard::StepGuard::agree_any`]); a split verdict would
     /// desynchronize the replicated optimizer.
-    pub fn screened_train_step<C: Communicator>(
+    pub fn screened_train_step(
         &self,
-        comm: &C,
+        comm: &WorldComm,
         params: &mut [LayerParams],
         opt: &mut Sgd,
         x: &Tensor,
@@ -1024,7 +1017,7 @@ mod tests {
     /// next world on the same executor can trip over.
     #[test]
     fn executor_is_reusable_after_an_abandoned_step() {
-        use fg_comm::{run_ranks_with_faults, FaultPlan};
+        use fg_comm::{run_ranks_opts, FaultPlan, RunOptions};
 
         let spec = mini_mesh_net();
         let (x, labels) = seg_batch(2, 16, 16);
@@ -1042,7 +1035,7 @@ mod tests {
         // Probe one clean step's op count, then kill rank 2 halfway
         // through the next world's second step — windows checked out,
         // peers blocked on its halos.
-        let probe = run_ranks_with_faults(4, FaultPlan::default(), |comm| {
+        let probe = run_ranks_opts(4, RunOptions::with_faults(FaultPlan::default()), |comm| {
             let mut params = net.params.clone();
             let mut opt = Sgd::new(0.02, 0.9, 1e-4, &params);
             exec.train_step(comm, &mut params, &mut opt, &x, &labels);
@@ -1050,7 +1043,7 @@ mod tests {
         });
         let step_ops = *probe[2].as_ref().expect("probe is fault-free");
         let plan = FaultPlan::new(9).kill_rank(2, step_ops + step_ops / 2);
-        let faulted = run_ranks_with_faults(4, plan, |comm| {
+        let faulted = run_ranks_opts(4, RunOptions::with_faults(plan), |comm| {
             train(&|p, o| exec.train_step(comm, p, o, &x, &labels))
         });
         assert!(faulted.iter().all(|r| r.is_err()), "the kill must abandon the step everywhere");

@@ -4,7 +4,7 @@
 //! device) and [`BnMode::Aggregated`] (partial moments allreduced,
 //! exactly replicating single-device training).
 
-use fg_comm::{Collectives, Communicator, ErasedComm, ReduceOp};
+use fg_comm::{Collectives, Communicator, ReduceOp, WorldComm};
 use fg_kernels::batchnorm::{
     bn_backward_apply, bn_backward_partials, bn_forward_with_stats, bn_partial_moments, BnPartials,
     BnStats,
@@ -154,7 +154,7 @@ impl DistLayer for BatchNormLayer {
         self.base.compile_io(rank)
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let (gamma, beta) = bn_params(cx.params);
         let (y, stats) = match cx.bn_override {
@@ -171,7 +171,7 @@ impl DistLayer for BatchNormLayer {
         Act::Shard(y)
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         let stats = cx.bn_stats(&self.base);

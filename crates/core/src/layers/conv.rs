@@ -1,7 +1,7 @@
 //! [`DistLayer`] driver for distributed convolution
 //! ([`crate::DistConv2d`] holds the math; see `distconv.rs`).
 
-use fg_comm::ErasedComm;
+use fg_comm::WorldComm;
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
 
@@ -54,7 +54,7 @@ impl DistLayer for ConvLayer {
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let (w, b) = conv_params(cx.params);
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
@@ -68,7 +68,7 @@ impl DistLayer for ConvLayer {
         Act::Shard(y)
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let (w, b) = conv_params(cx.params);
         let win = cx.window(&self.base);

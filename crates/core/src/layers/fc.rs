@@ -3,7 +3,7 @@
 //! sample block; gradients sum across distinct sample blocks via the
 //! precompiled cross-section group.
 
-use fg_comm::{Collectives, ErasedComm, ReduceOp};
+use fg_comm::{Collectives, ReduceOp, WorldComm};
 use fg_nn::network::{fc_backward, fc_forward};
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
@@ -48,13 +48,13 @@ impl DistLayer for FcLayer {
         plan
     }
 
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).per_sample_of(self.base.id, &self.base.kind);
         let (w, b) = fc_params(cx.params);
         Act::PerSample(fc_forward(x, w, b, self.out_features))
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_per_sample_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).per_sample_of(self.base.id, &self.base.kind);
         let (w, _b) = fc_params(cx.params);

@@ -3,7 +3,7 @@
 //! *per-sample replicated* activation (the representation FC layers and
 //! classification losses consume).
 
-use fg_comm::{Collectives, Communicator, ErasedComm, ReduceOp, SubCommLayout};
+use fg_comm::{Collectives, Communicator, ReduceOp, SubCommLayout, WorldComm};
 use fg_tensor::{DistTensor, Shape4, Tensor};
 
 use crate::executor::Act;
@@ -94,13 +94,13 @@ impl DistLayer for GapLayer {
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let group = cx.plan.spatial_group.as_ref().expect("GAP plan has a spatial group");
         Act::PerSample(dist_global_avg_pool_with_group(comm, x, group))
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, _comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_per_sample_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         let dx = dist_global_avg_pool_backward(x, &dy);

@@ -1,6 +1,6 @@
 //! The input layer: intake of the externally supplied activation.
 
-use fg_comm::ErasedComm;
+use fg_comm::WorldComm;
 
 use crate::executor::Act;
 use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan};
@@ -32,13 +32,13 @@ impl DistLayer for InputLayer {
         self.base.compile_io(rank)
     }
 
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         cx.external.take().unwrap_or_else(|| {
             panic!("layer {} ({:?}): no external activation supplied", self.base.id, self.base.kind)
         })
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, _cx: &BwdCx<'_>, _dy: Act) -> BwdOut {
+    fn backward(&self, _comm: &WorldComm, _cx: &BwdCx<'_>, _dy: Act) -> BwdOut {
         BwdOut::none()
     }
 }

@@ -2,7 +2,7 @@
 //! shards (semantic segmentation) or per-sample over replicated
 //! activations (classification).
 
-use fg_comm::{Collectives, Communicator, ErasedComm, ReduceOp, SubCommLayout};
+use fg_comm::{Collectives, Communicator, ReduceOp, SubCommLayout, WorldComm};
 use fg_kernels::loss::{softmax_cross_entropy, Labels};
 use fg_tensor::{DistTensor, ProcGrid, Tensor};
 
@@ -120,7 +120,7 @@ impl DistLayer for SoftmaxLossLayer {
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         // The loss layer's "output" is its input logits, passed through;
         // take them (moving when this layer is the sole consumer) so the
         // pass never holds two copies.
@@ -147,7 +147,7 @@ impl DistLayer for SoftmaxLossLayer {
         logits
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, _cx: &BwdCx<'_>, _dy: Act) -> BwdOut {
+    fn backward(&self, _comm: &WorldComm, _cx: &BwdCx<'_>, _dy: Act) -> BwdOut {
         unreachable!("loss layers seed backward; the scheduler never calls backward on them")
     }
 

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use fg_comm::{ErasedComm, SubCommLayout, TraceRecorder};
+use fg_comm::{SubCommLayout, TraceRecorder, WorldComm};
 use fg_kernels::batchnorm::BnStats;
 use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams};
@@ -156,9 +156,10 @@ impl ArenaSlot<'_> {
     }
 }
 
-/// A uniformly schedulable distributed layer. Object-safe: the executor
-/// holds `Vec<Box<dyn DistLayer>>` and drives plans through
-/// [`ErasedComm`], never matching on layer kinds itself.
+/// A uniformly schedulable distributed layer. Object-safe — its methods
+/// take the concrete [`WorldComm`], not a generic communicator — so the
+/// executor holds `Vec<Box<dyn DistLayer>>` and never matches on layer
+/// kinds itself.
 pub trait DistLayer: std::fmt::Debug + Send + Sync {
     /// The layer's spec/strategy-derived identity.
     fn base(&self) -> &LayerBase;
@@ -173,12 +174,12 @@ pub trait DistLayer: std::fmt::Debug + Send + Sync {
 
     /// Execute the planned forward step; returns the output activation.
     /// Side outputs (kept windows, BN statistics, losses) go into `cx`.
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act;
+    fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act;
 
     /// Execute the planned backward step for error signal `dy`;
     /// `dx` contributions come back in this layer's input distribution
     /// (the scheduler applies the adjoint shuffles).
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut;
+    fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut;
 
     /// Does this layer originate the backward pass (loss layers)? The
     /// scheduler seeds its parent with the saved loss gradient instead

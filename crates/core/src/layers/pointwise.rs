@@ -1,7 +1,7 @@
 //! Distributed ReLU and residual add (paper §III-B): elementwise,
 //! "parallelize trivially regardless of distribution".
 
-use fg_comm::ErasedComm;
+use fg_comm::WorldComm;
 use fg_tensor::DistTensor;
 
 use crate::executor::Act;
@@ -61,12 +61,12 @@ impl DistLayer for ReluLayer {
         self.base.compile_io(rank)
     }
 
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         Act::Shard(dist_relu_forward(x))
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, _comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         BwdOut { dparents: vec![(0, Act::Shard(dist_relu_backward(x, &dy)))], grads: None }
@@ -103,14 +103,14 @@ impl DistLayer for AddLayer {
         self.base.compile_io(rank)
     }
 
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let shards: Vec<&DistTensor> = (0..self.base.parents.len())
             .map(|i| cx.input(i).shard_of(self.base.id, &self.base.kind))
             .collect();
         Act::Shard(dist_add(&shards))
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, _cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, _comm: &WorldComm, _cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         // The error signal passes through unchanged to every parent;
         // clone for all but the last edge, move into the last.
         let n = self.base.parents.len();

@@ -1,7 +1,7 @@
 //! Distributed 2-D pooling (paper §III-B): partitioned like convolution,
 //! with halo exchanges sized from the pooling window.
 
-use fg_comm::{Communicator, ErasedComm};
+use fg_comm::{Communicator, WorldComm};
 use fg_kernels::conv::ConvGeometry;
 use fg_kernels::pool::{pool2d_backward_region, pool2d_forward_region, PoolKind};
 use fg_tensor::halo::{exchange_halo_with_plan, HaloPlan};
@@ -240,7 +240,7 @@ impl DistLayer for PoolLayer {
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let x_halo = cx.plan.x_halo.as_ref().expect("pool plan has an x halo");
         let store =
@@ -250,7 +250,7 @@ impl DistLayer for PoolLayer {
         Act::Shard(y)
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let win = cx.window(&self.base);
         let dy_halo = cx.plan.dy_halo.as_ref().expect("pool plan has a dy halo");

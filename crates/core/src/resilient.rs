@@ -5,12 +5,12 @@
 //! ladder**, each level strictly cheaper than the next:
 //!
 //! 1. **In-band repair** (free): when [`ResilientConfig::integrity`] is
-//!    set, every rank's communicator is wrapped in the end-to-end
-//!    integrity layer ([`fg_comm::IntegrityComm`] over
-//!    [`fg_comm::FaultyComm`]), so corrupted payloads are repaired by
-//!    replay-window retransmission and dropped messages by link-layer
-//!    resend — training never notices. Repair counts surface in the
-//!    report via [`fg_comm::Communicator::stats_snapshot`].
+//!    set, the world runs the end-to-end integrity protocol
+//!    ([`fg_comm::RunOptions::integrity`], enveloping above the fault
+//!    stage), so corrupted payloads are repaired by replay-window
+//!    retransmission and dropped messages by link-layer resend —
+//!    training never notices. Repair counts surface in the report via
+//!    [`fg_comm::WorldComm::stats`].
 //! 2. **Rollback-and-replay** (cheap): when [`ResilientConfig::guard`]
 //!    is set, every step is screened by a [`crate::guard::StepGuard`]
 //!    (NaN/Inf and loss-spike detection with all-rank agreement) before
@@ -47,7 +47,7 @@
 //! node that is alive but slow — a throttled accelerator, a degraded
 //! link — which in bulk-synchronous training taxes every rank at every
 //! collective. Per-step busy-time telemetry
-//! ([`fg_comm::Communicator::busy_nanos`]) feeds a
+//! ([`fg_comm::WorldComm::busy_nanos`]) feeds a
 //! [`crate::straggler::StragglerGuard`] (median-relative EMA criterion
 //! with all-rank agreement); a confirmed persistent straggler triggers,
 //! in order: *tolerate and log* (below threshold), **weighted
@@ -86,8 +86,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fg_comm::{
-    attribute_dead_ranks, run_ranks_with_faults, run_ranks_with_faults_integrity, CommError,
-    Communicator, FaultPlan, IntegrityConfig, TrafficStats,
+    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, IntegrityConfig,
+    RunOptions, TrafficStats, WorldComm,
 };
 use fg_kernels::loss::Labels;
 use fg_nn::{
@@ -200,8 +200,8 @@ pub struct ResilientConfig {
     /// ladder (steps commit unconditionally).
     pub guard: Option<GuardConfig>,
     /// End-to-end message integrity; `None` disables level 1 (faults
-    /// hit the training loop directly, as in plain
-    /// [`fg_comm::run_ranks_with_faults`]).
+    /// hit the training loop directly, as under plain
+    /// [`fg_comm::RunOptions::with_faults`]).
     pub integrity: Option<IntegrityConfig>,
     /// Injected compute error, for exercising the rollback path.
     pub compute_fault: Option<ComputeFault>,
@@ -609,11 +609,11 @@ fn store_snapshot(
     a.snapshots.fetch_add(1, Ordering::SeqCst);
 }
 
-type RankResult = (Vec<f64>, Vec<LayerParams>, Option<TrafficStats>);
+type RankResult = (Vec<f64>, Vec<LayerParams>, TrafficStats);
 
 /// One rank's training loop for one attempt: screened steps, in-place
 /// rollback on guard trips, escalation past the rollback budget.
-fn run_rank<C: Communicator>(a: &Attempt<'_>, comm: &C) -> RankResult {
+fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
     let (mut params, mut opt, mut losses, guard_state) = match a.resume {
         Some(s) => {
             (s.params.clone(), a.hyper.restored(s.velocity.clone()), s.losses.clone(), s.guard)
@@ -764,7 +764,7 @@ fn run_rank<C: Communicator>(a: &Attempt<'_>, comm: &C) -> RankResult {
             }
         }
     }
-    (losses, params, comm.stats_snapshot())
+    (losses, params, comm.stats())
 }
 
 /// Train for `steps` steps under fault injection with the four-level
@@ -880,12 +880,12 @@ pub fn resilient_train(
             rebalances_done: rebalances.len(),
         };
 
-        let outcome: Vec<Result<RankResult, CommError>> = match cfg.integrity.clone() {
-            Some(ic) => {
-                run_ranks_with_faults_integrity(world, attempt_plan, ic, |comm| run_rank(&a, comm))
-            }
-            None => run_ranks_with_faults(world, attempt_plan, |comm| run_rank(&a, comm)),
+        let opts = RunOptions {
+            integrity: cfg.integrity.clone(),
+            ..RunOptions::with_faults(attempt_plan)
         };
+        let outcome: Vec<Result<RankResult, CommError>> =
+            run_ranks_opts(world, opts, |comm| run_rank(&a, comm));
         attempt += 1;
 
         let first_error = outcome.iter().find_map(|r| r.as_ref().err().cloned());
@@ -893,10 +893,8 @@ pub fn resilient_train(
             None => {
                 let mut results: Vec<RankResult> =
                     outcome.into_iter().map(|r| r.expect("no errors")).collect();
-                let (corrupt_repaired, retransmits, repair_nanos) = results
-                    .iter()
-                    .filter_map(|(_, _, stats)| stats.as_ref())
-                    .fold((0, 0, 0), |(c, r, n), s| {
+                let (corrupt_repaired, retransmits, repair_nanos) =
+                    results.iter().fold((0, 0, 0), |(c, r, n), (_, _, s)| {
                         (c + s.corrupt_repaired(), r + s.retransmits(), n + s.repair_nanos())
                     });
                 let (losses, params, _) = results.remove(0);
@@ -1242,7 +1240,7 @@ mod tests {
         // Probe how many comm ops six steps take, then kill rank 1
         // halfway through — deterministically past the step-2 snapshot
         // and before the end, forcing a real restore-and-replay.
-        let probe = run_ranks_with_faults(2, FaultPlan::default(), |comm| {
+        let probe = run_ranks_opts(2, RunOptions::with_faults(FaultPlan::default()), |comm| {
             let mut p = params.to_vec();
             let mut opt = HYPER.fresh(&p);
             for _ in 0..6 {
@@ -1413,15 +1411,15 @@ mod tests {
         x: &Tensor,
         labels: &Labels,
     ) -> u64 {
-        let probe =
-            run_ranks_with_faults(exec.strategy.world_size(), FaultPlan::default(), |comm| {
-                let mut p = params.to_vec();
-                let mut opt = HYPER.fresh(&p);
-                for _ in 0..6 {
-                    exec.train_step(comm, &mut p, &mut opt, x, labels);
-                }
-                comm.ops()
-            });
+        let opts = RunOptions::with_faults(FaultPlan::default());
+        let probe = run_ranks_opts(exec.strategy.world_size(), opts, |comm| {
+            let mut p = params.to_vec();
+            let mut opt = HYPER.fresh(&p);
+            for _ in 0..6 {
+                exec.train_step(comm, &mut p, &mut opt, x, labels);
+            }
+            comm.ops()
+        });
         *probe[1].as_ref().unwrap()
     }
 

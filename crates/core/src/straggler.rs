@@ -11,7 +11,7 @@
 //! [`crate::resilient::resilient_train`]:
 //!
 //! 1. **Measurement.** Each rank measures its own *busy time* per step —
-//!    [`fg_comm::Communicator::busy_nanos`], the time spent computing
+//!    [`fg_comm::WorldComm::busy_nanos`], the time spent computing
 //!    between communication calls, which by construction excludes time
 //!    blocked waiting for other ranks (a rank stalled on a straggler's
 //!    sends would otherwise look slow itself, and the world would
@@ -45,7 +45,7 @@
 //! [`StragglerConfig::evict_ratio`], or once the rebalance budget is
 //! spent — softly evict the rank through the elastic-degradation rung.
 
-use fg_comm::{Collectives, Communicator, ReduceOp};
+use fg_comm::{Collectives, Communicator, ReduceOp, WorldComm};
 
 /// Tuning knobs for straggler detection and the mitigation ladder.
 #[derive(Debug, Clone)]
@@ -172,11 +172,7 @@ impl StragglerGuard {
     /// persistently exceeded the threshold. Collective — every rank
     /// must call it at the same point with its own measurement, and
     /// every rank receives the identical verdict.
-    pub fn observe<C: Communicator>(
-        &mut self,
-        comm: &C,
-        busy_delta_nanos: u64,
-    ) -> Option<StragglerFlag> {
+    pub fn observe(&mut self, comm: &WorldComm, busy_delta_nanos: u64) -> Option<StragglerFlag> {
         let world = comm.size();
         assert_eq!(world, self.ema.len(), "guard sized for a different world");
         // One-hot exchange: element r has exactly one nonzero

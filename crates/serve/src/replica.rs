@@ -2,8 +2,9 @@
 //! the elastic-degradation lifecycle.
 //!
 //! Each replica is one *driver thread* owning a sequence of **epochs**.
-//! An epoch is a full `run_ranks_with_faults_integrity` world: every
-//! rank loops on its private job channel, executes
+//! An epoch is a full world under faults + integrity
+//! ([`fg_comm::RunOptions::with_faults_integrity`]): every rank loops on
+//! its private job channel, executes
 //! [`fg_core::DistExecutor::infer_logits`] for each batch job, and rank
 //! 0 (the assembly root) sends the reply. Jobs are fanned out to *all*
 //! rank channels under a submission lock, so every rank observes the
@@ -38,8 +39,8 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fg_comm::{
-    attribute_dead_ranks, run_ranks_with_faults_integrity, CommError, Communicator, FaultPlan,
-    IntegrityConfig, TrafficStats,
+    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, IntegrityConfig,
+    RunOptions, TrafficStats, WorldComm,
 };
 use fg_core::{DistExecutor, ServableModel, Strategy};
 use fg_tensor::{ProcGrid, Tensor};
@@ -331,10 +332,9 @@ fn run_driver(
             replica.breaker.probe();
         }
 
+        let opts = RunOptions::with_faults_integrity(plan.clone(), spec.integrity.clone());
         let results =
-            run_ranks_with_faults_integrity(world, plan.clone(), spec.integrity.clone(), |comm| {
-                serve_rank(comm, replica, &session, model)
-            });
+            run_ranks_opts(world, opts, |comm| serve_rank(comm, replica, &session, model));
 
         // The epoch ended: unpublish and route traffic around us.
         *replica.session.lock().unwrap() = None;
@@ -343,7 +343,7 @@ fn run_driver(
 
         // Health: aggregate the epoch's repair traffic.
         let mut stats = TrafficStats::default();
-        for s in results.iter().filter_map(|r| r.as_ref().ok().and_then(|o| o.as_ref())) {
+        for s in results.iter().filter_map(|r| r.as_ref().ok()) {
             stats.merge(s);
         }
         replica.breaker.note_health(&stats, session.jobs_done.load(Ordering::Acquire).max(1));
@@ -404,12 +404,12 @@ fn drain_session(replica: usize, session: &Session) {
 /// rank 0. Comm failures mark the session failed and re-panic so the
 /// runtime's rank boundary classifies them; idle peers see the flag and
 /// leave, collapsing the world without a hang.
-fn serve_rank<C: Communicator>(
-    comm: &C,
+fn serve_rank(
+    comm: &WorldComm,
     replica: &Replica,
     session: &Session,
     model: &ServableModel,
-) -> Option<TrafficStats> {
+) -> TrafficStats {
     let rank = comm.rank();
     let rx = session.rank_rx[rank].clone();
     loop {
@@ -446,7 +446,7 @@ fn serve_rank<C: Communicator>(
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    comm.stats_snapshot()
+    comm.stats()
 }
 
 /// Split an assembled `(padded, …)` activation into per-request rows,

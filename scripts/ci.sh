@@ -94,6 +94,13 @@ if [ "$quick" -eq 0 ]; then
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 fi
 
+# The one world communicator has two receive paths: unmonitored worlds
+# block on the channel, guarded ones poll. Everything below runs guarded,
+# so the communicator's own suite runs once here with a silent
+# environment to keep the blocking path inside the gate.
+step "fg-comm tests, unguarded (blocking receive path)"
+env -u FG_COMM_WATCHDOG -u FG_COMM_INTEGRITY cargo test -q --offline -p fg-comm
+
 # Run every test under the deadlock watchdog (a hung collective fails
 # with a wait-graph diagnostic instead of stalling the CI job) and with
 # end-to-end message integrity envelopes on (every world-internal send
@@ -108,8 +115,8 @@ cargo test -q --offline
 step "workspace tests (watchdog + integrity on)"
 cargo test -q --offline --workspace
 
-step "chaos suite (fault injection + corruption repair, pinned seeds)"
-cargo test -q --offline -p fg-comm --test faults
+step "chaos suite (fault injection + corruption repair, pinned seeds + golden outcomes)"
+cargo test -q --offline -p fg-comm --test faults --test chaos_golden
 
 step "elastic degradation (permanent rank loss, watchdog + integrity on)"
 filtered_tests --test resilience -- degrade

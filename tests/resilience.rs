@@ -6,7 +6,7 @@
 //! bitwise checkpoint round-trips imply replay is exact — any divergence
 //! means either nondeterminism in a collective or a lossy checkpoint.
 
-use finegrain::comm::{run_ranks, FaultPlan, IntegrityConfig};
+use finegrain::comm::{run_ranks, run_ranks_opts, FaultPlan, IntegrityConfig, RunOptions};
 use finegrain::core::{
     resilient_train, DegradeConfig, DistExecutor, GuardConfig, ResilientConfig, SgdHyper,
     StragglerConfig, Strategy,
@@ -64,7 +64,8 @@ fn baseline_bits(f: &Fixture) -> Vec<u64> {
 
 /// Comm ops one rank spends on the full run (the valid kill range).
 fn ops_horizon(f: &Fixture) -> u64 {
-    let probe = finegrain::comm::run_ranks_with_faults(WORLD, FaultPlan::default(), |comm| {
+    let probe_opts = RunOptions::with_faults(FaultPlan::default());
+    let probe = run_ranks_opts(WORLD, probe_opts, |comm| {
         let mut p = f.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
         for _ in 0..STEPS {
@@ -170,7 +171,8 @@ fn permanently_dead_rank_degrades_4_to_3_bitwise() {
 
     // Probe the comm-op horizon to pin the kill mid-run, past the first
     // snapshot (step 2) and before the end.
-    let probe = finegrain::comm::run_ranks_with_faults(4, FaultPlan::default(), |comm| {
+    let probe_opts = RunOptions::with_faults(FaultPlan::default());
+    let probe = run_ranks_opts(4, probe_opts, |comm| {
         let mut p = net.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
         for _ in 0..STEPS4 {
@@ -527,7 +529,8 @@ fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise(
     });
     let labels = Labels::per_pixel(2, 8, 8, (0..2 * 8 * 8).map(|i| (i % 2) as u32).collect());
 
-    let probe = finegrain::comm::run_ranks_with_faults(4, FaultPlan::default(), |comm| {
+    let probe_opts = RunOptions::with_faults(FaultPlan::default());
+    let probe = run_ranks_opts(4, probe_opts, |comm| {
         let mut p = net.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
         for _ in 0..STEPS4 {
@@ -652,7 +655,8 @@ fn torn_newest_version_falls_back_to_previous_verifiable_and_recovers_bitwise() 
         });
         losses[0].iter().map(|l| l.to_bits()).collect::<Vec<_>>()
     };
-    let probe = finegrain::comm::run_ranks_with_faults(WORLD, FaultPlan::default(), |comm| {
+    let probe_opts = RunOptions::with_faults(FaultPlan::default());
+    let probe = run_ranks_opts(WORLD, probe_opts, |comm| {
         let mut p = f.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
         for _ in 0..STEPS6 {
