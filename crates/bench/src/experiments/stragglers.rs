@@ -53,7 +53,7 @@ use fg_nn::NetworkSpec;
 use fg_perf::{
     platform_link_model, rebalance_for_stragglers, ModeledCompute, Platform, SlowedCompute,
 };
-use fg_tensor::{ProcGrid, RegridPlan, Shape4};
+use fg_tensor::ProcGrid;
 
 use super::hybrid_grid;
 use crate::table::{fmt_time, Table};
@@ -175,25 +175,6 @@ fn slow_row_ema(grid: ProcGrid, factor: f64) -> Vec<f64> {
     slow_row_factors(grid, factor)
 }
 
-/// Re-sharding traffic between two layouts of the same network: the
-/// per-layer [`RegridPlan`] moved/total bytes, conservation-checked.
-fn regrid_cost(spec: &NetworkSpec, batch: usize, from: &Strategy, to: &Strategy) -> (u64, u64) {
-    let (mut moved, mut total) = (0u64, 0u64);
-    for (id, &(c, h, w)) in spec.shapes().iter().enumerate() {
-        let shape = Shape4::new(batch, c, h, w);
-        let old = from.dist_for(shape, from.grids[id]);
-        let new = to.dist_for(shape, to.grids[id]);
-        if old == new {
-            continue;
-        }
-        let plan = RegridPlan::build(old, new);
-        plan.check_conservation().expect("regrid between layouts conserves elements");
-        moved += plan.moved_bytes();
-        total += plan.total_bytes();
-    }
-    (moved, total)
-}
-
 /// Execute one weighted-rebalance configuration.
 pub fn rebalance_config(
     platform: &Platform,
@@ -209,7 +190,7 @@ pub fn rebalance_config(
     let healthy = run_sim(platform, spec, &uniform, batch, None);
     let slow = run_sim(platform, spec, &uniform, batch, Some(factors.clone()));
     let rebalanced = run_sim(platform, spec, &weighted, batch, Some(factors.clone()));
-    let (regrid_moved_bytes, regrid_total_bytes) = regrid_cost(spec, batch, &uniform, &weighted);
+    let (regrid_moved_bytes, regrid_total_bytes) = uniform.regrid_cost(&weighted, spec, batch);
     RebalanceRow {
         world: grid.size(),
         grid,

@@ -246,7 +246,9 @@ impl FaultPlan {
 
     /// Per-rank slowdown factors for a world of `world` ranks —
     /// `vec![1.0; world]` with stragglers raised to their factor. The
-    /// form the DES engine and modeled-compute oracles consume.
+    /// form modeled-compute oracles (`fg_perf::SlowedCompute`, which is
+    /// how a straggler reaches the DES engine) and the resilient
+    /// trainer's compute stretch consume.
     pub fn slowdown_vector(&self, world: usize) -> Vec<f64> {
         (0..world).map(|r| self.slowdown(r)).collect()
     }

@@ -67,8 +67,7 @@ pub use runtime::{
     WorldComm,
 };
 pub use sim::{
-    collective_finish_times, replay_traces_timed, sim_workers_from_env, simulate_traces,
-    simulate_traces_slowed, simulate_traces_with, BlockedRank, SimError, SimReport,
+    collective_finish_times, replay_traces_timed, simulate_traces, BlockedRank, SimError, SimReport,
 };
 pub use stats::{OpClass, TrafficStats};
 pub use subcomm::{SubComm, SubCommLayout};

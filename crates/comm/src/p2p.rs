@@ -38,6 +38,12 @@ pub const fn sub_collective_tag(tag_salt: u64, counter: u64) -> Tag {
     RESERVED_TAG_BASE | (1 << 61) | (tag_salt << 32) | counter
 }
 
+/// The group salt a [`sub_collective_tag`] carries (bits 32..61) — how a
+/// replay of recorded tags re-binds the group that drew them.
+pub(crate) const fn sub_collective_salt(tag: Tag) -> u64 {
+    (tag >> 32) & ((1 << 29) - 1)
+}
+
 /// Scalar element types that can travel through the communicator.
 ///
 /// The bound is deliberately broad: payloads are moved as boxed `Vec<T>`
@@ -295,6 +301,15 @@ pub trait Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sub_collective_salt_inverts_the_tag_layout() {
+        for salt in [0, 1, (1 << 29) - 1] {
+            for counter in [0, 1, 77, u64::from(u32::MAX)] {
+                assert_eq!(sub_collective_salt(sub_collective_tag(salt, counter)), salt);
+            }
+        }
+    }
 
     #[test]
     fn corruption_always_changes_the_value() {

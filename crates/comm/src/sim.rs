@@ -6,10 +6,12 @@
 //! scheduler over [`crate::trace::RankTrace`]s: every rank becomes a
 //! resumable state machine stepping through its compiled communication
 //! schedule (sends, receives, collectives, and modeled-compute
-//! [`crate::trace::TraceOp::Advance`] ops), and a small worker pool
-//! drives all ranks, matching sends to receives per `(src, dst, tag)`
-//! stream exactly as the live runtime does. Worlds of 2048–32768 ranks
-//! execute in seconds.
+//! [`crate::trace::TraceOp::Advance`] ops), and one run-to-block loop
+//! on the calling thread drives all ranks: pop a ready rank, step it
+//! until it parks on an empty stream or an incomplete collective, and
+//! let whoever unblocks it push it back on the ready queue. Sends match
+//! receives per `(src, dst, tag)` stream exactly as the live runtime
+//! does. Worlds of 2048–32768 ranks execute in seconds.
 //!
 //! ## Timing semantics (identical to the threaded runtime)
 //!
@@ -20,11 +22,12 @@
 //! * `Advance` adds modeled local work to the clock.
 //!
 //! Under these rules the trace network is a Kahn process network: every
-//! rank's final clock is independent of scheduling order and of the
-//! worker-pool size, so the engine is deterministic by construction and
-//! its clocks are *provably* the thread-per-rank clocks for the same
-//! [`LinkModel`]. The `sim_matches_threaded` proptest pins this
-//! end-to-end on ≤ 8-rank worlds.
+//! rank's final clock is independent of scheduling order — which is why
+//! the loop's FIFO order is as good as any — so the engine is
+//! deterministic by construction and its clocks are *provably* the
+//! thread-per-rank clocks for the same [`LinkModel`].
+//! `tests/sim_equivalence.rs` pins this end-to-end on ≤ 8-rank worlds,
+//! `tests/sim_golden.rs` pins the reports at 128–512 ranks.
 //!
 //! ## Collectives
 //!
@@ -32,7 +35,7 @@
 //! clocks; the last arriver computes every member's finish time with
 //! per-round recurrences that mirror the executed algorithms in
 //! [`crate::collectives`] message-for-message (see
-//! [`collective_finish_times`]), then wakes the parked members. Because
+//! [`collective_finish_times`]), then readies the parked members. Because
 //! a `sendrecv` is a send (clock unchanged) followed by a receive, each
 //! round's arrivals depend only on the previous round's clocks — the
 //! fused recurrence is exactly the fixed point the threaded execution
@@ -42,24 +45,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::collectives::{prev_pow2, segment_at_level, AllreduceAlgorithm};
-use crate::p2p::{Communicator, ScalarType, Tag};
+use crate::p2p::{sub_collective_salt, Communicator, ScalarType, Tag};
 use crate::trace::{CollectiveKind, RankTrace, TraceOp};
 use crate::LinkModel;
-
-/// Worker-pool size: `FG_SIM_WORKERS` if set to a positive integer,
-/// otherwise `min(available_parallelism, 8)`. The result is identical
-/// for any worker count; more workers only change wall time.
-pub fn sim_workers_from_env() -> usize {
-    match std::env::var("FG_SIM_WORKERS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8),
-    }
-}
 
 /// What the discrete-event run produced: per-rank final clocks and a
 /// breakdown of where virtual time went.
@@ -84,10 +75,6 @@ pub struct SimReport {
     pub wall: Duration,
 }
 
-/// The scheduling-independent slice of a [`SimReport`]: clocks,
-/// compute, p2p wait, allreduce exposure, ops executed, messages.
-pub type DeterministicView<'a> = (&'a [f64], &'a [f64], &'a [f64], &'a [f64], u64, u64);
-
 impl SimReport {
     /// The virtual makespan: the maximum final clock.
     pub fn makespan(&self) -> f64 {
@@ -97,19 +84,6 @@ impl SimReport {
     /// Events (trace ops) executed per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         self.ops_executed as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
-
-    /// Everything scheduling-independent — the full report minus wall
-    /// time. Two runs of the same traces must compare equal on this.
-    pub fn deterministic_view(&self) -> DeterministicView<'_> {
-        (
-            &self.clocks,
-            &self.compute,
-            &self.p2p_wait,
-            &self.allreduce,
-            self.ops_executed,
-            self.messages,
-        )
     }
 }
 
@@ -177,15 +151,10 @@ struct Instance {
     members: std::sync::Arc<[usize]>,
     count: usize,
     ty: ScalarType,
-    state: Mutex<InstanceState>,
-}
-
-struct InstanceState {
-    /// Entry clocks, member order; NaN = not arrived yet.
+    /// Entry clocks, member order; NaN = not arrived yet. Every member
+    /// that has arrived is parked here until the last one does.
     entry: Vec<f64>,
     arrived: usize,
-    /// Ranks parked waiting for completion.
-    parked: Vec<usize>,
     /// Finish clocks, member order; empty until the last member arrives.
     finish: Vec<f64>,
 }
@@ -241,12 +210,9 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
                             members: std::sync::Arc::clone(members),
                             count: *count,
                             ty: *ty,
-                            state: Mutex::new(InstanceState {
-                                entry: vec![f64::NAN; p],
-                                arrived: 0,
-                                parked: Vec::new(),
-                                finish: Vec::new(),
-                            }),
+                            entry: vec![f64::NAN; p],
+                            arrived: 0,
+                            finish: Vec::new(),
                         });
                         ids.push(id);
                         id
@@ -289,6 +255,7 @@ struct Stream {
     waiting: Option<usize>,
 }
 
+#[derive(Default)]
 struct RankState {
     ops: Vec<SimOp>,
     pc: usize,
@@ -298,335 +265,147 @@ struct RankState {
     allreduce: f64,
 }
 
-struct Sched {
-    ready: VecDeque<usize>,
-    idle: usize,
-    finished: usize,
-    deadlock: bool,
-}
-
-const STREAM_SHARDS: usize = 64;
-
-/// One lock shard of the stream map.
-type StreamShard = Mutex<HashMap<(usize, usize, Tag), Stream>>;
-
 struct Engine<'a> {
-    ranks: Vec<Mutex<RankState>>,
+    ranks: Vec<RankState>,
     instances: Vec<Instance>,
-    streams: Vec<StreamShard>,
-    sched: Mutex<Sched>,
-    cv: Condvar,
+    streams: HashMap<(usize, usize, Tag), Stream>,
+    /// Ranks that can make progress, FIFO.
+    ready: VecDeque<usize>,
     link: &'a LinkModel,
-    workers: usize,
-    messages: AtomicU64,
-    ops_executed: AtomicU64,
+    messages: u64,
+    ops_executed: u64,
 }
 
-impl<'a> Engine<'a> {
-    fn shard(
-        &self,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-    ) -> &Mutex<HashMap<(usize, usize, Tag), Stream>> {
-        let h = src
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(dst.wrapping_mul(0x85EB_CA6B))
-            .wrapping_add(tag as usize);
-        &self.streams[h % STREAM_SHARDS]
-    }
-
-    fn wake(&self, rank: usize) {
-        let mut s = self.sched.lock().expect("scheduler lock");
-        s.ready.push_back(rank);
-        self.cv.notify_one();
-    }
-
-    fn worker(&self) {
-        loop {
-            let rank = {
-                let mut s = self.sched.lock().expect("scheduler lock");
-                loop {
-                    if s.finished == self.ranks.len() || s.deadlock {
-                        return;
-                    }
-                    if let Some(r) = s.ready.pop_front() {
-                        break r;
-                    }
-                    s.idle += 1;
-                    if s.idle == self.workers {
-                        // Nothing ready, nothing running, ranks remain:
-                        // no future event can wake anyone. Deadlock.
-                        s.deadlock = true;
-                        self.cv.notify_all();
-                        return;
-                    }
-                    s = self.cv.wait(s).expect("scheduler lock");
-                    s.idle -= 1;
-                }
-            };
-            self.run_rank(rank);
-        }
-    }
-
+impl Engine<'_> {
     /// Step `rank` until it parks on an empty stream / incomplete
     /// collective, or runs out of ops.
-    fn run_rank(&self, rank: usize) {
-        let mut st = self.ranks[rank].lock().expect("rank lock");
-        let mut executed = 0u64;
-        let mut messages = 0u64;
-        loop {
-            if st.pc >= st.ops.len() {
-                drop(st);
-                self.ops_executed.fetch_add(executed, Ordering::Relaxed);
-                self.messages.fetch_add(messages, Ordering::Relaxed);
-                let mut s = self.sched.lock().expect("scheduler lock");
-                s.finished += 1;
-                if s.finished == self.ranks.len() {
-                    self.cv.notify_all();
-                }
-                return;
-            }
+    fn run_rank(&mut self, rank: usize) {
+        let st = &mut self.ranks[rank];
+        while st.pc < st.ops.len() {
             match st.ops[st.pc] {
                 SimOp::Advance { secs } => {
                     st.clock += secs;
                     st.compute += secs;
-                    st.pc += 1;
-                    executed += 1;
                 }
                 SimOp::Send { to, tag, bytes } => {
                     let arrival = st.clock + self.link.time(rank, to, bytes);
-                    messages += 1;
-                    let woken = {
-                        let mut shard = self.shard(rank, to, tag).lock().expect("stream lock");
-                        let stream = shard.entry((rank, to, tag)).or_default();
-                        stream.queue.push_back(arrival);
-                        stream.waiting.take()
-                    };
-                    if let Some(w) = woken {
-                        self.wake(w);
-                    }
-                    st.pc += 1;
-                    executed += 1;
+                    self.messages += 1;
+                    let stream = self.streams.entry((rank, to, tag)).or_default();
+                    stream.queue.push_back(arrival);
+                    self.ready.extend(stream.waiting.take());
                 }
                 SimOp::Recv { from, tag } => {
-                    let popped = {
-                        let mut shard = self.shard(from, rank, tag).lock().expect("stream lock");
-                        let stream = shard.entry((from, rank, tag)).or_default();
-                        match stream.queue.pop_front() {
-                            Some(a) => Some(a),
-                            None => {
-                                stream.waiting = Some(rank);
-                                None
-                            }
-                        }
+                    let stream = self.streams.entry((from, rank, tag)).or_default();
+                    let Some(arrival) = stream.queue.pop_front() else {
+                        // Parked; the matching send reschedules us.
+                        stream.waiting = Some(rank);
+                        return;
                     };
-                    match popped {
-                        Some(arrival) => {
-                            if arrival > st.clock {
-                                st.p2p_wait += arrival - st.clock;
-                                st.clock = arrival;
-                            }
-                            st.pc += 1;
-                            executed += 1;
-                        }
-                        None => {
-                            // Parked; the matching send reschedules us.
-                            drop(st);
-                            self.ops_executed.fetch_add(executed, Ordering::Relaxed);
-                            self.messages.fetch_add(messages, Ordering::Relaxed);
-                            return;
-                        }
+                    if arrival > st.clock {
+                        st.p2p_wait += arrival - st.clock;
+                        st.clock = arrival;
                     }
                 }
                 SimOp::Collective { id, member_index } => {
-                    let inst = &self.instances[id];
-                    let mut is = inst.state.lock().expect("instance lock");
-                    if is.entry[member_index].is_nan() {
-                        is.entry[member_index] = st.clock;
-                        is.arrived += 1;
-                        if is.arrived == inst.members.len() {
-                            // Last arriver: fuse the whole collective.
-                            let bytes = inst.count * inst.ty.width();
-                            let alg = AllreduceAlgorithm::Auto.resolve(bytes);
-                            let (finish, msgs) = collective_finish_times(
-                                alg,
-                                &is.entry,
-                                &inst.members,
-                                inst.count,
-                                inst.ty.width(),
-                                self.link,
-                            );
-                            messages += msgs;
-                            is.finish = finish;
-                            let f = is.finish[member_index];
-                            st.allreduce += f - is.entry[member_index];
-                            st.clock = f;
-                            let parked = std::mem::take(&mut is.parked);
-                            drop(is);
-                            if !parked.is_empty() {
-                                let mut s = self.sched.lock().expect("scheduler lock");
-                                s.ready.extend(parked);
-                                self.cv.notify_all();
-                            }
-                            st.pc += 1;
-                            executed += 1;
-                        } else {
-                            is.parked.push(rank);
-                            drop(is);
-                            drop(st);
-                            self.ops_executed.fetch_add(executed, Ordering::Relaxed);
-                            self.messages.fetch_add(messages, Ordering::Relaxed);
+                    let inst = &mut self.instances[id];
+                    if inst.entry[member_index].is_nan() {
+                        inst.entry[member_index] = st.clock;
+                        inst.arrived += 1;
+                        if inst.arrived < inst.members.len() {
+                            // Parked; the last arriver reschedules us.
                             return;
                         }
-                    } else {
-                        // Resumed after completion: read our finish time.
-                        debug_assert!(!is.finish.is_empty(), "resumed before completion");
-                        let f = is.finish[member_index];
-                        st.allreduce += f - is.entry[member_index];
-                        st.clock = f;
-                        st.pc += 1;
-                        executed += 1;
+                        // Last arriver: fuse the whole collective and
+                        // ready every other member, all parked above.
+                        let (finish, msgs) = collective_finish_times(
+                            AllreduceAlgorithm::Auto,
+                            &inst.entry,
+                            &inst.members,
+                            inst.count,
+                            inst.ty.width(),
+                            self.link,
+                        );
+                        inst.finish = finish;
+                        self.messages += msgs;
+                        self.ready.extend(inst.members.iter().filter(|&&m| m != rank));
                     }
+                    // The last arriver, or a member resumed by it.
+                    let f = inst.finish[member_index];
+                    st.allreduce += f - inst.entry[member_index];
+                    st.clock = f;
                 }
             }
+            st.pc += 1;
+            self.ops_executed += 1;
         }
     }
 
-    fn describe_blocked(&self, rank: usize, st: &RankState) -> String {
+    fn describe_blocked(&self, st: &RankState) -> String {
         match st.ops[st.pc] {
             SimOp::Recv { from, tag } => {
                 format!("recv from rank {from} tag {tag:#x}: no message on the stream")
             }
             SimOp::Collective { id, .. } => {
                 let inst = &self.instances[id];
-                let is = inst.state.lock().expect("instance lock");
-                format!("collective of {} members: only {} arrived", inst.members.len(), is.arrived)
+                format!(
+                    "collective of {} members: only {} arrived",
+                    inst.members.len(),
+                    inst.arrived
+                )
             }
-            SimOp::Send { to, .. } => format!("send to rank {to} (sends never block?)"),
-            SimOp::Advance { .. } => format!("advance (never blocks?) at rank {rank}"),
+            SimOp::Send { .. } | SimOp::Advance { .. } => {
+                unreachable!("sends and advances never park a rank")
+            }
         }
     }
 }
 
-/// Execute `traces` as a discrete-event run under `link`, with the
-/// worker-pool size from [`sim_workers_from_env`]. Traces must be in
-/// rank order (index i = rank i), as produced by the trace recorders.
+/// Execute `traces` as a discrete-event run under `link`. Traces must
+/// be in rank order (index i = rank i), as produced by the trace
+/// recorders.
 pub fn simulate_traces(traces: &[RankTrace], link: &LinkModel) -> Result<SimReport, SimError> {
-    simulate_traces_with(traces, link, sim_workers_from_env())
-}
-
-/// Execute `traces` with **per-rank compute slowdowns**: rank `r`'s
-/// modeled-compute (`Advance`) durations are scaled by `slowdowns[r]`
-/// before execution, so a gray-failed rank takes `factor`× as long per
-/// step while its communication schedule is untouched. This is how
-/// straggler scenarios execute at paper scale (64–2048 ranks): record
-/// traces once on a healthy world, then simulate them under
-/// [`crate::fault::FaultPlan::slowdown_vector`]. A vector of all `1.0`
-/// reproduces [`simulate_traces`] exactly.
-pub fn simulate_traces_slowed(
-    traces: &[RankTrace],
-    link: &LinkModel,
-    slowdowns: &[f64],
-) -> Result<SimReport, SimError> {
-    assert_eq!(traces.len(), slowdowns.len(), "one slowdown factor per rank");
-    assert!(
-        slowdowns.iter().all(|&f| f >= 1.0 && f.is_finite()),
-        "slowdown factors must be finite and ≥ 1"
-    );
-    if slowdowns.iter().all(|&f| f == 1.0) {
-        return simulate_traces(traces, link);
-    }
-    let slowed: Vec<RankTrace> = traces
-        .iter()
-        .zip(slowdowns)
-        .map(|(t, &factor)| {
-            let mut t = t.clone();
-            for e in &mut t.entries {
-                if let TraceOp::Advance { secs } = &mut e.op {
-                    secs.0 *= factor;
-                }
-            }
-            t
-        })
-        .collect();
-    simulate_traces(&slowed, link)
-}
-
-/// [`simulate_traces`] with an explicit worker-pool size. The report's
-/// deterministic view is identical for every `workers ≥ 1`.
-pub fn simulate_traces_with(
-    traces: &[RankTrace],
-    link: &LinkModel,
-    workers: usize,
-) -> Result<SimReport, SimError> {
     let start = Instant::now();
     let n = traces.len();
     let compiled = compile(traces)?;
-    let workers = workers.clamp(1, n.max(1));
-    let engine = Engine {
+    let mut engine = Engine {
         ranks: compiled
             .ops
             .into_iter()
-            .map(|ops| {
-                Mutex::new(RankState {
-                    ops,
-                    pc: 0,
-                    clock: 0.0,
-                    compute: 0.0,
-                    p2p_wait: 0.0,
-                    allreduce: 0.0,
-                })
-            })
+            .map(|ops| RankState { ops, ..RankState::default() })
             .collect(),
         instances: compiled.instances,
-        streams: (0..STREAM_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        sched: Mutex::new(Sched { ready: (0..n).collect(), idle: 0, finished: 0, deadlock: false }),
-        cv: Condvar::new(),
+        streams: HashMap::new(),
+        ready: (0..n).collect(),
         link,
-        workers,
-        messages: AtomicU64::new(0),
-        ops_executed: AtomicU64::new(0),
+        messages: 0,
+        ops_executed: 0,
     };
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| engine.worker());
-        }
-    });
-    let deadlocked = engine.sched.lock().expect("scheduler lock").deadlock;
-    if deadlocked {
-        let mut blocked = Vec::new();
-        let mut total = 0usize;
-        for (rank, m) in engine.ranks.iter().enumerate() {
-            let st = m.lock().expect("rank lock");
-            if st.pc < st.ops.len() {
-                total += 1;
-                if blocked.len() < 16 {
-                    let detail = engine.describe_blocked(rank, &st);
-                    blocked.push(BlockedRank { rank, op_index: st.pc, detail });
-                }
-            }
-        }
-        return Err(SimError::Deadlock { blocked, total_blocked: total });
+    while let Some(rank) = engine.ready.pop_front() {
+        engine.run_rank(rank);
     }
-    let mut clocks = Vec::with_capacity(n);
-    let mut compute = Vec::with_capacity(n);
-    let mut p2p_wait = Vec::with_capacity(n);
-    let mut allreduce = Vec::with_capacity(n);
-    for m in &engine.ranks {
-        let st = m.lock().expect("rank lock");
-        clocks.push(st.clock);
-        compute.push(st.compute);
-        p2p_wait.push(st.p2p_wait);
-        allreduce.push(st.allreduce);
+    // Nothing ready, nothing running: a rank with ops remaining is
+    // parked on an event no one is left to produce. Deadlock.
+    let stuck = || engine.ranks.iter().enumerate().filter(|(_, st)| st.pc < st.ops.len());
+    let total_blocked = stuck().count();
+    if total_blocked > 0 {
+        let blocked = stuck()
+            .take(16)
+            .map(|(rank, st)| BlockedRank {
+                rank,
+                op_index: st.pc,
+                detail: engine.describe_blocked(st),
+            })
+            .collect();
+        return Err(SimError::Deadlock { blocked, total_blocked });
     }
+    let per_rank = |f: fn(&RankState) -> f64| engine.ranks.iter().map(f).collect();
     Ok(SimReport {
-        clocks,
-        compute,
-        p2p_wait,
-        allreduce,
-        ops_executed: engine.ops_executed.load(Ordering::Relaxed),
-        messages: engine.messages.load(Ordering::Relaxed),
+        clocks: per_rank(|st| st.clock),
+        compute: per_rank(|st| st.compute),
+        p2p_wait: per_rank(|st| st.p2p_wait),
+        allreduce: per_rank(|st| st.allreduce),
+        ops_executed: engine.ops_executed,
+        messages: engine.messages,
         wall: start.elapsed(),
     })
 }
@@ -868,11 +647,10 @@ pub fn replay_traces_timed(traces: &[RankTrace], link: &LinkModel) -> Vec<f64> {
                     if members.len() == world {
                         allreduce_zeroed(comm, *count, *ty);
                     } else {
-                        // sub_collective_tag(salt, c) packs the salt in
-                        // bits 32..61; recover it so the rebound group
+                        // Rebind with the recorded salt so the group
                         // draws the recorded tags (counter restarts at 0
                         // per bind, matching the recorder).
-                        let salt = (tag >> 32) & ((1u64 << 29) - 1);
+                        let salt = sub_collective_salt(*tag);
                         let sub = crate::subcomm::SubComm::new(comm, members.to_vec(), salt)
                             .expect("recorded member list binds");
                         allreduce_zeroed(&sub, *count, *ty);
@@ -945,11 +723,16 @@ mod tests {
     /// A small pipeline: rank i advances i·1ms, sends to i+1, then the
     /// world allreduces.
     fn pipeline_traces(world: usize) -> Vec<RankTrace> {
+        pipeline_traces_slowed(world, &vec![1.0; world])
+    }
+
+    /// The same pipeline with rank i's compute stretched `factors[i]`×.
+    fn pipeline_traces_slowed(world: usize, factors: &[f64]) -> Vec<RankTrace> {
         (0..world)
             .map(|rank| {
                 let mut rec = TraceRecorder::new(rank, world);
                 rec.scope(0, Phase::Forward);
-                rec.advance(rank as f64 * 1e-3);
+                rec.advance(factors[rank] * (rank as f64 * 1e-3));
                 rec.begin_exchange();
                 let tag = rec.next_world_tag();
                 if rank + 1 < world {
@@ -969,22 +752,18 @@ mod tests {
     fn pipeline_matches_threaded_exactly() {
         let traces = pipeline_traces(6);
         let want = replay_traces_timed(&traces, &link());
-        let got = simulate_traces_with(&traces, &link(), 4).expect("simulates");
+        let got = simulate_traces(&traces, &link()).expect("simulates");
         assert_eq!(got.clocks, want);
     }
 
     #[test]
     fn slowed_simulation_stretches_the_straggler_and_its_waiters() {
-        let traces = pipeline_traces(6);
-        let healthy = simulate_traces(&traces, &link()).expect("simulates");
-        // Uniform slowdown of 1.0 is the identity.
-        let id = simulate_traces_slowed(&traces, &link(), &[1.0; 6]).expect("simulates");
-        assert_eq!(id.deterministic_view(), healthy.deterministic_view());
+        let healthy = simulate_traces(&pipeline_traces(6), &link()).expect("simulates");
         // Rank 3 at 4×: its compute quadruples exactly, everyone behind
         // it in the pipeline and the closing allreduce finishes later.
         let mut f = vec![1.0; 6];
         f[3] = 4.0;
-        let slow = simulate_traces_slowed(&traces, &link(), &f).expect("simulates");
+        let slow = simulate_traces(&pipeline_traces_slowed(6, &f), &link()).expect("simulates");
         assert_eq!(slow.compute[3], 4.0 * healthy.compute[3]);
         assert_eq!(slow.compute[2], healthy.compute[2]);
         assert!(slow.makespan() > healthy.makespan());
@@ -992,17 +771,9 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_worker_counts() {
-        let traces = pipeline_traces(8);
-        let a = simulate_traces_with(&traces, &link(), 1).expect("simulates");
-        let b = simulate_traces_with(&traces, &link(), 7).expect("simulates");
-        assert_eq!(a.deterministic_view(), b.deterministic_view());
-    }
-
-    #[test]
     fn advance_and_wait_accounting() {
         let traces = pipeline_traces(3);
-        let r = simulate_traces_with(&traces, &link(), 2).expect("simulates");
+        let r = simulate_traces(&traces, &link()).expect("simulates");
         assert_eq!(r.compute, vec![0.0, 1e-3, 2e-3]);
         // Rank 1 receives rank 0's send after its own 1ms advance: the
         // message arrived long before, so no exposed wait.
@@ -1017,12 +788,50 @@ mod tests {
         rec.recv(1, 7, 4, ScalarType::F32);
         let t0 = rec.finish();
         let t1 = TraceRecorder::new(1, 2).finish();
-        match simulate_traces_with(&[t0, t1], &link(), 2) {
+        match simulate_traces(&[t0, t1], &link()) {
             Err(SimError::Deadlock { blocked, total_blocked }) => {
                 assert_eq!(total_blocked, 1);
                 assert_eq!(blocked[0].rank, 0);
                 assert_eq!(blocked[0].op_index, 0);
                 assert!(blocked[0].detail.contains("recv from rank 1"));
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+
+        // A collective one member never joins: ranks 0 and 1 park on it
+        // after their first op, rank 2 finishes without it.
+        let traces: Vec<RankTrace> = (0..3)
+            .map(|rank| {
+                let mut rec = TraceRecorder::new(rank, 3);
+                rec.advance(1e-3);
+                if rank < 2 {
+                    rec.world_allreduce(64, ScalarType::F32);
+                }
+                rec.finish()
+            })
+            .collect();
+        match simulate_traces(&traces, &link()) {
+            Err(SimError::Deadlock { blocked, total_blocked }) => {
+                assert_eq!(total_blocked, 2);
+                assert_eq!((blocked[1].rank, blocked[1].op_index), (1, 1));
+                assert!(blocked[1].detail.contains("collective of 3 members: only 2 arrived"));
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+
+        // Every rank of a 20-rank ring receives first: all are counted,
+        // the report is capped.
+        let traces: Vec<RankTrace> = (0..20)
+            .map(|rank| {
+                let mut rec = TraceRecorder::new(rank, 20);
+                rec.recv((rank + 19) % 20, 7, 4, ScalarType::F32);
+                rec.send((rank + 1) % 20, 7, 4, ScalarType::F32);
+                rec.finish()
+            })
+            .collect();
+        match simulate_traces(&traces, &link()) {
+            Err(SimError::Deadlock { blocked, total_blocked }) => {
+                assert_eq!((total_blocked, blocked.len()), (20, 16));
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
@@ -1034,7 +843,7 @@ mod tests {
         a.world_allreduce(100, ScalarType::F32);
         let mut b = TraceRecorder::new(1, 2);
         b.world_allreduce(200, ScalarType::F32);
-        match simulate_traces_with(&[a.finish(), b.finish()], &link(), 2) {
+        match simulate_traces(&[a.finish(), b.finish()], &link()) {
             Err(SimError::Inconsistent { detail }) => assert!(detail.contains("100")),
             other => panic!("expected inconsistency, got {other:?}"),
         }

@@ -95,7 +95,7 @@ use fg_nn::{
     save_train_state, CkptStore, GuardState, LayerParams, ReshardStats, Sgd, StoreConfig,
     TrainState,
 };
-use fg_tensor::{ProcGrid, RegridPlan, Shape4, Tensor};
+use fg_tensor::{ProcGrid, Tensor};
 
 use crate::executor::DistExecutor;
 use crate::guard::{GuardConfig, StepGuard};
@@ -963,24 +963,14 @@ pub fn resilient_train(
                     )
                     .expect("weighted strategy compiles");
                     // Account the activation regrid the new partition
-                    // implies, layer by layer, and prove it conserves
-                    // every element. (The actual state move rides the
+                    // implies. (The actual state move rides the
                     // replicated snapshot: the weighted executor simply
                     // shards it differently on restore.)
-                    let (mut moved, mut total) = (0u64, 0u64);
-                    for (id, &(c, h, w)) in cur_exec.spec.shapes().iter().enumerate() {
-                        let shape = Shape4::new(cur_exec.batch, c, h, w);
-                        let grid = cur_exec.strategy.grids[id];
-                        let old = cur_exec.strategy.dist_for(shape, grid);
-                        let new = new_strategy.dist_for(shape, grid);
-                        if old == new {
-                            continue;
-                        }
-                        let plan = RegridPlan::build(old, new);
-                        plan.check_conservation().expect("weighted regrid conserves every element");
-                        moved += plan.moved_bytes();
-                        total += plan.total_bytes();
-                    }
+                    let (moved, total) = cur_exec.strategy.regrid_cost(
+                        &new_strategy,
+                        &cur_exec.spec,
+                        cur_exec.batch,
+                    );
                     failures.push(err);
                     rebalances.push(Rebalance {
                         at_step: pending.at_step,

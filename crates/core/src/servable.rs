@@ -1,12 +1,12 @@
 //! Checkpoint → servable model: boot a serving replica from any
 //! snapshot the resilience ladder produces.
 //!
-//! Training checkpoints ([`fg_nn::TrainState`], formats FGCKPT01–03)
+//! Training checkpoints ([`fg_nn::TrainState`], formats FGCKPT02–03)
 //! carry parameters and optimizer state but *not* batch-norm running
 //! statistics — the trainer normalizes with per-batch statistics and
 //! never materializes the exponential averages inference needs. A
 //! [`ServableModel`] closes that gap honestly: it loads the snapshot
-//! (any version; v3 shards are assembled by the loader) and derives
+//! (either version; v3 shards are assembled by the loader) and derives
 //! [`fg_nn::RunningStats`] by replaying calibration batches through the
 //! frozen network, exactly the recalibration pass deployed systems run
 //! before promoting a checkpoint. With the statistics fixed, inference
@@ -57,7 +57,7 @@ impl ServableModel {
         ServableModel { spec: spec.clone(), params: net.params, stats, step: state.step }
     }
 
-    /// Load a serialized checkpoint (any of FGCKPT01–03) and freeze it
+    /// Load a serialized checkpoint (FGCKPT02 or FGCKPT03) and freeze it
     /// for serving. Sharded v3 checkpoints are assembled to the full
     /// parameter set — serving replicates parameters on every rank.
     pub fn from_checkpoint<R: std::io::Read>(

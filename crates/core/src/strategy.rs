@@ -7,7 +7,7 @@
 //! produces one.
 
 use fg_nn::{LayerKind, NetworkSpec};
-use fg_tensor::{GridWeights, ProcGrid, Shape4, TensorDist};
+use fg_tensor::{GridWeights, ProcGrid, RegridPlan, Shape4, TensorDist};
 
 use crate::layers::BnMode;
 
@@ -189,6 +189,26 @@ impl Strategy {
             }
             _ => TensorDist::new(shape, grid),
         }
+    }
+
+    /// Activation re-sharding traffic of moving `spec` at `batch` from
+    /// this layout to `to`: `(moved, total)` bytes summed over the
+    /// per-layer [`RegridPlan`]s, each checked to conserve every element.
+    pub fn regrid_cost(&self, to: &Strategy, spec: &NetworkSpec, batch: usize) -> (u64, u64) {
+        let (mut moved, mut total) = (0u64, 0u64);
+        for (id, &(c, h, w)) in spec.shapes().iter().enumerate() {
+            let shape = Shape4::new(batch, c, h, w);
+            let old = self.dist_for(shape, self.grids[id]);
+            let new = to.dist_for(shape, to.grids[id]);
+            if old == new {
+                continue;
+            }
+            let plan = RegridPlan::build(old, new);
+            plan.check_conservation().expect("regrid between layouts conserves elements");
+            moved += plan.moved_bytes();
+            total += plan.total_bytes();
+        }
+        (moved, total)
     }
 
     /// World size the strategy targets.

@@ -172,12 +172,13 @@ FG_VERIFY=1 filtered_tests --test resilience -- \
 FG_VERIFY=1 cargo test -q --offline -p fg-nn --test ckpt_chaos
 
 # The event-driven virtual-time engine's correctness anchor: DES clocks
-# must equal the thread-per-rank runtime's clocks exactly, and must be
-# independent of the worker-pool size. Run explicitly (the suites are
-# also part of the workspace run above) so a regression names itself.
-step "DES equivalence + determinism (sim engine vs threaded runtime)"
+# must equal the thread-per-rank runtime's clocks exactly, and the
+# reports at 128-512 ranks must be the recorded ones. Run explicitly
+# (the suites are also part of the workspace run above) so a regression
+# names itself.
+step "DES equivalence + golden reports (sim engine vs threaded runtime)"
 filtered_tests -p fg-comm --lib -- sim::
-cargo test -q --offline --test sim_equivalence
+cargo test -q --offline --test sim_equivalence --test sim_golden
 
 # Strategy search: same answers, each cost modeled once. The golden
 # test pins every per-layer grid and cost bit recorded before the search

@@ -10,16 +10,11 @@
 //! net, across sample / spatial / hybrid strategies, with and without
 //! modeled compute — executed under *random* link models drawn from
 //! every shipped constructor (`alpha_beta`, `two_level`, `custom`).
-//!
-//! The same property run also pins determinism: the engine's result is
-//! a function of the traces and the link model alone, independent of
-//! the worker-pool size that happened to execute it.
+//! (`sim_golden.rs` pins the reports themselves, at 128–512 ranks.)
 
 use fg_bench::experiments::hybrid_grid;
 use finegrain::comm::RankTrace;
-use finegrain::comm::{
-    replay_traces_timed, simulate_traces, simulate_traces_slowed, simulate_traces_with, LinkModel,
-};
+use finegrain::comm::{replay_traces_timed, simulate_traces, LinkModel};
 use finegrain::core::{DistExecutor, Strategy as ParallelStrategy};
 use finegrain::models::{mesh_model, MeshSize};
 use finegrain::nn::NetworkSpec;
@@ -94,13 +89,11 @@ proptest! {
 
     /// For every recorded schedule under a random link model: the DES
     /// clocks equal the thread-per-rank clocks *exactly* (f64 `==`, no
-    /// tolerance), and a run with a random worker-pool size reproduces
-    /// the canonical run bit for bit.
+    /// tolerance), and a second run reproduces the report.
     #[test]
     fn des_equals_threaded_and_is_deterministic(
         which in 0usize..5,
         link in link_model(),
-        workers in 1usize..=4,
     ) {
         let (name, traces) = &schedules()[which];
         let des = simulate_traces(traces, &link)
@@ -108,41 +101,15 @@ proptest! {
         let threaded = replay_traces_timed(traces, &link);
         prop_assert_eq!(&des.clocks, &threaded, "schedule {}", name);
 
-        let rerun = simulate_traces_with(traces, &link, workers)
-            .unwrap_or_else(|e| panic!("{name} ({workers} workers): {e}"));
-        prop_assert_eq!(
-            des.deterministic_view(),
-            rerun.deterministic_view(),
-            "schedule {} with {} workers",
-            name,
-            workers
-        );
-    }
-}
-
-/// Determinism pinned explicitly across the whole worker-count range,
-/// including pools larger than the world: every deterministic field of
-/// the report — clocks, compute, waits, allreduce exposure, event and
-/// message counts — is identical.
-#[test]
-fn worker_pool_size_never_changes_the_result() {
-    let (_, traces) = &schedules()[1];
-    let link = LinkModel::two_level(4, 2e-6, 1e-10, 15e-6, 2e-10);
-    let canonical = simulate_traces_with(traces, &link, 1).expect("single worker");
-    for workers in [2, 3, 5, 8, 64] {
-        let run = simulate_traces_with(traces, &link, workers).expect("runs");
-        assert_eq!(
-            canonical.deterministic_view(),
-            run.deterministic_view(),
-            "{workers}-worker run diverged from the single-worker run"
-        );
+        let mut rerun = simulate_traces(traces, &link)
+            .unwrap_or_else(|e| panic!("{name}, second run: {e}"));
+        rerun.wall = des.wall;
+        prop_assert_eq!(des, rerun, "schedule {}", name);
     }
 }
 
 /// Record a schedule whose modeled compute is stretched per rank by
-/// gray-failure `factors` — the recording-side injection path
-/// ([`SlowedCompute`]), as opposed to the post-hoc trace stretching of
-/// [`simulate_traces_slowed`].
+/// gray-failure `factors` ([`SlowedCompute`]).
 fn record_slowed(
     spec: NetworkSpec,
     grid: ProcGrid,
@@ -163,15 +130,10 @@ fn record_slowed(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Slow-rank equivalence: a gray-failed rank can be injected on
-    /// either side of the recording boundary — stretch the healthy
-    /// trace's `Advance` durations post hoc (`simulate_traces_slowed`,
-    /// how paper-scale straggler sweeps run) or record with a
-    /// [`SlowedCompute`] oracle — and both must agree with each other
-    /// and with the thread-per-rank timed replay, bit for bit, for any
-    /// victim, factor, and link model. Both paths scale the same f64s,
-    /// so the DES result is a property of the schedule, not of where
-    /// the slowdown was applied.
+    /// Slow-rank equivalence: a schedule recorded with a gray-failed
+    /// rank ([`SlowedCompute`], how paper-scale straggler sweeps run)
+    /// simulates to the thread-per-rank timed replay's clocks, bit for
+    /// bit, for any victim, factor, and link model.
     #[test]
     fn slow_rank_des_equals_threaded_replay(
         which in 0usize..2,
@@ -187,19 +149,10 @@ proptest! {
         let mut factors = vec![1.0f64; world];
         factors[victim % world] = factor;
 
-        // Post-hoc: healthy recording (shared across cases), stretched
-        // at simulation time. schedules()[0..2] are exactly these two
-        // configurations.
-        let (_, healthy) = &schedules()[which];
-        let slowed = simulate_traces_slowed(healthy, &link, &factors).expect("slowed DES runs");
-
-        // Recording-side: the oracle itself is slow.
         let recorded = record_slowed(spec, grid, batch, &factors);
         let des = simulate_traces(&recorded, &link).expect("recorded DES runs");
-        prop_assert_eq!(&slowed.clocks, &des.clocks, "injection side must not matter");
-
         // Ground truth: the threaded timed replay of the slowed world.
         let threaded = replay_traces_timed(&recorded, &link);
-        prop_assert_eq!(&slowed.clocks, &threaded, "DES must equal the threaded replay");
+        prop_assert_eq!(&des.clocks, &threaded, "DES must equal the threaded replay");
     }
 }
