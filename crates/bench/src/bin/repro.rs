@@ -12,7 +12,7 @@
 //!   tab3      ResNet-50 strong scaling
 //!   modelval  performance-model validation (kernel fit + traffic)
 //!   strategy  strategy optimizer demonstration
-//!   ext       extensions: channel/filter, 3-D, memory mechanisms
+//!   ext       extensions: modeled overlap ablation, memory-footprint arithmetic
 //!   faults    fault-injection overhead + recovery cost vs ckpt interval
 //!   verify    static schedule verification sweep (models × strategies × grids)
 //!   simscale  executed discrete-event runs at paper scale (writes BENCH_simscale.json)

@@ -1,88 +1,17 @@
-//! Extension experiments beyond the paper's evaluation section,
-//! implementing its explicitly flagged directions:
+//! Extension experiments beyond the paper's evaluation section:
 //!
-//! * **channel/filter parallelism** (§III-D + the §VI-B2 remark that it
-//!   "may be more promising, as many layers have many filters") —
-//!   spatial vs channel/filter cost for representative layers;
-//! * **3-D spatial parallelism** (conclusion: "more advantageous, due to
-//!   the more favorable surface-to-volume ratio") — halo-per-compute
-//!   ratios of 2-D vs 3-D decompositions as rank counts grow;
 //! * **memory-pressure alternatives** (§VII): activation footprints
 //!   under spatial parallelism vs micro-batching vs recomputation for
-//!   the 2K mesh model.
+//!   the 2K mesh model (shape arithmetic, nothing executed);
+//! * **modeled overlap ablation** (§IV-A, §V-B): the cost model with
+//!   halo and allreduce overlap switched off in turn.
 
 use fg_core::Strategy;
 use fg_models::{mesh_model, MeshSize};
-use fg_perf::volume::{halo_ratio_2d, halo_ratio_3d};
-use fg_perf::{compare_spatial_channel, network_cost, ConvLayerDesc, CostOptions, Platform};
+use fg_perf::{network_cost, CostOptions, Platform};
 
 use crate::experiments::hybrid_grid;
 use crate::table::{fmt_time, Table};
-
-/// Spatial vs channel/filter parallelism across the paper's benchmark
-/// layers plus a deep-ResNet layer, at 2–16 ranks.
-pub fn chanfilter_table(platform: &Platform) -> Table {
-    let layers: Vec<(&str, ConvLayerDesc)> = vec![
-        (
-            "mesh conv1_1 (2048², C18)",
-            ConvLayerDesc { n: 1, c: 18, h: 2048, w: 2048, f: 128, k: 5, s: 2 },
-        ),
-        (
-            "resnet conv1 (224², C3)",
-            ConvLayerDesc { n: 32, c: 3, h: 224, w: 224, f: 64, k: 7, s: 2 },
-        ),
-        (
-            "res3b_branch2a (28², C512)",
-            ConvLayerDesc { n: 32, c: 512, h: 28, w: 28, f: 128, k: 1, s: 1 },
-        ),
-        (
-            "deep layer (3², C2048)",
-            ConvLayerDesc { n: 32, c: 2048, h: 3, w: 3, f: 2048, k: 1, s: 1 },
-        ),
-    ];
-    let mut t = Table::new(
-        "Extension: spatial vs channel/filter parallelism (FP+BP time, allreduce excluded)",
-        &["layer", "P", "spatial", "channel/filter", "winner"],
-    );
-    for (name, desc) in &layers {
-        for p in [2usize, 4, 8, 16] {
-            let (spatial, channel) = compare_spatial_channel(platform, desc, p);
-            let (s_txt, winner) = match spatial {
-                Some(s) => {
-                    (format!("{:.3}ms", s * 1e3), if s <= channel { "spatial" } else { "channel" })
-                }
-                None => ("infeasible".to_string(), "channel"),
-            };
-            t.push_row(vec![
-                name.to_string(),
-                p.to_string(),
-                s_txt,
-                format!("{:.3}ms", channel * 1e3),
-                winner.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
-/// 2-D vs 3-D halo-per-compute ratios as rank counts grow — the
-/// surface-to-volume argument, quantified.
-pub fn vol3d_table() -> Table {
-    let mut t = Table::new(
-        "Extension: surface-to-volume — halo elements per owned element (O=1)",
-        &["ranks", "2-D 4096² (√P growth)", "3-D 256³ (∛P growth)"],
-    );
-    for (p2, (ph, pw), (pd, ph3, pw3)) in [
-        (8usize, (4usize, 2usize), (2usize, 2usize, 2usize)),
-        (64, (8, 8), (4, 4, 4)),
-        (512, (32, 16), (8, 8, 8)),
-    ] {
-        let r2 = halo_ratio_2d(1, 1, 4096, 4096, 1, ph, pw);
-        let r3 = halo_ratio_3d(1, 1, 256, 256, 256, 1, pd, ph3, pw3);
-        t.push_row(vec![p2.to_string(), format!("{r2:.5}"), format!("{r3:.5}")]);
-    }
-    t
-}
 
 /// Memory-pressure alternatives for the 2K mesh model: bytes per sample
 /// under each mechanism (§VII's comparison, made concrete).
@@ -166,41 +95,12 @@ pub fn overlap_ablation_table(platform: &Platform) -> Table {
 
 /// All extension tables.
 pub fn extensions(platform: &Platform) -> Vec<Table> {
-    vec![
-        chanfilter_table(platform),
-        vol3d_table(),
-        memory_table(),
-        overlap_ablation_table(platform),
-    ]
+    vec![memory_table(), overlap_ablation_table(platform)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chanfilter_table_covers_all_layers_and_ranks() {
-        let t = chanfilter_table(&Platform::lassen_like());
-        assert_eq!(t.rows.len(), 16);
-        // Huge-spatial layers: spatial wins at moderate P (tiny halos vs
-        // activation-sized collectives — the honest model outcome).
-        let mesh_p4 = &t.rows[1];
-        assert_eq!(mesh_p4[4], "spatial");
-        // 3² layer at P=16: spatial is infeasible; channel/filter is the
-        // only way to keep decomposing (the §VI-B2 direction).
-        let deep_p16 = &t.rows[15];
-        assert_eq!(deep_p16[2], "infeasible");
-        assert_eq!(deep_p16[4], "channel");
-    }
-
-    #[test]
-    fn vol3d_table_shows_slower_3d_growth() {
-        let t = vol3d_table();
-        let parse = |s: &str| s.parse::<f64>().unwrap();
-        let grow2 = parse(&t.rows[2][1]) / parse(&t.rows[0][1]);
-        let grow3 = parse(&t.rows[2][2]) / parse(&t.rows[0][2]);
-        assert!(grow3 < grow2, "3-D halo ratio must grow more slowly: {grow3} vs {grow2}");
-    }
 
     #[test]
     fn overlap_ablation_shows_monotone_costs() {

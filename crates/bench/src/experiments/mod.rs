@@ -7,7 +7,7 @@
 //! | [`resnet`] | Table III (ResNet-50 strong scaling) |
 //! | [`modelval`] | §VI-B3 model validation |
 //! | [`strategy`] | §V-C strategy optimizer demonstration |
-//! | [`extensions`] | channel/filter, 3-D, memory-pressure extensions |
+//! | [`extensions`] | modeled overlap ablation, memory-footprint arithmetic |
 //! | [`faults`] | fault-model overhead and checkpointed-recovery cost |
 //! | [`verify`] | static schedule verification sweep (fg-verify) |
 //! | [`simscale`] | Tables I–III / Fig. 4 as executed discrete-event runs |

@@ -2,8 +2,8 @@
 //! hybrid sample/spatial parallelism.
 //!
 //! A [`DistConv2d`] binds a convolution geometry to a process grid. The
-//! grid factorizes the world into `n × h × w` ranks (`c` must be 1 here;
-//! channel/filter parallelism lives in [`crate::channel_filter`]):
+//! grid factorizes the world into `n × h × w` ranks (`c` must be 1:
+//! channel/filter partitioning is not supported):
 //!
 //! * `grid = (P, 1, 1, 1)` — pure sample parallelism (the data-parallel
 //!   baseline): no halo, weight-gradient allreduce only;
@@ -64,7 +64,7 @@ impl DistConv2d {
     /// weighted layouts get correctly sized halos.
     pub fn with_dists(geom: ConvGeometry, in_dist: TensorDist, out_dist: TensorDist) -> Self {
         let grid = in_dist.grid;
-        assert_eq!(grid.c, 1, "channel/filter parallelism is handled by channel_filter");
+        assert_eq!(grid.c, 1, "channel/filter partitioning (grid.c > 1) is not supported");
         assert_eq!(out_dist.grid, grid, "conv input and output must share a grid");
         let in_shape = in_dist.shape;
         assert!(

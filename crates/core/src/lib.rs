@@ -9,8 +9,6 @@
 //!   exchange (§III-A), bitwise-equivalent to single-device execution;
 //! * [`layers`] — distributed pooling, batch norm (local and aggregated,
 //!   §III-B), ReLU, residual joins, global average pooling, and losses;
-//! * [`channel_filter`] — channel and filter parallelism (§III-D);
-//! * [`mp_fc`] — model-parallel fully-connected layers (§III-B);
 //! * [`executor`] — runs an `fg-nn` [`fg_nn::NetworkSpec`] under a
 //!   [`strategy::Strategy`], inserting halo exchanges, redistributions
 //!   (§III-C) and gradient allreduces where the strategy demands them;
@@ -26,22 +24,18 @@
 //!   runs in a step arena, and a budget gate (`FG_MEM_BUDGET`,
 //!   `repro -- memscale`).
 
-pub mod channel_filter;
 pub mod distconv;
 pub mod executor;
 pub mod guard;
 pub mod layers;
 pub mod mem;
-pub mod mp_fc;
 pub mod overlap;
 pub mod resilient;
 pub mod servable;
-pub mod spatial3d;
 pub mod straggler;
 pub mod strategy;
 pub mod verify;
 
-pub use channel_filter::ChannelFilterConv2d;
 pub use distconv::DistConv2d;
 pub use executor::{Act, DistExecutor, DistPass};
 pub use guard::{Anomaly, GuardConfig, StepGuard};
@@ -50,7 +44,6 @@ pub use mem::{
     analyze_strategy, mem_budget_from_env, sample_ranks, MemCheckKind, MemReport, MemViolation,
     RankMemBound,
 };
-pub use mp_fc::ModelParallelFc;
 pub use resilient::{
     resilient_train, ComputeFault, Degradation, DegradeConfig, Rebalance, Replanner,
     ResilientConfig, ResilientReport, RungTimes, SgdHyper, SnapshotTelemetry,

@@ -41,8 +41,8 @@ pub enum StrategyError {
         /// Offending layer.
         layer: usize,
     },
-    /// Channel partitioning requested on a layer the executor runs with
-    /// replicated channels (use `channel_filter` for §III-D parallelism).
+    /// Channel partitioning (`grid.c > 1`, §III-D) requested; it is not
+    /// supported — every layer runs with replicated channels.
     ChannelPartitionUnsupported {
         /// Offending layer.
         layer: usize,
@@ -98,10 +98,7 @@ impl std::fmt::Display for StrategyError {
                 write!(f, "layer {layer}: grid world size differs from the rest of the strategy")
             }
             StrategyError::ChannelPartitionUnsupported { layer } => {
-                write!(
-                    f,
-                    "layer {layer}: executor does not partition channels (see channel_filter)"
-                )
+                write!(f, "layer {layer}: channel partitioning (grid.c > 1) is not supported")
             }
             StrategyError::Unpopulated { layer } => {
                 write!(f, "layer {layer}: distribution leaves ranks without data")
@@ -346,10 +343,14 @@ mod tests {
     fn channel_partition_rejected_by_executor_strategy() {
         let net = toy_net();
         let s = Strategy::uniform(&net, ProcGrid::new(1, 4, 1, 1));
-        assert!(matches!(
-            s.validate(&net, 4),
-            Err(StrategyError::ChannelPartitionUnsupported { .. })
-        ));
+        let err = s.validate(&net, 4).expect_err("grid.c = 4 must be rejected");
+        let StrategyError::ChannelPartitionUnsupported { layer } = err else {
+            panic!("wrong error: {err:?}");
+        };
+        assert_eq!(
+            err.to_string(),
+            format!("layer {layer}: channel partitioning (grid.c > 1) is not supported")
+        );
     }
 
     #[test]

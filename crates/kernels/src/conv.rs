@@ -391,7 +391,7 @@ pub fn conv2d_backward_filter(x: &Tensor, dy: &Tensor, geom: &ConvGeometry) -> (
 
 /// Copy `x` into a zero-initialized buffer with `ph`/`pw` margins on each
 /// spatial side (materialized padding).
-pub fn pad_window(x: &Tensor, ph: usize, pw: usize) -> Tensor {
+fn pad_window(x: &Tensor, ph: usize, pw: usize) -> Tensor {
     if ph == 0 && pw == 0 {
         return x.clone();
     }

@@ -1,9 +1,9 @@
 //! Single-precision dense matrix multiply.
 //!
-//! The workhorse behind the im2col convolution path and the
-//! fully-connected layer. Row-major, `C += A · B` semantics with a
-//! cache-friendly i-k-j loop order (the inner loop streams both `B` and
-//! `C` rows contiguously, which the optimizer vectorizes).
+//! The workhorse behind the fully-connected layer. Row-major,
+//! `C += A · B` semantics with a cache-friendly i-k-j loop order (the
+//! inner loop streams both `B` and `C` rows contiguously, which the
+//! optimizer vectorizes).
 
 /// `c[m×n] += a[m×k] · b[k×n]`, all row-major.
 pub fn sgemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -23,13 +23,6 @@ pub fn sgemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
             }
         }
     }
-}
-
-/// `c = a · b`, allocating the result.
-pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut c = vec![0.0; m * n];
-    sgemm_acc(m, k, n, a, b, &mut c);
-    c
 }
 
 /// `c[m×n] += aᵀ[m×k] · b[k×n]` where `a` is stored as `k×m` row-major
@@ -75,6 +68,13 @@ pub fn sgemm_bt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `c = a · b`, allocating the result.
+    fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut c = vec![0.0; m * n];
+        sgemm_acc(m, k, n, a, b, &mut c);
+        c
+    }
 
     #[test]
     fn gemm_matches_hand_computed() {

@@ -19,15 +19,13 @@
 //!   finalize / apply stages so the distributed layer can interpose an
 //!   allreduce (paper §III-B's "aggregated" batch norm).
 //!
-//! Convolution additionally comes in two algorithms — direct loops and
-//! im2col+GEMM — mirroring cuDNN's algorithm choice, which the paper's
-//! evaluation shows to matter (§VI-B1).
+//! Convolution is one algorithm — direct loops, whose per-output
+//! summation order is part of the bitwise contract; [`gemm`] serves the
+//! fully-connected layer.
 
 pub mod batchnorm;
 pub mod conv;
-pub mod conv3d;
 pub mod gemm;
-pub mod im2col;
 pub mod loss;
 pub mod pool;
 pub mod relu;

@@ -6,7 +6,6 @@
 use fg_kernels::conv::{
     conv2d_backward_data, conv2d_backward_filter, conv2d_forward, ConvGeometry,
 };
-use fg_kernels::im2col::conv2d_forward_gemm;
 use fg_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 
@@ -94,15 +93,6 @@ proptest! {
         let want = reference_forward(&x, &w, &geom);
         prop_assert!(got.max_abs_diff(&want) <= 1e-3,
             "direct conv deviates from Eq. 1 reference by {}", got.max_abs_diff(&want));
-    }
-
-    #[test]
-    fn gemm_path_agrees_with_direct((n, c, f, geom, seed) in geometry()) {
-        let x = tensor_from_seed(Shape4::new(n, c, geom.in_h, geom.in_w), seed);
-        let w = tensor_from_seed(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xBEEF);
-        let direct = conv2d_forward(&x, &w, None, &geom);
-        let gemm = conv2d_forward_gemm(&x, &w, None, &geom);
-        prop_assert!(gemm.max_rel_diff(&direct, 1.0) < 1e-3);
     }
 
     #[test]

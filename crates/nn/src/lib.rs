@@ -9,19 +9,15 @@
 //! convolution as if performed on a single GPU" property, extended to
 //! whole networks.
 
-pub mod checkpoint;
 pub mod ckpt_store;
 pub mod graph;
 pub mod inference;
 pub mod init;
 pub mod layer;
-pub mod microbatch;
 pub mod network;
 pub mod optimizer;
 pub mod params_io;
-pub mod schedule;
 
-pub use checkpoint::{checkpointed_loss_and_grads, CheckpointStats};
 pub use ckpt_store::{
     CkptStore, FallbackKind, LoadedCkpt, ReconstructedShard, RecoveryNotes, Redundancy,
     RepairSource, ScrubReport, StorageFaultPlan, StoreConfig, StoreCounters, StoreReceipt,
@@ -31,7 +27,6 @@ pub use graph::{LayerId, NetworkSpec};
 pub use inference::RunningStats;
 pub use init::init_params;
 pub use layer::{LayerKind, LayerParams, LayerSpec};
-pub use microbatch::microbatched_loss_and_grads;
 pub use network::{ForwardPass, Network, BN_EPS};
 pub use optimizer::Sgd;
 pub use params_io::{
@@ -39,4 +34,3 @@ pub use params_io::{
     reshard_train_state, save_params, save_params_file, save_train_state, CheckpointError,
     GuardState, ReshardStats, TrainState,
 };
-pub use schedule::{linear_scaled_lr, Schedule};

@@ -155,43 +155,10 @@ impl Network {
 
     /// Backward pass; returns per-layer parameter gradients.
     pub fn backward(&self, pass: &ForwardPass) -> Vec<LayerParams> {
-        self.backward_impl(pass, None).0
-    }
-
-    /// Backward pass seeded with an explicit `∂L/∂(output of the last
-    /// layer)` instead of a loss head, additionally returning the
-    /// gradient with respect to the input layer's output. This is the
-    /// entry point segment-wise activation recomputation
-    /// ([`crate::checkpoint`]) uses to chain segments.
-    pub fn backward_seeded(
-        &self,
-        pass: &ForwardPass,
-        seed: Tensor,
-    ) -> (Vec<LayerParams>, Option<Tensor>) {
-        self.backward_impl(pass, Some(seed))
-    }
-
-    /// Backward from the loss head, additionally returning the gradient
-    /// with respect to the input layer's output.
-    pub fn backward_with_input_grad(
-        &self,
-        pass: &ForwardPass,
-    ) -> (Vec<LayerParams>, Option<Tensor>) {
-        self.backward_impl(pass, None)
-    }
-
-    fn backward_impl(
-        &self,
-        pass: &ForwardPass,
-        seed: Option<Tensor>,
-    ) -> (Vec<LayerParams>, Option<Tensor>) {
         let n_layers = self.spec.len();
         let mut grads: Vec<LayerParams> = self.params.iter().map(|p| p.zeros_like()).collect();
         // dL/d(output of layer i), accumulated from children.
         let mut dout: Vec<Option<Tensor>> = vec![None; n_layers];
-        if let Some(seed) = seed {
-            accumulate(&mut dout[n_layers - 1], seed);
-        }
 
         for id in (0..n_layers).rev() {
             let l = self.spec.layer(id);
@@ -204,14 +171,9 @@ impl Network {
                 accumulate(&mut dout[l.parents[0]], g);
                 continue;
             }
-            // The input layer's gradient is kept (returned to callers
-            // chaining segments), not consumed.
-            if matches!(l.kind, LayerKind::Input { .. }) {
-                continue;
-            }
             let Some(dy) = dout[id].take() else { continue };
             match &l.kind {
-                LayerKind::Input { .. } => unreachable!("handled above"),
+                LayerKind::Input { .. } => {}
                 LayerKind::Conv { stride, pad, kernel, .. } => {
                     let xin = &pass.activations[l.parents[0]];
                     let geom =
@@ -260,14 +222,7 @@ impl Network {
                 LayerKind::SoftmaxCrossEntropy => unreachable!("handled above"),
             }
         }
-        // Gradient w.r.t. the input layer's output (if any flowed there).
-        let input_grad = self
-            .spec
-            .layers()
-            .iter()
-            .position(|l| matches!(l.kind, LayerKind::Input { .. }))
-            .and_then(|id| dout[id].take());
-        (grads, input_grad)
+        grads
     }
 
     /// Convenience: forward + backward; returns `(loss, grads)`.

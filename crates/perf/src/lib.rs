@@ -15,7 +15,6 @@
 //! model against its own measurements (§VI-B3).
 
 pub mod candidates;
-pub mod channel_cost;
 pub mod collective_model;
 pub mod cost;
 pub mod memory;
@@ -23,9 +22,7 @@ pub mod optimizer;
 pub mod oracle;
 pub mod platform;
 pub mod replan;
-pub mod volume;
 
-pub use channel_cost::{channel_filter_conv_cost, compare_spatial_channel};
 pub use cost::{
     conv_layer_cost, layer_cost, network_cost, shuffle_cost, ConvLayerDesc, CostBreakdown,
     CostOptions, LayerCost,

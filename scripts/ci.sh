@@ -62,7 +62,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # Allowlist:
 #   crates/comm/              the communicator implementation + its tests
 #   crates/tensor/src/halo.rs HaloPlan execution (start/finish exchange)
-#   crates/core/src/spatial3d.rs  3-D halo-plan execution
 #   crates/serve/             crossbeam job/reply/response channels
 #                             (admission queue → batcher → dispatcher →
 #                             replica), not Communicator p2p — the
@@ -73,7 +72,6 @@ step "lint: raw Communicator::send/recv confined to comm + plan execution"
 raw_p2p=$(grep -rnE '\.(send|recv)(::<[^>]*>)?\(' crates --include='*.rs' |
     grep -vE '^crates/comm/' |
     grep -vE '^crates/tensor/src/halo\.rs' |
-    grep -vE '^crates/core/src/spatial3d\.rs' |
     grep -vE '^crates/serve/' |
     grep -vE '\brec\.(send|recv)\(' || true)
 if [ -n "$raw_p2p" ]; then
