@@ -62,7 +62,7 @@ fn demo_state(grid: ProcGrid) -> TrainState {
         velocity,
         losses: vec![0.3; 100],
         guard: GuardState::default(),
-        grid: Some(grid),
+        grid,
     }
 }
 

@@ -95,7 +95,7 @@ fn boot_model() -> Arc<ServableModel> {
         velocity,
         losses: vec![0.3; 100],
         guard: GuardState::default(),
-        grid: None,
+        grid: ProcGrid::sample(1),
     };
     let mut bytes = Vec::new();
     fg_nn::save_train_state(&mut bytes, &state).expect("serialize checkpoint");

@@ -64,12 +64,16 @@
 //! [`fg_nn::TrainState`] (step counter, parameters, optimizer velocity,
 //! loss history, guard EMA baseline, source grid) into the snapshot
 //! keeper — by default an in-memory slot (the stand-in for a parallel
-//! file system), or, when [`ResilientConfig::ckpt_store`] or
-//! `FG_CKPT_DIR` is set, the durable, replicated, versioned
-//! [`fg_nn::CkptStore`]: atomic publishes, per-shard checksums,
-//! replica/parity reconstruction of lost shards, and fallback past
-//! unverifiable versions, so every rung's restore survives process
-//! death and storage damage. Because training is
+//! file system), or, when [`ResilientConfig::ckpt_store`] is set, the
+//! durable, replicated, versioned [`fg_nn::CkptStore`]: atomic
+//! publishes, per-shard checksums, replica/parity reconstruction of
+//! lost shards, and fallback past unverifiable versions, so every
+//! rung's restore survives process death and storage damage. Every
+//! rung — in-place rollback, rebuild, shrink — restores through the
+//! same call under the same contract on either backend: the newest
+//! snapshot the loader accepts, re-laid onto the current grid when it
+//! was written under another, or a restart from the initial state when
+//! there is none; never a panic. Because training is
 //! deterministic (fixed reduction orders in the collectives, replicated
 //! SGD) and the checkpoint round-trips state bitwise, a recovered run's
 //! loss trajectory is **bitwise identical** to an uninterrupted one at
@@ -91,9 +95,8 @@ use fg_comm::{
 };
 use fg_kernels::loss::Labels;
 use fg_nn::{
-    load_train_state, load_train_state_for, load_train_state_regrid, reshard_train_state,
-    save_train_state, CkptStore, GuardState, LayerParams, ReshardStats, Sgd, StoreConfig,
-    TrainState,
+    load_train_state, reshard_train_state, save_train_state, CkptStore, GuardState, LayerParams,
+    ReshardStats, Sgd, StoreConfig, TrainState,
 };
 use fg_tensor::{ProcGrid, Tensor};
 
@@ -213,10 +216,8 @@ pub struct ResilientConfig {
     /// re-decomposition, soft eviction). `None` falls back to the
     /// `FG_STRAGGLER` environment knob; unset disables the ladder.
     pub straggler: Option<StragglerConfig>,
-    /// Durable checkpoint store config; `None` falls back to the
-    /// `FG_CKPT_DIR`/`FG_CKPT_REPLICAS`/`FG_CKPT_KEEP` environment
-    /// knobs ([`StoreConfig::from_env`]); unset keeps the historical
-    /// in-memory single-slot snapshot store.
+    /// Durable checkpoint store config — the one way to choose a
+    /// store; `None` keeps the in-memory single-slot snapshot store.
     pub ckpt_store: Option<StoreConfig>,
 }
 
@@ -400,33 +401,36 @@ struct PendingMitigation {
     at_step: u64,
 }
 
-/// The snapshot backend of a resilient run: the historical in-memory
-/// single-slot store (the stand-in for a parallel file system), or the
-/// durable, replicated, versioned [`CkptStore`].
+/// Where a resilient run's snapshots live: the in-memory single slot
+/// (the stand-in for a parallel file system; it holds the *serialized*
+/// snapshot, so every reload runs the loader's checks, the
+/// poisoned-loss refusal included), or the durable, replicated,
+/// versioned [`CkptStore`].
 enum SnapBackend {
     Memory(Mutex<Option<Vec<u8>>>),
     Durable(Box<Mutex<CkptStore>>),
 }
 
 /// The snapshot keeper every rung of the ladder stores and restores
-/// through. The two backends carry different contracts: the in-memory
-/// slot keeps the historical behavior (it cannot be damaged, so a
-/// failed load is a programming error and panics), while the durable
-/// path **never panics** — damage is verified, repaired from
-/// redundancy, or fallen back past, and a store with nothing usable
-/// returns `None` (restart from scratch, recorded in telemetry).
+/// through. The backends differ only in the two primitives
+/// [`SnapKeeper::put`] and [`SnapKeeper::get`]; everything a rung calls
+/// is shared code on top of them, so one contract holds on both: a
+/// restore **never panics**, hands back the newest snapshot the loader
+/// accepts (damage verified, repaired from redundancy or fallen back
+/// past on the durable store) laid out for the grid asked for, and is
+/// `None` when nothing usable exists (restart from the initial state).
 struct SnapKeeper {
     backend: SnapBackend,
     store_errors: AtomicU64,
 }
 
 impl SnapKeeper {
-    /// Resolve the backend: explicit [`ResilientConfig::ckpt_store`]
-    /// wins, the `FG_CKPT_DIR` environment knob is the fallback, the
-    /// in-memory slot the default. An unusable store directory is a
-    /// config error and fails fast, before any work exists to lose.
+    /// The durable store when [`ResilientConfig::ckpt_store`] names
+    /// one, the in-memory slot otherwise. An unusable store directory
+    /// is a config error and fails fast, before any work exists to
+    /// lose.
     fn for_config(cfg: &ResilientConfig) -> SnapKeeper {
-        let backend = match cfg.ckpt_store.clone().or_else(StoreConfig::from_env) {
+        let backend = match cfg.ckpt_store.clone() {
             Some(sc) => SnapBackend::Durable(Box::new(Mutex::new(
                 CkptStore::create(sc)
                     .unwrap_or_else(|e| panic!("durable checkpoint store unusable: {e}")),
@@ -438,11 +442,11 @@ impl SnapKeeper {
 
     /// Persist a snapshot. A durable-store I/O failure is counted, not
     /// fatal: losing one snapshot must not kill the run it protects.
-    fn save(&self, state: &TrainState) {
+    fn put(&self, state: &TrainState) {
         match &self.backend {
             SnapBackend::Memory(slot) => {
                 let mut bytes = Vec::new();
-                save_train_state(&mut bytes, state).expect("serialize snapshot");
+                save_train_state(&mut bytes, state).expect("writing to a Vec cannot fail");
                 *slot.lock().expect("snapshot store") = Some(bytes);
             }
             SnapBackend::Durable(store) => {
@@ -453,14 +457,12 @@ impl SnapKeeper {
         }
     }
 
-    /// The newest verifiable snapshot, as stored (rollback restores
-    /// into the same world and grid).
-    fn load(&self) -> Option<TrainState> {
+    /// The newest snapshot the loader accepts, as stored.
+    fn get(&self) -> Option<TrainState> {
         match &self.backend {
             SnapBackend::Memory(slot) => {
-                slot.lock().expect("snapshot store").as_ref().map(|bytes| {
-                    load_train_state(&mut bytes.as_slice()).expect("snapshot readable")
-                })
+                let slot = slot.lock().expect("snapshot store");
+                load_train_state(&mut slot.as_deref()?).ok()
             }
             SnapBackend::Durable(store) => {
                 store.lock().expect("ckpt store").load_latest().ok().map(|l| l.state)
@@ -468,65 +470,25 @@ impl SnapKeeper {
         }
     }
 
-    /// The newest verifiable snapshot prepared for `grid`. The memory
-    /// slot keeps the grid-checked load (a mismatch there is a ladder
-    /// bug); the durable path self-heals instead — a fallback past a
-    /// post-shrink version can surface the pre-shrink grid, which is
-    /// re-sharded onto the current one rather than rejected.
-    fn load_for_grid(&self, grid: ProcGrid) -> Option<TrainState> {
-        match &self.backend {
-            SnapBackend::Memory(slot) => {
-                slot.lock().expect("snapshot store").as_ref().map(|bytes| {
-                    load_train_state_for(&mut bytes.as_slice(), grid)
-                        .expect("snapshot readable under the current grid")
-                })
-            }
-            SnapBackend::Durable(store) => {
-                let loaded = store.lock().expect("ckpt store").load_latest().ok()?;
-                if loaded.state.grid == Some(grid) {
-                    Some(loaded.state)
-                } else {
-                    Some(reshard_train_state(&loaded.state, grid).0)
-                }
-            }
-        }
+    /// The newest usable snapshot laid out for `grid`: a snapshot
+    /// written under another grid (a fallback past a post-shrink
+    /// version surfaces the pre-shrink one) is re-laid, not rejected —
+    /// a [`TrainState`] holds whole tensors, so any grid can take it.
+    fn restore(&self, grid: ProcGrid) -> Option<TrainState> {
+        let state = self.get()?;
+        Some(if state.grid == grid { state } else { reshard_train_state(&state, grid).0 })
     }
 
-    /// Re-shard the stored snapshot onto `new_grid` through the
-    /// prepared regrid path ([`load_train_state_regrid`]) and persist
-    /// the result, so the next dispatch's restore sees the new layout.
-    /// On the durable store this is the reconstruct-then-regrid flow:
-    /// damaged shards of the source version are rebuilt from
-    /// redundancy before the re-shard, and the re-sharded state is
-    /// published as a fresh version.
+    /// Re-shard the newest usable snapshot onto `new_grid` and publish
+    /// the result, so the next dispatch restores the new layout as
+    /// stored; reports what the re-shard moved (zero when there is
+    /// nothing to re-shard and the shrunken world restarts from the
+    /// initial state).
     fn reshard_to(&self, new_grid: ProcGrid) -> ReshardStats {
-        match &self.backend {
-            SnapBackend::Memory(slot) => {
-                let mut slot = slot.lock().expect("snapshot store");
-                let Some(bytes) = slot.as_ref() else { return ReshardStats::default() };
-                let (state, stats) = load_train_state_regrid(&mut bytes.as_slice(), new_grid)
-                    .expect("snapshot readable");
-                let mut out = Vec::new();
-                save_train_state(&mut out, &state).expect("serialize re-sharded snapshot");
-                *slot = Some(out);
-                stats
-            }
-            SnapBackend::Durable(store) => {
-                let mut store = store.lock().expect("ckpt store");
-                match store.load_latest_regrid(new_grid) {
-                    Ok((loaded, stats)) => {
-                        if store.store(&loaded.state).is_err() {
-                            self.store_errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                        stats
-                    }
-                    // Nothing verifiable to re-shard: the shrunken
-                    // world restarts from scratch (load_for_grid will
-                    // return None), recorded by the store's counters.
-                    Err(_) => ReshardStats::default(),
-                }
-            }
-        }
+        let Some(state) = self.get() else { return ReshardStats::default() };
+        let (state, stats) = reshard_train_state(&state, new_grid);
+        self.put(&state);
+        stats
     }
 
     /// Snapshot-path telemetry for the report.
@@ -567,7 +529,6 @@ struct Attempt<'a> {
     cfg: &'a ResilientConfig,
     attempt: usize,
     resume: &'a Option<TrainState>,
-    start_step: u64,
     keeper: &'a SnapKeeper,
     snap_step: &'a AtomicU64,
     snapshots: &'a AtomicU64,
@@ -602,30 +563,41 @@ fn store_snapshot(
         velocity: opt.velocity().to_vec(),
         losses: losses.to_vec(),
         guard: guard.map(|g| g.state()).unwrap_or_default(),
-        grid: Some(a.exec.strategy.grids[0]),
+        grid: a.exec.strategy.grids[0],
     };
-    a.keeper.save(&state);
+    a.keeper.put(&state);
     a.snap_step.store(step, Ordering::SeqCst);
     a.snapshots.fetch_add(1, Ordering::SeqCst);
 }
 
 type RankResult = (Vec<f64>, Vec<LayerParams>, TrafficStats);
 
-/// One rank's training loop for one attempt: screened steps, in-place
-/// rollback on guard trips, escalation past the rollback budget.
-fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
-    let (mut params, mut opt, mut losses, guard_state) = match a.resume {
-        Some(s) => {
-            (s.params.clone(), a.hyper.restored(s.velocity.clone()), s.losses.clone(), s.guard)
-        }
+/// What a rank trains from after a restore — parameters, optimizer,
+/// loss history, guard and step of `snap`, or the initial state when no
+/// usable snapshot exists. Attempt entry and in-place rollback both
+/// install exactly this.
+fn resume_point(
+    a: &Attempt<'_>,
+    snap: Option<TrainState>,
+) -> (Vec<LayerParams>, Sgd, Vec<f64>, Option<StepGuard>, u64) {
+    let (params, opt, losses, guard_state, step) = match snap {
+        Some(s) => (s.params, a.hyper.restored(s.velocity), s.losses, s.guard, s.step),
         None => (
             a.init_params.to_vec(),
             a.hyper.fresh(a.init_params),
             Vec::new(),
             GuardState::default(),
+            0,
         ),
     };
-    let mut guard = a.cfg.guard.clone().map(|g| StepGuard::with_state(g, guard_state));
+    let guard = a.cfg.guard.clone().map(|g| StepGuard::with_state(g, guard_state));
+    (params, opt, losses, guard, step)
+}
+
+/// One rank's training loop for one attempt: screened steps, in-place
+/// rollback on guard trips, escalation past the rollback budget.
+fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
+    let (mut params, mut opt, mut losses, mut guard, mut step) = resume_point(a, a.resume.clone());
     // Gray-failure machinery: the injected slowdown of this rank (a
     // property of the node, persisting across rebuilds) and the
     // world-replicated detector.
@@ -636,7 +608,6 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
     // error, not a deterministic re-poisoning of every replay.
     let mut injected = false;
     let mut rollbacks_here: u64 = 0;
-    let mut step = a.start_step;
     while step < a.steps {
         if let Some(cf) = a.cfg.compute_fault {
             if a.attempt == 0 && !injected && step == cf.step {
@@ -740,29 +711,14 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
             });
         }
         let t_rollback = Instant::now();
-        let snap: Option<TrainState> = a.keeper.load();
+        let snap: Option<TrainState> = a.keeper.restore(a.exec.strategy.grids[0]);
         let restore_step = snap.as_ref().map_or(0, |s| s.step);
         if comm.rank() == 0 {
             a.rollbacks.fetch_add(1, Ordering::SeqCst);
             a.replayed.fetch_add(step - restore_step, Ordering::SeqCst);
             a.rollback_nanos.fetch_add(t_rollback.elapsed().as_nanos() as u64, Ordering::SeqCst);
         }
-        match snap {
-            Some(s) => {
-                params = s.params;
-                opt = a.hyper.restored(s.velocity);
-                losses = s.losses;
-                guard = a.cfg.guard.clone().map(|g| StepGuard::with_state(g, s.guard));
-                step = s.step;
-            }
-            None => {
-                params = a.init_params.to_vec();
-                opt = a.hyper.fresh(a.init_params);
-                losses = Vec::new();
-                guard = a.cfg.guard.clone().map(StepGuard::new);
-                step = 0;
-            }
-        }
+        (params, opt, losses, guard, step) = resume_point(a, snap);
     }
     (losses, params, comm.stats())
 }
@@ -802,7 +758,7 @@ pub fn resilient_train(
     let mut world = exec.strategy.world_size();
     // The snapshot keeper: rank 0's serialized TrainState, held in the
     // in-memory slot (the stand-in for a parallel file system) or the
-    // durable versioned store when one is configured.
+    // durable versioned store when `cfg.ckpt_store` names one.
     let keeper = SnapKeeper::for_config(cfg);
     // Step of the snapshot currently in the store (0 = none yet).
     let snap_step = AtomicU64::new(0);
@@ -849,10 +805,9 @@ pub fn resilient_train(
         // by construction — see `FaultPlan::persistent`).
         let slow: Vec<f64> = attempt_plan.slowdown_vector(world);
         // Resume point: every rank restores the same snapshot (or the
-        // initial state when no snapshot exists yet). The grid-checked
-        // load is the ladder's own guard against resuming a snapshot
-        // that was never re-sharded for the current layout.
-        let resume: Option<TrainState> = keeper.load_for_grid(cur_grid);
+        // initial state when no usable snapshot exists), laid out for
+        // the current grid.
+        let resume: Option<TrainState> = keeper.restore(cur_grid);
         let start_step = resume.as_ref().map_or(0, |s| s.step);
         // Furthest step completed within this attempt (rank 0's view).
         let furthest = AtomicU64::new(start_step);
@@ -866,7 +821,6 @@ pub fn resilient_train(
             cfg,
             attempt,
             resume: &resume,
-            start_step,
             keeper: &keeper,
             snap_step: &snap_step,
             snapshots: &snapshots,
@@ -1039,10 +993,9 @@ pub fn resilient_train(
                         failures.iter().map(|e| e.to_string()).collect::<Vec<_>>()
                     );
                 };
-                // Re-shard the snapshot onto the new grid (through the
-                // prepared regrid path; reconstruct-then-regrid on the
-                // durable store) so the next dispatch's grid-checked
-                // restore accepts it.
+                // Re-shard the snapshot onto the new grid and publish
+                // it, so the next dispatch restores the shrunken layout
+                // as stored and the report carries what moved.
                 let reshard_t = Instant::now();
                 let reshard_stats = keeper.reshard_to(shrink.strategy.grids[0]);
                 active_plan = active_plan.persistent().restrict_to_survivors(&shrink.keep);
@@ -1493,7 +1446,7 @@ mod tests {
             velocity: snap_vel,
             losses: report.losses[..at as usize].to_vec(),
             guard: GuardState::default(),
-            grid: Some(exec.strategy.grids[0]),
+            grid: exec.strategy.grids[0],
         };
         let (restored, _) = fg_nn::reshard_train_state(&state, d.strategy.grids[0]);
         let suffix = run_ranks(d.to_world, |comm| {
@@ -1672,6 +1625,94 @@ mod tests {
         assert!(d.at_step >= 3, "the eviction resumes from the flagged step's snapshot: {d:?}");
         assert_eq!(report.final_world, 1);
         assert_eq!(report.losses.len(), 6);
+    }
+
+    /// A snapshot of the fixture's parameters at `step`, tagged `grid`,
+    /// with every block non-trivial so a mix-up between them shows.
+    fn snapshot(grid: ProcGrid, step: u64) -> TrainState {
+        let (_, params, _, _) = fixture();
+        TrainState {
+            step,
+            velocity: params.iter().rev().cloned().collect(),
+            params,
+            losses: (0..step).map(|s| 1.0 - s as f64 * 0.125).collect(),
+            guard: GuardState { ema: 0.75, steps: step },
+            grid,
+        }
+    }
+
+    /// The serialized form: equal bytes are bitwise-equal states.
+    fn wire(state: &TrainState) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        save_train_state(&mut bytes, state).unwrap();
+        bytes
+    }
+
+    /// A keeper on the durable backend, over a fresh scratch directory.
+    fn durable_keeper(tag: &str) -> (SnapKeeper, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("fg-keeper-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ResilientConfig { ckpt_store: Some(StoreConfig::at(&dir)), ..Default::default() };
+        (SnapKeeper::for_config(&cfg), dir)
+    }
+
+    #[test]
+    fn keeper_contract_holds_on_both_backends() {
+        let (durable, dir) = durable_keeper("contract");
+        let memory = SnapKeeper::for_config(&ResilientConfig::default());
+        let (g, g2) = (ProcGrid::spatial(2, 2), ProcGrid::spatial(1, 3));
+        let stored = snapshot(g, 4);
+        let mut reshards = Vec::new();
+        for (name, keeper) in [("memory", &memory), ("durable", &durable)] {
+            // Nothing stored: nothing to restore, nothing to re-shard.
+            assert!(keeper.restore(g).is_none(), "{name}");
+            assert_eq!(keeper.reshard_to(g2), ReshardStats::default(), "{name}");
+            keeper.put(&stored);
+            let same = keeper.restore(g).expect("a snapshot was put");
+            assert_eq!(wire(&same), wire(&stored), "{name}: the writer's grid restores as stored");
+            // Another grid is served, retagged, with every value intact.
+            let relaid = keeper.restore(g2).expect("a snapshot was put");
+            assert_eq!(relaid.grid, g2, "{name}");
+            assert_eq!(wire(&TrainState { grid: g, ..relaid }), wire(&stored), "{name}");
+            let stats = keeper.reshard_to(g2);
+            assert!(stats.total_bytes > 0 && stats.moved_bytes > 0, "{name}: {stats:?}");
+            reshards.push(stats);
+            // The new layout is what is stored now, so restoring it
+            // re-lays nothing.
+            let published = keeper.get().expect("the re-sharded snapshot was published");
+            assert_eq!(published.grid, g2, "{name}");
+            assert_eq!(wire(&keeper.restore(g2).unwrap()), wire(&published), "{name}");
+            assert_eq!(wire(&TrainState { grid: g, ..published }), wire(&stored), "{name}");
+        }
+        assert_eq!(reshards[0], reshards[1], "a re-shard costs the same on either backend");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn poisoned_newest_version_falls_back_on_every_restore() {
+        let (g, g2) = (ProcGrid::spatial(2, 2), ProcGrid::spatial(1, 3));
+        let mut poisoned = snapshot(g, 4);
+        poisoned.losses[3] = f64::NAN;
+        // Durable: version 2 verifies byte for byte but records a
+        // diverged run. The shrink rung must pass it, re-shard version
+        // 1, publish the result and report what moved.
+        let (keeper, dir) = durable_keeper("poisoned");
+        keeper.put(&snapshot(g, 2));
+        keeper.put(&poisoned);
+        let stats = keeper.reshard_to(g2);
+        assert!(stats.total_bytes > 0, "the re-shard of version 1 must be reported: {stats:?}");
+        let published = keeper.get().expect("the re-sharded snapshot was published");
+        assert_eq!((published.step, published.grid), (2, g2));
+        let t = keeper.telemetry();
+        assert_eq!((t.versions_written, t.version_fallbacks), (3, 1), "{t:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Memory: the single slot holds only the poisoned snapshot, so
+        // there is nothing usable — a restart from the initial state,
+        // not a panic and not a resume into the divergence.
+        let keeper = SnapKeeper::for_config(&ResilientConfig::default());
+        keeper.put(&poisoned);
+        assert!(keeper.restore(g).is_none());
+        assert_eq!(keeper.reshard_to(g2), ReshardStats::default());
     }
 
     #[test]

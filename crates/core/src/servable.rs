@@ -1,12 +1,12 @@
 //! Checkpoint → servable model: boot a serving replica from any
 //! snapshot the resilience ladder produces.
 //!
-//! Training checkpoints ([`fg_nn::TrainState`], formats FGCKPT02–03)
+//! Training checkpoints ([`fg_nn::TrainState`], format FGCKPT03)
 //! carry parameters and optimizer state but *not* batch-norm running
 //! statistics — the trainer normalizes with per-batch statistics and
 //! never materializes the exponential averages inference needs. A
 //! [`ServableModel`] closes that gap honestly: it loads the snapshot
-//! (either version; v3 shards are assembled by the loader) and derives
+//! (the loader assembles its shards into whole tensors) and derives
 //! [`fg_nn::RunningStats`] by replaying calibration batches through the
 //! frozen network, exactly the recalibration pass deployed systems run
 //! before promoting a checkpoint. With the statistics fixed, inference
@@ -57,9 +57,9 @@ impl ServableModel {
         ServableModel { spec: spec.clone(), params: net.params, stats, step: state.step }
     }
 
-    /// Load a serialized checkpoint (FGCKPT02 or FGCKPT03) and freeze it
-    /// for serving. Sharded v3 checkpoints are assembled to the full
-    /// parameter set — serving replicates parameters on every rank.
+    /// Load a serialized checkpoint (FGCKPT03) and freeze it for
+    /// serving. Its shards are assembled to the full parameter set —
+    /// serving replicates parameters on every rank.
     pub fn from_checkpoint<R: std::io::Read>(
         spec: &NetworkSpec,
         r: &mut R,
@@ -102,7 +102,7 @@ impl ServableModel {
 mod tests {
     use super::*;
     use fg_nn::{init_params, GuardState};
-    use fg_tensor::{Shape4, Tensor};
+    use fg_tensor::{ProcGrid, Shape4, Tensor};
 
     fn bn_spec() -> NetworkSpec {
         let mut spec = NetworkSpec::new();
@@ -125,7 +125,7 @@ mod tests {
             velocity,
             losses: vec![0.5; 7],
             guard: GuardState::default(),
-            grid: None,
+            grid: ProcGrid::sample(1),
         }
     }
 

@@ -23,8 +23,8 @@
 //!   .tmp.v00000003.17/      # a commit that crashed before rename: invisible, swept
 //! ```
 //!
-//! The payload is the ordinary [`save_train_state`] stream (FGCKPT03
-//! when grid-tagged), chunked into `world` contiguous byte shards —
+//! The payload is the ordinary [`save_train_state`] stream (FGCKPT03),
+//! chunked into `world` contiguous byte shards —
 //! shard *i* is "rank *i*'s slab" of the checkpoint, the piece that
 //! dies with rank *i*'s local storage on a machine where each rank
 //! writes its own file. Redundancy is byte-level and therefore format
@@ -51,10 +51,11 @@
 //! falls back to the next older version, recording a [`VersionFallback`]
 //! per rejection — recovery always resumes from the **newest
 //! verifiable** version, never panics, and never resumes stale state
-//! *silently*. [`CkptStore::load_latest_strict`] turns a fallback into
-//! the typed [`CheckpointError::Stale`] for callers that must have the
-//! newest write. [`CkptStore::scrub`] runs the same verification over
-//! every version at rest and writes repaired bytes back atomically.
+//! *silently*. That walk is the only way to the newest state: a caller
+//! that wants it under another grid re-lays the loaded state with
+//! [`crate::reshard_train_state`]. [`CkptStore::scrub`] runs the same
+//! verification over every version at rest and writes repaired bytes
+//! back atomically.
 //!
 //! ## Storage chaos
 //!
@@ -71,10 +72,7 @@ use std::path::{Path, PathBuf};
 
 use fg_tensor::ProcGrid;
 
-use crate::params_io::{
-    load_train_state, load_train_state_regrid, save_train_state, CheckpointError, ReshardStats,
-    TrainState,
-};
+use crate::params_io::{load_train_state, save_train_state, CheckpointError, TrainState};
 
 /// Magic of a version manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"FGMANI01";
@@ -159,22 +157,6 @@ impl StoreConfig {
     pub fn faults(mut self, plan: StorageFaultPlan) -> StoreConfig {
         self.faults = Some(plan);
         self
-    }
-
-    /// Read the environment knobs: `FG_CKPT_DIR` (root; required for
-    /// `Some`), `FG_CKPT_REPLICAS` (ring replicas per shard, default 1;
-    /// 0 disables redundancy), `FG_CKPT_KEEP` (retention, default 4).
-    pub fn from_env() -> Option<StoreConfig> {
-        let dir = std::env::var("FG_CKPT_DIR").ok().filter(|d| !d.is_empty())?;
-        let replicas = std::env::var("FG_CKPT_REPLICAS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1);
-        let keep =
-            std::env::var("FG_CKPT_KEEP").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(4);
-        let redundancy =
-            if replicas == 0 { Redundancy::None } else { Redundancy::Replicas(replicas) };
-        Some(StoreConfig::at(dir).redundancy(redundancy).retention(keep))
     }
 }
 
@@ -360,7 +342,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// FNV-1a over a byte slice — the store's integrity checksum (same
 /// family as the comm layer's envelope checksums).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -374,7 +356,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 struct Manifest {
     version: u64,
     step: u64,
-    grid: Option<ProcGrid>,
+    grid: ProcGrid,
     redundancy: Redundancy,
     payload_len: u64,
     payload_checksum: u64,
@@ -393,8 +375,7 @@ impl Manifest {
         for v in [self.version, self.step] {
             body.extend_from_slice(&v.to_le_bytes());
         }
-        let dims = self.grid.map(|g| g.dims()).unwrap_or([0, 0, 0, 0]);
-        for d in dims {
+        for d in self.grid.dims() {
             body.extend_from_slice(&(d as u64).to_le_bytes());
         }
         let (tag, param) = self.redundancy.tag();
@@ -457,17 +438,8 @@ impl Manifest {
         };
         let v = u(&mut r);
         let step = u(&mut r);
-        let dims = [u(&mut r), u(&mut r), u(&mut r), u(&mut r)];
-        let grid = if dims.iter().all(|&d| d > 0) {
-            Some(ProcGrid::new(
-                dims[0] as usize,
-                dims[1] as usize,
-                dims[2] as usize,
-                dims[3] as usize,
-            ))
-        } else {
-            None
-        };
+        let mut d = || u(&mut r) as usize;
+        let grid = ProcGrid::new(d(), d(), d(), d());
         let (tag, rest) = r.split_first().expect("redundancy tag");
         r = rest;
         let param = u(&mut r);
@@ -720,7 +692,7 @@ impl CkptStore {
 
         let mut payload = Vec::new();
         save_train_state(&mut payload, state).map_err(CheckpointError::from)?;
-        let world = state.grid.map(|g| g.size()).unwrap_or(1).max(1);
+        let world = state.grid.size().max(1);
         let chunk = payload.len().div_ceil(world).max(1);
         let shards: Vec<&[u8]> = (0..world)
             .map(|i| {
@@ -844,21 +816,12 @@ impl CkptStore {
         }
     }
 
+    /// Verify and reassemble the payload bytes of `version` (with
+    /// repair notes), then decode them.
     fn load_version_inner(
         &self,
         version: u64,
     ) -> Result<(TrainState, RecoveryNotes), CheckpointError> {
-        let (payload, _, notes) = self.load_version_bytes(version)?;
-        let state = load_train_state(&mut payload.as_slice())?;
-        Ok((state, notes))
-    }
-
-    /// The verified payload bytes of `version` (with repair notes) —
-    /// the shared substrate of every load flavor.
-    fn load_version_bytes(
-        &self,
-        version: u64,
-    ) -> Result<(Vec<u8>, Manifest, RecoveryNotes), CheckpointError> {
         let dir = self.version_dir(version);
         let mpath = dir.join(MANIFEST_NAME);
         let mbytes = read_file(&mpath, version, None)?;
@@ -888,7 +851,8 @@ impl CkptStore {
         {
             return Err(CheckpointError::Corrupt { path: mpath, version, shard: None });
         }
-        Ok((payload, manifest, notes))
+        let state = load_train_state(&mut payload.as_slice())?;
+        Ok((state, notes))
     }
 
     /// Shard `i` via primary, then replicas. The returned error is the
@@ -1027,58 +991,6 @@ impl CkptStore {
             }
         }
         self.counters.version_fallbacks += fallbacks.len() as u64;
-        Err(CheckpointError::NoVerifiableVersion {
-            dir: self.cfg.dir.clone(),
-            tried: fallbacks.len(),
-        })
-    }
-
-    /// Like [`CkptStore::load_latest`], but refuse to fall back: if the
-    /// newest written version fails verification, return the typed
-    /// [`CheckpointError::Stale`] naming the newest verifiable
-    /// alternative instead of quietly resuming older state.
-    pub fn load_latest_strict(&mut self) -> Result<LoadedCkpt, CheckpointError> {
-        let newest = self.versions().last().copied();
-        let loaded = self.load_latest()?;
-        match newest {
-            Some(n) if n != loaded.version => {
-                Err(CheckpointError::Stale { newest: n, verifiable: Some(loaded.version) })
-            }
-            _ => Ok(loaded),
-        }
-    }
-
-    /// Load the newest verifiable version *prepared for a different
-    /// grid*: the payload is re-laid onto `new_grid` through
-    /// [`load_train_state_regrid`] (gather-free overlap fragments), the
-    /// reconstruct-then-regrid flow of the elastic-degradation rung.
-    pub fn load_latest_regrid(
-        &mut self,
-        new_grid: ProcGrid,
-    ) -> Result<(LoadedCkpt, ReshardStats), CheckpointError> {
-        let t0 = std::time::Instant::now();
-        let versions = self.versions();
-        let mut fallbacks = Vec::new();
-        for &v in versions.iter().rev() {
-            match self.load_version_bytes(v) {
-                Ok((payload, _, mut notes)) => {
-                    let (state, stats) =
-                        load_train_state_regrid(&mut payload.as_slice(), new_grid)?;
-                    self.counters.shards_reconstructed += notes.reconstructed.len() as u64;
-                    self.counters.version_fallbacks += fallbacks.len() as u64;
-                    self.counters.restore_nanos += t0.elapsed().as_nanos() as u64;
-                    notes.fallbacks = fallbacks;
-                    return Ok((LoadedCkpt { state, version: v, notes }, stats));
-                }
-                Err(e) => fallbacks.push(VersionFallback {
-                    version: v,
-                    kind: FallbackKind::of(&e),
-                    detail: e.to_string(),
-                }),
-            }
-        }
-        self.counters.version_fallbacks += fallbacks.len() as u64;
-        self.counters.restore_nanos += t0.elapsed().as_nanos() as u64;
         Err(CheckpointError::NoVerifiableVersion {
             dir: self.cfg.dir.clone(),
             tried: fallbacks.len(),
@@ -1242,7 +1154,7 @@ mod tests {
         dir
     }
 
-    fn demo_state(step: u64, grid: Option<ProcGrid>) -> TrainState {
+    fn demo_state(step: u64, grid: ProcGrid) -> TrainState {
         let mut spec = NetworkSpec::new();
         let i = spec.input("x", 3, 8, 8);
         let c = spec.conv("c", i, 4, 3, 1, 1);
@@ -1270,7 +1182,7 @@ mod tests {
     #[test]
     fn store_and_load_round_trips_bitwise_across_reopen() {
         let dir = scratch("roundtrip");
-        let state = demo_state(6, Some(grid4()));
+        let state = demo_state(6, grid4());
         {
             let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
             let receipt = store.store(&state).unwrap();
@@ -1295,7 +1207,7 @@ mod tests {
         let dir = scratch("retention");
         let mut store = CkptStore::create(StoreConfig::at(&dir).retention(2)).unwrap();
         for step in 1..=5 {
-            store.store(&demo_state(step, Some(grid4()))).unwrap();
+            store.store(&demo_state(step, grid4())).unwrap();
         }
         assert_eq!(store.versions(), vec![4, 5]);
         assert_eq!(store.counters().pruned_versions, 3);
@@ -1312,7 +1224,7 @@ mod tests {
                 .faults(StorageFaultPlan::new(7).delete_shard_at(0, 2)),
         )
         .unwrap();
-        let state = demo_state(3, Some(grid4()));
+        let state = demo_state(3, grid4());
         store.store(&state).unwrap();
         assert!(!store.version_dir(1).join(shard_name(2, 0)).exists(), "fault deleted shard 2");
         let loaded = store.load_latest().unwrap();
@@ -1333,7 +1245,7 @@ mod tests {
                 .faults(StorageFaultPlan::new(7).delete_shard_at(0, 1)),
         )
         .unwrap();
-        let state = demo_state(3, Some(grid4()));
+        let state = demo_state(3, grid4());
         store.store(&state).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
@@ -1352,8 +1264,8 @@ mod tests {
                 .faults(StorageFaultPlan::new(3).torn_write_at(1, 0)),
         )
         .unwrap();
-        store.store(&demo_state(2, Some(grid4()))).unwrap();
-        store.store(&demo_state(4, Some(grid4()))).unwrap();
+        store.store(&demo_state(2, grid4())).unwrap();
+        store.store(&demo_state(4, grid4())).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
         assert_eq!(loaded.state.step, 2);
@@ -1362,11 +1274,6 @@ mod tests {
         assert_eq!(fb.version, 2);
         assert_eq!(fb.kind, FallbackKind::Torn);
         assert!(fb.detail.contains("shard 0") && fb.detail.contains("torn"), "{}", fb.detail);
-        // The strict load refuses the stale resume, typed.
-        match store.load_latest_strict().unwrap_err() {
-            CheckpointError::Stale { newest: 2, verifiable: Some(1) } => {}
-            other => panic!("expected Stale, got {other}"),
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1379,8 +1286,8 @@ mod tests {
                 .faults(StorageFaultPlan::new(11).bit_flip_at(1, 3)),
         )
         .unwrap();
-        store.store(&demo_state(2, Some(grid4()))).unwrap();
-        store.store(&demo_state(4, Some(grid4()))).unwrap();
+        store.store(&demo_state(2, grid4())).unwrap();
+        store.store(&demo_state(4, grid4())).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
         assert_eq!(loaded.notes.fallbacks[0].kind, FallbackKind::Corrupt);
@@ -1394,8 +1301,8 @@ mod tests {
             StoreConfig::at(&dir).faults(StorageFaultPlan::new(5).crash_before_rename_at(1)),
         )
         .unwrap();
-        store.store(&demo_state(2, Some(grid4()))).unwrap();
-        store.store(&demo_state(4, Some(grid4()))).unwrap(); // crashes silently
+        store.store(&demo_state(2, grid4())).unwrap();
+        store.store(&demo_state(4, grid4())).unwrap(); // crashes silently
         assert_eq!(store.versions(), vec![1], "the crashed commit must be invisible");
         assert_eq!(store.counters().crashed_commits, 1);
         let loaded = store.load_latest().unwrap();
@@ -1419,7 +1326,7 @@ mod tests {
         let dir = scratch("scrub");
         let mut store =
             CkptStore::create(StoreConfig::at(&dir).redundancy(Redundancy::Replicas(1))).unwrap();
-        let state = demo_state(3, Some(grid4()));
+        let state = demo_state(3, grid4());
         store.store(&state).unwrap();
         // Corrupt one primary at rest (bit rot).
         let victim = store.version_dir(1).join(shard_name(1, 0));
@@ -1445,7 +1352,7 @@ mod tests {
         let dir = scratch("unrecoverable");
         let mut store =
             CkptStore::create(StoreConfig::at(&dir).redundancy(Redundancy::None)).unwrap();
-        store.store(&demo_state(2, Some(grid4()))).unwrap();
+        store.store(&demo_state(2, grid4())).unwrap();
         fs::remove_file(store.version_dir(1).join(shard_name(0, 0))).unwrap();
         match store.load_latest().unwrap_err() {
             CheckpointError::NoVerifiableVersion { tried, .. } => assert_eq!(tried, 1),
@@ -1457,17 +1364,21 @@ mod tests {
     }
 
     #[test]
-    fn load_latest_regrid_reshards_onto_the_new_grid() {
-        let dir = scratch("regrid");
+    fn poisoned_newest_version_falls_back_on_every_restore() {
+        let dir = scratch("poisoned");
         let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
-        let state = demo_state(3, Some(grid4()));
-        store.store(&state).unwrap();
-        let new_grid = ProcGrid::spatial(1, 3);
-        let (loaded, stats) = store.load_latest_regrid(new_grid).unwrap();
-        assert_eq!(loaded.state.grid, Some(new_grid));
-        assert_eq!(loaded.state.params, state.params);
-        assert_eq!(loaded.state.velocity, state.velocity);
-        assert!(stats.total_bytes > 0 && stats.moved_bytes > 0);
+        store.store(&demo_state(2, grid4())).unwrap();
+        // Version 2 verifies byte for byte but records a run that had
+        // already diverged: the walk must pass it like any damaged one.
+        let mut poisoned = demo_state(4, grid4());
+        poisoned.losses[3] = f64::NAN;
+        store.store(&poisoned).unwrap();
+        let loaded = store.load_latest().unwrap();
+        assert_eq!((loaded.version, loaded.state.step), (1, 2));
+        assert_eq!(loaded.notes.fallbacks.len(), 1);
+        assert_eq!(loaded.notes.fallbacks[0].version, 2);
+        assert_eq!(loaded.notes.fallbacks[0].kind, FallbackKind::Poisoned);
+        assert_eq!(store.counters().version_fallbacks, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1486,15 +1397,15 @@ mod tests {
     }
 
     #[test]
-    fn untagged_state_stores_as_a_single_shard() {
-        let dir = scratch("untagged");
+    fn single_writer_state_stores_as_a_single_shard() {
+        let dir = scratch("single-writer");
         let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
-        let state = demo_state(2, None);
+        let state = demo_state(2, ProcGrid::sample(1));
         let receipt = store.store(&state).unwrap();
         assert_eq!(receipt.shards, 1);
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
-        assert_eq!(loaded.state.grid, None);
+        assert_eq!(loaded.state.grid, state.grid);
         let _ = fs::remove_dir_all(&dir);
     }
 }

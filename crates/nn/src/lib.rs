@@ -30,7 +30,6 @@ pub use layer::{LayerKind, LayerParams, LayerSpec};
 pub use network::{ForwardPass, Network, BN_EPS};
 pub use optimizer::Sgd;
 pub use params_io::{
-    load_params, load_params_file, load_train_state, load_train_state_for, load_train_state_regrid,
-    reshard_train_state, save_params, save_params_file, save_train_state, CheckpointError,
-    GuardState, ReshardStats, TrainState,
+    load_train_state, reshard_train_state, save_train_state, CheckpointError, GuardState,
+    ReshardStats, TrainState,
 };

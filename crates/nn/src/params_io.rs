@@ -1,24 +1,24 @@
-//! Saving and loading network parameters.
+//! Saving and loading training checkpoints.
 //!
 //! A deliberately simple, self-describing binary format (no external
-//! serialization dependency): magic, version, per-layer tag + shape +
-//! little-endian f32 payload. Checkpointing trained models is table
-//! stakes for a training library, and in the distributed setting it
-//! composes trivially: parameters are replicated, so any single rank's
-//! copy is the checkpoint.
+//! serialization dependency): magic, grid tag, step/loss/guard block,
+//! then per-layer tag + shape + little-endian f32 payload. In the
+//! distributed setting it composes trivially: parameters are
+//! replicated, so any single rank's [`TrainState`] is the checkpoint.
 //!
-//! Format v3 (`FGCKPT03`) makes the checkpoint *grid-aware*: it records
-//! the source [`ProcGrid`] and stores every tensor as per-rank shards
-//! blocked over that grid — the layout a parallel file system would see
-//! if each rank wrote its own slab. A v3 snapshot loaded unprepared into
-//! a different layout fails with the typed
-//! [`CheckpointError::GridMismatch`] instead of a shape panic; the
-//! prepared path is [`load_train_state_regrid`], which re-lays the
-//! shards onto the new grid through [`fg_tensor::RegridPlan`] overlap
-//! fragments (gather-free: old shard → new shard, never a global
-//! assembly per fragment) and reports how many bytes actually crossed a
-//! rank boundary. V2 files (`FGCKPT02`: untagged, replicated payload —
-//! what is written when no grid is set) still load, into any layout.
+//! There is one format, `FGCKPT03`. It records the [`ProcGrid`] the
+//! snapshot was written under and stores every tensor as per-rank
+//! shards blocked over that grid — the layout a parallel file system
+//! would see if each rank wrote its own slab; a single writer is the
+//! one-rank grid `1×1×1×1`, whose only shard is the whole tensor.
+//! [`load_train_state`] reassembles whole tensors whatever the tag
+//! says, so a snapshot loads into any world; the tag only describes
+//! how the bytes were blocked on storage. [`reshard_train_state`]
+//! re-lays a state onto another grid through [`fg_tensor::RegridPlan`]
+//! overlap fragments (gather-free: old shard → new shard, never a
+//! global assembly per fragment) and reports how many bytes actually
+//! crossed a rank boundary. The retired `FGCKPT01`/`02` magics are
+//! refused by name.
 //!
 //! Every length and extent in a stream is untrusted: nothing is reserved
 //! from one beyond `MAX_RESERVE` elements and products are checked, so
@@ -32,15 +32,12 @@ use fg_tensor::{assemble_tensor, shard_tensor, ProcGrid, RegridPlan, Shape4, Ten
 
 use crate::layer::LayerParams;
 
-const MAGIC: &[u8; 8] = b"FGPARAM1";
-/// Step, losses, the anomaly guard's EMA state (so a rollback-and-replay
-/// resumes with a bitwise-identical spike baseline), then replicated
-/// params and velocity.
-const CKPT_MAGIC_V2: &[u8; 8] = b"FGCKPT02";
-/// Current checkpoint format: v2 plus the source [`ProcGrid`] tag, with
-/// params and velocity stored *sharded* over that grid.
-const CKPT_MAGIC_V3: &[u8; 8] = b"FGCKPT03";
-/// Magic of a sharded parameter block inside a v3 checkpoint.
+/// The checkpoint format: the source [`ProcGrid`] tag, then step,
+/// losses and the anomaly guard's EMA state (so a rollback-and-replay
+/// resumes with a bitwise-identical spike baseline), then params and
+/// velocity stored *sharded* over that grid.
+const CKPT_MAGIC: &[u8; 8] = b"FGCKPT03";
+/// Magic of a sharded parameter block inside a checkpoint.
 const SHARD_MAGIC: &[u8; 8] = b"FGSHRD01";
 /// Most elements reserved up front for a count read from the stream; a
 /// longer run grows as its elements actually arrive, so a lying header
@@ -55,7 +52,7 @@ const MAX_RESERVE: usize = 1 << 16;
 /// a training run that had already diverged" — resuming from the latter
 /// would replay the divergence forever. The storage-level variants
 /// ([`CheckpointError::Torn`], [`CheckpointError::Corrupt`],
-/// [`CheckpointError::Missing`], [`CheckpointError::Stale`],
+/// [`CheckpointError::Missing`],
 /// [`CheckpointError::NoVerifiableVersion`]) come from the durable
 /// [`crate::ckpt_store`] and always carry the offending path, version,
 /// and shard so an operator knows exactly which file to inspect.
@@ -103,15 +100,6 @@ pub enum CheckpointError {
         /// Shard index within the version (`None` for the manifest).
         shard: Option<usize>,
     },
-    /// A strict load demanded the newest written version but only an
-    /// older one verified — resuming would be a *stale* resume, which
-    /// the caller asked to be told about rather than get silently.
-    Stale {
-        /// Newest version present in the store.
-        newest: u64,
-        /// Newest version that actually verifies (`None`: none do).
-        verifiable: Option<u64>,
-    },
     /// Every version in the store failed verification; there is nothing
     /// safe to resume from.
     NoVerifiableVersion {
@@ -129,17 +117,6 @@ pub enum CheckpointError {
         step: usize,
         /// The offending recorded value (NaN or ±infinity).
         value: f64,
-    },
-    /// A grid-tagged (v3) checkpoint was loaded *unprepared* into a
-    /// different layout. The shards on disk are blocked over `saved`;
-    /// consuming them as if they were blocked over `requested` would
-    /// scatter elements to the wrong ranks. Re-shard explicitly with
-    /// [`load_train_state_regrid`] instead.
-    GridMismatch {
-        /// The grid the checkpoint was written under.
-        saved: ProcGrid,
-        /// The grid the caller tried to load it into.
-        requested: ProcGrid,
     },
 }
 
@@ -178,19 +155,6 @@ impl fmt::Display for CheckpointError {
                     path.display()
                 )
             }
-            CheckpointError::Stale { newest, verifiable: Some(v) } => {
-                write!(
-                    f,
-                    "newest version {newest} fails verification; newest verifiable \
-                     version is {v} (stale relative to the last write)"
-                )
-            }
-            CheckpointError::Stale { newest, verifiable: None } => {
-                write!(
-                    f,
-                    "newest version {newest} fails verification and no older version verifies"
-                )
-            }
             CheckpointError::NoVerifiableVersion { dir, tried } => {
                 write!(
                     f,
@@ -201,15 +165,6 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::PoisonedLoss { step, value } => {
                 write!(f, "checkpoint records non-finite loss {value} at step {step}; refusing to resume from a poisoned state")
-            }
-            CheckpointError::GridMismatch { saved, requested } => {
-                write!(
-                    f,
-                    "checkpoint was written under grid {saved} (world {}) but loaded unprepared \
-                     into grid {requested} (world {}); re-shard it first",
-                    saved.size(),
-                    requested.size()
-                )
             }
         }
     }
@@ -245,7 +200,7 @@ impl CheckpointError {
 
 /// The numerical-anomaly guard's serializable state: the EMA loss
 /// baseline that spike detection compares against. Stored in the
-/// checkpoint (format v2) so a rollback-and-replay resumes with the same
+/// checkpoint so a rollback-and-replay resumes with the same
 /// baseline it had when the snapshot was taken — a prerequisite for
 /// bitwise-deterministic replay.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -275,10 +230,10 @@ pub struct TrainState {
     /// Anomaly-guard EMA state at `step` (fresh when the checkpoint was
     /// written by a guard-less run).
     pub guard: GuardState,
-    /// The [`ProcGrid`] the snapshot's sharded payload was blocked over
-    /// (v3); `None` for the untagged, replicated v2 format, which loads
-    /// into any layout.
-    pub grid: Option<ProcGrid>,
+    /// The [`ProcGrid`] the snapshot's sharded payload is blocked over
+    /// on storage (`1×1×1×1` for a single writer). It does not restrict
+    /// where the state loads: the tensors above are whole.
+    pub grid: ProcGrid,
 }
 
 /// What a re-shard actually did, in bytes — the recovery-cost numbers a
@@ -294,76 +249,52 @@ pub struct ReshardStats {
     pub total_bytes: u64,
 }
 
-/// Serialize a [`TrainState`] checkpoint to `w`: format v3 (grid tag +
-/// sharded payload) when [`TrainState::grid`] is set, format v2
-/// (replicated payload) when it is not.
+/// Serialize a [`TrainState`] checkpoint to `w`: grid tag,
+/// step/loss/guard block, then params and velocity sharded over
+/// [`TrainState::grid`].
 pub fn save_train_state<W: Write>(w: &mut W, state: &TrainState) -> io::Result<()> {
-    match state.grid {
-        Some(grid) => {
-            w.write_all(CKPT_MAGIC_V3)?;
-            for d in grid.dims() {
-                write_u64(w, d as u64)?;
-            }
-            write_scalars(w, state)?;
-            save_sharded_params(w, &state.params, grid)?;
-            save_sharded_params(w, &state.velocity, grid)
-        }
-        None => {
-            w.write_all(CKPT_MAGIC_V2)?;
-            write_scalars(w, state)?;
-            save_params(w, &state.params)?;
-            save_params(w, &state.velocity)
-        }
+    w.write_all(CKPT_MAGIC)?;
+    for d in state.grid.dims() {
+        write_u64(w, d as u64)?;
     }
-}
-
-/// The step/loss/guard block shared by every checkpoint version.
-fn write_scalars<W: Write>(w: &mut W, state: &TrainState) -> io::Result<()> {
     write_u64(w, state.step)?;
     write_u64(w, state.losses.len() as u64)?;
     for l in &state.losses {
         w.write_all(&l.to_le_bytes())?;
     }
     w.write_all(&state.guard.ema.to_le_bytes())?;
-    write_u64(w, state.guard.steps)
+    write_u64(w, state.guard.steps)?;
+    save_sharded_params(w, &state.params, state.grid)?;
+    save_sharded_params(w, &state.velocity, state.grid)
 }
 
-/// Read a checkpoint written by [`save_train_state`] — either format
-/// version — refusing snapshots whose recorded loss history contains a
-/// non-finite value ([`CheckpointError::PoisonedLoss`]). V3 shards are
-/// reassembled into full tensors; the source grid is reported in
-/// [`TrainState::grid`]. This loader does not check the *caller's*
-/// layout — use [`load_train_state_for`] when resuming into a specific
-/// grid.
+/// Read a checkpoint written by [`save_train_state`], refusing
+/// snapshots whose recorded loss history contains a non-finite value
+/// ([`CheckpointError::PoisonedLoss`]). Shards are reassembled into
+/// full tensors, so the state loads into any world; the grid it was
+/// written under is reported in [`TrainState::grid`].
 pub fn load_train_state<R: Read>(r: &mut R) -> Result<TrainState, CheckpointError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    let tagged = match &magic {
-        m if m == CKPT_MAGIC_V2 => false,
-        m if m == CKPT_MAGIC_V3 => true,
-        m => {
-            // The original format (no guard block); nothing writes it.
-            let what = if m == b"FGCKPT01" {
-                "FGCKPT01 is a retired checkpoint format; this build reads FGCKPT02 and FGCKPT03"
-            } else {
-                "not an fg-nn checkpoint"
-            };
-            return Err(io::Error::new(io::ErrorKind::InvalidData, what).into());
-        }
-    };
-    let grid = if tagged {
-        let ([n, c, h, w], ranks) = read_dims(r)?;
-        if ranks == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "checkpoint grid has a zero extent",
-            )
-            .into());
-        }
-        Some(ProcGrid::new(n, c, h, w))
-    } else {
-        None
-    };
+    if &magic != CKPT_MAGIC {
+        // The retired formats (01: no guard block; 02: untagged,
+        // unsharded payload); nothing writes them.
+        let what = match &magic {
+            b"FGCKPT01" => "FGCKPT01 is a retired checkpoint format; this build reads FGCKPT03",
+            b"FGCKPT02" => "FGCKPT02 is a retired checkpoint format; this build reads FGCKPT03",
+            _ => "not an fg-nn checkpoint",
+        };
+        return Err(io::Error::new(io::ErrorKind::InvalidData, what).into());
+    }
+    let ([n, c, h, w], ranks) = read_dims(r)?;
+    if ranks == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "checkpoint grid has a zero extent",
+        )
+        .into());
+    }
+    let grid = ProcGrid::new(n, c, h, w);
     let step = read_u64(r)?;
     let n_losses = read_u64(r)? as usize;
     let mut losses = Vec::with_capacity(n_losses.min(MAX_RESERVE));
@@ -381,45 +312,9 @@ pub fn load_train_state<R: Read>(r: &mut R) -> Result<TrainState, CheckpointErro
         return Err(CheckpointError::PoisonedLoss { step: losses.len(), value: ema });
     }
     let guard = GuardState { ema, steps: read_u64(r)? };
-    let (params, velocity) = match grid {
-        Some(g) => (load_sharded_params(r, g)?, load_sharded_params(r, g)?),
-        None => (load_params(r)?, load_params(r)?),
-    };
+    let params = load_sharded_params(r, grid)?;
+    let velocity = load_sharded_params(r, grid)?;
     Ok(TrainState { step, params, velocity, losses, guard, grid })
-}
-
-/// Load a checkpoint for consumption under `grid`, failing with the
-/// typed [`CheckpointError::GridMismatch`] when a grid-tagged snapshot
-/// was written under a different layout. Untagged v2 snapshots are
-/// replicated and load into any layout (they are retagged with `grid`).
-pub fn load_train_state_for<R: Read>(
-    r: &mut R,
-    grid: ProcGrid,
-) -> Result<TrainState, CheckpointError> {
-    let mut state = load_train_state(r)?;
-    match state.grid {
-        Some(saved) if saved != grid => {
-            Err(CheckpointError::GridMismatch { saved, requested: grid })
-        }
-        _ => {
-            state.grid = Some(grid);
-            Ok(state)
-        }
-    }
-}
-
-/// The *prepared* cross-layout load: read a checkpoint and re-shard its
-/// params and optimizer velocity from the grid it was written under onto
-/// `new_grid` (old world → new world, any sizes), returning the re-laid
-/// state (tagged with `new_grid`) and the movement accounting. Untagged
-/// v2 snapshots re-shard from the trivial single-writer layout
-/// `(1,1,1,1)` — everything starts at rank 0.
-pub fn load_train_state_regrid<R: Read>(
-    r: &mut R,
-    new_grid: ProcGrid,
-) -> Result<(TrainState, ReshardStats), CheckpointError> {
-    let state = load_train_state(r)?;
-    Ok(reshard_train_state(&state, new_grid))
 }
 
 /// Re-shard a [`TrainState`]'s params and velocity onto `new_grid` via
@@ -428,17 +323,16 @@ pub fn load_train_state_regrid<R: Read>(
 /// values are bitwise-preserved — only the blocking changes — which is
 /// what makes post-degradation trajectories bitwise-deterministic.
 pub fn reshard_train_state(state: &TrainState, new_grid: ProcGrid) -> (TrainState, ReshardStats) {
-    let old_grid = state.grid.unwrap_or(ProcGrid::new(1, 1, 1, 1));
     let mut stats = ReshardStats::default();
-    let params = reshard_params(&state.params, old_grid, new_grid, &mut stats);
-    let velocity = reshard_params(&state.velocity, old_grid, new_grid, &mut stats);
+    let params = reshard_params(&state.params, state.grid, new_grid, &mut stats);
+    let velocity = reshard_params(&state.velocity, state.grid, new_grid, &mut stats);
     let new_state = TrainState {
         step: state.step,
         params,
         velocity,
         losses: state.losses.clone(),
         guard: state.guard,
-        grid: Some(new_grid),
+        grid: new_grid,
     };
     (new_state, stats)
 }
@@ -485,78 +379,11 @@ fn reshard_tensor(t: &Tensor, old: ProcGrid, new: ProcGrid, stats: &mut ReshardS
     assemble_tensor(plan.dst(), &new_shards)
 }
 
-/// Write all layer parameters to `w`.
-pub fn save_params<W: Write>(w: &mut W, params: &[LayerParams]) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u64(w, params.len() as u64)?;
-    for p in params {
-        match p {
-            LayerParams::None => {
-                w.write_all(&[0u8])?;
-            }
-            LayerParams::Conv { w: wt, b } => {
-                w.write_all(&[1u8])?;
-                write_tensor(w, wt)?;
-                match b {
-                    Some(b) => {
-                        w.write_all(&[1u8])?;
-                        write_f32s(w, b)?;
-                    }
-                    None => w.write_all(&[0u8])?,
-                }
-            }
-            LayerParams::Bn { gamma, beta } => {
-                w.write_all(&[2u8])?;
-                write_f32s(w, gamma)?;
-                write_f32s(w, beta)?;
-            }
-            LayerParams::Fc { w: wt, b } => {
-                w.write_all(&[3u8])?;
-                write_tensor(w, wt)?;
-                write_f32s(w, b)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Read parameters written by [`save_params`].
-pub fn load_params<R: Read>(r: &mut R) -> io::Result<Vec<LayerParams>> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an fg-nn parameter file"));
-    }
-    let count = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(count.min(MAX_RESERVE));
-    for _ in 0..count {
-        let tag = read_u8(r)?;
-        out.push(match tag {
-            0 => LayerParams::None,
-            1 => {
-                let w = read_tensor(r)?;
-                let has_bias = read_u8(r)? == 1;
-                let b = if has_bias { Some(read_f32s(r)?) } else { None };
-                LayerParams::Conv { w, b }
-            }
-            2 => LayerParams::Bn { gamma: read_f32s(r)?, beta: read_f32s(r)? },
-            3 => LayerParams::Fc { w: read_tensor(r)?, b: read_f32s(r)? },
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown parameter tag {other}"),
-                ))
-            }
-        });
-    }
-    Ok(out)
-}
-
-/// Serialize parameters *sharded* over `grid`: the same per-layer tag
-/// scheme as [`save_params`], but every tensor (and every 1-D vector,
-/// framed as a `(len, 1, 1, 1)` tensor) is written as `grid.size()`
-/// per-rank runs blocked by the tensor's [`TensorDist`] under `grid`.
-/// This is the v3 checkpoint payload.
+/// Serialize parameters *sharded* over `grid`: a layer count, then per
+/// layer a kind tag and its tensors, each (and every 1-D vector, framed
+/// as a `(len, 1, 1, 1)` tensor) written as its shape followed by
+/// `grid.size()` per-rank runs blocked by the tensor's [`TensorDist`]
+/// under `grid`. This is the checkpoint payload.
 fn save_sharded_params<W: Write>(
     w: &mut W,
     params: &[LayerParams],
@@ -672,18 +499,6 @@ fn read_sharded_f32s<R: Read>(r: &mut R, grid: ProcGrid) -> io::Result<Vec<f32>>
     Ok(read_sharded_tensor(r, grid)?.as_slice().to_vec())
 }
 
-/// Save to a file path.
-pub fn save_params_file(path: &std::path::Path, params: &[LayerParams]) -> io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    save_params(&mut f, params)
-}
-
-/// Load from a file path.
-pub fn load_params_file(path: &std::path::Path) -> io::Result<Vec<LayerParams>> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    load_params(&mut f)
-}
-
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -732,24 +547,6 @@ fn read_f32s<R: Read>(r: &mut R) -> io::Result<Vec<f32>> {
     Ok(out)
 }
 
-fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> io::Result<()> {
-    let s = t.shape();
-    for d in [s.n, s.c, s.h, s.w] {
-        write_u64(w, d as u64)?;
-    }
-    write_f32s(w, t.as_slice())
-}
-
-fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
-    let ([n, c, h, w], len) = read_dims(r)?;
-    let data = read_f32s(r)?;
-    let shape = Shape4::new(n, c, h, w);
-    if data.len() != len {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "tensor payload length mismatch"));
-    }
-    Ok(Tensor::from_vec(shape, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,71 +566,6 @@ mod tests {
         Network::init(spec, 99)
     }
 
-    #[test]
-    fn round_trip_preserves_every_parameter_bitwise() {
-        let net = demo_net();
-        let mut buf = Vec::new();
-        save_params(&mut buf, &net.params).unwrap();
-        let loaded = load_params(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, net.params);
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let net = demo_net();
-        let path = std::env::temp_dir().join("fg_params_io_test.bin");
-        save_params_file(&path, &net.params).unwrap();
-        let loaded = load_params_file(&path).unwrap();
-        assert_eq!(loaded, net.params);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut buf = Vec::new();
-        save_params(&mut buf, &demo_net().params).unwrap();
-        buf[0] = b'X';
-        let err = load_params(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    /// `load` returns an error: it neither panics nor succeeds.
-    fn assert_rejected<T, E>(
-        what: &str,
-        load: impl FnOnce() -> Result<T, E> + std::panic::UnwindSafe,
-    ) {
-        assert!(matches!(std::panic::catch_unwind(load), Ok(Err(_))), "{what} must be an Err");
-    }
-
-    /// `magic`, then `words` as little-endian u64s.
-    fn header(magic: &[u8], words: &[u64]) -> Vec<u8> {
-        let mut buf = magic.to_vec();
-        words.iter().for_each(|w| buf.extend_from_slice(&w.to_le_bytes()));
-        buf
-    }
-
-    #[test]
-    fn truncated_file_is_rejected() {
-        let mut buf = Vec::new();
-        save_params(&mut buf, &demo_net().params).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert_rejected("half a file", || load_params(&mut buf.as_slice()));
-        // Headers that promise more than the stream holds: the lengths
-        // are read from the file, so nothing may be reserved from them.
-        assert_rejected("2^60 layers", || load_params(&mut header(MAGIC, &[1 << 60]).as_slice()));
-        assert_rejected("2^40 layers", || load_params(&mut header(MAGIC, &[1 << 40]).as_slice()));
-        let mut bn = header(MAGIC, &[1]);
-        bn.push(2);
-        bn.extend_from_slice(&(1u64 << 61).to_le_bytes());
-        assert_rejected("a 2^61-element BN vector", || load_params(&mut bn.as_slice()));
-        let mut conv = header(MAGIC, &[1]);
-        conv.push(1);
-        conv.extend_from_slice(&header(&[], &[1 << 32, 1 << 32, 3, 3, 0]));
-        assert_rejected("a conv shape whose product overflows", || {
-            load_params(&mut conv.as_slice())
-        });
-    }
-
     fn demo_state() -> TrainState {
         let net = demo_net();
         let velocity: Vec<LayerParams> = net.params.iter().map(|p| p.zeros_like()).collect();
@@ -843,8 +575,92 @@ mod tests {
             velocity,
             losses: vec![2.5, 2.25, 2.125],
             guard: GuardState { ema: 2.375, steps: 3 },
-            grid: None,
+            grid: ProcGrid::sample(1),
         }
+    }
+
+    /// `demo_state()` as four ranks wrote it: the stream every
+    /// untrusted-input test below damages.
+    fn multi_rank_stream() -> Vec<u8> {
+        let state = TrainState { grid: ProcGrid::spatial(2, 2), ..demo_state() };
+        let mut buf = Vec::new();
+        save_train_state(&mut buf, &state).unwrap();
+        buf
+    }
+
+    /// Loading `bytes` ends in `InvalidData` or `UnexpectedEof`: it
+    /// neither panics, nor succeeds, nor reports anything else.
+    fn assert_rejected(what: &str, bytes: &[u8]) {
+        match std::panic::catch_unwind(|| load_train_state(&mut &*bytes)) {
+            Ok(Err(CheckpointError::Io { source, .. })) => assert!(
+                matches!(source.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                "{what}: {source}"
+            ),
+            Ok(Err(other)) => panic!("{what}: expected an Io error, got {other}"),
+            Ok(Ok(_)) => panic!("{what} loaded"),
+            Err(_) => panic!("{what} panicked the loader"),
+        }
+    }
+
+    /// `magic`, then `words` as little-endian u64s.
+    fn header(magic: &[u8], words: &[u64]) -> Vec<u8> {
+        let mut buf = magic.to_vec();
+        words.iter().for_each(|w| buf.extend_from_slice(&w.to_le_bytes()));
+        buf
+    }
+
+    /// A checkpoint under `spatial(2, 2)` up to and including the first
+    /// parameter block's magic and its layer count: step 17, no losses,
+    /// EMA 0.0 after 0 steps.
+    fn up_to_layers(layers: u64) -> Vec<u8> {
+        let mut buf = header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 0, 0, 0]);
+        buf.extend_from_slice(&header(SHARD_MAGIC, &[layers]));
+        buf
+    }
+
+    #[test]
+    fn bad_magic_is_rejected() {
+        let mut buf = multi_rank_stream();
+        buf[0] = b'X';
+        assert_rejected("a damaged checkpoint magic", &buf);
+        // The parameter blocks carry their own magic.
+        let mut buf = multi_rank_stream();
+        let at = buf.windows(8).position(|w| w == SHARD_MAGIC).unwrap();
+        buf[at] = b'X';
+        assert_rejected("a damaged shard-block magic", &buf);
+    }
+
+    #[test]
+    fn truncated_file_is_rejected() {
+        let buf = multi_rank_stream();
+        for len in 0..buf.len() {
+            assert_rejected(&format!("a {len}-byte prefix"), &buf[..len]);
+        }
+        // Headers that promise more than the stream holds: the lengths
+        // are read from the file, so nothing may be reserved from them.
+        assert_rejected("2^60 losses", &header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 1 << 60]));
+        assert_rejected("2^40 losses", &header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 1 << 40]));
+        assert_rejected("2^60 layers", &up_to_layers(1 << 60));
+        assert_rejected("2^40 layers", &up_to_layers(1 << 40));
+        // A BN layer whose gamma is 8 long but whose first shard claims
+        // 2^61 elements.
+        let mut bn = up_to_layers(1);
+        bn.push(2);
+        bn.extend_from_slice(&header(&[], &[8, 1, 1, 1, 1 << 61]));
+        assert_rejected("a 2^61-element shard", &bn);
+        let mut conv = up_to_layers(1);
+        conv.push(1);
+        conv.extend_from_slice(&header(&[], &[1 << 32, 1 << 32, 3, 3, 0]));
+        assert_rejected("a conv shape whose product overflows", &conv);
+        // Grids no world can have.
+        assert_rejected("a grid with a zero extent", &header(CKPT_MAGIC, &[1, 0, 2, 2, 17, 0]));
+        assert_rejected("a grid that overflows", &header(CKPT_MAGIC, &[1 << 32, 1 << 32, 1, 1]));
+        // 2^40 ranks, 1 layer: a conv.
+        let mut sharded = header(CKPT_MAGIC, &[1 << 20, 1 << 20, 1, 1, 17, 0, 0, 0]);
+        sharded.extend_from_slice(&header(SHARD_MAGIC, &[1]));
+        sharded.push(1);
+        sharded.extend_from_slice(&header(&[], &[4, 3, 3, 3]));
+        assert_rejected("shards for 2^40 ranks", &sharded);
     }
 
     #[test]
@@ -852,9 +668,10 @@ mod tests {
         let state = demo_state();
         let mut buf = Vec::new();
         save_train_state(&mut buf, &state).unwrap();
-        assert_eq!(&buf[..8], CKPT_MAGIC_V2);
+        assert_eq!(&buf[..8], CKPT_MAGIC);
         let loaded = load_train_state(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.step, 17);
+        assert_eq!(loaded.grid, ProcGrid::sample(1));
         assert_eq!(loaded.params, state.params);
         assert_eq!(loaded.velocity, state.velocity);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -865,8 +682,7 @@ mod tests {
 
     #[test]
     fn v1_checkpoints_are_refused_by_name() {
-        let mut buf = Vec::new();
-        save_train_state(&mut buf, &demo_state()).unwrap();
+        let mut buf = multi_rank_stream();
         buf[..8].copy_from_slice(b"FGCKPT01");
         let err = load_train_state(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
@@ -874,14 +690,22 @@ mod tests {
     }
 
     #[test]
+    fn v2_checkpoints_are_refused_by_name() {
+        let mut buf = multi_rank_stream();
+        buf[..8].copy_from_slice(b"FGCKPT02");
+        let err = load_train_state(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
+        assert!(err.to_string().contains("FGCKPT02 is a retired"), "{err}");
+    }
+
+    #[test]
     fn v3_grid_tagged_checkpoint_round_trips_bitwise() {
         let grid = ProcGrid::spatial(2, 2);
-        let state = TrainState { grid: Some(grid), ..demo_state() };
-        let mut buf = Vec::new();
-        save_train_state(&mut buf, &state).unwrap();
-        assert_eq!(&buf[..8], CKPT_MAGIC_V3);
+        let state = TrainState { grid, ..demo_state() };
+        let buf = multi_rank_stream();
+        assert_eq!(&buf[..8], CKPT_MAGIC);
         let loaded = load_train_state(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.grid, Some(grid));
+        assert_eq!(loaded.grid, grid);
         assert_eq!(loaded.step, state.step);
         assert_eq!(loaded.params, state.params);
         assert_eq!(loaded.velocity, state.velocity);
@@ -891,36 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn grid_mismatch_is_a_typed_error_not_a_panic() {
-        let saved = ProcGrid::spatial(2, 2);
-        let state = TrainState { grid: Some(saved), ..demo_state() };
-        let mut buf = Vec::new();
-        save_train_state(&mut buf, &state).unwrap();
-        // Matching grid loads fine.
-        let ok = load_train_state_for(&mut buf.as_slice(), saved).unwrap();
-        assert_eq!(ok.params, state.params);
-        // A different layout is refused with a descriptive typed error.
-        let requested = ProcGrid::spatial(1, 3);
-        match load_train_state_for(&mut buf.as_slice(), requested).unwrap_err() {
-            CheckpointError::GridMismatch { saved: s, requested: r } => {
-                assert_eq!(s, saved);
-                assert_eq!(r, requested);
-                let msg = CheckpointError::GridMismatch { saved: s, requested: r }.to_string();
-                assert!(msg.contains("re-shard"), "unhelpful message: {msg}");
-                assert!(msg.contains("world 4") && msg.contains("world 3"), "msg: {msg}");
-            }
-            other => panic!("expected GridMismatch, got {other}"),
-        }
-    }
-
-    #[test]
-    fn untagged_v2_checkpoints_load_into_any_grid() {
-        let state = demo_state();
-        let mut buf = Vec::new();
-        save_train_state(&mut buf, &state).unwrap();
-        let loaded = load_train_state_for(&mut buf.as_slice(), ProcGrid::spatial(2, 2)).unwrap();
-        assert_eq!(loaded.params, state.params);
-        assert_eq!(loaded.grid, Some(ProcGrid::spatial(2, 2)));
+    fn fgckpt03_bytes_are_the_recorded_ones() {
+        // Length and checksum of this exact stream as written by the
+        // last commit that still had other formats beside it: the
+        // surviving format's byte layout did not move.
+        let buf = multi_rank_stream();
+        assert_eq!(buf.len(), 2332);
+        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0x0cf7_8410_6de5_d077);
     }
 
     #[test]
@@ -931,9 +732,9 @@ mod tests {
         // Give the velocity non-trivial values so the test can tell the
         // two blocks apart.
         state.velocity = state.params.to_vec();
-        state.grid = Some(old);
+        state.grid = old;
         let (resharded, stats) = reshard_train_state(&state, new);
-        assert_eq!(resharded.grid, Some(new));
+        assert_eq!(resharded.grid, new);
         assert_eq!(resharded.params, state.params);
         assert_eq!(resharded.velocity, state.velocity);
         assert_eq!(resharded.step, state.step);
@@ -942,82 +743,6 @@ mod tests {
         assert!(stats.moved_bytes <= stats.total_bytes);
         // The 4→3 regrid genuinely moves data.
         assert!(stats.moved_bytes > 0, "expected a cross-rank move in a 4-to-3 regrid");
-    }
-
-    #[test]
-    fn load_train_state_regrid_is_the_prepared_cross_layout_path() {
-        let old = ProcGrid::spatial(2, 2);
-        let new = ProcGrid::spatial(1, 3);
-        let state = TrainState { grid: Some(old), ..demo_state() };
-        let mut buf = Vec::new();
-        save_train_state(&mut buf, &state).unwrap();
-        // The unprepared load refuses...
-        assert!(matches!(
-            load_train_state_for(&mut buf.as_slice(), new),
-            Err(CheckpointError::GridMismatch { .. })
-        ));
-        // ...the prepared one re-shards.
-        let (loaded, stats) = load_train_state_regrid(&mut buf.as_slice(), new).unwrap();
-        assert_eq!(loaded.grid, Some(new));
-        assert_eq!(loaded.params, state.params);
-        assert_eq!(loaded.velocity, state.velocity);
-        assert!(stats.total_bytes > 0);
-    }
-
-    #[test]
-    fn regrid_load_equals_reshard_then_load_bitwise() {
-        // The prepared path must be exactly load-then-reshard: same
-        // params, velocity, stats, and tag, bit for bit — so callers can
-        // use whichever composition fits without a numerical contract
-        // change.
-        let old = ProcGrid::spatial(2, 2);
-        let new = ProcGrid::hybrid(3, 1, 1);
-        let mut state = demo_state();
-        state.velocity = state.params.to_vec();
-        state.grid = Some(old);
-        let mut buf = Vec::new();
-        save_train_state(&mut buf, &state).unwrap();
-        let (via_regrid, regrid_stats) = load_train_state_regrid(&mut buf.as_slice(), new).unwrap();
-        let loaded = load_train_state(&mut buf.as_slice()).unwrap();
-        let (via_reshard, reshard_stats) = reshard_train_state(&loaded, new);
-        assert_eq!(via_regrid.params, via_reshard.params);
-        assert_eq!(via_regrid.velocity, via_reshard.velocity);
-        assert_eq!(via_regrid.grid, via_reshard.grid);
-        assert_eq!(via_regrid.step, via_reshard.step);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&via_regrid.losses), bits(&via_reshard.losses));
-        assert_eq!(regrid_stats, reshard_stats);
-    }
-
-    #[test]
-    fn train_state_rejects_params_file() {
-        // A parameter file is not a checkpoint: the magics differ.
-        let mut buf = Vec::new();
-        save_params(&mut buf, &demo_net().params).unwrap();
-        match load_train_state(&mut buf.as_slice()).unwrap_err() {
-            CheckpointError::Io { source, .. } => {
-                assert_eq!(source.kind(), io::ErrorKind::InvalidData)
-            }
-            other => panic!("expected Io error, got {other}"),
-        }
-        // Nor is a checkpoint magic in front of lengths the stream
-        // cannot back.
-        assert_rejected("2^60 losses", || {
-            load_train_state(&mut header(CKPT_MAGIC_V2, &[17, 1 << 60]).as_slice())
-        });
-        assert_rejected("2^40 losses", || {
-            load_train_state(&mut header(CKPT_MAGIC_V2, &[17, 1 << 40]).as_slice())
-        });
-        let grid = [1 << 32, 1 << 32, 1, 1];
-        assert_rejected("a grid that overflows", || {
-            load_train_state(&mut header(CKPT_MAGIC_V3, &grid).as_slice())
-        });
-        // 2^40 ranks, no losses, EMA 0.0 after 0 steps, 1 layer: a conv.
-        let mut sharded = header(CKPT_MAGIC_V3, &[1 << 20, 1 << 20, 1, 1, 17, 0, 0, 0]);
-        sharded.extend_from_slice(&header(SHARD_MAGIC, &[1]));
-        sharded.push(1);
-        sharded.extend_from_slice(&header(&[], &[4, 3, 3, 3]));
-        assert_rejected("shards for 2^40 ranks", || load_train_state(&mut sharded.as_slice()));
     }
 
     #[test]
@@ -1083,8 +808,6 @@ mod tests {
         assert!(e.to_string().contains("version 7") && e.to_string().contains("shard 3"), "{e}");
         let e = CheckpointError::Missing { path: p.clone(), version: 7, shard: None };
         assert!(e.to_string().contains("version 7") && !e.to_string().contains("shard 3"), "{e}");
-        let e = CheckpointError::Stale { newest: 9, verifiable: Some(8) };
-        assert!(e.to_string().contains('9') && e.to_string().contains('8'), "{e}");
         let e = CheckpointError::NoVerifiableVersion { dir: "/store".into(), tried: 2 };
         assert!(e.to_string().contains("/store") && e.to_string().contains('2'), "{e}");
     }
@@ -1094,10 +817,8 @@ mod tests {
         use fg_kernels::loss::Labels;
         use fg_tensor::{Shape4, Tensor};
         let net = demo_net();
-        let mut buf = Vec::new();
-        save_params(&mut buf, &net.params).unwrap();
         let mut net2 = demo_net();
-        net2.params = load_params(&mut buf.as_slice()).unwrap();
+        net2.params = load_train_state(&mut multi_rank_stream().as_slice()).unwrap().params;
         let x = Tensor::from_fn(Shape4::new(2, 3, 8, 8), |n, c, h, w| (n + c + h + w) as f32 * 0.1);
         let labels = Labels::per_sample(vec![0, 1]);
         let (l1, _) = net.loss_and_grads(&x, &labels);

@@ -113,7 +113,7 @@ proptest! {
                     velocity: opt.velocity().to_vec(),
                     losses: losses.clone(),
                     guard: GuardState::default(),
-                    grid: Some(ProcGrid::spatial(2, 2)),
+                    grid: ProcGrid::spatial(2, 2),
                 };
                 let receipt = store.store(&state).expect("store never surfaces injected faults");
                 prop_assert_eq!(receipt.version, step, "versions are monotonic, even across crashes");

@@ -57,7 +57,7 @@ fn servable(seed: u64) -> Arc<ServableModel> {
         velocity,
         losses: vec![0.4; 11],
         guard: GuardState::default(),
-        grid: None,
+        grid: ProcGrid::sample(1),
     };
     let calibration: Vec<Tensor> = (0..3u64)
         .map(|k| {

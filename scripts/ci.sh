@@ -161,6 +161,9 @@ FG_VERIFY=1 cargo test -q --offline -p fg-serve --test chaos
 # (reconstruction from ring replicas must carry the degradation rung),
 # and a torn newest version must fall back to the previous verifiable
 # one with a typed record — never a panic, never a silent stale resume.
+# The snapshot keeper holds one restore contract on both backends, and a
+# newest version that verifies but records a poisoned run is passed like
+# a damaged one, at the store's one walk and at the shrink rung alike.
 # Watchdog + integrity are already exported above; FG_VERIFY re-checks
 # the shrunken worlds' schedules. The scratch stores live under the OS
 # temp dir, so no repo paths are dirtied.
@@ -168,6 +171,9 @@ step "storage chaos (deleted-shard reconstruction + torn-write fallback, FG_VERI
 FG_VERIFY=1 filtered_tests --test resilience -- \
     deleted_shard torn_newest durable_store
 FG_VERIFY=1 cargo test -q --offline -p fg-nn --test ckpt_chaos
+filtered_tests -p fg-nn --lib -- poisoned_newest_version_falls_back_on_every_restore
+filtered_tests -p fg-core --lib -- \
+    poisoned_newest_version_falls_back_on_every_restore keeper_contract_holds_on_both_backends
 
 # The event-driven virtual-time engine's correctness anchor: DES clocks
 # must equal the thread-per-rank runtime's clocks exactly, and the

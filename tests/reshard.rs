@@ -102,10 +102,10 @@ proptest! {
             velocity: velocity.clone(),
             losses: vec![1.5, 1.25],
             guard: GuardState::default(),
-            grid: Some(old),
+            grid: old,
         };
         let (resharded, stats) = reshard_train_state(&state, new);
-        prop_assert_eq!(resharded.grid, Some(new));
+        prop_assert_eq!(resharded.grid, new);
         prop_assert_eq!(bits_of(&resharded.params), bits_of(&params));
         prop_assert_eq!(bits_of(&resharded.velocity), bits_of(&velocity));
         prop_assert!(stats.moved_bytes <= stats.total_bytes);
@@ -113,12 +113,12 @@ proptest! {
         if old == new {
             prop_assert_eq!(stats.moved_bytes, 0);
         }
-        // The re-laid state round-trips through the v3 wire format on
+        // The re-laid state round-trips through the wire format on
         // the new grid — the degraded world can actually load it.
         let mut buf = Vec::new();
         save_train_state(&mut buf, &resharded).unwrap();
         let loaded = load_train_state(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(loaded.grid, Some(new));
+        prop_assert_eq!(loaded.grid, new);
         prop_assert_eq!(bits_of(&loaded.params), bits_of(&params));
         prop_assert_eq!(bits_of(&loaded.velocity), bits_of(&velocity));
     }

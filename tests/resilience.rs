@@ -236,7 +236,7 @@ fn permanently_dead_rank_degrades_4_to_3_bitwise() {
         velocity: snap_vel,
         losses: report.losses[..at].to_vec(),
         guard: finegrain::nn::GuardState::default(),
-        grid: Some(grid),
+        grid,
     };
     let (restored, _) = finegrain::nn::reshard_train_state(&state, d.strategy.grids[0]);
     let small =
@@ -611,7 +611,7 @@ fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise(
         velocity: snap_vel,
         losses: report.losses[..at].to_vec(),
         guard: finegrain::nn::GuardState::default(),
-        grid: Some(grid),
+        grid,
     };
     let (restored, _) = finegrain::nn::reshard_train_state(&state, d.strategy.grids[0]);
     let small =
