@@ -406,6 +406,11 @@ impl WorldFaults {
         self.ops.get()
     }
 
+    /// Does the plan kill `rank` at some point of this run?
+    pub(crate) fn kills(&self, rank: usize) -> bool {
+        self.plan.kill_at(rank).is_some()
+    }
+
     /// Advance the op clock; fire a scheduled kill or delay. Runs once
     /// per logical send and once per receive.
     pub(crate) fn tick(&self) {

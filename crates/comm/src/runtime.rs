@@ -408,11 +408,18 @@ impl WorldComm {
             // rank panicked and the scope will propagate; under the fault
             // model it is an expected outcome. Either way the message is
             // lost — count it so a later hung receive is attributable.
+            // Except when the fault plan kills `dst`: that message is
+            // lost whether it was queued just before the victim unwound
+            // or refused just after, and only the second would be
+            // counted — a race with another thread's teardown, so
+            // neither is.
             Err(_) => {
                 if let Some(m) = &self.monitor {
                     m.note_send_failed(self.rank, dst);
                 }
-                self.note_dropped_send();
+                if !self.faults.as_ref().is_some_and(|f| f.kills(dst)) {
+                    self.note_dropped_send();
+                }
             }
         }
         self.mark_return();

@@ -184,6 +184,9 @@ pub struct DistExecutor {
     plans: Vec<Vec<LayerPlan>>,
     /// Precompiled memory plans of the fused step, indexed `[rank]`.
     mem_plans: Vec<RankMemPlan>,
+    /// Per layer: does some parent have parents of its own, i.e. is
+    /// this layer's input gradient read by anyone ([`BwdCx::wants_dx`])?
+    wants_dx: Vec<bool>,
 }
 
 impl DistExecutor {
@@ -240,7 +243,11 @@ impl DistExecutor {
                 RankMemPlan::compile(&spec, &layers, &rank_plans, &param_elems, batch, rank)
             })
             .collect();
-        let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans };
+        let wants_dx = layers
+            .iter()
+            .map(|l| l.base().parents.iter().any(|&p| !layers[p].base().parents.is_empty()))
+            .collect();
+        let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans, wants_dx };
 
         // FG_VERIFY: statically verify the compiled schedule before
         // handing it to anyone — a debug assertion for the plan compiler.
@@ -621,6 +628,7 @@ impl DistExecutor {
                         .slot_for(id, BufClass::DyWindow)
                         .map(|slot| ArenaSlot { pool: &a.pool, slot })
                 }),
+                wants_dx: self.wants_dx[id],
             };
             let out = layer.backward(comm, &cx, dy);
             if let Some(g) = out.grads {
@@ -992,6 +1000,58 @@ mod tests {
                     assert_eq!(grad_bits(gs), grad_bits(gf), "fused step changed gradients");
                 }
             }
+        }
+    }
+
+    /// A convolution hands back an input gradient exactly when someone
+    /// reads it: not when it is fed by `data` alone (directly, or as one
+    /// of two stems joined later), always otherwise.
+    #[test]
+    fn input_gradient_is_computed_only_where_it_is_read() {
+        let mut stems = NetworkSpec::new();
+        let i = stems.input("data", 3, 16, 16);
+        let a = stems.conv("stem_a", i, 4, 3, 2, 1);
+        let b = stems.conv("stem_b", i, 4, 5, 2, 2);
+        let j = stems.add_join("join", &[a, b]);
+        let pred = stems.conv("pred", j, 2, 1, 1, 0);
+        stems.loss("loss", pred);
+
+        for (spec, unread) in
+            [(mini_mesh_net(), vec!["conv1_1"]), (stems, vec!["stem_a", "stem_b"])]
+        {
+            let (x, labels) = seg_batch(2, 16, 16);
+            let net = Network::init(spec.clone(), 5);
+            let strategy = Strategy::uniform(&spec, ProcGrid::spatial(2, 2));
+            let exec = DistExecutor::new(spec, strategy, 2).unwrap();
+            run_ranks(4, |comm| {
+                let rank = comm.rank();
+                let pass = exec.forward(comm, &net.params, &x, Some(&labels));
+                for (id, layer) in exec.layers.iter().enumerate() {
+                    let base = layer.base();
+                    if !matches!(base.kind, LayerKind::Conv { .. }) {
+                        continue;
+                    }
+                    let dist = base.out_dist.clone().expect("conv output is sharded");
+                    let cx = BwdCx {
+                        plan: &exec.plans[id][rank],
+                        params: &net.params[id],
+                        pass: &pass,
+                        bn_mode: exec.strategy.bn_mode,
+                        rank,
+                        dyw_slot: None,
+                        wants_dx: exec.wants_dx[id],
+                    };
+                    let dy = Act::Shard(DistTensor::new_unpadded(dist, rank));
+                    let out = layer.backward(comm, &cx, dy);
+                    assert_eq!(
+                        out.dparents.is_empty(),
+                        unread.contains(&base.name.as_str()),
+                        "layer {}",
+                        base.name
+                    );
+                    assert!(out.grads.is_some(), "the filter gradient is always computed");
+                }
+            });
         }
     }
 

@@ -84,6 +84,7 @@ impl DistLayer for ConvLayer {
             &dy,
             w,
             b.is_some(),
+            cx.wants_dx,
             dy_halo,
             store,
         );
@@ -91,7 +92,7 @@ impl DistLayer for ConvLayer {
             slot.release(buf);
         }
         BwdOut {
-            dparents: vec![(0, Act::Shard(dx))],
+            dparents: dx.into_iter().map(|dx| (0, Act::Shard(dx))).collect(),
             grads: Some(LayerParams::Conv { w: dw, b: db }),
         }
     }

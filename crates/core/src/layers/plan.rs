@@ -332,6 +332,11 @@ pub struct BwdCx<'a> {
     /// Arena slot for the transient dy window in the fused step (`None`
     /// in the split API, whose pass escapes: conventional allocation).
     pub dyw_slot: Option<ArenaSlot<'a>>,
+    /// Does anyone read this layer's input gradient? False when every
+    /// parent is parent-less (the network input): the scheduler drops
+    /// what reaches such a layer, so a convolution need not compute it.
+    /// Worked out once from the spec by the executor.
+    pub wants_dx: bool,
 }
 
 impl BwdCx<'_> {

@@ -185,16 +185,21 @@ pub fn backward_overlapped<C: Communicator>(
     with_bias: bool,
 ) -> (DistTensor, Tensor, Option<Vec<f32>>) {
     let plan = conv.dy_halo_plan(comm.rank());
-    let (dx, dw, db, _) =
-        backward_overlapped_with_plans_in(conv, comm, x_window, dy, w, with_bias, &plan, None);
-    (dx, dw, db)
+    let (dx, dw, db, _) = backward_overlapped_with_plans_in(
+        conv, comm, x_window, dy, w, with_bias, true, &plan, None,
+    );
+    (dx.expect("dx was asked for"), dw, db)
 }
 
 /// [`backward_overlapped`] with a precompiled dy halo plan, the
 /// transient dy window's storage drawn from `store` when provided; the
 /// spent storage comes back as the last element (only when `store` was
 /// `Some`) so the caller can return it to its arena slot.
-#[allow(clippy::too_many_arguments)]
+///
+/// With `wants_dx` false (nobody reads this layer's input gradient)
+/// step (4) is skipped and `dx` is `None`. The dy halo exchange still
+/// runs, so the wire schedule is the same either way.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn backward_overlapped_with_plans_in<C: Communicator>(
     conv: &DistConv2d,
     comm: &C,
@@ -202,9 +207,10 @@ pub fn backward_overlapped_with_plans_in<C: Communicator>(
     dy: &DistTensor,
     w: &Tensor,
     with_bias: bool,
+    wants_dx: bool,
     plan: &HaloPlan,
     store: Option<Vec<f32>>,
-) -> (DistTensor, Tensor, Option<Vec<f32>>, Option<Vec<f32>>) {
+) -> (Option<DistTensor>, Tensor, Option<Vec<f32>>, Option<Vec<f32>>) {
     use fg_comm::{Collectives, ReduceOp};
     use fg_kernels::conv::conv2d_backward_data_region;
 
@@ -219,17 +225,20 @@ pub fn backward_overlapped_with_plans_in<C: Communicator>(
 
     // (3) Complete the halo, (4) backward-data compute.
     finish_halo_exchange(comm, &mut dyw, plan, tag);
-    let mut dx = DistTensor::new_unpadded(conv.in_dist.clone(), rank);
-    let ib = dx.own_box();
-    let local = conv2d_backward_data_region(
-        dyw.local(),
-        (dyw.origin()[2], dyw.origin()[3]),
-        w,
-        &conv.geom,
-        (ib.lo[2], ib.hi[2]),
-        (ib.lo[3], ib.hi[3]),
-    );
-    dx.set_owned(&local);
+    let dx = wants_dx.then(|| {
+        let mut dx = DistTensor::new_unpadded(conv.in_dist.clone(), rank);
+        let ib = dx.own_box();
+        let local = conv2d_backward_data_region(
+            dyw.local(),
+            (dyw.origin()[2], dyw.origin()[3]),
+            w,
+            &conv.geom,
+            (ib.lo[2], ib.hi[2]),
+            (ib.lo[3], ib.hi[3]),
+        );
+        dx.set_owned(&local);
+        dx
+    });
 
     // Complete dL/dw with the global allreduce (BPa), as usual.
     let mut flat = dw_local.as_slice().to_vec();

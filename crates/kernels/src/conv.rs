@@ -12,8 +12,62 @@
 //! inner loops — which is precisely the paper's "exactly replicates
 //! convolution as if it were performed on a single GPU" property.
 //!
-//! cuDNN plays this role in the paper (§IV); numerics, not speed, are
-//! what the reproduction needs from these kernels.
+//! cuDNN plays this role in the paper (§IV). At P = 2 these loops *are*
+//! the training step, so they are written for speed under one fixed
+//! contract.
+//!
+//! # The order contract
+//!
+//! Every result element is one floating-point sum, and the order of its
+//! terms is what "bitwise equal to a single device" rests on:
+//!
+//! * **forward** — `y[k,f,oh,ow]` starts at the bias (or `+0.0`) and adds
+//!   `w·x` over `(c, r, s)`, ascending, `s` innermost;
+//! * **backward-data** — `dx[k,c,ih,iw]` starts at `+0.0` and, for each
+//!   valid kernel row `r` ascending and filter `f` ascending, adds
+//!   `acc = Σ_s dy·w` (valid taps `s` ascending, from `+0.0`);
+//! * **backward-filter** — `dw[f,c,r,s]` starts at `+0.0` and, for each
+//!   `(k, oh)` ascending, adds the dot product of the `dy` row with the
+//!   tap's input row, `j` ascending from `+0.0`; `db[f]` adds each row's
+//!   sum in the same `(k, oh)` order.
+//!
+//! Loops may be reordered or split only where no element sees its terms
+//! in a different order.
+//!
+//! # Contiguous inner loops at every stride
+//!
+//! Each innermost loop is a run over adjacent elements of two rows — no
+//! division, no test, no strided read — which is the form the
+//! autovectorizer handles.
+//!
+//! *Backward-data* decomposes the requested columns by stride phase. An
+//! input column with `iw + pad_w = m·s_w + q` is reached only by taps
+//! `s = q + e·s_w`, from output column `ow = m − e`; so within phase `q`
+//! tap `e` is the dense update `t[m] += dy[m − e] · w[s]` over the range
+//! of `m` with `0 ≤ m − e < out_w`, computed once per call. Kernel rows
+//! decompose the same way (`r = (ih + pad_h) mod s_h, + s_h, …`). One
+//! `(k, ih)` slab of `dx` — all channels — is accumulated phase by phase
+//! and interleaved into place when its last term is in, so the loop
+//! order is `k, ih, r, f, phase, tap, c`: a `dy` row is loaded once per
+//! `(k, f, oh)`, the weights are walked at stride `kh·kw`, and zeroing
+//! and adding a term are single runs over every channel, which is what
+//! keeps rows of one or two elements (ResNet's deep layers) cheap.
+//!
+//! *Forward and backward-filter* read the window through [`TapRows`]:
+//! when `stride_w > 1` the rows one call reads are copied once with
+//! column `l` moved to `qoff[l mod s_w] + l / s_w`, so the elements
+//! consecutive outputs read through one tap are adjacent and every tap is
+//! the zip over two rows that stride 1 always was; the `(r, s)` taps of a
+//! channel are one flat table of offsets.
+//!
+//! # Signed zeros
+//!
+//! Backward-data adds a phase's single tap straight into `dx` (not via
+//! `0.0 + p`) and skips a phase no tap reaches (not `dx += 0.0`). Both
+//! keep every bit: `dx` starts at `+0.0`, and a round-to-nearest sum is
+//! `−0.0` only when both addends are, so `dx` is never `−0.0` and
+//! `dx + (0.0 + p)` equals `dx + p` — they could differ only for
+//! `p = −0.0`, where both leave `dx` as it was.
 
 use fg_tensor::{Shape4, Tensor};
 
@@ -110,6 +164,158 @@ fn assert_window_covers(origin: i64, extent: usize, lo: i64, hi: i64, what: &str
     );
 }
 
+/// The window rows one forward or backward-filter call reads, in the
+/// layout its inner loops want: through kernel tap `(r, s)`, output
+/// `(row, j)` of the region reads element `tap_at[r·kw + s] + j` of
+/// [`TapRows::rows`]`(plane, row)`. At `stride_w == 1` that is the window
+/// itself; otherwise the rows are copied once with their columns grouped
+/// by phase `l mod stride_w` — scratch the size of what the call reads
+/// (the caller's `scratch`), gone when it returns.
+struct TapRows<'a> {
+    data: &'a [f32],
+    /// Elements between the starts of consecutive `(k, c)` planes.
+    plane: usize,
+    /// Elements between the starts of consecutive rows.
+    pitch: usize,
+    /// Offset, within a plane, of the first row and column the call reads.
+    first: usize,
+    /// Per tap, in `(r, s)` order: where output column 0 reads, counted
+    /// from the start of the output row's first input row.
+    tap_at: Vec<usize>,
+}
+
+impl<'a> TapRows<'a> {
+    /// Rows `rows` × columns `cols` (global, as returned by
+    /// [`ConvGeometry::input_rows_for_output`]) of window `x`, which the
+    /// caller has checked covers them. `scratch` holds the copy when one
+    /// is made.
+    fn new(
+        x: &'a Tensor,
+        x_origin: (i64, i64),
+        geom: &ConvGeometry,
+        rows: (i64, i64),
+        cols: (i64, i64),
+        scratch: &'a mut Vec<f32>,
+    ) -> Self {
+        let xs = x.shape();
+        let row0 = (rows.0 - x_origin.0) as usize;
+        let col0 = (cols.0 - x_origin.1) as usize;
+        let sw = geom.stride_w;
+        let rows_at = |data, plane, pitch, first, col_of: &dyn Fn(usize) -> usize| TapRows {
+            data,
+            plane,
+            pitch,
+            first,
+            tap_at: (0..geom.kh)
+                .flat_map(|r| (0..geom.kw).map(move |s| r * pitch + col_of(s)))
+                .collect(),
+        };
+        if sw == 1 {
+            return rows_at(x.as_slice(), xs.h * xs.w, xs.w, row0 * xs.w + col0, &|s| s);
+        }
+        let height = (rows.1 - rows.0) as usize;
+        let width = (cols.1 - cols.0) as usize;
+        // Phase q holds columns q, q + sw, …: ⌈(width − q) / sw⌉ of them.
+        let mut qoff = vec![0usize; sw + 1];
+        for q in 0..sw {
+            qoff[q + 1] = qoff[q] + width.saturating_sub(q).div_ceil(sw);
+        }
+        scratch.resize(xs.n * xs.c * height * width, 0.0);
+        let src = x.as_slice();
+        for (p, plane) in scratch.chunks_exact_mut(height * width).enumerate() {
+            let base = xs.offset(p / xs.c, p % xs.c, row0, col0);
+            for (h, dst) in plane.chunks_exact_mut(width).enumerate() {
+                let row = &src[base + h * xs.w..][..width];
+                for q in 0..sw {
+                    let phase = &mut dst[qoff[q]..qoff[q + 1]];
+                    for (d, v) in phase.iter_mut().zip(row.iter().skip(q).step_by(sw)) {
+                        *d = *v;
+                    }
+                }
+            }
+        }
+        rows_at(scratch, height * width, width, 0, &|s| qoff[s % sw] + s / sw)
+    }
+
+    /// Everything from row `row` (counted from the first row the call
+    /// reads) of plane `plane` (`k·C + c`) on, starting at the first
+    /// column the call reads.
+    fn rows(&self, plane: usize, row: usize) -> &[f32] {
+        &self.data[plane * self.plane + self.first + row * self.pitch..]
+    }
+}
+
+/// One kernel tap inside one width phase of a backward-data call: the
+/// dense update `run[dst..dst + len] += dy_row[src..src + len] · w[s]`
+/// of a channel's run of the phase.
+struct PhaseTap {
+    /// Kernel column.
+    s: usize,
+    /// First element of the phase row the tap reaches.
+    dst: usize,
+    /// Window column of the `dy` element that lands there.
+    src: usize,
+    /// Run length.
+    len: usize,
+}
+
+/// The requested `dx` columns with one residue of `(iw + pad_w) mod
+/// stride_w`.
+struct WidthPhase {
+    /// Columns in the phases before it: where its run starts in a
+    /// phase-split row.
+    start: usize,
+    /// Columns in the phase.
+    len: usize,
+    /// Region-relative column of its first element; the rest follow at
+    /// `stride_w`.
+    first_col: usize,
+    /// Its taps, ascending in `s`, as a range of [`WidthPhases::taps`].
+    taps: std::ops::Range<usize>,
+}
+
+/// The stride-phase decomposition of one backward-data call's columns.
+struct WidthPhases {
+    phases: Vec<WidthPhase>,
+    taps: Vec<PhaseTap>,
+}
+
+impl WidthPhases {
+    /// Decompose `dx` columns `[iw0, iw1)`; `dy_col0` is the global
+    /// column of the `dy` window's first element.
+    fn new(geom: &ConvGeometry, (iw0, iw1): (usize, usize), dy_col0: i64) -> Self {
+        let (sw, pw, out_w) = (geom.stride_w, geom.pad_w, geom.out_w());
+        let mut phases = Vec::with_capacity(sw);
+        let mut taps = Vec::new();
+        let mut start = 0;
+        for q in 0..sw {
+            // Columns iw = m·sw + q − pw of the region: m ∈ [m_lo, m_hi).
+            let m_lo = (iw0 + pw).saturating_sub(q).div_ceil(sw);
+            let m_hi = (iw1 + pw).saturating_sub(q).div_ceil(sw);
+            if m_lo == m_hi {
+                continue;
+            }
+            let first_tap = taps.len();
+            for (e, s) in (q..geom.kw).step_by(sw).enumerate() {
+                // Tap s = q + e·sw reads output column m − e ∈ [0, out_w).
+                let (a, b) = (m_lo.max(e), m_hi.min(out_w + e));
+                if a < b {
+                    let src = ((a - e) as i64 - dy_col0) as usize;
+                    taps.push(PhaseTap { s, dst: a - m_lo, src, len: b - a });
+                }
+            }
+            phases.push(WidthPhase {
+                start,
+                len: m_hi - m_lo,
+                first_col: m_lo * sw + q - pw - iw0,
+                taps: first_tap..taps.len(),
+            });
+            start += m_hi - m_lo;
+        }
+        WidthPhases { phases, taps }
+    }
+}
+
 /// Forward convolution (Eq. 1) over an output region.
 ///
 /// * `x` — input window `(N_loc, C, win_h, win_w)`, padding materialized
@@ -146,43 +352,24 @@ pub fn conv2d_forward_region(
     let rows = oh1 - oh0;
     let cols = ow1 - ow0;
     let mut y = Tensor::zeros(Shape4::new(n, f_out, rows, cols));
-    let xs = x.as_slice();
-    let ws = w.as_slice();
-    let x_shape = x.shape();
-    let w_shape = w.shape();
+    let mut scratch = Vec::new();
+    let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
+    let w_chan = geom.kh * geom.kw;
 
     for k in 0..n {
-        for f in 0..f_out {
+        for (f, w_f) in w.as_slice().chunks_exact(c_in * w_chan).enumerate() {
             let bias_v = bias.map_or(0.0, |b| b[f]);
             for oh in oh0..oh1 {
                 // Local output row accumulator.
                 let y_base = y.shape().offset(k, f, oh - oh0, 0);
                 let y_row = &mut y.as_mut_slice()[y_base..y_base + cols];
                 y_row.fill(bias_v);
-                for c in 0..c_in {
-                    for r in 0..geom.kh {
-                        let ih = oh as i64 * geom.stride_h as i64 - geom.pad_h as i64 + r as i64;
-                        let lh = (ih - x_origin.0) as usize;
-                        let x_base = x_shape.offset(k, c, lh, 0);
-                        let x_row = &xs[x_base..x_base + win_w];
-                        let w_base = w_shape.offset(f, c, r, 0);
-                        let w_row = &ws[w_base..w_base + geom.kw];
-                        for (s, &wv) in w_row.iter().enumerate() {
-                            if wv == 0.0 {
-                                continue;
-                            }
-                            let iw0_l = (ow0 as i64 * geom.stride_w as i64 - geom.pad_w as i64
-                                + s as i64
-                                - x_origin.1) as usize;
-                            if geom.stride_w == 1 {
-                                for (yv, xv) in y_row.iter_mut().zip(&x_row[iw0_l..iw0_l + cols]) {
-                                    *yv += wv * xv;
-                                }
-                            } else {
-                                for (j, yv) in y_row.iter_mut().enumerate() {
-                                    *yv += wv * x_row[iw0_l + j * geom.stride_w];
-                                }
-                            }
+                let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
+                for (c, w_c) in w_f.chunks_exact(w_chan).enumerate() {
+                    let x_c = &x_k[c * x_rows.plane..];
+                    for (&wv, &at) in w_c.iter().zip(&x_rows.tap_at) {
+                        for (yv, xv) in y_row.iter_mut().zip(&x_c[at..at + cols]) {
+                            *yv += wv * xv;
                         }
                     }
                 }
@@ -228,48 +415,78 @@ pub fn conv2d_backward_data_region(
 
     let rows = ih1 - ih0;
     let cols = iw1 - iw0;
-    let out_h = geom.out_h() as i64;
-    let out_w = geom.out_w() as i64;
     let mut dx = Tensor::zeros(Shape4::new(n, c_out, rows, cols));
+    let phases = WidthPhases::new(geom, dx_cols, dy_origin.1);
     let dys = dy.as_slice();
     let dy_shape = dy.shape();
     let w_shape = w.shape();
     let ws = w.as_slice();
+    let w_chan = geom.kh * geom.kw;
+    let (sh, sw) = (geom.stride_h, geom.stride_w);
+    let out_h = geom.out_h();
 
+    // One (k, ih) slab of dx, phase-major — phase `p` owns the block
+    // `[C·p.start, C·(p.start + p.len))`, channel `c` its `c`-th run of
+    // `p.len` — and a scratch of the same size for one (r, f) term.
+    let mut slab = vec![0.0f32; c_out * cols];
+    let mut term = vec![0.0f32; c_out * cols];
     for k in 0..n {
-        for c in 0..c_out {
-            for ih in ih0..ih1 {
-                let dx_base = dx.shape().offset(k, c, ih - ih0, 0);
-                for r in 0..geom.kh {
-                    let t = ih as i64 + geom.pad_h as i64 - r as i64;
-                    if t < 0 || t % geom.stride_h as i64 != 0 {
-                        continue;
-                    }
-                    let oh = t / geom.stride_h as i64;
-                    if oh >= out_h {
-                        continue;
-                    }
-                    let lh = (oh - dy_origin.0) as usize;
-                    for f in 0..f_in {
-                        let wv_base = w_shape.offset(f, c, r, 0);
-                        let dy_base = dy_shape.offset(k, f, lh, 0);
-                        for iw in iw0..iw1 {
-                            let mut acc = 0.0f32;
-                            for s in 0..geom.kw {
-                                let u = iw as i64 + geom.pad_w as i64 - s as i64;
-                                if u < 0 || u % geom.stride_w as i64 != 0 {
-                                    continue;
-                                }
-                                let ow = u / geom.stride_w as i64;
-                                if ow >= out_w {
-                                    continue;
-                                }
-                                let lw = (ow - dy_origin.1) as usize;
-                                acc += dys[dy_base + lw] * ws[wv_base + s];
+        for ih in ih0..ih1 {
+            slab.fill(0.0);
+            // Row ih + pad_h = mh·s_h + qh is reached by kernel rows
+            // r = qh + eh·s_h from output row mh − eh.
+            let (mh, qh) = ((ih + geom.pad_h) / sh, (ih + geom.pad_h) % sh);
+            for (eh, r) in (qh..geom.kh).step_by(sh).enumerate() {
+                if eh > mh || mh - eh >= out_h {
+                    continue;
+                }
+                let lh = ((mh - eh) as i64 - dy_origin.0) as usize;
+                for f in 0..f_in {
+                    let dy_base = dy_shape.offset(k, f, lh, 0);
+                    let dy_row = &dys[dy_base..dy_base + win_w];
+                    // w[f][c][r][·] for c = 0, 1, … heads successive
+                    // chunks of kh·kw elements from here.
+                    let w_f = &ws[w_shape.offset(f, 0, r, 0)..];
+                    for phase in &phases.phases {
+                        let block = c_out * phase.start..c_out * (phase.start + phase.len);
+                        let taps = &phases.taps[phase.taps.clone()];
+                        // A lone tap adds straight into the slab; several
+                        // sum into `term` first (see "Signed zeros").
+                        let into = match taps.len() {
+                            0 => continue,
+                            1 => &mut slab[block.clone()],
+                            _ => {
+                                term[block.clone()].fill(0.0);
+                                &mut term[block.clone()]
                             }
-                            let dxv = &mut dx.as_mut_slice()[dx_base + (iw - iw0)];
-                            *dxv += acc;
+                        };
+                        for tap in taps {
+                            let src = &dy_row[tap.src..tap.src + tap.len];
+                            for (run, w_c) in
+                                into.chunks_exact_mut(phase.len).zip(w_f.chunks(w_chan))
+                            {
+                                let wv = w_c[tap.s];
+                                for (d, g) in run[tap.dst..tap.dst + tap.len].iter_mut().zip(src) {
+                                    *d += g * wv;
+                                }
+                            }
                         }
+                        if taps.len() > 1 {
+                            for (d, tv) in slab[block.clone()].iter_mut().zip(&term[block]) {
+                                *d += tv;
+                            }
+                        }
+                    }
+                }
+            }
+            // Interleave the finished phase rows into dx.
+            for phase in &phases.phases {
+                let block = &slab[c_out * phase.start..c_out * (phase.start + phase.len)];
+                for (c, run) in block.chunks_exact(phase.len).enumerate() {
+                    let dx_base = dx.shape().offset(k, c, ih - ih0, phase.first_col);
+                    let dx_row = &mut dx.as_mut_slice()[dx_base..];
+                    for (d, v) in dx_row.iter_mut().step_by(sw).zip(run) {
+                        *d = *v;
                     }
                 }
             }
@@ -311,43 +528,31 @@ pub fn conv2d_backward_filter_region(
 
     let mut dw = Tensor::zeros(Shape4::new(f_out, c_in, geom.kh, geom.kw));
     let mut db = vec![0.0f32; f_out];
-    let xs = x.as_slice();
-    let x_shape = x.shape();
+    let mut scratch = Vec::new();
+    let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
     let dy_shape = dy.shape();
     let dys = dy.as_slice();
     let cols = ow1 - ow0;
 
+    let w_chan = geom.kh * geom.kw;
     for k in 0..n {
-        for (f, db_f) in db.iter_mut().enumerate() {
+        let dw_filters = dw.as_mut_slice().chunks_exact_mut(c_in * w_chan);
+        for (f, (db_f, dw_f)) in db.iter_mut().zip(dw_filters).enumerate() {
             for oh in oh0..oh1 {
                 let lh_dy = (oh as i64 - dy_origin.0) as usize;
                 let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
                 let dy_base = dy_shape.offset(k, f, lh_dy, lw_dy0);
                 let dy_row = &dys[dy_base..dy_base + cols];
                 *db_f += dy_row.iter().sum::<f32>();
-                for c in 0..c_in {
-                    for r in 0..geom.kh {
-                        let ih = oh as i64 * geom.stride_h as i64 - geom.pad_h as i64 + r as i64;
-                        let lh = (ih - x_origin.0) as usize;
-                        let x_base = x_shape.offset(k, c, lh, 0);
-                        let x_row = &xs[x_base..x_base + win_w];
-                        let dw_base = dw.shape().offset(f, c, r, 0);
-                        for s in 0..geom.kw {
-                            let iw0_l = (ow0 as i64 * geom.stride_w as i64 - geom.pad_w as i64
-                                + s as i64
-                                - x_origin.1) as usize;
-                            let mut acc = 0.0f32;
-                            if geom.stride_w == 1 {
-                                for (g, xv) in dy_row.iter().zip(&x_row[iw0_l..iw0_l + cols]) {
-                                    acc += g * xv;
-                                }
-                            } else {
-                                for (j, g) in dy_row.iter().enumerate() {
-                                    acc += g * x_row[iw0_l + j * geom.stride_w];
-                                }
-                            }
-                            dw.as_mut_slice()[dw_base + s] += acc;
+                let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
+                for (c, dw_c) in dw_f.chunks_exact_mut(w_chan).enumerate() {
+                    let x_c = &x_k[c * x_rows.plane..];
+                    for (dwv, &at) in dw_c.iter_mut().zip(&x_rows.tap_at) {
+                        let mut acc = 0.0f32;
+                        for (g, xv) in dy_row.iter().zip(&x_c[at..at + cols]) {
+                            acc += g * xv;
                         }
+                        *dwv += acc;
                     }
                 }
             }

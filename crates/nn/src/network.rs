@@ -179,10 +179,13 @@ impl Network {
                     let geom =
                         ConvGeometry::square(xin.shape().h, xin.shape().w, *kernel, *stride, *pad);
                     let (w, b) = conv_params(&self.params[id]);
-                    let dx = conv2d_backward_data(&dy, w, &geom);
                     let (dw, db) = conv2d_backward_filter(xin, &dy, &geom);
                     grads[id] = LayerParams::Conv { w: dw, b: b.map(|_| db) };
-                    accumulate(&mut dout[l.parents[0]], dx);
+                    // The input layer drops what reaches it: no input
+                    // gradient for a convolution fed by the data.
+                    if !self.spec.layer(l.parents[0]).parents.is_empty() {
+                        accumulate(&mut dout[l.parents[0]], conv2d_backward_data(&dy, w, &geom));
+                    }
                 }
                 LayerKind::Pool { kind, kernel, stride, pad } => {
                     let xin = &pass.activations[l.parents[0]];

@@ -146,6 +146,21 @@ filtered_tests -p fg-perf --lib -- budget_rejects_over_budget_candidates_typed
 FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
     fused_step_matches_split static_bounds abandoned_step
 
+# Convolution kernels, bit for bit against the loops they replaced (the
+# gather and strided-read references live in the test file). Both
+# profiles on purpose: the benchmark measures release code, whose
+# vectorised loops are a different instruction stream from the debug
+# build every other rung tests, and only the debug build's overflow and
+# bounds checks catch an off-by-one in the phase-range arithmetic.
+step "conv kernels equal their reference loops bitwise (debug + release)"
+bitwise_conv_tests=(
+    forward_region_equals_strided_reference_bitwise
+    backward_data_region_equals_gather_reference_bitwise
+    backward_filter_region_equals_strided_reference_bitwise
+)
+filtered_tests -p fg-kernels --test conv_properties -- "${bitwise_conv_tests[@]}"
+filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv_tests[@]}"
+
 # Serving tier: chaos traffic (lossy links + a mid-stream rank kill)
 # through the full admission → batch → dispatch → replica stack. The
 # contract under test: every accepted request terminates — no hangs —

@@ -227,3 +227,87 @@ fn six_rank_hybrid_with_uneven_blocks() {
         1e-3,
     );
 }
+
+/// FNV-1a 64 over the bit patterns of a loss and its gradients.
+fn fnv64(loss: f64, grads: &[finegrain::nn::LayerParams]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    eat(&loss.to_bits().to_le_bytes());
+    for g in grads {
+        for v in g.to_flat() {
+            eat(&v.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// `data` feeding two convolutions joined by `Add`: both read a
+/// parent-less layer, neither owes anyone an input gradient.
+fn two_stem_net() -> finegrain::nn::NetworkSpec {
+    let mut net = finegrain::nn::NetworkSpec::new();
+    let i = net.input("data", 3, 16, 16);
+    let a = net.conv("stem_a", i, 4, 3, 2, 1);
+    let b = net.conv("stem_b", i, 4, 5, 2, 2);
+    let j = net.add_join("join", &[a, b]);
+    let r = net.relu("relu", j);
+    let pred = net.conv("pred", r, 2, 1, 1, 0);
+    net.loss("loss", pred);
+    net
+}
+
+/// Recorded before the input gradient of the first convolution stopped
+/// being computed: nobody reads it, so losses and parameter gradients —
+/// serial and under every scheme — must keep every bit.
+#[test]
+fn unread_input_gradient_is_not_part_of_any_result() {
+    let hash_all = |spec: finegrain::nn::NetworkSpec,
+                    x: &finegrain::tensor::Tensor,
+                    labels: &finegrain::kernels::Labels| {
+        let net = Network::init(spec.clone(), 20240704);
+        let (loss, grads) = net.loss_and_grads(x, labels);
+        let mut hashes = vec![fnv64(loss, &grads)];
+        for grid in [ProcGrid::sample(2), ProcGrid::hybrid(1, 2, 1), ProcGrid::spatial(2, 2)] {
+            let exec = DistExecutor::new(spec.clone(), Strategy::uniform(&spec, grid), x.shape().n)
+                .expect("valid strategy");
+            let outs =
+                run_ranks(grid.size(), |comm| exec.loss_and_grads(comm, &net.params, x, labels));
+            let per_rank: Vec<u64> = outs.iter().map(|(l, g)| fnv64(*l, g)).collect();
+            assert!(per_rank.iter().all(|h| *h == per_rank[0]), "ranks disagree under {grid}");
+            hashes.push(per_rank[0]);
+        }
+        hashes
+    };
+
+    // 128², not 64²: six stride-2 stages leave a 2×2 map, the smallest
+    // a two-way spatial split still populates.
+    let ds = MeshDataset::new(128, 2, MESH_CHANNELS, 31);
+    let (x, labels) = ds.batch(0, 2);
+    let mesh = hash_all(mesh_model_custom(MeshSize::OneK, 128, 16), &x, &labels);
+    assert_eq!(
+        mesh,
+        [0x41d4878297467ea8, 0xb565efa823beb055, 0x00b3f85b64969dd2, 0x7638b561a6470bf7],
+        "mesh model: serial, sample(2), hybrid(1,2,1), spatial(2,2)"
+    );
+
+    let x = finegrain::tensor::Tensor::from_fn(
+        finegrain::tensor::Shape4::new(2, 3, 16, 16),
+        |k, c, i, j| (((k * 13 + c * 7 + i * 3 + j) % 11) as f32) * 0.3 - 1.5,
+    );
+    let labels = finegrain::kernels::Labels::per_pixel(
+        2,
+        8,
+        8,
+        (0..2 * 8 * 8).map(|i| (i % 2) as u32).collect(),
+    );
+    let stems = hash_all(two_stem_net(), &x, &labels);
+    assert_eq!(
+        stems,
+        [0x34c823e4322fd143, 0x9ae3611738dcc015, 0x20ad974ccd7cecfc, 0xecc565d4560e50e5],
+        "two-stem net: serial, sample(2), hybrid(1,2,1), spatial(2,2)"
+    );
+}

@@ -43,19 +43,18 @@ fn sample_parallelism_moves_no_halo_bytes() {
 #[test]
 fn calibrated_compute_model_generalizes() {
     let model = calibrate_cpu_device();
-    // Held-out shapes, different from the calibration set. Unit-stride
-    // shapes must predict tightly; the strided shape gets a wide band —
-    // the flops-based model does not see the CPU kernel's slower
-    // strided inner loop (the paper sidesteps this by *measuring* every
-    // layer it models, per §V-A).
-    for (work, lo, hi) in [
-        (ConvWork { n: 2, c: 8, h: 40, w: 40, f: 8, k: 3, s: 1 }, 0.25, 4.0),
-        (ConvWork { n: 1, c: 16, h: 30, w: 30, f: 24, k: 5, s: 1 }, 0.25, 4.0),
-        (ConvWork { n: 1, c: 16, h: 28, w: 28, f: 24, k: 5, s: 2 }, 0.05, 8.0),
+    // Held-out shapes, different from the calibration set. One band for
+    // all of them: the kernel's inner loop is the same contiguous run at
+    // every stride, so the flops-based model fits the strided shape as
+    // it fits the unit-stride ones.
+    for work in [
+        ConvWork { n: 2, c: 8, h: 40, w: 40, f: 8, k: 3, s: 1 },
+        ConvWork { n: 1, c: 16, h: 30, w: 30, f: 24, k: 5, s: 1 },
+        ConvWork { n: 1, c: 16, h: 28, w: 28, f: 24, k: 5, s: 2 },
     ] {
         let measured = measure_conv(&work);
         let modeled = model.conv_time(&work, ConvPass::Forward);
         let ratio = modeled / measured;
-        assert!((lo..hi).contains(&ratio), "model does not generalize: {ratio:.2} on {work:?}");
+        assert!((0.25..4.0).contains(&ratio), "model does not generalize: {ratio:.2} on {work:?}");
     }
 }
