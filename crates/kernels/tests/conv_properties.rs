@@ -435,12 +435,13 @@ struct BitCase {
 }
 
 /// Kernel 1–7 and stride 1–3 independently per axis, pad `0..=k/2+1`,
-/// extents 3–23.
+/// extents 3–23; 1–13 channels and filters, so a case holds full
+/// register-tile channel blocks and a remainder.
 fn bit_case() -> impl Strategy<Value = BitCase> {
     (
         1usize..3,
-        1usize..4,
-        1usize..4,
+        1usize..14,
+        1usize..14,
         (1usize..8, 1usize..8),
         (1usize..4, 1usize..4),
         (3usize..24, 3usize..24),
@@ -464,72 +465,196 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+type Range2 = (usize, usize);
+
+/// Forward over output region `rows × cols` against the strided
+/// reference, through a window drawn from `picks`; `Err` is the one-line
+/// reproducer.
+fn check_forward(
+    case: BitCase,
+    rows: Range2,
+    cols: Range2,
+    picks: &mut Picks,
+) -> Result<(), String> {
+    let BitCase { n, c, f, geom, seed } = case;
+    let (ih_lo, ih_hi) = geom.input_rows_for_output(rows.0, rows.1);
+    let (iw_lo, iw_hi) = geom.input_cols_for_output(cols.0, cols.1);
+    let (oy, win_h) = picks.window(ih_lo, ih_hi);
+    let (ox, win_w) = picks.window(iw_lo, iw_hi);
+    let x = rounding_tensor(Shape4::new(n, c, win_h, win_w), seed);
+    let w = rounding_tensor(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xFACE);
+    let bias: Vec<f32> = (0..f).map(|i| i as f32 * 0.37 - 0.5).collect();
+    let bias = (picks.below(2) == 0).then_some(bias.as_slice());
+    let got = conv2d_forward_region(&x, (oy, ox), &w, bias, &geom, rows, cols);
+    let want = strided_forward_region(&x, (oy, ox), &w, bias, &geom, rows, cols);
+    if bits(got.as_slice()) == bits(want.as_slice()) {
+        return Ok(());
+    }
+    Err(format!(
+        "forward bits differ: {case:?} out_rows {rows:?} out_cols {cols:?} x_origin {:?} \
+         window {win_h}x{win_w} bias {}",
+        (oy, ox),
+        bias.is_some()
+    ))
+}
+
+/// Backward-data over input region `rows × cols` against the gather
+/// reference.
+fn check_backward_data(
+    case: BitCase,
+    rows: Range2,
+    cols: Range2,
+    picks: &mut Picks,
+) -> Result<(), String> {
+    let BitCase { n, c, f, geom, seed } = case;
+    let (oh_lo, oh_hi) = geom.output_rows_for_input(rows.0, rows.1);
+    let (ow_lo, ow_hi) = geom.output_cols_for_input(cols.0, cols.1);
+    let (oy, win_h) = picks.window(oh_lo as i64, oh_hi as i64);
+    let (ox, win_w) = picks.window(ow_lo as i64, ow_hi as i64);
+    // Random everywhere: window positions outside the valid output
+    // range are garbage neither implementation may read.
+    let dy = rounding_tensor(Shape4::new(n, f, win_h, win_w), seed);
+    let w = rounding_tensor(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0x1111);
+    let got = conv2d_backward_data_region(&dy, (oy, ox), &w, &geom, rows, cols);
+    let want = gather_backward_data_region(&dy, (oy, ox), &w, &geom, rows, cols);
+    if bits(got.as_slice()) == bits(want.as_slice()) {
+        return Ok(());
+    }
+    Err(format!(
+        "backward-data bits differ: {case:?} dx_rows {rows:?} dx_cols {cols:?} \
+         dy_origin {:?} window {win_h}x{win_w}",
+        (oy, ox)
+    ))
+}
+
+/// Backward-filter over output region `rows × cols` against the strided
+/// reference.
+fn check_backward_filter(
+    case: BitCase,
+    rows: Range2,
+    cols: Range2,
+    picks: &mut Picks,
+) -> Result<(), String> {
+    let BitCase { n, c, f, geom, seed } = case;
+    let (ih_lo, ih_hi) = geom.input_rows_for_output(rows.0, rows.1);
+    let (iw_lo, iw_hi) = geom.input_cols_for_output(cols.0, cols.1);
+    let (x_oy, x_h) = picks.window(ih_lo, ih_hi);
+    let (x_ox, x_w) = picks.window(iw_lo, iw_hi);
+    let (dy_oy, dy_h) = picks.window(rows.0 as i64, rows.1 as i64);
+    let (dy_ox, dy_w) = picks.window(cols.0 as i64, cols.1 as i64);
+    let x = rounding_tensor(Shape4::new(n, c, x_h, x_w), seed);
+    let dy = rounding_tensor(Shape4::new(n, f, dy_h, dy_w), seed ^ 0x4444);
+    let (dw, db) =
+        conv2d_backward_filter_region(&x, (x_oy, x_ox), &dy, (dy_oy, dy_ox), &geom, rows, cols);
+    let (dw_ref, db_ref) =
+        strided_backward_filter_region(&x, (x_oy, x_ox), &dy, (dy_oy, dy_ox), &geom, rows, cols);
+    if bits(dw.as_slice()) == bits(dw_ref.as_slice()) && bits(&db) == bits(&db_ref) {
+        return Ok(());
+    }
+    Err(format!(
+        "backward-filter bits differ: {case:?} dy_rows {rows:?} dy_cols {cols:?} \
+         x_origin {:?} x window {x_h}x{x_w} dy_origin {:?} dy window {dy_h}x{dy_w}",
+        (x_oy, x_ox),
+        (dy_oy, dy_ox)
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn forward_region_equals_strided_reference_bitwise(case in bit_case()) {
-        let BitCase { n, c, f, geom, seed } = case;
-        let mut picks = Picks(seed ^ 0xF0F0_F0F0 | 1);
-        let rows = picks.sub_range(geom.out_h());
-        let cols = picks.sub_range(geom.out_w());
-        let (ih_lo, ih_hi) = geom.input_rows_for_output(rows.0, rows.1);
-        let (iw_lo, iw_hi) = geom.input_cols_for_output(cols.0, cols.1);
-        let (oy, win_h) = picks.window(ih_lo, ih_hi);
-        let (ox, win_w) = picks.window(iw_lo, iw_hi);
-        let x = rounding_tensor(Shape4::new(n, c, win_h, win_w), seed);
-        let w = rounding_tensor(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xFACE);
-        let bias: Vec<f32> = (0..f).map(|i| i as f32 * 0.37 - 0.5).collect();
-        let bias = (picks.below(2) == 0).then_some(bias.as_slice());
-        let got = conv2d_forward_region(&x, (oy, ox), &w, bias, &geom, rows, cols);
-        let want = strided_forward_region(&x, (oy, ox), &w, bias, &geom, rows, cols);
-        prop_assert!(bits(got.as_slice()) == bits(want.as_slice()),
-            "forward bits differ: {case:?} out_rows {rows:?} out_cols {cols:?} x_origin {:?} \
-             window {win_h}x{win_w} bias {}", (oy, ox), bias.is_some());
+        let mut picks = Picks(case.seed ^ 0xF0F0_F0F0 | 1);
+        let rows = picks.sub_range(case.geom.out_h());
+        let cols = picks.sub_range(case.geom.out_w());
+        let checked = check_forward(case, rows, cols, &mut picks);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     #[test]
     fn backward_data_region_equals_gather_reference_bitwise(case in bit_case()) {
-        let BitCase { n, c, f, geom, seed } = case;
-        let mut picks = Picks(seed ^ 0x0D0D_0D0D | 1);
-        let rows = picks.sub_range(geom.in_h);
-        let cols = picks.sub_range(geom.in_w);
-        let (oh_lo, oh_hi) = geom.output_rows_for_input(rows.0, rows.1);
-        let (ow_lo, ow_hi) = geom.output_cols_for_input(cols.0, cols.1);
-        let (oy, win_h) = picks.window(oh_lo as i64, oh_hi as i64);
-        let (ox, win_w) = picks.window(ow_lo as i64, ow_hi as i64);
-        // Random everywhere: window positions outside the valid output
-        // range are garbage neither implementation may read.
-        let dy = rounding_tensor(Shape4::new(n, f, win_h, win_w), seed);
-        let w = rounding_tensor(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0x1111);
-        let got = conv2d_backward_data_region(&dy, (oy, ox), &w, &geom, rows, cols);
-        let want = gather_backward_data_region(&dy, (oy, ox), &w, &geom, rows, cols);
-        prop_assert!(bits(got.as_slice()) == bits(want.as_slice()),
-            "backward-data bits differ: {case:?} dx_rows {rows:?} dx_cols {cols:?} \
-             dy_origin {:?} window {win_h}x{win_w}", (oy, ox));
+        let mut picks = Picks(case.seed ^ 0x0D0D_0D0D | 1);
+        let rows = picks.sub_range(case.geom.in_h);
+        let cols = picks.sub_range(case.geom.in_w);
+        let checked = check_backward_data(case, rows, cols, &mut picks);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     #[test]
     fn backward_filter_region_equals_strided_reference_bitwise(case in bit_case()) {
-        let BitCase { n, c, f, geom, seed } = case;
-        let mut picks = Picks(seed ^ 0x0B0B_0B0B | 1);
-        let rows = picks.sub_range(geom.out_h());
-        let cols = picks.sub_range(geom.out_w());
-        let (ih_lo, ih_hi) = geom.input_rows_for_output(rows.0, rows.1);
-        let (iw_lo, iw_hi) = geom.input_cols_for_output(cols.0, cols.1);
-        let (x_oy, x_h) = picks.window(ih_lo, ih_hi);
-        let (x_ox, x_w) = picks.window(iw_lo, iw_hi);
-        let (dy_oy, dy_h) = picks.window(rows.0 as i64, rows.1 as i64);
-        let (dy_ox, dy_w) = picks.window(cols.0 as i64, cols.1 as i64);
-        let x = rounding_tensor(Shape4::new(n, c, x_h, x_w), seed);
-        let dy = rounding_tensor(Shape4::new(n, f, dy_h, dy_w), seed ^ 0x4444);
-        let (dw, db) = conv2d_backward_filter_region(
-            &x, (x_oy, x_ox), &dy, (dy_oy, dy_ox), &geom, rows, cols);
-        let (dw_ref, db_ref) = strided_backward_filter_region(
-            &x, (x_oy, x_ox), &dy, (dy_oy, dy_ox), &geom, rows, cols);
-        prop_assert!(bits(dw.as_slice()) == bits(dw_ref.as_slice()) && bits(&db) == bits(&db_ref),
-            "backward-filter bits differ: {case:?} dy_rows {rows:?} dy_cols {cols:?} \
-             x_origin {:?} x window {x_h}x{x_w} dy_origin {:?} dy window {dy_h}x{dy_w}",
-            (x_oy, x_ox), (dy_oy, dy_ox));
+        let mut picks = Picks(case.seed ^ 0x0B0B_0B0B | 1);
+        let rows = picks.sub_range(case.geom.out_h());
+        let cols = picks.sub_range(case.geom.out_w());
+        let checked = check_backward_filter(case, rows, cols, &mut picks);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+/// The row ranges a spatially split layer asks of one extent: all of it,
+/// its boundary rows alone, runs of one and two rows at either end, and
+/// the interior between the boundary rows.
+fn split_row_ranges(extent: usize) -> Vec<Range2> {
+    let mut ranges = vec![(0, extent), (0, 1), (extent - 1, extent)];
+    if extent >= 2 {
+        ranges.extend([(0, 2), (extent - 2, extent)]);
+    }
+    if extent >= 3 {
+        ranges.push((1, extent - 1));
+    }
+    ranges.sort_unstable();
+    ranges.dedup();
+    ranges
+}
+
+/// All three kernels over every [`split_row_ranges`] sub-region (full
+/// width) of one geometry.
+fn check_split_regions(case: BitCase) -> Result<(), String> {
+    let geom = case.geom;
+    let mut picks = Picks(case.seed | 1);
+    for rows in split_row_ranges(geom.out_h()) {
+        check_forward(case, rows, (0, geom.out_w()), &mut picks)?;
+        check_backward_filter(case, rows, (0, geom.out_w()), &mut picks)?;
+    }
+    for rows in split_row_ranges(geom.in_h) {
+        check_backward_data(case, rows, (0, geom.in_w), &mut picks)?;
+    }
+    Ok(())
+}
+
+/// The edges of a register tile, deterministically: channel and filter
+/// counts on both sides of every block size a tile may use (1, 4, 8,
+/// 16) × row widths on both sides of every chunk width (1, 2, 4, 8,
+/// 16), at stride 1 and 2, and the small maps of ResNet-50's deep
+/// stages, where a row is one or two elements and the tile is all
+/// channels.
+#[test]
+fn tile_edges_equal_reference_bitwise() {
+    const CHANNELS: [usize; 7] = [1, 3, 4, 5, 8, 9, 17];
+    const WIDTHS: [usize; 10] = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17];
+    let mut seed = 0x5EED_0001u64;
+    let mut check = |n, c, f, geom| {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        if let Err(reproducer) = check_split_regions(BitCase { n, c, f, geom, seed }) {
+            panic!("{reproducer}");
+        }
+    };
+    for f in CHANNELS {
+        for c in CHANNELS {
+            for width in WIDTHS {
+                for stride in 1..=2 {
+                    // 3×3, pad 1: `width` output columns (forward and
+                    // backward-filter rows), then `width` input columns
+                    // (backward-data rows).
+                    let in_w = (width - 1) * stride + 1;
+                    check(1, c, f, ConvGeometry::square(3, in_w, 3, stride, 1));
+                    check(1, c, f, ConvGeometry::square(3, width, 3, stride, 1));
+                }
+            }
+            // ResNet-50 at 32×32 input, stages 4–5 and the stem.
+            check(2, c, f, ConvGeometry::square(1, 1, 3, 1, 1));
+            check(2, c, f, ConvGeometry::square(2, 2, 3, 1, 1));
+            check(2, c, f, ConvGeometry::square(2, 2, 1, 2, 0));
+            check(1, c, f, ConvGeometry::square(8, 8, 7, 2, 3));
+        }
     }
 }
