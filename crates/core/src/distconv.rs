@@ -233,18 +233,28 @@ impl DistConv2d {
         with_bias: bool,
     ) -> (Tensor, Option<Vec<f32>>) {
         let (dw, db) = self.backward_filter_local(x_window, dy, with_bias);
-        // One allreduce for weights (+ bias, concatenated), as the paper
-        // models: AR(|P|, F·C·K²).
-        let mut flat = dw.as_slice().to_vec();
-        if let Some(db) = &db {
-            flat.extend_from_slice(db);
-        }
-        let flat = comm.allreduce(&flat, ReduceOp::Sum);
-        let dw_len = dw.len();
-        let dw = Tensor::from_vec(dw.shape(), flat[..dw_len].to_vec());
-        let db = db.map(|_| flat[dw_len..].to_vec());
-        (dw, db)
+        allreduce_grads(comm, dw, db)
     }
+}
+
+/// Sum a layer's local weight gradient over `comm` — with its bias
+/// gradient, when there is one, concatenated: one allreduce per layer,
+/// as the paper models it, AR(|P|, F·C·K²). The gradient's storage goes
+/// in and the reduced vector's comes out, so the weights are not copied
+/// on either side of the collective.
+pub(crate) fn allreduce_grads(
+    comm: &impl Communicator,
+    dw: Tensor,
+    db: Option<Vec<f32>>,
+) -> (Tensor, Option<Vec<f32>>) {
+    let shape = dw.shape();
+    let mut flat = dw.into_vec();
+    if let Some(db) = &db {
+        flat.extend_from_slice(db);
+    }
+    let mut flat = comm.allreduce(&flat, ReduceOp::Sum);
+    let db = db.map(|_| flat.split_off(shape.len()));
+    (Tensor::from_vec(shape, flat), db)
 }
 
 /// Uniform margin bound over all grid coordinates of one dimension:

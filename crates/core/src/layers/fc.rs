@@ -3,11 +3,12 @@
 //! sample block; gradients sum across distinct sample blocks via the
 //! precompiled cross-section group.
 
-use fg_comm::{Collectives, ReduceOp, WorldComm};
+use fg_comm::WorldComm;
 use fg_nn::network::{fc_backward, fc_forward};
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
 
+use crate::distconv::allreduce_grads;
 use crate::executor::Act;
 use crate::layers::groups::cross_section_group_layout;
 use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
@@ -63,16 +64,10 @@ impl DistLayer for FcLayer {
         // within a sample group hold identical partials).
         let group = cx.plan.cross_group.as_ref().expect("FC plan has a cross-section group");
         let sub = group.bind(comm);
-        let mut flat = dw.as_slice().to_vec();
-        flat.extend_from_slice(&db);
-        let flat = sub.allreduce(&flat, ReduceOp::Sum);
-        let dw_len = dw.len();
+        let (w, b) = allreduce_grads(&sub, dw, Some(db));
         BwdOut {
             dparents: vec![(0, Act::PerSample(dx))],
-            grads: Some(LayerParams::Fc {
-                w: Tensor::from_vec(dw.shape(), flat[..dw_len].to_vec()),
-                b: flat[dw_len..].to_vec(),
-            }),
+            grads: Some(LayerParams::Fc { w, b: b.expect("reduced with the weights") }),
         }
     }
 

@@ -26,7 +26,7 @@ use fg_kernels::conv::conv2d_forward_region;
 use fg_tensor::halo::{finish_halo_exchange, start_halo_exchange, HaloPlan};
 use fg_tensor::{Box4, DistTensor, Tensor};
 
-use crate::distconv::DistConv2d;
+use crate::distconv::{allreduce_grads, DistConv2d};
 
 /// The output region computable from owned input only, plus the
 /// boundary strips that complete the owned output block.
@@ -211,7 +211,6 @@ pub fn backward_overlapped_with_plans_in<C: Communicator>(
     plan: &HaloPlan,
     store: Option<Vec<f32>>,
 ) -> (Option<DistTensor>, Tensor, Option<Vec<f32>>, Option<Vec<f32>>) {
-    use fg_comm::{Collectives, ReduceOp};
     use fg_kernels::conv::conv2d_backward_data_region;
 
     let rank = comm.rank();
@@ -241,14 +240,7 @@ pub fn backward_overlapped_with_plans_in<C: Communicator>(
     });
 
     // Complete dL/dw with the global allreduce (BPa), as usual.
-    let mut flat = dw_local.as_slice().to_vec();
-    if let Some(db) = &db_local {
-        flat.extend_from_slice(db);
-    }
-    let flat = comm.allreduce(&flat, ReduceOp::Sum);
-    let dw_len = dw_local.len();
-    let dw = Tensor::from_vec(dw_local.shape(), flat[..dw_len].to_vec());
-    let db = db_local.map(|_| flat[dw_len..].to_vec());
+    let (dw, db) = allreduce_grads(comm, dw_local, db_local);
     let spent = had_store.then(|| dyw.into_storage());
     (dx, dw, db, spent)
 }

@@ -34,40 +34,65 @@
 //! Loops may be reordered or split only where no element sees its terms
 //! in a different order.
 //!
-//! # Contiguous inner loops at every stride
+//! # One register tile under all three kernels
 //!
-//! Each innermost loop is a run over adjacent elements of two rows — no
-//! division, no test, no strided read — which is the form the
-//! autovectorizer handles.
+//! Each kernel covers its result with tiles of `B` channels × `CW`
+//! adjacent columns ([`Tile`], [`for_each_tile`]): a `[[f32; CW]; B]`
+//! block of sums that stays in registers for the tile's *whole*
+//! reduction and is written to the result once. Inside the reduction
+//! every loaded run of `CW` elements is used by all `B` channels
+//! ([`axpy_block`]), the `CW` lanes are adjacent in memory on both sides
+//! — no strided read, no test — which is the form the autovectorizer
+//! handles, and the `B·CW` sums are independent add chains, so nothing
+//! waits on an add's latency although no element's terms are reordered:
+//! an element's sum is one lane of one tile, and the tile's loops visit
+//! its terms in contract order. Tile widths come from the extents of the
+//! call alone: a row is cut into chunks of 8 columns, then 4, 2, 1;
+//! channels go in blocks of 4, then 1 — of 8 first under a chunk of one
+//! or two columns, where there are registers to spare. Channels are
+//! taken [`PANEL`] at a time through every row so the weights a panel
+//! shares stay cached. Safe Rust throughout.
 //!
-//! *Backward-data* decomposes the requested columns by stride phase. An
-//! input column with `iw + pad_w = m·s_w + q` is reached only by taps
-//! `s = q + e·s_w`, from output column `ow = m − e`; so within phase `q`
-//! tap `e` is the dense update `t[m] += dy[m − e] · w[s]` over the range
-//! of `m` with `0 ≤ m − e < out_w`, computed once per call. Kernel rows
-//! decompose the same way (`r = (ih + pad_h) mod s_h, + s_h, …`). One
-//! `(k, ih)` slab of `dx` — all channels — is accumulated phase by phase
-//! and interleaved into place when its last term is in, so the loop
-//! order is `k, ih, r, f, phase, tap, c`: a `dy` row is loaded once per
-//! `(k, f, oh)`, the weights are walked at stride `kh·kw`, and zeroing
-//! and adding a term are single runs over every channel, which is what
-//! keeps rows of one or two elements (ResNet's deep layers) cheap.
-//!
-//! *Forward and backward-filter* read the window through [`TapRows`]:
-//! when `stride_w > 1` the rows one call reads are copied once with
-//! column `l` moved to `qoff[l mod s_w] + l / s_w`, so the elements
-//! consecutive outputs read through one tap are adjacent and every tap is
-//! the zip over two rows that stride 1 always was; the `(r, s)` taps of a
-//! channel are one flat table of offsets.
+//! * **Forward** — `B` filters × `CW` output columns of one `(k, oh)`
+//!   row. The sums start at the bias; for `c`, for tap `(r, s)`, one run
+//!   of `x` is loaded and `w[f][c][r][s] · x` added into each filter's
+//!   lanes. The window is read through [`TapRows`]: when `stride_w > 1`
+//!   the rows one call reads are copied once with column `l` moved to
+//!   `qoff[l mod s_w] + l / s_w`, so the elements consecutive outputs
+//!   read through one tap are adjacent at every stride; the `(r, s)` taps
+//!   of a channel are one flat table of offsets.
+//! * **Backward-filter** — `B` filters × `CW` adjacent *taps*
+//!   `(c, r, s)`, which are adjacent in `dw`. Per `(k, oh)` the row's
+//!   inputs are gathered once into `xg[j][c·kh·kw + r·kw + s]` (through
+//!   [`TapRows`]; `cols × C·kh·kw` floats, 115 KB for an 18-channel 5×5
+//!   layer on 64-column rows, allocated once per call), then
+//!   `acc[f][i] += dy[f][j] · xg[j][i]` for `j` ascending from `+0.0` and
+//!   `dw[f][i] += acc[f][i]`: the ascending-`j` dot product and the
+//!   `(k, oh)` order of the contract, with the lanes across taps, so a
+//!   row of one element is the rank-1 update it really is.
+//! * **Backward-data** — `B` channels × `CW` columns of one [`Segment`]
+//!   of one `(k, ih)` row. The requested columns decompose by stride
+//!   phase ([`WidthPhases`]): an input column with `iw + pad_w = m·s_w +
+//!   q` is reached only by taps `s = q + e·s_w`, from output column
+//!   `ow = m − e`, so within phase `q` tap `e` reads the contiguous run
+//!   `dy[m − e]`; each phase is cut where the set of taps reaching a
+//!   column changes, so a tile sees one tap list. Kernel rows decompose
+//!   the same way (`r = (ih + pad_h) mod s_h, + s_h, …`). Inside the
+//!   tile, `for r { for f { term = Σ_s; acc += term } }`; the finished
+//!   tile is written to `dx` at stride `s_w`.
 //!
 //! # Signed zeros
 //!
-//! Backward-data adds a phase's single tap straight into `dx` (not via
-//! `0.0 + p`) and skips a phase no tap reaches (not `dx += 0.0`). Both
-//! keep every bit: `dx` starts at `+0.0`, and a round-to-nearest sum is
-//! `−0.0` only when both addends are, so `dx` is never `−0.0` and
-//! `dx + (0.0 + p)` equals `dx + p` — they could differ only for
-//! `p = −0.0`, where both leave `dx` as it was.
+//! Backward-data adds a segment's single tap straight into the sums (not
+//! via `0.0 + p`) and leaves columns no tap reaches as `Tensor::zeros`
+//! made them (not `dx += 0.0`). Both keep every bit: a sum starts at
+//! `+0.0`, and a round-to-nearest sum is `−0.0` only when both addends
+//! are, so it is never `−0.0` and `acc + (0.0 + p)` equals `acc + p` —
+//! they could differ only for `p = −0.0`, where both leave `acc` as it
+//! was.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use fg_tensor::{Shape4, Tensor};
 
@@ -245,39 +270,33 @@ impl<'a> TapRows<'a> {
     }
 }
 
-/// One kernel tap inside one width phase of a backward-data call: the
-/// dense update `run[dst..dst + len] += dy_row[src..src + len] · w[s]`
-/// of a channel's run of the phase.
-struct PhaseTap {
+/// One kernel tap of a [`Segment`].
+struct SegmentTap {
     /// Kernel column.
     s: usize,
-    /// First element of the phase row the tap reaches.
-    dst: usize,
-    /// Window column of the `dy` element that lands there.
+    /// Window column of the `dy` element that lands on the segment's
+    /// first column; the following columns read the following elements.
     src: usize,
-    /// Run length.
-    len: usize,
 }
 
-/// The requested `dx` columns with one residue of `(iw + pad_w) mod
-/// stride_w`.
-struct WidthPhase {
-    /// Columns in the phases before it: where its run starts in a
-    /// phase-split row.
-    start: usize,
-    /// Columns in the phase.
-    len: usize,
+/// A run of requested `dx` columns with one residue of `(iw + pad_w) mod
+/// stride_w` that the same kernel taps reach.
+struct Segment {
     /// Region-relative column of its first element; the rest follow at
     /// `stride_w`.
     first_col: usize,
+    /// Columns in the segment.
+    len: usize,
     /// Its taps, ascending in `s`, as a range of [`WidthPhases::taps`].
-    taps: std::ops::Range<usize>,
+    taps: Range<usize>,
 }
 
-/// The stride-phase decomposition of one backward-data call's columns.
+/// The stride-phase decomposition of one backward-data call's columns,
+/// each phase cut where the set of taps reaching a column changes.
+/// Columns no tap reaches are in no segment.
 struct WidthPhases {
-    phases: Vec<WidthPhase>,
-    taps: Vec<PhaseTap>,
+    segments: Vec<Segment>,
+    taps: Vec<SegmentTap>,
 }
 
 impl WidthPhases {
@@ -285,35 +304,123 @@ impl WidthPhases {
     /// column of the `dy` window's first element.
     fn new(geom: &ConvGeometry, (iw0, iw1): (usize, usize), dy_col0: i64) -> Self {
         let (sw, pw, out_w) = (geom.stride_w, geom.pad_w, geom.out_w());
-        let mut phases = Vec::with_capacity(sw);
+        let mut segments = Vec::new();
         let mut taps = Vec::new();
-        let mut start = 0;
         for q in 0..sw {
             // Columns iw = m·sw + q − pw of the region: m ∈ [m_lo, m_hi).
             let m_lo = (iw0 + pw).saturating_sub(q).div_ceil(sw);
             let m_hi = (iw1 + pw).saturating_sub(q).div_ceil(sw);
-            if m_lo == m_hi {
-                continue;
-            }
-            let first_tap = taps.len();
-            for (e, s) in (q..geom.kw).step_by(sw).enumerate() {
-                // Tap s = q + e·sw reads output column m − e ∈ [0, out_w).
-                let (a, b) = (m_lo.max(e), m_hi.min(out_w + e));
-                if a < b {
-                    let src = ((a - e) as i64 - dy_col0) as usize;
-                    taps.push(PhaseTap { s, dst: a - m_lo, src, len: b - a });
+            // Tap s = q + e·sw reads output column m − e ∈ [0, out_w), so
+            // column m is reached by the taps e ∈ [m + 1 − out_w, m] that
+            // the kernel has.
+            let phase_taps = geom.kw.saturating_sub(q).div_ceil(sw);
+            let reach = |m: usize| {
+                let e_hi = (m + 1).min(phase_taps);
+                ((m + 1).saturating_sub(out_w).min(e_hi), e_hi)
+            };
+            let mut m = m_lo;
+            while m < m_hi {
+                let (e_lo, e_hi) = reach(m);
+                let len = (m..m_hi).take_while(|&next| reach(next) == (e_lo, e_hi)).count();
+                if e_lo < e_hi {
+                    let first_tap = taps.len();
+                    taps.extend((e_lo..e_hi).map(|e| SegmentTap {
+                        s: q + e * sw,
+                        src: ((m - e) as i64 - dy_col0) as usize,
+                    }));
+                    segments.push(Segment {
+                        first_col: m * sw + q - pw - iw0,
+                        len,
+                        taps: first_tap..taps.len(),
+                    });
                 }
+                m += len;
             }
-            phases.push(WidthPhase {
-                start,
-                len: m_hi - m_lo,
-                first_col: m_lo * sw + q - pw - iw0,
-                taps: first_tap..taps.len(),
-            });
-            start += m_hi - m_lo;
         }
-        WidthPhases { phases, taps }
+        WidthPhases { segments, taps }
     }
+}
+
+/// One register tile of a kernel's result: `B` channels × `CW` adjacent
+/// columns, accumulated in a `[[f32; CW]; B]` local for the whole
+/// reduction and written once. What a channel and a column are is the
+/// kernel's business (see the module header).
+trait Tile {
+    /// Compute channels `[ch0, ch0 + B)` × columns `[col0, col0 + CW)`.
+    fn run<const B: usize, const CW: usize>(&mut self, ch0: usize, col0: usize);
+}
+
+/// Channels a kernel takes through all of its rows together, so that the
+/// weights (or weight gradients) of the panel stay cached from one row
+/// and one sample to the next.
+const PANEL: usize = 16;
+
+/// `[0, channels)` in panels of [`PANEL`].
+fn panels(channels: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..channels).step_by(PANEL).map(move |ch0| ch0..(ch0 + PANEL).min(channels))
+}
+
+/// Cover `channels × [0, cols)` with tiles: the row in chunks of 8
+/// columns, then 4, 2, 1 as what is left of it allows, each chunk in
+/// blocks of channels.
+fn for_each_tile(channels: Range<usize>, cols: usize, tile: &mut impl Tile) {
+    let mut col0 = 0;
+    while col0 < cols {
+        col0 += match cols - col0 {
+            8.. => channel_blocks::<8>(channels.clone(), col0, tile),
+            4.. => channel_blocks::<4>(channels.clone(), col0, tile),
+            2.. => channel_blocks::<2>(channels.clone(), col0, tile),
+            _ => channel_blocks::<1>(channels.clone(), col0, tile),
+        };
+    }
+}
+
+/// One chunk of `CW` columns in blocks of 4 channels and single
+/// channels for the rest — 8 first when the chunk is narrow: a tile of
+/// one or two columns has registers to spare, and the wider block halves
+/// the walks over the reduction. Returns `CW`.
+fn channel_blocks<const CW: usize>(
+    channels: Range<usize>,
+    col0: usize,
+    tile: &mut impl Tile,
+) -> usize {
+    let mut ch0 = channels.start;
+    if CW <= 2 {
+        while ch0 + 8 <= channels.end {
+            tile.run::<8, CW>(ch0, col0);
+            ch0 += 8;
+        }
+    }
+    while ch0 + 4 <= channels.end {
+        tile.run::<4, CW>(ch0, col0);
+        ch0 += 4;
+    }
+    while ch0 < channels.end {
+        tile.run::<1, CW>(ch0, col0);
+        ch0 += 1;
+    }
+    CW
+}
+
+/// `acc[b][i] += a[b] · v[i]`: the run `v`, loaded once, feeds every
+/// channel of the block, and the `B·CW` sums are independent add chains.
+#[inline(always)]
+fn axpy_block<const B: usize, const CW: usize>(
+    acc: &mut [[f32; CW]; B],
+    a: [f32; B],
+    v: &[f32; CW],
+) {
+    for (row, av) in acc.iter_mut().zip(a) {
+        for (sum, vv) in row.iter_mut().zip(v) {
+            *sum += av * vv;
+        }
+    }
+}
+
+/// The `CW` elements of `row` from `at` on.
+#[inline(always)]
+fn run_at<const CW: usize>(row: &[f32], at: usize) -> &[f32; CW] {
+    row[at..at + CW].try_into().expect("a slice of CW elements")
 }
 
 /// Forward convolution (Eq. 1) over an output region.
@@ -354,29 +461,58 @@ pub fn conv2d_forward_region(
     let mut y = Tensor::zeros(Shape4::new(n, f_out, rows, cols));
     let mut scratch = Vec::new();
     let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
-    let w_chan = geom.kh * geom.kw;
 
-    for k in 0..n {
-        for (f, w_f) in w.as_slice().chunks_exact(c_in * w_chan).enumerate() {
-            let bias_v = bias.map_or(0.0, |b| b[f]);
-            for oh in oh0..oh1 {
-                // Local output row accumulator.
-                let y_base = y.shape().offset(k, f, oh - oh0, 0);
-                let y_row = &mut y.as_mut_slice()[y_base..y_base + cols];
-                y_row.fill(bias_v);
-                let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
-                for (c, w_c) in w_f.chunks_exact(w_chan).enumerate() {
-                    let x_c = &x_k[c * x_rows.plane..];
-                    for (&wv, &at) in w_c.iter().zip(&x_rows.tap_at) {
-                        for (yv, xv) in y_row.iter_mut().zip(&x_c[at..at + cols]) {
-                            *yv += wv * xv;
-                        }
-                    }
-                }
+    for filters in panels(f_out) {
+        for (k, y_k) in y.as_mut_slice().chunks_exact_mut(f_out * rows * cols).enumerate() {
+            for row in 0..rows {
+                let mut tile = ForwardTile {
+                    ws: w.as_slice(),
+                    bias,
+                    c_in,
+                    x_rows: &x_rows,
+                    x_k: x_rows.rows(k * c_in, row * geom.stride_h),
+                    y_row: &mut y_k[row * cols..],
+                    y_plane: rows * cols,
+                };
+                for_each_tile(filters.clone(), cols, &mut tile);
             }
         }
     }
     y
+}
+
+/// Forward's tile: `B` filters × `CW` adjacent output columns of one
+/// `(k, oh)` row.
+struct ForwardTile<'a> {
+    ws: &'a [f32],
+    bias: Option<&'a [f32]>,
+    c_in: usize,
+    x_rows: &'a TapRows<'a>,
+    /// Channel 0's window rows from the output row's first input row on.
+    x_k: &'a [f32],
+    /// Filter 0's output row; filter `f`'s is `f · y_plane` further on.
+    y_row: &'a mut [f32],
+    y_plane: usize,
+}
+
+impl Tile for ForwardTile<'_> {
+    fn run<const B: usize, const CW: usize>(&mut self, f0: usize, col0: usize) {
+        let taps = &self.x_rows.tap_at;
+        let w_filter = self.c_in * taps.len();
+        let w_f: [&[f32]; B] = std::array::from_fn(|b| &self.ws[(f0 + b) * w_filter..][..w_filter]);
+        let mut acc: [[f32; CW]; B] =
+            std::array::from_fn(|b| [self.bias.map_or(0.0, |bias| bias[f0 + b]); CW]);
+        for c in 0..self.c_in {
+            let x_c = &self.x_k[c * self.x_rows.plane + col0..];
+            for (t, &at) in taps.iter().enumerate() {
+                let q = c * taps.len() + t;
+                axpy_block(&mut acc, std::array::from_fn(|b| w_f[b][q]), run_at(x_c, at));
+            }
+        }
+        for (b, sums) in acc.iter().enumerate() {
+            self.y_row[(f0 + b) * self.y_plane + col0..][..CW].copy_from_slice(sums);
+        }
+    }
 }
 
 /// Backward-data convolution (Eq. 3) over an input-gradient region.
@@ -417,82 +553,162 @@ pub fn conv2d_backward_data_region(
     let cols = iw1 - iw0;
     let mut dx = Tensor::zeros(Shape4::new(n, c_out, rows, cols));
     let phases = WidthPhases::new(geom, dx_cols, dy_origin.1);
-    let dys = dy.as_slice();
-    let dy_shape = dy.shape();
-    let w_shape = w.shape();
-    let ws = w.as_slice();
-    let w_chan = geom.kh * geom.kw;
-    let (sh, sw) = (geom.stride_h, geom.stride_w);
+    let sh = geom.stride_h;
     let out_h = geom.out_h();
 
-    // One (k, ih) slab of dx, phase-major — phase `p` owns the block
-    // `[C·p.start, C·(p.start + p.len))`, channel `c` its `c`-th run of
-    // `p.len` — and a scratch of the same size for one (r, f) term.
-    let mut slab = vec![0.0f32; c_out * cols];
-    let mut term = vec![0.0f32; c_out * cols];
-    for k in 0..n {
-        for ih in ih0..ih1 {
-            slab.fill(0.0);
-            // Row ih + pad_h = mh·s_h + qh is reached by kernel rows
-            // r = qh + eh·s_h from output row mh − eh.
-            let (mh, qh) = ((ih + geom.pad_h) / sh, (ih + geom.pad_h) % sh);
-            for (eh, r) in (qh..geom.kh).step_by(sh).enumerate() {
-                if eh > mh || mh - eh >= out_h {
-                    continue;
-                }
-                let lh = ((mh - eh) as i64 - dy_origin.0) as usize;
-                for f in 0..f_in {
-                    let dy_base = dy_shape.offset(k, f, lh, 0);
-                    let dy_row = &dys[dy_base..dy_base + win_w];
-                    // w[f][c][r][·] for c = 0, 1, … heads successive
-                    // chunks of kh·kw elements from here.
-                    let w_f = &ws[w_shape.offset(f, 0, r, 0)..];
-                    for phase in &phases.phases {
-                        let block = c_out * phase.start..c_out * (phase.start + phase.len);
-                        let taps = &phases.taps[phase.taps.clone()];
-                        // A lone tap adds straight into the slab; several
-                        // sum into `term` first (see "Signed zeros").
-                        let into = match taps.len() {
-                            0 => continue,
-                            1 => &mut slab[block.clone()],
-                            _ => {
-                                term[block.clone()].fill(0.0);
-                                &mut term[block.clone()]
-                            }
-                        };
-                        for tap in taps {
-                            let src = &dy_row[tap.src..tap.src + tap.len];
-                            for (run, w_c) in
-                                into.chunks_exact_mut(phase.len).zip(w_f.chunks(w_chan))
-                            {
-                                let wv = w_c[tap.s];
-                                for (d, g) in run[tap.dst..tap.dst + tap.len].iter_mut().zip(src) {
-                                    *d += g * wv;
-                                }
-                            }
-                        }
-                        if taps.len() > 1 {
-                            for (d, tv) in slab[block.clone()].iter_mut().zip(&term[block]) {
-                                *d += tv;
-                            }
-                        }
-                    }
-                }
-            }
-            // Interleave the finished phase rows into dx.
-            for phase in &phases.phases {
-                let block = &slab[c_out * phase.start..c_out * (phase.start + phase.len)];
-                for (c, run) in block.chunks_exact(phase.len).enumerate() {
-                    let dx_base = dx.shape().offset(k, c, ih - ih0, phase.first_col);
-                    let dx_row = &mut dx.as_mut_slice()[dx_base..];
-                    for (d, v) in dx_row.iter_mut().step_by(sw).zip(run) {
-                        *d = *v;
-                    }
+    // The kernel rows reaching one dx row, each with the dy window row it
+    // reads there.
+    let mut row_taps = Vec::with_capacity(geom.kh);
+    for channels in panels(c_out) {
+        for (k, dx_k) in dx.as_mut_slice().chunks_exact_mut(c_out * rows * cols).enumerate() {
+            let dy_k = &dy.as_slice()[k * f_in * win_h * win_w..][..f_in * win_h * win_w];
+            for ih in ih0..ih1 {
+                // Row ih + pad_h = mh·s_h + qh is reached by kernel rows
+                // r = qh + eh·s_h from output row mh − eh.
+                let (mh, qh) = ((ih + geom.pad_h) / sh, (ih + geom.pad_h) % sh);
+                row_taps.clear();
+                row_taps.extend(
+                    (qh..geom.kh)
+                        .step_by(sh)
+                        .enumerate()
+                        .filter(|&(eh, _)| eh <= mh && mh - eh < out_h)
+                        .map(|(eh, r)| (r, ((mh - eh) as i64 - dy_origin.0) as usize)),
+                );
+                for segment in &phases.segments {
+                    let mut tile = BackwardDataTile {
+                        dy_k,
+                        dy_plane: win_h * win_w,
+                        win_w,
+                        f_in,
+                        ws: w.as_slice(),
+                        w_filter: c_out * geom.kh * geom.kw,
+                        geom,
+                        row_taps: &row_taps,
+                        taps: &phases.taps[segment.taps.clone()],
+                        dx_row: &mut dx_k[(ih - ih0) * cols + segment.first_col..],
+                        dx_plane: rows * cols,
+                    };
+                    for_each_tile(channels.clone(), segment.len, &mut tile);
                 }
             }
         }
     }
     dx
+}
+
+/// Backward-data's tile: `B` channels × `CW` columns of one
+/// [`Segment`] of one `(k, ih)` row.
+struct BackwardDataTile<'a> {
+    /// Sample `k`'s `dy` window, filter `f`'s plane at `f · dy_plane`.
+    dy_k: &'a [f32],
+    dy_plane: usize,
+    win_w: usize,
+    f_in: usize,
+    ws: &'a [f32],
+    /// Elements between consecutive filters of `ws`.
+    w_filter: usize,
+    geom: &'a ConvGeometry,
+    /// Kernel row and `dy` window row of every row tap, `r` ascending.
+    row_taps: &'a [(usize, usize)],
+    /// The segment's column taps, `s` ascending.
+    taps: &'a [SegmentTap],
+    /// Channel 0's row from the segment's first column on, the segment's
+    /// columns `stride_w` apart; channel `c`'s is `c · dx_plane` further.
+    dx_row: &'a mut [f32],
+    dx_plane: usize,
+}
+
+impl BackwardDataTile<'_> {
+    /// Calls `each(w_at, dy_at)` for every row tap and filter in contract
+    /// order, `r` outer: `w[f][c0][r][0]` is at `w_at` with the block's
+    /// following channels `kh·kw` apart, and the filter's dy row starts,
+    /// from column `col0` of the segment on, at `dy_at`.
+    #[inline(always)]
+    fn for_each_filter(&self, c0: usize, col0: usize, mut each: impl FnMut(usize, usize)) {
+        for &(r, lh) in self.row_taps {
+            let mut w_at = (c0 * self.geom.kh + r) * self.geom.kw;
+            let mut dy_at = lh * self.win_w + col0;
+            for _ in 0..self.f_in {
+                each(w_at, dy_at);
+                w_at += self.w_filter;
+                dy_at += self.dy_plane;
+            }
+        }
+    }
+
+    /// One tap's operands at a filter: the block's weights and the dy
+    /// run.
+    #[inline(always)]
+    fn operands<const B: usize, const CW: usize>(
+        &self,
+        w_at: usize,
+        dy_at: usize,
+        tap: &SegmentTap,
+    ) -> ([f32; B], &[f32; CW]) {
+        let w_chan = self.geom.kh * self.geom.kw;
+        let wv = std::array::from_fn(|b| self.ws[w_at + b * w_chan + tap.s]);
+        (wv, run_at(self.dy_k, dy_at + tap.src))
+    }
+
+    /// The tile's sums where one tap reaches the segment: every
+    /// `(r, f)` term is a single product and adds straight into the sums
+    /// (see "Signed zeros").
+    ///
+    /// Never inlined, and neither is [`Self::term_sums`]: compiled into
+    /// one body the two reductions share a register allocation that
+    /// spills this one's accumulators (a 1×1 layer of ResNet-50's second
+    /// stage reads 3.3 ms against 0.8 ms).
+    #[inline(never)]
+    fn lone_tap_sums<const B: usize, const CW: usize>(
+        &self,
+        c0: usize,
+        col0: usize,
+        tap: &SegmentTap,
+    ) -> [[f32; CW]; B] {
+        let mut acc = [[0.0f32; CW]; B];
+        self.for_each_filter(c0, col0, |w_at, dy_at| {
+            let (wv, dy_run) = self.operands(w_at, dy_at, tap);
+            axpy_block(&mut acc, wv, dy_run);
+        });
+        acc
+    }
+
+    /// The tile's sums where several taps reach the segment: every
+    /// `(r, f)` term is summed over the taps from `+0.0`, `s` ascending,
+    /// then added.
+    #[inline(never)]
+    fn term_sums<const B: usize, const CW: usize>(&self, c0: usize, col0: usize) -> [[f32; CW]; B] {
+        let mut acc = [[0.0f32; CW]; B];
+        self.for_each_filter(c0, col0, |w_at, dy_at| {
+            let mut terms = [[0.0f32; CW]; B];
+            for tap in self.taps {
+                let (wv, dy_run) = self.operands(w_at, dy_at, tap);
+                axpy_block(&mut terms, wv, dy_run);
+            }
+            for (sums, term) in acc.iter_mut().zip(terms) {
+                for (sum, tv) in sums.iter_mut().zip(term) {
+                    *sum += tv;
+                }
+            }
+        });
+        acc
+    }
+}
+
+impl Tile for BackwardDataTile<'_> {
+    fn run<const B: usize, const CW: usize>(&mut self, c0: usize, col0: usize) {
+        let acc = match self.taps {
+            [tap] => self.lone_tap_sums::<B, CW>(c0, col0, tap),
+            _ => self.term_sums::<B, CW>(c0, col0),
+        };
+        let sw = self.geom.stride_w;
+        for (b, sums) in acc.iter().enumerate() {
+            let dx_c = &mut self.dx_row[(c0 + b) * self.dx_plane + col0 * sw..];
+            for (d, v) in dx_c.iter_mut().step_by(sw).zip(sums) {
+                *d = *v;
+            }
+        }
+    }
 }
 
 /// Backward-filter convolution (Eq. 2) over an output region: the local
@@ -531,34 +747,67 @@ pub fn conv2d_backward_filter_region(
     let mut scratch = Vec::new();
     let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
     let dy_shape = dy.shape();
-    let dys = dy.as_slice();
+    let dy_plane = dy_shape.h * dy_shape.w;
     let cols = ow1 - ow0;
 
-    let w_chan = geom.kh * geom.kw;
+    // One output row's inputs, gathered: `xg[j · taps + c·kh·kw + r·kw + s]`
+    // is what output column j reads through tap (c, r, s).
+    let taps = c_in * geom.kh * geom.kw;
+    let mut xg = vec![0.0f32; cols * taps];
     for k in 0..n {
-        let dw_filters = dw.as_mut_slice().chunks_exact_mut(c_in * w_chan);
-        for (f, (db_f, dw_f)) in db.iter_mut().zip(dw_filters).enumerate() {
-            for oh in oh0..oh1 {
-                let lh_dy = (oh as i64 - dy_origin.0) as usize;
-                let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
-                let dy_base = dy_shape.offset(k, f, lh_dy, lw_dy0);
-                let dy_row = &dys[dy_base..dy_base + cols];
-                *db_f += dy_row.iter().sum::<f32>();
-                let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
-                for (c, dw_c) in dw_f.chunks_exact_mut(w_chan).enumerate() {
-                    let x_c = &x_k[c * x_rows.plane..];
-                    for (dwv, &at) in dw_c.iter_mut().zip(&x_rows.tap_at) {
-                        let mut acc = 0.0f32;
-                        for (g, xv) in dy_row.iter().zip(&x_c[at..at + cols]) {
-                            acc += g * xv;
-                        }
-                        *dwv += acc;
+        for oh in oh0..oh1 {
+            let lh_dy = (oh as i64 - dy_origin.0) as usize;
+            let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
+            let dy_k = &dy.as_slice()[dy_shape.offset(k, 0, lh_dy, lw_dy0)..];
+            for (db_f, dy_row) in db.iter_mut().zip(dy_k.chunks(dy_plane)) {
+                *db_f += dy_row[..cols].iter().sum::<f32>();
+            }
+            let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
+            for (c, x_c) in x_k.chunks(x_rows.plane).take(c_in).enumerate() {
+                for (t, &at) in x_rows.tap_at.iter().enumerate() {
+                    let column = xg[c * x_rows.tap_at.len() + t..].iter_mut().step_by(taps);
+                    for (g, xv) in column.zip(&x_c[at..at + cols]) {
+                        *g = *xv;
                     }
                 }
+            }
+            let mut tile =
+                BackwardFilterTile { xg: &xg, taps, dy_k, dy_plane, dw: dw.as_mut_slice() };
+            for filters in panels(f_out) {
+                for_each_tile(filters, taps, &mut tile);
             }
         }
     }
     (dw, db)
+}
+
+/// Backward-filter's tile: `B` filters × `CW` adjacent taps `(c, r, s)`
+/// of one `(k, oh)` row's contribution to `dw`.
+struct BackwardFilterTile<'a> {
+    /// The row's gathered inputs, `taps` per output column.
+    xg: &'a [f32],
+    taps: usize,
+    /// Filter 0's `dy` row from the region's first column on; filter
+    /// `f`'s is `f · dy_plane` further on.
+    dy_k: &'a [f32],
+    dy_plane: usize,
+    dw: &'a mut [f32],
+}
+
+impl Tile for BackwardFilterTile<'_> {
+    fn run<const B: usize, const CW: usize>(&mut self, f0: usize, tap0: usize) {
+        let dy_f: [&[f32]; B] = std::array::from_fn(|b| &self.dy_k[(f0 + b) * self.dy_plane..]);
+        let mut acc = [[0.0f32; CW]; B];
+        for (j, xg_j) in self.xg.chunks_exact(self.taps).enumerate() {
+            axpy_block(&mut acc, std::array::from_fn(|b| dy_f[b][j]), run_at(xg_j, tap0));
+        }
+        for (b, sums) in acc.iter().enumerate() {
+            let dw_f = &mut self.dw[(f0 + b) * self.taps + tap0..][..CW];
+            for (d, v) in dw_f.iter_mut().zip(sums) {
+                *d += v;
+            }
+        }
+    }
 }
 
 /// Serial forward convolution with symmetric zero padding.
@@ -594,11 +843,12 @@ pub fn conv2d_backward_filter(x: &Tensor, dy: &Tensor, geom: &ConvGeometry) -> (
     )
 }
 
-/// Copy `x` into a zero-initialized buffer with `ph`/`pw` margins on each
-/// spatial side (materialized padding).
-fn pad_window(x: &Tensor, ph: usize, pw: usize) -> Tensor {
+/// `x` with `ph`/`pw` margins of zeros on each spatial side
+/// (materialized padding): a copy, or `x` itself when there is nothing to
+/// add.
+fn pad_window(x: &Tensor, ph: usize, pw: usize) -> Cow<'_, Tensor> {
     if ph == 0 && pw == 0 {
-        return x.clone();
+        return Cow::Borrowed(x);
     }
     let s = x.shape();
     let mut out = Tensor::zeros(Shape4::new(s.n, s.c, s.h + 2 * ph, s.w + 2 * pw));
@@ -607,7 +857,7 @@ fn pad_window(x: &Tensor, ph: usize, pw: usize) -> Tensor {
         x,
         &s.full_box(),
     );
-    out
+    Cow::Owned(out)
 }
 
 fn dims(t: &Tensor) -> (usize, usize, usize, usize) {

@@ -19,9 +19,14 @@
 //!   finalize / apply stages so the distributed layer can interpose an
 //!   allreduce (paper §III-B's "aggregated" batch norm).
 //!
-//! Convolution is one algorithm — direct loops, whose per-output
-//! summation order is part of the bitwise contract; [`gemm`] serves the
-//! fully-connected layer.
+//! Convolution is one algorithm — direct loops over register tiles
+//! (a block of channels × a chunk of adjacent columns, see [`conv`]),
+//! whose per-output summation order is part of the bitwise contract;
+//! [`gemm`] serves the fully-connected layer. The crate is safe Rust
+//! by construction: the kernels get their speed from loops the
+//! autovectorizer handles, not from `unsafe`.
+
+#![forbid(unsafe_code)]
 
 pub mod batchnorm;
 pub mod conv;

@@ -7,8 +7,9 @@
 //! the stride-phase rewrite (a gather for backward-data, a strided read
 //! for forward and backward-filter) live on below as references, and
 //! the region kernels must reproduce them in every bit over generated
-//! geometry, sub-regions and windows — the per-element summation order
-//! is the contract distributed-equals-serial rests on.
+//! geometry, sub-regions and windows, and over a table of register-tile
+//! edges — the per-element summation order is the contract
+//! distributed-equals-serial rests on.
 
 use fg_kernels::conv::{
     conv2d_backward_data, conv2d_backward_data_region, conv2d_backward_filter,
@@ -622,11 +623,11 @@ fn check_split_regions(case: BitCase) -> Result<(), String> {
 }
 
 /// The edges of a register tile, deterministically: channel and filter
-/// counts on both sides of every block size a tile may use (1, 4, 8,
-/// 16) × row widths on both sides of every chunk width (1, 2, 4, 8,
-/// 16), at stride 1 and 2, and the small maps of ResNet-50's deep
-/// stages, where a row is one or two elements and the tile is all
-/// channels.
+/// counts on both sides of every block size a tile or panel may use (1,
+/// 4, 8, 16) × row widths on both sides of every chunk width (1, 2, 4,
+/// 8, 16), at stride 1 and 2, and the small maps of ResNet-50's deep
+/// stages, where a row is one or two elements and the tile trades
+/// columns for channels.
 #[test]
 fn tile_edges_equal_reference_bitwise() {
     const CHANNELS: [usize; 7] = [1, 3, 4, 5, 8, 9, 17];
