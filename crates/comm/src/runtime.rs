@@ -247,11 +247,6 @@ impl WorldComm {
         self.stats.borrow().clone()
     }
 
-    /// Reset traffic counters (e.g. after a warmup iteration).
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = TrafficStats::default();
-    }
-
     /// Comm ops (sends + receives) this rank has performed under a fault
     /// plan — the clock [`FaultPlan::kill_rank`] and
     /// [`FaultPlan::delay_every`] are keyed on, so a probe run can read

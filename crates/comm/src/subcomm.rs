@@ -147,11 +147,6 @@ impl<'a, C: Communicator> SubComm<'a, C> {
         SubComm::new(parent, members, color).expect("split produced a valid group")
     }
 
-    /// Parent rank of group rank `r`.
-    pub fn to_parent(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// The ordered member list (parent ranks).
     pub fn members(&self) -> &[usize] {
         &self.members

@@ -38,8 +38,9 @@ use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams, NetworkSpec, Sgd};
 use fg_tensor::{BufClass, DistTensor, MemPlan, Shape4, StepArena, Tensor, TensorDist};
 
-use crate::layers::{build_layers, ArenaSlot, BwdCx, DistLayer, FwdCx, FwdInput, LayerPlan};
-use crate::mem::{MemReport, RankArena, RankMemPlan};
+use crate::layers::schedule::{EdgeIn, StepSchedule};
+use crate::layers::{build_layers, ArenaSlot, BwdCx, DistLayer, FwdCx, LayerPlan};
+use crate::mem::{MemReport, Net, RankArena, RankMemPlan};
 use crate::strategy::{Strategy, StrategyError};
 
 /// A distributed activation: either a shard of a global tensor, or a
@@ -100,9 +101,9 @@ impl Act {
         }
     }
 
-    /// Placeholder left behind when the scheduler moves an activation to
-    /// its sole consumer instead of cloning it.
-    fn consumed() -> Act {
+    /// Placeholder left behind when the pass gives an activation up to
+    /// its sole consumer.
+    pub(crate) fn consumed() -> Act {
         Act::PerSample(Tensor::zeros(Shape4::new(0, 0, 0, 0)))
     }
 }
@@ -112,10 +113,10 @@ impl Act {
 pub struct DistPass {
     /// Output activation per layer.
     pub acts: Vec<Act>,
-    /// Per layer, per parent edge: the input the layer consumed, saved
-    /// only when it was privately owned (redistributed) *and* backward
-    /// reads it; `None` means backward borrows the parent's activation
-    /// from [`DistPass::acts`] directly.
+    /// Per layer, per parent edge: the redistributed input the layer
+    /// consumed, kept only when backward reads it. `None` — or no row at
+    /// all, for a layer none of whose edges is shuffled — means backward
+    /// borrows the parent's activation from [`DistPass::acts`] directly.
     pub inputs: Vec<Vec<Option<Act>>>,
     /// Haloed input windows kept by conv/pool layers.
     pub windows: Vec<Option<DistTensor>>,
@@ -179,14 +180,13 @@ pub struct DistExecutor {
     pub strategy: Strategy,
     /// Global mini-batch size.
     pub batch: usize,
-    layers: Vec<Box<dyn DistLayer>>,
+    pub(crate) layers: Vec<Box<dyn DistLayer>>,
     /// Precompiled plans, indexed `[layer][rank]`.
-    plans: Vec<Vec<LayerPlan>>,
+    pub(crate) plans: Vec<Vec<LayerPlan>>,
     /// Precompiled memory plans of the fused step, indexed `[rank]`.
     mem_plans: Vec<RankMemPlan>,
-    /// Per layer: does some parent have parents of its own, i.e. is
-    /// this layer's input gradient read by anyone ([`BwdCx::wants_dx`])?
-    wants_dx: Vec<bool>,
+    /// The step schedule every walker of a step reads.
+    pub(crate) schedule: StepSchedule,
 }
 
 impl DistExecutor {
@@ -195,37 +195,8 @@ impl DistExecutor {
     /// training loop performs zero plan construction).
     pub fn new(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Result<Self, StrategyError> {
         strategy.validate(&spec, batch)?;
-        let mut layers = build_layers(&spec, &strategy, batch);
-
-        // Move analysis: a parent activation may be moved (not cloned)
-        // into a consumer when that consumer is the sole reader, no
-        // shuffle intervenes, and backward never touches the edge.
-        let mut consumers = vec![0usize; layers.len()];
-        for l in &layers {
-            for &p in &l.base().parents {
-                consumers[p] += 1;
-            }
-        }
-        let takeables: Vec<Vec<bool>> = layers
-            .iter()
-            .map(|l| {
-                let b = l.base();
-                b.parents
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &p)| {
-                        let no_shuffle = match (&b.in_dist, &b.parent_dists[i]) {
-                            (Some(want), Some(have)) => want == have,
-                            _ => true,
-                        };
-                        consumers[p] == 1 && no_shuffle && !l.needs_input_for_backward()
-                    })
-                    .collect()
-            })
-            .collect();
-        for (l, takeable) in layers.iter_mut().zip(takeables) {
-            l.base_mut().take_parent = takeable;
-        }
+        let layers = build_layers(&spec, &strategy, batch);
+        let schedule = StepSchedule::compile(&layers);
 
         let world = strategy.world_size();
         let plans = compile_all_plans(&layers, world);
@@ -237,17 +208,14 @@ impl DistExecutor {
         // shape arithmetic: 10–40 ms for the 128–512-rank planning
         // worlds, which never step.
         let param_elems = spec.param_elems();
+        let net = Net { spec: &spec, layers: &layers, schedule: &schedule, batch };
         let mem_plans = (0..world)
             .map(|rank| {
-                let rank_plans: Vec<&LayerPlan> = plans.iter().map(|per| &per[rank]).collect();
-                RankMemPlan::compile(&spec, &layers, &rank_plans, &param_elems, batch, rank)
+                let plans: Vec<&LayerPlan> = plans.iter().map(|per| &per[rank]).collect();
+                RankMemPlan::compile(net, &plans, &param_elems, rank)
             })
             .collect();
-        let wants_dx = layers
-            .iter()
-            .map(|l| l.base().parents.iter().any(|&p| !layers[p].base().parents.is_empty()))
-            .collect();
-        let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans, wants_dx };
+        let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans, schedule };
 
         // FG_VERIFY: statically verify the compiled schedule before
         // handing it to anyone — a debug assertion for the plan compiler.
@@ -304,16 +272,10 @@ impl DistExecutor {
         let ranks: Vec<usize> = (0..world).collect();
         let rank_plans =
             |rank: usize| self.plans.iter().map(|per| per[rank].clone()).collect::<Vec<_>>();
-        crate::mem::analyze_ranks(
-            &self.spec,
-            &self.layers,
-            &rank_plans,
-            Some(&self.plans),
-            self.batch,
-            &ranks,
-            &mutate_intervals,
-            &mutate_plan,
-        )
+        let (layers, schedule) = (&self.layers[..], &self.schedule);
+        let net = Net { spec: &self.spec, layers, schedule, batch: self.batch };
+        let full = Some(&self.plans[..]);
+        crate::mem::analyze_ranks(net, &rank_plans, full, &ranks, &mutate_intervals, &mutate_plan)
     }
 
     /// Statically verify this executor's compiled communication
@@ -338,7 +300,7 @@ impl DistExecutor {
     ) -> crate::verify::VerifyReport {
         let mut plans = self.plans.clone();
         mutate_plans(&mut plans);
-        crate::verify::verify_plans(&self.spec, &self.strategy, &self.layers, &plans, mutate_traces)
+        crate::verify::verify_plans(self, &plans, mutate_traces)
     }
 
     /// Record every rank's symbolic communication trace for this
@@ -352,7 +314,7 @@ impl DistExecutor {
         &self,
         oracle: Option<&dyn crate::verify::ComputeOracle>,
     ) -> Vec<fg_comm::RankTrace> {
-        crate::verify::record_traces(&self.spec, &self.strategy, &self.layers, &self.plans, oracle)
+        crate::verify::record_traces(self, &self.plans, oracle)
     }
 
     /// The input layer's distribution.
@@ -473,9 +435,9 @@ impl DistExecutor {
         }
     }
 
-    /// The plan-driven forward scheduler: per layer, execute the
-    /// precompiled input shuffles (or move sole-consumer activations),
-    /// hand the layer its context, and file its outputs into the pass.
+    /// The forward walk of the step schedule: per layer, execute the
+    /// precompiled input shuffles, hand the layer its view of the pass,
+    /// and release what the schedule says nobody reads again.
     fn run_forward(
         &self,
         comm: &WorldComm,
@@ -502,32 +464,17 @@ impl DistExecutor {
             let layer = &self.layers[id];
             let base = layer.base();
             let plan = &self.plans[id][rank];
+            let edges = &self.schedule.edges[id];
 
-            // Phase 1: owned inputs — §III-C shuffles, and moves out of
-            // sole-consumer parents (no clone, the parent slot is spent).
-            let mut owned: Vec<Option<Act>> = Vec::with_capacity(base.parents.len());
-            for (i, &p) in base.parents.iter().enumerate() {
-                let o = if let Some(shuffle) = plan.in_shuffles[i].as_ref() {
-                    let src = pass.acts[p].shard_of(id, &base.kind);
-                    Some(Act::Shard(shuffle.execute(comm, src, [0; 4], [0; 4])))
-                } else if base.take_parent[i] {
-                    Some(std::mem::replace(&mut pass.acts[p], Act::consumed()))
-                } else {
-                    None
-                };
-                owned.push(o);
+            // Shuffled edges: redistribute (§III-C) into this layer's
+            // row of the pass. Everything else is read in place.
+            if edges.iter().any(|e| matches!(e, EdgeIn::Shuffled { .. })) {
+                let shuffled = plan.in_shuffles.iter().zip(&base.parents).map(|(shuffle, &p)| {
+                    let src = || pass.acts[p].shard_of(id, &base.kind);
+                    shuffle.as_ref().map(|s| Act::Shard(s.execute(comm, src(), [0; 4], [0; 4])))
+                });
+                pass.inputs[id] = shuffled.collect();
             }
-            // Phase 2: everything else borrows straight from the pass.
-            let inputs: Vec<Option<FwdInput<'_>>> = owned
-                .into_iter()
-                .zip(&base.parents)
-                .map(|(o, &p)| {
-                    Some(match o {
-                        Some(a) => FwdInput::Owned(a),
-                        None => FwdInput::Borrowed(&pass.acts[p]),
-                    })
-                })
-                .collect();
 
             let mut cx = FwdCx {
                 plan,
@@ -536,41 +483,31 @@ impl DistExecutor {
                 bn_override: bn_override.and_then(|o| o[id].as_ref()),
                 bn_mode: self.strategy.bn_mode,
                 rank,
-                inputs,
+                edges,
+                parents: &base.parents,
+                acts: &mut pass.acts,
+                shuffled: &mut pass.inputs[id],
                 external: if base.parents.is_empty() { external.take() } else { None },
                 window_slot: arena.and_then(|a| {
                     a.plan
                         .slot_for(id, BufClass::Window)
                         .map(|slot| ArenaSlot { pool: &a.pool, slot })
                 }),
-                window: None,
-                bn_stats: None,
-                loss: None,
-                loss_grad: None,
+                window: &mut pass.windows[id],
+                bn_stats: &mut pass.bn_stats[id],
+                loss: &mut pass.loss,
+                loss_grad: &mut pass.loss_grad,
             };
             let act = layer.forward(comm, &mut cx);
-            let FwdCx { inputs, window, bn_stats, loss, loss_grad, .. } = cx;
 
-            // Save privately owned inputs only when backward reads them;
-            // borrowed edges resolve through the parent's activation.
-            pass.inputs[id] = if layer.needs_input_for_backward() {
-                inputs
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some(FwdInput::Owned(a)) => Some(a),
-                        _ => None,
-                    })
-                    .collect()
-            } else {
-                vec![None; base.parents.len()]
-            };
-            pass.windows[id] = window;
-            pass.bn_stats[id] = bn_stats;
-            if let Some(l) = loss {
-                pass.loss = Some(l);
-            }
-            if let Some(g) = loss_grad {
-                pass.loss_grad = Some(g);
+            // Give up what backward will not read: a redistributed copy
+            // nobody saved, a parent activation spent on this layer.
+            for (i, edge) in edges.iter().enumerate() {
+                match edge {
+                    EdgeIn::Shuffled { saved: false } => pass.inputs[id][i] = None,
+                    EdgeIn::Moved => pass.acts[base.parents[i]] = Act::consumed(),
+                    EdgeIn::Shuffled { saved: true } | EdgeIn::Borrowed => {}
+                }
             }
             pass.acts.push(act);
         }
@@ -588,10 +525,11 @@ impl DistExecutor {
         self.run_backward(comm, params, pass, None)
     }
 
-    /// The plan-driven backward scheduler: loss layers seed their parent
-    /// with the saved gradient; every other layer consumes its error
-    /// signal, and its `dx` contributions are routed through the
-    /// precompiled adjoint shuffles and accumulated into the parents.
+    /// The backward walk of the step schedule: a loss layer sends the
+    /// saved gradient up its edge, every other scheduled layer consumes
+    /// its error signal, and what a step sends up an edge somebody reads
+    /// is routed through the precompiled adjoint shuffle and accumulated
+    /// into the parent.
     fn run_backward(
         &self,
         comm: &WorldComm,
@@ -604,44 +542,44 @@ impl DistExecutor {
         let mut grads: Vec<LayerParams> = params.iter().map(|p| p.zeros_like()).collect();
         let mut dout: Vec<Option<Act>> = vec![None; n_layers];
 
-        for id in (0..n_layers).rev() {
+        for step in &self.schedule.backward {
+            let id = step.layer;
             let layer = &self.layers[id];
-            let base = layer.base();
-            if layer.seeds_backward() {
-                let g = pass.loss_grad.clone().expect("backward requires labels in forward");
-                accumulate(&mut dout[base.parents[0]], g);
-                continue;
-            }
-            let Some(dy) = dout[id].take() else { continue };
-            if base.parents.is_empty() {
-                continue;
-            }
             let plan = &self.plans[id][rank];
-            let cx = BwdCx {
-                plan,
-                params: &params[id],
-                pass,
-                bn_mode: self.strategy.bn_mode,
-                rank,
-                dyw_slot: arena.and_then(|a| {
-                    a.plan
-                        .slot_for(id, BufClass::DyWindow)
-                        .map(|slot| ArenaSlot { pool: &a.pool, slot })
-                }),
-                wants_dx: self.wants_dx[id],
+            let dparents = if step.seeds {
+                vec![(0, pass.loss_grad.clone().expect("backward requires labels in forward"))]
+            } else {
+                let dy = dout[id].take().expect("a scheduled layer's error slot is filled");
+                let cx = BwdCx {
+                    plan,
+                    params: &params[id],
+                    pass,
+                    bn_mode: self.strategy.bn_mode,
+                    rank,
+                    dyw_slot: arena.and_then(|a| {
+                        a.plan
+                            .slot_for(id, BufClass::DyWindow)
+                            .map(|slot| ArenaSlot { pool: &a.pool, slot })
+                    }),
+                    wants_dx: step.wants_dx(),
+                };
+                let out = layer.backward(comm, &cx, dy);
+                if let Some(g) = out.grads {
+                    grads[id] = g;
+                }
+                out.dparents
             };
-            let out = layer.backward(comm, &cx, dy);
-            if let Some(g) = out.grads {
-                grads[id] = g;
-            }
-            for (i, dact) in out.dparents {
+            for (i, dact) in dparents {
+                if !step.feeds[i] {
+                    continue;
+                }
                 let routed = match (plan.back_shuffles[i].as_ref(), dact) {
                     (Some(shuffle), Act::Shard(dt)) => {
                         Act::Shard(shuffle.execute(comm, &dt, [0; 4], [0; 4]))
                     }
                     (_, a) => a,
                 };
-                accumulate(&mut dout[base.parents[i]], routed);
+                accumulate(&mut dout[layer.base().parents[i]], routed);
             }
         }
         grads
@@ -768,6 +706,9 @@ fn accumulate(slot: &mut Option<Act>, g: Act) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
     use fg_comm::run_ranks;
     use fg_nn::Network;
@@ -1039,7 +980,11 @@ mod tests {
                         bn_mode: exec.strategy.bn_mode,
                         rank,
                         dyw_slot: None,
-                        wants_dx: exec.wants_dx[id],
+                        wants_dx: exec
+                            .schedule
+                            .backward
+                            .iter()
+                            .any(|s| s.layer == id && s.wants_dx()),
                     };
                     let dy = Act::Shard(DistTensor::new_unpadded(dist, rank));
                     let out = layer.backward(comm, &cx, dy);
@@ -1052,6 +997,92 @@ mod tests {
                     assert!(out.grads.is_some(), "the filter gradient is always computed");
                 }
             });
+        }
+    }
+
+    /// A layer whose `backward` calls are counted, by layer id. Wrapped
+    /// around a compiled executor's layers: a step calls nothing else.
+    #[derive(Debug)]
+    struct Counted(Box<dyn DistLayer>, Arc<Vec<AtomicUsize>>);
+
+    impl DistLayer for Counted {
+        fn base(&self) -> &crate::layers::LayerBase {
+            self.0.base()
+        }
+        fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
+            self.0.forward(comm, cx)
+        }
+        fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> crate::layers::BwdOut {
+            self.1[self.base().id].fetch_add(1, Ordering::Relaxed);
+            self.0.backward(comm, cx, dy)
+        }
+    }
+
+    /// The analyzer books an error accumulator for exactly the layers
+    /// the backward walk runs — never for `data`, whose slot nothing
+    /// fills — on every net × strategy of `tests/schedule_golden.rs`;
+    /// and the walk runs exactly those layers, counted on a live world.
+    #[test]
+    fn err_intervals_are_exactly_the_layers_backward_runs() {
+        let mut stems = NetworkSpec::new();
+        let i = stems.input("data", 3, 16, 16);
+        let a = stems.conv("stem_a", i, 4, 3, 2, 1);
+        let b = stems.conv("stem_b", i, 4, 5, 2, 2);
+        let j = stems.add_join("join", &[a, b]);
+        let pred = stems.conv("pred", j, 2, 1, 1, 0);
+        stems.loss("loss", pred);
+
+        for (spec, hybrid, head) in [
+            (mini_mesh_net(), ProcGrid::hybrid(2, 2, 2), 4),
+            (mini_resnet(), ProcGrid::hybrid(2, 1, 2), 5),
+            (stems, ProcGrid::hybrid(2, 2, 1), 3),
+        ] {
+            // Layers [0, head) spatial, the rest sample-parallel: a
+            // shuffle on every edge across the boundary.
+            let mut mixed = Strategy::uniform(&spec, ProcGrid::sample(4));
+            mixed.grids[..head].fill(ProcGrid::spatial(2, 2));
+            for (strategy, batch) in [
+                (Strategy::uniform(&spec, ProcGrid::sample(4)), 4),
+                (Strategy::uniform(&spec, ProcGrid::spatial(2, 2)), 2),
+                (Strategy::uniform(&spec, hybrid), 4),
+                (mixed, 4),
+            ] {
+                let mut exec = DistExecutor::new(spec.clone(), strategy, batch).unwrap();
+                let mut runs = vec![false; spec.len()];
+                for step in exec.schedule.backward.iter().filter(|s| !s.seeds) {
+                    runs[step.layer] = true;
+                }
+                assert!(!runs[0], "nothing reads the gradient of `data`");
+                let report = exec.analyze_memory_with(
+                    |rank, ivs| {
+                        let mut booked = vec![false; spec.len()];
+                        for iv in ivs.iter().filter(|iv| iv.class == BufClass::Err) {
+                            booked[iv.layer] = !exec.layers[iv.layer].seeds_backward();
+                        }
+                        assert_eq!(booked, runs, "rank {rank}");
+                    },
+                    |_, _| {},
+                );
+                assert!(report.is_clean(), "{report}");
+                if exec.strategy.world_size() != 4 {
+                    continue;
+                }
+
+                let calls = Arc::new(runs.iter().map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
+                let layers = std::mem::take(&mut exec.layers);
+                exec.layers =
+                    layers.into_iter().map(|l| Box::new(Counted(l, calls.clone())) as _).collect();
+                let (x, labels) = if spec.find("fc").is_some() {
+                    cls_batch(batch)
+                } else {
+                    seg_batch(batch, 16, 16)
+                };
+                let net = Network::init(spec.clone(), 11);
+                run_ranks(4, |comm| exec.loss_and_grads(comm, &net.params, &x, &labels));
+                let called: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                let want: Vec<usize> = runs.iter().map(|&r| if r { 4 } else { 0 }).collect();
+                assert_eq!(called, want, "one `backward` per rank on exactly the scheduled layers");
+            }
         }
     }
 

@@ -13,7 +13,7 @@ use fg_nn::{LayerParams, BN_EPS};
 use fg_tensor::DistTensor;
 
 use crate::executor::Act;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
+use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, TraceCx};
 use fg_comm::{ScalarType, TraceRecorder};
 
 /// Batch-norm statistics scope under data decomposition (§III-B).
@@ -146,14 +146,6 @@ impl DistLayer for BatchNormLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
-    }
-
     fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let (gamma, beta) = bn_params(cx.params);
@@ -167,7 +159,7 @@ impl DistLayer for BatchNormLayer {
             }
             None => dist_bn_forward(comm, x, gamma, beta, BN_EPS, cx.bn_mode),
         };
-        cx.bn_stats = Some(stats);
+        *cx.bn_stats = Some(stats);
         Act::Shard(y)
     }
 

@@ -42,10 +42,6 @@ impl DistLayer for ConvLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
     fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.x_halo = Some(self.conv.x_halo_plan(rank));
@@ -64,7 +60,7 @@ impl DistLayer for ConvLayer {
         let iplan = cx.plan.interior.as_ref().expect("conv plan has an interior plan");
         let (y, win) =
             forward_overlapped_with_plans_in(&self.conv, comm, x, w, b, x_halo, iplan, store);
-        cx.window = Some(win);
+        *cx.window = Some(win);
         Act::Shard(y)
     }
 

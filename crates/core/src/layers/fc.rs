@@ -39,10 +39,6 @@ impl DistLayer for FcLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
     fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.cross_group = Some(cross_section_group_layout(rank, self.base.grid));

@@ -84,10 +84,6 @@ impl DistLayer for GapLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
     fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.spatial_group = Some(spatial_group_layout(rank, self.base.grid));

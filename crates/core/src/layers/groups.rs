@@ -1,14 +1,12 @@
 //! Spatial and cross-section sub-communicator groups (§III-B).
 //!
-//! Both come in two forms: a [`SubCommLayout`] (pure geometry, compiled
-//! once into a [`crate::layers::LayerPlan`] and bound to the live
-//! communicator each step) and the historical one-shot `SubComm`
-//! constructors, which now delegate through the layouts. Binding a
-//! cached layout is bitwise-identical to constructing the sub-communicator
-//! fresh: same members, same tag salt, and the collective counter
-//! restarts at zero per bind.
+//! Each is a [`SubCommLayout`]: pure geometry, compiled once into a
+//! [`crate::layers::LayerPlan`] and bound to the live communicator each
+//! step. Binding a cached layout is bitwise-identical to constructing
+//! the sub-communicator fresh: same members, same tag salt, and the
+//! collective counter restarts at zero per bind.
 
-use fg_comm::{Communicator, SubComm, SubCommLayout};
+use fg_comm::SubCommLayout;
 use fg_tensor::ProcGrid;
 
 /// The spatial subgroup layout of `rank` under `grid`: ranks sharing its
@@ -29,22 +27,4 @@ pub fn cross_section_group_layout(rank: usize, grid: ProcGrid) -> SubCommLayout 
     // Distinct salt space from the spatial groups.
     SubCommLayout::new(grid.group_of(rank, fixed), grid.group_id(rank, fixed) + (1 << 20), rank)
         .expect("cross-section group is valid")
-}
-
-/// One-shot spatial subgroup of `comm.rank()` under `grid`; equivalent
-/// to binding [`spatial_group_layout`] once.
-pub fn spatial_group<C: Communicator>(comm: &C, grid: ProcGrid) -> SubComm<'_, C> {
-    let fixed = [true, true, false, false];
-    let members = grid.group_of(comm.rank(), fixed);
-    let id = grid.group_id(comm.rank(), fixed);
-    SubComm::new(comm, members, id).expect("spatial group is valid")
-}
-
-/// One-shot cross-section subgroup of `comm.rank()` under `grid`;
-/// equivalent to binding [`cross_section_group_layout`] once.
-pub fn cross_section_group<C: Communicator>(comm: &C, grid: ProcGrid) -> SubComm<'_, C> {
-    let fixed = [false, true, true, true];
-    let members = grid.group_of(comm.rank(), fixed);
-    let id = grid.group_id(comm.rank(), fixed) + (1 << 20); // distinct salt space
-    SubComm::new(comm, members, id).expect("cross-section group is valid")
 }

@@ -3,7 +3,7 @@
 use fg_comm::WorldComm;
 
 use crate::executor::Act;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan};
+use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase};
 
 /// [`DistLayer`] for the network's input: forwards the externally
 /// supplied activation, contributes nothing in backward.
@@ -22,14 +22,6 @@ impl InputLayer {
 impl DistLayer for InputLayer {
     fn base(&self) -> &LayerBase {
         &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
     }
 
     fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {

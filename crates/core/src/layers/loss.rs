@@ -105,10 +105,6 @@ impl DistLayer for SoftmaxLossLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
     fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         if self.per_sample {
@@ -135,13 +131,13 @@ impl DistLayer for SoftmaxLossLayer {
                 let group =
                     cx.plan.cross_group.as_ref().expect("per-sample loss plan has a cross group");
                 let (loss, dl) = dist_softmax_xent_per_sample_with_group(comm, group, l, &local);
-                cx.loss = Some(loss);
-                cx.loss_grad = Some(Act::PerSample(dl));
+                *cx.loss = Some(loss);
+                *cx.loss_grad = Some(Act::PerSample(dl));
             } else {
                 let l = logits.shard_of(self.base.id, &self.base.kind);
                 let (loss, dl) = dist_softmax_xent_shard(comm, l, labels);
-                cx.loss = Some(loss);
-                cx.loss_grad = Some(Act::Shard(dl));
+                *cx.loss = Some(loss);
+                *cx.loss_grad = Some(Act::Shard(dl));
             }
         }
         logits

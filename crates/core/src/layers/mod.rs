@@ -26,6 +26,7 @@ pub mod loss;
 pub mod plan;
 pub mod pointwise;
 pub mod pool;
+pub(crate) mod schedule;
 
 pub use batchnorm::{dist_bn_backward, dist_bn_forward, BatchNormLayer, BnMode};
 pub use conv::ConvLayer;
@@ -33,17 +34,15 @@ pub use fc::FcLayer;
 pub use gap::{
     dist_global_avg_pool, dist_global_avg_pool_backward, dist_global_avg_pool_with_group, GapLayer,
 };
-pub use groups::{
-    cross_section_group, cross_section_group_layout, spatial_group, spatial_group_layout,
-};
+pub use groups::{cross_section_group_layout, spatial_group_layout};
 pub use input::InputLayer;
 pub use loss::{
     dist_softmax_xent_per_sample, dist_softmax_xent_per_sample_with_group, dist_softmax_xent_shard,
     SoftmaxLossLayer,
 };
 pub use plan::{
-    window_elems, ArenaSlot, BwdCx, BwdOut, DistLayer, FwdCx, FwdInput, LayerBase, LayerBufs,
-    LayerPlan, TraceCx,
+    window_elems, ArenaSlot, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan,
+    TraceCx,
 };
 pub use pointwise::{dist_add, dist_relu_backward, dist_relu_forward, AddLayer, ReluLayer};
 pub use pool::{DistPool2d, PoolLayer};
@@ -80,9 +79,6 @@ pub(crate) fn build_layers(
             in_dist,
             out_dist,
             parent_dists: parent_dists.clone(),
-            // Filled in by the executor's move analysis once all layers
-            // exist (it needs per-layer consumer counts).
-            take_parent: vec![false; l.parents.len()],
         };
         let sharded = strategy.dist_for(shapes[id], grid);
         let layer: Box<dyn DistLayer> = match &l.kind {

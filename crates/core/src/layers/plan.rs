@@ -25,6 +25,7 @@ use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{DistTensor, ProcGrid, StepArena, TensorDist, NDIMS};
 
 use crate::executor::{Act, DistPass};
+use crate::layers::schedule::EdgeIn;
 use crate::layers::BnMode;
 use crate::overlap::InteriorPlan;
 
@@ -75,29 +76,28 @@ pub struct LayerBase {
     pub out_dist: Option<TensorDist>,
     /// Each parent's `out_dist`, for compiling the backward shuffles.
     pub parent_dists: Vec<Option<TensorDist>>,
-    /// Per parent edge: may the scheduler *move* the parent's activation
-    /// out of the pass instead of borrowing it? True only when this
-    /// layer is the sole consumer, no shuffle intervenes, and nothing
-    /// reads the parent activation in backward.
-    pub take_parent: Vec<bool>,
 }
 
 impl LayerBase {
+    /// Does parent edge `i` need a §III-C shuffle — both ends sharded,
+    /// in different distributions? The one predicate behind the compiled
+    /// plans and the step schedule.
+    pub(crate) fn shuffles_edge(&self, i: usize) -> bool {
+        matches!((&self.in_dist, &self.parent_dists[i]), (Some(want), Some(have)) if want != have)
+    }
+
     /// Compile the shuffle geometry shared by all layer kinds: one
     /// forward and one adjoint [`ShufflePlan`] per parent edge whose
     /// distributions differ.
     pub fn compile_io(&self, rank: usize) -> LayerPlan {
         let mut plan = LayerPlan::default();
-        for pd in &self.parent_dists {
-            let (fwd, back) = match (&self.in_dist, pd) {
-                (Some(want), Some(have)) if want != have => (
-                    Some(ShufflePlan::build(have.clone(), want.clone(), rank)),
-                    Some(ShufflePlan::build(want.clone(), have.clone(), rank)),
-                ),
-                _ => (None, None),
+        for (i, have) in self.parent_dists.iter().enumerate() {
+            let ends = self.in_dist.as_ref().zip(have.as_ref()).filter(|_| self.shuffles_edge(i));
+            let build = |from: &TensorDist, to: &TensorDist| {
+                ShufflePlan::build(from.clone(), to.clone(), rank)
             };
-            plan.in_shuffles.push(fwd);
-            plan.back_shuffles.push(back);
+            plan.in_shuffles.push(ends.map(|(want, have)| build(have, want)));
+            plan.back_shuffles.push(ends.map(|(want, have)| build(want, have)));
         }
         plan
     }
@@ -164,13 +164,12 @@ pub trait DistLayer: std::fmt::Debug + Send + Sync {
     /// The layer's spec/strategy-derived identity.
     fn base(&self) -> &LayerBase;
 
-    /// Mutable access for the executor's post-construction move
-    /// analysis (fills [`LayerBase::take_parent`]).
-    fn base_mut(&mut self) -> &mut LayerBase;
-
     /// Compile this rank's plan — pure geometry, no communication.
-    /// Called once per rank in `DistExecutor::new`.
-    fn compile_plan(&self, rank: usize) -> LayerPlan;
+    /// Called once per rank in `DistExecutor::new`. The default is the
+    /// shuffle geometry every layer kind shares.
+    fn compile_plan(&self, rank: usize) -> LayerPlan {
+        self.base().compile_io(rank)
+    }
 
     /// Execute the planned forward step; returns the output activation.
     /// Side outputs (kept windows, BN statistics, losses) go into `cx`.
@@ -189,8 +188,9 @@ pub trait DistLayer: std::fmt::Debug + Send + Sync {
     }
 
     /// Does [`DistLayer::backward`] read this layer's forward input
-    /// (via [`BwdCx::input`])? Gates both input saving and the
-    /// move-instead-of-clone analysis.
+    /// (via [`BwdCx::input`])? Decides, in the step schedule, whether a
+    /// redistributed input is saved and whether a parent's activation
+    /// may be given up once this layer has run.
     fn needs_input_for_backward(&self) -> bool {
         false
     }
@@ -239,34 +239,9 @@ pub struct TraceCx<'a> {
     pub param_elems: usize,
 }
 
-/// A forward input slot: borrowed straight from the pass when the
-/// parent's distribution already matches, owned when it was shuffled or
-/// moved in.
-// One slot per parent edge, alive for a single layer invocation;
-// boxing the owned variant would buy nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum FwdInput<'a> {
-    /// Borrowed from the parent's saved activation (zero copies).
-    Borrowed(&'a Act),
-    /// Owned by this layer (redistributed, or moved from a sole-consumer
-    /// parent).
-    Owned(Act),
-}
-
-impl FwdInput<'_> {
-    /// View the activation.
-    pub fn act(&self) -> &Act {
-        match self {
-            FwdInput::Borrowed(a) => a,
-            FwdInput::Owned(a) => a,
-        }
-    }
-}
-
 /// Everything a layer's forward step reads and writes besides its output
-/// activation. Built fresh by the scheduler each step; the `plan` points
-/// at precompiled geometry.
+/// activation: precompiled geometry, and this layer's view of the pass.
+/// Built fresh by the scheduler each step.
 #[derive(Debug)]
 pub struct FwdCx<'a> {
     /// This layer's precompiled plan.
@@ -281,36 +256,52 @@ pub struct FwdCx<'a> {
     pub bn_mode: BnMode,
     /// This rank.
     pub rank: usize,
-    /// Input slots, one per parent edge, in parent order. `None` once
-    /// taken via [`FwdCx::take_input`].
-    pub inputs: Vec<Option<FwdInput<'a>>>,
+    /// How each parent edge's input arrives (this layer's row of the
+    /// step schedule) and where from.
+    pub(crate) edges: &'a [EdgeIn],
+    pub(crate) parents: &'a [usize],
+    /// The activations of every earlier layer.
+    pub(crate) acts: &'a mut [Act],
+    /// This layer's row of [`DistPass::inputs`]: its redistributed
+    /// inputs by parent edge, `None` once taken.
+    pub(crate) shuffled: &'a mut [Option<Act>],
     /// The externally supplied activation (input layer only).
     pub external: Option<Act>,
     /// Arena slot for the kept input window in the fused step (`None`
     /// in the split API, whose pass escapes: conventional allocation).
     pub window_slot: Option<ArenaSlot<'a>>,
     /// Out: haloed input window kept for backward (conv/pool).
-    pub window: Option<DistTensor>,
+    pub window: &'a mut Option<DistTensor>,
     /// Out: batch-norm statistics.
-    pub bn_stats: Option<BnStats>,
+    pub bn_stats: &'a mut Option<BnStats>,
     /// Out: global mean loss.
-    pub loss: Option<f64>,
+    pub loss: &'a mut Option<f64>,
     /// Out: ∂loss/∂logits in this layer's representation.
-    pub loss_grad: Option<Act>,
+    pub loss_grad: &'a mut Option<Act>,
 }
 
 impl FwdCx<'_> {
     /// View input `i`.
     pub fn input(&self, i: usize) -> &Act {
-        self.inputs[i].as_ref().expect("forward input already taken").act()
+        match self.edges[i] {
+            EdgeIn::Shuffled { .. } => {
+                self.shuffled[i].as_ref().expect("forward input already taken")
+            }
+            EdgeIn::Moved | EdgeIn::Borrowed => &self.acts[self.parents[i]],
+        }
     }
 
-    /// Take ownership of input `i`: moves when owned, clones when
-    /// borrowed. The slot is emptied either way (nothing gets saved).
+    /// Take ownership of input `i`: the redistributed copy (nothing gets
+    /// saved then), the parent's own activation when the edge gives it
+    /// up anyway, a clone otherwise.
     pub fn take_input(&mut self, i: usize) -> Act {
-        match self.inputs[i].take().expect("forward input already taken") {
-            FwdInput::Owned(a) => a,
-            FwdInput::Borrowed(a) => a.clone(),
+        let from = &mut self.acts[self.parents[i]];
+        match self.edges[i] {
+            EdgeIn::Shuffled { .. } => {
+                self.shuffled[i].take().expect("forward input already taken")
+            }
+            EdgeIn::Moved => std::mem::replace(from, Act::consumed()),
+            EdgeIn::Borrowed => from.clone(),
         }
     }
 }
@@ -334,18 +325,19 @@ pub struct BwdCx<'a> {
     pub dyw_slot: Option<ArenaSlot<'a>>,
     /// Does anyone read this layer's input gradient? False when every
     /// parent is parent-less (the network input): the scheduler drops
-    /// what reaches such a layer, so a convolution need not compute it.
-    /// Worked out once from the spec by the executor.
+    /// what a step sends up such an edge, so a convolution need not
+    /// compute it. From the step schedule.
     pub wants_dx: bool,
 }
 
 impl BwdCx<'_> {
     /// The activation this layer consumed as input `i` in forward: the
     /// privately saved copy when one was kept (redistributed inputs),
-    /// otherwise the parent's own activation (which the move analysis
+    /// otherwise the parent's own activation (which the step schedule
     /// guarantees is still in the pass).
     pub fn input(&self, base: &LayerBase, i: usize) -> &Act {
-        self.pass.inputs[base.id][i].as_ref().unwrap_or(&self.pass.acts[base.parents[i]])
+        let saved = self.pass.inputs[base.id].get(i).and_then(Option::as_ref);
+        saved.unwrap_or(&self.pass.acts[base.parents[i]])
     }
 
     /// The haloed input window saved in forward.

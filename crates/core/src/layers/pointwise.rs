@@ -5,7 +5,7 @@ use fg_comm::WorldComm;
 use fg_tensor::DistTensor;
 
 use crate::executor::Act;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan};
+use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase};
 
 /// Distributed ReLU: elementwise on the owned region.
 pub fn dist_relu_forward(x: &DistTensor) -> DistTensor {
@@ -53,14 +53,6 @@ impl DistLayer for ReluLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
-    }
-
     fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         Act::Shard(dist_relu_forward(x))
@@ -93,14 +85,6 @@ impl AddLayer {
 impl DistLayer for AddLayer {
     fn base(&self) -> &LayerBase {
         &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
     }
 
     fn forward(&self, _comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {

@@ -229,10 +229,6 @@ impl DistLayer for PoolLayer {
         &self.base
     }
 
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
     fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.x_halo = Some(self.pool.x_halo_plan(rank));
@@ -246,7 +242,7 @@ impl DistLayer for PoolLayer {
         let store =
             cx.window_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).window_elems));
         let (y, win) = self.pool.forward_with_plan_in(comm, x, x_halo, store);
-        cx.window = Some(win);
+        *cx.window = Some(win);
         Act::Shard(y)
     }
 

@@ -4,10 +4,11 @@
 //! `DistExecutor::new` compiles every rank's per-layer plans before a
 //! single step runs — so, exactly as the communication schedule is known
 //! statically (see [`crate::verify`]), the *memory* schedule is too.
-//! This module walks a rank's compiled forward/backward schedule in the
-//! scheduler's exact order and records every buffer the step touches as
-//! a [`LiveInterval`] on the step's tick line (layer `L` of an `n`-layer
-//! network runs forward at tick `L` and backward at tick `2n - 1 - L`):
+//! This module walks a rank's compiled plans along the executor's own
+//! step schedule (`layers::schedule`) and records every buffer the step
+//! touches as a [`LiveInterval`] on the step's tick line (layer `L` of
+//! an `n`-layer network runs forward at tick `L` and backward at tick
+//! `2n - 1 - L`):
 //!
 //! * **persistent state** — parameters, gradients, optimizer momentum
 //!   (3× the parameter bytes), live for the whole step;
@@ -47,6 +48,7 @@ use fg_tensor::{
     check_mem_plan, peak_bytes, BufClass, LiveInterval, MemPlan, MemPlanIssue, StepArena, ELT_BYTES,
 };
 
+use crate::layers::schedule::{EdgeIn, StepSchedule};
 use crate::layers::{build_layers, DistLayer, LayerPlan};
 use crate::strategy::{Strategy, StrategyError};
 
@@ -161,6 +163,16 @@ impl fmt::Display for MemReport {
     }
 }
 
+/// What a liveness walk reads besides a rank's plans: the network, its
+/// layer objects and the step schedule compiled from them.
+#[derive(Clone, Copy)]
+pub(crate) struct Net<'a> {
+    pub spec: &'a NetworkSpec,
+    pub layers: &'a [Box<dyn DistLayer>],
+    pub schedule: &'a StepSchedule,
+    pub batch: usize,
+}
+
 /// One rank's memory plan for the fused step: the colored slot
 /// assignments and the static bound every step's arena high-water mark
 /// must stay under. Compiled once per rank by `DistExecutor::new`.
@@ -179,14 +191,12 @@ impl RankMemPlan {
     /// intervals, color them, and take their exact peak — the plan and
     /// bound [`analyze_ranks`] reports for the same rank.
     pub(crate) fn compile(
-        spec: &NetworkSpec,
-        layers: &[Box<dyn DistLayer>],
+        net: Net<'_>,
         plans: &[&LayerPlan],
         param_elems: &[usize],
-        batch: usize,
         rank: usize,
     ) -> RankMemPlan {
-        let ivs = rank_intervals(spec, layers, plans, param_elems, batch, rank);
+        let ivs = rank_intervals(net, plans, param_elems, rank);
         RankMemPlan { plan: MemPlan::color(&ivs), static_bound: peak_bytes(&ivs) }
     }
 }
@@ -242,18 +252,15 @@ fn act_bytes(
 }
 
 /// Record one rank's complete tensor-liveness interval list by walking
-/// its compiled plans in the scheduler's exact order — the symbolic-walk
-/// mirror of `run_forward`/`run_backward`, as `verify::record_rank` is
-/// for the communication schedule. `plans` is this rank's plan per
-/// layer.
+/// its compiled plans along the step schedule, as `verify::record_rank`
+/// does for the wire ops. `plans` is this rank's plan per layer.
 fn rank_intervals(
-    spec: &NetworkSpec,
-    layers: &[Box<dyn DistLayer>],
+    net: Net<'_>,
     plans: &[&LayerPlan],
     param_elems: &[usize],
-    batch: usize,
     rank: usize,
 ) -> Vec<LiveInterval> {
+    let Net { spec, layers, schedule, batch } = net;
     let n = layers.len();
     let last_tick = 2 * n - 1;
     let fwd = |id: usize| id;
@@ -274,23 +281,19 @@ fn rank_intervals(
     push(0, BufClass::ReplayWindow, replay_budget_bytes(), 0, last_tick);
 
     // Forward: per layer, input shuffles (staging transient at the
-    // forward tick; the redistributed copy saved for backward when the
-    // layer reads its input there), then the layer's own window, halo
-    // staging, BN statistics, and output activation.
+    // forward tick; the redistributed copy where the schedule keeps it
+    // for backward), then the layer's own window, halo staging, BN
+    // statistics, and output activation.
     for (id, layer) in layers.iter().enumerate() {
         let base = layer.base();
         let plan = &plans[id];
-        for shuffle in &plan.in_shuffles {
+        for (shuffle, edge) in plan.in_shuffles.iter().zip(&schedule.edges[id]) {
             let Some(sp) = shuffle.as_ref() else { continue };
             let stage = sp.send_elements() + sp.recvs().iter().map(|(_, b)| b.len()).sum::<usize>();
             push(id, BufClass::ShuffleStage, stage * ELT_BYTES, fwd(id), fwd(id));
-            if layer.needs_input_for_backward() {
-                // The privately-saved redistributed input (one per
-                // shuffled edge; sized by the layer's input
-                // distribution).
-                let saved =
-                    base.in_dist.as_ref().map(|d| d.local_box(rank).len() * ELT_BYTES).unwrap_or(0);
-                push(id, BufClass::Act, saved, fwd(id), bwd(id));
+            if let (EdgeIn::Shuffled { saved: true }, Some(d)) = (edge, base.in_dist.as_ref()) {
+                // Sized by the layer's input distribution.
+                push(id, BufClass::Act, d.local_box(rank).len() * ELT_BYTES, fwd(id), bwd(id));
             }
         }
         let bufs = layer.memory_model(rank);
@@ -316,37 +319,15 @@ fn rank_intervals(
         push(id, BufClass::Act, act_bytes(layers, &shapes, batch, rank, id), fwd(id), bwd(id));
     }
 
-    // Backward: reverse order, mirroring `run_backward`'s signal flow.
-    // A layer's error accumulator becomes live at the backward tick of
-    // the first child that contributes to it and dies at the layer's own
-    // backward tick (where `dout[id].take()` consumes it).
-    let mut has_signal = vec![false; n];
-    let mut err_start = vec![0usize; n];
-    for (id, layer) in layers.iter().enumerate().rev() {
-        let base = layer.base();
-        if layer.seeds_backward() {
-            let p = base.parents[0];
-            if !has_signal[p] {
-                has_signal[p] = true;
-                err_start[p] = bwd(id);
-            }
-            continue;
-        }
-        if !has_signal[id] {
-            continue;
-        }
-        push(
-            id,
-            BufClass::Err,
-            act_bytes(layers, &shapes, batch, rank, id),
-            err_start[id],
-            bwd(id),
-        );
-        if base.parents.is_empty() {
-            continue;
-        }
+    // Backward: a scheduled layer's error accumulator is live from the
+    // step that first filled it until its own, where `dout[id].take()`
+    // consumes it (a loss layer's seed is the gradient booked above).
+    for step in schedule.backward.iter().filter(|s| !s.seeds) {
+        let id = step.layer;
+        let err = act_bytes(layers, &shapes, batch, rank, id);
+        push(id, BufClass::Err, err, bwd(step.err_from), bwd(id));
         let plan = &plans[id];
-        let bufs = layer.memory_model(rank);
+        let bufs = layers[id].memory_model(rank);
         push(id, BufClass::DyWindow, bufs.dy_window_elems * ELT_BYTES, bwd(id), bwd(id));
         if let Some(h) = plan.dy_halo.as_ref() {
             let stage = h.send_elements() + h.recv_elements();
@@ -354,16 +335,10 @@ fn rank_intervals(
         }
         // Gradient + flattened allreduce staging for parameter layers.
         push(id, BufClass::GradStage, 2 * param_elems[id] * ELT_BYTES, bwd(id), bwd(id));
-        for (i, &p) in base.parents.iter().enumerate() {
-            if let Some(sp) = plan.back_shuffles[i].as_ref() {
-                let stage =
-                    sp.send_elements() + sp.recvs().iter().map(|(_, b)| b.len()).sum::<usize>();
-                push(id, BufClass::ShuffleStage, stage * ELT_BYTES, bwd(id), bwd(id));
-            }
-            if !has_signal[p] {
-                has_signal[p] = true;
-                err_start[p] = bwd(id);
-            }
+        for (shuffle, _) in plan.back_shuffles.iter().zip(&step.feeds).filter(|(_, &fed)| fed) {
+            let Some(sp) = shuffle.as_ref() else { continue };
+            let stage = sp.send_elements() + sp.recvs().iter().map(|(_, b)| b.len()).sum::<usize>();
+            push(id, BufClass::ShuffleStage, stage * ELT_BYTES, bwd(id), bwd(id));
         }
     }
     ivs
@@ -512,25 +487,23 @@ pub(crate) fn check_conservation(
 /// (through `mutate_plan`), and run every soundness check. The hooks
 /// exist for mutation tests; production passes `|_, _| {}` for both.
 /// Conservation runs only when `full_plans` carries every rank.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_ranks(
-    spec: &NetworkSpec,
-    layers: &[Box<dyn DistLayer>],
+    net: Net<'_>,
     rank_plans: &dyn Fn(usize) -> Vec<LayerPlan>,
     full_plans: Option<&[Vec<LayerPlan>]>,
-    batch: usize,
     ranks: &[usize],
     mutate_intervals: &dyn Fn(usize, &mut Vec<LiveInterval>),
     mutate_plan: &dyn Fn(usize, &mut MemPlan),
 ) -> MemReport {
     let start = Instant::now();
-    let param_elems = spec.param_elems();
+    let layers = net.layers;
+    let param_elems = net.spec.param_elems();
     let mut bounds = Vec::with_capacity(ranks.len());
     let mut violations = Vec::new();
     for &rank in ranks {
         let plans = rank_plans(rank);
         let plans: Vec<&LayerPlan> = plans.iter().collect();
-        let fresh = rank_intervals(spec, layers, &plans, &param_elems, batch, rank);
+        let fresh = rank_intervals(net, &plans, &param_elems, rank);
         let mut ivs = fresh.clone();
         mutate_intervals(rank, &mut ivs);
         let mut plan = MemPlan::color(&ivs);
@@ -581,6 +554,8 @@ pub fn analyze_strategy(
 ) -> Result<MemReport, StrategyError> {
     strategy.validate(spec, batch)?;
     let layers = build_layers(spec, strategy, batch);
+    let schedule = StepSchedule::compile(&layers);
+    let net = Net { spec, layers: &layers, schedule: &schedule, batch };
     let rank_plans = |rank: usize| layers.iter().map(|l| l.compile_plan(rank)).collect::<Vec<_>>();
-    Ok(analyze_ranks(spec, &layers, &rank_plans, None, batch, ranks, &|_, _| {}, &|_, _| {}))
+    Ok(analyze_ranks(net, &rank_plans, None, ranks, &|_, _| {}, &|_, _| {}))
 }

@@ -31,11 +31,12 @@
 //! deadlock or mis-shape a message — it says nothing about whether the
 //! answer is right or fast.
 //!
-//! The walker mirrors the executor's scheduling exactly: forward walks
-//! layers in order, input shuffles before the layer's own exchanges;
-//! backward walks in reverse with loss layers seeding their parent
-//! (communication-free) and dead branches skipped, the layer's own
-//! exchanges before the adjoint shuffles.
+//! The walker reads the executor's own step schedule
+//! (`layers::schedule`), so which layers run and which edges carry
+//! traffic is not decided here; what is this module's own is the order
+//! of wire ops within a layer: input shuffles before the layer's
+//! exchanges in forward, the layer's exchanges before the adjoint
+//! shuffles in backward.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -45,8 +46,9 @@ use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{Box4, ProcGrid, Shape4, TensorDist};
 
+use crate::executor::DistExecutor;
 use crate::layers::{DistLayer, LayerPlan, TraceCx};
-use crate::strategy::{per_sample_shape, Strategy};
+use crate::strategy::per_sample_shape;
 
 /// Outcome of one verification pass over a compiled executor.
 #[derive(Debug, Clone)]
@@ -107,115 +109,85 @@ impl std::fmt::Display for VerifyReport {
 /// (tag flips, dropped collectives) between recording and checking;
 /// production callers pass `|_| {}`.
 pub(crate) fn verify_plans(
-    spec: &NetworkSpec,
-    strategy: &Strategy,
-    layers: &[Box<dyn DistLayer>],
+    exec: &DistExecutor,
     plans: &[Vec<LayerPlan>],
     mutate_traces: impl FnOnce(&mut Vec<RankTrace>),
 ) -> VerifyReport {
     let start = Instant::now();
-    let world = strategy.world_size();
-    // Parameter payload sizes of the traced gradient allreduces.
-    let param_elems = spec.param_elems();
-    let names: Vec<String> = layers.iter().map(|l| l.base().name.clone()).collect();
+    let names: Vec<String> = exec.layers.iter().map(|l| l.base().name.clone()).collect();
 
-    let mut traces: Vec<RankTrace> = (0..world)
-        .map(|rank| record_rank(strategy, layers, plans, &param_elems, rank, world, None))
-        .collect();
+    let mut traces = record_traces(exec, plans, None);
     mutate_traces(&mut traces);
 
     let (stats, mut violations) = check_traces(&traces, &names);
-    check_plan_geometry(layers, plans, world, &mut violations);
+    check_plan_geometry(&exec.layers, plans, exec.strategy.world_size(), &mut violations);
     VerifyReport { stats, violations, wall: start.elapsed() }
 }
 
 /// Record every rank's symbolic trace, optionally costing local compute
 /// through `oracle` — the input format of the discrete-event engine.
 pub(crate) fn record_traces(
-    spec: &NetworkSpec,
-    strategy: &Strategy,
-    layers: &[Box<dyn DistLayer>],
+    exec: &DistExecutor,
     plans: &[Vec<LayerPlan>],
     oracle: Option<&dyn ComputeOracle>,
 ) -> Vec<RankTrace> {
-    let world = strategy.world_size();
-    let param_elems = spec.param_elems();
-    (0..world)
-        .map(|rank| record_rank(strategy, layers, plans, &param_elems, rank, world, oracle))
-        .collect()
+    // Parameter payload sizes of the traced gradient allreduces.
+    let param_elems = exec.spec.param_elems();
+    let record = |rank| record_rank(exec, plans, &param_elems, rank, oracle);
+    (0..exec.strategy.world_size()).map(record).collect()
 }
 
-/// Symbolically execute one rank's plans in exact scheduler order.
+/// Symbolically execute one rank's plans along the step schedule.
 fn record_rank(
-    strategy: &Strategy,
-    layers: &[Box<dyn DistLayer>],
+    exec: &DistExecutor,
     plans: &[Vec<LayerPlan>],
     param_elems: &[usize],
     rank: usize,
-    world: usize,
     oracle: Option<&dyn ComputeOracle>,
 ) -> RankTrace {
+    let world = exec.strategy.world_size();
+    let cx = |id: usize| TraceCx {
+        plan: &plans[id][rank],
+        bn_mode: exec.strategy.bn_mode,
+        world,
+        rank,
+        param_elems: param_elems[id],
+    };
     let mut rec = TraceRecorder::new(rank, world);
 
     // Forward: per layer, input shuffles in parent-edge order, then the
     // layer's own exchanges, then the modeled kernel time (the layer
     // computes on its exchanged inputs).
-    for (id, layer) in layers.iter().enumerate() {
+    for (id, layer) in exec.layers.iter().enumerate() {
         rec.scope(id, Phase::Forward);
-        let plan = &plans[id][rank];
-        for shuffle in plan.in_shuffles.iter().flatten() {
+        for shuffle in plans[id][rank].in_shuffles.iter().flatten() {
             shuffle.record(&mut rec);
         }
-        let cx = trace_cx(strategy, plan, world, rank, param_elems[id]);
-        layer.record_forward(&cx, &mut rec);
+        layer.record_forward(&cx(id), &mut rec);
         if let Some(o) = oracle {
             rec.advance(o.secs(id, Phase::Forward, rank));
         }
     }
 
-    // Backward: reverse order; loss layers seed their parent without
-    // communication, layers whose error slot never fills are skipped
-    // (dead branches), and adjoint shuffles follow the layer's own
-    // exchanges, as in `run_backward`.
-    let mut has_signal = vec![false; layers.len()];
-    for (id, layer) in layers.iter().enumerate().rev() {
+    // Backward: a loss layer's seed is communication-free; every other
+    // scheduled layer runs its gradient kernels, then its own exchanges
+    // (dparams, adjoint halos), then the adjoint shuffle of each edge
+    // somebody reads.
+    for step in exec.schedule.backward.iter().filter(|s| !s.seeds) {
+        let id = step.layer;
         rec.scope(id, Phase::Backward);
-        let base = layer.base();
-        if layer.seeds_backward() {
-            has_signal[base.parents[0]] = true;
-            continue;
-        }
-        if !has_signal[id] || base.parents.is_empty() {
-            continue;
-        }
-        let plan = &plans[id][rank];
-        let cx = trace_cx(strategy, plan, world, rank, param_elems[id]);
-        // Gradient kernels run before the layer's exchanges put their
-        // results (dparams, adjoint halos) on the wire.
         if let Some(o) = oracle {
             rec.advance(o.secs(id, Phase::Backward, rank));
         }
-        layer.record_backward(&cx, &mut rec);
-        // Every layer kind emits a dparent on each of its edges (joins
-        // on all, single-parent layers on their only edge).
-        for (i, &p) in base.parents.iter().enumerate() {
-            if let Some(shuffle) = plan.back_shuffles[i].as_ref() {
+        exec.layers[id].record_backward(&cx(id), &mut rec);
+        let shuffles = &plans[id][rank].back_shuffles;
+        for (shuffle, _) in shuffles.iter().zip(&step.feeds).filter(|(_, &fed)| fed) {
+            if let Some(shuffle) = shuffle {
                 shuffle.record(&mut rec);
             }
-            has_signal[p] = true;
         }
     }
     rec.finish()
-}
-
-fn trace_cx<'a>(
-    strategy: &Strategy,
-    plan: &'a LayerPlan,
-    world: usize,
-    rank: usize,
-    param_elems: usize,
-) -> TraceCx<'a> {
-    TraceCx { plan, bn_mode: strategy.bn_mode, world, rank, param_elems }
 }
 
 /// Checks 3 and 4: plan-geometry properties the count-level traces

@@ -64,13 +64,6 @@ pub enum LayerKind {
     SoftmaxCrossEntropy,
 }
 
-impl LayerKind {
-    /// Does this layer carry learnable parameters?
-    pub fn has_params(&self) -> bool {
-        matches!(self, LayerKind::Conv { .. } | LayerKind::BatchNorm | LayerKind::Fc { .. })
-    }
-}
-
 /// One node of the network DAG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {

@@ -86,10 +86,6 @@ impl AdmissionQueue {
         }
         out
     }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -123,12 +119,12 @@ mod tests {
         q.try_push(a).unwrap();
         q.try_push(b).unwrap();
         assert_eq!(q.try_push(c).unwrap_err(), ServeError::QueueFull { capacity: 2 });
-        assert_eq!(q.depth(), 2);
+        assert_eq!(q.depth.load(Ordering::Acquire), 2);
         assert_eq!(tag_of(&q.pop(Duration::ZERO).unwrap()), 1);
         let (c2, _r4) = req(3);
         q.try_push(c2).unwrap();
         let drained = q.drain();
         assert_eq!(drained.iter().map(tag_of).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(q.depth(), 0);
+        assert_eq!(q.depth.load(Ordering::Acquire), 0);
     }
 }

@@ -250,11 +250,6 @@ impl Server {
         }
     }
 
-    /// Current admission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
     /// Counters so far.
     pub fn metrics(&self) -> MetricsSnapshot {
         let m = &self.shared.metrics;

@@ -58,24 +58,6 @@ impl TensorDist {
         TensorDist { shape, grid, weights }
     }
 
-    /// Create a distribution sharing an already-normalized weight handle
-    /// (used when many layer distributions share one strategy's weights).
-    pub fn with_shared_weights(
-        shape: Shape4,
-        grid: ProcGrid,
-        weights: Option<Arc<GridWeights>>,
-    ) -> Self {
-        match weights {
-            Some(w) => TensorDist::weighted(shape, grid, (*w).clone()),
-            None => TensorDist::new(shape, grid),
-        }
-    }
-
-    /// The distribution's weights, if it is non-uniform.
-    pub fn grid_weights(&self) -> Option<&GridWeights> {
-        self.weights.as_deref()
-    }
-
     /// Weight vector for grid dimension `d` (None = uniform on `d`).
     fn dim_weights(&self, d: usize) -> Option<&[u64]> {
         self.weights.as_deref().and_then(|w| w.for_dim(d))

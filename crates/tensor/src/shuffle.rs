@@ -57,21 +57,9 @@ impl ShufflePlan {
         ShufflePlan { src, dst, rank, sends, recvs }
     }
 
-    /// The source distribution the plan was compiled for.
-    pub fn src_dist(&self) -> &TensorDist {
-        &self.src
-    }
-
     /// The destination distribution the plan produces.
     pub fn dst_dist(&self) -> &TensorDist {
         &self.dst
-    }
-
-    /// True when source and destination distributions coincide (the
-    /// shuffle still runs, as a self-copy, for bitwise parity with the
-    /// historical one-shot path).
-    pub fn is_identity(&self) -> bool {
-        self.src == self.dst
     }
 
     /// Total elements this rank contributes to the all-to-all.

@@ -145,6 +145,16 @@ cargo test -q --offline -p fg-core --test mem_budget
 filtered_tests -p fg-perf --lib -- budget_rejects_over_budget_candidates_typed
 FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
     fused_step_matches_split static_bounds abandoned_step
+# One step schedule under all three walkers: every rank's recorded
+# trace, liveness intervals and memory plan as recorded before the
+# executor, the recorder and the analyzer shared it, and an error
+# accumulator booked for exactly the layers backward runs (counted on a
+# live world) — never for `data`.
+FG_VERIFY=1 filtered_tests --test schedule_golden -- \
+    traces_intervals_and_plans_match_the_recorded_ones \
+    the_unread_gradient_of_data_is_neither_recorded_nor_staged
+FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
+    err_intervals_are_exactly_the_layers_backward_runs
 
 # Convolution kernels, bit for bit against the loops they replaced (the
 # gather and strided-read references live in the test file). Both

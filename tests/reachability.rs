@@ -1,12 +1,11 @@
 //! Tripwire for fully orphaned library modules. For every `pub mod m;`
 //! in a `crates/*/src/lib.rs`, some `.rs` file under `crates/`, `src/`
-//! or `tests/` — other than the module's own file(s), its crate's
-//! `lib.rs` and anything under `benches/` — must name `m::` or one of
-//! the names `lib.rs` re-exports from `m`, outside a comment. A module
-//! that only its own tests, `examples/` or `benches/` reach fails here:
-//! lift it into a live path or delete it. This is a textual check, not a
-//! dead-code analysis; it says nothing about unused items inside a
-//! module that something reaches.
+//! or `tests/` — other than the module's own file(s) and its crate's
+//! `lib.rs` — must name `m::` or one of the names `lib.rs` re-exports
+//! from `m`, outside a comment. A module that only its own tests or
+//! `examples/` reach fails here: lift it into a live path or delete it.
+//! This is a textual check, not a dead-code analysis; it says nothing
+//! about unused items inside a module that something reaches.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -15,9 +14,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).expect("readable source directory") {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
-            if !path.ends_with("benches") {
-                rust_files(&path, out);
-            }
+            rust_files(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
