@@ -248,9 +248,22 @@ pub trait Collectives: Communicator + Sized {
         op: ReduceOp,
         alg: AllreduceAlgorithm,
     ) -> Vec<T> {
+        self.allreduce_owned(data.to_vec(), op, alg)
+    }
+
+    /// Allreduce that takes its operand's storage and returns the result
+    /// in it: the vector is reduced in place, so a caller that owns its
+    /// contribution pays no copy on the way in. The borrowed entry
+    /// points are this one behind a `to_vec`.
+    fn allreduce_owned<T: ReduceScalar>(
+        &self,
+        data: Vec<T>,
+        op: ReduceOp,
+        alg: AllreduceAlgorithm,
+    ) -> Vec<T> {
         let p = self.size();
         if p == 1 || data.is_empty() {
-            return data.to_vec();
+            return data;
         }
         let alg = alg.resolve(data.len() * T::WIDTH);
         self.with_class(OpClass::Allreduce, || match alg {
@@ -262,12 +275,11 @@ pub trait Collectives: Communicator + Sized {
     }
 
     /// Ring allreduce: reduce-scatter rotation then allgather rotation.
-    fn allreduce_ring<T: ReduceScalar>(&self, data: &[T], op: ReduceOp) -> Vec<T> {
+    fn allreduce_ring<T: ReduceScalar>(&self, mut buf: Vec<T>, op: ReduceOp) -> Vec<T> {
         let p = self.size();
-        let n = data.len();
+        let n = buf.len();
         let rank = self.rank();
         let tag = self.next_collective_tag();
-        let mut buf = data.to_vec();
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
         // Reduce-scatter: after P−1 steps, chunk c is complete on rank c.
@@ -296,13 +308,16 @@ pub trait Collectives: Communicator + Sized {
 
     /// Recursive-doubling allreduce; non-power-of-two P handled by the
     /// standard fold-in of `P − 2^⌊log₂P⌋` extra ranks.
-    fn allreduce_recursive_doubling<T: ReduceScalar>(&self, data: &[T], op: ReduceOp) -> Vec<T> {
+    fn allreduce_recursive_doubling<T: ReduceScalar>(
+        &self,
+        mut buf: Vec<T>,
+        op: ReduceOp,
+    ) -> Vec<T> {
         let p = self.size();
         let rank = self.rank();
         let tag = self.next_collective_tag();
         let pof2 = prev_pow2(p);
         let rem = p - pof2;
-        let mut buf = data.to_vec();
 
         // Pre-step: the first 2·rem ranks pair up; odd ranks fold their
         // data into the preceding even rank and sit out the main phase.
@@ -348,19 +363,18 @@ pub trait Collectives: Communicator + Sized {
 
     /// Rabenseifner's allreduce: recursive-halving reduce-scatter then
     /// recursive-doubling allgather; non-power-of-two handled as above.
-    fn allreduce_rabenseifner<T: ReduceScalar>(&self, data: &[T], op: ReduceOp) -> Vec<T> {
+    fn allreduce_rabenseifner<T: ReduceScalar>(&self, mut buf: Vec<T>, op: ReduceOp) -> Vec<T> {
         let p = self.size();
         let rank = self.rank();
-        let n = data.len();
+        let n = buf.len();
         let tag = self.next_collective_tag();
         let pof2 = prev_pow2(p);
         let rem = p - pof2;
         if pof2 == 1 {
             // Degenerate worlds (P = 1 handled by caller; P ≤ 3 with
             // pof2 == 2 proceed below). pof2 == 1 means P == 1.
-            return data.to_vec();
+            return buf;
         }
-        let mut buf = data.to_vec();
 
         let newrank: isize = if rank < 2 * rem {
             if rank % 2 == 1 {
@@ -679,6 +693,37 @@ mod tests {
     fn allreduce_auto_matches_reference() {
         check_allreduce(AllreduceAlgorithm::Auto, 4, 8);
         check_allreduce(AllreduceAlgorithm::Auto, 6, 5000);
+    }
+
+    #[test]
+    fn owning_and_borrowed_allreduce_return_identical_bits() {
+        for p in [1, 2, 3, 4, 5, 8] {
+            for alg in [
+                AllreduceAlgorithm::Ring,
+                AllreduceAlgorithm::RecursiveDoubling,
+                AllreduceAlgorithm::Rabenseifner,
+            ] {
+                for n in [0, 1, p - 1, p, p + 1, 8193] {
+                    let results = run_ranks(p, |comm| {
+                        // Mixed magnitudes: any change of operand order
+                        // shows in the low bits.
+                        let mine: Vec<f32> = (0..n)
+                            .map(|i| (comm.rank() * 7 + i + 3) as f32 * 1e-3 + 1e5 * (i % 3) as f32)
+                            .collect();
+                        let borrowed = comm.allreduce_with(&mine, ReduceOp::Sum, alg);
+                        let owned = comm.allreduce_owned(mine, ReduceOp::Sum, alg);
+                        let bits =
+                            |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                        (bits(borrowed), bits(owned))
+                    });
+                    for (rank, (borrowed, owned)) in results.iter().enumerate() {
+                        assert_eq!(borrowed.len(), n);
+                        assert_eq!(borrowed, owned, "alg {alg:?} p={p} n={n} rank={rank}");
+                        assert_eq!(owned, &results[0].1, "alg {alg:?} p={p} n={n}: ranks disagree");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

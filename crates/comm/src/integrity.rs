@@ -12,8 +12,17 @@
 //! * **Envelope.** Before a payload can be touched by anything below the
 //!   integrity layer (fault injection here; a real NIC in the system
 //!   being modeled), the sender assigns it a `WireHeader`: its
-//!   position `seq` in the `(src, dst, tag)` stream and an FNV-1a
-//!   checksum over `(tag, seq, len, element bits)`.
+//!   position `seq` in the `(src, dst, tag)` stream and a 64-bit
+//!   FNV-1a checksum over `(tag, seq, len, element bits)`. The elements
+//!   are striped over `CHECKSUM_LANES` independent FNV-1a chains
+//!   (element `i` into lane `i mod CHECKSUM_LANES`), and the header
+//!   words and the lane values are then folded, in order, into one more
+//!   chain. Each step `h ← (h ^ word) · odd` is a bijection in `h` and
+//!   in `word`, so changing any one element changes its lane's value,
+//!   and changing one lane's value (or `tag`, `seq`, `len`) changes the
+//!   result: a single-element corruption is always detected, never just
+//!   probably. Every element is read, at every size, on the send, verify
+//!   and retransmit sides alike.
 //! * **Replay window.** The sender stages a pristine copy of every
 //!   enveloped payload in a world-shared window, keyed by stream. Successful delivery of `seq` acts as a cumulative ACK:
 //!   the receiver prunes every staged entry of that stream up to and
@@ -53,7 +62,7 @@ use std::time::Duration;
 
 use crate::error::CommError;
 use crate::fault::FaultPlan;
-use crate::p2p::{CommScalar, Communicator, Tag, WireHeader};
+use crate::p2p::{world_collective_tag, CommScalar, Communicator, Tag, WireHeader};
 use crate::runtime::WorldComm;
 
 /// Tuning for the receiver-side repair loop.
@@ -79,19 +88,30 @@ fn fnv(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// The end-to-end payload checksum: FNV-1a over `(tag, seq, len)` and
-/// every element's [`CommScalar::checksum_bits`]. Binding the header
-/// fields means a payload spliced onto the wrong stream position fails
-/// verification even if its bytes are intact.
+/// Independent FNV-1a chains the payload is striped over. One chain is a
+/// xor→multiply dependency of about four cycles per element; this many
+/// keep the multiplier busy every cycle instead.
+const CHECKSUM_LANES: usize = 8;
+
+/// The end-to-end payload checksum (see the module header): element `i`
+/// is folded into lane `i mod CHECKSUM_LANES`, then `(tag, seq, len)`
+/// and the lanes, in lane order, are folded into one FNV-1a chain.
+/// Binding the header fields means a payload spliced onto the wrong
+/// stream position fails verification even if its bytes are intact.
 pub(crate) fn checksum_payload<T: CommScalar>(tag: Tag, seq: u64, data: &[T]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv(h, tag);
-    h = fnv(h, seq);
-    h = fnv(h, data.len() as u64);
-    for x in data {
-        h = fnv(h, x.checksum_bits());
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut lanes = [BASIS; CHECKSUM_LANES];
+    let mut stripes = data.chunks_exact(CHECKSUM_LANES);
+    for stripe in &mut stripes {
+        for (lane, x) in lanes.iter_mut().zip(stripe) {
+            *lane = fnv(*lane, x.checksum_bits());
+        }
     }
-    h
+    for (lane, x) in lanes.iter_mut().zip(stripes.remainder()) {
+        *lane = fnv(*lane, x.checksum_bits());
+    }
+    let header = [tag, seq, data.len() as u64];
+    header.into_iter().chain(lanes).fold(BASIS, fnv)
 }
 
 /// A staged pristine copy awaiting acknowledgement.
@@ -288,6 +308,11 @@ impl IntegrityState {
 
 /// A rank's private protocol cursors: the next sequence number per
 /// outgoing stream and the expected sequence number per incoming stream.
+///
+/// Every world collective draws a fresh tag, so its streams are spent
+/// the moment it returns; [`RankCursor::retire_world_collectives`] drops
+/// them, and the maps hold the streams of the collective in flight plus
+/// the bounded sets of user and sub-communicator tags.
 #[derive(Default)]
 pub(crate) struct RankCursor {
     next_seq: std::cell::RefCell<HashMap<(usize, Tag), u64>>,
@@ -309,6 +334,23 @@ impl RankCursor {
 
     fn advance_recv(&self, src: usize, tag: Tag) {
         *self.expected.borrow_mut().entry((src, tag)).or_insert(0) += 1;
+    }
+
+    /// Forget the streams of every world collective before the one that
+    /// is drawing `current` ([`world_collective_tag`] of its counter). A
+    /// rank has finished all its sends and receives of collective `k`
+    /// when it draws tag `k + 1` and no later message carries tag `k`, so
+    /// no sequence number on the wire changes.
+    pub(crate) fn retire_world_collectives(&self, current: Tag) {
+        let spent = |&(_, tag): &(usize, Tag)| (world_collective_tag(0)..current).contains(&tag);
+        self.next_seq.borrow_mut().retain(|key, _| !spent(key));
+        self.expected.borrow_mut().retain(|key, _| !spent(key));
+    }
+
+    /// Streams currently tracked, both directions.
+    #[cfg(test)]
+    pub(crate) fn streams(&self) -> usize {
+        self.next_seq.borrow().len() + self.expected.borrow().len()
     }
 }
 
@@ -430,6 +472,53 @@ mod tests {
         let mut tail = data.clone();
         tail[2] = tail[2].corrupt(1);
         assert_ne!(base, checksum_payload(7, 0, &tail));
+    }
+
+    /// Everything the checksum must notice, at every length around the
+    /// lane count: `len < LANES` (remainder only), whole stripes, and
+    /// stripes plus a remainder.
+    fn check_lane_edges<T: CommScalar + PartialEq + std::fmt::Debug>(zero: T) {
+        const L: usize = CHECKSUM_LANES;
+        for len in 0..=2 * L + 3 {
+            // Distinct elements: `corrupt` xors `mask | 1` into the value.
+            let data: Vec<T> = (0..len).map(|i| zero.corrupt(2 * i as u64)).collect();
+            let base = checksum_payload(7, 3, &data);
+            let at = |what: &str| format!("{} len {len}: {what}", std::any::type_name::<T>());
+            assert_ne!(base, checksum_payload(8, 3, &data), "{}", at("tag"));
+            assert_ne!(base, checksum_payload(7, 4, &data), "{}", at("seq"));
+            for i in 0..len {
+                for mask in [0u64, 1, 0x80, 0xdead_beef, u64::MAX] {
+                    let mut hit = data.clone();
+                    hit[i] = hit[i].corrupt(mask);
+                    assert_ne!(base, checksum_payload(7, 3, &hit), "{}", at("one element"));
+                }
+                // Same lane (`j − i = L`) and neighbouring lanes.
+                for j in [i + 1, i + L] {
+                    if j < len {
+                        let mut swapped = data.clone();
+                        swapped.swap(i, j);
+                        assert_ne!(data[i], data[j]);
+                        assert_ne!(base, checksum_payload(7, 3, &swapped), "{}", at("a swap"));
+                    }
+                }
+            }
+            let mut longer = data.clone();
+            longer.push(zero);
+            assert_ne!(base, checksum_payload(7, 3, &longer), "{}", at("an appended tail"));
+            if len > 0 {
+                assert_ne!(base, checksum_payload(7, 3, &data[..len - 1]), "{}", at("a lost tail"));
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_every_change_at_its_lane_edges() {
+        macro_rules! check {
+            ($t:ty, $v:ident, $corrupt:expr, $bits:expr) => {
+                check_lane_edges::<$t>(<$t>::default());
+            };
+        }
+        crate::p2p::for_each_comm_scalar!(check);
     }
 
     #[test]

@@ -118,6 +118,9 @@ macro_rules! impl_comm_scalar {
     };
 }
 for_each_comm_scalar!(impl_comm_scalar);
+/// The checksum's own test walks the same list.
+#[cfg(test)]
+pub(crate) use for_each_comm_scalar;
 
 /// The closed set of scalar types a recorded trace can name — exactly
 /// the [`CommScalar`] impls generated by `for_each_comm_scalar!`. `of`

@@ -222,7 +222,11 @@ impl Communicator for WorldComm {
     fn next_collective_tag(&self) -> Tag {
         let c = self.collective_counter.get();
         self.collective_counter.set(c + 1);
-        world_collective_tag(c)
+        let tag = world_collective_tag(c);
+        if let Some(ig) = &self.integrity {
+            ig.cursor.retire_world_collectives(tag);
+        }
+        tag
     }
 
     /// Attribute sends issued inside `f` to `class`. Used by
@@ -1187,6 +1191,38 @@ mod tests {
         });
         assert_eq!(*out[0].as_ref().unwrap(), (1, 8));
         assert_eq!(*out[1].as_ref().unwrap(), (0, 0));
+    }
+
+    #[test]
+    fn cursor_stays_bounded_over_hundreds_of_world_collectives() {
+        use crate::collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
+        // Every world collective draws a fresh tag; the streams of a
+        // finished one must not stay in the rank's cursor. A user-tag
+        // stream runs alongside and keeps counting — retiring collective
+        // streams must not reset it (the receiver asserts every seq).
+        let p = 4;
+        let opts =
+            RunOptions { integrity: Some(IntegrityConfig::default()), ..RunOptions::default() };
+        let out = run_ranks_opts(p, opts, |comm| {
+            let (right, left) = ((comm.rank() + 1) % p, (comm.rank() + p - 1) % p);
+            for i in 0..300usize {
+                let alg = [
+                    AllreduceAlgorithm::Ring,
+                    AllreduceAlgorithm::RecursiveDoubling,
+                    AllreduceAlgorithm::Rabenseifner,
+                ][i % 3];
+                let sum = comm.allreduce_with(&[1u64; 9], ReduceOp::Sum, alg);
+                assert_eq!(sum, [p as u64; 9]);
+                assert_eq!(comm.sendrecv(right, left, 5, vec![i]), [i]);
+            }
+            comm.integrity.as_ref().expect("integrity is on").cursor.streams()
+        });
+        for (rank, streams) in out.into_iter().enumerate() {
+            // Both directions of: the last collective's streams (at most
+            // one per peer) and the one user-tag stream.
+            let streams = streams.unwrap();
+            assert!(streams <= 2 * p, "rank {rank}: cursor tracks {streams} streams");
+        }
     }
 
     #[test]

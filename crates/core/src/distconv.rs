@@ -19,7 +19,7 @@
 //! `fg-kernels`, so results are **bitwise identical** to a single-device
 //! run — the paper's exact-replication property.
 
-use fg_comm::{Collectives, Communicator, ReduceOp};
+use fg_comm::{AllreduceAlgorithm, Collectives, Communicator, ReduceOp};
 use fg_kernels::conv::{
     conv2d_backward_data_region, conv2d_backward_filter_region, conv2d_forward_region, ConvGeometry,
 };
@@ -252,7 +252,7 @@ pub(crate) fn allreduce_grads(
     if let Some(db) = &db {
         flat.extend_from_slice(db);
     }
-    let mut flat = comm.allreduce(&flat, ReduceOp::Sum);
+    let mut flat = comm.allreduce_owned(flat, ReduceOp::Sum, AllreduceAlgorithm::Auto);
     let db = db.map(|_| flat.split_off(shape.len()));
     (Tensor::from_vec(shape, flat), db)
 }

@@ -539,7 +539,7 @@ impl DistExecutor {
     ) -> Vec<LayerParams> {
         let n_layers = self.layers.len();
         let rank = comm.rank();
-        let mut grads: Vec<LayerParams> = params.iter().map(|p| p.zeros_like()).collect();
+        let mut grads: Vec<Option<LayerParams>> = vec![None; n_layers];
         let mut dout: Vec<Option<Act>> = vec![None; n_layers];
 
         for step in &self.schedule.backward {
@@ -564,9 +564,7 @@ impl DistExecutor {
                     wants_dx: step.wants_dx(),
                 };
                 let out = layer.backward(comm, &cx, dy);
-                if let Some(g) = out.grads {
-                    grads[id] = g;
-                }
+                grads[id] = out.grads;
                 out.dparents
             };
             for (i, dact) in dparents {
@@ -582,7 +580,9 @@ impl DistExecutor {
                 accumulate(&mut dout[layer.base().parents[i]], routed);
             }
         }
-        grads
+        // A layer backward never ran (no error signal reaches it) still
+        // owes the optimizer a gradient of its parameters' structure.
+        grads.into_iter().zip(params).map(|(g, p)| g.unwrap_or_else(|| p.zeros_like())).collect()
     }
 
     /// Forward + backward fused into one step; returns `(loss, grads)`.

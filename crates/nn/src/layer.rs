@@ -119,6 +119,28 @@ impl LayerParams {
         self.len() == 0
     }
 
+    /// The parameter slices in [`LayerParams::to_flat`] order — weights
+    /// (or γ), then bias (or β) — borrowed in place; `None` where the
+    /// variant has no such slice.
+    pub(crate) fn slices(&self) -> [Option<&[f32]>; 2] {
+        match self {
+            LayerParams::None => [None, None],
+            LayerParams::Conv { w, b } => [Some(w.as_slice()), b.as_deref()],
+            LayerParams::Bn { gamma, beta } => [Some(gamma), Some(beta)],
+            LayerParams::Fc { w, b } => [Some(w.as_slice()), Some(b)],
+        }
+    }
+
+    /// [`LayerParams::slices`], mutably.
+    pub(crate) fn slices_mut(&mut self) -> [Option<&mut [f32]>; 2] {
+        match self {
+            LayerParams::None => [None, None],
+            LayerParams::Conv { w, b } => [Some(w.as_mut_slice()), b.as_deref_mut()],
+            LayerParams::Bn { gamma, beta } => [Some(gamma), Some(beta)],
+            LayerParams::Fc { w, b } => [Some(w.as_mut_slice()), Some(b)],
+        }
+    }
+
     /// Flatten parameters into a single vector (allreduce-friendly).
     pub fn to_flat(&self) -> Vec<f32> {
         match self {
@@ -169,8 +191,7 @@ impl LayerParams {
         }
     }
 
-    /// `self += scale · other` over all parameters (used by SGD and by
-    /// gradient accumulation).
+    /// `self += scale · other` over all parameters.
     pub fn add_scaled(&mut self, other: &LayerParams, scale: f32) {
         match (self, other) {
             (LayerParams::None, LayerParams::None) => {}
