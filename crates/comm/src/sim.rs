@@ -45,11 +45,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::collectives::{prev_pow2, segment_at_level, AllreduceAlgorithm};
 use crate::p2p::{sub_collective_salt, Communicator, ScalarType, Tag};
-use crate::trace::{CollectiveKind, RankTrace, TraceOp};
+use crate::trace::{CollectiveKind, MemberLists, RankTrace, TraceOp};
 use crate::LinkModel;
 
 /// What the discrete-event run produced: per-rank final clocks and a
@@ -148,7 +149,7 @@ enum SimOp {
 
 /// One pre-matched collective instance.
 struct Instance {
-    members: std::sync::Arc<[usize]>,
+    members: Arc<[usize]>,
     count: usize,
     ty: ScalarType,
     /// Entry clocks, member order; NaN = not arrived yet. Every member
@@ -166,9 +167,13 @@ struct Compiled {
 
 fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
     let mut instances: Vec<Instance> = Vec::new();
-    // (members, tag) → instance ids in first-occurrence order.
-    type Key = (std::sync::Arc<[usize]>, Tag);
+    // Collectives match on the *ordered* member list: (interned list,
+    // tag) → instance ids in first-occurrence order.
+    type Key = (usize, Tag);
+    let mut lists = MemberLists::default();
     let mut by_key: HashMap<Key, Vec<usize>> = HashMap::new();
+    // One rank's occurrence counter per key (FIFO instance join).
+    let mut seen: HashMap<Key, usize> = HashMap::new();
     let mut ops: Vec<Vec<SimOp>> = Vec::with_capacity(traces.len());
     for (rank, t) in traces.iter().enumerate() {
         if t.rank != rank {
@@ -177,8 +182,7 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
             });
         }
         let mut my_ops = Vec::with_capacity(t.entries.len());
-        // This rank's occurrence counter per key (FIFO instance join).
-        let mut seen: HashMap<Key, usize> = HashMap::new();
+        seen.clear();
         for e in &t.entries {
             let op = match &e.op {
                 TraceOp::Send { to, tag, count, ty } => {
@@ -193,9 +197,10 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
                     ty,
                     tag,
                 } => {
-                    let key: Key = (std::sync::Arc::clone(members), *tag);
+                    let list = lists.intern(members);
+                    let key: Key = (list, *tag);
                     let occurrence = {
-                        let c = seen.entry(key.clone()).or_insert(0);
+                        let c = seen.entry(key).or_insert(0);
                         let o = *c;
                         *c += 1;
                         o
@@ -207,7 +212,7 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
                         let id = instances.len();
                         let p = members.len();
                         instances.push(Instance {
-                            members: std::sync::Arc::clone(members),
+                            members: Arc::clone(members),
                             count: *count,
                             ty: *ty,
                             entry: vec![f64::NAN; p],
@@ -228,14 +233,12 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
                         });
                     }
                     let member_index =
-                        inst.members.iter().position(|&m| m == rank).ok_or_else(|| {
-                            SimError::Inconsistent {
-                                detail: format!(
-                                    "rank {rank} records a collective (tag {tag:#x}) whose member \
-                                     list {:?} does not contain it",
-                                    &inst.members[..inst.members.len().min(16)]
-                                ),
-                            }
+                        lists.get(list).position(rank).ok_or_else(|| SimError::Inconsistent {
+                            detail: format!(
+                                "rank {rank} records a collective (tag {tag:#x}) whose member \
+                                 list {:?} does not contain it",
+                                &inst.members[..inst.members.len().min(16)]
+                            ),
                         })?;
                     SimOp::Collective { id, member_index }
                 }
@@ -464,7 +467,7 @@ fn ring_times(
     let p = members.len();
     let mut t = entries.to_vec();
     let mut nt = vec![0.0f64; p];
-    let mut msgs = 0u64;
+    let left_of = |i: usize| if i == 0 { p - 1 } else { i - 1 };
     // Chunks come in exactly two sizes (`block_range`: ⌈n/p⌉ for the
     // first n%p blocks, ⌊n/p⌋ after), and every round's message rides
     // the same left→i link — so the 2(p−1)·p `link.time` evaluations
@@ -474,24 +477,31 @@ fn ring_times(
     let base = n / p;
     let rem = n % p;
     let time_hi: Vec<f64> =
-        (0..p).map(|i| link.time(members[(i + p - 1) % p], members[i], (base + 1) * w)).collect();
+        (0..p).map(|i| link.time(members[left_of(i)], members[i], (base + 1) * w)).collect();
     let time_lo: Vec<f64> =
-        (0..p).map(|i| link.time(members[(i + p - 1) % p], members[i], base * w)).collect();
+        (0..p).map(|i| link.time(members[left_of(i)], members[i], base * w)).collect();
     for phase in 0..2usize {
         for step in 0..p - 1 {
+            // The chunk member i's left neighbor sends this round is
+            // (i − 1 − step + phase) mod p: this for member 0, then one
+            // more per member, wrapping at p.
+            let mut chunk = match (phase, step) {
+                (0, _) => p - 1 - step,
+                (_, 0) => 0,
+                _ => p - step,
+            };
             for (i, nti) in nt.iter_mut().enumerate() {
-                let left = (i + p - 1) % p;
-                // The chunk index the left neighbor sends this round.
-                let send_idx =
-                    if phase == 0 { (left + p - step) % p } else { (left + 1 + p - step) % p };
-                let hop = if send_idx < rem { time_hi[i] } else { time_lo[i] };
-                *nti = t[i].max(t[left] + hop);
-                msgs += 1;
+                let hop = if chunk < rem { time_hi[i] } else { time_lo[i] };
+                *nti = t[i].max(t[left_of(i)] + hop);
+                chunk += 1;
+                if chunk == p {
+                    chunk = 0;
+                }
             }
             std::mem::swap(&mut t, &mut nt);
         }
     }
-    (t, msgs)
+    (t, (2 * (p - 1) * p) as u64)
 }
 
 /// Recursive doubling and Rabenseifner share their non-power-of-two
@@ -920,6 +930,203 @@ mod tests {
             &link(),
         );
         assert_eq!((f, m), (vec![1.0, 2.0], 0));
+    }
+
+    /// The ring recurrence as first written, three `%` per element: the
+    /// reference the division-free walk in [`ring_times`] must equal bit
+    /// for bit.
+    fn ring_times_reference(
+        entries: &[f64],
+        members: &[usize],
+        n: usize,
+        w: usize,
+        link: &LinkModel,
+    ) -> (Vec<f64>, u64) {
+        let p = members.len();
+        let mut t = entries.to_vec();
+        let mut nt = vec![0.0f64; p];
+        let mut msgs = 0u64;
+        let base = n / p;
+        let rem = n % p;
+        let time_hi: Vec<f64> = (0..p)
+            .map(|i| link.time(members[(i + p - 1) % p], members[i], (base + 1) * w))
+            .collect();
+        let time_lo: Vec<f64> =
+            (0..p).map(|i| link.time(members[(i + p - 1) % p], members[i], base * w)).collect();
+        for phase in 0..2usize {
+            for step in 0..p - 1 {
+                for (i, nti) in nt.iter_mut().enumerate() {
+                    let left = (i + p - 1) % p;
+                    let send_idx =
+                        if phase == 0 { (left + p - step) % p } else { (left + 1 + p - step) % p };
+                    let hop = if send_idx < rem { time_hi[i] } else { time_lo[i] };
+                    *nti = t[i].max(t[left] + hop);
+                    msgs += 1;
+                }
+                std::mem::swap(&mut t, &mut nt);
+            }
+        }
+        (t, msgs)
+    }
+
+    #[test]
+    fn ring_recurrence_equals_the_modulo_reference_bitwise() {
+        let links = [
+            ("alpha_beta", LinkModel::alpha_beta(5e-6, 1e-9)),
+            ("two_level", LinkModel::two_level(4, 1e-6, 2e-10, 8e-6, 1e-9)),
+            (
+                "asymmetric custom",
+                LinkModel::custom(|src, dst, bytes| {
+                    let per_byte = if src < dst { 1e-10 } else { 3e-10 };
+                    (1 + (src * 7 + dst) % 5) as f64 * 1e-6 + per_byte * bytes as f64
+                }),
+            ),
+        ];
+        let bits = |(t, msgs): &(Vec<f64>, u64)| {
+            (t.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(), *msgs)
+        };
+        for p in (2..=40).chain([64, 127, 128, 129, 512]) {
+            let members: Vec<usize> = (0..p).collect();
+            // Staggered entries, with ties, so `max` takes either side.
+            let entries: Vec<f64> = (0..p).map(|i| (i * 7 % 5) as f64 * 3e-6).collect();
+            for n in [1, p - 1, p, p + 1, 2 * p + 3, 8193] {
+                for (name, link) in &links {
+                    let want = bits(&ring_times_reference(&entries, &members, n, 4, link));
+                    let direct = ring_times(&entries, &members, n, 4, link);
+                    assert_eq!(bits(&direct), want, "{name}: p {p} n {n}");
+                    let public = collective_finish_times(
+                        AllreduceAlgorithm::Ring,
+                        &entries,
+                        &members,
+                        n,
+                        4,
+                        link,
+                    );
+                    assert_eq!(bits(&public), want, "{name}: p {p} n {n}, public entry");
+                }
+            }
+        }
+    }
+
+    /// Equal member lists in distinct allocations — one world list per
+    /// recorder, a fresh list per subgroup call — on every rank join one
+    /// instance, exactly as the threaded runtime joins them.
+    #[test]
+    fn interned_lists_join_equal_lists_from_distinct_allocations() {
+        let traces: Vec<RankTrace> = (0..4)
+            .map(|rank| {
+                let mut rec = TraceRecorder::new(rank, 4);
+                rec.advance((rank + 1) as f64 * 1e-4);
+                rec.world_allreduce(64, ScalarType::F32);
+                let group: Vec<usize> = if rank < 2 { vec![0, 1] } else { vec![2, 3] };
+                rec.sub_allreduce(&group, (rank / 2) as u64, 512, ScalarType::F32);
+                rec.finish()
+            })
+            .collect();
+        let lists = |i: usize| -> Vec<&Arc<[usize]>> {
+            traces
+                .iter()
+                .map(|t| match &t.entries[i].op {
+                    TraceOp::Collective { members, .. } => members,
+                    other => panic!("expected a collective, got {other:?}"),
+                })
+                .collect()
+        };
+        for same in [lists(1), lists(2)] {
+            assert!(!Arc::ptr_eq(same[0], same[1]), "the premise: distinct allocations");
+        }
+        let got = simulate_traces(&traces, &link()).expect("one instance per list");
+        assert_eq!(got.clocks, replay_traces_timed(&traces, &link()));
+        let (stats, violations) = crate::trace::check_traces(&traces, &[]);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(stats.collectives_checked, 3);
+    }
+
+    /// Two different lists under one tag are two instances, not one.
+    #[test]
+    fn interned_lists_keep_different_lists_under_one_tag_apart() {
+        let traces: Vec<RankTrace> = (0..5)
+            .map(|rank| {
+                let mut rec = TraceRecorder::new(rank, 5);
+                rec.advance(rank as f64 * 1e-4);
+                let group: Vec<usize> = if rank < 2 { vec![0, 1] } else { vec![2, 3, 4] };
+                rec.sub_allreduce(&group, 9, 256, ScalarType::F32);
+                rec.finish()
+            })
+            .collect();
+        let got = simulate_traces(&traces, &link()).expect("two instances");
+        assert_eq!(got.clocks, replay_traces_timed(&traces, &link()));
+        let (stats, violations) = crate::trace::check_traces(&traces, &[]);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(stats.collectives_checked, 2);
+    }
+
+    /// `[1, 0]` on one rank and `[0, 1]` on the other: one group to the
+    /// verifier, which matches member *sets*; two keys to the simulator,
+    /// which matches *ordered* lists — so it reports a deadlock, not a
+    /// match.
+    #[test]
+    fn interned_lists_are_sets_to_the_verifier_and_ordered_to_the_simulator() {
+        let traces: Vec<RankTrace> = (0..2)
+            .map(|rank| {
+                let mut rec = TraceRecorder::new(rank, 2);
+                let group = if rank == 0 { [0, 1] } else { [1, 0] };
+                rec.sub_allreduce(&group, 3, 128, ScalarType::F32);
+                rec.finish()
+            })
+            .collect();
+        let (stats, violations) = crate::trace::check_traces(&traces, &[]);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(stats.collectives_checked, 1);
+        match simulate_traces(&traces, &link()) {
+            Err(SimError::Deadlock { blocked, total_blocked }) => {
+                assert_eq!(total_blocked, 2);
+                for b in &blocked {
+                    assert_eq!(b.detail, "collective of 2 members: only 1 arrived");
+                }
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    /// A rank outside the list it records, and a member disagreeing on
+    /// the count, are still rejected with the same words.
+    #[test]
+    fn interned_lists_keep_the_inconsistency_reports() {
+        let traces: Vec<RankTrace> = (0..3)
+            .map(|rank| {
+                let mut rec = TraceRecorder::new(rank, 3);
+                rec.sub_allreduce(&[0, 1], 4, 32, ScalarType::F32);
+                rec.finish()
+            })
+            .collect();
+        let tag = crate::p2p::sub_collective_tag(4, 0);
+        match simulate_traces(&traces, &link()) {
+            Err(SimError::Inconsistent { detail }) => assert_eq!(
+                detail,
+                format!(
+                    "rank 2 records a collective (tag {tag:#x}) whose member list [0, 1] \
+                     does not contain it"
+                )
+            ),
+            other => panic!("expected an inconsistency, got {other:?}"),
+        }
+
+        let mut a = TraceRecorder::new(0, 2);
+        a.world_allreduce(100, ScalarType::F32);
+        let mut b = TraceRecorder::new(1, 2);
+        b.world_allreduce(200, ScalarType::F32);
+        let tag = crate::p2p::world_collective_tag(0);
+        match simulate_traces(&[a.finish(), b.finish()], &link()) {
+            Err(SimError::Inconsistent { detail }) => assert_eq!(
+                detail,
+                format!(
+                    "rank 1 joins collective tag {tag:#x} with 200 F32, another member \
+                     recorded 100 F32"
+                )
+            ),
+            other => panic!("expected an inconsistency, got {other:?}"),
+        }
     }
 
     #[test]

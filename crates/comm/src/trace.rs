@@ -35,7 +35,7 @@
 //! (`fg-tensor`) and the walker (`fg-core::verify`); their findings are
 //! reported through the same [`Violation`] type.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -363,6 +363,67 @@ impl TraceRecorder {
     }
 }
 
+/// Collective member lists interned to dense ids: how the two consumers
+/// that match collectives across ranks — `sim::compile` and check 2 of
+/// [`check_traces`] — tell lists apart. Equal lists arrive in many
+/// allocations (one world list per [`TraceRecorder`], a fresh list per
+/// subgroup collective), so allocation identity alone would split one
+/// group into many: an allocation seen before is answered by its
+/// address, a new one is hashed by content exactly once. The table
+/// borrows every list it has seen for `'a`, so no address it holds can
+/// be reused by another list.
+#[derive(Default)]
+pub(crate) struct MemberLists<'a> {
+    by_addr: HashMap<*const [usize], usize>,
+    by_content: HashMap<&'a [usize], usize>,
+    lists: Vec<MemberList>,
+}
+
+/// One interned member list, as `(member, position)` pairs sorted: the
+/// members in ascending order, each repeat of a member after its first
+/// position.
+pub(crate) struct MemberList {
+    by_member: Vec<(usize, usize)>,
+}
+
+impl<'a> MemberLists<'a> {
+    /// The id of `members`' content; equal lists get equal ids.
+    pub(crate) fn intern(&mut self, members: &'a Arc<[usize]>) -> usize {
+        let addr = Arc::as_ptr(members);
+        if let Some(&id) = self.by_addr.get(&addr) {
+            return id;
+        }
+        let next = self.lists.len();
+        let id = *self.by_content.entry(&members[..]).or_insert(next);
+        if id == next {
+            let mut by_member: Vec<(usize, usize)> =
+                members.iter().enumerate().map(|(at, &m)| (m, at)).collect();
+            by_member.sort_unstable();
+            self.lists.push(MemberList { by_member });
+        }
+        self.by_addr.insert(addr, id);
+        id
+    }
+
+    /// The list interned as `id`.
+    pub(crate) fn get(&self, id: usize) -> &MemberList {
+        &self.lists[id]
+    }
+}
+
+impl MemberList {
+    /// Where `rank` first appears in the list, if it is a member.
+    pub(crate) fn position(&self, rank: usize) -> Option<usize> {
+        let at = self.by_member.partition_point(|&(m, _)| m < rank);
+        self.by_member.get(at).filter(|&&(m, _)| m == rank).map(|&(_, pos)| pos)
+    }
+
+    /// The members in ascending order (a repeated member repeats).
+    fn sorted(&self) -> Vec<usize> {
+        self.by_member.iter().map(|&(m, _)| m).collect()
+    }
+}
+
 /// A p2p op's identity for matching and discipline checks.
 #[derive(Debug, Clone, Copy)]
 struct P2pRef {
@@ -383,8 +444,12 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
     let name = |layer: usize| layer_names.get(layer).cloned().unwrap_or_else(|| "?".into());
 
     // ---- Check 1: p2p matching, FIFO per (src, dst, tag) stream. ----
-    let mut sends: BTreeMap<(usize, usize, Tag), VecDeque<P2pRef>> = BTreeMap::new();
-    let mut recvs: BTreeMap<(usize, usize, Tag), VecDeque<P2pRef>> = BTreeMap::new();
+    // Sends and receives are collected in program order and stable-sorted
+    // by stream, so each stream's ops stay in FIFO order; one merge walk
+    // over the two sorted lists then visits the streams in key order.
+    type Stream = (usize, usize, Tag);
+    let mut sends: Vec<(Stream, P2pRef)> = Vec::new();
+    let mut recvs: Vec<(Stream, P2pRef)> = Vec::new();
     for t in traces {
         for e in &t.entries {
             stats.ops_traced += 1;
@@ -392,10 +457,10 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
             match &e.op {
                 TraceOp::Send { to, tag, count, ty } => {
                     stats.bytes_accounted += count * ty.width();
-                    sends.entry((t.rank, *to, *tag)).or_default().push_back(r(*count, *ty));
+                    sends.push(((t.rank, *to, *tag), r(*count, *ty)));
                 }
                 TraceOp::Recv { from, tag, count, ty } => {
-                    recvs.entry((*from, t.rank, *tag)).or_default().push_back(r(*count, *ty));
+                    recvs.push(((*from, t.rank, *tag), r(*count, *ty)));
                 }
                 TraceOp::Collective { count, ty, .. } => {
                     stats.bytes_accounted += count * ty.width();
@@ -404,16 +469,24 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
             }
         }
     }
-    let mut streams: Vec<(usize, usize, Tag)> = sends.keys().chain(recvs.keys()).copied().collect();
-    streams.sort_unstable();
-    streams.dedup();
-    stats.links_checked = streams.len();
-    for key in streams {
+    sends.sort_by_key(|&(key, _)| key);
+    recvs.sort_by_key(|&(key, _)| key);
+    let (mut sends, mut recvs) = (&sends[..], &recvs[..]);
+    loop {
+        let key = match (sends.first(), recvs.first()) {
+            (Some(s), Some(r)) => s.0.min(r.0),
+            (Some(s), None) => s.0,
+            (None, Some(r)) => r.0,
+            (None, None) => break,
+        };
+        stats.links_checked += 1;
         let (src, dst, tag) = key;
-        let mut s = sends.remove(&key).unwrap_or_default();
-        let mut r = recvs.remove(&key).unwrap_or_default();
-        loop {
-            match (s.pop_front(), r.pop_front()) {
+        let (s, rest) = sends.split_at(sends.partition_point(|op| op.0 == key));
+        sends = rest;
+        let (r, rest) = recvs.split_at(recvs.partition_point(|op| op.0 == key));
+        recvs = rest;
+        for i in 0..s.len().max(r.len()) {
+            match (s.get(i).map(|op| op.1), r.get(i).map(|op| op.1)) {
                 (Some(sr), Some(rr)) => {
                     if sr.count != rr.count || sr.ty != rr.ty {
                         violations.push(Violation {
@@ -451,7 +524,7 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
                         rr.phase, rr.count, rr.ty
                     ),
                 }),
-                (None, None) => break,
+                (None, None) => unreachable!("i indexes the longer side"),
             }
         }
     }
@@ -459,57 +532,68 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
     // ---- Check 2: collective consistency per member set. ----
     // For each distinct (sorted) member set, every member's subsequence
     // of collectives on that set must be identical — kind, count, type,
-    // and simulated tag, in the same order.
-    type CollSeq = Vec<(CollectiveKind, usize, ScalarType, Tag, usize, Phase)>;
-    let mut groups: BTreeMap<Vec<usize>, BTreeMap<usize, CollSeq>> = BTreeMap::new();
+    // and simulated tag, in the same order. Records are `(group, rank,
+    // op)`; the group starts as the interned list id and becomes the
+    // set's ordinal below.
+    type CollOp = (CollectiveKind, usize, ScalarType, Tag, usize, Phase);
+    let mut lists = MemberLists::default();
+    let mut records: Vec<(usize, usize, CollOp)> = Vec::new();
     for t in traces {
         for e in &t.entries {
             if let TraceOp::Collective { kind, members, count, ty, tag } = &e.op {
-                // Member lists are recorded sorted (world ranges, group
-                // layouts); look them up by slice to avoid cloning a
-                // world-sized key per op — at 2048 ranks the naive
-                // clone-per-op is gigabytes of transient allocation.
-                let per_rank = if members.windows(2).all(|w| w[0] <= w[1]) {
-                    if !groups.contains_key(&members[..]) {
-                        groups.insert(members.to_vec(), BTreeMap::new());
-                    }
-                    groups.get_mut(&members[..]).expect("present or just inserted")
-                } else {
-                    let mut key = members.to_vec();
-                    key.sort_unstable();
-                    groups.entry(key).or_default()
-                };
-                per_rank
-                    .entry(t.rank)
-                    .or_default()
-                    .push((*kind, *count, *ty, *tag, e.layer, e.phase));
+                let op = (*kind, *count, *ty, *tag, e.layer, e.phase);
+                records.push((lists.intern(members), t.rank, op));
             }
         }
     }
-    for (members, per_rank) in &groups {
+    // Lists holding the same members in another order are one set; sets
+    // are visited in lexicographic order of their sorted members.
+    let mut sets: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
+    for (id, list) in lists.lists.iter().enumerate() {
+        sets.entry(list.sorted()).or_default().push(id);
+    }
+    let mut set_of = vec![0; lists.lists.len()];
+    for (ordinal, ids) in sets.values().enumerate() {
+        for &id in ids {
+            set_of[id] = ordinal;
+        }
+    }
+    for r in &mut records {
+        r.0 = set_of[r.0];
+    }
+    // Stable: each rank's records stay in program order.
+    records.sort_by_key(|r| (r.0, r.1));
+    let mut rest = &records[..];
+    for (ordinal, members) in sets.keys().enumerate() {
+        let (group, tail) = rest.split_at(rest.partition_point(|r| r.0 == ordinal));
+        rest = tail;
+        let seq_of = |rank: usize| {
+            let lo = group.partition_point(|r| r.1 < rank);
+            &group[lo..lo + group[lo..].partition_point(|r| r.1 == rank)]
+        };
         // Reference: the longest member sequence (so a rank that drops a
         // collective is reported as missing it, not as the reference).
         let reference = members
             .iter()
-            .filter_map(|r| per_rank.get(r))
+            .map(|&r| seq_of(r))
+            .filter(|seq| !seq.is_empty())
             .max_by_key(|seq| seq.len())
-            .cloned()
             .unwrap_or_default();
         stats.collectives_checked += reference.len();
         for &rank in members {
-            let seq = per_rank.get(&rank).cloned().unwrap_or_default();
+            let seq = seq_of(rank);
             let first_diff = reference
                 .iter()
-                .zip(seq.iter())
-                .position(|(a, b)| a != b)
+                .zip(seq)
+                .position(|(a, b)| a.2 != b.2)
                 .unwrap_or(reference.len().min(seq.len()));
             if first_diff == reference.len() && seq.len() == reference.len() {
                 continue;
             }
-            let (layer, phase, detail) = match (reference.get(first_diff), seq.get(first_diff)) {
+            let want = reference.get(first_diff).map(|r| r.2);
+            let (layer, detail) = match (want, seq.get(first_diff).map(|r| r.2)) {
                 (Some(want), Some(have)) => (
                     have.4,
-                    have.5,
                     format!(
                         "collective #{first_diff} of group {members:?} diverges: this rank \
                          issues {:?} of {} {:?} (tag {:#x}), the group issues {:?} of {} {:?} \
@@ -519,7 +603,6 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
                 ),
                 (Some(want), None) => (
                     want.4,
-                    want.5,
                     format!(
                         "rank never issues collective #{first_diff} of group {members:?} \
                          ({:?} of {} {:?}, tag {:#x}) — the group would hang waiting for it",
@@ -528,7 +611,6 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
                 ),
                 (None, Some(extra)) => (
                     extra.4,
-                    extra.5,
                     format!(
                         "rank issues a surplus collective #{first_diff} on group {members:?} \
                          ({:?} of {} {:?}, tag {:#x}) that no other member joins",
@@ -537,7 +619,6 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
                 ),
                 (None, None) => unreachable!("lengths equal and no diff was handled above"),
             };
-            let _ = phase;
             violations.push(Violation {
                 check: CheckKind::CollectiveConsistency,
                 rank,

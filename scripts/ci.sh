@@ -220,6 +220,16 @@ filtered_tests -p fg-core --lib -- \
 step "DES equivalence + golden reports (sim engine vs threaded runtime)"
 filtered_tests -p fg-comm --lib -- sim::
 cargo test -q --offline --test sim_equivalence --test sim_golden
+# The planner's two trace consumers, pinned by name: the division-free
+# ring recurrence bit for bit against the `%` loop it replaced, member
+# lists interned by content (ordered lists for the simulator, member sets
+# for the verifier), and the verifier's full output — stats and every
+# violation's text, in order — as recorded before p2p matching became one
+# sort and collective groups interned ids.
+filtered_tests -p fg-comm --lib -- \
+    ring_recurrence_equals_the_modulo_reference_bitwise \
+    interned_lists_
+filtered_tests --test verify_golden -- verifier_output_
 
 # Strategy search: same answers, each cost modeled once. The golden
 # test pins every per-layer grid and cost bit recorded before the search
