@@ -19,13 +19,11 @@
 //!   `network_cost` with overlap disabled (the recorded schedule
 //!   serializes compute and communication per layer, so the no-overlap
 //!   model is its analytic twin) — validating the cost model against
-//!   execution instead of against itself. The divergence at 2048 ranks
-//!   is itself a finding: the executed `Auto` allreduce picks the
-//!   bandwidth-optimal ring for the large gradient payloads, whose
-//!   2(P−1) latency rounds dominate at that scale, while the closed
-//!   form charges the collective's bandwidth-optimal α–β bound — the
-//!   ratio column quantifies the latency wall the executed algorithm
-//!   choice actually hits.
+//!   execution instead of against itself. Both clocks price each
+//!   allreduce as the one algorithm `AllreduceAlgorithm::resolve` picks
+//!   for its size and group, so the ratio column measures what the
+//!   closed form leaves out (per-rank imbalance, unpriced collectives),
+//!   not a disagreement about which algorithm runs.
 //!
 //! A machine-readable `BENCH_simscale.json` (ranks, virtual makespan,
 //! wall time, events/sec per config) is written alongside the table so

@@ -113,25 +113,33 @@ pub enum AllreduceAlgorithm {
     /// Rabenseifner: recursive-halving reduce-scatter followed by
     /// recursive-doubling allgather. Bandwidth-optimal with log-latency.
     Rabenseifner,
-    /// Select by message size, mimicking MPICH's heuristics.
+    /// Select by message size and group size (see
+    /// [`AllreduceAlgorithm::resolve`]).
     Auto,
 }
 
 impl AllreduceAlgorithm {
-    /// Resolve [`AllreduceAlgorithm::Auto`] for a payload of `bytes`:
-    /// MPICH-style, short vectors go latency-optimal (recursive
-    /// doubling), long vectors bandwidth-optimal (ring). Shared by the
-    /// live collectives and the discrete-event replay ([`crate::sim`])
-    /// so the two can never drift.
-    pub fn resolve(self, bytes: usize) -> AllreduceAlgorithm {
+    /// Resolve [`AllreduceAlgorithm::Auto`] for a payload of `bytes` over
+    /// a group of `p` ranks, by Thakur et al.'s ranking:
+    ///
+    /// * **≤ 8 KiB:** recursive doubling, latency-optimal.
+    /// * **Power-of-two `p > 2`:** Rabenseifner. Its β and γ terms equal
+    ///   ring's, and its latency term 2·log₂p·α is below ring's
+    ///   2(p−1)·α exactly when `p > 2`.
+    /// * **Otherwise:** ring. At `p = 2` the two tie. At any other `p`
+    ///   Rabenseifner pays two extra full-vector fold-in steps, so which
+    ///   one wins depends on the link.
+    ///
+    /// The one chooser: the live collectives, the discrete-event replay
+    /// ([`crate::sim`]) and `fg-perf`'s `allreduce_time` all call it, so
+    /// what runs, what is simulated and what is priced never drift.
+    pub fn resolve(self, bytes: usize, p: usize) -> AllreduceAlgorithm {
         match self {
-            AllreduceAlgorithm::Auto => {
-                if bytes <= 8192 {
-                    AllreduceAlgorithm::RecursiveDoubling
-                } else {
-                    AllreduceAlgorithm::Ring
-                }
+            AllreduceAlgorithm::Auto if bytes <= 8192 => AllreduceAlgorithm::RecursiveDoubling,
+            AllreduceAlgorithm::Auto if p > 2 && p.is_power_of_two() => {
+                AllreduceAlgorithm::Rabenseifner
             }
+            AllreduceAlgorithm::Auto => AllreduceAlgorithm::Ring,
             other => other,
         }
     }
@@ -265,7 +273,7 @@ pub trait Collectives: Communicator + Sized {
         if p == 1 || data.is_empty() {
             return data;
         }
-        let alg = alg.resolve(data.len() * T::WIDTH);
+        let alg = alg.resolve(data.len() * T::WIDTH, p);
         self.with_class(OpClass::Allreduce, || match alg {
             AllreduceAlgorithm::Ring => self.allreduce_ring(data, op),
             AllreduceAlgorithm::RecursiveDoubling => self.allreduce_recursive_doubling(data, op),
@@ -693,6 +701,36 @@ mod tests {
     fn allreduce_auto_matches_reference() {
         check_allreduce(AllreduceAlgorithm::Auto, 4, 8);
         check_allreduce(AllreduceAlgorithm::Auto, 6, 5000);
+        check_allreduce(AllreduceAlgorithm::Auto, 8, 5000);
+    }
+
+    /// The chooser's rule table: recursive doubling up to 8 KiB,
+    /// Rabenseifner above it on power-of-two groups of more than two,
+    /// ring everywhere else — and at P = 2 the choice the size-only rule
+    /// made before the group size was an input.
+    #[test]
+    fn auto_resolves_by_size_then_group_size() {
+        use AllreduceAlgorithm::{Auto, Rabenseifner, RecursiveDoubling, Ring};
+        for p in (1..=40).chain([64, 127, 128, 129, 512, 2048]) {
+            for bytes in [0, 4, 8188, 8192, 8196, 1 << 20] {
+                let got = Auto.resolve(bytes, p);
+                let want = if bytes <= 8192 {
+                    RecursiveDoubling
+                } else if [4, 8, 16, 32, 64, 128, 512, 2048].contains(&p) {
+                    Rabenseifner
+                } else {
+                    Ring
+                };
+                assert_eq!(got, want, "p {p} bytes {bytes}");
+                if p == 2 {
+                    let size_only = if bytes <= 8192 { RecursiveDoubling } else { Ring };
+                    assert_eq!(got, size_only, "p 2 bytes {bytes}");
+                }
+                for explicit in [Ring, RecursiveDoubling, Rabenseifner] {
+                    assert_eq!(explicit.resolve(bytes, p), explicit, "p {p} bytes {bytes}");
+                }
+            }
+        }
     }
 
     #[test]

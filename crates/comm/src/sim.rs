@@ -423,8 +423,8 @@ pub fn simulate_traces(traces: &[RankTrace], link: &LinkModel) -> Result<SimRepo
 /// algorithms in [`crate::collectives`], under the timed-runtime rule
 /// `new = max(own, partner_before_round + link)` — a `sendrecv` sends
 /// first (clock unchanged), so round r's arrivals depend only on
-/// round r−1 clocks. `Auto` resolves by payload size exactly like
-/// `allreduce_with`.
+/// round r−1 clocks. `Auto` resolves by payload and group size exactly
+/// like `allreduce_with`.
 ///
 /// Public so tests can pin fused timing against `run_ranks_timed` +
 /// `allreduce_with` for every algorithm directly.
@@ -441,7 +441,7 @@ pub fn collective_finish_times(
     if p <= 1 || count == 0 {
         return (entries.to_vec(), 0);
     }
-    match alg.resolve(count * width) {
+    match alg.resolve(count * width, p) {
         AllreduceAlgorithm::Ring => ring_times(entries, members, count, width, link),
         AllreduceAlgorithm::RecursiveDoubling => {
             halving_times(entries, members, count, width, link, false)

@@ -59,6 +59,27 @@ fn rabenseifner_traffic_matches_thakur() {
 }
 
 #[test]
+fn auto_sends_the_chosen_algorithms_messages() {
+    // 16 KiB, above the recursive-doubling threshold: ring's 2(P−1)
+    // messages at P = 2 and at non-powers of two, Rabenseifner's
+    // 2·log₂P at the other powers of two.
+    let n = 4096usize;
+    for (p, alg, msgs) in [
+        (2usize, AllreduceAlgorithm::Ring, 2u64),
+        (3, AllreduceAlgorithm::Ring, 4),
+        (4, AllreduceAlgorithm::Rabenseifner, 4),
+        (5, AllreduceAlgorithm::Ring, 8),
+        (8, AllreduceAlgorithm::Rabenseifner, 6),
+    ] {
+        let auto = allreduce_traffic(p, n, AllreduceAlgorithm::Auto);
+        assert_eq!(auto, allreduce_traffic(p, n, alg), "P={p}: Auto is not {alg:?}");
+        for (rank, (got, _)) in auto.iter().enumerate() {
+            assert_eq!(*got, msgs, "P={p} rank {rank}");
+        }
+    }
+}
+
+#[test]
 fn non_power_of_two_pays_the_fold_in_surcharge() {
     // P = 2^k + r: the pre/post fold-in adds up to 2 extra full-vector
     // messages on the paired ranks. Verify totals stay within the

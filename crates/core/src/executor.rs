@@ -269,13 +269,11 @@ impl DistExecutor {
         mutate_plan: impl Fn(usize, &mut MemPlan),
     ) -> MemReport {
         let world = self.strategy.world_size();
-        let ranks: Vec<usize> = (0..world).collect();
-        let rank_plans =
-            |rank: usize| self.plans.iter().map(|per| per[rank].clone()).collect::<Vec<_>>();
+        let rows = (0..world).map(|rank| (rank, self.plans.iter().map(|per| &per[rank]).collect()));
         let (layers, schedule) = (&self.layers[..], &self.schedule);
         let net = Net { spec: &self.spec, layers, schedule, batch: self.batch };
         let full = Some(&self.plans[..]);
-        crate::mem::analyze_ranks(net, &rank_plans, full, &ranks, &mutate_intervals, &mutate_plan)
+        crate::mem::analyze_ranks(net, rows, full, &mutate_intervals, &mutate_plan)
     }
 
     /// Statically verify this executor's compiled communication

@@ -484,25 +484,23 @@ pub(crate) fn check_conservation(
 
 /// Analyze the given ranks of a compiled plan set: record each rank's
 /// intervals (through `mutate_intervals`), color them into a plan
-/// (through `mutate_plan`), and run every soundness check. The hooks
+/// (through `mutate_plan`), and run every soundness check. `rows` yields
+/// each analyzed rank with its plan per layer, borrowed. The hooks
 /// exist for mutation tests; production passes `|_, _| {}` for both.
 /// Conservation runs only when `full_plans` carries every rank.
-pub(crate) fn analyze_ranks(
+pub(crate) fn analyze_ranks<'p>(
     net: Net<'_>,
-    rank_plans: &dyn Fn(usize) -> Vec<LayerPlan>,
+    rows: impl ExactSizeIterator<Item = (usize, Vec<&'p LayerPlan>)>,
     full_plans: Option<&[Vec<LayerPlan>]>,
-    ranks: &[usize],
     mutate_intervals: &dyn Fn(usize, &mut Vec<LiveInterval>),
     mutate_plan: &dyn Fn(usize, &mut MemPlan),
 ) -> MemReport {
     let start = Instant::now();
     let layers = net.layers;
     let param_elems = net.spec.param_elems();
-    let mut bounds = Vec::with_capacity(ranks.len());
+    let mut bounds = Vec::with_capacity(rows.len());
     let mut violations = Vec::new();
-    for &rank in ranks {
-        let plans = rank_plans(rank);
-        let plans: Vec<&LayerPlan> = plans.iter().collect();
+    for (rank, plans) in rows {
         let fresh = rank_intervals(net, &plans, &param_elems, rank);
         let mut ivs = fresh.clone();
         mutate_intervals(rank, &mut ivs);
@@ -556,6 +554,8 @@ pub fn analyze_strategy(
     let layers = build_layers(spec, strategy, batch);
     let schedule = StepSchedule::compile(&layers);
     let net = Net { spec, layers: &layers, schedule: &schedule, batch };
-    let rank_plans = |rank: usize| layers.iter().map(|l| l.compile_plan(rank)).collect::<Vec<_>>();
-    Ok(analyze_ranks(net, &rank_plans, None, ranks, &|_, _| {}, &|_, _| {}))
+    let plans: Vec<Vec<LayerPlan>> =
+        ranks.iter().map(|&rank| layers.iter().map(|l| l.compile_plan(rank)).collect()).collect();
+    let rows = ranks.iter().zip(&plans).map(|(&rank, row)| (rank, row.iter().collect()));
+    Ok(analyze_ranks(net, rows, None, &|_, _| {}, &|_, _| {}))
 }

@@ -7,6 +7,8 @@
 //! (flat approximation), consistent with NCCL ring behaviour on
 //! fat-tree networks.
 
+use fg_comm::AllreduceAlgorithm;
+
 use crate::platform::{Link, Platform};
 
 /// Per-byte cost of the local reduction arithmetic (γ in Thakur et al.):
@@ -44,17 +46,20 @@ pub fn allreduce_rabenseifner(link: Link, p: usize, bytes: f64) -> f64 {
         + ((pf - 1.0) / pf) * bytes * GAMMA
 }
 
-/// `AR(p, n)`: the best algorithm for the size, mirroring MPICH's
-/// switchover (recursive doubling for short vectors, Rabenseifner for
-/// long) — "allreduces use different algorithms for different n and p,
-/// so its performance cannot be directly deduced from point-to-point
-/// performance" (§V-A).
+/// `AR(p, n)`: the closed form of exactly the algorithm the live
+/// collectives and the simulator run for `n` bytes over `p` ranks
+/// ([`AllreduceAlgorithm::resolve`]) — "allreduces use different
+/// algorithms for different n and p, so its performance cannot be
+/// directly deduced from point-to-point performance" (§V-A).
 pub fn allreduce_time(platform: &Platform, p: usize, bytes: f64) -> f64 {
     let link = platform.group_link(p);
-    if bytes <= 8192.0 {
-        allreduce_recursive_doubling(link, p, bytes)
-    } else {
-        allreduce_rabenseifner(link, p, bytes).min(allreduce_ring(link, p, bytes))
+    // `resolve` takes whole bytes; rounding up keeps a fractional size on
+    // the side of the 8 KiB threshold it lies on.
+    match AllreduceAlgorithm::Auto.resolve(bytes.ceil() as usize, p) {
+        AllreduceAlgorithm::RecursiveDoubling => allreduce_recursive_doubling(link, p, bytes),
+        AllreduceAlgorithm::Rabenseifner => allreduce_rabenseifner(link, p, bytes),
+        AllreduceAlgorithm::Ring => allreduce_ring(link, p, bytes),
+        AllreduceAlgorithm::Auto => unreachable!("Auto resolved above"),
     }
 }
 
@@ -134,6 +139,36 @@ mod tests {
             prev = t;
         }
         assert!(allreduce_time(&plat, 16, 2e6) > allreduce_time(&plat, 16, 1e6));
+    }
+
+    /// `AR(p, n)` as it was priced before it followed the live chooser:
+    /// the cheaper of Rabenseifner and ring above 8 KiB.
+    fn allreduce_time_min_reference(platform: &Platform, p: usize, bytes: f64) -> f64 {
+        let link = platform.group_link(p);
+        if bytes <= 8192.0 {
+            allreduce_recursive_doubling(link, p, bytes)
+        } else {
+            allreduce_rabenseifner(link, p, bytes).min(allreduce_ring(link, p, bytes))
+        }
+    }
+
+    /// The model prices exactly the algorithm that runs: on power-of-two
+    /// groups — every world the strategy search and the benchmark use —
+    /// bit for bit the old `min()`; above 8 KiB on any other group, ring.
+    #[test]
+    fn allreduce_time_prices_the_resolved_algorithm_bitwise() {
+        let plat = crate::platform::Platform::lassen_like();
+        for p in (1..=40).chain([64, 127, 128, 129, 512, 2048]) {
+            for bytes in [0.0, 4.0, 8188.0, 8192.0, 8196.0, 1048576.0] {
+                let got = allreduce_time(&plat, p, bytes);
+                let want = if p.is_power_of_two() || bytes <= 8192.0 {
+                    allreduce_time_min_reference(&plat, p, bytes)
+                } else {
+                    allreduce_ring(plat.group_link(p), p, bytes)
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "p {p} bytes {bytes}");
+            }
+        }
     }
 
     #[test]

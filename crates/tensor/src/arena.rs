@@ -23,7 +23,6 @@
 //! interval may exceed its slot's capacity, and the declared arena size
 //! must cover the slots.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Bytes per element; every runtime buffer in the workspace is `f32`.
@@ -134,20 +133,22 @@ impl fmt::Display for LiveInterval {
 
 /// Exact peak of the interval set: the maximum, over ticks, of the sum
 /// of bytes live at that tick. This is the static per-rank bound the
-/// runtime high-water mark is checked against.
+/// runtime high-water mark is checked against. Costs O(intervals + last
+/// tick): a step's tick line is two ticks per layer.
 pub fn peak_bytes(intervals: &[LiveInterval]) -> usize {
-    // Delta sweep: +bytes at `start`, -bytes at `end + 1`. Applying all
-    // deltas for a tick before sampling makes the running sum equal the
-    // bytes live at that tick (inclusive ends).
-    let mut deltas: BTreeMap<usize, i64> = BTreeMap::new();
+    // Delta sweep over a dense tick array: +bytes at `start`, -bytes at
+    // `end + 1`. Applying all deltas for a tick before sampling makes the
+    // running sum equal the bytes live at that tick (inclusive ends).
+    let ticks = intervals.iter().map(|iv| iv.start.max(iv.end) + 2).max().unwrap_or(0);
+    let mut deltas = vec![0i64; ticks];
     for iv in intervals {
         debug_assert!(iv.start <= iv.end, "inverted interval {iv}");
-        *deltas.entry(iv.start).or_insert(0) += iv.bytes as i64;
-        *deltas.entry(iv.end + 1).or_insert(0) -= iv.bytes as i64;
+        deltas[iv.start] += iv.bytes as i64;
+        deltas[iv.end + 1] -= iv.bytes as i64;
     }
     let mut live = 0i64;
     let mut peak = 0i64;
-    for (_, d) in deltas {
+    for d in deltas {
         live += d;
         peak = peak.max(live);
     }
@@ -374,6 +375,49 @@ mod tests {
         ];
         assert_eq!(peak_bytes(&ivs), 400);
         assert_eq!(peak_bytes(&[]), 0);
+    }
+
+    /// The sweep as first written, one `BTreeMap` entry per distinct
+    /// endpoint: the reference the dense sweep in [`peak_bytes`] must
+    /// equal.
+    fn peak_bytes_reference(intervals: &[LiveInterval]) -> usize {
+        let mut deltas: std::collections::BTreeMap<usize, i64> = Default::default();
+        for iv in intervals {
+            *deltas.entry(iv.start).or_insert(0) += iv.bytes as i64;
+            *deltas.entry(iv.end + 1).or_insert(0) -= iv.bytes as i64;
+        }
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for (_, d) in deltas {
+            live += d;
+            peak = peak.max(live);
+        }
+        peak as usize
+    }
+
+    #[test]
+    fn dense_peak_equals_the_map_reference_on_random_intervals() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        assert_eq!(peak_bytes(&[]), peak_bytes_reference(&[]));
+        let mut rng = StdRng::seed_from_u64(0x5eed_7ea4);
+        for case in 0..500 {
+            let last_tick = rng.gen_range(0usize..200);
+            let ivs: Vec<LiveInterval> = (0..rng.gen_range(1usize..40))
+                .map(|i| {
+                    let start = rng.gen_range(0..=last_tick);
+                    // Every third interval lives for one tick, every third
+                    // runs to the last tick, the rest end anywhere.
+                    let end = match i % 3 {
+                        0 => start,
+                        1 => last_tick,
+                        _ => rng.gen_range(start..=last_tick),
+                    };
+                    iv(i, BufClass::Act, rng.gen_range(0usize..1 << 30), start, end)
+                })
+                .collect();
+            assert_eq!(peak_bytes(&ivs), peak_bytes_reference(&ivs), "case {case}: {ivs:?}");
+        }
     }
 
     #[test]

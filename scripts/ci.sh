@@ -153,6 +153,9 @@ FG_VERIFY=1 filtered_tests --test resilience -- \
 step "memory verifier (liveness bounds, mutation catches, FG_MEM_BUDGET gate)"
 FG_VERIFY=1 cargo test -q --offline -p fg-core --test mem_mutations
 cargo test -q --offline -p fg-core --test mem_budget
+# Every bound above is a `peak_bytes` sweep: the dense tick array, bit for
+# bit against the `BTreeMap` sweep it replaced, on random interval lists.
+filtered_tests -p fg-tensor --lib -- dense_peak_equals_the_map_reference_on_random_intervals
 filtered_tests -p fg-perf --lib -- budget_rejects_over_budget_candidates_typed
 FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
     fused_step_matches_split static_bounds abandoned_step
@@ -220,6 +223,14 @@ filtered_tests -p fg-core --lib -- \
 step "DES equivalence + golden reports (sim engine vs threaded runtime)"
 filtered_tests -p fg-comm --lib -- sim::
 cargo test -q --offline --test sim_equivalence --test sim_golden
+# One allreduce chooser for the live collectives, the DES and the Thakur
+# model: its rule table (P = 2 as before the group size was an input),
+# the closed form pricing exactly the algorithm it picks (bitwise the old
+# min() on power-of-two groups), and `Auto` sending that algorithm's
+# messages on a live world.
+filtered_tests -p fg-comm --lib -- auto_resolves_by_size_then_group_size
+filtered_tests -p fg-perf --lib -- allreduce_time_prices_the_resolved_algorithm_bitwise
+filtered_tests -p fg-comm --test collective_traffic -- auto_sends_the_chosen_algorithms_messages
 # The planner's two trace consumers, pinned by name: the division-free
 # ring recurrence bit for bit against the `%` loop it replaced, member
 # lists interned by content (ordered lists for the simulator, member sets
