@@ -1,59 +1,50 @@
 //! Extension experiments beyond the paper's evaluation section:
 //!
-//! * **memory-pressure alternatives** (§VII): activation footprints
-//!   under spatial parallelism vs micro-batching vs recomputation for
-//!   the 2K mesh model (shape arithmetic, nothing executed);
+//! * **memory-pressure alternatives** (§VII): the exact per-rank training
+//!   peak of the 2K mesh model under spatial parallelism vs one device
+//!   vs micro-batching (`fg_core::analyze_strategy`, nothing executed);
 //! * **modeled overlap ablation** (§IV-A, §V-B): the cost model with
 //!   halo and allreduce overlap switched off in turn.
 
-use fg_core::Strategy;
+use fg_core::{analyze_strategy, sample_ranks, Strategy};
 use fg_models::{mesh_model, MeshSize};
 use fg_perf::{network_cost, CostOptions, Platform};
+use fg_tensor::ProcGrid;
 
 use crate::experiments::hybrid_grid;
 use crate::table::{fmt_time, Table};
 
-/// Memory-pressure alternatives for the 2K mesh model: bytes per sample
-/// under each mechanism (§VII's comparison, made concrete).
+/// Memory-pressure alternatives for the 2K mesh model: the exact
+/// per-rank peak of training one sample under each mechanism the
+/// executor runs (§VII's comparison, made concrete).
 pub fn memory_table() -> Table {
     let spec = mesh_model(MeshSize::TwoK);
-    let shapes = spec.shapes();
-    // Activations + error signals, one sample.
-    let full: usize = shapes.iter().map(|(c, h, w)| 2 * c * h * w * 4).sum();
-    let gib = |b: f64| format!("{:.1} GiB", b / (1u64 << 30) as f64);
+    let peak = |grid: ProcGrid| {
+        let strategy = Strategy::uniform(&spec, grid);
+        let report = analyze_strategy(&spec, &strategy, 1, &sample_ranks(grid.size()))
+            .expect("a uniform grid is valid for one 2K sample");
+        format!("{:.1} GiB", report.max_peak() as f64 / (1u64 << 30) as f64)
+    };
     let mut t = Table::new(
         "Extension: memory-pressure mechanisms, 2K mesh model (per-sample training footprint)",
         &["mechanism", "footprint/device", "extra cost"],
     );
+    let single = peak(ProcGrid::sample(1));
     t.push_row(vec![
         "single device (infeasible on 16 GiB V100)".into(),
-        gib(full as f64),
+        single.clone(),
         "-".into(),
     ]);
-    for k in [4usize, 16] {
+    for (k, grid) in [(4, ProcGrid::spatial(2, 2)), (16, ProcGrid::spatial(4, 4))] {
         t.push_row(vec![
             format!("{k}-way spatial parallelism"),
-            gib(full as f64 / k as f64),
+            peak(grid),
             "halo exchanges".into(),
         ]);
     }
     // Micro-batching cannot go below one sample — it does NOT help here
     // (the paper's point: "not viable for very large samples").
-    t.push_row(vec![
-        "micro-batching (1 sample)".into(),
-        gib(full as f64),
-        "no help below 1 sample".into(),
-    ]);
-    // Checkpointing every block boundary: ~1/6 of activations live +
-    // recompute. (Line network: segment = layers per block ≈ len/6.)
-    let seg = spec.len() / 6;
-    let live: usize = shapes.iter().take(seg).map(|(c, h, w)| 2 * c * h * w * 4).sum::<usize>()
-        + shapes.iter().step_by(seg).map(|(c, h, w)| c * h * w * 4).sum::<usize>();
-    t.push_row(vec![
-        "recomputation (per-block checkpoints)".into(),
-        gib(live as f64),
-        "~2x forward compute".into(),
-    ]);
+    t.push_row(vec!["micro-batching (1 sample)".into(), single, "no help below 1 sample".into()]);
     t
 }
 
@@ -122,10 +113,12 @@ mod tests {
     fn memory_table_reflects_the_paper_story() {
         let t = memory_table();
         assert!(t.rows[0][1].contains("GiB"));
-        // 16-way spatial fits a 16 GiB device; single device does not.
+        // Single device exceeds a 16 GiB V100; 16-way spatial fits the
+        // usable share of one.
+        let v100 = fg_perf::V100_BYTES as f64 / (1u64 << 30) as f64;
         let full: f64 = t.rows[0][1].trim_end_matches(" GiB").parse().unwrap();
         let spatial16: f64 = t.rows[2][1].trim_end_matches(" GiB").parse().unwrap();
         assert!(full > 16.0, "single-device footprint must exceed a V100");
-        assert!(spatial16 < 16.0, "16-way spatial must fit");
+        assert!(spatial16 < v100, "16-way spatial must fit");
     }
 }

@@ -22,7 +22,7 @@
 //!    fraction of the lost time, and the re-sharding traffic the layout
 //!    change implies (per-layer [`fg_tensor::RegridPlan`]). The weighted
 //!    strategy comes from the production entry point,
-//!    [`fg_perf::rebalance_for_stragglers`], fed the synthetic EMAs the
+//!    [`fg_core::rebalance_for_stragglers`], fed the synthetic EMAs the
 //!    live detector would have measured. The measured trend: rebalance
 //!    recovers ~70% of the lost time at 16 ranks but fades with scale —
 //!    per-rank extents shrink until the device model's fixed per-kernel
@@ -51,12 +51,10 @@
 //!    live ladder keeps eviction cheap to reach.
 
 use fg_comm::{simulate_traces, SimReport};
-use fg_core::{DistExecutor, Strategy};
+use fg_core::{rebalance_for_stragglers, DistExecutor, Strategy};
 use fg_models::{mesh_model, MeshSize};
 use fg_nn::NetworkSpec;
-use fg_perf::{
-    platform_link_model, rebalance_for_stragglers, ModeledCompute, Platform, SlowedCompute,
-};
+use fg_perf::{platform_link_model, ModeledCompute, Platform, SlowedCompute};
 use fg_tensor::ProcGrid;
 
 use super::hybrid_grid;
@@ -189,7 +187,8 @@ pub fn rebalance_config(
 ) -> RebalanceRow {
     let uniform = Strategy::uniform(spec, grid);
     let weighted = rebalance_for_stragglers(&uniform, spec, batch, &slow_row_ema(grid, factor))
-        .expect("slow-row rebalance must be viable");
+        .expect("slow-row rebalance must be viable")
+        .strategy;
     let factors = slow_row_factors(grid, factor);
     let healthy = run_sim(platform, spec, &uniform, batch, None);
     let slow = run_sim(platform, spec, &uniform, batch, Some(factors.clone()));
@@ -252,7 +251,8 @@ pub fn threshold_sweep(
             let uniform = Strategy::uniform(spec, grid);
             let weighted =
                 rebalance_for_stragglers(&uniform, spec, batch, &slow_row_ema(grid, factor))
-                    .expect("slow-row rebalance must be viable");
+                    .expect("slow-row rebalance must be viable")
+                    .strategy;
             let slow_weight = *weighted
                 .rank_weights
                 .as_ref()

@@ -3,14 +3,15 @@
 //! Not a numbered figure in the paper, but a claimed capability: "our
 //! system uses a performance model to determine promising ways to
 //! parallelize the network". For each scenario we report the optimizer's
-//! per-layer choices (summarized), its predicted mini-batch time, and
-//! the predicted times of the uniform strategies the paper's
-//! experiments use — showing when the optimizer agrees with the paper's
-//! hand-chosen decompositions and when it finds better mixed ones.
+//! per-layer choices (summarized), its predicted mini-batch time, the
+//! winner's exact per-rank memory peak, and the predicted times of the
+//! uniform strategies the paper's experiments use — showing when the
+//! optimizer agrees with the paper's hand-chosen decompositions, when it
+//! finds better mixed ones, and what a device memory limit changes.
 
 use std::time::Instant;
 
-use fg_core::Strategy;
+use fg_core::{analyze_strategy, sample_ranks, Strategy};
 use fg_models::{mesh_model, resnet50, MeshSize};
 use fg_nn::NetworkSpec;
 use fg_perf::{network_cost, CostOptions, Platform, StrategyOptimizer};
@@ -29,44 +30,30 @@ pub struct Scenario {
     pub batch: usize,
     /// World size.
     pub world: usize,
+    /// Per-rank device memory limit in bytes, if any.
+    pub memory_limit: Option<usize>,
 }
 
 /// The scenarios reported by the `strategy` experiment.
 pub fn scenarios() -> Vec<Scenario> {
+    let scenario =
+        |name, spec, batch, world| Scenario { name, spec, batch, world, memory_limit: None };
     vec![
+        scenario("mesh-1K, N=1, 4 GPUs (memory-constrained)", mesh_model(MeshSize::OneK), 1, 4),
+        scenario("mesh-1K, N=4, 16 GPUs", mesh_model(MeshSize::OneK), 4, 16),
+        scenario("mesh-1K, N=16, 16 GPUs", mesh_model(MeshSize::OneK), 16, 16),
+        scenario("ResNet-50, N=64, 16 GPUs", resnet50(), 64, 16),
+        scenario("ResNet-50, N=16, 16 GPUs (strong-scaled)", resnet50(), 16, 16),
+        // The unconstrained winner's mixed tail needs 6.01 GiB per rank;
+        // a 6 GiB device forces pure sample parallelism (5.95 GiB).
+        scenario("ResNet-50, N=1024, 32 GPUs", resnet50(), 1024, 32),
         Scenario {
-            name: "mesh-1K, N=1, 4 GPUs (memory-constrained)",
-            spec: mesh_model(MeshSize::OneK),
-            batch: 1,
-            world: 4,
-        },
-        Scenario {
-            name: "mesh-1K, N=4, 16 GPUs",
-            spec: mesh_model(MeshSize::OneK),
-            batch: 4,
-            world: 16,
-        },
-        Scenario {
-            name: "mesh-1K, N=16, 16 GPUs",
-            spec: mesh_model(MeshSize::OneK),
-            batch: 16,
-            world: 16,
-        },
-        Scenario { name: "ResNet-50, N=64, 16 GPUs", spec: resnet50(), batch: 64, world: 16 },
-        Scenario {
-            name: "ResNet-50, N=16, 16 GPUs (strong-scaled)",
-            spec: resnet50(),
-            batch: 16,
-            world: 16,
+            memory_limit: Some(6 << 30),
+            ..scenario("ResNet-50, N=1024, 32 GPUs, 6 GiB/GPU", resnet50(), 1024, 32)
         },
         // Table III's largest worlds: what the search itself costs there.
-        Scenario { name: "ResNet-50, N=8192, 512 GPUs", spec: resnet50(), batch: 8192, world: 512 },
-        Scenario {
-            name: "ResNet-50, N=32768, 2048 GPUs",
-            spec: resnet50(),
-            batch: 32768,
-            world: 2048,
-        },
+        scenario("ResNet-50, N=8192, 512 GPUs", resnet50(), 8192, 512),
+        scenario("ResNet-50, N=32768, 2048 GPUs", resnet50(), 32768, 2048),
     ]
 }
 
@@ -94,11 +81,15 @@ pub fn strategy_report(platform: &Platform) -> Table {
             "uniform sample",
             "search wall",
             "layer / shuffle costs modeled, DP edges",
+            "peak/rank (exact)",
             "optimized strategy",
         ],
     );
     for sc in scenarios() {
-        let opt = StrategyOptimizer::new(platform, &sc.spec, sc.batch, sc.world);
+        let mut opt = StrategyOptimizer::new(platform, &sc.spec, sc.batch, sc.world);
+        if let Some(bytes) = sc.memory_limit {
+            opt = opt.with_memory_limit(bytes);
+        }
         let started = Instant::now();
         let (strategy, cost, work) = opt.search();
         let search_wall = started.elapsed().as_secs_f64();
@@ -107,6 +98,9 @@ pub fn strategy_report(platform: &Platform) -> Table {
             Ok(()),
             "optimizer must emit valid plans"
         );
+        let peak = analyze_strategy(&sc.spec, &strategy, sc.batch, &sample_ranks(sc.world))
+            .expect("a valid strategy analyzes")
+            .max_peak();
 
         // Uniform baselines across the paper's schemes.
         let mut best_uniform = f64::INFINITY;
@@ -136,6 +130,7 @@ pub fn strategy_report(platform: &Platform) -> Table {
             if sample_uniform.is_nan() { "n/a".into() } else { fmt_time(sample_uniform) },
             fmt_time(search_wall),
             format!("{} / {}, {}", work.layer_cost_evals, work.shuffle_cost_evals, work.dp_edges),
+            format!("{:.2} GiB", peak as f64 / (1u64 << 30) as f64),
             summarize(&strategy),
         ]);
     }

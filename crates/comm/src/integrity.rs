@@ -122,21 +122,10 @@ struct Entry {
     payload: Box<dyn Any + Send>,
 }
 
-/// Default per-stream byte bound of the replay window (16 MiB). Also
-/// the comm-staging term the static memory analyzer charges per rank
-/// when the integrity layer is on.
+/// Per-stream byte bound of the replay window (16 MiB). Also the
+/// comm-staging term the static memory analyzer charges per rank when
+/// the integrity layer is on.
 pub const DEFAULT_REPLAY_BYTES: usize = 16 << 20;
-
-/// The per-stream replay-window byte bound: `FG_COMM_REPLAY_BYTES` when
-/// set and parseable, else [`DEFAULT_REPLAY_BYTES`]. The one reader of
-/// that knob — a world's replay windows are sized with it and the
-/// static memory analyzer charges the same figure.
-pub fn replay_bytes_from_env() -> usize {
-    std::env::var("FG_COMM_REPLAY_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_REPLAY_BYTES)
-}
 
 /// The replay windows plus their byte accounting, under one lock so the
 /// gauge can never drift from the staged entries.
@@ -171,12 +160,12 @@ pub(crate) struct IntegrityState {
 
 impl IntegrityState {
     /// Fresh state for a world of `size` ranks, with no fault plan. The
-    /// per-stream byte bound is [`replay_bytes_from_env`].
+    /// per-stream byte bound is [`DEFAULT_REPLAY_BYTES`].
     pub(crate) fn new(size: usize) -> IntegrityState {
         IntegrityState {
             size,
             windows: Mutex::new(ReplayWindows::default()),
-            stream_bound: replay_bytes_from_env(),
+            stream_bound: DEFAULT_REPLAY_BYTES,
             retx_served: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
             plan: None,
         }

@@ -207,12 +207,11 @@ impl DistExecutor {
         // ResNet benchmark workload). Borrowing the plans keeps this to
         // shape arithmetic: 10–40 ms for the 128–512-rank planning
         // worlds, which never step.
-        let param_elems = spec.param_elems();
         let net = Net { spec: &spec, layers: &layers, schedule: &schedule, batch };
         let mem_plans = (0..world)
             .map(|rank| {
                 let plans: Vec<&LayerPlan> = plans.iter().map(|per| &per[rank]).collect();
-                RankMemPlan::compile(net, &plans, &param_elems, rank)
+                RankMemPlan::compile(net, &plans, rank)
             })
             .collect();
         let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans, schedule };
@@ -285,6 +284,16 @@ impl DistExecutor {
         self.verify_with(|_| {}, |_| {})
     }
 
+    /// The recovery ladder's gate for a new layout (a shrink replan, a
+    /// straggler rebalance): [`DistExecutor::new`], then, at worlds of up
+    /// to 64 ranks, [`DistExecutor::verify`]. Tracing is O(P²) in links,
+    /// so the cap keeps the check inside a rung's latency budget. `None`
+    /// when either fails.
+    pub fn new_verified(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Option<Self> {
+        let exec = DistExecutor::new(spec, strategy, batch).ok()?;
+        (exec.strategy.world_size() > 64 || exec.verify().is_clean()).then_some(exec)
+    }
+
     /// [`DistExecutor::verify`] with corruption hooks for mutation
     /// tests: `mutate_plans` edits a clone of the compiled plans before
     /// the symbolic walk (geometry corruptions — shrunken halos, skewed
@@ -332,8 +341,9 @@ impl DistExecutor {
     }
 
     /// Forward pass. `x` is the full global input replicated on every
-    /// rank; for large samples prefer [`DistExecutor::forward_sharded`],
-    /// which never materializes the global tensor.
+    /// rank; for large samples prefer
+    /// [`DistExecutor::loss_and_grads_sharded`], which never materializes
+    /// the global tensor.
     pub fn forward(
         &self,
         comm: &WorldComm,
@@ -347,22 +357,11 @@ impl DistExecutor {
         self.run_forward(comm, params, Act::Shard(shard), labels, None, None)
     }
 
-    /// Forward pass from a pre-sharded input (distributed data loading):
-    /// each rank supplies only its owned block of the input, in the
-    /// input layer's distribution. This is how samples that exceed one
-    /// device's memory actually enter the pipeline.
-    pub fn forward_sharded(
-        &self,
-        comm: &WorldComm,
-        params: &[LayerParams],
-        x_shard: DistTensor,
-        labels: Option<&Labels>,
-    ) -> DistPass {
-        self.check_input_shard(&x_shard, comm.rank());
-        self.run_forward(comm, params, Act::Shard(x_shard), labels, None, None)
-    }
-
-    /// Sharded-input counterpart of [`DistExecutor::loss_and_grads`].
+    /// Sharded-input counterpart of [`DistExecutor::loss_and_grads`]
+    /// (distributed data loading): each rank supplies only its owned
+    /// block of the input, in the input layer's distribution. This is how
+    /// samples that exceed one device's memory actually enter the
+    /// pipeline.
     pub fn loss_and_grads_sharded(
         &self,
         comm: &WorldComm,

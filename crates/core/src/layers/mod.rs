@@ -62,84 +62,78 @@ pub(crate) fn build_layers(
     strategy: &Strategy,
     batch: usize,
 ) -> Vec<Box<dyn DistLayer>> {
-    let shapes: Vec<Shape4> =
-        spec.shapes().iter().map(|&(c, h, w)| Shape4::new(batch, c, h, w)).collect();
     let mut layers: Vec<Box<dyn DistLayer>> = Vec::with_capacity(spec.len());
-    let mut out_dists: Vec<Option<TensorDist>> = Vec::with_capacity(spec.len());
     for (id, l) in spec.layers().iter().enumerate() {
-        let grid = strategy.grids[id];
-        let parent_dists: Vec<Option<TensorDist>> =
-            l.parents.iter().map(|&p| out_dists[p].clone()).collect();
-        let base = |in_dist: Option<TensorDist>, out_dist: Option<TensorDist>| LayerBase {
-            id,
-            name: l.name.clone(),
-            kind: l.kind.clone(),
-            parents: l.parents.clone(),
-            grid,
-            in_dist,
-            out_dist,
-            parent_dists: parent_dists.clone(),
-        };
-        let sharded = strategy.dist_for(shapes[id], grid);
-        let layer: Box<dyn DistLayer> = match &l.kind {
-            LayerKind::Input { .. } => Box::new(InputLayer::new(base(None, Some(sharded.clone())))),
-            LayerKind::Conv { kernel, stride, pad, .. } => {
-                let p = shapes[l.parents[0]];
-                let geom = ConvGeometry::square(p.h, p.w, *kernel, *stride, *pad);
-                let conv = DistConv2d::with_dists(
-                    geom,
-                    strategy.dist_for(shapes[l.parents[0]], grid),
-                    sharded.clone(),
-                );
-                let b = base(Some(conv.in_dist.clone()), Some(conv.out_dist.clone()));
-                Box::new(ConvLayer::new(b, conv))
-            }
-            LayerKind::Pool { kind, kernel, stride, pad } => {
-                let p = shapes[l.parents[0]];
-                let geom = ConvGeometry::square(p.h, p.w, *kernel, *stride, *pad);
-                let pool = DistPool2d::with_dists(
-                    *kind,
-                    geom,
-                    strategy.dist_for(shapes[l.parents[0]], grid),
-                    sharded.clone(),
-                );
-                let b = base(Some(pool.in_dist.clone()), Some(pool.out_dist.clone()));
-                Box::new(PoolLayer::new(b, pool))
-            }
-            LayerKind::BatchNorm => Box::new(batchnorm::BatchNormLayer::new(base(
-                Some(sharded.clone()),
-                Some(sharded.clone()),
-            ))),
-            LayerKind::Relu => {
-                Box::new(ReluLayer::new(base(Some(sharded.clone()), Some(sharded.clone()))))
-            }
-            LayerKind::Add => {
-                Box::new(AddLayer::new(base(Some(sharded.clone()), Some(sharded.clone()))))
-            }
-            LayerKind::GlobalAvgPool => {
-                let in_dist = strategy.dist_for(shapes[l.parents[0]], grid);
-                Box::new(GapLayer::new(base(Some(in_dist), None)))
-            }
-            LayerKind::Fc { out_features } => {
-                Box::new(FcLayer::new(base(None, None), *out_features))
-            }
-            LayerKind::SoftmaxCrossEntropy => {
-                // Per-sample only when the parent actually produces the
-                // replicated representation (GAP/FC); a conv that happens
-                // to emit a 1×1 map is still sharded.
-                let parent_kind = &spec.layer(l.parents[0]).kind;
-                let per_sample =
-                    matches!(parent_kind, LayerKind::GlobalAvgPool | LayerKind::Fc { .. });
-                let b = if per_sample {
-                    base(None, None)
-                } else {
-                    base(Some(sharded.clone()), Some(sharded.clone()))
-                };
-                Box::new(SoftmaxLossLayer::new(b, per_sample, batch))
-            }
-        };
-        out_dists.push(layer.base().out_dist.clone());
-        layers.push(layer);
+        let parent_dists = l.parents.iter().map(|&p| layers[p].base().out_dist.clone()).collect();
+        layers.push(build_layer(spec, strategy, batch, id, parent_dists));
     }
     layers
+}
+
+/// Build layer `id`'s object on its grid in `strategy`, fed by parents
+/// whose outputs are distributed as `parent_dists`.
+pub(crate) fn build_layer(
+    spec: &NetworkSpec,
+    strategy: &Strategy,
+    batch: usize,
+    id: usize,
+    parent_dists: Vec<Option<TensorDist>>,
+) -> Box<dyn DistLayer> {
+    let l = spec.layer(id);
+    let shape = |id: usize| {
+        let (c, h, w) = spec.shape(id);
+        Shape4::new(batch, c, h, w)
+    };
+    let grid = strategy.grids[id];
+    let base = |in_dist: Option<TensorDist>, out_dist: Option<TensorDist>| LayerBase {
+        id,
+        name: l.name.clone(),
+        kind: l.kind.clone(),
+        parents: l.parents.clone(),
+        grid,
+        in_dist,
+        out_dist,
+        parent_dists,
+    };
+    let sharded = strategy.dist_for(shape(id), grid);
+    match &l.kind {
+        LayerKind::Input { .. } => Box::new(InputLayer::new(base(None, Some(sharded)))),
+        LayerKind::Conv { kernel, stride, pad, .. } => {
+            let p = shape(l.parents[0]);
+            let geom = ConvGeometry::square(p.h, p.w, *kernel, *stride, *pad);
+            let conv = DistConv2d::with_dists(geom, strategy.dist_for(p, grid), sharded);
+            let b = base(Some(conv.in_dist.clone()), Some(conv.out_dist.clone()));
+            Box::new(ConvLayer::new(b, conv))
+        }
+        LayerKind::Pool { kind, kernel, stride, pad } => {
+            let p = shape(l.parents[0]);
+            let geom = ConvGeometry::square(p.h, p.w, *kernel, *stride, *pad);
+            let pool = DistPool2d::with_dists(*kind, geom, strategy.dist_for(p, grid), sharded);
+            let b = base(Some(pool.in_dist.clone()), Some(pool.out_dist.clone()));
+            Box::new(PoolLayer::new(b, pool))
+        }
+        LayerKind::BatchNorm => {
+            Box::new(batchnorm::BatchNormLayer::new(base(Some(sharded.clone()), Some(sharded))))
+        }
+        LayerKind::Relu => Box::new(ReluLayer::new(base(Some(sharded.clone()), Some(sharded)))),
+        LayerKind::Add => Box::new(AddLayer::new(base(Some(sharded.clone()), Some(sharded)))),
+        LayerKind::GlobalAvgPool => {
+            let in_dist = strategy.dist_for(shape(l.parents[0]), grid);
+            Box::new(GapLayer::new(base(Some(in_dist), None)))
+        }
+        LayerKind::Fc { out_features } => Box::new(FcLayer::new(base(None, None), *out_features)),
+        LayerKind::SoftmaxCrossEntropy => {
+            // Per-sample only when the parent actually produces the
+            // replicated representation (GAP/FC); a conv that happens
+            // to emit a 1×1 map is still sharded.
+            let parent_kind = &spec.layer(l.parents[0]).kind;
+            let per_sample = matches!(parent_kind, LayerKind::GlobalAvgPool | LayerKind::Fc { .. });
+            let b = if per_sample {
+                base(None, None)
+            } else {
+                base(Some(sharded.clone()), Some(sharded))
+            };
+            Box::new(SoftmaxLossLayer::new(b, per_sample, batch))
+        }
+    }
 }

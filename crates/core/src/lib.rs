@@ -41,8 +41,8 @@ pub use executor::{Act, DistExecutor, DistPass};
 pub use guard::{Anomaly, GuardConfig, StepGuard};
 pub use layers::{BnMode, DistPool2d};
 pub use mem::{
-    analyze_strategy, mem_budget_from_env, sample_ranks, MemCheckKind, MemReport, MemViolation,
-    RankMemBound,
+    analyze_strategy, mem_budget_from_env, sample_ranks, turnaround_bytes, MemCheckKind, MemReport,
+    MemViolation, RankMemBound,
 };
 pub use resilient::{
     resilient_train, ComputeFault, Degradation, DegradeConfig, Rebalance, Replanner,
@@ -50,7 +50,7 @@ pub use resilient::{
 };
 pub use servable::ServableModel;
 pub use straggler::{
-    weights_from_ema, StragglerAction, StragglerConfig, StragglerFlag, StragglerGuard,
+    rebalance_for_stragglers, StragglerAction, StragglerConfig, StragglerFlag, StragglerGuard,
 };
 pub use strategy::{Strategy, StrategyError};
 pub use verify::{candidate_grid_legal, ComputeOracle, VerifyReport};

@@ -55,8 +55,9 @@
 //! fresh snapshot, the partition is rebuilt with per-rank speed
 //! weights ([`Strategy::with_rank_weights`]) so the slow rank carries
 //! proportionally less of every layer, and training resumes with no
-//! lost steps — and finally **soft eviction** through the degradation
-//! rung when the rank is slower than
+//! lost steps (a weighted layout that does not compile or verify is
+//! not applied; the world resumes as it was) — and finally **soft
+//! eviction** through the degradation rung when the rank is slower than
 //! [`crate::straggler::StragglerConfig::evict_ratio`] or still flagged
 //! once the rebalance budget is spent.
 //!
@@ -102,7 +103,9 @@ use fg_tensor::{ProcGrid, Tensor};
 
 use crate::executor::DistExecutor;
 use crate::guard::{GuardConfig, StepGuard};
-use crate::straggler::{weights_from_ema, StragglerAction, StragglerConfig, StragglerGuard};
+use crate::straggler::{
+    rebalance_for_stragglers, StragglerAction, StragglerConfig, StragglerGuard,
+};
 use crate::strategy::Strategy;
 
 /// Marker embedded in the [`CommError::RankFailed`] detail of a
@@ -292,10 +295,9 @@ pub struct Rebalance {
     /// Its busy-time EMA as a multiple of the world median when
     /// flagged.
     pub ratio: f64,
-    /// The speed weights the new partition was derived from
-    /// ([`weights_from_ema`] of the measured EMAs).
-    pub weights: Vec<u64>,
-    /// The re-decomposed strategy the world resumed on.
+    /// The re-decomposed strategy the world resumed on; its
+    /// `rank_weights` are inversely proportional to the measured EMAs
+    /// ([`rebalance_for_stragglers`]).
     pub strategy: Strategy,
     /// Activation bytes whose owner changed between the uniform and
     /// weighted layouts (summed over layers).
@@ -542,8 +544,8 @@ struct Attempt<'a> {
     slow: &'a [f64],
     /// Side channel for straggler measurements (rank 0 → driver).
     sside: &'a Mutex<StragglerSide>,
-    /// Weighted re-decompositions already performed, for the
-    /// rebalance-vs-evict escalation decision.
+    /// Weighted re-decompositions already tried (applied or found not
+    /// viable), for the rebalance-vs-evict escalation decision.
     rebalances_done: usize,
 }
 
@@ -773,6 +775,9 @@ pub fn resilient_train(
         cfg.straggler.clone().or_else(StragglerConfig::from_env);
     let sside: Mutex<StragglerSide> = Mutex::new(StragglerSide::default());
     let mut rebalances: Vec<Rebalance> = Vec::new();
+    // Rebalance rung entries, including those whose weighted layout was
+    // not viable.
+    let mut rebalance_tries: usize = 0;
     let mut evictions: usize = 0;
     let mut rebalance_nanos: u64 = 0;
     // World rebuilds (ladder level 3) — straggler unwinds are
@@ -831,7 +836,7 @@ pub fn resilient_train(
             straggler: &straggler_cfg,
             slow: &slow,
             sside: &sside,
-            rebalances_done: rebalances.len(),
+            rebalances_done: rebalance_tries,
         };
 
         let opts = RunOptions {
@@ -905,39 +910,38 @@ pub fn resilient_train(
                         .pending
                         .take()
                         .expect("a rebalance unwind records its measurement first");
-                    let weights = weights_from_ema(&pending.ema);
-                    let new_strategy = cur_exec.strategy.clone().with_rank_weights(weights.clone());
-                    new_strategy
-                        .validate(&cur_exec.spec, cur_exec.batch)
-                        .expect("a weighted re-decomposition of a valid layout stays valid");
-                    let new_exec = DistExecutor::new(
-                        cur_exec.spec.clone(),
-                        new_strategy.clone(),
-                        cur_exec.batch,
-                    )
-                    .expect("weighted strategy compiles");
-                    // Account the activation regrid the new partition
-                    // implies. (The actual state move rides the
-                    // replicated snapshot: the weighted executor simply
-                    // shards it differently on restore.)
-                    let (moved, total) = cur_exec.strategy.regrid_cost(
-                        &new_strategy,
+                    let weighted = rebalance_for_stragglers(
+                        &cur_exec.strategy,
                         &cur_exec.spec,
                         cur_exec.batch,
+                        &pending.ema,
                     );
                     failures.push(err);
-                    rebalances.push(Rebalance {
-                        at_step: pending.at_step,
-                        slow_rank: pending.rank,
-                        ratio: pending.ratio,
-                        weights,
-                        strategy: new_strategy,
-                        regrid_moved_bytes: moved,
-                        regrid_total_bytes: total,
-                        rebalance_s: t_rebalance.elapsed().as_secs_f64(),
-                    });
+                    rebalance_tries += 1;
+                    // A weighted layout that does not compile or verify
+                    // (over `FG_MEM_BUDGET`, say) is not applied: the
+                    // world resumes as it was, tolerating the straggler,
+                    // and the spent try makes its next flag an eviction.
+                    if let Some(new_exec) = weighted {
+                        // The activation regrid the new partition implies
+                        // (the state itself moves through the snapshot).
+                        let (moved, total) = cur_exec.strategy.regrid_cost(
+                            &new_exec.strategy,
+                            &cur_exec.spec,
+                            cur_exec.batch,
+                        );
+                        rebalances.push(Rebalance {
+                            at_step: pending.at_step,
+                            slow_rank: pending.rank,
+                            ratio: pending.ratio,
+                            strategy: new_exec.strategy.clone(),
+                            regrid_moved_bytes: moved,
+                            regrid_total_bytes: total,
+                            rebalance_s: t_rebalance.elapsed().as_secs_f64(),
+                        });
+                        owned_exec = Some(new_exec);
+                    }
                     rebalance_nanos += t_rebalance.elapsed().as_nanos() as u64;
-                    owned_exec = Some(new_exec);
                     // Same world, same grid: the snapshot written at
                     // the flagged step loads unchanged, the straggler
                     // keeps its injected slowdown (a gray failure is a
@@ -1532,9 +1536,9 @@ mod tests {
         let r = &report.rebalances[0];
         assert_eq!(r.slow_rank, 1);
         assert!(r.ratio > 1.4, "flagged ratio: {}", r.ratio);
-        assert_eq!(r.weights[0], 24, "the fast rank anchors the weight scale");
-        assert!(r.weights[1] < r.weights[0], "weights: {:?}", r.weights);
-        assert!(r.strategy.rank_weights.is_some());
+        let weights = r.strategy.rank_weights.as_ref().expect("a weighted layout");
+        assert_eq!(weights[0], 24, "the fast rank anchors the weight scale");
+        assert!(weights[1] < weights[0], "weights: {weights:?}");
         assert!(r.regrid_total_bytes > 0 && r.regrid_moved_bytes <= r.regrid_total_bytes);
         assert!(report.rung_times.rebalance_s > 0.0);
         // Detection and the injected slowdown never touch the math:

@@ -40,12 +40,15 @@
 //! What happens to a flagged rank is the driver's decision
 //! ([`StragglerConfig::action_for`]): re-decompose the spatial
 //! partition with weights inversely proportional to the measured EMAs
-//! ([`weights_from_ema`] feeding
-//! [`crate::Strategy::with_rank_weights`]), or — past
+//! ([`rebalance_for_stragglers`]), or — past
 //! [`StragglerConfig::evict_ratio`], or once the rebalance budget is
 //! spent — softly evict the rank through the elastic-degradation rung.
 
 use fg_comm::{Collectives, Communicator, ReduceOp, WorldComm};
+use fg_nn::NetworkSpec;
+
+use crate::executor::DistExecutor;
+use crate::strategy::Strategy;
 
 /// Tuning knobs for straggler detection and the mitigation ladder.
 #[derive(Debug, Clone)]
@@ -234,7 +237,7 @@ impl StragglerGuard {
 /// rank gets weight `24` (≈4 % resolution — fine enough to express any
 /// plausible slowdown, coarse enough that measurement jitter does not
 /// churn the partition) and no rank drops below 1.
-pub fn weights_from_ema(ema: &[f64]) -> Vec<u64> {
+pub(crate) fn weights_from_ema(ema: &[f64]) -> Vec<u64> {
     const SCALE: f64 = 24.0;
     // Guard against degenerate measurements (an idle rank's busy time
     // can round to zero nanoseconds).
@@ -242,6 +245,26 @@ pub fn weights_from_ema(ema: &[f64]) -> Vec<u64> {
     ema.iter()
         .map(|&e| (((SCALE * min / e.max(1.0)).round() as u64).max(1)).min(SCALE as u64))
         .collect()
+}
+
+/// The gray-failure rebalance rung's re-decomposition: per-rank speed
+/// weights from measured busy-time EMAs ([`weights_from_ema`]), `base`
+/// re-blocked with them and compiled through the gate a shrink replan
+/// goes through ([`DistExecutor::new_verified`], which also applies any
+/// `FG_MEM_BUDGET`). `None` means the weighted layout is not viable: the
+/// rung then tolerates the straggler on the current layout, and its next
+/// flag escalates to eviction.
+pub fn rebalance_for_stragglers(
+    base: &Strategy,
+    spec: &NetworkSpec,
+    batch: usize,
+    measured_ema: &[f64],
+) -> Option<DistExecutor> {
+    if measured_ema.len() != base.world_size() {
+        return None;
+    }
+    let strategy = base.clone().with_rank_weights(weights_from_ema(measured_ema));
+    DistExecutor::new_verified(spec.clone(), strategy, batch)
 }
 
 /// Median of `v` (mean of the middle pair for even lengths).
@@ -364,6 +387,29 @@ mod tests {
         assert_eq!(weights_from_ema(&[2e6; 4]), vec![24; 4]);
         // No rank's weight collapses to zero, however slow.
         assert_eq!(weights_from_ema(&[1e9, 1e6]), vec![1, 24]);
+    }
+
+    #[test]
+    fn straggler_rebalance_produces_a_verified_weighted_strategy() {
+        let mut net = NetworkSpec::new();
+        let i = net.input("x", 3, 16, 16);
+        let c = net.conv("c1", i, 8, 3, 1, 1);
+        let r = net.relu("r", c);
+        let g = net.global_avg_pool("gap", r);
+        let f = net.fc("fc", g, 4);
+        net.loss("loss", f);
+        let base = Strategy::uniform(&net, fg_tensor::ProcGrid::spatial(4, 1));
+        // A 3x straggler on rank 0: the weighted layout must compile,
+        // verify, and carry the inverted weights.
+        let exec = rebalance_for_stragglers(&base, &net, 4, &[3e6, 1e6, 1e6, 1e6])
+            .expect("weighted layout viable");
+        assert_eq!(exec.strategy.rank_weights, Some(vec![8, 24, 24, 24]));
+        assert!(exec.verify().is_clean());
+        // Uniform measurements normalize back to the uniform strategy.
+        let uniform = rebalance_for_stragglers(&base, &net, 4, &[1e6; 4]).unwrap();
+        assert_eq!(uniform.strategy, base);
+        // A measurement vector for the wrong world is rejected.
+        assert!(rebalance_for_stragglers(&base, &net, 4, &[1e6; 3]).is_none());
     }
 
     #[test]

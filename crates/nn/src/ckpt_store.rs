@@ -175,8 +175,6 @@ pub struct StorageFaultPlan {
     flip_rate: f64,
     /// Probability a published shard file is deleted after commit.
     delete_rate: f64,
-    /// Probability a commit stops just before the publishing rename.
-    crash_rate: f64,
     /// Targeted: tear the write of shard `.1` on store call `.0`.
     torn_at: Vec<(u64, usize)>,
     /// Targeted: flip a bit in shard `.1` on store call `.0`.
@@ -235,13 +233,6 @@ impl StorageFaultPlan {
         self
     }
 
-    /// "Crash" each commit (skip the publishing rename, leaving only
-    /// the invisible temp directory) with probability `rate`.
-    pub fn crash_before_rename_rate(mut self, rate: f64) -> StorageFaultPlan {
-        self.crash_rate = rate;
-        self
-    }
-
     /// Tear the write of shard `shard` on the `nth` store call
     /// (0-based).
     pub fn torn_write_at(mut self, nth: u64, shard: usize) -> StorageFaultPlan {
@@ -262,7 +253,8 @@ impl StorageFaultPlan {
         self
     }
 
-    /// Crash the `nth` store call before its publishing rename.
+    /// "Crash" the `nth` store call before its publishing rename,
+    /// leaving only the invisible temp directory.
     pub fn crash_before_rename_at(mut self, nth: u64) -> StorageFaultPlan {
         self.crash_at.push(nth);
         self
@@ -273,7 +265,6 @@ impl StorageFaultPlan {
         self.torn_rate == 0.0
             && self.flip_rate == 0.0
             && self.delete_rate == 0.0
-            && self.crash_rate == 0.0
             && self.torn_at.is_empty()
             && self.flip_at.is_empty()
             && self.delete_at.is_empty()
@@ -319,7 +310,7 @@ impl StorageFaultPlan {
     }
 
     fn crash_fault(&self, call: u64) -> bool {
-        self.crash_at.contains(&call) || self.unit(call, 0, 6) < self.crash_rate
+        self.crash_at.contains(&call)
     }
 }
 

@@ -110,22 +110,6 @@ impl NetworkSpec {
         )
     }
 
-    /// Add an average pool.
-    pub fn avgpool(
-        &mut self,
-        name: &str,
-        parent: LayerId,
-        k: usize,
-        s: usize,
-        p: usize,
-    ) -> LayerId {
-        self.add(
-            name,
-            LayerKind::Pool { kind: PoolKind::Avg, kernel: k, stride: s, pad: p },
-            &[parent],
-        )
-    }
-
     /// Add a residual join.
     pub fn add_join(&mut self, name: &str, parents: &[LayerId]) -> LayerId {
         self.add(name, LayerKind::Add, parents)

@@ -17,7 +17,6 @@
 pub mod candidates;
 pub mod collective_model;
 pub mod cost;
-pub mod memory;
 pub mod optimizer;
 pub mod oracle;
 pub mod platform;
@@ -29,5 +28,5 @@ pub use cost::{
 };
 pub use optimizer::{SearchStats, StrategyOptimizer};
 pub use oracle::{platform_link_model, ModeledCompute, SlowedCompute};
-pub use platform::{ConvPass, ConvWork, DeviceModel, Link, Platform};
-pub use replan::{degrade_replanner, rebalance_for_stragglers, replan_for_world};
+pub use platform::{ConvPass, ConvWork, DeviceModel, Link, Platform, V100_BYTES};
+pub use replan::{degrade_replanner, replan_for_world};

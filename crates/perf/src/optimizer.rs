@@ -23,13 +23,12 @@
 
 use std::collections::HashMap;
 
-use fg_core::{BnMode, Strategy, StrategyError};
+use fg_core::{BnMode, Strategy};
 use fg_nn::{LayerId, LayerKind, NetworkSpec};
 use fg_tensor::{ProcGrid, Shape4};
 
 use crate::candidates::layer_candidates;
 use crate::cost::{layer_cost, network_cost, shuffle_cost, CostBreakdown, CostOptions};
-use crate::memory::{layer_activation_bytes, layer_param_bytes, strategy_memory_bytes};
 use crate::platform::Platform;
 
 /// Strategy optimizer bound to a problem instance.
@@ -46,7 +45,9 @@ pub struct StrategyOptimizer<'a> {
     /// Cost-model options.
     pub opts: CostOptions,
     /// Per-rank device memory limit (§V: strategies are selected
-    /// "accounting for memory requirements"). `None` = unconstrained.
+    /// "accounting for memory requirements"), priced with the exact
+    /// analyzer's per-layer terms ([`fg_core::turnaround_bytes`]).
+    /// `None` = unconstrained.
     pub memory_limit: Option<usize>,
     /// Extra candidate grids injected per layer (tests, external
     /// tuners). They pass through the same legality pre-filter as the
@@ -93,7 +94,7 @@ impl<'a> StrategyOptimizer<'a> {
     /// search did.
     pub fn search(&self) -> (Strategy, CostBreakdown, SearchStats) {
         let n = self.spec.len();
-        let (candidates, limit_feasible) = self.candidate_sets();
+        let candidates = self.candidate_sets();
         let mut costs = SearchCosts::new(self, &candidates);
         // Layer weight for longest-path extraction: cheapest-candidate
         // total cost (heavy layers anchor the first path).
@@ -134,23 +135,14 @@ impl<'a> StrategyOptimizer<'a> {
             grids.push(g);
         }
         let strategy = Strategy { grids, bn_mode: BnMode::default(), rank_weights: None };
-        if let Some(limit) = self.memory_limit {
-            // Only meaningful when the limit was achievable at all.
-            debug_assert!(
-                !limit_feasible
-                    || strategy_memory_bytes(self.spec, self.batch, &strategy) <= limit * 2,
-                "memory heuristic produced a grossly oversized strategy"
-            );
-        }
         let cost = network_cost(self.platform, self.spec, self.batch, &strategy, &self.opts);
         (strategy, cost, costs.stats)
     }
 
     /// The grids the search ranks per layer — generated, seeded, then
-    /// screened for legality and memory — and whether the memory limit
-    /// (if any) is achievable at all. Layers that inherit their
+    /// screened for legality and memory. Layers that inherit their
     /// parent's grid get no candidates of their own.
-    fn candidate_sets(&self) -> (Vec<Vec<ProcGrid>>, bool) {
+    fn candidate_sets(&self) -> Vec<Vec<ProcGrid>> {
         let n = self.spec.len();
         let mut candidates: Vec<Vec<ProcGrid>> =
             (0..n).map(|id| layer_candidates(self.spec, self.batch, self.world, id)).collect();
@@ -168,80 +160,56 @@ impl<'a> StrategyOptimizer<'a> {
                 fg_core::candidate_grid_legal(self.spec, self.batch, self.world, id, *g)
             });
         }
-        // Memory constraint (§V): the footprint is a sum of per-layer
-        // terms, so allot each layer a share of the budget proportional
-        // to its serial footprint and reject candidates that blow it.
-        // A slack factor keeps the heuristic from over-pruning; the final
-        // strategy is re-checked against the exact total.
-        let mut limit_feasible = true;
         if let Some(limit) = self.memory_limit {
-            let param_total: usize = (0..n).map(|id| layer_param_bytes(self.spec, id)).sum();
-            let halo_of = |id: usize| match &self.spec.layer(id).kind {
-                LayerKind::Conv { kernel, .. } | LayerKind::Pool { kernel, .. } => kernel / 2,
-                _ => 0,
-            };
-            let act_bytes = |id: usize, g: ProcGrid, halo: usize| {
-                layer_activation_bytes(self.batch, self.spec.shape(id), g, halo)
-            };
-            // Feasibility floor: the footprint of the most decomposed
-            // candidate at every layer. A limit below the floor cannot be
-            // met by any strategy in the search space — pruning against
-            // it would only empty the candidate sets — so the search runs
-            // unconstrained and the exact post-check in
-            // [`StrategyOptimizer::optimize_with_budget`] owns the
-            // rejection.
-            let floor: usize = param_total
-                + (0..n)
-                    .map(|id| {
-                        candidates[id]
-                            .iter()
-                            .map(|g| act_bytes(id, *g, halo_of(id)))
-                            .min()
-                            .unwrap_or(0)
-                    })
-                    .sum::<usize>();
-            limit_feasible = floor <= limit;
-            if limit_feasible {
-                let act_budget = limit.saturating_sub(param_total) as f64;
-                let serial: Vec<usize> =
-                    (0..n).map(|id| act_bytes(id, ProcGrid::sample(self.world), 0)).collect();
-                let serial_total: f64 = serial.iter().sum::<usize>() as f64;
-                const SLACK: f64 = 1.5;
-                for id in 0..n {
-                    if serial_total == 0.0 {
-                        break;
-                    }
-                    let share = act_budget * serial[id] as f64 / serial_total * SLACK;
-                    candidates[id].retain(|g| (act_bytes(id, *g, halo_of(id)) as f64) <= share);
-                }
-            }
+            self.prune_for_memory(&mut candidates, limit);
         }
-        (candidates, limit_feasible)
+        candidates
     }
 
-    /// [`StrategyOptimizer::optimize`] under a hard per-rank memory
-    /// budget in bytes (the `FG_MEM_BUDGET` contract): the search runs
-    /// with the budget as its memory limit (tightening any existing
-    /// [`StrategyOptimizer::with_memory_limit`]), and the winner is then
-    /// checked against the *exact* static bound from fg-core's
-    /// tensor-liveness analyzer — not the cost model's heuristic — over
-    /// sampled ranks. An over-budget winner is rejected with the typed
-    /// [`StrategyError::MemBudgetExceeded`] before any plan compiles for
-    /// execution.
-    pub fn optimize_with_budget(
-        &self,
-        budget: usize,
-    ) -> Result<(Strategy, CostBreakdown), StrategyError> {
-        let mut constrained = self.clone();
-        constrained.memory_limit = Some(self.memory_limit.map_or(budget, |m| m.min(budget)));
-        let (strategy, cost) = constrained.optimize();
-        let ranks = fg_core::sample_ranks(self.world);
-        let report = fg_core::analyze_strategy(self.spec, &strategy, self.batch, &ranks)?;
-        let needed = report.max_peak();
-        if needed > budget {
-            return Err(StrategyError::MemBudgetExceeded { needed, budget });
+    /// Memory constraint (§V). What a rank holds at the forward/backward
+    /// turnaround is a sum of per-layer terms, and the exact peak adds
+    /// one backward transient of a few percent on top. The feasibility
+    /// floor is that sum with every layer on its leanest candidate. A
+    /// limit below it cannot be met by any strategy in the search space,
+    /// and pruning against it would only empty the candidate sets, so
+    /// the search then runs unconstrained and the caller's
+    /// `fg_core::analyze_strategy` of the winner owns the rejection.
+    /// Otherwise each layer keeps its leanest term plus a share of the
+    /// headroom above the floor, proportional to how far its serial term
+    /// sits above its leanest, and loses the candidates that exceed it;
+    /// a slack factor keeps the heuristic from over-pruning. A layer
+    /// whose parameters dominate its term therefore never loses every
+    /// candidate.
+    fn prune_for_memory(&self, candidates: &mut [Vec<ProcGrid>], limit: usize) {
+        let term = |id: usize, g: ProcGrid| fg_core::turnaround_bytes(self.spec, self.batch, id, g);
+        // A layer without candidates of its own runs on its parent's grid.
+        let mut grids_of: Vec<&[ProcGrid]> = Vec::with_capacity(candidates.len());
+        for (id, cands) in candidates.iter().enumerate() {
+            let inherits = self.spec.layer(id).parents.first().filter(|_| cands.is_empty());
+            grids_of.push(inherits.map_or(cands, |&p| grids_of[p]));
         }
-        Ok((strategy, cost))
+        let terms: Vec<Vec<usize>> = grids_of
+            .iter()
+            .enumerate()
+            .map(|(id, grids)| grids.iter().map(|&g| term(id, g)).collect())
+            .collect();
+        let lean: Vec<usize> = terms.iter().map(|t| t.iter().copied().min().unwrap_or(0)).collect();
+        let floor: usize = lean.iter().sum();
+        if floor > limit {
+            return;
+        }
+        let above: Vec<usize> = (0..candidates.len())
+            .map(|id| term(id, ProcGrid::sample(1)).saturating_sub(lean[id]))
+            .collect();
+        let spread: usize = above.iter().sum();
+        const SLACK: f64 = 1.5;
+        let headroom =
+            if spread == 0 { 0.0 } else { (limit - floor) as f64 / spread as f64 * SLACK };
+        for (id, cands) in candidates.iter_mut().enumerate() {
+            let share = lean[id] as f64 + headroom * above[id] as f64;
+            let mut fits = terms[id].iter().map(|&t| t as f64 <= share);
+            cands.retain(|_| fits.next().unwrap_or(false));
+        }
     }
 
     /// Shortest-path DP along one path of layers; pinned layers keep
@@ -531,34 +499,47 @@ mod tests {
     #[test]
     fn memory_limit_forces_spatial_decomposition() {
         // The paper's defining scenario: the 2K mesh model cannot fit one
-        // sample per GPU; with a V100 memory limit the optimizer must
-        // choose spatial decomposition for the huge layers, and the
-        // resulting strategy must actually fit.
-        use crate::memory::{strategy_fits, V100_BYTES};
+        // sample per GPU. At batch 4 on 16 ranks every candidate splits
+        // each sample at least 4 ways, so under a V100 limit the winner
+        // spatially decomposes the huge layers and fits by the exact
+        // bound.
+        use crate::platform::V100_BYTES;
         let p = platform();
         let spec = fg_models::mesh_model(fg_models::MeshSize::TwoK);
-        let (unconstrained, _) = StrategyOptimizer::new(&p, &spec, 4, 16).optimize();
-        // Unconstrained, the model may happily pick sample parallelism…
         let (constrained, _) =
             StrategyOptimizer::new(&p, &spec, 4, 16).with_memory_limit(V100_BYTES).optimize();
         assert_eq!(constrained.validate(&spec, 4), Ok(()));
-        assert!(
-            strategy_fits(&spec, 4, &constrained, V100_BYTES),
-            "constrained strategy must fit a V100"
-        );
-        // The early (huge) conv layers must be spatially decomposed.
+        let ranks = fg_core::sample_ranks(16);
+        let report = fg_core::analyze_strategy(&spec, &constrained, 4, &ranks).unwrap();
+        assert!(report.max_peak() <= V100_BYTES, "constrained strategy must fit a V100: {report}");
         let conv1_1 = spec.find("conv1_1").unwrap();
         assert!(
             constrained.grids[conv1_1].ranks_per_sample() >= 4,
             "conv1_1 needs ≥4-way spatial under the memory limit, got {}",
             constrained.grids[conv1_1]
         );
-        // And the constraint is the binding difference from the
-        // unconstrained plan (which keeps more sample parallelism early).
-        assert!(
-            constrained.grids[conv1_1].ranks_per_sample()
-                >= unconstrained.grids[conv1_1].ranks_per_sample()
-        );
+    }
+
+    #[test]
+    fn a_binding_memory_limit_changes_the_winner() {
+        // ResNet-50 at 32 samples per rank: the unconstrained winner's
+        // mixed tail needs 6.01 GiB per rank by the exact bound. Under a
+        // 6 GiB limit the pruned search gives it up for sample
+        // parallelism (5.95 GiB) at a higher modeled time; unpruned, the
+        // winner would not change and would not fit.
+        let p = platform();
+        let spec = fg_models::resnet50();
+        let (batch, world, limit) = (1024, 32, 6 << 30);
+        let ranks = fg_core::sample_ranks(world);
+        let peak =
+            |s: &Strategy| fg_core::analyze_strategy(&spec, s, batch, &ranks).unwrap().max_peak();
+        let (free, free_cost) = StrategyOptimizer::new(&p, &spec, batch, world).optimize();
+        assert!(peak(&free) > limit, "the unconstrained winner must not fit: {}", peak(&free));
+        let (bound, bound_cost) =
+            StrategyOptimizer::new(&p, &spec, batch, world).with_memory_limit(limit).optimize();
+        assert!(peak(&bound) <= limit, "the limited winner must fit: {}", peak(&bound));
+        assert!(bound.grids.iter().all(|&g| g == ProcGrid::sample(world)), "{:?}", bound.grids);
+        assert!(bound_cost.total() > free_cost.total());
     }
 
     #[test]
@@ -591,30 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_rejects_over_budget_candidates_typed() {
-        // A budget far below any feasible strategy's static bound must
-        // come back as the typed error carrying the analyzer's exact
-        // need, not a panic or a silently over-budget strategy.
-        let p = platform();
-        let spec = mesh_net();
-        let opt = StrategyOptimizer::new(&p, &spec, 4, 8);
-        match opt.optimize_with_budget(1 << 20) {
-            Err(StrategyError::MemBudgetExceeded { needed, budget }) => {
-                assert_eq!(budget, 1 << 20);
-                assert!(needed > budget, "reported need must exceed the budget");
-            }
-            other => panic!("expected MemBudgetExceeded, got {other:?}"),
-        }
-        // A generous budget passes, and the winner's exact bound fits it.
-        let (strategy, _) = opt.optimize_with_budget(64 << 30).expect("64 GiB fits");
-        assert_eq!(strategy.validate(&spec, 4), Ok(()));
-        let report =
-            fg_core::analyze_strategy(&spec, &strategy, 4, &fg_core::sample_ranks(8)).unwrap();
-        assert!(report.is_clean());
-        assert!(report.max_peak() <= 64 << 30);
-    }
-
-    #[test]
     fn resnet50_at_2048_ranks_models_each_cost_once() {
         // The search's work, counted: every (layer, grid) cost is
         // modeled once however many paths and DP edges ask for it, and
@@ -622,7 +579,7 @@ mod tests {
         let p = platform();
         let spec = fg_models::resnet50();
         let opt = StrategyOptimizer::new(&p, &spec, 32768, 2048);
-        let (candidates, _) = opt.candidate_sets();
+        let candidates = opt.candidate_sets();
         let (_, _, stats) = opt.search();
         // A layer without candidates of its own (GAP, FC) is costed on
         // the grids of the layer it inherits from.

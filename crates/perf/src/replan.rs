@@ -14,7 +14,7 @@
 //! [`fg_core::Replanner`] callback the driver's `DegradeConfig` wants,
 //! owning its inputs so the closure can outlive the caller's frame.
 
-use fg_core::{Replanner, Strategy};
+use fg_core::{DistExecutor, Replanner, Strategy};
 use fg_nn::NetworkSpec;
 use std::sync::Arc;
 
@@ -31,37 +31,17 @@ pub fn replan_for_world(
     spec: &NetworkSpec,
     batch: usize,
     world: usize,
-    memory_limit: Option<usize>,
 ) -> Option<(Strategy, CostBreakdown)> {
     if world == 0 || batch == 0 {
         return None;
     }
-    let mut opt = StrategyOptimizer::new(platform, spec, batch, world);
-    if let Some(bytes) = memory_limit {
-        opt = opt.with_memory_limit(bytes);
-    }
-    let (strategy, cost) = opt.optimize();
-    if strategy.world_size() != world || strategy.validate(spec, batch).is_err() {
+    let (strategy, cost) = StrategyOptimizer::new(platform, spec, batch, world).optimize();
+    if strategy.world_size() != world {
         return None;
     }
-    // Static schedule verification (fg-verify): compile the plans the
-    // survivors would run and symbolically execute them. A replan that
-    // validates but would deadlock or mis-shape a halo is rejected here,
-    // before the degradation rung commits to it. Tracing is O(P²) in
-    // links, so gate it to worlds small enough to check in the recovery
-    // path's latency budget.
-    const VERIFY_WORLD_CAP: usize = 64;
-    if world <= VERIFY_WORLD_CAP {
-        match fg_core::DistExecutor::new(spec.clone(), strategy.clone(), batch) {
-            Ok(exec) => {
-                let report = exec.verify();
-                if !report.is_clean() {
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    }
+    // A replan that validates but would deadlock or mis-shape a halo is
+    // rejected here, before the degradation rung commits to it.
+    DistExecutor::new_verified(spec.clone(), strategy.clone(), batch)?;
     Some((strategy, cost))
 }
 
@@ -69,38 +49,7 @@ pub fn replan_for_world(
 /// owning the measured platform and network that re-plans any candidate
 /// world size the degradation rung probes.
 pub fn degrade_replanner(platform: Platform, spec: NetworkSpec, batch: usize) -> Replanner {
-    Arc::new(move |world| replan_for_world(&platform, &spec, batch, world, None).map(|(s, _)| s))
-}
-
-/// The performance-model half of the gray-failure rebalance rung:
-/// derive per-rank speed weights from measured busy-time EMAs
-/// ([`fg_core::weights_from_ema`]), re-decompose `base` with them, and
-/// hand the result back only if it validates and (at recovery-relevant
-/// world sizes) passes static schedule verification — the same gate a
-/// shrink replan goes through. `None` means the weighted layout is not
-/// viable and the driver should fall back to tolerating or evicting.
-pub fn rebalance_for_stragglers(
-    base: &Strategy,
-    spec: &NetworkSpec,
-    batch: usize,
-    measured_ema: &[f64],
-) -> Option<Strategy> {
-    if measured_ema.len() != base.world_size() {
-        return None;
-    }
-    let weights = fg_core::weights_from_ema(measured_ema);
-    let strategy = base.clone().with_rank_weights(weights);
-    if strategy.validate(spec, batch).is_err() {
-        return None;
-    }
-    const VERIFY_WORLD_CAP: usize = 64;
-    if strategy.world_size() <= VERIFY_WORLD_CAP {
-        match fg_core::DistExecutor::new(spec.clone(), strategy.clone(), batch) {
-            Ok(exec) if exec.verify().is_clean() => {}
-            _ => return None,
-        }
-    }
-    Some(strategy)
+    Arc::new(move |world| replan_for_world(&platform, &spec, batch, world).map(|(s, _)| s))
 }
 
 #[cfg(test)]
@@ -123,7 +72,7 @@ mod tests {
         let platform = Platform::lassen_like();
         let net = toy_net();
         // The degradation case: a 4-rank world lost a rank.
-        let (s, cost) = replan_for_world(&platform, &net, 6, 3, None).expect("3 ranks viable");
+        let (s, cost) = replan_for_world(&platform, &net, 6, 3).expect("3 ranks viable");
         assert_eq!(s.world_size(), 3);
         assert_eq!(s.validate(&net, 6), Ok(()));
         assert!(cost.total() > 0.0);
@@ -133,8 +82,8 @@ mod tests {
     fn degenerate_worlds_yield_none_not_a_panic() {
         let platform = Platform::lassen_like();
         let net = toy_net();
-        assert!(replan_for_world(&platform, &net, 6, 0, None).is_none());
-        assert!(replan_for_world(&platform, &net, 0, 3, None).is_none());
+        assert!(replan_for_world(&platform, &net, 6, 0).is_none());
+        assert!(replan_for_world(&platform, &net, 0, 3).is_none());
     }
 
     #[test]
@@ -158,23 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_rebalance_produces_a_verified_weighted_strategy() {
-        let net = toy_net();
-        let base = Strategy::uniform(&net, fg_tensor::ProcGrid::spatial(4, 1));
-        // A 3x straggler on rank 0: the weighted layout must validate,
-        // verify, and carry the inverted weights.
-        let s = rebalance_for_stragglers(&base, &net, 4, &[3e6, 1e6, 1e6, 1e6])
-            .expect("weighted layout viable");
-        assert_eq!(s.rank_weights, Some(vec![8, 24, 24, 24]));
-        assert_eq!(s.validate(&net, 4), Ok(()));
-        // Uniform measurements normalize back to the uniform strategy.
-        let uniform = rebalance_for_stragglers(&base, &net, 4, &[1e6; 4]).unwrap();
-        assert_eq!(uniform, base);
-        // A measurement vector for the wrong world is rejected.
-        assert!(rebalance_for_stragglers(&base, &net, 4, &[1e6; 3]).is_none());
-    }
-
-    #[test]
     fn replanned_strategies_pass_static_schedule_verification() {
         // The verify gate inside replan_for_world already ran for these
         // worlds (≤ the cap); re-verify explicitly so a regression in
@@ -182,7 +114,7 @@ mod tests {
         let platform = Platform::lassen_like();
         let net = toy_net();
         for world in [1, 2, 3, 4] {
-            if let Some((s, _)) = replan_for_world(&platform, &net, 8, world, None) {
+            if let Some((s, _)) = replan_for_world(&platform, &net, 8, world) {
                 let exec = fg_core::DistExecutor::new(net.clone(), s, 8).unwrap();
                 let report = exec.verify();
                 assert!(report.is_clean(), "world {world}: {report}");

@@ -8,8 +8,7 @@
 
 use fg_models::{mesh_model, resnet50, MeshSize};
 use fg_nn::NetworkSpec;
-use fg_perf::memory::V100_BYTES;
-use fg_perf::{Platform, StrategyOptimizer};
+use fg_perf::{Platform, StrategyOptimizer, V100_BYTES};
 use fg_tensor::ProcGrid;
 
 #[derive(Clone, Copy)]
@@ -82,5 +81,12 @@ fn search_answers_match_the_recorded_ones_to_the_bit() {
         let case = format!("{} layers, batch {batch}, world {world}", spec.len());
         assert_eq!(runs(&strategy.grids), grids, "{case}");
         assert_eq!(cost.total().to_bits(), cost_bits, "{case}: modeled {:e} s", cost.total());
+        if let Some(bytes) = limit {
+            // The winner fits the limit by the exact bound, not only by
+            // the search's per-layer shares.
+            let ranks = fg_core::sample_ranks(world);
+            let report = fg_core::analyze_strategy(spec, &strategy, batch, &ranks).unwrap();
+            assert!(report.max_peak() <= bytes, "{case}: {report} over a {bytes} B limit");
+        }
     }
 }
