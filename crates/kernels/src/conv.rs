@@ -65,11 +65,12 @@
 //!   `(c, r, s)`, which are adjacent in `dw`. Per `(k, oh)` the row's
 //!   inputs are gathered once into `xg[j][c·kh·kw + r·kw + s]` (through
 //!   [`TapRows`]; `cols × C·kh·kw` floats, 115 KB for an 18-channel 5×5
-//!   layer on 64-column rows, allocated once per call), then
-//!   `acc[f][i] += dy[f][j] · xg[j][i]` for `j` ascending from `+0.0` and
-//!   `dw[f][i] += acc[f][i]`: the ascending-`j` dot product and the
-//!   `(k, oh)` order of the contract, with the lanes across taps, so a
-//!   row of one element is the rank-1 update it really is.
+//!   layer on 64-column rows, allocated once per call) and its `dy` into
+//!   `dyg[j][f]`, then `acc[f][i] += dyg[j][f] · xg[j][i]` for `j`
+//!   ascending from `+0.0` and `dw[f][i] += acc[f][i]`: the ascending-`j`
+//!   dot product and the `(k, oh)` order of the contract, with the lanes
+//!   across taps, so a row of one element is the rank-1 update it really
+//!   is.
 //! * **Backward-data** — `B` channels × `CW` columns of one [`Segment`]
 //!   of one `(k, ih)` row. The requested columns decompose by stride
 //!   phase ([`WidthPhases`]): an input column with `iw + pad_w = m·s_w +
@@ -80,6 +81,37 @@
 //!   the same way (`r = (ih + pad_h) mod s_h, + s_h, …`). Inside the
 //!   tile, `for r { for f { term = Σ_s; acc += term } }`; the finished
 //!   tile is written to `dx` at stride `s_w`.
+//!
+//! # Small maps
+//!
+//! A row narrower than one chunk of [`CHUNK`] columns leaves most lanes
+//! idle: on ResNet-50's 4×4, 2×2 and 1×1 maps a forward tile is 4, 2 or 1
+//! column wide. There a call takes its `(k, oh)` rows in blocks
+//! ([`row_blocks`]: as many as [`BLOCK_FLOATS`] of gathered input hold;
+//! from [`CHUNK`] columns on, one row, which is the loop above):
+//!
+//! * **Forward** makes the block's positions `(k, oh, ow)` one virtual
+//!   row ([`TapRows::positions`]): per channel and tap, what the
+//!   positions read is gathered into one contiguous run, straight from
+//!   the window with the stride folded in; the unchanged [`ForwardTile`]
+//!   covers the row in full chunks, and its `(f, position)` results are
+//!   written back to `(k, f, oh, ow)`.
+//! * **Backward-filter** gathers the block's rows into one `xg` and
+//!   `dyg`. Its tile loads its `dw` block once, adds each row's dot
+//!   product (`j` ascending from `+0.0`) in `(k, oh)` order, and stores
+//!   the block once, so `dw` is read and written once a block instead
+//!   of once a row.
+//! * **Backward-data** does what forward does where one tap list serves
+//!   every `dx` position of the call that any tap reaches — a 1×1
+//!   kernel at any stride, or one position per sample
+//!   ([`one_tap_list`]): those positions of a block are one virtual row
+//!   over a gathered `dy`; positions no tap reaches keep their zeros.
+//!
+//! No sum is reordered. A result element is still one lane of one tile,
+//! wherever its position sits in the virtual row, and the tile visits
+//! its terms in the same order whatever the gather put beside it;
+//! backward-filter's blocks still add one dot product per row, from
+//! `+0.0`, in `(k, oh)` order.
 //!
 //! # Signed zeros
 //!
@@ -262,6 +294,52 @@ impl<'a> TapRows<'a> {
         rows_at(scratch, height * width, width, 0, &|s| qoff[s % sw] + s / sw)
     }
 
+    /// A small map's virtual row: the output positions `(k, oh, ow)` of
+    /// the region rows `block` (row `q` is sample `q / rows`, row `q %
+    /// rows` of a region `rows × cols` whose first input element is
+    /// `first`, global) in that order, `V = block.len()·cols` of them.
+    /// Through tap `t`, position `p` of channel `c` reads element
+    /// `tap_at[t] + p` of `rows(c, 0)` — every channel's and tap's run is
+    /// contiguous. Gathered straight from the window, stride and all:
+    /// `C·kh·kw·V` floats of `scratch`.
+    fn positions(
+        x: &Tensor,
+        x_origin: (i64, i64),
+        geom: &ConvGeometry,
+        first: (i64, i64),
+        (rows, cols): (usize, usize),
+        block: Range<usize>,
+        scratch: &'a mut Vec<f32>,
+    ) -> Self {
+        let xs = x.shape();
+        let (row0, col0) = ((first.0 - x_origin.0) as usize, (first.1 - x_origin.1) as usize);
+        let len = block.len() * cols;
+        let taps = geom.kh * geom.kw;
+        scratch.resize(xs.c * taps * len, 0.0);
+        for (i, q) in block.enumerate() {
+            let ih = row0 + q % rows * geom.stride_h;
+            for c in 0..xs.c {
+                for r in 0..geom.kh {
+                    let row = &x.as_slice()[xs.offset(q / rows, c, ih + r, col0)..];
+                    for s in 0..geom.kw {
+                        let t = c * taps + r * geom.kw + s;
+                        let run = &mut scratch[t * len + i * cols..][..cols];
+                        for (d, v) in run.iter_mut().zip(row[s..].iter().step_by(geom.stride_w)) {
+                            *d = *v;
+                        }
+                    }
+                }
+            }
+        }
+        TapRows {
+            data: scratch,
+            plane: taps * len,
+            pitch: len,
+            first: 0,
+            tap_at: (0..taps).map(|t| t * len).collect(),
+        }
+    }
+
     /// Everything from row `row` (counted from the first row the call
     /// reads) of plane `plane` (`k·C + c`) on, starting at the first
     /// column the call reads.
@@ -360,14 +438,29 @@ fn panels(channels: usize) -> impl Iterator<Item = Range<usize>> {
     (0..channels).step_by(PANEL).map(move |ch0| ch0..(ch0 + PANEL).min(channels))
 }
 
-/// Cover `channels × [0, cols)` with tiles: the row in chunks of 8
-/// columns, then 4, 2, 1 as what is left of it allows, each chunk in
-/// blocks of channels.
+/// Columns of the widest tile; a map narrower than this is a small map
+/// (see the module header).
+const CHUNK: usize = 8;
+
+/// Floats of gathered input one row block of a small map may hold.
+const BLOCK_FLOATS: usize = 64 * 1024;
+
+/// A call's `(k, oh)` rows `[0, rows)` in blocks that share one gather:
+/// one row at a time from [`CHUNK`] columns on, else as many rows as fit
+/// in [`BLOCK_FLOATS`] at `per_col` floats a column (at least one).
+fn row_blocks(rows: usize, cols: usize, per_col: usize) -> impl Iterator<Item = Range<usize>> {
+    let block = if cols >= CHUNK { 1 } else { (BLOCK_FLOATS / (cols * per_col).max(1)).max(1) };
+    (0..rows).step_by(block).map(move |q0| q0..(q0 + block).min(rows))
+}
+
+/// Cover `channels × [0, cols)` with tiles: the row in chunks of
+/// [`CHUNK`] columns, then 4, 2, 1 as what is left of it allows, each
+/// chunk in blocks of channels.
 fn for_each_tile(channels: Range<usize>, cols: usize, tile: &mut impl Tile) {
     let mut col0 = 0;
     while col0 < cols {
         col0 += match cols - col0 {
-            8.. => channel_blocks::<8>(channels.clone(), col0, tile),
+            CHUNK.. => channel_blocks::<CHUNK>(channels.clone(), col0, tile),
             4.. => channel_blocks::<4>(channels.clone(), col0, tile),
             2.. => channel_blocks::<2>(channels.clone(), col0, tile),
             _ => channel_blocks::<1>(channels.clone(), col0, tile),
@@ -417,6 +510,16 @@ fn axpy_block<const B: usize, const CW: usize>(
     }
 }
 
+/// `acc[b][i] += terms[b][i]`.
+#[inline(always)]
+fn add_block<const B: usize, const CW: usize>(acc: &mut [[f32; CW]; B], terms: &[[f32; CW]; B]) {
+    for (sums, term) in acc.iter_mut().zip(terms) {
+        for (sum, tv) in sums.iter_mut().zip(term) {
+            *sum += tv;
+        }
+    }
+}
+
 /// The `CW` elements of `row` from `at` on.
 #[inline(always)]
 fn run_at<const CW: usize>(row: &[f32], at: usize) -> &[f32; CW] {
@@ -460,6 +563,43 @@ pub fn conv2d_forward_region(
     let cols = ow1 - ow0;
     let mut y = Tensor::zeros(Shape4::new(n, f_out, rows, cols));
     let mut scratch = Vec::new();
+    if cols < CHUNK {
+        let ys = y.shape();
+        let mut y_block = Vec::new();
+        for block in row_blocks(n * rows, cols, c_in * kh * kw) {
+            let len = block.len() * cols;
+            let x_rows = TapRows::positions(
+                x,
+                x_origin,
+                geom,
+                (ih_lo, iw_lo),
+                (rows, cols),
+                block.clone(),
+                &mut scratch,
+            );
+            y_block.resize(f_out * len, 0.0);
+            for filters in panels(f_out) {
+                let mut tile = ForwardTile {
+                    ws: w.as_slice(),
+                    bias,
+                    c_in,
+                    x_rows: &x_rows,
+                    x_k: x_rows.rows(0, 0),
+                    y_row: &mut y_block,
+                    y_plane: len,
+                };
+                for_each_tile(filters, len, &mut tile);
+            }
+            // The block's `(f, q, ow)` back to `(k, f, oh, ow)`.
+            for (i, q) in block.enumerate() {
+                for (f, y_f) in y_block.chunks_exact(len).enumerate() {
+                    let at = ys.offset(q / rows, f, q % rows, 0);
+                    y.as_mut_slice()[at..at + cols].copy_from_slice(&y_f[i * cols..][..cols]);
+                }
+            }
+        }
+        return y;
+    }
     let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
 
     for filters in panels(f_out) {
@@ -482,7 +622,7 @@ pub fn conv2d_forward_region(
 }
 
 /// Forward's tile: `B` filters × `CW` adjacent output columns of one
-/// `(k, oh)` row.
+/// `(k, oh)` row, or positions of a small map's virtual row.
 struct ForwardTile<'a> {
     ws: &'a [f32],
     bias: Option<&'a [f32]>,
@@ -553,27 +693,30 @@ pub fn conv2d_backward_data_region(
     let cols = iw1 - iw0;
     let mut dx = Tensor::zeros(Shape4::new(n, c_out, rows, cols));
     let phases = WidthPhases::new(geom, dx_cols, dy_origin.1);
-    let sh = geom.stride_h;
-    let out_h = geom.out_h();
+    let (sh, out_h) = (geom.stride_h, geom.out_h());
 
-    // The kernel rows reaching one dx row, each with the dy window row it
-    // reads there.
-    let mut row_taps = Vec::with_capacity(geom.kh);
+    // Per dx row, the kernel rows reaching it, each with the dy window row
+    // it reads there: row ih + pad_h = mh·s_h + qh is reached by kernel
+    // rows r = qh + eh·s_h from output row mh − eh.
+    let row_taps: Vec<Vec<(usize, usize)>> = (ih0..ih1)
+        .map(|ih| {
+            let (mh, qh) = ((ih + geom.pad_h) / sh, (ih + geom.pad_h) % sh);
+            (qh..geom.kh)
+                .step_by(sh)
+                .enumerate()
+                .filter(|&(eh, _)| eh <= mh && mh - eh < out_h)
+                .map(|(eh, r)| (r, ((mh - eh) as i64 - dy_origin.0) as usize))
+                .collect()
+        })
+        .collect();
+    if cols < CHUNK && one_tap_list(&row_taps, &phases) {
+        backward_data_small_map(dy, w, geom, &row_taps, &phases, &mut dx);
+        return dx;
+    }
     for channels in panels(c_out) {
         for (k, dx_k) in dx.as_mut_slice().chunks_exact_mut(c_out * rows * cols).enumerate() {
             let dy_k = &dy.as_slice()[k * f_in * win_h * win_w..][..f_in * win_h * win_w];
-            for ih in ih0..ih1 {
-                // Row ih + pad_h = mh·s_h + qh is reached by kernel rows
-                // r = qh + eh·s_h from output row mh − eh.
-                let (mh, qh) = ((ih + geom.pad_h) / sh, (ih + geom.pad_h) % sh);
-                row_taps.clear();
-                row_taps.extend(
-                    (qh..geom.kh)
-                        .step_by(sh)
-                        .enumerate()
-                        .filter(|&(eh, _)| eh <= mh && mh - eh < out_h)
-                        .map(|(eh, r)| (r, ((mh - eh) as i64 - dy_origin.0) as usize)),
-                );
+            for (i, taps_i) in row_taps.iter().enumerate() {
                 for segment in &phases.segments {
                     let mut tile = BackwardDataTile {
                         dy_k,
@@ -583,10 +726,11 @@ pub fn conv2d_backward_data_region(
                         ws: w.as_slice(),
                         w_filter: c_out * geom.kh * geom.kw,
                         geom,
-                        row_taps: &row_taps,
+                        row_taps: taps_i,
                         taps: &phases.taps[segment.taps.clone()],
-                        dx_row: &mut dx_k[(ih - ih0) * cols + segment.first_col..],
+                        dx_row: &mut dx_k[i * cols + segment.first_col..],
                         dx_plane: rows * cols,
+                        dx_step: geom.stride_w,
                     };
                     for_each_tile(channels.clone(), segment.len, &mut tile);
                 }
@@ -596,8 +740,100 @@ pub fn conv2d_backward_data_region(
     dx
 }
 
+/// Whether every `dx` position some tap reaches is reached through the
+/// same kernel rows and columns — on a 1×1 kernel, or one position per
+/// sample — and some position is.
+fn one_tap_list(row_taps: &[Vec<(usize, usize)>], phases: &WidthPhases) -> bool {
+    let kernel_rows = |taps: &Vec<(usize, usize)>| taps.iter().map(|&(r, _)| r).collect::<Vec<_>>();
+    let kernel_cols = |segment: &Segment| phases.taps[segment.taps.clone()].iter().map(|t| t.s);
+    let mut reached = row_taps.iter().filter(|taps| !taps.is_empty()).map(kernel_rows);
+    let Some(first) = reached.next() else { return false };
+    reached.all(|rows| rows == first)
+        && !phases.segments.is_empty()
+        && phases.segments.windows(2).all(|p| kernel_cols(&p[0]).eq(kernel_cols(&p[1])))
+}
+
+/// Backward-data on a small map whose reached positions share one tap
+/// list ([`one_tap_list`]): the reached `(k, ih, iw)` of a block of `(k,
+/// ih)` rows are one virtual row. `dy` is gathered so that what the
+/// positions read through kernel row `i` and column tap `e` of filter `f`
+/// is one run, `dyv[((f·R + i)·S + e)·V + p]`; the unchanged tile covers
+/// it with the same `(r, f, s)` order, and its `(c, p)` results go back
+/// to `(k, c, ih, iw)`.
+fn backward_data_small_map(
+    dy: &Tensor,
+    w: &Tensor,
+    geom: &ConvGeometry,
+    row_taps: &[Vec<(usize, usize)>],
+    phases: &WidthPhases,
+    dx: &mut Tensor,
+) {
+    let (n, f_in) = (dy.shape().n, dy.shape().c);
+    let ds = dx.shape();
+    let reached: Vec<usize> = (0..row_taps.len()).filter(|&i| !row_taps[i].is_empty()).collect();
+    let kernel_rows: Vec<(usize, usize)> =
+        row_taps[reached[0]].iter().enumerate().map(|(i, &(r, _))| (r, i)).collect();
+    let segments = &phases.segments;
+    let (nr, ns) = (kernel_rows.len(), segments[0].taps.len());
+    let per_row: usize = segments.iter().map(|s| s.len).sum();
+    let (mut dyv, mut dxv) = (Vec::new(), Vec::new());
+    for block in row_blocks(n * reached.len(), per_row, f_in * nr * ns) {
+        // Position p of the block: sample k, region row ih, a segment's
+        // column j, in that order.
+        let positions = || {
+            block.clone().flat_map(|q| {
+                let (k, ih) = (q / reached.len(), reached[q % reached.len()]);
+                segments.iter().flat_map(move |s| (0..s.len).map(move |j| (k, ih, s, j)))
+            })
+        };
+        let len = block.len() * per_row;
+        dyv.resize(f_in * nr * ns * len, 0.0);
+        for (p, (k, ih, segment, j)) in positions().enumerate() {
+            let taps = &phases.taps[segment.taps.clone()];
+            for f in 0..f_in {
+                for (i, &(_, lh)) in row_taps[ih].iter().enumerate() {
+                    for (e, tap) in taps.iter().enumerate() {
+                        let at = dy.shape().offset(k, f, lh, tap.src + j);
+                        dyv[((f * nr + i) * ns + e) * len + p] = dy.as_slice()[at];
+                    }
+                }
+            }
+        }
+        let taps: Vec<SegmentTap> = phases.taps[segments[0].taps.clone()]
+            .iter()
+            .enumerate()
+            .map(|(e, tap)| SegmentTap { s: tap.s, src: e * len })
+            .collect();
+        dxv.resize(ds.c * len, 0.0);
+        let mut tile = BackwardDataTile {
+            dy_k: &dyv,
+            dy_plane: nr * ns * len,
+            win_w: ns * len,
+            f_in,
+            ws: w.as_slice(),
+            w_filter: ds.c * geom.kh * geom.kw,
+            geom,
+            row_taps: &kernel_rows,
+            taps: &taps,
+            dx_row: &mut dxv,
+            dx_plane: len,
+            dx_step: 1,
+        };
+        for channels in panels(ds.c) {
+            for_each_tile(channels, len, &mut tile);
+        }
+        for (p, (k, ih, segment, j)) in positions().enumerate() {
+            for (c, dx_c) in dxv.chunks_exact(len).enumerate() {
+                let at = ds.offset(k, c, ih, segment.first_col + j * geom.stride_w);
+                dx.as_mut_slice()[at] = dx_c[p];
+            }
+        }
+    }
+}
+
 /// Backward-data's tile: `B` channels × `CW` columns of one
-/// [`Segment`] of one `(k, ih)` row.
+/// [`Segment`] of one `(k, ih)` row, or positions of a small map's
+/// virtual row.
 struct BackwardDataTile<'a> {
     /// Sample `k`'s `dy` window, filter `f`'s plane at `f · dy_plane`.
     dy_k: &'a [f32],
@@ -613,9 +849,10 @@ struct BackwardDataTile<'a> {
     /// The segment's column taps, `s` ascending.
     taps: &'a [SegmentTap],
     /// Channel 0's row from the segment's first column on, the segment's
-    /// columns `stride_w` apart; channel `c`'s is `c · dx_plane` further.
+    /// columns `dx_step` apart; channel `c`'s is `c · dx_plane` further.
     dx_row: &'a mut [f32],
     dx_plane: usize,
+    dx_step: usize,
 }
 
 impl BackwardDataTile<'_> {
@@ -685,11 +922,7 @@ impl BackwardDataTile<'_> {
                 let (wv, dy_run) = self.operands(w_at, dy_at, tap);
                 axpy_block(&mut terms, wv, dy_run);
             }
-            for (sums, term) in acc.iter_mut().zip(terms) {
-                for (sum, tv) in sums.iter_mut().zip(term) {
-                    *sum += tv;
-                }
-            }
+            add_block(&mut acc, &terms);
         });
         acc
     }
@@ -701,10 +934,10 @@ impl Tile for BackwardDataTile<'_> {
             [tap] => self.lone_tap_sums::<B, CW>(c0, col0, tap),
             _ => self.term_sums::<B, CW>(c0, col0),
         };
-        let sw = self.geom.stride_w;
+        let step = self.dx_step;
         for (b, sums) in acc.iter().enumerate() {
-            let dx_c = &mut self.dx_row[(c0 + b) * self.dx_plane + col0 * sw..];
-            for (d, v) in dx_c.iter_mut().step_by(sw).zip(sums) {
+            let dx_c = &mut self.dx_row[(c0 + b) * self.dx_plane + col0 * step..];
+            for (d, v) in dx_c.iter_mut().step_by(step).zip(sums) {
                 *d = *v;
             }
         }
@@ -750,62 +983,86 @@ pub fn conv2d_backward_filter_region(
     let dy_plane = dy_shape.h * dy_shape.w;
     let cols = ow1 - ow0;
 
-    // One output row's inputs, gathered: `xg[j · taps + c·kh·kw + r·kw + s]`
-    // is what output column j reads through tap (c, r, s).
+    // A block of `(k, oh)` rows, gathered per output column j of its row
+    // i: `xg[(i·cols + j) · taps + c·kh·kw + r·kw + s]` is what the column
+    // reads through tap (c, r, s), `dyg[(i·cols + j) · F + f]` its `dy`.
     let taps = c_in * geom.kh * geom.kw;
-    let mut xg = vec![0.0f32; cols * taps];
-    for k in 0..n {
-        for oh in oh0..oh1 {
+    let rows = oh1 - oh0;
+    let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
+    let (mut xg, mut dyg) = (Vec::new(), Vec::new());
+    for block in row_blocks(n * rows, cols, taps) {
+        xg.resize(block.len() * cols * taps, 0.0);
+        dyg.resize(block.len() * cols * f_out, 0.0);
+        let gathered = xg.chunks_exact_mut(cols * taps).zip(dyg.chunks_exact_mut(cols * f_out));
+        for (q, (xg_q, dyg_q)) in block.clone().zip(gathered) {
+            let (k, oh) = (q / rows, oh0 + q % rows);
             let lh_dy = (oh as i64 - dy_origin.0) as usize;
-            let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
             let dy_k = &dy.as_slice()[dy_shape.offset(k, 0, lh_dy, lw_dy0)..];
-            for (db_f, dy_row) in db.iter_mut().zip(dy_k.chunks(dy_plane)) {
+            for (f, (db_f, dy_row)) in db.iter_mut().zip(dy_k.chunks(dy_plane)).enumerate() {
                 *db_f += dy_row[..cols].iter().sum::<f32>();
+                for (g, v) in dyg_q[f..].iter_mut().step_by(f_out).zip(&dy_row[..cols]) {
+                    *g = *v;
+                }
             }
             let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
             for (c, x_c) in x_k.chunks(x_rows.plane).take(c_in).enumerate() {
                 for (t, &at) in x_rows.tap_at.iter().enumerate() {
-                    let column = xg[c * x_rows.tap_at.len() + t..].iter_mut().step_by(taps);
+                    let column = xg_q[c * x_rows.tap_at.len() + t..].iter_mut().step_by(taps);
                     for (g, xv) in column.zip(&x_c[at..at + cols]) {
                         *g = *xv;
                     }
                 }
             }
-            let mut tile =
-                BackwardFilterTile { xg: &xg, taps, dy_k, dy_plane, dw: dw.as_mut_slice() };
-            for filters in panels(f_out) {
-                for_each_tile(filters, taps, &mut tile);
-            }
+        }
+        let mut tile = BackwardFilterTile {
+            xg: &xg,
+            taps,
+            dyg: &dyg,
+            filters: f_out,
+            rows: block.len(),
+            cols,
+            dw: dw.as_mut_slice(),
+        };
+        for filters in panels(f_out) {
+            for_each_tile(filters, taps, &mut tile);
         }
     }
     (dw, db)
 }
 
 /// Backward-filter's tile: `B` filters × `CW` adjacent taps `(c, r, s)`
-/// of one `(k, oh)` row's contribution to `dw`.
+/// of `dw`, through one block of `(k, oh)` rows.
 struct BackwardFilterTile<'a> {
-    /// The row's gathered inputs, `taps` per output column.
+    /// The block's gathered inputs, `taps` per output column.
     xg: &'a [f32],
     taps: usize,
-    /// Filter 0's `dy` row from the region's first column on; filter
-    /// `f`'s is `f · dy_plane` further on.
-    dy_k: &'a [f32],
-    dy_plane: usize,
+    /// The block's gathered `dy`, `filters` per output column.
+    dyg: &'a [f32],
+    filters: usize,
+    /// Rows in the block and output columns per row.
+    rows: usize,
+    cols: usize,
     dw: &'a mut [f32],
 }
 
 impl Tile for BackwardFilterTile<'_> {
+    /// The block of `dw` is loaded once, gains each row's dot product in
+    /// row order, and is stored once.
     fn run<const B: usize, const CW: usize>(&mut self, f0: usize, tap0: usize) {
-        let dy_f: [&[f32]; B] = std::array::from_fn(|b| &self.dy_k[(f0 + b) * self.dy_plane..]);
-        let mut acc = [[0.0f32; CW]; B];
-        for (j, xg_j) in self.xg.chunks_exact(self.taps).enumerate() {
-            axpy_block(&mut acc, std::array::from_fn(|b| dy_f[b][j]), run_at(xg_j, tap0));
-        }
-        for (b, sums) in acc.iter().enumerate() {
-            let dw_f = &mut self.dw[(f0 + b) * self.taps + tap0..][..CW];
-            for (d, v) in dw_f.iter_mut().zip(sums) {
-                *d += v;
+        let dw_at = |b: usize| (f0 + b) * self.taps + tap0;
+        let mut sums: [[f32; CW]; B] = std::array::from_fn(|b| *run_at(self.dw, dw_at(b)));
+        let (mut dy_at, mut xg_at) = (f0, tap0);
+        for _ in 0..self.rows {
+            let mut acc = [[0.0f32; CW]; B];
+            for _ in 0..self.cols {
+                axpy_block(&mut acc, *run_at(self.dyg, dy_at), run_at(self.xg, xg_at));
+                dy_at += self.filters;
+                xg_at += self.taps;
             }
+            add_block(&mut sums, &acc);
+        }
+        for (b, row) in sums.iter().enumerate() {
+            self.dw[dw_at(b)..][..CW].copy_from_slice(row);
         }
     }
 }

@@ -659,3 +659,67 @@ fn tile_edges_equal_reference_bitwise() {
         }
     }
 }
+
+/// All three kernels over every [`split_row_ranges`] row range, each at
+/// the full width and at a drawn column sub-range, of one geometry.
+fn check_split_regions_and_columns(case: BitCase) -> Result<(), String> {
+    let geom = case.geom;
+    let mut picks = Picks(case.seed | 1);
+    for rows in split_row_ranges(geom.out_h()) {
+        for cols in [(0, geom.out_w()), picks.sub_range(geom.out_w())] {
+            check_forward(case, rows, cols, &mut picks)?;
+            check_backward_filter(case, rows, cols, &mut picks)?;
+        }
+    }
+    for rows in split_row_ranges(geom.in_h) {
+        for cols in [(0, geom.in_w), picks.sub_range(geom.in_w)] {
+            check_backward_data(case, rows, cols, &mut picks)?;
+        }
+    }
+    Ok(())
+}
+
+/// Small maps — rows narrower than a full chunk of columns, where a call
+/// covers all its samples and rows as one virtual row (forward,
+/// backward-data where one tap list serves every position) or adds its
+/// rows' dot products into `dw` a block of rows at a time
+/// (backward-filter) — deterministically: output extents 1–7, 1–4
+/// samples, 1×1 and 3×3 (pad 1) kernels at strides 1 and 2, channel and
+/// filter counts on both sides of every block size, so virtual rows end
+/// on and off every chunk width.
+#[test]
+fn small_maps_equal_reference_bitwise() {
+    const CHANNELS: [usize; 9] = [1, 3, 4, 5, 8, 9, 16, 17, 33];
+    let mut seed = 0x5EED_0002u64;
+    let mut check = |n, c, f, geom| {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        if let Err(reproducer) = check_split_regions_and_columns(BitCase { n, c, f, geom, seed }) {
+            panic!("{reproducer}");
+        }
+    };
+    for extent in 1..=7 {
+        for n in 1..=4 {
+            // Input extents giving `extent` outputs: 1×1 and 3×3 (pad 1) at
+            // stride 1, then at stride 2 from an odd or an even input.
+            let strided = 2 * extent - n % 2;
+            let geoms = [
+                ConvGeometry::square(extent, extent, 1, 1, 0),
+                ConvGeometry::square(strided, strided, 1, 2, 0),
+                ConvGeometry::square(extent, extent, 3, 1, 1),
+                ConvGeometry::square(strided, strided, 3, 2, 1),
+            ];
+            for (g, geom) in geoms.into_iter().enumerate() {
+                // Every count once as channels, paired with a filter count
+                // that shifts from one geometry to the next.
+                for (i, c) in CHANNELS.into_iter().enumerate() {
+                    let f = CHANNELS[(i + extent + 2 * n + 3 * g) % CHANNELS.len()];
+                    check(n, c, f, geom);
+                }
+            }
+        }
+    }
+    // Backward-filter rows in several blocks, the last one partial: a row
+    // gathers 64·3·3 taps × 7 columns = 4 032 floats, so a 64 K-float
+    // block holds 16 rows and 4 samples × 9 rows are 16 + 16 + 4.
+    check(4, 64, 5, ConvGeometry::square(9, 7, 3, 1, 1));
+}

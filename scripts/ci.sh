@@ -211,6 +211,7 @@ bitwise_conv_tests=(
     backward_data_region_equals_gather_reference_bitwise
     backward_filter_region_equals_strided_reference_bitwise
     tile_edges_equal_reference_bitwise
+    small_maps_equal_reference_bitwise
 )
 filtered_tests -p fg-kernels --test conv_properties -- "${bitwise_conv_tests[@]}"
 filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv_tests[@]}"
