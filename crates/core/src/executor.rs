@@ -128,49 +128,6 @@ pub struct DistPass {
     pub loss_grad: Option<Act>,
 }
 
-/// Compile every rank's plan for every layer. Plans are independent of
-/// one another, so large worlds (the paper-scale traces `repro --
-/// simscale` executes) compile rank-parallel on scoped threads; the
-/// result is identical to the serial order — `plans[layer][rank]`.
-///
-/// Each thread compiles its chunk of ranks for the whole network, in
-/// place. The plans outlive the threads, in whichever allocator arena
-/// their thread drew: with one short-lived pair of threads per layer the
-/// split of a world's plans between the arenas was a race, an arena
-/// keeps its high-water mark, and a process that compiles many worlds
-/// (the planner) crept to twice the footprint of any one of them.
-/// Threads that run side by side for the whole compile hold an arena
-/// each.
-fn compile_all_plans(layers: &[Box<dyn DistLayer>], world: usize) -> Vec<Vec<LayerPlan>> {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-    if world < 64 || threads < 2 {
-        return layers.iter().map(|l| (0..world).map(|r| l.compile_plan(r)).collect()).collect();
-    }
-    let chunk = world.div_ceil(threads);
-    let mut plans: Vec<Vec<LayerPlan>> =
-        layers.iter().map(|_| vec![LayerPlan::default(); world]).collect();
-    // Column t: ranks [t·chunk, (t+1)·chunk) of every layer's row.
-    let mut columns: Vec<Vec<&mut [LayerPlan]>> =
-        (0..world.div_ceil(chunk)).map(|_| Vec::with_capacity(layers.len())).collect();
-    for row in &mut plans {
-        for (column, part) in columns.iter_mut().zip(row.chunks_mut(chunk)) {
-            column.push(part);
-        }
-    }
-    std::thread::scope(|s| {
-        for (t, column) in columns.into_iter().enumerate() {
-            s.spawn(move || {
-                for (l, part) in layers.iter().zip(column) {
-                    for (i, slot) in part.iter_mut().enumerate() {
-                        *slot = l.compile_plan(t * chunk + i);
-                    }
-                }
-            });
-        }
-    });
-    plans
-}
-
 /// Distributed executor bound to a network, strategy, and batch size.
 #[derive(Debug)]
 pub struct DistExecutor {
@@ -199,7 +156,8 @@ impl DistExecutor {
         let schedule = StepSchedule::compile(&layers);
 
         let world = strategy.world_size();
-        let plans = compile_all_plans(&layers, world);
+        let plans: Vec<Vec<LayerPlan>> =
+            layers.iter().map(|l| (0..world).map(|r| l.compile_plan(r)).collect()).collect();
         // Memory plans are compiled here, on the constructing thread, not
         // on a rank's first step: an executor-lifetime allocation made
         // from a rank thread mid-step outlives its world and pins that
@@ -568,7 +526,7 @@ impl DistExecutor {
                 if !step.feeds[i] {
                     continue;
                 }
-                let routed = match (plan.back_shuffles[i].as_ref(), dact) {
+                let routed = match (plan.back_shuffle(i), dact) {
                     (Some(shuffle), Act::Shard(dt)) => {
                         Act::Shard(shuffle.execute(comm, &dt, [0; 4], [0; 4]))
                     }

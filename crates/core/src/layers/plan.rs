@@ -36,10 +36,12 @@ use crate::overlap::InteriorPlan;
 pub struct LayerPlan {
     /// Per parent edge: the §III-C shuffle bringing the parent's output
     /// into this layer's input distribution (`None` when they match or
-    /// the edge is per-sample).
+    /// the edge is per-sample). Empty when no edge of the layer
+    /// shuffles; read a slot with [`LayerPlan::in_shuffle`].
     pub in_shuffles: Vec<Option<ShufflePlan>>,
     /// Per parent edge: the adjoint shuffle routing this layer's `dx`
-    /// back to the parent's distribution.
+    /// back to the parent's distribution. Empty like `in_shuffles`;
+    /// read a slot with [`LayerPlan::back_shuffle`].
     pub back_shuffles: Vec<Option<ShufflePlan>>,
     /// Forward halo plan for the input window (conv/pool).
     pub x_halo: Option<HaloPlan>,
@@ -53,6 +55,18 @@ pub struct LayerPlan {
     pub cross_group: Option<SubCommLayout>,
     /// This rank's sample block of the global labels (per-sample loss).
     pub label_range: Option<Range<usize>>,
+}
+
+impl LayerPlan {
+    /// The forward shuffle of parent edge `edge`, if it shuffles.
+    pub(crate) fn in_shuffle(&self, edge: usize) -> Option<&ShufflePlan> {
+        self.in_shuffles.get(edge).and_then(Option::as_ref)
+    }
+
+    /// The adjoint shuffle of parent edge `edge`, if it shuffles.
+    pub(crate) fn back_shuffle(&self, edge: usize) -> Option<&ShufflePlan> {
+        self.back_shuffles.get(edge).and_then(Option::as_ref)
+    }
 }
 
 /// Spec- and strategy-derived identity shared by every layer object.
@@ -88,9 +102,16 @@ impl LayerBase {
 
     /// Compile the shuffle geometry shared by all layer kinds: one
     /// forward and one adjoint [`ShufflePlan`] per parent edge whose
-    /// distributions differ.
+    /// distributions differ. A layer none of whose edges shuffles — every
+    /// layer of a uniform strategy — gets no slots at all: an
+    /// `Option<ShufflePlan>` is 200 B, and two `vec![None; parents]` per
+    /// layer and rank were most of the allocations of a paper-scale
+    /// compile.
     pub fn compile_io(&self, rank: usize) -> LayerPlan {
         let mut plan = LayerPlan::default();
+        if !(0..self.parent_dists.len()).any(|i| self.shuffles_edge(i)) {
+            return plan;
+        }
         for (i, have) in self.parent_dists.iter().enumerate() {
             let ends = self.in_dist.as_ref().zip(have.as_ref()).filter(|_| self.shuffles_edge(i));
             let build = |from: &TensorDist, to: &TensorDist| {

@@ -525,11 +525,11 @@ pub(crate) fn check_conservation(
                 let (mut sent, mut recv) = (0usize, 0usize);
                 for plan in per_rank {
                     let slot = if dir == "in_shuffle" {
-                        &plan.in_shuffles[edge]
+                        plan.in_shuffle(edge)
                     } else {
-                        &plan.back_shuffles[edge]
+                        plan.back_shuffle(edge)
                     };
-                    if let Some(sp) = slot.as_ref() {
+                    if let Some(sp) = slot {
                         sent += sp.send_elements();
                         recv += sp.recvs().iter().map(|(_, b)| b.len()).sum::<usize>();
                     }

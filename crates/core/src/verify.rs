@@ -43,7 +43,6 @@ use std::time::{Duration, Instant};
 
 use fg_comm::{check_traces, CheckKind, Phase, RankTrace, TraceRecorder, VerifyStats, Violation};
 use fg_nn::{LayerKind, NetworkSpec};
-use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{Box4, ProcGrid, Shape4, TensorDist};
 
 use crate::executor::DistExecutor;
@@ -229,12 +228,12 @@ fn check_plan_geometry(
                 let mut expected: BTreeMap<(usize, usize), Vec<Box4>> = BTreeMap::new();
                 let mut any = false;
                 for (rank, plan) in per_rank.iter().enumerate().take(world) {
-                    let slot: &Option<ShufflePlan> = if dir == "in_shuffle" {
-                        &plan.in_shuffles[edge]
+                    let slot = if dir == "in_shuffle" {
+                        plan.in_shuffle(edge)
                     } else {
-                        &plan.back_shuffles[edge]
+                        plan.back_shuffle(edge)
                     };
-                    let Some(sp) = slot.as_ref() else { continue };
+                    let Some(sp) = slot else { continue };
                     any = true;
                     if let Err(e) = sp.check_conservation() {
                         violations.push(Violation {

@@ -118,33 +118,41 @@ impl TensorDist {
     }
 
     /// All `(rank, intersection)` pairs whose owned boxes overlap
-    /// `region`; used by redistribution and generalized halo exchange.
+    /// `region`, in ascending rank order; used by redistribution and
+    /// generalized halo exchange.
     pub fn ranks_overlapping(&self, region: &Box4) -> Vec<(usize, Box4)> {
-        // Walk only the grid coordinate ranges that can intersect.
-        let mut per_dim: [Vec<usize>; NDIMS] = [vec![], vec![], vec![], vec![]];
-        for (d, coords) in per_dim.iter_mut().enumerate() {
-            if region.hi[d] <= region.lo[d] {
-                return Vec::new();
-            }
-            let first = self.owner_coord(d, region.lo[d]);
-            let last = self.owner_coord(d, region.hi[d] - 1);
-            *coords = (first..=last).collect();
-        }
         let mut out = Vec::new();
-        for &gn in &per_dim[0] {
-            for &gc in &per_dim[1] {
-                for &gh in &per_dim[2] {
-                    for &gw in &per_dim[3] {
+        self.visit_overlapping(region, |rank, inter| out.push((rank, inter)));
+        out
+    }
+
+    /// Call `f(rank, intersection)` for every rank whose owned box
+    /// overlaps `region`, in ascending rank order. Walks only the grid
+    /// coordinate ranges that can intersect, row-major — the order
+    /// [`ProcGrid::rank_of`] numbers ranks in — and allocates nothing.
+    pub(crate) fn visit_overlapping(&self, region: &Box4, mut f: impl FnMut(usize, Box4)) {
+        let mut first = [0; NDIMS];
+        let mut last = [0; NDIMS];
+        for d in 0..NDIMS {
+            if region.hi[d] <= region.lo[d] {
+                return;
+            }
+            first[d] = self.owner_coord(d, region.lo[d]);
+            last[d] = self.owner_coord(d, region.hi[d] - 1);
+        }
+        for gn in first[0]..=last[0] {
+            for gc in first[1]..=last[1] {
+                for gh in first[2]..=last[2] {
+                    for gw in first[3]..=last[3] {
                         let rank = self.grid.rank_of([gn, gc, gh, gw]);
                         let inter = self.local_box(rank).intersect(region);
                         if !inter.is_empty() {
-                            out.push((rank, inter));
+                            f(rank, inter);
                         }
                     }
                 }
             }
         }
-        out
     }
 
     /// True when every rank owns a non-empty box (required by layers that

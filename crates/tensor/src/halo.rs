@@ -64,12 +64,12 @@ impl HaloPlan {
         let mut plan = HaloPlan::default();
 
         // What I receive: my needed box minus my own box, intersected
-        // with each owner. `ranks_overlapping` never reports empty boxes.
-        for (peer, inter) in dist.ranks_overlapping(&needed) {
+        // with each owner. The visitor never reports empty boxes.
+        dist.visit_overlapping(&needed, |peer, inter| {
             if peer != rank {
                 plan.recvs.push((peer, inter));
             }
-        }
+        });
 
         // What I send: every other rank's needed-minus-own ∩ my own box.
         // Margins are a layout property shared by all ranks, so peer
@@ -78,22 +78,19 @@ impl HaloPlan {
         // peer_own expanded by (margin_lo, margin_hi), so it can reach
         // my own box iff peer_own intersects my own box expanded by the
         // *swapped* margins (their low-side growth faces my high side).
-        // The exact send region is still computed per candidate below,
-        // in ascending rank order as before.
+        // The visitor yields the candidates in ascending rank order; the
+        // exact send region is computed per candidate.
         let reach = own_me.expand_clamped(margin_hi, margin_lo, &bounds);
-        let mut candidates: Vec<usize> =
-            dist.ranks_overlapping(&reach).into_iter().map(|(peer, _)| peer).collect();
-        candidates.sort_unstable();
-        for peer in candidates {
+        dist.visit_overlapping(&reach, |peer, _| {
             if peer == rank {
-                continue;
+                return;
             }
             let peer_needed = dist.local_box(peer).expand_clamped(margin_lo, margin_hi, &bounds);
             let inter = peer_needed.intersect(&own_me);
             if !inter.is_empty() {
                 plan.sends.push((peer, inter));
             }
-        }
+        });
         plan
     }
 
@@ -321,6 +318,21 @@ mod tests {
         let dt0 = DistTensor::new(dist.clone(), 0, [0, 0, 1, 1], [0, 0, 1, 1]);
         let plan0 = HaloPlan::build(&dt0);
         assert_eq!(plan0.recvs.len(), 3);
+    }
+
+    #[test]
+    fn sends_and_receives_run_in_ascending_rank_order() {
+        // Uneven blocks and margins of up to 2: halos reach past the
+        // nearest neighbor, so each list has many peers to order.
+        let grid = ProcGrid::spatial(3, 3);
+        let gw = crate::weights::GridWeights::from_rank_weights(grid, &[1, 2, 3, 2, 3, 1, 3, 1, 2]);
+        let dist = TensorDist::weighted(Shape4::new(2, 1, 9, 8), grid, gw);
+        for rank in 0..grid.size() {
+            let plan = HaloPlan::for_layout(&dist, rank, [0, 0, 2, 2], [0, 0, 2, 1]);
+            for list in [&plan.sends, &plan.recvs] {
+                assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "rank {rank}: {list:?}");
+            }
+        }
     }
 
     #[test]

@@ -272,6 +272,30 @@ filtered_tests -p fg-comm --lib -- \
     interned_lists_
 filtered_tests --test verify_golden -- verifier_output_
 
+# Plan compilation, pinned by name: every rank's compiled layer plan of
+# five configs (the three paper-scale planner pipelines, a weighted
+# non-power-of-two layout, a mixed strategy that shuffles one edge of a
+# join), digest for digest as recorded before compile stopped allocating
+# shuffle slots for edges that do not shuffle and per-dimension
+# coordinate lists; and the overlap walk underneath it, exact on random
+# shapes and grids. Both profiles: the benchmark measures release code,
+# and only the debug build's overflow checks catch a coordinate range
+# that runs off its end.
+step "plan compilation (plan golden + distribution geometry, debug + release)"
+plan_golden_tests=(
+    compiled_plans_match_the_recorded_ones
+    the_mixed_config_shuffles_one_edge_of_the_join
+)
+dist_geometry_tests=(
+    local_boxes_partition_every_element
+    owner_of_is_consistent_with_local_box
+    ranks_overlapping_is_exact
+)
+filtered_tests --test plan_golden -- "${plan_golden_tests[@]}"
+filtered_tests --release --test plan_golden -- "${plan_golden_tests[@]}"
+filtered_tests -p fg-tensor --test dist_properties -- "${dist_geometry_tests[@]}"
+filtered_tests -p fg-tensor --release --test dist_properties -- "${dist_geometry_tests[@]}"
+
 # Strategy search: same answers, each cost modeled once. The golden
 # test pins every per-layer grid and cost bit recorded before the search
 # got its cost table, shuffle memo and closed-form shuffle volume (up to
