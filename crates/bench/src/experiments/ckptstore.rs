@@ -107,7 +107,7 @@ pub struct ChaosRow {
 }
 
 /// Durability-cost sweep: world × redundancy.
-pub fn cost_sweep() -> Vec<CostRow> {
+fn cost_sweep() -> Vec<CostRow> {
     let mut rows = Vec::new();
     for world in [4usize, 16, 64] {
         let state = demo_state(grid_of(world));
@@ -141,7 +141,7 @@ pub fn cost_sweep() -> Vec<CostRow> {
 
 /// Chaos-recovery sweep: redundancy × fault rate, `trials` seeded
 /// trials each.
-pub fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
+fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
     let state = demo_state(grid_of(8));
     let mut rows = Vec::new();
     for redundancy in [

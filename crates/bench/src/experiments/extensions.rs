@@ -17,7 +17,7 @@ use crate::table::{fmt_time, Table};
 /// Memory-pressure alternatives for the 2K mesh model: the exact
 /// per-rank peak of training one sample under each mechanism the
 /// executor runs (§VII's comparison, made concrete).
-pub fn memory_table() -> Table {
+fn memory_table() -> Table {
     let spec = mesh_model(MeshSize::TwoK);
     let peak = |grid: ProcGrid| {
         let strategy = Strategy::uniform(&spec, grid);
@@ -52,7 +52,7 @@ pub fn memory_table() -> Table {
 /// with each overlap mechanism disabled, quantifying what hiding halo
 /// exchanges and allreduces buys. (The executed counterparts are the
 /// Criterion `ablate_*` benches.)
-pub fn overlap_ablation_table(platform: &Platform) -> Table {
+fn overlap_ablation_table(platform: &Platform) -> Table {
     let spec = mesh_model(MeshSize::OneK);
     let mut t = Table::new(
         "Extension: modeled overlap ablation, 1K mesh model",

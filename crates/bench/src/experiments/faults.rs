@@ -105,7 +105,7 @@ fn time_variant(fx: &Fixture, steps: usize, variant: &str) -> (f64, f64) {
 
 /// Best-of-`reps` steps/sec for each launch flavor, measured in strict
 /// alternation; asserts all flavors agree on the loss bitwise.
-pub fn measure_overhead(steps: usize, reps: usize) -> (f64, f64, f64, f64) {
+fn measure_overhead(steps: usize, reps: usize) -> (f64, f64, f64, f64) {
     let fx = fixture();
     let variants = ["plain", "watchdog", "faulty-transparent", "integrity"];
     let mut best = [f64::MAX; 4];

@@ -57,7 +57,7 @@ pub fn layer_series(
 
 /// Render one layer's series as FP and BP tables (rows = scheme,
 /// columns = #GPUs), like the paper's panels.
-pub fn layer_tables(
+fn layer_tables(
     platform: &Platform,
     name: &str,
     desc: &ConvLayerDesc,

@@ -72,7 +72,7 @@ pub fn calibrate_cpu_device() -> DeviceModel {
 }
 
 /// Validation table: model vs measurement on held-out conv shapes.
-pub fn compute_model_fit() -> Table {
+fn compute_model_fit() -> Table {
     let model = calibrate_cpu_device();
     let holdout = [
         ConvWork { n: 2, c: 8, h: 48, w: 48, f: 16, k: 3, s: 1 },
@@ -212,7 +212,7 @@ fn allreduce_send_bytes(p: f64, n: f64) -> f64 {
 }
 
 /// Validation table: predicted vs measured traffic volumes.
-pub fn traffic_validation() -> Table {
+fn traffic_validation() -> Table {
     let mut t = Table::new(
         "Model validation B: predicted vs measured per-rank traffic (32x32 mini mesh model, thread-sim)",
         &["grid", "class", "predicted (KiB)", "measured max (KiB)", "ratio"],

@@ -19,7 +19,7 @@ pub const SAMPLES_PER_GROUP: usize = 32;
 
 /// Modeled ResNet-50 mini-batch time with `N/32` sample groups of
 /// `k` GPUs each; `None` when the machine runs out of GPUs.
-pub fn resnet_minibatch_time(
+fn resnet_minibatch_time(
     platform: &Platform,
     spec: &NetworkSpec,
     batch: usize,

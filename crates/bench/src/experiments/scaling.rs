@@ -18,7 +18,7 @@ use crate::table::{fmt_speedup, fmt_time, Table};
 
 /// Modeled mini-batch time for the mesh model under a uniform hybrid
 /// strategy; `None` if the configuration doesn't fit the machine.
-pub fn mesh_minibatch_time(
+fn mesh_minibatch_time(
     platform: &Platform,
     spec: &NetworkSpec,
     batch: usize,
@@ -35,7 +35,7 @@ pub fn mesh_minibatch_time(
 /// Strong-scaling table (Table I for 1K, Table II for 2K): rows are
 /// mini-batch sizes, columns are GPUs/sample, cells show time and
 /// speedup over the baseline scheme.
-pub fn strong_scaling_table(
+fn strong_scaling_table(
     platform: &Platform,
     size: MeshSize,
     batches: &[usize],

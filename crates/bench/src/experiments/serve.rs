@@ -140,7 +140,7 @@ fn replicas_for(scenario: &str) -> Vec<ReplicaSpec> {
 }
 
 /// Run one (scenario, policy, load) cell.
-pub fn run_cell(
+fn run_cell(
     model: &Arc<ServableModel>,
     scenario: &'static str,
     max_batch: usize,

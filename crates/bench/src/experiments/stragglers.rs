@@ -178,7 +178,7 @@ fn slow_row_ema(grid: ProcGrid, factor: f64) -> Vec<f64> {
 }
 
 /// Execute one weighted-rebalance configuration.
-pub fn rebalance_config(
+fn rebalance_config(
     platform: &Platform,
     spec: &NetworkSpec,
     grid: ProcGrid,
@@ -211,7 +211,7 @@ pub fn rebalance_config(
 /// Execute one soft-eviction configuration: `groups` sample groups of
 /// 16 GPUs each (the paper's mesh configuration), rank 0 slowed, then
 /// the straggler's whole group evicted.
-pub fn eviction_config(platform: &Platform, spec: &NetworkSpec, groups: usize) -> EvictionRow {
+fn eviction_config(platform: &Platform, spec: &NetworkSpec, groups: usize) -> EvictionRow {
     let k = 16;
     let strategy = Strategy::uniform(spec, hybrid_grid(groups, k));
     let world = strategy.world_size();
@@ -235,7 +235,7 @@ pub fn eviction_config(platform: &Platform, spec: &NetworkSpec, groups: usize) -
 /// The eviction threshold sweep at one spatial configuration: per
 /// factor, the weighted layout's makespan against the (fixed)
 /// post-eviction makespan.
-pub fn threshold_sweep(
+fn threshold_sweep(
     platform: &Platform,
     spec: &NetworkSpec,
     grid: ProcGrid,

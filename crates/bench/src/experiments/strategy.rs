@@ -35,7 +35,7 @@ pub struct Scenario {
 }
 
 /// The scenarios reported by the `strategy` experiment.
-pub fn scenarios() -> Vec<Scenario> {
+fn scenarios() -> Vec<Scenario> {
     let scenario =
         |name, spec, batch, world| Scenario { name, spec, batch, world, memory_limit: None };
     vec![
@@ -58,7 +58,7 @@ pub fn scenarios() -> Vec<Scenario> {
 }
 
 /// Summarize a strategy as "grid × layer-count" runs.
-pub fn summarize(strategy: &Strategy) -> String {
+fn summarize(strategy: &Strategy) -> String {
     let mut runs: Vec<(ProcGrid, usize)> = Vec::new();
     for &g in &strategy.grids {
         match runs.last_mut() {

@@ -63,12 +63,9 @@ pub use p2p::{
     sub_collective_tag, world_collective_tag, CommScalar, Communicator, ScalarType, Tag,
 };
 pub use runtime::{
-    env_flag, flag_is_on, run_ranks, run_ranks_opts, run_ranks_timed, LinkModel, RunOptions,
-    WorldComm,
+    env_flag, run_ranks, run_ranks_opts, run_ranks_timed, LinkModel, RunOptions, WorldComm,
 };
-pub use sim::{
-    collective_finish_times, replay_traces_timed, simulate_traces, BlockedRank, SimError, SimReport,
-};
+pub use sim::{replay_traces_timed, simulate_traces, BlockedRank, SimError, SimReport};
 pub use stats::{OpClass, TrafficStats};
 pub use subcomm::{SubComm, SubCommLayout};
 pub use trace::{

@@ -660,7 +660,7 @@ impl RunOptions {
     /// watchdog (the CI script does this, so any accidental deadlock in
     /// the test suite aborts with a wait graph instead of hanging the
     /// job), and `FG_COMM_INTEGRITY` envelopes all world traffic in the
-    /// end-to-end integrity protocol. Both follow [`flag_is_on`].
+    /// end-to-end integrity protocol. Both follow `flag_is_on`.
     pub fn from_env() -> RunOptions {
         RunOptions {
             watchdog: env_flag("FG_COMM_WATCHDOG").then(WatchdogConfig::default),
@@ -682,7 +682,7 @@ impl RunOptions {
 
 /// The truthiness rule every boolean `FG_*` knob shares: a value turns
 /// the knob on unless it is empty or exactly `0`.
-pub fn flag_is_on(value: &str) -> bool {
+fn flag_is_on(value: &str) -> bool {
     !value.is_empty() && value != "0"
 }
 

@@ -35,7 +35,7 @@
 //! clocks; the last arriver computes every member's finish time with
 //! per-round recurrences that mirror the executed algorithms in
 //! [`crate::collectives`] message-for-message (see
-//! [`collective_finish_times`]), then readies the parked members. Because
+//! `collective_finish_times`), then readies the parked members. Because
 //! a `sendrecv` is a send (clock unchanged) followed by a receive, each
 //! round's arrivals depend only on the previous round's clocks — the
 //! fused recurrence is exactly the fixed point the threaded execution
@@ -428,7 +428,7 @@ pub fn simulate_traces(traces: &[RankTrace], link: &LinkModel) -> Result<SimRepo
 ///
 /// Public so tests can pin fused timing against `run_ranks_timed` +
 /// `allreduce_with` for every algorithm directly.
-pub fn collective_finish_times(
+fn collective_finish_times(
     alg: AllreduceAlgorithm,
     entries: &[f64],
     members: &[usize],

@@ -18,13 +18,27 @@
 //! shares one layout. All compute runs through the region kernels of
 //! `fg-kernels`, so results are **bitwise identical** to a single-device
 //! run — the paper's exact-replication property.
+//!
+//! Both passes run the §IV-A schedule. The paper's implementation
+//! "automatically decomposes an input tensor into its interior domain and
+//! boundary domains and calls cuDNN convolution kernels for each region
+//! separately so that halo exchanges can be run concurrently with the
+//! convolution of the interior domain." [`DistConv2d::forward`] posts the
+//! halo sends, computes the *interior* output region (outputs whose
+//! receptive fields lie entirely in the owned block, an
+//! [`InteriorPlan`]), completes the receives, then computes the (up to
+//! four) boundary strips. [`DistConv2d::backward`] hides the `dL/dy` halo
+//! behind the filter gradient, which needs none. On the thread-simulated
+//! communicator sends are eager and receives block, so the ordering is
+//! executed for real; the latency benefit is priced by the overlapped
+//! halo terms of `fg-perf`.
 
 use fg_comm::{AllreduceAlgorithm, Collectives, Communicator, ReduceOp};
 use fg_kernels::conv::{
     conv2d_backward_data_region, conv2d_backward_filter_region, conv2d_forward_region, ConvGeometry,
 };
-use fg_tensor::halo::{exchange_halo_with_plan, HaloPlan};
-use fg_tensor::{DistTensor, ProcGrid, Shape4, Tensor, TensorDist, NDIMS};
+use fg_tensor::halo::{finish_halo_exchange, start_halo_exchange, HaloPlan};
+use fg_tensor::{Box4, DistTensor, ProcGrid, Shape4, Tensor, TensorDist, NDIMS};
 
 /// Margins `(below, above)` for one dimension.
 type DimMargins = (usize, usize);
@@ -107,14 +121,6 @@ impl DistConv2d {
         DistConv2d { geom, in_dist, out_dist, x_margins, dy_margins }
     }
 
-    /// Does this layer need a halo exchange at all? (`K = 1` and stride
-    /// alignment can make all margins zero — the paper's
-    /// `res3b_branch2a` case where spatial parallelism is
-    /// communication-free.)
-    pub fn needs_halo(&self) -> bool {
-        self.x_margins.0.iter().any(|&m| m > 0) || self.x_margins.1.iter().any(|&m| m > 0)
-    }
-
     /// The forward halo plan for this rank's input window — pure
     /// geometry, compiled once per layer by the executor.
     pub fn x_halo_plan(&self, rank: usize) -> HaloPlan {
@@ -126,115 +132,210 @@ impl DistConv2d {
         HaloPlan::for_layout(&self.out_dist, rank, self.dy_margins.0, self.dy_margins.1)
     }
 
-    /// Forward propagation (Eq. 1), monolithic: build the haloed window,
-    /// complete the exchange, then convolve. Takes the unpadded input
-    /// shard; returns `(y, x_window)` — the window is kept for
-    /// backward-filter. This is the reference the §IV-A overlapped
-    /// driver ([`crate::overlap`], what the executor runs) is compared
-    /// against.
+    /// Forward propagation (Eq. 1) with the §IV-A overlap: (1) post the
+    /// halo sends along `x_halo`, (2) compute `interior`'s interior
+    /// region, (3) complete the receives, (4) compute the boundary strips.
+    /// Takes the unpadded input shard; returns `(y, x_window)`, the window
+    /// kept for the filter gradient. Its storage is drawn from `store`
+    /// when provided (an arena slot); bitwise-identical either way.
     ///
-    /// Collective over `comm` (world size must equal the grid size).
+    /// Collective over `comm` (world size must equal the grid size); the
+    /// plans are this rank's [`DistConv2d::x_halo_plan`] and
+    /// [`InteriorPlan::build`].
+    #[allow(clippy::too_many_arguments)]
     pub fn forward<C: Communicator>(
         &self,
         comm: &C,
         x: &DistTensor,
         w: &Tensor,
         bias: Option<&[f32]>,
+        x_halo: &HaloPlan,
+        interior: &InteriorPlan,
+        store: Option<Vec<f32>>,
     ) -> (DistTensor, DistTensor) {
         debug_assert_eq!(*x.dist(), self.in_dist, "input shard has wrong distribution");
-        let mut win = x.to_window(self.x_margins.0, self.x_margins.1);
-        exchange_halo_with_plan(comm, &mut win, &self.x_halo_plan(comm.rank()));
-        let y = self.forward_from_window(comm.rank(), &win, w, bias);
+        // Window with owned data; margins zero until the exchange completes.
+        let mut win = x.to_window_in(self.x_margins.0, self.x_margins.1, store);
+        let tag = start_halo_exchange(comm, &win, x_halo);
+
+        let mut y = DistTensor::new_unpadded(self.out_dist.clone(), comm.rank());
+        let origin = (win.origin()[2], win.origin()[3]);
+        let ob = y.own_box();
+        let mut compute = |win: &DistTensor, (rows, cols): ((usize, usize), (usize, usize))| {
+            let t = conv2d_forward_region(win.local(), origin, w, bias, &self.geom, rows, cols);
+            write_region(&mut y, rows, cols, &t, &ob);
+        };
+        if let Some(region) = interior.interior {
+            compute(&win, region);
+        }
+        finish_halo_exchange(comm, &mut win, x_halo, tag);
+        for &region in &interior.boundary {
+            compute(&win, region);
+        }
         (y, win)
     }
 
-    /// Local forward compute given an already-exchanged window.
-    pub fn forward_from_window(
-        &self,
-        rank: usize,
-        win: &DistTensor,
-        w: &Tensor,
-        bias: Option<&[f32]>,
-    ) -> DistTensor {
-        let mut y = DistTensor::new_unpadded(self.out_dist.clone(), rank);
-        let ob = y.own_box();
-        let origin = (win.origin()[2], win.origin()[3]);
-        let local = conv2d_forward_region(
-            win.local(),
-            origin,
-            w,
-            bias,
-            &self.geom,
-            (ob.lo[2], ob.hi[2]),
-            (ob.lo[3], ob.hi[3]),
-        );
-        y.set_owned(&local);
-        y
-    }
-
-    /// Backward-data (Eq. 3): error signal for the parent layer, in this
-    /// layer's input distribution. Collective (halo exchange on `dy`).
-    pub fn backward_data<C: Communicator>(
+    /// Backward pass with the §IV-A task-parallel schedule: "we exploit
+    /// the task-level parallelism of backward data and filter
+    /// convolutions to hide the halo exchange for the data convolution
+    /// within the filter convolution. Note that the filter convolution
+    /// does not require halo exchanges."
+    ///
+    /// Posts the `dL/dy` halo sends along `dy_halo`, computes the local
+    /// filter gradient (Eq. 2) from `x_window` (the window
+    /// [`DistConv2d::forward`] returned), completes the receives, computes
+    /// `dL/dx` (Eq. 3), and sums `dL/dw` over every rank (`BPa`). Returns
+    /// `(dx, dw, db, spent)`: `dx` is `None` when `wants_dx` is false
+    /// (nobody reads this layer's input gradient; the exchange still runs,
+    /// so the wire schedule is the same either way), and `spent` is the
+    /// transient dy window's storage, drawn from `store` and handed back
+    /// (only when `store` was `Some`) for its arena slot.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    pub fn backward<C: Communicator>(
         &self,
         comm: &C,
+        x_window: &DistTensor,
         dy: &DistTensor,
         w: &Tensor,
-    ) -> DistTensor {
+        with_bias: bool,
+        wants_dx: bool,
+        dy_halo: &HaloPlan,
+        store: Option<Vec<f32>>,
+    ) -> (Option<DistTensor>, Tensor, Option<Vec<f32>>, Option<Vec<f32>>) {
         debug_assert_eq!(*dy.dist(), self.out_dist, "error signal has wrong distribution");
-        let mut dyw = dy.to_window(self.dy_margins.0, self.dy_margins.1);
-        exchange_halo_with_plan(comm, &mut dyw, &self.dy_halo_plan(comm.rank()));
+        let had_store = store.is_some();
+        let mut dyw = dy.to_window_in(self.dy_margins.0, self.dy_margins.1, store);
+        let tag = start_halo_exchange(comm, &dyw, dy_halo);
 
-        let mut dx = DistTensor::new_unpadded(self.in_dist.clone(), comm.rank());
-        let ib = dx.own_box();
-        let origin = (dyw.origin()[2], dyw.origin()[3]);
-        let local = conv2d_backward_data_region(
-            dyw.local(),
-            origin,
-            w,
-            &self.geom,
-            (ib.lo[2], ib.hi[2]),
-            (ib.lo[3], ib.hi[3]),
-        );
-        dx.set_owned(&local);
-        dx
-    }
-
-    /// Local weight-gradient contribution (Eq. 2), **without** the final
-    /// allreduce. `x_window` is the window saved by [`DistConv2d::forward`].
-    pub fn backward_filter_local(
-        &self,
-        x_window: &DistTensor,
-        dy: &DistTensor,
-        with_bias: bool,
-    ) -> (Tensor, Option<Vec<f32>>) {
         let ob = dy.own_box();
-        let x_origin = (x_window.origin()[2], x_window.origin()[3]);
-        let dy_origin = (ob.lo[2] as i64, ob.lo[3] as i64);
-        let (dw, db) = conv2d_backward_filter_region(
+        let (dw_local, db_local) = conv2d_backward_filter_region(
             x_window.local(),
-            x_origin,
+            (x_window.origin()[2], x_window.origin()[3]),
             &dy.owned_tensor(),
-            dy_origin,
+            (ob.lo[2] as i64, ob.lo[3] as i64),
             &self.geom,
             (ob.lo[2], ob.hi[2]),
             (ob.lo[3], ob.hi[3]),
         );
-        (dw, with_bias.then_some(db))
-    }
 
-    /// Complete weight gradient: local contribution + allreduce over all
-    /// ranks (the sum over N, H, W of Eq. 2 — `BPa` in the performance
-    /// model). Weights are replicated, so the group is the whole world.
-    pub fn backward_filter<C: Communicator>(
-        &self,
-        comm: &C,
-        x_window: &DistTensor,
-        dy: &DistTensor,
-        with_bias: bool,
-    ) -> (Tensor, Option<Vec<f32>>) {
-        let (dw, db) = self.backward_filter_local(x_window, dy, with_bias);
-        allreduce_grads(comm, dw, db)
+        finish_halo_exchange(comm, &mut dyw, dy_halo, tag);
+        let dx = wants_dx.then(|| {
+            let mut dx = DistTensor::new_unpadded(self.in_dist.clone(), comm.rank());
+            let ib = dx.own_box();
+            let local = conv2d_backward_data_region(
+                dyw.local(),
+                (dyw.origin()[2], dyw.origin()[3]),
+                w,
+                &self.geom,
+                (ib.lo[2], ib.hi[2]),
+                (ib.lo[3], ib.hi[3]),
+            );
+            dx.set_owned(&local);
+            dx
+        });
+
+        let (dw, db) = allreduce_grads(comm, dw_local, with_bias.then_some(db_local));
+        let spent = had_store.then(|| dyw.into_storage());
+        (dx, dw, db, spent)
     }
+}
+
+/// The output region computable from owned input only, plus the
+/// boundary strips that complete the owned output block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InteriorPlan {
+    /// `(rows, cols)` of the interior output region (global indices);
+    /// empty if no output is interior.
+    pub interior: Option<((usize, usize), (usize, usize))>,
+    /// Boundary strips `(rows, cols)` covering own-output \ interior.
+    pub boundary: Vec<((usize, usize), (usize, usize))>,
+}
+
+impl InteriorPlan {
+    /// Build the decomposition for a conv layer's owned output block.
+    pub fn build(conv: &DistConv2d, rank: usize) -> InteriorPlan {
+        let geom = &conv.geom;
+        let ob = conv.out_dist.local_box(rank);
+        let ib = conv.in_dist.local_box(rank);
+        let (oh0, oh1) = (ob.lo[2], ob.hi[2]);
+        let (ow0, ow1) = (ob.lo[3], ob.hi[3]);
+
+        // Interior rows: output rows whose input taps stay inside the
+        // owned input rows.
+        let rows = interior_range(
+            oh0,
+            oh1,
+            ib.lo[2] as i64,
+            ib.hi[2] as i64,
+            geom.stride_h,
+            geom.pad_h,
+            geom.kh,
+        );
+        let cols = interior_range(
+            ow0,
+            ow1,
+            ib.lo[3] as i64,
+            ib.hi[3] as i64,
+            geom.stride_w,
+            geom.pad_w,
+            geom.kw,
+        );
+        let (interior, boundary) = match (rows, cols) {
+            (Some((r0, r1)), Some((c0, c1))) => {
+                let mut strips = Vec::new();
+                if oh0 < r0 {
+                    strips.push(((oh0, r0), (ow0, ow1))); // top
+                }
+                if r1 < oh1 {
+                    strips.push(((r1, oh1), (ow0, ow1))); // bottom
+                }
+                if ow0 < c0 {
+                    strips.push(((r0, r1), (ow0, c0))); // left
+                }
+                if c1 < ow1 {
+                    strips.push(((r0, r1), (c1, ow1))); // right
+                }
+                (Some(((r0, r1), (c0, c1))), strips)
+            }
+            // No interior: the whole block is boundary.
+            _ => (None, vec![((oh0, oh1), (ow0, ow1))]),
+        };
+        InteriorPlan { interior, boundary }
+    }
+}
+
+/// Interior sub-range of output `[o0, o1)` whose taps lie in owned input
+/// rows `[i_lo, i_hi)`; `None` if empty.
+fn interior_range(
+    o0: usize,
+    o1: usize,
+    i_lo: i64,
+    i_hi: i64,
+    stride: usize,
+    pad: usize,
+    k: usize,
+) -> Option<(usize, usize)> {
+    let s = stride as i64;
+    let p = pad as i64;
+    let k = k as i64;
+    // Need o*s - p >= i_lo and o*s - p + k <= i_hi.
+    let lo = ((i_lo + p) + s - 1).div_euclid(s).max(o0 as i64);
+    let hi = ((i_hi - k + p).div_euclid(s) + 1).min(o1 as i64);
+    (lo < hi).then_some((lo as usize, hi as usize))
+}
+
+/// Copy a computed `(rows, cols)` region `t` into the owned output block.
+fn write_region(
+    y: &mut DistTensor,
+    rows: (usize, usize),
+    cols: (usize, usize),
+    t: &Tensor,
+    ob: &Box4,
+) {
+    let gbox =
+        Box4::new([ob.lo[0], ob.lo[1], rows.0, cols.0], [ob.hi[0], ob.hi[1], rows.1, cols.1]);
+    let lbox = y.global_to_local_box(&gbox);
+    y.local_mut().unpack_box(&lbox, t.as_slice());
 }
 
 /// Sum a layer's local weight gradient over `comm` — with its bias
@@ -284,8 +385,9 @@ mod tests {
         })
     }
 
-    /// Distributed forward+backward must equal the serial kernels
-    /// *bitwise* (same inner loops, same windows).
+    /// Distributed forward+backward, through the plan-taking forms the
+    /// step runs, must equal the serial kernels *bitwise* (same inner
+    /// loops, same windows).
     fn check_equivalence(n: usize, c: usize, f: usize, geom: ConvGeometry, grid: ProcGrid) {
         let x_shape = Shape4::new(n, c, geom.in_h, geom.in_w);
         let w_shape = Shape4::new(f, c, geom.kh, geom.kw);
@@ -299,15 +401,20 @@ mod tests {
 
         let layer = DistConv2d::new(n, c, f, geom, grid);
         let results = run_ranks(grid.size(), |comm| {
-            let xs =
-                DistTensor::from_global(layer.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias));
-            let dys =
-                DistTensor::from_global(layer.out_dist.clone(), comm.rank(), &dy, [0; 4], [0; 4]);
-            let dx = layer.backward_data(comm, &dys, &w);
-            let (dw, db) = layer.backward_filter(comm, &win, &dys, true);
+            let rank = comm.rank();
+            let (x_halo, dy_halo) = (layer.x_halo_plan(rank), layer.dy_halo_plan(rank));
+            let interior = InteriorPlan::build(&layer, rank);
+            let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
+            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior, None);
+            let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
+            let (dx, dw, db, _) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo, None);
+            // Skipping dx changes nothing else.
+            let (none, dw_again, _, _) =
+                layer.backward(comm, &win, &dys, &w, true, false, &dy_halo, None);
+            assert!(none.is_none());
+            assert_eq!(dw_again, dw);
             let y_full = gather_to_root(comm, &y, 0);
-            let dx_full = gather_to_root(comm, &dx, 0);
+            let dx_full = gather_to_root(comm, &dx.expect("dx was asked for"), 0);
             (y_full, dx_full, dw, db)
         });
         let (y_full, dx_full, _, _) = &results[0];
@@ -357,7 +464,10 @@ mod tests {
     fn spatial_1x1_conv_needs_no_halo() {
         let geom = ConvGeometry::square(8, 8, 1, 1, 0);
         let layer = DistConv2d::new(2, 4, 4, geom, ProcGrid::spatial(2, 2));
-        assert!(!layer.needs_halo(), "1x1 stride-1 conv must not exchange halos");
+        // The paper's `res3b_branch2a` case: spatial parallelism with no
+        // communication at all.
+        assert_eq!(layer.x_margins, ([0; 4], [0; 4]), "1x1 stride-1 conv exchanges no halo");
+        assert_eq!(layer.dy_margins, ([0; 4], [0; 4]));
         check_equivalence(2, 4, 4, geom, ProcGrid::spatial(2, 2));
     }
 
@@ -374,6 +484,30 @@ mod tests {
     }
 
     #[test]
+    fn overlap_geometries_match_serial() {
+        // Interior/boundary splits with every strip shape: square and
+        // tall grids, large kernels, strides and a shard too thin for
+        // any interior (16² K=7 S=2 is `spatial_large_kernel_matches_serial`).
+        check_equivalence(2, 2, 3, ConvGeometry::square(12, 12, 3, 1, 1), ProcGrid::spatial(2, 2));
+        check_equivalence(
+            2,
+            1,
+            2,
+            ConvGeometry::square(10, 10, 3, 2, 1),
+            ProcGrid::hybrid(2, 2, 1),
+        );
+        check_equivalence(1, 1, 1, ConvGeometry::square(9, 9, 5, 1, 2), ProcGrid::spatial(3, 1));
+        check_equivalence(
+            2,
+            2,
+            3,
+            ConvGeometry::square(10, 10, 5, 2, 2),
+            ProcGrid::hybrid(2, 2, 1),
+        );
+        check_equivalence(1, 1, 1, ConvGeometry::square(8, 8, 5, 1, 2), ProcGrid::spatial(4, 1));
+    }
+
+    #[test]
     fn halo_traffic_matches_paper_model() {
         use fg_comm::{OpClass, TrafficStats};
         // 2x2 spatial grid, K=3 (O=1): each rank sends 2 side halos + 1
@@ -384,9 +518,10 @@ mod tests {
         let x = pattern(Shape4::new(1, 2, 8, 8), 4);
         let w = pattern(Shape4::new(2, 2, 3, 3), 5);
         let stats: Vec<TrafficStats> = run_ranks(4, |comm| {
-            let xs =
-                DistTensor::from_global(layer.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            let _ = layer.forward(comm, &xs, &w, None);
+            let rank = comm.rank();
+            let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
+            let (x_halo, interior) = (layer.x_halo_plan(rank), InteriorPlan::build(&layer, rank));
+            let _ = layer.forward(comm, &xs, &w, None, &x_halo, &interior, None);
             comm.stats()
         });
         for s in &stats {
@@ -406,5 +541,56 @@ mod tests {
             assert_eq!(layer.x_margins.0, [0, 0, o, o], "K={k}");
             assert_eq!(layer.x_margins.1, [0, 0, o, o], "K={k}");
         }
+    }
+
+    #[test]
+    fn interior_plan_partitions_owned_output() {
+        let geom = ConvGeometry::square(16, 16, 3, 1, 1);
+        let conv = DistConv2d::new(1, 1, 1, geom, ProcGrid::spatial(2, 2));
+        // Rank 0 owns outputs 0..8 of each dimension; output 0 taps the
+        // padding row and output 7 the halo, so the interior is 1..7.
+        assert_eq!(InteriorPlan::build(&conv, 0).interior, Some(((1, 7), (1, 7))));
+        for rank in 0..4 {
+            let plan = InteriorPlan::build(&conv, rank);
+            let ob = conv.out_dist.local_box(rank);
+            // Interior + boundary must tile the owned output exactly.
+            let mut covered = vec![0u8; (ob.hi[2] - ob.lo[2]) * (ob.hi[3] - ob.lo[3])];
+            let mut mark = |rows: (usize, usize), cols: (usize, usize)| {
+                for r in rows.0..rows.1 {
+                    for c in cols.0..cols.1 {
+                        covered[(r - ob.lo[2]) * (ob.hi[3] - ob.lo[3]) + (c - ob.lo[3])] += 1;
+                    }
+                }
+            };
+            if let Some((rows, cols)) = plan.interior {
+                mark(rows, cols);
+            }
+            for &(rows, cols) in &plan.boundary {
+                mark(rows, cols);
+            }
+            assert!(covered.iter().all(|&c| c == 1), "rank {rank}: region overlap or gap");
+        }
+    }
+
+    #[test]
+    fn interior_shrinks_with_kernel_size() {
+        // Bigger halo ⇒ smaller interior.
+        let g3 = ConvGeometry::square(16, 16, 3, 1, 1);
+        let g7 = ConvGeometry::square(16, 16, 7, 1, 3);
+        let c3 = DistConv2d::new(1, 1, 1, g3, ProcGrid::spatial(2, 2));
+        let c7 = DistConv2d::new(1, 1, 1, g7, ProcGrid::spatial(2, 2));
+        let area =
+            |p: &InteriorPlan| p.interior.map_or(0, |((r0, r1), (c0, c1))| (r1 - r0) * (c1 - c0));
+        assert!(area(&InteriorPlan::build(&c3, 0)) > area(&InteriorPlan::build(&c7, 0)));
+    }
+
+    #[test]
+    fn tiny_shard_has_no_interior() {
+        // Shard rows smaller than the kernel: everything is boundary.
+        let geom = ConvGeometry::square(8, 8, 5, 1, 2);
+        let conv = DistConv2d::new(1, 1, 1, geom, ProcGrid::spatial(4, 1));
+        let plan = InteriorPlan::build(&conv, 1);
+        assert!(plan.interior.is_none());
+        assert_eq!(plan.boundary.len(), 1);
     }
 }

@@ -31,7 +31,7 @@ pub enum BnMode {
 /// Distributed batch-norm forward on an unpadded shard. Returns
 /// `(y, stats)`; in aggregated mode the stats equal single-device batch
 /// statistics.
-pub fn dist_bn_forward<C: Communicator>(
+fn dist_bn_forward<C: Communicator>(
     comm: &C,
     x: &DistTensor,
     gamma: &[f32],
@@ -56,7 +56,7 @@ pub fn dist_bn_forward<C: Communicator>(
 
 /// Distributed batch-norm backward. Returns `(dx, dgamma, dbeta)` with
 /// parameter gradients already globally summed (identical on all ranks).
-pub fn dist_bn_backward<C: Communicator>(
+fn dist_bn_backward<C: Communicator>(
     comm: &C,
     x: &DistTensor,
     dy: &DistTensor,

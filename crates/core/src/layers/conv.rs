@@ -5,13 +5,10 @@ use fg_comm::WorldComm;
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
 
-use crate::distconv::DistConv2d;
+use crate::distconv::{DistConv2d, InteriorPlan};
 use crate::executor::Act;
 use crate::layers::plan::{
     window_elems, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
-};
-use crate::overlap::{
-    backward_overlapped_with_plans_in, forward_overlapped_with_plans_in, InteriorPlan,
 };
 use fg_comm::{ScalarType, TraceRecorder};
 use fg_tensor::halo::record_halo_exchange;
@@ -58,8 +55,7 @@ impl DistLayer for ConvLayer {
             cx.window_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).window_elems));
         // §IV-A: the halo exchange overlaps the interior compute.
         let iplan = cx.plan.interior.as_ref().expect("conv plan has an interior plan");
-        let (y, win) =
-            forward_overlapped_with_plans_in(&self.conv, comm, x, w, b, x_halo, iplan, store);
+        let (y, win) = self.conv.forward(comm, x, w, b, x_halo, iplan, store);
         *cx.window = Some(win);
         Act::Shard(y)
     }
@@ -73,17 +69,8 @@ impl DistLayer for ConvLayer {
             cx.dyw_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).dy_window_elems));
         // §IV-A: the dy halo exchange hides inside the (halo-free)
         // filter convolution.
-        let (dx, dw, db, spent) = backward_overlapped_with_plans_in(
-            &self.conv,
-            comm,
-            win,
-            &dy,
-            w,
-            b.is_some(),
-            cx.wants_dx,
-            dy_halo,
-            store,
-        );
+        let (dx, dw, db, spent) =
+            self.conv.backward(comm, win, &dy, w, b.is_some(), cx.wants_dx, dy_halo, store);
         if let (Some(slot), Some(buf)) = (cx.dyw_slot.as_ref(), spent) {
             slot.release(buf);
         }

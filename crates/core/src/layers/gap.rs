@@ -11,14 +11,10 @@ use crate::layers::groups::spatial_group_layout;
 use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
 
 /// Distributed global average pooling: shard → per-sample replicated
-/// `(n_loc, C, 1, 1)` tensor (identical on all ranks of a sample group).
-pub fn dist_global_avg_pool<C: Communicator>(comm: &C, x: &DistTensor) -> Tensor {
-    let group = spatial_group_layout(comm.rank(), x.dist().grid);
-    dist_global_avg_pool_with_group(comm, x, &group)
-}
-
-/// [`dist_global_avg_pool`] with a precompiled spatial-group layout.
-pub fn dist_global_avg_pool_with_group<C: Communicator>(
+/// `(n_loc, C, 1, 1)` tensor (identical on all ranks of a sample group),
+/// reduced within `group`, this rank's precompiled
+/// [`spatial_group_layout`].
+fn dist_global_avg_pool<C: Communicator>(
     comm: &C,
     x: &DistTensor,
     group: &SubCommLayout,
@@ -44,9 +40,9 @@ pub fn dist_global_avg_pool_with_group<C: Communicator>(
     Tensor::from_vec(Shape4::new(n_loc, shape.c, 1, 1), total)
 }
 
-/// Backward of [`dist_global_avg_pool`]: per-sample replicated `dy`
+/// Backward of `dist_global_avg_pool`: per-sample replicated `dy`
 /// broadcast over the owned spatial region.
-pub fn dist_global_avg_pool_backward(x: &DistTensor, dy: &Tensor) -> DistTensor {
+fn dist_global_avg_pool_backward(x: &DistTensor, dy: &Tensor) -> DistTensor {
     let shape = x.dist().shape;
     let scale = 1.0f32 / (shape.h * shape.w) as f32;
     let own = x.own_box();
@@ -93,7 +89,7 @@ impl DistLayer for GapLayer {
     fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let group = cx.plan.spatial_group.as_ref().expect("GAP plan has a spatial group");
-        Act::PerSample(dist_global_avg_pool_with_group(comm, x, group))
+        Act::PerSample(dist_global_avg_pool(comm, x, group))
     }
 
     fn backward(&self, _comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
@@ -139,7 +135,7 @@ mod tests {
         let serial = fg_nn::network::global_avg_pool(&x);
         let outs = run_ranks(4, |comm| {
             let xs = DistTensor::from_global(dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            dist_global_avg_pool(comm, &xs)
+            dist_global_avg_pool(comm, &xs, &spatial_group_layout(comm.rank(), grid))
         });
         // Ranks 0,1 share sample block 0..2; ranks 2,3 share 2..4.
         assert_eq!(outs[0], outs[1]);
@@ -166,23 +162,5 @@ mod tests {
             gather_to_root(comm, &dx, 0)
         });
         assert_eq!(outs[0].as_ref().unwrap(), &serial);
-    }
-
-    #[test]
-    fn gap_cached_group_matches_one_shot() {
-        let shape = Shape4::new(4, 2, 4, 4);
-        let x = pattern(shape, 13);
-        let grid = ProcGrid::hybrid(2, 2, 1);
-        let dist = TensorDist::new(shape, grid);
-        let outs = run_ranks(4, |comm| {
-            let xs = DistTensor::from_global(dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            let layout = spatial_group_layout(comm.rank(), grid);
-            let fresh = dist_global_avg_pool(comm, &xs);
-            let cached = dist_global_avg_pool_with_group(comm, &xs, &layout);
-            (fresh, cached)
-        });
-        for (fresh, cached) in &outs {
-            assert_eq!(fresh, cached);
-        }
     }
 }

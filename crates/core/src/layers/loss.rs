@@ -4,7 +4,7 @@
 
 use fg_comm::{Collectives, Communicator, ReduceOp, SubCommLayout, WorldComm};
 use fg_kernels::loss::{softmax_cross_entropy, Labels};
-use fg_tensor::{DistTensor, ProcGrid, Tensor};
+use fg_tensor::{DistTensor, Tensor};
 
 use crate::executor::Act;
 use crate::layers::groups::cross_section_group_layout;
@@ -14,7 +14,7 @@ use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan,
 /// (semantic segmentation). Returns `(global mean loss, local dlogits)`.
 ///
 /// Labels are globally replicated; each rank slices its owned positions.
-pub fn dist_softmax_xent_shard<C: Communicator>(
+fn dist_softmax_xent_shard<C: Communicator>(
     comm: &C,
     logits: &DistTensor,
     labels: &Labels,
@@ -52,21 +52,10 @@ pub fn dist_softmax_xent_shard<C: Communicator>(
 }
 
 /// Classification softmax cross-entropy on per-sample replicated logits
-/// `(n_loc, C, 1, 1)`. Returns `(global mean loss, dlogits)` with the
-/// gradient scaled by the global batch size.
-pub fn dist_softmax_xent_per_sample<C: Communicator>(
-    comm: &C,
-    grid: ProcGrid,
-    logits: &Tensor,
-    labels_local: &Labels,
-) -> (f64, Tensor) {
-    let group = cross_section_group_layout(comm.rank(), grid);
-    dist_softmax_xent_per_sample_with_group(comm, &group, logits, labels_local)
-}
-
-/// [`dist_softmax_xent_per_sample`] with a precompiled cross-section
-/// group layout.
-pub fn dist_softmax_xent_per_sample_with_group<C: Communicator>(
+/// `(n_loc, C, 1, 1)`, summed over `group`, this rank's precompiled
+/// [`cross_section_group_layout`]. Returns `(global mean loss, dlogits)`
+/// with the gradient scaled by the global batch size.
+fn dist_softmax_xent_per_sample<C: Communicator>(
     comm: &C,
     group: &SubCommLayout,
     logits: &Tensor,
@@ -130,7 +119,7 @@ impl DistLayer for SoftmaxLossLayer {
                 let local = Labels::per_sample(labels.data[range].to_vec());
                 let group =
                     cx.plan.cross_group.as_ref().expect("per-sample loss plan has a cross group");
-                let (loss, dl) = dist_softmax_xent_per_sample_with_group(comm, group, l, &local);
+                let (loss, dl) = dist_softmax_xent_per_sample(comm, group, l, &local);
                 *cx.loss = Some(loss);
                 *cx.loss_grad = Some(Act::PerSample(dl));
             } else {
@@ -209,7 +198,8 @@ mod tests {
             let local_logits =
                 all_logits.slice_box(&fg_tensor::Box4::new([nb.start, 0, 0, 0], [nb.end, 3, 1, 1]));
             let local_labels = Labels::per_sample(all_labels[nb.clone()].to_vec());
-            dist_softmax_xent_per_sample(comm, grid, &local_logits, &local_labels)
+            let group = cross_section_group_layout(comm.rank(), grid);
+            dist_softmax_xent_per_sample(comm, &group, &local_logits, &local_labels)
         });
         for (loss, _) in &outs {
             assert!((loss - serial_loss).abs() < 1e-9, "{loss} vs {serial_loss}");

@@ -28,23 +28,18 @@ pub mod pointwise;
 pub mod pool;
 pub(crate) mod schedule;
 
-pub use batchnorm::{dist_bn_backward, dist_bn_forward, BatchNormLayer, BnMode};
+pub use batchnorm::{BatchNormLayer, BnMode};
 pub use conv::ConvLayer;
 pub use fc::FcLayer;
-pub use gap::{
-    dist_global_avg_pool, dist_global_avg_pool_backward, dist_global_avg_pool_with_group, GapLayer,
-};
+pub use gap::GapLayer;
 pub use groups::{cross_section_group_layout, spatial_group_layout};
 pub use input::InputLayer;
-pub use loss::{
-    dist_softmax_xent_per_sample, dist_softmax_xent_per_sample_with_group, dist_softmax_xent_shard,
-    SoftmaxLossLayer,
-};
+pub use loss::SoftmaxLossLayer;
 pub use plan::{
     window_elems, ArenaSlot, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan,
     TraceCx,
 };
-pub use pointwise::{dist_add, dist_relu_backward, dist_relu_forward, AddLayer, ReluLayer};
+pub use pointwise::{AddLayer, ReluLayer};
 pub use pool::{DistPool2d, PoolLayer};
 
 use fg_kernels::conv::ConvGeometry;

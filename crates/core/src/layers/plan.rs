@@ -24,10 +24,10 @@ use fg_tensor::halo::HaloPlan;
 use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{DistTensor, ProcGrid, StepArena, TensorDist, NDIMS};
 
+use crate::distconv::InteriorPlan;
 use crate::executor::{Act, DistPass};
 use crate::layers::schedule::EdgeIn;
 use crate::layers::BnMode;
-use crate::overlap::InteriorPlan;
 
 /// One rank's precompiled communication/compute geometry for one layer.
 /// Built by [`DistLayer::compile_plan`]; every field a layer does not
@@ -126,7 +126,7 @@ impl LayerBase {
 
 /// Element count of a rank's haloed window over `dist`: the owned box
 /// expanded by the margins — exactly the local buffer
-/// [`DistTensor::to_window`] builds. This is the single sizing formula
+/// [`DistTensor::to_window_in`] builds. This is the single sizing formula
 /// shared by the memory analyzer (interval bytes) and the layer drivers
 /// (arena checkout sizes), so the static plan and the runtime requests
 /// can never disagree.

@@ -8,14 +8,14 @@ use crate::executor::Act;
 use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase};
 
 /// Distributed ReLU: elementwise on the owned region.
-pub fn dist_relu_forward(x: &DistTensor) -> DistTensor {
+fn dist_relu_forward(x: &DistTensor) -> DistTensor {
     let mut y = DistTensor::new_unpadded(x.dist().clone(), x.rank());
     y.set_owned(&fg_kernels::relu::relu_forward(&x.owned_tensor()));
     y
 }
 
 /// Distributed ReLU backward.
-pub fn dist_relu_backward(x: &DistTensor, dy: &DistTensor) -> DistTensor {
+fn dist_relu_backward(x: &DistTensor, dy: &DistTensor) -> DistTensor {
     let mut dx = DistTensor::new_unpadded(x.dist().clone(), x.rank());
     dx.set_owned(&fg_kernels::relu::relu_backward(&x.owned_tensor(), &dy.owned_tensor()));
     dx
@@ -23,7 +23,7 @@ pub fn dist_relu_backward(x: &DistTensor, dy: &DistTensor) -> DistTensor {
 
 /// Distributed elementwise add (residual join); shards must share a
 /// distribution.
-pub fn dist_add(parts: &[&DistTensor]) -> DistTensor {
+fn dist_add(parts: &[&DistTensor]) -> DistTensor {
     assert!(!parts.is_empty());
     let mut acc = parts[0].owned_tensor();
     for p in &parts[1..] {

@@ -98,15 +98,11 @@ impl DistPool2d {
         HaloPlan::for_layout(&self.out_dist, rank, self.dy_margins.0, self.dy_margins.1)
     }
 
-    /// Forward pooling; returns `(y, x_window)`.
-    pub fn forward<C: Communicator>(&self, comm: &C, x: &DistTensor) -> (DistTensor, DistTensor) {
-        self.forward_with_plan_in(comm, x, &self.x_halo_plan(comm.rank()), None)
-    }
-
-    /// [`DistPool2d::forward`] with a precompiled halo plan, the window's
-    /// storage drawn from `store` when provided (an arena slot);
-    /// bitwise-identical either way.
-    pub fn forward_with_plan_in<C: Communicator>(
+    /// Forward pooling along this rank's precompiled halo plan
+    /// ([`DistPool2d::x_halo_plan`]); returns `(y, x_window)`. The
+    /// window's storage is drawn from `store` when provided (an arena
+    /// slot); bitwise-identical either way.
+    pub fn forward<C: Communicator>(
         &self,
         comm: &C,
         x: &DistTensor,
@@ -130,21 +126,13 @@ impl DistPool2d {
         (y, win)
     }
 
-    /// Backward pooling: error signal for the parent.
+    /// Backward pooling along this rank's precompiled dy halo plan
+    /// ([`DistPool2d::dy_halo_plan`]): the error signal for the parent.
+    /// The transient dy window's storage is drawn from `store` when
+    /// provided; the spent storage comes back as the second element
+    /// (only when `store` was `Some`) so the caller can return it to its
+    /// arena slot.
     pub fn backward<C: Communicator>(
-        &self,
-        comm: &C,
-        x_window: &DistTensor,
-        dy: &DistTensor,
-    ) -> DistTensor {
-        self.backward_with_plan_in(comm, x_window, dy, &self.dy_halo_plan(comm.rank()), None).0
-    }
-
-    /// [`DistPool2d::backward`] with a precompiled dy halo plan, the
-    /// transient dy window's storage drawn from `store` when provided;
-    /// the spent storage comes back as the second element (only when
-    /// `store` was `Some`) so the caller can return it to its arena slot.
-    pub fn backward_with_plan_in<C: Communicator>(
         &self,
         comm: &C,
         x_window: &DistTensor,
@@ -241,7 +229,7 @@ impl DistLayer for PoolLayer {
         let x_halo = cx.plan.x_halo.as_ref().expect("pool plan has an x halo");
         let store =
             cx.window_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).window_elems));
-        let (y, win) = self.pool.forward_with_plan_in(comm, x, x_halo, store);
+        let (y, win) = self.pool.forward(comm, x, x_halo, store);
         *cx.window = Some(win);
         Act::Shard(y)
     }
@@ -252,7 +240,7 @@ impl DistLayer for PoolLayer {
         let dy_halo = cx.plan.dy_halo.as_ref().expect("pool plan has a dy halo");
         let store =
             cx.dyw_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).dy_window_elems));
-        let (dx, spent) = self.pool.backward_with_plan_in(comm, win, &dy, dy_halo, store);
+        let (dx, spent) = self.pool.backward(comm, win, &dy, dy_halo, store);
         if let (Some(slot), Some(buf)) = (cx.dyw_slot.as_ref(), spent) {
             slot.release(buf);
         }
@@ -300,12 +288,11 @@ mod tests {
         let dx_serial = pool2d_backward(kind, &x, &dy, &geom);
         let layer = DistPool2d::new(kind, n, c, geom, grid);
         let outs = run_ranks(grid.size(), |comm| {
-            let xs =
-                DistTensor::from_global(layer.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs);
-            let dys =
-                DistTensor::from_global(layer.out_dist.clone(), comm.rank(), &dy, [0; 4], [0; 4]);
-            let dx = layer.backward(comm, &win, &dys);
+            let rank = comm.rank();
+            let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
+            let (y, win) = layer.forward(comm, &xs, &layer.x_halo_plan(rank), None);
+            let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
+            let (dx, _) = layer.backward(comm, &win, &dys, &layer.dy_halo_plan(rank), None);
             (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0))
         });
         assert_eq!(outs[0].0.as_ref().unwrap(), &y_serial, "pool fwd {kind:?} grid {grid}");
@@ -352,36 +339,5 @@ mod tests {
             ConvGeometry::square(10, 10, 3, 2, 1),
             ProcGrid::spatial(3, 1),
         );
-    }
-
-    #[test]
-    fn cached_pool_plans_match_fresh() {
-        // One plan pair, reused across steps, must match per-call builds.
-        let geom = ConvGeometry::square(8, 8, 3, 2, 1);
-        let grid = ProcGrid::spatial(2, 2);
-        let layer = DistPool2d::new(PoolKind::Max, 2, 2, geom, grid);
-        run_ranks(grid.size(), |comm| {
-            let x_plan = layer.x_halo_plan(comm.rank());
-            let dy_plan = layer.dy_halo_plan(comm.rank());
-            for step in 0..2 {
-                let x = pattern(Shape4::new(2, 2, 8, 8), step);
-                let xs =
-                    DistTensor::from_global(layer.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-                let (y_fresh, win) = layer.forward(comm, &xs);
-                let (y_cached, _) = layer.forward_with_plan_in(comm, &xs, &x_plan, None);
-                assert_eq!(y_fresh, y_cached);
-                let dy = pattern(y_fresh.dist().shape, step + 7);
-                let dys = DistTensor::from_global(
-                    layer.out_dist.clone(),
-                    comm.rank(),
-                    &dy,
-                    [0; 4],
-                    [0; 4],
-                );
-                let dx_fresh = layer.backward(comm, &win, &dys);
-                let (dx_cached, _) = layer.backward_with_plan_in(comm, &win, &dys, &dy_plan, None);
-                assert_eq!(dx_fresh, dx_cached);
-            }
-        });
     }
 }

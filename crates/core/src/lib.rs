@@ -6,14 +6,13 @@
 //! runs whole CNNs under per-layer *parallel execution strategies*.
 //!
 //! * [`distconv`] — sample / spatial / hybrid convolution with halo
-//!   exchange (§III-A), bitwise-equivalent to single-device execution;
+//!   exchange (§III-A), the halo overlapped with interior compute
+//!   (§IV-A), bitwise-equivalent to single-device execution;
 //! * [`layers`] — distributed pooling, batch norm (local and aggregated,
 //!   §III-B), ReLU, residual joins, global average pooling, and losses;
 //! * [`executor`] — runs an `fg-nn` [`fg_nn::NetworkSpec`] under a
 //!   [`strategy::Strategy`], inserting halo exchanges, redistributions
 //!   (§III-C) and gradient allreduces where the strategy demands them;
-//! * [`overlap`] — interior/boundary decomposition so halo exchange
-//!   overlaps interior compute (§IV-A);
 //! * [`strategy`] — strategy containers and validation;
 //! * [`verify`] — static schedule verification: symbolically executes
 //!   every rank's compiled plans and proves the step deadlock-free and
@@ -29,7 +28,6 @@ pub mod executor;
 pub mod guard;
 pub mod layers;
 pub mod mem;
-pub mod overlap;
 pub mod resilient;
 pub mod servable;
 pub mod straggler;

@@ -37,6 +37,6 @@ pub mod relu;
 
 pub use batchnorm::{bn_backward, bn_forward, BnPartials, BnStats};
 pub use conv::{conv2d_backward_data, conv2d_backward_filter, conv2d_forward, ConvGeometry};
-pub use loss::{accuracy, softmax_cross_entropy, Labels};
+pub use loss::{softmax_cross_entropy, Labels};
 pub use pool::{pool2d_backward, pool2d_forward, PoolKind};
 pub use relu::{relu_backward, relu_forward};

@@ -9,7 +9,7 @@
 use fg_tensor::Tensor;
 
 /// Numerically stable softmax over C at each `(n, h, w)` position.
-pub fn softmax_channels(x: &Tensor) -> Tensor {
+fn softmax_channels(x: &Tensor) -> Tensor {
     let s = x.shape();
     let mut y = Tensor::zeros(s);
     for n in 0..s.n {
@@ -92,30 +92,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &Labels) -> (f64, Tensor) 
     (loss / positions, grad)
 }
 
-/// Classification accuracy: fraction of positions where the argmax
-/// channel equals the label.
-pub fn accuracy(logits: &Tensor, labels: &Labels) -> f64 {
-    let s = logits.shape();
-    let mut correct = 0usize;
-    for n in 0..s.n {
-        for h in 0..s.h {
-            for w in 0..s.w {
-                let mut best = (0usize, f32::NEG_INFINITY);
-                for c in 0..s.c {
-                    let v = logits.at(n, c, h, w);
-                    if v > best.1 {
-                        best = (c, v);
-                    }
-                }
-                if best.0 as u32 == labels.at(n, h, w) {
-                    correct += 1;
-                }
-            }
-        }
-    }
-    correct as f64 / (s.n * s.h * s.w) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +131,6 @@ mod tests {
         let labels = Labels::per_sample(vec![1, 3]);
         let (loss, _g) = softmax_cross_entropy(&x, &labels);
         assert!(loss < 1e-6, "loss {loss}");
-        assert_eq!(accuracy(&x, &labels), 1.0);
     }
 
     #[test]
@@ -202,7 +177,6 @@ mod tests {
         );
         let labels =
             Labels::per_pixel(1, 4, 4, (0..16).map(|i| ((i / 4 + i % 4) % 2) as u32).collect());
-        assert_eq!(accuracy(&x, &labels), 1.0);
         let (loss, g) = softmax_cross_entropy(&x, &labels);
         assert!(loss < 1e-3);
         assert_eq!(g.shape(), x.shape());

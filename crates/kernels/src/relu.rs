@@ -27,16 +27,6 @@ pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     dx
 }
 
-/// In-place variant of [`relu_forward`], for the distributed layer which
-/// mutates owned regions.
-pub fn relu_forward_inplace(x: &mut Tensor) {
-    for v in x.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,14 +46,5 @@ mod tests {
         let dx = relu_backward(&x, &dy);
         // Subgradient at 0 chosen as 0 (matches cuDNN).
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn inplace_matches_forward() {
-        let x = Tensor::from_vec(Shape4::new(1, 2, 1, 2), vec![-1.0, 5.0, -0.5, 0.25]);
-        let y = relu_forward(&x);
-        let mut z = x.clone();
-        relu_forward_inplace(&mut z);
-        assert_eq!(z, y);
     }
 }

@@ -99,11 +99,6 @@ pub fn mesh_model_custom(size: MeshSize, input_hw: usize, width_scale: usize) ->
     net
 }
 
-/// Spatial extent of the model's prediction map for a given input.
-pub fn prediction_hw(input_hw: usize) -> usize {
-    input_hw / 64 // six stride-2 stages
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(shapes[net.find("conv1_1").unwrap()], (128, 512, 512));
         assert_eq!(shapes[net.find("conv6_1").unwrap()], (128, 16, 16));
         assert_eq!(shapes[net.find("pred").unwrap()], (2, 16, 16));
-        assert_eq!(prediction_hw(1024), 16);
     }
 
     #[test]

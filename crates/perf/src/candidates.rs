@@ -33,7 +33,7 @@ pub fn divisors(p: usize) -> Vec<usize> {
 
 /// Candidate grids for a layer with input extent `(h_in, w_in)`, output
 /// extent `(h_out, w_out)`, halo depth `o`, batch `n`, world `p`.
-pub fn conv_candidates(
+fn conv_candidates(
     p: usize,
     n: usize,
     h_in: usize,

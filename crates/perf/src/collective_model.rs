@@ -63,17 +63,8 @@ pub fn allreduce_time(platform: &Platform, p: usize, bytes: f64) -> f64 {
     }
 }
 
-/// Reduce-scatter: `(p−1)α + ((p−1)/p)n(β + γ)` (pairwise exchange).
-pub fn reduce_scatter_time(link: Link, p: usize, bytes: f64) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    let pf = p as f64;
-    (pf - 1.0) * link.alpha + ((pf - 1.0) / pf) * bytes * (link.beta + GAMMA)
-}
-
 /// Allgather (ring): `(p−1)α + ((p−1)/p)nβ`.
-pub fn allgather_time(link: Link, p: usize, bytes: f64) -> f64 {
+fn allgather_time(link: Link, p: usize, bytes: f64) -> f64 {
     if p <= 1 {
         return 0.0;
     }
@@ -169,14 +160,5 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "p {p} bytes {bytes}");
             }
         }
-    }
-
-    #[test]
-    fn bandwidth_terms_scale_linearly() {
-        let t1 = reduce_scatter_time(link(), 8, 8e6);
-        let t2 = reduce_scatter_time(link(), 8, 16e6);
-        // Doubling bytes roughly doubles the β+γ part.
-        assert!(t2 > 1.8 * t1 - 8.0 * link().alpha);
-        assert!(allgather_time(link(), 8, 8e6) < t1, "allgather has no γ term");
     }
 }

@@ -147,7 +147,7 @@ pub fn conv_layer_cost(
 /// Cost of an FC layer under `grid` (replicated weights within sample
 /// groups, as the executor runs it; gradient summed across sample
 /// groups).
-pub fn fc_layer_cost(
+fn fc_layer_cost(
     platform: &Platform,
     n: usize,
     in_features: usize,
@@ -162,7 +162,7 @@ pub fn fc_layer_cost(
 }
 
 /// Extract the conv description of a layer (if it is a conv layer).
-pub fn conv_desc(spec: &NetworkSpec, batch: usize, id: usize) -> Option<ConvLayerDesc> {
+fn conv_desc(spec: &NetworkSpec, batch: usize, id: usize) -> Option<ConvLayerDesc> {
     match &spec.layer(id).kind {
         LayerKind::Conv { filters, kernel, stride, .. } => {
             let (c, h, w) = spec.shape(spec.layer(id).parents[0]);

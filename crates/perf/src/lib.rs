@@ -29,4 +29,4 @@ pub use cost::{
 pub use optimizer::{SearchStats, StrategyOptimizer};
 pub use oracle::{platform_link_model, ModeledCompute, SlowedCompute};
 pub use platform::{ConvPass, ConvWork, DeviceModel, Link, Platform, V100_BYTES};
-pub use replan::{degrade_replanner, replan_for_world};
+pub use replan::degrade_replanner;

@@ -3,7 +3,7 @@
 //!
 //! When a rank dies permanently, the resilience driver shrinks the
 //! world from `P` to some `P' < P` and needs a fresh parallel strategy
-//! for the survivors. [`replan_for_world`] is the one-shot entry point:
+//! for the survivors. `replan_for_world` is the one-shot entry point:
 //! it re-runs the full §V-C [`StrategyOptimizer`] search against a
 //! *measured* platform at the reduced world size (including
 //! non-power-of-two sizes, which the candidate enumeration handles via
@@ -26,7 +26,7 @@ use crate::platform::Platform;
 /// Returns `None` when `world` or `batch` is degenerate or the
 /// optimizer's pick does not validate against `spec`/`batch` — the
 /// caller then probes the next smaller size.
-pub fn replan_for_world(
+fn replan_for_world(
     platform: &Platform,
     spec: &NetworkSpec,
     batch: usize,

@@ -155,15 +155,6 @@ impl Tensor {
     /// Unpack `data` (row-major, as produced by [`Tensor::pack_box`])
     /// into `region` of this tensor, overwriting.
     pub fn unpack_box(&mut self, region: &Box4, data: &[f32]) {
-        self.apply_box(region, data, |dst, src| *dst = src);
-    }
-
-    /// Unpack-accumulate: `self[region] += data`.
-    pub fn unpack_box_add(&mut self, region: &Box4, data: &[f32]) {
-        self.apply_box(region, data, |dst, src| *dst += src);
-    }
-
-    fn apply_box(&mut self, region: &Box4, data: &[f32], mut f: impl FnMut(&mut f32, f32)) {
         assert_eq!(data.len(), region.len(), "payload does not match region {region}");
         let [n0, c0, h0, w0] = region.lo;
         let [n1, c1, h1, w1] = region.hi;
@@ -173,11 +164,7 @@ impl Tensor {
             for c in c0..c1 {
                 for h in h0..h1 {
                     let base = self.shape.offset(n, c, h, w0);
-                    for (dst, s) in
-                        self.data[base..base + row].iter_mut().zip(&data[src..src + row])
-                    {
-                        f(dst, *s);
-                    }
+                    self.data[base..base + row].copy_from_slice(&data[src..src + row]);
                     src += row;
                 }
             }
@@ -280,14 +267,6 @@ mod tests {
         }
         // Outside the box stays zero.
         assert_eq!(u.at(0, 0, 0, 0), 0.0);
-    }
-
-    #[test]
-    fn unpack_box_add_accumulates() {
-        let mut t = Tensor::full(Shape4::new(1, 1, 2, 2), 1.0);
-        let b = Box4::new([0, 0, 0, 0], [1, 1, 2, 2]);
-        t.unpack_box_add(&b, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]

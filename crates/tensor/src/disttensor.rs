@@ -3,7 +3,7 @@
 //!
 //! The local buffer is a *window* onto the global tensor: the owned block
 //! plus a margin on each side. After a halo exchange
-//! ([`crate::halo::exchange_halo`]) the crate-wide invariant holds:
+//! ([`crate::halo::exchange_halo_with_plan`]) the crate-wide invariant holds:
 //!
 //! > the local buffer equals the global tensor restricted to the window,
 //! > with zeros at window positions outside the global bounds.
@@ -216,16 +216,10 @@ impl DistTensor {
 
     /// A re-margined copy of this shard: same distribution, rank, and
     /// owned data, with margins `(lo, hi)` allocated but unfilled (run a
-    /// halo exchange afterwards to populate them).
-    pub fn to_window(&self, margin_lo: [usize; NDIMS], margin_hi: [usize; NDIMS]) -> DistTensor {
-        self.to_window_in(margin_lo, margin_hi, None)
-    }
-
-    /// [`DistTensor::to_window`] drawing the window's backing storage
-    /// from `store` when provided (the arena path); `None` allocates
-    /// fresh. The owned block is copied box-to-box without materializing
-    /// an intermediate owned tensor, and the result is bitwise-identical
-    /// to `to_window` either way.
+    /// halo exchange afterwards to populate them). The window's backing
+    /// storage comes from `store` when provided (the arena path); `None`
+    /// allocates fresh, bitwise-identically. The owned block is copied
+    /// box-to-box without materializing an intermediate owned tensor.
     pub fn to_window_in(
         &self,
         margin_lo: [usize; NDIMS],
@@ -255,20 +249,6 @@ impl DistTensor {
         let lb = self.own_box_local();
         assert_eq!(t.shape(), lb.shape(), "owned region shape mismatch");
         self.local.unpack_box(&lb, t.as_slice());
-    }
-
-    /// Zero the margin area (e.g. before re-filling halos after the
-    /// owned data changed).
-    pub fn clear_margins(&mut self) {
-        let own_local = self.own_box_local();
-        let full = self.local.shape().full_box();
-        // Zero everything, then restore the owned block. Margins are a
-        // small fraction of the buffer, but this keeps the logic simple
-        // and branch-free; revisit only if profiling says so.
-        let owned = self.local.pack_box(&own_local);
-        let _ = full;
-        self.local.fill(0.0);
-        self.local.unpack_box(&own_local, &owned);
     }
 }
 
@@ -336,17 +316,5 @@ mod tests {
         doubled.scale(2.0);
         dt.set_owned(&doubled);
         assert_eq!(dt.get_global([0, 0, 4, 4]), Some(2.0 * global.at(0, 0, 4, 4)));
-    }
-
-    #[test]
-    fn clear_margins_preserves_owned() {
-        let dist = demo_dist();
-        let global = Tensor::full(dist.shape, 5.0);
-        let mut dt = DistTensor::from_global(dist.clone(), 0, &global, [0, 0, 1, 1], [0, 0, 1, 1]);
-        // Pollute a margin cell that lies in-bounds (row 4 is rank 2's).
-        dt.set_global([0, 0, 4, 0], 99.0);
-        dt.clear_margins();
-        assert_eq!(dt.get_global([0, 0, 4, 0]), Some(0.0));
-        assert_eq!(dt.get_global([0, 0, 3, 0]), Some(5.0));
     }
 }

@@ -1,15 +1,13 @@
-//! Assembling and distributing full tensors at a root rank.
+//! Assembling a full tensor at a root rank.
 //!
-//! Used at the edges of the training pipeline (loading a mini-batch,
-//! inspecting results) and heavily in tests, where the serial reference
-//! runs on the gathered tensor.
+//! Used at the edge of the training pipeline (inspecting results) and
+//! heavily in tests, where the serial reference runs on the gathered
+//! tensor.
 
 use fg_comm::{Collectives, Communicator};
 
 use crate::dense::Tensor;
-use crate::dist::TensorDist;
 use crate::disttensor::DistTensor;
-use crate::shape::NDIMS;
 
 /// Gather the owned shards of `dt` into a full tensor on `root`.
 /// Returns `Some` on the root, `None` elsewhere. Collective.
@@ -26,46 +24,10 @@ pub fn gather_to_root<C: Communicator>(comm: &C, dt: &DistTensor, root: usize) -
     Some(full)
 }
 
-/// Scatter a full tensor from `root` into shards of `dist` with the given
-/// margins (unfilled). Non-root ranks pass `None`. Collective.
-pub fn scatter_from_root<C: Communicator>(
-    comm: &C,
-    dist: TensorDist,
-    root: usize,
-    full: Option<&Tensor>,
-    margin_lo: [usize; NDIMS],
-    margin_hi: [usize; NDIMS],
-) -> DistTensor {
-    debug_assert_eq!(comm.size(), dist.world_size());
-    let parts = if comm.rank() == root {
-        let full = full.expect("root must supply the tensor");
-        assert_eq!(full.shape(), dist.shape, "tensor does not match distribution");
-        Some((0..dist.world_size()).map(|r| full.pack_box(&dist.local_box(r))).collect())
-    } else {
-        None
-    };
-    let mine = comm.scatterv(root, parts);
-    let mut dt = DistTensor::new(dist.clone(), comm.rank(), margin_lo, margin_hi);
-    let own_local = dt.own_box_local();
-    dt.local_mut().unpack_box(&own_local, &mine);
-    dt
-}
-
-/// Gather shards and broadcast the assembled tensor to every rank.
-pub fn allgather_full<C: Communicator>(comm: &C, dt: &DistTensor) -> Tensor {
-    let dist = dt.dist().clone();
-    let parts = comm.allgatherv(dt.owned_tensor().as_slice().to_vec());
-    let mut full = Tensor::zeros(dist.shape);
-    for (rank, data) in parts.into_iter().enumerate() {
-        let b = dist.local_box(rank);
-        full.unpack_box(&b, &data);
-    }
-    full
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::TensorDist;
     use crate::procgrid::ProcGrid;
     use crate::shape::Shape4;
     use fg_comm::run_ranks;
@@ -75,50 +37,15 @@ mod tests {
     }
 
     #[test]
-    fn scatter_then_gather_round_trips() {
+    fn gather_assembles_at_the_root_only() {
         let shape = Shape4::new(4, 2, 6, 6);
         let dist = TensorDist::new(shape, ProcGrid::hybrid(2, 2, 1));
         let global = pattern(shape);
         let outs = run_ranks(4, |comm| {
-            let full = (comm.rank() == 1).then(|| global.clone());
-            let dt = scatter_from_root(comm, dist.clone(), 1, full.as_ref(), [0; 4], [0; 4]);
+            let dt = DistTensor::from_global(dist.clone(), comm.rank(), &global, [0; 4], [0; 4]);
             gather_to_root(comm, &dt, 3)
         });
         assert!(outs[0].is_none() && outs[1].is_none() && outs[2].is_none());
         assert_eq!(outs[3].as_ref().unwrap(), &global);
-    }
-
-    #[test]
-    fn allgather_full_reconstructs_everywhere() {
-        let shape = Shape4::new(2, 1, 8, 4);
-        let dist = TensorDist::new(shape, ProcGrid::spatial(2, 2));
-        let global = pattern(shape);
-        let outs = run_ranks(4, |comm| {
-            let dt = DistTensor::from_global(dist.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-            allgather_full(comm, &dt)
-        });
-        for o in outs {
-            assert_eq!(o, global);
-        }
-    }
-
-    #[test]
-    fn scatter_with_margins_leaves_margins_zero() {
-        let shape = Shape4::new(1, 1, 8, 8);
-        let dist = TensorDist::new(shape, ProcGrid::spatial(2, 2));
-        let global = pattern(shape);
-        run_ranks(4, |comm| {
-            let full = (comm.rank() == 0).then(|| global.clone());
-            let dt =
-                scatter_from_root(comm, dist.clone(), 0, full.as_ref(), [0, 0, 1, 1], [0, 0, 1, 1]);
-            for idx in dt.own_box().iter() {
-                assert_eq!(dt.get_global(idx), Some(global.at_idx(idx)));
-            }
-            for idx in dt.needed_box().iter() {
-                if !dt.own_box().contains(idx) {
-                    assert_eq!(dt.get_global(idx), Some(0.0));
-                }
-            }
-        });
     }
 }

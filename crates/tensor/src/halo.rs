@@ -1,7 +1,10 @@
 //! Halo exchange among adjacent shards (paper §III-A and Fig. 1b).
 //!
 //! Spatially partitioned convolution needs `O = ⌊K/2⌋` rows/columns of
-//! remote data at partition borders. [`exchange_halo`] fills each rank's
+//! remote data at partition borders. A [`HaloPlan`], compiled once per
+//! layer from the layout alone, names the boxes each rank sends and
+//! receives; [`exchange_halo_with_plan`] (or its split form,
+//! [`start_halo_exchange`] / [`finish_halo_exchange`]) fills each rank's
 //! margins with the neighbors' border data, establishing the window
 //! invariant documented in [`crate::disttensor`].
 //!
@@ -13,12 +16,6 @@
 //! sends plus corner sends — the same message count the performance model
 //! assumes — while remaining correct when a margin spans multiple
 //! neighbor blocks or the grid is partitioned in N or C too.
-//!
-//! [`exchange_halo_reverse`] is the adjoint: margins hold *contributions*
-//! to neighbor-owned elements (as produced by transposed convolution) and
-//! are sent back and accumulated into the owners. The pair satisfies the
-//! adjoint identity `⟨exchange(x), y⟩ = ⟨x, exchange_reverse(y)⟩`, which
-//! the property tests check.
 
 use fg_comm::{Communicator, OpClass};
 
@@ -123,19 +120,14 @@ pub fn record_halo_exchange(rec: &mut fg_comm::TraceRecorder, plan: &HaloPlan) {
     }
 }
 
-/// Fill `dt`'s margins from neighboring shards.
+/// Fill `dt`'s margins from neighboring shards along `plan`, which must
+/// have been compiled for `dt`'s layout ([`HaloPlan::build`] or
+/// [`HaloPlan::for_layout`]).
 ///
 /// Collective over `comm`, whose size must equal the distribution's world
 /// size and whose ranks must match shard ranks. After the call, the
 /// window invariant holds: the local buffer equals the global tensor on
 /// the in-bounds window, zeros outside.
-pub fn exchange_halo<C: Communicator>(comm: &C, dt: &mut DistTensor) {
-    let plan = HaloPlan::build(dt);
-    exchange_halo_with_plan(comm, dt, &plan);
-}
-
-/// [`exchange_halo`] with a precomputed plan (avoids re-deriving the
-/// geometry every training iteration).
 pub fn exchange_halo_with_plan<C: Communicator>(comm: &C, dt: &mut DistTensor, plan: &HaloPlan) {
     let tag = start_halo_exchange(comm, dt, plan);
     finish_halo_exchange(comm, dt, plan, tag);
@@ -181,44 +173,6 @@ pub fn finish_halo_exchange<C: Communicator>(
     });
 }
 
-/// Adjoint halo exchange: margins carry partial contributions to
-/// neighbor-owned elements; send them to the owners and accumulate.
-///
-/// After the call, each rank's owned region contains its own values plus
-/// all neighbor contributions; margins are zeroed (they have been
-/// consumed). Used by transposed/backward convolution when gradients are
-/// computed into the window and must be folded back to owners.
-pub fn exchange_halo_reverse<C: Communicator>(comm: &C, dt: &mut DistTensor) {
-    let plan = HaloPlan::build(dt);
-    exchange_halo_reverse_with_plan(comm, dt, &plan);
-}
-
-/// [`exchange_halo_reverse`] with a precomputed (forward) plan: the
-/// forward plan's receives become sends and vice versa.
-pub fn exchange_halo_reverse_with_plan<C: Communicator>(
-    comm: &C,
-    dt: &mut DistTensor,
-    plan: &HaloPlan,
-) {
-    debug_assert_eq!(comm.size(), dt.dist().world_size(), "communicator/distribution mismatch");
-    comm.with_class(OpClass::Halo, || {
-        let tag = comm.next_collective_tag();
-        // My margin boxes (forward recvs) hold contributions owned by peers.
-        for (peer, gbox) in &plan.recvs {
-            let lbox = dt.global_to_local_box(gbox);
-            comm.send(*peer, tag, dt.local().pack_box(&lbox));
-        }
-        // Accumulate contributions computed by peers into my owned region
-        // (forward sends reversed).
-        for (peer, gbox) in &plan.sends {
-            let data = comm.recv::<f32>(*peer, tag);
-            let lbox = dt.global_to_local_box(gbox);
-            dt.local_mut().unpack_box_add(&lbox, &data);
-        }
-    });
-    dt.clear_margins();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +214,8 @@ mod tests {
         let global = global_pattern(shape);
         run_ranks(grid.size(), |comm| {
             let mut dt = DistTensor::from_global(dist.clone(), comm.rank(), &global, mlo, mhi);
-            exchange_halo(comm, &mut dt);
+            let plan = HaloPlan::build(&dt);
+            exchange_halo_with_plan(comm, &mut dt, &plan);
             check_window_invariant(&dt, &global);
         });
     }
@@ -344,94 +299,8 @@ mod tests {
                 DistTensor::from_global(dist.clone(), comm.rank(), &global, [0; 4], [0; 4]);
             let plan = HaloPlan::build(&dt);
             assert!(plan.sends.is_empty() && plan.recvs.is_empty());
-            exchange_halo(comm, &mut dt);
+            exchange_halo_with_plan(comm, &mut dt, &plan);
             check_window_invariant(&dt, &global);
         });
-    }
-
-    #[test]
-    fn reverse_exchange_accumulates_contributions() {
-        // Each rank fills its whole window with ones; after the reverse
-        // exchange, an owned element's value equals the number of windows
-        // (its own + neighbors') that covered it.
-        let shape = Shape4::new(1, 1, 6, 6);
-        let grid = ProcGrid::spatial(2, 2);
-        let dist = TensorDist::new(shape, grid);
-        let counts = run_ranks(4, |comm| {
-            let mut dt = DistTensor::new(dist.clone(), comm.rank(), [0, 0, 1, 1], [0, 0, 1, 1]);
-            dt.local_mut().fill(1.0);
-            // Out-of-bounds padding must not contribute; zero it the way
-            // a kernel would (it only writes the in-bounds window).
-            let needed = dt.needed_box();
-            let mut cleaned =
-                DistTensor::new(dist.clone(), comm.rank(), [0, 0, 1, 1], [0, 0, 1, 1]);
-            let lb = cleaned.global_to_local_box(&needed);
-            cleaned.local_mut().unpack_box(&lb, &vec![1.0; needed.len()]);
-            let mut dt = cleaned;
-            exchange_halo_reverse(comm, &mut dt);
-            dt.owned_tensor()
-        });
-        // Global element (2,2) is interior to rank 0 block's corner; it is
-        // covered by all 4 windows.
-        assert_eq!(counts[0].at(0, 0, 2, 2), 4.0);
-        // Element (0,0) only by rank 0's window.
-        assert_eq!(counts[0].at(0, 0, 0, 0), 1.0);
-        // Element (2,0): rank 0's own window plus rank 2's top margin.
-        assert_eq!(counts[0].at(0, 0, 2, 0), 2.0);
-    }
-
-    #[test]
-    fn forward_reverse_adjointness() {
-        // <E(x), y> over margins+interior == <x, E^T(y)> over interiors,
-        // for random-ish deterministic data.
-        let shape = Shape4::new(1, 2, 8, 8);
-        let grid = ProcGrid::spatial(2, 2);
-        let dist = TensorDist::new(shape, grid);
-        let global_x = global_pattern(shape);
-        let results = run_ranks(4, |comm| {
-            // Forward: fill x owned, exchange halo.
-            let mut x = DistTensor::from_global(
-                dist.clone(),
-                comm.rank(),
-                &global_x,
-                [0, 0, 1, 1],
-                [0, 0, 1, 1],
-            );
-            exchange_halo(comm, &mut x);
-            // y: a deterministic per-rank window pattern (in-bounds only).
-            let mut y = DistTensor::new(dist.clone(), comm.rank(), [0, 0, 1, 1], [0, 0, 1, 1]);
-            let needed = y.needed_box();
-            let vals: Vec<f32> = needed
-                .iter()
-                .map(|g| ((g[2] * 31 + g[3] * 7 + comm.rank() * 13) % 17) as f32 - 8.0)
-                .collect();
-            let lb = y.global_to_local_box(&needed);
-            y.local_mut().unpack_box(&lb, &vals);
-            // LHS: <E(x), y> summed over the full window.
-            let lhs: f64 = x
-                .local()
-                .as_slice()
-                .iter()
-                .zip(y.local().as_slice())
-                .map(|(a, b)| (*a as f64) * (*b as f64))
-                .sum();
-            // RHS: <x_owned, E^T(y)_owned>.
-            let x_owned = x.owned_tensor();
-            let mut yt = y.clone();
-            exchange_halo_reverse(comm, &mut yt);
-            let rhs: f64 = x_owned
-                .as_slice()
-                .iter()
-                .zip(yt.owned_tensor().as_slice())
-                .map(|(a, b)| (*a as f64) * (*b as f64))
-                .sum();
-            (lhs, rhs)
-        });
-        let lhs: f64 = results.iter().map(|(l, _)| l).sum();
-        let rhs: f64 = results.iter().map(|(_, r)| r).sum();
-        assert!(
-            (lhs - rhs).abs() < 1e-6 * lhs.abs().max(1.0),
-            "adjoint identity violated: {lhs} vs {rhs}"
-        );
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! The reproduction of the paper's "small C++ library for distributed
 //! tensor data structures" (§IV): a partitioned global view of 4-D
-//! tensors decomposed over ranks, with the three data-movement primitives
-//! CNN training needs:
+//! tensors decomposed over ranks, with the data-movement primitives CNN
+//! training needs, each compiled once into a plan from the layout alone
+//! and executed every step:
 //!
 //! * **halo exchange** between adjacent spatial shards
-//!   ([`halo::exchange_halo`], §III-A / §IV),
+//!   ([`halo::HaloPlan`], [`halo::exchange_halo_with_plan`], §III-A / §IV),
 //! * **redistribution** between layer distributions via all-to-all
-//!   ([`shuffle::redistribute`], §III-C),
-//! * **gather/scatter** of full tensors at a root ([`gather`]),
+//!   ([`shuffle::ShufflePlan`], §III-C),
+//! * **gather** of a full tensor at a root ([`gather`]),
 //!
 //! plus a fourth, offline primitive: **regridding** of checkpointed
 //! shards between grids of *different* world sizes
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use fg_tensor::{DistTensor, ProcGrid, Shape4, Tensor, TensorDist};
-//! use fg_tensor::halo::exchange_halo;
+//! use fg_tensor::halo::{exchange_halo_with_plan, HaloPlan};
 //! use fg_comm::{run_ranks, Communicator};
 //!
 //! // A 1×1×8×8 image spatially partitioned over a 2×2 grid with a
@@ -34,7 +35,8 @@
 //! run_ranks(4, |comm| {
 //!     let mut x = DistTensor::from_global(dist.clone(), comm.rank(), &global,
 //!                                         [0, 0, 1, 1], [0, 0, 1, 1]);
-//!     exchange_halo(comm, &mut x);
+//!     let plan = HaloPlan::build(&x);
+//!     exchange_halo_with_plan(comm, &mut x, &plan);
 //!     // Rank 0 now sees row 4 (owned by rank 2) in its margin:
 //!     if comm.rank() == 0 {
 //!         assert_eq!(x.get_global([0, 0, 4, 0]), Some(32.0));
@@ -63,4 +65,4 @@ pub use disttensor::DistTensor;
 pub use procgrid::ProcGrid;
 pub use regrid::{assemble_tensor, check_box_partition, shard_tensor, RegridPlan};
 pub use shape::{Box4, Shape4, NDIMS};
-pub use weights::{weighted_block_range, weighted_block_sizes, weighted_owner, GridWeights};
+pub use weights::{weighted_block_range, weighted_owner, GridWeights};

@@ -22,9 +22,8 @@ use crate::shape::{Box4, NDIMS};
 /// Building the plan is pure geometry; [`ShufflePlan::execute`] performs
 /// the all-to-all. Compiling once per layer edge and executing every
 /// iteration is the plan-once/execute-many structure of the paper's
-/// implementation, and `execute` reproduces [`redistribute`] (which now
-/// delegates here) bitwise: send and receive boxes are enumerated in the
-/// exact `ranks_overlapping` orders the one-shot path used.
+/// implementation. Send and receive boxes are enumerated in
+/// `ranks_overlapping` order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShufflePlan {
     src: TensorDist,
@@ -164,24 +163,6 @@ impl ShufflePlan {
     }
 }
 
-/// Redistribute `src` into distribution `dst_dist`, allocating the
-/// destination shard with the given margins (unfilled; run a halo
-/// exchange afterwards if needed).
-///
-/// Collective over `comm`; both distributions must cover the same global
-/// shape on the same world size. One-shot convenience over
-/// [`ShufflePlan`]: compiles the plan and immediately executes it.
-pub fn redistribute<C: Communicator>(
-    comm: &C,
-    src: &DistTensor,
-    dst_dist: TensorDist,
-    margin_lo: [usize; NDIMS],
-    margin_hi: [usize; NDIMS],
-) -> DistTensor {
-    ShufflePlan::build(src.dist().clone(), dst_dist, src.rank())
-        .execute(comm, src, margin_lo, margin_hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +175,18 @@ mod tests {
         Tensor::from_fn(shape, |n, c, h, w| (((n * 7 + c) * 11 + h) * 13 + w) as f32)
     }
 
+    /// One rank's shuffle of `src` into `dst`, through a freshly
+    /// compiled plan.
+    fn shuffle<C: Communicator>(
+        comm: &C,
+        src: &DistTensor,
+        dst: &TensorDist,
+        margin: [usize; NDIMS],
+    ) -> DistTensor {
+        ShufflePlan::build(src.dist().clone(), dst.clone(), comm.rank())
+            .execute(comm, src, margin, margin)
+    }
+
     fn check_roundtrip(shape: Shape4, from: ProcGrid, to: ProcGrid) {
         assert_eq!(from.size(), to.size());
         let d_from = TensorDist::new(shape, from);
@@ -201,13 +194,13 @@ mod tests {
         let global = pattern(shape);
         run_ranks(from.size(), |comm| {
             let src = DistTensor::from_global(d_from.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-            let mid = redistribute(comm, &src, d_to.clone(), [0; 4], [0; 4]);
+            let mid = shuffle(comm, &src, &d_to, [0; 4]);
             // Every owned element of the new distribution matches the global.
             for idx in mid.own_box().iter() {
                 assert_eq!(mid.get_global(idx), Some(global.at_idx(idx)));
             }
             // And shuffling back restores the original shard exactly.
-            let back = redistribute(comm, &mid, d_from.clone(), [0; 4], [0; 4]);
+            let back = shuffle(comm, &mid, &d_from, [0; 4]);
             assert_eq!(back.owned_tensor(), src.owned_tensor());
         });
     }
@@ -220,7 +213,7 @@ mod tests {
         let global = pattern(shape);
         let stats = run_ranks(4, |comm| {
             let src = DistTensor::from_global(d_from.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-            redistribute(comm, &src, d_to.clone(), [0; 4], [0; 4]);
+            shuffle(comm, &src, &d_to, [0; 4]);
             comm.stats()
         });
         for s in &stats {
@@ -266,43 +259,20 @@ mod tests {
         let global = pattern(shape);
         run_ranks(4, |comm| {
             let src = DistTensor::from_global(dist.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-            let out = redistribute(comm, &src, dist.clone(), [0; 4], [0; 4]);
+            let out = shuffle(comm, &src, &dist, [0; 4]);
             assert_eq!(out.owned_tensor(), src.owned_tensor());
         });
     }
 
     #[test]
-    fn cached_plan_execution_matches_one_shot() {
-        // One plan, executed against several different tensors, must be
-        // indistinguishable from compiling fresh geometry per call.
-        let shape = Shape4::new(4, 2, 6, 6);
-        let d_from = TensorDist::new(shape, ProcGrid::sample(4));
-        let d_to = TensorDist::new(shape, ProcGrid::spatial(2, 2));
-        run_ranks(4, |comm| {
-            let plan = ShufflePlan::build(d_from.clone(), d_to.clone(), comm.rank());
-            for step in 0..3 {
-                let global = Tensor::from_fn(shape, |n, c, h, w| {
-                    (((n * 7 + c) * 11 + h) * 13 + w) as f32 + step as f32 * 1000.0
-                });
-                let src =
-                    DistTensor::from_global(d_from.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-                let planned = plan.execute(comm, &src, [0; 4], [0; 4]);
-                let oneshot = redistribute(comm, &src, d_to.clone(), [0; 4], [0; 4]);
-                assert_eq!(planned.owned_tensor(), oneshot.owned_tensor());
-                assert_eq!(planned.local(), oneshot.local());
-            }
-        });
-    }
-
-    #[test]
-    fn redistribute_into_margins_allocates_but_does_not_fill() {
+    fn shuffle_into_margins_allocates_but_does_not_fill() {
         let shape = Shape4::new(1, 1, 8, 8);
         let d_from = TensorDist::new(shape, ProcGrid::spatial(4, 1));
         let d_to = TensorDist::new(shape, ProcGrid::spatial(1, 4));
         let global = pattern(shape);
         run_ranks(4, |comm| {
             let src = DistTensor::from_global(d_from.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-            let out = redistribute(comm, &src, d_to.clone(), [0, 0, 1, 1], [0, 0, 1, 1]);
+            let out = shuffle(comm, &src, &d_to, [0, 0, 1, 1]);
             for idx in out.own_box().iter() {
                 assert_eq!(out.get_global(idx), Some(global.at_idx(idx)));
             }

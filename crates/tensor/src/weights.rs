@@ -28,7 +28,7 @@ use crate::shape::NDIMS;
 /// (ties toward the lowest index). When `total >= weights.len()` every
 /// block is guaranteed non-empty: zero-sized blocks borrow one element
 /// from the currently largest block.
-pub fn weighted_block_sizes(total: usize, weights: &[u64]) -> Vec<usize> {
+fn weighted_block_sizes(total: usize, weights: &[u64]) -> Vec<usize> {
     let parts = weights.len();
     assert!(parts > 0, "weighted partition needs at least one part");
     let w_total: u128 = weights.iter().map(|&w| w as u128).sum();

@@ -1,10 +1,9 @@
-//! Property tests of the halo-exchange pair: the forward exchange
-//! establishes the window invariant, the reverse exchange is its exact
-//! adjoint, and plan geometry matches the data actually moved — over
-//! random shapes, grids and margins.
+//! Property tests of the planned halo exchange: plan geometry matches
+//! the data actually moved, and once the window invariant holds a second
+//! exchange changes nothing — over random shapes, grids and margins.
 
 use fg_comm::{run_ranks, Communicator};
-use fg_tensor::halo::{exchange_halo, exchange_halo_reverse, HaloPlan};
+use fg_tensor::halo::{exchange_halo_with_plan, HaloPlan};
 use fg_tensor::{DistTensor, ProcGrid, Shape4, Tensor, TensorDist};
 use proptest::prelude::*;
 
@@ -49,51 +48,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
-    fn forward_reverse_adjointness_over_random_layouts((shape, grid, m, seed) in case()) {
-        let dist = TensorDist::new(shape, grid);
-        let global_x = tensor_from_seed(shape, seed);
-        let results = run_ranks(grid.size(), |comm| {
-            // x: owned data + exchanged halos (the E operator).
-            let mut x = DistTensor::from_global(dist.clone(), comm.rank(), &global_x, m, m);
-            exchange_halo(comm, &mut x);
-            // y: a deterministic window pattern, in-bounds cells only.
-            let mut y = DistTensor::new(dist.clone(), comm.rank(), m, m);
-            let needed = y.needed_box();
-            let vals: Vec<f32> = needed
-                .iter()
-                .map(|g| ((g[0] * 5 + g[2] * 31 + g[3] * 7 + comm.rank() * 13) % 23) as f32 - 11.0)
-                .collect();
-            let lb = y.global_to_local_box(&needed);
-            y.local_mut().unpack_box(&lb, &vals);
-            // <E(x), y> over windows.
-            let lhs: f64 = x
-                .local()
-                .as_slice()
-                .iter()
-                .zip(y.local().as_slice())
-                .map(|(a, b)| (*a as f64) * (*b as f64))
-                .sum();
-            // <x, Eᵀ(y)> over owned regions.
-            let x_owned = x.owned_tensor();
-            let mut yt = y.clone();
-            exchange_halo_reverse(comm, &mut yt);
-            let rhs: f64 = x_owned
-                .as_slice()
-                .iter()
-                .zip(yt.owned_tensor().as_slice())
-                .map(|(a, b)| (*a as f64) * (*b as f64))
-                .sum();
-            (lhs, rhs)
-        });
-        let lhs: f64 = results.iter().map(|(l, _)| l).sum();
-        let rhs: f64 = results.iter().map(|(_, r)| r).sum();
-        prop_assert!(
-            (lhs - rhs).abs() < 1e-6 * lhs.abs().max(1.0),
-            "adjoint identity violated: {} vs {}", lhs, rhs
-        );
-    }
-
-    #[test]
     fn plan_volume_equals_moved_volume((shape, grid, m, seed) in case()) {
         let dist = TensorDist::new(shape, grid);
         let global = tensor_from_seed(shape, seed);
@@ -101,7 +55,7 @@ proptest! {
             let mut dt = DistTensor::from_global(dist.clone(), comm.rank(), &global, m, m);
             let plan = HaloPlan::build(&dt);
             let before = comm.stats().total_bytes();
-            exchange_halo(comm, &mut dt);
+            exchange_halo_with_plan(comm, &mut dt, &plan);
             let moved = comm.stats().total_bytes() - before;
             (plan.send_elements() as u64 * 4, moved, plan.recv_elements())
         });
@@ -118,15 +72,19 @@ proptest! {
 
     #[test]
     fn repeated_exchanges_are_idempotent((shape, grid, m, seed) in case()) {
-        // Once the window invariant holds, exchanging again changes
-        // nothing (the margins already hold the owners' data).
+        // One exchange establishes the window invariant; exchanging again
+        // changes nothing (the margins already hold the owners' data).
         let dist = TensorDist::new(shape, grid);
         let global = tensor_from_seed(shape, seed);
         let ok = run_ranks(grid.size(), |comm| {
             let mut dt = DistTensor::from_global(dist.clone(), comm.rank(), &global, m, m);
-            exchange_halo(comm, &mut dt);
+            let plan = HaloPlan::build(&dt);
+            exchange_halo_with_plan(comm, &mut dt, &plan);
+            if dt.needed_box().iter().any(|idx| dt.get_global(idx) != Some(global.at_idx(idx))) {
+                return false;
+            }
             let snapshot = dt.local().clone();
-            exchange_halo(comm, &mut dt);
+            exchange_halo_with_plan(comm, &mut dt, &plan);
             *dt.local() == snapshot
         });
         prop_assert!(ok.iter().all(|&v| v));

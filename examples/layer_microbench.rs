@@ -10,7 +10,8 @@
 
 use std::time::Instant;
 
-use finegrain::comm::{run_ranks, Communicator, OpClass};
+use finegrain::comm::{run_ranks, Collectives, Communicator, OpClass};
+use finegrain::core::distconv::InteriorPlan;
 use finegrain::core::DistConv2d;
 use finegrain::kernels::ConvGeometry;
 use finegrain::perf::Platform;
@@ -58,13 +59,22 @@ fn main() {
         let w = Tensor::from_fn(Shape4::new(16, 18, 5, 5), |f, c, r, s| {
             ((f + c + r + s) % 5) as f32 * 0.05
         });
-        let start = Instant::now();
-        let stats = run_ranks(4, |comm| {
-            let xs = DistTensor::from_global(conv.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            let (_y, _win) = conv.forward(comm, &xs, &w, None);
-            comm.stats()
-        });
-        let elapsed = start.elapsed().as_secs_f64();
+        // Plans are compiled once, outside the timed region, as the
+        // executor compiles them; the timer covers the forward pass the
+        // step runs (halo overlapped with the interior compute).
+        let (stats, secs): (Vec<_>, Vec<f64>) = run_ranks(4, |comm| {
+            let rank = comm.rank();
+            let (x_halo, interior) = (conv.x_halo_plan(rank), InteriorPlan::build(&conv, rank));
+            let xs = DistTensor::from_global(conv.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
+            comm.barrier();
+            let start = Instant::now();
+            let _ = conv.forward(comm, &xs, &w, None, &x_halo, &interior, None);
+            comm.barrier();
+            (comm.stats(), start.elapsed().as_secs_f64())
+        })
+        .into_iter()
+        .unzip();
+        let elapsed = secs.into_iter().fold(0.0, f64::max);
         let halo_bytes: u64 = stats.iter().map(|s| s.bytes(OpClass::Halo)).sum();
         let halo_msgs: u64 = stats.iter().map(|s| s.messages(OpClass::Halo)).sum();
         println!(
@@ -73,6 +83,7 @@ fn main() {
             halo_bytes
         );
     }
-    println!("\n(1 CPU core runs all ranks: wall time ≈ total work; the halo columns show");
-    println!(" the communication the schemes trade for parallelism — zero for sample parallel.)");
+    println!("\n(ranks are threads sharing the host's cores, so wall time depends on how many");
+    println!(" cores it has; the halo columns show the communication the schemes trade for");
+    println!(" parallelism — zero for sample parallel.)");
 }

@@ -216,6 +216,18 @@ bitwise_conv_tests=(
 filtered_tests -p fg-kernels --test conv_properties -- "${bitwise_conv_tests[@]}"
 filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv_tests[@]}"
 
+# The step's conv path — the one plan-taking `DistConv2d::{forward,
+# backward}`, halo overlapped with the interior — against the serial
+# kernels, on random geometries and grids and on the pinned strip shapes;
+# and the reachability tripwires, module and function grain, so a
+# self-planning twin nothing runs cannot come back unnoticed.
+step "distributed conv == serial on the step's path, reachability (debug + release)"
+for profile in "" --release; do
+    filtered_tests $profile --test proptests -- distributed_conv_replicates_serial
+    filtered_tests $profile -p fg-core --lib -- distconv::tests::
+    filtered_tests $profile --test reachability -- every_public_
+done
+
 # Serving tier: chaos traffic (lossy links + a mid-stream rank kill)
 # through the full admission → batch → dispatch → replica stack. The
 # contract under test: every accepted request terminates — no hangs —

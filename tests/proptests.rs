@@ -7,12 +7,16 @@
 
 use finegrain::comm::collectives::block_range;
 use finegrain::comm::{run_ranks, AllreduceAlgorithm, Collectives, Communicator, ReduceOp};
+use finegrain::core::distconv::InteriorPlan;
 use finegrain::core::{DistConv2d, DistExecutor};
-use finegrain::kernels::conv::{conv2d_backward_data, conv2d_forward, ConvGeometry};
+use finegrain::kernels::conv::{
+    conv2d_backward_data, conv2d_backward_filter, conv2d_forward, ConvGeometry,
+};
 use finegrain::kernels::Labels;
 use finegrain::nn::{Network, NetworkSpec, Sgd};
 use finegrain::tensor::gather::gather_to_root;
-use finegrain::tensor::shuffle::{redistribute, ShufflePlan};
+use finegrain::tensor::halo::{exchange_halo_with_plan, HaloPlan};
+use finegrain::tensor::shuffle::ShufflePlan;
 use finegrain::tensor::weighted_block_range;
 use finegrain::tensor::{DistTensor, ProcGrid, Shape4, Tensor, TensorDist};
 use proptest::prelude::*;
@@ -64,25 +68,42 @@ fn conv_case() -> impl Strategy<Value = (usize, usize, usize, ConvGeometry, Proc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The step's conv path — plans compiled as the executor compiles
+    /// them, halo overlapped with the interior — against the serial
+    /// kernels: `y` and `dx` bitwise, `dw` / `db` (summed by an
+    /// allreduce, in another order) within 1e-4.
     #[test]
     fn distributed_conv_replicates_serial((n, c, f, geom, grid, seed) in conv_case()) {
         let x = tensor_from_seed(Shape4::new(n, c, geom.in_h, geom.in_w), seed);
         let w = tensor_from_seed(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xABCD);
-        let y_serial = conv2d_forward(&x, &w, None, &geom);
+        let bias: Vec<f32> = (0..f).map(|i| i as f32 * 0.5 - 0.75).collect();
+        let y_serial = conv2d_forward(&x, &w, Some(&bias), &geom);
         let dy = tensor_from_seed(y_serial.shape(), seed ^ 0x1234);
         let dx_serial = conv2d_backward_data(&dy, &w, &geom);
+        let (dw_serial, db_serial) = conv2d_backward_filter(&x, &dy, &geom);
 
         let layer = DistConv2d::new(n, c, f, geom, grid);
         let outs = run_ranks(grid.size(), |comm| {
-            let xs = DistTensor::from_global(layer.in_dist.clone(), comm.rank(), &x, [0; 4], [0; 4]);
-            let (y, _win) = layer.forward(comm, &xs, &w, None);
-            let dys = DistTensor::from_global(layer.out_dist.clone(), comm.rank(), &dy, [0; 4], [0; 4]);
-            let dx = layer.backward_data(comm, &dys, &w);
-            (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0))
+            let rank = comm.rank();
+            let (x_halo, dy_halo) = (layer.x_halo_plan(rank), layer.dy_halo_plan(rank));
+            let interior = InteriorPlan::build(&layer, rank);
+            let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
+            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior, None);
+            let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
+            let (dx, dw, db, _) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo, None);
+            let dx = dx.expect("dx was asked for");
+            (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0), dw, db)
         });
         // Bitwise identity: same inner loops, same windows.
         prop_assert_eq!(outs[0].0.as_ref().unwrap(), &y_serial);
         prop_assert_eq!(outs[0].1.as_ref().unwrap(), &dx_serial);
+        for (_, _, dw, db) in &outs {
+            let rel = dw.max_rel_diff(&dw_serial, 1.0);
+            prop_assert!(rel <= 1e-4, "dw off by {}", rel);
+            for (a, b) in db.as_ref().unwrap().iter().zip(&db_serial) {
+                prop_assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "db {} vs {}", a, b);
+            }
+        }
     }
 
     #[test]
@@ -105,62 +126,24 @@ proptest! {
         let from = TensorDist::new(shape, grids[from_idx]);
         let to = TensorDist::new(shape, grids[to_idx]);
         prop_assume!(from.is_fully_populated() && to.is_fully_populated());
-        let global = tensor_from_seed(shape, seed);
-        let ok = run_ranks(4, |comm| {
-            let src = DistTensor::from_global(from.clone(), comm.rank(), &global, [0; 4], [0; 4]);
-            let mid = redistribute(comm, &src, to.clone(), [0; 4], [0; 4]);
-            // Every element still present exactly once, values intact.
-            for idx in mid.own_box().iter() {
-                if mid.get_global(idx) != Some(global.at_idx(idx)) {
-                    return false;
-                }
-            }
-            // Round-trip restores the original shard bit-for-bit.
-            let back = redistribute(comm, &mid, from.clone(), [0; 4], [0; 4]);
-            back.owned_tensor() == src.owned_tensor()
-        });
-        prop_assert!(ok.iter().all(|&v| v));
-    }
-
-    #[test]
-    fn precompiled_shuffle_plan_matches_one_shot_redistribute(
-        n in 1usize..5,
-        c in 1usize..4,
-        h in 4usize..12,
-        w in 4usize..12,
-        from_idx in 0usize..4,
-        to_idx in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        // The plan-once/execute-many path (compiled in DistExecutor::new)
-        // must be bitwise-identical to the historical one-shot
-        // redistribute, for every grid pair — including repeated
-        // executions of the same plan.
-        let grids = [
-            ProcGrid::sample(4),
-            ProcGrid::spatial(2, 2),
-            ProcGrid::spatial(4, 1),
-            ProcGrid::hybrid(2, 1, 2),
-        ];
-        let shape = Shape4::new(n.max(4), c, h, w); // N ≥ 4 so sample(4) populates
-        let from = TensorDist::new(shape, grids[from_idx]);
-        let to = TensorDist::new(shape, grids[to_idx]);
-        prop_assume!(from.is_fully_populated() && to.is_fully_populated());
         let a = tensor_from_seed(shape, seed);
         let b = tensor_from_seed(shape, seed ^ 0x5EED);
         let ok = run_ranks(4, |comm| {
-            let plan = ShufflePlan::build(from.clone(), to.clone(), comm.rank());
+            // One plan per direction, executed on two tensors: a plan
+            // carries no state from one execution to the next.
+            let there = ShufflePlan::build(from.clone(), to.clone(), comm.rank());
+            let back = ShufflePlan::build(to.clone(), from.clone(), comm.rank());
+            let mut ok = true;
             for global in [&a, &b] {
                 let src = DistTensor::from_global(from.clone(), comm.rank(), global, [0; 4], [0; 4]);
-                let one_shot = redistribute(comm, &src, to.clone(), [0; 4], [0; 4]);
-                let planned = plan.execute(comm, &src, [0; 4], [0; 4]);
-                if planned.owned_tensor() != one_shot.owned_tensor()
-                    || planned.dist() != one_shot.dist()
-                {
-                    return false;
-                }
+                let mid = there.execute(comm, &src, [0; 4], [0; 4]);
+                let round = back.execute(comm, &mid, [0; 4], [0; 4]);
+                // Every element still present exactly once, values intact,
+                // and the round trip restores the shard bit for bit.
+                ok &= mid.own_box().iter().all(|idx| mid.get_global(idx) == Some(global.at_idx(idx)))
+                    && round.owned_tensor() == src.owned_tensor();
             }
-            true
+            ok
         });
         prop_assert!(ok.iter().all(|&v| v));
     }
@@ -221,7 +204,8 @@ proptest! {
             let mut dt = DistTensor::from_global(
                 dist.clone(), comm.rank(), &global, [0, 0, mh, mw], [0, 0, mh, mw],
             );
-            finegrain::tensor::halo::exchange_halo(comm, &mut dt);
+            let plan = HaloPlan::build(&dt);
+            exchange_halo_with_plan(comm, &mut dt, &plan);
             // Every in-bounds window position matches the global tensor.
             for idx in dt.needed_box().iter() {
                 if dt.get_global(idx) != Some(global.at_idx(idx)) {

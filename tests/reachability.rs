@@ -1,11 +1,19 @@
-//! Tripwire for fully orphaned library modules. For every `pub mod m;`
-//! in a `crates/*/src/lib.rs`, some `.rs` file under `crates/`, `src/`
-//! or `tests/` — other than the module's own file(s) and its crate's
-//! `lib.rs` — must name `m::` or one of the names `lib.rs` re-exports
-//! from `m`, outside a comment. A module that only its own tests or
-//! `examples/` reach fails here: lift it into a live path or delete it.
-//! This is a textual check, not a dead-code analysis; it says nothing
-//! about unused items inside a module that something reaches.
+//! Tripwires for orphaned library code, at two grains.
+//!
+//! * Modules: for every `pub mod m;` in a `crates/*/src/lib.rs`, some
+//!   `.rs` file under `crates/`, `src/` or `tests/` — other than the
+//!   module's own file(s) and its crate's `lib.rs` — must name `m::` or
+//!   one of the names `lib.rs` re-exports from `m`, outside a comment. A
+//!   module that only its own tests or `examples/` reach fails here.
+//! * Free functions: for every column-0 `pub fn f` under `crates/*/src`,
+//!   some other `.rs` file under `crates/`, `src/`, `tests/`,
+//!   `examples/` or `benchmark/src/` must name `f` outside a comment and
+//!   outside a `pub use`. A function only its own file calls should not
+//!   be `pub`; one only its own tests call should not exist. Methods,
+//!   types and consts are not checked.
+//!
+//! Both are textual checks, not a dead-code analysis: a name shared with
+//! an unrelated item elsewhere counts as reached.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,15 +41,15 @@ fn mentions(code: &str, name: &str, then: &str) -> bool {
     })
 }
 
-#[test]
-fn every_public_module_is_reached_from_outside_itself() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// Every `.rs` file under `dirs`, sorted, with whole-line comments
+/// dropped.
+fn sources(root: &Path, dirs: &[&str]) -> Vec<(PathBuf, String)> {
     let mut files = Vec::new();
-    for dir in ["crates", "src", "tests"] {
+    for dir in dirs {
         rust_files(&root.join(dir), &mut files);
     }
     files.sort();
-    let sources: Vec<(PathBuf, String)> = files
+    files
         .into_iter()
         .map(|p| {
             let text = fs::read_to_string(&p).expect("readable source file");
@@ -49,7 +57,27 @@ fn every_public_module_is_reached_from_outside_itself() {
                 text.lines().filter(|l| !l.trim_start().starts_with("//")).collect();
             (p, code.join("\n"))
         })
-        .collect();
+        .collect()
+}
+
+/// `code` with every `pub use …;` / `pub(crate) use …;` item cut out.
+fn without_reexports(code: &str) -> String {
+    let mut out = String::with_capacity(code.len());
+    let mut rest = code;
+    while let Some(i) =
+        ["pub use ", "pub(crate) use "].iter().filter_map(|item| rest.find(item)).min()
+    {
+        out.push_str(&rest[..i]);
+        rest = rest[i..].split_once(';').map_or("", |(_, after)| after);
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn every_public_module_is_reached_from_outside_itself() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = sources(root, &["crates", "src", "tests"]);
 
     let mut orphans = Vec::new();
     for (lib, lib_code) in sources.iter().filter(|(p, _)| p.ends_with("src/lib.rs")) {
@@ -78,5 +106,42 @@ fn every_public_module_is_reached_from_outside_itself() {
     assert!(
         orphans.is_empty(),
         "library modules nothing outside themselves reaches (lift or delete): {orphans:#?}"
+    );
+}
+
+#[test]
+fn every_public_fn_is_named_outside_its_own_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources: Vec<(PathBuf, String)> =
+        sources(root, &["crates", "src", "tests", "examples", "benchmark/src"])
+            .into_iter()
+            .map(|(p, code)| (p, without_reexports(&code)))
+            .collect();
+    let crate_src = root.join("crates");
+    let mut unreached = Vec::new();
+    for (file, code) in &sources {
+        let in_crate_src = file
+            .strip_prefix(&crate_src)
+            .is_ok_and(|rel| rel.iter().nth(1) == Some("src".as_ref()));
+        if !in_crate_src {
+            continue;
+        }
+        for line in code.lines() {
+            let Some(name) = line.strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name: String = name.chars().take_while(|&c| ident(c)).collect();
+            let reached =
+                sources.iter().any(|(other, code)| other != file && mentions(code, &name, ""));
+            if !reached {
+                let file = file.strip_prefix(root).expect("under the repository root");
+                unreached.push(format!("{}: {name}", file.display()));
+            }
+        }
+    }
+    assert!(
+        unreached.is_empty(),
+        "public functions nothing outside their own file names (drop `pub`, or delete one \
+         only its own tests call): {unreached:#?}"
     );
 }

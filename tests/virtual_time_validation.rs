@@ -10,7 +10,7 @@
 //! model against execution rather than against itself.
 
 use finegrain::comm::{run_ranks_timed, Communicator, LinkModel};
-use finegrain::core::overlap::InteriorPlan;
+use finegrain::core::distconv::InteriorPlan;
 use finegrain::core::DistConv2d;
 use finegrain::kernels::conv::ConvGeometry;
 use finegrain::perf::{conv_layer_cost, ConvLayerDesc, ConvPass, ConvWork, CostOptions, Platform};
