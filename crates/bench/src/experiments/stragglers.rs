@@ -91,7 +91,7 @@ pub struct RebalanceRow {
 impl RebalanceRow {
     /// Fraction of the makespan lost to the straggler that the
     /// weighted layout recovered.
-    pub fn recovered(&self) -> f64 {
+    fn recovered(&self) -> f64 {
         (self.slow_s - self.rebalanced_s) / (self.slow_s - self.healthy_s)
     }
 }

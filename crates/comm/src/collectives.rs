@@ -60,7 +60,7 @@ impl ReduceOp {
     /// caller's responsibility; collectives fix it by rank order so that
     /// floating-point results are deterministic.
     #[inline]
-    pub fn apply<T: ReduceScalar>(self, a: T, b: T) -> T {
+    fn apply<T: ReduceScalar>(self, a: T, b: T) -> T {
         match self {
             ReduceOp::Sum => T::add(a, b),
             ReduceOp::Prod => T::mul(a, b),

@@ -99,7 +99,7 @@ impl CommError {
     /// victim of a [`CommError::RankFailed`] (self-reported or observed
     /// by a peer). Timeouts and corruption name links and waiters, not
     /// deaths, so they attribute nothing.
-    pub fn failed_rank(&self) -> Option<usize> {
+    fn failed_rank(&self) -> Option<usize> {
         match self {
             CommError::RankFailed { rank, .. } => Some(*rank),
             _ => None,

@@ -214,7 +214,7 @@ impl FaultPlan {
 
     /// The op at which `rank` dies, if the plan kills it (earliest wins,
     /// transient and permanent kills alike).
-    pub fn kill_at(&self, rank: usize) -> Option<u64> {
+    fn kill_at(&self, rank: usize) -> Option<u64> {
         self.kills
             .iter()
             .chain(self.perma_kills.iter())
@@ -224,17 +224,8 @@ impl FaultPlan {
     }
 
     /// Whether `rank` is scheduled for a *permanent* kill.
-    pub fn kill_is_permanent(&self, rank: usize) -> bool {
+    fn kill_is_permanent(&self, rank: usize) -> bool {
         self.perma_kills.iter().any(|(r, _)| *r == rank)
-    }
-
-    /// Ranks the plan kills permanently (sorted, deduplicated) — the
-    /// set a degradation rung must shrink the world around.
-    pub fn permanently_dead(&self) -> Vec<usize> {
-        let mut dead: Vec<usize> = self.perma_kills.iter().map(|(r, _)| *r).collect();
-        dead.sort_unstable();
-        dead.dedup();
-        dead
     }
 
     /// The slowdown factor for `rank`: `1.0` for a healthy rank, the
@@ -309,7 +300,7 @@ impl FaultPlan {
     }
 
     /// Whether the `n`-th message on `src → dst` is dropped.
-    pub fn drops(&self, src: usize, dst: usize, n: u64) -> bool {
+    fn drops(&self, src: usize, dst: usize, n: u64) -> bool {
         self.drops.iter().any(|&(s, d, m)| s == src && d == dst && m == n)
             || rate_draw(self.seed, DROP_SALT, src, dst, n, self.drop_rate)
     }
@@ -317,7 +308,7 @@ impl FaultPlan {
     /// The corruption mask for the `n`-th message on `src → dst`, if
     /// that message is scheduled for corruption. Seed-derived, so the
     /// same plan corrupts the same message the same way on every run.
-    pub fn corrupt_mask(&self, src: usize, dst: usize, n: u64) -> Option<u64> {
+    fn corrupt_mask(&self, src: usize, dst: usize, n: u64) -> Option<u64> {
         if self.corrupts.iter().any(|&(s, d, m)| s == src && d == dst && m == n)
             || rate_draw(self.seed, CORRUPT_SALT, src, dst, n, self.corrupt_rate)
         {
@@ -340,7 +331,7 @@ impl FaultPlan {
     }
 
     /// The pause (if any) `rank` takes before comm op `n`.
-    pub fn delay(&self, rank: usize, n: u64) -> Option<Duration> {
+    fn delay(&self, rank: usize, n: u64) -> Option<Duration> {
         self.delays
             .iter()
             .filter(|&&(r, every, _)| r == rank && n % every == every - 1)
@@ -604,7 +595,6 @@ mod tests {
         assert_eq!(plan.kill_at(2), Some(7));
         assert!(plan.kill_is_permanent(2));
         assert!(!plan.kill_is_permanent(0));
-        assert_eq!(plan.permanently_dead(), vec![2]);
         // persistent() keeps only the permanent kills (and the seed).
         let p = plan.persistent();
         assert_eq!(p.seed(), 5);
@@ -658,7 +648,6 @@ mod tests {
         let small = plan.restrict_to_survivors(&[0, 1, 3]);
         assert_eq!(small.seed(), 11);
         // The dead rank's faults vanish entirely.
-        assert!(small.permanently_dead().is_empty());
         assert!((0..3).all(|r| !small.kill_is_permanent(r)));
         assert!(!small.drops(2, 1, 0), "link faults touching the dead rank are dropped");
         // Old rank 3 is new rank 2.

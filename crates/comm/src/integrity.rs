@@ -193,8 +193,7 @@ impl IntegrityState {
     /// window-miss [`CommError::Corrupt`] in [`protocol_recv`]. The
     /// just-staged entry itself is never evicted (one oversized message
     /// must stay repairable). Returns the bytes held across all streams
-    /// after staging, the gauge behind
-    /// [`crate::TrafficStats::replay_held_peak`].
+    /// after staging.
     fn stage<T: CommScalar>(
         &self,
         src: usize,
@@ -364,8 +363,7 @@ pub(crate) fn protocol_send<T: CommScalar>(
 ) -> WireHeader {
     let seq = ig.cursor.next_send_seq(dst, tag);
     let checksum = checksum_payload(tag, seq, data);
-    let held = ig.state.stage(comm.rank(), dst, tag, seq, data.to_vec());
-    comm.note_replay_held(held as u64);
+    ig.state.stage(comm.rank(), dst, tag, seq, data.to_vec());
     WireHeader { seq, checksum }
 }
 
@@ -396,16 +394,10 @@ pub(crate) fn protocol_recv<T: CommScalar>(
         header.seq
     );
     let mut pulls = 0u32;
-    // Started at the first checksum mismatch; its elapsed time is the
-    // receiver's repair stall, reported as rung-1 wall time.
-    let mut repair_started: Option<std::time::Instant> = None;
     loop {
         if checksum_payload(tag, header.seq, &data) == header.checksum {
             if pulls > 0 {
                 comm.note_corrupt_repaired();
-                if let Some(t0) = repair_started {
-                    comm.note_repair_time(t0.elapsed().as_nanos() as u64);
-                }
             }
             cursor.advance_recv(src, tag);
             state.ack(src, me, tag, header.seq);
@@ -423,7 +415,6 @@ pub(crate) fn protocol_recv<T: CommScalar>(
             });
         }
         pulls += 1;
-        repair_started.get_or_insert_with(std::time::Instant::now);
         comm.note_retransmit();
         if pulls > 1 {
             // NACK round-trips back off linearly; the first pull is

@@ -273,12 +273,6 @@ impl WorldComm {
         self.busy.get()
     }
 
-    /// Record one straggler verdict against this rank (the detector
-    /// agreed this rank is persistently slow).
-    pub fn note_straggler_flag(&self) {
-        self.stats.borrow_mut().record_straggler_flag();
-    }
-
     /// Publish the straggler detector's per-rank slowness ratios
     /// (step-time EMA over world median, 1.0 = healthy) so the deadlock
     /// watchdog can annotate its wait graph — "waiting on rank 3, which
@@ -314,22 +308,6 @@ impl WorldComm {
         if let Some(m) = &self.monitor {
             m.note_corrupt_repaired(self.rank);
         }
-    }
-
-    /// `nanos` of wall time this rank spent stalled in receiver-side
-    /// integrity repair (first checksum mismatch to accepted
-    /// retransmission) — how a resilient driver reports rung-1 wall time
-    /// without instrumenting the training loop.
-    pub(crate) fn note_repair_time(&self, nanos: u64) {
-        self.stats.borrow_mut().record_repair_time(nanos);
-    }
-
-    /// The sender-side replay window holds `bytes` of staged payloads
-    /// after this rank's latest send — a gauge whose high-water mark is
-    /// the observable counterpart of the static memory analyzer's
-    /// comm-staging term.
-    pub(crate) fn note_replay_held(&self, bytes: u64) {
-        self.stats.borrow_mut().record_replay_held(bytes);
     }
 }
 
@@ -661,7 +639,7 @@ impl RunOptions {
     /// the test suite aborts with a wait graph instead of hanging the
     /// job), and `FG_COMM_INTEGRITY` envelopes all world traffic in the
     /// end-to-end integrity protocol. Both follow `flag_is_on`.
-    pub fn from_env() -> RunOptions {
+    fn from_env() -> RunOptions {
         RunOptions {
             watchdog: env_flag("FG_COMM_WATCHDOG").then(WatchdogConfig::default),
             integrity: env_flag("FG_COMM_INTEGRITY").then(IntegrityConfig::default),
@@ -687,8 +665,8 @@ fn flag_is_on(value: &str) -> bool {
 }
 
 /// Is the boolean knob `name` on in the process environment? The single
-/// reader behind `FG_VERIFY`, `FG_COMM_INTEGRITY`, `FG_COMM_WATCHDOG`
-/// and `FG_STRAGGLER`, so every crate agrees on what "set" means.
+/// reader behind `FG_VERIFY`, `FG_COMM_INTEGRITY` and
+/// `FG_COMM_WATCHDOG`, so every crate agrees on what "set" means.
 pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| flag_is_on(&v.to_string_lossy()))
 }

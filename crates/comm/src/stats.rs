@@ -69,22 +69,6 @@ pub struct TrafficStats {
     /// dropped messages (sender side) plus replay-window pulls after a
     /// checksum mismatch (receiver side).
     retransmits: u64,
-    /// Wall time (nanoseconds) this rank spent stalled in receiver-side
-    /// integrity repair — from the first checksum mismatch of a message
-    /// to its accepted retransmission. The wall-clock cost of ladder
-    /// rung 1, where the counters above only give event counts.
-    repair_nanos: u64,
-    /// Times the straggler detector flagged *this* rank as persistently
-    /// slow (EMA step time above the agreed threshold). A flag is a
-    /// verdict, not yet a mitigation — rebalances and evictions are
-    /// counted by the resilient driver's report.
-    straggler_flags: u64,
-    /// High-water mark (bytes) of the sender-side integrity replay
-    /// window as observed from this rank's sends — a gauge, not a
-    /// counter. This is the runtime counterpart of the static memory
-    /// analyzer's comm-staging term; the byte-bounded window keeps it
-    /// below the configured cap even when a stream's ACKs lag.
-    replay_held_peak: u64,
 }
 
 impl TrafficStats {
@@ -126,39 +110,6 @@ impl TrafficStats {
         self.retransmits
     }
 
-    /// Add `nanos` of receiver-side repair stall time.
-    pub fn record_repair_time(&mut self, nanos: u64) {
-        self.repair_nanos += nanos;
-    }
-
-    /// Wall time (nanoseconds) spent stalled in receiver-side integrity
-    /// repair.
-    pub fn repair_nanos(&self) -> u64 {
-        self.repair_nanos
-    }
-
-    /// Update the replay-window gauge: `bytes` are currently staged on
-    /// the sender side. Keeps the maximum ever observed.
-    pub fn record_replay_held(&mut self, bytes: u64) {
-        self.replay_held_peak = self.replay_held_peak.max(bytes);
-    }
-
-    /// High-water mark (bytes) of the sender-side integrity replay
-    /// window observed from this rank.
-    pub fn replay_held_peak(&self) -> u64 {
-        self.replay_held_peak
-    }
-
-    /// Record one straggler verdict against this rank.
-    pub fn record_straggler_flag(&mut self) {
-        self.straggler_flags += 1;
-    }
-
-    /// Times this rank was flagged as a persistent straggler.
-    pub fn straggler_flags(&self) -> u64 {
-        self.straggler_flags
-    }
-
     /// Messages sent under `class`.
     pub fn messages(&self, class: OpClass) -> u64 {
         self.messages[class.index()]
@@ -188,11 +139,6 @@ impl TrafficStats {
         self.dropped_sends += other.dropped_sends;
         self.corrupt_repaired += other.corrupt_repaired;
         self.retransmits += other.retransmits;
-        self.repair_nanos += other.repair_nanos;
-        self.straggler_flags += other.straggler_flags;
-        // A gauge, not a counter: the world-wide peak is the max of the
-        // per-rank peaks (each rank observes the same shared window).
-        self.replay_held_peak = self.replay_held_peak.max(other.replay_held_peak);
     }
 }
 
@@ -258,48 +204,5 @@ mod tests {
         assert_eq!(a.retransmits(), 3);
         // Repairs and retransmissions are not delivered traffic either.
         assert_eq!(a.total_messages(), 0);
-    }
-
-    #[test]
-    fn straggler_flags_accumulate_and_merge() {
-        let mut a = TrafficStats::default();
-        assert_eq!(a.straggler_flags(), 0);
-        a.record_straggler_flag();
-        a.record_straggler_flag();
-        let mut b = TrafficStats::default();
-        b.record_straggler_flag();
-        a.merge(&b);
-        assert_eq!(a.straggler_flags(), 3);
-        // Verdicts are not delivered traffic.
-        assert_eq!(a.total_messages(), 0);
-    }
-
-    #[test]
-    fn replay_held_gauge_keeps_peak_and_merges_by_max() {
-        let mut a = TrafficStats::default();
-        assert_eq!(a.replay_held_peak(), 0);
-        a.record_replay_held(100);
-        a.record_replay_held(40); // gauge falls; peak stays
-        assert_eq!(a.replay_held_peak(), 100);
-        let mut b = TrafficStats::default();
-        b.record_replay_held(250);
-        a.merge(&b);
-        assert_eq!(a.replay_held_peak(), 250);
-        // Gauges are not delivered traffic.
-        assert_eq!(a.total_messages(), 0);
-        assert_eq!(a.total_bytes(), 0);
-    }
-
-    #[test]
-    fn repair_time_accumulates_and_merges() {
-        let mut a = TrafficStats::default();
-        assert_eq!(a.repair_nanos(), 0);
-        a.record_repair_time(1_500);
-        a.record_repair_time(500);
-        assert_eq!(a.repair_nanos(), 2_000);
-        let mut b = TrafficStats::default();
-        b.record_repair_time(3_000);
-        a.merge(&b);
-        assert_eq!(a.repair_nanos(), 5_000);
     }
 }

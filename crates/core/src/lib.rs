@@ -44,7 +44,7 @@ pub use mem::{
 };
 pub use resilient::{
     resilient_train, ComputeFault, Degradation, DegradeConfig, Rebalance, Replanner,
-    ResilientConfig, ResilientReport, RungTimes, SgdHyper, SnapshotTelemetry,
+    ResilientConfig, ResilientReport, RungTimes, SgdHyper,
 };
 pub use servable::ServableModel;
 pub use straggler::{

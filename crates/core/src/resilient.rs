@@ -43,10 +43,9 @@
 //!    executor, and resumes on the survivors.
 //!
 //! Orthogonal to the crash ladder, a **gray-failure ladder** (enabled
-//! by [`ResilientConfig::straggler`] or `FG_STRAGGLER=1`) handles the
-//! node that is alive but slow — a throttled accelerator, a degraded
-//! link — which in bulk-synchronous training taxes every rank at every
-//! collective. Per-step busy-time telemetry
+//! by [`ResilientConfig::straggler`]) handles the node that is alive
+//! but slow — a throttled accelerator, a degraded link — which in
+//! bulk-synchronous training taxes every rank at every collective. Per-step busy-time telemetry
 //! ([`fg_comm::WorldComm::busy_nanos`]) feeds a
 //! [`crate::straggler::StragglerGuard`] (median-relative EMA criterion
 //! with all-rank agreement); a confirmed persistent straggler triggers,
@@ -60,6 +59,14 @@
 //! eviction** through the degradation rung when the rank is slower than
 //! [`crate::straggler::StragglerConfig::evict_ratio`] or still flagged
 //! once the rebalance budget is spent.
+//!
+//! The driver keeps the run's whole record in one ledger: what the
+//! report will say, the step of the newest snapshot, the furthest step
+//! reached, and the mitigation a straggler unwind hands over. Rank 0
+//! writes it during an attempt and the driver between attempts. Each
+//! attempt ends as one typed outcome — done, mitigate (a rebalance or
+//! an eviction, read from the ledger), or failed — and the driver picks
+//! the next rung with one `match` on it, never from an error's text.
 //!
 //! Every `ckpt_every` steps, rank 0 serializes a full
 //! [`fg_nn::TrainState`] (step counter, parameters, optimizer velocity,
@@ -87,7 +94,7 @@
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fg_comm::{
@@ -97,7 +104,7 @@ use fg_comm::{
 use fg_kernels::loss::Labels;
 use fg_nn::{
     load_train_state, reshard_train_state, save_train_state, CkptStore, GuardState, LayerParams,
-    ReshardStats, Sgd, StoreConfig, TrainState,
+    ReshardStats, Sgd, StoreConfig, StoreCounters, TrainState,
 };
 use fg_tensor::{ProcGrid, Tensor};
 
@@ -107,13 +114,6 @@ use crate::straggler::{
     rebalance_for_stragglers, StragglerAction, StragglerConfig, StragglerGuard,
 };
 use crate::strategy::Strategy;
-
-/// Marker embedded in the [`CommError::RankFailed`] detail of a
-/// coordinated weighted-rebalance unwind, so the driver can tell a
-/// mitigation from a genuine failure.
-const STRAGGLER_REBALANCE: &str = "straggler-rebalance";
-/// Marker for a coordinated soft-eviction unwind.
-const STRAGGLER_EVICT: &str = "straggler-eviction";
 
 /// Hyperparameters of the replicated SGD optimizer, threaded through
 /// checkpoint restore (hyperparameters are config, not state, so they
@@ -216,8 +216,7 @@ pub struct ResilientConfig {
     /// behavior).
     pub degrade: Option<DegradeConfig>,
     /// Gray-failure detection and mitigation (straggler flags, weighted
-    /// re-decomposition, soft eviction). `None` falls back to the
-    /// `FG_STRAGGLER` environment knob; unset disables the ladder.
+    /// re-decomposition, soft eviction); `None` disables the ladder.
     pub straggler: Option<StragglerConfig>,
     /// Durable checkpoint store config — the one way to choose a
     /// store; `None` keeps the in-memory single-slot snapshot store.
@@ -265,15 +264,10 @@ pub struct Degradation {
     pub reshard_total_bytes: u64,
 }
 
-/// Wall time spent in each rung of the recovery ladder, for
+/// Wall time spent in the rungs that stop the world, for
 /// recovery-cost breakdowns in the faults bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RungTimes {
-    /// Level 1: receiver-side stalls waiting for integrity
-    /// retransmissions (summed over the final attempt's ranks).
-    pub repair_s: f64,
-    /// Level 2: in-place snapshot restores after guard trips (rank 0).
-    pub rollback_s: f64,
     /// Level 3: failure bookkeeping between teardown and redispatch.
     pub rebuild_s: f64,
     /// Level 4: re-plan + re-shard + executor recompilation.
@@ -304,39 +298,10 @@ pub struct Rebalance {
     pub regrid_moved_bytes: u64,
     /// Total activation bytes covered by the regrid accounting.
     pub regrid_total_bytes: u64,
-    /// Wall time of the rebalance transition.
-    pub rebalance_s: f64,
-}
-
-/// What the snapshot path cost and recovered, for both backends (most
-/// fields are zero on the in-memory store, which has no shards, no
-/// versions, and no verification to fail).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SnapshotTelemetry {
-    /// True when snapshots went through the durable [`CkptStore`].
-    pub durable: bool,
-    /// Versions the store published.
-    pub versions_written: u64,
-    /// Serialized payload bytes of the most recent snapshot.
-    pub payload_bytes: u64,
-    /// Total bytes written (payload + redundancy + manifests).
-    pub bytes_written: u64,
-    /// Wall time spent persisting snapshots.
-    pub store_s: f64,
-    /// Wall time spent loading/verifying snapshots.
-    pub restore_s: f64,
-    /// Shards served from a replica or rebuilt from parity during
-    /// restores.
-    pub shards_reconstructed: u64,
-    /// Unverifiable versions skipped (fallbacks to older versions).
-    pub version_fallbacks: u64,
-    /// Store calls that failed with a genuine I/O error (counted, never
-    /// fatal: losing a snapshot must not kill the run it protects).
-    pub store_errors: u64,
 }
 
 /// What a resilient run did, beyond its result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResilientReport {
     /// Per-step global mean losses, `losses.len() == steps`. Bitwise
     /// identical to an uninterrupted run's trajectory.
@@ -358,7 +323,8 @@ pub struct ResilientReport {
     /// Messages retransmitted (drop resends + replay-window pulls),
     /// summed over the final attempt's ranks.
     pub retransmits: u64,
-    /// The errors that caused each restart (first error per attempt).
+    /// The first error of every attempt that did not finish: each
+    /// restart's cause, and each straggler mitigation's unwind.
     pub failures: Vec<CommError>,
     /// World size the run finished on (smaller than it started when
     /// level 4 fired).
@@ -378,29 +344,66 @@ pub struct ResilientReport {
     pub rank_time_ema: Vec<f64>,
     /// Per-rung recovery wall-time breakdown.
     pub rung_times: RungTimes,
-    /// Snapshot-path telemetry (bytes, durations, reconstruction and
-    /// fallback counts; see [`SnapshotTelemetry`]).
-    pub snapshot: SnapshotTelemetry,
+    /// The durable store's counters (bytes, durations, reconstructions,
+    /// version fallbacks); `None` on the in-memory slot, which has no
+    /// shards, versions or verification to count.
+    pub snapshot: Option<StoreCounters>,
+    /// Durable store calls that failed with a genuine I/O error
+    /// (counted, never fatal: losing a snapshot must not kill the run
+    /// it protects).
+    pub store_errors: u64,
 }
 
-/// Rank 0's channel to the driver for gray-failure measurements: the
-/// latest EMA picture every step, and the flagged measurement a
-/// coordinated unwind is about to hand off.
-#[derive(Debug, Default)]
-struct StragglerSide {
-    latest_ema: Vec<f64>,
-    flags: u64,
-    pending: Option<PendingMitigation>,
+/// The run's one record: what the report will say, the driver's two
+/// cursors, and the mitigation a straggler unwind hands the driver.
+/// Rank 0 writes it during an attempt and the driver between attempts;
+/// nothing else does.
+#[derive(Default)]
+struct Ledger {
+    report: ResilientReport,
+    /// Step of the snapshot currently in the keeper (0 = none yet).
+    snap_step: u64,
+    /// Furthest step rank 0 completed in the current attempt.
+    furthest: u64,
+    /// Written by rank 0 just before every rank unwinds to mitigate.
+    pending: Option<Mitigation>,
 }
 
-/// The measurement behind a straggler unwind, written by rank 0 just
-/// before every rank panics with the mitigation marker.
-#[derive(Debug, Clone)]
-struct PendingMitigation {
+/// A confirmed straggler and the rung the world agreed on for it.
+struct Mitigation {
+    action: StragglerAction,
     rank: usize,
+    /// Its busy-time EMA as a multiple of the world median.
     ratio: f64,
+    /// Every rank's busy-time EMA at the flag.
     ema: Vec<f64>,
+    /// The flagged step, snapshotted before the unwind.
     at_step: u64,
+}
+
+/// How an attempt ended — all the driver picks its rung by.
+enum Outcome {
+    /// Every rank finished; results in rank order.
+    Done(Vec<RankResult>),
+    /// The world unwound at an agreed step to apply a mitigation.
+    Mitigate(Mitigation),
+    /// Some rank failed; the failed ranks' errors, in rank order.
+    Failed(Vec<CommError>),
+}
+
+impl Ledger {
+    /// Classify an attempt's per-rank results. The attempt's first
+    /// error joins the failure history whichever rung it leads to.
+    fn outcome(&mut self, ranks: Vec<Result<RankResult, CommError>>) -> Outcome {
+        let errors: Vec<CommError> =
+            ranks.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
+        self.report.failures.extend(errors.first().cloned());
+        match self.pending.take() {
+            Some(mitigation) => Outcome::Mitigate(mitigation),
+            None if errors.is_empty() => Outcome::Done(ranks.into_iter().flatten().collect()),
+            None => Outcome::Failed(errors),
+        }
+    }
 }
 
 /// Where a resilient run's snapshots live: the in-memory single slot
@@ -493,27 +496,11 @@ impl SnapKeeper {
         stats
     }
 
-    /// Snapshot-path telemetry for the report.
-    fn telemetry(&self) -> SnapshotTelemetry {
-        let store_errors = self.store_errors.load(Ordering::SeqCst);
+    /// The durable store's counters; `None` on the in-memory slot.
+    fn counters(&self) -> Option<StoreCounters> {
         match &self.backend {
-            SnapBackend::Memory(_) => {
-                SnapshotTelemetry { store_errors, ..SnapshotTelemetry::default() }
-            }
-            SnapBackend::Durable(store) => {
-                let c = store.lock().expect("ckpt store").counters();
-                SnapshotTelemetry {
-                    durable: true,
-                    versions_written: c.versions_written,
-                    payload_bytes: c.last_payload_bytes,
-                    bytes_written: c.bytes_written,
-                    store_s: c.store_nanos as f64 * 1e-9,
-                    restore_s: c.restore_nanos as f64 * 1e-9,
-                    shards_reconstructed: c.shards_reconstructed,
-                    version_fallbacks: c.version_fallbacks,
-                    store_errors,
-                }
-            }
+            SnapBackend::Memory(_) => None,
+            SnapBackend::Durable(store) => Some(store.lock().expect("ckpt store").counters()),
         }
     }
 }
@@ -532,21 +519,19 @@ struct Attempt<'a> {
     attempt: usize,
     resume: &'a Option<TrainState>,
     keeper: &'a SnapKeeper,
-    snap_step: &'a AtomicU64,
-    snapshots: &'a AtomicU64,
-    furthest: &'a AtomicU64,
-    rollbacks: &'a AtomicU64,
-    replayed: &'a AtomicU64,
-    rollback_nanos: &'a AtomicU64,
-    /// Gray-failure detection config (resolved against `FG_STRAGGLER`).
-    straggler: &'a Option<StragglerConfig>,
+    /// The run's record; rank 0 is its only writer during an attempt.
+    ledger: &'a Mutex<Ledger>,
     /// Per-rank injected slowdown factors of this attempt's fault plan.
     slow: &'a [f64],
-    /// Side channel for straggler measurements (rank 0 → driver).
-    sside: &'a Mutex<StragglerSide>,
     /// Weighted re-decompositions already tried (applied or found not
     /// viable), for the rebalance-vs-evict escalation decision.
     rebalances_done: usize,
+}
+
+impl Attempt<'_> {
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect("ledger")
+    }
 }
 
 /// Serialize the current training state into the snapshot store
@@ -568,8 +553,9 @@ fn store_snapshot(
         grid: a.exec.strategy.grids[0],
     };
     a.keeper.put(&state);
-    a.snap_step.store(step, Ordering::SeqCst);
-    a.snapshots.fetch_add(1, Ordering::SeqCst);
+    let mut ledger = a.ledger();
+    ledger.snap_step = step;
+    ledger.report.snapshots += 1;
 }
 
 type RankResult = (Vec<f64>, Vec<LayerParams>, TrafficStats);
@@ -604,7 +590,7 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
     // property of the node, persisting across rebuilds) and the
     // world-replicated detector.
     let slow_factor = a.slow.get(comm.rank()).copied().unwrap_or(1.0);
-    let mut straggler = a.straggler.as_ref().map(|c| StragglerGuard::new(c.clone(), comm.size()));
+    let mut straggler = a.cfg.straggler.clone().map(|c| StragglerGuard::new(c, comm.size()));
     let mut last_busy = comm.busy_nanos();
     // The compute fault fires once per world lifetime: a transient
     // error, not a deterministic re-poisoning of every replay.
@@ -640,7 +626,9 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
             losses.push(loss);
             step += 1;
             if comm.rank() == 0 {
-                a.furthest.fetch_max(step, Ordering::SeqCst);
+                let mut ledger = a.ledger();
+                ledger.furthest = ledger.furthest.max(step);
+                drop(ledger);
                 if step.is_multiple_of(a.cfg.ckpt_every) && step < a.steps {
                     store_snapshot(a, step, &params, &opt, &losses, guard.as_ref());
                 }
@@ -659,26 +647,27 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
                 let delta = now.saturating_sub(last_busy);
                 last_busy = now;
                 if let Some(flag) = sg.observe(comm, delta) {
-                    let scfg = a.straggler.as_ref().expect("a guard implies a config");
+                    let scfg = a.cfg.straggler.as_ref().expect("a guard implies a config");
                     let action = scfg.action_for(flag.ratio, a.rebalances_done);
                     if comm.rank() == 0 {
                         // Snapshot the flagged step first: the
                         // coordinated unwind costs a world rebuild but
                         // replays nothing.
                         store_snapshot(a, step, &params, &opt, &losses, guard.as_ref());
-                        let mut side = a.sside.lock().expect("straggler side channel");
-                        side.flags += 1;
-                        side.latest_ema = flag.ema.clone();
-                        side.pending = Some(PendingMitigation {
+                        let mut ledger = a.ledger();
+                        ledger.report.straggler_flags += 1;
+                        ledger.report.rank_time_ema = flag.ema.clone();
+                        ledger.pending = Some(Mitigation {
+                            action,
                             rank: flag.rank,
                             ratio: flag.ratio,
-                            ema: flag.ema.clone(),
+                            ema: flag.ema,
                             at_step: step,
                         });
                     }
                     let marker = match action {
-                        StragglerAction::Rebalance => STRAGGLER_REBALANCE,
-                        StragglerAction::Evict => STRAGGLER_EVICT,
+                        StragglerAction::Rebalance => "straggler-rebalance",
+                        StragglerAction::Evict => "straggler-eviction",
                     };
                     panic_any(CommError::RankFailed {
                         rank: flag.rank,
@@ -690,7 +679,7 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
                         ),
                     });
                 } else if comm.rank() == 0 {
-                    a.sside.lock().expect("straggler side channel").latest_ema = sg.ema().to_vec();
+                    a.ledger().report.rank_time_ema = sg.ema().to_vec();
                 }
             } else if slow_factor > 1.0 {
                 last_busy = comm.busy_nanos();
@@ -712,13 +701,11 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
                 ),
             });
         }
-        let t_rollback = Instant::now();
         let snap: Option<TrainState> = a.keeper.restore(a.exec.strategy.grids[0]);
-        let restore_step = snap.as_ref().map_or(0, |s| s.step);
         if comm.rank() == 0 {
-            a.rollbacks.fetch_add(1, Ordering::SeqCst);
-            a.replayed.fetch_add(step - restore_step, Ordering::SeqCst);
-            a.rollback_nanos.fetch_add(t_rollback.elapsed().as_nanos() as u64, Ordering::SeqCst);
+            let mut ledger = a.ledger();
+            ledger.report.rollbacks += 1;
+            ledger.report.replayed_steps += step - snap.as_ref().map_or(0, |s| s.step);
         }
         (params, opt, losses, guard, step) = resume_point(a, snap);
     }
@@ -758,36 +745,10 @@ pub fn resilient_train(
 ) -> ResilientReport {
     assert!(cfg.ckpt_every > 0, "checkpoint interval must be positive");
     let mut world = exec.strategy.world_size();
-    // The snapshot keeper: rank 0's serialized TrainState, held in the
-    // in-memory slot (the stand-in for a parallel file system) or the
-    // durable versioned store when `cfg.ckpt_store` names one.
     let keeper = SnapKeeper::for_config(cfg);
-    // Step of the snapshot currently in the store (0 = none yet).
-    let snap_step = AtomicU64::new(0);
-    let snapshots = AtomicU64::new(0);
-    let rollbacks = AtomicU64::new(0);
-    let replayed = AtomicU64::new(0);
-    let rollback_nanos = AtomicU64::new(0);
-
-    // Gray-failure detection: the explicit config wins, the
-    // `FG_STRAGGLER` environment knob is the fallback.
-    let straggler_cfg: Option<StragglerConfig> =
-        cfg.straggler.clone().or_else(StragglerConfig::from_env);
-    let sside: Mutex<StragglerSide> = Mutex::new(StragglerSide::default());
-    let mut rebalances: Vec<Rebalance> = Vec::new();
-    // Rebalance rung entries, including those whose weighted layout was
-    // not viable.
-    let mut rebalance_tries: usize = 0;
-    let mut evictions: usize = 0;
-    let mut rebalance_nanos: u64 = 0;
-    // World rebuilds (ladder level 3) — straggler unwinds are
-    // mitigations, not rebuilds, so they are tracked separately.
-    let mut restarts: usize = 0;
-
-    let mut failures: Vec<CommError> = Vec::new();
-    let mut degradations: Vec<Degradation> = Vec::new();
-    // The executor after an elastic shrink (the caller's borrowed one
-    // serves until then).
+    let mut ledger = Mutex::new(Ledger::default());
+    // The executor after a shrink or a rebalance (the caller's borrowed
+    // one serves until then).
     let mut owned_exec: Option<DistExecutor> = None;
     // The fault plan governing the *next* dispatch: the caller's plan
     // for attempt 0, its persistent projection (permanent kills only)
@@ -797,12 +758,12 @@ pub fn resilient_train(
     // Rebuild budget *at the current world size* — an elastic shrink
     // resets it.
     let mut rebuilds_here: usize = 0;
-    let mut rebuild_nanos: u64 = 0;
-    let mut degrade_nanos: u64 = 0;
+    // Rebalance rung entries, including those whose weighted layout was
+    // not viable.
+    let mut rebalance_tries: usize = 0;
 
     loop {
         let cur_exec: &DistExecutor = owned_exec.as_ref().unwrap_or(exec);
-        let cur_grid = cur_exec.strategy.grids[0];
         let attempt_plan =
             if attempt == 0 { active_plan.clone() } else { active_plan.persistent() };
         // Injected per-rank slowdowns, for the compute-proportional
@@ -812,10 +773,8 @@ pub fn resilient_train(
         // Resume point: every rank restores the same snapshot (or the
         // initial state when no usable snapshot exists), laid out for
         // the current grid.
-        let resume: Option<TrainState> = keeper.restore(cur_grid);
-        let start_step = resume.as_ref().map_or(0, |s| s.step);
-        // Furthest step completed within this attempt (rank 0's view).
-        let furthest = AtomicU64::new(start_step);
+        let resume: Option<TrainState> = keeper.restore(cur_exec.strategy.grids[0]);
+        ledger.get_mut().expect("ledger").furthest = resume.as_ref().map_or(0, |s| s.step);
         let a = Attempt {
             exec: cur_exec,
             init_params,
@@ -827,35 +786,22 @@ pub fn resilient_train(
             attempt,
             resume: &resume,
             keeper: &keeper,
-            snap_step: &snap_step,
-            snapshots: &snapshots,
-            furthest: &furthest,
-            rollbacks: &rollbacks,
-            replayed: &replayed,
-            rollback_nanos: &rollback_nanos,
-            straggler: &straggler_cfg,
+            ledger: &ledger,
             slow: &slow,
-            sside: &sside,
             rebalances_done: rebalance_tries,
         };
-
         let opts = RunOptions {
             integrity: cfg.integrity.clone(),
             ..RunOptions::with_faults(attempt_plan)
         };
-        let outcome: Vec<Result<RankResult, CommError>> =
-            run_ranks_opts(world, opts, |comm| run_rank(&a, comm));
+        let ranks = run_ranks_opts(world, opts, |comm| run_rank(&a, comm));
         attempt += 1;
 
-        let first_error = outcome.iter().find_map(|r| r.as_ref().err().cloned());
-        match first_error {
-            None => {
-                let mut results: Vec<RankResult> =
-                    outcome.into_iter().map(|r| r.expect("no errors")).collect();
-                let (corrupt_repaired, retransmits, repair_nanos) =
-                    results.iter().fold((0, 0, 0), |(c, r, n), (_, _, s)| {
-                        (c + s.corrupt_repaired(), r + s.retransmits(), n + s.repair_nanos())
-                    });
+        let l = ledger.get_mut().expect("ledger");
+        let (dead_ranks, evict) = match l.outcome(ranks) {
+            Outcome::Done(mut results) => {
+                let corrupt_repaired = results.iter().map(|(_, _, s)| s.corrupt_repaired()).sum();
+                let retransmits = results.iter().map(|(_, _, s)| s.retransmits()).sum();
                 let (losses, params, _) = results.remove(0);
                 for (rank, (other, _, _)) in results.iter().enumerate() {
                     assert!(
@@ -865,216 +811,159 @@ pub fn resilient_train(
                     );
                 }
                 assert_eq!(losses.len() as u64, steps, "one loss per step");
-                let side = sside.lock().expect("straggler side channel");
                 return ResilientReport {
                     losses,
                     params,
-                    restarts,
-                    rollbacks: rollbacks.load(Ordering::SeqCst),
-                    replayed_steps: replayed.load(Ordering::SeqCst),
-                    snapshots: snapshots.load(Ordering::SeqCst),
                     corrupt_repaired,
                     retransmits,
-                    failures,
                     final_world: world,
-                    degradations,
-                    straggler_flags: side.flags,
-                    rebalances,
-                    evictions,
-                    rank_time_ema: side.latest_ema.clone(),
-                    rung_times: RungTimes {
-                        repair_s: repair_nanos as f64 * 1e-9,
-                        rollback_s: rollback_nanos.load(Ordering::SeqCst) as f64 * 1e-9,
-                        rebuild_s: rebuild_nanos as f64 * 1e-9,
-                        degrade_s: degrade_nanos as f64 * 1e-9,
-                        rebalance_s: rebalance_nanos as f64 * 1e-9,
-                    },
-                    snapshot: keeper.telemetry(),
+                    snapshot: keeper.counters(),
+                    store_errors: keeper.store_errors.load(Ordering::SeqCst),
+                    ..std::mem::take(&mut l.report)
                 };
             }
-            Some(err) => {
-                // A straggler unwind carries its mitigation marker in
-                // the error detail: it is a coordinated transition, not
-                // a failure of the substrate.
-                let (is_rebalance, is_evict) = match &err {
-                    CommError::RankFailed { detail, .. } => {
-                        (detail.contains(STRAGGLER_REBALANCE), detail.contains(STRAGGLER_EVICT))
-                    }
-                    _ => (false, false),
-                };
-                if is_rebalance {
-                    let t_rebalance = Instant::now();
-                    let pending = sside
-                        .lock()
-                        .expect("straggler side channel")
-                        .pending
-                        .take()
-                        .expect("a rebalance unwind records its measurement first");
-                    let weighted = rebalance_for_stragglers(
-                        &cur_exec.strategy,
-                        &cur_exec.spec,
-                        cur_exec.batch,
-                        &pending.ema,
-                    );
-                    failures.push(err);
-                    rebalance_tries += 1;
-                    // A weighted layout that does not compile or verify
-                    // (over `FG_MEM_BUDGET`, say) is not applied: the
-                    // world resumes as it was, tolerating the straggler,
-                    // and the spent try makes its next flag an eviction.
-                    if let Some(new_exec) = weighted {
-                        // The activation regrid the new partition implies
-                        // (the state itself moves through the snapshot).
-                        let (moved, total) = cur_exec.strategy.regrid_cost(
-                            &new_exec.strategy,
-                            &cur_exec.spec,
-                            cur_exec.batch,
-                        );
-                        rebalances.push(Rebalance {
-                            at_step: pending.at_step,
-                            slow_rank: pending.rank,
-                            ratio: pending.ratio,
-                            strategy: new_exec.strategy.clone(),
-                            regrid_moved_bytes: moved,
-                            regrid_total_bytes: total,
-                            rebalance_s: t_rebalance.elapsed().as_secs_f64(),
-                        });
-                        owned_exec = Some(new_exec);
-                    }
-                    rebalance_nanos += t_rebalance.elapsed().as_nanos() as u64;
-                    // Same world, same grid: the snapshot written at
-                    // the flagged step loads unchanged, the straggler
-                    // keeps its injected slowdown (a gray failure is a
-                    // property of the node), and no rebuild budget is
-                    // consumed — this rung is a mitigation, not a
-                    // recovery.
-                    continue;
+            Outcome::Mitigate(Mitigation {
+                action: StragglerAction::Rebalance,
+                rank,
+                ratio,
+                ema,
+                at_step,
+            }) => {
+                let t_rebalance = Instant::now();
+                rebalance_tries += 1;
+                // A weighted layout that does not compile or verify
+                // (over `FG_MEM_BUDGET`, say) is not applied: the world
+                // resumes as it was, tolerating the straggler, and the
+                // spent try makes its next flag an eviction.
+                let (spec, batch) = (&cur_exec.spec, cur_exec.batch);
+                if let Some(new_exec) =
+                    rebalance_for_stragglers(&cur_exec.strategy, spec, batch, &ema)
+                {
+                    // The activation regrid the new partition implies
+                    // (the state itself moves through the snapshot).
+                    let (moved, total) =
+                        cur_exec.strategy.regrid_cost(&new_exec.strategy, spec, batch);
+                    l.report.rebalances.push(Rebalance {
+                        at_step,
+                        slow_rank: rank,
+                        ratio,
+                        strategy: new_exec.strategy.clone(),
+                        regrid_moved_bytes: moved,
+                        regrid_total_bytes: total,
+                    });
+                    owned_exec = Some(new_exec);
                 }
+                l.report.rung_times.rebalance_s += t_rebalance.elapsed().as_secs_f64();
+                // Same world, same grid: the snapshot written at the
+                // flagged step loads unchanged, the straggler keeps its
+                // injected slowdown (a gray failure is a property of
+                // the node), and no rebuild budget is consumed — this
+                // rung is a mitigation, not a recovery.
+                continue;
+            }
+            // A soft eviction goes straight to the degradation rung,
+            // retiring exactly the flagged rank.
+            Outcome::Mitigate(Mitigation { action: StragglerAction::Evict, rank, .. }) => {
+                (vec![rank], true)
+            }
+            Outcome::Failed(errors) => {
                 let t_fail = Instant::now();
                 // Everything completed in this attempt past the
-                // snapshot the next attempt will resume from is
-                // lost work that must be replayed.
-                replayed.fetch_add(
-                    furthest
-                        .load(Ordering::SeqCst)
-                        .saturating_sub(snap_step.load(Ordering::SeqCst)),
-                    Ordering::SeqCst,
-                );
-                let attempt_errors: Vec<CommError> =
-                    outcome.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
-                failures.push(err);
-                if !is_evict {
-                    restarts += 1;
-                    rebuilds_here += 1;
-                    rebuild_nanos += t_fail.elapsed().as_nanos() as u64;
-                    if rebuilds_here <= cfg.max_restarts {
-                        continue; // Level 3: rebuild at the same size.
-                    }
+                // snapshot the next attempt will resume from is lost
+                // work that must be replayed.
+                l.report.replayed_steps += l.furthest.saturating_sub(l.snap_step);
+                l.report.restarts += 1;
+                rebuilds_here += 1;
+                l.report.rung_times.rebuild_s += t_fail.elapsed().as_secs_f64();
+                if rebuilds_here <= cfg.max_restarts {
+                    continue; // Level 3: rebuild at the same size.
                 }
-                // Level 4: the rebuild budget at this size is spent —
-                // or a soft eviction goes straight to this rung (the
-                // flagged rank self-reports in the marker error, so
-                // dead-rank attribution retires exactly it; with no
-                // degrade config, eviction uses the defaults).
-                let t_degrade = Instant::now();
-                let evict_default: Option<DegradeConfig> =
-                    if is_evict { Some(cfg.degrade.clone().unwrap_or_default()) } else { None };
-                let shrink = evict_default
-                    .as_ref()
-                    .or(cfg.degrade.as_ref())
-                    .filter(|dc| is_evict || degradations.len() < dc.max_shrinks)
-                    .and_then(|dc| plan_shrink(dc, cur_exec, world, &attempt_errors));
-                let Some(shrink) = shrink else {
-                    panic!(
-                        "training did not survive {} restarts at world size {world}{}; \
-                         failures: {:?}",
-                        cfg.max_restarts,
-                        if cfg.degrade.is_some() {
-                            " and no viable smaller world remains"
-                        } else {
-                            ""
-                        },
-                        failures.iter().map(|e| e.to_string()).collect::<Vec<_>>()
-                    );
-                };
-                // Re-shard the snapshot onto the new grid and publish
-                // it, so the next dispatch restores the shrunken layout
-                // as stored and the report carries what moved.
-                let reshard_t = Instant::now();
-                let reshard_stats = keeper.reshard_to(shrink.strategy.grids[0]);
-                active_plan = active_plan.persistent().restrict_to_survivors(&shrink.keep);
-                degradations.push(Degradation {
-                    from_world: world,
-                    to_world: shrink.to_world,
-                    at_step: snap_step.load(Ordering::SeqCst),
-                    dead_ranks: shrink.dead_ranks,
-                    strategy: shrink.strategy,
-                    replan_s: shrink.replan_s,
-                    reshard_s: reshard_t.elapsed().as_secs_f64(),
-                    reshard_moved_bytes: reshard_stats.moved_bytes,
-                    reshard_total_bytes: reshard_stats.total_bytes,
-                });
-                world = shrink.to_world;
-                owned_exec = Some(shrink.exec);
-                rebuilds_here = 0;
-                degrade_nanos += t_degrade.elapsed().as_nanos() as u64;
-                if is_evict {
-                    evictions += 1;
-                    sside.lock().expect("straggler side channel").pending = None;
-                }
-                // Loop around: dispatch the shrunken world.
+                (attribute_dead_ranks(&errors), false)
             }
-        }
+        };
+        // Level 4: the rebuild budget at this size is spent, or a rank
+        // is evicted (with no degrade config, eviction uses the
+        // defaults).
+        let t_degrade = Instant::now();
+        let dc =
+            if evict { Some(cfg.degrade.clone().unwrap_or_default()) } else { cfg.degrade.clone() };
+        let shrink = dc
+            .filter(|dc| evict || l.report.degradations.len() < dc.max_shrinks)
+            .and_then(|dc| plan_shrink(&dc, cur_exec, world, dead_ranks));
+        let Some(shrink) = shrink else {
+            panic!(
+                "training did not survive {} restarts at world size {world}{}; failures: {:?}",
+                cfg.max_restarts,
+                if cfg.degrade.is_some() { " and no viable smaller world remains" } else { "" },
+                l.report.failures.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+            );
+        };
+        // Re-shard the snapshot onto the new grid and publish it, so the
+        // next dispatch restores the shrunken layout as stored and the
+        // report carries what moved.
+        let t_reshard = Instant::now();
+        let reshard = keeper.reshard_to(shrink.exec.strategy.grids[0]);
+        active_plan = active_plan.persistent().restrict_to_survivors(&shrink.keep);
+        l.report.degradations.push(Degradation {
+            from_world: world,
+            to_world: shrink.exec.strategy.world_size(),
+            at_step: l.snap_step,
+            dead_ranks: shrink.dead_ranks,
+            strategy: shrink.exec.strategy.clone(),
+            replan_s: shrink.replan_s,
+            reshard_s: t_reshard.elapsed().as_secs_f64(),
+            reshard_moved_bytes: reshard.moved_bytes,
+            reshard_total_bytes: reshard.total_bytes,
+        });
+        world = shrink.exec.strategy.world_size();
+        owned_exec = Some(shrink.exec);
+        rebuilds_here = 0;
+        l.report.evictions += usize::from(evict);
+        l.report.rung_times.degrade_s += t_degrade.elapsed().as_secs_f64();
     }
 }
 
 /// A planned elastic shrink, ready to apply.
 struct Shrink {
-    to_world: usize,
     dead_ranks: Vec<usize>,
-    /// Old-world ranks that carry on (lowest ids first, `to_world` of
-    /// them) — the survivor mapping for [`FaultPlan::restrict_to_survivors`].
+    /// Old-world ranks that carry on (lowest ids first, one per rank of
+    /// the new world) — the survivor mapping for
+    /// [`FaultPlan::restrict_to_survivors`].
     keep: Vec<usize>,
-    strategy: Strategy,
     exec: DistExecutor,
     replan_s: f64,
 }
 
-/// Find the largest viable world size `P' < world` for the degradation
-/// rung: attribute the permanently dead ranks from the failure reports,
-/// then walk candidate sizes downward until the re-planner produces a
-/// strategy that validates and compiles.
+/// Find the largest viable world size `P' < world` around `dead_ranks`
+/// for the degradation rung: walk candidate sizes downward until the
+/// re-planner produces a strategy that passes the gate for a new layout
+/// ([`DistExecutor::new_verified`]).
 fn plan_shrink(
     dc: &DegradeConfig,
     cur_exec: &DistExecutor,
     world: usize,
-    attempt_errors: &[CommError],
+    dead_ranks: Vec<usize>,
 ) -> Option<Shrink> {
-    let dead_ranks = attribute_dead_ranks(attempt_errors);
     let survivors: Vec<usize> = (0..world).filter(|r| !dead_ranks.contains(r)).collect();
     // With no attributable death (e.g. a persistent anomaly escalated
     // past every rebuild), shed one rank on the heuristic that the
     // failure is localized.
     let max_p = if dead_ranks.is_empty() { world - 1 } else { survivors.len() };
-    let spec = cur_exec.spec.clone();
-    let batch = cur_exec.batch;
+    let (spec, batch) = (&cur_exec.spec, cur_exec.batch);
     let mut replan_s = 0.0;
     for p_new in (dc.min_world.max(1)..=max_p.min(world.saturating_sub(1))).rev() {
         let t = Instant::now();
         let candidate = match &dc.replan {
             Some(f) => f(p_new),
-            None => Strategy::spatial_fallback(&spec, batch, p_new),
+            None => Strategy::spatial_fallback(spec, batch, p_new),
         };
         replan_s += t.elapsed().as_secs_f64();
-        let Some(strategy) = candidate else { continue };
-        if strategy.world_size() != p_new || strategy.validate(&spec, batch).is_err() {
-            continue;
-        }
-        let Ok(exec) = DistExecutor::new(spec.clone(), strategy.clone(), batch) else {
+        let Some(strategy) = candidate.filter(|s| s.world_size() == p_new) else { continue };
+        let Some(exec) = DistExecutor::new_verified(spec.clone(), strategy, batch) else {
             continue;
         };
-        let keep: Vec<usize> = survivors.iter().copied().take(p_new).collect();
-        return Some(Shrink { to_world: p_new, dead_ranks, keep, strategy, exec, replan_s });
+        let keep = survivors.iter().copied().take(p_new).collect();
+        return Some(Shrink { dead_ranks, keep, exec, replan_s });
     }
     None
 }
@@ -1707,7 +1596,7 @@ mod tests {
         assert!(stats.total_bytes > 0, "the re-shard of version 1 must be reported: {stats:?}");
         let published = keeper.get().expect("the re-sharded snapshot was published");
         assert_eq!((published.step, published.grid), (2, g2));
-        let t = keeper.telemetry();
+        let t = keeper.counters().expect("a durable keeper has counters");
         assert_eq!((t.versions_written, t.version_fallbacks), (3, 1), "{t:?}");
         let _ = std::fs::remove_dir_all(&dir);
         // Memory: the single slot holds only the poisoned snapshot, so

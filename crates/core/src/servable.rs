@@ -18,7 +18,7 @@
 //! its reduction and is ULP-close instead. This is the property the
 //! serving tier's correct-or-typed-error contract rests on.
 
-use fg_nn::{CheckpointError, CkptStore, Network, NetworkSpec, RunningStats, TrainState};
+use fg_nn::{CheckpointError, Network, NetworkSpec, RunningStats, TrainState};
 use fg_tensor::Tensor;
 
 /// A frozen, inference-ready model: parameters from a training
@@ -68,24 +68,6 @@ impl ServableModel {
     ) -> Result<ServableModel, CheckpointError> {
         let state = fg_nn::load_train_state(r)?;
         Ok(ServableModel::from_train_state(spec, &state, calibration, momentum))
-    }
-
-    /// Boot from the durable checkpoint store: load the newest
-    /// *verifiable* version (damaged shards reconstructed from
-    /// replicas/parity, unverifiable versions fallen past with a typed
-    /// record) and freeze it for serving. This is the
-    /// checkpoint→serving promotion path that survives a driver
-    /// restart: reopen the directory, boot, serve — or get a typed
-    /// [`CheckpointError`], never a panic and never silently-stale
-    /// parameters.
-    pub fn from_store(
-        spec: &NetworkSpec,
-        store: &mut CkptStore,
-        calibration: &[Tensor],
-        momentum: f32,
-    ) -> Result<ServableModel, CheckpointError> {
-        let loaded = store.load_latest()?;
-        Ok(ServableModel::from_train_state(spec, &loaded.state, calibration, momentum))
     }
 
     /// Single-process reference inference: the final layer's activation
@@ -160,41 +142,6 @@ mod tests {
         assert_eq!(loaded.step, tuned.step);
         let x = calib(1, 99);
         assert_eq!(loaded.infer(&x), tuned.infer(&x), "bitwise-equal inference after reload");
-    }
-
-    #[test]
-    fn from_store_survives_driver_restart_and_a_torn_newest_version() {
-        use fg_nn::{CkptStore, Redundancy, StorageFaultPlan, StoreConfig};
-        let spec = bn_spec();
-        let good = state_for(&spec, 3);
-        let mut newer = state_for(&spec, 4);
-        newer.step = 9;
-        let dir = std::env::temp_dir().join(format!("fg-servable-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            // The trainer publishes two versions; the newer one's write
-            // is torn mid-shard with no redundancy to repair it.
-            let mut store = CkptStore::create(
-                StoreConfig::at(&dir)
-                    .redundancy(Redundancy::None)
-                    .faults(StorageFaultPlan::new(9).torn_write_at(1, 0)),
-            )
-            .unwrap();
-            store.store(&good).unwrap();
-            store.store(&newer).unwrap();
-        }
-        // Driver restart: a fresh process reopens the directory and
-        // promotes the newest *verifiable* snapshot — the damaged v2 is
-        // fallen past with a typed record, not served stale or panicked.
-        let cal: Vec<Tensor> = (0..2).map(|s| calib(4, s)).collect();
-        let mut store = CkptStore::open(&dir).unwrap();
-        let model = ServableModel::from_store(&spec, &mut store, &cal, 0.1).unwrap();
-        assert_eq!(model.step, good.step, "the torn v2 must not be promoted");
-        let direct = ServableModel::from_train_state(&spec, &good, &cal, 0.1);
-        let x = calib(1, 7);
-        assert_eq!(model.infer(&x), direct.infer(&x), "bitwise-equal serving after promotion");
-        assert_eq!(store.counters().version_fallbacks, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -113,12 +113,6 @@ pub struct StragglerFlag {
 }
 
 impl StragglerConfig {
-    /// Read the `FG_STRAGGLER` environment knob ([`fg_comm::env_flag`]):
-    /// on enables detection with default tuning.
-    pub fn from_env() -> Option<StragglerConfig> {
-        fg_comm::env_flag("FG_STRAGGLER").then(StragglerConfig::default)
-    }
-
     /// The mitigation rung for a confirmed flag: rebalance while the
     /// budget lasts and the slowdown is moderate, evict otherwise.
     pub fn action_for(&self, ratio: f64, rebalances_done: usize) -> StragglerAction {
@@ -223,10 +217,6 @@ impl StragglerGuard {
         }
         let rank = (agreed - 1) as usize;
         debug_assert_eq!(local, Some(rank), "one-hot exchange must replicate verdicts");
-        // One event per world, not per rank: only rank 0 records it.
-        if comm.rank() == 0 {
-            comm.note_straggler_flag();
-        }
         Some(StragglerFlag { rank, ratio: ratios[rank], ema: self.ema.clone() })
     }
 }

@@ -35,7 +35,7 @@ impl ImageDataset {
     }
 
     /// Deterministic label of sample `index`.
-    pub fn label_of(&self, index: usize) -> u32 {
+    fn label_of(&self, index: usize) -> u32 {
         (splitmix(self.base_seed.wrapping_add(index as u64)) % self.classes as u64) as u32
     }
 

@@ -57,7 +57,7 @@ impl MeshDataset {
     }
 
     /// Labels for a sample: 1 where the distortion proxy flags tangling.
-    pub fn sample_labels(&self, input: &Tensor) -> Labels {
+    fn sample_labels(&self, input: &Tensor) -> Labels {
         let hw = self.input_hw;
         let cell = hw / self.label_hw;
         let mut data = Vec::with_capacity(self.label_hw * self.label_hw);

@@ -40,7 +40,7 @@ impl MeshSize {
     }
 
     /// Convolutions per block.
-    pub fn convs_per_block(&self) -> usize {
+    fn convs_per_block(&self) -> usize {
         match self {
             MeshSize::OneK => 3,
             MeshSize::TwoK => 5,

@@ -158,7 +158,7 @@ impl NetworkSpec {
     }
 
     /// Children of each layer.
-    pub fn children(&self) -> Vec<Vec<LayerId>> {
+    fn children(&self) -> Vec<Vec<LayerId>> {
         let mut ch = vec![Vec::new(); self.layers.len()];
         for (id, l) in self.layers.iter().enumerate() {
             for &p in &l.parents {

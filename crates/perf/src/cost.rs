@@ -89,7 +89,7 @@ pub struct ConvLayerDesc {
 
 impl ConvLayerDesc {
     /// Halo depth `O = ⌊K/2⌋` (§II-A).
-    pub fn halo_depth(&self) -> usize {
+    fn halo_depth(&self) -> usize {
         self.k / 2
     }
 }

@@ -148,7 +148,7 @@ impl DeviceModel {
     /// Fig. 3) pin the curve's upper region; small-layer behaviour
     /// (launch-dominated flatness of `res3b_branch2a`, Fig. 2) pins the
     /// overhead.
-    pub fn v100_like() -> DeviceModel {
+    fn v100_like() -> DeviceModel {
         DeviceModel {
             peak_flops: 14.0e12,
             half_work: 1.5e9,

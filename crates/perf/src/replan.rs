@@ -7,14 +7,14 @@
 //! it re-runs the full §V-C [`StrategyOptimizer`] search against a
 //! *measured* platform at the reduced world size (including
 //! non-power-of-two sizes, which the candidate enumeration handles via
-//! divisor grids) and hands back only strategies that validate *and*
-//! pass static schedule verification (fg-verify) at recovery-relevant
-//! world sizes.
+//! divisor grids) and hands back its pick. Whether the pick compiles
+//! and verifies is the shrink rung's one gate for a new layout
+//! (`fg_core::DistExecutor::new_verified`), not the re-planner's.
 //! [`degrade_replanner`] packages that as the boxed
 //! [`fg_core::Replanner`] callback the driver's `DegradeConfig` wants,
 //! owning its inputs so the closure can outlive the caller's frame.
 
-use fg_core::{DistExecutor, Replanner, Strategy};
+use fg_core::{Replanner, Strategy};
 use fg_nn::NetworkSpec;
 use std::sync::Arc;
 
@@ -24,8 +24,8 @@ use crate::platform::Platform;
 
 /// Re-run the strategy search for a (typically reduced) world size.
 /// Returns `None` when `world` or `batch` is degenerate or the
-/// optimizer's pick does not validate against `spec`/`batch` — the
-/// caller then probes the next smaller size.
+/// optimizer's pick is for another world size — the caller then probes
+/// the next smaller size.
 fn replan_for_world(
     platform: &Platform,
     spec: &NetworkSpec,
@@ -36,13 +36,7 @@ fn replan_for_world(
         return None;
     }
     let (strategy, cost) = StrategyOptimizer::new(platform, spec, batch, world).optimize();
-    if strategy.world_size() != world {
-        return None;
-    }
-    // A replan that validates but would deadlock or mis-shape a halo is
-    // rejected here, before the degradation rung commits to it.
-    DistExecutor::new_verified(spec.clone(), strategy.clone(), batch)?;
-    Some((strategy, cost))
+    (strategy.world_size() == world).then_some((strategy, cost))
 }
 
 /// The canonical [`Replanner`] for `DegradeConfig::replan`: a closure
@@ -108,9 +102,9 @@ mod tests {
 
     #[test]
     fn replanned_strategies_pass_static_schedule_verification() {
-        // The verify gate inside replan_for_world already ran for these
-        // worlds (≤ the cap); re-verify explicitly so a regression in
-        // the gate itself cannot slip a dirty schedule through.
+        // The shrink rung verifies a replan before it commits to it
+        // (`DistExecutor::new_verified`); the search's own picks must
+        // already come out clean, so verify them explicitly here.
         let platform = Platform::lassen_like();
         let net = toy_net();
         for world in [1, 2, 3, 4] {

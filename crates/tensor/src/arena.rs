@@ -81,7 +81,7 @@ impl BufClass {
     /// step-transient buffers. Everything else is still *accounted*
     /// (the static bound covers all classes) but allocated
     /// conventionally.
-    pub fn arena_managed(self) -> bool {
+    fn arena_managed(self) -> bool {
         matches!(self, BufClass::Window | BufClass::DyWindow)
     }
 }
@@ -116,7 +116,7 @@ impl LiveInterval {
     }
 
     /// Whether the step arena manages this buffer's storage.
-    pub fn managed(&self) -> bool {
+    fn managed(&self) -> bool {
         self.class.arena_managed()
     }
 }

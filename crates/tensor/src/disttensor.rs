@@ -65,7 +65,7 @@ impl DistTensor {
 
     /// Like [`DistTensor::new`], but recycling `buf` as the local
     /// backing storage (the arena path). Bitwise-identical to `new`.
-    pub fn new_in(
+    fn new_in(
         dist: TensorDist,
         rank: usize,
         margin_lo: [usize; NDIMS],
@@ -154,7 +154,7 @@ impl DistTensor {
     }
 
     /// The owned region expressed in local-buffer coordinates.
-    pub fn own_box_local(&self) -> Box4 {
+    fn own_box_local(&self) -> Box4 {
         self.global_to_local_box(&self.own)
     }
 
@@ -189,14 +189,8 @@ impl DistTensor {
         Some(self.local.at(li[0], li[1], li[2], li[3]))
     }
 
-    /// Write a global element; panics if outside this rank's window.
-    pub fn set_global(&mut self, idx: [usize; NDIMS], value: f32) {
-        let li = self.local_index_of(idx).expect("global index outside window");
-        *self.local.at_mut(li[0], li[1], li[2], li[3]) = value;
-    }
-
     /// Local coordinates of a global index, if within the window.
-    pub fn local_index_of(&self, idx: [usize; NDIMS]) -> Option<[usize; NDIMS]> {
+    fn local_index_of(&self, idx: [usize; NDIMS]) -> Option<[usize; NDIMS]> {
         let mut out = [0; NDIMS];
         let dims = self.local.shape().dims();
         for d in 0..NDIMS {

@@ -56,11 +56,6 @@ impl ShufflePlan {
         ShufflePlan { src, dst, rank, sends, recvs }
     }
 
-    /// The destination distribution the plan produces.
-    pub fn dst_dist(&self) -> &TensorDist {
-        &self.dst
-    }
-
     /// Total elements this rank contributes to the all-to-all.
     pub fn send_elements(&self) -> usize {
         self.sends.iter().map(|(_, b)| b.len()).sum()

@@ -143,6 +143,11 @@ filtered_tests -p fg-comm --lib -- \
 
 step "elastic degradation (permanent rank loss, watchdog + integrity on)"
 filtered_tests --test resilience -- degrade
+# Every rung of the crash ladder on a pinned seed, one line of the
+# report's deterministic fields each, as recorded before the driver kept
+# its state in one ledger and picked its rung from a typed outcome, with
+# every rebuilt world's schedule re-checked by the static verifier.
+FG_VERIFY=1 filtered_tests --test resilience -- crash_ladder_reports_match_the_recorded_ones
 
 # Gray-failure ladder, pinned seeds: a persistently slow rank must be
 # detected (all-rank agreement), rebalanced onto a weighted layout with
@@ -153,6 +158,10 @@ filtered_tests --test resilience -- degrade
 step "gray-failure resilience (straggler detect/rebalance/evict, FG_VERIFY on)"
 FG_VERIFY=1 filtered_tests --test resilience -- \
     persistent_straggler irredeemably_slow healthy_world
+# The driver's own unit tests, crash and gray-failure rungs alike: a
+# rebalance and an eviction are told apart by the typed outcome, and
+# neither is booked as a rebuild.
+FG_VERIFY=1 filtered_tests -p fg-core --lib -- resilient::tests::
 # A weighted layout over FG_MEM_BUDGET is declined, and the world trains
 # on, bitwise, on the layout it had (the binary sets the env var itself).
 cargo test -q --offline -p fg-core --test rebalance_budget

@@ -5,12 +5,12 @@
 //!   module's own file(s) and its crate's `lib.rs` — must name `m::` or
 //!   one of the names `lib.rs` re-exports from `m`, outside a comment. A
 //!   module that only its own tests or `examples/` reach fails here.
-//! * Free functions: for every column-0 `pub fn f` under `crates/*/src`,
-//!   some other `.rs` file under `crates/`, `src/`, `tests/`,
-//!   `examples/` or `benchmark/src/` must name `f` outside a comment and
-//!   outside a `pub use`. A function only its own file calls should not
-//!   be `pub`; one only its own tests call should not exist. Methods,
-//!   types and consts are not checked.
+//! * Functions and methods: for every `pub fn f` under `crates/*/src`,
+//!   at column 0 or indented, some other `.rs` file under `crates/`,
+//!   `src/`, `tests/`, `examples/` or `benchmark/src/` must name `f`
+//!   outside a comment and outside a `pub use`. A function only its own
+//!   file calls should not be `pub`; one only its own tests call should
+//!   not exist. Types and consts are not checked.
 //!
 //! Both are textual checks, not a dead-code analysis: a name shared with
 //! an unrelated item elsewhere counts as reached.
@@ -127,7 +127,7 @@ fn every_public_fn_is_named_outside_its_own_file() {
             continue;
         }
         for line in code.lines() {
-            let Some(name) = line.strip_prefix("pub fn ") else {
+            let Some(name) = line.trim_start().strip_prefix("pub fn ") else {
                 continue;
             };
             let name: String = name.chars().take_while(|&c| ident(c)).collect();

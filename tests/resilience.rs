@@ -493,12 +493,12 @@ fn durable_store_run_is_bitwise_identical_to_memory_store_run() {
     );
     let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&mem.losses), bits(&dur.losses), "the store backend never touches the math");
-    assert!(!mem.snapshot.durable);
-    assert!(dur.snapshot.durable);
-    assert_eq!(dur.snapshot.versions_written, dur.snapshots);
-    assert!(dur.snapshot.payload_bytes > 0);
+    assert!(mem.snapshot.is_none());
+    assert!(dur.snapshot.is_some());
+    assert_eq!(dur.snapshot.unwrap().versions_written, dur.snapshots);
+    assert!(dur.snapshot.unwrap().last_payload_bytes > 0);
     assert!(
-        dur.snapshot.bytes_written > dur.snapshot.payload_bytes,
+        dur.snapshot.unwrap().bytes_written > dur.snapshot.unwrap().last_payload_bytes,
         "default ring replication writes redundancy: {:?}",
         dur.snapshot
     );
@@ -574,13 +574,13 @@ fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise(
     assert_eq!(report.losses.len() as u64, STEPS4);
     assert!(d.at_step >= 2, "the shrink must resume from a real snapshot: {d:?}");
     assert!(d.reshard_total_bytes > 0);
-    assert!(report.snapshot.durable);
+    assert!(report.snapshot.is_some());
     assert!(
-        report.snapshot.shards_reconstructed >= 1,
+        report.snapshot.unwrap().shards_reconstructed >= 1,
         "every restore crossed the deleted shard: {:?}",
         report.snapshot
     );
-    assert_eq!(report.snapshot.store_errors, 0);
+    assert_eq!(report.store_errors, 0);
 
     // Pre-shrink prefix: bitwise the 4-rank trajectory.
     let baseline4 = run_ranks(4, |comm| {
@@ -688,9 +688,9 @@ fn torn_newest_version_falls_back_to_previous_verifiable_and_recovers_bitwise() 
         FaultPlan::new(3).kill_rank(1, kill_op),
     );
     assert_eq!(report.restarts, 1, "failures: {:?}", report.failures);
-    assert!(report.snapshot.durable);
+    assert!(report.snapshot.is_some());
     assert!(
-        report.snapshot.version_fallbacks >= 1,
+        report.snapshot.unwrap().version_fallbacks >= 1,
         "the torn step-4 version must be skipped, typed: {:?}",
         report.snapshot
     );
@@ -710,4 +710,173 @@ fn torn_newest_version_falls_back_to_previous_verifiable_and_recovers_bitwise() 
     let loaded = store.load_latest().expect("a verifiable version exists");
     assert!(loaded.version > 2, "recovery republished past the torn version");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Ladder golden: every rung of the crash ladder on a pinned seed, one
+// line of the report's deterministic fields each.
+// ---------------------------------------------------------------------------
+
+use finegrain::comm::CommError;
+use finegrain::core::{ComputeFault, ResilientReport};
+
+/// The report's deterministic fields on one line: a digest of the loss
+/// bits, the ladder's counters, each failure's variant and ranks (never
+/// its free text), and each degradation's worlds and grids. Timings and
+/// EMAs are wall-clock readings and stay out.
+fn ladder_line(name: &str, r: &ResilientReport) -> String {
+    let losses = r
+        .losses
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, l| (h ^ l.to_bits()).wrapping_mul(0x0100_0000_01b3));
+    let failures: Vec<String> = r
+        .failures
+        .iter()
+        .map(|e| match e {
+            CommError::RankFailed { rank, observer, .. } => format!("RankFailed {rank}/{observer}"),
+            CommError::Timeout { rank, .. } => format!("Timeout {rank}"),
+            CommError::Corrupt { link, seq, .. } => format!("Corrupt {}>{} #{seq}", link.0, link.1),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    let degradations: Vec<String> = r
+        .degradations
+        .iter()
+        .map(|d| {
+            let grids: Vec<String> =
+                d.strategy.grids.iter().map(|g| format!("{}{}{}{}", g.n, g.c, g.h, g.w)).collect();
+            format!(
+                "{}>{} @{} dead {:?} grids {}",
+                d.from_world,
+                d.to_world,
+                d.at_step,
+                d.dead_ranks,
+                grids.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "{name}: losses {losses:016x} restarts {} rollbacks {} replayed {} snapshots {} \
+         repaired {} retransmits {} world {} failures [{}] degradations [{}]",
+        r.restarts,
+        r.rollbacks,
+        r.replayed_steps,
+        r.snapshots,
+        r.corrupt_repaired,
+        r.retransmits,
+        r.final_world,
+        failures.join(", "),
+        degradations.join(", ")
+    )
+}
+
+/// The crash ladder's lines, recorded before the driver kept its state
+/// in one ledger and picked its rung from a typed outcome.
+const LADDER_GOLDEN: [&str; 7] = [
+    "transient kill: losses 0f50923a49a72293 restarts 1 rollbacks 0 replayed 0 snapshots 2 repaired 0 retransmits 0 world 2 failures [RankFailed 1/0] degradations []",
+    "compute-fault rollback: losses 0f50923a49a72293 restarts 0 rollbacks 1 replayed 1 snapshots 2 repaired 0 retransmits 0 world 2 failures [] degradations []",
+    "rollback budget to rebuild: losses 0f50923a49a72293 restarts 1 rollbacks 0 replayed 1 snapshots 2 repaired 0 retransmits 0 world 2 failures [RankFailed 0/0] degradations []",
+    "integrity repair: losses 0f50923a49a72293 restarts 0 rollbacks 0 replayed 0 snapshots 2 repaired 1 retransmits 1 world 2 failures [] degradations []",
+    "permanent-loss shrink: losses 3e7c5f1d309178b1 restarts 2 rollbacks 0 replayed 2 snapshots 2 repaired 0 retransmits 0 world 3 failures [RankFailed 1/0, RankFailed 1/0] degradations [4>3 @4 dead [2] grids 1113,1113,1113,1113,1113]",
+    "deleted-shard reconstruction: losses 3e7c5f1d309178b1 restarts 2 rollbacks 0 replayed 2 snapshots 2 repaired 0 retransmits 0 world 3 failures [RankFailed 1/0, RankFailed 1/0] degradations [4>3 @4 dead [2] grids 1113,1113,1113,1113,1113]",
+    "torn-newest fallback: losses 0f50923a49a72293 restarts 1 rollbacks 0 replayed 0 snapshots 3 repaired 0 retransmits 0 world 2 failures [RankFailed 1/0] degradations []",
+];
+
+#[test]
+fn crash_ladder_reports_match_the_recorded_ones() {
+    let f = fixture();
+    let horizon = ops_horizon(&f);
+    let two = |cfg: &ResilientConfig, plan: FaultPlan| {
+        resilient_train(&f.exec, &f.params, HYPER, &f.x, &f.labels, STEPS, cfg, plan)
+    };
+    let (_, net, exec4, x4, labels4) = straggler_fixture();
+    let probe = run_ranks_opts(4, RunOptions::with_faults(FaultPlan::default()), |comm| {
+        let mut p = net.params.clone();
+        let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
+        for _ in 0..6 {
+            exec4.train_step(comm, &mut p, &mut opt, &x4, &labels4);
+        }
+        comm.ops()
+    });
+    let kill4 = probe[2].as_ref().expect("probe is fault-free") / 2;
+    let four = |cfg: &ResilientConfig| {
+        let plan = FaultPlan::new(41).kill_rank_permanently(2, kill4);
+        resilient_train(&exec4, &net.params, HYPER, &x4, &labels4, 6, cfg, plan)
+    };
+    let base = ResilientConfig { ckpt_every: 2, max_restarts: 0, ..Default::default() };
+    let guarded = ResilientConfig { guard: Some(GuardConfig::default()), ..base.clone() };
+    let shrink = ResilientConfig {
+        max_restarts: 1,
+        degrade: Some(DegradeConfig::default()),
+        ..base.clone()
+    };
+    let (shard_dir, torn_dir) = (scratch_store("golden-shard"), scratch_store("golden-torn"));
+    let deleted = (0..32).fold(StorageFaultPlan::new(0xD15C), |s, call| s.delete_shard_at(call, 2));
+    let torn = StorageFaultPlan::new(0x7EA5).torn_write_at(1, 0);
+
+    let lines = [
+        ladder_line(
+            "transient kill",
+            &two(
+                &ResilientConfig { max_restarts: 2, ..base.clone() },
+                FaultPlan::new(3).kill_rank(1, horizon / 2),
+            ),
+        ),
+        ladder_line(
+            "compute-fault rollback",
+            &two(
+                &ResilientConfig {
+                    max_rollbacks: 2,
+                    compute_fault: Some(ComputeFault { rank: 1, step: 3, scale: f32::NAN }),
+                    ..guarded.clone()
+                },
+                FaultPlan::default(),
+            ),
+        ),
+        ladder_line(
+            "rollback budget to rebuild",
+            &two(
+                &ResilientConfig {
+                    max_restarts: 2,
+                    max_rollbacks: 0,
+                    compute_fault: Some(ComputeFault { rank: 0, step: 1, scale: f32::NAN }),
+                    ..guarded.clone()
+                },
+                FaultPlan::default(),
+            ),
+        ),
+        ladder_line(
+            "integrity repair",
+            &two(
+                &ResilientConfig { integrity: Some(IntegrityConfig::default()), ..guarded },
+                FaultPlan::new(11).corrupt_nth(0, 1, 5),
+            ),
+        ),
+        ladder_line("permanent-loss shrink", &four(&shrink)),
+        ladder_line(
+            "deleted-shard reconstruction",
+            &four(&ResilientConfig {
+                ckpt_store: Some(
+                    StoreConfig::at(&shard_dir).redundancy(Redundancy::Replicas(1)).faults(deleted),
+                ),
+                ..shrink.clone()
+            }),
+        ),
+        ladder_line(
+            "torn-newest fallback",
+            &two(
+                &ResilientConfig {
+                    max_restarts: 2,
+                    ckpt_store: Some(
+                        StoreConfig::at(&torn_dir).redundancy(Redundancy::None).faults(torn),
+                    ),
+                    ..base
+                },
+                FaultPlan::new(3).kill_rank(1, horizon * 5 / 6),
+            ),
+        ),
+    ];
+    let _ = std::fs::remove_dir_all(&shard_dir);
+    let _ = std::fs::remove_dir_all(&torn_dir);
+    assert_eq!(lines, LADDER_GOLDEN, "ladder lines now:\n{}", lines.join("\n"));
 }
