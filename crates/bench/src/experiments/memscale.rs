@@ -9,8 +9,8 @@
 //! analyzer ([`fg_core::analyze_strategy`]) rather than the cost model's
 //! heuristic: every buffer a rank's compiled schedule ever holds —
 //! activations, error signals, halo/shuffle staging, haloed windows,
-//! weights + gradients + momentum — with its live interval, colored
-//! into the arena plan the executor actually runs.
+//! weights + gradients + momentum — with its live interval, walked
+//! along the step schedule the executor actually runs.
 //!
 //! Bounds are per-rank, so the sweep reaches the DES scales (2048 and
 //! 32768 ranks of Tables I–III / Fig. 4) by analyzing sampled ranks
@@ -45,8 +45,6 @@ pub struct MemScaleRow {
     pub peak_bytes: usize,
     /// Whole-step-resident bytes (params + grads + momentum, replay).
     pub persistent_bytes: usize,
-    /// Arena capacity for the step-transient windows.
-    pub arena_bytes: usize,
     /// Analysis wall time.
     pub wall_s: f64,
 }
@@ -86,7 +84,6 @@ pub fn run_config(
         ranks_analyzed: ranks.len(),
         peak_bytes: report.max_peak(),
         persistent_bytes: report.bounds.iter().map(|b| b.persistent_bytes).max().unwrap_or(0),
-        arena_bytes: report.bounds.iter().map(|b| b.arena_bytes).max().unwrap_or(0),
         wall_s: report.wall.as_secs_f64(),
     }
 }
@@ -145,8 +142,7 @@ pub fn to_json(rows: &[MemScaleRow]) -> String {
             "  {{\"source\": \"{}\", \"model\": \"{}\", \"mode\": \"{}\", \
              \"batch\": {}, \"gpus_per_sample\": {}, \"ranks\": {}, \
              \"ranks_analyzed\": {}, \"peak_bytes_per_rank\": {}, \
-             \"persistent_bytes\": {}, \"arena_bytes\": {}, \
-             \"wall_s\": {:.6}}}{}\n",
+             \"persistent_bytes\": {}, \"wall_s\": {:.6}}}{}\n",
             r.source,
             r.model,
             r.mode,
@@ -156,7 +152,6 @@ pub fn to_json(rows: &[MemScaleRow]) -> String {
             r.ranks_analyzed,
             r.peak_bytes,
             r.persistent_bytes,
-            r.arena_bytes,
             r.wall_s,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -184,7 +179,6 @@ pub fn memscale_report() -> Table {
             "analyzed",
             "peak/rank",
             "persistent",
-            "arena",
             "wall",
         ],
     );
@@ -199,7 +193,6 @@ pub fn memscale_report() -> Table {
             r.ranks_analyzed.to_string(),
             fmt_bytes(r.peak_bytes),
             fmt_bytes(r.persistent_bytes),
-            fmt_bytes(r.arena_bytes),
             format!("{:.2} s", r.wall_s),
         ]);
     }

@@ -40,6 +40,8 @@ use fg_kernels::conv::{
 use fg_tensor::halo::{finish_halo_exchange, start_halo_exchange, HaloPlan};
 use fg_tensor::{Box4, DistTensor, ProcGrid, Shape4, Tensor, TensorDist, NDIMS};
 
+use crate::layers::{check_window, window_len, LayerBufs};
+
 /// Margins `(below, above)` for one dimension.
 type DimMargins = (usize, usize);
 
@@ -132,12 +134,22 @@ impl DistConv2d {
         HaloPlan::for_layout(&self.out_dist, rank, self.dy_margins.0, self.dy_margins.1)
     }
 
+    /// The sizes of the two windows this rank's passes build: the one
+    /// sizing function of the layer. The memory analyzer books it, and
+    /// [`DistConv2d::forward`] / [`DistConv2d::backward`] assert every
+    /// window they build against it.
+    pub fn window_elems(&self, rank: usize) -> LayerBufs {
+        LayerBufs {
+            window_elems: window_len(&self.in_dist, rank, self.x_margins),
+            dy_window_elems: window_len(&self.out_dist, rank, self.dy_margins),
+        }
+    }
+
     /// Forward propagation (Eq. 1) with the §IV-A overlap: (1) post the
     /// halo sends along `x_halo`, (2) compute `interior`'s interior
     /// region, (3) complete the receives, (4) compute the boundary strips.
     /// Takes the unpadded input shard; returns `(y, x_window)`, the window
-    /// kept for the filter gradient. Its storage is drawn from `store`
-    /// when provided (an arena slot); bitwise-identical either way.
+    /// kept for the filter gradient.
     ///
     /// Collective over `comm` (world size must equal the grid size); the
     /// plans are this rank's [`DistConv2d::x_halo_plan`] and
@@ -151,11 +163,11 @@ impl DistConv2d {
         bias: Option<&[f32]>,
         x_halo: &HaloPlan,
         interior: &InteriorPlan,
-        store: Option<Vec<f32>>,
     ) -> (DistTensor, DistTensor) {
         debug_assert_eq!(*x.dist(), self.in_dist, "input shard has wrong distribution");
         // Window with owned data; margins zero until the exchange completes.
-        let mut win = x.to_window_in(self.x_margins.0, self.x_margins.1, store);
+        let mut win = x.to_window(self.x_margins.0, self.x_margins.1);
+        check_window(self, "x", &win, self.window_elems(comm.rank()).window_elems);
         let tag = start_halo_exchange(comm, &win, x_halo);
 
         let mut y = DistTensor::new_unpadded(self.out_dist.clone(), comm.rank());
@@ -185,12 +197,10 @@ impl DistConv2d {
     /// filter gradient (Eq. 2) from `x_window` (the window
     /// [`DistConv2d::forward`] returned), completes the receives, computes
     /// `dL/dx` (Eq. 3), and sums `dL/dw` over every rank (`BPa`). Returns
-    /// `(dx, dw, db, spent)`: `dx` is `None` when `wants_dx` is false
-    /// (nobody reads this layer's input gradient; the exchange still runs,
-    /// so the wire schedule is the same either way), and `spent` is the
-    /// transient dy window's storage, drawn from `store` and handed back
-    /// (only when `store` was `Some`) for its arena slot.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    /// `(dx, dw, db)`: `dx` is `None` when `wants_dx` is false (nobody
+    /// reads this layer's input gradient; the exchange still runs, so the
+    /// wire schedule is the same either way).
+    #[allow(clippy::too_many_arguments)]
     pub fn backward<C: Communicator>(
         &self,
         comm: &C,
@@ -200,11 +210,10 @@ impl DistConv2d {
         with_bias: bool,
         wants_dx: bool,
         dy_halo: &HaloPlan,
-        store: Option<Vec<f32>>,
-    ) -> (Option<DistTensor>, Tensor, Option<Vec<f32>>, Option<Vec<f32>>) {
+    ) -> (Option<DistTensor>, Tensor, Option<Vec<f32>>) {
         debug_assert_eq!(*dy.dist(), self.out_dist, "error signal has wrong distribution");
-        let had_store = store.is_some();
-        let mut dyw = dy.to_window_in(self.dy_margins.0, self.dy_margins.1, store);
+        let mut dyw = dy.to_window(self.dy_margins.0, self.dy_margins.1);
+        check_window(self, "dy", &dyw, self.window_elems(comm.rank()).dy_window_elems);
         let tag = start_halo_exchange(comm, &dyw, dy_halo);
 
         let ob = dy.own_box();
@@ -235,8 +244,15 @@ impl DistConv2d {
         });
 
         let (dw, db) = allreduce_grads(comm, dw_local, with_bias.then_some(db_local));
-        let spent = had_store.then(|| dyw.into_storage());
-        (dx, dw, db, spent)
+        (dx, dw, db)
+    }
+}
+
+impl std::fmt::Display for DistConv2d {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = &self.geom;
+        let (x, y) = (self.in_dist.shape, self.out_dist.shape);
+        write!(f, "conv {}x{}/{} {x} -> {y} on grid {}", g.kh, g.kw, g.stride_h, self.in_dist.grid)
     }
 }
 
@@ -405,12 +421,11 @@ mod tests {
             let (x_halo, dy_halo) = (layer.x_halo_plan(rank), layer.dy_halo_plan(rank));
             let interior = InteriorPlan::build(&layer, rank);
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior, None);
+            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior);
             let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
-            let (dx, dw, db, _) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo, None);
+            let (dx, dw, db) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo);
             // Skipping dx changes nothing else.
-            let (none, dw_again, _, _) =
-                layer.backward(comm, &win, &dys, &w, true, false, &dy_halo, None);
+            let (none, dw_again, _) = layer.backward(comm, &win, &dys, &w, true, false, &dy_halo);
             assert!(none.is_none());
             assert_eq!(dw_again, dw);
             let y_full = gather_to_root(comm, &y, 0);
@@ -521,7 +536,7 @@ mod tests {
             let rank = comm.rank();
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
             let (x_halo, interior) = (layer.x_halo_plan(rank), InteriorPlan::build(&layer, rank));
-            let _ = layer.forward(comm, &xs, &w, None, &x_halo, &interior, None);
+            let _ = layer.forward(comm, &xs, &w, None, &x_halo, &interior);
             comm.stats()
         });
         for s in &stats {

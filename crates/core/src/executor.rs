@@ -30,17 +30,15 @@
 //! produces the same losses and parameters as `fg_nn::Network` on a
 //! single device (exactly, up to floating-point reduction order).
 
-use std::cell::RefCell;
-
 use fg_comm::{Communicator, WorldComm};
 use fg_kernels::batchnorm::BnStats;
 use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams, NetworkSpec, Sgd};
-use fg_tensor::{BufClass, DistTensor, MemPlan, Shape4, StepArena, Tensor, TensorDist};
+use fg_tensor::{DistTensor, Shape4, Tensor, TensorDist};
 
 use crate::layers::schedule::{EdgeIn, StepSchedule};
-use crate::layers::{build_layers, ArenaSlot, BwdCx, DistLayer, FwdCx, LayerPlan};
-use crate::mem::{MemReport, Net, RankArena, RankMemPlan};
+use crate::layers::{build_layers, BwdCx, DistLayer, FwdCx, LayerPlan};
+use crate::mem::{MemReport, Net};
 use crate::strategy::{Strategy, StrategyError};
 
 /// A distributed activation: either a shard of a global tensor, or a
@@ -140,16 +138,15 @@ pub struct DistExecutor {
     pub(crate) layers: Vec<Box<dyn DistLayer>>,
     /// Precompiled plans, indexed `[layer][rank]`.
     pub(crate) plans: Vec<Vec<LayerPlan>>,
-    /// Precompiled memory plans of the fused step, indexed `[rank]`.
-    mem_plans: Vec<RankMemPlan>,
     /// The step schedule every walker of a step reads.
     pub(crate) schedule: StepSchedule,
 }
 
 impl DistExecutor {
     /// Validate the strategy, build the layer objects, and compile every
-    /// rank's per-layer plan and memory plan (the plan-once phase; the
-    /// training loop performs zero plan construction).
+    /// rank's per-layer plan (the plan-once phase; the training loop
+    /// performs zero plan construction). The memory schedule is walked
+    /// only when asked: under `FG_VERIFY` or `FG_MEM_BUDGET`.
     pub fn new(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Result<Self, StrategyError> {
         strategy.validate(&spec, batch)?;
         let layers = build_layers(&spec, &strategy, batch);
@@ -158,21 +155,7 @@ impl DistExecutor {
         let world = strategy.world_size();
         let plans: Vec<Vec<LayerPlan>> =
             layers.iter().map(|l| (0..world).map(|r| l.compile_plan(r)).collect()).collect();
-        // Memory plans are compiled here, on the constructing thread, not
-        // on a rank's first step: an executor-lifetime allocation made
-        // from a rank thread mid-step outlives its world and pins that
-        // thread's allocator arena (measured: +20 % peak RSS on the
-        // ResNet benchmark workload). Borrowing the plans keeps this to
-        // shape arithmetic: 10–40 ms for the 128–512-rank planning
-        // worlds, which never step.
-        let net = Net { spec: &spec, layers: &layers, schedule: &schedule, batch };
-        let mem_plans = (0..world)
-            .map(|rank| {
-                let plans: Vec<&LayerPlan> = plans.iter().map(|per| &per[rank]).collect();
-                RankMemPlan::compile(net, &plans, rank)
-            })
-            .collect();
-        let exec = DistExecutor { spec, strategy, batch, layers, plans, mem_plans, schedule };
+        let exec = DistExecutor { spec, strategy, batch, layers, plans, schedule };
 
         // FG_VERIFY: statically verify the compiled schedule before
         // handing it to anyone — a debug assertion for the plan compiler.
@@ -183,8 +166,9 @@ impl DistExecutor {
                     detail: v.to_string(),
                 });
             }
-            // The memory plans ride the same gate: an unsound slot
-            // assignment or understated bound must never execute.
+            // The memory analysis rides the same gate: an understated
+            // staging interval or a non-conserving exchange must never
+            // execute.
             if let Some(v) = exec.analyze_memory().violations.first() {
                 return Err(StrategyError::ScheduleUnsound {
                     layer: v.layer,
@@ -193,10 +177,9 @@ impl DistExecutor {
             }
         }
         // FG_MEM_BUDGET (bytes/rank): reject strategies whose static
-        // peak exceeds the budget before anything executes. The compiled
-        // memory plans already hold every rank's bound.
+        // peak exceeds the budget before anything executes.
         if let Some(budget) = crate::mem::mem_budget_from_env() {
-            let needed = exec.mem_plans.iter().map(|m| m.static_bound).max().unwrap_or(0);
+            let needed = exec.analyze_memory().max_peak();
             if needed > budget {
                 return Err(StrategyError::MemBudgetExceeded { needed, budget });
             }
@@ -205,32 +188,28 @@ impl DistExecutor {
     }
 
     /// Statically analyze this executor's memory schedule: record every
-    /// rank's tensor-liveness intervals, color the arena-managed ones
-    /// into memory plans, compute exact per-rank peak bounds, and run
-    /// the soundness checks (slot overlap/undersizing, staging
-    /// understatement, cross-rank byte conservation). Pure plan
-    /// geometry — no tensors, no threads.
+    /// rank's tensor-liveness intervals, compute exact per-rank peak
+    /// bounds, and run the soundness checks (staging understatement,
+    /// cross-rank byte conservation). Pure plan geometry — no tensors,
+    /// no threads.
     pub fn analyze_memory(&self) -> MemReport {
-        self.analyze_memory_with(|_, _| {}, |_, _| {})
+        self.analyze_memory_with(|_, _| {})
     }
 
-    /// [`DistExecutor::analyze_memory`] with corruption hooks for
+    /// [`DistExecutor::analyze_memory`] with a corruption hook for
     /// mutation tests: `mutate_intervals` edits a rank's recorded
-    /// intervals before coloring (understated staging sizes),
-    /// `mutate_plan` edits the colored plan before checking (overlapping
-    /// slot assignments, undersized arenas). Production callers use
-    /// [`DistExecutor::analyze_memory`].
+    /// intervals before they are checked (understated staging sizes).
+    /// Production callers use [`DistExecutor::analyze_memory`].
     pub fn analyze_memory_with(
         &self,
         mutate_intervals: impl Fn(usize, &mut Vec<fg_tensor::LiveInterval>),
-        mutate_plan: impl Fn(usize, &mut MemPlan),
     ) -> MemReport {
         let world = self.strategy.world_size();
         let rows = (0..world).map(|rank| (rank, self.plans.iter().map(|per| &per[rank]).collect()));
         let (layers, schedule) = (&self.layers[..], &self.schedule);
         let net = Net { spec: &self.spec, layers, schedule, batch: self.batch };
         let full = Some(&self.plans[..]);
-        crate::mem::analyze_ranks(net, rows, full, &mutate_intervals, &mutate_plan)
+        crate::mem::analyze_ranks(net, rows, full, &mutate_intervals)
     }
 
     /// Statically verify this executor's compiled communication
@@ -312,7 +291,7 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.run_forward(comm, params, Act::Shard(shard), labels, None, None)
+        self.run_forward(comm, params, Act::Shard(shard), labels, None)
     }
 
     /// Sharded-input counterpart of [`DistExecutor::loss_and_grads`]
@@ -347,7 +326,7 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.run_forward(comm, params, Act::Shard(shard), None, Some(bn_stats), None)
+        self.run_forward(comm, params, Act::Shard(shard), None, Some(bn_stats))
     }
 
     /// Batched inference entry for serving: run
@@ -400,7 +379,6 @@ impl DistExecutor {
         input: Act,
         labels: Option<&Labels>,
         bn_override: Option<&[Option<BnStats>]>,
-        arena: Option<&RankArena<'_>>,
     ) -> DistPass {
         assert_eq!(comm.size(), self.strategy.world_size(), "communicator does not match strategy");
         let n_layers = self.layers.len();
@@ -437,17 +415,11 @@ impl DistExecutor {
                 labels,
                 bn_override: bn_override.and_then(|o| o[id].as_ref()),
                 bn_mode: self.strategy.bn_mode,
-                rank,
                 edges,
                 parents: &base.parents,
                 acts: &mut pass.acts,
                 shuffled: &mut pass.inputs[id],
                 external: if base.parents.is_empty() { external.take() } else { None },
-                window_slot: arena.and_then(|a| {
-                    a.plan
-                        .slot_for(id, BufClass::Window)
-                        .map(|slot| ArenaSlot { pool: &a.pool, slot })
-                }),
                 window: &mut pass.windows[id],
                 bn_stats: &mut pass.bn_stats[id],
                 loss: &mut pass.loss,
@@ -477,7 +449,7 @@ impl DistExecutor {
         params: &[LayerParams],
         pass: &DistPass,
     ) -> Vec<LayerParams> {
-        self.run_backward(comm, params, pass, None)
+        self.run_backward(comm, params, pass)
     }
 
     /// The backward walk of the step schedule: a loss layer sends the
@@ -490,7 +462,6 @@ impl DistExecutor {
         comm: &WorldComm,
         params: &[LayerParams],
         pass: &DistPass,
-        arena: Option<&RankArena<'_>>,
     ) -> Vec<LayerParams> {
         let n_layers = self.layers.len();
         let rank = comm.rank();
@@ -510,12 +481,6 @@ impl DistExecutor {
                     params: &params[id],
                     pass,
                     bn_mode: self.strategy.bn_mode,
-                    rank,
-                    dyw_slot: arena.and_then(|a| {
-                        a.plan
-                            .slot_for(id, BufClass::DyWindow)
-                            .map(|slot| ArenaSlot { pool: &a.pool, slot })
-                    }),
                     wants_dx: step.wants_dx(),
                 };
                 let out = layer.backward(comm, &cx, dy);
@@ -540,15 +505,9 @@ impl DistExecutor {
         grads.into_iter().zip(params).map(|(g, p)| g.unwrap_or_else(|| p.zeros_like())).collect()
     }
 
-    /// Forward + backward fused into one step; returns `(loss, grads)`.
-    ///
-    /// The pass never escapes this call, so the step runs against the
-    /// rank's memory plan: conv/pool windows draw their buffers from the
-    /// plan's arena slots, and the step ends with the runtime soundness
-    /// assertion `measured_peak <= static_bound`. Losses and gradients
-    /// are bitwise identical to [`DistExecutor::forward`] +
-    /// [`DistExecutor::backward`] — the arena changes where bytes live,
-    /// never what they hold.
+    /// Forward + backward fused into one step; returns `(loss, grads)`,
+    /// bitwise identical to [`DistExecutor::forward`] +
+    /// [`DistExecutor::backward`], whose drivers it runs.
     pub fn loss_and_grads(
         &self,
         comm: &WorldComm,
@@ -571,37 +530,9 @@ impl DistExecutor {
         shard: DistTensor,
         labels: &Labels,
     ) -> (f64, Vec<LayerParams>) {
-        let rank = comm.rank();
-        let mem = &self.mem_plans[rank];
-        // The arena lives for this step only; the executor keeps the
-        // plan, not the storage. A step abandoned by an unwinding rank
-        // (injected kill, watchdog abort) takes its arena down with its
-        // frame, so nothing of it reaches the next step on this
-        // executor, and an idle executor holds no window bytes.
-        let arena = RankArena { plan: &mem.plan, pool: RefCell::new(StepArena::new(&mem.plan)) };
-        let mut pass =
-            self.run_forward(comm, params, Act::Shard(shard), Some(labels), None, Some(&arena));
+        let pass = self.run_forward(comm, params, Act::Shard(shard), Some(labels), None);
         let loss = pass.loss.expect("network must end in a loss layer");
-        let grads = self.run_backward(comm, params, &pass, Some(&arena));
-        // End-of-step sweep: every kept forward window returns its
-        // storage to its slot (dy windows were released inside their
-        // layer's backward), then the high-water mark is checked against
-        // the static bound.
-        let mut pool = arena.pool.into_inner();
-        for (id, w) in pass.windows.iter_mut().enumerate() {
-            let Some(slot) = mem.plan.slot_for(id, BufClass::Window) else { continue };
-            if let Some(win) = w.take() {
-                pool.release(slot, win.into_storage());
-            }
-        }
-        assert_eq!(pool.outstanding_bytes(), 0, "rank {rank}: a window outlived the step's sweep");
-        assert!(
-            pool.measured_peak() <= mem.static_bound,
-            "rank {rank}: measured arena peak {} B exceeds the static bound {} B",
-            pool.measured_peak(),
-            mem.static_bound
-        );
-        (loss, grads)
+        (loss, self.run_backward(comm, params, &pass))
     }
 
     /// One training step: forward, backward, replicated SGD update.
@@ -667,7 +598,7 @@ mod tests {
     use super::*;
     use fg_comm::run_ranks;
     use fg_nn::Network;
-    use fg_tensor::ProcGrid;
+    use fg_tensor::{BufClass, ProcGrid};
 
     /// A miniature mesh-tangling style segmentation model: conv-bn-relu
     /// blocks with a final prediction conv and per-pixel loss (§VI).
@@ -851,13 +782,11 @@ mod tests {
         grads.iter().map(|g| g.to_flat().iter().map(|v| v.to_bits()).collect()).collect()
     }
 
-    /// The two surviving step paths pinned against each other: the fused
-    /// `loss_and_grads` (overlapped halos, precompiled plans, arena
-    /// slots) equals the split `forward` + `backward` (same drivers,
-    /// plain allocation) bit for bit, step after step, and the plan and
-    /// bound the fused step holds itself to — it asserts zero outstanding
-    /// bytes and `measured_peak <= static_bound` before it returns — are
-    /// the ones `analyze_memory` reports.
+    /// The two step paths pinned against each other: the fused
+    /// `loss_and_grads` equals the split `forward` + `backward` bit for
+    /// bit, step after step, on plans `analyze_memory` reports clean.
+    /// Every window either path builds is asserted against its layer's
+    /// `window_elems`, the size the analyzer books.
     #[test]
     fn fused_step_matches_split_passes_bitwise() {
         for (spec, grid, batch) in [
@@ -880,14 +809,7 @@ mod tests {
             });
             let fused = run_ranks(4, |comm| {
                 (0..2)
-                    .map(|_| {
-                        let out = exec.loss_and_grads(comm, &net.params, &x, &labels);
-                        let bound = &report.bounds[comm.rank()];
-                        let mem = &exec.mem_plans[comm.rank()];
-                        assert_eq!(mem.static_bound, bound.peak_bytes, "bound matches report");
-                        assert_eq!(mem.plan.arena_bytes, bound.arena_bytes);
-                        out
-                    })
+                    .map(|_| exec.loss_and_grads(comm, &net.params, &x, &labels))
                     .collect::<Vec<_>>()
             });
             for ((ls, gs), steps) in split.iter().zip(&fused) {
@@ -933,8 +855,6 @@ mod tests {
                         params: &net.params[id],
                         pass: &pass,
                         bn_mode: exec.strategy.bn_mode,
-                        rank,
-                        dyw_slot: None,
                         wants_dx: exec
                             .schedule
                             .backward
@@ -1008,16 +928,13 @@ mod tests {
                     runs[step.layer] = true;
                 }
                 assert!(!runs[0], "nothing reads the gradient of `data`");
-                let report = exec.analyze_memory_with(
-                    |rank, ivs| {
-                        let mut booked = vec![false; spec.len()];
-                        for iv in ivs.iter().filter(|iv| iv.class == BufClass::Err) {
-                            booked[iv.layer] = !exec.layers[iv.layer].seeds_backward();
-                        }
-                        assert_eq!(booked, runs, "rank {rank}");
-                    },
-                    |_, _| {},
-                );
+                let report = exec.analyze_memory_with(|rank, ivs| {
+                    let mut booked = vec![false; spec.len()];
+                    for iv in ivs.iter().filter(|iv| iv.class == BufClass::Err) {
+                        booked[iv.layer] = !exec.layers[iv.layer].seeds_backward();
+                    }
+                    assert_eq!(booked, runs, "rank {rank}");
+                });
                 assert!(report.is_clean(), "{report}");
                 if exec.strategy.world_size() != 4 {
                     continue;
@@ -1079,8 +996,8 @@ mod tests {
 
         let exec = DistExecutor::new(spec.clone(), strategy, 2).unwrap();
         // Probe one clean step's op count, then kill rank 2 halfway
-        // through the next world's second step — windows checked out,
-        // peers blocked on its halos.
+        // through the next world's second step — windows built, peers
+        // blocked on its halos.
         let probe = run_ranks_opts(4, RunOptions::with_faults(FaultPlan::default()), |comm| {
             let mut params = net.params.clone();
             let mut opt = Sgd::new(0.02, 0.9, 1e-4, &params);
@@ -1095,7 +1012,7 @@ mod tests {
         assert!(faulted.iter().all(|r| r.is_err()), "the kill must abandon the step everywhere");
 
         // A clean world on the same executor walks the trajectory of a
-        // never-faulted one (and trips over no slot left checked out).
+        // never-faulted one.
         let got = run_ranks(4, |comm| train(&|p, o| exec.train_step(comm, p, o, &x, &labels)));
         assert_eq!(got, want, "an abandoned step must not leak into later steps");
 

@@ -8,7 +8,7 @@ use fg_tensor::Tensor;
 use crate::distconv::{DistConv2d, InteriorPlan};
 use crate::executor::Act;
 use crate::layers::plan::{
-    window_elems, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
+    BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
 };
 use fg_comm::{ScalarType, TraceRecorder};
 use fg_tensor::halo::record_halo_exchange;
@@ -51,11 +51,9 @@ impl DistLayer for ConvLayer {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let (w, b) = conv_params(cx.params);
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
-        let store =
-            cx.window_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).window_elems));
         // §IV-A: the halo exchange overlaps the interior compute.
         let iplan = cx.plan.interior.as_ref().expect("conv plan has an interior plan");
-        let (y, win) = self.conv.forward(comm, x, w, b, x_halo, iplan, store);
+        let (y, win) = self.conv.forward(comm, x, w, b, x_halo, iplan);
         *cx.window = Some(win);
         Act::Shard(y)
     }
@@ -65,15 +63,9 @@ impl DistLayer for ConvLayer {
         let (w, b) = conv_params(cx.params);
         let win = cx.window(&self.base);
         let dy_halo = cx.plan.dy_halo.as_ref().expect("conv plan has a dy halo");
-        let store =
-            cx.dyw_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).dy_window_elems));
         // §IV-A: the dy halo exchange hides inside the (halo-free)
         // filter convolution.
-        let (dx, dw, db, spent) =
-            self.conv.backward(comm, win, &dy, w, b.is_some(), cx.wants_dx, dy_halo, store);
-        if let (Some(slot), Some(buf)) = (cx.dyw_slot.as_ref(), spent) {
-            slot.release(buf);
-        }
+        let (dx, dw, db) = self.conv.backward(comm, win, &dy, w, b.is_some(), cx.wants_dx, dy_halo);
         BwdOut {
             dparents: dx.into_iter().map(|dx| (0, Act::Shard(dx))).collect(),
             grads: Some(LayerParams::Conv { w: dw, b: db }),
@@ -81,12 +73,7 @@ impl DistLayer for ConvLayer {
     }
 
     fn memory_model(&self, rank: usize) -> LayerBufs {
-        let (xlo, xhi) = self.conv.x_margins;
-        let (dlo, dhi) = self.conv.dy_margins;
-        LayerBufs {
-            window_elems: window_elems(&self.conv.in_dist, rank, xlo, xhi),
-            dy_window_elems: window_elems(&self.conv.out_dist, rank, dlo, dhi),
-        }
+        self.conv.window_elems(rank)
     }
 
     // The interior decomposition only reschedules compute: the wire ops

@@ -26,7 +26,8 @@ fn dist_global_avg_pool<C: Communicator>(
     // Local spatial partial sums, already scaled by the global plane size.
     let s = owned.shape();
     let scale = 1.0f32 / (shape.h * shape.w) as f32;
-    // Orders of magnitude below any window; not an arena-managed class.
+    // Orders of magnitude below any window, so the memory analyzer does
+    // not book it.
     let mut partial = vec![0.0f32; n_loc * shape.c];
     for n in 0..s.n {
         for c in 0..s.c {

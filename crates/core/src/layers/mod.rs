@@ -35,10 +35,8 @@ pub use gap::GapLayer;
 pub use groups::{cross_section_group_layout, spatial_group_layout};
 pub use input::InputLayer;
 pub use loss::SoftmaxLossLayer;
-pub use plan::{
-    window_elems, ArenaSlot, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan,
-    TraceCx,
-};
+pub(crate) use plan::{check_window, window_len};
+pub use plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx};
 pub use pointwise::{AddLayer, ReluLayer};
 pub use pool::{DistPool2d, PoolLayer};
 

@@ -13,7 +13,6 @@
 //! every step against an [`FwdCx`]/[`BwdCx`] holding the plan, the
 //! layer's parameters, and its (possibly redistributed) inputs.
 
-use std::cell::RefCell;
 use std::ops::Range;
 
 use fg_comm::{SubCommLayout, TraceRecorder, WorldComm};
@@ -22,7 +21,7 @@ use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams};
 use fg_tensor::halo::HaloPlan;
 use fg_tensor::shuffle::ShufflePlan;
-use fg_tensor::{DistTensor, ProcGrid, StepArena, TensorDist, NDIMS};
+use fg_tensor::{DistTensor, ProcGrid, TensorDist, NDIMS};
 
 use crate::distconv::InteriorPlan;
 use crate::executor::{Act, DistPass};
@@ -125,19 +124,31 @@ impl LayerBase {
 }
 
 /// Element count of a rank's haloed window over `dist`: the owned box
-/// expanded by the margins — exactly the local buffer
-/// [`DistTensor::to_window_in`] builds. This is the single sizing formula
-/// shared by the memory analyzer (interval bytes) and the layer drivers
-/// (arena checkout sizes), so the static plan and the runtime requests
-/// can never disagree.
-pub fn window_elems(
+/// expanded by `margins` (below, above) — exactly the local buffer
+/// [`DistTensor::to_window`] builds.
+pub(crate) fn window_len(
     dist: &TensorDist,
     rank: usize,
-    margin_lo: [usize; NDIMS],
-    margin_hi: [usize; NDIMS],
+    (margin_lo, margin_hi): ([usize; NDIMS], [usize; NDIMS]),
 ) -> usize {
     let b = dist.local_box(rank);
     (0..NDIMS).map(|d| (b.hi[d] - b.lo[d]) + margin_lo[d] + margin_hi[d]).product()
+}
+
+/// Panic, naming `layer`, unless its `what` window `win` holds the `want`
+/// elements the layer's `window_elems` books for it.
+pub(crate) fn check_window(
+    layer: &dyn std::fmt::Display,
+    what: &str,
+    win: &DistTensor,
+    want: usize,
+) {
+    assert_eq!(
+        win.local().len(),
+        want,
+        "{layer}, rank {}: the {what} window is not the size window_elems books",
+        win.rank()
+    );
 }
 
 /// Step-transient buffer sizes one layer needs on one rank, reported by
@@ -150,31 +161,6 @@ pub struct LayerBufs {
     /// The transient error-signal window built (and dropped) inside
     /// backward.
     pub dy_window_elems: usize,
-}
-
-/// A checkout handle on one slot of a rank's step arena, handed to a
-/// layer through its context. The layer draws its planned buffer from
-/// the slot with [`ArenaSlot::alloc`]; storage returns to the slot via
-/// [`ArenaSlot::release`] (dy windows, inside backward) or via the
-/// executor's end-of-step sweep (kept forward windows).
-#[derive(Debug)]
-pub struct ArenaSlot<'a> {
-    pub(crate) pool: &'a RefCell<StepArena>,
-    pub(crate) slot: usize,
-}
-
-impl ArenaSlot<'_> {
-    /// Check the slot out as a buffer of `elems` elements. Panics (slot
-    /// named) on double checkout or over-capacity requests — plan
-    /// violations the static checker proves absent.
-    pub fn alloc(&self, elems: usize) -> Vec<f32> {
-        self.pool.borrow_mut().alloc(self.slot, elems)
-    }
-
-    /// Return the buffer to the slot.
-    pub fn release(&self, buf: Vec<f32>) {
-        self.pool.borrow_mut().release(self.slot, buf)
-    }
 }
 
 /// A uniformly schedulable distributed layer. Object-safe — its methods
@@ -228,11 +214,11 @@ pub trait DistLayer: std::fmt::Debug + Send + Sync {
         let _ = (cx, rec);
     }
 
-    /// Step-transient buffers this layer keeps on `rank` — the sizing
+    /// Step-transient windows this layer builds on `rank` — the sizing
     /// contract between the static memory analyzer (which turns these
-    /// into [`LiveInterval`]s and arena slots) and the runtime (which
-    /// checks out exactly these counts). The default reports none
-    /// (layers that keep no windows).
+    /// into [`LiveInterval`]s) and the runtime (whose passes assert every
+    /// window they build against the same counts). The default reports
+    /// none (layers that keep no windows).
     ///
     /// [`LiveInterval`]: fg_tensor::LiveInterval
     fn memory_model(&self, rank: usize) -> LayerBufs {
@@ -275,8 +261,6 @@ pub struct FwdCx<'a> {
     pub bn_override: Option<&'a BnStats>,
     /// Batch-norm statistics scope.
     pub bn_mode: BnMode,
-    /// This rank.
-    pub rank: usize,
     /// How each parent edge's input arrives (this layer's row of the
     /// step schedule) and where from.
     pub(crate) edges: &'a [EdgeIn],
@@ -288,9 +272,6 @@ pub struct FwdCx<'a> {
     pub(crate) shuffled: &'a mut [Option<Act>],
     /// The externally supplied activation (input layer only).
     pub external: Option<Act>,
-    /// Arena slot for the kept input window in the fused step (`None`
-    /// in the split API, whose pass escapes: conventional allocation).
-    pub window_slot: Option<ArenaSlot<'a>>,
     /// Out: haloed input window kept for backward (conv/pool).
     pub window: &'a mut Option<DistTensor>,
     /// Out: batch-norm statistics.
@@ -339,11 +320,6 @@ pub struct BwdCx<'a> {
     pub pass: &'a DistPass,
     /// Batch-norm statistics scope.
     pub bn_mode: BnMode,
-    /// This rank.
-    pub rank: usize,
-    /// Arena slot for the transient dy window in the fused step (`None`
-    /// in the split API, whose pass escapes: conventional allocation).
-    pub dyw_slot: Option<ArenaSlot<'a>>,
     /// Does anyone read this layer's input gradient? False when every
     /// parent is parent-less (the network input): the scheduler drops
     /// what a step sends up such an edge, so a convolution need not

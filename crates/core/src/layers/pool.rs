@@ -9,7 +9,8 @@ use fg_tensor::{DistTensor, ProcGrid, Shape4, TensorDist, NDIMS};
 
 use crate::executor::Act;
 use crate::layers::plan::{
-    window_elems, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
+    check_window, window_len, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan,
+    TraceCx,
 };
 
 /// A distributed 2-D pooling layer.
@@ -98,19 +99,28 @@ impl DistPool2d {
         HaloPlan::for_layout(&self.out_dist, rank, self.dy_margins.0, self.dy_margins.1)
     }
 
+    /// The sizes of the two windows this rank's passes build: the one
+    /// sizing function of the layer. The memory analyzer books it, and
+    /// [`DistPool2d::forward`] / [`DistPool2d::backward`] assert every
+    /// window they build against it.
+    pub fn window_elems(&self, rank: usize) -> LayerBufs {
+        LayerBufs {
+            window_elems: window_len(&self.in_dist, rank, self.x_margins),
+            dy_window_elems: window_len(&self.out_dist, rank, self.dy_margins),
+        }
+    }
+
     /// Forward pooling along this rank's precompiled halo plan
-    /// ([`DistPool2d::x_halo_plan`]); returns `(y, x_window)`. The
-    /// window's storage is drawn from `store` when provided (an arena
-    /// slot); bitwise-identical either way.
+    /// ([`DistPool2d::x_halo_plan`]); returns `(y, x_window)`.
     pub fn forward<C: Communicator>(
         &self,
         comm: &C,
         x: &DistTensor,
         plan: &HaloPlan,
-        store: Option<Vec<f32>>,
     ) -> (DistTensor, DistTensor) {
         debug_assert_eq!(*x.dist(), self.in_dist);
-        let mut win = x.to_window_in(self.x_margins.0, self.x_margins.1, store);
+        let mut win = x.to_window(self.x_margins.0, self.x_margins.1);
+        check_window(self, "x", &win, self.window_elems(comm.rank()).window_elems);
         exchange_halo_with_plan(comm, &mut win, plan);
         let mut y = DistTensor::new_unpadded(self.out_dist.clone(), comm.rank());
         let ob = y.own_box();
@@ -128,21 +138,16 @@ impl DistPool2d {
 
     /// Backward pooling along this rank's precompiled dy halo plan
     /// ([`DistPool2d::dy_halo_plan`]): the error signal for the parent.
-    /// The transient dy window's storage is drawn from `store` when
-    /// provided; the spent storage comes back as the second element
-    /// (only when `store` was `Some`) so the caller can return it to its
-    /// arena slot.
     pub fn backward<C: Communicator>(
         &self,
         comm: &C,
         x_window: &DistTensor,
         dy: &DistTensor,
         plan: &HaloPlan,
-        store: Option<Vec<f32>>,
-    ) -> (DistTensor, Option<Vec<f32>>) {
+    ) -> DistTensor {
         debug_assert_eq!(*dy.dist(), self.out_dist);
-        let had_store = store.is_some();
-        let mut dyw = dy.to_window_in(self.dy_margins.0, self.dy_margins.1, store);
+        let mut dyw = dy.to_window(self.dy_margins.0, self.dy_margins.1);
+        check_window(self, "dy", &dyw, self.window_elems(comm.rank()).dy_window_elems);
         exchange_halo_with_plan(comm, &mut dyw, plan);
         let mut dx = DistTensor::new_unpadded(self.in_dist.clone(), comm.rank());
         let ib = dx.own_box();
@@ -157,8 +162,16 @@ impl DistPool2d {
             (ib.lo[3], ib.hi[3]),
         );
         dx.set_owned(&local);
-        let spent = had_store.then(|| dyw.into_storage());
-        (dx, spent)
+        dx
+    }
+}
+
+impl std::fmt::Display for DistPool2d {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = &self.geom;
+        let (x, y) = (self.in_dist.shape, self.out_dist.shape);
+        let (kind, grid) = (self.kind, self.in_dist.grid);
+        write!(f, "{kind:?} pool {}x{}/{} {x} -> {y} on grid {grid}", g.kh, g.kw, g.stride_h)
     }
 }
 
@@ -227,9 +240,7 @@ impl DistLayer for PoolLayer {
     fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let x_halo = cx.plan.x_halo.as_ref().expect("pool plan has an x halo");
-        let store =
-            cx.window_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).window_elems));
-        let (y, win) = self.pool.forward(comm, x, x_halo, store);
+        let (y, win) = self.pool.forward(comm, x, x_halo);
         *cx.window = Some(win);
         Act::Shard(y)
     }
@@ -238,12 +249,7 @@ impl DistLayer for PoolLayer {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let win = cx.window(&self.base);
         let dy_halo = cx.plan.dy_halo.as_ref().expect("pool plan has a dy halo");
-        let store =
-            cx.dyw_slot.as_ref().map(|s| s.alloc(self.memory_model(cx.rank).dy_window_elems));
-        let (dx, spent) = self.pool.backward(comm, win, &dy, dy_halo, store);
-        if let (Some(slot), Some(buf)) = (cx.dyw_slot.as_ref(), spent) {
-            slot.release(buf);
-        }
+        let dx = self.pool.backward(comm, win, &dy, dy_halo);
         BwdOut { dparents: vec![(0, Act::Shard(dx))], grads: None }
     }
 
@@ -258,12 +264,7 @@ impl DistLayer for PoolLayer {
     }
 
     fn memory_model(&self, rank: usize) -> LayerBufs {
-        let (xlo, xhi) = self.pool.x_margins();
-        let (dlo, dhi) = self.pool.dy_margins();
-        LayerBufs {
-            window_elems: window_elems(&self.pool.in_dist, rank, xlo, xhi),
-            dy_window_elems: window_elems(&self.pool.out_dist, rank, dlo, dhi),
-        }
+        self.pool.window_elems(rank)
     }
 }
 
@@ -290,9 +291,9 @@ mod tests {
         let outs = run_ranks(grid.size(), |comm| {
             let rank = comm.rank();
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs, &layer.x_halo_plan(rank), None);
+            let (y, win) = layer.forward(comm, &xs, &layer.x_halo_plan(rank));
             let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
-            let (dx, _) = layer.backward(comm, &win, &dys, &layer.dy_halo_plan(rank), None);
+            let dx = layer.backward(comm, &win, &dys, &layer.dy_halo_plan(rank));
             (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0))
         });
         assert_eq!(outs[0].0.as_ref().unwrap(), &y_serial, "pool fwd {kind:?} grid {grid}");

@@ -19,9 +19,8 @@
 //!   shape-sound before it runs (`FG_VERIFY=1`, `repro -- verify`);
 //! * [`mem`] — static tensor-liveness analysis over the same compiled
 //!   plans: exact per-rank peak-memory bounds (any world size, sampled
-//!   ranks), interval-colored memory plans the executor's fused step
-//!   runs in a step arena, and a budget gate (`FG_MEM_BUDGET`,
-//!   `repro -- memscale`).
+//!   ranks), the strategy search's memory term, and a budget gate
+//!   (`FG_MEM_BUDGET`, `repro -- memscale`).
 
 pub mod distconv;
 pub mod executor;

@@ -1,5 +1,4 @@
-//! Static tensor-liveness analysis: verified per-rank memory bounds and
-//! executable memory plans.
+//! Static tensor-liveness analysis: verified per-rank memory bounds.
 //!
 //! `DistExecutor::new` compiles every rank's per-layer plans before a
 //! single step runs — so, exactly as the communication schedule is known
@@ -17,24 +16,22 @@
 //! * **error signals** — a layer's dL/dy accumulator from the first
 //!   child that contributes until the layer's own backward tick;
 //! * **haloed windows** — the kept forward input window and the
-//!   transient backward dy window (the two arena-managed classes);
+//!   transient backward dy window, sized by the layer's
+//!   `window_elems`, which the passes that build them assert against;
 //! * **staging** — halo pack/unpack payloads, §III-C shuffle payloads
 //!   (forward and adjoint), flattened gradient-allreduce staging, and
 //!   the integrity layer's replay-window budget when it is on.
 //!
 //! From the interval list come (a) an exact per-rank peak
-//! ([`fg_tensor::peak_bytes`]) — the static bound every executed step's
-//! arena high-water mark is asserted against; (b) a [`MemPlan`]
-//! (interval-graph coloring) that [`crate::DistExecutor`]'s fused step
-//! executes; and (c) the soundness checks: no two live-overlapping
-//! intervals share a slot, no slot or arena is undersized, no staging
-//! interval understates its plan's payload, and shuffle/halo plans
-//! conserve bytes across ranks. Mutation tests (`mem_mutations.rs`)
-//! prove each corruption class produces a named violation. The
-//! buffers live across the forward/backward turnaround are also priced
-//! per layer ([`turnaround_bytes`]): that is the term the strategy
-//! search's memory limit prunes with, so the search and the bound are
-//! one model.
+//! ([`fg_tensor::peak_bytes`]) — the static bound the `FG_MEM_BUDGET`
+//! gate compares with its budget; and (b) the soundness checks: no
+//! staging interval understates its plan's payload, and shuffle/halo
+//! plans conserve bytes across ranks. Mutation tests
+//! (`mem_mutations.rs`) prove each corruption class produces a named
+//! violation. The buffers live across the forward/backward turnaround
+//! are also priced per layer ([`turnaround_bytes`]): that is the term
+//! the strategy search's memory limit prunes with, so the search and
+//! the bound are one model.
 //!
 //! Because the analysis is pure plan geometry — no tensors, no threads —
 //! it runs at discrete-event scale: [`analyze_strategy`] compiles plans
@@ -42,16 +39,12 @@
 //! seconds, giving the memory strong-scaling curves next to the paper's
 //! Tables I–III (`repro -- memscale`).
 
-use std::cell::RefCell;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use fg_comm::collectives::block_range;
 use fg_nn::{LayerKind, NetworkSpec};
-use fg_tensor::{
-    check_mem_plan, peak_bytes, BufClass, LiveInterval, MemPlan, MemPlanIssue, ProcGrid, StepArena,
-    ELT_BYTES,
-};
+use fg_tensor::{peak_bytes, BufClass, LiveInterval, ProcGrid, ELT_BYTES};
 
 use crate::layers::schedule::{EdgeIn, StepSchedule};
 use crate::layers::{build_layer, build_layers, DistLayer, LayerBase, LayerPlan};
@@ -62,24 +55,15 @@ use crate::strategy::{Strategy, StrategyError};
 pub struct RankMemBound {
     /// The rank analyzed.
     pub rank: usize,
-    /// Exact peak of all live bytes over the step's tick line — the
-    /// bound `measured_peak <= static_bound` is checked against.
+    /// Exact peak of all live bytes over the step's tick line.
     pub peak_bytes: usize,
     /// The whole-step persistent term (params + grads + momentum).
     pub persistent_bytes: usize,
-    /// Size of the rank's step arena (managed windows only).
-    pub arena_bytes: usize,
 }
 
 /// Which memory-soundness check a violation came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemCheckKind {
-    /// Two live-overlapping intervals share an arena slot.
-    SlotOverlap,
-    /// An interval exceeds its slot's declared capacity.
-    SlotUndersized,
-    /// The declared arena does not cover its slots.
-    ArenaUndersized,
     /// A staging interval (halo or shuffle) understates the bytes its
     /// plan actually moves.
     StagingUnderstated,
@@ -92,9 +76,6 @@ impl MemCheckKind {
     /// Short label for diagnostics.
     pub fn label(self) -> &'static str {
         match self {
-            MemCheckKind::SlotOverlap => "slot-overlap",
-            MemCheckKind::SlotUndersized => "slot-undersized",
-            MemCheckKind::ArenaUndersized => "arena-undersized",
             MemCheckKind::StagingUnderstated => "staging-understated",
             MemCheckKind::ByteConservation => "byte-conservation",
         }
@@ -135,7 +116,7 @@ impl fmt::Display for MemViolation {
 pub struct MemReport {
     /// Per-rank bounds, in the order the ranks were analyzed.
     pub bounds: Vec<RankMemBound>,
-    /// Every violation found; empty for a sound set of memory plans.
+    /// Every violation found; empty for a sound memory schedule.
     pub violations: Vec<MemViolation>,
     /// Wall time the analysis took.
     pub wall: Duration,
@@ -176,41 +157,6 @@ pub(crate) struct Net<'a> {
     pub layers: &'a [Box<dyn DistLayer>],
     pub schedule: &'a StepSchedule,
     pub batch: usize,
-}
-
-/// One rank's memory plan for the fused step: the colored slot
-/// assignments and the static bound every step's arena high-water mark
-/// must stay under. Compiled once per rank by `DistExecutor::new`.
-#[derive(Debug)]
-pub(crate) struct RankMemPlan {
-    /// Slot assignments and sizing (the coloring's output).
-    pub plan: MemPlan,
-    /// The rank's static peak bound in bytes (all classes, not just the
-    /// arena-managed ones), so `measured_peak <= static_bound` holds a
-    /// fortiori for the arena's subset.
-    pub static_bound: usize,
-}
-
-impl RankMemPlan {
-    /// Walk `rank`'s compiled plans (one per layer) into liveness
-    /// intervals, color them, and take their exact peak — the plan and
-    /// bound [`analyze_ranks`] reports for the same rank.
-    pub(crate) fn compile(net: Net<'_>, plans: &[&LayerPlan], rank: usize) -> RankMemPlan {
-        let ivs = rank_intervals(net, plans, rank);
-        RankMemPlan { plan: MemPlan::color(&ivs), static_bound: peak_bytes(&ivs) }
-    }
-}
-
-/// One fused step's executable memory state: the rank's plan and the
-/// arena executing it for the duration of the step.
-#[derive(Debug)]
-pub(crate) struct RankArena<'a> {
-    /// The rank's slot assignments.
-    pub plan: &'a MemPlan,
-    /// The runtime arena executing the plan. `RefCell` because layer
-    /// drivers check buffers in and out through shared `ArenaSlot`
-    /// handles during a pass.
-    pub pool: RefCell<StepArena>,
 }
 
 /// The per-rank memory budget from `FG_MEM_BUDGET` (bytes per rank), if
@@ -361,10 +307,9 @@ fn rank_intervals(net: Net<'_>, plans: &[&LayerPlan], rank: usize) -> Vec<LiveIn
                 push(id, BufClass::Act, d.local_box(rank).len() * ELT_BYTES, fwd(id), bwd(id));
             }
         }
-        // Kept windows stay in the pass until the end-of-step sweep
-        // returns them to their slots (backward reads them at `bwd(id)`
-        // but the pass owns them to the last tick), so their slots must
-        // be exclusive for the whole step.
+        // Kept windows stay in the pass until the step drops it
+        // (backward reads them at `bwd(id)` but the pass owns them to the
+        // last tick).
         push(id, BufClass::Window, kept[id].window, fwd(id), last_tick);
         if let Some(h) = plan.x_halo.as_ref() {
             let stage = h.send_elements() + h.recv_elements();
@@ -400,43 +345,6 @@ fn rank_intervals(net: Net<'_>, plans: &[&LayerPlan], rank: usize) -> Vec<LiveIn
         }
     }
     ivs
-}
-
-/// Map one rank's [`MemPlanIssue`]s to named violations.
-fn plan_violations(
-    rank: usize,
-    layers: &[Box<dyn DistLayer>],
-    plan: &MemPlan,
-    out: &mut Vec<MemViolation>,
-) {
-    let name = |id: usize| {
-        layers.get(id).map(|l| l.base().name.clone()).unwrap_or_else(|| "<unknown>".into())
-    };
-    for issue in check_mem_plan(plan) {
-        let (kind, layer) = match &issue {
-            MemPlanIssue::SlotOverlap { a, .. } => (MemCheckKind::SlotOverlap, a.layer),
-            MemPlanIssue::SlotUndersized { interval, .. } => {
-                (MemCheckKind::SlotUndersized, interval.layer)
-            }
-            MemPlanIssue::ArenaUndersized { .. } => (
-                MemCheckKind::ArenaUndersized,
-                // Attribute to the largest managed interval — the most
-                // plausible victim of an undersized arena.
-                plan.assigns
-                    .iter()
-                    .max_by_key(|a| a.interval.bytes)
-                    .map(|a| a.interval.layer)
-                    .unwrap_or(0),
-            ),
-        };
-        out.push(MemViolation {
-            kind,
-            rank,
-            layer,
-            layer_name: name(layer),
-            detail: issue.to_string(),
-        });
-    }
 }
 
 /// Flag staging intervals whose recorded bytes understate what the
@@ -541,17 +449,16 @@ pub(crate) fn check_conservation(
 }
 
 /// Analyze the given ranks of a compiled plan set: record each rank's
-/// intervals (through `mutate_intervals`), color them into a plan
-/// (through `mutate_plan`), and run every soundness check. `rows` yields
-/// each analyzed rank with its plan per layer, borrowed. The hooks
-/// exist for mutation tests; production passes `|_, _| {}` for both.
-/// Conservation runs only when `full_plans` carries every rank.
+/// intervals (through `mutate_intervals`), take their exact peak, and
+/// run every soundness check. `rows` yields each analyzed rank with its
+/// plan per layer, borrowed. The hook exists for mutation tests;
+/// production passes `|_, _| {}`. Conservation runs only when
+/// `full_plans` carries every rank.
 pub(crate) fn analyze_ranks<'p>(
     net: Net<'_>,
     rows: impl ExactSizeIterator<Item = (usize, Vec<&'p LayerPlan>)>,
     full_plans: Option<&[Vec<LayerPlan>]>,
     mutate_intervals: &dyn Fn(usize, &mut Vec<LiveInterval>),
-    mutate_plan: &dyn Fn(usize, &mut MemPlan),
 ) -> MemReport {
     let start = Instant::now();
     let layers = net.layers;
@@ -561,9 +468,6 @@ pub(crate) fn analyze_ranks<'p>(
         let fresh = rank_intervals(net, &plans, rank);
         let mut ivs = fresh.clone();
         mutate_intervals(rank, &mut ivs);
-        let mut plan = MemPlan::color(&ivs);
-        mutate_plan(rank, &mut plan);
-        plan_violations(rank, layers, &plan, &mut violations);
         staging_violations(rank, layers, &ivs, &fresh, &mut violations);
         let persistent = ivs
             .iter()
@@ -574,7 +478,6 @@ pub(crate) fn analyze_ranks<'p>(
             rank,
             peak_bytes: peak_bytes(&ivs),
             persistent_bytes: persistent,
-            arena_bytes: plan.arena_bytes,
         });
     }
     if let Some(plans) = full_plans {
@@ -614,7 +517,7 @@ pub fn analyze_strategy(
     let plans: Vec<Vec<LayerPlan>> =
         ranks.iter().map(|&rank| layers.iter().map(|l| l.compile_plan(rank)).collect()).collect();
     let rows = ranks.iter().zip(&plans).map(|(&rank, row)| (rank, row.iter().collect()));
-    Ok(analyze_ranks(net, rows, None, &|_, _| {}, &|_, _| {}))
+    Ok(analyze_ranks(net, rows, None, &|_, _| {}))
 }
 
 #[cfg(test)]

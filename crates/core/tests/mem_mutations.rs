@@ -1,8 +1,8 @@
 //! Mutation tests for the static memory analyzer: corrupt a rank's
-//! recorded liveness intervals or its colored memory plan and assert the
-//! analyzer reports each corruption class with the right check kind,
-//! rank, and layer — and that uncorrupted plans analyze clean on every
-//! model × strategy × grid combination the unit suite trains with.
+//! recorded liveness intervals and assert the analyzer reports each
+//! corruption class with the right check kind, rank, and layer — and
+//! that uncorrupted plans analyze clean on every model × strategy ×
+//! grid combination the unit suite trains with.
 
 use fg_core::{DistExecutor, MemCheckKind, Strategy};
 use fg_nn::NetworkSpec;
@@ -77,97 +77,23 @@ fn clean_plans_analyze_clean_across_models_and_grids() {
     assert!(report.is_clean(), "mixed grids must analyze clean: {report}");
 }
 
-/// Corruption class 1: two live-overlapping windows forced onto one
-/// arena slot must produce a `SlotOverlap` violation naming the rank and
-/// an owning layer.
-#[test]
-fn injected_overlapping_slot_assignment_is_caught() {
-    let exec = spatial_executor();
-    let victim = 2usize; // corrupt one rank; the others stay clean
-    let report = exec.analyze_memory_with(
-        |_, _| {},
-        |rank, plan| {
-            if rank != victim {
-                return;
-            }
-            // Every kept window overlaps every other (they all survive
-            // to the end-of-step sweep), so aliasing any two slots is an
-            // overlap.
-            let windows: Vec<usize> = plan
-                .assigns
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.interval.class == BufClass::Window)
-                .map(|(i, _)| i)
-                .collect();
-            assert!(windows.len() >= 2, "test net must keep at least two windows");
-            plan.assigns[windows[1]].slot = plan.assigns[windows[0]].slot;
-        },
-    );
-    let v = report
-        .violations
-        .iter()
-        .find(|v| v.kind == MemCheckKind::SlotOverlap)
-        .expect("overlapping slot assignment must be reported");
-    assert_eq!(v.rank, victim, "violation names the corrupted rank");
-    assert!(!v.layer_name.is_empty(), "violation names the owning layer");
-    assert!(v.detail.contains("double-booked"), "diagnostic is specific: {v}");
-}
-
-/// Corruption class 2: an arena declared smaller than its slots must
-/// produce an `ArenaUndersized` violation (and an undersized single slot
-/// a `SlotUndersized` one), each naming rank and layer.
-#[test]
-fn injected_undersized_arena_is_caught() {
-    let exec = spatial_executor();
-    let report = exec.analyze_memory_with(
-        |_, _| {},
-        |rank, plan| {
-            if rank == 0 {
-                plan.arena_bytes /= 2;
-            }
-            if rank == 1 {
-                plan.slot_bytes[0] = 4;
-            }
-        },
-    );
-    let arena = report
-        .violations
-        .iter()
-        .find(|v| v.kind == MemCheckKind::ArenaUndersized)
-        .expect("undersized arena must be reported");
-    assert_eq!(arena.rank, 0);
-    assert!(!arena.layer_name.is_empty());
-    let slot = report
-        .violations
-        .iter()
-        .find(|v| v.kind == MemCheckKind::SlotUndersized)
-        .expect("undersized slot must be reported");
-    assert_eq!(slot.rank, 1);
-    assert!(slot.detail.contains("capacity"), "{slot}");
-    assert!(!report.violations.iter().any(|v| v.rank > 1), "uncorrupted ranks stay clean");
-}
-
-/// Corruption class 3: a halo-staging interval understating the bytes
+/// A halo-staging interval understating the bytes
 /// its plan actually moves must produce a `StagingUnderstated` violation
 /// naming the rank and the conv layer that owns the halo.
 #[test]
 fn understated_halo_staging_is_caught() {
     let exec = spatial_executor();
     let victim = 3usize;
-    let report = exec.analyze_memory_with(
-        |rank, ivs| {
-            if rank != victim {
-                return;
-            }
-            let iv = ivs
-                .iter_mut()
-                .find(|iv| iv.class == BufClass::HaloStage && iv.bytes > 0)
-                .expect("spatial conv must have halo staging");
-            iv.bytes /= 2;
-        },
-        |_, _| {},
-    );
+    let report = exec.analyze_memory_with(|rank, ivs| {
+        if rank != victim {
+            return;
+        }
+        let iv = ivs
+            .iter_mut()
+            .find(|iv| iv.class == BufClass::HaloStage && iv.bytes > 0)
+            .expect("spatial conv must have halo staging");
+        iv.bytes /= 2;
+    });
     let v = report
         .violations
         .iter()
@@ -188,19 +114,16 @@ fn understated_shuffle_staging_is_caught() {
         strategy.grids[spec.find(name).unwrap()] = ProcGrid::spatial(2, 2);
     }
     let exec = DistExecutor::new(spec, strategy, 4).expect("strategy valid");
-    let report = exec.analyze_memory_with(
-        |rank, ivs| {
-            if rank != 0 {
-                return;
-            }
-            let iv = ivs
-                .iter_mut()
-                .find(|iv| iv.class == BufClass::ShuffleStage && iv.bytes > 0)
-                .expect("mixed grids must have shuffle staging");
-            iv.bytes = 0;
-        },
-        |_, _| {},
-    );
+    let report = exec.analyze_memory_with(|rank, ivs| {
+        if rank != 0 {
+            return;
+        }
+        let iv = ivs
+            .iter_mut()
+            .find(|iv| iv.class == BufClass::ShuffleStage && iv.bytes > 0)
+            .expect("mixed grids must have shuffle staging");
+        iv.bytes = 0;
+    });
     assert!(
         report.violations.iter().any(|v| v.kind == MemCheckKind::StagingUnderstated && v.rank == 0),
         "zeroed shuffle staging must be reported: {report}"

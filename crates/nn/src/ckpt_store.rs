@@ -595,6 +595,15 @@ pub struct StoreCounters {
     pub scrub_corrupt: u64,
 }
 
+/// One version's shards, verified against the manifest they were read
+/// with (the product of `CkptStore::verify_shards`).
+struct VerifiedShards {
+    dir: PathBuf,
+    manifest: Manifest,
+    shards: Vec<Vec<u8>>,
+    notes: RecoveryNotes,
+}
+
 /// The durable checkpoint store. Single-writer (the driver), many
 /// readers; all methods take `&mut self` because counters and the fault
 /// clock advance on every call.
@@ -813,19 +822,43 @@ impl CkptStore {
         &self,
         version: u64,
     ) -> Result<(TrainState, RecoveryNotes), CheckpointError> {
+        let VerifiedShards { dir, manifest, shards, notes } =
+            self.verify_shards(version, &mut 0)?;
+        let payload: Vec<u8> = shards.concat();
+        if payload.len() as u64 != manifest.payload_len
+            || fnv1a64(&payload) != manifest.payload_checksum
+        {
+            let path = dir.join(MANIFEST_NAME);
+            return Err(CheckpointError::Corrupt { path, version, shard: None });
+        }
+        let state = load_train_state(&mut payload.as_slice())?;
+        Ok((state, notes))
+    }
+
+    /// The pass loading and scrubbing share: read and decode `version`'s
+    /// manifest, obtain verified bytes for every shard (primary, then
+    /// replicas), and rebuild the rest from parity. `damaged` counts the
+    /// bad files found: each shard no copy of which verified and, once
+    /// every shard has been read, each primary a replica stood in for.
+    fn verify_shards(
+        &self,
+        version: u64,
+        damaged: &mut usize,
+    ) -> Result<VerifiedShards, CheckpointError> {
         let dir = self.version_dir(version);
         let mpath = dir.join(MANIFEST_NAME);
         let mbytes = read_file(&mpath, version, None)?;
         let manifest = Manifest::decode(&mbytes, version, &mpath)?;
         let mut notes = RecoveryNotes::default();
         let mut shards: Vec<Vec<u8>> = Vec::with_capacity(manifest.shards.len());
-        let mut pending_parity: Vec<usize> = Vec::new();
+        let mut pending: Vec<usize> = Vec::new();
         for i in 0..manifest.shards.len() {
             match self.read_shard(&dir, &manifest, i, &mut notes) {
                 Ok(bytes) => shards.push(bytes),
                 Err(e) => {
+                    *damaged += 1;
                     if matches!(manifest.redundancy, Redundancy::Parity { .. }) {
-                        pending_parity.push(i);
+                        pending.push(i);
                         shards.push(Vec::new());
                     } else {
                         return Err(e);
@@ -833,17 +866,12 @@ impl CkptStore {
                 }
             }
         }
-        if !pending_parity.is_empty() {
-            self.parity_reconstruct(&dir, &manifest, &mut shards, &pending_parity, &mut notes)?;
+        // Replica-served shards mean the primary was damaged.
+        *damaged += notes.reconstructed.len();
+        if !pending.is_empty() {
+            self.parity_reconstruct(&dir, &manifest, &mut shards, &pending, &mut notes)?;
         }
-        let payload: Vec<u8> = shards.concat();
-        if payload.len() as u64 != manifest.payload_len
-            || fnv1a64(&payload) != manifest.payload_checksum
-        {
-            return Err(CheckpointError::Corrupt { path: mpath, version, shard: None });
-        }
-        let state = load_train_state(&mut payload.as_slice())?;
-        Ok((state, notes))
+        Ok(VerifiedShards { dir, manifest, shards, notes })
     }
 
     /// Shard `i` via primary, then replicas. The returned error is the
@@ -1008,33 +1036,9 @@ impl CkptStore {
     }
 
     fn scrub_version(&self, version: u64, report: &mut ScrubReport) -> Result<(), CheckpointError> {
-        let dir = self.version_dir(version);
-        let mpath = dir.join(MANIFEST_NAME);
-        let mbytes = read_file(&mpath, version, None)?;
-        let manifest = Manifest::decode(&mbytes, version, &mpath)?;
         // Pass 1: obtain verified bytes for every shard (counts damage).
-        let mut good: Vec<Vec<u8>> = Vec::with_capacity(manifest.shards.len());
-        let mut notes = RecoveryNotes::default();
-        let mut pending: Vec<usize> = Vec::new();
-        for i in 0..manifest.shards.len() {
-            match self.read_shard(&dir, &manifest, i, &mut notes) {
-                Ok(bytes) => good.push(bytes),
-                Err(e) => {
-                    report.corrupt_files += 1;
-                    if matches!(manifest.redundancy, Redundancy::Parity { .. }) {
-                        pending.push(i);
-                        good.push(Vec::new());
-                    } else {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        // Replica-served shards mean the primary was damaged.
-        report.corrupt_files += notes.reconstructed.len();
-        if !pending.is_empty() {
-            self.parity_reconstruct(&dir, &manifest, &mut good, &pending, &mut notes)?;
-        }
+        let VerifiedShards { dir, manifest, shards: good, .. } =
+            self.verify_shards(version, &mut report.corrupt_files)?;
         // Pass 2: rewrite every file that does not match its checksum.
         let mut repair = |path: PathBuf, bytes: &[u8]| -> Result<(), CheckpointError> {
             let healthy = fs::read(&path)

@@ -47,19 +47,7 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Zero-filled tensor recycling `buf` as backing storage (the arena
-    /// path of [`crate::arena::StepArena`]). The buffer is cleared and
-    /// resized to the shape's length; when its capacity already covers
-    /// the shape no allocation occurs. The result is bitwise-identical
-    /// to [`Tensor::zeros`].
-    pub fn zeros_in(shape: Shape4, mut buf: Vec<f32>) -> Self {
-        buf.clear();
-        buf.resize(shape.len(), 0.0);
-        Tensor { shape, data: buf }
-    }
-
-    /// Consume the tensor and return its backing buffer, so the storage
-    /// can be released back to an arena slot.
+    /// Consume the tensor and return its backing buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
     }

@@ -63,34 +63,6 @@ impl DistTensor {
         }
     }
 
-    /// Like [`DistTensor::new`], but recycling `buf` as the local
-    /// backing storage (the arena path). Bitwise-identical to `new`.
-    fn new_in(
-        dist: TensorDist,
-        rank: usize,
-        margin_lo: [usize; NDIMS],
-        margin_hi: [usize; NDIMS],
-        buf: Vec<f32>,
-    ) -> Self {
-        assert!(rank < dist.world_size(), "rank outside distribution grid");
-        let own = dist.local_box(rank);
-        let mut origin = [0i64; NDIMS];
-        let mut dims = [0usize; NDIMS];
-        for d in 0..NDIMS {
-            origin[d] = own.lo[d] as i64 - margin_lo[d] as i64;
-            dims[d] = (own.hi[d] - own.lo[d]) + margin_lo[d] + margin_hi[d];
-        }
-        DistTensor {
-            dist,
-            rank,
-            own,
-            margin_lo,
-            margin_hi,
-            origin,
-            local: Tensor::zeros_in(Shape4::from_dims(dims), buf),
-        }
-    }
-
     /// Create a shard without margins.
     pub fn new_unpadded(dist: TensorDist, rank: usize) -> Self {
         DistTensor::new(dist.clone(), rank, [0; NDIMS], [0; NDIMS])
@@ -210,32 +182,15 @@ impl DistTensor {
 
     /// A re-margined copy of this shard: same distribution, rank, and
     /// owned data, with margins `(lo, hi)` allocated but unfilled (run a
-    /// halo exchange afterwards to populate them). The window's backing
-    /// storage comes from `store` when provided (the arena path); `None`
-    /// allocates fresh, bitwise-identically. The owned block is copied
-    /// box-to-box without materializing an intermediate owned tensor.
-    pub fn to_window_in(
-        &self,
-        margin_lo: [usize; NDIMS],
-        margin_hi: [usize; NDIMS],
-        store: Option<Vec<f32>>,
-    ) -> DistTensor {
-        let mut win = match store {
-            Some(buf) => {
-                DistTensor::new_in(self.dist.clone(), self.rank, margin_lo, margin_hi, buf)
-            }
-            None => DistTensor::new(self.dist.clone(), self.rank, margin_lo, margin_hi),
-        };
+    /// halo exchange afterwards to populate them). The owned block is
+    /// copied box-to-box without materializing an intermediate owned
+    /// tensor.
+    pub fn to_window(&self, margin_lo: [usize; NDIMS], margin_hi: [usize; NDIMS]) -> DistTensor {
+        let mut win = DistTensor::new(self.dist.clone(), self.rank, margin_lo, margin_hi);
         let dst_box = win.own_box_local();
         let src_box = self.own_box_local();
         win.local.copy_box_from(&dst_box, &self.local, &src_box);
         win
-    }
-
-    /// Consume the shard and return its local backing buffer, so the
-    /// storage can be released back to an arena slot.
-    pub fn into_storage(self) -> Vec<f32> {
-        self.local.into_vec()
     }
 
     /// Overwrite the owned region from a tensor of matching shape.

@@ -44,24 +44,22 @@
 //! });
 //! ```
 
-pub mod arena;
 pub mod dense;
 pub mod dist;
 pub mod disttensor;
 pub mod gather;
 pub mod halo;
+pub mod liveness;
 pub mod procgrid;
 pub mod regrid;
 pub mod shape;
 pub mod shuffle;
 pub mod weights;
 
-pub use arena::{
-    check_mem_plan, peak_bytes, BufClass, LiveInterval, MemPlan, MemPlanIssue, StepArena, ELT_BYTES,
-};
 pub use dense::Tensor;
 pub use dist::TensorDist;
 pub use disttensor::DistTensor;
+pub use liveness::{peak_bytes, BufClass, LiveInterval, ELT_BYTES};
 pub use procgrid::ProcGrid;
 pub use regrid::{assemble_tensor, check_box_partition, shard_tensor, RegridPlan};
 pub use shape::{Box4, Shape4, NDIMS};

@@ -168,17 +168,25 @@ cargo test -q --offline -p fg-core --test rebalance_budget
 
 # Static memory verifier, same ladder rung as FG_VERIFY: with FG_VERIFY=1
 # every DistExecutor construction now also runs the tensor-liveness
-# analyzer (fg-core::mem) and rejects unsound memory plans, so the
+# analyzer (fg-core::mem) and rejects unsound memory schedules, so the
 # schedule runs above already exercise it. This step pins the analyzer's
 # own contracts explicitly: clean plans bound every rank on every
-# model × strategy × grid, each corruption class (overlapping slots,
-# undersized arena, understated halo/shuffle staging) yields a named
-# violation, and a tiny FG_MEM_BUDGET rejects with the typed
-# MemBudgetExceeded error before any plan executes (the mem_budget
-# binary sets/unsets the env var itself).
+# model × strategy × grid, each corruption class (understated
+# halo/shuffle staging) yields a named violation, and a tiny
+# FG_MEM_BUDGET rejects with the typed MemBudgetExceeded error before
+# any plan executes (the mem_budget binary sets/unsets the env var
+# itself).
 step "memory verifier (liveness bounds, mutation catches, FG_MEM_BUDGET gate)"
 FG_VERIFY=1 cargo test -q --offline -p fg-core --test mem_mutations
 cargo test -q --offline -p fg-core --test mem_budget
+# The step's memory path: every window the fused and the split step
+# build is asserted against its layer's `window_elems`, the size the
+# analyzer books — on clean steps, after an abandoned one, and with the
+# two paths interleaved on one trajectory.
+FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
+    executor::tests::fused_step_matches_split_passes_bitwise \
+    executor::tests::executor_is_reusable_after_an_abandoned_step \
+    executor::tests::interleaved_fused_and_split_steps_share_one_trajectory
 # Every bound above is a `peak_bytes` sweep: the dense tick array, bit for
 # bit against the `BTreeMap` sweep it replaced, on random interval lists.
 filtered_tests -p fg-tensor --lib -- dense_peak_equals_the_map_reference_on_random_intervals
@@ -198,8 +206,8 @@ filtered_tests -p fg-perf --test search_golden -- search_answers_match
 FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
     fused_step_matches_split static_bounds abandoned_step
 # One step schedule under all three walkers: every rank's recorded
-# trace, liveness intervals and memory plan as recorded before the
-# executor, the recorder and the analyzer shared it, and an error
+# trace and liveness intervals as recorded before the executor, the
+# recorder and the analyzer shared it, and an error
 # accumulator booked for exactly the layers backward runs (counted on a
 # live world) — never for `data`.
 FG_VERIFY=1 filtered_tests --test schedule_golden -- \

@@ -88,9 +88,9 @@ proptest! {
             let (x_halo, dy_halo) = (layer.x_halo_plan(rank), layer.dy_halo_plan(rank));
             let interior = InteriorPlan::build(&layer, rank);
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior, None);
+            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior);
             let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
-            let (dx, dw, db, _) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo, None);
+            let (dx, dw, db) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo);
             let dx = dx.expect("dx was asked for");
             (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0), dw, db)
         });

@@ -1,7 +1,7 @@
 //! The compiled step schedule, seen from outside: every rank's recorded
-//! trace, liveness intervals and memory plan on three small nets × four
-//! strategies, recorded at the commit before the executor, the trace
-//! recorder and the memory analyzer began to walk one schedule (there:
+//! trace and liveness intervals on three small nets × four strategies,
+//! recorded at the commit before the executor, the trace recorder and
+//! the memory analyzer began to walk one schedule (there:
 //! three hand-mirrored loops). The digests cover everything those loops
 //! decided — which edge is shuffled, which shuffled input is kept, which
 //! layers run backward and since when their error accumulator is live.
@@ -19,7 +19,7 @@ use finegrain::comm::{run_ranks, OpClass, TraceOp};
 use finegrain::core::{DistExecutor, Strategy};
 use finegrain::kernels::Labels;
 use finegrain::nn::{Network, NetworkSpec};
-use finegrain::tensor::{peak_bytes, BufClass, LiveInterval, MemPlan, ProcGrid, Shape4, Tensor};
+use finegrain::tensor::{peak_bytes, BufClass, LiveInterval, ProcGrid, Shape4, Tensor};
 
 fn mini_mesh() -> NetworkSpec {
     let mut net = NetworkSpec::new();
@@ -113,23 +113,23 @@ fn fnv(h: &mut u64, text: &str) {
 type Phantom = (usize, usize, usize);
 
 /// Per config, in `configs()` order: FNV-64 of every rank's
-/// `record_traces(None)` entries, of every rank's liveness intervals
+/// `record_traces(None)` entries, and of every rank's liveness intervals
 /// (and their exact peak) without `PHANTOM`'s and without the
-/// environment-dependent replay budget, and of every rank's `MemPlan`.
+/// environment-dependent replay budget.
 #[rustfmt::skip]
-const GOLDEN: [(u64, u64, u64); 12] = [
-    (0x01b7146d9533cf95, 0xb3d9ce58e24b157d, 0x9806690418566d75),
-    (0x8e356ad7142f3d95, 0xb483a84a9096bf85, 0xcfe5dcb821d35a95),
-    (0x53373bea5a12a28d, 0xf08f33e3997f8065, 0x21123cf8e8259dc5),
-    (0x3334b83b5d8ae2f1, 0xd886490fa4608ca1, 0xc278a0b6bd80154d),
-    (0x5434bcbc57715eb5, 0x521262451dff5799, 0x02e1a3aa18773f19),
-    (0x880653d6eaa9b8d5, 0xf6fae892a61cb759, 0xe76e3ffec8a294c5),
-    (0xb2fc31db2cbc6b75, 0x37fd97dc8d2b5325, 0xb7a3d4ac32143cd1),
-    (0x49168f7741eb15cb, 0x05ce24f8c069dec9, 0xdba6591e755a1f85),
-    (0x21c22483a331955d, 0xc4559cb6aa25ea45, 0xa21e4dcb7994eb75),
-    (0xf470a5a7a16dc3f7, 0x0993c585b085ccdf, 0x067e80a46521de25),
-    (0x8f051f1fb9ff4105, 0x0711ebb5bd147f11, 0x70839f890f00c0d5),
-    (0x7f60639ec07d6be9, 0x26c6086ac2872c3d, 0x0cb2c474459521a5),
+const GOLDEN: [(u64, u64); 12] = [
+    (0x01b7146d9533cf95, 0xb3d9ce58e24b157d),
+    (0x8e356ad7142f3d95, 0xb483a84a9096bf85),
+    (0x53373bea5a12a28d, 0xf08f33e3997f8065),
+    (0x3334b83b5d8ae2f1, 0xd886490fa4608ca1),
+    (0x5434bcbc57715eb5, 0x521262451dff5799),
+    (0x880653d6eaa9b8d5, 0xf6fae892a61cb759),
+    (0xb2fc31db2cbc6b75, 0x37fd97dc8d2b5325),
+    (0x49168f7741eb15cb, 0x05ce24f8c069dec9),
+    (0x21c22483a331955d, 0xc4559cb6aa25ea45),
+    (0xf470a5a7a16dc3f7, 0x0993c585b085ccdf),
+    (0x8f051f1fb9ff4105, 0x0711ebb5bd147f11),
+    (0x7f60639ec07d6be9, 0x26c6086ac2872c3d),
 ];
 
 /// What the parent commit recorded for layer 0 and no step allocates
@@ -158,25 +158,21 @@ fn traces_intervals_and_plans_match_the_recorded_ones() {
         }
 
         let seen_ivs: RefCell<Vec<Vec<LiveInterval>>> = RefCell::new(vec![Vec::new(); world]);
-        let seen_plans: RefCell<Vec<MemPlan>> = RefCell::new(vec![MemPlan::default(); world]);
-        let report = exec.analyze_memory_with(
-            |rank, ivs| seen_ivs.borrow_mut()[rank] = ivs.clone(),
-            |rank, plan| seen_plans.borrow_mut()[rank] = plan.clone(),
-        );
+        let report =
+            exec.analyze_memory_with(|rank, ivs| seen_ivs.borrow_mut()[rank] = ivs.clone());
         assert!(report.is_clean(), "{net}: {report}");
 
-        let (mut intervals, mut plans) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        let mut intervals = 0xcbf2_9ce4_8422_2325u64;
         let mut phantom: Vec<(usize, usize, usize)> = Vec::new();
-        for (ivs, plan) in seen_ivs.into_inner().into_iter().zip(seen_plans.into_inner()) {
+        for ivs in seen_ivs.into_inner() {
             let (ghost, kept): (Vec<_>, Vec<_>) = ivs
                 .into_iter()
                 .filter(|iv| iv.class != BufClass::ReplayWindow)
                 .partition(|iv| iv.layer == 0 && iv.class == BufClass::Err);
             phantom.extend(ghost.iter().map(|iv| (iv.start, iv.end, iv.bytes)));
             fnv(&mut intervals, &format!("{kept:?} peak {}", peak_bytes(&kept)));
-            fnv(&mut plans, &format!("{plan:?}"));
         }
-        got.push((traces, intervals, plans));
+        got.push((traces, intervals));
         phantoms.push(phantom);
     }
     assert_eq!(got, GOLDEN, "got {got:#x?}");
@@ -226,15 +222,11 @@ fn the_unread_gradient_of_data_is_neither_recorded_nor_staged() {
     assert!(executed.iter().all(|&b| b > 0), "the forward shuffle runs: {executed:?}");
     assert_eq!(recorded, executed, "recorded vs executed shuffle bytes per rank");
 
-    exec.analyze_memory_with(
-        |rank, ivs| {
-            let staged: Vec<_> =
-                ivs.iter().filter(|iv| iv.class == BufClass::ShuffleStage).collect();
-            assert!(
-                matches!(staged[..], [iv] if iv.layer == 1 && iv.start == 1),
-                "rank {rank}: {staged:?}"
-            );
-        },
-        |_, _| {},
-    );
+    exec.analyze_memory_with(|rank, ivs| {
+        let staged: Vec<_> = ivs.iter().filter(|iv| iv.class == BufClass::ShuffleStage).collect();
+        assert!(
+            matches!(staged[..], [iv] if iv.layer == 1 && iv.start == 1),
+            "rank {rank}: {staged:?}"
+        );
+    });
 }
