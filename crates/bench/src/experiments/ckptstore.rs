@@ -28,7 +28,7 @@ use fg_tensor::ProcGrid;
 use crate::table::Table;
 
 /// Scaled mesh model checkpointed by the bench: 64×64 inputs, widths
-/// ÷32 — a payload in the megabytes, like one rank's slice at scale.
+/// ÷32 — a payload of about 100 KB.
 const CKPT_INPUT_HW: usize = 64;
 const CKPT_WIDTH_SCALE: usize = 32;
 

@@ -24,7 +24,7 @@
 //! 4. **What does losing a rank for good cost?** A permanent kill
 //!    forces the elastic-degradation rung: the world shrinks 4 → 3, the
 //!    performance model re-plans the strategy for the odd-sized world,
-//!    and the snapshot is re-sharded onto the new grid. The table
+//!    and the snapshot is retagged for the new grid. The table
 //!    reports throughput at `P` vs `P'` and the transition's cost
 //!    breakdown (re-plan time, re-shard bytes moved, per-rung wall
 //!    time).

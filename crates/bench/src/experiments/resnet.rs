@@ -15,7 +15,7 @@ use super::{hybrid_grid, MAX_WORLD};
 use crate::table::{fmt_speedup, fmt_time, Table};
 
 /// Samples per group in the paper's baseline.
-pub const SAMPLES_PER_GROUP: usize = 32;
+const SAMPLES_PER_GROUP: usize = 32;
 
 /// Modeled ResNet-50 mini-batch time with `N/32` sample groups of
 /// `k` GPUs each; `None` when the machine runs out of GPUs.

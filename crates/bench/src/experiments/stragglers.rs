@@ -20,7 +20,7 @@
 //!    weighted partition can shift rows away from it. Rows report the
 //!    healthy, slow (3× row), and rebalanced makespans, the recovered
 //!    fraction of the lost time, and the re-sharding traffic the layout
-//!    change implies (per-layer [`fg_tensor::RegridPlan`]). The weighted
+//!    change implies ([`Strategy::regrid_cost`]). The weighted
 //!    strategy comes from the production entry point,
 //!    [`fg_core::rebalance_for_stragglers`], fed the synthetic EMAs the
 //!    live detector would have measured. The measured trend: rebalance
@@ -62,7 +62,7 @@ use crate::table::{fmt_time, Table};
 
 /// The injected slowdown for the scale sweeps (the threshold sweep
 /// varies it).
-pub const SLOW_FACTOR: f64 = 3.0;
+const SLOW_FACTOR: f64 = 3.0;
 
 /// One weighted-rebalance configuration (spatial grid, slow row).
 pub struct RebalanceRow {
@@ -507,6 +507,40 @@ mod tests {
         assert_eq!(rows[1].better(), "evict");
         // The evicted makespan is factor-independent.
         assert_eq!(rows[0].evicted_s, rows[1].evicted_s);
+    }
+
+    /// `Strategy::regrid_cost` of every uniform → weighted layout the
+    /// experiment builds — its three rebalance rows and the 4×4 sweep's
+    /// factors — as recorded before the regrid engine was deleted.
+    #[test]
+    fn regrid_costs_match_the_recorded_ones() {
+        const RECORDED: [(usize, f64, u64, u64); 10] = [
+            (4, SLOW_FACTOR, 2331580416, 7799848960),
+            (8, SLOW_FACTOR, 2419459072, 7799848960),
+            (16, SLOW_FACTOR, 1972961280, 7799848960),
+            (4, 1.25, 645857280, 7799848960),
+            (4, 1.5, 1058145280, 7799848960),
+            (4, 2.0, 1652689920, 7799848960),
+            (4, 4.0, 2699630592, 7799848960),
+            (4, 8.0, 3280902144, 7799848960),
+            (4, 16.0, 3475249152, 7799848960),
+            (4, 32.0, 3664287744, 7799848960),
+        ];
+        let spec = full_mesh();
+        let got: Vec<_> = RECORDED
+            .iter()
+            .map(|&(p, factor, ..)| {
+                let grid = ProcGrid::spatial(p, p);
+                let uniform = Strategy::uniform(&spec, grid);
+                let weighted =
+                    rebalance_for_stragglers(&uniform, &spec, 4, &slow_row_ema(grid, factor))
+                        .expect("slow-row rebalance must be viable")
+                        .strategy;
+                let (moved, total) = uniform.regrid_cost(&weighted, &spec, 4);
+                (p, factor, moved, total)
+            })
+            .collect();
+        assert_eq!(got, RECORDED, "new table:\n{got:#?}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::table::Table;
 
 /// Largest world the sweep verifies. Tracing is O(P²) in links, and 8
 /// ranks already exercises every plan kind (halos, shuffles, groups).
-pub const MAX_VERIFY_WORLD: usize = 8;
+const MAX_VERIFY_WORLD: usize = 8;
 
 /// Mini-batch size for the sweep: large enough that sample parallelism
 /// at `MAX_VERIFY_WORLD` is populated.

@@ -41,7 +41,7 @@ fn mix64(mut z: u64) -> u64 {
 /// enveloped message is retried before the sender gives up with
 /// [`CommError::Corrupt`]. With a drop *rate* `r` the chance of
 /// exhaustion is `r^budget` — negligible for any plausible rate.
-pub const LINK_RETRY_BUDGET: u32 = 16;
+const LINK_RETRY_BUDGET: u32 = 16;
 
 /// Salt separating rate-based drop draws from corruption draws.
 const DROP_SALT: u64 = 0xD20B_5A17;
@@ -377,7 +377,7 @@ pub(crate) struct WorldFaults {
 /// `(factor − 1) × SLOW_OP_SERVICE` around every operation. Small enough
 /// that tests stay fast, large enough that a persistent straggler is
 /// measurably slow over a step's worth of operations.
-pub const SLOW_OP_SERVICE: Duration = Duration::from_micros(2);
+const SLOW_OP_SERVICE: Duration = Duration::from_micros(2);
 
 impl WorldFaults {
     /// The stage for `rank` in a world of `size` ranks under `plan`.

@@ -57,7 +57,7 @@ pub mod watchdog;
 
 pub use collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
 pub use error::{attribute_dead_ranks, CommError};
-pub use fault::{FaultPlan, LINK_RETRY_BUDGET};
+pub use fault::FaultPlan;
 pub use integrity::{IntegrityConfig, DEFAULT_REPLAY_BYTES};
 pub use p2p::{
     sub_collective_tag, world_collective_tag, CommScalar, Communicator, ScalarType, Tag,

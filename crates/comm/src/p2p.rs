@@ -15,12 +15,12 @@ use std::collections::VecDeque;
 
 use crate::stats::OpClass;
 
-/// Message tag. User tags must be below [`Tag::RESERVED_BASE`]; the
-/// collective implementations draw tags from the reserved space.
+/// Message tag. User tags must be below `RESERVED_TAG_BASE` (2^62);
+/// the collective implementations draw tags from the reserved space.
 pub type Tag = u64;
 
 /// First tag value reserved for internal (collective) protocol use.
-pub const RESERVED_TAG_BASE: Tag = 1 << 62;
+const RESERVED_TAG_BASE: Tag = 1 << 62;
 
 /// The tag a world-scope collective draws for per-rank counter value
 /// `counter` — the single source of the formula `WorldComm` uses, shared

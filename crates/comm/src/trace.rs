@@ -31,7 +31,7 @@
 //! when the op itself left no unmatched partner.
 //!
 //! The geometric checks that need plan internals — halo symmetry and
-//! shuffle/regrid conservation — live with the plan types
+//! shuffle conservation — live with the plan types
 //! (`fg-tensor`) and the walker (`fg-core::verify`); their findings are
 //! reported through the same [`Violation`] type.
 
@@ -50,7 +50,7 @@ pub enum CheckKind {
     CollectiveConsistency,
     /// A halo send is not the region the peer expects (check 3).
     HaloSymmetry,
-    /// A shuffle/regrid does not partition its target (check 4).
+    /// A shuffle does not partition its target (check 4).
     Conservation,
     /// A `(src, dst, tag)` stream shared by two exchanges (check 5).
     TagDiscipline,

@@ -167,8 +167,7 @@ impl DistExecutor {
                 });
             }
             // The memory analysis rides the same gate: an understated
-            // staging interval or a non-conserving exchange must never
-            // execute.
+            // staging interval must never execute.
             if let Some(v) = exec.analyze_memory().violations.first() {
                 return Err(StrategyError::ScheduleUnsound {
                     layer: v.layer,
@@ -189,9 +188,8 @@ impl DistExecutor {
 
     /// Statically analyze this executor's memory schedule: record every
     /// rank's tensor-liveness intervals, compute exact per-rank peak
-    /// bounds, and run the soundness checks (staging understatement,
-    /// cross-rank byte conservation). Pure plan geometry — no tensors,
-    /// no threads.
+    /// bounds, and run the soundness check (staging understatement).
+    /// Pure plan geometry — no tensors, no threads.
     pub fn analyze_memory(&self) -> MemReport {
         self.analyze_memory_with(|_, _| {})
     }
@@ -208,8 +206,7 @@ impl DistExecutor {
         let rows = (0..world).map(|rank| (rank, self.plans.iter().map(|per| &per[rank]).collect()));
         let (layers, schedule) = (&self.layers[..], &self.schedule);
         let net = Net { spec: &self.spec, layers, schedule, batch: self.batch };
-        let full = Some(&self.plans[..]);
-        crate::mem::analyze_ranks(net, rows, full, &mutate_intervals)
+        crate::mem::analyze_ranks(net, rows, &mutate_intervals)
     }
 
     /// Statically verify this executor's compiled communication

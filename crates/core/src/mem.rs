@@ -24,14 +24,14 @@
 //!
 //! From the interval list come (a) an exact per-rank peak
 //! ([`fg_tensor::peak_bytes`]) — the static bound the `FG_MEM_BUDGET`
-//! gate compares with its budget; and (b) the soundness checks: no
-//! staging interval understates its plan's payload, and shuffle/halo
-//! plans conserve bytes across ranks. Mutation tests
-//! (`mem_mutations.rs`) prove each corruption class produces a named
-//! violation. The buffers live across the forward/backward turnaround
-//! are also priced per layer ([`turnaround_bytes`]): that is the term
-//! the strategy search's memory limit prunes with, so the search and
-//! the bound are one model.
+//! gate compares with its budget; and (b) the soundness check: no
+//! staging interval understates its plan's payload (that the plans
+//! conserve bytes across ranks is the verifier's halo-symmetry and
+//! shuffle-conservation checks). Mutation tests (`mem_mutations.rs`)
+//! prove each corruption class produces a named violation. The buffers
+//! live across the forward/backward turnaround are also priced per
+//! layer ([`turnaround_bytes`]): that is the term the strategy search's
+//! memory limit prunes with, so the search and the bound are one model.
 //!
 //! Because the analysis is pure plan geometry — no tensors, no threads —
 //! it runs at discrete-event scale: [`analyze_strategy`] compiles plans
@@ -67,9 +67,6 @@ pub enum MemCheckKind {
     /// A staging interval (halo or shuffle) understates the bytes its
     /// plan actually moves.
     StagingUnderstated,
-    /// A shuffle or halo plan does not conserve bytes across ranks
-    /// (sent total != received total).
-    ByteConservation,
 }
 
 impl MemCheckKind {
@@ -77,7 +74,6 @@ impl MemCheckKind {
     pub fn label(self) -> &'static str {
         match self {
             MemCheckKind::StagingUnderstated => "staging-understated",
-            MemCheckKind::ByteConservation => "byte-conservation",
         }
     }
 }
@@ -389,75 +385,14 @@ fn staging_violations(
     }
 }
 
-/// Check byte conservation of every shuffle and halo plan across the
-/// full world: what all ranks send for a layer's exchange must equal
-/// what all ranks expect to receive. Requires the complete plan set
-/// (`plans[layer][rank]` for every rank).
-pub(crate) fn check_conservation(
-    layers: &[Box<dyn DistLayer>],
-    plans: &[Vec<LayerPlan>],
-    out: &mut Vec<MemViolation>,
-) {
-    for (id, layer) in layers.iter().enumerate() {
-        let per_rank = &plans[id];
-        let name = &layer.base().name;
-        let mut flag = |what: &str, sent: usize, recv: usize| {
-            if sent != recv {
-                out.push(MemViolation {
-                    kind: MemCheckKind::ByteConservation,
-                    rank: 0,
-                    layer: id,
-                    layer_name: name.clone(),
-                    detail: format!(
-                        "{what}: world sends {} B but expects {} B",
-                        sent * ELT_BYTES,
-                        recv * ELT_BYTES
-                    ),
-                });
-            }
-        };
-        for kind in ["x_halo", "dy_halo"] {
-            let (mut sent, mut recv) = (0usize, 0usize);
-            for plan in per_rank {
-                let h = if kind == "x_halo" { &plan.x_halo } else { &plan.dy_halo };
-                if let Some(h) = h {
-                    sent += h.send_elements();
-                    recv += h.recv_elements();
-                }
-            }
-            flag(kind, sent, recv);
-        }
-        let n_edges = layer.base().parents.len();
-        for edge in 0..n_edges {
-            for dir in ["in_shuffle", "back_shuffle"] {
-                let (mut sent, mut recv) = (0usize, 0usize);
-                for plan in per_rank {
-                    let slot = if dir == "in_shuffle" {
-                        plan.in_shuffle(edge)
-                    } else {
-                        plan.back_shuffle(edge)
-                    };
-                    if let Some(sp) = slot {
-                        sent += sp.send_elements();
-                        recv += sp.recvs().iter().map(|(_, b)| b.len()).sum::<usize>();
-                    }
-                }
-                flag(&format!("{dir} edge {edge}"), sent, recv);
-            }
-        }
-    }
-}
-
 /// Analyze the given ranks of a compiled plan set: record each rank's
 /// intervals (through `mutate_intervals`), take their exact peak, and
 /// run every soundness check. `rows` yields each analyzed rank with its
 /// plan per layer, borrowed. The hook exists for mutation tests;
-/// production passes `|_, _| {}`. Conservation runs only when
-/// `full_plans` carries every rank.
+/// production passes `|_, _| {}`.
 pub(crate) fn analyze_ranks<'p>(
     net: Net<'_>,
     rows: impl ExactSizeIterator<Item = (usize, Vec<&'p LayerPlan>)>,
-    full_plans: Option<&[Vec<LayerPlan>]>,
     mutate_intervals: &dyn Fn(usize, &mut Vec<LiveInterval>),
 ) -> MemReport {
     let start = Instant::now();
@@ -479,9 +414,6 @@ pub(crate) fn analyze_ranks<'p>(
             peak_bytes: peak_bytes(&ivs),
             persistent_bytes: persistent,
         });
-    }
-    if let Some(plans) = full_plans {
-        check_conservation(layers, plans, &mut violations);
     }
     MemReport { bounds, violations, wall: start.elapsed() }
 }
@@ -517,7 +449,7 @@ pub fn analyze_strategy(
     let plans: Vec<Vec<LayerPlan>> =
         ranks.iter().map(|&rank| layers.iter().map(|l| l.compile_plan(rank)).collect()).collect();
     let rows = ranks.iter().zip(&plans).map(|(&rank, row)| (rank, row.iter().collect()));
-    Ok(analyze_ranks(net, rows, None, &|_, _| {}))
+    Ok(analyze_ranks(net, rows, &|_, _| {}))
 }
 
 #[cfg(test)]

@@ -36,11 +36,12 @@
 //!    viable `P' < P`, re-plans the parallel strategy for the new world
 //!    size (via an injected [`Replanner`] — `fg-perf` provides one that
 //!    re-runs the full performance model — or the model-free
-//!    [`Strategy::spatial_fallback`]), re-shards the last snapshot from
-//!    the old [`fg_tensor::ProcGrid`] onto the new one
-//!    ([`fg_nn::reshard_train_state`], gather-free overlap
-//!    redistribution), recompiles the layer plans by rebuilding the
-//!    executor, and resumes on the survivors.
+//!    [`Strategy::spatial_fallback`]), retags the last snapshot for the
+//!    new [`fg_tensor::ProcGrid`] ([`fg_nn::reshard_train_state`]: the
+//!    snapshot holds whole tensors, so nothing is copied, and the bytes
+//!    whose owner the new blocking changes are reported), recompiles the
+//!    layer plans by rebuilding the executor, and resumes on the
+//!    survivors.
 //!
 //! Orthogonal to the crash ladder, a **gray-failure ladder** (enabled
 //! by [`ResilientConfig::straggler`]) handles the node that is alive
@@ -79,7 +80,7 @@
 //! rung's restore survives process death and storage damage. Every
 //! rung — in-place rollback, rebuild, shrink — restores through the
 //! same call under the same contract on either backend: the newest
-//! snapshot the loader accepts, re-laid onto the current grid when it
+//! snapshot the loader accepts, retagged for the current grid when it
 //! was written under another, or a restart from the initial state when
 //! there is none; never a panic. Because training is
 //! deterministic (fixed reduction orders in the collectives, replicated
@@ -256,9 +257,10 @@ pub struct Degradation {
     pub strategy: Strategy,
     /// Wall time spent in the re-planner (all candidate sizes probed).
     pub replan_s: f64,
-    /// Wall time spent re-sharding the snapshot old grid → new grid.
+    /// Wall time spent retagging the snapshot for the new grid and
+    /// publishing it.
     pub reshard_s: f64,
-    /// Snapshot bytes whose owning rank changed in the re-shard.
+    /// Snapshot bytes whose owning rank the new grid's blocking changes.
     pub reshard_moved_bytes: u64,
     /// Total snapshot payload bytes covered by the re-shard.
     pub reshard_total_bytes: u64,
@@ -475,20 +477,19 @@ impl SnapKeeper {
         }
     }
 
-    /// The newest usable snapshot laid out for `grid`: a snapshot
-    /// written under another grid (a fallback past a post-shrink
-    /// version surfaces the pre-shrink one) is re-laid, not rejected —
-    /// a [`TrainState`] holds whole tensors, so any grid can take it.
+    /// The newest usable snapshot tagged for `grid`: a snapshot written
+    /// under another grid (a fallback past a post-shrink version
+    /// surfaces the pre-shrink one) is retagged, not rejected — a
+    /// [`TrainState`] holds whole tensors, so any grid can take it.
     fn restore(&self, grid: ProcGrid) -> Option<TrainState> {
         let state = self.get()?;
         Some(if state.grid == grid { state } else { reshard_train_state(&state, grid).0 })
     }
 
-    /// Re-shard the newest usable snapshot onto `new_grid` and publish
-    /// the result, so the next dispatch restores the new layout as
-    /// stored; reports what the re-shard moved (zero when there is
-    /// nothing to re-shard and the shrunken world restarts from the
-    /// initial state).
+    /// Retag the newest usable snapshot for `new_grid` and publish the
+    /// result, so the next dispatch restores it as stored; reports what
+    /// the new blocking moves (zero when there is nothing to re-shard
+    /// and the shrunken world restarts from the initial state).
     fn reshard_to(&self, new_grid: ProcGrid) -> ReshardStats {
         let Some(state) = self.get() else { return ReshardStats::default() };
         let (state, stats) = reshard_train_state(&state, new_grid);

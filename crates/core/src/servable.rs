@@ -1,12 +1,12 @@
 //! Checkpoint → servable model: boot a serving replica from any
 //! snapshot the resilience ladder produces.
 //!
-//! Training checkpoints ([`fg_nn::TrainState`], format FGCKPT03)
+//! Training checkpoints ([`fg_nn::TrainState`], format FGCKPT04)
 //! carry parameters and optimizer state but *not* batch-norm running
 //! statistics — the trainer normalizes with per-batch statistics and
 //! never materializes the exponential averages inference needs. A
 //! [`ServableModel`] closes that gap honestly: it loads the snapshot
-//! (the loader assembles its shards into whole tensors) and derives
+//! (whole tensors, whatever grid wrote it) and derives
 //! [`fg_nn::RunningStats`] by replaying calibration batches through the
 //! frozen network, exactly the recalibration pass deployed systems run
 //! before promoting a checkpoint. With the statistics fixed, inference
@@ -57,9 +57,9 @@ impl ServableModel {
         ServableModel { spec: spec.clone(), params: net.params, stats, step: state.step }
     }
 
-    /// Load a serialized checkpoint (FGCKPT03) and freeze it for
-    /// serving. Its shards are assembled to the full parameter set —
-    /// serving replicates parameters on every rank.
+    /// Load a serialized checkpoint (FGCKPT04) and freeze it for
+    /// serving. It holds the full parameter set — serving replicates
+    /// parameters on every rank.
     pub fn from_checkpoint<R: std::io::Read>(
         spec: &NetworkSpec,
         r: &mut R,

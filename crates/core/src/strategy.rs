@@ -7,7 +7,7 @@
 //! produces one.
 
 use fg_nn::{LayerKind, NetworkSpec};
-use fg_tensor::{GridWeights, ProcGrid, RegridPlan, Shape4, TensorDist};
+use fg_tensor::{GridWeights, ProcGrid, Shape4, TensorDist};
 
 use crate::layers::BnMode;
 
@@ -190,7 +190,7 @@ impl Strategy {
 
     /// Activation re-sharding traffic of moving `spec` at `batch` from
     /// this layout to `to`: `(moved, total)` bytes summed over the
-    /// per-layer [`RegridPlan`]s, each checked to conserve every element.
+    /// layers whose distribution changes ([`TensorDist::regrid_bytes`]).
     pub fn regrid_cost(&self, to: &Strategy, spec: &NetworkSpec, batch: usize) -> (u64, u64) {
         let (mut moved, mut total) = (0u64, 0u64);
         for (id, &(c, h, w)) in spec.shapes().iter().enumerate() {
@@ -200,10 +200,9 @@ impl Strategy {
             if old == new {
                 continue;
             }
-            let plan = RegridPlan::build(old, new);
-            plan.check_conservation().expect("regrid between layouts conserves elements");
-            moved += plan.moved_bytes();
-            total += plan.total_bytes();
+            let (m, t) = old.regrid_bytes(&new);
+            moved += m;
+            total += t;
         }
         (moved, total)
     }

@@ -100,7 +100,8 @@ fn weighted_partitions_verify_clean_across_models_and_grids() {
 
 #[test]
 fn gap_or_overlap_in_a_weighted_partition_is_caught() {
-    // The partition soundness check underneath every weighted regrid:
+    // The partition soundness check under shuffle conservation, on a
+    // weighted layout:
     // the exact weighted boxes tile the tensor, and any single-row gap
     // or overlap introduced into them is rejected.
     let shape = Shape4::new(2, 4, 16, 16);

@@ -10,10 +10,8 @@
 pub mod mesh;
 pub mod resnet50;
 
-pub use mesh::{
-    mesh_model, mesh_model_custom, mesh_model_scaled, MeshSize, BLOCK_FILTERS, MESH_CHANNELS,
-};
-pub use resnet50::{resnet50, resnet50_with, IMAGENET_CLASSES, IMAGENET_HW};
+pub use mesh::{mesh_model, mesh_model_custom, mesh_model_scaled, MeshSize, MESH_CHANNELS};
+pub use resnet50::{resnet50, resnet50_with};
 
 #[cfg(test)]
 mod tests {

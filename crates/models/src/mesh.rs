@@ -51,10 +51,10 @@ impl MeshSize {
 /// Input channel count (state variables + mesh quality metrics).
 pub const MESH_CHANNELS: usize = 18;
 /// Output classes (needs relaxation / does not).
-pub const MESH_CLASSES: usize = 2;
+const MESH_CLASSES: usize = 2;
 /// Filter schedule per block, pinned by the published `conv1_1` and
 /// `conv6_1` shapes.
-pub const BLOCK_FILTERS: [usize; 6] = [128, 192, 256, 320, 384, 128];
+const BLOCK_FILTERS: [usize; 6] = [128, 192, 256, 320, 384, 128];
 
 /// Build the mesh model at the paper's full resolution.
 pub fn mesh_model(size: MeshSize) -> NetworkSpec {

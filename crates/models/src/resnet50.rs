@@ -10,9 +10,9 @@
 use fg_nn::{LayerId, NetworkSpec};
 
 /// ImageNet input resolution.
-pub const IMAGENET_HW: usize = 224;
+const IMAGENET_HW: usize = 224;
 /// ImageNet class count.
-pub const IMAGENET_CLASSES: usize = 1000;
+const IMAGENET_CLASSES: usize = 1000;
 
 /// Stage description: (name prefix, blocks, mid channels, out channels).
 const STAGES: [(&str, usize, usize, usize); 4] =

@@ -16,15 +16,15 @@
 //! <root>/
 //!   v00000001/
 //!     manifest.bin          # FGMANI01: lengths + FNV-1a checksums of everything below
-//!     shard_000.bin         # byte-range shard of the FGCKPT03 payload
+//!     shard_000.bin         # byte-range shard of the FGCKPT04 payload
 //!     shard_000.r1.bin      # replica of shard 0 (Redundancy::Replicas)
 //!     parity_000.bin        # XOR parity over a shard group (Redundancy::Parity)
 //!   v00000002/ ...
 //!   .tmp.v00000003.17/      # a commit that crashed before rename: invisible, swept
 //! ```
 //!
-//! The payload is the ordinary [`save_train_state`] stream (FGCKPT03),
-//! chunked into `world` contiguous byte shards —
+//! The payload is the ordinary [`save_train_state`] stream (FGCKPT04),
+//! chunked into one contiguous byte shard per rank of the state's grid —
 //! shard *i* is "rank *i*'s slab" of the checkpoint, the piece that
 //! dies with rank *i*'s local storage on a machine where each rank
 //! writes its own file. Redundancy is byte-level and therefore format
@@ -52,7 +52,7 @@
 //! per rejection — recovery always resumes from the **newest
 //! verifiable** version, never panics, and never resumes stale state
 //! *silently*. That walk is the only way to the newest state: a caller
-//! that wants it under another grid re-lays the loaded state with
+//! that wants it under another grid retags the loaded state with
 //! [`crate::reshard_train_state`]. [`CkptStore::scrub`] runs the same
 //! verification over every version at rest and writes repaired bytes
 //! back atomically.

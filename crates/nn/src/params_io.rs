@@ -3,22 +3,19 @@
 //! A deliberately simple, self-describing binary format (no external
 //! serialization dependency): magic, grid tag, step/loss/guard block,
 //! then per-layer tag + shape + little-endian f32 payload. In the
-//! distributed setting it composes trivially: parameters are
-//! replicated, so any single rank's [`TrainState`] is the checkpoint.
+//! distributed setting it composes trivially: parameters and momentum
+//! are replicated (§III-A splits activations, never weights), so any
+//! single rank's [`TrainState`] is the checkpoint.
 //!
-//! There is one format, `FGCKPT03`. It records the [`ProcGrid`] the
-//! snapshot was written under and stores every tensor as per-rank
-//! shards blocked over that grid — the layout a parallel file system
-//! would see if each rank wrote its own slab; a single writer is the
-//! one-rank grid `1×1×1×1`, whose only shard is the whole tensor.
-//! [`load_train_state`] reassembles whole tensors whatever the tag
-//! says, so a snapshot loads into any world; the tag only describes
-//! how the bytes were blocked on storage. [`reshard_train_state`]
-//! re-lays a state onto another grid through [`fg_tensor::RegridPlan`]
-//! overlap fragments (gather-free: old shard → new shard, never a
-//! global assembly per fragment) and reports how many bytes actually
-//! crossed a rank boundary. The retired `FGCKPT01`/`02` magics are
-//! refused by name.
+//! There is one format, `FGCKPT04`. It records the [`ProcGrid`] the
+//! snapshot was written under and stores every tensor once, whole: its
+//! shape, then its elements. The tag does not shape the payload — the
+//! same state writes the same bytes under every grid but the 32 of the
+//! tag — and it does not restrict where the state loads; the durable
+//! store cuts the stream into one byte shard per rank of it.
+//! [`reshard_train_state`] retags a state for another grid and reports,
+//! from the two blockings alone, the bytes whose owner would change. The
+//! retired `FGCKPT01`/`02`/`03` magics are refused by name.
 //!
 //! Every length and extent in a stream is untrusted: nothing is reserved
 //! from one beyond `MAX_RESERVE` elements and products are checked, so
@@ -28,17 +25,15 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use fg_tensor::{assemble_tensor, shard_tensor, ProcGrid, RegridPlan, Shape4, Tensor, TensorDist};
+use fg_tensor::{ProcGrid, Shape4, Tensor, TensorDist};
 
 use crate::layer::LayerParams;
 
-/// The checkpoint format: the source [`ProcGrid`] tag, then step,
+/// The checkpoint format: the writer's [`ProcGrid`] tag, then step,
 /// losses and the anomaly guard's EMA state (so a rollback-and-replay
 /// resumes with a bitwise-identical spike baseline), then params and
-/// velocity stored *sharded* over that grid.
-const CKPT_MAGIC: &[u8; 8] = b"FGCKPT03";
-/// Magic of a sharded parameter block inside a checkpoint.
-const SHARD_MAGIC: &[u8; 8] = b"FGSHRD01";
+/// velocity, each tensor whole.
+const CKPT_MAGIC: &[u8; 8] = b"FGCKPT04";
 /// Most elements reserved up front for a count read from the stream; a
 /// longer run grows as its elements actually arrive, so a lying header
 /// costs this much before `read_exact` meets the end of the file.
@@ -230,17 +225,18 @@ pub struct TrainState {
     /// Anomaly-guard EMA state at `step` (fresh when the checkpoint was
     /// written by a guard-less run).
     pub guard: GuardState,
-    /// The [`ProcGrid`] the snapshot's sharded payload is blocked over
-    /// on storage (`1×1×1×1` for a single writer). It does not restrict
+    /// The [`ProcGrid`] of the world that wrote the snapshot
+    /// (`1×1×1×1` for a single writer); the durable store cuts the
+    /// stream into one byte shard per rank of it. It does not restrict
     /// where the state loads: the tensors above are whole.
     pub grid: ProcGrid,
 }
 
-/// What a re-shard actually did, in bytes — the recovery-cost numbers a
+/// What a re-shard would move, in bytes — the recovery-cost numbers a
 /// degradation report needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReshardStats {
-    /// Tensors re-laid-out (conv/FC weights plus every 1-D vector).
+    /// Tensors accounted (conv/FC weights plus every 1-D vector).
     pub tensors: usize,
     /// Bytes whose owning rank id changed — the data that would cross
     /// the network on a machine (survivors keep their rank ids).
@@ -250,8 +246,7 @@ pub struct ReshardStats {
 }
 
 /// Serialize a [`TrainState`] checkpoint to `w`: grid tag,
-/// step/loss/guard block, then params and velocity sharded over
-/// [`TrainState::grid`].
+/// step/loss/guard block, then params and velocity.
 pub fn save_train_state<W: Write>(w: &mut W, state: &TrainState) -> io::Result<()> {
     w.write_all(CKPT_MAGIC)?;
     for d in state.grid.dims() {
@@ -264,25 +259,27 @@ pub fn save_train_state<W: Write>(w: &mut W, state: &TrainState) -> io::Result<(
     }
     w.write_all(&state.guard.ema.to_le_bytes())?;
     write_u64(w, state.guard.steps)?;
-    save_sharded_params(w, &state.params, state.grid)?;
-    save_sharded_params(w, &state.velocity, state.grid)
+    save_params(w, &state.params)?;
+    save_params(w, &state.velocity)
 }
 
 /// Read a checkpoint written by [`save_train_state`], refusing
 /// snapshots whose recorded loss history contains a non-finite value
-/// ([`CheckpointError::PoisonedLoss`]). Shards are reassembled into
-/// full tensors, so the state loads into any world; the grid it was
-/// written under is reported in [`TrainState::grid`].
+/// ([`CheckpointError::PoisonedLoss`]). The state loads into any
+/// world; the grid it was written under is reported in
+/// [`TrainState::grid`].
 pub fn load_train_state<R: Read>(r: &mut R) -> Result<TrainState, CheckpointError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != CKPT_MAGIC {
-        // The retired formats (01: no guard block; 02: untagged,
-        // unsharded payload); nothing writes them.
+        // The retired formats (01: no guard block; 02: untagged; 03:
+        // every tensor blocked over the grid); nothing writes them.
         let what = match &magic {
-            b"FGCKPT01" => "FGCKPT01 is a retired checkpoint format; this build reads FGCKPT03",
-            b"FGCKPT02" => "FGCKPT02 is a retired checkpoint format; this build reads FGCKPT03",
-            _ => "not an fg-nn checkpoint",
+            b"FGCKPT01" | b"FGCKPT02" | b"FGCKPT03" => format!(
+                "{} is a retired checkpoint format; this build reads FGCKPT04",
+                String::from_utf8_lossy(&magic)
+            ),
+            _ => "not an fg-nn checkpoint".to_string(),
         };
         return Err(io::Error::new(io::ErrorKind::InvalidData, what).into());
     }
@@ -312,143 +309,81 @@ pub fn load_train_state<R: Read>(r: &mut R) -> Result<TrainState, CheckpointErro
         return Err(CheckpointError::PoisonedLoss { step: losses.len(), value: ema });
     }
     let guard = GuardState { ema, steps: read_u64(r)? };
-    let params = load_sharded_params(r, grid)?;
-    let velocity = load_sharded_params(r, grid)?;
+    let params = load_params(r)?;
+    let velocity = load_params(r)?;
     Ok(TrainState { step, params, velocity, losses, guard, grid })
 }
 
-/// Re-shard a [`TrainState`]'s params and velocity onto `new_grid` via
-/// [`RegridPlan`] overlap fragments, fragment-by-fragment from the old
-/// shard layout to the new (gather-free), and retag the state. The
-/// values are bitwise-preserved — only the blocking changes — which is
-/// what makes post-degradation trajectories bitwise-deterministic.
+/// Retag a [`TrainState`] for `new_grid`. The tensors are whole, so
+/// nothing is copied; the stats are what re-laying each tensor from the
+/// old blocking onto the new would move ([`TensorDist::regrid_bytes`]).
 pub fn reshard_train_state(state: &TrainState, new_grid: ProcGrid) -> (TrainState, ReshardStats) {
     let mut stats = ReshardStats::default();
-    let params = reshard_params(&state.params, state.grid, new_grid, &mut stats);
-    let velocity = reshard_params(&state.velocity, state.grid, new_grid, &mut stats);
-    let new_state = TrainState {
-        step: state.step,
-        params,
-        velocity,
-        losses: state.losses.clone(),
-        guard: state.guard,
-        grid: new_grid,
-    };
-    (new_state, stats)
-}
-
-fn reshard_params(
-    params: &[LayerParams],
-    old: ProcGrid,
-    new: ProcGrid,
-    stats: &mut ReshardStats,
-) -> Vec<LayerParams> {
-    fn t(tensor: &Tensor, old: ProcGrid, new: ProcGrid, stats: &mut ReshardStats) -> Tensor {
-        reshard_tensor(tensor, old, new, stats)
+    for (shape, _) in state.params.iter().chain(&state.velocity).flat_map(tensors) {
+        let old = TensorDist::new(shape, state.grid);
+        let (moved, total) = old.regrid_bytes(&TensorDist::new(shape, new_grid));
+        stats.tensors += 1;
+        stats.moved_bytes += moved;
+        stats.total_bytes += total;
     }
-    fn v(vec: &[f32], old: ProcGrid, new: ProcGrid, stats: &mut ReshardStats) -> Vec<f32> {
-        let as_tensor = Tensor::from_vec(Shape4::new(vec.len(), 1, 1, 1), vec.to_vec());
-        reshard_tensor(&as_tensor, old, new, stats).as_slice().to_vec()
+    (TrainState { grid: new_grid, ..state.clone() }, stats)
+}
+
+/// Every tensor `p` holds, in stream order, with its shape; a 1-D
+/// vector is framed as a `(len, 1, 1, 1)` tensor.
+fn tensors(p: &LayerParams) -> Vec<(Shape4, &[f32])> {
+    fn vec(v: &[f32]) -> (Shape4, &[f32]) {
+        (Shape4::new(v.len(), 1, 1, 1), v)
     }
-    params
-        .iter()
-        .map(|p| match p {
-            LayerParams::None => LayerParams::None,
-            LayerParams::Conv { w, b } => LayerParams::Conv {
-                w: t(w, old, new, stats),
-                b: b.as_ref().map(|b| v(b, old, new, stats)),
-            },
-            LayerParams::Bn { gamma, beta } => {
-                LayerParams::Bn { gamma: v(gamma, old, new, stats), beta: v(beta, old, new, stats) }
-            }
-            LayerParams::Fc { w, b } => {
-                LayerParams::Fc { w: t(w, old, new, stats), b: v(b, old, new, stats) }
-            }
-        })
-        .collect()
+    match p {
+        LayerParams::None => Vec::new(),
+        LayerParams::Conv { w, b } => {
+            std::iter::once((w.shape(), w.as_slice())).chain(b.as_deref().map(vec)).collect()
+        }
+        LayerParams::Bn { gamma, beta } => vec![vec(gamma), vec(beta)],
+        LayerParams::Fc { w, b } => vec![(w.shape(), w.as_slice()), vec(b)],
+    }
 }
 
-/// One tensor's old-grid → new-grid round trip: shard under the old
-/// blocking, move overlap fragments, reassemble under the new.
-fn reshard_tensor(t: &Tensor, old: ProcGrid, new: ProcGrid, stats: &mut ReshardStats) -> Tensor {
-    let plan = RegridPlan::between(t.shape(), old, new);
-    stats.tensors += 1;
-    stats.moved_bytes += plan.moved_bytes();
-    stats.total_bytes += plan.total_bytes();
-    let new_shards = plan.execute_local(&shard_tensor(t, plan.src()));
-    assemble_tensor(plan.dst(), &new_shards)
-}
-
-/// Serialize parameters *sharded* over `grid`: a layer count, then per
-/// layer a kind tag and its tensors, each (and every 1-D vector, framed
-/// as a `(len, 1, 1, 1)` tensor) written as its shape followed by
-/// `grid.size()` per-rank runs blocked by the tensor's [`TensorDist`]
-/// under `grid`. This is the checkpoint payload.
-fn save_sharded_params<W: Write>(
-    w: &mut W,
-    params: &[LayerParams],
-    grid: ProcGrid,
-) -> io::Result<()> {
-    w.write_all(SHARD_MAGIC)?;
+/// Serialize parameters: a layer count, then per layer a kind tag
+/// (a convolution's followed by its has-bias flag) and its
+/// [`tensors`], each as its shape and then its elements.
+fn save_params<W: Write>(w: &mut W, params: &[LayerParams]) -> io::Result<()> {
     write_u64(w, params.len() as u64)?;
     for p in params {
         match p {
-            LayerParams::None => {
-                w.write_all(&[0u8])?;
+            LayerParams::None => w.write_all(&[0])?,
+            LayerParams::Conv { b, .. } => w.write_all(&[1, u8::from(b.is_some())])?,
+            LayerParams::Bn { .. } => w.write_all(&[2])?,
+            LayerParams::Fc { .. } => w.write_all(&[3])?,
+        }
+        for (shape, data) in tensors(p) {
+            for d in shape.dims() {
+                write_u64(w, d as u64)?;
             }
-            LayerParams::Conv { w: wt, b } => {
-                w.write_all(&[1u8])?;
-                write_sharded_tensor(w, wt, grid)?;
-                match b {
-                    Some(b) => {
-                        w.write_all(&[1u8])?;
-                        write_sharded_f32s(w, b, grid)?;
-                    }
-                    None => w.write_all(&[0u8])?,
-                }
-            }
-            LayerParams::Bn { gamma, beta } => {
-                w.write_all(&[2u8])?;
-                write_sharded_f32s(w, gamma, grid)?;
-                write_sharded_f32s(w, beta, grid)?;
-            }
-            LayerParams::Fc { w: wt, b } => {
-                w.write_all(&[3u8])?;
-                write_sharded_tensor(w, wt, grid)?;
-                write_sharded_f32s(w, b, grid)?;
+            for x in data {
+                w.write_all(&x.to_le_bytes())?;
             }
         }
     }
     Ok(())
 }
 
-/// Read parameters written by [`save_sharded_params`] under `grid`,
-/// reassembling each tensor's shards into the full (replicated) value.
-fn load_sharded_params<R: Read>(r: &mut R, grid: ProcGrid) -> io::Result<Vec<LayerParams>> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != SHARD_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an fg-nn sharded block"));
-    }
+/// Read parameters written by [`save_params`].
+fn load_params<R: Read>(r: &mut R) -> io::Result<Vec<LayerParams>> {
     let count = read_u64(r)? as usize;
     let mut out = Vec::with_capacity(count.min(MAX_RESERVE));
+    let vec = |r: &mut R| Ok::<_, io::Error>(read_tensor(r)?.into_vec());
     for _ in 0..count {
-        let tag = read_u8(r)?;
-        out.push(match tag {
+        out.push(match read_u8(r)? {
             0 => LayerParams::None,
             1 => {
-                let w = read_sharded_tensor(r, grid)?;
                 let has_bias = read_u8(r)? == 1;
-                let b = if has_bias { Some(read_sharded_f32s(r, grid)?) } else { None };
-                LayerParams::Conv { w, b }
+                let w = read_tensor(r)?;
+                LayerParams::Conv { w, b: if has_bias { Some(vec(r)?) } else { None } }
             }
-            2 => LayerParams::Bn {
-                gamma: read_sharded_f32s(r, grid)?,
-                beta: read_sharded_f32s(r, grid)?,
-            },
-            3 => {
-                LayerParams::Fc { w: read_sharded_tensor(r, grid)?, b: read_sharded_f32s(r, grid)? }
-            }
+            2 => LayerParams::Bn { gamma: vec(r)?, beta: vec(r)? },
+            3 => LayerParams::Fc { w: read_tensor(r)?, b: vec(r)? },
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -460,43 +395,16 @@ fn load_sharded_params<R: Read>(r: &mut R, grid: ProcGrid) -> io::Result<Vec<Lay
     Ok(out)
 }
 
-fn write_sharded_tensor<W: Write>(w: &mut W, t: &Tensor, grid: ProcGrid) -> io::Result<()> {
-    let s = t.shape();
-    for d in [s.n, s.c, s.h, s.w] {
-        write_u64(w, d as u64)?;
+/// One tensor: its shape, then its elements.
+fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
+    let ([n, c, h, w], len) = read_dims(r)?;
+    let mut data = Vec::with_capacity(len.min(MAX_RESERVE));
+    let mut b = [0u8; 4];
+    for _ in 0..len {
+        r.read_exact(&mut b)?;
+        data.push(f32::from_le_bytes(b));
     }
-    let dist = TensorDist::new(s, grid);
-    for shard in shard_tensor(t, &dist) {
-        write_f32s(w, shard.as_slice())?;
-    }
-    Ok(())
-}
-
-fn read_sharded_tensor<R: Read>(r: &mut R, grid: ProcGrid) -> io::Result<Tensor> {
-    let ([n, c, h, w], _) = read_dims(r)?;
-    let dist = TensorDist::new(Shape4::new(n, c, h, w), grid);
-    let mut shards = Vec::with_capacity(grid.size().min(MAX_RESERVE));
-    for rank in 0..grid.size() {
-        let data = read_f32s(r)?;
-        let local = dist.local_shape(rank);
-        if data.len() != local.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shard payload for rank {rank} has wrong length"),
-            ));
-        }
-        shards.push(Tensor::from_vec(local, data));
-    }
-    Ok(assemble_tensor(&dist, &shards))
-}
-
-fn write_sharded_f32s<W: Write>(w: &mut W, v: &[f32], grid: ProcGrid) -> io::Result<()> {
-    let t = Tensor::from_vec(Shape4::new(v.len(), 1, 1, 1), v.to_vec());
-    write_sharded_tensor(w, &t, grid)
-}
-
-fn read_sharded_f32s<R: Read>(r: &mut R, grid: ProcGrid) -> io::Result<Vec<f32>> {
-    Ok(read_sharded_tensor(r, grid)?.as_slice().to_vec())
+    Ok(Tensor::from_vec(Shape4::new(n, c, h, w), data))
 }
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -515,14 +423,6 @@ fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
     Ok(b[0])
 }
 
-fn write_f32s<W: Write>(w: &mut W, v: &[f32]) -> io::Result<()> {
-    write_u64(w, v.len() as u64)?;
-    for x in v {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
-}
-
 /// Four extents — a tensor shape or a grid — and their product.
 fn read_dims<R: Read>(r: &mut R) -> io::Result<([usize; 4], usize)> {
     let mut dims = [0usize; 4];
@@ -534,17 +434,6 @@ fn read_dims<R: Read>(r: &mut R) -> io::Result<([usize; 4], usize)> {
         .try_fold(1usize, |len, &d| len.checked_mul(d))
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "extents overflow"))?;
     Ok((dims, len))
-}
-
-fn read_f32s<R: Read>(r: &mut R) -> io::Result<Vec<f32>> {
-    let len = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(len.min(MAX_RESERVE));
-    let mut b = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        out.push(f32::from_le_bytes(b));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -610,12 +499,10 @@ mod tests {
     }
 
     /// A checkpoint under `spatial(2, 2)` up to and including the first
-    /// parameter block's magic and its layer count: step 17, no losses,
-    /// EMA 0.0 after 0 steps.
+    /// parameter block's layer count: step 17, no losses, EMA 0.0 after
+    /// 0 steps.
     fn up_to_layers(layers: u64) -> Vec<u8> {
-        let mut buf = header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 0, 0, 0]);
-        buf.extend_from_slice(&header(SHARD_MAGIC, &[layers]));
-        buf
+        header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 0, 0, 0, layers])
     }
 
     #[test]
@@ -623,11 +510,6 @@ mod tests {
         let mut buf = multi_rank_stream();
         buf[0] = b'X';
         assert_rejected("a damaged checkpoint magic", &buf);
-        // The parameter blocks carry their own magic.
-        let mut buf = multi_rank_stream();
-        let at = buf.windows(8).position(|w| w == SHARD_MAGIC).unwrap();
-        buf[at] = b'X';
-        assert_rejected("a damaged shard-block magic", &buf);
     }
 
     #[test]
@@ -642,25 +524,19 @@ mod tests {
         assert_rejected("2^40 losses", &header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 1 << 40]));
         assert_rejected("2^60 layers", &up_to_layers(1 << 60));
         assert_rejected("2^40 layers", &up_to_layers(1 << 40));
-        // A BN layer whose gamma is 8 long but whose first shard claims
-        // 2^61 elements.
+        // A BN layer whose gamma claims 2^61 elements.
         let mut bn = up_to_layers(1);
         bn.push(2);
-        bn.extend_from_slice(&header(&[], &[8, 1, 1, 1, 1 << 61]));
-        assert_rejected("a 2^61-element shard", &bn);
+        bn.extend_from_slice(&header(&[], &[1 << 61, 1, 1, 1]));
+        assert_rejected("a 2^61-element tensor", &bn);
+        // A biased conv.
         let mut conv = up_to_layers(1);
-        conv.push(1);
-        conv.extend_from_slice(&header(&[], &[1 << 32, 1 << 32, 3, 3, 0]));
+        conv.extend_from_slice(&[1, 1]);
+        conv.extend_from_slice(&header(&[], &[1 << 32, 1 << 32, 3, 3]));
         assert_rejected("a conv shape whose product overflows", &conv);
         // Grids no world can have.
         assert_rejected("a grid with a zero extent", &header(CKPT_MAGIC, &[1, 0, 2, 2, 17, 0]));
         assert_rejected("a grid that overflows", &header(CKPT_MAGIC, &[1 << 32, 1 << 32, 1, 1]));
-        // 2^40 ranks, 1 layer: a conv.
-        let mut sharded = header(CKPT_MAGIC, &[1 << 20, 1 << 20, 1, 1, 17, 0, 0, 0]);
-        sharded.extend_from_slice(&header(SHARD_MAGIC, &[1]));
-        sharded.push(1);
-        sharded.extend_from_slice(&header(&[], &[4, 3, 3, 3]));
-        assert_rejected("shards for 2^40 ranks", &sharded);
     }
 
     #[test]
@@ -681,25 +557,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_are_refused_by_name() {
-        let mut buf = multi_rank_stream();
-        buf[..8].copy_from_slice(b"FGCKPT01");
-        let err = load_train_state(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
-        assert!(err.to_string().contains("FGCKPT01 is a retired"), "{err}");
+    fn retired_formats_are_refused_by_name() {
+        for magic in ["FGCKPT01", "FGCKPT02", "FGCKPT03"] {
+            let mut buf = multi_rank_stream();
+            buf[..8].copy_from_slice(magic.as_bytes());
+            let err = load_train_state(&mut buf.as_slice()).unwrap_err();
+            assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
+            assert!(err.to_string().contains(&format!("{magic} is a retired")), "{err}");
+        }
     }
 
     #[test]
-    fn v2_checkpoints_are_refused_by_name() {
-        let mut buf = multi_rank_stream();
-        buf[..8].copy_from_slice(b"FGCKPT02");
-        let err = load_train_state(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
-        assert!(err.to_string().contains("FGCKPT02 is a retired"), "{err}");
-    }
-
-    #[test]
-    fn v3_grid_tagged_checkpoint_round_trips_bitwise() {
+    fn grid_tagged_checkpoint_round_trips_bitwise() {
         let grid = ProcGrid::spatial(2, 2);
         let state = TrainState { grid, ..demo_state() };
         let buf = multi_rank_stream();
@@ -715,13 +584,12 @@ mod tests {
     }
 
     #[test]
-    fn fgckpt03_bytes_are_the_recorded_ones() {
-        // Length and checksum of this exact stream as written by the
-        // last commit that still had other formats beside it: the
-        // surviving format's byte layout did not move.
+    fn fgckpt04_bytes_are_the_recorded_ones() {
+        // Length and checksum of this exact stream as first written: a
+        // change to the byte layout is a new format, not an edit here.
         let buf = multi_rank_stream();
-        assert_eq!(buf.len(), 2332);
-        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0x0cf7_8410_6de5_d077);
+        assert_eq!(buf.len(), 1868);
+        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0xb80f_6a76_79b8_30ee);
     }
 
     #[test]

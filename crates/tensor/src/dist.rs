@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use fg_comm::collectives::block_range;
 
+use crate::liveness::ELT_BYTES;
 use crate::procgrid::ProcGrid;
 use crate::shape::{Box4, Shape4, NDIMS};
 use crate::weights::{weighted_block_range, weighted_owner, GridWeights};
@@ -155,6 +156,30 @@ impl TensorDist {
         }
     }
 
+    /// Bytes of re-laying this distribution onto `to`, a distribution of
+    /// the same global shape over a grid of any world size: `(moved,
+    /// total)`. Ranks keep their ids across the change, so an element
+    /// whose old and new owner coincide stays in place and only the rest
+    /// is moved — the number a recovery-cost model needs.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ, or if the overlaps do not cover the
+    /// tensor exactly once.
+    pub fn regrid_bytes(&self, to: &TensorDist) -> (u64, u64) {
+        assert_eq!(self.shape, to.shape, "regrid preserves the global tensor shape");
+        let (mut moved, mut total) = (0, 0);
+        for dst in 0..to.world_size() {
+            for (src, inter) in self.ranks_overlapping(&to.local_box(dst)) {
+                total += inter.len();
+                if src != dst {
+                    moved += inter.len();
+                }
+            }
+        }
+        assert_eq!(total, self.shape.len(), "regrid overlaps cover every element once");
+        ((moved * ELT_BYTES) as u64, (total * ELT_BYTES) as u64)
+    }
+
     /// True when every rank owns a non-empty box (required by layers that
     /// assume work on all ranks; the strategy generator enforces this).
     /// Weighted partitions clamp every part to at least one element
@@ -246,6 +271,30 @@ mod tests {
         let dist = TensorDist::new(Shape4::new(1, 1, 8, 8), ProcGrid::spatial(2, 2));
         let region = Box4::new([0, 0, 4, 4], [1, 1, 4, 8]);
         assert!(dist.ranks_overlapping(&region).is_empty());
+    }
+
+    #[test]
+    fn regrid_bytes_count_what_changes_owner() {
+        let shape = Shape4::new(2, 3, 8, 8);
+        let square = TensorDist::new(shape, ProcGrid::spatial(2, 2));
+        assert_eq!(square.regrid_bytes(&square), (0, 4 * shape.len() as u64));
+        // 2×2 shrinking to the 3-rank 1×3 grid: rank 0 keeps an overlap
+        // of its old block, so something moves but not everything.
+        let (moved, total) = square.regrid_bytes(&TensorDist::new(shape, ProcGrid::spatial(1, 3)));
+        assert_eq!(total, 4 * shape.len() as u64);
+        assert!(0 < moved && moved < total, "{moved} of {total}");
+        // Most ranks of this grid own nothing of a 5-vector; the walk
+        // still covers every element once.
+        let shape = Shape4::new(5, 1, 1, 1);
+        let sparse = TensorDist::new(shape, ProcGrid::new(2, 1, 2, 1));
+        assert_eq!(sparse.regrid_bytes(&TensorDist::new(shape, ProcGrid::sample(3))).1, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "global tensor shape")]
+    fn regrid_between_shapes_is_rejected() {
+        let a = TensorDist::new(Shape4::new(1, 1, 4, 4), ProcGrid::spatial(2, 2));
+        let _ = a.regrid_bytes(&TensorDist::new(Shape4::new(1, 1, 4, 5), ProcGrid::spatial(1, 3)));
     }
 
     #[test]

@@ -10,11 +10,7 @@
 //!   ([`halo::HaloPlan`], [`halo::exchange_halo_with_plan`], §III-A / §IV),
 //! * **redistribution** between layer distributions via all-to-all
 //!   ([`shuffle::ShufflePlan`], §III-C),
-//! * **gather** of a full tensor at a root ([`gather`]),
-//!
-//! plus a fourth, offline primitive: **regridding** of checkpointed
-//! shards between grids of *different* world sizes
-//! ([`regrid::RegridPlan`]), the restore path of elastic degradation.
+//! * **gather** of a full tensor at a root ([`gather`]).
 //!
 //! Distributions are *blocked* per dimension over a [`ProcGrid`]
 //! (§III's requirement: convolution needs spatially contiguous data).
@@ -51,7 +47,6 @@ pub mod gather;
 pub mod halo;
 pub mod liveness;
 pub mod procgrid;
-pub mod regrid;
 pub mod shape;
 pub mod shuffle;
 pub mod weights;
@@ -61,6 +56,6 @@ pub use dist::TensorDist;
 pub use disttensor::DistTensor;
 pub use liveness::{peak_bytes, BufClass, LiveInterval, ELT_BYTES};
 pub use procgrid::ProcGrid;
-pub use regrid::{assemble_tensor, check_box_partition, shard_tensor, RegridPlan};
 pub use shape::{Box4, Shape4, NDIMS};
+pub use shuffle::check_box_partition;
 pub use weights::{weighted_block_range, weighted_owner, GridWeights};

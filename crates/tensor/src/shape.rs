@@ -147,19 +147,6 @@ impl Box4 {
         Box4 { lo, hi }
     }
 
-    /// Translate the box so that `origin` maps to zero (global → local
-    /// coordinates). All corners must be ≥ `origin`.
-    pub fn relative_to(&self, origin: [usize; NDIMS]) -> Box4 {
-        let mut lo = [0; NDIMS];
-        let mut hi = [0; NDIMS];
-        for d in 0..NDIMS {
-            debug_assert!(self.lo[d] >= origin[d], "box not within origin frame");
-            lo[d] = self.lo[d] - origin[d];
-            hi[d] = self.hi[d] - origin[d];
-        }
-        Box4 { lo, hi }
-    }
-
     /// Iterate over all contained indices in row-major NCHW order.
     pub fn iter(&self) -> impl Iterator<Item = [usize; NDIMS]> + '_ {
         let b = *self;
@@ -233,13 +220,6 @@ mod tests {
         assert_eq!(idxs[1], [0, 1, 2, 4]);
         assert_eq!(idxs[2], [0, 1, 3, 3]);
         assert_eq!(idxs.last().unwrap(), &[0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn box_relative_to() {
-        let b = Box4::new([2, 3, 4, 5], [4, 6, 8, 10]);
-        let r = b.relative_to([2, 3, 4, 5]);
-        assert_eq!(r, Box4::new([0, 0, 0, 0], [2, 3, 4, 5]));
     }
 
     #[test]

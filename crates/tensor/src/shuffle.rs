@@ -13,7 +13,6 @@ use fg_comm::{Collectives, Communicator, OpClass, ScalarType, TraceRecorder};
 
 use crate::dist::TensorDist;
 use crate::disttensor::DistTensor;
-use crate::regrid::check_box_partition;
 use crate::shape::{Box4, NDIMS};
 
 /// One rank's precompiled geometry for a §III-C redistribution: which
@@ -156,6 +155,39 @@ impl ShufflePlan {
         });
         dst
     }
+}
+
+/// Check that `boxes` exactly partition `target`: every box contained in
+/// the target, no two boxes overlapping, and the volumes summing to the
+/// target's — which together mean each target element is covered exactly
+/// once. [`ShufflePlan::check_conservation`] is built on this.
+pub fn check_box_partition(target: &Box4, boxes: &[Box4]) -> Result<(), String> {
+    let mut volume = 0usize;
+    for b in boxes {
+        if b.is_empty() {
+            return Err(format!("empty box {b:?} in partition of {target:?}"));
+        }
+        if b.intersect(target) != *b {
+            return Err(format!("box {b:?} leaks outside the target {target:?}"));
+        }
+        volume += b.len();
+    }
+    for (i, a) in boxes.iter().enumerate() {
+        for b in &boxes[i + 1..] {
+            let inter = a.intersect(b);
+            if !inter.is_empty() {
+                return Err(format!("boxes {a:?} and {b:?} overlap on {inter:?}"));
+            }
+        }
+    }
+    if volume != target.len() {
+        return Err(format!(
+            "boxes cover {volume} of the target's {} elements — the gap would stay \
+             uninitialized",
+            target.len()
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -273,6 +273,18 @@ FG_VERIFY=1 cargo test -q --offline -p fg-nn --test ckpt_chaos
 filtered_tests -p fg-nn --lib -- poisoned_newest_version_falls_back_on_every_restore
 filtered_tests -p fg-core --lib -- \
     poisoned_newest_version_falls_back_on_every_restore keeper_contract_holds_on_both_backends
+# The snapshot is whole tensors: the stream differs across grids only
+# in its tag, FGCKPT04's bytes are the recorded ones and the retired
+# formats are refused by name, and a re-shard only retags — its moved
+# bytes (every ordered pair of the test's grids) and the straggler
+# rebalance's activation regrid cost are as recorded when both were
+# computed by copying shards.
+filtered_tests --test reshard -- \
+    resharding_is_bitwise_lossless the_grid_changes_only_the_tag \
+    reshard_stats_match_the_recorded_ones
+filtered_tests -p fg-nn --lib -- \
+    fgckpt04_bytes_are_the_recorded_ones retired_formats_are_refused_by_name
+filtered_tests -p fg-bench --lib -- regrid_costs_match_the_recorded_ones
 
 # The event-driven virtual-time engine's correctness anchor: DES clocks
 # must equal the thread-per-rank runtime's clocks exactly, and the

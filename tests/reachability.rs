@@ -1,4 +1,4 @@
-//! Tripwires for orphaned library code, at two grains.
+//! Tripwires for orphaned library code, at three grains.
 //!
 //! * Modules: for every `pub mod m;` in a `crates/*/src/lib.rs`, some
 //!   `.rs` file under `crates/`, `src/` or `tests/` — other than the
@@ -10,9 +10,11 @@
 //!   `src/`, `tests/`, `examples/` or `benchmark/src/` must name `f`
 //!   outside a comment and outside a `pub use`. A function only its own
 //!   file calls should not be `pub`; one only its own tests call should
-//!   not exist. Types and consts are not checked.
+//!   not exist.
+//! * Consts and statics: the same rule for every `pub const` and
+//!   `pub static` under `crates/*/src`. Types are not checked.
 //!
-//! Both are textual checks, not a dead-code analysis: a name shared with
+//! All are textual checks, not a dead-code analysis: a name shared with
 //! an unrelated item elsewhere counts as reached.
 
 use std::fs;
@@ -109,8 +111,10 @@ fn every_public_module_is_reached_from_outside_itself() {
     );
 }
 
-#[test]
-fn every_public_fn_is_named_outside_its_own_file() {
+/// Every item under `crates/*/src` declared by a line starting with one
+/// of `prefixes` that no other file names outside a comment and a
+/// `pub use`, as `file: name`.
+fn unreached_items(prefixes: &[&str]) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let sources: Vec<(PathBuf, String)> =
         sources(root, &["crates", "src", "tests", "examples", "benchmark/src"])
@@ -127,7 +131,8 @@ fn every_public_fn_is_named_outside_its_own_file() {
             continue;
         }
         for line in code.lines() {
-            let Some(name) = line.trim_start().strip_prefix("pub fn ") else {
+            let line = line.trim_start();
+            let Some(name) = prefixes.iter().find_map(|p| line.strip_prefix(p)) else {
                 continue;
             };
             let name: String = name.chars().take_while(|&c| ident(c)).collect();
@@ -139,9 +144,29 @@ fn every_public_fn_is_named_outside_its_own_file() {
             }
         }
     }
+    unreached
+}
+
+#[test]
+fn every_public_fn_is_named_outside_its_own_file() {
+    let unreached = unreached_items(&["pub fn "]);
     assert!(
         unreached.is_empty(),
         "public functions nothing outside their own file names (drop `pub`, or delete one \
          only its own tests call): {unreached:#?}"
+    );
+}
+
+#[test]
+fn every_public_const_is_named_outside_its_own_file() {
+    // `pub const fn` is a function, checked by the grain above.
+    let unreached: Vec<String> = unreached_items(&["pub const ", "pub static "])
+        .into_iter()
+        .filter(|item| !item.ends_with(": fn"))
+        .collect();
+    assert!(
+        unreached.is_empty(),
+        "public consts and statics nothing outside their own file names (drop `pub`, or \
+         delete one nothing reads): {unreached:#?}"
     );
 }

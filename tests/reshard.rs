@@ -1,12 +1,11 @@
-//! Property test for checkpoint re-sharding — the restore path of the
+//! Property tests for checkpoint re-sharding — the restore path of the
 //! elastic-degradation rung. For random source grids, destination grids
 //! (different world sizes, non-power-of-two included), and layer
 //! shapes, re-laying a grid-tagged `TrainState` from the old
 //! `ProcGrid` onto the new one must preserve every parameter and every
-//! SGD velocity element **bitwise**: the regrid moves blocks, never
-//! values. Any divergence means the overlap fragments mis-cover the
-//! global index space — exactly the bug class that would silently
-//! corrupt a run resumed on a shrunken world.
+//! SGD velocity element **bitwise**, and the stream it writes must not
+//! depend on the grid beyond the tag. The bytes a re-shard reports as
+//! moved are pinned for every pair of grids.
 
 use finegrain::nn::{
     load_train_state, reshard_train_state, save_train_state, GuardState, LayerParams, TrainState,
@@ -122,4 +121,75 @@ proptest! {
         prop_assert_eq!(bits_of(&loaded.params), bits_of(&params));
         prop_assert_eq!(bits_of(&loaded.velocity), bits_of(&velocity));
     }
+
+    /// A snapshot is its whole tensors: under every grid the stream is
+    /// the single writer's, byte for byte, but for the 32-byte grid tag
+    /// after the magic.
+    #[test]
+    fn the_grid_changes_only_the_tag(
+        seed in 1u64..u32::MAX as u64,
+        oc in 2usize..=5, ic in 1usize..=3, k in 1usize..=3, features in 1usize..=4,
+    ) {
+        let state = TrainState {
+            step: 5,
+            params: demo_params(seed, oc, ic, k, features),
+            velocity: demo_params(seed ^ 9, oc, ic, k, features),
+            losses: vec![0.75; 5],
+            guard: GuardState::default(),
+            grid: GRIDS[0],
+        };
+        let mut single = Vec::new();
+        save_train_state(&mut single, &state).unwrap();
+        for grid in GRIDS {
+            let mut buf = Vec::new();
+            save_train_state(&mut buf, &TrainState { grid, ..state.clone() }).unwrap();
+            prop_assert_eq!(buf.len(), single.len());
+            prop_assert_eq!(&buf[..8], &single[..8]);
+            let tag: Vec<u8> = grid.dims().iter().flat_map(|&d| (d as u64).to_le_bytes()).collect();
+            prop_assert_eq!(&buf[8..40], &tag[..]);
+            prop_assert_eq!(&buf[40..], &single[40..]);
+        }
+    }
+}
+
+/// `(tensors, moved_bytes, total_bytes)` of re-sharding one fixed
+/// state between every ordered pair of [`GRIDS`], as recorded before
+/// the re-shard stopped copying tensors and was computed from geometry.
+#[test]
+fn reshard_stats_match_the_recorded_ones() {
+    const TENSORS: usize = 12;
+    const TOTAL_BYTES: u64 = 1392;
+    const MOVED_BYTES: [[u64; 10]; 10] = [
+        [0, 360, 720, 600, 720, 792, 664, 840, 824, 720],
+        [360, 0, 720, 360, 720, 576, 744, 840, 896, 720],
+        [720, 720, 0, 840, 720, 1008, 824, 360, 944, 720],
+        [600, 360, 840, 0, 480, 648, 784, 840, 936, 480],
+        [720, 720, 720, 480, 0, 912, 904, 840, 944, 0],
+        [792, 576, 1008, 648, 912, 0, 904, 1080, 544, 912],
+        [664, 744, 824, 784, 904, 904, 0, 864, 920, 904],
+        [840, 840, 360, 840, 840, 1080, 864, 0, 1032, 840],
+        [824, 896, 944, 936, 944, 544, 920, 1032, 0, 944],
+        [720, 720, 720, 480, 0, 912, 904, 840, 944, 0],
+    ];
+    let state = TrainState {
+        step: 3,
+        params: demo_params(7, 5, 3, 3, 4),
+        velocity: demo_params(11, 5, 3, 3, 4),
+        losses: vec![0.5; 3],
+        guard: GuardState::default(),
+        grid: GRIDS[0],
+    };
+    let mut moved = [[0u64; 10]; 10];
+    for (i, &old) in GRIDS.iter().enumerate() {
+        for (j, &new) in GRIDS.iter().enumerate() {
+            let (_, stats) = reshard_train_state(&TrainState { grid: old, ..state.clone() }, new);
+            assert_eq!(
+                (stats.tensors, stats.total_bytes),
+                (TENSORS, TOTAL_BYTES),
+                "{old:?} -> {new:?}"
+            );
+            moved[i][j] = stats.moved_bytes;
+        }
+    }
+    assert_eq!(moved, MOVED_BYTES, "new table:\n{moved:?}");
 }
