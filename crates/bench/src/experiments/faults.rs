@@ -31,10 +31,8 @@
 
 use std::time::Instant;
 
-use fg_comm::{run_ranks, run_ranks_opts, FaultPlan, IntegrityConfig, RunOptions, WorldComm};
-use fg_core::{
-    resilient_train, DegradeConfig, DistExecutor, GuardConfig, ResilientConfig, SgdHyper, Strategy,
-};
+use fg_comm::{run_ranks, run_ranks_opts, FaultPlan, RunOptions, WorldComm};
+use fg_core::{resilient_train, DegradeConfig, DistExecutor, ResilientConfig, SgdHyper, Strategy};
 use fg_nn::{Network, Sgd};
 use fg_perf::{degrade_replanner, Platform};
 use fg_tensor::ProcGrid;
@@ -90,9 +88,7 @@ fn time_variant(fx: &Fixture, steps: usize, variant: &str) -> (f64, f64) {
         "plain" => return reduce(run_ranks(WORLD, |comm| rank_loop(fx, comm, steps))),
         "watchdog" => RunOptions::watchdog_default(),
         "faulty-transparent" => RunOptions::with_faults(FaultPlan::default()),
-        "integrity" => {
-            RunOptions::with_faults_integrity(FaultPlan::default(), IntegrityConfig::default())
-        }
+        "integrity" => RunOptions::with_faults_integrity(FaultPlan::default()),
         other => unreachable!("unknown variant {other}"),
     };
     reduce(
@@ -211,8 +207,8 @@ fn corruption_sweep_table() -> Table {
     let cfg = ResilientConfig {
         ckpt_every: 2,
         max_restarts: 0,
-        guard: Some(GuardConfig::default()),
-        integrity: Some(IntegrityConfig::default()),
+        guard: true,
+        integrity: true,
         ..Default::default()
     };
     let mut t = Table::new(
@@ -293,7 +289,7 @@ fn degradation_table() -> Table {
         &ResilientConfig {
             ckpt_every: 2,
             max_restarts: 1,
-            degrade: Some(DegradeConfig { replan: Some(replan), ..Default::default() }),
+            degrade: Some(DegradeConfig { replan: Some(replan) }),
             ..Default::default()
         },
         FaultPlan::new(0xE1A5).kill_rank_permanently(2, kill_op),

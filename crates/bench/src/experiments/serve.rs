@@ -147,13 +147,7 @@ fn run_cell(
     offered_rps: f64,
     requests: usize,
 ) -> ServeRow {
-    let cfg = ServerConfig {
-        max_batch,
-        queue_capacity: 16,
-        attempt_timeout: Duration::from_millis(250),
-        max_retries: 6,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { max_batch, queue_capacity: 16 };
     let server = Server::start(Arc::clone(model), replicas_for(scenario), cfg);
     let load = LoadConfig {
         mode: LoadMode::Open { rps: offered_rps },

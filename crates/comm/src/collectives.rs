@@ -7,12 +7,11 @@
 //! model in `fg-perf` predicts:
 //!
 //! * **barrier** — dissemination algorithm, ⌈log₂ P⌉ rounds;
-//! * **broadcast / reduce** — binomial trees;
 //! * **allreduce** — ring (bandwidth-optimal, any P), recursive doubling
 //!   (latency-optimal, non-power-of-two handled with the standard
 //!   fold-in pre/post step), and Rabenseifner's reduce-scatter +
 //!   allgather;
-//! * **reduce-scatter / allgather(v)** — ring;
+//! * **allgather(v)** — ring; **gather(v)** — linear;
 //! * **all-to-all(v)** — P-step rotation (pairwise exchange).
 //!
 //! All reductions use fixed operand orders, so results are deterministic
@@ -175,72 +174,6 @@ pub trait Collectives: Communicator + Sized {
                 k <<= 1;
             }
         });
-    }
-
-    /// Binomial-tree broadcast from `root`. Non-root ranks pass `None`.
-    fn bcast<T: CommScalar>(&self, root: usize, data: Option<Vec<T>>) -> Vec<T> {
-        let p = self.size();
-        assert!(root < p, "bcast root {root} out of range");
-        if self.rank() == root {
-            assert!(data.is_some(), "root must supply the broadcast payload");
-        }
-        if p == 1 {
-            return data.expect("single-rank bcast payload");
-        }
-        let tag = self.next_collective_tag();
-        let relative = (self.rank() + p - root) % p;
-        let mut buf = data;
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask != 0 {
-                let src = (self.rank() + p - mask) % p;
-                buf = Some(self.recv::<T>(src, tag));
-                break;
-            }
-            mask <<= 1;
-        }
-        let buf = buf.expect("broadcast payload reached this rank");
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < p {
-                let dst = (self.rank() + mask) % p;
-                self.send(dst, tag, buf.clone());
-            }
-            mask >>= 1;
-        }
-        buf
-    }
-
-    /// Binomial-tree reduce to `root`; returns `Some(result)` on the root
-    /// and `None` elsewhere. Contributions are combined child-major with
-    /// fixed operand order for determinism.
-    fn reduce<T: ReduceScalar>(&self, root: usize, data: &[T], op: ReduceOp) -> Option<Vec<T>> {
-        let p = self.size();
-        assert!(root < p, "reduce root {root} out of range");
-        if p == 1 {
-            return Some(data.to_vec());
-        }
-        let tag = self.next_collective_tag();
-        let relative = (self.rank() + p - root) % p;
-        let mut acc = data.to_vec();
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask == 0 {
-                let src_rel = relative | mask;
-                if src_rel < p {
-                    let src = (src_rel + root) % p;
-                    let theirs = self.recv::<T>(src, tag);
-                    // Child has the higher relative rank: it goes on the right.
-                    op.fold_into(&mut acc, &theirs);
-                }
-            } else {
-                let dst = (self.rank() + p - mask) % p;
-                self.send(dst, tag, acc);
-                return None;
-            }
-            mask <<= 1;
-        }
-        Some(acc)
     }
 
     /// Allreduce with automatic algorithm choice (see
@@ -446,35 +379,6 @@ pub trait Collectives: Communicator + Sized {
         buf
     }
 
-    /// Ring reduce-scatter: returns this rank's fully reduced block
-    /// (`block_range(n, P, rank)` of the logical result).
-    fn reduce_scatter<T: ReduceScalar>(&self, data: &[T], op: ReduceOp) -> Vec<T> {
-        let p = self.size();
-        let n = data.len();
-        let rank = self.rank();
-        if p == 1 {
-            return data.to_vec();
-        }
-        self.with_class(OpClass::ReduceScatter, || {
-            let tag = self.next_collective_tag();
-            let mut buf = data.to_vec();
-            let right = (rank + 1) % p;
-            let left = (rank + p - 1) % p;
-            // Same rotation as the allreduce reduce-scatter phase, but
-            // shifted one position so chunk `rank` completes locally.
-            for step in 0..p - 1 {
-                let send_idx = (rank + p - step - 1) % p;
-                let recv_idx = (rank + p - step - 2) % p;
-                let sr = block_range(n, p, send_idx);
-                let rr = block_range(n, p, recv_idx);
-                let incoming = self.sendrecv(right, left, tag, buf[sr].to_vec());
-                op.fold_into_rev(&mut buf[rr], &incoming);
-            }
-            let mine = block_range(n, p, rank);
-            buf[mine].to_vec()
-        })
-    }
-
     /// Variable-size allgather: every rank contributes `mine`, and all
     /// ranks receive every contribution, indexed by rank. Ring algorithm.
     fn allgatherv<T: CommScalar>(&self, mine: Vec<T>) -> Vec<Vec<T>> {
@@ -500,11 +404,6 @@ pub trait Collectives: Communicator + Sized {
         })
     }
 
-    /// Allgather of equal-size blocks, concatenated in rank order.
-    fn allgather_concat<T: CommScalar>(&self, mine: Vec<T>) -> Vec<T> {
-        self.allgatherv(mine).into_iter().flatten().collect()
-    }
-
     /// Linear gather of variable-size contributions to `root`.
     fn gatherv<T: CommScalar>(&self, root: usize, mine: Vec<T>) -> Option<Vec<Vec<T>>> {
         let p = self.size();
@@ -521,30 +420,6 @@ pub trait Collectives: Communicator + Sized {
             } else {
                 self.send(root, tag, mine);
                 None
-            }
-        })
-    }
-
-    /// Linear scatter of per-rank payloads from `root`.
-    fn scatterv<T: CommScalar>(&self, root: usize, parts: Option<Vec<Vec<T>>>) -> Vec<T> {
-        let p = self.size();
-        assert!(root < p, "scatter root out of range");
-        self.with_class(OpClass::GatherScatter, || {
-            let tag = self.next_collective_tag();
-            if self.rank() == root {
-                let parts = parts.expect("root must supply scatter payloads");
-                assert_eq!(parts.len(), p, "one payload per rank");
-                let mut mine = Vec::new();
-                for (dst, part) in parts.into_iter().enumerate() {
-                    if dst == root {
-                        mine = part;
-                    } else {
-                        self.send(dst, tag, part);
-                    }
-                }
-                mine
-            } else {
-                self.recv::<T>(root, tag)
             }
         })
     }
@@ -788,54 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_to_each_possible_root() {
-        let p = 6;
-        for root in 0..p {
-            let res =
-                run_ranks(p, |comm| comm.reduce(root, &[comm.rank() as u32, 1], ReduceOp::Sum));
-            for (rank, r) in res.iter().enumerate() {
-                if rank == root {
-                    assert_eq!(r.as_ref().unwrap(), &vec![15, 6]);
-                } else {
-                    assert!(r.is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bcast_from_each_root() {
-        for p in [1, 2, 3, 5, 8] {
-            for root in 0..p {
-                let res = run_ranks(p, |comm| {
-                    let payload = (comm.rank() == root).then(|| vec![root as u32 * 10, 7]);
-                    comm.bcast(root, payload)
-                });
-                for r in res {
-                    assert_eq!(r, vec![root as u32 * 10, 7]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_blocks_align_with_block_range() {
-        for p in [2, 3, 4, 5] {
-            let n = 13;
-            let res = run_ranks(p, |comm| {
-                let mine: Vec<f64> = (0..n).map(|i| (i * (comm.rank() + 1)) as f64).collect();
-                comm.reduce_scatter(&mine, ReduceOp::Sum)
-            });
-            let ranks_sum: f64 = (1..=p).map(|r| r as f64).sum();
-            for (rank, got) in res.iter().enumerate() {
-                let want: Vec<f64> =
-                    block_range(n, p, rank).map(|i| i as f64 * ranks_sum).collect();
-                assert_eq!(got, &want, "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
     fn allgatherv_variable_sizes() {
         let p = 4;
         let res = run_ranks(p, |comm| {
@@ -852,23 +679,21 @@ mod tests {
     }
 
     #[test]
-    fn allgather_concat_orders_by_rank() {
-        let res = run_ranks(3, |comm| comm.allgather_concat(vec![comm.rank() as u8; 2]));
-        for r in res {
-            assert_eq!(r, vec![0, 0, 1, 1, 2, 2]);
-        }
-    }
-
-    #[test]
-    fn gatherv_and_scatterv_round_trip() {
+    fn gatherv_collects_every_contribution_at_the_root() {
         let p = 5;
         let res = run_ranks(p, |comm| {
-            let gathered = comm.gatherv(2, vec![comm.rank() as u64]);
-
-            comm.scatterv(2, gathered.map(|g| g.into_iter().map(|v| vec![v[0] * 2]).collect()))
+            let mine: Vec<u64> =
+                (0..=comm.rank() as u64).map(|i| comm.rank() as u64 * 10 + i).collect();
+            comm.gatherv(2, mine)
         });
         for (rank, r) in res.iter().enumerate() {
-            assert_eq!(r, &vec![rank as u64 * 2]);
+            if rank == 2 {
+                let want: Vec<Vec<u64>> =
+                    (0..p as u64).map(|r| (0..=r).map(|i| r * 10 + i).collect()).collect();
+                assert_eq!(r.as_ref().unwrap(), &want);
+            } else {
+                assert!(r.is_none(), "rank {rank} is not the root");
+            }
         }
     }
 

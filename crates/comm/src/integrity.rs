@@ -31,7 +31,7 @@
 //!   NACK — modeled as a direct pull of the staged copy from the
 //!   sender's window (the in-process analogue of a NACK packet plus the
 //!   sender's resend). Pulls retry with backoff up to
-//!   [`IntegrityConfig::max_retries`]; retransmissions ride the same
+//!   `MAX_RETRIES` (8); retransmissions ride the same
 //!   hazardous link, so a [`crate::fault::FaultPlan`] can corrupt them
 //!   too ([`crate::fault::FaultPlan::corrupt_retransmit_nth`]). When the
 //!   budget is exhausted, the receive unwinds with a typed
@@ -65,23 +65,14 @@ use crate::fault::FaultPlan;
 use crate::p2p::{world_collective_tag, CommScalar, Communicator, Tag, WireHeader};
 use crate::runtime::WorldComm;
 
-/// Tuning for the receiver-side repair loop.
-#[derive(Debug, Clone)]
-pub struct IntegrityConfig {
-    /// How many replay-window pulls a receiver attempts for one corrupted
-    /// message before surfacing [`CommError::Corrupt`]. With a per-link
-    /// corruption rate `r`, repair fails with probability `r^(budget+1)`.
-    pub max_retries: u32,
-    /// Base backoff between pulls; pull `k` sleeps `k * backoff`,
-    /// modeling NACK round-trips without hammering the shared window.
-    pub backoff: Duration,
-}
+/// How many replay-window pulls a receiver attempts for one corrupted
+/// message before surfacing [`CommError::Corrupt`]. With a per-link
+/// corruption rate `r`, repair fails with probability `r^(budget+1)`.
+const MAX_RETRIES: u32 = 8;
 
-impl Default for IntegrityConfig {
-    fn default() -> IntegrityConfig {
-        IntegrityConfig { max_retries: 8, backoff: Duration::from_micros(20) }
-    }
-}
+/// Base backoff between pulls; pull `k` sleeps `k * BACKOFF`, modeling
+/// NACK round-trips without hammering the shared window.
+const BACKOFF: Duration = Duration::from_micros(20);
 
 /// FNV-1a over one more 64-bit word.
 fn fnv(h: u64, word: u64) -> u64 {
@@ -343,11 +334,10 @@ impl RankCursor {
 }
 
 /// One rank's attachment to the protocol: the world-shared replay
-/// windows, the repair tuning, and this rank's private stream cursors.
+/// windows and this rank's private stream cursors.
 /// Owned by the rank's [`WorldComm`].
 pub(crate) struct WorldIntegrity {
     pub(crate) state: Arc<IntegrityState>,
-    pub(crate) config: IntegrityConfig,
     pub(crate) cursor: RankCursor,
 }
 
@@ -383,7 +373,7 @@ pub(crate) fn protocol_recv<T: CommScalar>(
     mut data: Vec<T>,
     header: WireHeader,
 ) -> Vec<T> {
-    let (state, config, cursor) = (&ig.state, &ig.config, &ig.cursor);
+    let (state, cursor) = (&ig.state, &ig.cursor);
     let me = comm.rank();
     let expected = cursor.expected_recv_seq(src, tag);
     // Link-layer drop repair (the fault stage's retry loop) guarantees
@@ -403,14 +393,13 @@ pub(crate) fn protocol_recv<T: CommScalar>(
             state.ack(src, me, tag, header.seq);
             return data;
         }
-        if pulls >= config.max_retries {
+        if pulls >= MAX_RETRIES {
             std::panic::panic_any(CommError::Corrupt {
                 link: (src, me),
                 seq: header.seq,
                 detail: format!(
                     "tag {tag}: checksum mismatch persisted through {pulls} retransmissions \
-                     (budget {})",
-                    config.max_retries
+                     (budget {MAX_RETRIES})"
                 ),
             });
         }
@@ -419,7 +408,7 @@ pub(crate) fn protocol_recv<T: CommScalar>(
         if pulls > 1 {
             // NACK round-trips back off linearly; the first pull is
             // immediate.
-            std::thread::sleep(config.backoff * (pulls - 1));
+            std::thread::sleep(BACKOFF * (pulls - 1));
         }
         data = state.retransmit::<T>(src, me, tag, header.seq).unwrap_or_else(|| {
             std::panic::panic_any(CommError::Corrupt {

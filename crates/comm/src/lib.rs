@@ -58,7 +58,7 @@ pub mod watchdog;
 pub use collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
 pub use error::{attribute_dead_ranks, CommError};
 pub use fault::FaultPlan;
-pub use integrity::{IntegrityConfig, DEFAULT_REPLAY_BYTES};
+pub use integrity::DEFAULT_REPLAY_BYTES;
 pub use p2p::{
     sub_collective_tag, world_collective_tag, CommScalar, Communicator, ScalarType, Tag,
 };
@@ -72,4 +72,3 @@ pub use trace::{
     check_traces, CheckKind, CollectiveKind, Phase, RankTrace, SimSeconds, TraceEntry, TraceOp,
     TraceRecorder, VerifyStats, Violation,
 };
-pub use watchdog::WatchdogConfig;

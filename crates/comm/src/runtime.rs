@@ -10,7 +10,7 @@
 //! it; everything else is a [`RunOptions`] value:
 //!
 //! * [`run_ranks_opts`] returns per-rank `Result`s under explicit
-//!   options: a deadlock watchdog ([`WatchdogConfig`]), a per-receive
+//!   options: a deadlock watchdog ([`RunOptions::watchdog`]), a per-receive
 //!   deadline, the integrity protocol, a seeded
 //!   [`crate::fault::FaultPlan`], a virtual-time [`LinkModel`]. Rank
 //!   deaths (injected kills, observed peer failures, watchdog aborts)
@@ -35,12 +35,12 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::CommError;
 use crate::fault::{FaultPlan, WorldFaults};
-use crate::integrity::{self, IntegrityConfig, IntegrityState, RankCursor, WorldIntegrity};
+use crate::integrity::{self, IntegrityState, RankCursor, WorldIntegrity};
 use crate::p2p::{
     world_collective_tag, CommScalar, Communicator, Envelope, Stash, Tag, WireHeader,
 };
 use crate::stats::{OpClass, TrafficStats};
-use crate::watchdog::{Monitor, WatchdogConfig};
+use crate::watchdog::{Monitor, POLL};
 
 /// Virtual-time link model: seconds for `bytes` to travel from rank
 /// `src` to rank `dst`. Injected by [`RunOptions::link`]
@@ -450,7 +450,7 @@ impl WorldComm {
         let poll = self
             .monitor
             .as_ref()
-            .map(|m| m.config.poll)
+            .map(|_| POLL)
             .unwrap_or(Duration::from_millis(1))
             .min(self.recv_deadline.unwrap_or(Duration::MAX));
         let deadline = self.recv_deadline.map(|d| Instant::now() + d);
@@ -546,13 +546,13 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
     // stages (a receiver pulls retransmissions straight from its
     // sender's window). It carries the fault plan when both are on, so
     // retransmissions suffer the same link hazard as first transmissions.
-    let integrity = opts.integrity.clone().map(|config| {
+    let integrity = opts.integrity.then(|| {
         let state = IntegrityState::new(size);
         let state = match &opts.faults {
             Some(plan) => state.with_plan(plan.clone()),
             None => state,
         };
-        (config, Arc::new(state))
+        Arc::new(state)
     });
     let plan = opts.faults.clone().map(Arc::new);
     senders
@@ -572,11 +572,9 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
             link: opts.link.clone(),
             monitor: monitor.cloned(),
             recv_deadline: opts.recv_timeout,
-            integrity: integrity.clone().map(|(config, state)| WorldIntegrity {
-                state,
-                config,
-                cursor: RankCursor::default(),
-            }),
+            integrity: integrity
+                .clone()
+                .map(|state| WorldIntegrity { state, cursor: RankCursor::default() }),
             faults: plan.as_ref().map(|plan| WorldFaults::new(Arc::clone(plan), rank, size)),
             busy: Cell::new(0),
             last_return: Cell::new(Instant::now()),
@@ -588,9 +586,9 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
 /// no guards, no faults, wall-clock time.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Run the deadlock watchdog with this configuration. `None` leaves
-    /// deadlocks to the per-receive deadline (if any).
-    pub watchdog: Option<WatchdogConfig>,
+    /// Run the deadlock watchdog. Off leaves deadlocks to the
+    /// per-receive deadline (if any).
+    pub watchdog: bool,
     /// Abort any single receive that waits longer than this.
     pub recv_timeout: Option<Duration>,
     /// Run the end-to-end integrity protocol: every p2p payload travels
@@ -599,7 +597,7 @@ pub struct RunOptions {
     /// envelope rides on the message; repairs never fire on a healthy
     /// world), so it is safe to enable globally via
     /// `FG_COMM_INTEGRITY=1`.
-    pub integrity: Option<IntegrityConfig>,
+    pub integrity: bool,
     /// Inject delays, drops, corruptions and kills from this seeded
     /// plan, deterministically per its seed. Faults strike below the
     /// integrity envelope: with `integrity` on, injected corruption is
@@ -615,9 +613,9 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Watchdog on with default tuning, nothing else.
+    /// Watchdog on, nothing else.
     pub fn watchdog_default() -> RunOptions {
-        RunOptions { watchdog: Some(WatchdogConfig::default()), ..RunOptions::default() }
+        RunOptions { watchdog: true, ..RunOptions::default() }
     }
 
     /// Fault injection from `plan` with the deadlock watchdog on
@@ -630,8 +628,8 @@ impl RunOptions {
 
     /// [`RunOptions::with_faults`] plus the integrity protocol: drops
     /// and corruptions are repaired before the program sees them.
-    pub fn with_faults_integrity(plan: FaultPlan, config: IntegrityConfig) -> RunOptions {
-        RunOptions { integrity: Some(config), ..RunOptions::with_faults(plan) }
+    pub fn with_faults_integrity(plan: FaultPlan) -> RunOptions {
+        RunOptions { integrity: true, ..RunOptions::with_faults(plan) }
     }
 
     /// Options from the environment: `FG_COMM_WATCHDOG` enables the
@@ -641,8 +639,8 @@ impl RunOptions {
     /// end-to-end integrity protocol. Both follow `flag_is_on`.
     fn from_env() -> RunOptions {
         RunOptions {
-            watchdog: env_flag("FG_COMM_WATCHDOG").then(WatchdogConfig::default),
-            integrity: env_flag("FG_COMM_INTEGRITY").then(IntegrityConfig::default),
+            watchdog: env_flag("FG_COMM_WATCHDOG"),
+            integrity: env_flag("FG_COMM_INTEGRITY"),
             ..RunOptions::default()
         }
     }
@@ -651,10 +649,7 @@ impl RunOptions {
     /// condition under which the environment-driven launchers monitor
     /// the world instead of taking the blocking-receive fast path.
     fn is_guarded(&self) -> bool {
-        self.watchdog.is_some()
-            || self.recv_timeout.is_some()
-            || self.integrity.is_some()
-            || self.faults.is_some()
+        self.watchdog || self.recv_timeout.is_some() || self.integrity || self.faults.is_some()
     }
 }
 
@@ -731,11 +726,10 @@ where
     F: Fn(&WorldComm) -> R + Send + Sync,
 {
     install_comm_panic_hook();
-    let monitor =
-        monitored.then(|| Arc::new(Monitor::new(size, opts.watchdog.clone().unwrap_or_default())));
+    let monitor = monitored.then(|| Arc::new(Monitor::new(size)));
     let comms = build_world(size, &opts, monitor.as_ref());
     std::thread::scope(|scope| {
-        let watchdog = monitor.as_ref().filter(|_| opts.watchdog.is_some()).map(|m| {
+        let watchdog = monitor.as_ref().filter(|_| opts.watchdog).map(|m| {
             let m = Arc::clone(m);
             scope.spawn(move || m.watch())
         });
@@ -1053,7 +1047,7 @@ mod tests {
     #[test]
     fn recv_deadline_times_out_a_slow_peer() {
         let opts = RunOptions {
-            watchdog: None,
+            watchdog: false,
             recv_timeout: Some(Duration::from_millis(20)),
             ..RunOptions::default()
         };
@@ -1154,8 +1148,7 @@ mod tests {
         // The envelope rides on the message, so counts and payloads are
         // identical to a plain run, and a healthy world performs zero
         // repairs.
-        let opts =
-            RunOptions { integrity: Some(IntegrityConfig::default()), ..RunOptions::default() };
+        let opts = RunOptions { integrity: true, ..RunOptions::default() };
         let out = run_ranks_opts(2, opts, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 3, vec![1.5f32, 2.5]);
@@ -1179,8 +1172,7 @@ mod tests {
         // stream runs alongside and keeps counting — retiring collective
         // streams must not reset it (the receiver asserts every seq).
         let p = 4;
-        let opts =
-            RunOptions { integrity: Some(IntegrityConfig::default()), ..RunOptions::default() };
+        let opts = RunOptions { integrity: true, ..RunOptions::default() };
         let out = run_ranks_opts(p, opts, |comm| {
             let (right, left) = ((comm.rank() + 1) % p, (comm.rank() + p - 1) % p);
             for i in 0..300usize {

@@ -37,26 +37,17 @@ use parking_lot::Mutex;
 use crate::error::CommError;
 use crate::p2p::Tag;
 
-/// Tuning knobs for the deadlock watchdog.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Interval between watchdog sweeps (and the granularity at which
-    /// blocked receives re-check the abort flag).
-    pub poll: Duration,
-    /// Number of consecutive quiet sweeps (all live ranks blocked, all
-    /// awaited channels empty, zero progress) before declaring deadlock.
-    pub quiet_polls: u32,
-}
+/// Interval between watchdog sweeps (and the granularity at which
+/// blocked receives re-check the abort flag). With [`QUIET_POLLS`] this
+/// gives ~15–25 ms to detection: fast enough for tests, coarse enough
+/// that a descheduled rank on a loaded machine cannot be mistaken for a
+/// deadlock (the condition is stability-based, not purely time-based,
+/// so this only bounds latency, not correctness).
+pub(crate) const POLL: Duration = Duration::from_millis(5);
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        // ~15–25 ms to detection: fast enough for tests, coarse enough
-        // that a descheduled rank on a loaded machine cannot be mistaken
-        // for a deadlock (the condition is stability-based, not purely
-        // time-based, so this only bounds latency, not correctness).
-        WatchdogConfig { poll: Duration::from_millis(5), quiet_polls: 3 }
-    }
-}
+/// Number of consecutive quiet sweeps (all live ranks blocked, all
+/// awaited channels empty, zero progress) before declaring deadlock.
+const QUIET_POLLS: u32 = 3;
 
 /// What one rank is doing right now, as published to the monitor.
 #[derive(Debug, Clone)]
@@ -75,7 +66,6 @@ pub(crate) enum RankStatus {
 /// Shared state between the ranks of one world and its watchdog thread.
 pub(crate) struct Monitor {
     size: usize,
-    pub(crate) config: WatchdogConfig,
     /// Bumped on every send and every channel dequeue.
     progress: AtomicU64,
     /// In-flight (sent, not yet dequeued) message count per ordered
@@ -104,10 +94,9 @@ pub(crate) struct Monitor {
 }
 
 impl Monitor {
-    pub(crate) fn new(size: usize, config: WatchdogConfig) -> Monitor {
+    pub(crate) fn new(size: usize) -> Monitor {
         Monitor {
             size,
-            config,
             progress: AtomicU64::new(0),
             pending: (0..size * size).map(|_| AtomicUsize::new(0)).collect(),
             status: (0..size).map(|_| Mutex::new(RankStatus::Running)).collect(),
@@ -213,7 +202,7 @@ impl Monitor {
         let mut last_progress = u64::MAX;
         let mut quiet: u32 = 0;
         while !self.finished.load(Ordering::SeqCst) && !self.aborted() {
-            std::thread::sleep(self.config.poll);
+            std::thread::sleep(POLL);
             let progress = self.progress.load(Ordering::SeqCst);
             let snapshot: Vec<RankStatus> = self.status.iter().map(|s| s.lock().clone()).collect();
             // Every rank has finished (Done or Dead): nothing left to
@@ -225,7 +214,7 @@ impl Monitor {
             }
             if self.is_stuck(&snapshot) && progress == last_progress {
                 quiet += 1;
-                if quiet >= self.config.quiet_polls {
+                if quiet >= QUIET_POLLS {
                     self.trip(&snapshot);
                     return;
                 }
@@ -317,7 +306,7 @@ mod tests {
 
     #[test]
     fn stuck_requires_all_live_blocked_and_empty_links() {
-        let m = Monitor::new(2, WatchdogConfig::default());
+        let m = Monitor::new(2);
         // Both running: not stuck.
         assert!(!m.is_stuck(&[RankStatus::Running, RankStatus::Running]));
         // One blocked, one running: not stuck.
@@ -334,13 +323,13 @@ mod tests {
 
     #[test]
     fn all_done_or_dead_is_not_a_deadlock() {
-        let m = Monitor::new(2, WatchdogConfig::default());
+        let m = Monitor::new(2);
         assert!(!m.is_stuck(&[RankStatus::Done, RankStatus::Dead { reason: "kill".into() }]));
     }
 
     #[test]
     fn trip_renders_the_wait_graph_with_dropped_sends() {
-        let m = Monitor::new(3, WatchdogConfig::default());
+        let m = Monitor::new(3);
         m.note_dropped_send(1);
         m.note_corrupt_repaired(0);
         m.note_retransmit(2);
@@ -372,7 +361,7 @@ mod tests {
         use std::sync::Arc;
         const WORLD: usize = 4;
         const ROUNDS: usize = 1000;
-        let m = Arc::new(Monitor::new(WORLD, WatchdogConfig::default()));
+        let m = Arc::new(Monitor::new(WORLD));
         let mut handles = Vec::new();
         for src in 0..WORLD {
             for dst in 0..WORLD {
@@ -411,7 +400,7 @@ mod tests {
 
     #[test]
     fn trip_reports_no_integrity_activity_as_none() {
-        let m = Monitor::new(1, WatchdogConfig::default());
+        let m = Monitor::new(1);
         m.trip(&[RankStatus::Blocked { src: 0, tag: 1 }]);
         let d = m.diagnostic();
         assert!(d.contains("corruption repaired: none"), "{d}");
@@ -421,7 +410,7 @@ mod tests {
 
     #[test]
     fn trip_names_a_known_straggler_instead_of_a_bare_deadlock() {
-        let m = Monitor::new(3, WatchdogConfig::default());
+        let m = Monitor::new(3);
         m.note_rank_slowness(&[1.0, 1.0, 4.0]);
         m.trip(&[
             RankStatus::Blocked { src: 2, tag: 7 },

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use fg_comm::{
-    run_ranks_opts, Collectives, CommError, Communicator, FaultPlan, IntegrityConfig, ReduceOp,
-    RunOptions, SubComm, WorldComm,
+    run_ranks_opts, Collectives, CommError, Communicator, FaultPlan, ReduceOp, RunOptions, SubComm,
+    WorldComm,
 };
 
 /// The chaos suite's mixed workload (`tests/faults.rs`): an allreduce,
@@ -74,7 +74,7 @@ fn faulty(plan: FaultPlan) -> RunOptions {
 }
 
 fn guarded(plan: FaultPlan) -> RunOptions {
-    RunOptions::with_faults_integrity(plan, IntegrityConfig::default())
+    RunOptions::with_faults_integrity(plan)
 }
 
 /// Three exchange + allreduce steps between two ranks. `done[r]` counts
@@ -194,11 +194,7 @@ fn corrupted_retransmissions_are_retried_up_to_the_budget() {
     for k in 0..8 {
         plan = plan.corrupt_retransmit_nth(0, 1, k);
     }
-    let tight = IntegrityConfig { max_retries: 3, ..IntegrityConfig::default() };
-    assert_eq!(
-        outcome(2, RunOptions::with_faults_integrity(plan, tight), one_way),
-        [sender, "corrupt link=0->1 seq=0"]
-    );
+    assert_eq!(outcome(2, guarded(plan), one_way), [sender, "corrupt link=0->1 seq=0"]);
 }
 
 #[test]

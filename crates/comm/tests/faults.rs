@@ -16,8 +16,8 @@
 use std::time::Duration;
 
 use fg_comm::{
-    run_ranks, run_ranks_opts, Collectives, CommError, Communicator, FaultPlan, IntegrityConfig,
-    ReduceOp, RunOptions,
+    run_ranks, run_ranks_opts, Collectives, CommError, Communicator, FaultPlan, ReduceOp,
+    RunOptions,
 };
 
 /// A small fixed workload: ring allreduce over distinct per-rank data,
@@ -164,7 +164,7 @@ fn integrity_repairs_injected_corruption_bitwise() {
     // receiver detects the checksum mismatch, pulls a clean copy from
     // the sender's replay window, and delivers the pristine payload.
     let plan = FaultPlan::new(11).corrupt_nth(0, 1, 0);
-    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let opts = RunOptions::with_faults_integrity(plan);
     let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, vec![1.0f32, 2.0, 3.0]);
@@ -187,7 +187,7 @@ fn integrity_retries_when_the_retransmission_is_also_corrupted() {
     // corrupted: the receiver's retry loop pulls again and the second
     // retransmission delivers. One repaired message, two retransmits.
     let plan = FaultPlan::new(13).corrupt_nth(0, 1, 0).corrupt_retransmit_nth(0, 1, 0);
-    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let opts = RunOptions::with_faults_integrity(plan);
     let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, vec![4.0f32, 5.0]);
@@ -210,12 +210,11 @@ fn integrity_budget_exhaustion_surfaces_typed_corrupt() {
     // receive must unwind with CommError::Corrupt naming the link and
     // stream position — a structured outcome at the rank boundary, not
     // a hang or a raw panic.
-    let config = IntegrityConfig { max_retries: 3, ..IntegrityConfig::default() };
     let mut plan = FaultPlan::new(17).corrupt_nth(0, 1, 0);
     for k in 0..8 {
         plan = plan.corrupt_retransmit_nth(0, 1, k);
     }
-    let out = run_ranks_opts(2, RunOptions::with_faults_integrity(plan, config), |comm| {
+    let out = run_ranks_opts(2, RunOptions::with_faults_integrity(plan), |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, vec![1.0f32]);
             Vec::new()
@@ -228,7 +227,7 @@ fn integrity_budget_exhaustion_surfaces_typed_corrupt() {
         Err(CommError::Corrupt { link, seq, detail }) => {
             assert_eq!(*link, (0, 1));
             assert_eq!(*seq, 0);
-            assert!(detail.contains("budget 3"), "{detail}");
+            assert!(detail.contains("budget 8"), "{detail}");
         }
         other => panic!("expected Corrupt after budget exhaustion, got {other:?}"),
     }
@@ -242,7 +241,7 @@ fn integrity_repairs_drops_without_a_watchdog_trip() {
     // retransmits at the link layer. The exchange completes; nobody
     // waits, so the watchdog never trips.
     let plan = FaultPlan::new(3).drop_nth(0, 1, 0);
-    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let opts = RunOptions::with_faults_integrity(plan);
     let out = run_ranks_opts(2, opts, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 7, vec![1.0f32]);
@@ -268,7 +267,7 @@ fn integrity_full_workload_survives_fault_rates_bitwise() {
     // every rank's result is bitwise identical to the fault-free run.
     let clean = run_ranks(4, workload);
     let plan = FaultPlan::new(0xFA17).drop_rate(0.2).corrupt_rate(0.2);
-    let opts = RunOptions::with_faults_integrity(plan, IntegrityConfig::default());
+    let opts = RunOptions::with_faults_integrity(plan);
     let out = run_ranks_opts(4, opts, |comm| {
         let r = workload(comm);
         let stats = comm.stats();
@@ -290,9 +289,9 @@ fn recv_deadline_passes_through_the_integrity_layer() {
     // repair loop only engages after a message arrives, so a silent
     // peer is the deadline's business, not the integrity layer's.
     let opts = RunOptions {
-        watchdog: None,
+        watchdog: false,
         recv_timeout: Some(Duration::from_millis(20)),
-        integrity: Some(IntegrityConfig::default()),
+        integrity: true,
         ..RunOptions::default()
     };
     let out = run_ranks_opts(2, opts, |comm| {

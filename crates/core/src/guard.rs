@@ -11,9 +11,9 @@
 //! 1. **Local screen** ([`StepGuard::screen_local`]): the step's global
 //!    mean loss must be finite; every layer's gradient ℓ₂² (computed in
 //!    f64 by [`fg_nn::LayerParams::l2_sq`], which propagates any NaN/Inf
-//!    in any element) must be finite; and, after a warm-up period, the
-//!    loss must not exceed `spike_factor ×` its exponential moving
-//!    average.
+//!    in any element) must be finite; and, after `WARMUP` accepted
+//!    steps, the loss must not exceed `SPIKE_FACTOR` × its exponential
+//!    moving average.
 //! 2. **Distributed agreement** ([`StepGuard::agree_any`]): the per-rank
 //!    verdicts are OR-reduced with a `Max` allreduce over `u32` flags,
 //!    so either *every* rank commits the step or *every* rank rejects
@@ -30,24 +30,16 @@
 use fg_comm::{Collectives, Communicator, ReduceOp};
 use fg_nn::{GuardState, LayerParams};
 
-/// Tuning knobs for the per-step numerical screen.
-#[derive(Debug, Clone)]
-pub struct GuardConfig {
-    /// Reject a step whose loss exceeds this multiple of the EMA
-    /// baseline (only after `warmup` accepted steps).
-    pub spike_factor: f64,
-    /// EMA decay: `ema ← decay·ema + (1 − decay)·loss`.
-    pub ema_decay: f64,
-    /// Number of accepted steps before spike screening activates (the
-    /// first steps of training legitimately move the loss fast).
-    pub warmup: u64,
-}
+/// Reject a step whose loss exceeds this multiple of the EMA baseline
+/// (only after `WARMUP` accepted steps).
+const SPIKE_FACTOR: f64 = 10.0;
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig { spike_factor: 10.0, ema_decay: 0.9, warmup: 3 }
-    }
-}
+/// EMA decay: `ema ← decay·ema + (1 − decay)·loss`.
+const EMA_DECAY: f64 = 0.9;
+
+/// Number of accepted steps before spike screening activates (the first
+/// steps of training legitimately move the loss fast).
+const WARMUP: u64 = 3;
 
 /// Why a step was rejected by the local screen.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +54,7 @@ pub enum Anomaly {
         /// Index of the first offending layer.
         layer: usize,
     },
-    /// The loss is finite but exceeds `spike_factor ×` the EMA baseline.
+    /// The loss is finite but exceeds `SPIKE_FACTOR` × the EMA baseline.
     LossSpike {
         /// The offending loss value.
         value: f64,
@@ -87,23 +79,19 @@ impl std::fmt::Display for Anomaly {
 
 /// The per-step numerical health check: local screening plus
 /// distributed agreement, with a checkpointable EMA baseline.
-#[derive(Debug, Clone)]
+///
+/// A fresh guard ([`StepGuard::default`]) has no baseline yet.
+#[derive(Debug, Clone, Default)]
 pub struct StepGuard {
-    cfg: GuardConfig,
     state: GuardState,
 }
 
 impl StepGuard {
-    /// A fresh guard with no baseline yet.
-    pub fn new(cfg: GuardConfig) -> StepGuard {
-        StepGuard::with_state(cfg, GuardState::default())
-    }
-
     /// Resume a guard from checkpointed state (EMA baseline + accepted
     /// step count), so spike detection after a restore behaves exactly
     /// as it would have uninterrupted.
-    pub fn with_state(cfg: GuardConfig, state: GuardState) -> StepGuard {
-        StepGuard { cfg, state }
+    pub fn with_state(state: GuardState) -> StepGuard {
+        StepGuard { state }
     }
 
     /// The serializable baseline, for embedding in a checkpoint.
@@ -123,7 +111,7 @@ impl StepGuard {
                 return Some(Anomaly::NonFiniteGradient { layer });
             }
         }
-        if self.state.steps >= self.cfg.warmup && loss > self.cfg.spike_factor * self.state.ema {
+        if self.state.steps >= WARMUP && loss > SPIKE_FACTOR * self.state.ema {
             return Some(Anomaly::LossSpike { value: loss, ema: self.state.ema });
         }
         None
@@ -137,7 +125,7 @@ impl StepGuard {
         self.state.ema = if self.state.steps == 0 {
             loss
         } else {
-            self.cfg.ema_decay * self.state.ema + (1.0 - self.cfg.ema_decay) * loss
+            EMA_DECAY * self.state.ema + (1.0 - EMA_DECAY) * loss
         };
         self.state.steps += 1;
     }
@@ -163,16 +151,16 @@ mod tests {
 
     #[test]
     fn ema_baseline_seeds_then_decays() {
-        let mut g = StepGuard::new(GuardConfig { ema_decay: 0.5, ..GuardConfig::default() });
+        let mut g = StepGuard::default();
         g.record(4.0);
         assert_eq!(g.state(), GuardState { ema: 4.0, steps: 1 });
         g.record(2.0);
-        assert_eq!(g.state(), GuardState { ema: 3.0, steps: 2 });
+        assert_eq!(g.state(), GuardState { ema: 3.8, steps: 2 });
     }
 
     #[test]
     fn screen_flags_non_finite_loss_and_gradients() {
-        let g = StepGuard::new(GuardConfig::default());
+        let g = StepGuard::default();
         assert_eq!(g.screen_local(2.0, &healthy_grads()), None);
         // NaN never compares equal, so match structurally.
         assert!(matches!(
@@ -190,24 +178,27 @@ mod tests {
 
     #[test]
     fn spike_screen_respects_warmup_and_factor() {
-        let cfg = GuardConfig { spike_factor: 4.0, ema_decay: 0.9, warmup: 2 };
-        let mut g = StepGuard::new(cfg);
-        // Before warmup: a 100x jump passes.
-        g.record(1.0);
-        assert_eq!(g.screen_local(100.0, &healthy_grads()), None);
-        g.record(1.0);
-        // After warmup: 3x passes, 5x trips.
-        assert_eq!(g.screen_local(3.0, &healthy_grads()), None);
+        let mut g = StepGuard::default();
+        // During the three warm-up steps: a 100x jump passes.
+        for _ in 0..3 {
+            assert_eq!(g.screen_local(100.0, &healthy_grads()), None);
+            g.record(1.0);
+        }
+        // After warmup: 10x (the factor itself) passes, 11x trips.
+        assert_eq!(g.state().ema, 1.0);
+        assert_eq!(g.screen_local(10.0, &healthy_grads()), None);
         assert_eq!(
-            g.screen_local(5.0, &healthy_grads()),
-            Some(Anomaly::LossSpike { value: 5.0, ema: 1.0 })
+            g.screen_local(11.0, &healthy_grads()),
+            Some(Anomaly::LossSpike { value: 11.0, ema: 1.0 })
         );
     }
 
     #[test]
     fn rejected_steps_do_not_move_the_baseline() {
-        let mut g = StepGuard::new(GuardConfig { warmup: 0, ..GuardConfig::default() });
-        g.record(1.0);
+        let mut g = StepGuard::default();
+        for _ in 0..3 {
+            g.record(1.0);
+        }
         let before = g.state();
         assert!(g.screen_local(1e6, &healthy_grads()).is_some());
         // The caller never records a rejected loss; state is untouched.
@@ -217,7 +208,7 @@ mod tests {
     #[test]
     fn agreement_is_a_logical_or_across_ranks() {
         let verdicts = run_ranks(3, |comm| {
-            let g = StepGuard::new(GuardConfig::default());
+            let g = StepGuard::default();
             let quiet = g.agree_any(comm, false);
             let one_flagged = g.agree_any(comm, comm.rank() == 1);
             (quiet, one_flagged)
@@ -230,10 +221,10 @@ mod tests {
 
     #[test]
     fn guard_state_round_trips_through_with_state() {
-        let mut g = StepGuard::new(GuardConfig::default());
+        let mut g = StepGuard::default();
         g.record(2.0);
         g.record(3.0);
-        let resumed = StepGuard::with_state(GuardConfig::default(), g.state());
+        let resumed = StepGuard::with_state(g.state());
         assert_eq!(resumed.state(), g.state());
     }
 }

@@ -12,7 +12,7 @@
 //!    training never notices. Repair counts surface in the report via
 //!    [`fg_comm::WorldComm::stats`].
 //! 2. **Rollback-and-replay** (cheap): when [`ResilientConfig::guard`]
-//!    is set, every step is screened by a [`crate::guard::StepGuard`]
+//!    is on, every step is screened by a [`crate::guard::StepGuard`]
 //!    (NaN/Inf and loss-spike detection with all-rank agreement) before
 //!    the optimizer commits it. A flagged step is rejected on *every*
 //!    rank; all ranks restore the last snapshot **in place** — same
@@ -33,9 +33,10 @@
 //!    the run gives up on `P` instead of giving up on training. The
 //!    driver attributes the dead ranks from the failure reports
 //!    ([`fg_comm::attribute_dead_ranks`]), shrinks to the largest
-//!    viable `P' < P`, re-plans the parallel strategy for the new world
-//!    size (via an injected [`Replanner`] — `fg-perf` provides one that
-//!    re-runs the full performance model — or the model-free
+//!    viable `P' < P` (one failure-driven shrink per run), re-plans the
+//!    parallel strategy for the new world size (via an injected
+//!    [`Replanner`] — `fg-perf` provides one that re-runs the full
+//!    performance model — or the model-free
 //!    [`Strategy::spatial_fallback`]), retags the last snapshot for the
 //!    new [`fg_tensor::ProcGrid`] ([`fg_nn::reshard_train_state`]: the
 //!    snapshot holds whole tensors, so nothing is copied, and the bytes
@@ -59,7 +60,7 @@
 //! not applied; the world resumes as it was) — and finally **soft
 //! eviction** through the degradation rung when the rank is slower than
 //! [`crate::straggler::StragglerConfig::evict_ratio`] or still flagged
-//! once the rebalance budget is spent.
+//! once its one weighted re-decomposition is spent.
 //!
 //! The driver keeps the run's whole record in one ledger: what the
 //! report will say, the step of the newest snapshot, the furthest step
@@ -99,8 +100,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fg_comm::{
-    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, IntegrityConfig,
-    RunOptions, TrafficStats, WorldComm,
+    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, RunOptions,
+    TrafficStats, WorldComm,
 };
 use fg_kernels::loss::Labels;
 use fg_nn::{
@@ -110,7 +111,7 @@ use fg_nn::{
 use fg_tensor::{ProcGrid, Tensor};
 
 use crate::executor::DistExecutor;
-use crate::guard::{GuardConfig, StepGuard};
+use crate::guard::StepGuard;
 use crate::straggler::{
     rebalance_for_stragglers, StragglerAction, StragglerConfig, StragglerGuard,
 };
@@ -164,33 +165,24 @@ pub struct ComputeFault {
 pub type Replanner = Arc<dyn Fn(usize) -> Option<Strategy> + Send + Sync>;
 
 /// Configuration for the elastic-degradation rung (level 4).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct DegradeConfig {
     /// Strategy re-planner for candidate shrunken world sizes; `None`
     /// uses the model-free [`Strategy::spatial_fallback`].
     pub replan: Option<Replanner>,
-    /// Never shrink below this world size.
-    pub min_world: usize,
-    /// How many shrinks a run may perform before giving up (each shrink
-    /// resets the rebuild budget).
-    pub max_shrinks: usize,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig { replan: None, min_world: 1, max_shrinks: 1 }
-    }
 }
 
 impl std::fmt::Debug for DegradeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DegradeConfig")
             .field("replan", &self.replan.as_ref().map(|_| "<fn>"))
-            .field("min_world", &self.min_world)
-            .field("max_shrinks", &self.max_shrinks)
             .finish()
     }
 }
+
+/// How many shrinks a run may perform before giving up (each shrink
+/// resets the rebuild budget).
+const MAX_SHRINKS: usize = 1;
 
 /// Configuration for [`resilient_train`].
 #[derive(Debug, Clone)]
@@ -201,15 +193,15 @@ pub struct ResilientConfig {
     /// degradation is enabled: a shrink resets the budget).
     pub max_restarts: usize,
     /// In-place rollbacks tolerated per attempt before escalating to a
-    /// world rebuild (only reachable when `guard` is set).
+    /// world rebuild (only reachable when `guard` is on).
     pub max_rollbacks: u64,
-    /// Numerical-anomaly screening; `None` disables level 2 of the
+    /// Numerical-anomaly screening; off disables level 2 of the
     /// ladder (steps commit unconditionally).
-    pub guard: Option<GuardConfig>,
-    /// End-to-end message integrity; `None` disables level 1 (faults
+    pub guard: bool,
+    /// End-to-end message integrity; off disables level 1 (faults
     /// hit the training loop directly, as under plain
     /// [`fg_comm::RunOptions::with_faults`]).
-    pub integrity: Option<IntegrityConfig>,
+    pub integrity: bool,
     /// Injected compute error, for exercising the rollback path.
     pub compute_fault: Option<ComputeFault>,
     /// Elastic degradation on permanent rank loss; `None` disables
@@ -230,8 +222,8 @@ impl Default for ResilientConfig {
             ckpt_every: 5,
             max_restarts: 3,
             max_rollbacks: 2,
-            guard: None,
-            integrity: None,
+            guard: false,
+            integrity: false,
             compute_fault: None,
             degrade: None,
             straggler: None,
@@ -579,7 +571,7 @@ fn resume_point(
             0,
         ),
     };
-    let guard = a.cfg.guard.clone().map(|g| StepGuard::with_state(g, guard_state));
+    let guard = a.cfg.guard.then(|| StepGuard::with_state(guard_state));
     (params, opt, losses, guard, step)
 }
 
@@ -791,10 +783,7 @@ pub fn resilient_train(
             slow: &slow,
             rebalances_done: rebalance_tries,
         };
-        let opts = RunOptions {
-            integrity: cfg.integrity.clone(),
-            ..RunOptions::with_faults(attempt_plan)
-        };
+        let opts = RunOptions { integrity: cfg.integrity, ..RunOptions::with_faults(attempt_plan) };
         let ranks = run_ranks_opts(world, opts, |comm| run_rank(&a, comm));
         attempt += 1;
 
@@ -889,7 +878,7 @@ pub fn resilient_train(
         let dc =
             if evict { Some(cfg.degrade.clone().unwrap_or_default()) } else { cfg.degrade.clone() };
         let shrink = dc
-            .filter(|dc| evict || l.report.degradations.len() < dc.max_shrinks)
+            .filter(|_| evict || l.report.degradations.len() < MAX_SHRINKS)
             .and_then(|dc| plan_shrink(&dc, cur_exec, world, dead_ranks));
         let Some(shrink) = shrink else {
             panic!(
@@ -952,7 +941,7 @@ fn plan_shrink(
     let max_p = if dead_ranks.is_empty() { world - 1 } else { survivors.len() };
     let (spec, batch) = (&cur_exec.spec, cur_exec.batch);
     let mut replan_s = 0.0;
-    for p_new in (dc.min_world.max(1)..=max_p.min(world.saturating_sub(1))).rev() {
+    for p_new in (1..=max_p.min(world.saturating_sub(1))).rev() {
         let t = Instant::now();
         let candidate = match &dc.replan {
             Some(f) => f(p_new),
@@ -1056,12 +1045,7 @@ mod tests {
             &x,
             &labels,
             6,
-            &ResilientConfig {
-                ckpt_every: 2,
-                max_restarts: 0,
-                guard: Some(GuardConfig::default()),
-                ..Default::default()
-            },
+            &ResilientConfig { ckpt_every: 2, max_restarts: 0, guard: true, ..Default::default() },
             FaultPlan::default(),
         );
         assert_eq!(report.rollbacks, 0, "healthy training must never trip the guard");
@@ -1121,7 +1105,7 @@ mod tests {
                 ckpt_every: 2,
                 max_restarts: 0,
                 max_rollbacks: 2,
-                guard: Some(GuardConfig::default()),
+                guard: true,
                 compute_fault: Some(ComputeFault { rank: 1, step: 3, scale: f32::NAN }),
                 ..Default::default()
             },
@@ -1150,7 +1134,7 @@ mod tests {
             &ResilientConfig {
                 ckpt_every: 2,
                 max_restarts: 0,
-                guard: Some(GuardConfig::default()),
+                guard: true,
                 compute_fault: Some(ComputeFault { rank: 0, step: 4, scale: 1e4 }),
                 ..Default::default()
             },
@@ -1177,7 +1161,7 @@ mod tests {
                 ckpt_every: 2,
                 max_restarts: 2,
                 max_rollbacks: 0,
-                guard: Some(GuardConfig::default()),
+                guard: true,
                 compute_fault: Some(ComputeFault { rank: 0, step: 1, scale: f32::NAN }),
                 ..Default::default()
             },
@@ -1210,8 +1194,8 @@ mod tests {
             &ResilientConfig {
                 ckpt_every: 2,
                 max_restarts: 0,
-                guard: Some(GuardConfig::default()),
-                integrity: Some(IntegrityConfig::default()),
+                guard: true,
+                integrity: true,
                 ..Default::default()
             },
             FaultPlan::new(11).corrupt_nth(0, 1, 5),
@@ -1385,13 +1369,7 @@ mod tests {
     /// averages both ranks, capping any ratio below 2, so the default
     /// threshold can never fire and a lower one is used.
     fn two_rank_straggler(evict_ratio: f64) -> StragglerConfig {
-        StragglerConfig {
-            threshold: 1.4,
-            evict_ratio,
-            warmup: 1,
-            patience: 2,
-            ..StragglerConfig::default()
-        }
+        StragglerConfig { threshold: 1.4, evict_ratio, warmup: 1, patience: 2 }
     }
 
     #[test]
@@ -1611,10 +1589,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "did not survive")]
-    fn degradation_respects_min_world() {
+    fn degradation_dies_when_no_smaller_world_is_viable() {
         let (exec, params, x, labels) = fixture();
-        // Permanent death at world 2 with min_world = 2: no viable
-        // smaller world exists, so the run must die rather than shrink.
+        // Permanent death at world 2 with a replanner that declines every
+        // size: no viable smaller world exists, so the run must die
+        // rather than shrink.
         resilient_train(
             &exec,
             &params,
@@ -1625,7 +1604,7 @@ mod tests {
             &ResilientConfig {
                 ckpt_every: 2,
                 max_restarts: 0,
-                degrade: Some(DegradeConfig { min_world: 2, ..Default::default() }),
+                degrade: Some(DegradeConfig { replan: Some(Arc::new(|_| None)) }),
                 ..Default::default()
             },
             FaultPlan::new(3).kill_rank_permanently(1, 4),

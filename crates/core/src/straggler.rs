@@ -41,8 +41,9 @@
 //! ([`StragglerConfig::action_for`]): re-decompose the spatial
 //! partition with weights inversely proportional to the measured EMAs
 //! ([`rebalance_for_stragglers`]), or — past
-//! [`StragglerConfig::evict_ratio`], or once the rebalance budget is
-//! spent — softly evict the rank through the elastic-degradation rung.
+//! [`StragglerConfig::evict_ratio`], or once the `MAX_REBALANCES`
+//! budget is spent — softly evict the rank through the
+//! elastic-degradation rung.
 
 use fg_comm::{Collectives, Communicator, ReduceOp, WorldComm};
 use fg_nn::NetworkSpec;
@@ -66,23 +67,18 @@ pub struct StragglerConfig {
     /// Consecutive over-threshold observations required to flag — a
     /// one-step hiccup (page fault, GC pause) is not a gray failure.
     pub patience: u64,
-    /// EMA decay: `ema ← decay·ema + (1 − decay)·busy`.
-    pub ema_decay: f64,
-    /// Weighted re-decompositions tolerated before a still-slow rank is
-    /// evicted instead.
-    pub max_rebalances: usize,
 }
+
+/// EMA decay: `ema ← decay·ema + (1 − decay)·busy`.
+const EMA_DECAY: f64 = 0.5;
+
+/// Weighted re-decompositions tolerated before a still-slow rank is
+/// evicted instead.
+const MAX_REBALANCES: usize = 1;
 
 impl Default for StragglerConfig {
     fn default() -> Self {
-        StragglerConfig {
-            threshold: 2.0,
-            evict_ratio: 6.0,
-            warmup: 2,
-            patience: 2,
-            ema_decay: 0.5,
-            max_rebalances: 1,
-        }
+        StragglerConfig { threshold: 2.0, evict_ratio: 6.0, warmup: 2, patience: 2 }
     }
 }
 
@@ -116,7 +112,7 @@ impl StragglerConfig {
     /// The mitigation rung for a confirmed flag: rebalance while the
     /// budget lasts and the slowdown is moderate, evict otherwise.
     pub fn action_for(&self, ratio: f64, rebalances_done: usize) -> StragglerAction {
-        if ratio >= self.evict_ratio || rebalances_done >= self.max_rebalances {
+        if ratio >= self.evict_ratio || rebalances_done >= MAX_REBALANCES {
             StragglerAction::Evict
         } else {
             StragglerAction::Rebalance
@@ -179,11 +175,7 @@ impl StragglerGuard {
         onehot[comm.rank()] = busy_delta_nanos as f64;
         let times = comm.allreduce(&onehot, ReduceOp::Sum);
         for (e, &t) in self.ema.iter_mut().zip(&times) {
-            *e = if self.steps == 0 {
-                t
-            } else {
-                self.cfg.ema_decay * *e + (1.0 - self.cfg.ema_decay) * t
-            };
+            *e = if self.steps == 0 { t } else { EMA_DECAY * *e + (1.0 - EMA_DECAY) * t };
         }
         self.steps += 1;
         let ratios = self.ratios();
@@ -327,22 +319,27 @@ mod tests {
     #[test]
     fn transient_hiccups_reset_patience_and_never_flag() {
         let verdicts = run_ranks(4, |comm| {
-            let mut g = StragglerGuard::new(
-                StragglerConfig { warmup: 1, patience: 2, ema_decay: 0.0, ..cfg() },
-                4,
-            );
-            let mut flags = 0;
+            let mut g = StragglerGuard::new(StragglerConfig { warmup: 1, patience: 2, ..cfg() }, 4);
+            let (mut flags, mut crossings) = (0, 0);
             for step in 0..12u64 {
-                // Rank 1 spikes on alternating steps only: over-threshold
-                // observations never run `patience` deep.
-                let mine = if comm.rank() == 1 && step % 2 == 0 { 5_000_000 } else { 1_000_000 };
+                // Rank 1 spikes 3.5x on odd steps only: its EMA crosses
+                // the 2x threshold on every spike and falls back under it
+                // on the next step, so over-threshold observations never
+                // run `patience` deep.
+                let mine = if comm.rank() == 1 && step % 2 == 1 { 3_500_000 } else { 1_000_000 };
                 if g.observe(comm, mine).is_some() {
                     flags += 1;
                 }
+                if g.ratios()[1] > g.cfg.threshold {
+                    crossings += 1;
+                }
             }
-            flags
+            (flags, crossings)
         });
-        assert!(verdicts.iter().all(|&f| f == 0), "a transient hiccup is not a gray failure");
+        for (flags, crossings) in verdicts {
+            assert_eq!(flags, 0, "a transient hiccup is not a gray failure");
+            assert_eq!(crossings, 6, "every spike must cross the threshold");
+        }
     }
 
     #[test]
@@ -406,7 +403,7 @@ mod tests {
     fn action_escalates_past_the_budget_and_the_evict_ratio() {
         let c = StragglerConfig::default();
         assert_eq!(c.action_for(3.0, 0), StragglerAction::Rebalance);
-        assert_eq!(c.action_for(3.0, c.max_rebalances), StragglerAction::Evict);
+        assert_eq!(c.action_for(3.0, MAX_REBALANCES), StragglerAction::Evict);
         assert_eq!(c.action_for(c.evict_ratio, 0), StragglerAction::Evict);
     }
 

@@ -115,18 +115,19 @@ impl Redundancy {
     }
 }
 
-/// Configuration of a [`CkptStore`].
+/// Configuration of a [`CkptStore`]: [`StoreConfig::at`], then the
+/// builder methods.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Root directory; created if absent.
-    pub dir: PathBuf,
+    dir: PathBuf,
     /// Redundancy applied to every stored version.
-    pub redundancy: Redundancy,
+    redundancy: Redundancy,
     /// Keep the newest `retention` versions (≥ 1); older ones are
     /// pruned after each successful publish.
-    pub retention: usize,
+    retention: usize,
     /// Seeded storage-fault injection; `None` writes faithfully.
-    pub faults: Option<StorageFaultPlan>,
+    faults: Option<StorageFaultPlan>,
 }
 
 impl StoreConfig {
@@ -621,7 +622,6 @@ impl CkptStore {
     /// Create (or re-open) the store rooted at `cfg.dir`, sweeping any
     /// temp directories a crashed commit left behind.
     pub fn create(cfg: StoreConfig) -> Result<CkptStore, CheckpointError> {
-        let cfg = StoreConfig { retention: cfg.retention.max(1), ..cfg };
         fs::create_dir_all(&cfg.dir).map_err(|e| CheckpointError::io_at(&cfg.dir, e))?;
         let mut store = CkptStore { cfg, next_version: 1, calls: 0, counters: Default::default() };
         store.sweep_tmp();

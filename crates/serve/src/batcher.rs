@@ -6,10 +6,10 @@
 //!
 //! 1. **size** — the batch reached `max_batch`;
 //! 2. **slack** — the oldest deadline's remaining slack fell to the
-//!    dispatch-cost estimate (EMA of observed batch latencies) plus the
-//!    configured safety margin: waiting longer would spend the time the
-//!    dispatch itself needs;
-//! 3. **linger** — the oldest request has waited `batch_linger`, the
+//!    dispatch-cost estimate (EMA of observed batch latencies) plus a
+//!    safety margin: waiting longer would spend the time the dispatch
+//!    itself needs;
+//! 3. **linger** — the oldest request has waited `BATCH_LINGER`, the
 //!    cap that keeps lone requests with generous deadlines from
 //!    queueing indefinitely for company.
 //!
@@ -33,7 +33,14 @@ use crossbeam::channel::Sender;
 
 use crate::error::ServeError;
 use crate::queue::{AdmissionQueue, Admitted};
-use crate::server::ServerShared;
+use crate::server::{ServerShared, DISPATCHERS};
+
+/// Safety margin added to the cost estimate in the batch-close rule.
+const BATCH_SLACK_MARGIN: Duration = Duration::from_micros(500);
+
+/// Maximum time the oldest request may linger in an open batch,
+/// regardless of remaining deadline slack.
+const BATCH_LINGER: Duration = Duration::from_millis(2);
 
 /// A closed batch on its way to a dispatcher.
 pub(crate) struct ClosedBatch {
@@ -62,14 +69,14 @@ pub(crate) fn run_batcher(
 
         let now = Instant::now();
         let raw_est = shared.cost.estimate();
-        let est = raw_est + cfg.batch_slack_margin;
+        let est = raw_est + BATCH_SLACK_MARGIN;
         // Expired — and *doomed* — requests exit the batch typed, not
         // dispatched: a request whose remaining slack is already below
         // the dispatch-cost estimate cannot make its deadline, and
         // serving it anyway burns replica time that fresh requests
         // need. Under overload this is what keeps goodput at capacity
         // instead of collapsing into 100%-wasted work. (The cull
-        // threshold sits `batch_slack_margin` below the slack-close
+        // threshold sits `BATCH_SLACK_MARGIN` below the slack-close
         // threshold, so a batch still closes and dispatches in the
         // window between them.)
         open.retain(|r| {
@@ -87,7 +94,7 @@ pub(crate) fn run_batcher(
         let nearest_deadline = open.iter().map(|r| r.deadline).min().expect("non-empty");
         let oldest_admitted = open.iter().map(|r| r.admitted_at).min().expect("non-empty");
         let close_by_slack = nearest_deadline.saturating_duration_since(now) <= est;
-        let close_by_linger = now.duration_since(oldest_admitted) >= cfg.batch_linger;
+        let close_by_linger = now.duration_since(oldest_admitted) >= BATCH_LINGER;
         if open.len() >= cfg.max_batch || close_by_slack || close_by_linger {
             // Bounded dispatch window: at most one queued batch beyond
             // the active dispatchers. When the window is full, keep
@@ -95,7 +102,7 @@ pub(crate) fn run_batcher(
             // efficient response to pressure — and let overload back up
             // into the bounded admission queue, where it sheds typed at
             // submit instead of silently aging here.
-            let window = cfg.dispatchers.max(1) + 1;
+            let window = DISPATCHERS + 1;
             if shared.inflight_batches.load(Ordering::Acquire) < window {
                 shared.metrics.batches.fetch_add(1, Ordering::AcqRel);
                 shared.metrics.batched_requests.fetch_add(open.len() as u64, Ordering::AcqRel);
@@ -114,7 +121,7 @@ pub(crate) fn run_batcher(
 
         // Wait for company, but never past the earliest close condition.
         let until_slack = nearest_deadline.saturating_duration_since(now).saturating_sub(est);
-        let until_linger = (oldest_admitted + cfg.batch_linger).saturating_duration_since(now);
+        let until_linger = (oldest_admitted + BATCH_LINGER).saturating_duration_since(now);
         let wait = until_slack
             .min(until_linger)
             .clamp(Duration::from_micros(50), Duration::from_millis(1));

@@ -25,27 +25,15 @@ use std::time::{Duration, Instant};
 
 use fg_comm::TrafficStats;
 
-/// Breaker tuning.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive dispatch failures that open the breaker.
-    pub failure_threshold: u32,
-    /// Time an open breaker waits before offering a half-open probe.
-    pub cooldown: Duration,
-    /// Integrity repairs (drops retransmitted + corruptions repaired)
-    /// per job above which an epoch's traffic counts as a soft failure.
-    pub repair_alert: f64,
-}
+/// Consecutive dispatch failures that open the breaker.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(25),
-            repair_alert: 32.0,
-        }
-    }
-}
+/// Time an open breaker waits before offering a half-open probe.
+const COOLDOWN: Duration = Duration::from_millis(25);
+
+/// Integrity repairs (drops retransmitted + corruptions repaired) per
+/// job above which an epoch's traffic counts as a soft failure.
+const REPAIR_ALERT: f64 = 32.0;
 
 /// Observable breaker state (for metrics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,14 +57,16 @@ enum State {
 #[derive(Debug)]
 pub struct CircuitBreaker {
     state: Mutex<State>,
-    cfg: BreakerConfig,
+}
+
+impl Default for CircuitBreaker {
+    /// A closed breaker with no failures recorded.
+    fn default() -> CircuitBreaker {
+        CircuitBreaker { state: Mutex::new(State::Closed { consecutive: 0 }) }
+    }
 }
 
 impl CircuitBreaker {
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker { state: Mutex::new(State::Closed { consecutive: 0 }), cfg }
-    }
-
     /// Read-only view.
     pub fn state(&self) -> BreakerState {
         match *self.state.lock().unwrap() {
@@ -95,7 +85,7 @@ impl CircuitBreaker {
         match &mut *s {
             State::Closed { .. } => true,
             State::Open { since } => {
-                if since.elapsed() >= self.cfg.cooldown {
+                if since.elapsed() >= COOLDOWN {
                     *s = State::HalfOpen { probing: true };
                     true
                 } else {
@@ -118,7 +108,7 @@ impl CircuitBreaker {
         let s = self.state.lock().unwrap();
         match &*s {
             State::Closed { .. } => true,
-            State::Open { since } => since.elapsed() >= self.cfg.cooldown,
+            State::Open { since } => since.elapsed() >= COOLDOWN,
             State::HalfOpen { probing } => !*probing,
         }
     }
@@ -134,7 +124,7 @@ impl CircuitBreaker {
         match &mut *s {
             State::Closed { consecutive } => {
                 *consecutive += 1;
-                if *consecutive >= self.cfg.failure_threshold {
+                if *consecutive >= FAILURE_THRESHOLD {
                     *s = State::Open { since: Instant::now() };
                 }
             }
@@ -155,17 +145,8 @@ impl CircuitBreaker {
         *self.state.lock().unwrap() = State::HalfOpen { probing: false };
     }
 
-    /// Release an acquired probe without a verdict (the neutral, slower
-    /// half of a hedge pair): the probe slot becomes available again.
-    pub fn release_probe(&self) {
-        let mut s = self.state.lock().unwrap();
-        if let State::HalfOpen { probing } = &mut *s {
-            *probing = false;
-        }
-    }
-
     /// Soft health signal from an epoch's traffic: if the integrity
-    /// layer repaired more than `repair_alert` incidents per job, the
+    /// layer repaired more than `REPAIR_ALERT` incidents per job, the
     /// replica's links are degraded — count one failure so sustained
     /// gray traffic opens the breaker.
     pub fn note_health(&self, stats: &TrafficStats, jobs: u64) {
@@ -173,7 +154,7 @@ impl CircuitBreaker {
             return;
         }
         let repairs = (stats.retransmits() + stats.corrupt_repaired()) as f64;
-        if repairs / jobs as f64 > self.cfg.repair_alert {
+        if repairs / jobs as f64 > REPAIR_ALERT {
             self.record_failure();
         }
     }
@@ -183,24 +164,18 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn fast() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_millis(5),
-            repair_alert: 4.0,
-        }
-    }
-
     #[test]
     fn opens_after_threshold_then_recloses_via_probe() {
-        let b = CircuitBreaker::new(fast());
+        let b = CircuitBreaker::default();
         assert!(b.try_acquire());
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Closed);
+        for _ in 1..FAILURE_THRESHOLD {
+            b.record_failure();
+            assert_eq!(b.state(), BreakerState::Closed);
+        }
         b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.try_acquire(), "open breaker refuses inside cooldown");
-        std::thread::sleep(Duration::from_millis(6));
+        std::thread::sleep(COOLDOWN + Duration::from_millis(1));
         assert!(b.try_acquire(), "cooldown elapsed: half-open probe");
         assert!(!b.try_acquire(), "only one probe at a time");
         b.record_success();
@@ -209,7 +184,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_and_trip_is_immediate() {
-        let b = CircuitBreaker::new(fast());
+        let b = CircuitBreaker::default();
         b.trip();
         assert_eq!(b.state(), BreakerState::Open);
         b.probe();
@@ -220,18 +195,19 @@ mod tests {
 
     #[test]
     fn repair_traffic_counts_as_soft_failures() {
-        let b = CircuitBreaker::new(fast());
+        let b = CircuitBreaker::default();
         let mut stats = TrafficStats::default();
         for _ in 0..100 {
             stats.record_retransmit();
             stats.record_corrupt_repaired();
         }
-        b.note_health(&stats, 10); // 20 repairs/job > 4.0
-        b.note_health(&stats, 10);
+        for _ in 0..FAILURE_THRESHOLD {
+            b.note_health(&stats, 5); // 40 repairs/job > 32.0
+        }
         assert_eq!(b.state(), BreakerState::Open);
         b.record_success();
         let healthy = TrafficStats::default();
-        b.note_health(&healthy, 10);
+        b.note_health(&healthy, 5);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

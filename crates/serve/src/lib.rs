@@ -11,10 +11,9 @@
 //!
 //! Robustness is request-shaped, not step-shaped:
 //!
-//! * per-dispatch **timeout**, **retry with exponential backoff**, and
-//!   optional **hedging** to a second replica (replicas are
-//!   deterministic functions of the request batch, so the first reply
-//!   wins safely);
+//! * per-dispatch **timeout** and **retry with exponential backoff** on
+//!   a different replica (replicas are deterministic functions of the
+//!   request batch, so which one answers is unobservable);
 //! * a per-replica **circuit breaker** fed by dispatch outcomes,
 //!   world-death (watchdog / rank-failure) signals, and
 //!   [`fg_comm::TrafficStats`] repair-traffic health;
@@ -44,7 +43,7 @@ pub mod queue;
 pub mod replica;
 pub mod server;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerState, CircuitBreaker};
 pub use error::ServeError;
 pub use loadgen::{run_load, LoadConfig, LoadMode, LoadReport};
 pub use replica::ReplicaSpec;
@@ -62,45 +61,11 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Close a batch at this many requests.
     pub max_batch: usize,
-    /// Dispatcher threads pulling closed batches to replicas.
-    pub dispatchers: usize,
-    /// Initial dispatch-cost estimate (one batch, submit → reply); the
-    /// batcher and router refine it with an EMA of observed latencies.
-    pub cost_prior: Duration,
-    /// Safety margin added to the cost estimate in the batch-close rule.
-    pub batch_slack_margin: Duration,
-    /// Maximum time the oldest request may linger in an open batch,
-    /// regardless of remaining deadline slack.
-    pub batch_linger: Duration,
-    /// Cap on one dispatch attempt's wait (also bounded by the batch's
-    /// nearest deadline).
-    pub attempt_timeout: Duration,
-    /// Dispatch attempts per batch beyond the first.
-    pub max_retries: u32,
-    /// Base of the exponential retry backoff (doubles per attempt).
-    pub retry_backoff: Duration,
-    /// Hedge to a second replica if the primary has not replied this
-    /// long after dispatch (`None` disables hedging).
-    pub hedge_after: Option<Duration>,
-    /// Per-replica circuit-breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig {
-            queue_capacity: 256,
-            max_batch: 8,
-            dispatchers: 2,
-            cost_prior: Duration::from_millis(2),
-            batch_slack_margin: Duration::from_micros(500),
-            batch_linger: Duration::from_millis(2),
-            attempt_timeout: Duration::from_millis(60),
-            max_retries: 4,
-            retry_backoff: Duration::from_micros(500),
-            hedge_after: None,
-            breaker: BreakerConfig::default(),
-        }
+        ServerConfig { queue_capacity: 256, max_batch: 8 }
     }
 }
 

@@ -39,36 +39,27 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fg_comm::{
-    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, IntegrityConfig,
-    RunOptions, TrafficStats, WorldComm,
+    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, RunOptions,
+    TrafficStats, WorldComm,
 };
 use fg_core::{DistExecutor, ServableModel, Strategy};
 use fg_tensor::{ProcGrid, Tensor};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 
 /// Static description of one replica's world.
 #[derive(Debug, Clone)]
 pub struct ReplicaSpec {
-    /// Initial world size (ranks).
-    pub world: usize,
-    /// Initial process grid (must have `grid.size() == world`).
+    /// Initial process grid; the world has `grid.size()` ranks.
     pub grid: ProcGrid,
     /// Fault plan injected under this replica (chaos experiments).
     pub faults: FaultPlan,
-    /// Receiver-side integrity repair tuning.
-    pub integrity: IntegrityConfig,
 }
 
 impl ReplicaSpec {
     /// A healthy replica: `grid.size()` ranks, no injected faults.
     pub fn healthy(grid: ProcGrid) -> ReplicaSpec {
-        ReplicaSpec {
-            world: grid.size(),
-            grid,
-            faults: FaultPlan::new(0),
-            integrity: IntegrityConfig::default(),
-        }
+        ReplicaSpec { grid, faults: FaultPlan::new(0) }
     }
 
     /// The same world with a fault plan injected.
@@ -80,27 +71,19 @@ impl ReplicaSpec {
 
 /// One batch job, shared (via `Arc`) by every rank of an epoch.
 pub(crate) struct BatchJob {
-    /// Dispatch-unique id (reply matching, incl. hedges).
-    pub id: u64,
     /// Real (unpadded) request count; rows beyond it are padding.
     pub n_real: usize,
     /// The padded global batch, `(padded, C, H, W)`.
     pub x: Tensor,
-    /// Reply channel back to the dispatcher.
+    /// Reply channel back to the dispatcher, which awaits this job
+    /// alone on it.
     pub reply: Sender<JobReply>,
 }
 
-/// A reply for one batch job.
-#[derive(Debug)]
-pub(crate) struct JobReply {
-    /// The job this answers.
-    pub job: u64,
-    /// Which replica produced it.
-    pub replica: usize,
-    /// Per-request logits rows (`n_real` of them), or `None` when the
-    /// replica failed and the job should be retried elsewhere.
-    pub rows: Option<Vec<Vec<f32>>>,
-}
+/// The one reply to a batch job: per-request logits rows (`n_real` of
+/// them), or `None` when the replica failed and the job should be
+/// retried elsewhere.
+pub(crate) type JobReply = Option<Vec<Vec<f32>>>;
 
 /// Messages on a rank's job channel.
 pub(crate) enum RankMsg {
@@ -160,13 +143,11 @@ impl Replica {
         spec: ReplicaSpec,
         model: Arc<ServableModel>,
         max_batch: usize,
-        breaker_cfg: BreakerConfig,
         stop: Arc<AtomicBool>,
     ) -> Arc<Replica> {
-        assert_eq!(spec.grid.size(), spec.world, "replica grid must match its world size");
         let replica = Arc::new(Replica {
             id,
-            breaker: CircuitBreaker::new(breaker_cfg),
+            breaker: CircuitBreaker::default(),
             session: Mutex::new(None),
             submit_lock: Mutex::new(()),
             outstanding: AtomicUsize::new(0),
@@ -298,7 +279,7 @@ fn run_driver(
     spec: ReplicaSpec,
     max_batch: usize,
 ) {
-    let mut world = spec.world;
+    let mut world = spec.grid.size();
     let mut plan = spec.faults.clone();
     let mut strategy = Strategy::uniform(&model.spec, spec.grid);
     let mut epoch: u64 = 0;
@@ -332,14 +313,14 @@ fn run_driver(
             replica.breaker.probe();
         }
 
-        let opts = RunOptions::with_faults_integrity(plan.clone(), spec.integrity.clone());
+        let opts = RunOptions::with_faults_integrity(plan.clone());
         let results =
             run_ranks_opts(world, opts, |comm| serve_rank(comm, replica, &session, model));
 
         // The epoch ended: unpublish and route traffic around us.
         *replica.session.lock().unwrap() = None;
         replica.breaker.trip();
-        drain_session(replica.id, &session);
+        drain_session(&session);
 
         // Health: aggregate the epoch's repair traffic.
         let mut stats = TrafficStats::default();
@@ -388,12 +369,12 @@ fn run_driver(
 /// dispatchers retry immediately instead of waiting out timeouts. All
 /// ranks hold the same job sequence; draining rank 0's channel (plus
 /// the others, for Arcs' sake) covers every queued job exactly once.
-fn drain_session(replica: usize, session: &Session) {
+fn drain_session(session: &Session) {
     for (rank, rx) in session.rank_rx.iter().enumerate() {
         while let Ok(msg) = rx.try_recv() {
             if rank == 0 {
                 if let RankMsg::Job(job) = msg {
-                    let _ = job.reply.send(JobReply { job: job.id, replica, rows: None });
+                    let _ = job.reply.send(None);
                 }
             }
         }
@@ -428,11 +409,7 @@ fn serve_rank(
                         if rank == 0 {
                             let full = assembled.expect("root rank receives the assembly");
                             let rows = slice_rows(&full, job.n_real);
-                            let _ = job.reply.send(JobReply {
-                                job: job.id,
-                                replica: replica.id,
-                                rows: Some(rows),
-                            });
+                            let _ = job.reply.send(Some(rows));
                         }
                     }
                     Err(payload) => {

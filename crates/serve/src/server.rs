@@ -2,13 +2,11 @@
 //!
 //! Dispatchers implement the routing policy: breaker-aware least-loaded
 //! replica selection, a per-dispatch timeout bounded by the batch's
-//! nearest deadline, retry with exponential backoff on a different
-//! replica, and optional hedging — a duplicate dispatch to a second
-//! replica once the primary is slower than the hedge threshold, first
-//! reply wins. Hedging is safe by construction: a replica's reply is a
-//! deterministic function of the dispatched batch (the crate-level
-//! contract pins it to the serial reference), so *which* replica
-//! answers is unobservable to the client.
+//! nearest deadline, and retry with exponential backoff on a different
+//! replica. Retrying elsewhere is safe by construction: a replica's
+//! reply is a deterministic function of the dispatched batch (the
+//! crate-level contract pins it to the serial reference), so *which*
+//! replica answers is unobservable to the client.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,6 +23,23 @@ use crate::queue::{AdmissionQueue, Admitted};
 use crate::replica::{BatchJob, JobReply, Replica, ReplicaSpec};
 use crate::{CostEstimator, ServerConfig};
 
+/// Dispatcher threads pulling closed batches to replicas.
+pub(crate) const DISPATCHERS: usize = 2;
+
+/// Initial dispatch-cost estimate (one batch, submit → reply); the
+/// batcher and router refine it with an EMA of observed latencies.
+const COST_PRIOR: Duration = Duration::from_millis(2);
+
+/// Cap on one dispatch attempt's wait (also bounded by the batch's
+/// nearest deadline).
+const ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Dispatch attempts per batch beyond the first.
+const MAX_RETRIES: u32 = 6;
+
+/// Base of the exponential retry backoff (doubles per attempt).
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+
 /// A completed request's payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferReply {
@@ -34,12 +49,10 @@ pub struct InferReply {
     pub logits: Vec<f32>,
     /// Admission → completion latency.
     pub latency: Duration,
-    /// Replica that produced the winning reply.
+    /// Replica that produced the reply.
     pub replica: usize,
     /// Real requests in the dispatched batch.
     pub batch: usize,
-    /// Whether a hedge dispatch was in flight.
-    pub hedged: bool,
     /// Dispatch attempts beyond the first.
     pub retries: u32,
 }
@@ -84,7 +97,6 @@ pub(crate) struct Metrics {
     pub batches: AtomicU64,
     pub batched_requests: AtomicU64,
     pub dispatch_retries: AtomicU64,
-    pub hedges: AtomicU64,
 }
 
 /// A point-in-time copy of the serving counters.
@@ -109,8 +121,6 @@ pub struct MetricsSnapshot {
     pub batched_requests: u64,
     /// Dispatch attempts beyond each batch's first.
     pub dispatch_retries: u64,
-    /// Hedge dispatches issued.
-    pub hedges: u64,
     /// World rebuilds across all replicas (rank deaths absorbed).
     pub replica_recycles: u64,
 }
@@ -128,7 +138,6 @@ pub(crate) struct ServerShared {
     /// typed — instead of into an invisible dispatch backlog that blows
     /// every deadline.
     pub(crate) inflight_batches: AtomicUsize,
-    next_job: AtomicU64,
     input_chw: (usize, usize, usize),
 }
 
@@ -166,14 +175,7 @@ impl Server {
             .into_iter()
             .enumerate()
             .map(|(i, spec)| {
-                Replica::spawn(
-                    i,
-                    spec,
-                    Arc::clone(&model),
-                    cfg.max_batch,
-                    cfg.breaker.clone(),
-                    Arc::clone(&stop),
-                )
+                Replica::spawn(i, spec, Arc::clone(&model), cfg.max_batch, Arc::clone(&stop))
             })
             .collect();
         // Bounded warmup: wait for first sessions (plan compilation). A
@@ -194,13 +196,12 @@ impl Server {
         }
 
         let shared = Arc::new(ServerShared {
-            cost: CostEstimator::new(cfg.cost_prior),
+            cost: CostEstimator::new(COST_PRIOR),
             cfg,
             stop,
             metrics: Metrics::default(),
             replicas,
             inflight_batches: AtomicUsize::new(0),
-            next_job: AtomicU64::new(0),
             input_chw,
         });
         let queue = Arc::new(AdmissionQueue::new(shared.cfg.queue_capacity));
@@ -215,7 +216,7 @@ impl Server {
                 .spawn(move || run_batcher(&shared, &queue, &tx))
                 .expect("spawn batcher")
         };
-        let dispatchers = (0..shared.cfg.dispatchers.max(1))
+        let dispatchers = (0..DISPATCHERS)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let rx = dispatch_rx.clone();
@@ -263,7 +264,6 @@ impl Server {
             batches: m.batches.load(Ordering::Acquire),
             batched_requests: m.batched_requests.load(Ordering::Acquire),
             dispatch_retries: m.dispatch_retries.load(Ordering::Acquire),
-            hedges: m.hedges.load(Ordering::Acquire),
             replica_recycles: self.shared.replicas.iter().map(|r| r.recycles()).sum(),
         }
     }
@@ -341,24 +341,9 @@ fn pick_replica(shared: &ServerShared, exclude: &[usize]) -> Option<Arc<Replica>
     candidates.into_iter().find(|r| r.breaker.try_acquire()).map(Arc::clone)
 }
 
-/// Outcome bookkeeping for every replica a dispatch attempt touched.
-enum Verdict {
-    Won,
-    Failed,
-    /// Slower half of a hedge pair: no evidence either way.
-    Neutral,
-}
-
-struct AttemptSuccess {
-    rows: Vec<Vec<f32>>,
-    replica: usize,
-    hedged: bool,
-    latency: Duration,
-}
-
-/// Serve one closed batch to completion: pick → dispatch → (hedge) →
-/// retry with backoff → typed failure. Every request gets exactly one
-/// terminal reply.
+/// Serve one closed batch to completion: pick → dispatch → retry with
+/// backoff → typed failure. Every request gets exactly one terminal
+/// reply.
 fn serve_batch(shared: &Arc<ServerShared>, reqs: Vec<Admitted>) {
     if shared.stop.load(Ordering::Acquire) {
         fail_all(shared, &reqs, &ServeError::Shutdown);
@@ -390,12 +375,12 @@ fn serve_batch(shared: &Arc<ServerShared>, reqs: Vec<Admitted>) {
             return;
         }
         let min_deadline = live.iter().map(|r| r.deadline).min().expect("non-empty");
-        if attempts > shared.cfg.max_retries {
+        if attempts > MAX_RETRIES {
             fail_all(shared, &live, &ServeError::RetriesExhausted { attempts });
             return;
         }
         let picked = pick_replica(shared, &exclude).or_else(|| pick_replica(shared, &[]));
-        let Some(primary) = picked else {
+        let Some(replica) = picked else {
             // Every breaker open or every session down (rebuilds in
             // progress): wait a beat, bounded by the deadline.
             std::thread::sleep(
@@ -403,31 +388,28 @@ fn serve_batch(shared: &Arc<ServerShared>, reqs: Vec<Admitted>) {
             );
             continue;
         };
-        let budget = min_deadline.saturating_duration_since(now).min(shared.cfg.attempt_timeout);
-        match try_once(shared, &live, &primary, budget) {
-            Ok(win) => {
+        let budget = min_deadline.saturating_duration_since(now).min(ATTEMPT_TIMEOUT);
+        match try_once(shared, &live, &replica, budget) {
+            Some((rows, latency)) => {
                 let done = Instant::now();
                 for (i, r) in live.iter().enumerate() {
                     shared.metrics.completed_ok.fetch_add(1, Ordering::AcqRel);
                     let _ = r.reply.send(Ok(InferReply {
-                        logits: win.rows[i].clone(),
+                        logits: rows[i].clone(),
                         latency: done.saturating_duration_since(r.admitted_at),
-                        replica: win.replica,
+                        replica: replica.id,
                         batch: live.len(),
-                        hedged: win.hedged,
                         retries: attempts,
                     }));
                 }
-                shared.cost.observe(win.latency);
+                shared.cost.observe(latency);
                 return;
             }
-            Err(failed) => {
+            None => {
                 attempts += 1;
                 shared.metrics.dispatch_retries.fetch_add(1, Ordering::AcqRel);
-                exclude = failed;
-                let backoff = shared
-                    .cfg
-                    .retry_backoff
+                exclude = vec![replica.id];
+                let backoff = RETRY_BACKOFF
                     .saturating_mul(1 << (attempts - 1).min(6))
                     .min(Duration::from_millis(20))
                     .min(min_deadline.saturating_duration_since(Instant::now()) / 4);
@@ -437,121 +419,44 @@ fn serve_batch(shared: &Arc<ServerShared>, reqs: Vec<Admitted>) {
     }
 }
 
-/// One dispatch attempt (primary plus optional hedge). `Ok` carries the
-/// winning rows; `Err` lists the replica ids that failed, for the retry
-/// exclusion set. Breakers of every touched replica are resolved here.
+/// One dispatch attempt on `replica`, waiting at most `budget`. `Some`
+/// carries the reply rows and the attempt's latency; `None` means the
+/// attempt failed, for the retry to exclude this replica. A dispatched
+/// job's outcome is recorded on the replica's breaker; a job the
+/// replica could not take (no live session) records nothing.
 fn try_once(
-    shared: &Arc<ServerShared>,
+    shared: &ServerShared,
     reqs: &[Admitted],
-    primary: &Arc<Replica>,
+    replica: &Replica,
     budget: Duration,
-) -> Result<AttemptSuccess, Vec<usize>> {
-    let (reply_tx, reply_rx) = unbounded::<JobReply>();
+) -> Option<(Vec<Vec<f32>>, Duration)> {
     let start = Instant::now();
-    let deadline = start + budget;
-
-    // (replica, job id, verdict) for everything we dispatched to.
-    let mut touched: Vec<(Arc<Replica>, u64, Verdict)> = Vec::new();
-    let mut hedged = false;
-
-    let submit = |replica: &Arc<Replica>,
-                  touched: &mut Vec<(Arc<Replica>, u64, Verdict)>|
-     -> bool {
-        let Some(session) = replica.current_session() else { return false };
-        let Some(padded) = session.padded_size(reqs.len()) else { return false };
-        let job_id = shared.next_job.fetch_add(1, Ordering::AcqRel);
-        let (c, h, w) = shared.input_chw;
-        let mut x = Tensor::zeros(Shape4::new(padded, c, h, w));
-        let row = c * h * w;
-        for (i, r) in reqs.iter().enumerate() {
-            x.as_mut_slice()[i * row..(i + 1) * row].copy_from_slice(r.x.as_slice());
-        }
-        let job = Arc::new(BatchJob { id: job_id, n_real: reqs.len(), x, reply: reply_tx.clone() });
-        if !replica.submit_job(&job) {
-            return false;
-        }
-        replica.outstanding.fetch_add(1, Ordering::AcqRel);
-        touched.push((Arc::clone(replica), job_id, Verdict::Failed));
-        true
-    };
-
-    let resolve = |touched: Vec<(Arc<Replica>, u64, Verdict)>| {
-        for (replica, _, verdict) in &touched {
-            replica.outstanding.fetch_sub(1, Ordering::AcqRel);
-            match verdict {
-                Verdict::Won => replica.breaker.record_success(),
-                Verdict::Failed => replica.breaker.record_failure(),
-                Verdict::Neutral => replica.breaker.release_probe(),
-            }
-        }
-        touched
-            .iter()
-            .filter(|(_, _, v)| matches!(v, Verdict::Failed))
-            .map(|(r, _, _)| r.id)
-            .collect::<Vec<_>>()
-    };
-
-    if !submit(primary, &mut touched) {
-        return Err(resolve(touched).into_iter().chain([primary.id]).collect());
+    let session = replica.current_session()?;
+    let padded = session.padded_size(reqs.len())?;
+    let (c, h, w) = shared.input_chw;
+    let mut x = Tensor::zeros(Shape4::new(padded, c, h, w));
+    let row = c * h * w;
+    for (i, r) in reqs.iter().enumerate() {
+        x.as_mut_slice()[i * row..(i + 1) * row].copy_from_slice(r.x.as_slice());
     }
-
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(resolve(touched));
-        }
-        // Hedge once the primary is slower than the threshold.
-        let mut wait = deadline.saturating_duration_since(now);
-        if let (Some(after), false) = (shared.cfg.hedge_after, hedged) {
-            let hedge_at = start + after;
-            if now >= hedge_at {
-                hedged = true;
-                if let Some(second) = pick_replica(shared, &[primary.id]) {
-                    if submit(&second, &mut touched) {
-                        shared.metrics.hedges.fetch_add(1, Ordering::AcqRel);
-                        touched.last_mut().expect("just pushed").2 = Verdict::Neutral;
-                        // The primary also becomes neutral-unless-it-fails:
-                        // both are racing now; losing the race is not a
-                        // failure verdict.
-                        touched[0].2 = Verdict::Neutral;
-                    } else {
-                        second.breaker.record_failure();
-                    }
-                }
-            } else {
-                wait = wait.min(hedge_at.saturating_duration_since(now));
-            }
-        }
-        match reply_rx.recv_timeout(wait) {
-            Ok(rep) => {
-                let Some(slot) = touched.iter().position(|(_, id, _)| *id == rep.job) else {
-                    continue; // stale duplicate; ignore
-                };
-                match rep.rows {
-                    Some(rows) => {
-                        touched[slot].2 = Verdict::Won;
-                        let latency = start.elapsed();
-                        resolve(touched);
-                        return Ok(AttemptSuccess { rows, replica: rep.replica, hedged, latency });
-                    }
-                    None => {
-                        touched[slot].2 = Verdict::Failed;
-                        let all_failed =
-                            touched.iter().all(|(_, _, v)| matches!(v, Verdict::Failed));
-                        if all_failed {
-                            return Err(resolve(touched));
-                        }
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // Every job Arc dropped without a reply: dead worlds.
-                for t in &mut touched {
-                    t.2 = Verdict::Failed;
-                }
-                return Err(resolve(touched));
-            }
-        }
+    let (reply, replies) = unbounded::<JobReply>();
+    // `job` holds the reply sender until we return, so the wait below
+    // ends on the job's one reply or at the deadline, never on a
+    // disconnect.
+    let job = Arc::new(BatchJob { n_real: reqs.len(), x, reply });
+    if !replica.submit_job(&job) {
+        return None;
     }
+    replica.outstanding.fetch_add(1, Ordering::AcqRel);
+    let won = replies
+        .recv_timeout(budget.saturating_sub(start.elapsed()))
+        .ok()
+        .flatten()
+        .map(|rows| (rows, start.elapsed()));
+    replica.outstanding.fetch_sub(1, Ordering::AcqRel);
+    match won {
+        Some(_) => replica.breaker.record_success(),
+        None => replica.breaker.record_failure(),
+    }
+    won
 }

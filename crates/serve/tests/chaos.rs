@@ -74,13 +74,7 @@ fn servable(seed: u64) -> Arc<ServableModel> {
 }
 
 fn config() -> ServerConfig {
-    ServerConfig {
-        max_batch: 4,
-        dispatchers: 2,
-        attempt_timeout: Duration::from_millis(250),
-        max_retries: 6,
-        ..ServerConfig::default()
-    }
+    ServerConfig { max_batch: 4, ..ServerConfig::default() }
 }
 
 /// Submit `n` requests, wait each out under a hang guard, and check the

@@ -236,8 +236,9 @@ filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv
 # The step's conv path — the one plan-taking `DistConv2d::{forward,
 # backward}`, halo overlapped with the interior — against the serial
 # kernels, on random geometries and grids and on the pinned strip shapes;
-# and the reachability tripwires, module and function grain, so a
-# self-planning twin nothing runs cannot come back unnoticed.
+# and the reachability tripwires — module, function, const and config
+# field grain — so neither a self-planning twin nothing runs nor a
+# config field no caller outside its file sets comes back unnoticed.
 step "distributed conv == serial on the step's path, reachability (debug + release)"
 for profile in "" --release; do
     filtered_tests $profile --test proptests -- distributed_conv_replicates_serial

@@ -1,4 +1,4 @@
-//! Tripwires for orphaned library code, at three grains.
+//! Tripwires for orphaned library code, at four grains.
 //!
 //! * Modules: for every `pub mod m;` in a `crates/*/src/lib.rs`, some
 //!   `.rs` file under `crates/`, `src/` or `tests/` — other than the
@@ -13,6 +13,11 @@
 //!   not exist.
 //! * Consts and statics: the same rule for every `pub const` and
 //!   `pub static` under `crates/*/src`. Types are not checked.
+//! * Config fields: for every `pub` field of a `pub struct …Config` or
+//!   `pub struct …Options` under `crates/*/src`, some other file under
+//!   the same five directories must write it as `field:` (not
+//!   `field::`) outside a comment. A value no caller outside its file
+//!   sets is a named const, not a knob.
 //!
 //! All are textual checks, not a dead-code analysis: a name shared with
 //! an unrelated item elsewhere counts as reached.
@@ -43,6 +48,14 @@ fn mentions(code: &str, name: &str, then: &str) -> bool {
     })
 }
 
+/// `code` writes the field `name`: `name:` as a whole identifier, not `name::`.
+fn sets(code: &str, name: &str) -> bool {
+    code.match_indices(name).any(|(i, _)| {
+        let rest = &code[i + name.len()..];
+        !code[..i].ends_with(ident) && rest.starts_with(':') && !rest.starts_with("::")
+    })
+}
+
 /// Every `.rs` file under `dirs`, sorted, with whole-line comments
 /// dropped.
 fn sources(root: &Path, dirs: &[&str]) -> Vec<(PathBuf, String)> {
@@ -60,6 +73,15 @@ fn sources(root: &Path, dirs: &[&str]) -> Vec<(PathBuf, String)> {
             (p, code.join("\n"))
         })
         .collect()
+}
+
+/// The directories whose files may reach an item under `crates/*/src`.
+const CALLER_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
+
+/// Whether `file` lies under some `crates/*/src`.
+fn in_crate_src(root: &Path, file: &Path) -> bool {
+    file.strip_prefix(root.join("crates"))
+        .is_ok_and(|rel| rel.iter().nth(1) == Some("src".as_ref()))
 }
 
 /// `code` with every `pub use …;` / `pub(crate) use …;` item cut out.
@@ -116,20 +138,12 @@ fn every_public_module_is_reached_from_outside_itself() {
 /// `pub use`, as `file: name`.
 fn unreached_items(prefixes: &[&str]) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let sources: Vec<(PathBuf, String)> =
-        sources(root, &["crates", "src", "tests", "examples", "benchmark/src"])
-            .into_iter()
-            .map(|(p, code)| (p, without_reexports(&code)))
-            .collect();
-    let crate_src = root.join("crates");
+    let sources: Vec<(PathBuf, String)> = sources(root, &CALLER_DIRS)
+        .into_iter()
+        .map(|(p, code)| (p, without_reexports(&code)))
+        .collect();
     let mut unreached = Vec::new();
-    for (file, code) in &sources {
-        let in_crate_src = file
-            .strip_prefix(&crate_src)
-            .is_ok_and(|rel| rel.iter().nth(1) == Some("src".as_ref()));
-        if !in_crate_src {
-            continue;
-        }
+    for (file, code) in sources.iter().filter(|(file, _)| in_crate_src(root, file)) {
         for line in code.lines() {
             let line = line.trim_start();
             let Some(name) = prefixes.iter().find_map(|p| line.strip_prefix(p)) else {
@@ -168,5 +182,39 @@ fn every_public_const_is_named_outside_its_own_file() {
         unreached.is_empty(),
         "public consts and statics nothing outside their own file names (drop `pub`, or \
          delete one nothing reads): {unreached:#?}"
+    );
+}
+
+#[test]
+fn every_public_config_field_is_set_outside_its_own_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = sources(root, &CALLER_DIRS);
+    let mut unset = Vec::new();
+    for (file, code) in sources.iter().filter(|(file, _)| in_crate_src(root, file)) {
+        let mut lines = code.lines().map(str::trim_start);
+        while let Some(line) = lines.next() {
+            let Some(ty) = line.strip_prefix("pub struct ") else {
+                continue;
+            };
+            let ty: String = ty.chars().take_while(|&c| ident(c)).collect();
+            if !(ty.ends_with("Config") || ty.ends_with("Options")) || !line.ends_with('{') {
+                continue;
+            }
+            for field in lines.by_ref().take_while(|l| !l.starts_with('}')) {
+                let Some(name) = field.strip_prefix("pub ") else {
+                    continue;
+                };
+                let name: String = name.chars().take_while(|&c| ident(c)).collect();
+                let set = sources.iter().any(|(other, code)| other != file && sets(code, &name));
+                if !set {
+                    let file = file.strip_prefix(root).expect("under the repository root");
+                    unset.push(format!("{}: {ty}::{name}", file.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        unset.is_empty(),
+        "public config fields no other file sets (make the value a named const): {unset:#?}"
     );
 }

@@ -6,10 +6,10 @@
 //! bitwise checkpoint round-trips imply replay is exact — any divergence
 //! means either nondeterminism in a collective or a lossy checkpoint.
 
-use finegrain::comm::{run_ranks, run_ranks_opts, FaultPlan, IntegrityConfig, RunOptions};
+use finegrain::comm::{run_ranks, run_ranks_opts, FaultPlan, RunOptions};
 use finegrain::core::{
-    resilient_train, DegradeConfig, DistExecutor, GuardConfig, ResilientConfig, SgdHyper,
-    StragglerConfig, Strategy,
+    resilient_train, DegradeConfig, DistExecutor, ResilientConfig, SgdHyper, StragglerConfig,
+    Strategy,
 };
 use finegrain::kernels::Labels;
 use finegrain::nn::{Network, NetworkSpec, Sgd};
@@ -127,8 +127,8 @@ proptest! {
         let cfg = ResilientConfig {
             ckpt_every: 2,
             max_restarts: 0,
-            guard: Some(GuardConfig::default()),
-            integrity: Some(IntegrityConfig::default()),
+            guard: true,
+            integrity: true,
             ..Default::default()
         };
         let clean = resilient_train(
@@ -804,7 +804,7 @@ fn crash_ladder_reports_match_the_recorded_ones() {
         resilient_train(&exec4, &net.params, HYPER, &x4, &labels4, 6, cfg, plan)
     };
     let base = ResilientConfig { ckpt_every: 2, max_restarts: 0, ..Default::default() };
-    let guarded = ResilientConfig { guard: Some(GuardConfig::default()), ..base.clone() };
+    let guarded = ResilientConfig { guard: true, ..base.clone() };
     let shrink = ResilientConfig {
         max_restarts: 1,
         degrade: Some(DegradeConfig::default()),
@@ -848,7 +848,7 @@ fn crash_ladder_reports_match_the_recorded_ones() {
         ladder_line(
             "integrity repair",
             &two(
-                &ResilientConfig { integrity: Some(IntegrityConfig::default()), ..guarded },
+                &ResilientConfig { integrity: true, ..guarded },
                 FaultPlan::new(11).corrupt_nth(0, 1, 5),
             ),
         ),
