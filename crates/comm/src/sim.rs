@@ -8,10 +8,11 @@
 //! schedule (sends, receives, collectives, and modeled-compute
 //! [`crate::trace::TraceOp::Advance`] ops), and one run-to-block loop
 //! on the calling thread drives all ranks: pop a ready rank, step it
-//! until it parks on an empty stream or an incomplete collective, and
-//! let whoever unblocks it push it back on the ready queue. Sends match
-//! receives per `(src, dst, tag)` stream exactly as the live runtime
-//! does. Worlds of 2048–32768 ranks execute in seconds.
+//! until it parks on an unsent message or an incomplete collective, and
+//! let whoever unblocks it push it back on the ready queue. Messages are
+//! matched before the run, as collectives are: the k-th send and the
+//! k-th recv of a `(src, dst, tag)` stream share one slot, the live
+//! runtime's FIFO pairing. Worlds of 2048–32768 ranks execute in seconds.
 //!
 //! ## Timing semantics (identical to the threaded runtime)
 //!
@@ -23,7 +24,8 @@
 //!
 //! Under these rules the trace network is a Kahn process network: every
 //! rank's final clock is independent of scheduling order — which is why
-//! the loop's FIFO order is as good as any — so the engine is
+//! the loop's FIFO order is as good as any, and a recv may read its
+//! pre-matched slot instead of a queue — so the engine is
 //! deterministic by construction and its clocks are *provably* the
 //! thread-per-rank clocks for the same [`LinkModel`].
 //! `tests/sim_equivalence.rs` pins this end-to-end on ≤ 8-rank worlds,
@@ -50,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use crate::collectives::{prev_pow2, segment_at_level, AllreduceAlgorithm};
 use crate::p2p::{sub_collective_salt, Communicator, ScalarType, Tag};
-use crate::trace::{CollectiveKind, MemberLists, RankTrace, TraceOp};
+use crate::trace::{CollectiveKind, MemberLists, P2pStreams, RankTrace, TraceOp};
 use crate::LinkModel;
 
 /// What the discrete-event run produced: per-rank final clocks and a
@@ -137,12 +139,12 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A compiled per-rank schedule op. Collectives are pre-matched into
-/// instances at compile time (static matching: each rank's n-th
-/// collective on a `(members, tag)` key joins instance n).
+/// A compiled per-rank schedule op, matched at compile time: the k-th
+/// send and recv of a `(src, dst, tag)` stream share a message slot, and
+/// each rank's n-th collective on a `(members, tag)` key joins instance n.
 enum SimOp {
-    Send { to: usize, tag: Tag, bytes: usize },
-    Recv { from: usize, tag: Tag },
+    Send { to: usize, bytes: usize, slot: usize },
+    Recv { from: usize, tag: Tag, slot: usize },
     Advance { secs: f64 },
     Collective { id: usize, member_index: usize },
 }
@@ -163,17 +165,18 @@ struct Instance {
 struct Compiled {
     ops: Vec<Vec<SimOp>>,
     instances: Vec<Instance>,
+    /// Message slots, one per matched send/recv pair (or unmatched op).
+    slots: usize,
 }
 
 fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
     let mut instances: Vec<Instance> = Vec::new();
-    // Collectives match on the *ordered* member list: (interned list,
-    // tag) → instance ids in first-occurrence order.
-    type Key = (usize, Tag);
+    // Collectives match on the *ordered* member list: a rank's n-th
+    // collective on an (interned list, tag) key joins the key's n-th instance.
     let mut lists = MemberLists::default();
-    let mut by_key: HashMap<Key, Vec<usize>> = HashMap::new();
-    // One rank's occurrence counter per key (FIFO instance join).
-    let mut seen: HashMap<Key, usize> = HashMap::new();
+    let mut by_key: HashMap<(usize, Tag, usize), usize> = HashMap::new();
+    // One rank's occurrence counter per key.
+    let mut seen: HashMap<(usize, Tag), usize> = HashMap::new();
     let mut ops: Vec<Vec<SimOp>> = Vec::with_capacity(traces.len());
     for (rank, t) in traces.iter().enumerate() {
         if t.rank != rank {
@@ -185,10 +188,10 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
         seen.clear();
         for e in &t.entries {
             let op = match &e.op {
-                TraceOp::Send { to, tag, count, ty } => {
-                    SimOp::Send { to: *to, tag: *tag, bytes: count * ty.width() }
+                TraceOp::Send { to, count, ty, .. } => {
+                    SimOp::Send { to: *to, bytes: count * ty.width(), slot: 0 }
                 }
-                TraceOp::Recv { from, tag, .. } => SimOp::Recv { from: *from, tag: *tag },
+                TraceOp::Recv { from, tag, .. } => SimOp::Recv { from: *from, tag: *tag, slot: 0 },
                 TraceOp::Advance { secs } => SimOp::Advance { secs: secs.0 },
                 TraceOp::Collective {
                     kind: CollectiveKind::AllreduceSum,
@@ -198,30 +201,18 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
                     tag,
                 } => {
                     let list = lists.intern(members);
-                    let key: Key = (list, *tag);
-                    let occurrence = {
-                        let c = seen.entry(key).or_insert(0);
-                        let o = *c;
-                        *c += 1;
-                        o
-                    };
-                    let ids = by_key.entry(key).or_default();
-                    let id = if occurrence < ids.len() {
-                        ids[occurrence]
-                    } else {
-                        let id = instances.len();
-                        let p = members.len();
+                    let occurrence = *seen.entry((list, *tag)).and_modify(|c| *c += 1).or_insert(0);
+                    let id = *by_key.entry((list, *tag, occurrence)).or_insert_with(|| {
                         instances.push(Instance {
                             members: Arc::clone(members),
                             count: *count,
                             ty: *ty,
-                            entry: vec![f64::NAN; p],
+                            entry: vec![f64::NAN; members.len()],
                             arrived: 0,
                             finish: Vec::new(),
                         });
-                        ids.push(id);
-                        id
-                    };
+                        instances.len() - 1
+                    });
                     let inst = &instances[id];
                     if inst.count != *count || inst.ty != *ty {
                         return Err(SimError::Inconsistent {
@@ -247,15 +238,21 @@ fn compile(traces: &[RankTrace]) -> Result<Compiled, SimError> {
         }
         ops.push(my_ops);
     }
-    Ok(Compiled { ops, instances })
-}
-
-/// Per `(src, dst, tag)` message stream: FIFO arrival-time queue plus
-/// the (unique) receiver parked on it, if any.
-#[derive(Default)]
-struct Stream {
-    queue: VecDeque<f64>,
-    waiting: Option<usize>,
+    // P2p matching: the k-th send and the k-th recv of each stream share
+    // slot `slots + k`. An unmatched send gets a slot nobody reads, an
+    // unmatched recv one nobody writes.
+    let mut slots = 0;
+    for (_, sends, recvs) in P2pStreams::new(traces).iter() {
+        for (k, at) in sends.iter().enumerate().chain(recvs.iter().enumerate()) {
+            if let SimOp::Send { slot, .. } | SimOp::Recv { slot, .. } =
+                &mut ops[at.trace][at.entry]
+            {
+                *slot = slots + k;
+            }
+        }
+        slots += sends.len().max(recvs.len());
+    }
+    Ok(Compiled { ops, instances, slots })
 }
 
 #[derive(Default)]
@@ -271,7 +268,10 @@ struct RankState {
 struct Engine<'a> {
     ranks: Vec<RankState>,
     instances: Vec<Instance>,
-    streams: HashMap<(usize, usize, Tag), Stream>,
+    /// Per message slot: the arrival clock (NaN until the send runs),
+    /// and whether the receiver is parked on it.
+    arrival: Vec<f64>,
+    parked: Vec<bool>,
     /// Ranks that can make progress, FIFO.
     ready: VecDeque<usize>,
     link: &'a LinkModel,
@@ -280,7 +280,7 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Step `rank` until it parks on an empty stream / incomplete
+    /// Step `rank` until it parks on an unsent message / incomplete
     /// collective, or runs out of ops.
     fn run_rank(&mut self, rank: usize) {
         let st = &mut self.ranks[rank];
@@ -290,20 +290,20 @@ impl Engine<'_> {
                     st.clock += secs;
                     st.compute += secs;
                 }
-                SimOp::Send { to, tag, bytes } => {
-                    let arrival = st.clock + self.link.time(rank, to, bytes);
+                SimOp::Send { to, bytes, slot } => {
+                    self.arrival[slot] = st.clock + self.link.time(rank, to, bytes);
                     self.messages += 1;
-                    let stream = self.streams.entry((rank, to, tag)).or_default();
-                    stream.queue.push_back(arrival);
-                    self.ready.extend(stream.waiting.take());
+                    if std::mem::take(&mut self.parked[slot]) {
+                        self.ready.push_back(to);
+                    }
                 }
-                SimOp::Recv { from, tag } => {
-                    let stream = self.streams.entry((from, rank, tag)).or_default();
-                    let Some(arrival) = stream.queue.pop_front() else {
+                SimOp::Recv { slot, .. } => {
+                    let arrival = self.arrival[slot];
+                    if arrival.is_nan() {
                         // Parked; the matching send reschedules us.
-                        stream.waiting = Some(rank);
+                        self.parked[slot] = true;
                         return;
-                    };
+                    }
                     if arrival > st.clock {
                         st.p2p_wait += arrival - st.clock;
                         st.clock = arrival;
@@ -345,7 +345,7 @@ impl Engine<'_> {
 
     fn describe_blocked(&self, st: &RankState) -> String {
         match st.ops[st.pc] {
-            SimOp::Recv { from, tag } => {
+            SimOp::Recv { from, tag, .. } => {
                 format!("recv from rank {from} tag {tag:#x}: no message on the stream")
             }
             SimOp::Collective { id, .. } => {
@@ -377,7 +377,8 @@ pub fn simulate_traces(traces: &[RankTrace], link: &LinkModel) -> Result<SimRepo
             .map(|ops| RankState { ops, ..RankState::default() })
             .collect(),
         instances: compiled.instances,
-        streams: HashMap::new(),
+        arrival: vec![f64::NAN; compiled.slots],
+        parked: vec![false; compiled.slots],
         ready: (0..n).collect(),
         link,
         messages: 0,
@@ -426,8 +427,8 @@ pub fn simulate_traces(traces: &[RankTrace], link: &LinkModel) -> Result<SimRepo
 /// round r−1 clocks. `Auto` resolves by payload and group size exactly
 /// like `allreduce_with`.
 ///
-/// Public so tests can pin fused timing against `run_ranks_timed` +
-/// `allreduce_with` for every algorithm directly.
+/// The tests pin it against `run_ranks_timed` + `allreduce_with` for
+/// every algorithm directly.
 fn collective_finish_times(
     alg: AllreduceAlgorithm,
     entries: &[f64],
@@ -530,18 +531,10 @@ fn halving_times(
 
     // Pre-step: odd ranks < 2·rem send the full vector to rank−1 (their
     // clock unchanged — sends don't advance it); even ranks receive.
-    let newrank: Vec<isize> = (0..p)
-        .map(|i| {
-            if i < 2 * rem {
-                if i % 2 == 1 {
-                    -1
-                } else {
-                    (i / 2) as isize
-                }
-            } else {
-                (i - rem) as isize
-            }
-        })
+    // `newrank[i]`: i's rank among the pof2 that take part, `None` if
+    // it sits out.
+    let newrank: Vec<Option<usize>> = (0..p)
+        .map(|i| if i >= 2 * rem { Some(i - rem) } else { (i % 2 == 0).then_some(i / 2) })
         .collect();
     for i in (0..2 * rem).step_by(2) {
         let arrival = t[i + 1] + link.time(members[i + 1], members[i], full);
@@ -559,12 +552,10 @@ fn halving_times(
         let mut merge_masks = Vec::new();
         while mask > 0 {
             for i in 0..p {
-                let nr = newrank[i];
-                if nr < 0 {
+                let Some(nr) = newrank[i] else {
                     nt[i] = t[i];
                     continue;
-                }
-                let nr = nr as usize;
+                };
                 let partner = to_real(nr ^ mask);
                 let (lo, hi) = seg[i];
                 let mid = lo + (hi - lo) / 2;
@@ -583,12 +574,10 @@ fn halving_times(
         // i receives its partner's half of the level's segment.
         for mask in merge_masks.into_iter().rev() {
             for i in 0..p {
-                let nr = newrank[i];
-                if nr < 0 {
+                let Some(nr) = newrank[i] else {
                     nt[i] = t[i];
                     continue;
-                }
-                let nr = nr as usize;
+                };
                 let partner = to_real(nr ^ mask);
                 let (plo, phi) = segment_at_level(n, nr, pof2, mask);
                 let mid = plo + (phi - plo) / 2;
@@ -605,12 +594,10 @@ fn halving_times(
         let mut mask = 1usize;
         while mask < pof2 {
             for i in 0..p {
-                let nr = newrank[i];
-                if nr < 0 {
+                let Some(nr) = newrank[i] else {
                     nt[i] = t[i];
                     continue;
-                }
-                let nr = nr as usize;
+                };
                 let partner = to_real(nr ^ mask);
                 let arrival = t[partner] + link.time(members[partner], members[i], full);
                 nt[i] = t[i].max(arrival);
@@ -845,6 +832,41 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    /// One `(src, dst, tag)` stream carrying three messages of different
+    /// sizes, compute between them: the k-th recv takes the k-th send, as
+    /// on the threaded runtime. A fourth, unmatched send parks nobody: it
+    /// counts as a message and moves no clock.
+    #[test]
+    fn multi_message_streams_match_fifo() {
+        let traces = |extra_send: bool| -> Vec<RankTrace> {
+            let mut a = TraceRecorder::new(0, 2);
+            a.advance(1e-4);
+            a.send(1, 7, 1024, ScalarType::F32);
+            a.advance(2e-4);
+            a.send(1, 7, 16, ScalarType::F32);
+            a.advance(1e-5);
+            a.send(1, 7, 65536, ScalarType::F32);
+            if extra_send {
+                a.send(1, 7, 8, ScalarType::F32);
+            }
+            let mut b = TraceRecorder::new(1, 2);
+            b.recv(0, 7, 1024, ScalarType::F32);
+            b.advance(5e-5);
+            b.recv(0, 7, 16, ScalarType::F32);
+            b.recv(0, 7, 65536, ScalarType::F32);
+            vec![a.finish(), b.finish()]
+        };
+        let matched = simulate_traces(&traces(false), &link()).expect("simulates");
+        assert_eq!(matched.clocks, replay_traces_timed(&traces(false), &link()));
+        assert_eq!(matched.messages, 3);
+        assert!(matched.p2p_wait[1] > 0.0, "the last, largest message is waited for");
+
+        let unmatched = simulate_traces(&traces(true), &link()).expect("no deadlock");
+        assert_eq!(unmatched.clocks, matched.clocks);
+        assert_eq!(unmatched.messages, 4);
+        assert_eq!(unmatched.ops_executed, matched.ops_executed + 1);
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //!   sequence — same kind, count, scalar type, and simulated tag, in the
 //!   same order. A rank that skips a collective (or disagrees on the
 //!   payload size) would hang or corrupt the reduction at runtime.
-//! * **tag discipline** ([`CheckKind::TagDiscipline`]): within one rank,
-//!   a `(peer, tag, direction)` stream belongs to exactly one exchange
-//!   context. Two concurrent exchanges sharing a stream would let
+//! * **tag discipline** ([`CheckKind::TagDiscipline`]): a `(src, dst,
+//!   tag)` stream carries at most one send and one recv. A second op on
+//!   a side, from the same exchange or a concurrent one, would let
 //!   receives match the wrong message and desync the integrity layer's
 //!   per-stream sequence numbers.
+//!
+//! Checks 1 and 5 are one walk over the p2p ops grouped by stream, the
+//! grouping the simulator (`sim`) pre-matches its messages on.
 //!
 //! Tag simulation uses the exact formulas the live communicators use
 //! ([`crate::p2p::world_collective_tag`] /
@@ -260,16 +263,6 @@ impl TraceRecorder {
         }
     }
 
-    /// The rank being traced.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// The world size being traced.
-    pub fn world(&self) -> usize {
-        self.world
-    }
-
     /// Attribute subsequent ops to `layer` in `phase`.
     pub fn scope(&mut self, layer: usize, phase: Phase) {
         self.layer = layer;
@@ -424,13 +417,68 @@ impl MemberList {
     }
 }
 
-/// A p2p op's identity for matching and discipline checks.
-#[derive(Debug, Clone, Copy)]
-struct P2pRef {
-    layer: usize,
-    phase: Phase,
-    count: usize,
-    ty: ScalarType,
+/// Where one p2p op sits: its `(src, dst, tag)` stream, its direction,
+/// then its trace and entry index. Sorted, each stream's sends come
+/// before its recvs, and each side is in FIFO order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct P2pOp {
+    stream: (usize, usize, Tag),
+    recv: bool,
+    pub(crate) trace: usize,
+    pub(crate) entry: usize,
+}
+
+/// Every send and every recv of a set of traces, grouped by stream: the
+/// one place sends meet receives. Checks 1 and 5 of [`check_traces`]
+/// walk it, and `sim::compile` gives the k-th send and the k-th recv of
+/// each stream one slot.
+pub(crate) struct P2pStreams {
+    ops: Vec<P2pOp>,
+}
+
+impl P2pStreams {
+    /// Group `traces`' sends and recvs by stream: count them per source
+    /// rank (a source past the last trace counts as the last), place
+    /// each in its rank's bucket, and sort only the short buckets.
+    pub(crate) fn new(traces: &[RankTrace]) -> P2pStreams {
+        let p2p_ops = || {
+            traces.iter().enumerate().flat_map(|(trace, t)| {
+                t.entries.iter().enumerate().filter_map(move |(entry, e)| {
+                    let (stream, recv) = match e.op {
+                        TraceOp::Send { to, tag, .. } => ((t.rank, to, tag), false),
+                        TraceOp::Recv { from, tag, .. } => ((from, t.rank, tag), true),
+                        TraceOp::Collective { .. } | TraceOp::Advance { .. } => return None,
+                    };
+                    Some(P2pOp { stream, recv, trace, entry })
+                })
+            })
+        };
+        let bucket = |op: &P2pOp| op.stream.0.min(traces.len());
+        let mut next = vec![0; traces.len() + 2];
+        p2p_ops().for_each(|op| next[bucket(&op) + 1] += 1);
+        for b in 1..next.len() {
+            next[b] += next[b - 1];
+        }
+        let start = next.clone();
+        let mut ops = vec![P2pOp::default(); start[traces.len() + 1]];
+        p2p_ops().for_each(|op| {
+            let at = &mut next[bucket(&op)];
+            ops[*at] = op;
+            *at += 1;
+        });
+        for w in start.windows(2) {
+            ops[w[0]..w[1]].sort_unstable();
+        }
+        P2pStreams { ops }
+    }
+
+    /// Every stream in key order, with its sends and its recvs.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((usize, usize, Tag), &[P2pOp], &[P2pOp])> {
+        self.ops.chunk_by(|a, b| a.stream == b.stream).map(|ops| {
+            let (sends, recvs) = ops.split_at(ops.partition_point(|op| !op.recv));
+            (ops[0].stream, sends, recvs)
+        })
+    }
 }
 
 /// Run the trace-level checks (p2p matching, collective consistency,
@@ -443,88 +491,86 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
     let mut violations = Vec::new();
     let name = |layer: usize| layer_names.get(layer).cloned().unwrap_or_else(|| "?".into());
 
-    // ---- Check 1: p2p matching, FIFO per (src, dst, tag) stream. ----
-    // Sends and receives are collected in program order and stable-sorted
-    // by stream, so each stream's ops stay in FIFO order; one merge walk
-    // over the two sorted lists then visits the streams in key order.
-    type Stream = (usize, usize, Tag);
-    let mut sends: Vec<(Stream, P2pRef)> = Vec::new();
-    let mut recvs: Vec<(Stream, P2pRef)> = Vec::new();
-    for t in traces {
-        for e in &t.entries {
-            stats.ops_traced += 1;
-            let r = |count, ty| P2pRef { layer: e.layer, phase: e.phase, count, ty };
-            match &e.op {
-                TraceOp::Send { to, tag, count, ty } => {
-                    stats.bytes_accounted += count * ty.width();
-                    sends.push(((t.rank, *to, *tag), r(*count, *ty)));
-                }
-                TraceOp::Recv { from, tag, count, ty } => {
-                    recvs.push(((*from, t.rank, *tag), r(*count, *ty)));
-                }
-                TraceOp::Collective { count, ty, .. } => {
-                    stats.bytes_accounted += count * ty.width();
-                }
-                TraceOp::Advance { .. } => {}
-            }
-        }
-    }
-    sends.sort_by_key(|&(key, _)| key);
-    recvs.sort_by_key(|&(key, _)| key);
-    let (mut sends, mut recvs) = (&sends[..], &recvs[..]);
-    loop {
-        let key = match (sends.first(), recvs.first()) {
-            (Some(s), Some(r)) => s.0.min(r.0),
-            (Some(s), None) => s.0,
-            (None, Some(r)) => r.0,
-            (None, None) => break,
+    // ---- Checks 1 and 5: one walk over the p2p streams. ----
+    // Check 1 pairs each stream's sends and recvs off FIFO. Check 5 finds
+    // each op after a stream side's first; its findings keep their
+    // `(trace, entry)` place and follow check 2's in program order.
+    let p2p = |op: &P2pOp| {
+        let e = &traces[op.trace].entries[op.entry];
+        let (TraceOp::Send { count, ty, .. } | TraceOp::Recv { count, ty, .. }) = e.op else {
+            unreachable!("a stream holds sends and recvs only")
         };
+        (e, count, ty)
+    };
+    let mut discipline: Vec<((usize, usize), Violation)> = Vec::new();
+    for ((src, dst, tag), s, r) in P2pStreams::new(traces).iter() {
         stats.links_checked += 1;
-        let (src, dst, tag) = key;
-        let (s, rest) = sends.split_at(sends.partition_point(|op| op.0 == key));
-        sends = rest;
-        let (r, rest) = recvs.split_at(recvs.partition_point(|op| op.0 == key));
-        recvs = rest;
         for i in 0..s.len().max(r.len()) {
-            match (s.get(i).map(|op| op.1), r.get(i).map(|op| op.1)) {
-                (Some(sr), Some(rr)) => {
-                    if sr.count != rr.count || sr.ty != rr.ty {
-                        violations.push(Violation {
-                            check: CheckKind::P2pMatching,
-                            rank: src,
-                            layer: sr.layer,
-                            layer_name: name(sr.layer),
-                            detail: format!(
-                                "{} send of {} {:?} to rank {dst} (tag {tag:#x}) meets a recv \
-                                 expecting {} {:?} (recv at layer {} {})",
-                                sr.phase, sr.count, sr.ty, rr.count, rr.ty, rr.layer, rr.phase
-                            ),
-                        });
-                    }
-                }
-                (Some(sr), None) => violations.push(Violation {
-                    check: CheckKind::P2pMatching,
-                    rank: src,
-                    layer: sr.layer,
-                    layer_name: name(sr.layer),
-                    detail: format!(
-                        "{} send of {} {:?} to rank {dst} (tag {tag:#x}) has no matching recv \
-                         — the message would never be consumed",
-                        sr.phase, sr.count, sr.ty
+            let (send, recv) = (s.get(i).map(p2p), r.get(i).map(p2p));
+            if let Some((_, count, ty)) = send {
+                stats.bytes_accounted += count * ty.width();
+            }
+            let (rank, entry, detail) = match (send, recv) {
+                (Some((se, sn, st)), Some((re, rn, rt))) if sn != rn || st != rt => (
+                    src,
+                    se,
+                    format!(
+                        "{} send of {sn} {st:?} to rank {dst} (tag {tag:#x}) meets a recv \
+                         expecting {rn} {rt:?} (recv at layer {} {})",
+                        se.phase, re.layer, re.phase
                     ),
-                }),
-                (None, Some(rr)) => violations.push(Violation {
-                    check: CheckKind::P2pMatching,
-                    rank: dst,
-                    layer: rr.layer,
-                    layer_name: name(rr.layer),
-                    detail: format!(
-                        "{} recv of {} {:?} from rank {src} (tag {tag:#x}) has no matching send \
-                         — the rank would block forever",
-                        rr.phase, rr.count, rr.ty
+                ),
+                (Some(_), Some(_)) => continue,
+                (Some((se, sn, st)), None) => (
+                    src,
+                    se,
+                    format!(
+                        "{} send of {sn} {st:?} to rank {dst} (tag {tag:#x}) has no matching \
+                         recv — the message would never be consumed",
+                        se.phase
                     ),
-                }),
+                ),
+                (None, Some((re, rn, rt))) => (
+                    dst,
+                    re,
+                    format!(
+                        "{} recv of {rn} {rt:?} from rank {src} (tag {tag:#x}) has no matching \
+                         send — the rank would block forever",
+                        re.phase
+                    ),
+                ),
                 (None, None) => unreachable!("i indexes the longer side"),
+            };
+            violations.push(Violation {
+                check: CheckKind::P2pMatching,
+                rank,
+                layer: entry.layer,
+                layer_name: name(entry.layer),
+                detail,
+            });
+        }
+        for (ops, dir, rank, peer) in [(s, "send", src, dst), (r, "recv", dst, src)] {
+            let Some((first, reuses)) = ops.split_first() else { continue };
+            let first = p2p(first).0;
+            for op in reuses {
+                let e = p2p(op).0;
+                let how = if e.ctx == first.ctx {
+                    "twice within one exchange (FIFO matching is ambiguous)"
+                } else {
+                    "from two concurrent exchanges (streams would interleave)"
+                };
+                let finding = Violation {
+                    check: CheckKind::TagDiscipline,
+                    rank,
+                    layer: e.layer,
+                    layer_name: name(e.layer),
+                    detail: format!(
+                        "{dir} stream to/from rank {peer} (tag {tag:#x}) is used {how}; \
+                         first use at layer {}",
+                        first.layer
+                    ),
+                };
+                discipline.push(((op.trace, op.entry), finding));
             }
         }
     }
@@ -539,8 +585,10 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
     let mut lists = MemberLists::default();
     let mut records: Vec<(usize, usize, CollOp)> = Vec::new();
     for t in traces {
+        stats.ops_traced += t.entries.len();
         for e in &t.entries {
             if let TraceOp::Collective { kind, members, count, ty, tag } = &e.op {
+                stats.bytes_accounted += count * ty.width();
                 let op = (*kind, *count, *ty, *tag, e.layer, e.phase);
                 records.push((lists.intern(members), t.rank, op));
             }
@@ -629,44 +677,9 @@ pub fn check_traces(traces: &[RankTrace], layer_names: &[String]) -> (VerifyStat
         }
     }
 
-    // ---- Check 5: tag/stream discipline. ----
-    // A (peer, tag, direction) stream on one rank must belong to exactly
-    // one exchange context, with at most one op — otherwise two
-    // exchanges share a stream and FIFO matching (and the integrity
-    // layer's per-stream sequence numbers) becomes ambiguous.
-    for t in traces {
-        let mut seen: BTreeMap<(usize, Tag, bool), (u64, usize)> = BTreeMap::new();
-        for e in &t.entries {
-            let (peer, tag, is_send) = match &e.op {
-                TraceOp::Send { to, tag, .. } => (*to, *tag, true),
-                TraceOp::Recv { from, tag, .. } => (*from, *tag, false),
-                TraceOp::Collective { .. } | TraceOp::Advance { .. } => continue,
-            };
-            match seen.get(&(peer, tag, is_send)) {
-                None => {
-                    seen.insert((peer, tag, is_send), (e.ctx, e.layer));
-                }
-                Some(&(ctx, first_layer)) => {
-                    let dir = if is_send { "send" } else { "recv" };
-                    let how = if ctx == e.ctx {
-                        "twice within one exchange (FIFO matching is ambiguous)"
-                    } else {
-                        "from two concurrent exchanges (streams would interleave)"
-                    };
-                    violations.push(Violation {
-                        check: CheckKind::TagDiscipline,
-                        rank: t.rank,
-                        layer: e.layer,
-                        layer_name: name(e.layer),
-                        detail: format!(
-                            "{dir} stream to/from rank {peer} (tag {tag:#x}) is used {how}; \
-                             first use at layer {first_layer}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
+    // Check 5's findings, in (rank, program) order.
+    discipline.sort_unstable_by_key(|&(at, _)| at);
+    violations.extend(discipline.into_iter().map(|(_, v)| v));
 
     (stats, violations)
 }
@@ -678,11 +691,10 @@ mod tests {
     fn two_rank_traces() -> Vec<RankTrace> {
         let mut a = TraceRecorder::new(0, 2);
         let mut b = TraceRecorder::new(1, 2);
-        for rec in [&mut a, &mut b] {
+        for (peer, rec) in [(1, &mut a), (0, &mut b)] {
             rec.scope(1, Phase::Forward);
             rec.begin_exchange();
             let tag = rec.next_world_tag();
-            let peer = 1 - rec.rank();
             rec.send(peer, tag, 8, ScalarType::F32);
             rec.recv(peer, tag, 8, ScalarType::F32);
             rec.scope(2, Phase::Forward);
@@ -756,6 +768,71 @@ mod tests {
         let (_, violations) = check_traces(&[rec.finish(), peer.finish()], &names());
         assert!(violations.iter().any(|v| v.check == CheckKind::TagDiscipline && v.rank == 0));
         assert!(violations.iter().any(|v| v.check == CheckKind::TagDiscipline && v.rank == 1));
+    }
+
+    /// Several tag-discipline findings at once, on streams whose key order
+    /// is not program order: rank 0 reuses `(0, 2, A)` before `(0, 1, A)`
+    /// and interleaves its sends with a reused recv stream. Findings come
+    /// in (rank, program) order, each against its stream's first use.
+    #[test]
+    fn discipline_findings_keep_program_order() {
+        const A: Tag = 5;
+        const B: Tag = 9;
+        const F32: ScalarType = ScalarType::F32;
+        let mut r0 = TraceRecorder::new(0, 3);
+        r0.scope(1, Phase::Forward);
+        r0.begin_exchange();
+        r0.send(2, A, 4, F32);
+        r0.recv(1, B, 4, F32);
+        r0.send(2, A, 4, F32);
+        r0.scope(2, Phase::Forward);
+        r0.begin_exchange();
+        r0.send(1, A, 4, F32);
+        r0.recv(1, B, 4, F32);
+        r0.send(2, A, 4, F32);
+        r0.scope(3, Phase::Backward);
+        r0.begin_exchange();
+        r0.send(1, A, 4, F32);
+        let mut r1 = TraceRecorder::new(1, 3);
+        r1.scope(1, Phase::Forward);
+        r1.begin_exchange();
+        r1.send(0, B, 4, F32);
+        r1.send(0, B, 4, F32);
+        r1.scope(2, Phase::Forward);
+        r1.begin_exchange();
+        r1.recv(0, A, 4, F32);
+        r1.scope(3, Phase::Backward);
+        r1.begin_exchange();
+        r1.recv(0, A, 4, F32);
+        let mut r2 = TraceRecorder::new(2, 3);
+        r2.scope(1, Phase::Forward);
+        r2.begin_exchange();
+        for _ in 0..3 {
+            r2.recv(0, A, 4, F32);
+        }
+        let traces = [r0.finish(), r1.finish(), r2.finish()];
+        let (stats, violations) = check_traces(&traces, &names());
+        assert_eq!(stats.links_checked, 3);
+        let got: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+        let want = [
+            "[tag-discipline] rank 0 layer 1 (l1): send stream to/from rank 2 (tag 0x5) is used \
+             twice within one exchange (FIFO matching is ambiguous); first use at layer 1",
+            "[tag-discipline] rank 0 layer 2 (l2): recv stream to/from rank 1 (tag 0x9) is used \
+             from two concurrent exchanges (streams would interleave); first use at layer 1",
+            "[tag-discipline] rank 0 layer 2 (l2): send stream to/from rank 2 (tag 0x5) is used \
+             from two concurrent exchanges (streams would interleave); first use at layer 1",
+            "[tag-discipline] rank 0 layer 3 (l3): send stream to/from rank 1 (tag 0x5) is used \
+             from two concurrent exchanges (streams would interleave); first use at layer 2",
+            "[tag-discipline] rank 1 layer 1 (l1): send stream to/from rank 0 (tag 0x9) is used \
+             twice within one exchange (FIFO matching is ambiguous); first use at layer 1",
+            "[tag-discipline] rank 1 layer 3 (l3): recv stream to/from rank 0 (tag 0x5) is used \
+             from two concurrent exchanges (streams would interleave); first use at layer 2",
+            "[tag-discipline] rank 2 layer 1 (l1): recv stream to/from rank 0 (tag 0x5) is used \
+             twice within one exchange (FIFO matching is ambiguous); first use at layer 1",
+            "[tag-discipline] rank 2 layer 1 (l1): recv stream to/from rank 0 (tag 0x5) is used \
+             twice within one exchange (FIFO matching is ambiguous); first use at layer 1",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

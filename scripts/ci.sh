@@ -304,15 +304,28 @@ filtered_tests -p fg-comm --lib -- auto_resolves_by_size_then_group_size
 filtered_tests -p fg-perf --lib -- allreduce_time_prices_the_resolved_algorithm_bitwise
 filtered_tests -p fg-comm --test collective_traffic -- auto_sends_the_chosen_algorithms_messages
 # The planner's two trace consumers, pinned by name: the division-free
-# ring recurrence bit for bit against the `%` loop it replaced, member
+# ring recurrence bit for bit against the `%` loop it replaced, and member
 # lists interned by content (ordered lists for the simulator, member sets
-# for the verifier), and the verifier's full output — stats and every
-# violation's text, in order — as recorded before p2p matching became one
-# sort and collective groups interned ids.
+# for the verifier).
 filtered_tests -p fg-comm --lib -- \
     ring_recurrence_equals_the_modulo_reference_bitwise \
     interned_lists_
-filtered_tests --test verify_golden -- verifier_output_
+
+# Sends meet receives in one place, the stream grouping both trace
+# consumers walk: the verifier's full output (stats and every
+# violation's text, in order, as recorded before p2p matching became one
+# sort and collective groups interned ids) and the DES reports as
+# recorded, plus what neither golden pins — several
+# tag-discipline findings on streams whose key order is not program
+# order, and a three-message stream matched FIFO with an unmatched send
+# that parks nobody. Both profiles: the benchmark measures release code.
+step "p2p matched once: verifier text and DES reports as recorded"
+for profile in "" --release; do
+    filtered_tests $profile --test verify_golden -- verifier_output_
+    filtered_tests $profile --test sim_golden -- des_reports_match_the_recorded_ones_to_the_bit
+    filtered_tests $profile -p fg-comm --lib -- \
+        discipline_findings_keep_program_order multi_message_streams_match_fifo
+done
 
 # Plan compilation, pinned by name: every rank's compiled layer plan of
 # five configs (the three paper-scale planner pipelines, a weighted
