@@ -36,11 +36,11 @@ pub fn measure_conv(work: &ConvWork) -> f64 {
     // *minimum* of several runs rather than the mean: on a shared core,
     // preemption inflates individual runs, and the minimum is the
     // standard robust estimator of intrinsic kernel time.
-    let _ = conv2d_forward(&x, &w, None, &geom);
+    let _ = conv2d_forward(&x, &w, &geom);
     (0..5)
         .map(|_| {
             let start = Instant::now();
-            let _ = std::hint::black_box(conv2d_forward(&x, &w, None, &geom));
+            let _ = std::hint::black_box(conv2d_forward(&x, &w, &geom));
             start.elapsed().as_secs_f64()
         })
         .fold(f64::MAX, f64::min)
@@ -183,7 +183,7 @@ pub fn predicted_traffic(grid: ProcGrid, batch: usize, input_hw: usize) -> (f64,
                     * h_loc
                     * 4.0;
             }
-            // Weight-gradient allreduce (+bias none): ring sends
+            // Weight-gradient allreduce: ring sends
             // 2(P−1)/P · n bytes per rank for large vectors, RD sends
             // log2(P)·n for small; mirror the Auto switch.
             let grad_bytes = (filters * c * kernel * kernel) as f64 * 4.0;

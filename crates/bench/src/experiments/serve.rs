@@ -30,7 +30,7 @@ use fg_comm::FaultPlan;
 use fg_core::ServableModel;
 use fg_models::{mesh_model_custom, MeshSize, MESH_CHANNELS};
 use fg_nn::{init_params, GuardState, TrainState};
-use fg_serve::{LoadConfig, LoadMode, ReplicaSpec, Server, ServerConfig};
+use fg_serve::{LoadConfig, ReplicaSpec, Server, ServerConfig};
 use fg_tensor::{ProcGrid, Shape4, Tensor};
 
 use crate::table::Table;
@@ -150,7 +150,7 @@ fn run_cell(
     let cfg = ServerConfig { max_batch, queue_capacity: 16 };
     let server = Server::start(Arc::clone(model), replicas_for(scenario), cfg);
     let load = LoadConfig {
-        mode: LoadMode::Open { rps: offered_rps },
+        rps: offered_rps,
         requests,
         deadline: Duration::from_millis(250),
         seed: 0x5EED ^ max_batch as u64 ^ offered_rps.to_bits(),

@@ -22,36 +22,28 @@ use crate::stats::OpClass;
 
 /// Scalars that support the reduction operations of [`ReduceOp`].
 pub trait ReduceScalar: CommScalar + PartialOrd {
-    /// Additive identity.
-    fn zero() -> Self;
     /// `a + b`.
     fn add(a: Self, b: Self) -> Self;
-    /// `a * b`.
-    fn mul(a: Self, b: Self) -> Self;
 }
 
 macro_rules! impl_reduce_scalar {
     ($($t:ty),*) => {$(
         impl ReduceScalar for $t {
-            fn zero() -> Self { 0 as $t }
             fn add(a: Self, b: Self) -> Self { a + b }
-            fn mul(a: Self, b: Self) -> Self { a * b }
         }
     )*};
 }
 impl_reduce_scalar!(f32, f64, i32, i64, u32, u64, usize, u8);
 
-/// Elementwise reduction operator for collectives.
+/// Elementwise reduction operator for collectives: the two a training
+/// step reduces with — gradients and BN moments are summed, a step's
+/// guard verdict and the straggler probe take the maximum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Elementwise sum.
     Sum,
-    /// Elementwise product.
-    Prod,
     /// Elementwise maximum.
     Max,
-    /// Elementwise minimum.
-    Min,
 }
 
 impl ReduceOp {
@@ -62,16 +54,8 @@ impl ReduceOp {
     fn apply<T: ReduceScalar>(self, a: T, b: T) -> T {
         match self {
             ReduceOp::Sum => T::add(a, b),
-            ReduceOp::Prod => T::mul(a, b),
             ReduceOp::Max => {
                 if b > a {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReduceOp::Min => {
-                if b < a {
                     b
                 } else {
                     a
@@ -640,25 +624,14 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_and_min() {
+    fn allreduce_max() {
         let p = 5;
         let res = run_ranks(p, |comm| {
             let mine = vec![comm.rank() as i64, -(comm.rank() as i64)];
-            let mx = comm.allreduce(&mine, ReduceOp::Max);
-            let mn = comm.allreduce(&mine, ReduceOp::Min);
-            (mx, mn)
+            comm.allreduce(&mine, ReduceOp::Max)
         });
-        for (mx, mn) in res {
+        for mx in res {
             assert_eq!(mx, vec![4, 0]);
-            assert_eq!(mn, vec![0, -4]);
-        }
-    }
-
-    #[test]
-    fn allreduce_prod() {
-        let res = run_ranks(3, |comm| comm.allreduce(&[(comm.rank() + 1) as u64], ReduceOp::Prod));
-        for r in res {
-            assert_eq!(r, vec![6]);
         }
     }
 

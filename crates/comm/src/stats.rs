@@ -19,8 +19,6 @@ pub enum OpClass {
     ReduceScatter,
     /// Allgather phase traffic.
     Allgather,
-    /// Broadcast.
-    Bcast,
     /// Barrier (zero-byte messages).
     Barrier,
     /// All-to-all(v) exchange.
@@ -33,13 +31,12 @@ pub enum OpClass {
 
 impl OpClass {
     /// All classes, in index order.
-    pub const ALL: [OpClass; 10] = [
+    pub const ALL: [OpClass; 9] = [
         OpClass::P2p,
         OpClass::Halo,
         OpClass::Allreduce,
         OpClass::ReduceScatter,
         OpClass::Allgather,
-        OpClass::Bcast,
         OpClass::Barrier,
         OpClass::AllToAll,
         OpClass::GatherScatter,
@@ -54,8 +51,8 @@ impl OpClass {
 /// Message and byte counters for one rank, broken down by [`OpClass`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
-    messages: [u64; 10],
-    bytes: [u64; 10],
+    messages: [u64; OpClass::ALL.len()],
+    bytes: [u64; OpClass::ALL.len()],
     /// Sends that never reached the peer's channel: the receiver was
     /// already gone (its channel disconnected), or fault injection
     /// dropped the message. Nonzero dropped sends make a later hung
@@ -165,11 +162,11 @@ mod tests {
         a.record(OpClass::P2p, 1, 10);
         let mut b = TrafficStats::default();
         b.record(OpClass::P2p, 2, 20);
-        b.record(OpClass::Bcast, 1, 5);
+        b.record(OpClass::Barrier, 1, 5);
         a.merge(&b);
         assert_eq!(a.messages(OpClass::P2p), 3);
         assert_eq!(a.bytes(OpClass::P2p), 30);
-        assert_eq!(a.bytes(OpClass::Bcast), 5);
+        assert_eq!(a.bytes(OpClass::Barrier), 5);
     }
 
     #[test]

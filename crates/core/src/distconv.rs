@@ -154,13 +154,11 @@ impl DistConv2d {
     /// Collective over `comm` (world size must equal the grid size); the
     /// plans are this rank's [`DistConv2d::x_halo_plan`] and
     /// [`InteriorPlan::build`].
-    #[allow(clippy::too_many_arguments)]
     pub fn forward<C: Communicator>(
         &self,
         comm: &C,
         x: &DistTensor,
         w: &Tensor,
-        bias: Option<&[f32]>,
         x_halo: &HaloPlan,
         interior: &InteriorPlan,
     ) -> (DistTensor, DistTensor) {
@@ -174,7 +172,7 @@ impl DistConv2d {
         let origin = (win.origin()[2], win.origin()[3]);
         let ob = y.own_box();
         let mut compute = |win: &DistTensor, (rows, cols): ((usize, usize), (usize, usize))| {
-            let t = conv2d_forward_region(win.local(), origin, w, bias, &self.geom, rows, cols);
+            let t = conv2d_forward_region(win.local(), origin, w, None, &self.geom, rows, cols);
             write_region(&mut y, rows, cols, &t, &ob);
         };
         if let Some(region) = interior.interior {
@@ -196,28 +194,27 @@ impl DistConv2d {
     /// Posts the `dL/dy` halo sends along `dy_halo`, computes the local
     /// filter gradient (Eq. 2) from `x_window` (the window
     /// [`DistConv2d::forward`] returned), completes the receives, computes
-    /// `dL/dx` (Eq. 3), and sums `dL/dw` over every rank (`BPa`). Returns
-    /// `(dx, dw, db)`: `dx` is `None` when `wants_dx` is false (nobody
+    /// `dL/dx` (Eq. 3), and sums `dL/dw` over every rank (`BPa`): one
+    /// allreduce per layer, as the paper models it, AR(|P|, F·C·K²).
+    /// Returns `(dx, dw)`: `dx` is `None` when `wants_dx` is false (nobody
     /// reads this layer's input gradient; the exchange still runs, so the
     /// wire schedule is the same either way).
-    #[allow(clippy::too_many_arguments)]
     pub fn backward<C: Communicator>(
         &self,
         comm: &C,
         x_window: &DistTensor,
         dy: &DistTensor,
         w: &Tensor,
-        with_bias: bool,
         wants_dx: bool,
         dy_halo: &HaloPlan,
-    ) -> (Option<DistTensor>, Tensor, Option<Vec<f32>>) {
+    ) -> (Option<DistTensor>, Tensor) {
         debug_assert_eq!(*dy.dist(), self.out_dist, "error signal has wrong distribution");
         let mut dyw = dy.to_window(self.dy_margins.0, self.dy_margins.1);
         check_window(self, "dy", &dyw, self.window_elems(comm.rank()).dy_window_elems);
         let tag = start_halo_exchange(comm, &dyw, dy_halo);
 
         let ob = dy.own_box();
-        let (dw_local, db_local) = conv2d_backward_filter_region(
+        let dw_local = conv2d_backward_filter_region(
             x_window.local(),
             (x_window.origin()[2], x_window.origin()[3]),
             &dy.owned_tensor(),
@@ -243,8 +240,11 @@ impl DistConv2d {
             dx
         });
 
-        let (dw, db) = allreduce_grads(comm, dw_local, with_bias.then_some(db_local));
-        (dx, dw, db)
+        // The gradient's storage goes in and the reduced vector's comes
+        // out, so the weights are not copied on either side.
+        let shape = dw_local.shape();
+        let dw = comm.allreduce_owned(dw_local.into_vec(), ReduceOp::Sum, AllreduceAlgorithm::Auto);
+        (dx, Tensor::from_vec(shape, dw))
     }
 }
 
@@ -354,26 +354,6 @@ fn write_region(
     y.local_mut().unpack_box(&lbox, t.as_slice());
 }
 
-/// Sum a layer's local weight gradient over `comm` — with its bias
-/// gradient, when there is one, concatenated: one allreduce per layer,
-/// as the paper models it, AR(|P|, F·C·K²). The gradient's storage goes
-/// in and the reduced vector's comes out, so the weights are not copied
-/// on either side of the collective.
-pub(crate) fn allreduce_grads(
-    comm: &impl Communicator,
-    dw: Tensor,
-    db: Option<Vec<f32>>,
-) -> (Tensor, Option<Vec<f32>>) {
-    let shape = dw.shape();
-    let mut flat = dw.into_vec();
-    if let Some(db) = &db {
-        flat.extend_from_slice(db);
-    }
-    let mut flat = comm.allreduce_owned(flat, ReduceOp::Sum, AllreduceAlgorithm::Auto);
-    let db = db.map(|_| flat.split_off(shape.len()));
-    (Tensor::from_vec(shape, flat), db)
-}
-
 /// Uniform margin bound over all grid coordinates of one dimension:
 /// `per(g)` returns `(needed_below, needed_above)` as signed counts;
 /// negative values (needs less than owned) clamp to zero.
@@ -409,11 +389,10 @@ mod tests {
         let w_shape = Shape4::new(f, c, geom.kh, geom.kw);
         let x = pattern(x_shape, 1);
         let w = pattern(w_shape, 2);
-        let bias: Vec<f32> = (0..f).map(|i| i as f32 * 0.25 - 0.5).collect();
-        let y_serial = conv2d_forward(&x, &w, Some(&bias), &geom);
+        let y_serial = conv2d_forward(&x, &w, &geom);
         let dy = pattern(y_serial.shape(), 3);
         let dx_serial = conv2d_backward_data(&dy, &w, &geom);
-        let (dw_serial, db_serial) = conv2d_backward_filter(&x, &dy, &geom);
+        let dw_serial = conv2d_backward_filter(&x, &dy, &geom);
 
         let layer = DistConv2d::new(n, c, f, geom, grid);
         let results = run_ranks(grid.size(), |comm| {
@@ -421,18 +400,18 @@ mod tests {
             let (x_halo, dy_halo) = (layer.x_halo_plan(rank), layer.dy_halo_plan(rank));
             let interior = InteriorPlan::build(&layer, rank);
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior);
+            let (y, win) = layer.forward(comm, &xs, &w, &x_halo, &interior);
             let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
-            let (dx, dw, db) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo);
+            let (dx, dw) = layer.backward(comm, &win, &dys, &w, true, &dy_halo);
             // Skipping dx changes nothing else.
-            let (none, dw_again, _) = layer.backward(comm, &win, &dys, &w, true, false, &dy_halo);
+            let (none, dw_again) = layer.backward(comm, &win, &dys, &w, false, &dy_halo);
             assert!(none.is_none());
             assert_eq!(dw_again, dw);
             let y_full = gather_to_root(comm, &y, 0);
             let dx_full = gather_to_root(comm, &dx.expect("dx was asked for"), 0);
-            (y_full, dx_full, dw, db)
+            (y_full, dx_full, dw)
         });
-        let (y_full, dx_full, _, _) = &results[0];
+        let (y_full, dx_full, _) = &results[0];
         assert_eq!(
             y_full.as_ref().unwrap(),
             &y_serial,
@@ -445,11 +424,8 @@ mod tests {
         );
         // dw goes through an allreduce → summation order differs from the
         // serial single accumulation; compare with tolerance.
-        for (_, _, dw, db) in &results {
+        for (_, _, dw) in &results {
             dw.assert_close(&dw_serial, 1e-4);
-            for (a, b) in db.as_ref().unwrap().iter().zip(&db_serial) {
-                assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "db {a} vs {b}");
-            }
         }
     }
 
@@ -536,7 +512,7 @@ mod tests {
             let rank = comm.rank();
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
             let (x_halo, interior) = (layer.x_halo_plan(rank), InteriorPlan::build(&layer, rank));
-            let _ = layer.forward(comm, &xs, &w, None, &x_halo, &interior);
+            let _ = layer.forward(comm, &xs, &w, &x_halo, &interior);
             comm.stats()
         });
         for s in &stats {

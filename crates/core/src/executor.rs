@@ -411,7 +411,6 @@ impl DistExecutor {
                 params: &params[id],
                 labels,
                 bn_override: bn_override.and_then(|o| o[id].as_ref()),
-                bn_mode: self.strategy.bn_mode,
                 edges,
                 parents: &base.parents,
                 acts: &mut pass.acts,
@@ -473,13 +472,7 @@ impl DistExecutor {
                 vec![(0, pass.loss_grad.clone().expect("backward requires labels in forward"))]
             } else {
                 let dy = dout[id].take().expect("a scheduled layer's error slot is filled");
-                let cx = BwdCx {
-                    plan,
-                    params: &params[id],
-                    pass,
-                    bn_mode: self.strategy.bn_mode,
-                    wants_dx: step.wants_dx(),
-                };
+                let cx = BwdCx { plan, params: &params[id], pass, wants_dx: step.wants_dx() };
                 let out = layer.backward(comm, &cx, dy);
                 grads[id] = out.grads;
                 out.dparents
@@ -851,7 +844,6 @@ mod tests {
                         plan: &exec.plans[id][rank],
                         params: &net.params[id],
                         pass: &pass,
-                        bn_mode: exec.strategy.bn_mode,
                         wants_dx: exec
                             .schedule
                             .backward

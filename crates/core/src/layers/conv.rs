@@ -13,9 +13,9 @@ use crate::layers::plan::{
 use fg_comm::{ScalarType, TraceRecorder};
 use fg_tensor::halo::record_halo_exchange;
 
-fn conv_params(p: &LayerParams) -> (&Tensor, Option<&[f32]>) {
+fn conv_weights(p: &LayerParams) -> &Tensor {
     match p {
-        LayerParams::Conv { w, b } => (w, b.as_deref()),
+        LayerParams::Conv { w } => w,
         other => panic!("expected conv params, found {other:?}"),
     }
 }
@@ -49,26 +49,26 @@ impl DistLayer for ConvLayer {
 
     fn forward(&self, comm: &WorldComm, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
-        let (w, b) = conv_params(cx.params);
+        let w = conv_weights(cx.params);
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
         // §IV-A: the halo exchange overlaps the interior compute.
         let iplan = cx.plan.interior.as_ref().expect("conv plan has an interior plan");
-        let (y, win) = self.conv.forward(comm, x, w, b, x_halo, iplan);
+        let (y, win) = self.conv.forward(comm, x, w, x_halo, iplan);
         *cx.window = Some(win);
         Act::Shard(y)
     }
 
     fn backward(&self, comm: &WorldComm, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
-        let (w, b) = conv_params(cx.params);
+        let w = conv_weights(cx.params);
         let win = cx.window(&self.base);
         let dy_halo = cx.plan.dy_halo.as_ref().expect("conv plan has a dy halo");
         // §IV-A: the dy halo exchange hides inside the (halo-free)
         // filter convolution.
-        let (dx, dw, db) = self.conv.backward(comm, win, &dy, w, b.is_some(), cx.wants_dx, dy_halo);
+        let (dx, dw) = self.conv.backward(comm, win, &dy, w, cx.wants_dx, dy_halo);
         BwdOut {
             dparents: dx.into_iter().map(|dx| (0, Act::Shard(dx))).collect(),
-            grads: Some(LayerParams::Conv { w: dw, b: db }),
+            grads: Some(LayerParams::Conv { w: dw }),
         }
     }
 

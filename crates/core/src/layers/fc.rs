@@ -3,12 +3,11 @@
 //! sample block; gradients sum across distinct sample blocks via the
 //! precompiled cross-section group.
 
-use fg_comm::WorldComm;
+use fg_comm::{AllreduceAlgorithm, Collectives, Communicator, ReduceOp, WorldComm};
 use fg_nn::network::{fc_backward, fc_forward};
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
 
-use crate::distconv::allreduce_grads;
 use crate::executor::Act;
 use crate::layers::groups::cross_section_group_layout;
 use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
@@ -18,6 +17,19 @@ fn fc_params(p: &LayerParams) -> (&Tensor, &[f32]) {
         LayerParams::Fc { w, b } => (w, b),
         other => panic!("expected fc params, found {other:?}"),
     }
+}
+
+/// Sum a layer's local gradients over `comm`, the bias concatenated to
+/// the weights: one allreduce per layer. The gradient's storage goes in
+/// and the reduced vector's comes out, so the weights are not copied on
+/// either side of the collective.
+fn allreduce_grads(comm: &impl Communicator, dw: Tensor, db: Vec<f32>) -> (Tensor, Vec<f32>) {
+    let shape = dw.shape();
+    let mut flat = dw.into_vec();
+    flat.extend_from_slice(&db);
+    let mut flat = comm.allreduce_owned(flat, ReduceOp::Sum, AllreduceAlgorithm::Auto);
+    let db = flat.split_off(shape.len());
+    (Tensor::from_vec(shape, flat), db)
 }
 
 /// [`DistLayer`] driver for fully connected layers.
@@ -60,11 +72,8 @@ impl DistLayer for FcLayer {
         // within a sample group hold identical partials).
         let group = cx.plan.cross_group.as_ref().expect("FC plan has a cross-section group");
         let sub = group.bind(comm);
-        let (w, b) = allreduce_grads(&sub, dw, Some(db));
-        BwdOut {
-            dparents: vec![(0, Act::PerSample(dx))],
-            grads: Some(LayerParams::Fc { w, b: b.expect("reduced with the weights") }),
-        }
+        let (w, b) = allreduce_grads(&sub, dw, db);
+        BwdOut { dparents: vec![(0, Act::PerSample(dx))], grads: Some(LayerParams::Fc { w, b }) }
     }
 
     fn needs_input_for_backward(&self) -> bool {

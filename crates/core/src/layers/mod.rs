@@ -8,7 +8,8 @@
 //! * [`plan`] — the [`LayerPlan`]/[`DistLayer`] interface itself;
 //! * [`conv`] — distributed convolution ([`crate::DistConv2d`] driver);
 //! * [`pool`] — distributed pooling ([`DistPool2d`]);
-//! * [`batchnorm`] — batch normalization ([`BnMode`], `dist_bn_*`);
+//! * [`batchnorm`] — batch normalization, statistics aggregated
+//!   (`dist_bn_*`);
 //! * [`pointwise`] — ReLU and residual add;
 //! * [`gap`] — global average pooling (shard → per-sample replicated);
 //! * [`fc`] — fully connected layers on per-sample activations;
@@ -28,7 +29,7 @@ pub mod pointwise;
 pub mod pool;
 pub(crate) mod schedule;
 
-pub use batchnorm::{BatchNormLayer, BnMode};
+pub use batchnorm::BatchNormLayer;
 pub use conv::ConvLayer;
 pub use fc::FcLayer;
 pub use gap::GapLayer;

@@ -26,7 +26,6 @@ use fg_tensor::{DistTensor, ProcGrid, TensorDist, NDIMS};
 use crate::distconv::InteriorPlan;
 use crate::executor::{Act, DistPass};
 use crate::layers::schedule::EdgeIn;
-use crate::layers::BnMode;
 
 /// One rank's precompiled communication/compute geometry for one layer.
 /// Built by [`DistLayer::compile_plan`]; every field a layer does not
@@ -229,14 +228,12 @@ pub trait DistLayer: std::fmt::Debug + Send + Sync {
 
 /// What a layer's trace-recording hooks see: the same plan its
 /// forward/backward would execute, plus the execution-context facts
-/// (batch-norm scope, parameter sizes) that decide which collectives run
-/// and how large their payloads are.
+/// (world, rank, parameter sizes) that decide which collectives run and
+/// how large their payloads are.
 #[derive(Debug)]
 pub struct TraceCx<'a> {
     /// This layer's precompiled plan (the one being verified).
     pub plan: &'a LayerPlan,
-    /// Batch-norm statistics scope from the strategy.
-    pub bn_mode: BnMode,
     /// World size.
     pub world: usize,
     /// The rank being traced.
@@ -259,8 +256,6 @@ pub struct FwdCx<'a> {
     pub labels: Option<&'a Labels>,
     /// Fixed statistics for BN inference mode.
     pub bn_override: Option<&'a BnStats>,
-    /// Batch-norm statistics scope.
-    pub bn_mode: BnMode,
     /// How each parent edge's input arrives (this layer's row of the
     /// step schedule) and where from.
     pub(crate) edges: &'a [EdgeIn],
@@ -318,8 +313,6 @@ pub struct BwdCx<'a> {
     pub params: &'a LayerParams,
     /// The saved forward pass.
     pub pass: &'a DistPass,
-    /// Batch-norm statistics scope.
-    pub bn_mode: BnMode,
     /// Does anyone read this layer's input gradient? False when every
     /// parent is parent-less (the network input): the scheduler drops
     /// what a step sends up such an edge, so a convolution need not

@@ -314,24 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_spatial_and_hybrid() {
-        check_pool(
-            PoolKind::Avg,
-            2,
-            3,
-            ConvGeometry::square(8, 8, 2, 2, 0),
-            ProcGrid::spatial(2, 2),
-        );
-        check_pool(
-            PoolKind::Avg,
-            4,
-            1,
-            ConvGeometry::square(6, 6, 3, 1, 1),
-            ProcGrid::hybrid(2, 2, 1),
-        );
-    }
-
-    #[test]
     fn pool_uneven_blocks() {
         check_pool(
             PoolKind::Max,

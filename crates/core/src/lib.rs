@@ -36,7 +36,7 @@ pub mod verify;
 pub use distconv::DistConv2d;
 pub use executor::{Act, DistExecutor, DistPass};
 pub use guard::{Anomaly, StepGuard};
-pub use layers::{BnMode, DistPool2d};
+pub use layers::DistPool2d;
 pub use mem::{
     analyze_strategy, mem_budget_from_env, sample_ranks, turnaround_bytes, MemCheckKind, MemReport,
     MemViolation, RankMemBound,

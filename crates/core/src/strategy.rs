@@ -2,22 +2,17 @@
 //!
 //! A [`Strategy`] assigns every layer of a network a [`ProcGrid`] —
 //! "an assignment of distributions to each layer" in the paper's words —
-//! plus global execution knobs (batch-norm statistics scope). The
-//! executor consumes a validated strategy; the optimizer in `fg-perf`
-//! produces one.
+//! plus optional per-rank speed weights. The executor consumes a
+//! validated strategy; the optimizer in `fg-perf` produces one.
 
 use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::{GridWeights, ProcGrid, Shape4, TensorDist};
-
-use crate::layers::BnMode;
 
 /// A parallel execution strategy for a network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Strategy {
     /// Process grid per layer (same world size everywhere).
     pub grids: Vec<ProcGrid>,
-    /// Batch-norm statistics scope.
-    pub bn_mode: BnMode,
     /// Per-rank relative speed weights for weighted re-decomposition
     /// (gray-failure mitigation / heterogeneity-aware placement). `None`
     /// or all-equal means the usual uniform blocked partition; otherwise
@@ -126,7 +121,7 @@ impl Strategy {
     /// end-to-end experiments use ("the same data decomposition for
     /// every layer in a given configuration", §VI-B).
     pub fn uniform(spec: &NetworkSpec, grid: ProcGrid) -> Strategy {
-        Strategy { grids: vec![grid; spec.len()], bn_mode: BnMode::default(), rank_weights: None }
+        Strategy { grids: vec![grid; spec.len()], rank_weights: None }
     }
 
     /// Pure sample parallelism over `p` ranks (the baseline).
@@ -159,12 +154,6 @@ impl Strategy {
         }
         let s = Strategy::sample_parallel(spec, p);
         s.validate(spec, batch).is_ok().then_some(s)
-    }
-
-    /// Select the batch-norm scope.
-    pub fn with_bn_mode(mut self, mode: BnMode) -> Strategy {
-        self.bn_mode = mode;
-        self
     }
 
     /// Attach per-rank speed weights: every layer's distribution becomes

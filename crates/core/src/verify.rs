@@ -145,13 +145,8 @@ fn record_rank(
     oracle: Option<&dyn ComputeOracle>,
 ) -> RankTrace {
     let world = exec.strategy.world_size();
-    let cx = |id: usize| TraceCx {
-        plan: &plans[id][rank],
-        bn_mode: exec.strategy.bn_mode,
-        world,
-        rank,
-        param_elems: param_elems[id],
-    };
+    let cx =
+        |id: usize| TraceCx { plan: &plans[id][rank], world, rank, param_elems: param_elems[id] };
     let mut rec = TraceRecorder::new(rank, world);
 
     // Forward: per layer, input shuffles in parent-edge order, then the

@@ -21,15 +21,15 @@
 //! Every result element is one floating-point sum, and the order of its
 //! terms is what "bitwise equal to a single device" rests on:
 //!
-//! * **forward** — `y[k,f,oh,ow]` starts at the bias (or `+0.0`) and adds
-//!   `w·x` over `(c, r, s)`, ascending, `s` innermost;
+//! * **forward** — `y[k,f,oh,ow]` starts at `+0.0` and adds `w·x` over
+//!   `(c, r, s)`, ascending, `s` innermost (no model's conv has a bias —
+//!   the conv+BN idiom, where the batch norm's shift does its work);
 //! * **backward-data** — `dx[k,c,ih,iw]` starts at `+0.0` and, for each
 //!   valid kernel row `r` ascending and filter `f` ascending, adds
 //!   `acc = Σ_s dy·w` (valid taps `s` ascending, from `+0.0`);
 //! * **backward-filter** — `dw[f,c,r,s]` starts at `+0.0` and, for each
 //!   `(k, oh)` ascending, adds the dot product of the `dy` row with the
-//!   tap's input row, `j` ascending from `+0.0`; `db[f]` adds each row's
-//!   sum in the same `(k, oh)` order.
+//!   tap's input row, `j` ascending from `+0.0`.
 //!
 //! Loops may be reordered or split only where no element sees its terms
 //! in a different order.
@@ -54,7 +54,7 @@
 //! shares stay cached. Safe Rust throughout.
 //!
 //! * **Forward** — `B` filters × `CW` output columns of one `(k, oh)`
-//!   row. The sums start at the bias; for `c`, for tap `(r, s)`, one run
+//!   row. The sums start at `+0.0`; for `c`, for tap `(r, s)`, one run
 //!   of `x` is loaded and `w[f][c][r][s] · x` added into each filter's
 //!   lanes. The window is read through [`TapRows`]: when `stride_w > 1`
 //!   the rows one call reads are copied once with column `l` moved to
@@ -531,6 +531,8 @@ fn run_at<const CW: usize>(row: &[f32], at: usize) -> &[f32; CW] {
 /// * `x` — input window `(N_loc, C, win_h, win_w)`, padding materialized
 ///   as zeros, with global origin `x_origin` (h, w).
 /// * `w` — weights `(F, C, kh, kw)`; `x` and `w` must agree on C.
+/// * `bias` — must be `None`: a convolution has no bias. The argument
+///   stays only because the benchmark's kernel replay passes it.
 /// * `out_rows`/`out_cols` — global output index ranges to compute.
 ///
 /// Returns `(N_loc, F, rows, cols)`.
@@ -547,9 +549,7 @@ pub fn conv2d_forward_region(
     let (f_out, c_w, kh, kw) = dims(w);
     assert_eq!(c_in, c_w, "input channels do not match weights");
     assert_eq!((kh, kw), (geom.kh, geom.kw), "weights do not match geometry");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), f_out, "bias length must equal filter count");
-    }
+    assert!(bias.is_none(), "a convolution has no bias");
     let (oh0, oh1) = out_rows;
     let (ow0, ow1) = out_cols;
     assert!(oh0 < oh1 && ow0 < ow1, "empty output region");
@@ -581,7 +581,6 @@ pub fn conv2d_forward_region(
             for filters in panels(f_out) {
                 let mut tile = ForwardTile {
                     ws: w.as_slice(),
-                    bias,
                     c_in,
                     x_rows: &x_rows,
                     x_k: x_rows.rows(0, 0),
@@ -607,7 +606,6 @@ pub fn conv2d_forward_region(
             for row in 0..rows {
                 let mut tile = ForwardTile {
                     ws: w.as_slice(),
-                    bias,
                     c_in,
                     x_rows: &x_rows,
                     x_k: x_rows.rows(k * c_in, row * geom.stride_h),
@@ -625,7 +623,6 @@ pub fn conv2d_forward_region(
 /// `(k, oh)` row, or positions of a small map's virtual row.
 struct ForwardTile<'a> {
     ws: &'a [f32],
-    bias: Option<&'a [f32]>,
     c_in: usize,
     x_rows: &'a TapRows<'a>,
     /// Channel 0's window rows from the output row's first input row on.
@@ -640,8 +637,7 @@ impl Tile for ForwardTile<'_> {
         let taps = &self.x_rows.tap_at;
         let w_filter = self.c_in * taps.len();
         let w_f: [&[f32]; B] = std::array::from_fn(|b| &self.ws[(f0 + b) * w_filter..][..w_filter]);
-        let mut acc: [[f32; CW]; B] =
-            std::array::from_fn(|b| [self.bias.map_or(0.0, |bias| bias[f0 + b]); CW]);
+        let mut acc = [[0.0f32; CW]; B];
         for c in 0..self.c_in {
             let x_c = &self.x_k[c * self.x_rows.plane + col0..];
             for (t, &at) in taps.iter().enumerate() {
@@ -945,7 +941,7 @@ impl Tile for BackwardDataTile<'_> {
 }
 
 /// Backward-filter convolution (Eq. 2) over an output region: the local
-/// contribution to `dL/dw` (and `dL/db`) from the error-signal block
+/// contribution to `dL/dw` from the error-signal block
 /// `dy_rows × dy_cols`. The distributed layer allreduces these partials
 /// across ranks (the sums over N, H, W in Eq. 2).
 ///
@@ -953,7 +949,7 @@ impl Tile for BackwardDataTile<'_> {
 /// * `dy` — error-signal window with origin `dy_origin`; only the
 ///   requested region is read, so a margin-free shard works.
 ///
-/// Returns `(dw, db)` with `dw` of shape `(F, C, kh, kw)`.
+/// Returns `dw` of shape `(F, C, kh, kw)`.
 pub fn conv2d_backward_filter_region(
     x: &Tensor,
     x_origin: (i64, i64),
@@ -962,7 +958,7 @@ pub fn conv2d_backward_filter_region(
     geom: &ConvGeometry,
     dy_rows: (usize, usize),
     dy_cols: (usize, usize),
-) -> (Tensor, Vec<f32>) {
+) -> Tensor {
     let (n, c_in, win_h, win_w) = dims(x);
     let (n_dy, f_out, _, _) = dims(dy);
     assert_eq!(n, n_dy, "x and dy sample counts differ");
@@ -976,7 +972,6 @@ pub fn conv2d_backward_filter_region(
     assert_window_covers(x_origin.1, win_w, iw_lo, iw_hi, "input cols");
 
     let mut dw = Tensor::zeros(Shape4::new(f_out, c_in, geom.kh, geom.kw));
-    let mut db = vec![0.0f32; f_out];
     let mut scratch = Vec::new();
     let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
     let dy_shape = dy.shape();
@@ -998,8 +993,7 @@ pub fn conv2d_backward_filter_region(
             let (k, oh) = (q / rows, oh0 + q % rows);
             let lh_dy = (oh as i64 - dy_origin.0) as usize;
             let dy_k = &dy.as_slice()[dy_shape.offset(k, 0, lh_dy, lw_dy0)..];
-            for (f, (db_f, dy_row)) in db.iter_mut().zip(dy_k.chunks(dy_plane)).enumerate() {
-                *db_f += dy_row[..cols].iter().sum::<f32>();
+            for (f, dy_row) in dy_k.chunks(dy_plane).take(f_out).enumerate() {
                 for (g, v) in dyg_q[f..].iter_mut().step_by(f_out).zip(&dy_row[..cols]) {
                     *g = *v;
                 }
@@ -1027,7 +1021,7 @@ pub fn conv2d_backward_filter_region(
             for_each_tile(filters, taps, &mut tile);
         }
     }
-    (dw, db)
+    dw
 }
 
 /// Backward-filter's tile: `B` filters × `CW` adjacent taps `(c, r, s)`
@@ -1068,13 +1062,13 @@ impl Tile for BackwardFilterTile<'_> {
 }
 
 /// Serial forward convolution with symmetric zero padding.
-pub fn conv2d_forward(x: &Tensor, w: &Tensor, bias: Option<&[f32]>, geom: &ConvGeometry) -> Tensor {
+pub fn conv2d_forward(x: &Tensor, w: &Tensor, geom: &ConvGeometry) -> Tensor {
     let padded = pad_window(x, geom.pad_h, geom.pad_w);
     conv2d_forward_region(
         &padded,
         (-(geom.pad_h as i64), -(geom.pad_w as i64)),
         w,
-        bias,
+        None,
         geom,
         (0, geom.out_h()),
         (0, geom.out_w()),
@@ -1086,8 +1080,8 @@ pub fn conv2d_backward_data(dy: &Tensor, w: &Tensor, geom: &ConvGeometry) -> Ten
     conv2d_backward_data_region(dy, (0, 0), w, geom, (0, geom.in_h), (0, geom.in_w))
 }
 
-/// Serial backward-filter convolution; returns `(dw, db)`.
-pub fn conv2d_backward_filter(x: &Tensor, dy: &Tensor, geom: &ConvGeometry) -> (Tensor, Vec<f32>) {
+/// Serial backward-filter convolution; returns `dw`.
+pub fn conv2d_backward_filter(x: &Tensor, dy: &Tensor, geom: &ConvGeometry) -> Tensor {
     let padded = pad_window(x, geom.pad_h, geom.pad_w);
     conv2d_backward_filter_region(
         &padded,
@@ -1128,7 +1122,7 @@ mod tests {
 
     /// Reference implementation: the paper's Eq. 1 verbatim, no window
     /// tricks, O(everything) loops.
-    fn conv_reference(x: &Tensor, w: &Tensor, bias: Option<&[f32]>, g: &ConvGeometry) -> Tensor {
+    fn conv_reference(x: &Tensor, w: &Tensor, g: &ConvGeometry) -> Tensor {
         let xs = x.shape();
         let wsh = w.shape();
         let mut y = Tensor::zeros(Shape4::new(xs.n, wsh.n, g.out_h(), g.out_w()));
@@ -1136,7 +1130,7 @@ mod tests {
             for f in 0..wsh.n {
                 for oh in 0..g.out_h() {
                     for ow in 0..g.out_w() {
-                        let mut acc = bias.map_or(0.0, |b| b[f]);
+                        let mut acc = 0.0;
                         for c in 0..xs.c {
                             for r in 0..g.kh {
                                 for s in 0..g.kw {
@@ -1193,9 +1187,8 @@ mod tests {
         for (xs, wsz, g) in geometries() {
             let x = test_tensor(xs, 1);
             let w = test_tensor(wsz, 2);
-            let bias: Vec<f32> = (0..wsz.n).map(|f| f as f32 * 0.5 - 1.0).collect();
-            let got = conv2d_forward(&x, &w, Some(&bias), &g);
-            let want = conv_reference(&x, &w, Some(&bias), &g);
+            let got = conv2d_forward(&x, &w, &g);
+            let want = conv_reference(&x, &w, &g);
             got.assert_close(&want, 1e-5);
         }
     }
@@ -1209,7 +1202,7 @@ mod tests {
         );
         let x = test_tensor(xs, 3);
         let w = test_tensor(wsz, 4);
-        let full = conv2d_forward(&x, &w, None, &g);
+        let full = conv2d_forward(&x, &w, &g);
         // Compute rows 4..8, cols 2..10 from a sufficient window.
         let padded = pad_window(&x, g.pad_h, g.pad_w);
         let region = conv2d_forward_region(&padded, (-1, -1), &w, None, &g, (4, 8), (2, 10));
@@ -1234,11 +1227,11 @@ mod tests {
         // Loss = sum over y of fixed weights q.
         let q = test_tensor(Shape4::new(1, 2, g.out_h(), g.out_w()), 7);
         let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            let y = conv2d_forward(x, w, None, &g);
+            let y = conv2d_forward(x, w, &g);
             y.as_slice().iter().zip(q.as_slice()).map(|(a, b)| (*a as f64) * (*b as f64)).sum()
         };
         let dx = conv2d_backward_data(&q, &w, &g);
-        let (dw, _db) = conv2d_backward_filter(&x, &q, &g);
+        let dw = conv2d_backward_filter(&x, &q, &g);
 
         let eps = 1e-2f32;
         // Check a scattering of x positions.
@@ -1266,25 +1259,6 @@ mod tests {
                 (fd - an).abs() < 1e-2 * fd.abs().max(1.0),
                 "dw[{f},{c},{r},{s}]: {an} vs {fd}"
             );
-        }
-    }
-
-    #[test]
-    fn bias_gradient_sums_error_signal() {
-        let g = ConvGeometry::square(4, 4, 3, 1, 1);
-        let x = test_tensor(Shape4::new(2, 1, 4, 4), 8);
-        let dy = test_tensor(Shape4::new(2, 2, 4, 4), 9);
-        let (_dw, db) = conv2d_backward_filter(&x, &dy, &g);
-        for (f, got) in db.iter().enumerate() {
-            let mut want = 0.0f32;
-            for n in 0..2 {
-                for h in 0..4 {
-                    for w in 0..4 {
-                        want += dy.at(n, f, h, w);
-                    }
-                }
-            }
-            assert!((got - want).abs() < 1e-4);
         }
     }
 

@@ -1,4 +1,4 @@
-//! 2-D pooling (max and average), forward and backward, in region form.
+//! 2-D max pooling, forward and backward, in region form.
 //!
 //! Pooling layers are "parallelized similarly" to convolution in the
 //! paper (§III-B): spatial partitioning plus a halo exchange when the
@@ -6,19 +6,21 @@
 //! same window/origin/region arguments as [`crate::conv`].
 //!
 //! Padding semantics follow cuDNN: padding positions are *excluded* —
-//! they never win a max and are not counted in an average.
+//! they never win a max. The one pooling layer of the models here,
+//! ResNet-50's `pool1`, takes the maximum; the global average at a
+//! network's head is its own layer.
 
 use fg_tensor::{Shape4, Tensor};
 
 use crate::conv::ConvGeometry;
 
-/// Pooling operation kind.
+/// Pooling operation kind. It has one variant: it stays an argument of
+/// the kernels, of `LayerKind::Pool` and of `DistPool2d::new` because the
+/// benchmark's kernel replay names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolKind {
     /// Maximum over the (valid part of the) window.
     Max,
-    /// Mean over the valid (in-bounds) part of the window.
-    Avg,
 }
 
 /// Forward pooling over an output region (window/origin contract as in
@@ -31,6 +33,7 @@ pub fn pool2d_forward_region(
     out_rows: (usize, usize),
     out_cols: (usize, usize),
 ) -> Tensor {
+    let PoolKind::Max = kind;
     let s = x.shape();
     let (oh0, oh1) = out_rows;
     let (ow0, ow1) = out_cols;
@@ -41,21 +44,9 @@ pub fn pool2d_forward_region(
         for c in 0..s.c {
             for oh in oh0..oh1 {
                 for ow in ow0..ow1 {
-                    let v = match kind {
-                        PoolKind::Max => window_iter(geom, x, x_origin, k, c, oh, ow)
-                            .fold(f32::NEG_INFINITY, f32::max),
-                        PoolKind::Avg => {
-                            let mut sum = 0.0f32;
-                            let mut cnt = 0usize;
-                            for v in window_iter(geom, x, x_origin, k, c, oh, ow) {
-                                sum += v;
-                                cnt += 1;
-                            }
-                            debug_assert!(cnt > 0, "pooling window fully out of bounds");
-                            sum / cnt as f32
-                        }
-                    };
-                    *y.at_mut(k, c, oh - oh0, ow - ow0) = v;
+                    *y.at_mut(k, c, oh - oh0, ow - ow0) =
+                        window_iter(geom, x, x_origin, k, c, oh, ow)
+                            .fold(f32::NEG_INFINITY, f32::max);
                 }
             }
         }
@@ -65,8 +56,7 @@ pub fn pool2d_forward_region(
 
 /// Backward pooling over an input-gradient region.
 ///
-/// * `x` — the forward input window (max pooling recomputes the argmax;
-///   average pooling only needs validity counts).
+/// * `x` — the forward input window (the argmax is recomputed from it).
 /// * `dy` — error-signal window covering every valid output contributing
 ///   to the requested region.
 ///
@@ -82,6 +72,7 @@ pub fn pool2d_backward_region(
     dx_rows: (usize, usize),
     dx_cols: (usize, usize),
 ) -> Tensor {
+    let PoolKind::Max = kind;
     let s = x.shape();
     let (ih0, ih1) = dx_rows;
     let (iw0, iw1) = dx_cols;
@@ -96,31 +87,19 @@ pub fn pool2d_backward_region(
                     let lh = (oh as i64 - dy_origin.0) as usize;
                     let lw = (ow as i64 - dy_origin.1) as usize;
                     let g = dy.at(k, c, lh, lw);
-                    match kind {
-                        PoolKind::Max => {
-                            // Deterministic argmax: first maximum in
-                            // row-major window order.
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_pos = None;
-                            for (ih, iw, v) in window_iter_pos(geom, x, x_origin, k, c, oh, ow) {
-                                if v > best {
-                                    best = v;
-                                    best_pos = Some((ih, iw));
-                                }
-                            }
-                            if let Some((ih, iw)) = best_pos {
-                                if ih >= ih0 && ih < ih1 && iw >= iw0 && iw < iw1 {
-                                    *dx.at_mut(k, c, ih - ih0, iw - iw0) += g;
-                                }
-                            }
+                    // Deterministic argmax: first maximum in row-major
+                    // window order.
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_pos = None;
+                    for (ih, iw, v) in window_iter_pos(geom, x, x_origin, k, c, oh, ow) {
+                        if v > best {
+                            best = v;
+                            best_pos = Some((ih, iw));
                         }
-                        PoolKind::Avg => {
-                            let cnt = window_iter(geom, x, x_origin, k, c, oh, ow).count() as f32;
-                            for (ih, iw, _v) in window_iter_pos(geom, x, x_origin, k, c, oh, ow) {
-                                if ih >= ih0 && ih < ih1 && iw >= iw0 && iw < iw1 {
-                                    *dx.at_mut(k, c, ih - ih0, iw - iw0) += g / cnt;
-                                }
-                            }
+                    }
+                    if let Some((ih, iw)) = best_pos {
+                        if ih >= ih0 && ih < ih1 && iw >= iw0 && iw < iw1 {
+                            *dx.at_mut(k, c, ih - ih0, iw - iw0) += g;
                         }
                     }
                 }
@@ -204,20 +183,15 @@ mod tests {
         let g = ConvGeometry::square(4, 4, 2, 2, 0);
         let y = pool2d_forward(PoolKind::Max, &x, &g);
         assert_eq!(y.as_slice(), &[6., 8., 14., 16.]);
-        let a = pool2d_forward(PoolKind::Avg, &x, &g);
-        assert_eq!(a.as_slice(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
     #[test]
-    fn padding_is_excluded_from_max_and_avg() {
+    fn padding_is_excluded_from_max() {
         // All negative values: with padding included, max would be 0.
         let x = Tensor::full(Shape4::new(1, 1, 3, 3), -2.0);
         let g = ConvGeometry::square(3, 3, 3, 2, 1);
         let y = pool2d_forward(PoolKind::Max, &x, &g);
         assert!(y.as_slice().iter().all(|&v| v == -2.0), "padding leaked into max: {y:?}");
-        let a = pool2d_forward(PoolKind::Avg, &x, &g);
-        // Every window contains only -2s among valid positions.
-        assert!(a.as_slice().iter().all(|&v| (v + 2.0).abs() < 1e-6));
     }
 
     #[test]
@@ -261,44 +235,16 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_gradcheck() {
-        let g = ConvGeometry::square(5, 5, 3, 2, 1);
-        let x = t(Shape4::new(1, 1, 5, 5), 7);
-        let q = t(Shape4::new(1, 1, g.out_h(), g.out_w()), 9);
-        let loss = |x: &Tensor| -> f64 {
-            pool2d_forward(PoolKind::Avg, x, &g)
-                .as_slice()
-                .iter()
-                .zip(q.as_slice())
-                .map(|(a, b)| (*a as f64) * (*b as f64))
-                .sum()
-        };
-        let dx = pool2d_backward(PoolKind::Avg, &x, &q, &g);
-        let eps = 1e-2f32;
-        for (h, w) in [(0, 0), (2, 2), (4, 4), (1, 3)] {
-            let mut xp = x.clone();
-            *xp.at_mut(0, 0, h, w) += eps;
-            let mut xm = x.clone();
-            *xm.at_mut(0, 0, h, w) -= eps;
-            let fd = (loss(&xp) - loss(&xm)) / (2.0 * eps as f64);
-            let an = dx.at(0, 0, h, w) as f64;
-            assert!((fd - an).abs() < 1e-3, "avg pool dx[{h},{w}]: {an} vs {fd}");
-        }
-    }
-
-    #[test]
     fn region_forward_matches_full() {
         let g = ConvGeometry::square(8, 8, 3, 2, 1);
         let x = t(Shape4::new(2, 2, 8, 8), 11);
-        for kind in [PoolKind::Max, PoolKind::Avg] {
-            let full = pool2d_forward(kind, &x, &g);
-            let region = pool2d_forward_region(kind, &x, (0, 0), &g, (1, 3), (0, 4));
-            for n in 0..2 {
-                for c in 0..2 {
-                    for oh in 1..3 {
-                        for ow in 0..4 {
-                            assert_eq!(region.at(n, c, oh - 1, ow), full.at(n, c, oh, ow));
-                        }
+        let full = pool2d_forward(PoolKind::Max, &x, &g);
+        let region = pool2d_forward_region(PoolKind::Max, &x, (0, 0), &g, (1, 3), (0, 4));
+        for n in 0..2 {
+            for c in 0..2 {
+                for oh in 1..3 {
+                    for ow in 0..4 {
+                        assert_eq!(region.at(n, c, oh - 1, ow), full.at(n, c, oh, ow));
                     }
                 }
             }
@@ -311,15 +257,14 @@ mod tests {
         let g = ConvGeometry::square(6, 6, 3, 2, 1);
         let x = t(Shape4::new(1, 1, 6, 6), 13);
         let dy = t(Shape4::new(1, 1, g.out_h(), g.out_w()), 17);
-        for kind in [PoolKind::Max, PoolKind::Avg] {
-            let full = pool2d_backward(kind, &x, &dy, &g);
-            let top = pool2d_backward_region(kind, &x, (0, 0), &dy, (0, 0), &g, (0, 3), (0, 6));
-            let bot = pool2d_backward_region(kind, &x, (0, 0), &dy, (0, 0), &g, (3, 6), (0, 6));
-            for h in 0..6 {
-                for w in 0..6 {
-                    let v = if h < 3 { top.at(0, 0, h, w) } else { bot.at(0, 0, h - 3, w) };
-                    assert_eq!(v, full.at(0, 0, h, w), "kind {kind:?} at ({h},{w})");
-                }
+        let kind = PoolKind::Max;
+        let full = pool2d_backward(kind, &x, &dy, &g);
+        let top = pool2d_backward_region(kind, &x, (0, 0), &dy, (0, 0), &g, (0, 3), (0, 6));
+        let bot = pool2d_backward_region(kind, &x, (0, 0), &dy, (0, 0), &g, (3, 6), (0, 6));
+        for h in 0..6 {
+            for w in 0..6 {
+                let v = if h < 3 { top.at(0, 0, h, w) } else { bot.at(0, 0, h - 3, w) };
+                assert_eq!(v, full.at(0, 0, h, w), "at ({h},{w})");
             }
         }
     }

@@ -98,7 +98,7 @@ proptest! {
     fn forward_matches_naive_reference((n, c, f, geom, seed) in geometry()) {
         let x = tensor_from_seed(Shape4::new(n, c, geom.in_h, geom.in_w), seed);
         let w = tensor_from_seed(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xFACE);
-        let got = conv2d_forward(&x, &w, None, &geom);
+        let got = conv2d_forward(&x, &w, &geom);
         let want = reference_forward(&x, &w, &geom);
         prop_assert!(got.max_abs_diff(&want) <= 1e-3,
             "direct conv deviates from Eq. 1 reference by {}", got.max_abs_diff(&want));
@@ -114,10 +114,10 @@ proptest! {
         let mut lhs_in = x1.clone();
         lhs_in.scale(a);
         lhs_in.add_assign(&x2);
-        let lhs = conv2d_forward(&lhs_in, &w, None, &geom);
-        let mut rhs = conv2d_forward(&x1, &w, None, &geom);
+        let lhs = conv2d_forward(&lhs_in, &w, &geom);
+        let mut rhs = conv2d_forward(&x1, &w, &geom);
         rhs.scale(a);
-        rhs.add_assign(&conv2d_forward(&x2, &w, None, &geom));
+        rhs.add_assign(&conv2d_forward(&x2, &w, &geom));
         prop_assert!(lhs.max_rel_diff(&rhs, 1.0) < 1e-3);
     }
 
@@ -126,7 +126,7 @@ proptest! {
         // ⟨conv(x), dy⟩ == ⟨x, convᵀ(dy)⟩ — Eq. 3 is the transpose of Eq. 1.
         let x = tensor_from_seed(Shape4::new(n, c, geom.in_h, geom.in_w), seed);
         let w = tensor_from_seed(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0x1111);
-        let y = conv2d_forward(&x, &w, None, &geom);
+        let y = conv2d_forward(&x, &w, &geom);
         let dy = tensor_from_seed(y.shape(), seed ^ 0x2222);
         let dx = conv2d_backward_data(&dy, &w, &geom);
         let lhs: f64 = y
@@ -151,9 +151,9 @@ proptest! {
         // ⟨conv_w(x), dy⟩ must equal ⟨w, dW(x, dy)⟩.
         let x = tensor_from_seed(Shape4::new(n, c, geom.in_h, geom.in_w), seed);
         let w = tensor_from_seed(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0x3333);
-        let y = conv2d_forward(&x, &w, None, &geom);
+        let y = conv2d_forward(&x, &w, &geom);
         let dy = tensor_from_seed(y.shape(), seed ^ 0x4444);
-        let (dw, _db) = conv2d_backward_filter(&x, &dy, &geom);
+        let dw = conv2d_backward_filter(&x, &dy, &geom);
         let lhs: f64 = y
             .as_slice()
             .iter()
@@ -184,13 +184,12 @@ fn dims(t: &Tensor) -> (usize, usize, usize, usize) {
 /// Forward as the kernel ran it before the window rows were
 /// de-interleaved by width phase: every tap a strided read of the row.
 /// It also keeps the zero-weight skip the kernel dropped — for finite
-/// `x` and a bias that is not `−0.0`, skipping `y += 0·x` cannot change a
+/// `x` and sums that start at `+0.0`, skipping `y += 0·x` cannot change a
 /// bit, so comparing against it pins that claim as well.
 fn strided_forward_region(
     x: &Tensor,
     x_origin: (i64, i64),
     w: &Tensor,
-    bias: Option<&[f32]>,
     geom: &ConvGeometry,
     out_rows: (usize, usize),
     out_cols: (usize, usize),
@@ -209,11 +208,9 @@ fn strided_forward_region(
 
     for k in 0..n {
         for f in 0..f_out {
-            let bias_v = bias.map_or(0.0, |b| b[f]);
             for oh in oh0..oh1 {
                 let y_base = y.shape().offset(k, f, oh - oh0, 0);
                 let y_row = &mut y.as_mut_slice()[y_base..y_base + cols];
-                y_row.fill(bias_v);
                 for c in 0..c_in {
                     for r in 0..geom.kh {
                         let ih = oh as i64 * geom.stride_h as i64 - geom.pad_h as i64 + r as i64;
@@ -318,13 +315,12 @@ fn strided_backward_filter_region(
     geom: &ConvGeometry,
     dy_rows: (usize, usize),
     dy_cols: (usize, usize),
-) -> (Tensor, Vec<f32>) {
+) -> Tensor {
     let (n, c_in, _, win_w) = dims(x);
     let (_, f_out, _, _) = dims(dy);
     let (oh0, oh1) = dy_rows;
     let (ow0, ow1) = dy_cols;
     let mut dw = Tensor::zeros(Shape4::new(f_out, c_in, geom.kh, geom.kw));
-    let mut db = vec![0.0f32; f_out];
     let xs = x.as_slice();
     let x_shape = x.shape();
     let dy_shape = dy.shape();
@@ -332,13 +328,12 @@ fn strided_backward_filter_region(
     let cols = ow1 - ow0;
 
     for k in 0..n {
-        for (f, db_f) in db.iter_mut().enumerate() {
+        for f in 0..f_out {
             for oh in oh0..oh1 {
                 let lh_dy = (oh as i64 - dy_origin.0) as usize;
                 let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
                 let dy_base = dy_shape.offset(k, f, lh_dy, lw_dy0);
                 let dy_row = &dys[dy_base..dy_base + cols];
-                *db_f += dy_row.iter().sum::<f32>();
                 for c in 0..c_in {
                     for r in 0..geom.kh {
                         let ih = oh as i64 * geom.stride_h as i64 - geom.pad_h as i64 + r as i64;
@@ -361,7 +356,7 @@ fn strided_backward_filter_region(
             }
         }
     }
-    (dw, db)
+    dw
 }
 
 /// Deterministic picks derived from a case's seed: the vendored
@@ -484,18 +479,15 @@ fn check_forward(
     let (ox, win_w) = picks.window(iw_lo, iw_hi);
     let x = rounding_tensor(Shape4::new(n, c, win_h, win_w), seed);
     let w = rounding_tensor(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xFACE);
-    let bias: Vec<f32> = (0..f).map(|i| i as f32 * 0.37 - 0.5).collect();
-    let bias = (picks.below(2) == 0).then_some(bias.as_slice());
-    let got = conv2d_forward_region(&x, (oy, ox), &w, bias, &geom, rows, cols);
-    let want = strided_forward_region(&x, (oy, ox), &w, bias, &geom, rows, cols);
+    let got = conv2d_forward_region(&x, (oy, ox), &w, None, &geom, rows, cols);
+    let want = strided_forward_region(&x, (oy, ox), &w, &geom, rows, cols);
     if bits(got.as_slice()) == bits(want.as_slice()) {
         return Ok(());
     }
     Err(format!(
         "forward bits differ: {case:?} out_rows {rows:?} out_cols {cols:?} x_origin {:?} \
-         window {win_h}x{win_w} bias {}",
-        (oy, ox),
-        bias.is_some()
+         window {win_h}x{win_w}",
+        (oy, ox)
     ))
 }
 
@@ -545,11 +537,11 @@ fn check_backward_filter(
     let (dy_ox, dy_w) = picks.window(cols.0 as i64, cols.1 as i64);
     let x = rounding_tensor(Shape4::new(n, c, x_h, x_w), seed);
     let dy = rounding_tensor(Shape4::new(n, f, dy_h, dy_w), seed ^ 0x4444);
-    let (dw, db) =
+    let dw =
         conv2d_backward_filter_region(&x, (x_oy, x_ox), &dy, (dy_oy, dy_ox), &geom, rows, cols);
-    let (dw_ref, db_ref) =
+    let dw_ref =
         strided_backward_filter_region(&x, (x_oy, x_ox), &dy, (dy_oy, dy_ox), &geom, rows, cols);
-    if bits(dw.as_slice()) == bits(dw_ref.as_slice()) && bits(&db) == bits(&db_ref) {
+    if bits(dw.as_slice()) == bits(dw_ref.as_slice()) {
         return Ok(());
     }
     Err(format!(

@@ -58,7 +58,8 @@ impl NetworkSpec {
         self.add(name, LayerKind::Input { channels, height, width }, &[])
     }
 
-    /// Add a convolution (no bias — the conv+BN idiom).
+    /// Add a convolution (no bias — the conv+BN idiom; see
+    /// [`LayerKind::Conv`]).
     pub fn conv(
         &mut self,
         name: &str,
@@ -68,20 +69,7 @@ impl NetworkSpec {
         stride: usize,
         pad: usize,
     ) -> LayerId {
-        self.add(name, LayerKind::Conv { filters, kernel, stride, pad, bias: false }, &[parent])
-    }
-
-    /// Add a convolution with bias.
-    pub fn conv_bias(
-        &mut self,
-        name: &str,
-        parent: LayerId,
-        filters: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-    ) -> LayerId {
-        self.add(name, LayerKind::Conv { filters, kernel, stride, pad, bias: true }, &[parent])
+        self.add(name, LayerKind::Conv { filters, kernel, stride, pad }, &[parent])
     }
 
     /// Add a batch-norm layer.
@@ -179,7 +167,7 @@ impl NetworkSpec {
     }
 
     /// Learnable parameter element count of every layer (conv weights
-    /// are `F·C·K²` plus an optional bias, batch norm `2·C`, FC
+    /// are `F·C·K²`, batch norm `2·C`, FC
     /// `out·(in + 1)`, everything else 0) — pure shape arithmetic, equal
     /// to `init_params(self, _)[id].len()` without sampling a parameter
     /// set.
@@ -192,9 +180,9 @@ impl NetworkSpec {
     pub fn layer_param_elems(&self, id: LayerId) -> usize {
         let l = &self.layers[id];
         match &l.kind {
-            LayerKind::Conv { filters, kernel, bias, .. } => {
+            LayerKind::Conv { filters, kernel, .. } => {
                 let c_in = self.shapes[l.parents[0]].0;
-                filters * c_in * kernel * kernel + if *bias { *filters } else { 0 }
+                filters * c_in * kernel * kernel
             }
             LayerKind::BatchNorm => 2 * self.shapes[id].0,
             LayerKind::Fc { out_features } => {

@@ -21,13 +21,12 @@ pub fn init_params(spec: &NetworkSpec, seed: u64) -> Vec<LayerParams> {
         .iter()
         .enumerate()
         .map(|(id, l)| match &l.kind {
-            LayerKind::Conv { filters, kernel, bias, .. } => {
+            LayerKind::Conv { filters, kernel, .. } => {
                 let c_in = shapes[l.parents[0]].0;
                 let fan_in = c_in * kernel * kernel;
                 let w =
                     kaiming_tensor(Shape4::new(*filters, c_in, *kernel, *kernel), fan_in, &mut rng);
-                let b = bias.then(|| vec![0.0; *filters]);
-                LayerParams::Conv { w, b }
+                LayerParams::Conv { w }
             }
             LayerKind::BatchNorm => {
                 let c = shapes[id].0;
@@ -82,10 +81,7 @@ mod tests {
         let p = init_params(&net, 1);
         assert!(matches!(p[0], LayerParams::None));
         match &p[1] {
-            LayerParams::Conv { w, b } => {
-                assert_eq!(w.shape(), Shape4::new(4, 3, 3, 3));
-                assert!(b.is_none());
-            }
+            LayerParams::Conv { w } => assert_eq!(w.shape(), Shape4::new(4, 3, 3, 3)),
             other => panic!("expected conv params, got {other:?}"),
         }
         match &p[2] {

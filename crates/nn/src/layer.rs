@@ -22,7 +22,8 @@ pub enum LayerKind {
         /// Sample width.
         width: usize,
     },
-    /// 2-D convolution with square kernel, symmetric padding.
+    /// 2-D convolution with square kernel, symmetric padding, and no
+    /// bias (the conv+BN idiom: the batch norm's β does the bias's work).
     Conv {
         /// Number of filters (output channels).
         filters: usize,
@@ -32,12 +33,11 @@ pub enum LayerKind {
         stride: usize,
         /// Padding P.
         pad: usize,
-        /// Whether the layer has a bias term (conv+BN stacks omit it).
-        bias: bool,
     },
     /// 2-D pooling.
     Pool {
-        /// Max or average.
+        /// Always [`PoolKind::Max`]; the field stays because the
+        /// benchmark's kernel replay reads it.
         kind: PoolKind,
         /// Window size.
         kernel: usize,
@@ -84,8 +84,6 @@ pub enum LayerParams {
     Conv {
         /// Weights `(F, C, K, K)`.
         w: Tensor,
-        /// Optional bias, length F.
-        b: Option<Vec<f32>>,
     },
     /// Batch-norm affine parameters, length C.
     Bn {
@@ -108,7 +106,7 @@ impl LayerParams {
     pub fn len(&self) -> usize {
         match self {
             LayerParams::None => 0,
-            LayerParams::Conv { w, b } => w.len() + b.as_ref().map_or(0, |b| b.len()),
+            LayerParams::Conv { w } => w.len(),
             LayerParams::Bn { gamma, beta } => gamma.len() + beta.len(),
             LayerParams::Fc { w, b } => w.len() + b.len(),
         }
@@ -125,7 +123,7 @@ impl LayerParams {
     pub(crate) fn slices(&self) -> [Option<&[f32]>; 2] {
         match self {
             LayerParams::None => [None, None],
-            LayerParams::Conv { w, b } => [Some(w.as_slice()), b.as_deref()],
+            LayerParams::Conv { w } => [Some(w.as_slice()), None],
             LayerParams::Bn { gamma, beta } => [Some(gamma), Some(beta)],
             LayerParams::Fc { w, b } => [Some(w.as_slice()), Some(b)],
         }
@@ -135,7 +133,7 @@ impl LayerParams {
     pub(crate) fn slices_mut(&mut self) -> [Option<&mut [f32]>; 2] {
         match self {
             LayerParams::None => [None, None],
-            LayerParams::Conv { w, b } => [Some(w.as_mut_slice()), b.as_deref_mut()],
+            LayerParams::Conv { w } => [Some(w.as_mut_slice()), None],
             LayerParams::Bn { gamma, beta } => [Some(gamma), Some(beta)],
             LayerParams::Fc { w, b } => [Some(w.as_mut_slice()), Some(b)],
         }
@@ -145,13 +143,7 @@ impl LayerParams {
     pub fn to_flat(&self) -> Vec<f32> {
         match self {
             LayerParams::None => Vec::new(),
-            LayerParams::Conv { w, b } => {
-                let mut v = w.as_slice().to_vec();
-                if let Some(b) = b {
-                    v.extend_from_slice(b);
-                }
-                v
-            }
+            LayerParams::Conv { w } => w.as_slice().to_vec(),
             LayerParams::Bn { gamma, beta } => {
                 let mut v = gamma.clone();
                 v.extend_from_slice(beta);
@@ -171,13 +163,7 @@ impl LayerParams {
         assert_eq!(flat.len(), self.len(), "flat parameter length mismatch");
         match self {
             LayerParams::None => {}
-            LayerParams::Conv { w, b } => {
-                let nw = w.len();
-                w.as_mut_slice().copy_from_slice(&flat[..nw]);
-                if let Some(b) = b {
-                    b.copy_from_slice(&flat[nw..]);
-                }
-            }
+            LayerParams::Conv { w } => w.as_mut_slice().copy_from_slice(flat),
             LayerParams::Bn { gamma, beta } => {
                 let ng = gamma.len();
                 gamma.copy_from_slice(&flat[..ng]);
@@ -195,14 +181,7 @@ impl LayerParams {
     pub fn add_scaled(&mut self, other: &LayerParams, scale: f32) {
         match (self, other) {
             (LayerParams::None, LayerParams::None) => {}
-            (LayerParams::Conv { w, b }, LayerParams::Conv { w: ow, b: ob }) => {
-                w.add_scaled(ow, scale);
-                if let (Some(b), Some(ob)) = (b.as_mut(), ob.as_ref()) {
-                    for (x, y) in b.iter_mut().zip(ob) {
-                        *x += scale * y;
-                    }
-                }
-            }
+            (LayerParams::Conv { w }, LayerParams::Conv { w: ow }) => w.add_scaled(ow, scale),
             (LayerParams::Bn { gamma, beta }, LayerParams::Bn { gamma: og, beta: ob }) => {
                 for (x, y) in gamma.iter_mut().zip(og) {
                     *x += scale * y;
@@ -231,9 +210,7 @@ impl LayerParams {
         }
         match self {
             LayerParams::None => 0.0,
-            LayerParams::Conv { w, b } => {
-                slice_l2(w.as_slice()) + b.as_ref().map_or(0.0, |b| slice_l2(b))
-            }
+            LayerParams::Conv { w } => slice_l2(w.as_slice()),
             LayerParams::Bn { gamma, beta } => slice_l2(gamma) + slice_l2(beta),
             LayerParams::Fc { w, b } => slice_l2(w.as_slice()) + slice_l2(b),
         }
@@ -243,10 +220,7 @@ impl LayerParams {
     pub fn zeros_like(&self) -> LayerParams {
         match self {
             LayerParams::None => LayerParams::None,
-            LayerParams::Conv { w, b } => LayerParams::Conv {
-                w: Tensor::zeros(w.shape()),
-                b: b.as_ref().map(|b| vec![0.0; b.len()]),
-            },
+            LayerParams::Conv { w } => LayerParams::Conv { w: Tensor::zeros(w.shape()) },
             LayerParams::Bn { gamma, beta } => {
                 LayerParams::Bn { gamma: vec![0.0; gamma.len()], beta: vec![0.0; beta.len()] }
             }
@@ -312,7 +286,7 @@ mod tests {
     fn shape_inference_conv_pool() {
         // ResNet conv1: 224 → 112 with K=7 S=2 P=3.
         let s = infer_shape(
-            &LayerKind::Conv { filters: 64, kernel: 7, stride: 2, pad: 3, bias: false },
+            &LayerKind::Conv { filters: 64, kernel: 7, stride: 2, pad: 3 },
             &[(3, 224, 224)],
         );
         assert_eq!(s, (64, 112, 112));
@@ -342,7 +316,6 @@ mod tests {
     fn params_flat_round_trip() {
         let mut p = LayerParams::Conv {
             w: Tensor::from_fn(Shape4::new(2, 3, 3, 3), |a, b, c, d| (a + b + c + d) as f32),
-            b: Some(vec![1.0, 2.0]),
         };
         let flat = p.to_flat();
         assert_eq!(flat.len(), p.len());

@@ -95,8 +95,7 @@ impl Network {
                     let xin = get(l.parents[0]);
                     let geom =
                         ConvGeometry::square(xin.shape().h, xin.shape().w, *kernel, *stride, *pad);
-                    let (w, b) = conv_params(&self.params[id]);
-                    conv2d_forward(xin, w, b, &geom)
+                    conv2d_forward(xin, conv_weights(&self.params[id]), &geom)
                 }
                 LayerKind::Pool { kind, kernel, stride, pad } => {
                     let xin = get(l.parents[0]);
@@ -178,9 +177,8 @@ impl Network {
                     let xin = &pass.activations[l.parents[0]];
                     let geom =
                         ConvGeometry::square(xin.shape().h, xin.shape().w, *kernel, *stride, *pad);
-                    let (w, b) = conv_params(&self.params[id]);
-                    let (dw, db) = conv2d_backward_filter(xin, &dy, &geom);
-                    grads[id] = LayerParams::Conv { w: dw, b: b.map(|_| db) };
+                    let w = conv_weights(&self.params[id]);
+                    grads[id] = LayerParams::Conv { w: conv2d_backward_filter(xin, &dy, &geom) };
                     // The input layer drops what reaches it: no input
                     // gradient for a convolution fed by the data.
                     if !self.spec.layer(l.parents[0]).parents.is_empty() {
@@ -244,9 +242,9 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
-fn conv_params(p: &LayerParams) -> (&Tensor, Option<&[f32]>) {
+fn conv_weights(p: &LayerParams) -> &Tensor {
     match p {
-        LayerParams::Conv { w, b } => (w, b.as_deref()),
+        LayerParams::Conv { w } => w,
         other => panic!("expected conv params, found {other:?}"),
     }
 }

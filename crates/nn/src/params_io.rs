@@ -337,23 +337,22 @@ fn tensors(p: &LayerParams) -> Vec<(Shape4, &[f32])> {
     }
     match p {
         LayerParams::None => Vec::new(),
-        LayerParams::Conv { w, b } => {
-            std::iter::once((w.shape(), w.as_slice())).chain(b.as_deref().map(vec)).collect()
-        }
+        LayerParams::Conv { w } => vec![(w.shape(), w.as_slice())],
         LayerParams::Bn { gamma, beta } => vec![vec(gamma), vec(beta)],
         LayerParams::Fc { w, b } => vec![(w.shape(), w.as_slice()), vec(b)],
     }
 }
 
 /// Serialize parameters: a layer count, then per layer a kind tag
-/// (a convolution's followed by its has-bias flag) and its
+/// (a convolution's followed by its has-bias flag, always 0: the byte
+/// keeps the FGCKPT04 layout, and no convolution has a bias) and its
 /// [`tensors`], each as its shape and then its elements.
 fn save_params<W: Write>(w: &mut W, params: &[LayerParams]) -> io::Result<()> {
     write_u64(w, params.len() as u64)?;
     for p in params {
         match p {
             LayerParams::None => w.write_all(&[0])?,
-            LayerParams::Conv { b, .. } => w.write_all(&[1, u8::from(b.is_some())])?,
+            LayerParams::Conv { .. } => w.write_all(&[1, 0])?,
             LayerParams::Bn { .. } => w.write_all(&[2])?,
             LayerParams::Fc { .. } => w.write_all(&[3])?,
         }
@@ -377,11 +376,15 @@ fn load_params<R: Read>(r: &mut R) -> io::Result<Vec<LayerParams>> {
     for _ in 0..count {
         out.push(match read_u8(r)? {
             0 => LayerParams::None,
-            1 => {
-                let has_bias = read_u8(r)? == 1;
-                let w = read_tensor(r)?;
-                LayerParams::Conv { w, b: if has_bias { Some(vec(r)?) } else { None } }
-            }
+            1 => match read_u8(r)? {
+                0 => LayerParams::Conv { w: read_tensor(r)? },
+                flag => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("convolution has-bias flag {flag}: a convolution has no bias"),
+                    ))
+                }
+            },
             2 => LayerParams::Bn { gamma: vec(r)?, beta: vec(r)? },
             3 => LayerParams::Fc { w: read_tensor(r)?, b: vec(r)? },
             other => {
@@ -446,8 +449,8 @@ mod tests {
         let mut spec = NetworkSpec::new();
         let i = spec.input("x", 3, 8, 8);
         let c = spec.conv("c", i, 4, 3, 1, 1);
-        let cb = spec.conv_bias("cb", c, 4, 1, 1, 0);
-        let b = spec.batchnorm("b", cb);
+        let c2 = spec.conv("c2", c, 4, 1, 1, 0);
+        let b = spec.batchnorm("b", c2);
         let r = spec.relu("r", b);
         let g = spec.global_avg_pool("g", r);
         let f = spec.fc("f", g, 5);
@@ -529,14 +532,34 @@ mod tests {
         bn.push(2);
         bn.extend_from_slice(&header(&[], &[1 << 61, 1, 1, 1]));
         assert_rejected("a 2^61-element tensor", &bn);
-        // A biased conv.
+        // A conv whose weights' shape overflows.
         let mut conv = up_to_layers(1);
-        conv.extend_from_slice(&[1, 1]);
+        conv.extend_from_slice(&[1, 0]);
         conv.extend_from_slice(&header(&[], &[1 << 32, 1 << 32, 3, 3]));
         assert_rejected("a conv shape whose product overflows", &conv);
         // Grids no world can have.
         assert_rejected("a grid with a zero extent", &header(CKPT_MAGIC, &[1, 0, 2, 2, 17, 0]));
         assert_rejected("a grid that overflows", &header(CKPT_MAGIC, &[1 << 32, 1 << 32, 1, 1]));
+    }
+
+    #[test]
+    fn a_biased_conv_is_refused_as_invalid_data() {
+        let mut buf = multi_rank_stream();
+        // Magic, then twelve words (grid, step, three losses behind their
+        // count, the guard, the layer count), then layer 0's tag: layer
+        // 1 is the first convolution, its tag followed by the flag.
+        let tag = 8 + 8 * 12 + 1;
+        assert_eq!(buf[tag..tag + 2], [1, 0], "layer 1 is a conv without bias");
+        buf[tag + 1] = 1;
+        match std::panic::catch_unwind(|| load_train_state(&mut buf.as_slice())) {
+            Ok(Err(CheckpointError::Io { source, .. })) => {
+                assert_eq!(source.kind(), io::ErrorKind::InvalidData, "{source}");
+                assert!(source.to_string().contains("has no bias"), "{source}");
+            }
+            Ok(Err(other)) => panic!("expected an Io error, got {other}"),
+            Ok(Ok(_)) => panic!("a biased conv loaded"),
+            Err(_) => panic!("a biased conv panicked the loader"),
+        }
     }
 
     #[test]
@@ -588,8 +611,8 @@ mod tests {
         // Length and checksum of this exact stream as first written: a
         // change to the byte layout is a new format, not an edit here.
         let buf = multi_rank_stream();
-        assert_eq!(buf.len(), 1868);
-        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0xb80f_6a76_79b8_30ee);
+        assert_eq!(buf.len(), 1772);
+        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0x18fc_6302_9823_d076);
     }
 
     #[test]

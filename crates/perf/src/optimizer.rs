@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use fg_core::{BnMode, Strategy};
+use fg_core::Strategy;
 use fg_nn::{LayerId, LayerKind, NetworkSpec};
 use fg_tensor::{ProcGrid, Shape4};
 
@@ -134,7 +134,7 @@ impl<'a> StrategyOptimizer<'a> {
             };
             grids.push(g);
         }
-        let strategy = Strategy { grids, bn_mode: BnMode::default(), rank_weights: None };
+        let strategy = Strategy { grids, rank_weights: None };
         let cost = network_cost(self.platform, self.spec, self.batch, &strategy, &self.opts);
         (strategy, cost, costs.stats)
     }

@@ -45,7 +45,7 @@ pub mod server;
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use error::ServeError;
-pub use loadgen::{run_load, LoadConfig, LoadMode, LoadReport};
+pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use replica::ReplicaSpec;
 pub use server::{InferReply, InferResult, MetricsSnapshot, Response, Server};
 

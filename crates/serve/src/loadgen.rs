@@ -1,21 +1,16 @@
-//! Open- and closed-loop load generation with latency accounting.
+//! Open-loop load generation with latency accounting.
 //!
-//! Open loop: arrivals follow a seeded Poisson process at the offered
-//! rate, submitted on schedule regardless of completions — the honest
-//! way to measure an overloaded server, since waiting for responses
-//! (closed loop) throttles the offered load to whatever the server
-//! sustains and hides queueing collapse. Closed loop: a fixed client
-//! pool, each submitting its next request as soon as the previous one
-//! terminates — the right model for a bounded user population and for
-//! saturation throughput.
+//! Arrivals follow a seeded Poisson process at the offered rate,
+//! submitted on schedule regardless of completions — the honest way to
+//! measure an overloaded server, since waiting for responses (a closed
+//! loop of clients) throttles the offered load to whatever the server
+//! sustains and hides queueing collapse.
 //!
-//! Both report client-observed percentiles over *successful* requests
-//! and goodput: completions within their deadline per wall-clock
-//! second. Typed failures (shed, deadline, retries, shutdown) are
-//! counted, never averaged into latency.
+//! The report holds client-observed percentiles over *successful*
+//! requests and goodput: completions within their deadline per
+//! wall-clock second. Typed failures (shed, deadline, retries, shutdown)
+//! are counted, never averaged into latency.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fg_tensor::Tensor;
@@ -23,26 +18,11 @@ use fg_tensor::Tensor;
 use crate::error::ServeError;
 use crate::server::Server;
 
-/// How the generator offers load.
-#[derive(Debug, Clone, Copy)]
-pub enum LoadMode {
-    /// Poisson arrivals at `rps` requests/second (seeded, open loop).
-    Open {
-        /// Offered arrival rate, requests per second.
-        rps: f64,
-    },
-    /// `clients` synchronous clients, back to back (closed loop).
-    Closed {
-        /// Concurrent synchronous clients.
-        clients: usize,
-    },
-}
-
 /// One load run's shape.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Arrival process.
-    pub mode: LoadMode,
+    /// Offered Poisson arrival rate, requests per second (seeded).
+    pub rps: f64,
     /// Total requests to offer.
     pub requests: usize,
     /// Relative deadline attached to every request.
@@ -136,68 +116,37 @@ impl Tally {
 /// report (pair with [`Server::metrics`] for the server-side view).
 pub fn run_load<F>(server: &Server, make_input: F, cfg: &LoadConfig) -> LoadReport
 where
-    F: Fn(u64) -> Tensor + Sync,
+    F: Fn(u64) -> Tensor,
 {
     // Terminal replies are guaranteed; this bound only converts a
     // protocol bug into a visible test failure instead of a hang.
     let hang_guard = cfg.deadline + Duration::from_secs(30);
     let start = Instant::now();
-    let tally = Mutex::new(Tally::default());
-    match cfg.mode {
-        LoadMode::Open { rps } => {
-            assert!(rps > 0.0, "open-loop rate must be positive");
-            let mut rng = cfg.seed | 1;
-            let mut pending = Vec::with_capacity(cfg.requests);
-            let mut next_arrival = Instant::now();
-            for i in 0..cfg.requests {
-                let now = Instant::now();
-                if next_arrival > now {
-                    std::thread::sleep(next_arrival - now);
-                }
-                // Exponential inter-arrival at rate `rps`.
-                let gap = -uniform01(&mut rng).ln() / rps;
-                next_arrival += Duration::from_secs_f64(gap);
-                match server.submit(make_input(i as u64), Instant::now() + cfg.deadline) {
-                    Ok(resp) => pending.push(resp),
-                    Err(e) => tally.lock().unwrap().absorb(&Err(e), cfg.deadline),
-                }
-            }
-            let mut t = tally.lock().unwrap();
-            for resp in pending {
-                let outcome = resp
-                    .wait_timeout(hang_guard)
-                    .expect("serving contract: every accepted request terminates");
-                t.absorb(&outcome, cfg.deadline);
-            }
+    assert!(cfg.rps > 0.0, "open-loop rate must be positive");
+    let mut t = Tally::default();
+    let mut rng = cfg.seed | 1;
+    let mut pending = Vec::with_capacity(cfg.requests);
+    let mut next_arrival = Instant::now();
+    for i in 0..cfg.requests {
+        let now = Instant::now();
+        if next_arrival > now {
+            std::thread::sleep(next_arrival - now);
         }
-        LoadMode::Closed { clients } => {
-            assert!(clients > 0, "closed loop needs at least one client");
-            let budget = AtomicUsize::new(cfg.requests);
-            std::thread::scope(|scope| {
-                for _ in 0..clients {
-                    scope.spawn(|| loop {
-                        let left = budget.fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
-                            b.checked_sub(1)
-                        });
-                        if left.is_err() {
-                            break;
-                        }
-                        let i = (cfg.requests - left.unwrap()) as u64;
-                        let outcome =
-                            match server.submit(make_input(i), Instant::now() + cfg.deadline) {
-                                Ok(resp) => resp
-                                    .wait_timeout(hang_guard)
-                                    .expect("serving contract: accepted requests terminate"),
-                                Err(e) => Err(e),
-                            };
-                        tally.lock().unwrap().absorb(&outcome, cfg.deadline);
-                    });
-                }
-            });
+        // Exponential inter-arrival at rate `rps`.
+        let gap = -uniform01(&mut rng).ln() / cfg.rps;
+        next_arrival += Duration::from_secs_f64(gap);
+        match server.submit(make_input(i as u64), Instant::now() + cfg.deadline) {
+            Ok(resp) => pending.push(resp),
+            Err(e) => t.absorb(&Err(e), cfg.deadline),
         }
     }
+    for resp in pending {
+        let outcome = resp
+            .wait_timeout(hang_guard)
+            .expect("serving contract: every accepted request terminates");
+        t.absorb(&outcome, cfg.deadline);
+    }
     let wall = start.elapsed();
-    let mut t = tally.into_inner().unwrap();
     t.latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let mean_ms = if t.latencies_ms.is_empty() {
         f64::NAN

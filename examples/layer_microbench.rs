@@ -68,7 +68,7 @@ fn main() {
             let xs = DistTensor::from_global(conv.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
             comm.barrier();
             let start = Instant::now();
-            let _ = conv.forward(comm, &xs, &w, None, &x_halo, &interior);
+            let _ = conv.forward(comm, &xs, &w, &x_halo, &interior);
             comm.barrier();
             (comm.stats(), start.elapsed().as_secs_f64())
         })

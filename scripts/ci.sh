@@ -236,9 +236,10 @@ filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv
 # The step's conv path — the one plan-taking `DistConv2d::{forward,
 # backward}`, halo overlapped with the interior — against the serial
 # kernels, on random geometries and grids and on the pinned strip shapes;
-# and the reachability tripwires — module, function, const and config
-# field grain — so neither a self-planning twin nothing runs nor a
-# config field no caller outside its file sets comes back unnoticed.
+# and the reachability tripwires — module, function, const, config field
+# and enum variant grain — so neither a self-planning twin nothing runs,
+# nor a config field no caller outside its file sets, nor a mode no
+# non-test code builds comes back unnoticed.
 step "distributed conv == serial on the step's path, reachability (debug + release)"
 for profile in "" --release; do
     filtered_tests $profile --test proptests -- distributed_conv_replicates_serial
@@ -275,8 +276,9 @@ filtered_tests -p fg-nn --lib -- poisoned_newest_version_falls_back_on_every_res
 filtered_tests -p fg-core --lib -- \
     poisoned_newest_version_falls_back_on_every_restore keeper_contract_holds_on_both_backends
 # The snapshot is whole tensors: the stream differs across grids only
-# in its tag, FGCKPT04's bytes are the recorded ones and the retired
-# formats are refused by name, and a re-shard only retags — its moved
+# in its tag, FGCKPT04's bytes are the recorded ones, the retired
+# formats are refused by name and a biased conv as typed invalid data,
+# and a re-shard only retags — its moved
 # bytes (every ordered pair of the test's grids) and the straggler
 # rebalance's activation regrid cost are as recorded when both were
 # computed by copying shards.
@@ -284,7 +286,8 @@ filtered_tests --test reshard -- \
     resharding_is_bitwise_lossless the_grid_changes_only_the_tag \
     reshard_stats_match_the_recorded_ones
 filtered_tests -p fg-nn --lib -- \
-    fgckpt04_bytes_are_the_recorded_ones retired_formats_are_refused_by_name
+    fgckpt04_bytes_are_the_recorded_ones retired_formats_are_refused_by_name \
+    a_biased_conv_is_refused_as_invalid_data
 filtered_tests -p fg-bench --lib -- regrid_costs_match_the_recorded_ones
 
 # The event-driven virtual-time engine's correctness anchor: DES clocks

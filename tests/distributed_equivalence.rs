@@ -4,7 +4,7 @@
 //! (§III), exercised through the public facade.
 
 use finegrain::comm::{run_ranks, Communicator};
-use finegrain::core::{BnMode, DistExecutor, Strategy};
+use finegrain::core::{DistExecutor, Strategy};
 use finegrain::data::{ImageDataset, MeshDataset};
 use finegrain::models::{mesh_model_custom, resnet50_with, MeshSize, MESH_CHANNELS};
 use finegrain::nn::{Network, Sgd};
@@ -82,30 +82,6 @@ fn resnet_equivalence_with_hybrid_parallelism() {
     let ds = ImageDataset::new(64, 3, 4, 7);
     let (x, labels) = ds.batch(0, 2);
     check_equivalence(resnet50_with(64, 4), ProcGrid::hybrid(2, 2, 1), x, labels, 1, 3e-3);
-}
-
-#[test]
-fn local_bn_mode_trains_but_differs_from_serial() {
-    // The §III-B "local batch norm" variant: a legitimate training
-    // configuration whose statistics differ from single-device ones.
-    let ds = MeshDataset::new(128, 2, MESH_CHANNELS, 5);
-    let (x, labels) = ds.batch(0, 4);
-    let spec = mesh_model_custom(MeshSize::OneK, 128, 8);
-    let net = Network::init(spec.clone(), 1);
-    let (serial_loss, _) = net.loss_and_grads(&x, &labels);
-
-    let strategy = Strategy::uniform(&spec, ProcGrid::sample(4)).with_bn_mode(BnMode::Local);
-    let exec = DistExecutor::new(spec, strategy, 4).unwrap();
-    let losses = run_ranks(4, |comm| exec.loss_and_grads(comm, &net.params, &x, &labels).0);
-    for l in &losses {
-        assert!(l.is_finite(), "local BN must still produce a finite loss");
-        assert_eq!(*l, losses[0], "ranks agree under local BN too");
-    }
-    // Different statistics ⇒ (generally) different loss from serial.
-    assert!(
-        (losses[0] - serial_loss).abs() > 1e-9,
-        "local BN unexpectedly identical to aggregated"
-    );
 }
 
 #[test]

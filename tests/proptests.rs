@@ -70,17 +70,16 @@ proptest! {
 
     /// The step's conv path — plans compiled as the executor compiles
     /// them, halo overlapped with the interior — against the serial
-    /// kernels: `y` and `dx` bitwise, `dw` / `db` (summed by an
-    /// allreduce, in another order) within 1e-4.
+    /// kernels: `y` and `dx` bitwise, `dw` (summed by an allreduce, in
+    /// another order) within 1e-4.
     #[test]
     fn distributed_conv_replicates_serial((n, c, f, geom, grid, seed) in conv_case()) {
         let x = tensor_from_seed(Shape4::new(n, c, geom.in_h, geom.in_w), seed);
         let w = tensor_from_seed(Shape4::new(f, c, geom.kh, geom.kw), seed ^ 0xABCD);
-        let bias: Vec<f32> = (0..f).map(|i| i as f32 * 0.5 - 0.75).collect();
-        let y_serial = conv2d_forward(&x, &w, Some(&bias), &geom);
+        let y_serial = conv2d_forward(&x, &w, &geom);
         let dy = tensor_from_seed(y_serial.shape(), seed ^ 0x1234);
         let dx_serial = conv2d_backward_data(&dy, &w, &geom);
-        let (dw_serial, db_serial) = conv2d_backward_filter(&x, &dy, &geom);
+        let dw_serial = conv2d_backward_filter(&x, &dy, &geom);
 
         let layer = DistConv2d::new(n, c, f, geom, grid);
         let outs = run_ranks(grid.size(), |comm| {
@@ -88,21 +87,18 @@ proptest! {
             let (x_halo, dy_halo) = (layer.x_halo_plan(rank), layer.dy_halo_plan(rank));
             let interior = InteriorPlan::build(&layer, rank);
             let xs = DistTensor::from_global(layer.in_dist.clone(), rank, &x, [0; 4], [0; 4]);
-            let (y, win) = layer.forward(comm, &xs, &w, Some(&bias), &x_halo, &interior);
+            let (y, win) = layer.forward(comm, &xs, &w, &x_halo, &interior);
             let dys = DistTensor::from_global(layer.out_dist.clone(), rank, &dy, [0; 4], [0; 4]);
-            let (dx, dw, db) = layer.backward(comm, &win, &dys, &w, true, true, &dy_halo);
+            let (dx, dw) = layer.backward(comm, &win, &dys, &w, true, &dy_halo);
             let dx = dx.expect("dx was asked for");
-            (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0), dw, db)
+            (gather_to_root(comm, &y, 0), gather_to_root(comm, &dx, 0), dw)
         });
         // Bitwise identity: same inner loops, same windows.
         prop_assert_eq!(outs[0].0.as_ref().unwrap(), &y_serial);
         prop_assert_eq!(outs[0].1.as_ref().unwrap(), &dx_serial);
-        for (_, _, dw, db) in &outs {
+        for (_, _, dw) in &outs {
             let rel = dw.max_rel_diff(&dw_serial, 1.0);
             prop_assert!(rel <= 1e-4, "dw off by {}", rel);
-            for (a, b) in db.as_ref().unwrap().iter().zip(&db_serial) {
-                prop_assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "db {} vs {}", a, b);
-            }
         }
     }
 

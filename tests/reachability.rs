@@ -1,4 +1,4 @@
-//! Tripwires for orphaned library code, at four grains.
+//! Tripwires for orphaned library code, at five grains.
 //!
 //! * Modules: for every `pub mod m;` in a `crates/*/src/lib.rs`, some
 //!   `.rs` file under `crates/`, `src/` or `tests/` — other than the
@@ -18,6 +18,14 @@
 //!   the same five directories must write it as `field:` (not
 //!   `field::`) outside a comment. A value no caller outside its file
 //!   sets is a named const, not a knob.
+//! * Enum variants: every variant `V` of a `pub enum E` under
+//!   `crates/*/src` must be built as `E::V` somewhere in non-test code —
+//!   a file under the same five directories, outside any `tests/`
+//!   directory, up to its first `#[cfg(test)]` line. A mention followed,
+//!   after an optional `(..)` / `{..}` payload, by `=>`, `|` or a lone
+//!   `=` is a pattern and does not count: a mode only matched on, never
+//!   chosen, is a mode nothing runs. A `#[default]` variant is built by
+//!   its derived `Default`.
 //!
 //! All are textual checks, not a dead-code analysis: a name shared with
 //! an unrelated item elsewhere counts as reached.
@@ -216,5 +224,99 @@ fn every_public_config_field_is_set_outside_its_own_file() {
     assert!(
         unset.is_empty(),
         "public config fields no other file sets (make the value a named const): {unset:#?}"
+    );
+}
+
+/// `(enum, variant)` for every variant of every `pub enum` in `code`:
+/// the identifier opening each line of the body at its own depth. A
+/// `#[default]` variant is left out: the derived `Default` builds it.
+fn enum_variants(code: &str) -> Vec<(String, String)> {
+    let mut variants = Vec::new();
+    let mut lines = code.lines().map(str::trim);
+    while let Some(line) = lines.next() {
+        let Some(ty) = line.strip_prefix("pub enum ") else {
+            continue;
+        };
+        let ty: String = ty.chars().take_while(|&c| ident(c)).collect();
+        let (mut depth, mut default) = (0i64, false);
+        for line in lines.by_ref() {
+            if depth == 0 && line.starts_with('}') {
+                break;
+            }
+            if line.starts_with('#') {
+                default |= line == "#[default]";
+                continue;
+            }
+            let name: String = line.chars().take_while(|&c| ident(c)).collect();
+            if depth == 0 && !name.is_empty() && !std::mem::take(&mut default) {
+                variants.push((ty.clone(), name));
+            }
+            depth += line.chars().filter(|c| matches!(c, '{' | '(')).count() as i64
+                - line.chars().filter(|c| matches!(c, '}' | ')')).count() as i64;
+        }
+    }
+    variants
+}
+
+/// `rest` past a leading `(..)` or `{..}` payload, if it has one.
+fn after_payload(rest: &str) -> &str {
+    if !rest.starts_with(['(', '{']) {
+        return rest;
+    }
+    let mut depth = 0;
+    for (i, c) in rest.char_indices() {
+        match c {
+            '(' | '{' | '[' => depth += 1,
+            ')' | '}' | ']' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return &rest[i + 1..];
+        }
+    }
+    ""
+}
+
+/// `code` names `path` (`Enum::Variant`) as a whole identifier somewhere
+/// that is not a pattern.
+fn builds(code: &str, path: &str) -> bool {
+    code.match_indices(path).any(|(i, _)| {
+        let rest = &code[i + path.len()..];
+        if code[..i].ends_with(ident) || rest.starts_with(ident) {
+            return false;
+        }
+        let rest = after_payload(rest.trim_start()).trim_start();
+        !(rest.starts_with("=>")
+            || rest.starts_with('|')
+            || rest.starts_with('=') && !rest.starts_with("=="))
+    })
+}
+
+#[test]
+fn every_public_enum_variant_is_built_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let non_test: Vec<(PathBuf, String)> = sources(root, &CALLER_DIRS)
+        .into_iter()
+        .filter(|(p, _)| !p.strip_prefix(root).is_ok_and(|rel| rel.iter().any(|c| c == "tests")))
+        .map(|(p, code)| {
+            let code: Vec<&str> =
+                code.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]")).collect();
+            (p, code.join("\n"))
+        })
+        .collect();
+    let mut unbuilt = Vec::new();
+    for (file, code) in non_test.iter().filter(|(file, _)| in_crate_src(root, file)) {
+        for (ty, variant) in enum_variants(code) {
+            let path = format!("{ty}::{variant}");
+            if !non_test.iter().any(|(_, code)| builds(code, &path)) {
+                let file = file.strip_prefix(root).expect("under the repository root");
+                unbuilt.push(format!("{}: {path}", file.display()));
+            }
+        }
+    }
+    assert!(
+        unbuilt.is_empty(),
+        "public enum variants no non-test code builds (delete the mode, or give it a caller): \
+         {unbuilt:#?}"
     );
 }
