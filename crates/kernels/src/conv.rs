@@ -34,6 +34,14 @@
 //! Loops may be reordered or split only where no element sees its terms
 //! in a different order.
 //!
+//! The contract does not depend on the instruction set the crate is
+//! built for. Rust never contracts `a * b + c` into a fused multiply-add
+//! (only an explicit `mul_add` does, and no kernel calls one), and LLVM
+//! never reassociates a float add unless fast-math flags allow it, which
+//! Rust does not set. A wider vector lane changes how many independent
+//! sums advance per instruction, never which terms an element adds or in
+//! what order, so an SSE2 build and an AVX2 build give the same bits.
+//!
 //! # One register tile under all three kernels
 //!
 //! Each kernel covers its result with tiles of `B` channels × `CW`
@@ -51,7 +59,9 @@
 //! channels go in blocks of 4, then 1 — of 8 first under a chunk of one
 //! or two columns, where there are registers to spare. Channels are
 //! taken [`PANEL`] at a time through every row so the weights a panel
-//! shares stay cached. Safe Rust throughout.
+//! shares stay cached. Safe Rust throughout. Every crate is built for
+//! the x86-64-v3 baseline (AVX2 + FMA, the root `.cargo/config.toml`),
+//! under which a `CW = 8` run is one 256-bit register.
 //!
 //! * **Forward** — `B` filters × `CW` output columns of one `(k, oh)`
 //!   row. The sums start at `+0.0`; for `c`, for tap `(r, s)`, one run

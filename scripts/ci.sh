@@ -124,6 +124,14 @@ export FG_COMM_INTEGRITY=1
 step "tier-1 tests (root package, watchdog + integrity on)"
 cargo test -q --offline
 
+# The instruction-set baseline: `.cargo/config.toml` builds every crate
+# for x86-64-v3, and an exported RUSTFLAGS would silently replace it.
+# Both profiles: the release build is the one the benchmark times.
+step "build baseline is x86-64-v3 (debug + release)"
+for profile in "" --release; do
+    filtered_tests $profile --test build_baseline -- built_for_the_x86_64_v3_baseline
+done
+
 step "workspace tests (watchdog + integrity on)"
 cargo test -q --offline --workspace
 # The in-place SGD step against the three-copy formulation it replaced,
@@ -387,7 +395,8 @@ fi
 
 if rustup component list --toolchain nightly --installed 2>/dev/null | grep -q '^rust-src'; then
     step "tsan smoke: watchdog pending-counter ordering"
-    RUSTFLAGS="-Zsanitizer=thread" \
+    # RUSTFLAGS replaces the config's flags, so the baseline is repeated.
+    RUSTFLAGS="-Zsanitizer=thread -C target-cpu=x86-64-v3" \
         cargo +nightly test --offline -Zbuild-std \
         --target x86_64-unknown-linux-gnu -p fg-comm --lib -- watchdog::
 else
