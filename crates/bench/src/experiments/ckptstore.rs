@@ -17,8 +17,6 @@
 //! `BENCH_ckpt.json` is written alongside the table so store/restore
 //! latency and recovery rates can be tracked across commits.
 
-use std::time::Instant;
-
 use fg_models::{mesh_model_custom, MeshSize};
 use fg_nn::{
     init_params, CkptStore, GuardState, Redundancy, StorageFaultPlan, StoreConfig, TrainState,
@@ -106,8 +104,9 @@ pub struct ChaosRow {
     pub reconstructed: u64,
 }
 
-/// Durability-cost sweep: world × redundancy.
-fn cost_sweep() -> Vec<CostRow> {
+/// Durability-cost sweep: world × redundancy. Stores live in temp
+/// directories, removed after each cell.
+pub fn cost_sweep() -> Vec<CostRow> {
     let mut rows = Vec::new();
     for world in [4usize, 16, 64] {
         let state = demo_state(grid_of(world));
@@ -120,18 +119,19 @@ fn cost_sweep() -> Vec<CostRow> {
             let dir = scratch(&format!("cost-{world}-{:?}", redundancy_label(redundancy)));
             let mut store =
                 CkptStore::create(StoreConfig::at(&dir).redundancy(redundancy)).expect("create");
-            let receipt = store.store(&state).expect("store");
-            let t0 = Instant::now();
+            store.store(&state).expect("store");
             let loaded = store.load_latest().expect("restore");
-            let restore_ms = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(loaded.state.step, state.step);
+            // One store and one load on a fresh store: its counters are
+            // exactly this cell's.
+            let c = store.counters();
             rows.push(CostRow {
                 world,
                 redundancy: redundancy_label(redundancy),
-                payload_bytes: receipt.payload_bytes,
-                bytes_written: receipt.bytes_written,
-                store_ms: receipt.wall_s * 1e3,
-                restore_ms,
+                payload_bytes: c.last_payload_bytes,
+                bytes_written: c.bytes_written,
+                store_ms: c.store_nanos as f64 * 1e-6,
+                restore_ms: c.restore_nanos as f64 * 1e-6,
             });
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -139,9 +139,13 @@ fn cost_sweep() -> Vec<CostRow> {
     rows
 }
 
+/// Seeded trials per chaos cell in `BENCH_ckpt.json`.
+pub const CHAOS_TRIALS: usize = 12;
+
 /// Chaos-recovery sweep: redundancy × fault rate, `trials` seeded
-/// trials each.
-fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
+/// trials each. Stores live in temp directories, removed after each
+/// trial.
+pub fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
     let state = demo_state(grid_of(8));
     let mut rows = Vec::new();
     for redundancy in [
@@ -168,7 +172,7 @@ fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
                 .expect("create");
                 let mut last = 0;
                 for _ in 0..3 {
-                    last = store.store(&state).expect("store is fault-transparent").version;
+                    last = store.store(&state).expect("store is fault-transparent");
                 }
                 match store.load_latest() {
                     Ok(loaded) if loaded.version == last => newest += 1,
@@ -231,7 +235,7 @@ pub fn to_json(cost: &[CostRow], chaos: &[ChaosRow]) -> String {
 /// the working directory.
 pub fn ckptstore_report() -> Vec<Table> {
     let cost = cost_sweep();
-    let chaos = chaos_sweep(12);
+    let chaos = chaos_sweep(CHAOS_TRIALS);
     if let Err(e) = std::fs::write("BENCH_ckpt.json", to_json(&cost, &chaos)) {
         eprintln!("warning: could not write BENCH_ckpt.json: {e}");
     }

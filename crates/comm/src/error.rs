@@ -45,8 +45,8 @@ pub enum CommError {
         /// or the recorded death reason of the failed rank.
         detail: String,
     },
-    /// A receive exceeded its deadline, or the deadlock watchdog aborted
-    /// the world; `detail` carries the wait-graph diagnostic.
+    /// The deadlock watchdog aborted the world; `detail` carries the
+    /// wait-graph diagnostic.
     Timeout {
         /// The rank whose receive was aborted.
         rank: usize,

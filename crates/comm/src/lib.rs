@@ -24,7 +24,7 @@
 //! There is one world-level communicator, [`WorldComm`], and one way to
 //! launch it: [`run_ranks`] (options from the environment) or
 //! [`run_ranks_opts`] with a [`RunOptions`] value that switches on the
-//! deadlock watchdog, a receive deadline, the integrity protocol
+//! deadlock watchdog, the integrity protocol
 //! ([`integrity`]), seeded fault injection ([`fault`]) or a virtual
 //! clock. Integrity and faults are fixed stages inside
 //! `WorldComm::{send, recv}`, not wrappers around it; the only other

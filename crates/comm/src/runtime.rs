@@ -10,9 +10,9 @@
 //! it; everything else is a [`RunOptions`] value:
 //!
 //! * [`run_ranks_opts`] returns per-rank `Result`s under explicit
-//!   options: a deadlock watchdog ([`RunOptions::watchdog`]), a per-receive
-//!   deadline, the integrity protocol, a seeded
-//!   [`crate::fault::FaultPlan`], a virtual-time [`LinkModel`]. Rank
+//!   options: a deadlock watchdog ([`RunOptions::watchdog`]), the
+//!   integrity protocol, a seeded [`crate::fault::FaultPlan`], a
+//!   virtual-time [`LinkModel`]. Rank
 //!   deaths (injected kills, observed peer failures, watchdog aborts)
 //!   come back as [`CommError`] values instead of crashing the process.
 //! * [`run_ranks`] and [`run_ranks_timed`] take their options from the
@@ -29,7 +29,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
@@ -170,9 +170,6 @@ pub struct WorldComm {
     /// Progress monitor; `Some` in every world but the unguarded
     /// [`run_ranks`] / [`run_ranks_timed`] one.
     monitor: Option<Arc<Monitor>>,
-    /// Per-receive deadline; `Some` switches `recv` to the polling path
-    /// even without a monitor.
-    recv_deadline: Option<Duration>,
     /// End-to-end integrity stage ([`RunOptions::integrity`]).
     integrity: Option<WorldIntegrity>,
     /// Fault-injection stage ([`RunOptions::faults`]).
@@ -417,8 +414,8 @@ impl WorldComm {
             self.observe_arrival(&env);
             return downcast_payload(env, src, tag);
         }
-        if self.monitor.is_some() || self.recv_deadline.is_some() {
-            return self.recv_polled(src, tag);
+        if let Some(m) = &self.monitor {
+            return self.recv_polled(m, src, tag);
         }
         loop {
             // Typed like the polled path's, so the launcher re-raises the
@@ -442,70 +439,47 @@ impl WorldComm {
         CommError::RankFailed { rank: src, observer: self.rank, detail }
     }
 
-    /// Interruptible receive: waits in short slices, between which it
-    /// checks the watchdog's abort flag and the per-receive deadline.
-    /// Failures unwind with a [`CommError`] payload, caught at the rank
-    /// boundary by the launcher.
-    fn recv_polled<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
-        let poll = self
-            .monitor
-            .as_ref()
-            .map(|_| POLL)
-            .unwrap_or(Duration::from_millis(1))
-            .min(self.recv_deadline.unwrap_or(Duration::MAX));
-        let deadline = self.recv_deadline.map(|d| Instant::now() + d);
-        if let Some(m) = &self.monitor {
-            m.enter_recv(self.rank, src, tag);
-        }
+    /// Interruptible receive: waits in [`POLL`] slices, between which
+    /// it checks the watchdog's abort flag. Failures unwind with a
+    /// [`CommError`] payload, caught at the rank boundary by the
+    /// launcher.
+    fn recv_polled<T: CommScalar>(
+        &self,
+        m: &Monitor,
+        src: usize,
+        tag: Tag,
+    ) -> (Vec<T>, Option<WireHeader>) {
+        m.enter_recv(self.rank, src, tag);
         let result = loop {
             // Abort wins over everything else, including a peer's
             // disconnect: once the watchdog trips, every blocked rank
             // reports the same wait-graph Timeout, not whichever
             // teardown artifact it happens to observe first.
-            if let Some(m) = &self.monitor {
-                if m.aborted() {
-                    break Err(m.abort_error(self.rank));
-                }
+            if m.aborted() {
+                break Err(m.abort_error(self.rank));
             }
-            match self.receivers[src].recv_timeout(poll) {
+            match self.receivers[src].recv_timeout(POLL) {
                 Ok(env) => {
-                    if let Some(m) = &self.monitor {
-                        m.note_dequeue(src, self.rank);
-                    }
+                    m.note_dequeue(src, self.rank);
                     if env.tag == tag {
                         self.observe_arrival(&env);
                         break Ok(downcast_payload(env, src, tag));
                     }
                     self.stashes.borrow_mut()[src].put(env);
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        break Err(CommError::Timeout {
-                            rank: self.rank,
-                            detail: format!(
-                                "receive from rank {src} (tag {tag}) exceeded the {:?} deadline",
-                                self.recv_deadline.expect("deadline implies recv_deadline"),
-                            ),
-                        });
-                    }
-                }
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     // A peer tearing down after a watchdog abort wakes
                     // us with Disconnected; report the abort, not the
                     // secondary disconnect.
-                    if let Some(m) = &self.monitor {
-                        if m.aborted() {
-                            break Err(m.abort_error(self.rank));
-                        }
+                    if m.aborted() {
+                        break Err(m.abort_error(self.rank));
                     }
-                    let reason = self.monitor.as_ref().and_then(|m| m.death_reason(src));
-                    break Err(self.peer_hung_up(src, tag, reason));
+                    break Err(self.peer_hung_up(src, tag, m.death_reason(src)));
                 }
             }
         };
-        if let Some(m) = &self.monitor {
-            m.exit_recv(self.rank);
-        }
+        m.exit_recv(self.rank);
         match result {
             Ok(v) => v,
             Err(e) => std::panic::panic_any(e),
@@ -571,7 +545,6 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
             clock: Cell::new(0.0),
             link: opts.link.clone(),
             monitor: monitor.cloned(),
-            recv_deadline: opts.recv_timeout,
             integrity: integrity
                 .clone()
                 .map(|state| WorldIntegrity { state, cursor: RankCursor::default() }),
@@ -586,11 +559,8 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
 /// no guards, no faults, wall-clock time.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Run the deadlock watchdog. Off leaves deadlocks to the
-    /// per-receive deadline (if any).
+    /// Run the deadlock watchdog. Off leaves a deadlocked world hanging.
     pub watchdog: bool,
-    /// Abort any single receive that waits longer than this.
-    pub recv_timeout: Option<Duration>,
     /// Run the end-to-end integrity protocol: every p2p payload travels
     /// checksummed and sequence-numbered, with receiver-driven repair.
     /// Counts and payloads are identical to a run without it (the
@@ -649,7 +619,7 @@ impl RunOptions {
     /// condition under which the environment-driven launchers monitor
     /// the world instead of taking the blocking-receive fast path.
     fn is_guarded(&self) -> bool {
-        self.watchdog || self.recv_timeout.is_some() || self.integrity || self.faults.is_some()
+        self.watchdog || self.integrity || self.faults.is_some()
     }
 }
 
@@ -717,9 +687,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// rank order) once every thread is joined.
 ///
 /// `monitored` attaches a progress [`Monitor`] to the world: receives
-/// poll instead of blocking, so peer deaths, watchdog aborts and
-/// deadlines surface as typed errors. Without it `recv` is a plain
-/// blocking channel receive.
+/// poll instead of blocking, so peer deaths and watchdog aborts surface
+/// as typed errors. Without it `recv` is a plain blocking channel
+/// receive.
 fn launch<R, F>(size: usize, opts: RunOptions, monitored: bool, f: F) -> Vec<Result<R, CommError>>
 where
     R: Send,
@@ -829,10 +799,10 @@ where
 
 /// Run `f` on `size` ranks under explicit [`RunOptions`]: per-rank
 /// results come back as `Result`s, with rank deaths (injected kills,
-/// observed peer failures, watchdog or deadline aborts, unrepairable
-/// corruption) as structured [`CommError`]s instead of process-crashing
-/// panics. The world is always monitored, so a peer's death is observed
-/// with its reason even when no guard is on.
+/// observed peer failures, watchdog aborts, unrepairable corruption)
+/// as structured [`CommError`]s instead of process-crashing panics.
+/// The world is always monitored, so a peer's death is observed with
+/// its reason even when no guard is on.
 ///
 /// Genuine bugs — panics whose payload is not a [`CommError`] — still
 /// propagate and abort the run, exactly like [`run_ranks`].
@@ -1041,34 +1011,6 @@ mod tests {
                 }
                 other => panic!("expected Timeout, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn recv_deadline_times_out_a_slow_peer() {
-        let opts = RunOptions {
-            watchdog: false,
-            recv_timeout: Some(Duration::from_millis(20)),
-            ..RunOptions::default()
-        };
-        let out = run_ranks_opts(2, opts, |comm| {
-            if comm.rank() == 0 {
-                // Stay alive well past rank 1's deadline, then send too
-                // late: the receive must already have timed out.
-                std::thread::sleep(Duration::from_millis(120));
-                comm.send(1, 9, vec![5u32]);
-                0u32
-            } else {
-                comm.recv::<u32>(0, 9)[0]
-            }
-        });
-        assert!(out[0].is_ok());
-        match &out[1] {
-            Err(CommError::Timeout { rank, detail }) => {
-                assert_eq!(*rank, 1);
-                assert!(detail.contains("deadline"), "detail: {detail}");
-            }
-            other => panic!("expected Timeout, got {other:?}"),
         }
     }
 

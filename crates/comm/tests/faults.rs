@@ -283,36 +283,6 @@ fn integrity_full_workload_survives_fault_rates_bitwise() {
 }
 
 #[test]
-fn recv_deadline_passes_through_the_integrity_layer() {
-    // A per-receive deadline from RunOptions must still surface as
-    // Timeout when the world runs the internal integrity protocol: the
-    // repair loop only engages after a message arrives, so a silent
-    // peer is the deadline's business, not the integrity layer's.
-    let opts = RunOptions {
-        watchdog: false,
-        recv_timeout: Some(Duration::from_millis(20)),
-        integrity: true,
-        ..RunOptions::default()
-    };
-    let out = run_ranks_opts(2, opts, |comm| {
-        if comm.rank() == 0 {
-            std::thread::sleep(Duration::from_millis(120));
-            comm.send(1, 9, vec![5u32]);
-            Vec::new()
-        } else {
-            comm.recv::<u32>(0, 9)
-        }
-    });
-    assert!(out[0].is_ok());
-    match &out[1] {
-        Err(CommError::Timeout { rank: 1, detail }) => {
-            assert!(detail.contains("deadline"), "{detail}");
-        }
-        other => panic!("expected deadline Timeout, got {other:?}"),
-    }
-}
-
-#[test]
 fn faults_pass_through_subgroup_traffic() {
     // A SubComm's traffic bottoms out in the world's send/recv, where the
     // fault stage sits, so link faults hit subgroup collectives too. Kill

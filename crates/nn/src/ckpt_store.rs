@@ -5,8 +5,8 @@
 //! module makes that trust *earned*: a [`CkptStore`] holds N versions of
 //! a serialized [`TrainState`], each published atomically (write into a
 //! temp directory, fsync, rename — a crash at any point leaves either
-//! the whole version or none of it), each described by a CRC-protected
-//! manifest, and each split into per-rank byte shards with configurable
+//! the whole version or none of it), each described by a manifest
+//! protected by an FNV-1a 64 checksum, and each split into per-rank byte shards with configurable
 //! redundancy so a *permanently lost* shard is reconstructable instead
 //! of fatal.
 //!
@@ -42,20 +42,19 @@
 //!
 //! ## Verification and fallback
 //!
-//! Loads verify everything they touch: manifest CRC, per-shard length
-//! (a short file is a *torn write*, [`CheckpointError::Torn`]) and
-//! checksum ([`CheckpointError::Corrupt`]), reassembled-payload
-//! checksum. A shard that fails is repaired from a replica or parity
-//! group (counted in [`RecoveryNotes`]); a version that cannot be
-//! repaired is rejected with the typed error, and [`CkptStore::load_latest`]
-//! falls back to the next older version, recording a [`VersionFallback`]
-//! per rejection — recovery always resumes from the **newest
-//! verifiable** version, never panics, and never resumes stale state
-//! *silently*. That walk is the only way to the newest state: a caller
-//! that wants it under another grid retags the loaded state with
-//! [`crate::reshard_train_state`]. [`CkptStore::scrub`] runs the same
-//! verification over every version at rest and writes repaired bytes
-//! back atomically.
+//! Loads verify everything they touch: manifest checksum, per-shard
+//! length (a short file is a *torn write*, [`CheckpointError::Torn`])
+//! and checksum ([`CheckpointError::Corrupt`]), reassembled-payload
+//! checksum. A shard that fails is rebuilt from a replica or its parity
+//! group; a version that cannot be repaired is rejected with the typed
+//! error, and [`CkptStore::load_latest`] falls back to the next older
+//! version — recovery always resumes from the **newest verifiable**
+//! version, never panics, and never resumes stale state *silently*.
+//! Reconstructions and fallbacks are counted in [`StoreCounters`];
+//! [`CkptStore::load_version`] gives a passed-over version's typed
+//! reason. That walk is the only way to the newest state: a caller that
+//! wants it under another grid retags the loaded state with
+//! [`crate::reshard_train_state`].
 //!
 //! ## Storage chaos
 //!
@@ -142,9 +141,12 @@ impl StoreConfig {
         }
     }
 
-    /// Set the redundancy mode.
+    /// Set the redundancy mode (a parity group is clamped to ≥ 2).
     pub fn redundancy(mut self, r: Redundancy) -> StoreConfig {
-        self.redundancy = r;
+        self.redundancy = match r {
+            Redundancy::Parity { group } => Redundancy::Parity { group: group.max(2) },
+            r => r,
+        };
         self
     }
 
@@ -387,8 +389,8 @@ impl Manifest {
         }
         let total = (body.len() + 8) as u64;
         body[8..16].copy_from_slice(&total.to_le_bytes());
-        let crc = fnv1a64(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
+        let checksum = fnv1a64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
         body
     }
 
@@ -416,12 +418,12 @@ impl Manifest {
             std::cmp::Ordering::Greater => return Err(corrupt()),
             std::cmp::Ordering::Equal => {}
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 8);
-        let crc = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
-        if fnv1a64(body) != crc {
+        let (body, checksum_bytes) = bytes.split_at(bytes.len() - 8);
+        let checksum = u64::from_le_bytes(checksum_bytes.try_into().expect("8 bytes"));
+        if fnv1a64(body) != checksum {
             return Err(corrupt());
         }
-        // Past the CRC the structure is trustworthy; decode plainly.
+        // Past the checksum the structure is trustworthy; decode plainly.
         let mut r = &body[16..];
         let u = |r: &mut &[u8]| -> u64 {
             let (head, tail) = r.split_at(8);
@@ -461,71 +463,6 @@ impl Manifest {
     }
 }
 
-/// Where a repaired shard's good bytes came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairSource {
-    /// Ring replica `m` (1-based).
-    Replica(usize),
-    /// XOR of the parity file with the group's surviving shards.
-    Parity,
-}
-
-/// One shard that had to be reconstructed during a load.
-#[derive(Debug, Clone)]
-pub struct ReconstructedShard {
-    /// Shard index.
-    pub shard: usize,
-    /// Which redundancy mechanism supplied the bytes.
-    pub source: RepairSource,
-}
-
-/// Why a newer version was passed over during [`CkptStore::load_latest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackKind {
-    /// Torn write (file shorter than the manifest records).
-    Torn,
-    /// Checksum mismatch.
-    Corrupt,
-    /// Required file absent and unreconstructable.
-    Missing,
-    /// Payload verified but records a poisoned (non-finite) state.
-    Poisoned,
-    /// Any other structural failure.
-    Io,
-}
-
-impl FallbackKind {
-    fn of(e: &CheckpointError) -> FallbackKind {
-        match e {
-            CheckpointError::Torn { .. } => FallbackKind::Torn,
-            CheckpointError::Corrupt { .. } => FallbackKind::Corrupt,
-            CheckpointError::Missing { .. } => FallbackKind::Missing,
-            CheckpointError::PoisonedLoss { .. } => FallbackKind::Poisoned,
-            _ => FallbackKind::Io,
-        }
-    }
-}
-
-/// One version rejected on the way to the newest verifiable one.
-#[derive(Debug, Clone)]
-pub struct VersionFallback {
-    /// The rejected version.
-    pub version: u64,
-    /// Failure class.
-    pub kind: FallbackKind,
-    /// The typed error's operator-facing message (path, shard, sizes).
-    pub detail: String,
-}
-
-/// What a load had to do beyond reading primary files.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryNotes {
-    /// Shards rebuilt from replicas or parity, in shard order.
-    pub reconstructed: Vec<ReconstructedShard>,
-    /// Newer versions rejected (newest first) before one verified.
-    pub fallbacks: Vec<VersionFallback>,
-}
-
 /// A successfully loaded checkpoint.
 #[derive(Debug, Clone)]
 pub struct LoadedCkpt {
@@ -533,43 +470,9 @@ pub struct LoadedCkpt {
     pub state: TrainState,
     /// The store version it came from.
     pub version: u64,
-    /// Repairs and fallbacks performed to get it.
-    pub notes: RecoveryNotes,
 }
 
-/// What one [`CkptStore::store`] call wrote.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreReceipt {
-    /// Version number assigned (monotonic; never reused, even by a
-    /// crashed commit).
-    pub version: u64,
-    /// Serialized checkpoint payload bytes.
-    pub payload_bytes: u64,
-    /// Total bytes written including shards, redundancy, and manifest.
-    pub bytes_written: u64,
-    /// Number of primary shards.
-    pub shards: usize,
-    /// Wall time of the store call.
-    pub wall_s: f64,
-}
-
-/// Result of a [`CkptStore::scrub`] pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Versions examined.
-    pub versions: usize,
-    /// Versions whose every file verified (after any repairs).
-    pub verified: usize,
-    /// Files found damaged or missing (primaries, replicas, parity).
-    pub corrupt_files: usize,
-    /// Files rewritten with good bytes recovered via redundancy.
-    pub repaired_files: usize,
-    /// Versions left unverifiable (redundancy could not cover the
-    /// damage); `load_latest` will skip them.
-    pub unrecoverable: Vec<u64>,
-}
-
-/// Cumulative telemetry of a store's lifetime.
+/// Cumulative telemetry of a store's lifetime: the store's one report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreCounters {
     /// Successful (published) store calls.
@@ -590,19 +493,6 @@ pub struct StoreCounters {
     pub version_fallbacks: u64,
     /// Versions pruned by retention.
     pub pruned_versions: u64,
-    /// Files repaired in place by scrubs.
-    pub scrub_repaired: u64,
-    /// Damaged files found by scrubs.
-    pub scrub_corrupt: u64,
-}
-
-/// One version's shards, verified against the manifest they were read
-/// with (the product of `CkptStore::verify_shards`).
-struct VerifiedShards {
-    dir: PathBuf,
-    manifest: Manifest,
-    shards: Vec<Vec<u8>>,
-    notes: RecoveryNotes,
 }
 
 /// The durable checkpoint store. Single-writer (the driver), many
@@ -620,25 +510,15 @@ pub struct CkptStore {
 
 impl CkptStore {
     /// Create (or re-open) the store rooted at `cfg.dir`, sweeping any
-    /// temp directories a crashed commit left behind.
+    /// temp directories a crashed commit left behind. The durable state
+    /// is self-describing — each manifest records its own redundancy —
+    /// so reads never depend on the opener's config.
     pub fn create(cfg: StoreConfig) -> Result<CkptStore, CheckpointError> {
         fs::create_dir_all(&cfg.dir).map_err(|e| CheckpointError::io_at(&cfg.dir, e))?;
         let mut store = CkptStore { cfg, next_version: 1, calls: 0, counters: Default::default() };
         store.sweep_tmp();
         store.next_version = store.versions().last().copied().unwrap_or(0) + 1;
         Ok(store)
-    }
-
-    /// Re-open an existing store with default knobs (the durable state
-    /// is self-describing: each manifest records its own redundancy, so
-    /// reads never depend on the opener's config).
-    pub fn open(dir: impl Into<PathBuf>) -> Result<CkptStore, CheckpointError> {
-        CkptStore::create(StoreConfig::at(dir))
-    }
-
-    /// Root directory.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
     }
 
     /// Lifetime telemetry.
@@ -680,10 +560,12 @@ impl CkptStore {
     /// Serialize and durably publish `state` as a new version: shards +
     /// redundancy + manifest written into a temp directory, fsynced,
     /// then atomically renamed into place; retention pruning follows.
-    /// Injected storage faults corrupt the bytes *silently* (the damage
-    /// is discovered by verification at load/scrub time, as on a real
-    /// machine) — an `Err` here is a genuine I/O failure.
-    pub fn store(&mut self, state: &TrainState) -> Result<StoreReceipt, CheckpointError> {
+    /// Returns the version assigned (monotonic; never reused by this
+    /// handle, even after a crashed commit). Injected storage faults
+    /// corrupt the bytes *silently* (the damage is discovered by
+    /// verification at load time, as on a real machine) — an `Err` here
+    /// is a genuine I/O failure.
+    pub fn store(&mut self, state: &TrainState) -> Result<u64, CheckpointError> {
         let t0 = std::time::Instant::now();
         let call = self.calls;
         self.calls += 1;
@@ -737,7 +619,6 @@ impl CkptStore {
                 }
             }
             Redundancy::Parity { group } => {
-                let group = group.max(2);
                 for (j, run) in shards.chunks(group).enumerate() {
                     let p = xor_parity(run);
                     manifest.parity.push((p.len() as u64, fnv1a64(&p)));
@@ -755,13 +636,7 @@ impl CkptStore {
             // crash would have taken the process with it.
             self.counters.crashed_commits += 1;
             self.counters.store_nanos += t0.elapsed().as_nanos() as u64;
-            return Ok(StoreReceipt {
-                version,
-                payload_bytes: payload.len() as u64,
-                bytes_written,
-                shards: world,
-                wall_s: t0.elapsed().as_secs_f64(),
-            });
+            return Ok(version);
         }
 
         let final_dir = self.version_dir(version);
@@ -792,96 +667,66 @@ impl CkptStore {
         self.counters.bytes_written += bytes_written;
         self.counters.last_payload_bytes = payload.len() as u64;
         self.counters.store_nanos += t0.elapsed().as_nanos() as u64;
-        Ok(StoreReceipt {
-            version,
-            payload_bytes: payload.len() as u64,
-            bytes_written,
-            shards: world,
-            wall_s: t0.elapsed().as_secs_f64(),
-        })
+        Ok(version)
     }
 
     /// Load and fully verify one version, reconstructing damaged shards
-    /// from redundancy where possible.
+    /// from redundancy where possible. An unverifiable version's error
+    /// is the typed reason `load_latest` passed it over.
     pub fn load_version(&mut self, version: u64) -> Result<LoadedCkpt, CheckpointError> {
         let t0 = std::time::Instant::now();
-        let result = self.load_version_inner(version);
+        let result = self.read_version(version);
         self.counters.restore_nanos += t0.elapsed().as_nanos() as u64;
-        match result {
-            Ok((state, notes)) => {
-                self.counters.shards_reconstructed += notes.reconstructed.len() as u64;
-                Ok(LoadedCkpt { state, version, notes })
-            }
-            Err(e) => Err(e),
-        }
+        let (state, reconstructed) = result?;
+        self.counters.shards_reconstructed += reconstructed;
+        Ok(LoadedCkpt { state, version })
     }
 
-    /// Verify and reassemble the payload bytes of `version` (with
-    /// repair notes), then decode them.
-    fn load_version_inner(
-        &self,
-        version: u64,
-    ) -> Result<(TrainState, RecoveryNotes), CheckpointError> {
-        let VerifiedShards { dir, manifest, shards, notes } =
-            self.verify_shards(version, &mut 0)?;
-        let payload: Vec<u8> = shards.concat();
-        if payload.len() as u64 != manifest.payload_len
-            || fnv1a64(&payload) != manifest.payload_checksum
-        {
-            let path = dir.join(MANIFEST_NAME);
-            return Err(CheckpointError::Corrupt { path, version, shard: None });
-        }
-        let state = load_train_state(&mut payload.as_slice())?;
-        Ok((state, notes))
-    }
-
-    /// The pass loading and scrubbing share: read and decode `version`'s
-    /// manifest, obtain verified bytes for every shard (primary, then
-    /// replicas), and rebuild the rest from parity. `damaged` counts the
-    /// bad files found: each shard no copy of which verified and, once
-    /// every shard has been read, each primary a replica stood in for.
-    fn verify_shards(
-        &self,
-        version: u64,
-        damaged: &mut usize,
-    ) -> Result<VerifiedShards, CheckpointError> {
+    /// Read `version`'s manifest, obtain verified bytes for every shard
+    /// (primary, then replicas, then parity), check the reassembled
+    /// payload and decode it. Also returns how many shards redundancy
+    /// supplied.
+    fn read_version(&self, version: u64) -> Result<(TrainState, u64), CheckpointError> {
         let dir = self.version_dir(version);
         let mpath = dir.join(MANIFEST_NAME);
         let mbytes = read_file(&mpath, version, None)?;
         let manifest = Manifest::decode(&mbytes, version, &mpath)?;
-        let mut notes = RecoveryNotes::default();
+        let mut reconstructed = 0;
         let mut shards: Vec<Vec<u8>> = Vec::with_capacity(manifest.shards.len());
         let mut pending: Vec<usize> = Vec::new();
         for i in 0..manifest.shards.len() {
-            match self.read_shard(&dir, &manifest, i, &mut notes) {
+            match self.read_shard(&dir, &manifest, i, &mut reconstructed) {
                 Ok(bytes) => shards.push(bytes),
-                Err(e) => {
-                    *damaged += 1;
-                    if matches!(manifest.redundancy, Redundancy::Parity { .. }) {
-                        pending.push(i);
-                        shards.push(Vec::new());
-                    } else {
-                        return Err(e);
-                    }
+                Err(_) if matches!(manifest.redundancy, Redundancy::Parity { .. }) => {
+                    pending.push(i);
+                    shards.push(Vec::new());
                 }
+                Err(e) => return Err(e),
             }
         }
-        // Replica-served shards mean the primary was damaged.
-        *damaged += notes.reconstructed.len();
         if !pending.is_empty() {
-            self.parity_reconstruct(&dir, &manifest, &mut shards, &pending, &mut notes)?;
+            self.parity_reconstruct(&dir, &manifest, &mut shards, &pending)?;
+            reconstructed += pending.len() as u64;
         }
-        Ok(VerifiedShards { dir, manifest, shards, notes })
+        let payload: Vec<u8> = shards.concat();
+        if payload.len() as u64 != manifest.payload_len
+            || fnv1a64(&payload) != manifest.payload_checksum
+        {
+            return Err(CheckpointError::Corrupt { path: mpath, version, shard: None });
+        }
+        let state = load_train_state(&mut payload.as_slice())?;
+        Ok((state, reconstructed))
     }
 
-    /// Shard `i` via primary, then replicas. The returned error is the
-    /// *primary's* failure (the most actionable one).
+    /// Shard `i` via primary, then replicas, counting a replica served
+    /// in `reconstructed`. The returned error is the *primary's* failure
+    /// (the most actionable one).
     fn read_shard(
         &self,
         dir: &Path,
         manifest: &Manifest,
         i: usize,
-        notes: &mut RecoveryNotes,
+        reconstructed: &mut u64,
     ) -> Result<Vec<u8>, CheckpointError> {
         let (want_len, want_sum) = manifest.shards[i];
         let verify = |bytes: &[u8]| bytes.len() as u64 == want_len && fnv1a64(bytes) == want_sum;
@@ -912,10 +757,7 @@ impl CkptStore {
                 if let Ok(bytes) = read_file(&dir.join(shard_name(i, m)), manifest.version, Some(i))
                 {
                     if verify(&bytes) {
-                        notes.reconstructed.push(ReconstructedShard {
-                            shard: i,
-                            source: RepairSource::Replica(m),
-                        });
+                        *reconstructed += 1;
                         return Ok(bytes);
                     }
                 }
@@ -932,12 +774,10 @@ impl CkptStore {
         manifest: &Manifest,
         shards: &mut [Vec<u8>],
         pending: &[usize],
-        notes: &mut RecoveryNotes,
     ) -> Result<(), CheckpointError> {
         let Redundancy::Parity { group } = manifest.redundancy else {
             unreachable!("parity reconstruction outside parity mode");
         };
-        let group = group.max(2);
         for &i in pending {
             let j = i / group;
             let lo = j * group;
@@ -983,88 +823,27 @@ impl CkptStore {
                 });
             }
             shards[i] = acc;
-            notes.reconstructed.push(ReconstructedShard { shard: i, source: RepairSource::Parity });
         }
         Ok(())
     }
 
     /// Load the **newest verifiable** version: walk versions newest →
-    /// oldest, recording a typed [`VersionFallback`] for every rejected
-    /// one. The store's whole reason to exist: this never panics and
-    /// never silently hands back damaged or unverified state.
+    /// oldest, counting every rejected one in
+    /// [`StoreCounters::version_fallbacks`]. The store's whole reason to
+    /// exist: this never panics and never silently hands back damaged or
+    /// unverified state.
     pub fn load_latest(&mut self) -> Result<LoadedCkpt, CheckpointError> {
         let versions = self.versions();
-        let mut fallbacks = Vec::new();
         for &v in versions.iter().rev() {
             match self.load_version(v) {
-                Ok(mut loaded) => {
-                    self.counters.version_fallbacks += fallbacks.len() as u64;
-                    loaded.notes.fallbacks = fallbacks;
-                    return Ok(loaded);
-                }
-                Err(e) => fallbacks.push(VersionFallback {
-                    version: v,
-                    kind: FallbackKind::of(&e),
-                    detail: e.to_string(),
-                }),
+                Ok(loaded) => return Ok(loaded),
+                Err(_) => self.counters.version_fallbacks += 1,
             }
         }
-        self.counters.version_fallbacks += fallbacks.len() as u64;
         Err(CheckpointError::NoVerifiableVersion {
             dir: self.cfg.dir.clone(),
-            tried: fallbacks.len(),
+            tried: versions.len(),
         })
-    }
-
-    /// Verify every file of every version at rest; rewrite damaged or
-    /// missing files whose good bytes redundancy can recover (atomic:
-    /// temp + rename). Versions redundancy cannot cover are reported in
-    /// [`ScrubReport::unrecoverable`] and left for `load_latest` to
-    /// skip.
-    pub fn scrub(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        for v in self.versions() {
-            report.versions += 1;
-            match self.scrub_version(v, &mut report) {
-                Ok(()) => report.verified += 1,
-                Err(_) => report.unrecoverable.push(v),
-            }
-        }
-        self.counters.scrub_corrupt += report.corrupt_files as u64;
-        self.counters.scrub_repaired += report.repaired_files as u64;
-        report
-    }
-
-    fn scrub_version(&self, version: u64, report: &mut ScrubReport) -> Result<(), CheckpointError> {
-        // Pass 1: obtain verified bytes for every shard (counts damage).
-        let VerifiedShards { dir, manifest, shards: good, .. } =
-            self.verify_shards(version, &mut report.corrupt_files)?;
-        // Pass 2: rewrite every file that does not match its checksum.
-        let mut repair = |path: PathBuf, bytes: &[u8]| -> Result<(), CheckpointError> {
-            let healthy = fs::read(&path)
-                .map(|cur| cur.len() == bytes.len() && fnv1a64(&cur) == fnv1a64(bytes))
-                .unwrap_or(false);
-            if healthy {
-                return Ok(());
-            }
-            write_faulty(&path, bytes, None)?;
-            report.repaired_files += 1;
-            Ok(())
-        };
-        for (i, bytes) in good.iter().enumerate() {
-            repair(dir.join(shard_name(i, 0)), bytes)?;
-            if let Redundancy::Replicas(k) = manifest.redundancy {
-                for m in 1..=k {
-                    repair(dir.join(shard_name(i, m)), bytes)?;
-                }
-            }
-        }
-        if let Redundancy::Parity { group } = manifest.redundancy {
-            for (j, run) in good.chunks(group.max(2)).enumerate() {
-                repair(dir.join(parity_name(j)), &xor_parity(run))?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1081,11 +860,11 @@ fn parity_name(j: usize) -> String {
 }
 
 /// XOR of `run`'s shards, zero-padded to the longest.
-fn xor_parity(run: &[impl AsRef<[u8]>]) -> Vec<u8> {
-    let len = run.iter().map(|s| s.as_ref().len()).max().unwrap_or(0);
+fn xor_parity(run: &[&[u8]]) -> Vec<u8> {
+    let len = run.iter().map(|s| s.len()).max().unwrap_or(0);
     let mut out = vec![0u8; len];
     for s in run {
-        for (o, b) in out.iter_mut().zip(s.as_ref()) {
+        for (o, b) in out.iter_mut().zip(*s) {
             *o ^= b;
         }
     }
@@ -1174,22 +953,35 @@ mod tests {
         ProcGrid::spatial(2, 2)
     }
 
+    /// Primary shard files `version` holds on disk.
+    fn primaries(store: &CkptStore, version: u64) -> usize {
+        fs::read_dir(store.version_dir(version))
+            .unwrap()
+            .flatten()
+            .filter(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.starts_with("shard_") && !name.contains(".r")
+            })
+            .count()
+    }
+
     #[test]
     fn store_and_load_round_trips_bitwise_across_reopen() {
         let dir = scratch("roundtrip");
         let state = demo_state(6, grid4());
         {
             let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
-            let receipt = store.store(&state).unwrap();
-            assert_eq!(receipt.version, 1);
-            assert_eq!(receipt.shards, 4);
-            assert!(receipt.bytes_written > receipt.payload_bytes, "replicas add overhead");
+            assert_eq!(store.store(&state).unwrap(), 1);
+            assert_eq!(primaries(&store, 1), 4);
+            let c = store.counters();
+            assert!(c.bytes_written > c.last_payload_bytes, "replicas add overhead");
         }
         // A "driver restart": reopen from disk alone.
-        let mut store = CkptStore::open(&dir).unwrap();
+        let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
-        assert!(loaded.notes.reconstructed.is_empty() && loaded.notes.fallbacks.is_empty());
+        let c = store.counters();
+        assert_eq!((c.shards_reconstructed, c.version_fallbacks), (0, 0));
         assert_eq!(loaded.state.params, state.params);
         assert_eq!(loaded.state.velocity, state.velocity);
         assert_eq!(loaded.state.step, state.step);
@@ -1224,9 +1016,6 @@ mod tests {
         assert!(!store.version_dir(1).join(shard_name(2, 0)).exists(), "fault deleted shard 2");
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
-        assert_eq!(loaded.notes.reconstructed.len(), 1);
-        assert_eq!(loaded.notes.reconstructed[0].shard, 2);
-        assert_eq!(loaded.notes.reconstructed[0].source, RepairSource::Replica(1));
         assert_eq!(store.counters().shards_reconstructed, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1244,7 +1033,7 @@ mod tests {
         store.store(&state).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
-        assert_eq!(loaded.notes.reconstructed[0].source, RepairSource::Parity);
+        assert_eq!(store.counters().shards_reconstructed, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1252,7 +1041,8 @@ mod tests {
     fn torn_write_falls_back_to_previous_version_with_typed_report() {
         let dir = scratch("torn");
         // No redundancy, so a torn shard write makes version 2
-        // unverifiable; version 1 must serve, with a typed fallback.
+        // unverifiable; version 1 must serve, the fallback counted and
+        // its reason typed.
         let mut store = CkptStore::create(
             StoreConfig::at(&dir)
                 .redundancy(Redundancy::None)
@@ -1264,11 +1054,11 @@ mod tests {
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
         assert_eq!(loaded.state.step, 2);
-        assert_eq!(loaded.notes.fallbacks.len(), 1);
-        let fb = &loaded.notes.fallbacks[0];
-        assert_eq!(fb.version, 2);
-        assert_eq!(fb.kind, FallbackKind::Torn);
-        assert!(fb.detail.contains("shard 0") && fb.detail.contains("torn"), "{}", fb.detail);
+        assert_eq!(store.counters().version_fallbacks, 1);
+        let err = store.load_version(2).unwrap_err();
+        assert!(matches!(err, CheckpointError::Torn { version: 2, shard: Some(0), .. }), "{err}");
+        let detail = err.to_string();
+        assert!(detail.contains("shard 0") && detail.contains("torn"), "{detail}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1285,7 +1075,9 @@ mod tests {
         store.store(&demo_state(4, grid4())).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
-        assert_eq!(loaded.notes.fallbacks[0].kind, FallbackKind::Corrupt);
+        assert_eq!(store.counters().version_fallbacks, 1);
+        let err = store.load_version(2).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { version: 2, .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1302,9 +1094,13 @@ mod tests {
         assert_eq!(store.counters().crashed_commits, 1);
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.step, 2);
-        assert!(loaded.notes.fallbacks.is_empty(), "an unpublished version is not a fallback");
-        // Reopening sweeps the temp wreckage and never reuses version 2.
-        let store2 = CkptStore::open(&dir).unwrap();
+        assert_eq!(
+            store.counters().version_fallbacks,
+            0,
+            "an unpublished version is not a fallback"
+        );
+        // Reopening sweeps the temp wreckage.
+        let store2 = CkptStore::create(StoreConfig::at(&dir)).unwrap();
         assert_eq!(store2.versions(), vec![1]);
         assert!(
             !fs::read_dir(&dir)
@@ -1313,32 +1109,6 @@ mod tests {
                 .any(|e| e.file_name().to_string_lossy().starts_with(".tmp.")),
             "stale temp dirs must be swept on open"
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scrub_repairs_damage_redundancy_can_cover() {
-        let dir = scratch("scrub");
-        let mut store =
-            CkptStore::create(StoreConfig::at(&dir).redundancy(Redundancy::Replicas(1))).unwrap();
-        let state = demo_state(3, grid4());
-        store.store(&state).unwrap();
-        // Corrupt one primary at rest (bit rot).
-        let victim = store.version_dir(1).join(shard_name(1, 0));
-        let mut bytes = fs::read(&victim).unwrap();
-        bytes[0] ^= 0x40;
-        fs::write(&victim, &bytes).unwrap();
-        let report = store.scrub();
-        assert_eq!(report.versions, 1);
-        assert_eq!(report.verified, 1);
-        assert!(report.corrupt_files >= 1);
-        assert!(report.repaired_files >= 1);
-        assert!(report.unrecoverable.is_empty());
-        // After the scrub the primary is healthy again: a plain load
-        // reconstructs nothing.
-        let loaded = store.load_latest().unwrap();
-        assert!(loaded.notes.reconstructed.is_empty());
-        assert_eq!(loaded.state.params, state.params);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1353,8 +1123,6 @@ mod tests {
             CheckpointError::NoVerifiableVersion { tried, .. } => assert_eq!(tried, 1),
             other => panic!("expected NoVerifiableVersion, got {other}"),
         }
-        let report = store.scrub();
-        assert_eq!(report.unrecoverable, vec![1]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1370,10 +1138,9 @@ mod tests {
         store.store(&poisoned).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!((loaded.version, loaded.state.step), (1, 2));
-        assert_eq!(loaded.notes.fallbacks.len(), 1);
-        assert_eq!(loaded.notes.fallbacks[0].version, 2);
-        assert_eq!(loaded.notes.fallbacks[0].kind, FallbackKind::Poisoned);
         assert_eq!(store.counters().version_fallbacks, 1);
+        let err = store.load_version(2).unwrap_err();
+        assert!(matches!(err, CheckpointError::PoisonedLoss { step: 3, .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1396,8 +1163,8 @@ mod tests {
         let dir = scratch("single-writer");
         let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
         let state = demo_state(2, ProcGrid::sample(1));
-        let receipt = store.store(&state).unwrap();
-        assert_eq!(receipt.shards, 1);
+        store.store(&state).unwrap();
+        assert_eq!(primaries(&store, 1), 1);
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
         assert_eq!(loaded.state.grid, state.grid);

@@ -19,9 +19,7 @@ pub mod optimizer;
 pub mod params_io;
 
 pub use ckpt_store::{
-    CkptStore, FallbackKind, LoadedCkpt, ReconstructedShard, RecoveryNotes, Redundancy,
-    RepairSource, ScrubReport, StorageFaultPlan, StoreConfig, StoreCounters, StoreReceipt,
-    VersionFallback,
+    CkptStore, LoadedCkpt, Redundancy, StorageFaultPlan, StoreConfig, StoreCounters,
 };
 pub use graph::{LayerId, NetworkSpec};
 pub use inference::RunningStats;

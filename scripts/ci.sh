@@ -269,7 +269,8 @@ FG_VERIFY=1 cargo test -q --offline -p fg-serve --test chaos
 # dies permanently while its primary shard is deleted on every publish
 # (reconstruction from ring replicas must carry the degradation rung),
 # and a torn newest version must fall back to the previous verifiable
-# one with a typed record — never a panic, never a silent stale resume.
+# one, counted in the store's counters and typed by `load_version` —
+# never a panic, never a silent stale resume.
 # The snapshot keeper holds one restore contract on both backends, and a
 # newest version that verifies but records a poisoned run is passed like
 # a damaged one, at the store's one walk and at the shrink rung alike.
@@ -283,6 +284,10 @@ FG_VERIFY=1 cargo test -q --offline -p fg-nn --test ckpt_chaos
 filtered_tests -p fg-nn --lib -- poisoned_newest_version_falls_back_on_every_restore
 filtered_tests -p fg-core --lib -- \
     poisoned_newest_version_falls_back_on_every_restore keeper_contract_holds_on_both_backends
+# `repro -- ckptstore`'s rows regenerate to the committed
+# BENCH_ckpt.json, field for field (wall-clock fields skipped).
+filtered_tests --test bench_files -- ckpt_cost_rows_match_the_recorded_ones \
+    ckpt_chaos_rows_match_the_recorded_ones
 # The snapshot is whole tensors: the stream differs across grids only
 # in its tag, FGCKPT04's bytes are the recorded ones, the retired
 # formats are refused by name and a biased conv as typed invalid data,

@@ -504,7 +504,7 @@ fn durable_store_run_is_bitwise_identical_to_memory_store_run() {
     );
     // The store outlives the process: a reopened store serves the last
     // snapshot (the driver-restart path).
-    let mut reopened = CkptStore::open(&dir).expect("reopen");
+    let mut reopened = CkptStore::create(StoreConfig::at(&dir)).expect("reopen");
     let loaded = reopened.load_latest().expect("newest version verifies");
     assert_eq!(loaded.state.step, 4, "snapshots landed at steps 2 and 4");
     let _ = std::fs::remove_dir_all(&dir);
@@ -699,7 +699,7 @@ fn torn_newest_version_falls_back_to_previous_verifiable_and_recovers_bitwise() 
 
     // The damage is still on disk, and still typed: loading the torn
     // version directly names the file, version, and shard.
-    let mut store = CkptStore::open(&dir).expect("reopen");
+    let mut store = CkptStore::create(StoreConfig::at(&dir)).expect("reopen");
     assert!(store.versions().contains(&2), "the torn version was published");
     match store.load_version(2) {
         Err(finegrain::nn::CheckpointError::Torn { version: 2, shard: Some(0), .. }) => {}
