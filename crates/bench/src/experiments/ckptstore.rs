@@ -17,18 +17,12 @@
 //! `BENCH_ckpt.json` is written alongside the table so store/restore
 //! latency and recovery rates can be tracked across commits.
 
-use fg_models::{mesh_model_custom, MeshSize};
-use fg_nn::{
-    init_params, CkptStore, GuardState, Redundancy, StorageFaultPlan, StoreConfig, TrainState,
-};
+use fg_nn::{CkptStore, Redundancy, StorageFaultPlan, StoreConfig};
 use fg_tensor::ProcGrid;
 
+use super::scaled_mesh_state;
+use crate::bench_file::{BenchFile, Row};
 use crate::table::Table;
-
-/// Scaled mesh model checkpointed by the bench: 64×64 inputs, widths
-/// ÷32 — a payload of about 100 KB.
-const CKPT_INPUT_HW: usize = 64;
-const CKPT_WIDTH_SCALE: usize = 32;
 
 /// Near-square spatial factorization of `world` (shard layout only —
 /// nothing here runs a communicator).
@@ -45,22 +39,6 @@ fn redundancy_label(r: Redundancy) -> String {
         Redundancy::None => "none".into(),
         Redundancy::Replicas(k) => format!("replicas k={k}"),
         Redundancy::Parity { group } => format!("parity g={group}"),
-    }
-}
-
-/// The state every sweep cell stores: the scaled mesh model at step
-/// 100, velocity included.
-fn demo_state(grid: ProcGrid) -> TrainState {
-    let spec = mesh_model_custom(MeshSize::OneK, CKPT_INPUT_HW, CKPT_WIDTH_SCALE);
-    let params = init_params(&spec, 4242);
-    let velocity = params.iter().map(|p| p.zeros_like()).collect();
-    TrainState {
-        step: 100,
-        params,
-        velocity,
-        losses: vec![0.3; 100],
-        guard: GuardState::default(),
-        grid,
     }
 }
 
@@ -109,7 +87,7 @@ pub struct ChaosRow {
 pub fn cost_sweep() -> Vec<CostRow> {
     let mut rows = Vec::new();
     for world in [4usize, 16, 64] {
-        let state = demo_state(grid_of(world));
+        let (_, state) = scaled_mesh_state(grid_of(world));
         for redundancy in [
             Redundancy::None,
             Redundancy::Replicas(1),
@@ -146,7 +124,7 @@ pub const CHAOS_TRIALS: usize = 12;
 /// trials each. Stores live in temp directories, removed after each
 /// trial.
 pub fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
-    let state = demo_state(grid_of(8));
+    let (_, state) = scaled_mesh_state(grid_of(8));
     let mut rows = Vec::new();
     for redundancy in [
         Redundancy::None,
@@ -196,39 +174,31 @@ pub fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
     rows
 }
 
-/// Render both sweeps as the `BENCH_ckpt.json` payload.
-pub fn to_json(cost: &[CostRow], chaos: &[ChaosRow]) -> String {
-    let mut out = String::from("{\n  \"cost\": [\n");
-    for (i, r) in cost.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"world\": {}, \"redundancy\": \"{}\", \"payload_bytes\": {}, \
-             \"bytes_written\": {}, \"store_ms\": {:.3}, \"restore_ms\": {:.3}}}{}\n",
-            r.world,
-            r.redundancy,
-            r.payload_bytes,
-            r.bytes_written,
-            r.store_ms,
-            r.restore_ms,
-            if i + 1 < cost.len() { "," } else { "" },
-        ));
+/// Both sweeps as the `BENCH_ckpt.json` file.
+pub fn to_bench_file(cost: &[CostRow], chaos: &[ChaosRow]) -> BenchFile {
+    let cost = cost.iter().map(|r| {
+        Row::default()
+            .num("world", r.world)
+            .text("redundancy", &r.redundancy)
+            .num("payload_bytes", r.payload_bytes)
+            .num("bytes_written", r.bytes_written)
+            .fixed("store_ms", r.store_ms, 3)
+            .fixed("restore_ms", r.restore_ms, 3)
+    });
+    let chaos = chaos.iter().map(|r| {
+        Row::default()
+            .text("redundancy", &r.redundancy)
+            .fixed("fault_rate", r.fault_rate, 2)
+            .num("trials", r.trials)
+            .num("newest", r.newest)
+            .num("fell_back", r.fell_back)
+            .num("lost", r.lost)
+            .num("reconstructed", r.reconstructed)
+    });
+    BenchFile::Sections {
+        header: Row::default(),
+        sections: vec![("cost".into(), cost.collect()), ("chaos".into(), chaos.collect())],
     }
-    out.push_str("  ],\n  \"chaos\": [\n");
-    for (i, r) in chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"redundancy\": \"{}\", \"fault_rate\": {:.2}, \"trials\": {}, \
-             \"newest\": {}, \"fell_back\": {}, \"lost\": {}, \"reconstructed\": {}}}{}\n",
-            r.redundancy,
-            r.fault_rate,
-            r.trials,
-            r.newest,
-            r.fell_back,
-            r.lost,
-            r.reconstructed,
-            if i + 1 < chaos.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The `repro -- ckptstore` tables; also writes `BENCH_ckpt.json` to
@@ -236,9 +206,7 @@ pub fn to_json(cost: &[CostRow], chaos: &[ChaosRow]) -> String {
 pub fn ckptstore_report() -> Vec<Table> {
     let cost = cost_sweep();
     let chaos = chaos_sweep(CHAOS_TRIALS);
-    if let Err(e) = std::fs::write("BENCH_ckpt.json", to_json(&cost, &chaos)) {
-        eprintln!("warning: could not write BENCH_ckpt.json: {e}");
-    }
+    to_bench_file(&cost, &chaos).write("BENCH_ckpt.json");
     let mut t1 = Table::new(
         "Durable checkpoint store: store/restore cost vs world × redundancy (ckptstore)",
         &["world", "redundancy", "payload", "written", "overhead", "store", "restore"],
@@ -277,10 +245,9 @@ mod tests {
     use super::*;
 
     /// One cost cell and a handful of chaos trials end to end: the
-    /// sweep terminates, redundancy pays off measurably, the JSON is
-    /// well-formed.
+    /// sweep terminates and redundancy pays off measurably.
     #[test]
-    fn sweeps_terminate_and_serialize() {
+    fn sweeps_terminate_and_redundancy_pays_off() {
         let cost = &cost_sweep()[..2];
         assert!(cost.iter().all(|r| r.bytes_written >= r.payload_bytes));
         let chaos = chaos_sweep(3);
@@ -294,8 +261,5 @@ mod tests {
         let k2: usize =
             chaos.iter().filter(|r| r.redundancy == "replicas k=2").map(|r| r.newest).sum();
         assert!(k2 >= none, "redundancy cannot make recovery worse: k2 {k2} vs none {none}");
-        let json = to_json(cost, &chaos);
-        assert!(json.contains("\"cost\""), "{json}");
-        assert!(json.trim_end().ends_with('}'));
     }
 }

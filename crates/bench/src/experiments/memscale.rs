@@ -19,11 +19,11 @@
 //! written alongside the table.
 
 use fg_core::{analyze_strategy, sample_ranks, Strategy};
-use fg_models::{mesh_model, resnet50, MeshSize};
 use fg_tensor::ProcGrid;
 
-use super::{hybrid_grid, spatial_split};
-use crate::table::Table;
+use super::{hybrid_grid, model_spec, spatial_split};
+use crate::bench_file::{BenchFile, Row};
+use crate::table::{fmt_bytes, Table};
 
 /// One analyzed configuration.
 pub struct MemScaleRow {
@@ -49,15 +49,6 @@ pub struct MemScaleRow {
     pub wall_s: f64,
 }
 
-fn spec_for(model: &str) -> fg_nn::NetworkSpec {
-    match model {
-        "mesh-1K" => mesh_model(MeshSize::OneK),
-        "mesh-2K" => mesh_model(MeshSize::TwoK),
-        "ResNet-50" => resnet50(),
-        other => panic!("unknown memscale model {other}"),
-    }
-}
-
 /// Analyze one configuration.
 pub fn run_config(
     source: &'static str,
@@ -67,7 +58,7 @@ pub fn run_config(
     gpus_per_sample: usize,
     grid: ProcGrid,
 ) -> MemScaleRow {
-    let spec = spec_for(model);
+    let spec = model_spec(model);
     let strategy = Strategy::uniform(&spec, grid);
     let world = strategy.world_size();
     let ranks = sample_ranks(world);
@@ -120,53 +111,29 @@ pub fn sweep() -> Vec<MemScaleRow> {
     rows
 }
 
-/// `bytes` as a human-readable quantity.
-pub fn fmt_bytes(bytes: usize) -> String {
-    const GIB: f64 = (1u64 << 30) as f64;
-    const MIB: f64 = (1u64 << 20) as f64;
-    let b = bytes as f64;
-    if b >= GIB {
-        format!("{:.2} GiB", b / GIB)
-    } else if b >= MIB {
-        format!("{:.1} MiB", b / MIB)
-    } else {
-        format!("{:.1} KiB", b / 1024.0)
-    }
-}
-
-/// Render `rows` as the `BENCH_memory.json` payload.
-pub fn to_json(rows: &[MemScaleRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"source\": \"{}\", \"model\": \"{}\", \"mode\": \"{}\", \
-             \"batch\": {}, \"gpus_per_sample\": {}, \"ranks\": {}, \
-             \"ranks_analyzed\": {}, \"peak_bytes_per_rank\": {}, \
-             \"persistent_bytes\": {}, \"wall_s\": {:.6}}}{}\n",
-            r.source,
-            r.model,
-            r.mode,
-            r.batch,
-            r.gpus_per_sample,
-            r.world,
-            r.ranks_analyzed,
-            r.peak_bytes,
-            r.persistent_bytes,
-            r.wall_s,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("]\n");
-    out
+/// `rows` as the `BENCH_memory.json` file.
+pub fn to_bench_file(rows: &[MemScaleRow]) -> BenchFile {
+    let row = |r: &MemScaleRow| {
+        Row::default()
+            .text("source", r.source)
+            .text("model", r.model)
+            .text("mode", r.mode)
+            .num("batch", r.batch)
+            .num("gpus_per_sample", r.gpus_per_sample)
+            .num("ranks", r.world)
+            .num("ranks_analyzed", r.ranks_analyzed)
+            .num("peak_bytes_per_rank", r.peak_bytes)
+            .num("persistent_bytes", r.persistent_bytes)
+            .fixed("wall_s", r.wall_s, 6)
+    };
+    BenchFile::Array(rows.iter().map(row).collect())
 }
 
 /// The `repro -- memscale` table; also writes `BENCH_memory.json` to
 /// the working directory.
 pub fn memscale_report() -> Table {
     let rows = sweep();
-    if let Err(e) = std::fs::write("BENCH_memory.json", to_json(&rows)) {
-        eprintln!("warning: could not write BENCH_memory.json: {e}");
-    }
+    to_bench_file(&rows).write("BENCH_memory.json");
     let mut t = Table::new(
         "Static per-rank peak memory vs world size (memscale)",
         &[
@@ -191,8 +158,8 @@ pub fn memscale_report() -> Table {
             r.gpus_per_sample.to_string(),
             r.world.to_string(),
             r.ranks_analyzed.to_string(),
-            fmt_bytes(r.peak_bytes),
-            fmt_bytes(r.persistent_bytes),
+            fmt_bytes(r.peak_bytes as u64),
+            fmt_bytes(r.persistent_bytes as u64),
             format!("{:.2} s", r.wall_s),
         ]);
     }
@@ -239,14 +206,5 @@ mod tests {
             sample.peak_bytes,
             hybrid.peak_bytes
         );
-    }
-
-    #[test]
-    fn json_payload_is_well_formed() {
-        let rows = vec![run_config("Fig. 4", "mesh-1K", "hybrid", 2, 4, hybrid_grid(2, 4))];
-        let json = to_json(&rows);
-        assert!(json.contains("\"ranks\": 8"));
-        assert!(json.contains("\"peak_bytes_per_rank\""));
-        assert!(json.trim_end().ends_with(']'));
     }
 }

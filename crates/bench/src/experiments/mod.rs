@@ -30,6 +30,8 @@ pub mod stragglers;
 pub mod strategy;
 pub mod verify;
 
+use fg_models::{mesh_model, mesh_model_custom, resnet50, MeshSize};
+use fg_nn::{init_params, GuardState, NetworkSpec, TrainState};
 use fg_tensor::ProcGrid;
 
 /// Lassen's size in the paper's experiments.
@@ -50,6 +52,34 @@ pub fn spatial_split(k: usize) -> (usize, usize) {
             (ph, k / ph)
         }
     }
+}
+
+/// The paper model a sweep row names: `mesh-1K`, `mesh-2K` or
+/// `ResNet-50`.
+fn model_spec(model: &str) -> NetworkSpec {
+    match model {
+        "mesh-1K" => mesh_model(MeshSize::OneK),
+        "mesh-2K" => mesh_model(MeshSize::TwoK),
+        "ResNet-50" => resnet50(),
+        other => panic!("unknown model {other}"),
+    }
+}
+
+/// Input side of the scaled mesh model `serve` boots and `ckptstore`
+/// stores: full depth and schedule, 64×64 inputs, widths ÷32 — a
+/// checkpoint payload of about 100 KB.
+const SCALED_MESH_HW: usize = 64;
+
+/// The scaled mesh model and its `TrainState` at step 100 on `grid`,
+/// velocity included.
+fn scaled_mesh_state(grid: ProcGrid) -> (NetworkSpec, TrainState) {
+    let spec = mesh_model_custom(MeshSize::OneK, SCALED_MESH_HW, 32);
+    let params = init_params(&spec, 4242);
+    let velocity = params.iter().map(|p| p.zeros_like()).collect();
+    let losses = vec![0.3; 100];
+    let state =
+        TrainState { step: 100, params, velocity, losses, guard: GuardState::default(), grid };
+    (spec, state)
 }
 
 /// Hybrid grid: `groups` sample groups, each `k` GPUs/sample.

@@ -28,17 +28,13 @@ use std::time::Duration;
 
 use fg_comm::FaultPlan;
 use fg_core::ServableModel;
-use fg_models::{mesh_model_custom, MeshSize, MESH_CHANNELS};
-use fg_nn::{init_params, GuardState, TrainState};
+use fg_models::MESH_CHANNELS;
 use fg_serve::{LoadConfig, ReplicaSpec, Server, ServerConfig};
 use fg_tensor::{ProcGrid, Shape4, Tensor};
 
+use super::{scaled_mesh_state, SCALED_MESH_HW};
+use crate::bench_file::{BenchFile, Row};
 use crate::table::Table;
-
-/// Scaled mesh model served by the bench: full depth and schedule,
-/// 64×64 inputs, widths ÷32.
-const SERVE_INPUT_HW: usize = 64;
-const SERVE_WIDTH_SCALE: usize = 32;
 
 /// One (scenario × policy × load) measurement.
 pub struct ServeRow {
@@ -74,7 +70,7 @@ pub struct ServeRow {
 
 fn pseudo_sample(seed: u64) -> Tensor {
     let mut state = seed | 1;
-    Tensor::from_fn(Shape4::new(1, MESH_CHANNELS, SERVE_INPUT_HW, SERVE_INPUT_HW), |_, _, _, _| {
+    Tensor::from_fn(Shape4::new(1, MESH_CHANNELS, SCALED_MESH_HW, SCALED_MESH_HW), |_, _, _, _| {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
@@ -86,24 +82,14 @@ fn pseudo_sample(seed: u64) -> Tensor {
 /// `TrainState`, serialize it, reload the bytes, calibrate BN running
 /// statistics — exactly what a deployment promoting a snapshot does.
 fn boot_model() -> Arc<ServableModel> {
-    let spec = mesh_model_custom(MeshSize::OneK, SERVE_INPUT_HW, SERVE_WIDTH_SCALE);
-    let params = init_params(&spec, 4242);
-    let velocity = params.iter().map(|p| p.zeros_like()).collect();
-    let state = TrainState {
-        step: 100,
-        params,
-        velocity,
-        losses: vec![0.3; 100],
-        guard: GuardState::default(),
-        grid: ProcGrid::sample(1),
-    };
+    let (spec, state) = scaled_mesh_state(ProcGrid::sample(1));
     let mut bytes = Vec::new();
     fg_nn::save_train_state(&mut bytes, &state).expect("serialize checkpoint");
     let calibration: Vec<Tensor> = (0..2u64)
         .map(|k| {
-            let row = MESH_CHANNELS * SERVE_INPUT_HW * SERVE_INPUT_HW;
+            let row = MESH_CHANNELS * SCALED_MESH_HW * SCALED_MESH_HW;
             let mut batch =
-                Tensor::zeros(Shape4::new(2, MESH_CHANNELS, SERVE_INPUT_HW, SERVE_INPUT_HW));
+                Tensor::zeros(Shape4::new(2, MESH_CHANNELS, SCALED_MESH_HW, SCALED_MESH_HW));
             for n in 0..2 {
                 batch.as_mut_slice()[n * row..(n + 1) * row]
                     .copy_from_slice(pseudo_sample(k * 31 + n as u64 + 7).as_slice());
@@ -197,44 +183,35 @@ pub fn sweep() -> Vec<ServeRow> {
     rows
 }
 
-/// Render `rows` as the `BENCH_serving.json` payload.
-pub fn to_json(rows: &[ServeRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"scenario\": \"{}\", \"max_batch\": {}, \"offered_rps\": {:.0}, \
-             \"offered\": {}, \"shed\": {}, \"ok\": {}, \"deadline_exceeded\": {}, \
-             \"retries_exhausted\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"goodput_rps\": {:.1}, \"mean_batch\": {:.2}, \"recycles\": {}, \
-             \"wall_s\": {:.3}}}{}\n",
-            r.scenario,
-            r.max_batch,
-            r.offered_rps,
-            r.offered,
-            r.shed,
-            r.ok,
-            r.deadline_exceeded,
-            r.retries_exhausted,
-            if r.p50_ms.is_nan() { -1.0 } else { r.p50_ms },
-            if r.p99_ms.is_nan() { -1.0 } else { r.p99_ms },
-            r.goodput_rps,
-            r.mean_batch,
-            r.recycles,
-            r.wall_s,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("]\n");
-    out
+/// `rows` as the `BENCH_serving.json` file; an empty latency sample
+/// reads -1.
+fn to_bench_file(rows: &[ServeRow]) -> BenchFile {
+    let ms = |v: f64| if v.is_nan() { -1.0 } else { v };
+    let row = |r: &ServeRow| {
+        Row::default()
+            .text("scenario", r.scenario)
+            .num("max_batch", r.max_batch)
+            .fixed("offered_rps", r.offered_rps, 0)
+            .num("offered", r.offered)
+            .num("shed", r.shed)
+            .num("ok", r.ok)
+            .num("deadline_exceeded", r.deadline_exceeded)
+            .num("retries_exhausted", r.retries_exhausted)
+            .fixed("p50_ms", ms(r.p50_ms), 3)
+            .fixed("p99_ms", ms(r.p99_ms), 3)
+            .fixed("goodput_rps", r.goodput_rps, 1)
+            .fixed("mean_batch", r.mean_batch, 2)
+            .num("recycles", r.recycles)
+            .fixed("wall_s", r.wall_s, 3)
+    };
+    BenchFile::Array(rows.iter().map(row).collect())
 }
 
 /// The `repro -- serve` table; also writes `BENCH_serving.json` to the
 /// working directory.
 pub fn serve_report() -> Table {
     let rows = sweep();
-    if let Err(e) = std::fs::write("BENCH_serving.json", to_json(&rows)) {
-        eprintln!("warning: could not write BENCH_serving.json: {e}");
-    }
+    to_bench_file(&rows).write("BENCH_serving.json");
     let mut t = Table::new(
         "Serving tier: latency/goodput vs offered load × batch policy (serve)",
         &[
@@ -276,9 +253,9 @@ mod tests {
     use super::*;
 
     /// One small healthy cell end to end through the checkpoint-boot
-    /// path: everything terminates, the JSON is well-formed.
+    /// path: everything terminates.
     #[test]
-    fn healthy_cell_completes_and_serializes() {
+    fn healthy_cell_completes() {
         let model = boot_model();
         let row = run_cell(&model, "healthy", 4, 100.0, 24);
         eprintln!(
@@ -293,8 +270,5 @@ mod tests {
         );
         assert!(row.ok > 0, "a healthy tier at modest load completes requests");
         assert_eq!(row.recycles, 0, "healthy worlds never rebuild");
-        let json = to_json(&[row]);
-        assert!(json.contains("\"scenario\": \"healthy\""));
-        assert!(json.trim_end().ends_with(']'));
     }
 }

@@ -31,10 +31,10 @@
 
 use fg_comm::{check_traces, simulate_traces, SimReport};
 use fg_core::{DistExecutor, Strategy};
-use fg_models::{mesh_model, resnet50, MeshSize};
 use fg_perf::{network_cost, platform_link_model, CostOptions, ModeledCompute, Platform};
 
-use super::hybrid_grid;
+use super::{hybrid_grid, model_spec};
+use crate::bench_file::{BenchFile, Row};
 use crate::table::{fmt_time, Table};
 
 /// One executed configuration.
@@ -76,15 +76,6 @@ fn configs() -> Vec<(&'static str, &'static str, usize, usize)> {
     ]
 }
 
-fn spec_for(model: &str) -> fg_nn::NetworkSpec {
-    match model {
-        "mesh-1K" => mesh_model(MeshSize::OneK),
-        "mesh-2K" => mesh_model(MeshSize::TwoK),
-        "ResNet-50" => resnet50(),
-        other => panic!("unknown simscale model {other}"),
-    }
-}
-
 /// Execute one configuration as a discrete-event run.
 pub fn run_config(
     platform: &Platform,
@@ -93,7 +84,7 @@ pub fn run_config(
     batch: usize,
     gpus_per_sample: usize,
 ) -> SimScaleRow {
-    let spec = spec_for(model);
+    let spec = model_spec(model);
     let groups = if model == "ResNet-50" { batch / 32 } else { batch };
     let strategy = Strategy::uniform(&spec, hybrid_grid(groups, gpus_per_sample));
     let world = strategy.world_size();
@@ -134,43 +125,32 @@ pub fn sweep(platform: &Platform) -> Vec<SimScaleRow> {
         .collect()
 }
 
-/// Render `rows` as the `BENCH_simscale.json` payload.
-pub fn to_json(rows: &[SimScaleRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"source\": \"{}\", \"model\": \"{}\", \"batch\": {}, \
-             \"gpus_per_sample\": {}, \"ranks\": {}, \"ops_traced\": {}, \
-             \"verified_clean\": {}, \"virtual_makespan_s\": {:.9}, \
-             \"modeled_s\": {:.9}, \"events\": {}, \"messages\": {}, \
-             \"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}{}\n",
-            r.source,
-            r.model,
-            r.batch,
-            r.gpus_per_sample,
-            r.world,
-            r.ops_traced,
-            r.verified_clean,
-            r.report.makespan(),
-            r.modeled,
-            r.report.ops_executed,
-            r.report.messages,
-            r.report.wall.as_secs_f64(),
-            r.report.events_per_sec(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("]\n");
-    out
+/// `rows` as the `BENCH_simscale.json` file.
+pub fn to_bench_file(rows: &[SimScaleRow]) -> BenchFile {
+    let row = |r: &SimScaleRow| {
+        Row::default()
+            .text("source", r.source)
+            .text("model", r.model)
+            .num("batch", r.batch)
+            .num("gpus_per_sample", r.gpus_per_sample)
+            .num("ranks", r.world)
+            .num("ops_traced", r.ops_traced)
+            .num("verified_clean", r.verified_clean)
+            .fixed("virtual_makespan_s", r.report.makespan(), 9)
+            .fixed("modeled_s", r.modeled, 9)
+            .num("events", r.report.ops_executed)
+            .num("messages", r.report.messages)
+            .fixed("wall_s", r.report.wall.as_secs_f64(), 6)
+            .fixed("events_per_sec", r.report.events_per_sec(), 0)
+    };
+    BenchFile::Array(rows.iter().map(row).collect())
 }
 
 /// The `repro -- simscale` table; also writes `BENCH_simscale.json` to
 /// the working directory.
 pub fn simscale_report(platform: &Platform) -> Table {
     let rows = sweep(platform);
-    if let Err(e) = std::fs::write("BENCH_simscale.json", to_json(&rows)) {
-        eprintln!("warning: could not write BENCH_simscale.json: {e}");
-    }
+    to_bench_file(&rows).write("BENCH_simscale.json");
     let mut t = Table::new(
         "Executed discrete-event runs at paper scale (simscale)",
         &[
@@ -210,6 +190,7 @@ pub fn simscale_report(platform: &Platform) -> Table {
 mod tests {
     use super::*;
     use fg_comm::replay_traces_timed;
+    use fg_models::{mesh_model, MeshSize};
 
     /// An 8-rank mesh configuration, executed both ways: the DES clocks
     /// must equal the thread-per-rank clocks exactly — the correctness
@@ -247,15 +228,5 @@ mod tests {
             row.report.makespan(),
             row.modeled
         );
-    }
-
-    #[test]
-    fn json_payload_is_well_formed() {
-        let platform = Platform::lassen_like();
-        let rows = vec![run_config(&platform, "Fig. 4", "mesh-1K", 2, 4)];
-        let json = to_json(&rows);
-        assert!(json.contains("\"ranks\": 8"));
-        assert!(json.contains("\"virtual_makespan_s\""));
-        assert!(json.trim_end().ends_with(']'));
     }
 }

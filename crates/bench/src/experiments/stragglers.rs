@@ -58,7 +58,8 @@ use fg_perf::{platform_link_model, ModeledCompute, Platform, SlowedCompute};
 use fg_tensor::ProcGrid;
 
 use super::hybrid_grid;
-use crate::table::{fmt_time, Table};
+use crate::bench_file::{BenchFile, Row};
+use crate::table::{fmt_bytes, fmt_time, Table};
 
 /// The injected slowdown for the scale sweeps (the threshold sweep
 /// varies it).
@@ -68,8 +69,6 @@ const SLOW_FACTOR: f64 = 3.0;
 pub struct RebalanceRow {
     /// World size.
     pub world: usize,
-    /// Spatial grid `ph × pw`.
-    pub grid: ProcGrid,
     /// Ranks in the slow row.
     pub slow_ranks: usize,
     /// Healthy makespan, seconds (virtual).
@@ -166,15 +165,11 @@ fn run_sim(
 }
 
 /// Per-rank slowdown factors: every rank whose grid h-coordinate is 0
-/// (the slow node row) runs at `factor`×.
+/// (the slow node row) runs at `factor`×. They are also the busy-time
+/// EMAs the live detector would measure: `factor` for the slow row, 1
+/// elsewhere.
 fn slow_row_factors(grid: ProcGrid, factor: f64) -> Vec<f64> {
     (0..grid.size()).map(|r| if grid.coords(r)[2] == 0 { factor } else { 1.0 }).collect()
-}
-
-/// The busy-time EMAs the live detector would have measured under
-/// [`slow_row_factors`]: `factor` for the slow row, 1 elsewhere.
-fn slow_row_ema(grid: ProcGrid, factor: f64) -> Vec<f64> {
-    slow_row_factors(grid, factor)
 }
 
 /// Execute one weighted-rebalance configuration.
@@ -186,17 +181,16 @@ fn rebalance_config(
     factor: f64,
 ) -> RebalanceRow {
     let uniform = Strategy::uniform(spec, grid);
-    let weighted = rebalance_for_stragglers(&uniform, spec, batch, &slow_row_ema(grid, factor))
+    let factors = slow_row_factors(grid, factor);
+    let weighted = rebalance_for_stragglers(&uniform, spec, batch, &factors)
         .expect("slow-row rebalance must be viable")
         .strategy;
-    let factors = slow_row_factors(grid, factor);
     let healthy = run_sim(platform, spec, &uniform, batch, None);
     let slow = run_sim(platform, spec, &uniform, batch, Some(factors.clone()));
     let rebalanced = run_sim(platform, spec, &weighted, batch, Some(factors.clone()));
     let (regrid_moved_bytes, regrid_total_bytes) = uniform.regrid_cost(&weighted, spec, batch);
     RebalanceRow {
         world: grid.size(),
-        grid,
         slow_ranks: factors.iter().filter(|&&f| f > 1.0).count(),
         healthy_s: healthy.makespan(),
         slow_s: slow.makespan(),
@@ -249,18 +243,17 @@ fn threshold_sweep(
         .iter()
         .map(|&factor| {
             let uniform = Strategy::uniform(spec, grid);
-            let weighted =
-                rebalance_for_stragglers(&uniform, spec, batch, &slow_row_ema(grid, factor))
-                    .expect("slow-row rebalance must be viable")
-                    .strategy;
+            let slow = slow_row_factors(grid, factor);
+            let weighted = rebalance_for_stragglers(&uniform, spec, batch, &slow)
+                .expect("slow-row rebalance must be viable")
+                .strategy;
             let slow_weight = *weighted
                 .rank_weights
                 .as_ref()
                 .expect("rebalance yields weights")
                 .first()
                 .expect("non-empty weights");
-            let rebalanced =
-                run_sim(platform, spec, &weighted, batch, Some(slow_row_factors(grid, factor)));
+            let rebalanced = run_sim(platform, spec, &weighted, batch, Some(slow));
             ThresholdRow { factor, slow_weight, rebalanced_s: rebalanced.makespan(), evicted_s }
         })
         .collect()
@@ -288,79 +281,54 @@ pub fn sweep(platform: &Platform) -> (Vec<RebalanceRow>, Vec<EvictionRow>, Vec<T
     (rebalance, eviction, threshold)
 }
 
-/// Render the three row sets as the `BENCH_stragglers.json` payload.
-pub fn to_json(
+/// The three row sets as the `BENCH_stragglers.json` file.
+pub fn to_bench_file(
     rebalance: &[RebalanceRow],
     eviction: &[EvictionRow],
     threshold: &[ThresholdRow],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"slow_factor\": {SLOW_FACTOR},\n"));
-    out.push_str("  \"rebalance\": [\n");
-    for (i, r) in rebalance.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"ranks\": {}, \"slow_ranks\": {}, \"healthy_s\": {:.9}, \
-             \"slow_s\": {:.9}, \"rebalanced_s\": {:.9}, \"recovered\": {:.4}, \
-             \"regrid_moved_bytes\": {}, \"regrid_total_bytes\": {}, \
-             \"events\": {}, \"wall_s\": {:.6}}}{}\n",
-            r.world,
-            r.slow_ranks,
-            r.healthy_s,
-            r.slow_s,
-            r.rebalanced_s,
-            r.recovered(),
-            r.regrid_moved_bytes,
-            r.regrid_total_bytes,
-            r.events,
-            r.wall_s,
-            if i + 1 < rebalance.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"eviction\": [\n");
-    for (i, r) in eviction.iter().enumerate() {
+) -> BenchFile {
+    let rebalance = rebalance.iter().map(|r| {
+        Row::default()
+            .num("ranks", r.world)
+            .num("slow_ranks", r.slow_ranks)
+            .fixed("healthy_s", r.healthy_s, 9)
+            .fixed("slow_s", r.slow_s, 9)
+            .fixed("rebalanced_s", r.rebalanced_s, 9)
+            .fixed("recovered", r.recovered(), 4)
+            .num("regrid_moved_bytes", r.regrid_moved_bytes)
+            .num("regrid_total_bytes", r.regrid_total_bytes)
+            .num("events", r.events)
+            .fixed("wall_s", r.wall_s, 6)
+    });
+    let eviction = eviction.iter().map(|r| {
         let (th, ts, te) = r.throughput();
-        out.push_str(&format!(
-            "    {{\"ranks\": {}, \"groups\": {}, \"healthy_s\": {:.9}, \
-             \"slow_s\": {:.9}, \"evicted_s\": {:.9}, \
-             \"healthy_samples_per_s\": {:.6}, \"slow_samples_per_s\": {:.6}, \
-             \"evicted_samples_per_s\": {:.6}, \"events\": {}, \"wall_s\": {:.6}}}{}\n",
-            r.world,
-            r.groups,
-            r.healthy_s,
-            r.slow_s,
-            r.evicted_s,
-            th,
-            ts,
-            te,
-            r.events,
-            r.wall_s,
-            if i + 1 < eviction.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"threshold_sweep\": [\n");
-    for (i, r) in threshold.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"factor\": {}, \"slow_weight\": {}, \"rebalanced_s\": {:.9}, \
-             \"evicted_s\": {:.9}, \"better\": \"{}\"}}{}\n",
-            r.factor,
-            r.slow_weight,
-            r.rebalanced_s,
-            r.evicted_s,
-            r.better(),
-            if i + 1 < threshold.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn fmt_bytes(b: u64) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
-    } else {
-        format!("{:.1} KiB", b as f64 / (1 << 10) as f64)
+        Row::default()
+            .num("ranks", r.world)
+            .num("groups", r.groups)
+            .fixed("healthy_s", r.healthy_s, 9)
+            .fixed("slow_s", r.slow_s, 9)
+            .fixed("evicted_s", r.evicted_s, 9)
+            .fixed("healthy_samples_per_s", th, 6)
+            .fixed("slow_samples_per_s", ts, 6)
+            .fixed("evicted_samples_per_s", te, 6)
+            .num("events", r.events)
+            .fixed("wall_s", r.wall_s, 6)
+    });
+    let threshold = threshold.iter().map(|r| {
+        Row::default()
+            .num("factor", r.factor)
+            .num("slow_weight", r.slow_weight)
+            .fixed("rebalanced_s", r.rebalanced_s, 9)
+            .fixed("evicted_s", r.evicted_s, 9)
+            .text("better", r.better())
+    });
+    BenchFile::Sections {
+        header: Row::default().num("slow_factor", SLOW_FACTOR),
+        sections: vec![
+            ("rebalance".into(), rebalance.collect()),
+            ("eviction".into(), eviction.collect()),
+            ("threshold_sweep".into(), threshold.collect()),
+        ],
     }
 }
 
@@ -368,11 +336,7 @@ fn fmt_bytes(b: u64) -> String {
 /// to the working directory.
 pub fn stragglers_report(platform: &Platform) -> Vec<Table> {
     let (rebalance, eviction, threshold) = sweep(platform);
-    if let Err(e) =
-        std::fs::write("BENCH_stragglers.json", to_json(&rebalance, &eviction, &threshold))
-    {
-        eprintln!("warning: could not write BENCH_stragglers.json: {e}");
-    }
+    to_bench_file(&rebalance, &eviction, &threshold).write("BENCH_stragglers.json");
 
     let mut t1 = Table::new(
         "Gray failure: weighted rebalance of a 3x-slow node row (mesh-1K, spatial grids, DES)",
@@ -533,7 +497,7 @@ mod tests {
                 let grid = ProcGrid::spatial(p, p);
                 let uniform = Strategy::uniform(&spec, grid);
                 let weighted =
-                    rebalance_for_stragglers(&uniform, &spec, 4, &slow_row_ema(grid, factor))
+                    rebalance_for_stragglers(&uniform, &spec, 4, &slow_row_factors(grid, factor))
                         .expect("slow-row rebalance must be viable")
                         .strategy;
                 let (moved, total) = uniform.regrid_cost(&weighted, &spec, 4);
@@ -541,20 +505,5 @@ mod tests {
             })
             .collect();
         assert_eq!(got, RECORDED, "new table:\n{got:#?}");
-    }
-
-    #[test]
-    fn json_payload_is_well_formed() {
-        let platform = Platform::lassen_like();
-        let spec = full_mesh();
-        let rb = vec![rebalance_config(&platform, &spec, ProcGrid::spatial(4, 4), 4, 3.0)];
-        let ev = vec![eviction_config(&platform, &spec, 4)];
-        let th = threshold_sweep(&platform, &spec, ProcGrid::spatial(4, 4), 4, &[2.0]);
-        let json = to_json(&rb, &ev, &th);
-        assert!(json.contains("\"rebalance\""));
-        assert!(json.contains("\"eviction\""));
-        assert!(json.contains("\"threshold_sweep\""));
-        assert!(json.contains("\"recovered\""));
-        assert!(json.trim_end().ends_with('}'));
     }
 }

@@ -23,7 +23,7 @@ use fg_perf::{Platform, StrategyOptimizer};
 use fg_tensor::ProcGrid;
 
 use super::{hybrid_grid, spatial_split};
-use crate::table::Table;
+use crate::table::{fmt_bytes, Table};
 
 /// Largest world the sweep verifies. Tracing is O(P²) in links, and 8
 /// ranks already exercises every plan kind (halos, shuffles, groups).
@@ -106,18 +106,6 @@ pub fn sweep(platform: &Platform) -> Vec<SweepRow> {
     rows
 }
 
-fn fmt_bytes(b: usize) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
-    } else if b >= 1 << 10 {
-        format!("{:.1} KiB", b as f64 / (1 << 10) as f64)
-    } else {
-        format!("{b} B")
-    }
-}
-
 /// The `repro -- verify` table.
 pub fn verify_report(platform: &Platform) -> Table {
     let rows = sweep(platform);
@@ -146,7 +134,7 @@ pub fn verify_report(platform: &Platform) -> Table {
             s.ops_traced.to_string(),
             s.links_checked.to_string(),
             s.collectives_checked.to_string(),
-            fmt_bytes(s.bytes_accounted),
+            fmt_bytes(s.bytes_accounted as u64),
             format!("{:.1} ms", r.report.wall.as_secs_f64() * 1e3),
             if r.report.is_clean() {
                 "clean".into()

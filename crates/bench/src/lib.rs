@@ -8,7 +8,10 @@
 //!
 //! Run `cargo run --release -p fg-bench --bin repro -- all` to print
 //! everything; see DESIGN.md for the per-experiment index and
-//! EXPERIMENTS.md for the paper-vs-reproduction comparison.
+//! EXPERIMENTS.md for the paper-vs-reproduction comparison. The
+//! machine-readable `BENCH_*.json` files are written and read through
+//! [`bench_file`].
 
+pub mod bench_file;
 pub mod experiments;
 pub mod table;

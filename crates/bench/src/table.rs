@@ -90,6 +90,20 @@ pub fn fmt_time(seconds: f64) -> String {
     }
 }
 
+/// `bytes` as a human-readable quantity.
+pub fn fmt_bytes(bytes: u64) -> String {
+    let b = bytes as f64;
+    if bytes >= 1 << 30 {
+        format!("{:.2} GiB", b / (1u64 << 30) as f64)
+    } else if bytes >= 1 << 20 {
+        format!("{:.1} MiB", b / (1 << 20) as f64)
+    } else if bytes >= 1 << 10 {
+        format!("{:.1} KiB", b / (1 << 10) as f64)
+    } else {
+        format!("{bytes} B")
+    }
+}
+
 /// Format a speedup like the paper: `(2.0x)`.
 pub fn fmt_speedup(s: f64) -> String {
     format!("{s:.1}x")

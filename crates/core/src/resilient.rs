@@ -249,9 +249,6 @@ pub struct Degradation {
     pub strategy: Strategy,
     /// Wall time spent in the re-planner (all candidate sizes probed).
     pub replan_s: f64,
-    /// Wall time spent retagging the snapshot for the new grid and
-    /// publishing it.
-    pub reshard_s: f64,
     /// Snapshot bytes whose owning rank the new grid's blocking changes.
     pub reshard_moved_bytes: u64,
     /// Total snapshot payload bytes covered by the re-shard.
@@ -891,7 +888,6 @@ pub fn resilient_train(
         // Re-shard the snapshot onto the new grid and publish it, so the
         // next dispatch restores the shrunken layout as stored and the
         // report carries what moved.
-        let t_reshard = Instant::now();
         let reshard = keeper.reshard_to(shrink.exec.strategy.grids[0]);
         active_plan = active_plan.persistent().restrict_to_survivors(&shrink.keep);
         l.report.degradations.push(Degradation {
@@ -901,7 +897,6 @@ pub fn resilient_train(
             dead_ranks: shrink.dead_ranks,
             strategy: shrink.exec.strategy.clone(),
             replan_s: shrink.replan_s,
-            reshard_s: t_reshard.elapsed().as_secs_f64(),
             reshard_moved_bytes: reshard.moved_bytes,
             reshard_total_bytes: reshard.total_bytes,
         });

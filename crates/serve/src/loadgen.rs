@@ -52,8 +52,6 @@ pub struct LoadReport {
     pub p50_ms: f64,
     /// 99th-percentile successful latency, milliseconds.
     pub p99_ms: f64,
-    /// Mean successful latency, milliseconds.
-    pub mean_ms: f64,
     /// In-deadline completions per second of wall time.
     pub goodput_rps: f64,
     /// Wall time from first submission to last resolution.
@@ -148,11 +146,6 @@ where
     }
     let wall = start.elapsed();
     t.latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let mean_ms = if t.latencies_ms.is_empty() {
-        f64::NAN
-    } else {
-        t.latencies_ms.iter().sum::<f64>() / t.latencies_ms.len() as f64
-    };
     LoadReport {
         offered: cfg.requests,
         shed: t.shed,
@@ -163,7 +156,6 @@ where
         shutdown: t.shutdown,
         p50_ms: percentile(&t.latencies_ms, 0.50),
         p99_ms: percentile(&t.latencies_ms, 0.99),
-        mean_ms,
         goodput_rps: t.ok_in_deadline as f64 / wall.as_secs_f64().max(1e-9),
         wall,
     }

@@ -240,19 +240,25 @@ fn ladder_cap(groups: usize, max_batch: usize) -> usize {
 
 /// Re-plan a strategy for a shrunken world, mirroring the trainer's
 /// elastic-degradation rung: spatial fallback at the largest viable
-/// size, stepping down until one validates.
+/// size, stepping down until one validates. `spatial_fallback`
+/// validates at the ladder cap: sample-parallel candidates serve padded
+/// batches of at least one group's worth.
 fn replan(model: &ServableModel, max_batch: usize, p: usize) -> Option<(Strategy, usize)> {
-    for p_new in (1..=p).rev() {
-        // Validate at the ladder cap: sample-parallel candidates serve
-        // padded batches of at least one group's worth.
+    (1..=p).rev().find_map(|p_new| {
         let batch = ladder_cap(p_new, max_batch);
-        if let Some(s) = Strategy::spatial_fallback(&model.spec, batch, p_new) {
-            if s.validate(&model.spec, batch).is_ok() {
-                return Some((s, p_new));
-            }
-        }
-    }
-    None
+        Strategy::spatial_fallback(&model.spec, batch, p_new).map(|s| (s, p_new))
+    })
+}
+
+/// The survivors of a failed `world` (old-world ids, lowest first) and
+/// the largest world they can carry. With no attributable death (e.g.
+/// watchdog-only evidence) one rank is shed on the localized-failure
+/// heuristic, as the trainer's shrink rung does. `None` when no rank is
+/// left to carry one: every rank attributed dead, or a one-rank world.
+fn shrink_target(world: usize, dead: &[usize]) -> Option<(Vec<usize>, usize)> {
+    let survivors: Vec<usize> = (0..world).filter(|r| !dead.contains(r)).collect();
+    let live = if survivors.len() == world { world - 1 } else { survivors.len() };
+    (live > 0).then_some((survivors, live))
 }
 
 /// Build the per-batch-size executor ladder for a strategy.
@@ -337,19 +343,9 @@ fn run_driver(
         replica.recycles.fetch_add(1, Ordering::AcqRel);
         let errors: Vec<CommError> =
             results.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
-        let dead = attribute_dead_ranks(&errors);
-        let survivors: Vec<usize> = (0..world).filter(|r| !dead.contains(r)).collect();
-        let live = if survivors.is_empty() || survivors.len() == world {
-            // Nothing attributable (e.g. watchdog-only evidence): shed
-            // one rank on the localized-failure heuristic, as the
-            // trainer's shrink rung does.
-            world - 1
-        } else {
-            survivors.len()
-        };
-        if live == 0 {
+        let Some((survivors, live)) = shrink_target(world, &attribute_dead_ranks(&errors)) else {
             break; // no survivors: the replica is gone for good
-        }
+        };
         let Some((next_strategy, p_new)) = replan(model, max_batch, live) else {
             break;
         };
@@ -445,6 +441,19 @@ mod tests {
         assert_eq!(batch_ladder(1, 6), vec![1, 2, 4, 6]);
         assert_eq!(batch_ladder(4, 2), vec![4], "cap below one group still serves a group");
         assert_eq!(batch_ladder(3, 12), vec![3, 6, 12]);
+    }
+
+    /// All ranks dead goes dark, like the trainer's `plan_shrink`:
+    /// rebuilding would restrict the fault plan to no survivors and
+    /// bring the dead ranks back healthy.
+    #[test]
+    fn all_dead_goes_dark_and_nothing_attributable_sheds_one_rank() {
+        assert_eq!(shrink_target(4, &[0, 1, 2, 3]), None);
+        assert_eq!(shrink_target(1, &[0]), None);
+        assert_eq!(shrink_target(1, &[]), None);
+        assert_eq!(shrink_target(4, &[]), Some((vec![0, 1, 2, 3], 3)));
+        assert_eq!(shrink_target(4, &[1]), Some((vec![0, 2, 3], 3)));
+        assert_eq!(shrink_target(4, &[0, 2]), Some((vec![1, 3], 2)));
     }
 
     #[test]

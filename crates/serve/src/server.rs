@@ -49,12 +49,8 @@ pub struct InferReply {
     pub logits: Vec<f32>,
     /// Admission → completion latency.
     pub latency: Duration,
-    /// Replica that produced the reply.
-    pub replica: usize,
     /// Real requests in the dispatched batch.
     pub batch: usize,
-    /// Dispatch attempts beyond the first.
-    pub retries: u32,
 }
 
 /// Terminal outcome of one request.
@@ -397,9 +393,7 @@ fn serve_batch(shared: &Arc<ServerShared>, reqs: Vec<Admitted>) {
                     let _ = r.reply.send(Ok(InferReply {
                         logits: rows[i].clone(),
                         latency: done.saturating_duration_since(r.admitted_at),
-                        replica: replica.id,
                         batch: live.len(),
-                        retries: attempts,
                     }));
                 }
                 shared.cost.observe(latency);

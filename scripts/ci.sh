@@ -284,10 +284,6 @@ FG_VERIFY=1 cargo test -q --offline -p fg-nn --test ckpt_chaos
 filtered_tests -p fg-nn --lib -- poisoned_newest_version_falls_back_on_every_restore
 filtered_tests -p fg-core --lib -- \
     poisoned_newest_version_falls_back_on_every_restore keeper_contract_holds_on_both_backends
-# `repro -- ckptstore`'s rows regenerate to the committed
-# BENCH_ckpt.json, field for field (wall-clock fields skipped).
-filtered_tests --test bench_files -- ckpt_cost_rows_match_the_recorded_ones \
-    ckpt_chaos_rows_match_the_recorded_ones
 # The snapshot is whole tensors: the stream differs across grids only
 # in its tag, FGCKPT04's bytes are the recorded ones, the retired
 # formats are refused by name and a biased conv as typed invalid data,
@@ -302,6 +298,24 @@ filtered_tests -p fg-nn --lib -- \
     fgckpt04_bytes_are_the_recorded_ones retired_formats_are_refused_by_name \
     a_biased_conv_is_refused_as_invalid_data
 filtered_tests -p fg-bench --lib -- regrid_costs_match_the_recorded_ones
+
+# Every deterministic BENCH_*.json regenerates as committed: the rows
+# `repro -- ckptstore`, `memscale`, `simscale` and `stragglers` write,
+# field for field (wall-clock fields skipped), read through the one
+# writer's own reader. Both profiles: the benchmark measures release
+# code.
+step "BENCH files regenerate as committed (debug + release)"
+bench_file_tests=(
+    ckpt_cost_rows_match_the_recorded_ones
+    ckpt_chaos_rows_match_the_recorded_ones
+    memory_rows_match_the_recorded_ones
+    simscale_rows_match_the_recorded_ones
+    stragglers_rows_match_the_recorded_ones
+)
+for profile in "" --release; do
+    filtered_tests $profile --test bench_files -- "${bench_file_tests[@]}"
+done
+filtered_tests -p fg-bench --lib -- both_layouts_render_as_committed_and_read_back
 
 # The event-driven virtual-time engine's correctness anchor: DES clocks
 # must equal the thread-per-rank runtime's clocks exactly, and the
