@@ -43,7 +43,7 @@ pub struct MemScaleRow {
     pub ranks_analyzed: usize,
     /// Max static peak over the analyzed ranks, bytes/rank.
     pub peak_bytes: usize,
-    /// Whole-step-resident bytes (params + grads + momentum, replay).
+    /// Whole-step-resident bytes (params + grads + momentum).
     pub persistent_bytes: usize,
     /// Analysis wall time.
     pub wall_s: f64,

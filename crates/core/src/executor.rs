@@ -189,7 +189,9 @@ impl DistExecutor {
     /// Statically analyze this executor's memory schedule: record every
     /// rank's tensor-liveness intervals, compute exact per-rank peak
     /// bounds, and run the soundness check (staging understatement).
-    /// Pure plan geometry — no tensors, no threads.
+    /// Pure plan geometry — no tensors, no threads. Every rank is also
+    /// charged the integrity replay window when `FG_COMM_INTEGRITY` is on,
+    /// since the world this executor runs then holds it.
     pub fn analyze_memory(&self) -> MemReport {
         self.analyze_memory_with(|_, _| {})
     }
@@ -205,7 +207,8 @@ impl DistExecutor {
         let world = self.strategy.world_size();
         let rows = (0..world).map(|rank| (rank, self.plans.iter().map(|per| &per[rank]).collect()));
         let (layers, schedule) = (&self.layers[..], &self.schedule);
-        let net = Net { spec: &self.spec, layers, schedule, batch: self.batch };
+        let replay_bytes = crate::mem::replay_budget_bytes();
+        let net = Net { spec: &self.spec, layers, schedule, batch: self.batch, replay_bytes };
         crate::mem::analyze_ranks(net, rows, &mutate_intervals)
     }
 

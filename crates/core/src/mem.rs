@@ -20,7 +20,9 @@
 //!   `window_elems`, which the passes that build them assert against;
 //! * **staging** — halo pack/unpack payloads, §III-C shuffle payloads
 //!   (forward and adjoint), flattened gradient-allreduce staging, and
-//!   the integrity layer's replay-window budget when it is on.
+//!   the integrity layer's replay-window budget, which a live
+//!   executor's world holds when `FG_COMM_INTEGRITY` is on and which
+//!   [`analyze_strategy`]'s planning bounds leave out.
 //!
 //! From the interval list come (a) an exact per-rank peak
 //! ([`fg_tensor::peak_bytes`]) — the static bound the `FG_MEM_BUDGET`
@@ -146,13 +148,17 @@ impl fmt::Display for MemReport {
 }
 
 /// What a liveness walk reads besides a rank's plans: the network, its
-/// layer objects and the step schedule compiled from them.
+/// layer objects, the step schedule compiled from them, and the
+/// integrity replay window the world holds for the whole step.
 #[derive(Clone, Copy)]
 pub(crate) struct Net<'a> {
     pub spec: &'a NetworkSpec,
     pub layers: &'a [Box<dyn DistLayer>],
     pub schedule: &'a StepSchedule,
     pub batch: usize,
+    /// Bytes of the replay window: [`replay_budget_bytes`] for a live
+    /// world, 0 in [`analyze_strategy`].
+    pub replay_bytes: usize,
 }
 
 /// The per-rank memory budget from `FG_MEM_BUDGET` (bytes per rank), if
@@ -161,10 +167,10 @@ pub fn mem_budget_from_env() -> Option<usize> {
     std::env::var("FG_MEM_BUDGET").ok().and_then(|v| v.trim().parse::<usize>().ok())
 }
 
-/// The integrity replay-window budget the analyzer charges when
-/// `FG_COMM_INTEGRITY` is on: the per-stream bound a world's replay
-/// windows are sized with, so the bound covers exactly what it holds.
-fn replay_budget_bytes() -> usize {
+/// The integrity replay-window budget a live world holds when
+/// `FG_COMM_INTEGRITY` is on: the per-stream bound its replay windows
+/// are sized with, so the bound covers exactly what it holds.
+pub(crate) fn replay_budget_bytes() -> usize {
     if fg_comm::env_flag("FG_COMM_INTEGRITY") {
         fg_comm::DEFAULT_REPLAY_BYTES
     } else {
@@ -261,7 +267,7 @@ pub fn turnaround_bytes(spec: &NetworkSpec, batch: usize, id: usize, grid: ProcG
 /// its compiled plans along the step schedule, as `verify::record_rank`
 /// does for the wire ops. `plans` is this rank's plan per layer.
 fn rank_intervals(net: Net<'_>, plans: &[&LayerPlan], rank: usize) -> Vec<LiveInterval> {
-    let Net { spec, layers, schedule, batch } = net;
+    let Net { spec, layers, schedule, batch, replay_bytes } = net;
     let n = layers.len();
     let last_tick = 2 * n - 1;
     let fwd = |id: usize| id;
@@ -285,7 +291,7 @@ fn rank_intervals(net: Net<'_>, plans: &[&LayerPlan], rank: usize) -> Vec<LiveIn
     for (id, k) in kept.iter().enumerate() {
         push(id, BufClass::Persistent, k.params, 0, last_tick);
     }
-    push(0, BufClass::ReplayWindow, replay_budget_bytes(), 0, last_tick);
+    push(0, BufClass::ReplayWindow, replay_bytes, 0, last_tick);
 
     // Forward: per layer, input shuffles (staging transient at the
     // forward tick; the redistributed copy where the schedule keeps it
@@ -436,6 +442,9 @@ pub fn sample_ranks(world: usize) -> Vec<usize> {
 /// `batch`, analyzing only `ranks` — plan compilation and the symbolic
 /// walk are per-rank, so bounds at 2048–32768 ranks (the paper's
 /// Tables I–III scales) cost seconds without compiling the full world.
+/// A planning bound covers only the model's own buffers: no integrity
+/// replay window is charged and the environment is not read, so the
+/// bounds are the same wherever they are computed.
 pub fn analyze_strategy(
     spec: &NetworkSpec,
     strategy: &Strategy,
@@ -445,7 +454,7 @@ pub fn analyze_strategy(
     strategy.validate(spec, batch)?;
     let layers = build_layers(spec, strategy, batch);
     let schedule = StepSchedule::compile(&layers);
-    let net = Net { spec, layers: &layers, schedule: &schedule, batch };
+    let net = Net { spec, layers: &layers, schedule: &schedule, batch, replay_bytes: 0 };
     let plans: Vec<Vec<LayerPlan>> =
         ranks.iter().map(|&rank| layers.iter().map(|l| l.compile_plan(rank)).collect()).collect();
     let rows = ranks.iter().zip(&plans).map(|(&rank, row)| (rank, row.iter().collect()));
@@ -457,12 +466,16 @@ mod tests {
     use super::*;
     use fg_models::{mesh_model, mesh_model_custom, resnet50, resnet50_with, MeshSize};
 
+    /// The replay window the turnaround rows charge, as a world running
+    /// with integrity holds it.
+    const REPLAY: usize = fg_comm::DEFAULT_REPLAY_BYTES;
+
     /// Per analyzed rank: (Σ per-layer terms + replay budget, live bytes
     /// at tick `n - 1`, exact peak).
     fn turnaround_rows(spec: &NetworkSpec, strategy: &Strategy, batch: usize) -> Vec<[usize; 3]> {
         let layers = build_layers(spec, strategy, batch);
         let schedule = StepSchedule::compile(&layers);
-        let net = Net { spec, layers: &layers, schedule: &schedule, batch };
+        let net = Net { spec, layers: &layers, schedule: &schedule, batch, replay_bytes: REPLAY };
         let turn = layers.len() - 1;
         let parent = |l: &dyn DistLayer| l.base().parents.first().map(|&p| &*layers[p]);
         sample_ranks(strategy.world_size())
@@ -472,7 +485,7 @@ mod tests {
                 let ivs = rank_intervals(net, &plans.iter().collect::<Vec<_>>(), rank);
                 let live = ivs.iter().filter(|iv| iv.start <= turn && turn <= iv.end);
                 let terms = layers.iter().map(|l| Kept::of(spec, batch, &**l, parent(&**l), rank));
-                let sum = terms.map(Kept::total).sum::<usize>() + replay_budget_bytes();
+                let sum = terms.map(Kept::total).sum::<usize>() + REPLAY;
                 [sum, live.map(|iv| iv.bytes).sum(), peak_bytes(&ivs)]
             })
             .collect()
@@ -514,7 +527,7 @@ mod tests {
             }
             let terms = (0..spec.len()).map(|id| turnaround_bytes(spec, *batch, id, *grid));
             let worst = rows.iter().map(|r| r[1]).max().unwrap();
-            assert_eq!(terms.sum::<usize>() + replay_budget_bytes(), worst, "{case}");
+            assert_eq!(terms.sum::<usize>() + REPLAY, worst, "{case}");
         }
 
         let mut mixed = Strategy::uniform(&mini_mesh, ProcGrid::sample(4));

@@ -26,7 +26,13 @@
 //!   the conv+BN idiom, where the batch norm's shift does its work);
 //! * **backward-data** — `dx[k,c,ih,iw]` starts at `+0.0` and, for each
 //!   valid kernel row `r` ascending and filter `f` ascending, adds
-//!   `acc = Σ_s dy·w` (valid taps `s` ascending, from `+0.0`);
+//!   `acc = Σ_s dy·w` (valid taps `s` ascending, from `+0.0`). A kernel
+//!   may also visit, each in its place in that order, taps that reach no
+//!   `dy` element from the position, reading `dy = +0.0` there: on small
+//!   maps a stride phase gathers the hull of the taps that reach any of
+//!   its positions, so a kernel row may reach nothing and a term may hold
+//!   such taps ("Small maps"). With finite weights these inserted zeros
+//!   change no bit ("Signed zeros");
 //! * **backward-filter** — `dw[f,c,r,s]` starts at `+0.0` and, for each
 //!   `(k, oh)` ascending, adds the dot product of the `dy` row with the
 //!   tap's input row, `j` ascending from `+0.0`.
@@ -81,24 +87,27 @@
 //!   dot product and the `(k, oh)` order of the contract, with the lanes
 //!   across taps, so a row of one element is the rank-1 update it really
 //!   is.
-//! * **Backward-data** — `B` channels × `CW` columns of one [`Segment`]
-//!   of one `(k, ih)` row. The requested columns decompose by stride
-//!   phase ([`WidthPhases`]): an input column with `iw + pad_w = m·s_w +
-//!   q` is reached only by taps `s = q + e·s_w`, from output column
-//!   `ow = m − e`, so within phase `q` tap `e` reads the contiguous run
-//!   `dy[m − e]`; each phase is cut where the set of taps reaching a
-//!   column changes, so a tile sees one tap list. Kernel rows decompose
-//!   the same way (`r = (ih + pad_h) mod s_h, + s_h, …`). Inside the
-//!   tile, `for r { for f { term = Σ_s; acc += term } }`; the finished
-//!   tile is written to `dx` at stride `s_w`.
+//! * **Backward-data**, on rows wider than two chunks (and the 1×1 calls
+//!   "Small maps" keeps here) — `B` channels × `CW` columns of one
+//!   [`Segment`] of one `(k, ih)` row. The requested columns decompose
+//!   by stride phase ([`WidthPhases`]): an input column with `iw + pad_w
+//!   = m·s_w + q` is reached only by taps `s = q + e·s_w`, from output
+//!   column `ow = m − e`, so within phase `q` tap `e` reads the
+//!   contiguous run `dy[m − e]`; each phase is cut where the set of
+//!   taps reaching a column changes, so a tile sees one tap list. Kernel
+//!   rows decompose the same way (`r = (ih + pad_h) mod s_h, + s_h, …`).
+//!   Inside the tile, `for r { for f { term = Σ_s; acc += term } }`; the
+//!   finished tile is written to `dx` at stride `s_w`.
 //!
 //! # Small maps
 //!
 //! A row narrower than one chunk of [`CHUNK`] columns leaves most lanes
 //! idle: on ResNet-50's 4×4, 2×2 and 1×1 maps a forward tile is 4, 2 or 1
-//! column wide. There a call takes its `(k, oh)` rows in blocks
-//! ([`row_blocks`]: as many as [`BLOCK_FLOATS`] of gathered input hold;
-//! from [`CHUNK`] columns on, one row, which is the loop above):
+//! column wide. There forward and backward-filter take their `(k, oh)`
+//! rows in blocks ([`row_blocks`]: as many as [`BLOCK_FLOATS`] of
+//! gathered input hold; from [`CHUNK`] columns on, one row, which is the
+//! loop above), and backward-data takes every call whose rows are at most
+//! two chunks wide as one path:
 //!
 //! * **Forward** makes the block's positions `(k, oh, ow)` one virtual
 //!   row ([`TapRows::positions`]): per channel and tap, what the
@@ -111,27 +120,63 @@
 //!   product (`j` ascending from `+0.0`) in `(k, oh)` order, and stores
 //!   the block once, so `dw` is read and written once a block instead
 //!   of once a row.
-//! * **Backward-data** does what forward does where one tap list serves
-//!   every `dx` position of the call that any tap reaches — a 1×1
-//!   kernel at any stride, or one position per sample
-//!   ([`one_tap_list`]): those positions of a block are one virtual row
-//!   over a gathered `dy`; positions no tap reaches keep their zeros.
+//! * **Backward-data** works one stride phase `(qh, qw)` at a time
+//!   ([`backward_data_phases`]). The phase's positions `(k, ih, iw)` are
+//!   one virtual row, and its taps are the hull, per axis ([`AxisPhase`]),
+//!   of the kernel rows and columns that reach some position of the
+//!   phase: a 3×3 kernel at stride 1 on a map of at least 2×2 gathers
+//!   all nine taps for every position, where a row-by-row tile would see
+//!   up to nine tap lists, one per border case, each only 1–2 columns
+//!   wide. `dy` is gathered
+//!   per filter and tap into one run over the positions, with `+0.0`
+//!   where the tap reaches no output from a position, and the unchanged
+//!   tile covers the run; positions of a phase no tap reaches keep their
+//!   zeros. On the mesh model's 3×3 layers, rows of 16 columns gain from
+//!   this (−18 %) and rows of 32 and 64 lose (+26 %, +54 %), so wider
+//!   rows stay on the row path. So does a 1×1 kernel at stride 1 whose
+//!   rows fill whole chunks, in blocks longer than the walk below takes
+//!   (`res2`'s 1×1 layers on 4×8 maps): each of its rows already is a
+//!   run of the virtual row, and the gather and scatter cost 10–25 %.
+//! * A phase whose hull is a single tap — a 1×1 kernel at any stride, a
+//!   3×3 kernel on a 1×1 map — walks `w` filter by filter, in memory
+//!   order ([`filter_major_walk`]), in blocks of up to
+//!   [`WALK_POSITIONS`] positions. The lanes run across channels; the
+//!   block's positions × channels sums stay in a small buffer, and each
+//!   `dy·w` is added straight in, `f` ascending, which is the lone-tap
+//!   order. A tile reads only `B` floats of each filter's row, 2 KB apart
+//!   on a 512-channel layer, so on `res5`'s 4 MB weight tensors it waited
+//!   on memory; the walk streams them.
 //!
-//! No sum is reordered. A result element is still one lane of one tile,
-//! wherever its position sits in the virtual row, and the tile visits
-//! its terms in the same order whatever the gather put beside it;
-//! backward-filter's blocks still add one dot product per row, from
-//! `+0.0`, in `(k, oh)` order.
+//! No sum is reordered. A result element is still one lane of one tile
+//! (or one slot of the walk's buffer), wherever its position sits in the
+//! virtual row, and it sees its terms in the same order whatever the
+//! gather put beside it; backward-filter's blocks still add one dot
+//! product per row, from `+0.0`, in `(k, oh)` order.
 //!
 //! # Signed zeros
 //!
-//! Backward-data adds a segment's single tap straight into the sums (not
-//! via `0.0 + p`) and leaves columns no tap reaches as `Tensor::zeros`
-//! made them (not `dx += 0.0`). Both keep every bit: a sum starts at
-//! `+0.0`, and a round-to-nearest sum is `−0.0` only when both addends
-//! are, so it is never `−0.0` and `acc + (0.0 + p)` equals `acc + p` —
-//! they could differ only for `p = −0.0`, where both leave `acc` as it
-//! was.
+//! Backward-data departs from the contract's literal form in three ways
+//! that keep every bit:
+//!
+//! * it adds a single tap straight into the sums (not via `0.0 + p`);
+//! * it leaves positions no tap reaches as `Tensor::zeros` made them
+//!   (not `dx += 0.0`);
+//! * on small maps it adds the products of hull taps that reach no
+//!   output, `w·(+0.0)`, which is `±0.0`, and for a kernel row that
+//!   reaches nothing a whole term of them, which is `+0.0`.
+//!
+//! No sum is ever `−0.0`: a sum starts at `+0.0`, and a round-to-nearest
+//! sum is `−0.0` only when both addends are. So `acc + ±0.0 = acc` for
+//! every `acc` a kernel holds (`+0.0 + −0.0` is `+0.0`), and an inserted
+//! zero product, or a term made of them, adds nothing; and `acc + (0.0 +
+//! p)` equals `acc + p`, since they could differ only for `p = −0.0`,
+//! where both leave `acc` as it was.
+//!
+//! This holds while the weights are finite. An infinite or NaN weight
+//! times an inserted `+0.0` is NaN, so it can turn a position it does not
+//! reach into NaN, as forward's materialized padding (`w·0.0` at every
+//! padded tap) already does. `dy` elements outside the valid outputs are
+//! never read.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -358,6 +403,59 @@ impl<'a> TapRows<'a> {
     }
 }
 
+/// One axis of one stride phase `q` of a backward-data call: the
+/// region's coordinates `i` with `i + pad = m·stride + q`, which only the
+/// kernel taps `q + e·stride` reach, tap `e` from output `m − e` where
+/// that output exists.
+struct AxisPhase {
+    /// Region-relative index and `m` of each coordinate, ascending.
+    coords: Vec<(usize, usize)>,
+    /// The hull of the taps `e` that reach some coordinate; empty when
+    /// none does.
+    taps: Range<usize>,
+    /// Output extent along the axis.
+    out: usize,
+    /// Kernel taps of the phase: `e < phase_taps`.
+    phase_taps: usize,
+}
+
+impl AxisPhase {
+    fn new(
+        region: (usize, usize),
+        q: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        out: usize,
+    ) -> Self {
+        let m_lo = (region.0 + pad).saturating_sub(q).div_ceil(stride);
+        let m_hi = (region.1 + pad).saturating_sub(q).div_ceil(stride);
+        let coords: Vec<_> = (m_lo..m_hi).map(|m| (m * stride + q - pad - region.0, m)).collect();
+        let phase_taps = kernel.saturating_sub(q).div_ceil(stride);
+        let mut axis = AxisPhase { coords, taps: 0..0, out, phase_taps };
+        // Both ends of a coordinate's taps grow with `m`.
+        let mut reached = axis.coords.iter().map(|&(_, m)| axis.reach(m)).filter(|e| !e.is_empty());
+        if let Some(first) = reached.next() {
+            axis.taps = first.start..reached.next_back().map_or(first.end, |last| last.end);
+        }
+        axis
+    }
+
+    /// The taps that reach coordinate `m`: `e ∈ [m + 1 − out, m]` that the
+    /// phase has (`start == end` when none does).
+    fn reach(&self, m: usize) -> Range<usize> {
+        let hi = (m + 1).min(self.phase_taps);
+        (m + 1).saturating_sub(self.out).min(hi)..hi
+    }
+
+    /// The `dy` window index tap `e` reads for coordinate `m` (the window
+    /// starts at global index `origin`), or `None` where it reaches no
+    /// output.
+    fn source(&self, e: usize, m: usize, origin: i64) -> Option<usize> {
+        self.reach(m).contains(&e).then(|| ((m - e) as i64 - origin) as usize)
+    }
+}
+
 /// One kernel tap of a [`Segment`].
 struct SegmentTap {
     /// Kernel column.
@@ -388,41 +486,31 @@ struct WidthPhases {
 }
 
 impl WidthPhases {
-    /// Decompose `dx` columns `[iw0, iw1)`; `dy_col0` is the global
-    /// column of the `dy` window's first element.
-    fn new(geom: &ConvGeometry, (iw0, iw1): (usize, usize), dy_col0: i64) -> Self {
-        let (sw, pw, out_w) = (geom.stride_w, geom.pad_w, geom.out_w());
+    /// Decompose `dx` columns `dx_cols`; `dy_col0` is the global column of
+    /// the `dy` window's first element.
+    fn new(geom: &ConvGeometry, dx_cols: (usize, usize), dy_col0: i64) -> Self {
+        let sw = geom.stride_w;
         let mut segments = Vec::new();
         let mut taps = Vec::new();
         for q in 0..sw {
-            // Columns iw = m·sw + q − pw of the region: m ∈ [m_lo, m_hi).
-            let m_lo = (iw0 + pw).saturating_sub(q).div_ceil(sw);
-            let m_hi = (iw1 + pw).saturating_sub(q).div_ceil(sw);
-            // Tap s = q + e·sw reads output column m − e ∈ [0, out_w), so
-            // column m is reached by the taps e ∈ [m + 1 − out_w, m] that
-            // the kernel has.
-            let phase_taps = geom.kw.saturating_sub(q).div_ceil(sw);
-            let reach = |m: usize| {
-                let e_hi = (m + 1).min(phase_taps);
-                ((m + 1).saturating_sub(out_w).min(e_hi), e_hi)
-            };
-            let mut m = m_lo;
-            while m < m_hi {
-                let (e_lo, e_hi) = reach(m);
-                let len = (m..m_hi).take_while(|&next| reach(next) == (e_lo, e_hi)).count();
-                if e_lo < e_hi {
+            let axis = AxisPhase::new(dx_cols, q, geom.kw, sw, geom.pad_w, geom.out_w());
+            let mut i = 0;
+            while i < axis.coords.len() {
+                let (first_col, m) = axis.coords[i];
+                let reach = axis.reach(m);
+                let len = axis.coords[i..]
+                    .iter()
+                    .take_while(|&&(_, next)| axis.reach(next) == reach)
+                    .count();
+                if !reach.is_empty() {
                     let first_tap = taps.len();
-                    taps.extend((e_lo..e_hi).map(|e| SegmentTap {
+                    taps.extend(reach.map(|e| SegmentTap {
                         s: q + e * sw,
                         src: ((m - e) as i64 - dy_col0) as usize,
                     }));
-                    segments.push(Segment {
-                        first_col: m * sw + q - pw - iw0,
-                        len,
-                        taps: first_tap..taps.len(),
-                    });
+                    segments.push(Segment { first_col, len, taps: first_tap..taps.len() });
                 }
-                m += len;
+                i += len;
             }
         }
         WidthPhases { segments, taps }
@@ -698,26 +786,28 @@ pub fn conv2d_backward_data_region(
     let rows = ih1 - ih0;
     let cols = iw1 - iw0;
     let mut dx = Tensor::zeros(Shape4::new(n, c_out, rows, cols));
-    let phases = WidthPhases::new(geom, dx_cols, dy_origin.1);
-    let (sh, out_h) = (geom.stride_h, geom.out_h());
-
-    // Per dx row, the kernel rows reaching it, each with the dy window row
-    // it reads there: row ih + pad_h = mh·s_h + qh is reached by kernel
-    // rows r = qh + eh·s_h from output row mh − eh.
-    let row_taps: Vec<Vec<(usize, usize)>> = (ih0..ih1)
-        .map(|ih| {
-            let (mh, qh) = ((ih + geom.pad_h) / sh, (ih + geom.pad_h) % sh);
-            (qh..geom.kh)
-                .step_by(sh)
-                .enumerate()
-                .filter(|&(eh, _)| eh <= mh && mh - eh < out_h)
-                .map(|(eh, r)| (r, ((mh - eh) as i64 - dy_origin.0) as usize))
-                .collect()
-        })
-        .collect();
-    if cols < CHUNK && one_tap_list(&row_taps, &phases) {
-        backward_data_small_map(dy, w, geom, &row_taps, &phases, &mut dx);
+    // Rows up to two chunks wide: one virtual row per stride phase. A 1×1
+    // kernel at stride 1 whose rows fill whole chunks, in blocks too long
+    // for the walk, stays on the row path: its rows already are the
+    // phase's virtual row, so the gather and scatter would be pure cost.
+    let rows_are_the_row = (kh, kw, geom.stride_h, geom.stride_w) == (1, 1, 1, 1)
+        && cols % CHUNK == 0
+        && (BLOCK_FLOATS / f_in).min(n * rows * cols) > WALK_POSITIONS;
+    if cols <= 2 * CHUNK && !rows_are_the_row {
+        backward_data_phases(dy, dy_origin, w, geom, dx_rows, dx_cols, &mut dx);
         return dx;
+    }
+    let phases = WidthPhases::new(geom, dx_cols, dy_origin.1);
+    // Per dx row, the kernel rows reaching it, each with the dy window row
+    // it reads there.
+    let sh = geom.stride_h;
+    let mut row_taps: Vec<Vec<(usize, usize)>> = vec![Vec::new(); rows];
+    for qh in 0..sh {
+        let axis = AxisPhase::new(dx_rows, qh, geom.kh, sh, geom.pad_h, geom.out_h());
+        for &(i, mh) in &axis.coords {
+            let lh = |eh| axis.source(eh, mh, dy_origin.0).expect("a reaching tap");
+            row_taps[i] = axis.reach(mh).map(|eh| (qh + eh * sh, lh(eh))).collect();
+        }
     }
     for channels in panels(c_out) {
         for (k, dx_k) in dx.as_mut_slice().chunks_exact_mut(c_out * rows * cols).enumerate() {
@@ -746,92 +836,173 @@ pub fn conv2d_backward_data_region(
     dx
 }
 
-/// Whether every `dx` position some tap reaches is reached through the
-/// same kernel rows and columns — on a 1×1 kernel, or one position per
-/// sample — and some position is.
-fn one_tap_list(row_taps: &[Vec<(usize, usize)>], phases: &WidthPhases) -> bool {
-    let kernel_rows = |taps: &Vec<(usize, usize)>| taps.iter().map(|&(r, _)| r).collect::<Vec<_>>();
-    let kernel_cols = |segment: &Segment| phases.taps[segment.taps.clone()].iter().map(|t| t.s);
-    let mut reached = row_taps.iter().filter(|taps| !taps.is_empty()).map(kernel_rows);
-    let Some(first) = reached.next() else { return false };
-    reached.all(|rows| rows == first)
-        && !phases.segments.is_empty()
-        && phases.segments.windows(2).all(|p| kernel_cols(&p[0]).eq(kernel_cols(&p[1])))
-}
+/// Positions of a single-tap block up to which [`filter_major_walk`] is
+/// taken: from there on the tile, whose weights each serve a chunk of
+/// positions from registers, is faster.
+const WALK_POSITIONS: usize = 4 * CHUNK;
 
-/// Backward-data on a small map whose reached positions share one tap
-/// list ([`one_tap_list`]): the reached `(k, ih, iw)` of a block of `(k,
-/// ih)` rows are one virtual row. `dy` is gathered so that what the
-/// positions read through kernel row `i` and column tap `e` of filter `f`
-/// is one run, `dyv[((f·R + i)·S + e)·V + p]`; the unchanged tile covers
-/// it with the same `(r, f, s)` order, and its `(c, p)` results go back
-/// to `(k, c, ih, iw)`.
-fn backward_data_small_map(
+/// Floats of sums one pass of [`filter_major_walk`] keeps: positions ×
+/// channels, sized to stay in the L1 cache beside a weight row.
+const WALK_FLOATS: usize = 4 * 1024;
+
+/// Backward-data on a call whose rows are at most two chunks wide: per
+/// stride phase `(qh, qw)`, the phase's `dx` positions `(k, ih, iw)` are
+/// one virtual row, taken in blocks of as many positions as
+/// [`BLOCK_FLOATS`] of gathered `dy` hold. The phase's taps are the hulls
+/// of its [`AxisPhase`]s, `R` kernel rows × `S` kernel columns, and `dy`
+/// is gathered so that what the `V` positions of a block read through
+/// row tap `i` and column tap `e` of filter `f` is one run,
+/// `dyv[((f·R + i)·S + e)·V + p]`, holding `+0.0` where that tap reaches
+/// no output from the position. The block's sums, `dxv[c·V + p]`, go
+/// back to `(k, c, ih, iw)`; positions of phases no tap reaches keep
+/// their zeros.
+fn backward_data_phases(
     dy: &Tensor,
+    dy_origin: (i64, i64),
     w: &Tensor,
     geom: &ConvGeometry,
-    row_taps: &[Vec<(usize, usize)>],
-    phases: &WidthPhases,
+    dx_rows: (usize, usize),
+    dx_cols: (usize, usize),
     dx: &mut Tensor,
 ) {
-    let (n, f_in) = (dy.shape().n, dy.shape().c);
+    let (dys, f_in) = (dy.shape(), dy.shape().c);
     let ds = dx.shape();
-    let reached: Vec<usize> = (0..row_taps.len()).filter(|&i| !row_taps[i].is_empty()).collect();
-    let kernel_rows: Vec<(usize, usize)> =
-        row_taps[reached[0]].iter().enumerate().map(|(i, &(r, _))| (r, i)).collect();
-    let segments = &phases.segments;
-    let (nr, ns) = (kernel_rows.len(), segments[0].taps.len());
-    let per_row: usize = segments.iter().map(|s| s.len).sum();
-    let (mut dyv, mut dxv) = (Vec::new(), Vec::new());
-    for block in row_blocks(n * reached.len(), per_row, f_in * nr * ns) {
-        // Position p of the block: sample k, region row ih, a segment's
-        // column j, in that order.
-        let positions = || {
-            block.clone().flat_map(|q| {
-                let (k, ih) = (q / reached.len(), reached[q % reached.len()]);
-                segments.iter().flat_map(move |s| (0..s.len).map(move |j| (k, ih, s, j)))
-            })
-        };
-        let len = block.len() * per_row;
-        dyv.resize(f_in * nr * ns * len, 0.0);
-        for (p, (k, ih, segment, j)) in positions().enumerate() {
-            let taps = &phases.taps[segment.taps.clone()];
-            for f in 0..f_in {
-                for (i, &(_, lh)) in row_taps[ih].iter().enumerate() {
-                    for (e, tap) in taps.iter().enumerate() {
-                        let at = dy.shape().offset(k, f, lh, tap.src + j);
-                        dyv[((f * nr + i) * ns + e) * len + p] = dy.as_slice()[at];
+    let ConvGeometry { kh, kw, stride_h, stride_w, pad_h, pad_w, .. } = *geom;
+    let (mut at, mut dyv, mut dxv, mut dst) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for qh in 0..stride_h {
+        let rows = AxisPhase::new(dx_rows, qh, kh, stride_h, pad_h, geom.out_h());
+        for qw in 0..stride_w {
+            let cols = AxisPhase::new(dx_cols, qw, kw, stride_w, pad_w, geom.out_w());
+            let (nr, ns) = (rows.taps.len(), cols.taps.len());
+            if nr * ns == 0 {
+                continue;
+            }
+            let per_sample = rows.coords.len() * cols.coords.len();
+            let position = |p: usize| {
+                let (k, q) = (p / per_sample, p % per_sample);
+                (k, rows.coords[q / cols.coords.len()], cols.coords[q % cols.coords.len()])
+            };
+            let block = (BLOCK_FLOATS / (f_in * nr * ns)).max(1);
+            for p0 in (0..ds.n * per_sample).step_by(block) {
+                let len = block.min(ds.n * per_sample - p0);
+                // Per tap `i·S + e` and position: where filter 0's `dy`
+                // element is, or `usize::MAX` for a `+0.0`.
+                at.resize(nr * ns * len, 0);
+                dst.clear();
+                for p in 0..len {
+                    let (k, (ih, mh), (iw, mw)) = position(p0 + p);
+                    dst.push(ds.offset(k, 0, ih, iw));
+                    for (i, eh) in rows.taps.clone().enumerate() {
+                        let lh = rows.source(eh, mh, dy_origin.0);
+                        for (e, ew) in cols.taps.clone().enumerate() {
+                            at[(i * ns + e) * len + p] =
+                                match (lh, cols.source(ew, mw, dy_origin.1)) {
+                                    (Some(lh), Some(lw)) => dys.offset(k, 0, lh, lw),
+                                    _ => usize::MAX,
+                                };
+                        }
+                    }
+                }
+                dyv.resize(f_in * nr * ns * len, 0.0);
+                let f_stride = dys.h * dys.w;
+                for (f, dyv_f) in dyv.chunks_exact_mut(nr * ns * len).enumerate() {
+                    for (d, &a) in dyv_f.iter_mut().zip(&at) {
+                        *d = if a == usize::MAX { 0.0 } else { dy.as_slice()[a + f * f_stride] };
+                    }
+                }
+                dxv.resize(ds.c * len, 0.0);
+                let row_tap = |i: usize| qh + (rows.taps.start + i) * stride_h;
+                let col_tap = |e: usize| qw + (cols.taps.start + e) * stride_w;
+                if nr * ns == 1 && len <= WALK_POSITIONS {
+                    filter_major_walk(&dyv, w, row_tap(0) * kw + col_tap(0), len, &mut dxv);
+                } else {
+                    let row_taps: Vec<(usize, usize)> = (0..nr).map(|i| (row_tap(i), i)).collect();
+                    let taps: Vec<SegmentTap> =
+                        (0..ns).map(|e| SegmentTap { s: col_tap(e), src: e * len }).collect();
+                    let mut tile = BackwardDataTile {
+                        dy_k: &dyv,
+                        dy_plane: nr * ns * len,
+                        win_w: ns * len,
+                        f_in,
+                        ws: w.as_slice(),
+                        w_filter: ds.c * kh * kw,
+                        geom,
+                        row_taps: &row_taps,
+                        taps: &taps,
+                        dx_row: &mut dxv,
+                        dx_plane: len,
+                        dx_step: 1,
+                    };
+                    for channels in panels(ds.c) {
+                        for_each_tile(channels, len, &mut tile);
+                    }
+                }
+                for (c, dx_c) in dxv.chunks_exact(len).enumerate() {
+                    for (&to, v) in dst.iter().zip(dx_c) {
+                        dx.as_mut_slice()[to + c * ds.h * ds.w] = *v;
                     }
                 }
             }
         }
-        let taps: Vec<SegmentTap> = phases.taps[segments[0].taps.clone()]
-            .iter()
-            .enumerate()
-            .map(|(e, tap)| SegmentTap { s: tap.s, src: e * len })
-            .collect();
-        dxv.resize(ds.c * len, 0.0);
-        let mut tile = BackwardDataTile {
-            dy_k: &dyv,
-            dy_plane: nr * ns * len,
-            win_w: ns * len,
-            f_in,
-            ws: w.as_slice(),
-            w_filter: ds.c * geom.kh * geom.kw,
-            geom,
-            row_taps: &kernel_rows,
-            taps: &taps,
-            dx_row: &mut dxv,
-            dx_plane: len,
-            dx_step: 1,
-        };
-        for channels in panels(ds.c) {
-            for_each_tile(channels, len, &mut tile);
+    }
+}
+
+/// Backward-data where one kernel tap, `tap = r·kw + s`, is a phase's
+/// whole hull: `w` is walked filter by filter, in memory order, and each
+/// `dy·w` is added straight into the sums, `f` ascending (see "Signed
+/// zeros"). The lanes run across channels. A pass keeps the sums of the
+/// block's `len` positions × a run of `width` channels (at most
+/// [`WALK_FLOATS`] floats), `sums[p·width + c]`; each filter's weights
+/// for the run, part of one row of `w` for a 1×1 kernel, are loaded once
+/// for four positions. `dyv[f·len + p]` is the gathered `dy`; the sums
+/// land in `dxv[c·len + p]`.
+///
+/// Never inlined: compiled into [`backward_data_phases`] it costs the
+/// tile there its register allocation (a 3×3 layer on 2×2 maps read
+/// 0.97 ms against 0.56 ms).
+#[inline(never)]
+fn filter_major_walk(dyv: &[f32], w: &Tensor, tap: usize, len: usize, dxv: &mut [f32]) {
+    let c_out = w.shape().c;
+    let taps = w.shape().h * w.shape().w;
+    let width = (WALK_FLOATS / len / CHUNK * CHUNK).max(CHUNK).min(c_out);
+    let (mut sums, mut w_run) = (vec![0.0f32; len * width], vec![0.0f32; width]);
+    for c0 in (0..c_out).step_by(width) {
+        let run = width.min(c_out - c0);
+        let sums = &mut sums[..len * run];
+        sums.fill(0.0);
+        for (f, dy_f) in dyv.chunks_exact(len).enumerate() {
+            let w_f = &w.as_slice()[(f * c_out + c0) * taps..][..run * taps];
+            let w_f: &[f32] = if taps == 1 {
+                w_f
+            } else {
+                for (d, channel) in w_run.iter_mut().zip(w_f.chunks_exact(taps)) {
+                    *d = channel[tap];
+                }
+                &w_run[..run]
+            };
+            let mut fours = sums.chunks_exact_mut(4 * run);
+            for (four, d) in (&mut fours).zip(dy_f.chunks_exact(4)) {
+                let (s0, rest) = four.split_at_mut(run);
+                let (s1, rest) = rest.split_at_mut(run);
+                let (s2, s3) = rest.split_at_mut(run);
+                let sums = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3.iter_mut());
+                for ((((a0, a1), a2), a3), wv) in sums.zip(w_f) {
+                    *a0 += d[0] * wv;
+                    *a1 += d[1] * wv;
+                    *a2 += d[2] * wv;
+                    *a3 += d[3] * wv;
+                }
+            }
+            let rest = fours.into_remainder();
+            for (sums_p, &d) in rest.chunks_exact_mut(run).zip(&dy_f[len / 4 * 4..]) {
+                for (sum, wv) in sums_p.iter_mut().zip(w_f) {
+                    *sum += d * wv;
+                }
+            }
         }
-        for (p, (k, ih, segment, j)) in positions().enumerate() {
-            for (c, dx_c) in dxv.chunks_exact(len).enumerate() {
-                let at = ds.offset(k, c, ih, segment.first_col + j * geom.stride_w);
-                dx.as_mut_slice()[at] = dx_c[p];
+        for (p, sums_p) in sums.chunks_exact(run).enumerate() {
+            for (c, v) in sums_p.iter().enumerate() {
+                dxv[(c0 + c) * len + p] = *v;
             }
         }
     }

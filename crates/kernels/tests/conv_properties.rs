@@ -672,9 +672,9 @@ fn check_split_regions_and_columns(case: BitCase) -> Result<(), String> {
 }
 
 /// Small maps — rows narrower than a full chunk of columns, where a call
-/// covers all its samples and rows as one virtual row (forward,
-/// backward-data where one tap list serves every position) or adds its
-/// rows' dot products into `dw` a block of rows at a time
+/// covers all its samples and rows as one virtual row (forward, and
+/// backward-data per stride phase, as it does up to two chunks) or adds
+/// its rows' dot products into `dw` a block of rows at a time
 /// (backward-filter) — deterministically: output extents 1–7, 1–4
 /// samples, 1×1 and 3×3 (pad 1) kernels at strides 1 and 2, channel and
 /// filter counts on both sides of every block size, so virtual rows end
@@ -714,4 +714,39 @@ fn small_maps_equal_reference_bitwise() {
     // gathers 64·3·3 taps × 7 columns = 4 032 floats, so a 64 K-float
     // block holds 16 rows and 4 samples × 9 rows are 16 + 16 + 4.
     check(4, 64, 5, ConvGeometry::square(9, 7, 3, 1, 1));
+}
+
+/// ResNet-50's deep-stage layers at their real channel counts, two
+/// samples a rank, deterministically: the 3×3 (pad 1) convolutions on
+/// 1×1, 2×2, 4×4 and 4×8 maps with 64, 256 and 512 channels and filters,
+/// and the 1×1 convolutions at stride 1 and 2 on 1×1, 2×2 and 4×4 maps
+/// with 512 → 2048, 2048 → 512 and 1024 → 2048 channels — where a
+/// backward-data phase gathers a hull of taps, or walks `w` filter by
+/// filter, with more channels than any drawn case — and `res2`'s 1×1
+/// convolutions on 4×8 maps, whose full-chunk rows stay on the row path.
+#[test]
+fn resnet50_shapes_equal_reference_bitwise() {
+    let mut seed = 0x5EED_0003u64;
+    let mut check = |c, f, geom| {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        if let Err(reproducer) = check_split_regions_and_columns(BitCase { n: 2, c, f, geom, seed })
+        {
+            panic!("{reproducer}");
+        }
+    };
+    for (h, w) in [(1, 1), (2, 2), (4, 4), (4, 8)] {
+        for channels in [64, 256, 512] {
+            check(channels, channels, ConvGeometry::square(h, w, 3, 1, 1));
+        }
+    }
+    for extent in [1, 2, 4] {
+        for stride in 1..=2 {
+            for (c, f) in [(512, 2048), (2048, 512), (1024, 2048)] {
+                check(c, f, ConvGeometry::square(extent, extent, 1, stride, 0));
+            }
+        }
+    }
+    for (c, f) in [(64, 256), (256, 64)] {
+        check(c, f, ConvGeometry::square(4, 8, 1, 1, 0));
+    }
 }

@@ -255,15 +255,11 @@ mod tests {
     }
 
     /// The exact per-rank peak of `spec` on a uniform `grid` at `batch`
-    /// (`fg_core::analyze_strategy`), and the same net of the integrity
-    /// replay budget, which it charges only when `FG_COMM_INTEGRITY` is on.
-    fn exact_peak(spec: &fg_nn::NetworkSpec, grid: ProcGrid, batch: usize) -> (usize, usize) {
+    /// (`fg_core::analyze_strategy`), without the integrity replay window.
+    fn exact_peak(spec: &fg_nn::NetworkSpec, grid: ProcGrid, batch: usize) -> usize {
         let strategy = fg_core::Strategy::uniform(spec, grid);
         let ranks = fg_core::sample_ranks(grid.size());
-        let peak = fg_core::analyze_strategy(spec, &strategy, batch, &ranks).unwrap().max_peak();
-        let replay =
-            if fg_comm::env_flag("FG_COMM_INTEGRITY") { fg_comm::DEFAULT_REPLAY_BYTES } else { 0 };
-        (peak, peak - replay)
+        fg_core::analyze_strategy(spec, &strategy, batch, &ranks).unwrap().max_peak()
     }
 
     #[test]
@@ -272,15 +268,15 @@ mod tests {
         // GPU memory when training with even one sample" — and spatial
         // parallelism fixes it, each extra way cutting the footprint.
         let spec = fg_models::mesh_model(fg_models::MeshSize::TwoK);
-        let (one, one_net) = exact_peak(&spec, ProcGrid::sample(1), 1);
+        let one = exact_peak(&spec, ProcGrid::sample(1), 1);
         assert!(one > V100_BYTES, "one 2K sample must NOT fit a single V100");
-        assert_eq!(one_net, 17_504_730_760, "16.30 GiB");
-        let (four, four_net) = exact_peak(&spec, ProcGrid::spatial(2, 2), 1);
+        assert_eq!(one, 17_504_730_760, "16.30 GiB");
+        let four = exact_peak(&spec, ProcGrid::spatial(2, 2), 1);
         assert!(four <= V100_BYTES, "4-way spatial decomposition must fit");
-        assert_eq!(four_net, 4_543_367_816, "4.23 GiB");
-        let (sixteen, sixteen_net) = exact_peak(&spec, ProcGrid::spatial(4, 4), 1);
+        assert_eq!(four, 4_543_367_816, "4.23 GiB");
+        let sixteen = exact_peak(&spec, ProcGrid::spatial(4, 4), 1);
         assert!(sixteen < four / 3, "16-way should keep cutting: {four} → {sixteen}");
-        assert_eq!(sixteen_net, 1_299_449_992, "1.21 GiB");
+        assert_eq!(sixteen, 1_299_449_992, "1.21 GiB");
     }
 
     #[test]
@@ -303,12 +299,12 @@ mod tests {
         // the boundary the paper observed sits in what it leaves out. Six
         // samples fit by only 25 MB, so the pinned ends are one and seven.
         let spec = fg_models::mesh_model(fg_models::MeshSize::OneK);
-        let (one, one_net) = exact_peak(&spec, ProcGrid::sample(1), 1);
+        let one = exact_peak(&spec, ProcGrid::sample(1), 1);
         assert!(one <= V100_BYTES, "one 1K sample fits");
-        assert_eq!(one_net, 2_788_433_544, "2.60 GiB");
-        let (seven, seven_net) = exact_peak(&spec, ProcGrid::sample(1), 7);
+        assert_eq!(one, 2_788_433_544, "2.60 GiB");
+        let seven = exact_peak(&spec, ProcGrid::sample(1), 7);
         assert!(seven > V100_BYTES, "seven 1K samples must not fit");
-        assert_eq!(seven_net, 18_739_462_584);
+        assert_eq!(seven, 18_739_462_584);
     }
 
     #[test]

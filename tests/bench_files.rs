@@ -21,10 +21,10 @@
 //! injectable clock (ROADMAP item 10(d)).
 //!
 //! Each committed file must also render back to its exact text, so it
-//! is in the one layout `repro` writes. The files are recorded in the
-//! default environment; the one knob that moves a row,
-//! `FG_COMM_INTEGRITY` (memscale's peaks), is turned off by the test
-//! that needs it.
+//! is in the one layout `repro` writes. No row depends on the
+//! environment: memscale asks the analyzer for the model's own buffers,
+//! without the integrity replay window that `FG_COMM_INTEGRITY` adds to
+//! a live world's bound.
 //!
 //! A change that moves a row re-records the file with `repro -- <exp>`
 //! and says why; the comparison does not loosen to let a row pass.
@@ -109,13 +109,8 @@ fn ckpt_chaos_rows_match_the_recorded_ones() {
     assert_rows_match("BENCH_ckpt.json chaos", new, old, &[]);
 }
 
-/// The file is recorded in the default environment. With
-/// `FG_COMM_INTEGRITY` on, the analyzer charges the integrity layer's
-/// replay window to every rank (`fg_comm::DEFAULT_REPLAY_BYTES` more per
-/// peak), so this test turns it off; no other row depends on it.
 #[test]
 fn memory_rows_match_the_recorded_ones() {
-    std::env::remove_var("FG_COMM_INTEGRITY");
     let fresh = memscale::to_bench_file(&memscale::sweep());
     assert_file_matches("BENCH_memory.json", &fresh, &["wall_s"]);
 }

@@ -28,7 +28,8 @@
 //!   its derived `Default`.
 //!
 //! All are textual checks, not a dead-code analysis: a name shared with
-//! an unrelated item elsewhere counts as reached.
+//! an unrelated item elsewhere counts as reached, unless that item is a
+//! function of the same name — `fn name` is a definition, not a use.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -48,11 +49,13 @@ fn ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// `name` occurs in `code` as a whole identifier directly followed by `then`.
+/// `name` occurs in `code` as a whole identifier directly followed by
+/// `then`, and not as the name a `fn` defines.
 fn mentions(code: &str, name: &str, then: &str) -> bool {
     code.match_indices(name).any(|(i, _)| {
-        let rest = &code[i + name.len()..];
-        !code[..i].ends_with(ident) && !rest.starts_with(ident) && rest.starts_with(then)
+        let (before, rest) = (&code[..i], &code[i + name.len()..]);
+        let defines = before.strip_suffix("fn ").is_some_and(|b| !b.ends_with(ident));
+        !before.ends_with(ident) && !defines && !rest.starts_with(ident) && rest.starts_with(then)
     })
 }
 
@@ -141,17 +144,16 @@ fn every_public_module_is_reached_from_outside_itself() {
     );
 }
 
-/// Every item under `crates/*/src` declared by a line starting with one
-/// of `prefixes` that no other file names outside a comment and a
-/// `pub use`, as `file: name`.
-fn unreached_items(prefixes: &[&str]) -> Vec<String> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let sources: Vec<(PathBuf, String)> = sources(root, &CALLER_DIRS)
-        .into_iter()
-        .map(|(p, code)| (p, without_reexports(&code)))
-        .collect();
+/// Every item declared, in a file of `sources` that `declares` picks, by
+/// a line starting with one of `prefixes` that no other file of `sources`
+/// [`mentions`], as `(file, name)`.
+fn unreached_among<'a>(
+    sources: &'a [(PathBuf, String)],
+    declares: impl Fn(&Path) -> bool,
+    prefixes: &[&str],
+) -> Vec<(&'a Path, String)> {
     let mut unreached = Vec::new();
-    for (file, code) in sources.iter().filter(|(file, _)| in_crate_src(root, file)) {
+    for (file, code) in sources.iter().filter(|(file, _)| declares(file)) {
         for line in code.lines() {
             let line = line.trim_start();
             let Some(name) = prefixes.iter().find_map(|p| line.strip_prefix(p)) else {
@@ -161,12 +163,51 @@ fn unreached_items(prefixes: &[&str]) -> Vec<String> {
             let reached =
                 sources.iter().any(|(other, code)| other != file && mentions(code, &name, ""));
             if !reached {
-                let file = file.strip_prefix(root).expect("under the repository root");
-                unreached.push(format!("{}: {name}", file.display()));
+                unreached.push((file.as_path(), name));
             }
         }
     }
     unreached
+}
+
+/// Every item under `crates/*/src` declared by a line starting with one
+/// of `prefixes` that no other file names outside a comment and a
+/// `pub use`, as `file: name`.
+fn unreached_items(prefixes: &[&str]) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources: Vec<(PathBuf, String)> = sources(root, &CALLER_DIRS)
+        .into_iter()
+        .map(|(p, code)| (p, without_reexports(&code)))
+        .collect();
+    unreached_among(&sources, |file| in_crate_src(root, file), prefixes)
+        .into_iter()
+        .map(|(file, name)| {
+            let file = file.strip_prefix(root).expect("under the repository root");
+            format!("{}: {name}", file.display())
+        })
+        .collect()
+}
+
+/// The name rule on two files: a private function of the same name in
+/// another file defines the name, it does not use it, so it leaves a
+/// `pub fn` unreached; a call reaches it.
+#[test]
+fn a_same_named_fn_elsewhere_does_not_reach_a_public_fn() {
+    let library = PathBuf::from("crates/table/src/lib.rs");
+    let files = |other: &str| {
+        vec![
+            (library.clone(), "pub fn fmt_bytes(n: u64) -> String {\n    n.to_string()\n}".into()),
+            (PathBuf::from("crates/report/src/memscale.rs"), other.to_string()),
+        ]
+    };
+    let in_library = |file: &Path| file == library;
+    let defined = files("fn fmt_bytes(n: u64) -> String {\n    format!(\"{n} B\")\n}");
+    assert_eq!(
+        unreached_among(&defined, in_library, &["pub fn "]),
+        [(library.as_path(), "fmt_bytes".to_string())]
+    );
+    let called = files("let text = table::fmt_bytes(4096);");
+    assert!(unreached_among(&called, in_library, &["pub fn "]).is_empty());
 }
 
 #[test]
