@@ -3,11 +3,10 @@
 //! Two questions a resilience layer must answer before it is allowed
 //! near a performance study:
 //!
-//! 1. **What does zero-fault monitoring cost?** The plain `run_ranks`
-//!    path must stay untouched, and even the opt-in paths (deadlock
-//!    watchdog, fault stage under an empty plan) should cost within
-//!    noise of nothing: the watchdog polls a few atomics per sweep off
-//!    the critical path, and an empty plan adds two counter bumps per
+//! 1. **What does zero-fault monitoring cost?** Every world runs under
+//!    the deadlock watchdog, which polls a few atomics per sweep off the
+//!    critical path; the fault stage under an empty plan should cost
+//!    within noise of nothing too, since it adds two counter bumps per
 //!    comm op. Variants are timed in strict alternation with
 //!    best-of-reps.
 //! 2. **What does recovery cost as a function of checkpoint interval?**
@@ -86,7 +85,6 @@ fn reduce(outs: Vec<(f64, f64)>) -> (f64, f64) {
 fn time_variant(fx: &Fixture, steps: usize, variant: &str) -> (f64, f64) {
     let opts = match variant {
         "plain" => return reduce(run_ranks(WORLD, |comm| rank_loop(fx, comm, steps))),
-        "watchdog" => RunOptions::watchdog_default(),
         "faulty-transparent" => RunOptions::with_faults(FaultPlan::default()),
         "integrity" => RunOptions::with_faults_integrity(FaultPlan::default()),
         other => unreachable!("unknown variant {other}"),
@@ -101,11 +99,11 @@ fn time_variant(fx: &Fixture, steps: usize, variant: &str) -> (f64, f64) {
 
 /// Best-of-`reps` steps/sec for each launch flavor, measured in strict
 /// alternation; asserts all flavors agree on the loss bitwise.
-fn measure_overhead(steps: usize, reps: usize) -> (f64, f64, f64, f64) {
+fn measure_overhead(steps: usize, reps: usize) -> (f64, f64, f64) {
     let fx = fixture();
-    let variants = ["plain", "watchdog", "faulty-transparent", "integrity"];
-    let mut best = [f64::MAX; 4];
-    let mut loss = [0.0f64; 4];
+    let variants = ["plain", "faulty-transparent", "integrity"];
+    let mut best = [f64::MAX; 3];
+    let mut loss = [0.0f64; 3];
     for _ in 0..reps {
         for (i, v) in variants.iter().enumerate() {
             let (t, l) = time_variant(&fx, steps, v);
@@ -113,25 +111,19 @@ fn measure_overhead(steps: usize, reps: usize) -> (f64, f64, f64, f64) {
             loss[i] = l;
         }
     }
-    assert_eq!(loss[0].to_bits(), loss[1].to_bits(), "watchdog must not change results");
-    assert_eq!(loss[0].to_bits(), loss[2].to_bits(), "transparent faults must not change results");
-    assert_eq!(loss[0].to_bits(), loss[3].to_bits(), "integrity must not change results");
-    (steps as f64 / best[0], steps as f64 / best[1], steps as f64 / best[2], steps as f64 / best[3])
+    assert_eq!(loss[0].to_bits(), loss[1].to_bits(), "transparent faults must not change results");
+    assert_eq!(loss[0].to_bits(), loss[2].to_bits(), "integrity must not change results");
+    (steps as f64 / best[0], steps as f64 / best[1], steps as f64 / best[2])
 }
 
 /// Zero-fault overhead table.
 fn overhead_table() -> Table {
-    let (plain, watchdog, faulty, integrity) = measure_overhead(20, 5);
+    let (plain, faulty, integrity) = measure_overhead(20, 5);
     let mut t = Table::new(
         "Fault-model zero-fault overhead: mini mesh training step (4 ranks, thread-sim)",
         &["runtime flavor", "steps/sec", "relative to plain"],
     );
     t.push_row(vec!["plain run_ranks".into(), format!("{plain:.2}"), "1.000".into()]);
-    t.push_row(vec![
-        "watchdog enabled".into(),
-        format!("{watchdog:.2}"),
-        format!("{:.3}", watchdog / plain),
-    ]);
     t.push_row(vec![
         "empty fault plan".into(),
         format!("{faulty:.2}"),
@@ -352,8 +344,8 @@ mod tests {
     #[test]
     fn overhead_measurement_is_loss_invariant() {
         // measure_overhead() asserts bitwise-equal losses internally.
-        let (plain, watchdog, faulty, integrity) = measure_overhead(2, 1);
-        assert!(plain > 0.0 && watchdog > 0.0 && faulty > 0.0 && integrity > 0.0);
+        let (plain, faulty, integrity) = measure_overhead(2, 1);
+        assert!(plain > 0.0 && faulty > 0.0 && integrity > 0.0);
     }
 
     #[test]

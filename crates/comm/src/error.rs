@@ -135,6 +135,20 @@ pub fn attribute_dead_ranks(errors: &[CommError]) -> Vec<usize> {
     dead
 }
 
+/// The one shrink rule, shared by the trainer's degradation rung and the
+/// serving tier's replica rebuild: the survivors of a failed `world`
+/// (old-world ids, lowest first, every rank not in `dead`) and the
+/// largest world they may form. With no attributable death (e.g.
+/// watchdog-only evidence) one rank is shed on the heuristic that the
+/// failure is localized, so that is `world − 1`; it is 0 when nobody
+/// survives, and so for a one-rank world.
+pub fn shrink_survivors(world: usize, dead: &[usize]) -> (Vec<usize>, usize) {
+    let survivors: Vec<usize> = (0..world).filter(|r| !dead.contains(r)).collect();
+    let max_world =
+        if survivors.len() == world { world.saturating_sub(1) } else { survivors.len() };
+    (survivors, max_world)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +226,19 @@ mod tests {
         assert!(attribute_dead_ranks(&[timeout]).is_empty());
         assert_eq!(observed(4, 0).failed_rank(), Some(4));
         assert_eq!(CommError::EmptyWorld.failed_rank(), None);
+    }
+
+    #[test]
+    fn shrink_sheds_one_rank_when_nobody_is_blamed_and_none_when_nobody_survives() {
+        // Nobody attributed dead: every rank survives, one is shed.
+        assert_eq!(shrink_survivors(4, &[]), (vec![0, 1, 2, 3], 3));
+        assert_eq!(shrink_survivors(1, &[]), (vec![0], 0));
+        // Nobody survives: no world to form.
+        assert_eq!(shrink_survivors(4, &[0, 1, 2, 3]), (vec![], 0));
+        assert_eq!(shrink_survivors(1, &[0]), (vec![], 0));
+        // Otherwise the survivors carry on, lowest ids first.
+        assert_eq!(shrink_survivors(4, &[1]), (vec![0, 2, 3], 3));
+        assert_eq!(shrink_survivors(4, &[0, 2]), (vec![1, 3], 2));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! There is one world-level communicator, [`WorldComm`], and one way to
 //! launch it: [`run_ranks`] (options from the environment) or
 //! [`run_ranks_opts`] with a [`RunOptions`] value that switches on the
-//! deadlock watchdog, the integrity protocol
-//! ([`integrity`]), seeded fault injection ([`fault`]) or a virtual
-//! clock. Integrity and faults are fixed stages inside
+//! integrity protocol ([`integrity`]), seeded fault injection
+//! ([`fault`]) or a virtual clock. Every world runs under the deadlock
+//! [`watchdog`]. Integrity and faults are fixed stages inside
 //! `WorldComm::{send, recv}`, not wrappers around it; the only other
 //! [`Communicator`] is the subgroup view [`SubComm`].
 //!
@@ -56,7 +56,7 @@ pub mod trace;
 pub mod watchdog;
 
 pub use collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
-pub use error::{attribute_dead_ranks, CommError};
+pub use error::{attribute_dead_ranks, shrink_survivors, CommError};
 pub use fault::FaultPlan;
 pub use integrity::DEFAULT_REPLAY_BYTES;
 pub use p2p::{

@@ -10,22 +10,21 @@
 //! it; everything else is a [`RunOptions`] value:
 //!
 //! * [`run_ranks_opts`] returns per-rank `Result`s under explicit
-//!   options: a deadlock watchdog ([`RunOptions::watchdog`]), the
-//!   integrity protocol, a seeded [`crate::fault::FaultPlan`], a
-//!   virtual-time [`LinkModel`]. Rank
+//!   options: the integrity protocol, a seeded
+//!   [`crate::fault::FaultPlan`], a virtual-time [`LinkModel`]. Rank
 //!   deaths (injected kills, observed peer failures, watchdog aborts)
 //!   come back as [`CommError`] values instead of crashing the process.
 //! * [`run_ranks`] and [`run_ranks_timed`] take their options from the
-//!   environment ([`RunOptions::from_env`]): setting `FG_COMM_WATCHDOG`
-//!   (to anything but `0` or empty) runs every world under the
-//!   watchdog, so an accidental deadlock in any test aborts in tens of
-//!   milliseconds with a wait-graph diagnostic instead of hanging CI.
+//!   environment (`FG_COMM_INTEGRITY`) and panic on any rank's
+//!   [`CommError`].
 //!
-//! Integrity and fault injection are fixed stages of
-//! [`WorldComm`]'s `send` and `recv`, in the one order that is correct:
-//! envelope, then faults, then the channel, and the mirror on receive.
-//! When neither opts nor the environment ask for anything, the world is
-//! unmonitored: no atomics, no polling, a blocking channel receive.
+//! Every world runs under the deadlock watchdog ([`crate::watchdog`]):
+//! every receive polls, so an accidental deadlock aborts in tens of
+//! milliseconds with a wait-graph diagnostic instead of hanging, and a
+//! peer's death is observed with its reason. Integrity and fault
+//! injection are fixed stages of [`WorldComm`]'s `send` and `recv`, in
+//! the one order that is correct: envelope, then faults, then the
+//! channel, and the mirror on receive.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -167,9 +166,8 @@ pub struct WorldComm {
     clock: Cell<f64>,
     /// Link model for virtual time; `None` in untimed runs.
     link: Option<LinkModel>,
-    /// Progress monitor; `Some` in every world but the unguarded
-    /// [`run_ranks`] / [`run_ranks_timed`] one.
-    monitor: Option<Arc<Monitor>>,
+    /// The world's progress monitor, which blocked receives sweep.
+    monitor: Arc<Monitor>,
     /// End-to-end integrity stage ([`RunOptions::integrity`]).
     integrity: Option<WorldIntegrity>,
     /// Fault-injection stage ([`RunOptions::faults`]).
@@ -275,9 +273,7 @@ impl WorldComm {
     /// watchdog can annotate its wait graph — "waiting on rank 3, which
     /// is 4× slow" reads very differently from "deadlocked".
     pub fn note_rank_slowness(&self, ratios: &[f64]) {
-        if let Some(m) = &self.monitor {
-            m.note_rank_slowness(ratios);
-        }
+        self.monitor.note_rank_slowness(ratios);
     }
 
     /// One send was dropped instead of delivered (the receiver is gone,
@@ -285,26 +281,20 @@ impl WorldComm {
     /// surfaced in watchdog diagnostics.
     pub(crate) fn note_dropped_send(&self) {
         self.stats.borrow_mut().record_dropped_send();
-        if let Some(m) = &self.monitor {
-            m.note_dropped_send(self.rank);
-        }
+        self.monitor.note_dropped_send(self.rank);
     }
 
     /// One retransmission on this rank: a dropped message resent at the
     /// link layer, or a replay-window pull after a checksum mismatch.
     pub(crate) fn note_retransmit(&self) {
         self.stats.borrow_mut().record_retransmit();
-        if let Some(m) = &self.monitor {
-            m.note_retransmit(self.rank);
-        }
+        self.monitor.note_retransmit(self.rank);
     }
 
     /// One corrupted message detected and repaired on this rank.
     pub(crate) fn note_corrupt_repaired(&self) {
         self.stats.borrow_mut().record_corrupt_repaired();
-        if let Some(m) = &self.monitor {
-            m.note_corrupt_repaired(self.rank);
-        }
+        self.monitor.note_corrupt_repaired(self.rank);
     }
 }
 
@@ -373,9 +363,7 @@ impl WorldComm {
         // Count the message as in-flight *before* it enters the channel:
         // a fast receiver may dequeue it immediately, and its decrement
         // must never observe a counter that has not been incremented yet.
-        if let Some(m) = &self.monitor {
-            m.note_send(self.rank, dst);
-        }
+        self.monitor.note_send(self.rank, dst);
         match self.senders[dst].send(env) {
             Ok(()) => {}
             // The receiver is gone. Under the plain runtime that means a
@@ -388,9 +376,7 @@ impl WorldComm {
             // counted — a race with another thread's teardown, so
             // neither is.
             Err(_) => {
-                if let Some(m) = &self.monitor {
-                    m.note_send_failed(self.rank, dst);
-                }
+                self.monitor.note_send_failed(self.rank, dst);
                 if !self.faults.as_ref().is_some_and(|f| f.kills(dst)) {
                     self.note_dropped_send();
                 }
@@ -399,8 +385,8 @@ impl WorldComm {
         self.mark_return();
     }
 
-    /// The channel stage of a receive: stash-aware blocking dequeue,
-    /// returning the integrity envelope if the sender attached one.
+    /// The channel stage of a receive: stash-aware dequeue, returning the
+    /// integrity envelope if the sender attached one.
     fn recv_impl<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
         self.accrue_busy();
         let out = self.recv_inner(src, tag);
@@ -408,47 +394,17 @@ impl WorldComm {
         out
     }
 
+    /// The stash first, then an interruptible wait: [`POLL`] slices,
+    /// between which it checks the watchdog's abort flag and runs its
+    /// sweep. Failures unwind with a [`CommError`] payload, caught at
+    /// the rank boundary by the launcher.
     fn recv_inner<T: CommScalar>(&self, src: usize, tag: Tag) -> (Vec<T>, Option<WireHeader>) {
         assert!(src < self.size, "recv from rank {src} in world of {}", self.size);
         if let Some(env) = self.stashes.borrow_mut()[src].take(tag) {
             self.observe_arrival(&env);
             return downcast_payload(env, src, tag);
         }
-        if let Some(m) = &self.monitor {
-            return self.recv_polled(m, src, tag);
-        }
-        loop {
-            // Typed like the polled path's, so the launcher re-raises the
-            // dead peer's own panic, not this secondary one.
-            let env = self.receivers[src]
-                .recv()
-                .unwrap_or_else(|_| std::panic::panic_any(self.peer_hung_up(src, tag, None)));
-            if env.tag == tag {
-                self.observe_arrival(&env);
-                return downcast_payload(env, src, tag);
-            }
-            self.stashes.borrow_mut()[src].put(env);
-        }
-    }
-
-    /// The error for a receive whose peer `src` disconnected: the peer's
-    /// recorded death `reason` when the monitor has one.
-    fn peer_hung_up(&self, src: usize, tag: Tag, reason: Option<String>) -> CommError {
-        let detail = reason
-            .unwrap_or_else(|| format!("hung up while rank {} waited on tag {tag}", self.rank));
-        CommError::RankFailed { rank: src, observer: self.rank, detail }
-    }
-
-    /// Interruptible receive: waits in [`POLL`] slices, between which
-    /// it checks the watchdog's abort flag. Failures unwind with a
-    /// [`CommError`] payload, caught at the rank boundary by the
-    /// launcher.
-    fn recv_polled<T: CommScalar>(
-        &self,
-        m: &Monitor,
-        src: usize,
-        tag: Tag,
-    ) -> (Vec<T>, Option<WireHeader>) {
+        let m = &self.monitor;
         m.enter_recv(self.rank, src, tag);
         let result = loop {
             // Abort wins over everything else, including a peer's
@@ -467,7 +423,7 @@ impl WorldComm {
                     }
                     self.stashes.borrow_mut()[src].put(env);
                 }
-                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Timeout) => m.sweep(),
                 Err(RecvTimeoutError::Disconnected) => {
                     // A peer tearing down after a watchdog abort wakes
                     // us with Disconnected; report the abort, not the
@@ -475,7 +431,10 @@ impl WorldComm {
                     if m.aborted() {
                         break Err(m.abort_error(self.rank));
                     }
-                    break Err(self.peer_hung_up(src, tag, m.death_reason(src)));
+                    let detail = m.death_reason(src).unwrap_or_else(|| {
+                        format!("hung up while rank {} waited on tag {tag}", self.rank)
+                    });
+                    break Err(CommError::RankFailed { rank: src, observer: self.rank, detail });
                 }
             }
         };
@@ -500,8 +459,8 @@ fn downcast_payload<T: CommScalar>(
 }
 
 /// Build the channel mesh for a world of `size` ranks, with every
-/// attachment `opts` asks for and the launcher's `monitor`, if any.
-fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -> Vec<WorldComm> {
+/// attachment `opts` asks for and the launcher's `monitor`.
+fn build_world(size: usize, opts: &RunOptions, monitor: &Arc<Monitor>) -> Vec<WorldComm> {
     assert!(size > 0, "world must have at least one rank");
     // channels[s][d] = channel carrying s → d traffic.
     let mut senders: Vec<Vec<Sender<Envelope>>> = Vec::with_capacity(size);
@@ -544,7 +503,7 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
             collective_counter: Cell::new(0),
             clock: Cell::new(0.0),
             link: opts.link.clone(),
-            monitor: monitor.cloned(),
+            monitor: Arc::clone(monitor),
             integrity: integrity
                 .clone()
                 .map(|state| WorldIntegrity { state, cursor: RankCursor::default() }),
@@ -555,12 +514,10 @@ fn build_world(size: usize, opts: &RunOptions, monitor: Option<&Arc<Monitor>>) -
         .collect()
 }
 
-/// What a world runs with ([`run_ranks_opts`]). The default is nothing:
-/// no guards, no faults, wall-clock time.
+/// What a world runs with ([`run_ranks_opts`]). The default is the
+/// watchdog alone: no integrity, no faults, wall-clock time.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Run the deadlock watchdog. Off leaves a deadlocked world hanging.
-    pub watchdog: bool,
     /// Run the end-to-end integrity protocol: every p2p payload travels
     /// checksummed and sequence-numbered, with receiver-driven repair.
     /// Counts and payloads are identical to a run without it (the
@@ -583,17 +540,12 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Watchdog on, nothing else.
-    pub fn watchdog_default() -> RunOptions {
-        RunOptions { watchdog: true, ..RunOptions::default() }
-    }
-
-    /// Fault injection from `plan` with the deadlock watchdog on
-    /// (injected drops and kills routinely strand peers; the watchdog
-    /// converts those hangs into [`CommError::Timeout`] wait-graph
-    /// reports). No integrity: faults reach the program.
+    /// Fault injection from `plan` (injected drops and kills routinely
+    /// strand peers; the watchdog converts those hangs into
+    /// [`CommError::Timeout`] wait-graph reports). No integrity: faults
+    /// reach the program.
     pub fn with_faults(plan: FaultPlan) -> RunOptions {
-        RunOptions { faults: Some(plan), ..RunOptions::watchdog_default() }
+        RunOptions { faults: Some(plan), ..RunOptions::default() }
     }
 
     /// [`RunOptions::with_faults`] plus the integrity protocol: drops
@@ -602,24 +554,11 @@ impl RunOptions {
         RunOptions { integrity: true, ..RunOptions::with_faults(plan) }
     }
 
-    /// Options from the environment: `FG_COMM_WATCHDOG` enables the
-    /// watchdog (the CI script does this, so any accidental deadlock in
-    /// the test suite aborts with a wait graph instead of hanging the
-    /// job), and `FG_COMM_INTEGRITY` envelopes all world traffic in the
-    /// end-to-end integrity protocol. Both follow `flag_is_on`.
+    /// Options from the environment: `FG_COMM_INTEGRITY` (per
+    /// `flag_is_on`) envelopes all world traffic in the end-to-end
+    /// integrity protocol.
     fn from_env() -> RunOptions {
-        RunOptions {
-            watchdog: env_flag("FG_COMM_WATCHDOG"),
-            integrity: env_flag("FG_COMM_INTEGRITY"),
-            ..RunOptions::default()
-        }
-    }
-
-    /// Whether anything here can end a rank with a [`CommError`] — the
-    /// condition under which the environment-driven launchers monitor
-    /// the world instead of taking the blocking-receive fast path.
-    fn is_guarded(&self) -> bool {
-        self.watchdog || self.integrity || self.faults.is_some()
+        RunOptions { integrity: env_flag("FG_COMM_INTEGRITY"), ..RunOptions::default() }
     }
 }
 
@@ -630,8 +569,8 @@ fn flag_is_on(value: &str) -> bool {
 }
 
 /// Is the boolean knob `name` on in the process environment? The single
-/// reader behind `FG_VERIFY`, `FG_COMM_INTEGRITY` and
-/// `FG_COMM_WATCHDOG`, so every crate agrees on what "set" means.
+/// reader behind `FG_VERIFY` and `FG_COMM_INTEGRITY`, so every crate
+/// agrees on what "set" means.
 pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| flag_is_on(&v.to_string_lossy()))
 }
@@ -663,10 +602,6 @@ fn install_comm_panic_hook() {
     });
 }
 
-/// A panic payload carried from a rank thread back to the joining
-/// thread, re-raised with `resume_unwind` once every thread is joined.
-type RankPanic = Box<dyn std::any::Any + Send + 'static>;
-
 /// Best-effort text of a non-[`CommError`] panic payload, recorded as
 /// the rank's death reason before the payload is re-raised.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -686,28 +621,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// genuine bug and is re-raised with its original payload (first in
 /// rank order) once every thread is joined.
 ///
-/// `monitored` attaches a progress [`Monitor`] to the world: receives
-/// poll instead of blocking, so peer deaths and watchdog aborts surface
-/// as typed errors. Without it `recv` is a plain blocking channel
-/// receive.
-fn launch<R, F>(size: usize, opts: RunOptions, monitored: bool, f: F) -> Vec<Result<R, CommError>>
+/// Every world carries a progress [`Monitor`], swept by its blocked
+/// receives: they poll, so peer deaths and watchdog aborts surface as
+/// typed errors.
+fn launch<R, F>(size: usize, opts: RunOptions, f: F) -> Vec<Result<R, CommError>>
 where
     R: Send,
     F: Fn(&WorldComm) -> R + Send + Sync,
 {
     install_comm_panic_hook();
-    let monitor = monitored.then(|| Arc::new(Monitor::new(size)));
-    let comms = build_world(size, &opts, monitor.as_ref());
+    let monitor = Arc::new(Monitor::new(size));
+    let comms = build_world(size, &opts, &monitor);
     std::thread::scope(|scope| {
-        let watchdog = monitor.as_ref().filter(|_| opts.watchdog).map(|m| {
-            let m = Arc::clone(m);
-            scope.spawn(move || m.watch())
-        });
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
                 let f = &f;
-                let monitor = monitor.clone();
+                let monitor = &monitor;
                 scope.spawn(move || {
                     COMM_PANIC_CAUGHT_HERE.with(|flag| flag.set(true));
                     let result =
@@ -716,16 +646,14 @@ where
                     // Publish this rank's fate *before* dropping the comm:
                     // dropping disconnects our channels, and peers that
                     // observe the disconnect look up the death reason.
-                    if let Some(m) = &monitor {
-                        match &result {
-                            Ok(_) => m.mark_done(comm.rank),
-                            Err(payload) => {
-                                let reason = match payload.downcast_ref::<CommError>() {
-                                    Some(e) => e.to_string(),
-                                    None => panic_message(payload.as_ref()),
-                                };
-                                m.mark_dead(comm.rank, reason);
-                            }
+                    match &result {
+                        Ok(_) => monitor.mark_done(comm.rank),
+                        Err(payload) => {
+                            let reason = match payload.downcast_ref::<CommError>() {
+                                Some(e) => e.to_string(),
+                                None => panic_message(payload.as_ref()),
+                            };
+                            monitor.mark_dead(comm.rank, reason);
                         }
                     }
                     drop(comm);
@@ -733,47 +661,30 @@ where
                 })
             })
             .collect();
-        // Join every rank without panicking, so the watchdog is always
-        // stopped and joined before any genuine panic is re-raised —
-        // unwinding out of this scope with the watchdog still running
-        // would block the scope's implicit join forever.
-        let joined: Vec<Result<Result<R, CommError>, RankPanic>> = handles
+        // A genuine panic is re-raised as soon as its rank is joined;
+        // the scope joins the later ranks before it unwinds.
+        handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(Ok(r)) => Ok(Ok(r)),
+                Ok(Ok(r)) => Ok(r),
                 Ok(Err(payload)) | Err(payload) => match payload.downcast::<CommError>() {
-                    Ok(e) => Ok(Err(*e)),
-                    Err(payload) => Err(payload),
+                    Ok(e) => Err(*e),
+                    Err(payload) => std::panic::resume_unwind(payload),
                 },
             })
-            .collect();
-        if let Some(m) = &monitor {
-            m.finish();
-        }
-        if let Some(w) = watchdog {
-            w.join().expect("watchdog thread panicked");
-        }
-        joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     })
 }
 
 /// [`launch`] for the launchers that promise plain results and take
-/// their guards from the environment: the world is monitored only when
-/// `opts` can end a rank with a [`CommError`], and such an error on any
-/// rank panics with its diagnostic.
+/// their guards from the environment: a [`CommError`] on any rank
+/// panics with its diagnostic.
 fn launch_unwrapped<R, F>(size: usize, opts: RunOptions, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&WorldComm) -> R + Send + Sync,
 {
-    let monitored = opts.is_guarded();
-    launch(size, opts, monitored, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
+    launch(size, opts, f).into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).collect()
 }
 
 /// Run `f` on `size` ranks concurrently; returns per-rank results in rank
@@ -784,11 +695,8 @@ where
 /// the caller wants back out (results, traffic stats) is returned from
 /// the closure.
 ///
-/// With `FG_COMM_WATCHDOG` or `FG_COMM_INTEGRITY` set in the environment
-/// the run is guarded accordingly (see [`RunOptions::from_env`]); a
-/// detected deadlock panics with the wait-graph diagnostic. Otherwise
-/// this is the zero-overhead fast path: an unmonitored world whose
-/// receives block on the channel.
+/// `FG_COMM_INTEGRITY` in the environment envelopes the world's traffic;
+/// a detected deadlock panics with the wait-graph diagnostic.
 pub fn run_ranks<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -801,8 +709,6 @@ where
 /// results come back as `Result`s, with rank deaths (injected kills,
 /// observed peer failures, watchdog aborts, unrepairable corruption)
 /// as structured [`CommError`]s instead of process-crashing panics.
-/// The world is always monitored, so a peer's death is observed with
-/// its reason even when no guard is on.
 ///
 /// Genuine bugs — panics whose payload is not a [`CommError`] — still
 /// propagate and abort the run, exactly like [`run_ranks`].
@@ -811,7 +717,7 @@ where
     R: Send,
     F: Fn(&WorldComm) -> R + Send + Sync,
 {
-    launch(size, opts, true, f)
+    launch(size, opts, f)
 }
 
 /// [`run_ranks`] under a **virtual clock** ([`RunOptions::link`]): the
@@ -984,7 +890,7 @@ mod tests {
 
     #[test]
     fn opts_happy_path_returns_ok_per_rank() {
-        let out = run_ranks_opts(3, RunOptions::watchdog_default(), |comm| {
+        let out = run_ranks_opts(3, RunOptions::default(), |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.sendrecv(next, prev, 5, vec![comm.rank() as u32])[0]
@@ -998,7 +904,7 @@ mod tests {
         // Rank 0 and 1 both wait for a message that is never sent: a
         // textbook deadlock. The watchdog must convert the hang into
         // per-rank Timeout errors carrying the wait graph.
-        let out = run_ranks_opts(2, RunOptions::watchdog_default(), |comm| {
+        let out = run_ranks_opts(2, RunOptions::default(), |comm| {
             let peer = 1 - comm.rank();
             comm.recv::<u32>(peer, 77)
         });
@@ -1018,7 +924,7 @@ mod tests {
     fn peer_death_is_observed_as_rank_failed() {
         // Rank 0 dies (CommError unwind); rank 1's receive observes the
         // disconnect and reports RankFailed with rank 0's death reason.
-        let out = run_ranks_opts(2, RunOptions::watchdog_default(), |comm| {
+        let out = run_ranks_opts(2, RunOptions::default(), |comm| {
             if comm.rank() == 0 {
                 std::panic::panic_any(CommError::RankFailed {
                     rank: 0,
@@ -1043,36 +949,42 @@ mod tests {
     #[test]
     fn genuine_panic_propagates_and_does_not_hang() {
         // A non-CommError panic (an ordinary test assert) must abort the
-        // run with the original payload on both receive paths. Monitored:
-        // without stranding the watchdog thread and hanging the scope
-        // join forever. Unmonitored (plain `run_ranks`, silent
-        // environment): not as `rank panicked: Any { .. }`, and not as
-        // the lower-ranked peer's secondary hang-up.
-        for (opts, monitored) in
-            [(RunOptions::watchdog_default(), true), (RunOptions::default(), false)]
-        {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                launch(2, opts, monitored, |comm| {
-                    if comm.rank() == 1 {
-                        panic!("genuine test bug");
-                    }
-                    comm.recv::<u32>(1, 1)
-                })
-            }));
-            let payload = caught.expect_err("the rank's panic must propagate");
-            let msg = panic_message(payload.as_ref());
-            assert!(msg.contains("genuine test bug"), "monitored={monitored}: {msg}");
-        }
+        // run with the original payload: without hanging the launch, not
+        // as `rank panicked: Any { .. }`, and not as the lower-ranked
+        // peer's secondary hang-up.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_ranks_opts(2, RunOptions::default(), |comm| {
+                if comm.rank() == 1 {
+                    panic!("genuine test bug");
+                }
+                comm.recv::<u32>(1, 1)
+            })
+        }));
+        let payload = caught.expect_err("the rank's panic must propagate");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("genuine test bug"), "{msg}");
+    }
+
+    #[test]
+    fn plain_world_deadlock_panics_with_the_wait_graph() {
+        // `run_ranks` asks the environment for nothing the watchdog
+        // needs: both ranks receive first, nobody sends, and the run
+        // panics with the diagnostic instead of hanging.
+        let caught = std::panic::catch_unwind(|| {
+            run_ranks(2, |comm| comm.recv::<u32>(1 - comm.rank(), 77));
+        });
+        let payload = caught.expect_err("a deadlocked world must panic");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("wait graph"), "{msg}");
+        assert!(msg.contains("tag 77"), "{msg}");
     }
 
     #[test]
     fn timed_world_deadlock_times_out_with_the_wait_graph() {
         // A virtual-clock world is launched like any other, so the
         // watchdog guards it: both ranks receive first, nobody sends.
-        let opts = RunOptions {
-            link: Some(LinkModel::alpha_beta(1e-6, 1e-9)),
-            ..RunOptions::watchdog_default()
-        };
+        let opts =
+            RunOptions { link: Some(LinkModel::alpha_beta(1e-6, 1e-9)), ..RunOptions::default() };
         let out = run_ranks_opts(2, opts, |comm| comm.recv::<u32>(1 - comm.rank(), 77));
         for (rank, r) in out.iter().enumerate() {
             match r {
@@ -1139,7 +1051,7 @@ mod tests {
 
     #[test]
     fn dropped_sends_to_a_dead_peer_are_counted() {
-        let out = run_ranks_opts(2, RunOptions::watchdog_default(), |comm| {
+        let out = run_ranks_opts(2, RunOptions::default(), |comm| {
             if comm.rank() == 0 {
                 // Wait until rank 1 is gone, then send into the void.
                 while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -28,9 +28,19 @@
 //! dead receiver is attributable) and raises the abort flag; blocked
 //! ranks notice on their next poll and unwind with
 //! [`CommError::Timeout`] carrying the diagnostic.
+//!
+//! ## Who sweeps
+//!
+//! Every world runs the watchdog, and it has no thread of its own: a
+//! rank whose receive waits out a whole `POLL` runs the sweep
+//! (`Monitor::sweep`), at most one per `POLL` across the world. A
+//! deadlocked world is all blocked ranks, so it is swept as often as a
+//! dedicated thread would sweep it; a world whose receives never wait
+//! that long never sweeps, and its launch and teardown start and stop
+//! nothing beyond the rank threads.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -38,7 +48,7 @@ use crate::error::CommError;
 use crate::p2p::Tag;
 
 /// Interval between watchdog sweeps (and the granularity at which
-/// blocked receives re-check the abort flag). With [`QUIET_POLLS`] this
+/// blocked receives re-check the abort flag and sweep). With [`QUIET_POLLS`] this
 /// gives ~15–25 ms to detection: fast enough for tests, coarse enough
 /// that a descheduled rank on a loaded machine cannot be mistaken for a
 /// deadlock (the condition is stability-based, not purely time-based,
@@ -63,7 +73,8 @@ pub(crate) enum RankStatus {
     Dead { reason: String },
 }
 
-/// Shared state between the ranks of one world and its watchdog thread.
+/// Shared state between the ranks of one world, swept by its blocked
+/// receives.
 pub(crate) struct Monitor {
     size: usize,
     /// Bumped on every send and every channel dequeue.
@@ -86,11 +97,19 @@ pub(crate) struct Monitor {
     /// straggler detector. Lets the wait-graph diagnostic distinguish
     /// "deadlocked" from "waiting on a rank that is 4× slow".
     slowness: Vec<AtomicU64>,
-    /// Set by the watchdog on detection; blocked receives unwind.
+    /// Set by the sweep that detects a deadlock; blocked receives unwind.
     abort: AtomicBool,
     diagnostic: Mutex<Option<String>>,
-    /// Set by the runtime once all ranks joined; stops the watchdog.
-    finished: AtomicBool,
+    /// What the last sweep saw, held by the rank running the next.
+    sweep: Mutex<Sweep>,
+}
+
+/// What consecutive sweeps compare: when the last one ran, the progress
+/// count it saw, and how many stuck sweeps in a row saw no progress.
+struct Sweep {
+    at: Instant,
+    last_progress: u64,
+    quiet: u32,
 }
 
 impl Monitor {
@@ -106,7 +125,7 @@ impl Monitor {
             slowness: (0..size).map(|_| AtomicU64::new(1.0f64.to_bits())).collect(),
             abort: AtomicBool::new(false),
             diagnostic: Mutex::new(None),
-            finished: AtomicBool::new(false),
+            sweep: Mutex::new(Sweep { at: Instant::now(), last_progress: u64::MAX, quiet: 0 }),
         }
     }
 
@@ -186,43 +205,32 @@ impl Monitor {
         self.diagnostic.lock().clone().unwrap_or_else(|| "watchdog aborted the world".into())
     }
 
-    /// Signal the watchdog thread that every rank has joined.
-    pub(crate) fn finish(&self) {
-        self.finished.store(true, Ordering::SeqCst);
-    }
-
     /// The abort error a blocked rank raises after the watchdog trips.
     pub(crate) fn abort_error(&self, rank: usize) -> CommError {
         CommError::Timeout { rank, detail: self.diagnostic() }
     }
 
-    /// Watchdog thread body: sweep until the world finishes or a
-    /// deadlock is detected.
-    pub(crate) fn watch(&self) {
-        let mut last_progress = u64::MAX;
-        let mut quiet: u32 = 0;
-        while !self.finished.load(Ordering::SeqCst) && !self.aborted() {
-            std::thread::sleep(POLL);
-            let progress = self.progress.load(Ordering::SeqCst);
-            let snapshot: Vec<RankStatus> = self.status.iter().map(|s| s.lock().clone()).collect();
-            // Every rank has finished (Done or Dead): nothing left to
-            // monitor. Exiting here — not just on `finished` — means the
-            // watchdog can never outlive the world it watches, even if
-            // the joining thread unwinds before signalling `finish`.
-            if snapshot.iter().all(|st| matches!(st, RankStatus::Done | RankStatus::Dead { .. })) {
-                return;
-            }
-            if self.is_stuck(&snapshot) && progress == last_progress {
-                quiet += 1;
-                if quiet >= QUIET_POLLS {
-                    self.trip(&snapshot);
-                    return;
-                }
-            } else {
-                quiet = 0;
-            }
-            last_progress = progress;
+    /// One watchdog sweep, run by a rank whose receive just waited a
+    /// whole [`POLL`]; a call within `POLL` of the last sweep returns at
+    /// once. Trips after [`QUIET_POLLS`] consecutive stuck sweeps with
+    /// no progress between them.
+    pub(crate) fn sweep(&self) {
+        let mut s = self.sweep.lock();
+        if s.at.elapsed() < POLL || self.aborted() {
+            return;
         }
+        let progress = self.progress.load(Ordering::SeqCst);
+        let snapshot: Vec<RankStatus> = self.status.iter().map(|st| st.lock().clone()).collect();
+        if self.is_stuck(&snapshot) && progress == s.last_progress {
+            s.quiet += 1;
+            if s.quiet >= QUIET_POLLS {
+                self.trip(&snapshot);
+            }
+        } else {
+            s.quiet = 0;
+        }
+        s.last_progress = progress;
+        s.at = Instant::now();
     }
 
     /// Conditions 1 and 2: at least one live rank, every live rank

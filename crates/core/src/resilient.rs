@@ -1,7 +1,7 @@
 //! Checkpointed, fault-tolerant training on top of the executor.
 //!
 //! [`resilient_train`] drives [`crate::DistExecutor`] training steps
-//! under the fault-injecting runtime with a **three-level escalation
+//! under the fault-injecting runtime with a **four-level escalation
 //! ladder**, each level strictly cheaper than the next:
 //!
 //! 1. **In-band repair** (free): when [`ResilientConfig::integrity`] is
@@ -33,16 +33,16 @@
 //!    the run gives up on `P` instead of giving up on training. The
 //!    driver attributes the dead ranks from the failure reports
 //!    ([`fg_comm::attribute_dead_ranks`]), shrinks to the largest
-//!    viable `P' < P` (one failure-driven shrink per run), re-plans the
-//!    parallel strategy for the new world size (via an injected
-//!    [`Replanner`] — `fg-perf` provides one that re-runs the full
-//!    performance model — or the model-free
-//!    [`Strategy::spatial_fallback`]), retags the last snapshot for the
-//!    new [`fg_tensor::ProcGrid`] ([`fg_nn::reshard_train_state`]: the
-//!    snapshot holds whole tensors, so nothing is copied, and the bytes
-//!    whose owner the new blocking changes are reported), recompiles the
-//!    layer plans by rebuilding the executor, and resumes on the
-//!    survivors.
+//!    viable `P' < P` around them ([`fg_comm::shrink_survivors`]; one
+//!    failure-driven shrink per run), re-plans the parallel strategy
+//!    for the new world size (via an injected [`Replanner`] — `fg-perf`
+//!    provides one that re-runs the full performance model — or the
+//!    model-free [`Strategy::spatial_fallback`]), retags the last
+//!    snapshot for the new [`fg_tensor::ProcGrid`]
+//!    ([`fg_nn::reshard_train_state`]: the snapshot holds whole tensors,
+//!    so nothing is copied, and the bytes whose owner the new blocking
+//!    changes are reported), recompiles the layer plans by rebuilding
+//!    the executor, and resumes on the survivors.
 //!
 //! Orthogonal to the crash ladder, a **gray-failure ladder** (enabled
 //! by [`ResilientConfig::straggler`]) handles the node that is alive
@@ -100,8 +100,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fg_comm::{
-    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, RunOptions,
-    TrafficStats, WorldComm,
+    attribute_dead_ranks, run_ranks_opts, shrink_survivors, CommError, Communicator, FaultPlan,
+    RunOptions, TrafficStats, WorldComm,
 };
 use fg_kernels::loss::Labels;
 use fg_nn::{
@@ -929,14 +929,12 @@ fn plan_shrink(
     world: usize,
     dead_ranks: Vec<usize>,
 ) -> Option<Shrink> {
-    let survivors: Vec<usize> = (0..world).filter(|r| !dead_ranks.contains(r)).collect();
     // With no attributable death (e.g. a persistent anomaly escalated
-    // past every rebuild), shed one rank on the heuristic that the
-    // failure is localized.
-    let max_p = if dead_ranks.is_empty() { world - 1 } else { survivors.len() };
+    // past every rebuild) one rank is shed.
+    let (survivors, max_p) = shrink_survivors(world, &dead_ranks);
     let (spec, batch) = (&cur_exec.spec, cur_exec.batch);
     let mut replan_s = 0.0;
-    for p_new in (1..=max_p.min(world.saturating_sub(1))).rev() {
+    for p_new in (1..=max_p).rev() {
         let t = Instant::now();
         let candidate = match &dc.replan {
             Some(f) => f(p_new),

@@ -22,7 +22,8 @@
 //!    replying "replica failed" so dispatchers retry immediately
 //!    instead of waiting out their timeouts,
 //! 3. **rebuilds** on the surviving ranks — re-attribute the dead
-//!    ([`fg_comm::attribute_dead_ranks`]), restrict the fault plan to
+//!    ([`fg_comm::attribute_dead_ranks`]), shrink by the trainer's rule
+//!    ([`fg_comm::shrink_survivors`]), restrict the fault plan to
 //!    survivors, re-plan the strategy at the shrunken world size
 //!    (spatial fallback, as the trainer's elastic rung does), recompile
 //!    the per-batch-size executor ladder — and
@@ -39,8 +40,8 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fg_comm::{
-    attribute_dead_ranks, run_ranks_opts, CommError, Communicator, FaultPlan, RunOptions,
-    TrafficStats, WorldComm,
+    attribute_dead_ranks, run_ranks_opts, shrink_survivors, CommError, Communicator, FaultPlan,
+    RunOptions, TrafficStats, WorldComm,
 };
 use fg_core::{DistExecutor, ServableModel, Strategy};
 use fg_tensor::{ProcGrid, Tensor};
@@ -250,17 +251,6 @@ fn replan(model: &ServableModel, max_batch: usize, p: usize) -> Option<(Strategy
     })
 }
 
-/// The survivors of a failed `world` (old-world ids, lowest first) and
-/// the largest world they can carry. With no attributable death (e.g.
-/// watchdog-only evidence) one rank is shed on the localized-failure
-/// heuristic, as the trainer's shrink rung does. `None` when no rank is
-/// left to carry one: every rank attributed dead, or a one-rank world.
-fn shrink_target(world: usize, dead: &[usize]) -> Option<(Vec<usize>, usize)> {
-    let survivors: Vec<usize> = (0..world).filter(|r| !dead.contains(r)).collect();
-    let live = if survivors.len() == world { world - 1 } else { survivors.len() };
-    (live > 0).then_some((survivors, live))
-}
-
 /// Build the per-batch-size executor ladder for a strategy.
 fn build_execs(
     model: &ServableModel,
@@ -343,9 +333,10 @@ fn run_driver(
         replica.recycles.fetch_add(1, Ordering::AcqRel);
         let errors: Vec<CommError> =
             results.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
-        let Some((survivors, live)) = shrink_target(world, &attribute_dead_ranks(&errors)) else {
+        let (survivors, live) = shrink_survivors(world, &attribute_dead_ranks(&errors));
+        if live == 0 {
             break; // no survivors: the replica is gone for good
-        };
+        }
         let Some((next_strategy, p_new)) = replan(model, max_batch, live) else {
             break;
         };
@@ -441,19 +432,6 @@ mod tests {
         assert_eq!(batch_ladder(1, 6), vec![1, 2, 4, 6]);
         assert_eq!(batch_ladder(4, 2), vec![4], "cap below one group still serves a group");
         assert_eq!(batch_ladder(3, 12), vec![3, 6, 12]);
-    }
-
-    /// All ranks dead goes dark, like the trainer's `plan_shrink`:
-    /// rebuilding would restrict the fault plan to no survivors and
-    /// bring the dead ranks back healthy.
-    #[test]
-    fn all_dead_goes_dark_and_nothing_attributable_sheds_one_rank() {
-        assert_eq!(shrink_target(4, &[0, 1, 2, 3]), None);
-        assert_eq!(shrink_target(1, &[0]), None);
-        assert_eq!(shrink_target(1, &[]), None);
-        assert_eq!(shrink_target(4, &[]), Some((vec![0, 1, 2, 3], 3)));
-        assert_eq!(shrink_target(4, &[1]), Some((vec![0, 2, 3], 3)));
-        assert_eq!(shrink_target(4, &[0, 2]), Some((vec![1, 3], 2)));
     }
 
     #[test]

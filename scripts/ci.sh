@@ -106,22 +106,21 @@ if [ "$quick" -eq 0 ]; then
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 fi
 
-# The one world communicator has two receive paths: unmonitored worlds
-# block on the channel, guarded ones poll. Everything below runs guarded,
-# so the communicator's own suite runs once here with a silent
-# environment to keep the blocking path inside the gate.
-step "fg-comm tests, unguarded (blocking receive path)"
-env -u FG_COMM_WATCHDOG -u FG_COMM_INTEGRITY cargo test -q --offline -p fg-comm
+# Every world runs under the deadlock watchdog (a hung collective fails
+# with a wait-graph diagnostic instead of stalling the CI job). Everything
+# below runs with integrity on, so the communicator's own suite runs once
+# here with a silent environment to keep the integrity-off `run_ranks` /
+# `run_ranks_timed` path, the one `mesh_*_p2` benchmarks run, inside the
+# gate.
+step "fg-comm tests, integrity off (plain run_ranks path)"
+env -u FG_COMM_INTEGRITY cargo test -q --offline -p fg-comm
 
-# Run every test under the deadlock watchdog (a hung collective fails
-# with a wait-graph diagnostic instead of stalling the CI job) and with
-# end-to-end message integrity envelopes on (every world-internal send
-# is checksummed and sequence-numbered; message/byte counts are
-# unchanged, so count-asserting tests still hold).
-export FG_COMM_WATCHDOG=1
+# Run every test with end-to-end message integrity envelopes on (every
+# world-internal send is checksummed and sequence-numbered; message/byte
+# counts are unchanged, so count-asserting tests still hold).
 export FG_COMM_INTEGRITY=1
 
-step "tier-1 tests (root package, watchdog + integrity on)"
+step "tier-1 tests (root package, integrity on)"
 cargo test -q --offline
 
 # The instruction-set baseline: `.cargo/config.toml` builds every crate
@@ -132,7 +131,7 @@ for profile in "" --release; do
     filtered_tests $profile --test build_baseline -- built_for_the_x86_64_v3_baseline
 done
 
-step "workspace tests (watchdog + integrity on)"
+step "workspace tests (integrity on)"
 cargo test -q --offline --workspace
 # The in-place SGD step against the three-copy formulation it replaced,
 # bit for bit over every `LayerParams` variant: every loss, checkpoint
@@ -149,7 +148,7 @@ filtered_tests -p fg-comm --lib -- \
     checksum_sees_every_change_at_its_lane_edges \
     cursor_stays_bounded_over_hundreds_of_world_collectives
 
-step "elastic degradation (permanent rank loss, watchdog + integrity on)"
+step "elastic degradation (permanent rank loss, integrity on)"
 filtered_tests --test resilience -- degrade
 # Every rung of the crash ladder on a pinned seed, one line of the
 # report's deterministic fields each, as recorded before the driver kept
@@ -160,9 +159,9 @@ FG_VERIFY=1 filtered_tests --test resilience -- crash_ladder_reports_match_the_r
 # Gray-failure ladder, pinned seeds: a persistently slow rank must be
 # detected (all-rank agreement), rebalanced onto a weighted layout with
 # the stitched-bitwise trajectory contract, or softly evicted when
-# irredeemable — all while the watchdog and integrity envelopes are
-# live, and with every compiled schedule (including the weighted
-# post-rebalance layouts) re-checked by the static verifier (FG_VERIFY).
+# irredeemable — all while integrity envelopes are live, and with every
+# compiled schedule (including the weighted post-rebalance layouts)
+# re-checked by the static verifier (FG_VERIFY).
 step "gray-failure resilience (straggler detect/rebalance/evict, FG_VERIFY on)"
 FG_VERIFY=1 filtered_tests --test resilience -- \
     persistent_straggler irredeemably_slow healthy_world
@@ -261,8 +260,8 @@ done
 # contract under test: every accepted request terminates — no hangs —
 # with either logits bitwise-equal to the serial reference or a typed
 # error, across the kill, the world rebuild, and the breaker-probed
-# re-admission. Watchdog + integrity are already exported above;
-# FG_VERIFY additionally re-checks every rebuilt world's schedule.
+# re-admission. Integrity is already exported above; FG_VERIFY
+# additionally re-checks every rebuilt world's schedule.
 step "serving tier smoke (chaos traffic with a mid-stream rank kill, FG_VERIFY on)"
 FG_VERIFY=1 cargo test -q --offline -p fg-serve --test chaos
 
@@ -275,8 +274,8 @@ FG_VERIFY=1 cargo test -q --offline -p fg-serve --test chaos
 # The snapshot keeper holds one restore contract on both backends, and a
 # newest version that verifies but records a poisoned run is passed like
 # a damaged one, at the store's one walk and at the shrink rung alike.
-# Watchdog + integrity are already exported above; FG_VERIFY re-checks
-# the shrunken worlds' schedules. The scratch stores live under the OS
+# Integrity is already exported above; FG_VERIFY re-checks the shrunken
+# worlds' schedules. The scratch stores live under the OS
 # temp dir, so no repo paths are dirtied.
 step "storage chaos (deleted-shard reconstruction + torn-write fallback, FG_VERIFY on)"
 FG_VERIFY=1 filtered_tests --test resilience -- \

@@ -154,8 +154,8 @@ proptest! {
 /// post-shrink trajectory must be bitwise identical, step for step, to
 /// a fresh 3-rank run built from the degradation's own re-planned
 /// strategy and restored from the same (re-sharded) snapshot. Run under
-/// `FG_COMM_WATCHDOG=1 FG_COMM_INTEGRITY=1` in CI so the shrink
-/// interoperates with the watchdog and integrity layers.
+/// `FG_COMM_INTEGRITY=1` in CI so the shrink interoperates with the
+/// integrity layer as well as the watchdog every world runs under.
 #[test]
 fn permanently_dead_rank_degrades_4_to_3_bitwise() {
     const STEPS4: u64 = 6;
@@ -281,8 +281,8 @@ fn straggler_fixture() -> (NetworkSpec, Network, DistExecutor, Tensor, Labels) {
 /// must be the stitched-bitwise contract: the pre-flag prefix equals
 /// the uniform baseline, the post-rebalance suffix equals a fresh
 /// weighted-layout run resumed from the same snapshot. Run under
-/// `FG_COMM_WATCHDOG=1 FG_COMM_INTEGRITY=1` in CI so detection
-/// interoperates with the watchdog and integrity layers.
+/// `FG_COMM_INTEGRITY=1` in CI so detection interoperates with the
+/// integrity layer as well as the watchdog every world runs under.
 #[test]
 fn persistent_straggler_is_detected_and_rebalanced_bitwise() {
     const STEPS6: u64 = 6;
