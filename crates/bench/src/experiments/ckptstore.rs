@@ -18,21 +18,10 @@
 //! latency and recovery rates can be tracked across commits.
 
 use fg_nn::{CkptStore, Redundancy, StorageFaultPlan, StoreConfig};
-use fg_tensor::ProcGrid;
 
 use super::scaled_mesh_state;
 use crate::bench_file::{BenchFile, Row};
 use crate::table::Table;
-
-/// Near-square spatial factorization of `world` (shard layout only —
-/// nothing here runs a communicator).
-fn grid_of(world: usize) -> ProcGrid {
-    let mut ph = (world as f64).sqrt() as usize;
-    while !world.is_multiple_of(ph) {
-        ph -= 1;
-    }
-    ProcGrid::spatial(ph, world / ph)
-}
 
 fn redundancy_label(r: Redundancy) -> String {
     match r {
@@ -85,9 +74,9 @@ pub struct ChaosRow {
 /// Durability-cost sweep: world × redundancy. Stores live in temp
 /// directories, removed after each cell.
 pub fn cost_sweep() -> Vec<CostRow> {
+    let (_, state) = scaled_mesh_state();
     let mut rows = Vec::new();
     for world in [4usize, 16, 64] {
-        let (_, state) = scaled_mesh_state(grid_of(world));
         for redundancy in [
             Redundancy::None,
             Redundancy::Replicas(1),
@@ -97,7 +86,7 @@ pub fn cost_sweep() -> Vec<CostRow> {
             let dir = scratch(&format!("cost-{world}-{:?}", redundancy_label(redundancy)));
             let mut store =
                 CkptStore::create(StoreConfig::at(&dir).redundancy(redundancy)).expect("create");
-            store.store(&state).expect("store");
+            store.store(&state, world).expect("store");
             let loaded = store.load_latest().expect("restore");
             assert_eq!(loaded.state.step, state.step);
             // One store and one load on a fresh store: its counters are
@@ -124,7 +113,7 @@ pub const CHAOS_TRIALS: usize = 12;
 /// trials each. Stores live in temp directories, removed after each
 /// trial.
 pub fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
-    let (_, state) = scaled_mesh_state(grid_of(8));
+    let (_, state) = scaled_mesh_state();
     let mut rows = Vec::new();
     for redundancy in [
         Redundancy::None,
@@ -150,7 +139,7 @@ pub fn chaos_sweep(trials: usize) -> Vec<ChaosRow> {
                 .expect("create");
                 let mut last = 0;
                 for _ in 0..3 {
-                    last = store.store(&state).expect("store is fault-transparent");
+                    last = store.store(&state, 8).expect("store is fault-transparent");
                 }
                 match store.load_latest() {
                     Ok(loaded) if loaded.version == last => newest += 1,

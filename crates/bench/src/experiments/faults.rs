@@ -23,9 +23,9 @@
 //! 4. **What does losing a rank for good cost?** A permanent kill
 //!    forces the elastic-degradation rung: the world shrinks 4 → 3, the
 //!    performance model re-plans the strategy for the odd-sized world,
-//!    and the snapshot is retagged for the new grid. The table
-//!    reports throughput at `P` vs `P'` and the transition's cost
-//!    breakdown (re-plan time, re-shard bytes moved, per-rung wall
+//!    and the survivors resume from the last snapshot as stored (it
+//!    holds whole tensors). The table reports throughput at `P` vs `P'`
+//!    and the transition's cost breakdown (re-plan time, per-rung wall
 //!    time).
 
 use std::time::Instant;
@@ -296,20 +296,12 @@ fn degradation_table() -> Table {
 
     let mut t = Table::new(
         "Elastic degradation: rank 2 permanently dead, world shrinks under a model re-plan",
-        &[
-            "world",
-            "grid",
-            "steps/sec",
-            "replan ms",
-            "re-shard moved/total KiB",
-            "rung ms (rebuild/degrade)",
-        ],
+        &["world", "grid", "steps/sec", "replan ms", "rung ms (rebuild/degrade)"],
     );
     t.push_row(vec![
         format!("P = {}", d.from_world),
         format!("{}", fx.exec.strategy.grids[0]),
         format!("{sps_before:.2}"),
-        "-".into(),
         "-".into(),
         "-".into(),
     ]);
@@ -318,11 +310,6 @@ fn degradation_table() -> Table {
         format!("{}", d.strategy.grids[0]),
         format!("{sps_after:.2}"),
         format!("{:.2}", d.replan_s * 1e3),
-        format!(
-            "{:.1}/{:.1}",
-            d.reshard_moved_bytes as f64 / 1024.0,
-            d.reshard_total_bytes as f64 / 1024.0
-        ),
         format!(
             "{:.1}/{:.1}",
             report.rung_times.rebuild_s * 1e3,

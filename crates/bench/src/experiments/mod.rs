@@ -70,15 +70,14 @@ fn model_spec(model: &str) -> NetworkSpec {
 /// checkpoint payload of about 100 KB.
 const SCALED_MESH_HW: usize = 64;
 
-/// The scaled mesh model and its `TrainState` at step 100 on `grid`,
-/// velocity included.
-fn scaled_mesh_state(grid: ProcGrid) -> (NetworkSpec, TrainState) {
+/// The scaled mesh model and its `TrainState` at step 100, velocity
+/// included.
+fn scaled_mesh_state() -> (NetworkSpec, TrainState) {
     let spec = mesh_model_custom(MeshSize::OneK, SCALED_MESH_HW, 32);
     let params = init_params(&spec, 4242);
     let velocity = params.iter().map(|p| p.zeros_like()).collect();
     let losses = vec![0.3; 100];
-    let state =
-        TrainState { step: 100, params, velocity, losses, guard: GuardState::default(), grid };
+    let state = TrainState { step: 100, params, velocity, losses, guard: GuardState::default() };
     (spec, state)
 }
 

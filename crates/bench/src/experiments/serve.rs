@@ -82,7 +82,7 @@ fn pseudo_sample(seed: u64) -> Tensor {
 /// `TrainState`, serialize it, reload the bytes, calibrate BN running
 /// statistics — exactly what a deployment promoting a snapshot does.
 fn boot_model() -> Arc<ServableModel> {
-    let (spec, state) = scaled_mesh_state(ProcGrid::sample(1));
+    let (spec, state) = scaled_mesh_state();
     let mut bytes = Vec::new();
     fg_nn::save_train_state(&mut bytes, &state).expect("serialize checkpoint");
     let calibration: Vec<Tensor> = (0..2u64)

@@ -625,7 +625,7 @@ fn halving_times(
 /// (≤ a few dozen ranks); that is the point: it exists so tests can pin
 /// [`simulate_traces`] against the live runtime on small worlds.
 ///
-/// Collectives on a strict subset of the world re-bind a [`SubComm`]
+/// Collectives on a strict subset of the world re-bind a [`crate::SubComm`]
 /// with the group id recovered from the recorded tag (the salt field of
 /// `sub_collective_tag`), so the replay draws the very tags the recorder
 /// simulated.

@@ -35,11 +35,11 @@ pub struct LayerPlan {
     /// Per parent edge: the §III-C shuffle bringing the parent's output
     /// into this layer's input distribution (`None` when they match or
     /// the edge is per-sample). Empty when no edge of the layer
-    /// shuffles; read a slot with [`LayerPlan::in_shuffle`].
+    /// shuffles; read a slot with `LayerPlan::in_shuffle`.
     pub in_shuffles: Vec<Option<ShufflePlan>>,
     /// Per parent edge: the adjoint shuffle routing this layer's `dx`
     /// back to the parent's distribution. Empty like `in_shuffles`;
-    /// read a slot with [`LayerPlan::back_shuffle`].
+    /// read a slot with `LayerPlan::back_shuffle`.
     pub back_shuffles: Vec<Option<ShufflePlan>>,
     /// Forward halo plan for the input window (conv/pool).
     pub x_halo: Option<HaloPlan>,

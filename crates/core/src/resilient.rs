@@ -37,12 +37,10 @@
 //!    failure-driven shrink per run), re-plans the parallel strategy
 //!    for the new world size (via an injected [`Replanner`] — `fg-perf`
 //!    provides one that re-runs the full performance model — or the
-//!    model-free [`Strategy::spatial_fallback`]), retags the last
-//!    snapshot for the new [`fg_tensor::ProcGrid`]
-//!    ([`fg_nn::reshard_train_state`]: the snapshot holds whole tensors,
-//!    so nothing is copied, and the bytes whose owner the new blocking
-//!    changes are reported), recompiles the layer plans by rebuilding
-//!    the executor, and resumes on the survivors.
+//!    model-free [`Strategy::spatial_fallback`]), recompiles the layer
+//!    plans by rebuilding the executor, and resumes on the survivors
+//!    from the last snapshot as stored (it holds whole tensors, so any
+//!    world loads it).
 //!
 //! Orthogonal to the crash ladder, a **gray-failure ladder** (enabled
 //! by [`ResilientConfig::straggler`]) handles the node that is alive
@@ -72,7 +70,7 @@
 //!
 //! Every `ckpt_every` steps, rank 0 serializes a full
 //! [`fg_nn::TrainState`] (step counter, parameters, optimizer velocity,
-//! loss history, guard EMA baseline, source grid) into the snapshot
+//! loss history, guard EMA baseline) into the snapshot
 //! keeper — by default an in-memory slot (the stand-in for a parallel
 //! file system), or, when [`ResilientConfig::ckpt_store`] is set, the
 //! durable, replicated, versioned [`fg_nn::CkptStore`]: atomic
@@ -81,18 +79,18 @@
 //! rung's restore survives process death and storage damage. Every
 //! rung — in-place rollback, rebuild, shrink — restores through the
 //! same call under the same contract on either backend: the newest
-//! snapshot the loader accepts, retagged for the current grid when it
-//! was written under another, or a restart from the initial state when
-//! there is none; never a panic. Because training is
-//! deterministic (fixed reduction orders in the collectives, replicated
-//! SGD) and the checkpoint round-trips state bitwise, a recovered run's
-//! loss trajectory is **bitwise identical** to an uninterrupted one at
-//! levels 1–3 of the ladder; after a level-4 shrink the *post-shrink*
-//! trajectory is bitwise identical to a fresh `P'`-rank run restored
-//! from the same snapshot (a different world size reduces in a
-//! different order, so the pre-/post-shrink trajectories are two
-//! deterministic runs stitched at the snapshot). Both contracts are
-//! asserted by the property tests in `tests/resilience.rs`.
+//! snapshot the loader accepts, whatever world wrote it, or a restart
+//! from the initial state when there is none; never a panic. Because
+//! training is deterministic (fixed reduction orders in the collectives,
+//! replicated SGD) and the checkpoint round-trips state bitwise, a
+//! recovered run's loss trajectory is **bitwise identical** to an
+//! uninterrupted one at levels 1–3 of the ladder; after a level-4
+//! shrink the *post-shrink* trajectory is bitwise identical to a fresh
+//! `P'`-rank run restored from the same snapshot (a different world
+//! size reduces in a different order, so the pre-/post-shrink
+//! trajectories are two deterministic runs stitched at the snapshot).
+//! Both contracts are asserted by the property tests in
+//! `tests/resilience.rs`.
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,10 +103,10 @@ use fg_comm::{
 };
 use fg_kernels::loss::Labels;
 use fg_nn::{
-    load_train_state, reshard_train_state, save_train_state, CkptStore, GuardState, LayerParams,
-    ReshardStats, Sgd, StoreConfig, StoreCounters, TrainState,
+    load_train_state, save_train_state, CkptStore, GuardState, LayerParams, Sgd, StoreConfig,
+    StoreCounters, TrainState,
 };
-use fg_tensor::{ProcGrid, Tensor};
+use fg_tensor::Tensor;
 
 use crate::executor::DistExecutor;
 use crate::guard::StepGuard;
@@ -249,10 +247,6 @@ pub struct Degradation {
     pub strategy: Strategy,
     /// Wall time spent in the re-planner (all candidate sizes probed).
     pub replan_s: f64,
-    /// Snapshot bytes whose owning rank the new grid's blocking changes.
-    pub reshard_moved_bytes: u64,
-    /// Total snapshot payload bytes covered by the re-shard.
-    pub reshard_total_bytes: u64,
 }
 
 /// Wall time spent in the rungs that stop the world, for
@@ -261,7 +255,7 @@ pub struct Degradation {
 pub struct RungTimes {
     /// Level 3: failure bookkeeping between teardown and redispatch.
     pub rebuild_s: f64,
-    /// Level 4: re-plan + re-shard + executor recompilation.
+    /// Level 4: re-plan + executor recompilation.
     pub degrade_s: f64,
     /// Gray-failure rung: weighted re-decomposition (strategy rebuild,
     /// regrid accounting, executor recompilation).
@@ -413,8 +407,8 @@ enum SnapBackend {
 /// is shared code on top of them, so one contract holds on both: a
 /// restore **never panics**, hands back the newest snapshot the loader
 /// accepts (damage verified, repaired from redundancy or fallen back
-/// past on the durable store) laid out for the grid asked for, and is
-/// `None` when nothing usable exists (restart from the initial state).
+/// past on the durable store), and is `None` when nothing usable exists
+/// (restart from the initial state).
 struct SnapKeeper {
     backend: SnapBackend,
     store_errors: AtomicU64,
@@ -436,9 +430,11 @@ impl SnapKeeper {
         SnapKeeper { backend, store_errors: AtomicU64::new(0) }
     }
 
-    /// Persist a snapshot. A durable-store I/O failure is counted, not
-    /// fatal: losing one snapshot must not kill the run it protects.
-    fn put(&self, state: &TrainState) {
+    /// Persist a snapshot written by a world of `ranks` ranks (the
+    /// durable store cuts it into one shard per rank). A durable-store
+    /// I/O failure is counted, not fatal: losing one snapshot must not
+    /// kill the run it protects.
+    fn put(&self, state: &TrainState, ranks: usize) {
         match &self.backend {
             SnapBackend::Memory(slot) => {
                 let mut bytes = Vec::new();
@@ -446,14 +442,15 @@ impl SnapKeeper {
                 *slot.lock().expect("snapshot store") = Some(bytes);
             }
             SnapBackend::Durable(store) => {
-                if store.lock().expect("ckpt store").store(state).is_err() {
+                if store.lock().expect("ckpt store").store(state, ranks).is_err() {
                     self.store_errors.fetch_add(1, Ordering::SeqCst);
                 }
             }
         }
     }
 
-    /// The newest snapshot the loader accepts, as stored.
+    /// The newest snapshot the loader accepts, as stored: the one every
+    /// rung restores.
     fn get(&self) -> Option<TrainState> {
         match &self.backend {
             SnapBackend::Memory(slot) => {
@@ -464,26 +461,6 @@ impl SnapKeeper {
                 store.lock().expect("ckpt store").load_latest().ok().map(|l| l.state)
             }
         }
-    }
-
-    /// The newest usable snapshot tagged for `grid`: a snapshot written
-    /// under another grid (a fallback past a post-shrink version
-    /// surfaces the pre-shrink one) is retagged, not rejected — a
-    /// [`TrainState`] holds whole tensors, so any grid can take it.
-    fn restore(&self, grid: ProcGrid) -> Option<TrainState> {
-        let state = self.get()?;
-        Some(if state.grid == grid { state } else { reshard_train_state(&state, grid).0 })
-    }
-
-    /// Retag the newest usable snapshot for `new_grid` and publish the
-    /// result, so the next dispatch restores it as stored; reports what
-    /// the new blocking moves (zero when there is nothing to re-shard
-    /// and the shrunken world restarts from the initial state).
-    fn reshard_to(&self, new_grid: ProcGrid) -> ReshardStats {
-        let Some(state) = self.get() else { return ReshardStats::default() };
-        let (state, stats) = reshard_train_state(&state, new_grid);
-        self.put(&state);
-        stats
     }
 
     /// The durable store's counters; `None` on the in-memory slot.
@@ -540,9 +517,8 @@ fn store_snapshot(
         velocity: opt.velocity().to_vec(),
         losses: losses.to_vec(),
         guard: guard.map(|g| g.state()).unwrap_or_default(),
-        grid: a.exec.strategy.grids[0],
     };
-    a.keeper.put(&state);
+    a.keeper.put(&state, a.exec.strategy.world_size());
     let mut ledger = a.ledger();
     ledger.snap_step = step;
     ledger.report.snapshots += 1;
@@ -691,7 +667,7 @@ fn run_rank(a: &Attempt<'_>, comm: &WorldComm) -> RankResult {
                 ),
             });
         }
-        let snap: Option<TrainState> = a.keeper.restore(a.exec.strategy.grids[0]);
+        let snap: Option<TrainState> = a.keeper.get();
         if comm.rank() == 0 {
             let mut ledger = a.ledger();
             ledger.report.rollbacks += 1;
@@ -761,9 +737,8 @@ pub fn resilient_train(
         // by construction — see `FaultPlan::persistent`).
         let slow: Vec<f64> = attempt_plan.slowdown_vector(world);
         // Resume point: every rank restores the same snapshot (or the
-        // initial state when no usable snapshot exists), laid out for
-        // the current grid.
-        let resume: Option<TrainState> = keeper.restore(cur_exec.strategy.grids[0]);
+        // initial state when no usable snapshot exists).
+        let resume: Option<TrainState> = keeper.get();
         ledger.get_mut().expect("ledger").furthest = resume.as_ref().map_or(0, |s| s.step);
         let a = Attempt {
             exec: cur_exec,
@@ -885,10 +860,6 @@ pub fn resilient_train(
                 l.report.failures.iter().map(|e| e.to_string()).collect::<Vec<_>>()
             );
         };
-        // Re-shard the snapshot onto the new grid and publish it, so the
-        // next dispatch restores the shrunken layout as stored and the
-        // report carries what moved.
-        let reshard = keeper.reshard_to(shrink.exec.strategy.grids[0]);
         active_plan = active_plan.persistent().restrict_to_survivors(&shrink.keep);
         l.report.degradations.push(Degradation {
             from_world: world,
@@ -897,8 +868,6 @@ pub fn resilient_train(
             dead_ranks: shrink.dead_ranks,
             strategy: shrink.exec.strategy.clone(),
             replan_s: shrink.replan_s,
-            reshard_moved_bytes: reshard.moved_bytes,
-            reshard_total_bytes: reshard.total_bytes,
         });
         world = shrink.exec.strategy.world_size();
         owned_exec = Some(shrink.exec);
@@ -1273,7 +1242,6 @@ mod tests {
         assert_eq!(bits(&report.losses[..at]), bits(&baseline[..at]));
         // The degrade rung's costs are accounted.
         assert!(report.rung_times.degrade_s > 0.0, "rung_times: {:?}", report.rung_times);
-        assert!(d.reshard_total_bytes > 0 && d.reshard_moved_bytes <= d.reshard_total_bytes);
     }
 
     #[test]
@@ -1297,9 +1265,9 @@ mod tests {
         );
         let d = report.degradations[0].clone();
         // Replay the old world cleanly to the shrink point to recover
-        // the snapshot state, re-shard it, and train the remaining
-        // steps on a fresh world built from the degradation's own
-        // strategy: the suffix must match bitwise.
+        // the snapshot state, and train the remaining steps from it on a
+        // fresh world built from the degradation's own strategy: the
+        // suffix must match bitwise.
         let at = d.at_step;
         let small = DistExecutor::new(exec.spec.clone(), d.strategy.clone(), exec.batch).unwrap();
         let old_losses = run_ranks(2, |comm| {
@@ -1311,18 +1279,9 @@ mod tests {
             (p, opt.velocity().to_vec())
         });
         let (snap_params, snap_vel) = old_losses.into_iter().next().unwrap();
-        let state = fg_nn::TrainState {
-            step: at,
-            params: snap_params,
-            velocity: snap_vel,
-            losses: report.losses[..at as usize].to_vec(),
-            guard: GuardState::default(),
-            grid: exec.strategy.grids[0],
-        };
-        let (restored, _) = fg_nn::reshard_train_state(&state, d.strategy.grids[0]);
         let suffix = run_ranks(d.to_world, |comm| {
-            let mut p = restored.params.clone();
-            let mut opt = HYPER.restored(restored.velocity.clone());
+            let mut p = snap_params.clone();
+            let mut opt = HYPER.restored(snap_vel.clone());
             (at..6)
                 .map(|_| small.train_step(comm, &mut p, &mut opt, &x, &labels))
                 .collect::<Vec<_>>()
@@ -1492,9 +1451,9 @@ mod tests {
         assert_eq!(report.losses.len(), 6);
     }
 
-    /// A snapshot of the fixture's parameters at `step`, tagged `grid`,
-    /// with every block non-trivial so a mix-up between them shows.
-    fn snapshot(grid: ProcGrid, step: u64) -> TrainState {
+    /// A snapshot of the fixture's parameters at `step`, with every
+    /// block non-trivial so a mix-up between them shows.
+    fn snapshot(step: u64) -> TrainState {
         let (_, params, _, _) = fixture();
         TrainState {
             step,
@@ -1502,7 +1461,6 @@ mod tests {
             params,
             losses: (0..step).map(|s| 1.0 - s as f64 * 0.125).collect(),
             guard: GuardState { ema: 0.75, steps: step },
-            grid,
         }
     }
 
@@ -1525,59 +1483,44 @@ mod tests {
     fn keeper_contract_holds_on_both_backends() {
         let (durable, dir) = durable_keeper("contract");
         let memory = SnapKeeper::for_config(&ResilientConfig::default());
-        let (g, g2) = (ProcGrid::spatial(2, 2), ProcGrid::spatial(1, 3));
-        let stored = snapshot(g, 4);
-        let mut reshards = Vec::new();
         for (name, keeper) in [("memory", &memory), ("durable", &durable)] {
-            // Nothing stored: nothing to restore, nothing to re-shard.
-            assert!(keeper.restore(g).is_none(), "{name}");
-            assert_eq!(keeper.reshard_to(g2), ReshardStats::default(), "{name}");
-            keeper.put(&stored);
-            let same = keeper.restore(g).expect("a snapshot was put");
-            assert_eq!(wire(&same), wire(&stored), "{name}: the writer's grid restores as stored");
-            // Another grid is served, retagged, with every value intact.
-            let relaid = keeper.restore(g2).expect("a snapshot was put");
-            assert_eq!(relaid.grid, g2, "{name}");
-            assert_eq!(wire(&TrainState { grid: g, ..relaid }), wire(&stored), "{name}");
-            let stats = keeper.reshard_to(g2);
-            assert!(stats.total_bytes > 0 && stats.moved_bytes > 0, "{name}: {stats:?}");
-            reshards.push(stats);
-            // The new layout is what is stored now, so restoring it
-            // re-lays nothing.
-            let published = keeper.get().expect("the re-sharded snapshot was published");
-            assert_eq!(published.grid, g2, "{name}");
-            assert_eq!(wire(&keeper.restore(g2).unwrap()), wire(&published), "{name}");
-            assert_eq!(wire(&TrainState { grid: g, ..published }), wire(&stored), "{name}");
+            // Nothing stored: nothing to restore.
+            assert!(keeper.get().is_none(), "{name}");
+            // The newest snapshot restores as stored, whatever the size
+            // of the world that wrote it.
+            for (step, ranks) in [(2, 4), (4, 3)] {
+                let stored = snapshot(step);
+                keeper.put(&stored, ranks);
+                let restored = keeper.get().expect("a snapshot was put");
+                assert_eq!(wire(&restored), wire(&stored), "{name}: step {step}");
+            }
         }
-        assert_eq!(reshards[0], reshards[1], "a re-shard costs the same on either backend");
+        let t = durable.counters().expect("a durable keeper has counters");
+        assert_eq!((t.versions_written, t.version_fallbacks), (2, 0), "{t:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn poisoned_newest_version_falls_back_on_every_restore() {
-        let (g, g2) = (ProcGrid::spatial(2, 2), ProcGrid::spatial(1, 3));
-        let mut poisoned = snapshot(g, 4);
+        let mut poisoned = snapshot(4);
         poisoned.losses[3] = f64::NAN;
         // Durable: version 2 verifies byte for byte but records a
-        // diverged run. The shrink rung must pass it, re-shard version
-        // 1, publish the result and report what moved.
+        // diverged run. Every restore must pass it for version 1.
         let (keeper, dir) = durable_keeper("poisoned");
-        keeper.put(&snapshot(g, 2));
-        keeper.put(&poisoned);
-        let stats = keeper.reshard_to(g2);
-        assert!(stats.total_bytes > 0, "the re-shard of version 1 must be reported: {stats:?}");
-        let published = keeper.get().expect("the re-sharded snapshot was published");
-        assert_eq!((published.step, published.grid), (2, g2));
+        keeper.put(&snapshot(2), 4);
+        keeper.put(&poisoned, 4);
+        for _ in 0..2 {
+            assert_eq!(keeper.get().map(|s| s.step), Some(2));
+        }
         let t = keeper.counters().expect("a durable keeper has counters");
-        assert_eq!((t.versions_written, t.version_fallbacks), (3, 1), "{t:?}");
+        assert_eq!((t.versions_written, t.version_fallbacks), (2, 2), "{t:?}");
         let _ = std::fs::remove_dir_all(&dir);
         // Memory: the single slot holds only the poisoned snapshot, so
         // there is nothing usable — a restart from the initial state,
         // not a panic and not a resume into the divergence.
         let keeper = SnapKeeper::for_config(&ResilientConfig::default());
-        keeper.put(&poisoned);
-        assert!(keeper.restore(g).is_none());
-        assert_eq!(keeper.reshard_to(g2), ReshardStats::default());
+        keeper.put(&poisoned, 4);
+        assert!(keeper.get().is_none());
     }
 
     #[test]

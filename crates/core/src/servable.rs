@@ -1,12 +1,12 @@
 //! Checkpoint → servable model: boot a serving replica from any
 //! snapshot the resilience ladder produces.
 //!
-//! Training checkpoints ([`fg_nn::TrainState`], format FGCKPT04)
+//! Training checkpoints ([`fg_nn::TrainState`], format FGCKPT05)
 //! carry parameters and optimizer state but *not* batch-norm running
 //! statistics — the trainer normalizes with per-batch statistics and
 //! never materializes the exponential averages inference needs. A
 //! [`ServableModel`] closes that gap honestly: it loads the snapshot
-//! (whole tensors, whatever grid wrote it) and derives
+//! (whole tensors, whatever world wrote it) and derives
 //! [`fg_nn::RunningStats`] by replaying calibration batches through the
 //! frozen network, exactly the recalibration pass deployed systems run
 //! before promoting a checkpoint. With the statistics fixed, inference
@@ -57,7 +57,7 @@ impl ServableModel {
         ServableModel { spec: spec.clone(), params: net.params, stats, step: state.step }
     }
 
-    /// Load a serialized checkpoint (FGCKPT04) and freeze it for
+    /// Load a serialized checkpoint (FGCKPT05) and freeze it for
     /// serving. It holds the full parameter set — serving replicates
     /// parameters on every rank.
     pub fn from_checkpoint<R: std::io::Read>(
@@ -84,7 +84,7 @@ impl ServableModel {
 mod tests {
     use super::*;
     use fg_nn::{init_params, GuardState};
-    use fg_tensor::{ProcGrid, Shape4, Tensor};
+    use fg_tensor::{Shape4, Tensor};
 
     fn bn_spec() -> NetworkSpec {
         let mut spec = NetworkSpec::new();
@@ -101,14 +101,7 @@ mod tests {
     fn state_for(spec: &NetworkSpec, seed: u64) -> TrainState {
         let params = init_params(spec, seed);
         let velocity = params.iter().map(|p| p.zeros_like()).collect();
-        TrainState {
-            step: 7,
-            params,
-            velocity,
-            losses: vec![0.5; 7],
-            guard: GuardState::default(),
-            grid: ProcGrid::sample(1),
-        }
+        TrainState { step: 7, params, velocity, losses: vec![0.5; 7], guard: GuardState::default() }
     }
 
     fn calib(n: usize, seed: usize) -> Tensor {

@@ -230,7 +230,7 @@ pub(crate) fn weights_from_ema(ema: &[f64]) -> Vec<u64> {
 }
 
 /// The gray-failure rebalance rung's re-decomposition: per-rank speed
-/// weights from measured busy-time EMAs ([`weights_from_ema`]), `base`
+/// weights from measured busy-time EMAs (`weights_from_ema`), `base`
 /// re-blocked with them and compiled through the gate a shrink replan
 /// goes through ([`DistExecutor::new_verified`], which also applies any
 /// `FG_MEM_BUDGET`). `None` means the weighted layout is not viable: the

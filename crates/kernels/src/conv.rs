@@ -51,11 +51,11 @@
 //! # One register tile under all three kernels
 //!
 //! Each kernel covers its result with tiles of `B` channels × `CW`
-//! adjacent columns ([`Tile`], [`for_each_tile`]): a `[[f32; CW]; B]`
+//! adjacent columns (`Tile`, `for_each_tile`): a `[[f32; CW]; B]`
 //! block of sums that stays in registers for the tile's *whole*
 //! reduction and is written to the result once. Inside the reduction
 //! every loaded run of `CW` elements is used by all `B` channels
-//! ([`axpy_block`]), the `CW` lanes are adjacent in memory on both sides
+//! (`axpy_block`), the `CW` lanes are adjacent in memory on both sides
 //! — no strided read, no test — which is the form the autovectorizer
 //! handles, and the `B·CW` sums are independent add chains, so nothing
 //! waits on an add's latency although no element's terms are reordered:
@@ -64,7 +64,7 @@
 //! call alone: a row is cut into chunks of 8 columns, then 4, 2, 1;
 //! channels go in blocks of 4, then 1 — of 8 first under a chunk of one
 //! or two columns, where there are registers to spare. Channels are
-//! taken [`PANEL`] at a time through every row so the weights a panel
+//! taken `PANEL` at a time through every row so the weights a panel
 //! shares stay cached. Safe Rust throughout. Every crate is built for
 //! the x86-64-v3 baseline (AVX2 + FMA, the root `.cargo/config.toml`),
 //! under which a `CW = 8` run is one 256-bit register.
@@ -72,7 +72,7 @@
 //! * **Forward** — `B` filters × `CW` output columns of one `(k, oh)`
 //!   row. The sums start at `+0.0`; for `c`, for tap `(r, s)`, one run
 //!   of `x` is loaded and `w[f][c][r][s] · x` added into each filter's
-//!   lanes. The window is read through [`TapRows`]: when `stride_w > 1`
+//!   lanes. The window is read through `TapRows`: when `stride_w > 1`
 //!   the rows one call reads are copied once with column `l` moved to
 //!   `qoff[l mod s_w] + l / s_w`, so the elements consecutive outputs
 //!   read through one tap are adjacent at every stride; the `(r, s)` taps
@@ -80,7 +80,7 @@
 //! * **Backward-filter** — `B` filters × `CW` adjacent *taps*
 //!   `(c, r, s)`, which are adjacent in `dw`. Per `(k, oh)` the row's
 //!   inputs are gathered once into `xg[j][c·kh·kw + r·kw + s]` (through
-//!   [`TapRows`]; `cols × C·kh·kw` floats, 115 KB for an 18-channel 5×5
+//!   `TapRows`; `cols × C·kh·kw` floats, 115 KB for an 18-channel 5×5
 //!   layer on 64-column rows, allocated once per call) and its `dy` into
 //!   `dyg[j][f]`, then `acc[f][i] += dyg[j][f] · xg[j][i]` for `j`
 //!   ascending from `+0.0` and `dw[f][i] += acc[f][i]`: the ascending-`j`
@@ -89,8 +89,8 @@
 //!   is.
 //! * **Backward-data**, on rows wider than two chunks (and the 1×1 calls
 //!   "Small maps" keeps here) — `B` channels × `CW` columns of one
-//!   [`Segment`] of one `(k, ih)` row. The requested columns decompose
-//!   by stride phase ([`WidthPhases`]): an input column with `iw + pad_w
+//!   `Segment` of one `(k, ih)` row. The requested columns decompose
+//!   by stride phase (`WidthPhases`): an input column with `iw + pad_w
 //!   = m·s_w + q` is reached only by taps `s = q + e·s_w`, from output
 //!   column `ow = m − e`, so within phase `q` tap `e` reads the
 //!   contiguous run `dy[m − e]`; each phase is cut where the set of
@@ -101,18 +101,18 @@
 //!
 //! # Small maps
 //!
-//! A row narrower than one chunk of [`CHUNK`] columns leaves most lanes
+//! A row narrower than one chunk of `CHUNK` columns leaves most lanes
 //! idle: on ResNet-50's 4×4, 2×2 and 1×1 maps a forward tile is 4, 2 or 1
 //! column wide. There forward and backward-filter take their `(k, oh)`
-//! rows in blocks ([`row_blocks`]: as many as [`BLOCK_FLOATS`] of
-//! gathered input hold; from [`CHUNK`] columns on, one row, which is the
+//! rows in blocks (`row_blocks`: as many as `BLOCK_FLOATS` of
+//! gathered input hold; from `CHUNK` columns on, one row, which is the
 //! loop above), and backward-data takes every call whose rows are at most
 //! two chunks wide as one path:
 //!
 //! * **Forward** makes the block's positions `(k, oh, ow)` one virtual
-//!   row ([`TapRows::positions`]): per channel and tap, what the
+//!   row (`TapRows::positions`): per channel and tap, what the
 //!   positions read is gathered into one contiguous run, straight from
-//!   the window with the stride folded in; the unchanged [`ForwardTile`]
+//!   the window with the stride folded in; the unchanged `ForwardTile`
 //!   covers the row in full chunks, and its `(f, position)` results are
 //!   written back to `(k, f, oh, ow)`.
 //! * **Backward-filter** gathers the block's rows into one `xg` and
@@ -121,8 +121,8 @@
 //!   the block once, so `dw` is read and written once a block instead
 //!   of once a row.
 //! * **Backward-data** works one stride phase `(qh, qw)` at a time
-//!   ([`backward_data_phases`]). The phase's positions `(k, ih, iw)` are
-//!   one virtual row, and its taps are the hull, per axis ([`AxisPhase`]),
+//!   (`backward_data_phases`). The phase's positions `(k, ih, iw)` are
+//!   one virtual row, and its taps are the hull, per axis (`AxisPhase`),
 //!   of the kernel rows and columns that reach some position of the
 //!   phase: a 3×3 kernel at stride 1 on a map of at least 2×2 gathers
 //!   all nine taps for every position, where a row-by-row tile would see
@@ -139,8 +139,8 @@
 //!   run of the virtual row, and the gather and scatter cost 10–25 %.
 //! * A phase whose hull is a single tap — a 1×1 kernel at any stride, a
 //!   3×3 kernel on a 1×1 map — walks `w` filter by filter, in memory
-//!   order ([`filter_major_walk`]), in blocks of up to
-//!   [`WALK_POSITIONS`] positions. The lanes run across channels; the
+//!   order (`filter_major_walk`), in blocks of up to
+//!   `WALK_POSITIONS` positions. The lanes run across channels; the
 //!   block's positions × channels sums stay in a small buffer, and each
 //!   `dy·w` is added straight in, `f` ascending, which is the lone-tap
 //!   order. A tile reads only `B` floats of each filter's row, 2 KB apart

@@ -1,6 +1,6 @@
 //! # fg-models — the networks the paper evaluates
 //!
-//! * [`resnet50`] — ResNet-50 with Caffe layer names, for the
+//! * [`resnet50()`] — ResNet-50 with Caffe layer names, for the
 //!   ImageNet-1K strong-scaling study (Table III) and the Fig. 2 layer
 //!   microbenchmarks (`conv1`, `res3b_branch2a`);
 //! * [`mesh`] — the 1K/2K mesh-tangling semantic-segmentation models

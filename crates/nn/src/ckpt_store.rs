@@ -15,16 +15,16 @@
 //! ```text
 //! <root>/
 //!   v00000001/
-//!     manifest.bin          # FGMANI01: lengths + FNV-1a checksums of everything below
-//!     shard_000.bin         # byte-range shard of the FGCKPT04 payload
+//!     manifest.bin          # FGMANI02: lengths + FNV-1a checksums of everything below
+//!     shard_000.bin         # byte-range shard of the FGCKPT05 payload
 //!     shard_000.r1.bin      # replica of shard 0 (Redundancy::Replicas)
 //!     parity_000.bin        # XOR parity over a shard group (Redundancy::Parity)
 //!   v00000002/ ...
 //!   .tmp.v00000003.17/      # a commit that crashed before rename: invisible, swept
 //! ```
 //!
-//! The payload is the ordinary [`save_train_state`] stream (FGCKPT04),
-//! chunked into one contiguous byte shard per rank of the state's grid —
+//! The payload is the ordinary [`save_train_state`] stream (FGCKPT05),
+//! chunked into one contiguous byte shard per rank of the writing world —
 //! shard *i* is "rank *i*'s slab" of the checkpoint, the piece that
 //! dies with rank *i*'s local storage on a machine where each rank
 //! writes its own file. Redundancy is byte-level and therefore format
@@ -52,9 +52,8 @@
 //! version, never panics, and never resumes stale state *silently*.
 //! Reconstructions and fallbacks are counted in [`StoreCounters`];
 //! [`CkptStore::load_version`] gives a passed-over version's typed
-//! reason. That walk is the only way to the newest state: a caller that
-//! wants it under another grid retags the loaded state with
-//! [`crate::reshard_train_state`].
+//! reason. That walk is the only way to the newest state, and the state
+//! it returns loads into any world.
 //!
 //! ## Storage chaos
 //!
@@ -69,12 +68,10 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use fg_tensor::ProcGrid;
-
 use crate::params_io::{load_train_state, save_train_state, CheckpointError, TrainState};
 
 /// Magic of a version manifest.
-const MANIFEST_MAGIC: &[u8; 8] = b"FGMANI01";
+const MANIFEST_MAGIC: &[u8; 8] = b"FGMANI02";
 /// Manifest file name within a version directory.
 const MANIFEST_NAME: &str = "manifest.bin";
 
@@ -350,7 +347,6 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 struct Manifest {
     version: u64,
     step: u64,
-    grid: ProcGrid,
     redundancy: Redundancy,
     payload_len: u64,
     payload_checksum: u64,
@@ -368,9 +364,6 @@ impl Manifest {
         body.extend_from_slice(&0u64.to_le_bytes());
         for v in [self.version, self.step] {
             body.extend_from_slice(&v.to_le_bytes());
-        }
-        for d in self.grid.dims() {
-            body.extend_from_slice(&(d as u64).to_le_bytes());
         }
         let (tag, param) = self.redundancy.tag();
         body.push(tag);
@@ -432,8 +425,6 @@ impl Manifest {
         };
         let v = u(&mut r);
         let step = u(&mut r);
-        let mut d = || u(&mut r) as usize;
-        let grid = ProcGrid::new(d(), d(), d(), d());
         let (tag, rest) = r.split_first().expect("redundancy tag");
         r = rest;
         let param = u(&mut r);
@@ -450,16 +441,7 @@ impl Manifest {
         for _ in 0..n_parity {
             parity.push((u(&mut r), u(&mut r)));
         }
-        Ok(Manifest {
-            version: v,
-            step,
-            grid,
-            redundancy,
-            payload_len,
-            payload_checksum,
-            shards,
-            parity,
-        })
+        Ok(Manifest { version: v, step, redundancy, payload_len, payload_checksum, shards, parity })
     }
 }
 
@@ -557,15 +539,17 @@ impl CkptStore {
         }
     }
 
-    /// Serialize and durably publish `state` as a new version: shards +
-    /// redundancy + manifest written into a temp directory, fsynced,
-    /// then atomically renamed into place; retention pruning follows.
+    /// Serialize and durably publish `state` as a new version: one
+    /// shard per rank of the `ranks`-rank world that wrote it, plus
+    /// redundancy and the manifest, written into a temp directory,
+    /// fsynced, then atomically renamed into place; retention pruning
+    /// follows.
     /// Returns the version assigned (monotonic; never reused by this
     /// handle, even after a crashed commit). Injected storage faults
     /// corrupt the bytes *silently* (the damage is discovered by
     /// verification at load time, as on a real machine) — an `Err` here
     /// is a genuine I/O failure.
-    pub fn store(&mut self, state: &TrainState) -> Result<u64, CheckpointError> {
+    pub fn store(&mut self, state: &TrainState, ranks: usize) -> Result<u64, CheckpointError> {
         let t0 = std::time::Instant::now();
         let call = self.calls;
         self.calls += 1;
@@ -574,7 +558,7 @@ impl CkptStore {
 
         let mut payload = Vec::new();
         save_train_state(&mut payload, state).map_err(CheckpointError::from)?;
-        let world = state.grid.size().max(1);
+        let world = ranks.max(1);
         let chunk = payload.len().div_ceil(world).max(1);
         let shards: Vec<&[u8]> = (0..world)
             .map(|i| {
@@ -599,7 +583,6 @@ impl CkptStore {
         let mut manifest = Manifest {
             version,
             step: state.step,
-            grid: state.grid,
             redundancy: self.cfg.redundancy,
             payload_len: payload.len() as u64,
             payload_checksum: fnv1a64(&payload),
@@ -928,7 +911,7 @@ mod tests {
         dir
     }
 
-    fn demo_state(step: u64, grid: ProcGrid) -> TrainState {
+    fn demo_state(step: u64) -> TrainState {
         let mut spec = NetworkSpec::new();
         let i = spec.input("x", 3, 8, 8);
         let c = spec.conv("c", i, 4, 3, 1, 1);
@@ -945,12 +928,7 @@ mod tests {
             velocity,
             losses: (0..step).map(|s| 2.5 - s as f64 * 0.1).collect(),
             guard: GuardState { ema: 2.0, steps: step },
-            grid,
         }
-    }
-
-    fn grid4() -> ProcGrid {
-        ProcGrid::spatial(2, 2)
     }
 
     /// Primary shard files `version` holds on disk.
@@ -968,10 +946,10 @@ mod tests {
     #[test]
     fn store_and_load_round_trips_bitwise_across_reopen() {
         let dir = scratch("roundtrip");
-        let state = demo_state(6, grid4());
+        let state = demo_state(6);
         {
             let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
-            assert_eq!(store.store(&state).unwrap(), 1);
+            assert_eq!(store.store(&state, 4).unwrap(), 1);
             assert_eq!(primaries(&store, 1), 4);
             let c = store.counters();
             assert!(c.bytes_written > c.last_payload_bytes, "replicas add overhead");
@@ -985,7 +963,6 @@ mod tests {
         assert_eq!(loaded.state.params, state.params);
         assert_eq!(loaded.state.velocity, state.velocity);
         assert_eq!(loaded.state.step, state.step);
-        assert_eq!(loaded.state.grid, state.grid);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -994,7 +971,7 @@ mod tests {
         let dir = scratch("retention");
         let mut store = CkptStore::create(StoreConfig::at(&dir).retention(2)).unwrap();
         for step in 1..=5 {
-            store.store(&demo_state(step, grid4())).unwrap();
+            store.store(&demo_state(step), 4).unwrap();
         }
         assert_eq!(store.versions(), vec![4, 5]);
         assert_eq!(store.counters().pruned_versions, 3);
@@ -1011,8 +988,8 @@ mod tests {
                 .faults(StorageFaultPlan::new(7).delete_shard_at(0, 2)),
         )
         .unwrap();
-        let state = demo_state(3, grid4());
-        store.store(&state).unwrap();
+        let state = demo_state(3);
+        store.store(&state, 4).unwrap();
         assert!(!store.version_dir(1).join(shard_name(2, 0)).exists(), "fault deleted shard 2");
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
@@ -1029,8 +1006,8 @@ mod tests {
                 .faults(StorageFaultPlan::new(7).delete_shard_at(0, 1)),
         )
         .unwrap();
-        let state = demo_state(3, grid4());
-        store.store(&state).unwrap();
+        let state = demo_state(3);
+        store.store(&state, 4).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
         assert_eq!(store.counters().shards_reconstructed, 1);
@@ -1049,8 +1026,8 @@ mod tests {
                 .faults(StorageFaultPlan::new(3).torn_write_at(1, 0)),
         )
         .unwrap();
-        store.store(&demo_state(2, grid4())).unwrap();
-        store.store(&demo_state(4, grid4())).unwrap();
+        store.store(&demo_state(2), 4).unwrap();
+        store.store(&demo_state(4), 4).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
         assert_eq!(loaded.state.step, 2);
@@ -1071,13 +1048,34 @@ mod tests {
                 .faults(StorageFaultPlan::new(11).bit_flip_at(1, 3)),
         )
         .unwrap();
-        store.store(&demo_state(2, grid4())).unwrap();
-        store.store(&demo_state(4, grid4())).unwrap();
+        store.store(&demo_state(2), 4).unwrap();
+        store.store(&demo_state(4), 4).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.version, 1);
         assert_eq!(store.counters().version_fallbacks, 1);
         let err = store.load_version(2).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { version: 2, .. }), "{err}");
+        // Version 3 verifies, then its manifest is rewritten as a store
+        // before FGMANI02 left it: a `1×1×2×2` grid after the step, under
+        // its own length and checksum. It is typed damage, never a panic,
+        // and the walk passes it for version 1 again.
+        store.store(&demo_state(6), 4).unwrap();
+        let path = store.version_dir(3).join(MANIFEST_NAME);
+        let current = fs::read(&path).unwrap();
+        let mut old = b"FGMANI01".to_vec();
+        old.extend_from_slice(&[0; 8]);
+        old.extend_from_slice(&current[16..32]);
+        [1u64, 1, 2, 2].iter().for_each(|d| old.extend_from_slice(&d.to_le_bytes()));
+        old.extend_from_slice(&current[32..current.len() - 8]);
+        let total = (old.len() + 8) as u64;
+        old[8..16].copy_from_slice(&total.to_le_bytes());
+        let checksum = fnv1a64(&old);
+        old.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &old).unwrap();
+        let err = store.load_version(3).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { version: 3, shard: None, .. }), "{err}");
+        assert_eq!(store.load_latest().unwrap().version, 1);
+        assert_eq!(store.counters().version_fallbacks, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1088,8 +1086,8 @@ mod tests {
             StoreConfig::at(&dir).faults(StorageFaultPlan::new(5).crash_before_rename_at(1)),
         )
         .unwrap();
-        store.store(&demo_state(2, grid4())).unwrap();
-        store.store(&demo_state(4, grid4())).unwrap(); // crashes silently
+        store.store(&demo_state(2), 4).unwrap();
+        store.store(&demo_state(4), 4).unwrap(); // crashes silently
         assert_eq!(store.versions(), vec![1], "the crashed commit must be invisible");
         assert_eq!(store.counters().crashed_commits, 1);
         let loaded = store.load_latest().unwrap();
@@ -1117,7 +1115,7 @@ mod tests {
         let dir = scratch("unrecoverable");
         let mut store =
             CkptStore::create(StoreConfig::at(&dir).redundancy(Redundancy::None)).unwrap();
-        store.store(&demo_state(2, grid4())).unwrap();
+        store.store(&demo_state(2), 4).unwrap();
         fs::remove_file(store.version_dir(1).join(shard_name(0, 0))).unwrap();
         match store.load_latest().unwrap_err() {
             CheckpointError::NoVerifiableVersion { tried, .. } => assert_eq!(tried, 1),
@@ -1130,12 +1128,12 @@ mod tests {
     fn poisoned_newest_version_falls_back_on_every_restore() {
         let dir = scratch("poisoned");
         let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
-        store.store(&demo_state(2, grid4())).unwrap();
+        store.store(&demo_state(2), 4).unwrap();
         // Version 2 verifies byte for byte but records a run that had
         // already diverged: the walk must pass it like any damaged one.
-        let mut poisoned = demo_state(4, grid4());
+        let mut poisoned = demo_state(4);
         poisoned.losses[3] = f64::NAN;
-        store.store(&poisoned).unwrap();
+        store.store(&poisoned, 4).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!((loaded.version, loaded.state.step), (1, 2));
         assert_eq!(store.counters().version_fallbacks, 1);
@@ -1162,12 +1160,11 @@ mod tests {
     fn single_writer_state_stores_as_a_single_shard() {
         let dir = scratch("single-writer");
         let mut store = CkptStore::create(StoreConfig::at(&dir)).unwrap();
-        let state = demo_state(2, ProcGrid::sample(1));
-        store.store(&state).unwrap();
+        let state = demo_state(2);
+        store.store(&state, 1).unwrap();
         assert_eq!(primaries(&store, 1), 1);
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.state.params, state.params);
-        assert_eq!(loaded.state.grid, state.grid);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -27,7 +27,4 @@ pub use init::init_params;
 pub use layer::{LayerKind, LayerParams, LayerSpec};
 pub use network::{ForwardPass, Network, BN_EPS};
 pub use optimizer::Sgd;
-pub use params_io::{
-    load_train_state, reshard_train_state, save_train_state, CheckpointError, GuardState,
-    ReshardStats, TrainState,
-};
+pub use params_io::{load_train_state, save_train_state, CheckpointError, GuardState, TrainState};

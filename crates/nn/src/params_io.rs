@@ -1,21 +1,18 @@
 //! Saving and loading training checkpoints.
 //!
 //! A deliberately simple, self-describing binary format (no external
-//! serialization dependency): magic, grid tag, step/loss/guard block,
-//! then per-layer tag + shape + little-endian f32 payload. In the
+//! serialization dependency): magic, step/loss/guard block, then
+//! per-layer tag + shape + little-endian f32 payload. In the
 //! distributed setting it composes trivially: parameters and momentum
 //! are replicated (§III-A splits activations, never weights), so any
 //! single rank's [`TrainState`] is the checkpoint.
 //!
-//! There is one format, `FGCKPT04`. It records the [`ProcGrid`] the
-//! snapshot was written under and stores every tensor once, whole: its
-//! shape, then its elements. The tag does not shape the payload — the
-//! same state writes the same bytes under every grid but the 32 of the
-//! tag — and it does not restrict where the state loads; the durable
-//! store cuts the stream into one byte shard per rank of it.
-//! [`reshard_train_state`] retags a state for another grid and reports,
-//! from the two blockings alone, the bytes whose owner would change. The
-//! retired `FGCKPT01`/`02`/`03` magics are refused by name.
+//! There is one format, `FGCKPT05`. It stores every tensor once, whole:
+//! its shape, then its elements. Nothing in it names a world, so the same
+//! state writes the same bytes whoever writes it and loads into any
+//! world; the durable store cuts the stream into one byte shard per rank
+//! of the writing world. The retired `FGCKPT01`–`04` magics are refused
+//! by name.
 //!
 //! Every length and extent in a stream is untrusted: nothing is reserved
 //! from one beyond `MAX_RESERVE` elements and products are checked, so
@@ -25,15 +22,14 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use fg_tensor::{ProcGrid, Shape4, Tensor, TensorDist};
+use fg_tensor::{Shape4, Tensor};
 
 use crate::layer::LayerParams;
 
-/// The checkpoint format: the writer's [`ProcGrid`] tag, then step,
-/// losses and the anomaly guard's EMA state (so a rollback-and-replay
-/// resumes with a bitwise-identical spike baseline), then params and
-/// velocity, each tensor whole.
-const CKPT_MAGIC: &[u8; 8] = b"FGCKPT04";
+/// The checkpoint format: step, losses and the anomaly guard's EMA
+/// state (so a rollback-and-replay resumes with a bitwise-identical
+/// spike baseline), then params and velocity, each tensor whole.
+const CKPT_MAGIC: &[u8; 8] = b"FGCKPT05";
 /// Most elements reserved up front for a count read from the stream; a
 /// longer run grows as its elements actually arrive, so a lying header
 /// costs this much before `read_exact` meets the end of the file.
@@ -225,33 +221,12 @@ pub struct TrainState {
     /// Anomaly-guard EMA state at `step` (fresh when the checkpoint was
     /// written by a guard-less run).
     pub guard: GuardState,
-    /// The [`ProcGrid`] of the world that wrote the snapshot
-    /// (`1×1×1×1` for a single writer); the durable store cuts the
-    /// stream into one byte shard per rank of it. It does not restrict
-    /// where the state loads: the tensors above are whole.
-    pub grid: ProcGrid,
 }
 
-/// What a re-shard would move, in bytes — the recovery-cost numbers a
-/// degradation report needs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReshardStats {
-    /// Tensors accounted (conv/FC weights plus every 1-D vector).
-    pub tensors: usize,
-    /// Bytes whose owning rank id changed — the data that would cross
-    /// the network on a machine (survivors keep their rank ids).
-    pub moved_bytes: u64,
-    /// Total checkpoint payload bytes covered by the re-shard.
-    pub total_bytes: u64,
-}
-
-/// Serialize a [`TrainState`] checkpoint to `w`: grid tag,
-/// step/loss/guard block, then params and velocity.
+/// Serialize a [`TrainState`] checkpoint to `w`: step/loss/guard block,
+/// then params and velocity.
 pub fn save_train_state<W: Write>(w: &mut W, state: &TrainState) -> io::Result<()> {
     w.write_all(CKPT_MAGIC)?;
-    for d in state.grid.dims() {
-        write_u64(w, d as u64)?;
-    }
     write_u64(w, state.step)?;
     write_u64(w, state.losses.len() as u64)?;
     for l in &state.losses {
@@ -266,32 +241,23 @@ pub fn save_train_state<W: Write>(w: &mut W, state: &TrainState) -> io::Result<(
 /// Read a checkpoint written by [`save_train_state`], refusing
 /// snapshots whose recorded loss history contains a non-finite value
 /// ([`CheckpointError::PoisonedLoss`]). The state loads into any
-/// world; the grid it was written under is reported in
-/// [`TrainState::grid`].
+/// world.
 pub fn load_train_state<R: Read>(r: &mut R) -> Result<TrainState, CheckpointError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != CKPT_MAGIC {
         // The retired formats (01: no guard block; 02: untagged; 03:
-        // every tensor blocked over the grid); nothing writes them.
+        // every tensor blocked over the grid; 04: a grid tag); nothing
+        // writes them.
         let what = match &magic {
-            b"FGCKPT01" | b"FGCKPT02" | b"FGCKPT03" => format!(
-                "{} is a retired checkpoint format; this build reads FGCKPT04",
+            b"FGCKPT01" | b"FGCKPT02" | b"FGCKPT03" | b"FGCKPT04" => format!(
+                "{} is a retired checkpoint format; this build reads FGCKPT05",
                 String::from_utf8_lossy(&magic)
             ),
             _ => "not an fg-nn checkpoint".to_string(),
         };
         return Err(io::Error::new(io::ErrorKind::InvalidData, what).into());
     }
-    let ([n, c, h, w], ranks) = read_dims(r)?;
-    if ranks == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "checkpoint grid has a zero extent",
-        )
-        .into());
-    }
-    let grid = ProcGrid::new(n, c, h, w);
     let step = read_u64(r)?;
     let n_losses = read_u64(r)? as usize;
     let mut losses = Vec::with_capacity(n_losses.min(MAX_RESERVE));
@@ -311,22 +277,7 @@ pub fn load_train_state<R: Read>(r: &mut R) -> Result<TrainState, CheckpointErro
     let guard = GuardState { ema, steps: read_u64(r)? };
     let params = load_params(r)?;
     let velocity = load_params(r)?;
-    Ok(TrainState { step, params, velocity, losses, guard, grid })
-}
-
-/// Retag a [`TrainState`] for `new_grid`. The tensors are whole, so
-/// nothing is copied; the stats are what re-laying each tensor from the
-/// old blocking onto the new would move ([`TensorDist::regrid_bytes`]).
-pub fn reshard_train_state(state: &TrainState, new_grid: ProcGrid) -> (TrainState, ReshardStats) {
-    let mut stats = ReshardStats::default();
-    for (shape, _) in state.params.iter().chain(&state.velocity).flat_map(tensors) {
-        let old = TensorDist::new(shape, state.grid);
-        let (moved, total) = old.regrid_bytes(&TensorDist::new(shape, new_grid));
-        stats.tensors += 1;
-        stats.moved_bytes += moved;
-        stats.total_bytes += total;
-    }
-    (TrainState { grid: new_grid, ..state.clone() }, stats)
+    Ok(TrainState { step, params, velocity, losses, guard })
 }
 
 /// Every tensor `p` holds, in stream order, with its shape; a 1-D
@@ -345,7 +296,7 @@ fn tensors(p: &LayerParams) -> Vec<(Shape4, &[f32])> {
 
 /// Serialize parameters: a layer count, then per layer a kind tag
 /// (a convolution's followed by its has-bias flag, always 0: the byte
-/// keeps the FGCKPT04 layout, and no convolution has a bias) and its
+/// keeps the layer framing, and no convolution has a bias) and its
 /// [`tensors`], each as its shape and then its elements.
 fn save_params<W: Write>(w: &mut W, params: &[LayerParams]) -> io::Result<()> {
     write_u64(w, params.len() as u64)?;
@@ -426,7 +377,7 @@ fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
     Ok(b[0])
 }
 
-/// Four extents — a tensor shape or a grid — and their product.
+/// A tensor shape's four extents and their product.
 fn read_dims<R: Read>(r: &mut R) -> io::Result<([usize; 4], usize)> {
     let mut dims = [0usize; 4];
     for d in &mut dims {
@@ -467,16 +418,14 @@ mod tests {
             velocity,
             losses: vec![2.5, 2.25, 2.125],
             guard: GuardState { ema: 2.375, steps: 3 },
-            grid: ProcGrid::sample(1),
         }
     }
 
-    /// `demo_state()` as four ranks wrote it: the stream every
-    /// untrusted-input test below damages.
-    fn multi_rank_stream() -> Vec<u8> {
-        let state = TrainState { grid: ProcGrid::spatial(2, 2), ..demo_state() };
+    /// `demo_state()`'s stream: the one every untrusted-input test below
+    /// damages.
+    fn demo_stream() -> Vec<u8> {
         let mut buf = Vec::new();
-        save_train_state(&mut buf, &state).unwrap();
+        save_train_state(&mut buf, &demo_state()).unwrap();
         buf
     }
 
@@ -501,30 +450,29 @@ mod tests {
         buf
     }
 
-    /// A checkpoint under `spatial(2, 2)` up to and including the first
-    /// parameter block's layer count: step 17, no losses, EMA 0.0 after
-    /// 0 steps.
+    /// A checkpoint up to and including the first parameter block's
+    /// layer count: step 17, no losses, EMA 0.0 after 0 steps.
     fn up_to_layers(layers: u64) -> Vec<u8> {
-        header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 0, 0, 0, layers])
+        header(CKPT_MAGIC, &[17, 0, 0, 0, layers])
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut buf = multi_rank_stream();
+        let mut buf = demo_stream();
         buf[0] = b'X';
         assert_rejected("a damaged checkpoint magic", &buf);
     }
 
     #[test]
     fn truncated_file_is_rejected() {
-        let buf = multi_rank_stream();
+        let buf = demo_stream();
         for len in 0..buf.len() {
             assert_rejected(&format!("a {len}-byte prefix"), &buf[..len]);
         }
         // Headers that promise more than the stream holds: the lengths
         // are read from the file, so nothing may be reserved from them.
-        assert_rejected("2^60 losses", &header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 1 << 60]));
-        assert_rejected("2^40 losses", &header(CKPT_MAGIC, &[1, 1, 2, 2, 17, 1 << 40]));
+        assert_rejected("2^60 losses", &header(CKPT_MAGIC, &[17, 1 << 60]));
+        assert_rejected("2^40 losses", &header(CKPT_MAGIC, &[17, 1 << 40]));
         assert_rejected("2^60 layers", &up_to_layers(1 << 60));
         assert_rejected("2^40 layers", &up_to_layers(1 << 40));
         // A BN layer whose gamma claims 2^61 elements.
@@ -537,18 +485,15 @@ mod tests {
         conv.extend_from_slice(&[1, 0]);
         conv.extend_from_slice(&header(&[], &[1 << 32, 1 << 32, 3, 3]));
         assert_rejected("a conv shape whose product overflows", &conv);
-        // Grids no world can have.
-        assert_rejected("a grid with a zero extent", &header(CKPT_MAGIC, &[1, 0, 2, 2, 17, 0]));
-        assert_rejected("a grid that overflows", &header(CKPT_MAGIC, &[1 << 32, 1 << 32, 1, 1]));
     }
 
     #[test]
     fn a_biased_conv_is_refused_as_invalid_data() {
-        let mut buf = multi_rank_stream();
-        // Magic, then twelve words (grid, step, three losses behind their
-        // count, the guard, the layer count), then layer 0's tag: layer
-        // 1 is the first convolution, its tag followed by the flag.
-        let tag = 8 + 8 * 12 + 1;
+        let mut buf = demo_stream();
+        // Magic, then eight words (step, three losses behind their count,
+        // the guard, the layer count), then layer 0's tag: layer 1 is the
+        // first convolution, its tag followed by the flag.
+        let tag = 8 + 8 * 8 + 1;
         assert_eq!(buf[tag..tag + 2], [1, 0], "layer 1 is a conv without bias");
         buf[tag + 1] = 1;
         match std::panic::catch_unwind(|| load_train_state(&mut buf.as_slice())) {
@@ -570,7 +515,6 @@ mod tests {
         assert_eq!(&buf[..8], CKPT_MAGIC);
         let loaded = load_train_state(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.step, 17);
-        assert_eq!(loaded.grid, ProcGrid::sample(1));
         assert_eq!(loaded.params, state.params);
         assert_eq!(loaded.velocity, state.velocity);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -581,8 +525,8 @@ mod tests {
 
     #[test]
     fn retired_formats_are_refused_by_name() {
-        for magic in ["FGCKPT01", "FGCKPT02", "FGCKPT03"] {
-            let mut buf = multi_rank_stream();
+        for magic in ["FGCKPT01", "FGCKPT02", "FGCKPT03", "FGCKPT04"] {
+            let mut buf = demo_stream();
             buf[..8].copy_from_slice(magic.as_bytes());
             let err = load_train_state(&mut buf.as_slice()).unwrap_err();
             assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
@@ -590,50 +534,84 @@ mod tests {
         }
     }
 
+    /// Length and checksum of this exact stream as first written: a
+    /// change to the byte layout is a new format, not an edit here. The
+    /// values are FGCKPT04's recorded stream of the same state (written
+    /// under `spatial(2, 2)`) with its 32-byte grid tag, bytes 8..40, cut
+    /// and its magic replaced.
     #[test]
-    fn grid_tagged_checkpoint_round_trips_bitwise() {
-        let grid = ProcGrid::spatial(2, 2);
-        let state = TrainState { grid, ..demo_state() };
-        let buf = multi_rank_stream();
-        assert_eq!(&buf[..8], CKPT_MAGIC);
-        let loaded = load_train_state(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.grid, grid);
-        assert_eq!(loaded.step, state.step);
-        assert_eq!(loaded.params, state.params);
-        assert_eq!(loaded.velocity, state.velocity);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&loaded.losses), bits(&state.losses));
-        assert_eq!(loaded.guard, state.guard);
+    fn fgckpt05_bytes_are_the_recorded_ones() {
+        let buf = demo_stream();
+        assert_eq!(buf.len(), 1740);
+        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0xad0c_d0cf_d296_e991);
     }
 
-    #[test]
-    fn fgckpt04_bytes_are_the_recorded_ones() {
-        // Length and checksum of this exact stream as first written: a
-        // change to the byte layout is a new format, not an edit here.
-        let buf = multi_rank_stream();
-        assert_eq!(buf.len(), 1772);
-        assert_eq!(crate::ckpt_store::fnv1a64(&buf), 0x18fc_6302_9823_d076);
+    /// Deterministic pseudo-random tensor: every element derived from the
+    /// seed, so misplaced elements cannot alias.
+    fn filled(seed: u64, shape: Shape4) -> Tensor {
+        Tensor::from_fn(shape, |n, c, h, w| {
+            let i = ((n * 31 + c * 17 + h * 7 + w) as u64).wrapping_mul(seed | 1);
+            (i % 8191) as f32 * 0.013 - 50.0
+        })
     }
 
-    #[test]
-    fn reshard_preserves_params_and_velocity_bitwise() {
-        let old = ProcGrid::spatial(2, 2);
-        let new = ProcGrid::spatial(1, 3);
-        let mut state = demo_state();
-        // Give the velocity non-trivial values so the test can tell the
-        // two blocks apart.
-        state.velocity = state.params.to_vec();
-        state.grid = old;
-        let (resharded, stats) = reshard_train_state(&state, new);
-        assert_eq!(resharded.grid, new);
-        assert_eq!(resharded.params, state.params);
-        assert_eq!(resharded.velocity, state.velocity);
-        assert_eq!(resharded.step, state.step);
-        assert!(stats.tensors > 0);
-        assert!(stats.total_bytes > 0);
-        assert!(stats.moved_bytes <= stats.total_bytes);
-        // The 4→3 regrid genuinely moves data.
-        assert!(stats.moved_bytes > 0, "expected a cross-rank move in a 4-to-3 regrid");
+    fn filled_vec(seed: u64, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i as u64 + 3).wrapping_mul(seed | 1) % 4093) as f32 * 0.021 - 40.0)
+            .collect()
+    }
+
+    /// A parameter set holding every `LayerParams` variant.
+    fn random_params(
+        seed: u64,
+        oc: usize,
+        ic: usize,
+        k: usize,
+        features: usize,
+    ) -> Vec<LayerParams> {
+        vec![
+            LayerParams::None,
+            LayerParams::Conv { w: filled(seed, Shape4::new(oc, ic, k, k)) },
+            LayerParams::Bn { gamma: filled_vec(seed ^ 2, oc), beta: filled_vec(seed ^ 3, oc) },
+            LayerParams::Fc {
+                w: filled(seed ^ 4, Shape4::new(features, oc, 1, 1)),
+                b: filled_vec(seed ^ 5, features),
+            },
+        ]
+    }
+
+    fn bits_of(params: &[LayerParams]) -> Vec<Vec<u32>> {
+        params
+            .iter()
+            .map(|p| tensors(p).iter().flat_map(|(_, d)| d.iter().map(|x| x.to_bits())).collect())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Save → load keeps every parameter and SGD velocity element
+        /// bitwise, over random shapes of all four `LayerParams` variants.
+        #[test]
+        fn random_states_round_trip_bitwise(
+            seed in 1u64..u32::MAX as u64,
+            oc in 2usize..=5, ic in 1usize..=3, k in 1usize..=3, features in 1usize..=4,
+        ) {
+            let params = random_params(seed, oc, ic, k, features);
+            let velocity = random_params(seed.rotate_left(17), oc, ic, k, features);
+            let state = TrainState {
+                step: 12,
+                params: params.clone(),
+                velocity: velocity.clone(),
+                losses: vec![1.5, 1.25],
+                guard: GuardState::default(),
+            };
+            let mut buf = Vec::new();
+            save_train_state(&mut buf, &state).unwrap();
+            let loaded = load_train_state(&mut buf.as_slice()).unwrap();
+            proptest::prop_assert_eq!(bits_of(&loaded.params), bits_of(&params));
+            proptest::prop_assert_eq!(bits_of(&loaded.velocity), bits_of(&velocity));
+        }
     }
 
     #[test]
@@ -709,7 +687,7 @@ mod tests {
         use fg_tensor::{Shape4, Tensor};
         let net = demo_net();
         let mut net2 = demo_net();
-        net2.params = load_train_state(&mut multi_rank_stream().as_slice()).unwrap().params;
+        net2.params = load_train_state(&mut demo_stream().as_slice()).unwrap().params;
         let x = Tensor::from_fn(Shape4::new(2, 3, 8, 8), |n, c, h, w| (n + c + h + w) as f32 * 0.1);
         let labels = Labels::per_sample(vec![0, 1]);
         let (l1, _) = net.loss_and_grads(&x, &labels);

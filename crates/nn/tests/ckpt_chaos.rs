@@ -11,7 +11,7 @@ use fg_nn::{
     save_train_state, CheckpointError, CkptStore, GuardState, Network, NetworkSpec, Redundancy,
     Sgd, StorageFaultPlan, StoreConfig, TrainState,
 };
-use fg_tensor::{ProcGrid, Shape4, Tensor};
+use fg_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 
 const LR: f32 = 0.05;
@@ -113,9 +113,8 @@ proptest! {
                     velocity: opt.velocity().to_vec(),
                     losses: losses.clone(),
                     guard: GuardState::default(),
-                    grid: ProcGrid::spatial(2, 2),
                 };
-                let version = store.store(&state).expect("store never surfaces injected faults");
+                let version = store.store(&state, 4).expect("store never surfaces injected faults");
                 prop_assert_eq!(version, step, "versions are monotonic, even across crashes");
                 reference.push(state);
             }

@@ -29,8 +29,7 @@
 //!    the per-batch-size executor ladder — and
 //! 4. **re-admits** through a half-open breaker probe.
 //!
-//! Inference parameters are replicated on every rank, so unlike the
-//! trainer's elastic rung there is no state to reshard: a rebuilt
+//! Inference parameters are replicated on every rank, so a rebuilt
 //! replica serves bitwise-identical logits at any world size.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

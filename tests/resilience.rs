@@ -153,7 +153,7 @@ proptest! {
 /// every rebuild attempt) must shrink to 3 ranks and complete — and its
 /// post-shrink trajectory must be bitwise identical, step for step, to
 /// a fresh 3-rank run built from the degradation's own re-planned
-/// strategy and restored from the same (re-sharded) snapshot. Run under
+/// strategy and restored from the same snapshot. Run under
 /// `FG_COMM_INTEGRITY=1` in CI so the shrink interoperates with the
 /// integrity layer as well as the watchdog every world runs under.
 #[test]
@@ -204,7 +204,6 @@ fn permanently_dead_rank_degrades_4_to_3_bitwise() {
     assert_eq!(report.final_world, 3);
     assert_eq!(report.losses.len() as u64, STEPS4);
     assert!(d.at_step >= 2, "the shrink must resume from a real snapshot: {d:?}");
-    assert!(d.reshard_total_bytes > 0);
 
     // Pre-shrink prefix: bitwise the 4-rank trajectory.
     let baseline4 = run_ranks(4, |comm| {
@@ -219,8 +218,8 @@ fn permanently_dead_rank_degrades_4_to_3_bitwise() {
     assert_eq!(bits(&report.losses[..at]), bits(&baseline4[0][..at]));
 
     // Post-shrink suffix: recompute the snapshot state by replaying the
-    // 4-rank world cleanly to the shrink point, re-shard it onto the
-    // degradation's grid, and run a *fresh* 3-rank world from there.
+    // 4-rank world cleanly to the shrink point, and run a *fresh*
+    // 3-rank world from there.
     let replay = run_ranks(4, |comm| {
         let mut p = net.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
@@ -236,9 +235,8 @@ fn permanently_dead_rank_degrades_4_to_3_bitwise() {
         velocity: snap_vel,
         losses: report.losses[..at].to_vec(),
         guard: finegrain::nn::GuardState::default(),
-        grid,
     };
-    let (restored, _) = finegrain::nn::reshard_train_state(&state, d.strategy.grids[0]);
+    let restored = state;
     let small =
         DistExecutor::new(spec, d.strategy.clone(), 2).expect("replanned strategy compiles");
     let suffix = run_ranks(3, |comm| {
@@ -515,7 +513,7 @@ fn durable_store_run_is_bitwise_identical_to_memory_store_run() {
 /// deleted from storage. The degradation rung must reconstruct the
 /// shard from its ring replica, shrink 4 → 3, and produce a post-shrink
 /// trajectory bitwise identical to a fresh 3-rank resume from the same
-/// re-sharded snapshot.
+/// snapshot.
 #[test]
 fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise() {
     const STEPS4: u64 = 6;
@@ -573,7 +571,6 @@ fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise(
     assert_eq!(report.final_world, 3);
     assert_eq!(report.losses.len() as u64, STEPS4);
     assert!(d.at_step >= 2, "the shrink must resume from a real snapshot: {d:?}");
-    assert!(d.reshard_total_bytes > 0);
     assert!(report.snapshot.is_some());
     assert!(
         report.snapshot.unwrap().shards_reconstructed >= 1,
@@ -595,7 +592,7 @@ fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise(
     assert_eq!(bits(&report.losses[..at]), bits(&baseline4[0][..at]));
 
     // Post-shrink suffix: bitwise a fresh 3-rank resume from the same
-    // (reconstructed, re-sharded) snapshot.
+    // (reconstructed) snapshot.
     let replay = run_ranks(4, |comm| {
         let mut p = net.params.clone();
         let mut opt = Sgd::new(HYPER.lr, HYPER.momentum, HYPER.weight_decay, &p);
@@ -611,9 +608,8 @@ fn dead_rank_with_deleted_shard_reconstructs_from_replicas_and_degrades_bitwise(
         velocity: snap_vel,
         losses: report.losses[..at].to_vec(),
         guard: finegrain::nn::GuardState::default(),
-        grid,
     };
-    let (restored, _) = finegrain::nn::reshard_train_state(&state, d.strategy.grids[0]);
+    let restored = state;
     let small =
         DistExecutor::new(spec, d.strategy.clone(), 2).expect("replanned strategy compiles");
     let suffix = run_ranks(3, |comm| {
