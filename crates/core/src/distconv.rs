@@ -27,7 +27,8 @@
 //! halo sends, computes the *interior* output region (outputs whose
 //! receptive fields lie entirely in the owned block, an
 //! [`InteriorPlan`]), completes the receives, then computes the (up to
-//! four) boundary strips. [`DistConv2d::backward`] hides the `dL/dy` halo
+//! four) boundary strips; a rank with no halo to receive computes its
+//! output block in one call. [`DistConv2d::backward`] hides the `dL/dy` halo
 //! behind the filter gradient, which needs none. On the thread-simulated
 //! communicator sends are eager and receives block, so the ordering is
 //! executed for real; the latency benefit is priced by the overlapped
@@ -148,6 +149,8 @@ impl DistConv2d {
     /// Forward propagation (Eq. 1) with the §IV-A overlap: (1) post the
     /// halo sends along `x_halo`, (2) compute `interior`'s interior
     /// region, (3) complete the receives, (4) compute the boundary strips.
+    /// A rank that receives no halo (on every sample-parallel layer, for
+    /// one) computes its whole output block at (2) instead.
     /// Takes the unpadded input shard; returns `(y, x_window)`, the window
     /// kept for the filter gradient.
     ///
@@ -175,11 +178,19 @@ impl DistConv2d {
             let t = conv2d_forward_region(win.local(), origin, w, None, &self.geom, rows, cols);
             write_region(&mut y, rows, cols, &t, &ob);
         };
-        if let Some(region) = interior.interior {
+        // With nothing to receive, the window is complete already and the
+        // owned block is one call: forward's bits do not depend on the
+        // region.
+        let (before, after) = if x_halo.recvs.is_empty() {
+            (Some(((ob.lo[2], ob.hi[2]), (ob.lo[3], ob.hi[3]))), &[][..])
+        } else {
+            (interior.interior, &interior.boundary[..])
+        };
+        if let Some(region) = before {
             compute(&win, region);
         }
         finish_halo_exchange(comm, &mut win, x_halo, tag);
-        for &region in &interior.boundary {
+        for &region in after {
             compute(&win, region);
         }
         (y, win)

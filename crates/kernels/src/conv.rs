@@ -53,21 +53,23 @@
 //! Each kernel covers its result with tiles of `B` channels × `CW`
 //! adjacent columns (`Tile`, `for_each_tile`): a `[[f32; CW]; B]`
 //! block of sums that stays in registers for the tile's *whole*
-//! reduction and is written to the result once. Inside the reduction
-//! every loaded run of `CW` elements is used by all `B` channels
-//! (`axpy_block`), the `CW` lanes are adjacent in memory on both sides
-//! — no strided read, no test — which is the form the autovectorizer
-//! handles, and the `B·CW` sums are independent add chains, so nothing
-//! waits on an add's latency although no element's terms are reordered:
-//! an element's sum is one lane of one tile, and the tile's loops visit
-//! its terms in contract order. Tile widths come from the extents of the
-//! call alone: a row is cut into chunks of 8 columns, then 4, 2, 1;
-//! channels go in blocks of 4, then 1 — of 8 first under a chunk of one
-//! or two columns, where there are registers to spare. Channels are
-//! taken `PANEL` at a time through every row so the weights a panel
-//! shares stay cached. Safe Rust throughout. Every crate is built for
-//! the x86-64-v3 baseline (AVX2 + FMA, the root `.cargo/config.toml`),
-//! under which a `CW = 8` run is one 256-bit register.
+//! reduction and is written to the result once (on wide rows,
+//! backward-filter's tile reduces one row and adds it to a scratch).
+//! Inside the reduction every loaded run of `CW` elements is used by all
+//! `B` channels (`axpy_block`), the `CW` lanes are adjacent in memory on
+//! both sides — no strided read, no test — which is the form the
+//! autovectorizer handles, and the `B·CW` sums are independent add
+//! chains, so nothing waits on an add's latency although no element's
+//! terms are reordered: an element's sum is one lane of one tile, and the
+//! tile's loops visit its terms in contract order. Tile widths come from
+//! the extents of the call alone: a row is cut into chunks of 8 columns,
+//! then 4, 2, 1; channels go in blocks of 4, then 1 — of 8 first under a
+//! chunk of one or two columns, where there are registers to spare.
+//! Channels are taken `PANEL` at a time through every row (but on
+//! backward-filter's wide rows) so the weights a panel shares stay
+//! cached. Safe Rust throughout. Every crate is built for the x86-64-v3
+//! baseline (AVX2 + FMA, the root `.cargo/config.toml`), under which a
+//! `CW = 8` run is one 256-bit register.
 //!
 //! * **Forward** — `B` filters × `CW` output columns of one `(k, oh)`
 //!   row. The sums start at `+0.0`; for `c`, for tap `(r, s)`, one run
@@ -77,16 +79,16 @@
 //!   `qoff[l mod s_w] + l / s_w`, so the elements consecutive outputs
 //!   read through one tap are adjacent at every stride; the `(r, s)` taps
 //!   of a channel are one flat table of offsets.
-//! * **Backward-filter** — `B` filters × `CW` adjacent *taps*
-//!   `(c, r, s)`, which are adjacent in `dw`. Per `(k, oh)` the row's
-//!   inputs are gathered once into `xg[j][c·kh·kw + r·kw + s]` (through
-//!   `TapRows`; `cols × C·kh·kw` floats, 115 KB for an 18-channel 5×5
-//!   layer on 64-column rows, allocated once per call) and its `dy` into
-//!   `dyg[j][f]`, then `acc[f][i] += dyg[j][f] · xg[j][i]` for `j`
-//!   ascending from `+0.0` and `dw[f][i] += acc[f][i]`: the ascending-`j`
-//!   dot product and the `(k, oh)` order of the contract, with the lanes
-//!   across taps, so a row of one element is the rank-1 update it really
-//!   is.
+//! * **Backward-filter** — `B` taps `(c, r, s)` × `CW` adjacent
+//!   *filters*. Per `(k, oh)` row the row's `dy` is gathered once into
+//!   `dyg[j][f]` (`cols × F` floats); per column `j` the tile loads one
+//!   run `dyg[j][f0..f0 + CW]` and broadcasts into it the `B` inputs its
+//!   taps read, straight from the window through `TapRows` (`x_c[tap_at +
+//!   j]`, no per-row copy). The row's dot products, `j` ascending from
+//!   `+0.0`, are added into a tap-major `dwt[tap][f]` (`C·kh·kw × F`
+//!   floats), written to `dw[f][tap]` once per call: one lane per `dw`
+//!   element that gains one dot product per row in `(k, oh)` order. A
+//!   small map keeps the lanes across taps ("Small maps").
 //! * **Backward-data**, on rows wider than two chunks (and the 1×1 calls
 //!   "Small maps" keeps here) — `B` channels × `CW` columns of one
 //!   `Segment` of one `(k, ih)` row. The requested columns decompose
@@ -105,9 +107,8 @@
 //! idle: on ResNet-50's 4×4, 2×2 and 1×1 maps a forward tile is 4, 2 or 1
 //! column wide. There forward and backward-filter take their `(k, oh)`
 //! rows in blocks (`row_blocks`: as many as `BLOCK_FLOATS` of
-//! gathered input hold; from `CHUNK` columns on, one row, which is the
-//! loop above), and backward-data takes every call whose rows are at most
-//! two chunks wide as one path:
+//! gathered input hold), and backward-data takes every call whose rows
+//! are at most two chunks wide as one path:
 //!
 //! * **Forward** makes the block's positions `(k, oh, ow)` one virtual
 //!   row (`TapRows::positions`): per channel and tap, what the
@@ -115,11 +116,12 @@
 //!   the window with the stride folded in; the unchanged `ForwardTile`
 //!   covers the row in full chunks, and its `(f, position)` results are
 //!   written back to `(k, f, oh, ow)`.
-//! * **Backward-filter** gathers the block's rows into one `xg` and
-//!   `dyg`. Its tile loads its `dw` block once, adds each row's dot
-//!   product (`j` ascending from `+0.0`) in `(k, oh)` order, and stores
-//!   the block once, so `dw` is read and written once a block instead
-//!   of once a row.
+//! * **Backward-filter** gathers the block's rows into one `xg[j][c·kh·kw
+//!   + r·kw + s]` (through `TapRows`) and `dyg[j][f]`. Its tile is `B`
+//!   filters × `CW` adjacent taps, the lanes across taps, so a row of
+//!   one element is the rank-1 update it really is: it loads its `dw`
+//!   block once, adds each row's dot product (`j` ascending from `+0.0`)
+//!   in `(k, oh)` order, and stores the block once.
 //! * **Backward-data** works one stride phase `(qh, qw)` at a time
 //!   (`backward_data_phases`). The phase's positions `(k, ih, iw)` are
 //!   one virtual row, and its taps are the hull, per axis (`AxisPhase`),
@@ -543,11 +545,11 @@ const CHUNK: usize = 8;
 /// Floats of gathered input one row block of a small map may hold.
 const BLOCK_FLOATS: usize = 64 * 1024;
 
-/// A call's `(k, oh)` rows `[0, rows)` in blocks that share one gather:
-/// one row at a time from [`CHUNK`] columns on, else as many rows as fit
-/// in [`BLOCK_FLOATS`] at `per_col` floats a column (at least one).
+/// A small map's `(k, oh)` rows `[0, rows)` in blocks that share one
+/// gather: as many rows as fit in [`BLOCK_FLOATS`] at `per_col` floats a
+/// column (at least one).
 fn row_blocks(rows: usize, cols: usize, per_col: usize) -> impl Iterator<Item = Range<usize>> {
-    let block = if cols >= CHUNK { 1 } else { (BLOCK_FLOATS / (cols * per_col).max(1)).max(1) };
+    let block = (BLOCK_FLOATS / (cols * per_col).max(1)).max(1);
     (0..rows).step_by(block).map(move |q0| q0..(q0 + block).min(rows))
 }
 
@@ -1157,56 +1159,88 @@ pub fn conv2d_backward_filter_region(
     let x_rows = TapRows::new(x, x_origin, geom, (ih_lo, ih_hi), (iw_lo, iw_hi), &mut scratch);
     let dy_shape = dy.shape();
     let dy_plane = dy_shape.h * dy_shape.w;
-    let cols = ow1 - ow0;
-
-    // A block of `(k, oh)` rows, gathered per output column j of its row
-    // i: `xg[(i·cols + j) · taps + c·kh·kw + r·kw + s]` is what the column
-    // reads through tap (c, r, s), `dyg[(i·cols + j) · F + f]` its `dy`.
+    let (rows, cols) = (oh1 - oh0, ow1 - ow0);
     let taps = c_in * geom.kh * geom.kw;
-    let rows = oh1 - oh0;
     let lw_dy0 = (ow0 as i64 - dy_origin.1) as usize;
-    let (mut xg, mut dyg) = (Vec::new(), Vec::new());
-    for block in row_blocks(n * rows, cols, taps) {
-        xg.resize(block.len() * cols * taps, 0.0);
-        dyg.resize(block.len() * cols * f_out, 0.0);
-        let gathered = xg.chunks_exact_mut(cols * taps).zip(dyg.chunks_exact_mut(cols * f_out));
-        for (q, (xg_q, dyg_q)) in block.clone().zip(gathered) {
-            let (k, oh) = (q / rows, oh0 + q % rows);
-            let lh_dy = (oh as i64 - dy_origin.0) as usize;
-            let dy_k = &dy.as_slice()[dy_shape.offset(k, 0, lh_dy, lw_dy0)..];
-            for (f, dy_row) in dy_k.chunks(dy_plane).take(f_out).enumerate() {
-                for (g, v) in dyg_q[f..].iter_mut().step_by(f_out).zip(&dy_row[..cols]) {
-                    *g = *v;
-                }
+    // Row `q` = `(k, oh)`'s `dy`, one run of filters per output column:
+    // `dyg_q[j·F + f]`.
+    let gather_dy = |q: usize, dyg_q: &mut [f32]| {
+        let lh_dy = (oh0 + q % rows) as i64 - dy_origin.0;
+        let dy_k = &dy.as_slice()[dy_shape.offset(q / rows, 0, lh_dy as usize, lw_dy0)..];
+        for (f, dy_row) in dy_k.chunks(dy_plane).take(f_out).enumerate() {
+            for (g, v) in dyg_q[f..].iter_mut().step_by(f_out).zip(&dy_row[..cols]) {
+                *g = *v;
             }
-            let x_k = x_rows.rows(k * c_in, (oh - oh0) * geom.stride_h);
-            for (c, x_c) in x_k.chunks(x_rows.plane).take(c_in).enumerate() {
-                for (t, &at) in x_rows.tap_at.iter().enumerate() {
-                    let column = xg_q[c * x_rows.tap_at.len() + t..].iter_mut().step_by(taps);
-                    for (g, xv) in column.zip(&x_c[at..at + cols]) {
-                        *g = *xv;
+        }
+    };
+    // Row `q`'s window rows: channel 0's, from its first input row on.
+    let x_row = |q: usize| x_rows.rows(q / rows * c_in, q % rows * geom.stride_h);
+
+    if cols < CHUNK {
+        // A block of rows, gathered per output column j of its row i:
+        // `xg[(i·cols + j) · taps + c·kh·kw + r·kw + s]` is what the
+        // column reads through tap (c, r, s), `dyg[(i·cols + j) · F + f]`
+        // its `dy`.
+        let (mut xg, mut dyg) = (Vec::new(), Vec::new());
+        for block in row_blocks(n * rows, cols, taps) {
+            xg.resize(block.len() * cols * taps, 0.0);
+            dyg.resize(block.len() * cols * f_out, 0.0);
+            let gathered = xg.chunks_exact_mut(cols * taps).zip(dyg.chunks_exact_mut(cols * f_out));
+            for (q, (xg_q, dyg_q)) in block.clone().zip(gathered) {
+                gather_dy(q, dyg_q);
+                for (c, x_c) in x_row(q).chunks(x_rows.plane).take(c_in).enumerate() {
+                    for (t, &at) in x_rows.tap_at.iter().enumerate() {
+                        let column = xg_q[c * x_rows.tap_at.len() + t..].iter_mut().step_by(taps);
+                        for (g, xv) in column.zip(&x_c[at..at + cols]) {
+                            *g = *xv;
+                        }
                     }
                 }
             }
+            let mut tile = BackwardFilterTile {
+                xg: &xg,
+                taps,
+                dyg: &dyg,
+                filters: f_out,
+                rows: block.len(),
+                cols,
+                dw: dw.as_mut_slice(),
+            };
+            for filters in panels(f_out) {
+                for_each_tile(filters, taps, &mut tile);
+            }
         }
-        let mut tile = BackwardFilterTile {
-            xg: &xg,
-            taps,
+        return dw;
+    }
+
+    // Wide rows: per tap (c, r, s), where its input run starts in a row's
+    // window rows; the tile reads the window there, column by column.
+    let tap_at: Vec<usize> = (0..c_in)
+        .flat_map(|c| x_rows.tap_at.iter().map(move |&at| c * x_rows.plane + at))
+        .collect();
+    let (mut dyg, mut dwt) = (vec![0.0f32; cols * f_out], vec![0.0f32; taps * f_out]);
+    for q in 0..n * rows {
+        gather_dy(q, &mut dyg);
+        let mut tile = WideRowFilterTile {
+            x_k: x_row(q),
+            tap_at: &tap_at,
+            cols,
             dyg: &dyg,
             filters: f_out,
-            rows: block.len(),
-            cols,
-            dw: dw.as_mut_slice(),
+            dwt: &mut dwt,
         };
-        for filters in panels(f_out) {
-            for_each_tile(filters, taps, &mut tile);
+        for_each_tile(0..taps, f_out, &mut tile);
+    }
+    for (t, dwt_t) in dwt.chunks_exact(f_out).enumerate() {
+        for (d, v) in dw.as_mut_slice()[t..].iter_mut().step_by(taps).zip(dwt_t) {
+            *d = *v;
         }
     }
     dw
 }
 
-/// Backward-filter's tile: `B` filters × `CW` adjacent taps `(c, r, s)`
-/// of `dw`, through one block of `(k, oh)` rows.
+/// Backward-filter's tile on a small map: `B` filters × `CW` adjacent
+/// taps `(c, r, s)` of `dw`, through one block of `(k, oh)` rows.
 struct BackwardFilterTile<'a> {
     /// The block's gathered inputs, `taps` per output column.
     xg: &'a [f32],
@@ -1238,6 +1272,40 @@ impl Tile for BackwardFilterTile<'_> {
         }
         for (b, row) in sums.iter().enumerate() {
             self.dw[dw_at(b)..][..CW].copy_from_slice(row);
+        }
+    }
+}
+
+/// Backward-filter's tile on a wide row: `B` taps × `CW` adjacent
+/// filters of the tap-major `dwt[tap][f]`, through one `(k, oh)` row.
+struct WideRowFilterTile<'a> {
+    /// The row's window rows (see `TapRows::rows`).
+    x_k: &'a [f32],
+    /// Per tap, where its run of `cols` inputs starts in `x_k`.
+    tap_at: &'a [usize],
+    cols: usize,
+    /// The row's `dy`, `filters` per output column.
+    dyg: &'a [f32],
+    filters: usize,
+    dwt: &'a mut [f32],
+}
+
+impl Tile for WideRowFilterTile<'_> {
+    /// Per column, one run of `dy` across the filters is loaded and each
+    /// tap's input broadcast into it; the row's dot products, `j`
+    /// ascending from `+0.0`, are then added into `dwt`.
+    fn run<const B: usize, const CW: usize>(&mut self, t0: usize, f0: usize) {
+        let x_t: [&[f32]; B] =
+            std::array::from_fn(|b| &self.x_k[self.tap_at[t0 + b]..][..self.cols]);
+        let mut acc = [[0.0f32; CW]; B];
+        for (j, dy_j) in self.dyg.chunks_exact(self.filters).enumerate() {
+            axpy_block(&mut acc, std::array::from_fn(|b| x_t[b][j]), run_at(dy_j, f0));
+        }
+        for (b, row) in acc.iter().enumerate() {
+            let sums = &mut self.dwt[(t0 + b) * self.filters + f0..][..CW];
+            for (sum, v) in sums.iter_mut().zip(row) {
+                *sum += v;
+            }
         }
     }
 }

@@ -750,3 +750,36 @@ fn resnet50_shapes_equal_reference_bitwise() {
         check(c, f, ConvGeometry::square(4, 8, 1, 1, 0));
     }
 }
+
+/// The mesh model's wide-row layers at its benchmark width (128² input,
+/// channels divided by 8), one sample, deterministically: `conv1_1` (18
+/// → 16, 5×5, stride 2, pad 2: 450 taps on 64-column rows), the 3×3
+/// (pad 1) layers at stride 1 and 2 on 64-, 32- and 16-column rows with
+/// 16–48 channels, and wide rows whose 12 and 20 filters end in partial
+/// lane chunks — where backward-filter's lanes run across the filters and
+/// its taps are read straight from the window.
+#[test]
+fn mesh_shapes_equal_reference_bitwise() {
+    let mut seed = 0x5EED_0004u64;
+    let mut check = |c, f, geom| {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        if let Err(reproducer) = check_split_regions_and_columns(BitCase { n: 1, c, f, geom, seed })
+        {
+            panic!("{reproducer}");
+        }
+    };
+    check(18, 16, ConvGeometry::square(128, 128, 5, 2, 2));
+    for (c, f, in_hw, stride) in [
+        (16, 16, 64, 1),
+        (16, 24, 128, 2),
+        (24, 24, 32, 1),
+        (24, 32, 64, 2),
+        (32, 40, 16, 1),
+        (40, 48, 32, 2),
+        (48, 48, 16, 1),
+        (16, 12, 64, 1),
+        (16, 20, 32, 1),
+    ] {
+        check(c, f, ConvGeometry::square(in_hw, in_hw, 3, stride, 1));
+    }
+}
