@@ -50,8 +50,8 @@ fn memory_table() -> Table {
 
 /// Modeled overlap ablations (§IV-A, §V-B): the same configurations
 /// with each overlap mechanism disabled, quantifying what hiding halo
-/// exchanges and allreduces buys. (The executed counterparts are the
-/// Criterion `ablate_*` benches.)
+/// exchanges and allreduces buys. (Modeled only: no executed run
+/// disables an overlap.)
 fn overlap_ablation_table(platform: &Platform) -> Table {
     let spec = mesh_model(MeshSize::OneK);
     let mut t = Table::new(

@@ -6,7 +6,7 @@
 //! exchanges overlapped and the gradient allreduce excluded. We generate
 //! the same series from the performance model (the paper's own "black
 //! shapes"); the thread-simulated execution counterpart at reduced scale
-//! lives in the Criterion benches and the `modelval` experiment.
+//! is the `modelval` experiment.
 
 use fg_perf::{conv_layer_cost, ConvLayerDesc, CostOptions, Platform};
 

@@ -38,20 +38,11 @@ use fg_tensor::ProcGrid;
 pub const MAX_WORLD: usize = 2048;
 
 /// The paper's spatial decompositions for k GPUs/sample: near-square
-/// `ph × pw` factorizations.
+/// `ph × pw` factorizations with `ph = 2^⌈t/2⌉`, `t` the power of two
+/// in `k` (`2 → 2×1`, `8 → 4×2`, `16 → 4×4`).
 pub fn spatial_split(k: usize) -> (usize, usize) {
-    match k {
-        1 => (1, 1),
-        2 => (2, 1),
-        4 => (2, 2),
-        8 => (4, 2),
-        16 => (4, 4),
-        _ => {
-            // General: near-square split with powers of two.
-            let ph = 1 << (k.trailing_zeros() / 2 + k.trailing_zeros() % 2);
-            (ph, k / ph)
-        }
-    }
+    let ph = 1 << k.trailing_zeros().div_ceil(2);
+    (ph, k / ph)
 }
 
 /// The paper model a sweep row names: `mesh-1K`, `mesh-2K` or

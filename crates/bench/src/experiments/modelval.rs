@@ -183,7 +183,7 @@ pub fn predicted_traffic(grid: ProcGrid, batch: usize, input_hw: usize) -> (f64,
                     * h_loc
                     * 4.0;
             }
-            // Weight-gradient allreduce: ring sends
+            // Weight-gradient allreduce: ring and Rabenseifner both send
             // 2(P−1)/P · n bytes per rank for large vectors, RD sends
             // log2(P)·n for small; mirror the Auto switch.
             let grad_bytes = (filters * c * kernel * kernel) as f64 * 4.0;
@@ -207,7 +207,7 @@ fn allreduce_send_bytes(p: f64, n: f64) -> f64 {
     if n <= 8192.0 {
         p.log2().ceil() * n // recursive doubling
     } else {
-        2.0 * (p - 1.0) / p * n // ring
+        2.0 * (p - 1.0) / p * n // ring or Rabenseifner: the same volume
     }
 }
 

@@ -115,7 +115,7 @@ pub struct EvictionRow {
 
 impl EvictionRow {
     /// Throughput (samples per virtual second) for the three states.
-    pub fn throughput(&self) -> (f64, f64, f64) {
+    fn throughput(&self) -> (f64, f64, f64) {
         let batch = self.groups as f64;
         (batch / self.healthy_s, batch / self.slow_s, (batch - 1.0) / self.evicted_s)
     }

@@ -91,7 +91,7 @@ pub struct FaultPlan {
     /// survives world rebuilds via [`FaultPlan::persistent`]: the node
     /// is sick, not momentarily unlucky. Applied to comm-op service
     /// time by the world's fault stage and to modeled compute through
-    /// [`FaultPlan::slowdown`] / [`FaultPlan::slowdown_vector`].
+    /// [`FaultPlan::slowdown_vector`].
     slow: Vec<(usize, f64)>,
     /// `(src, dst, k)`: corrupt the `k`-th retransmission served on link
     /// `src → dst` (the replay-window pull path, which bypasses the
@@ -159,7 +159,7 @@ impl FaultPlan {
     /// Make `rank` a **persistent straggler**: everything it does —
     /// comm-op service (the fault stage stretches each op) and compute
     /// (consumers scale modeled or measured compute by
-    /// [`FaultPlan::slowdown`]) — takes `factor`× as long. The fault
+    /// [`FaultPlan::slowdown_vector`]) — takes `factor`× as long. The fault
     /// survives [`FaultPlan::persistent`], so rebuilding the world does
     /// not cure it; only weighted re-decomposition or eviction can.
     pub fn slow_rank(mut self, rank: usize, factor: f64) -> FaultPlan {
@@ -231,7 +231,7 @@ impl FaultPlan {
     /// The slowdown factor for `rank`: `1.0` for a healthy rank, the
     /// largest scheduled factor for a straggler (stacked gray failures
     /// do not multiply — the worst one dominates).
-    pub fn slowdown(&self, rank: usize) -> f64 {
+    fn slowdown(&self, rank: usize) -> f64 {
         self.slow.iter().filter(|&&(r, _)| r == rank).map(|&(_, f)| f).fold(1.0, f64::max)
     }
 

@@ -569,8 +569,8 @@ fn flag_is_on(value: &str) -> bool {
 }
 
 /// Is the boolean knob `name` on in the process environment? The single
-/// reader behind `FG_VERIFY` and `FG_COMM_INTEGRITY`, so every crate
-/// agrees on what "set" means.
+/// reader behind `FG_COMM_INTEGRITY`, so every crate agrees on what
+/// "set" means.
 pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| flag_is_on(&v.to_string_lossy()))
 }

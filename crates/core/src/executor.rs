@@ -142,11 +142,19 @@ pub struct DistExecutor {
     pub(crate) schedule: StepSchedule,
 }
 
+/// The largest world [`DistExecutor::new`] verifies. Tracing costs O(P²)
+/// in links, and a live world runs one thread per rank, so no world
+/// above the cap ever steps: larger ones are only planned and simulated.
+const VERIFY_MAX_RANKS: usize = 64;
+
 impl DistExecutor {
-    /// Validate the strategy, build the layer objects, and compile every
+    /// Validate the strategy, build the layer objects, compile every
     /// rank's per-layer plan (the plan-once phase; the training loop
-    /// performs zero plan construction). The memory schedule is walked
-    /// only when asked: under `FG_VERIFY` or `FG_MEM_BUDGET`.
+    /// performs zero plan construction), and, at worlds of up to 64
+    /// ranks, statically verify the compiled schedule
+    /// ([`DistExecutor::verify`]): a violation is
+    /// [`StrategyError::ScheduleUnsound`], so no unsound schedule ever
+    /// runs. The memory schedule is walked only under `FG_MEM_BUDGET`.
     pub fn new(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Result<Self, StrategyError> {
         strategy.validate(&spec, batch)?;
         let layers = build_layers(&spec, &strategy, batch);
@@ -157,21 +165,11 @@ impl DistExecutor {
             layers.iter().map(|l| (0..world).map(|r| l.compile_plan(r)).collect()).collect();
         let exec = DistExecutor { spec, strategy, batch, layers, plans, schedule };
 
-        // FG_VERIFY: statically verify the compiled schedule before
-        // handing it to anyone — a debug assertion for the plan compiler.
-        if fg_comm::env_flag("FG_VERIFY") {
+        if world <= VERIFY_MAX_RANKS {
             if let Some(v) = exec.verify().violations.first() {
                 return Err(StrategyError::ScheduleUnsound {
                     layer: v.layer,
                     detail: v.to_string(),
-                });
-            }
-            // The memory analysis rides the same gate: an understated
-            // staging interval must never execute.
-            if let Some(v) = exec.analyze_memory().violations.first() {
-                return Err(StrategyError::ScheduleUnsound {
-                    layer: v.layer,
-                    detail: format!("memory: {v}"),
                 });
             }
         }
@@ -218,17 +216,7 @@ impl DistExecutor {
     /// conservation, and tag discipline. Pure analysis — no threads, no
     /// communication, no tensor math.
     pub fn verify(&self) -> crate::verify::VerifyReport {
-        self.verify_with(|_| {}, |_| {})
-    }
-
-    /// The recovery ladder's gate for a new layout (a shrink replan, a
-    /// straggler rebalance): [`DistExecutor::new`], then, at worlds of up
-    /// to 64 ranks, [`DistExecutor::verify`]. Tracing is O(P²) in links,
-    /// so the cap keeps the check inside a rung's latency budget. `None`
-    /// when either fails.
-    pub fn new_verified(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Option<Self> {
-        let exec = DistExecutor::new(spec, strategy, batch).ok()?;
-        (exec.strategy.world_size() > 64 || exec.verify().is_clean()).then_some(exec)
+        crate::verify::verify_plans(self, &self.plans, |_| {})
     }
 
     /// [`DistExecutor::verify`] with corruption hooks for mutation
@@ -1123,9 +1111,8 @@ mod tests {
 
         let weighted = Strategy::uniform(&spec, grid).with_rank_weights(vec![1, 3, 3, 3]);
         assert!(weighted.rank_weights.is_some());
-        let wexec = DistExecutor::new(spec.clone(), weighted, 2).expect("weighted layout compiles");
-        let report = wexec.verify();
-        assert!(report.is_clean(), "weighted schedule must verify clean: {:?}", report.violations);
+        let wexec = DistExecutor::new(spec.clone(), weighted, 2)
+            .expect("weighted layout compiles, verifies");
 
         let uexec =
             DistExecutor::new(spec.clone(), Strategy::uniform(&spec, grid), 2).expect("uniform");

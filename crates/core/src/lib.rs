@@ -8,15 +8,17 @@
 //! * [`distconv`] — sample / spatial / hybrid convolution with halo
 //!   exchange (§III-A), the halo overlapped with interior compute
 //!   (§IV-A), bitwise-equivalent to single-device execution;
-//! * [`layers`] — distributed pooling, batch norm (local and aggregated,
-//!   §III-B), ReLU, residual joins, global average pooling, and losses;
+//! * [`layers`] — distributed pooling, batch norm (statistics aggregated
+//!   over the sample's ranks, §III-B), ReLU, residual joins, global
+//!   average pooling, and losses;
 //! * [`executor`] — runs an `fg-nn` [`fg_nn::NetworkSpec`] under a
 //!   [`strategy::Strategy`], inserting halo exchanges, redistributions
 //!   (§III-C) and gradient allreduces where the strategy demands them;
 //! * [`strategy`] — strategy containers and validation;
 //! * [`verify`] — static schedule verification: symbolically executes
 //!   every rank's compiled plans and proves the step deadlock-free and
-//!   shape-sound before it runs (`FG_VERIFY=1`, `repro -- verify`);
+//!   shape-sound before it runs (every [`DistExecutor::new`] of at most
+//!   64 ranks, `repro -- verify`);
 //! * [`mem`] — static tensor-liveness analysis over the same compiled
 //!   plans: exact per-rank peak-memory bounds (any world size, sampled
 //!   ranks), the strategy search's memory term, and a budget gate

@@ -890,8 +890,8 @@ struct Shrink {
 
 /// Find the largest viable world size `P' < world` around `dead_ranks`
 /// for the degradation rung: walk candidate sizes downward until the
-/// re-planner produces a strategy that passes the gate for a new layout
-/// ([`DistExecutor::new_verified`]).
+/// re-planner produces a strategy that builds ([`DistExecutor::new`],
+/// which verifies the schedule).
 fn plan_shrink(
     dc: &DegradeConfig,
     cur_exec: &DistExecutor,
@@ -911,9 +911,7 @@ fn plan_shrink(
         };
         replan_s += t.elapsed().as_secs_f64();
         let Some(strategy) = candidate.filter(|s| s.world_size() == p_new) else { continue };
-        let Some(exec) = DistExecutor::new_verified(spec.clone(), strategy, batch) else {
-            continue;
-        };
+        let Ok(exec) = DistExecutor::new(spec.clone(), strategy, batch) else { continue };
         let keep = survivors.iter().copied().take(p_new).collect();
         return Some(Shrink { dead_ranks, keep, exec, replan_s });
     }

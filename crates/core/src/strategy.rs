@@ -53,10 +53,11 @@ pub enum StrategyError {
         /// Offending layer.
         layer: usize,
     },
-    /// The compiled communication schedule failed static verification
-    /// (`FG_VERIFY=1`): the plans would deadlock, mis-shape a message,
-    /// or mis-route a region. The detail is the first violation's full
-    /// diagnostic (check kind, rank, layer, specifics).
+    /// The compiled communication schedule failed the static
+    /// verification every construction of at most 64 ranks runs: the
+    /// plans would deadlock, mis-shape a message, or mis-route a region.
+    /// The detail is the first violation's full diagnostic (check kind,
+    /// rank, layer, specifics).
     ScheduleUnsound {
         /// Offending layer.
         layer: usize,

@@ -29,7 +29,9 @@
 //! timing/overlap efficiency, and memory capacity (the optimizer's
 //! memory model does that). A clean report means the schedule cannot
 //! deadlock or mis-shape a message — it says nothing about whether the
-//! answer is right or fast.
+//! answer is right or fast. Every `DistExecutor::new` of at most 64
+//! ranks runs the check and refuses an unsound schedule as
+//! `StrategyError::ScheduleUnsound`.
 //!
 //! The walker reads the executor's own step schedule
 //! (`layers::schedule`), so which layers run and which edges carry

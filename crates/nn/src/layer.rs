@@ -8,7 +8,7 @@
 //! a network without instantiating it.
 
 use fg_kernels::pool::PoolKind;
-use fg_tensor::{Shape4, Tensor};
+use fg_tensor::Tensor;
 
 /// The operator a layer applies.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,14 +273,10 @@ fn one_parent(parents: &[(usize, usize, usize)]) -> (usize, usize, usize) {
     parents[0]
 }
 
-/// Batched output shape for mini-batch size `n`.
-pub fn batched(shape: (usize, usize, usize), n: usize) -> Shape4 {
-    Shape4::new(n, shape.0, shape.1, shape.2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fg_tensor::Shape4;
 
     #[test]
     fn shape_inference_conv_pool() {

@@ -157,45 +157,42 @@ step "elastic degradation (permanent rank loss, integrity on)"
 filtered_tests --test resilience -- degrade
 # Every rung of the crash ladder on a pinned seed, one line of the
 # report's deterministic fields each, as recorded before the driver kept
-# its state in one ledger and picked its rung from a typed outcome, with
-# every rebuilt world's schedule re-checked by the static verifier.
-FG_VERIFY=1 filtered_tests --test resilience -- crash_ladder_reports_match_the_recorded_ones
+# its state in one ledger and picked its rung from a typed outcome (every
+# rebuilt world's schedule is re-checked by the static verifier, as every
+# construction of at most 64 ranks is).
+filtered_tests --test resilience -- crash_ladder_reports_match_the_recorded_ones
 
 # Gray-failure ladder, pinned seeds: a persistently slow rank must be
 # detected (all-rank agreement), rebalanced onto a weighted layout with
 # the stitched-bitwise trajectory contract, or softly evicted when
 # irredeemable — all while integrity envelopes are live, and with every
 # compiled schedule (including the weighted post-rebalance layouts)
-# re-checked by the static verifier (FG_VERIFY).
-step "gray-failure resilience (straggler detect/rebalance/evict, FG_VERIFY on)"
-FG_VERIFY=1 filtered_tests --test resilience -- \
+# re-checked by the static verifier at construction.
+step "gray-failure resilience (straggler detect/rebalance/evict)"
+filtered_tests --test resilience -- \
     persistent_straggler irredeemably_slow healthy_world
 # The driver's own unit tests, crash and gray-failure rungs alike: a
 # rebalance and an eviction are told apart by the typed outcome, and
 # neither is booked as a rebuild.
-FG_VERIFY=1 filtered_tests -p fg-core --lib -- resilient::tests::
+filtered_tests -p fg-core --lib -- resilient::tests::
 # A weighted layout over FG_MEM_BUDGET is declined, and the world trains
 # on, bitwise, on the layout it had (the binary sets the env var itself).
 cargo test -q --offline -p fg-core --test rebalance_budget
 
-# Static memory verifier, same ladder rung as FG_VERIFY: with FG_VERIFY=1
-# every DistExecutor construction now also runs the tensor-liveness
-# analyzer (fg-core::mem) and rejects unsound memory schedules, so the
-# schedule runs above already exercise it. This step pins the analyzer's
-# own contracts explicitly: clean plans bound every rank on every
-# model × strategy × grid, each corruption class (understated
+# Static memory analyzer (fg-core::mem): clean plans bound every rank
+# on every model × strategy × grid, each corruption class (understated
 # halo/shuffle staging) yields a named violation, and a tiny
 # FG_MEM_BUDGET rejects with the typed MemBudgetExceeded error before
 # any plan executes (the mem_budget binary sets/unsets the env var
 # itself).
 step "memory verifier (liveness bounds, mutation catches, FG_MEM_BUDGET gate)"
-FG_VERIFY=1 cargo test -q --offline -p fg-core --test mem_mutations
+cargo test -q --offline -p fg-core --test mem_mutations
 cargo test -q --offline -p fg-core --test mem_budget
 # The step's memory path: every window the fused and the split step
 # build is asserted against its layer's `window_elems`, the size the
 # analyzer books — on clean steps, after an abandoned one, and with the
 # two paths interleaved on one trajectory.
-FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
+filtered_tests -p fg-core --lib -- \
     executor::tests::fused_step_matches_split_passes_bitwise \
     executor::tests::executor_is_reusable_after_an_abandoned_step \
     executor::tests::interleaved_fused_and_split_steps_share_one_trajectory
@@ -215,17 +212,17 @@ filtered_tests -p fg-perf --lib -- \
     memory_limit_forces_spatial_decomposition \
     a_binding_memory_limit_changes_the_winner
 filtered_tests -p fg-perf --test search_golden -- search_answers_match
-FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
+filtered_tests -p fg-core --lib -- \
     fused_step_matches_split static_bounds abandoned_step
 # One step schedule under all three walkers: every rank's recorded
 # trace and liveness intervals as recorded before the executor, the
 # recorder and the analyzer shared it, and an error
 # accumulator booked for exactly the layers backward runs (counted on a
 # live world) — never for `data`.
-FG_VERIFY=1 filtered_tests --test schedule_golden -- \
+filtered_tests --test schedule_golden -- \
     traces_intervals_and_plans_match_the_recorded_ones \
     the_unread_gradient_of_data_is_neither_recorded_nor_staged
-FG_VERIFY=1 filtered_tests -p fg-core --lib -- \
+filtered_tests -p fg-core --lib -- \
     err_intervals_are_exactly_the_layers_backward_runs
 
 # Convolution kernels, bit for bit against the loops they replaced (the
@@ -266,10 +263,10 @@ done
 # contract under test: every accepted request terminates — no hangs —
 # with either logits bitwise-equal to the serial reference or a typed
 # error, across the kill, the world rebuild, and the breaker-probed
-# re-admission. Integrity is already exported above; FG_VERIFY
-# additionally re-checks every rebuilt world's schedule.
-step "serving tier smoke (chaos traffic with a mid-stream rank kill, FG_VERIFY on)"
-FG_VERIFY=1 cargo test -q --offline -p fg-serve --test chaos
+# re-admission. Integrity is already exported above; every rebuilt
+# world's schedule is re-checked at construction.
+step "serving tier smoke (chaos traffic with a mid-stream rank kill)"
+cargo test -q --offline -p fg-serve --test chaos
 
 # Durable checkpoint store under storage chaos, pinned seeds: a rank
 # dies permanently while its primary shard is deleted on every publish
@@ -282,13 +279,13 @@ FG_VERIFY=1 cargo test -q --offline -p fg-serve --test chaos
 # a damaged one, at the store's one walk and at the keeper's, which every
 # rung restores through; a manifest in the retired FGMANI01 layout is
 # typed damage the walk passes too.
-# Integrity is already exported above; FG_VERIFY re-checks the shrunken
-# worlds' schedules. The scratch stores live under the OS
+# Integrity is already exported above; the shrunken worlds' schedules
+# are re-checked at construction. The scratch stores live under the OS
 # temp dir, so no repo paths are dirtied.
-step "storage chaos (deleted-shard reconstruction + torn-write fallback, FG_VERIFY on)"
-FG_VERIFY=1 filtered_tests --test resilience -- \
+step "storage chaos (deleted-shard reconstruction + torn-write fallback)"
+filtered_tests --test resilience -- \
     deleted_shard torn_newest durable_store
-FG_VERIFY=1 cargo test -q --offline -p fg-nn --test ckpt_chaos
+cargo test -q --offline -p fg-nn --test ckpt_chaos
 filtered_tests -p fg-nn --lib -- \
     poisoned_newest_version_falls_back_on_every_restore bit_flip_is_caught_and_version_falls_back
 filtered_tests -p fg-core --lib -- \

@@ -3,11 +3,12 @@
 //! A Rust reproduction of Dryden, Maruyama, Benson, Moon, Snir &
 //! Van Essen, *Improving Strong-Scaling of CNN Training by Exploiting
 //! Finer-Grained Parallelism* (IPDPS 2019): distributed-memory
-//! convolution with sample, spatial, hybrid, channel and filter
-//! parallelism, a distributed tensor library with halo exchange and
-//! redistribution, a performance model, and a parallel-execution-strategy
-//! optimizer — plus every substrate (communicator, kernels, serial
-//! trainer, models, synthetic data) needed to run it end to end.
+//! convolution with sample, spatial and hybrid parallelism (the paper's
+//! channel and filter parallelism are not implemented), a distributed
+//! tensor library with halo exchange and redistribution, a performance
+//! model, and a parallel-execution-strategy optimizer — plus every
+//! substrate (communicator, kernels, serial trainer, models, synthetic
+//! data) needed to run it end to end.
 //!
 //! This crate is a facade: it re-exports the workspace crates under
 //! stable names. Start with [`core::DistExecutor`] (distributed

@@ -7,10 +7,11 @@
 //!   module that only its own tests or `examples/` reach fails here.
 //! * Functions and methods: for every `pub fn f` under `crates/*/src`,
 //!   at column 0 or indented, some other `.rs` file under `crates/`,
-//!   `src/`, `tests/`, `examples/` or `benchmark/src/` must name `f`
-//!   outside a comment and outside a `pub use`. A function only its own
-//!   file calls should not be `pub`; one only its own tests call should
-//!   not exist.
+//!   `src/`, `tests/`, `examples/` or `benchmark/src/` must call or
+//!   path `f` — `f(`, `f::<`, `.f` or `::f` — outside a comment and
+//!   outside a `pub use`; a field, local or word that happens to share
+//!   the name does not reach it. A function only its own file calls
+//!   should not be `pub`; one only its own tests call should not exist.
 //! * Consts and statics: the same rule for every `pub const` and
 //!   `pub static` under `crates/*/src`. Types are not checked.
 //! * Config fields: for every `pub` field of a `pub struct …Config` or
@@ -49,13 +50,30 @@ fn ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// `name` occurs in `code` as a whole identifier directly followed by
-/// `then`, and not as the name a `fn` defines.
+/// Every occurrence of `name` in `code` as a whole identifier, and not as
+/// the name a `fn` defines, as `(code before, code after)`.
+fn uses<'a>(code: &'a str, name: &'a str) -> impl Iterator<Item = (&'a str, &'a str)> {
+    code.match_indices(name).map(|(i, _)| (&code[..i], &code[i + name.len()..])).filter(
+        |(before, rest)| {
+            let defines = before.strip_suffix("fn ").is_some_and(|b| !b.ends_with(ident));
+            !before.ends_with(ident) && !defines && !rest.starts_with(ident)
+        },
+    )
+}
+
+/// `name` is used in `code` directly followed by `then`.
 fn mentions(code: &str, name: &str, then: &str) -> bool {
-    code.match_indices(name).any(|(i, _)| {
-        let (before, rest) = (&code[..i], &code[i + name.len()..]);
-        let defines = before.strip_suffix("fn ").is_some_and(|b| !b.ends_with(ident));
-        !before.ends_with(ident) && !defines && !rest.starts_with(ident) && rest.starts_with(then)
+    uses(code, name).any(|(_, rest)| rest.starts_with(then))
+}
+
+/// `code` calls `name` or names it as a path: `name(`, `name::<`,
+/// `.name` or `::name`.
+fn calls(code: &str, name: &str) -> bool {
+    uses(code, name).any(|(before, rest)| {
+        rest.starts_with('(')
+            || rest.starts_with("::<")
+            || before.ends_with('.')
+            || before.ends_with("::")
     })
 }
 
@@ -146,11 +164,12 @@ fn every_public_module_is_reached_from_outside_itself() {
 
 /// Every item declared, in a file of `sources` that `declares` picks, by
 /// a line starting with one of `prefixes` that no other file of `sources`
-/// [`mentions`], as `(file, name)`.
+/// `reaches` (`reaches(code, name)`), as `(file, name)`.
 fn unreached_among<'a>(
     sources: &'a [(PathBuf, String)],
     declares: impl Fn(&Path) -> bool,
     prefixes: &[&str],
+    reaches: fn(&str, &str) -> bool,
 ) -> Vec<(&'a Path, String)> {
     let mut unreached = Vec::new();
     for (file, code) in sources.iter().filter(|(file, _)| declares(file)) {
@@ -160,8 +179,7 @@ fn unreached_among<'a>(
                 continue;
             };
             let name: String = name.chars().take_while(|&c| ident(c)).collect();
-            let reached =
-                sources.iter().any(|(other, code)| other != file && mentions(code, &name, ""));
+            let reached = sources.iter().any(|(other, code)| other != file && reaches(code, &name));
             if !reached {
                 unreached.push((file.as_path(), name));
             }
@@ -171,15 +189,15 @@ fn unreached_among<'a>(
 }
 
 /// Every item under `crates/*/src` declared by a line starting with one
-/// of `prefixes` that no other file names outside a comment and a
+/// of `prefixes` that no other file `reaches` outside a comment and a
 /// `pub use`, as `file: name`.
-fn unreached_items(prefixes: &[&str]) -> Vec<String> {
+fn unreached_items(prefixes: &[&str], reaches: fn(&str, &str) -> bool) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let sources: Vec<(PathBuf, String)> = sources(root, &CALLER_DIRS)
         .into_iter()
         .map(|(p, code)| (p, without_reexports(&code)))
         .collect();
-    unreached_among(&sources, |file| in_crate_src(root, file), prefixes)
+    unreached_among(&sources, |file| in_crate_src(root, file), prefixes, reaches)
         .into_iter()
         .map(|(file, name)| {
             let file = file.strip_prefix(root).expect("under the repository root");
@@ -188,9 +206,10 @@ fn unreached_items(prefixes: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// The name rule on two files: a private function of the same name in
-/// another file defines the name, it does not use it, so it leaves a
-/// `pub fn` unreached; a call reaches it.
+/// The call rule on two files: a private function of the same name in
+/// another file defines the name, and a field of the same name only
+/// shares it, so both leave a `pub fn` unreached; a call or a path
+/// reaches it.
 #[test]
 fn a_same_named_fn_elsewhere_does_not_reach_a_public_fn() {
     let library = PathBuf::from("crates/table/src/lib.rs");
@@ -201,18 +220,22 @@ fn a_same_named_fn_elsewhere_does_not_reach_a_public_fn() {
         ]
     };
     let in_library = |file: &Path| file == library;
-    let defined = files("fn fmt_bytes(n: u64) -> String {\n    format!(\"{n} B\")\n}");
-    assert_eq!(
-        unreached_among(&defined, in_library, &["pub fn "]),
-        [(library.as_path(), "fmt_bytes".to_string())]
-    );
-    let called = files("let text = table::fmt_bytes(4096);");
-    assert!(unreached_among(&called, in_library, &["pub fn "]).is_empty());
+    let reached =
+        |other: &str| unreached_among(&files(other), in_library, &["pub fn "], calls).is_empty();
+    for shares in [
+        "fn fmt_bytes(n: u64) -> String {\n    format!(\"{n} B\")\n}",
+        "struct Row {\n    fmt_bytes: u64,\n}",
+    ] {
+        assert!(!reached(shares), "{shares}");
+    }
+    for reaches in ["let text = table::fmt_bytes(4096);", "let f = table::fmt_bytes;"] {
+        assert!(reached(reaches), "{reaches}");
+    }
 }
 
 #[test]
 fn every_public_fn_is_named_outside_its_own_file() {
-    let unreached = unreached_items(&["pub fn "]);
+    let unreached = unreached_items(&["pub fn "], calls);
     assert!(
         unreached.is_empty(),
         "public functions nothing outside their own file names (drop `pub`, or delete one \
@@ -223,10 +246,11 @@ fn every_public_fn_is_named_outside_its_own_file() {
 #[test]
 fn every_public_const_is_named_outside_its_own_file() {
     // `pub const fn` is a function, checked by the grain above.
-    let unreached: Vec<String> = unreached_items(&["pub const ", "pub static "])
-        .into_iter()
-        .filter(|item| !item.ends_with(": fn"))
-        .collect();
+    let unreached: Vec<String> =
+        unreached_items(&["pub const ", "pub static "], |code, name| mentions(code, name, ""))
+            .into_iter()
+            .filter(|item| !item.ends_with(": fn"))
+            .collect();
     assert!(
         unreached.is_empty(),
         "public consts and statics nothing outside their own file names (drop `pub`, or \
