@@ -21,7 +21,7 @@ use super::hybrid_grid;
 use crate::table::{fmt_time, Table};
 
 /// One optimization scenario.
-pub struct Scenario {
+struct Scenario {
     /// Display name.
     pub name: &'static str,
     /// The network.

@@ -15,8 +15,8 @@
 //!   deaths (injected kills, observed peer failures, watchdog aborts)
 //!   come back as [`CommError`] values instead of crashing the process.
 //! * [`run_ranks`] and [`run_ranks_timed`] take their options from the
-//!   environment (`FG_COMM_INTEGRITY`) and panic on any rank's
-//!   [`CommError`].
+//!   environment ([`RunOptions::from_env`], the workspace's only reader
+//!   of it: `FG_COMM_INTEGRITY`) and panic on any rank's [`CommError`].
 //!
 //! Every world runs under the deadlock watchdog ([`crate::watchdog`]):
 //! every receive polls, so an accidental deadlock aborts in tens of
@@ -554,25 +554,20 @@ impl RunOptions {
         RunOptions { integrity: true, ..RunOptions::with_faults(plan) }
     }
 
-    /// Options from the environment: `FG_COMM_INTEGRITY` (per
-    /// `flag_is_on`) envelopes all world traffic in the end-to-end
-    /// integrity protocol.
-    fn from_env() -> RunOptions {
-        RunOptions { integrity: env_flag("FG_COMM_INTEGRITY"), ..RunOptions::default() }
+    /// Options from the environment, the one place the process
+    /// environment is read: `FG_COMM_INTEGRITY` (per `flag_is_on`)
+    /// envelopes all world traffic in the end-to-end integrity protocol.
+    pub fn from_env() -> RunOptions {
+        let integrity =
+            std::env::var_os("FG_COMM_INTEGRITY").is_some_and(|v| flag_is_on(&v.to_string_lossy()));
+        RunOptions { integrity, ..RunOptions::default() }
     }
 }
 
-/// The truthiness rule every boolean `FG_*` knob shares: a value turns
-/// the knob on unless it is empty or exactly `0`.
+/// The truthiness rule of a boolean `FG_*` knob: a value turns the knob
+/// on unless it is empty or exactly `0`.
 fn flag_is_on(value: &str) -> bool {
     !value.is_empty() && value != "0"
-}
-
-/// Is the boolean knob `name` on in the process environment? The single
-/// reader behind `FG_COMM_INTEGRITY`, so every crate agrees on what
-/// "set" means.
-pub fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| flag_is_on(&v.to_string_lossy()))
 }
 
 thread_local! {

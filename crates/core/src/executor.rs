@@ -154,7 +154,9 @@ impl DistExecutor {
     /// ranks, statically verify the compiled schedule
     /// ([`DistExecutor::verify`]): a violation is
     /// [`StrategyError::ScheduleUnsound`], so no unsound schedule ever
-    /// runs. The memory schedule is walked only under `FG_MEM_BUDGET`.
+    /// runs. It reads no environment: the result depends on the
+    /// arguments alone. Whether the strategy fits in memory is decided
+    /// where it is chosen (`StrategyOptimizer::with_memory_limit`).
     pub fn new(spec: NetworkSpec, strategy: Strategy, batch: usize) -> Result<Self, StrategyError> {
         strategy.validate(&spec, batch)?;
         let layers = build_layers(&spec, &strategy, batch);
@@ -171,14 +173,6 @@ impl DistExecutor {
                     layer: v.layer,
                     detail: v.to_string(),
                 });
-            }
-        }
-        // FG_MEM_BUDGET (bytes/rank): reject strategies whose static
-        // peak exceeds the budget before anything executes.
-        if let Some(budget) = crate::mem::mem_budget_from_env() {
-            let needed = exec.analyze_memory().max_peak();
-            if needed > budget {
-                return Err(StrategyError::MemBudgetExceeded { needed, budget });
             }
         }
         Ok(exec)

@@ -21,8 +21,7 @@
 //!   64 ranks, `repro -- verify`);
 //! * [`mem`] — static tensor-liveness analysis over the same compiled
 //!   plans: exact per-rank peak-memory bounds (any world size, sampled
-//!   ranks), the strategy search's memory term, and a budget gate
-//!   (`FG_MEM_BUDGET`, `repro -- memscale`).
+//!   ranks) and the strategy search's memory term (`repro -- memscale`).
 
 pub mod distconv;
 pub mod executor;
@@ -40,8 +39,8 @@ pub use executor::{Act, DistExecutor, DistPass};
 pub use guard::{Anomaly, StepGuard};
 pub use layers::DistPool2d;
 pub use mem::{
-    analyze_strategy, mem_budget_from_env, sample_ranks, turnaround_bytes, MemCheckKind, MemReport,
-    MemViolation, RankMemBound,
+    analyze_strategy, sample_ranks, turnaround_bytes, MemCheckKind, MemReport, MemViolation,
+    RankMemBound,
 };
 pub use resilient::{
     resilient_train, ComputeFault, Degradation, DegradeConfig, Rebalance, Replanner,

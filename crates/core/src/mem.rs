@@ -25,11 +25,11 @@
 //!   [`analyze_strategy`]'s planning bounds leave out.
 //!
 //! From the interval list come (a) an exact per-rank peak
-//! ([`fg_tensor::peak_bytes`]) — the static bound the `FG_MEM_BUDGET`
-//! gate compares with its budget; and (b) the soundness check: no
-//! staging interval understates its plan's payload (that the plans
-//! conserve bytes across ranks is the verifier's halo-symmetry and
-//! shuffle-conservation checks). Mutation tests (`mem_mutations.rs`)
+//! ([`fg_tensor::peak_bytes`]) — the static bound `repro -- memscale`
+//! reports; and (b) the soundness check: no staging interval
+//! understates its plan's payload (that the plans conserve bytes across
+//! ranks is the verifier's halo-symmetry and shuffle-conservation
+//! checks). Mutation tests (`mem_mutations.rs`)
 //! prove each corruption class produces a named violation. The buffers
 //! live across the forward/backward turnaround are also priced per
 //! layer ([`turnaround_bytes`]): that is the term the strategy search's
@@ -161,17 +161,11 @@ pub(crate) struct Net<'a> {
     pub replay_bytes: usize,
 }
 
-/// The per-rank memory budget from `FG_MEM_BUDGET` (bytes per rank), if
-/// set and parseable.
-pub fn mem_budget_from_env() -> Option<usize> {
-    std::env::var("FG_MEM_BUDGET").ok().and_then(|v| v.trim().parse::<usize>().ok())
-}
-
 /// The integrity replay-window budget a live world holds when
 /// `FG_COMM_INTEGRITY` is on: the per-stream bound its replay windows
 /// are sized with, so the bound covers exactly what it holds.
 pub(crate) fn replay_budget_bytes() -> usize {
-    if fg_comm::env_flag("FG_COMM_INTEGRITY") {
+    if fg_comm::RunOptions::from_env().integrity {
         fg_comm::DEFAULT_REPLAY_BYTES
     } else {
         0

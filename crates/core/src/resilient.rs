@@ -793,10 +793,10 @@ pub fn resilient_train(
             }) => {
                 let t_rebalance = Instant::now();
                 rebalance_tries += 1;
-                // A weighted layout that does not compile or verify
-                // (over `FG_MEM_BUDGET`, say) is not applied: the world
-                // resumes as it was, tolerating the straggler, and the
-                // spent try makes its next flag an eviction.
+                // A weighted layout that does not validate or verify is
+                // not applied: the world resumes as it was, tolerating
+                // the straggler, and the spent try makes its next flag
+                // an eviction.
                 let (spec, batch) = (&cur_exec.spec, cur_exec.batch);
                 if let Some(new_exec) =
                     rebalance_for_stragglers(&cur_exec.strategy, spec, batch, &ema)

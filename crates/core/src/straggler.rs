@@ -227,8 +227,8 @@ pub(crate) fn weights_from_ema(ema: &[f64]) -> Vec<u64> {
 /// The gray-failure rebalance rung's re-decomposition: per-rank speed
 /// weights from measured busy-time EMAs (`weights_from_ema`), `base`
 /// re-blocked with them and built as a shrink replan is
-/// ([`DistExecutor::new`], which verifies the schedule and applies any
-/// `FG_MEM_BUDGET`). `None` means the weighted layout is not viable: the
+/// ([`DistExecutor::new`], which validates the layout and verifies its
+/// schedule). `None` means the weighted layout is not viable: the
 /// rung then tolerates the straggler on the current layout, and its next
 /// flag escalates to eviction.
 pub fn rebalance_for_stragglers(

@@ -71,17 +71,6 @@ pub enum StrategyError {
         /// Entries in `rank_weights`.
         weights: usize,
     },
-    /// The static per-rank peak-memory bound exceeds the configured
-    /// budget (`FG_MEM_BUDGET` bytes per rank, or an explicit budget
-    /// passed to the optimizer). Raised *before* any execution: the
-    /// bound comes from the tensor-liveness analysis over the compiled
-    /// plans, so an over-budget strategy is rejected at plan time.
-    MemBudgetExceeded {
-        /// Static peak bytes per rank the strategy needs.
-        needed: usize,
-        /// Configured budget in bytes per rank.
-        budget: usize,
-    },
 }
 
 impl std::fmt::Display for StrategyError {
@@ -107,9 +96,6 @@ impl std::fmt::Display for StrategyError {
             }
             StrategyError::WeightLengthMismatch { world, weights } => {
                 write!(f, "strategy has {weights} rank weights for {world} ranks")
-            }
-            StrategyError::MemBudgetExceeded { needed, budget } => {
-                write!(f, "strategy needs {needed} B/rank but the memory budget is {budget} B/rank")
             }
         }
     }

@@ -171,7 +171,7 @@ impl MeshDataset {
 /// (`(hw/coarse + 2)²` values), so every rank can hold it and evaluate
 /// any pixel locally — the basis of sharded data loading.
 #[derive(Debug, Clone)]
-pub struct CoarseNoise {
+struct CoarseNoise {
     hw: usize,
     coarse: usize,
     cg: usize,
@@ -221,7 +221,7 @@ impl CoarseNoise {
 }
 
 /// Smooth random field in `[-1, 1]`: coarse noise, bilinear upsample,
-/// one box-blur pass. Implemented via [`CoarseNoise`] so the full and
+/// one box-blur pass. Implemented via `CoarseNoise` so the full and
 /// pointwise (sharded) generators are identical by construction.
 pub fn smooth_field(hw: usize, seed: u64, coarse: usize) -> Vec<f32> {
     let grid = CoarseNoise::new(hw, seed, coarse);

@@ -85,16 +85,15 @@ if [ -n "$raw_p2p" ]; then
     exit 1
 fi
 
-# Custom lint: the process environment is read in exactly two
-# functions, `fg_comm::env_flag` (every on/off knob) and
-# `mem_budget_from_env` (FG_MEM_BUDGET). A third reader would be a knob
-# the rest of the code cannot see; route it through one of these.
-step "lint: env::var / env::var_os confined to the two readers"
+# Custom lint: the process environment is read in exactly one place,
+# `RunOptions::from_env` in crates/comm/src/runtime.rs (FG_COMM_INTEGRITY,
+# the one knob). A second reader would be a knob the rest of the code
+# cannot see; add the field to `RunOptions` and read it there.
+step "lint: env::var / env::var_os confined to RunOptions::from_env"
 env_reads=$(grep -rnE 'env::var(_os)?\(' crates/*/src --include='*.rs' |
-    grep -vE '^crates/comm/src/runtime\.rs:[0-9]+: *std::env::var_os\(name\)' |
-    grep -vE '^crates/core/src/mem\.rs:[0-9]+: *std::env::var\("FG_MEM_BUDGET"\)' || true)
+    grep -vE '^crates/comm/src/runtime\.rs:[0-9]+: *std::env::var_os\("FG_COMM_INTEGRITY"\)' || true)
 if [ -n "$env_reads" ]; then
-    echo "environment read outside env_flag / mem_budget_from_env:" >&2
+    echo "environment read outside RunOptions::from_env:" >&2
     echo "$env_reads" >&2
     exit 1
 fi
@@ -175,19 +174,12 @@ filtered_tests --test resilience -- \
 # rebalance and an eviction are told apart by the typed outcome, and
 # neither is booked as a rebuild.
 filtered_tests -p fg-core --lib -- resilient::tests::
-# A weighted layout over FG_MEM_BUDGET is declined, and the world trains
-# on, bitwise, on the layout it had (the binary sets the env var itself).
-cargo test -q --offline -p fg-core --test rebalance_budget
 
 # Static memory analyzer (fg-core::mem): clean plans bound every rank
-# on every model × strategy × grid, each corruption class (understated
-# halo/shuffle staging) yields a named violation, and a tiny
-# FG_MEM_BUDGET rejects with the typed MemBudgetExceeded error before
-# any plan executes (the mem_budget binary sets/unsets the env var
-# itself).
-step "memory verifier (liveness bounds, mutation catches, FG_MEM_BUDGET gate)"
+# on every model × strategy × grid, and each corruption class
+# (understated halo/shuffle staging) yields a named violation.
+step "memory verifier (liveness bounds, mutation catches)"
 cargo test -q --offline -p fg-core --test mem_mutations
-cargo test -q --offline -p fg-core --test mem_budget
 # The step's memory path: every window the fused and the split step
 # build is asserted against its layer's `window_elems`, the size the
 # analyzer books — on clean steps, after an abandoned one, and with the
@@ -247,9 +239,9 @@ filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv
 # The step's conv path — the one plan-taking `DistConv2d::{forward,
 # backward}`, halo overlapped with the interior — against the serial
 # kernels, on random geometries and grids and on the pinned strip shapes;
-# and the reachability tripwires — module, function, const, config field
-# and enum variant grain — so neither a self-planning twin nothing runs,
-# nor a config field no caller outside its file sets, nor a mode no
+# and the reachability tripwires — module, function, const, type, config
+# field and enum variant grain — so neither a self-planning twin nothing
+# runs, nor a config field no caller outside its file sets, nor a mode no
 # non-test code builds comes back unnoticed.
 step "distributed conv == serial on the step's path, reachability (debug + release)"
 for profile in "" --release; do

@@ -1,4 +1,4 @@
-//! Tripwires for orphaned library code, at five grains.
+//! Tripwires for orphaned library code, at six grains.
 //!
 //! * Modules: for every `pub mod m;` in a `crates/*/src/lib.rs`, some
 //!   `.rs` file under `crates/`, `src/` or `tests/` — other than the
@@ -13,7 +13,14 @@
 //!   the name does not reach it. A function only its own file calls
 //!   should not be `pub`; one only its own tests call should not exist.
 //! * Consts and statics: the same rule for every `pub const` and
-//!   `pub static` under `crates/*/src`. Types are not checked.
+//!   `pub static` under `crates/*/src`, where any mention counts.
+//! * Types: for every `pub struct`, `pub enum`, `pub trait` and
+//!   `pub type` under `crates/*/src`, some other file under the same
+//!   five directories must name it outside a comment and a `pub use`,
+//!   or its own file must carry it in its public surface — a `pub fn`
+//!   signature, a `pub` field, a `pub trait`'s or `pub enum`'s body, a
+//!   `pub type` — outside the type's own definition and `impl` blocks:
+//!   a type a reachable API takes or returns has to stay public.
 //! * Config fields: for every `pub` field of a `pub struct …Config` or
 //!   `pub struct …Options` under `crates/*/src`, some other file under
 //!   the same five directories must write it as `field:` (not
@@ -255,6 +262,126 @@ fn every_public_const_is_named_outside_its_own_file() {
         unreached.is_empty(),
         "public consts and statics nothing outside their own file names (drop `pub`, or \
          delete one nothing reads): {unreached:#?}"
+    );
+}
+
+/// The type an item opener names: the `Foo` of `pub struct Foo<T>`,
+/// `impl<T> Foo<T>` or `impl fmt::Display for Foo`. `head` is the opener
+/// without its keyword(s).
+fn named_type(head: &str) -> &str {
+    let ty = match head.split_once(" for ") {
+        Some((_, ty)) => ty,
+        // Skip `impl`'s generic parameters.
+        None if head.starts_with('<') => head.split_once("> ").map_or("", |(_, ty)| ty),
+        None => head,
+    };
+    let path = ty.trim_start().split(|c: char| !(ident(c) || c == ':')).next().unwrap_or("");
+    path.rsplit("::").next().unwrap_or("")
+}
+
+/// What a caller outside `code` sees of it, as `(owner, text)`: every
+/// `pub fn` signature, `pub type` definition and `pub` field, up to the
+/// `{` or `;` that ends it, and every line of a `pub trait` or `pub enum`
+/// body. `owner` is the type whose definition or `impl` block the text
+/// lies in (empty outside one): a type's own methods and fields reach
+/// only callers that can already name it, so they do not keep it public.
+fn public_surface(code: &str) -> Vec<(&str, &str)> {
+    const OPENERS: [&str; 5] = ["pub struct ", "pub enum ", "pub trait ", "impl<", "impl "];
+    let mut surface = Vec::new();
+    // The open item body: (its indent, whether every line is surface, owner).
+    let mut open: Option<(usize, bool, &str)> = None;
+    let mut at = 0;
+    for line in code.lines() {
+        let body = line.trim_start();
+        let indent = line.len() - body.len();
+        let rest = &code[at + indent..];
+        let item = &rest[..rest.find(['{', ';']).unwrap_or(rest.len())];
+        at += line.len() + 1;
+        let field = body.strip_prefix("pub ").is_some_and(|f| {
+            let rest = f.trim_start_matches(ident);
+            rest.len() < f.len() && rest.starts_with(':') && !rest.starts_with("::")
+        });
+        if open.is_some_and(|(i, ..)| i == indent) && body.starts_with('}') {
+            open = None;
+        } else if let Some(opener) = OPENERS.iter().find(|o| body.starts_with(**o)) {
+            if body.ends_with('{') {
+                let whole = matches!(*opener, "pub trait " | "pub enum ");
+                open = Some((indent, whole, named_type(&item[opener.len() - 1..])));
+            }
+        } else if open.is_some_and(|(_, whole, _)| whole) {
+            surface.push((open.map_or("", |(.., owner)| owner), body));
+        } else if body.starts_with("pub fn ") || field {
+            surface.push((open.map_or("", |(.., owner)| owner), item));
+        } else if let Some(alias) = body.strip_prefix("pub type ") {
+            surface.push((named_type(alias), item));
+        }
+    }
+    surface
+}
+
+/// Every type declared in a file of `sources` that `declares` picks that
+/// no other file names and no public surface of its own file carries
+/// outside the type's own definition and `impl` blocks.
+fn unreached_types(
+    sources: &[(PathBuf, String)],
+    declares: impl Fn(&Path) -> bool,
+) -> Vec<(&Path, String)> {
+    let named = |code: &str, name: &str| mentions(code, name, "");
+    let prefixes = ["pub struct ", "pub enum ", "pub trait ", "pub type "];
+    unreached_among(sources, declares, &prefixes, named)
+        .into_iter()
+        .filter(|(file, name)| {
+            let (_, code) = sources.iter().find(|(p, _)| p == file).expect("a scanned file");
+            !public_surface(code).iter().any(|&(owner, text)| owner != name && named(text, name))
+        })
+        .collect()
+}
+
+/// The surface rule on one file: a type a public signature or a public
+/// field of another type carries stays public; one that only its own
+/// methods, or a private function, mention does not.
+#[test]
+fn a_type_only_its_own_impl_carries_is_unreached() {
+    let library = PathBuf::from("crates/data/src/mesh.rs");
+    let unreached = |code: &str| {
+        let files = vec![(library.clone(), code.to_string())];
+        unreached_types(&files, |_| true).into_iter().map(|(_, name)| name).collect::<Vec<_>>()
+    };
+    let own_impl = "pub struct Noise {\n    seed: u64,\n}\n\nimpl Noise {\n    \
+                    pub fn new(seed: u64) -> Noise {\n        Noise { seed }\n    }\n}\n\n\
+                    fn sample(seed: u64) -> f32 {\n    Noise::new(seed).seed as f32\n}";
+    assert_eq!(unreached(own_impl), ["Noise"]);
+    let carried = [
+        "pub fn noise(seed: u64) -> Noise {",
+        "pub struct Field {\n    pub noise: Noise,\n}",
+        "pub enum Source {\n    Coarse(Noise),\n}",
+        "pub type Made = Result<Noise, String>;",
+    ];
+    for carrier in carried {
+        let code = format!("pub struct Noise {{\n    seed: u64,\n}}\n\n{carrier}");
+        let left = unreached(&code);
+        assert!(!left.contains(&"Noise".to_string()), "{carrier}: {left:?}");
+    }
+}
+
+#[test]
+fn every_public_type_is_named_outside_its_own_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources: Vec<(PathBuf, String)> = sources(root, &CALLER_DIRS)
+        .into_iter()
+        .map(|(p, code)| (p, without_reexports(&code)))
+        .collect();
+    let unreached: Vec<String> = unreached_types(&sources, |file| in_crate_src(root, file))
+        .into_iter()
+        .map(|(file, name)| {
+            let file = file.strip_prefix(root).expect("under the repository root");
+            format!("{}: {name}", file.display())
+        })
+        .collect();
+    assert!(
+        unreached.is_empty(),
+        "public types nothing outside their own file names and no public signature or field \
+         there carries (drop `pub`, or delete one nothing uses): {unreached:#?}"
     );
 }
 
