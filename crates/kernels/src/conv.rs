@@ -28,11 +28,11 @@
 //!   valid kernel row `r` ascending and filter `f` ascending, adds
 //!   `acc = Σ_s dy·w` (valid taps `s` ascending, from `+0.0`). A kernel
 //!   may also visit, each in its place in that order, taps that reach no
-//!   `dy` element from the position, reading `dy = +0.0` there: on small
-//!   maps a stride phase gathers the hull of the taps that reach any of
-//!   its positions, so a kernel row may reach nothing and a term may hold
-//!   such taps ("Small maps"). With finite weights these inserted zeros
-//!   change no bit ("Signed zeros");
+//!   `dy` element from the position, reading `dy = +0.0` there: a stride
+//!   phase takes the hull of the taps that reach any of its positions, so
+//!   a term may hold such taps (on wide rows, "Backward-data" below), and
+//!   on small maps a kernel row may reach nothing ("Small maps"). With
+//!   finite weights these inserted zeros change no bit ("Signed zeros");
 //! * **backward-filter** — `dw[f,c,r,s]` starts at `+0.0` and, for each
 //!   `(k, oh)` ascending, adds the dot product of the `dy` row with the
 //!   tap's input row, `j` ascending from `+0.0`.
@@ -63,8 +63,9 @@
 //! terms are reordered: an element's sum is one lane of one tile, and the
 //! tile's loops visit its terms in contract order. Tile widths come from
 //! the extents of the call alone: a row is cut into chunks of 8 columns,
-//! then 4, 2, 1; channels go in blocks of 4, then 1 — of 8 first under a
-//! chunk of one or two columns, where there are registers to spare.
+//! then 4, 2, 1 (backward-data's wide rows into chunks of 8 only);
+//! channels go in blocks of 4, then 1 — of 8 first under a chunk of one
+//! or two columns, where there are registers to spare.
 //! Channels are taken `PANEL` at a time through every row (but on
 //! backward-filter's wide rows) so the weights a panel shares stay
 //! cached. Safe Rust throughout. Every crate is built for the x86-64-v3
@@ -89,17 +90,28 @@
 //!   floats), written to `dw[f][tap]` once per call: one lane per `dw`
 //!   element that gains one dot product per row in `(k, oh)` order. A
 //!   small map keeps the lanes across taps ("Small maps").
-//! * **Backward-data**, on rows wider than two chunks (and the 1×1 calls
-//!   "Small maps" keeps here) — `B` channels × `CW` columns of one
-//!   `Segment` of one `(k, ih)` row. The requested columns decompose
-//!   by stride phase (`WidthPhases`): an input column with `iw + pad_w
-//!   = m·s_w + q` is reached only by taps `s = q + e·s_w`, from output
-//!   column `ow = m − e`, so within phase `q` tap `e` reads the
-//!   contiguous run `dy[m − e]`; each phase is cut where the set of
-//!   taps reaching a column changes, so a tile sees one tap list. Kernel
-//!   rows decompose the same way (`r = (ih + pad_h) mod s_h, + s_h, …`).
-//!   Inside the tile, `for r { for f { term = Σ_s; acc += term } }`; the
-//!   finished tile is written to `dx` at stride `s_w`.
+//! * **Backward-data**, on rows whose every column stride phase holds a
+//!   chunk — `B` channels × 8 columns of one stride phase of one `(k, ih)`
+//!   row. An input column with `iw + pad_w = m·s_w + q` is reached only
+//!   by taps `s = q + e·s_w`, from output column `ow = m − e`, so within
+//!   phase `q` tap `e` reads the contiguous run `dy[m − e]`. Every column
+//!   of a phase takes the hull of the phase's taps (`AxisPhase`): the
+//!   call copies the `dy` rows it reads once, with zero columns on either
+//!   side and `+0.0` at every output column outside `[0, out_w)`, where
+//!   the window may hold anything, so no tile is cut at a border or sees
+//!   a shorter tap list (a call whose hull reads valid outputs only, a
+//!   1×1 kernel's, reads the window in place). A phase is covered by
+//!   full chunks only, the last one ending on its last column and
+//!   recomputing, bit for bit, what the one before wrote. Kernel rows
+//!   decompose by phase too (`r = (ih + pad_h) mod s_h, + s_h, …`), the
+//!   valid ones only. The weights are read from a tap-major copy
+//!   `wt[((f·kh + r)·kw + s)·C + c]` (`w` itself for a 1×1 kernel), so a
+//!   tile's `B` weights for one tap are one run. Per `(r, f)` the tile
+//!   loads the `T` runs of `dy` and of weights once and sums each
+//!   channel's term in one register, from `+0.0`, `s` ascending, then
+//!   adds it to the channel's sums (`T` is a constant for hulls of 1–3
+//!   taps; a wider hull sums a block of terms tap by tap). The finished
+//!   tile is written to `dx` at stride `s_w`.
 //!
 //! # Small maps
 //!
@@ -107,8 +119,8 @@
 //! idle: on ResNet-50's 4×4, 2×2 and 1×1 maps a forward tile is 4, 2 or 1
 //! column wide. There forward and backward-filter take their `(k, oh)`
 //! rows in blocks (`row_blocks`: as many as `BLOCK_FLOATS` of
-//! gathered input hold), and backward-data takes every call whose rows
-//! are at most two chunks wide as one path:
+//! gathered input hold), and backward-data takes every call with a
+//! column stride phase narrower than one chunk as one path:
 //!
 //! * **Forward** makes the block's positions `(k, oh, ow)` one virtual
 //!   row (`TapRows::positions`): per channel and tap, what the
@@ -127,18 +139,22 @@
 //!   one virtual row, and its taps are the hull, per axis (`AxisPhase`),
 //!   of the kernel rows and columns that reach some position of the
 //!   phase: a 3×3 kernel at stride 1 on a map of at least 2×2 gathers
-//!   all nine taps for every position, where a row-by-row tile would see
-//!   up to nine tap lists, one per border case, each only 1–2 columns
-//!   wide. `dy` is gathered
-//!   per filter and tap into one run over the positions, with `+0.0`
+//!   all nine taps for every position, border rows included, so one tile
+//!   covers every sample and row of the phase. `dy` is gathered per
+//!   filter and tap into one run over the positions, with `+0.0`
 //!   where the tap reaches no output from a position, and the unchanged
 //!   tile covers the run; positions of a phase no tap reaches keep their
-//!   zeros. On the mesh model's 3×3 layers, rows of 16 columns gain from
-//!   this (−18 %) and rows of 32 and 64 lose (+26 %, +54 %), so wider
-//!   rows stay on the row path. So does a 1×1 kernel at stride 1 whose
-//!   rows fill whole chunks, in blocks longer than the walk below takes
-//!   (`res2`'s 1×1 layers on 4×8 maps): each of its rows already is a
-//!   run of the virtual row, and the gather and scatter cost 10–25 %.
+//!   zeros. A call whose every column phase holds a full chunk takes the
+//!   row path instead ("Backward-data" above), 1×1 kernels included,
+//!   and reads `w` in tap-major order; this path reads `w` in place.
+//!   In an in-process A/B of the kernel alone (one thread, median of
+//!   150 alternating calls), the row path read 35 % and 47 % below this
+//!   path on the mesh model's 3×3 layers on 8- and 16-column rows, 41 %
+//!   below on `res2`'s 3×3 layer (4×8 maps, four samples) and 37–41 %
+//!   below the walk on 1×1 calls of 16 and 32 positions. A phase of 9
+//!   columns, whose last chunk recomputes 7 of the 8 before it, read 7 %
+//!   above. A phase narrower than a chunk cannot hold one, so it stays
+//!   here.
 //! * A phase whose hull is a single tap — a 1×1 kernel at any stride, a
 //!   3×3 kernel on a 1×1 map — walks `w` filter by filter, in memory
 //!   order (`filter_major_walk`), in blocks of up to
@@ -163,9 +179,11 @@
 //! * it adds a single tap straight into the sums (not via `0.0 + p`);
 //! * it leaves positions no tap reaches as `Tensor::zeros` made them
 //!   (not `dx += 0.0`);
-//! * on small maps it adds the products of hull taps that reach no
-//!   output, `w·(+0.0)`, which is `±0.0`, and for a kernel row that
-//!   reaches nothing a whole term of them, which is `+0.0`.
+//! * where a stride phase takes its hull (every phase on wide rows and
+//!   on small maps) it adds the products of hull taps that reach no
+//!   output, `w·(+0.0)`, which is `±0.0`, and, on small maps, for a
+//!   kernel row that reaches nothing a whole term of them, which is
+//!   `+0.0`.
 //!
 //! No sum is ever `−0.0`: a sum starts at `+0.0`, and a round-to-nearest
 //! sum is `−0.0` only when both addends are. So `acc + ±0.0 = acc` for
@@ -458,65 +476,14 @@ impl AxisPhase {
     }
 }
 
-/// One kernel tap of a [`Segment`].
-struct SegmentTap {
+/// One kernel column tap of a backward-data run of columns.
+struct ColumnTap {
     /// Kernel column.
     s: usize,
-    /// Window column of the `dy` element that lands on the segment's
-    /// first column; the following columns read the following elements.
+    /// Where the `dy` element that lands on the run's first column is, in
+    /// the row the tile reads; the following columns read the following
+    /// elements.
     src: usize,
-}
-
-/// A run of requested `dx` columns with one residue of `(iw + pad_w) mod
-/// stride_w` that the same kernel taps reach.
-struct Segment {
-    /// Region-relative column of its first element; the rest follow at
-    /// `stride_w`.
-    first_col: usize,
-    /// Columns in the segment.
-    len: usize,
-    /// Its taps, ascending in `s`, as a range of [`WidthPhases::taps`].
-    taps: Range<usize>,
-}
-
-/// The stride-phase decomposition of one backward-data call's columns,
-/// each phase cut where the set of taps reaching a column changes.
-/// Columns no tap reaches are in no segment.
-struct WidthPhases {
-    segments: Vec<Segment>,
-    taps: Vec<SegmentTap>,
-}
-
-impl WidthPhases {
-    /// Decompose `dx` columns `dx_cols`; `dy_col0` is the global column of
-    /// the `dy` window's first element.
-    fn new(geom: &ConvGeometry, dx_cols: (usize, usize), dy_col0: i64) -> Self {
-        let sw = geom.stride_w;
-        let mut segments = Vec::new();
-        let mut taps = Vec::new();
-        for q in 0..sw {
-            let axis = AxisPhase::new(dx_cols, q, geom.kw, sw, geom.pad_w, geom.out_w());
-            let mut i = 0;
-            while i < axis.coords.len() {
-                let (first_col, m) = axis.coords[i];
-                let reach = axis.reach(m);
-                let len = axis.coords[i..]
-                    .iter()
-                    .take_while(|&&(_, next)| axis.reach(next) == reach)
-                    .count();
-                if !reach.is_empty() {
-                    let first_tap = taps.len();
-                    taps.extend(reach.map(|e| SegmentTap {
-                        s: q + e * sw,
-                        src: ((m - e) as i64 - dy_col0) as usize,
-                    }));
-                    segments.push(Segment { first_col, len, taps: first_tap..taps.len() });
-                }
-                i += len;
-            }
-        }
-        WidthPhases { segments, taps }
-    }
 }
 
 /// One register tile of a kernel's result: `B` channels × `CW` adjacent
@@ -620,10 +587,11 @@ fn add_block<const B: usize, const CW: usize>(acc: &mut [[f32; CW]; B], terms: &
     }
 }
 
-/// The `CW` elements of `row` from `at` on.
+/// The `N` elements of `row` from `at` on: a tile's run of columns, or a
+/// block's run of weights.
 #[inline(always)]
-fn run_at<const CW: usize>(row: &[f32], at: usize) -> &[f32; CW] {
-    row[at..at + CW].try_into().expect("a slice of CW elements")
+fn run_at<const N: usize>(row: &[f32], at: usize) -> &[f32; N] {
+    row[at..at + N].try_into().expect("a slice of N elements")
 }
 
 /// Forward convolution (Eq. 1) over an output region.
@@ -788,49 +756,109 @@ pub fn conv2d_backward_data_region(
     let rows = ih1 - ih0;
     let cols = iw1 - iw0;
     let mut dx = Tensor::zeros(Shape4::new(n, c_out, rows, cols));
-    // Rows up to two chunks wide: one virtual row per stride phase. A 1×1
-    // kernel at stride 1 whose rows fill whole chunks, in blocks too long
-    // for the walk, stays on the row path: its rows already are the
-    // phase's virtual row, so the gather and scatter would be pure cost.
-    let rows_are_the_row = (kh, kw, geom.stride_h, geom.stride_w) == (1, 1, 1, 1)
-        && cols % CHUNK == 0
-        && (BLOCK_FLOATS / f_in).min(n * rows * cols) > WALK_POSITIONS;
-    if cols <= 2 * CHUNK && !rows_are_the_row {
+    let sw = geom.stride_w;
+    let phases: Vec<_> =
+        (0..sw).map(|q| AxisPhase::new(dx_cols, q, kw, sw, geom.pad_w, geom.out_w())).collect();
+    // A row whose every stride phase fills a chunk is covered by full
+    // chunks alone; narrower ones go one virtual row per stride phase.
+    if phases.iter().any(|phase| phase.coords.len() < CHUNK) {
         backward_data_phases(dy, dy_origin, w, geom, dx_rows, dx_cols, &mut dx);
         return dx;
     }
-    let phases = WidthPhases::new(geom, dx_cols, dy_origin.1);
-    // Per dx row, the kernel rows reaching it, each with the dy window row
-    // it reads there.
+    // Per dx row, the kernel rows reaching it, each with the row of the
+    // padded `dy` below (counted from output row `oh_lo`) it reads there.
     let sh = geom.stride_h;
     let mut row_taps: Vec<Vec<(usize, usize)>> = vec![Vec::new(); rows];
     for qh in 0..sh {
-        let axis = AxisPhase::new(dx_rows, qh, geom.kh, sh, geom.pad_h, geom.out_h());
+        let axis = AxisPhase::new(dx_rows, qh, kh, sh, geom.pad_h, geom.out_h());
         for &(i, mh) in &axis.coords {
-            let lh = |eh| axis.source(eh, mh, dy_origin.0).expect("a reaching tap");
+            let lh = |eh| axis.source(eh, mh, oh_lo as i64).expect("a reaching tap");
             row_taps[i] = axis.reach(mh).map(|eh| (qh + eh * sh, lh(eh))).collect();
         }
     }
+    // The phases some tap reaches, each over the hull of its taps: tap `e`
+    // reads output column `m − e` at coordinate `m`, so the hull reads
+    // `[first m − last e, last m − first e]`, `[g0, g1)` over all phases.
+    let reached: Vec<_> = phases.iter().enumerate().filter(|(_, p)| !p.taps.is_empty()).collect();
+    if reached.is_empty() || oh_lo == oh_hi {
+        return dx;
+    }
+    let m = |p: &AxisPhase, at: usize| p.coords[at].1 as i64;
+    let g0 = reached.iter().map(|(_, p)| m(p, 0) + 1 - p.taps.end as i64).min().unwrap_or(0);
+    let g1 = reached.iter().map(|(_, p)| m(p, p.coords.len() - 1) + 1 - p.taps.start as i64);
+    let g1 = g1.max().unwrap_or(g0);
+    // `dy` rows `[oh_lo, oh_hi)` × output columns `[g0, g1)`: the window
+    // itself where all of those columns reach the region, else a copy with
+    // the columns outside `[ow_lo, ow_hi)` — outside the layer's output or
+    // reaching no requested column — as `+0.0`. An inserted tap reads zero
+    // there, never what the window holds.
+    let (dy_rows, first_row) = (oh_hi - oh_lo, (oh_lo as i64 - dy_origin.0) as usize);
+    let (dyp, dy_first, dy_plane, wp) = if ow_lo as i64 <= g0 && g1 <= ow_hi as i64 {
+        let first = first_row * win_w + (g0 - dy_origin.1) as usize;
+        (Cow::Borrowed(dy.as_slice()), first, win_h * win_w, win_w)
+    } else {
+        let wp = (g1 - g0) as usize;
+        let mut dyp = vec![0.0f32; n * f_in * dy_rows * wp];
+        let valid = (ow_lo as i64).max(g0)..(ow_hi as i64).min(g1);
+        let (to, from) = ((valid.start - g0) as usize, (valid.start - dy_origin.1) as usize);
+        let len = (valid.end - valid.start).max(0) as usize;
+        for (plane, dyp_plane) in dyp.chunks_exact_mut(dy_rows * wp).enumerate() {
+            let dy_plane = &dy.as_slice()[(plane * win_h + first_row) * win_w..];
+            for (dst, src) in dyp_plane.chunks_exact_mut(wp).zip(dy_plane.chunks(win_w)) {
+                dst[to..to + len].copy_from_slice(&src[from..from + len]);
+            }
+        }
+        (Cow::Owned(dyp), 0, dy_rows * wp, wp)
+    };
+    // Tap-major weights, `w` itself for a one-tap kernel: a block's
+    // channels for one tap are one run.
+    let taps = kh * kw;
+    let wt = if taps == 1 {
+        Cow::Borrowed(w.as_slice())
+    } else {
+        let mut wt = vec![0.0f32; f_in * taps * c_out];
+        for (f, w_f) in w.as_slice().chunks_exact(c_out * taps).enumerate() {
+            for (c, w_fc) in w_f.chunks_exact(taps).enumerate() {
+                for (tap, v) in w_fc.iter().enumerate() {
+                    wt[(f * taps + tap) * c_out + c] = *v;
+                }
+            }
+        }
+        Cow::Owned(wt)
+    };
+    let column_taps: Vec<Vec<ColumnTap>> = reached
+        .iter()
+        .map(|&(q, p)| {
+            let tap = |e| ColumnTap { s: q + e * sw, src: (m(p, 0) - e as i64 - g0) as usize };
+            p.taps.clone().map(tap).collect()
+        })
+        .collect();
     for channels in panels(c_out) {
         for (k, dx_k) in dx.as_mut_slice().chunks_exact_mut(c_out * rows * cols).enumerate() {
-            let dy_k = &dy.as_slice()[k * f_in * win_h * win_w..][..f_in * win_h * win_w];
+            let dy_k = &dyp[dy_first + k * f_in * dy_plane..];
             for (i, taps_i) in row_taps.iter().enumerate() {
-                for segment in &phases.segments {
-                    let mut tile = BackwardDataTile {
+                for (&(_, phase), taps) in reached.iter().zip(&column_taps) {
+                    let len = phase.coords.len();
+                    let mut tile = WideRowDataTile {
                         dy_k,
-                        dy_plane: win_h * win_w,
-                        win_w,
+                        dy_plane,
+                        wp,
                         f_in,
-                        ws: w.as_slice(),
-                        w_filter: c_out * geom.kh * geom.kw,
-                        geom,
+                        wt: &wt,
+                        c_out,
+                        kh,
+                        kw,
                         row_taps: taps_i,
-                        taps: &phases.taps[segment.taps.clone()],
-                        dx_row: &mut dx_k[i * cols + segment.first_col..],
+                        taps,
+                        dx_row: &mut dx_k[i * cols + phase.coords[0].0..],
                         dx_plane: rows * cols,
-                        dx_step: geom.stride_w,
+                        dx_step: sw,
                     };
-                    for_each_tile(channels.clone(), segment.len, &mut tile);
+                    // Full chunks; the last ends on the phase's last column,
+                    // recomputing (bit for bit) what the one before wrote.
+                    for col0 in (0..len - CHUNK).step_by(CHUNK).chain([len - CHUNK]) {
+                        channel_blocks::<CHUNK>(channels.clone(), col0, &mut tile);
+                    }
                 }
             }
         }
@@ -847,16 +875,16 @@ const WALK_POSITIONS: usize = 4 * CHUNK;
 /// channels, sized to stay in the L1 cache beside a weight row.
 const WALK_FLOATS: usize = 4 * 1024;
 
-/// Backward-data on a call whose rows are at most two chunks wide: per
-/// stride phase `(qh, qw)`, the phase's `dx` positions `(k, ih, iw)` are
-/// one virtual row, taken in blocks of as many positions as
-/// [`BLOCK_FLOATS`] of gathered `dy` hold. The phase's taps are the hulls
-/// of its [`AxisPhase`]s, `R` kernel rows × `S` kernel columns, and `dy`
-/// is gathered so that what the `V` positions of a block read through
-/// row tap `i` and column tap `e` of filter `f` is one run,
-/// `dyv[((f·R + i)·S + e)·V + p]`, holding `+0.0` where that tap reaches
-/// no output from the position. The block's sums, `dxv[c·V + p]`, go
-/// back to `(k, c, ih, iw)`; positions of phases no tap reaches keep
+/// Backward-data on a call with a column stride phase narrower than a
+/// chunk: per stride phase `(qh, qw)`, the phase's `dx` positions
+/// `(k, ih, iw)` are one virtual row, taken in blocks of as many
+/// positions as [`BLOCK_FLOATS`] of gathered `dy` hold. The phase's taps
+/// are the hulls of its [`AxisPhase`]s, `R` kernel rows × `S` kernel
+/// columns, and `dy` is gathered so that what the `V` positions of a
+/// block read through row tap `i` and column tap `e` of filter `f` is one
+/// run, `dyv[((f·R + i)·S + e)·V + p]`, holding `+0.0` where that tap
+/// reaches no output from the position. The block's sums, `dxv[c·V + p]`,
+/// go back to `(k, c, ih, iw)`; positions of phases no tap reaches keep
 /// their zeros.
 fn backward_data_phases(
     dy: &Tensor,
@@ -919,8 +947,8 @@ fn backward_data_phases(
                     filter_major_walk(&dyv, w, row_tap(0) * kw + col_tap(0), len, &mut dxv);
                 } else {
                     let row_taps: Vec<(usize, usize)> = (0..nr).map(|i| (row_tap(i), i)).collect();
-                    let taps: Vec<SegmentTap> =
-                        (0..ns).map(|e| SegmentTap { s: col_tap(e), src: e * len }).collect();
+                    let taps: Vec<ColumnTap> =
+                        (0..ns).map(|e| ColumnTap { s: col_tap(e), src: e * len }).collect();
                     let mut tile = BackwardDataTile {
                         dy_k: &dyv,
                         dy_plane: nr * ns * len,
@@ -933,7 +961,6 @@ fn backward_data_phases(
                         taps: &taps,
                         dx_row: &mut dxv,
                         dx_plane: len,
-                        dx_step: 1,
                     };
                     for channels in panels(ds.c) {
                         for_each_tile(channels, len, &mut tile);
@@ -1010,35 +1037,33 @@ fn filter_major_walk(dyv: &[f32], w: &Tensor, tap: usize, len: usize, dxv: &mut 
     }
 }
 
-/// Backward-data's tile: `B` channels × `CW` columns of one
-/// [`Segment`] of one `(k, ih)` row, or positions of a small map's
-/// virtual row.
+/// Backward-data's tile on a stride phase's virtual row: `B` channels ×
+/// `CW` adjacent positions, reading `w` in place.
 struct BackwardDataTile<'a> {
-    /// Sample `k`'s `dy` window, filter `f`'s plane at `f · dy_plane`.
+    /// The gathered `dy`, filter `f`'s runs at `f · dy_plane`.
     dy_k: &'a [f32],
     dy_plane: usize,
+    /// Elements between the runs of consecutive row taps.
     win_w: usize,
     f_in: usize,
     ws: &'a [f32],
     /// Elements between consecutive filters of `ws`.
     w_filter: usize,
     geom: &'a ConvGeometry,
-    /// Kernel row and `dy` window row of every row tap, `r` ascending.
+    /// Kernel row and gathered row of every row tap, `r` ascending.
     row_taps: &'a [(usize, usize)],
-    /// The segment's column taps, `s` ascending.
-    taps: &'a [SegmentTap],
-    /// Channel 0's row from the segment's first column on, the segment's
-    /// columns `dx_step` apart; channel `c`'s is `c · dx_plane` further.
+    /// The phase's column taps, `s` ascending.
+    taps: &'a [ColumnTap],
+    /// Channel 0's sums; channel `c`'s are `c · dx_plane` further.
     dx_row: &'a mut [f32],
     dx_plane: usize,
-    dx_step: usize,
 }
 
 impl BackwardDataTile<'_> {
     /// Calls `each(w_at, dy_at)` for every row tap and filter in contract
     /// order, `r` outer: `w[f][c0][r][0]` is at `w_at` with the block's
-    /// following channels `kh·kw` apart, and the filter's dy row starts,
-    /// from column `col0` of the segment on, at `dy_at`.
+    /// following channels `kh·kw` apart, and the filter's dy run starts,
+    /// from position `col0` on, at `dy_at`.
     #[inline(always)]
     fn for_each_filter(&self, c0: usize, col0: usize, mut each: impl FnMut(usize, usize)) {
         for &(r, lh) in self.row_taps {
@@ -1059,14 +1084,14 @@ impl BackwardDataTile<'_> {
         &self,
         w_at: usize,
         dy_at: usize,
-        tap: &SegmentTap,
+        tap: &ColumnTap,
     ) -> ([f32; B], &[f32; CW]) {
         let w_chan = self.geom.kh * self.geom.kw;
         let wv = std::array::from_fn(|b| self.ws[w_at + b * w_chan + tap.s]);
         (wv, run_at(self.dy_k, dy_at + tap.src))
     }
 
-    /// The tile's sums where one tap reaches the segment: every
+    /// The tile's sums where the hull is one tap: every
     /// `(r, f)` term is a single product and adds straight into the sums
     /// (see "Signed zeros").
     ///
@@ -1079,7 +1104,7 @@ impl BackwardDataTile<'_> {
         &self,
         c0: usize,
         col0: usize,
-        tap: &SegmentTap,
+        tap: &ColumnTap,
     ) -> [[f32; CW]; B] {
         let mut acc = [[0.0f32; CW]; B];
         self.for_each_filter(c0, col0, |w_at, dy_at| {
@@ -1089,7 +1114,7 @@ impl BackwardDataTile<'_> {
         acc
     }
 
-    /// The tile's sums where several taps reach the segment: every
+    /// The tile's sums over a hull of several taps: every
     /// `(r, f)` term is summed over the taps from `+0.0`, `s` ascending,
     /// then added.
     #[inline(never)]
@@ -1112,6 +1137,121 @@ impl Tile for BackwardDataTile<'_> {
         let acc = match self.taps {
             [tap] => self.lone_tap_sums::<B, CW>(c0, col0, tap),
             _ => self.term_sums::<B, CW>(c0, col0),
+        };
+        for (b, sums) in acc.iter().enumerate() {
+            self.dx_row[(c0 + b) * self.dx_plane + col0..][..CW].copy_from_slice(sums);
+        }
+    }
+}
+
+/// Backward-data's tile on a row whose every stride phase fills a chunk:
+/// `B` channels × `CW` columns of one phase of one `(k, ih)` row, the
+/// phase's whole hull of column taps at every column.
+struct WideRowDataTile<'a> {
+    /// Sample `k`'s `dy` rows (the zero-padded copy, or the window) from
+    /// the first column a hull reads on; filter `f`'s at `f · dy_plane`,
+    /// `wp` apart.
+    dy_k: &'a [f32],
+    dy_plane: usize,
+    wp: usize,
+    f_in: usize,
+    /// Tap-major weights, `wt[((f·kh + r)·kw + s)·C + c]`.
+    wt: &'a [f32],
+    c_out: usize,
+    kh: usize,
+    kw: usize,
+    /// Kernel row and padded `dy` row of every row tap, `r` ascending.
+    row_taps: &'a [(usize, usize)],
+    /// The phase's column taps, `s` ascending.
+    taps: &'a [ColumnTap],
+    /// Channel 0's row from the phase's first column on, its columns
+    /// `dx_step` apart; channel `c`'s is `c · dx_plane` further.
+    dx_row: &'a mut [f32],
+    dx_plane: usize,
+    dx_step: usize,
+}
+
+impl WideRowDataTile<'_> {
+    /// Calls `each(w_at, dy_at)` for every row tap and filter in contract
+    /// order, `r` outer: the block's weights for kernel column `s` start at
+    /// `w_at + s·C`, and the filter's `dy` row, from column `col0` of the
+    /// phase on, at `dy_at`.
+    #[inline(always)]
+    fn for_each_filter(&self, c0: usize, col0: usize, mut each: impl FnMut(usize, usize)) {
+        for &(r, lh) in self.row_taps {
+            let mut w_at = r * self.kw * self.c_out + c0;
+            let mut dy_at = lh * self.wp + col0;
+            for _ in 0..self.f_in {
+                each(w_at, dy_at);
+                w_at += self.kh * self.kw * self.c_out;
+                dy_at += self.dy_plane;
+            }
+        }
+    }
+
+    /// The tile's sums over a hull of `T` column taps. Per `(r, f)` the
+    /// `T` runs of `dy` and of weights are loaded once; each channel's
+    /// term is summed from `+0.0`, `s` ascending, then added. A lone tap
+    /// adds its product straight into the sums (see "Signed zeros").
+    #[inline(never)]
+    fn hull_sums<const B: usize, const CW: usize, const T: usize>(
+        &self,
+        c0: usize,
+        col0: usize,
+    ) -> [[f32; CW]; B] {
+        let w_tap: [usize; T] = std::array::from_fn(|t| self.taps[t].s * self.c_out);
+        let dy_tap: [usize; T] = std::array::from_fn(|t| self.taps[t].src);
+        let mut acc = [[0.0f32; CW]; B];
+        self.for_each_filter(c0, col0, |w_at, dy_at| {
+            let dy: [&[f32; CW]; T] = std::array::from_fn(|t| run_at(self.dy_k, dy_at + dy_tap[t]));
+            let wv: [&[f32; B]; T] = std::array::from_fn(|t| run_at(self.wt, w_at + w_tap[t]));
+            if T == 1 {
+                axpy_block(&mut acc, *wv[0], dy[0]);
+                return;
+            }
+            for (b, sums) in acc.iter_mut().enumerate() {
+                let mut term = [0.0f32; CW];
+                for (w_t, dy_t) in wv.iter().zip(&dy) {
+                    for (tv, dv) in term.iter_mut().zip(*dy_t) {
+                        *tv += w_t[b] * dv;
+                    }
+                }
+                for (sum, tv) in sums.iter_mut().zip(term) {
+                    *sum += tv;
+                }
+            }
+        });
+        acc
+    }
+
+    /// [`Self::hull_sums`] for a hull of any width: the block's terms are
+    /// summed tap by tap, `s` ascending from `+0.0`, then added.
+    #[inline(never)]
+    fn wide_hull_sums<const B: usize, const CW: usize>(
+        &self,
+        c0: usize,
+        col0: usize,
+    ) -> [[f32; CW]; B] {
+        let mut acc = [[0.0f32; CW]; B];
+        self.for_each_filter(c0, col0, |w_at, dy_at| {
+            let mut terms = [[0.0f32; CW]; B];
+            for tap in self.taps {
+                let wv = *run_at(self.wt, w_at + tap.s * self.c_out);
+                axpy_block(&mut terms, wv, run_at(self.dy_k, dy_at + tap.src));
+            }
+            add_block(&mut acc, &terms);
+        });
+        acc
+    }
+}
+
+impl Tile for WideRowDataTile<'_> {
+    fn run<const B: usize, const CW: usize>(&mut self, c0: usize, col0: usize) {
+        let acc = match self.taps.len() {
+            1 => self.hull_sums::<B, CW, 1>(c0, col0),
+            2 => self.hull_sums::<B, CW, 2>(c0, col0),
+            3 => self.hull_sums::<B, CW, 3>(c0, col0),
+            _ => self.wide_hull_sums::<B, CW>(c0, col0),
         };
         let step = self.dx_step;
         for (b, sums) in acc.iter().enumerate() {

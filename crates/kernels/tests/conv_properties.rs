@@ -616,10 +616,12 @@ fn check_split_regions(case: BitCase) -> Result<(), String> {
 
 /// The edges of a register tile, deterministically: channel and filter
 /// counts on both sides of every block size a tile or panel may use (1,
-/// 4, 8, 16) × row widths on both sides of every chunk width (1, 2, 4,
-/// 8, 16), at stride 1 and 2, and the small maps of ResNet-50's deep
-/// stages, where a row is one or two elements and the tile trades
-/// columns for channels.
+/// 4, 8, 16) × row widths on both sides of every chunk width forward and
+/// backward-filter cut a row into (1, 2, 4, 8) and of two chunks, at
+/// stride 1 and 2 — which puts backward-data's rows on both sides of its
+/// row path's edge, a full chunk per column stride phase — and the small
+/// maps of ResNet-50's deep stages, where a row is one or two elements
+/// and the tile trades columns for channels.
 #[test]
 fn tile_edges_equal_reference_bitwise() {
     const CHANNELS: [usize; 7] = [1, 3, 4, 5, 8, 9, 17];
@@ -673,7 +675,8 @@ fn check_split_regions_and_columns(case: BitCase) -> Result<(), String> {
 
 /// Small maps — rows narrower than a full chunk of columns, where a call
 /// covers all its samples and rows as one virtual row (forward, and
-/// backward-data per stride phase, as it does up to two chunks) or adds
+/// backward-data per stride phase, as it does wherever a column stride
+/// phase is narrower than a chunk) or adds
 /// its rows' dot products into `dw` a block of rows at a time
 /// (backward-filter) — deterministically: output extents 1–7, 1–4
 /// samples, 1×1 and 3×3 (pad 1) kernels at strides 1 and 2, channel and
@@ -723,7 +726,8 @@ fn small_maps_equal_reference_bitwise() {
 /// with 512 → 2048, 2048 → 512 and 1024 → 2048 channels — where a
 /// backward-data phase gathers a hull of taps, or walks `w` filter by
 /// filter, with more channels than any drawn case — and `res2`'s 1×1
-/// convolutions on 4×8 maps, whose full-chunk rows stay on the row path.
+/// convolutions on 4×8 maps, whose one-chunk rows take backward-data's
+/// row path, as the 3×3 convolutions on those maps do.
 #[test]
 fn resnet50_shapes_equal_reference_bitwise() {
     let mut seed = 0x5EED_0003u64;
@@ -781,5 +785,47 @@ fn mesh_shapes_equal_reference_bitwise() {
         (16, 20, 32, 1),
     ] {
         check(c, f, ConvGeometry::square(in_hw, in_hw, 3, stride, 1));
+    }
+}
+
+/// Backward-data at the edge of its row path, deterministically: a call
+/// whose every column stride phase holds at least one chunk of 8 columns
+/// covers each phase with full chunks over zero-padded `dy` rows, the last
+/// chunk overlapping the one before, and a narrower call takes the stride
+/// phases' virtual rows. 3×3 (pad 1) kernels at stride 1 and 2 with
+/// phases of 7–9, 15–17, 31–33 and 63–65 columns, a 5×5 (pad 2) kernel
+/// at stride 1, whose five taps take the term of any width, and 1×1 rows
+/// of 8 and 16 columns, with channel and filter counts on both sides of
+/// every block size. The drawn column sub-ranges start and end mid-row,
+/// so the padded rows' zero columns meet the window's garbage.
+#[test]
+fn wide_row_phases_equal_reference_bitwise() {
+    const CHANNELS: [usize; 7] = [1, 3, 4, 5, 8, 9, 17];
+    let mut seed = 0x5EED_0005u64;
+    let mut check = |c, f, geom| {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        if let Err(reproducer) = check_split_regions_and_columns(BitCase { n: 1, c, f, geom, seed })
+        {
+            panic!("{reproducer}");
+        }
+    };
+    let mut geoms = Vec::new();
+    for phase in [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65] {
+        for stride in 1..=2 {
+            geoms.push(ConvGeometry::square(3, phase * stride, 3, stride, 1));
+        }
+    }
+    for width in [8, 9, 16, 17] {
+        geoms.push(ConvGeometry::square(5, width, 5, 1, 2));
+    }
+    for width in [8, 16] {
+        geoms.push(ConvGeometry::square(2, width, 1, 1, 0));
+    }
+    for (g, geom) in geoms.into_iter().enumerate() {
+        // Every count once as channels, paired with a filter count that
+        // shifts from one geometry to the next.
+        for (i, c) in CHANNELS.into_iter().enumerate() {
+            check(c, CHANNELS[(i + g) % CHANNELS.len()], geom);
+        }
     }
 }

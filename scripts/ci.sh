@@ -232,6 +232,7 @@ bitwise_conv_tests=(
     small_maps_equal_reference_bitwise
     resnet50_shapes_equal_reference_bitwise
     mesh_shapes_equal_reference_bitwise
+    wide_row_phases_equal_reference_bitwise
 )
 filtered_tests -p fg-kernels --test conv_properties -- "${bitwise_conv_tests[@]}"
 filtered_tests -p fg-kernels --release --test conv_properties -- "${bitwise_conv_tests[@]}"
